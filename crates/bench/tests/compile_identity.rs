@@ -1,0 +1,155 @@
+//! Compile-output identity: what the compiler emits is pinned by digests
+//! recorded on the commit *before* region annotation and the prelude front
+//! end were rewritten for speed (`tests/golden/compile_digests.txt`).
+//!
+//! Every corpus program in every mode, and 200 full-surface generated
+//! programs in `r`/`gt`/`rgt`, must still disassemble byte for byte to the
+//! recorded bytecode, and the region-annotated program must print the same
+//! up to a bijective renaming of region variables (the total number of
+//! region variables is allowed to shrink: regions that never occur in the
+//! program no longer consume dense numbers, which also renames the global
+//! region `gt` collapses onto).
+//!
+//! Regenerate (only on a commit whose output is the reference):
+//! `cargo test --release -p kit-bench --test compile_identity -- --ignored bless`
+
+use kit::{Compiler, Mode};
+use kit_bench::programs::{self, SplitMix64};
+use kit_bench::randgen::{self, Surface};
+use kit_lambda::opt::OptOptions;
+use kit_region::RegionOptions;
+use std::collections::HashMap;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/compile_digests.txt"
+);
+
+const GENERATED: u64 = 200;
+const GENERATED_SEED: u64 = 0x5EED_1200;
+const GENERATED_MODES: [Mode; 3] = [Mode::R, Mode::Gt, Mode::Rgt];
+
+/// `Compiler::new(mode)`'s region options (the mapping is private to `kit`).
+fn region_options(mode: Mode) -> RegionOptions {
+    match mode {
+        Mode::R | Mode::Rt => RegionOptions::regions_only(),
+        Mode::Gt => RegionOptions::disabled(),
+        Mode::Rgt => RegionOptions::with_gc(),
+        Mode::Baseline => RegionOptions::baseline(),
+    }
+}
+
+/// FNV-1a, spelled out so the digests do not depend on the standard
+/// library's unspecified `DefaultHasher`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Renames every region token `r<digits>` to `r<k>`, `k` the rank of its
+/// first occurrence: two printed programs are equal up to a bijective
+/// renaming of region variables exactly when their canonical forms are
+/// equal. Variables print as `name_<id>`, so a token followed by `_` (or
+/// glued to an identifier) is not a region.
+fn canonical_regions(s: &str) -> String {
+    let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'';
+    let bytes = s.as_bytes();
+    let mut out = String::with_capacity(s.len());
+    let mut rank: HashMap<&str, usize> = HashMap::new();
+    let mut copied = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        let starts = bytes[i] == b'r' && (i == 0 || !ident(bytes[i - 1]));
+        let mut end = i + 1;
+        while starts && end < bytes.len() && bytes[end].is_ascii_digit() {
+            end += 1;
+        }
+        if starts && end > i + 1 && (end == bytes.len() || !ident(bytes[end])) {
+            let next = rank.len();
+            let k = *rank.entry(&s[i + 1..end]).or_insert(next);
+            out.push_str(&s[copied..=i]);
+            let _ = write!(out, "{k}");
+            copied = end;
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    out.push_str(&s[copied..]);
+    out
+}
+
+/// One golden row: bytecode digest, code length, region-program digest.
+fn digest(src: &str, mode: Mode) -> String {
+    let prog = Compiler::new(mode)
+        .compile_source(src)
+        .unwrap_or_else(|e| panic!("{mode}: {e}"));
+    let mut lprog = kit_typing::compile_str(src).expect("compiled above");
+    kit_lambda::opt::optimize(&mut lprog, &OptOptions::default());
+    let rprog = kit_region::infer(&lprog, region_options(mode));
+    format!(
+        "{:016x} {} {:016x}",
+        fnv1a(&kit_kam::disasm::disassemble(&prog)),
+        prog.code.len(),
+        fnv1a(&canonical_regions(&kit_region::pretty::program_to_string(
+            &rprog
+        ))),
+    )
+}
+
+fn current_digests() -> String {
+    let mut out = String::new();
+    for b in programs::all() {
+        for mode in Mode::ALL_WITH_BASELINE {
+            let _ = writeln!(out, "{} {} {}", b.name, mode, digest(b.src, mode));
+        }
+    }
+    for i in 0..GENERATED {
+        let src = randgen::program(&mut SplitMix64::new(GENERATED_SEED + i), Surface::Full);
+        for mode in GENERATED_MODES {
+            let _ = writeln!(out, "generated:{i} {mode} {}", digest(&src, mode));
+        }
+    }
+    out
+}
+
+#[test]
+fn compile_output_matches_recorded_digests() {
+    let golden = std::fs::read_to_string(GOLDEN).expect("golden digest file");
+    let current = current_digests();
+    let differing: Vec<String> = golden
+        .lines()
+        .zip(current.lines())
+        .filter(|(g, c)| g != c)
+        .map(|(g, c)| format!("  recorded {g}\n  now      {c}"))
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "{} of {} digests differ (program mode bytecode code_len regions):\n{}",
+        differing.len(),
+        golden.lines().count(),
+        differing[..differing.len().min(8)].join("\n")
+    );
+    assert_eq!(golden.lines().count(), current.lines().count());
+}
+
+#[test]
+#[ignore = "rewrites the golden file; run only on the reference commit"]
+fn bless() {
+    std::fs::write(GOLDEN, current_digests()).expect("write golden digest file");
+}
+
+#[test]
+fn canonical_form_is_renaming_invariant() {
+    let a = "letregion r7:inf, r12:1 in f_3[r7,r12] at r40 (r1_9, \"r7\")";
+    let b = "letregion r2:inf, r5:1 in f_3[r2,r5] at r3 (r1_9, \"r2\")";
+    assert_eq!(canonical_regions(a), canonical_regions(b));
+    assert_eq!(
+        canonical_regions(a),
+        "letregion r0:inf, r1:1 in f_3[r0,r1] at r2 (r1_9, \"r0\")"
+    );
+    // Not a bijection: two regions merged into one.
+    assert_ne!(canonical_regions("r1 r2 r1"), canonical_regions("r1 r1 r1"));
+}

@@ -21,15 +21,51 @@
 //! (`r` mode) a captured-but-unused value's region may die first — the
 //! paper's example of a safe dangling pointer.
 //!
-//! Output: an [`RExp`] with dense [`RegVar`] numbering, plus per-marker
-//! escape sets consumed by `letregion` placement.
+//! Work is kept proportional to what is annotated:
+//!
+//! * free-variable sets come from a side table built in one walk
+//!   ([`crate::freevars`]), never from re-walking a subtree;
+//! * a fixed-point round that is superseded leaves nothing behind: its
+//!   bodies are dropped and its `letregion` candidates (markers) are
+//!   truncated away before the next round starts, so only candidates of
+//!   the final tree are ever finalized;
+//! * a marker records the *bindings* of its free variables — indices into
+//!   an append-only arena, since the environment rebinds a group's
+//!   variables between rounds — and escape sets are computed at the end,
+//!   when the stores are frozen, as unions of per-binding region sets that
+//!   are each computed once;
+//! * types are arena indices ([`crate::rtype::TyId`]).
+//!
+//! Output: an [`RExp`] whose places are densely numbered in order of first
+//! occurrence, plus per-marker escape sets consumed by `letregion`
+//! placement. Regions that occur nowhere in the program get no number:
+//! placement could never bind them.
 
+use crate::freevars::FreeVars;
 use crate::rexp::{RExp, RFixFun, RProgram, RegVar};
-use crate::rtype::{Eff, Instance, RScheme, RTy, Reg, Stores};
+use crate::rtype::{Eff, IdSet, Kids, RScheme, RTy, Reg, Stores, TyId};
 use kit_lambda::exp::{FixFun, LExp, Prim, VarId};
-use kit_lambda::ty::{ConId, SchemeTy, TyConId};
+use kit_lambda::ty::{ConId, LTy, SchemeTy, TyConId};
 use kit_lambda::LProgram;
 use std::collections::{BTreeSet, HashMap};
+
+/// Work counters of one annotation run: plain counts, so that "linear in
+/// program size" can be asserted without timing anything.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AnnotateStats {
+    /// Expression nodes annotated, counting every fixed-point round.
+    pub node_visits: u64,
+    /// Walks that computed free-variable sets (one: the side table).
+    pub free_var_walks: u64,
+    /// Fixed-point rounds run over all `fix` groups.
+    pub fix_rounds: u64,
+    /// `letregion` candidates in the final tree.
+    pub markers_live: u64,
+    /// Candidates of superseded rounds, dropped without being finalized.
+    pub markers_dropped: u64,
+    /// Free-region-variable walks over a type (with its effect closure).
+    pub frv_calls: u64,
+}
 
 /// Result of annotation: the program (with [`RExp::Marker`] nodes still in
 /// place) and the per-marker escape sets (dense region numbering).
@@ -37,68 +73,111 @@ use std::collections::{BTreeSet, HashMap};
 pub struct Annotated {
     /// The annotated program; `globals` is empty until placement runs.
     pub prog: RProgram,
-    /// For each marker id: regions that must *not* be bound at or below it.
-    pub marker_escapes: Vec<BTreeSet<RegVar>>,
+    /// For each marker id: regions that must *not* be bound at or below
+    /// it, ascending.
+    pub marker_escapes: Vec<Vec<RegVar>>,
     /// Regions escaping globally (program result, raised exceptions).
     pub global_escapes: BTreeSet<RegVar>,
+    /// How much work annotation did.
+    pub stats: AnnotateStats,
 }
 
 /// Runs annotation over an optimized `LambdaExp` program.
 pub fn annotate(prog: &LProgram, gc_safe: bool) -> Annotated {
+    let fvs = FreeVars::of_program(&prog.body);
     let mut ann = Ann {
         st: Stores::new(),
         prog,
-        env: HashMap::new(),
+        fvs: &fvs,
+        env: vec![UNBOUND; prog.vars.len()],
+        binds: Vec::new(),
         cur_eff: Vec::new(),
         markers: Vec::new(),
+        marker_binds: Vec::new(),
         fixmeta: HashMap::new(),
-        global_frv: BTreeSet::new(),
+        global_frv: Vec::new(),
         gc_safe,
+        debug: std::env::var_os("KIT_REGION_DEBUG").is_some(),
+        stats: AnnotateStats {
+            free_var_walks: 1,
+            ..AnnotateStats::default()
+        },
+        tmp: IdSet::default(),
+        scratch: Default::default(),
     };
     let top_eff = ann.st.fresh_eff();
     ann.cur_eff.push(top_eff);
     let (body, ty) = ann.ann(&prog.body);
     // The program result escapes.
-    let mut res = BTreeSet::new();
-    ann.st.frv(&ty, &mut res);
-    ann.global_frv.extend(res);
+    ann.escapes_globally(ty);
     ann.finalize(body)
 }
 
-#[derive(Debug, Clone)]
+type BindId = u32;
+const UNBOUND: BindId = u32::MAX;
+
+#[derive(Debug)]
 enum Bind {
-    Mono(RTy),
+    Mono(TyId),
     /// Type-polymorphic, region-monomorphic (`let`-bound values).
     PolyVal(RScheme),
     /// Region-polymorphic `fix` function.
     Fix(RScheme),
 }
 
-struct MarkerInfo {
-    /// (type, regions-to-exclude) pairs: the node type plus the types of
-    /// the node's free variables (schemes exclude their quantified
-    /// regions).
-    tys: Vec<(RTy, Vec<Reg>)>,
+impl Bind {
+    /// The type, and the type, region and effect variables a scheme
+    /// quantifies over it.
+    fn parts(&self) -> (TyId, &[u32], &[Reg], &[Eff]) {
+        match self {
+            Bind::Mono(t) => (*t, &[], &[], &[]),
+            Bind::PolyVal(s) | Bind::Fix(s) => (s.ty, &s.qtys, &s.qregs, &s.qeffs),
+        }
+    }
 }
 
-struct FixMeta {
-    /// Indices into the scheme's `qregs` that are runtime formals (regions
-    /// the body allocates into).
-    formal_idx: Vec<usize>,
+/// What `v` is bound to right now (a free function, so that the borrow
+/// covers the two fields and not the whole annotator).
+fn binding<'b>(binds: &'b [Bind], env: &[BindId], v: VarId) -> Option<&'b Bind> {
+    binds.get(env[v.0 as usize] as usize)
+}
+
+struct MarkerInfo {
+    /// Type of the expression the marker wraps.
+    ty: TyId,
+    /// Where the bindings of the expression's free variables start in
+    /// `Ann::marker_binds` (they end where the next marker's start).
+    binds_start: u32,
 }
 
 struct Ann<'a> {
     st: Stores,
     prog: &'a LProgram,
-    env: HashMap<VarId, Bind>,
+    fvs: &'a FreeVars,
+    /// Current binding of every variable.
+    env: Vec<BindId>,
+    /// Every binding ever made, in order; markers refer to these.
+    binds: Vec<Bind>,
     cur_eff: Vec<Eff>,
+    /// The markers of the tree built so far (superseded rounds truncated).
     markers: Vec<MarkerInfo>,
-    fixmeta: HashMap<VarId, FixMeta>,
-    global_frv: BTreeSet<Reg>,
+    marker_binds: Vec<BindId>,
+    /// Per `fix` function: indices into the scheme's `qregs` that are
+    /// runtime formals (regions the body allocates into).
+    fixmeta: HashMap<VarId, Vec<usize>>,
+    /// Regions forced global; not necessarily canonical.
+    global_frv: Vec<Reg>,
     gc_safe: bool,
+    /// `KIT_REGION_DEBUG` is set: dump every round's schemes.
+    debug: bool,
+    stats: AnnotateStats,
+    /// Scratch sets, used within one step and never across a recursive
+    /// `ann` call.
+    tmp: IdSet,
+    scratch: [IdSet; 2],
 }
 
-impl Ann<'_> {
+impl<'a> Ann<'a> {
     fn eff(&self) -> Eff {
         *self.cur_eff.last().unwrap()
     }
@@ -108,14 +187,30 @@ impl Ann<'_> {
         self.st.eff_add_reg(e, r);
     }
 
-    fn get_ty(&mut self, ty: &RTy) {
-        if let Some(r) = self.st.resolve(ty).outer_region() {
+    fn get_ty(&mut self, ty: TyId) {
+        if let Some(r) = self.st.node(ty).outer_region() {
             let e = self.eff();
             self.st.eff_add_reg(e, r);
         }
     }
 
-    /// Converts a constructor-argument scheme to an `RTy`.
+    fn bind(&mut self, v: VarId, b: Bind) {
+        self.env[v.0 as usize] = self.binds.len() as BindId;
+        self.binds.push(b);
+    }
+
+    /// Forces every region of `ty` global.
+    fn escapes_globally(&mut self, ty: TyId) {
+        self.tmp.clear();
+        self.st.frv(ty, &mut self.tmp);
+        self.global_frv.extend_from_slice(self.tmp.items());
+    }
+
+    fn fresh_tys(&mut self, n: usize) -> Vec<TyId> {
+        (0..n).map(|_| self.st.fresh_ty()).collect()
+    }
+
+    /// Converts a constructor-argument scheme to a type.
     ///
     /// Datatypes are **region uniform** (as in the ML Kit's basic region
     /// typing): every boxed component in a non-parameter position — the
@@ -124,21 +219,21 @@ impl Ann<'_> {
     /// positions carry their instantiation's regions. This is what makes
     /// the component regions visible in the datatype's (single-region)
     /// type, so escape analysis cannot lose them.
-    fn conv_scheme(&mut self, s: &SchemeTy, targs: &[RTy], self_reg: Reg) -> RTy {
+    fn conv_scheme(&mut self, s: &SchemeTy, targs: &[TyId], self_reg: Reg) -> TyId {
         match s {
-            SchemeTy::Param(i) => targs[*i as usize].clone(),
-            SchemeTy::Int => RTy::Int,
-            SchemeTy::Bool => RTy::Bool,
-            SchemeTy::Unit => RTy::Unit,
-            SchemeTy::Real => RTy::Real(self_reg),
-            SchemeTy::Str => RTy::Str(self_reg),
-            SchemeTy::Exn => RTy::Exn(self_reg),
+            SchemeTy::Param(i) => targs[*i as usize],
+            SchemeTy::Int => Stores::INT,
+            SchemeTy::Bool => Stores::BOOL,
+            SchemeTy::Unit => Stores::UNIT,
+            SchemeTy::Real => self.st.real(self_reg),
+            SchemeTy::Str => self.st.string(self_reg),
+            SchemeTy::Exn => self.st.exn(self_reg),
             SchemeTy::Con(tc, args) => {
-                let nargs = args
+                let nargs: Vec<TyId> = args
                     .iter()
                     .map(|a| self.conv_scheme(a, targs, self_reg))
                     .collect();
-                RTy::Con(*tc, nargs, self_reg)
+                self.st.con(*tc, &nargs, self_reg)
             }
             SchemeTy::Arrow(a, b) => {
                 // Functions stored in datatypes: the closure shares the
@@ -148,182 +243,191 @@ impl Ann<'_> {
                 let nb = self.conv_scheme(b, targs, self_reg);
                 let e = self.st.fresh_eff();
                 self.st.eff_add_reg(e, self_reg);
-                RTy::Arrow(vec![na], e, Box::new(nb), self_reg)
+                self.st.arrow(&[na], e, nb, self_reg)
             }
             SchemeTy::Tuple(ts) => {
-                let nts = ts
+                let nts: Vec<TyId> = ts
                     .iter()
                     .map(|t| self.conv_scheme(t, targs, self_reg))
                     .collect();
-                RTy::Tuple(nts, self_reg)
+                self.st.tuple(&nts, self_reg)
             }
             SchemeTy::Ref(t) => {
                 let nt = self.conv_scheme(t, targs, self_reg);
-                RTy::Ref(Box::new(nt), self_reg)
+                self.st.reference(nt, self_reg)
             }
             SchemeTy::Array(t) => {
                 let nt = self.conv_scheme(t, targs, self_reg);
-                RTy::Array(Box::new(nt), self_reg)
+                self.st.array(nt, self_reg)
             }
         }
     }
 
-    /// Records a `letregion` candidate around `inner`.
-    fn marker(&mut self, inner: RExp, node_ty: &RTy, lexp: &LExp) -> RExp {
-        let mut tys = vec![(node_ty.clone(), Vec::new())];
-        for v in lexp.free_vars() {
-            match self.env.get(&v) {
-                Some(Bind::Mono(t)) => tys.push((t.clone(), Vec::new())),
-                Some(Bind::PolyVal(s)) | Some(Bind::Fix(s)) => {
-                    tys.push((s.ty.clone(), s.qregs.clone()));
-                }
-                None => {}
+    /// The argument type of constructor `con` of the datatype whose type
+    /// arguments and spine region `ty` (a resolved `Con` type) carries.
+    fn con_arg_ty(&mut self, tycon: TyConId, con: ConId, ty: TyId) -> Option<TyId> {
+        let prog = self.prog;
+        let scheme = prog.data.get(tycon).constructors[con.0 as usize]
+            .arg
+            .as_ref()?;
+        let RTy::Con(_, targs, spine) = self.st.node(ty) else {
+            unreachable!("constructor of a non-datatype type")
+        };
+        let targs = self.st.kids(targs).to_vec();
+        Some(self.conv_scheme(scheme, &targs, spine))
+    }
+
+    /// A fresh instance `tycon<'a, ...> @ ρ` of a datatype, and its ρ.
+    fn fresh_con_ty(&mut self, tycon: TyConId) -> (TyId, Reg) {
+        let arity = self.prog.data.get(tycon).arity as usize;
+        let targs = self.fresh_tys(arity);
+        let reg = self.st.fresh_reg();
+        (self.st.con(tycon, &targs, reg), reg)
+    }
+
+    /// Records a `letregion` candidate around `inner`, the annotation of
+    /// `lexp`: the escape set will cover `node_ty` and the types the free
+    /// variables of `lexp` are bound at right now.
+    fn marker(&mut self, inner: RExp, node_ty: TyId, lexp: &LExp) -> RExp {
+        let binds_start = self.marker_binds.len() as u32;
+        for v in self.fvs.of(lexp) {
+            match self.env[v.0 as usize] {
+                UNBOUND => {}
+                b => self.marker_binds.push(b),
             }
         }
         let id = self.markers.len() as u32;
-        self.markers.push(MarkerInfo { tys });
+        self.markers.push(MarkerInfo {
+            ty: node_ty,
+            binds_start,
+        });
         RExp::Marker {
             id,
             body: Box::new(inner),
         }
     }
 
-    /// Environment free-variable sets for generalization, restricted to the
-    /// variables free in `lexp`.
-    fn env_free_sets(
-        &mut self,
-        lexp_fvs: &BTreeSet<VarId>,
-    ) -> (BTreeSet<Reg>, BTreeSet<Eff>, BTreeSet<u32>) {
-        let mut frv = BTreeSet::new();
-        let mut fev = BTreeSet::new();
-        let mut ftv = BTreeSet::new();
-        for v in lexp_fvs {
-            let Some(b) = self.env.get(v).cloned() else {
+    /// Forgets the markers made since there were `mark` of them: the tree
+    /// they sit in has been superseded.
+    fn drop_markers(&mut self, mark: usize) {
+        if let Some(first) = self.markers.get(mark) {
+            self.marker_binds.truncate(first.binds_start as usize);
+            self.stats.markers_dropped += (self.markers.len() - mark) as u64;
+            self.markers.truncate(mark);
+        }
+    }
+
+    /// Free type variables of the bindings of `vars` (schemes exclude the
+    /// variables they quantify); may list a variable more than once.
+    fn env_ftv(&mut self, vars: &[VarId]) -> Vec<u32> {
+        let mut ftv = Vec::new();
+        for &v in vars {
+            let Some(b) = binding(&self.binds, &self.env, v) else {
                 continue;
             };
-            match b {
-                Bind::Mono(t) => {
-                    self.st.frv(&t, &mut frv);
-                    self.st.fev(&t, &mut fev);
-                    self.st.ftv(&t, &mut ftv);
-                }
-                Bind::PolyVal(s) | Bind::Fix(s) => {
-                    let mut f = BTreeSet::new();
-                    self.st.frv(&s.ty, &mut f);
-                    for q in &s.qregs {
-                        f.remove(&self.st.find_reg(*q));
-                    }
-                    frv.extend(f);
-                    let mut e = BTreeSet::new();
-                    self.st.fev(&s.ty, &mut e);
-                    for q in &s.qeffs {
-                        e.remove(&self.st.find_eff(*q));
-                    }
-                    fev.extend(e);
-                    let mut t = BTreeSet::new();
-                    self.st.ftv(&s.ty, &mut t);
-                    for q in &s.qtys {
-                        t.remove(q);
-                    }
-                    ftv.extend(t);
-                }
-            }
+            let (ty, qtys, ..) = b.parts();
+            self.tmp.clear();
+            self.st.ftv(ty, &mut self.tmp);
+            ftv.extend(self.tmp.items().iter().filter(|t| !qtys.contains(t)));
         }
-        (frv, fev, ftv)
+        ftv
+    }
+
+    /// Free region, effect and type variables of the bindings of `vars`,
+    /// as generalization wants them.
+    fn env_free_sets(&mut self, vars: &[VarId]) -> (Vec<Reg>, Vec<Eff>, Vec<u32>) {
+        let mut frv = Vec::new();
+        let mut fev = Vec::new();
+        for &v in vars {
+            let Some(b) = binding(&self.binds, &self.env, v) else {
+                continue;
+            };
+            let (ty, _, qregs, qeffs) = b.parts();
+            self.tmp.clear();
+            self.st.frv(ty, &mut self.tmp);
+            let bound: Vec<Reg> = qregs.iter().map(|&q| self.st.find_reg(q)).collect();
+            frv.extend(self.tmp.items().iter().filter(|r| !bound.contains(r)));
+            self.tmp.clear();
+            self.st.fev(ty, &mut self.tmp);
+            let bound: Vec<Eff> = qeffs.iter().map(|&q| self.st.find_eff(q)).collect();
+            fev.extend(self.tmp.items().iter().filter(|e| !bound.contains(e)));
+        }
+        frv.sort_unstable();
+        frv.dedup();
+        fev.sort_unstable();
+        fev.dedup();
+        (frv, fev, self.env_ftv(vars))
     }
 
     // --------------------------------------------------------------- driver
 
-    fn ann(&mut self, e: &LExp) -> (RExp, RTy) {
+    fn ann(&mut self, e: &LExp) -> (RExp, TyId) {
+        self.stats.node_visits += 1;
         match e {
             LExp::Var(v) => {
-                let b = self
-                    .env
-                    .get(v)
-                    .cloned()
+                let bind = binding(&self.binds, &self.env, *v)
                     .unwrap_or_else(|| panic!("unbound variable {} in region inference", v.0));
-                match b {
-                    Bind::Mono(t) => (RExp::Var(*v), t),
-                    Bind::PolyVal(s) => {
-                        let inst = self.st.instantiate(&s);
-                        (RExp::Var(*v), inst.ty)
-                    }
+                match bind {
+                    Bind::Mono(t) => (RExp::Var(*v), *t),
+                    Bind::PolyVal(s) => (RExp::Var(*v), self.st.instantiate(s).ty),
                     Bind::Fix(s) => {
                         // Escaping use of a fix function: allocate a pair
                         // closure; the shared closure's region stays in the
                         // latent effect so it outlives the pair.
-                        let inst = self.st.instantiate(&s);
-                        let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.resolve(&inst.ty) else {
+                        let inst = self.st.instantiate(s);
+                        let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.node(inst.ty) else {
                             panic!("fix-bound variable with non-arrow type")
                         };
                         let pair_reg = self.st.fresh_reg();
                         self.st.eff_add_reg(eff, shared_reg);
                         self.put(pair_reg);
-                        let ty = RTy::Arrow(ps, eff, ret, pair_reg);
                         (
                             RExp::FixVar {
                                 var: *v,
                                 rargs: inst.reg_actuals.iter().map(|&r| RegVar(r)).collect(),
                                 at: RegVar(pair_reg),
                             },
-                            ty,
+                            self.st.arrow_at(ps, eff, ret, pair_reg),
                         )
                     }
                 }
             }
-            LExp::Int(n) => (RExp::Int(*n), RTy::Int),
-            LExp::Bool(b) => (RExp::Bool(*b), RTy::Bool),
-            LExp::Unit => (RExp::Unit, RTy::Unit),
+            LExp::Int(n) => (RExp::Int(*n), Stores::INT),
+            LExp::Bool(b) => (RExp::Bool(*b), Stores::BOOL),
+            LExp::Unit => (RExp::Unit, Stores::UNIT),
             LExp::Str(s) => {
                 // Constants live in the data segment; the region in the
                 // type is never allocated into.
                 let r = self.st.fresh_reg();
-                (RExp::Str(s.clone()), RTy::Str(r))
+                (RExp::Str(s.clone()), self.st.string(r))
             }
             LExp::Real(x) => {
-                let r = self.st.fresh_reg();
-                self.put(r);
-                (RExp::Real(*x, RegVar(r)), RTy::Real(r))
+                let r = self.alloc_reg();
+                (RExp::Real(*x, RegVar(r)), self.st.real(r))
             }
             LExp::Prim(p, args) => self.ann_prim(*p, args),
             LExp::Record(es) => {
-                let mut res = Vec::new();
-                let mut tys = Vec::new();
-                for e in es {
-                    let (re, t) = self.ann(e);
-                    res.push(re);
-                    tys.push(t);
-                }
-                let r = self.st.fresh_reg();
-                self.put(r);
-                (RExp::Record(res, RegVar(r)), RTy::Tuple(tys, r))
+                let (res, tys) = self.ann_all(es);
+                let r = self.alloc_reg();
+                (RExp::Record(res, RegVar(r)), self.st.tuple(&tys, r))
             }
             LExp::Select { i, arity, tup } => {
                 let (re, t) = self.ann(tup);
-                let comps: Vec<RTy> = (0..*arity).map(|_| self.st.fresh_ty()).collect();
+                let comps = self.fresh_tys(*arity);
                 let reg = self.st.fresh_reg();
-                self.st.unify(&t, &RTy::Tuple(comps.clone(), reg));
-                self.get_ty(&t);
-                (RExp::Select(*i, Box::new(re)), comps[*i].clone())
+                let want = self.st.tuple(&comps, reg);
+                self.st.unify(t, want);
+                self.get_ty(t);
+                (RExp::Select(*i, Box::new(re)), comps[*i])
             }
             LExp::Con {
                 tycon, con, arg, ..
             } => self.ann_con(*tycon, *con, arg.as_deref()),
             LExp::DeCon { tycon, con, scrut } => {
-                let (rs, t) = self.ann(scrut);
-                let arity = self.prog.data.get(*tycon).arity;
-                let want_targs: Vec<RTy> = (0..arity).map(|_| self.st.fresh_ty()).collect();
-                let want_reg = self.st.fresh_reg();
-                self.st.unify(&t, &RTy::Con(*tycon, want_targs, want_reg));
-                self.get_ty(&t);
-                let RTy::Con(_, targs, spine) = self.st.resolve(&t) else {
-                    unreachable!()
-                };
-                let scheme = self.prog.data.get(*tycon).constructors[con.0 as usize]
-                    .arg
-                    .clone()
+                let (rs, t) = self.ann_scrutinee(scrut, *tycon);
+                let arg_ty = self
+                    .con_arg_ty(*tycon, *con, t)
                     .expect("decon of nullary constructor");
-                let arg_ty = self.conv_scheme(&scheme, &targs, spine);
                 (
                     RExp::DeCon {
                         tycon: *tycon,
@@ -339,30 +443,14 @@ impl Ann<'_> {
                 arms,
                 default,
             } => {
-                let (rs, t) = self.ann(scrut);
-                let arity = self.prog.data.get(*tycon).arity;
-                let want_targs: Vec<RTy> = (0..arity).map(|_| self.st.fresh_ty()).collect();
-                let want_reg = self.st.fresh_reg();
-                self.st.unify(&t, &RTy::Con(*tycon, want_targs, want_reg));
-                self.get_ty(&t);
+                let (rs, _) = self.ann_scrutinee(scrut, *tycon);
                 let result = self.st.fresh_ty();
-                let mut rarms = Vec::new();
-                for (c, a) in arms {
-                    let (ra, ta) = self.ann_armed(a);
-                    self.st.unify(&ta, &result);
-                    rarms.push((*c, ra));
-                }
-                let rdefault = default.as_ref().map(|d| {
-                    let (rd, td) = self.ann_armed(d);
-                    self.st.unify(&td, &result);
-                    Box::new(rd)
-                });
                 (
                     RExp::SwitchCon {
                         scrut: Box::new(rs),
                         tycon: *tycon,
-                        arms: rarms,
-                        default: rdefault,
+                        arms: self.ann_arms(arms, result),
+                        default: default.as_ref().map(|d| self.ann_arm(d, result)),
                     },
                     result,
                 )
@@ -372,21 +460,13 @@ impl Ann<'_> {
                 arms,
                 default,
             } => {
-                let (rs, _t) = self.ann(scrut);
+                let (rs, _) = self.ann(scrut);
                 let result = self.st.fresh_ty();
-                let mut rarms = Vec::new();
-                for (k, a) in arms {
-                    let (ra, ta) = self.ann_armed(a);
-                    self.st.unify(&ta, &result);
-                    rarms.push((*k, ra));
-                }
-                let (rd, td) = self.ann_armed(default);
-                self.st.unify(&td, &result);
                 (
                     RExp::SwitchInt {
                         scrut: Box::new(rs),
-                        arms: rarms,
-                        default: Box::new(rd),
+                        arms: self.ann_arms(arms, result),
+                        default: self.ann_arm(default, result),
                     },
                     result,
                 )
@@ -397,21 +477,13 @@ impl Ann<'_> {
                 default,
             } => {
                 let (rs, t) = self.ann(scrut);
-                self.get_ty(&t);
+                self.get_ty(t);
                 let result = self.st.fresh_ty();
-                let mut rarms = Vec::new();
-                for (k, a) in arms {
-                    let (ra, ta) = self.ann_armed(a);
-                    self.st.unify(&ta, &result);
-                    rarms.push((k.clone(), ra));
-                }
-                let (rd, td) = self.ann_armed(default);
-                self.st.unify(&td, &result);
                 (
                     RExp::SwitchStr {
                         scrut: Box::new(rs),
-                        arms: rarms,
-                        default: Box::new(rd),
+                        arms: self.ann_arms(arms, result),
+                        default: self.ann_arm(default, result),
                     },
                     result,
                 )
@@ -422,21 +494,13 @@ impl Ann<'_> {
                 default,
             } => {
                 let (rs, t) = self.ann(scrut);
-                self.get_ty(&t);
+                self.get_ty(t);
                 let result = self.st.fresh_ty();
-                let mut rarms = Vec::new();
-                for (k, a) in arms {
-                    let (ra, ta) = self.ann_armed(a);
-                    self.st.unify(&ta, &result);
-                    rarms.push((*k, ra));
-                }
-                let (rd, td) = self.ann_armed(default);
-                self.st.unify(&td, &result);
                 (
                     RExp::SwitchExn {
                         scrut: Box::new(rs),
-                        arms: rarms,
-                        default: Box::new(rd),
+                        arms: self.ann_arms(arms, result),
+                        default: self.ann_arm(default, result),
                     },
                     result,
                 )
@@ -445,59 +509,49 @@ impl Ann<'_> {
                 let (rc, _) = self.ann(c);
                 let (rt, tt) = self.ann_armed(th);
                 let (re, te) = self.ann_armed(el);
-                self.st.unify(&tt, &te);
+                self.st.unify(tt, te);
                 (RExp::If(Box::new(rc), Box::new(rt), Box::new(re)), tt)
             }
             LExp::Fn { params, body, .. } => {
-                let ptys: Vec<RTy> = params.iter().map(|_| self.st.fresh_ty()).collect();
+                let ptys = self.fresh_tys(params.len());
                 for ((v, _), t) in params.iter().zip(&ptys) {
-                    self.env.insert(*v, Bind::Mono(t.clone()));
+                    self.bind(*v, Bind::Mono(*t));
                 }
                 let eff = self.st.fresh_eff();
                 self.cur_eff.push(eff);
-                let (rb, tb) = self.ann(body);
-                let rb = self.marker(rb, &tb, body);
+                let (rb, tb) = self.ann_armed(body);
                 self.cur_eff.pop();
-                let clos = self.st.fresh_reg();
-                self.put(clos);
-                self.weaken_captures(e, eff);
-                let ty = RTy::Arrow(ptys, eff, Box::new(tb), clos);
+                let clos = self.alloc_reg();
+                let captured = self.fvs.of(e);
+                self.weaken_captures(captured, eff);
                 (
                     RExp::Fn {
                         params: params.iter().map(|(v, _)| *v).collect(),
                         body: Box::new(rb),
                         at: RegVar(clos),
                     },
-                    ty,
+                    self.st.arrow(&ptys, eff, tb, clos),
                 )
             }
             LExp::App(f, args) => self.ann_app(f, args),
             LExp::Let { var, rhs, body, .. } => {
-                let (rrhs, trhs) = {
-                    let (r, t) = self.ann(rhs);
-                    (self.marker(r, &t, rhs), t)
-                };
-                if is_value(rhs) {
+                let (rrhs, trhs) = self.ann_armed(rhs);
+                let bind = if is_value(rhs) {
                     // Type-polymorphic, region-monomorphic generalization.
                     // Only type variables reachable through the rhs's own
                     // free variables can be shared with the environment.
-                    let fvs = rhs.free_vars();
-                    let (_frv, _fev, env_ftv) = self.env_free_sets(&fvs);
-                    let mut ftv = BTreeSet::new();
-                    self.st.ftv(&trhs, &mut ftv);
-                    let qtys: Vec<u32> = ftv.difference(&env_ftv).copied().collect();
-                    self.env.insert(
-                        *var,
-                        Bind::PolyVal(RScheme {
-                            qtys,
-                            qregs: Vec::new(),
-                            qeffs: Vec::new(),
-                            ty: trhs,
-                        }),
-                    );
+                    let rhs_vars = self.fvs.of(rhs);
+                    let env_ftv = self.env_ftv(rhs_vars);
+                    Bind::PolyVal(RScheme {
+                        qtys: self.st.quantifiable_tys(trhs, &env_ftv, &mut self.scratch),
+                        qregs: Vec::new(),
+                        qeffs: Vec::new(),
+                        ty: trhs,
+                    })
                 } else {
-                    self.env.insert(*var, Bind::Mono(trhs));
-                }
+                    Bind::Mono(trhs)
+                };
+                self.bind(*var, bind);
                 let (rb, tb) = self.ann(body);
                 (
                     RExp::Let {
@@ -508,60 +562,44 @@ impl Ann<'_> {
                     tb,
                 )
             }
-            LExp::Fix { funs, body } => self.ann_fix(funs, body),
-            LExp::ExCon { exn, arg } => {
-                let info = self.prog.exns.get(*exn).clone();
-                match (arg, info.arg) {
-                    (None, _) => (
-                        RExp::ExCon {
-                            exn: *exn,
-                            arg: None,
-                            at: None,
-                        },
-                        {
-                            let r = self.st.fresh_reg();
-                            RTy::Exn(r)
-                        },
-                    ),
-                    (Some(a), _) => {
-                        let (ra, ta) = self.ann(a);
-                        // Exception payloads escape non-locally (raising
-                        // unwinds the region stack), so their regions are
-                        // forced global.
-                        let mut f = BTreeSet::new();
-                        self.st.frv(&ta, &mut f);
-                        self.global_frv.extend(f);
-                        let r = self.st.fresh_reg();
-                        self.put(r);
-                        self.global_frv.insert(r);
-                        (
-                            RExp::ExCon {
-                                exn: *exn,
-                                arg: Some(Box::new(ra)),
-                                at: Some(RegVar(r)),
-                            },
-                            RTy::Exn(r),
-                        )
-                    }
-                }
+            LExp::Fix { funs, body } => self.ann_fix(e, funs, body),
+            LExp::ExCon { exn, arg: None } => {
+                let r = self.st.fresh_reg();
+                (
+                    RExp::ExCon {
+                        exn: *exn,
+                        arg: None,
+                        at: None,
+                    },
+                    self.st.exn(r),
+                )
+            }
+            LExp::ExCon { exn, arg: Some(a) } => {
+                let (ra, ta) = self.ann(a);
+                // Exception payloads escape non-locally (raising unwinds
+                // the region stack), so their regions are forced global.
+                self.escapes_globally(ta);
+                let r = self.alloc_reg();
+                self.global_frv.push(r);
+                (
+                    RExp::ExCon {
+                        exn: *exn,
+                        arg: Some(Box::new(ra)),
+                        at: Some(RegVar(r)),
+                    },
+                    self.st.exn(r),
+                )
             }
             LExp::DeExn { exn, scrut } => {
                 let (rs, t) = self.ann(scrut);
-                self.get_ty(&t);
-                let arg_lty = self
-                    .prog
-                    .exns
-                    .get(*exn)
-                    .arg
-                    .clone()
-                    .expect("deexn of nullary exception");
-                let ty = self.rty_of_lty(&arg_lty);
+                self.get_ty(t);
+                let prog = self.prog;
+                let arg_lty = prog.exns.get(*exn).arg.as_ref();
+                let ty = self.rty_of_lty(arg_lty.expect("deexn of nullary exception"));
                 // The payload regions were forced global at construction;
                 // fresh regions here are safe over-approximations that also
                 // become global through unification at use sites.
-                let mut f = BTreeSet::new();
-                self.st.frv(&ty, &mut f);
-                self.global_frv.extend(f);
+                self.escapes_globally(ty);
                 (
                     RExp::DeExn {
                         exn: *exn,
@@ -572,24 +610,17 @@ impl Ann<'_> {
             }
             LExp::Raise { exp, .. } => {
                 let (re, t) = self.ann(exp);
-                let mut f = BTreeSet::new();
-                self.st.frv(&t, &mut f);
-                self.global_frv.extend(f);
+                self.escapes_globally(t);
                 (RExp::Raise(Box::new(re)), self.st.fresh_ty())
             }
             LExp::Handle { body, var, handler } => {
-                let (rb, tb) = {
-                    let (r, t) = self.ann(body);
-                    (self.marker(r, &t, body), t)
-                };
+                let (rb, tb) = self.ann_armed(body);
                 let exn_reg = self.st.fresh_reg();
-                self.global_frv.insert(exn_reg);
-                self.env.insert(*var, Bind::Mono(RTy::Exn(exn_reg)));
-                let (rh, th) = {
-                    let (r, t) = self.ann(handler);
-                    (self.marker(r, &t, handler), t)
-                };
-                self.st.unify(&tb, &th);
+                self.global_frv.push(exn_reg);
+                let exn_ty = self.st.exn(exn_reg);
+                self.bind(*var, Bind::Mono(exn_ty));
+                let (rh, th) = self.ann_armed(handler);
+                self.st.unify(tb, th);
                 (
                     RExp::Handle {
                         body: Box::new(rb),
@@ -602,192 +633,203 @@ impl Ann<'_> {
         }
     }
 
-    /// Annotates a branch arm, wrapping it in a letregion candidate.
-    fn ann_armed(&mut self, e: &LExp) -> (RExp, RTy) {
+    fn ann_all(&mut self, es: &[LExp]) -> (Vec<RExp>, Vec<TyId>) {
+        es.iter().map(|e| self.ann(e)).unzip()
+    }
+
+    /// Annotates `e` and wraps it in a `letregion` candidate.
+    fn ann_armed(&mut self, e: &LExp) -> (RExp, TyId) {
         let (r, t) = self.ann(e);
-        (self.marker(r, &t, e), t)
+        (self.marker(r, t, e), t)
     }
 
-    fn ann_con(&mut self, tycon: TyConId, con: ConId, arg: Option<&LExp>) -> (RExp, RTy) {
-        let dt = self.prog.data.get(tycon);
-        let arity = dt.arity;
-        let scheme = dt.constructors[con.0 as usize].arg.clone();
-        let targs: Vec<RTy> = (0..arity).map(|_| self.st.fresh_ty()).collect();
-        let spine = self.st.fresh_reg();
-        match (arg, scheme) {
-            (None, None) => (
-                RExp::Con {
-                    tycon,
-                    con,
-                    arg: None,
-                    at: None,
-                },
-                RTy::Con(tycon, targs, spine),
-            ),
-            (Some(a), Some(s)) => {
-                let (ra, ta) = self.ann(a);
-                let want = self.conv_scheme(&s, &targs, spine);
-                self.st.unify(&ta, &want);
-                self.put(spine);
-                (
-                    RExp::Con {
-                        tycon,
-                        con,
-                        arg: Some(Box::new(ra)),
-                        at: Some(RegVar(spine)),
-                    },
-                    RTy::Con(tycon, targs, spine),
-                )
-            }
-            _ => panic!("constructor arity mismatch in region inference"),
-        }
+    /// A branch arm: a candidate whose type is the switch's `result`.
+    fn ann_arm(&mut self, e: &LExp, result: TyId) -> Box<RExp> {
+        let (r, t) = self.ann_armed(e);
+        self.st.unify(t, result);
+        Box::new(r)
     }
 
-    fn ann_prim(&mut self, p: Prim, args: &[LExp]) -> (RExp, RTy) {
-        let mut ras = Vec::new();
-        let mut tys = Vec::new();
-        for a in args {
-            let (ra, t) = self.ann(a);
-            ras.push(ra);
-            tys.push(t);
-        }
+    fn ann_arms<K: Clone>(&mut self, arms: &[(K, LExp)], result: TyId) -> Vec<(K, RExp)> {
+        arms.iter()
+            .map(|(k, a)| (k.clone(), *self.ann_arm(a, result)))
+            .collect()
+    }
+
+    /// Annotates a scrutinee of datatype `tycon` and records the read of
+    /// its spine; returns its (resolved `Con`) type.
+    fn ann_scrutinee(&mut self, scrut: &LExp, tycon: TyConId) -> (RExp, TyId) {
+        let (rs, t) = self.ann(scrut);
+        let (want, _) = self.fresh_con_ty(tycon);
+        self.st.unify(t, want);
+        self.get_ty(t);
+        (rs, t)
+    }
+
+    fn ann_con(&mut self, tycon: TyConId, con: ConId, arg: Option<&LExp>) -> (RExp, TyId) {
+        let (ty, spine) = self.fresh_con_ty(tycon);
+        let takes_arg = self.prog.data.get(tycon).constructors[con.0 as usize]
+            .arg
+            .is_some();
+        assert_eq!(
+            arg.is_some(),
+            takes_arg,
+            "constructor arity mismatch in region inference"
+        );
+        let arg = arg.map(|a| {
+            let (ra, ta) = self.ann(a);
+            let want = self.con_arg_ty(tycon, con, ty).expect("checked above");
+            self.st.unify(ta, want);
+            self.put(spine);
+            Box::new(ra)
+        });
+        (
+            RExp::Con {
+                tycon,
+                con,
+                at: arg.as_ref().map(|_| RegVar(spine)),
+                arg,
+            },
+            ty,
+        )
+    }
+
+    /// A fresh region with a `put` into it in the current effect.
+    fn alloc_reg(&mut self) -> Reg {
+        let r = self.st.fresh_reg();
+        self.put(r);
+        r
+    }
+
+    /// A boxed type of the given shape in a fresh region.
+    fn at_fresh_reg(&mut self, shape: fn(&mut Stores, Reg) -> TyId) -> TyId {
+        let r = self.st.fresh_reg();
+        shape(&mut self.st, r)
+    }
+
+    /// Unifies `t` with a fresh `real`/`string`/`'a ref`/`'a array` type.
+    fn constrain(&mut self, t: TyId, shape: fn(&mut Stores, Reg) -> TyId) {
+        let want = self.at_fresh_reg(shape);
+        self.st.unify(t, want);
+    }
+
+    fn ann_prim(&mut self, p: Prim, args: &[LExp]) -> (RExp, TyId) {
+        let (ras, tys) = self.ann_all(args);
         use Prim::*;
         // Constrain operand types to the primitive's expected shapes (the
         // operand may still be an unresolved variable otherwise).
+        let any_ref: fn(&mut Stores, Reg) -> TyId = |st, r| {
+            let inner = st.fresh_ty();
+            st.reference(inner, r)
+        };
+        let any_array: fn(&mut Stores, Reg) -> TyId = |st, r| {
+            let inner = st.fresh_ty();
+            st.array(inner, r)
+        };
         match p {
             RAdd | RSub | RMul | RDiv | RLt | RLe | RGt | RGe | REq => {
-                for t in &tys {
-                    let r = self.st.fresh_reg();
-                    self.st.unify(t, &RTy::Real(r));
+                for &t in &tys {
+                    self.constrain(t, Stores::real);
                 }
             }
-            RNeg | RAbs | Sqrt | Sin | Cos | Atan | Exp | Floor | Trunc | RtoS => {
-                let r = self.st.fresh_reg();
-                self.st.unify(&tys[0], &RTy::Real(r));
-            }
-            Ln => {
-                let r = self.st.fresh_reg();
-                self.st.unify(&tys[0], &RTy::Real(r));
+            RNeg | RAbs | Sqrt | Sin | Cos | Atan | Exp | Floor | Trunc | RtoS | Ln => {
+                self.constrain(tys[0], Stores::real);
             }
             StrEq | StrLt | StrConcat => {
-                for t in &tys {
-                    let r = self.st.fresh_reg();
-                    self.st.unify(t, &RTy::Str(r));
+                for &t in &tys {
+                    self.constrain(t, Stores::string);
                 }
             }
-            StrSize | Print => {
-                let r = self.st.fresh_reg();
-                self.st.unify(&tys[0], &RTy::Str(r));
-            }
+            StrSize | Print => self.constrain(tys[0], Stores::string),
             StrSub => {
-                let r = self.st.fresh_reg();
-                self.st.unify(&tys[0], &RTy::Str(r));
-                self.st.unify(&tys[1], &RTy::Int);
+                self.constrain(tys[0], Stores::string);
+                self.st.unify(tys[1], Stores::INT);
             }
-            RefGet | RefSet => {
-                let inner = self.st.fresh_ty();
-                let r = self.st.fresh_reg();
-                self.st.unify(&tys[0], &RTy::Ref(Box::new(inner), r));
-            }
+            RefGet | RefSet => self.constrain(tys[0], any_ref),
             RefEq => {
-                for t in &tys {
-                    let inner = self.st.fresh_ty();
-                    let r = self.st.fresh_reg();
-                    self.st.unify(t, &RTy::Ref(Box::new(inner), r));
+                for &t in &tys {
+                    self.constrain(t, any_ref);
                 }
             }
-            ArrSub | ArrUpd | ArrLen => {
-                let inner = self.st.fresh_ty();
-                let r = self.st.fresh_reg();
-                self.st.unify(&tys[0], &RTy::Array(Box::new(inner), r));
-            }
+            ArrSub | ArrUpd | ArrLen => self.constrain(tys[0], any_array),
             ArrEq => {
-                for t in &tys {
-                    let inner = self.st.fresh_ty();
-                    let r = self.st.fresh_reg();
-                    self.st.unify(t, &RTy::Array(Box::new(inner), r));
+                for &t in &tys {
+                    self.constrain(t, any_array);
                 }
             }
             _ => {}
         }
         // Reads touch the operands' outer regions.
-        for t in &tys {
+        for &t in &tys {
             self.get_ty(t);
         }
-        let (place, ty): (Option<Reg>, RTy) = match p {
-            IAdd | ISub | IMul | IDiv | IMod | INeg | IAbs => (None, RTy::Int),
-            ILt | ILe | IGt | IGe | IEq => (None, RTy::Bool),
-            RLt | RLe | RGt | RGe | REq => (None, RTy::Bool),
+        let (place, ty): (Option<Reg>, TyId) = match p {
+            IAdd | ISub | IMul | IDiv | IMod | INeg | IAbs => (None, Stores::INT),
+            ILt | ILe | IGt | IGe | IEq => (None, Stores::BOOL),
+            RLt | RLe | RGt | RGe | REq => (None, Stores::BOOL),
             RAdd | RSub | RMul | RDiv | RNeg | RAbs | IntToReal | Sqrt | Sin | Cos | Atan | Ln
             | Exp => {
-                let r = self.st.fresh_reg();
-                self.put(r);
-                (Some(r), RTy::Real(r))
+                let r = self.alloc_reg();
+                (Some(r), self.st.real(r))
             }
-            Floor | Trunc => (None, RTy::Int),
-            StrEq | StrLt => (None, RTy::Bool),
+            Floor | Trunc => (None, Stores::INT),
+            StrEq | StrLt => (None, Stores::BOOL),
             StrConcat | ItoS | RtoS | Chr => {
-                let r = self.st.fresh_reg();
-                self.put(r);
-                (Some(r), RTy::Str(r))
+                let r = self.alloc_reg();
+                (Some(r), self.st.string(r))
             }
-            StrSize | StrSub => (None, RTy::Int),
-            Print => (None, RTy::Unit),
+            StrSize | StrSub => (None, Stores::INT),
+            Print => (None, Stores::UNIT),
             RefNew => {
-                let r = self.st.fresh_reg();
-                self.put(r);
-                (Some(r), RTy::Ref(Box::new(tys[0].clone()), r))
+                let r = self.alloc_reg();
+                (Some(r), self.st.reference(tys[0], r))
             }
-            RefGet => {
-                let RTy::Ref(inner, _) = self.st.resolve(&tys[0]) else {
-                    panic!("deref of non-ref")
+            RefGet | RefSet => {
+                let RTy::Ref(inner, _) = self.st.node(tys[0]) else {
+                    panic!("deref of or assignment to non-ref")
                 };
-                (None, (*inner).clone())
+                if p == RefGet {
+                    (None, inner)
+                } else {
+                    self.st.unify(inner, tys[1]);
+                    (None, Stores::UNIT)
+                }
             }
-            RefSet => {
-                let RTy::Ref(inner, _) = self.st.resolve(&tys[0]) else {
-                    panic!("assign to non-ref")
-                };
-                self.st.unify(&inner, &tys[1]);
-                (None, RTy::Unit)
-            }
-            RefEq | ArrEq => (None, RTy::Bool),
+            RefEq | ArrEq => (None, Stores::BOOL),
             ArrNew => {
-                let r = self.st.fresh_reg();
-                self.put(r);
-                (Some(r), RTy::Array(Box::new(tys[1].clone()), r))
+                let r = self.alloc_reg();
+                (Some(r), self.st.array(tys[1], r))
             }
-            ArrSub => {
-                let RTy::Array(inner, _) = self.st.resolve(&tys[0]) else {
-                    panic!("sub of non-array")
+            ArrSub | ArrUpd => {
+                let RTy::Array(inner, _) = self.st.node(tys[0]) else {
+                    panic!("sub or update of non-array")
                 };
-                (None, (*inner).clone())
+                if p == ArrSub {
+                    (None, inner)
+                } else {
+                    self.st.unify(inner, tys[2]);
+                    (None, Stores::UNIT)
+                }
             }
-            ArrUpd => {
-                let RTy::Array(inner, _) = self.st.resolve(&tys[0]) else {
-                    panic!("update of non-array")
-                };
-                self.st.unify(&inner, &tys[2]);
-                (None, RTy::Unit)
-            }
-            ArrLen => (None, RTy::Int),
+            ArrLen => (None, Stores::INT),
         };
         (RExp::Prim(p, ras, place.map(RegVar)), ty)
     }
 
-    fn ann_app(&mut self, f: &LExp, args: &[LExp]) -> (RExp, RTy) {
+    fn ann_app(&mut self, f: &LExp, args: &[LExp]) -> (RExp, TyId) {
         // Known call to a fix-bound function?
         if let LExp::Var(v) = f {
-            if let Some(Bind::Fix(s)) = self.env.get(v).cloned() {
-                let inst: Instance = self.st.instantiate(&s);
-                let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.resolve(&inst.ty) else {
+            if let Some(Bind::Fix(s)) = binding(&self.binds, &self.env, *v) {
+                let inst = self.st.instantiate(s);
+                let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.node(inst.ty) else {
                     panic!("fix function with non-arrow type")
                 };
                 assert_eq!(ps.len(), args.len(), "fix call arity mismatch");
-                let mut rargs_exps = Vec::new();
-                for (a, pt) in args.iter().zip(&ps) {
+                let mut rargs_exps = Vec::with_capacity(args.len());
+                for (i, a) in args.iter().enumerate() {
                     let (ra, ta) = self.ann(a);
-                    self.st.unify(&ta, pt);
+                    let pt = self.st.kids(ps)[i];
+                    self.st.unify(ta, pt);
                     rargs_exps.push(ra);
                 }
                 let e = self.eff();
@@ -799,23 +841,17 @@ impl Ann<'_> {
                         rargs: inst.reg_actuals.iter().map(|&r| RegVar(r)).collect(),
                         args: rargs_exps,
                     },
-                    (*ret).clone(),
+                    ret,
                 );
             }
         }
         let (rf, tf) = self.ann(f);
-        let mut ras = Vec::new();
-        let mut tys = Vec::new();
-        for a in args {
-            let (ra, t) = self.ann(a);
-            ras.push(ra);
-            tys.push(t);
-        }
+        let (ras, tys) = self.ann_all(args);
         let eff = self.st.fresh_eff();
         let ret = self.st.fresh_ty();
         let clos = self.st.fresh_reg();
-        let want = RTy::Arrow(tys, eff, Box::new(ret.clone()), clos);
-        self.st.unify(&tf, &want);
+        let want = self.st.arrow(&tys, eff, ret, clos);
+        self.st.unify(tf, want);
         let e = self.eff();
         self.st.eff_add_child(e, eff);
         self.st.eff_add_reg(e, clos);
@@ -829,113 +865,109 @@ impl Ann<'_> {
         )
     }
 
-    /// §2.6 weakening: captured values' regions join the closure's latent
-    /// effect so they cannot be deallocated while the closure lives.
-    fn weaken_captures(&mut self, lexp: &LExp, eff: Eff) {
+    /// §2.6 weakening: the regions of the values a closure captures join
+    /// its latent effect so they cannot be deallocated while it lives.
+    fn weaken_captures(&mut self, captured: &[VarId], eff: Eff) {
         if !self.gc_safe {
             return;
         }
-        for v in lexp.free_vars() {
-            let Some(b) = self.env.get(&v).cloned() else {
-                continue;
-            };
-            let ty = match b {
-                Bind::Mono(t) => t,
-                Bind::PolyVal(s) | Bind::Fix(s) => s.ty,
-            };
-            let mut f = BTreeSet::new();
-            self.st.frv(&ty, &mut f);
-            for r in f {
-                self.st.eff_add_reg(eff, r);
+        self.tmp.clear();
+        for &v in captured {
+            if let Some(b) = binding(&self.binds, &self.env, v) {
+                self.st.frv(b.parts().0, &mut self.tmp);
             }
+        }
+        for &r in self.tmp.items() {
+            self.st.eff_add_reg(eff, r);
         }
     }
 
-    fn ann_fix(&mut self, funs: &[FixFun], body: &LExp) -> (RExp, RTy) {
+    /// One fixed-point round over a `fix` group: fresh arrow skeletons,
+    /// the group bound monomorphically (`prev` is `None`) or at the
+    /// previous round's schemes, every body annotated against its
+    /// skeleton. Returns the annotated bodies and the skeletons.
+    fn fix_round(
+        &mut self,
+        funs: &[FixFun],
+        prev: Option<&[RScheme]>,
+        shared_reg: Reg,
+        weaken: Option<&[VarId]>,
+    ) -> (Vec<RExp>, Vec<TyId>) {
+        self.stats.fix_rounds += 1;
+        let skeletons: Vec<(Vec<TyId>, TyId, Eff)> = funs
+            .iter()
+            .map(|f| {
+                let ptys = self.fresh_tys(f.params.len());
+                (ptys, self.st.fresh_ty(), self.st.fresh_eff())
+            })
+            .collect();
+        let arrows: Vec<TyId> = skeletons
+            .iter()
+            .map(|(ptys, ret, eff)| self.st.arrow(ptys, *eff, *ret, shared_reg))
+            .collect();
+        for (i, f) in funs.iter().enumerate() {
+            let bind = match prev {
+                None => Bind::Mono(arrows[i]),
+                Some(schemes) => Bind::Fix(schemes[i].clone()),
+            };
+            self.bind(f.var, bind);
+        }
+        let mut rbodies = Vec::with_capacity(funs.len());
+        for (f, (ptys, ret, eff)) in funs.iter().zip(&skeletons) {
+            for ((v, _), t) in f.params.iter().zip(ptys) {
+                self.bind(*v, Bind::Mono(*t));
+            }
+            self.cur_eff.push(*eff);
+            let (rb, tb) = self.ann_armed(&f.body);
+            self.cur_eff.pop();
+            self.st.unify(tb, *ret);
+            if let Some(captured) = weaken {
+                self.weaken_captures(captured, *eff);
+            }
+            rbodies.push(rb);
+        }
+        (rbodies, arrows)
+    }
+
+    fn ann_fix(&mut self, e: &LExp, funs: &[FixFun], body: &LExp) -> (RExp, TyId) {
         const MAX_ITERS: usize = 6;
-        let group: Vec<VarId> = funs.iter().map(|f| f.var).collect();
-        let fix_node_fvs = {
-            // Free variables of the fix node itself (excluding the group).
-            let mut fvs = BTreeSet::new();
-            for f in funs {
-                fvs.extend(f.body.free_vars());
-            }
-            for f in funs {
-                fvs.remove(&f.var);
-                for (p, _) in &f.params {
-                    fvs.remove(p);
-                }
-            }
-            fvs
-        };
-        let (env_frv, env_fev, env_ftv) = self.env_free_sets(&fix_node_fvs);
+        // What the closure shared by the group captures: the variables
+        // free in the bodies, minus the group and the parameters.
+        let captured = self.fvs.of_fix_closure(e);
+        let (mut env_frv, env_fev, env_ftv) = self.env_free_sets(captured);
 
         // One shared closure region for the whole group; it is never
         // quantified (the closure is allocated exactly once).
         let shared_reg = self.st.fresh_reg();
-        let mut env_frv_plus = env_frv.clone();
-        env_frv_plus.insert(shared_reg);
+        env_frv.push(shared_reg);
 
-        // Iteration 0: region-monomorphic recursion.
+        // Round 0 is region-monomorphic recursion; every later round binds
+        // the group at the previous round's schemes (region-polymorphic
+        // recursion). Each round supersedes the one before: its bodies
+        // replace the old ones and the old markers are forgotten.
+        let mark = self.markers.len();
         let mut schemes: Vec<RScheme> = Vec::new();
-        let mut bodies: Vec<(Vec<RExp>, Vec<RTy>)> = Vec::new(); // per-iteration
+        let mut bodies = Vec::new();
         let mut converged = false;
         for iter in 0..=MAX_ITERS {
-            // Fresh arrow skeletons for this round.
-            let mut arrows = Vec::new();
-            for f in funs {
-                let ptys: Vec<RTy> = f.params.iter().map(|_| self.st.fresh_ty()).collect();
-                let ret = self.st.fresh_ty();
-                let eff = self.st.fresh_eff();
-                arrows.push(RTy::Arrow(ptys, eff, Box::new(ret), shared_reg));
-            }
-            // Bind the group: monomorphic in round 0, then against the
-            // previous round's schemes (region-polymorphic recursion).
-            if iter == 0 {
-                for (f, arrow) in funs.iter().zip(&arrows) {
-                    self.env.insert(f.var, Bind::Mono(arrow.clone()));
-                }
-            } else {
-                for (i, f) in funs.iter().enumerate() {
-                    self.env.insert(f.var, Bind::Fix(schemes[i].clone()));
-                }
-            }
-            // Annotate bodies against this round's skeletons.
-            let mut rbodies = Vec::new();
-            for (f, arrow) in funs.iter().zip(&arrows) {
-                let RTy::Arrow(ptys, eff, ret, _) = arrow else {
-                    unreachable!()
-                };
-                for ((v, _), t) in f.params.iter().zip(ptys) {
-                    self.env.insert(*v, Bind::Mono(t.clone()));
-                }
-                self.cur_eff.push(*eff);
-                let (rb, tb) = self.ann(&f.body);
-                let rb = self.marker(rb, &tb, &f.body);
-                self.cur_eff.pop();
-                self.st.unify(&tb, ret);
-                self.weaken_captures(
-                    &LExp::Fix {
-                        funs: funs.to_vec(),
-                        body: Box::new(LExp::Unit),
-                    },
-                    *eff,
-                );
-                rbodies.push(rb);
-            }
-            // Generalize this round's arrows.
+            self.drop_markers(mark);
+            let prev = (iter > 0).then_some(schemes.as_slice());
+            let (rbodies, arrows) = self.fix_round(funs, prev, shared_reg, Some(captured));
             let new_schemes: Vec<RScheme> = arrows
                 .iter()
-                .map(|a| self.st.generalize(a, &env_frv_plus, &env_fev, &env_ftv))
+                .map(|&a| {
+                    self.st
+                        .generalize(a, &env_frv, &env_fev, &env_ftv, &mut self.scratch)
+                })
                 .collect();
             let same = !schemes.is_empty()
                 && schemes
                     .iter()
                     .zip(&new_schemes)
                     .all(|(a, b)| self.scheme_alpha_eq(a, b));
-            if std::env::var_os("KIT_REGION_DEBUG").is_some() {
+            if self.debug {
                 for (f, sch) in funs.iter().zip(&new_schemes) {
-                    let shown = self.show_ty(&sch.ty);
+                    let shown = self.show_ty(sch.ty);
                     eprintln!(
                         "[region] iter {iter} {}: qtys={} qregs={:?} qeffs={} same={same} ty={shown}",
                         self.prog.vars.name(f.var),
@@ -945,7 +977,7 @@ impl Ann<'_> {
                     );
                 }
             }
-            bodies.push((rbodies, arrows));
+            bodies = rbodies;
             schemes = new_schemes;
             if same {
                 converged = true;
@@ -953,79 +985,50 @@ impl Ann<'_> {
             }
         }
         if !converged {
-            if std::env::var_os("KIT_REGION_DEBUG").is_some() {
+            if self.debug {
                 for f in funs {
                     eprintln!("[region] fixpoint fallback: {}", self.prog.vars.name(f.var));
                 }
             }
             // Fall back to the sound region-monomorphic result: redo one
             // round with Mono bindings.
-            let mut arrows = Vec::new();
-            for f in funs {
-                let ptys: Vec<RTy> = f.params.iter().map(|_| self.st.fresh_ty()).collect();
-                let ret = self.st.fresh_ty();
-                let eff = self.st.fresh_eff();
-                arrows.push(RTy::Arrow(ptys, eff, Box::new(ret), shared_reg));
-            }
-            for (f, arrow) in funs.iter().zip(&arrows) {
-                self.env.insert(f.var, Bind::Mono(arrow.clone()));
-            }
-            let mut rbodies = Vec::new();
-            for (f, arrow) in funs.iter().zip(&arrows) {
-                let RTy::Arrow(ptys, eff, ret, _) = arrow else {
-                    unreachable!()
-                };
-                for ((v, _), t) in f.params.iter().zip(ptys) {
-                    self.env.insert(*v, Bind::Mono(t.clone()));
-                }
-                self.cur_eff.push(*eff);
-                let (rb, tb) = self.ann(&f.body);
-                let rb = self.marker(rb, &tb, &f.body);
-                self.cur_eff.pop();
-                self.st.unify(&tb, ret);
-                rbodies.push(rb);
-            }
+            self.drop_markers(mark);
+            let (rbodies, arrows) = self.fix_round(funs, None, shared_reg, None);
+            bodies = rbodies;
             // Region/effect-monomorphic, but still type-polymorphic —
             // HM already established type generality; only region and
             // effect quantification depends on the fixed point.
             schemes = arrows
                 .iter()
-                .map(|a| {
-                    let mut s = self.st.generalize(a, &env_frv_plus, &env_fev, &env_ftv);
-                    s.qregs.clear();
-                    s.qeffs.clear();
-                    s
+                .map(|&a| RScheme {
+                    qtys: self.st.quantifiable_tys(a, &env_ftv, &mut self.scratch),
+                    qregs: Vec::new(),
+                    qeffs: Vec::new(),
+                    ty: a,
                 })
                 .collect();
-            bodies.push((rbodies, arrows));
         }
-
-        let (final_bodies, _arrows) = bodies.pop().unwrap();
 
         // Determine runtime formals: quantified regions that actually
         // receive allocations in the body (syntactic places / rargs).
-        for (i, f) in funs.iter().enumerate() {
-            let mut occ = BTreeSet::new();
-            collect_places(&final_bodies[i], &mut self.st, &mut occ);
-            let formal_idx: Vec<usize> = schemes[i]
-                .qregs
-                .iter()
-                .enumerate()
-                .filter(|(_, &q)| occ.contains(&self.st.find_reg_ro(q)))
-                .map(|(k, _)| k)
+        for ((f, rbody), s) in funs.iter().zip(&bodies).zip(&schemes) {
+            self.tmp.clear();
+            collect_places(rbody, &mut self.st, &mut self.tmp);
+            let formal_idx = (0..s.qregs.len())
+                .filter(|&k| self.tmp.contains(self.st.find_reg(s.qregs[k])))
                 .collect();
-            self.fixmeta.insert(f.var, FixMeta { formal_idx });
+            self.fixmeta.insert(f.var, formal_idx);
         }
 
         // Bind the final schemes for the let-body.
         for (f, s) in funs.iter().zip(&schemes) {
-            self.env.insert(f.var, Bind::Fix(s.clone()));
+            self.bind(f.var, Bind::Fix(s.clone()));
         }
         self.put(shared_reg);
         let (rb, tb) = self.ann(body);
         let rfuns: Vec<RFixFun> = funs
             .iter()
-            .zip(final_bodies)
+            .zip(bodies)
             .zip(&schemes)
             .map(|((f, rbody), s)| RFixFun {
                 var: f.var,
@@ -1034,7 +1037,6 @@ impl Ann<'_> {
                 body: rbody,
             })
             .collect();
-        let _ = group;
         (
             RExp::Fix {
                 funs: rfuns,
@@ -1055,100 +1057,74 @@ impl Ann<'_> {
         {
             return false;
         }
-        let qa: BTreeSet<Reg> = a.qregs.iter().map(|&r| self.st.find_reg(r)).collect();
-        let qb: BTreeSet<Reg> = b.qregs.iter().map(|&r| self.st.find_reg(r)).collect();
-        let ea: BTreeSet<Eff> = a.qeffs.iter().map(|&e| self.st.find_eff(e)).collect();
-        let eb: BTreeSet<Eff> = b.qeffs.iter().map(|&e| self.st.find_eff(e)).collect();
-        let mut rmap = HashMap::new();
-        let mut emap = HashMap::new();
-        let ta = a.ty.clone();
-        let tb = b.ty.clone();
-        self.ty_alpha_eq(&ta, &tb, &qa, &qb, &ea, &eb, &mut rmap, &mut emap)
+        let mut cx = AlphaCx {
+            qa: a.qregs.iter().map(|&r| self.st.find_reg(r)).collect(),
+            qb: b.qregs.iter().map(|&r| self.st.find_reg(r)).collect(),
+            ea: a.qeffs.iter().map(|&e| self.st.find_eff(e)).collect(),
+            eb: b.qeffs.iter().map(|&e| self.st.find_eff(e)).collect(),
+            rmap: Vec::new(),
+            emap: Vec::new(),
+        };
+        self.ty_alpha_eq(a.ty, b.ty, &mut cx)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn ty_alpha_eq(
-        &mut self,
-        a: &RTy,
-        b: &RTy,
-        qa: &BTreeSet<Reg>,
-        qb: &BTreeSet<Reg>,
-        ea: &BTreeSet<Eff>,
-        eb: &BTreeSet<Eff>,
-        rmap: &mut HashMap<Reg, Reg>,
-        emap: &mut HashMap<Eff, Eff>,
-    ) -> bool {
-        let ra = self.st.resolve(a);
-        let rb = self.st.resolve(b);
-        let reg_eq = |st: &mut Stores, r1: Reg, r2: Reg, rmap: &mut HashMap<Reg, Reg>| {
-            let c1 = st.find_reg(r1);
-            let c2 = st.find_reg(r2);
-            match (qa.contains(&c1), qb.contains(&c2)) {
-                (true, true) => *rmap.entry(c1).or_insert(c2) == c2,
-                (false, false) => c1 == c2,
-                _ => false,
-            }
-        };
-        match (&ra, &rb) {
-            (RTy::Var(_), RTy::Var(_)) => true, // type vars: shape only
+    fn ty_alpha_eq(&mut self, a: TyId, b: TyId, cx: &mut AlphaCx) -> bool {
+        match (self.st.node(a), self.st.node(b)) {
+            (RTy::Var, RTy::Var) => true, // type vars: shape only
             (RTy::Int, RTy::Int) | (RTy::Bool, RTy::Bool) | (RTy::Unit, RTy::Unit) => true,
             (RTy::Real(r1), RTy::Real(r2))
             | (RTy::Str(r1), RTy::Str(r2))
-            | (RTy::Exn(r1), RTy::Exn(r2)) => reg_eq(&mut self.st, *r1, *r2, rmap),
+            | (RTy::Exn(r1), RTy::Exn(r2)) => self.reg_alpha_eq(r1, r2, cx),
             (RTy::Tuple(x, r1), RTy::Tuple(y, r2)) if x.len() == y.len() => {
-                if !reg_eq(&mut self.st, *r1, *r2, rmap) {
-                    return false;
-                }
-                x.iter()
-                    .zip(y)
-                    .all(|(p, q)| self.ty_alpha_eq(p, q, qa, qb, ea, eb, rmap, emap))
+                self.reg_alpha_eq(r1, r2, cx) && self.kids_alpha_eq(x, y, cx)
             }
             (RTy::Arrow(x, e1, xr, r1), RTy::Arrow(y, e2, yr, r2)) if x.len() == y.len() => {
-                if !reg_eq(&mut self.st, *r1, *r2, rmap) {
+                if !self.reg_alpha_eq(r1, r2, cx) {
                     return false;
                 }
-                let c1 = self.st.find_eff(*e1);
-                let c2 = self.st.find_eff(*e2);
+                let c1 = self.st.find_eff(e1);
+                let c2 = self.st.find_eff(e2);
                 // Effects are compared positionally only: their member
                 // sets are monotone over-approximations that may keep
                 // growing without affecting the quantification shape.
-                let eff_ok = match (ea.contains(&c1), eb.contains(&c2)) {
-                    (true, true) => *emap.entry(c1).or_insert(c2) == c2,
-                    (false, false) => c1 == c2,
-                    _ => false,
-                };
-                if !eff_ok {
-                    return false;
-                }
-                if !x
-                    .iter()
-                    .zip(y)
-                    .all(|(p, q)| self.ty_alpha_eq(p, q, qa, qb, ea, eb, rmap, emap))
-                {
-                    return false;
-                }
-                self.ty_alpha_eq(xr, yr, qa, qb, ea, eb, rmap, emap)
+                matched(c1, c2, &cx.ea, &cx.eb, &mut cx.emap)
+                    && self.kids_alpha_eq(x, y, cx)
+                    && self.ty_alpha_eq(xr, yr, cx)
             }
             (RTy::Con(c1, x, r1), RTy::Con(c2, y, r2)) if c1 == c2 && x.len() == y.len() => {
-                if !reg_eq(&mut self.st, *r1, *r2, rmap) {
-                    return false;
-                }
-                x.iter()
-                    .zip(y)
-                    .all(|(p, q)| self.ty_alpha_eq(p, q, qa, qb, ea, eb, rmap, emap))
+                self.reg_alpha_eq(r1, r2, cx) && self.kids_alpha_eq(x, y, cx)
             }
             (RTy::Ref(x, r1), RTy::Ref(y, r2)) | (RTy::Array(x, r1), RTy::Array(y, r2)) => {
-                reg_eq(&mut self.st, *r1, *r2, rmap)
-                    && self.ty_alpha_eq(x, y, qa, qb, ea, eb, rmap, emap)
+                self.reg_alpha_eq(r1, r2, cx) && self.ty_alpha_eq(x, y, cx)
             }
             _ => false,
         }
     }
 
+    fn reg_alpha_eq(&mut self, r1: Reg, r2: Reg, cx: &mut AlphaCx) -> bool {
+        let c1 = self.st.find_reg(r1);
+        let c2 = self.st.find_reg(r2);
+        matched(c1, c2, &cx.qa, &cx.qb, &mut cx.rmap)
+    }
+
+    fn kids_alpha_eq(&mut self, x: Kids, y: Kids, cx: &mut AlphaCx) -> bool {
+        (0..x.len()).all(|i| {
+            let (p, q) = (self.st.kids(x)[i], self.st.kids(y)[i]);
+            self.ty_alpha_eq(p, q, cx)
+        })
+    }
+
     /// Debug rendering of a resolved type with canonical region ids.
-    fn show_ty(&mut self, ty: &RTy) -> String {
-        match self.st.resolve(ty) {
-            RTy::Var(v) => format!("'t{v}"),
+    fn show_ty(&mut self, ty: TyId) -> String {
+        let show_all = |ann: &mut Self, ts: Kids, sep: &str| {
+            let inner: Vec<String> = (0..ts.len())
+                .map(|i| ann.show_ty(ann.st.kids(ts)[i]))
+                .collect();
+            inner.join(sep)
+        };
+        match self.st.node(ty) {
+            RTy::Var => format!("'t{}", self.st.resolve(ty).index()),
+            RTy::Link(_) => unreachable!("nodes are resolved"),
             RTy::Int => "int".into(),
             RTy::Bool => "bool".into(),
             RTy::Unit => "unit".into(),
@@ -1156,105 +1132,129 @@ impl Ann<'_> {
             RTy::Str(r) => format!("str@{}", self.st.find_reg(r)),
             RTy::Exn(r) => format!("exn@{}", self.st.find_reg(r)),
             RTy::Tuple(ts, r) => {
-                let inner: Vec<String> = ts.iter().map(|t| self.show_ty(t)).collect();
-                format!("({})@{}", inner.join("*"), self.st.find_reg(r))
+                format!("({})@{}", show_all(self, ts, "*"), self.st.find_reg(r))
             }
-            RTy::Arrow(ps, e, b, r) => {
-                let inner: Vec<String> = ps.iter().map(|t| self.show_ty(t)).collect();
-                let eb = self.show_ty(&b);
-                let ec = self.st.find_eff(e);
-                format!(
-                    "(({})-e{}->{})@{}",
-                    inner.join(","),
-                    ec,
-                    eb,
-                    self.st.find_reg(r)
-                )
-            }
-            RTy::Con(c, ts, r) => {
-                let inner: Vec<String> = ts.iter().map(|t| self.show_ty(t)).collect();
-                format!("C{}<{}>@{}", c.0, inner.join(","), self.st.find_reg(r))
-            }
-            RTy::Ref(t, r) => format!("ref({})@{}", self.show_ty(&t), self.st.find_reg(r)),
-            RTy::Array(t, r) => format!("arr({})@{}", self.show_ty(&t), self.st.find_reg(r)),
+            RTy::Arrow(ps, e, b, r) => format!(
+                "(({})-e{}->{})@{}",
+                show_all(self, ps, ","),
+                self.st.find_eff(e),
+                self.show_ty(b),
+                self.st.find_reg(r)
+            ),
+            RTy::Con(c, ts, r) => format!(
+                "C{}<{}>@{}",
+                c.0,
+                show_all(self, ts, ","),
+                self.st.find_reg(r)
+            ),
+            RTy::Ref(t, r) => format!("ref({})@{}", self.show_ty(t), self.st.find_reg(r)),
+            RTy::Array(t, r) => format!("arr({})@{}", self.show_ty(t), self.st.find_reg(r)),
         }
     }
 
-    fn rty_of_lty(&mut self, t: &kit_lambda::ty::LTy) -> RTy {
-        use kit_lambda::ty::LTy;
+    fn rty_of_lty(&mut self, t: &LTy) -> TyId {
         match t {
             LTy::TyVar(_) => self.st.fresh_ty(),
-            LTy::Int => RTy::Int,
-            LTy::Bool => RTy::Bool,
-            LTy::Unit => RTy::Unit,
-            LTy::Real => RTy::Real(self.st.fresh_reg()),
-            LTy::Str => RTy::Str(self.st.fresh_reg()),
-            LTy::Exn => RTy::Exn(self.st.fresh_reg()),
+            LTy::Int => Stores::INT,
+            LTy::Bool => Stores::BOOL,
+            LTy::Unit => Stores::UNIT,
+            LTy::Real => self.at_fresh_reg(Stores::real),
+            LTy::Str => self.at_fresh_reg(Stores::string),
+            LTy::Exn => self.at_fresh_reg(Stores::exn),
             LTy::Con(c, ts) => {
-                let nts = ts.iter().map(|t| self.rty_of_lty(t)).collect();
-                RTy::Con(*c, nts, self.st.fresh_reg())
+                let nts: Vec<TyId> = ts.iter().map(|t| self.rty_of_lty(t)).collect();
+                let r = self.st.fresh_reg();
+                self.st.con(*c, &nts, r)
             }
             LTy::Arrow(a, b) => {
                 let na = self.rty_of_lty(a);
                 let nb = self.rty_of_lty(b);
                 let e = self.st.fresh_eff();
-                RTy::Arrow(vec![na], e, Box::new(nb), self.st.fresh_reg())
+                let r = self.st.fresh_reg();
+                self.st.arrow(&[na], e, nb, r)
             }
             LTy::Tuple(ts) => {
-                let nts = ts.iter().map(|t| self.rty_of_lty(t)).collect();
-                RTy::Tuple(nts, self.st.fresh_reg())
+                let nts: Vec<TyId> = ts.iter().map(|t| self.rty_of_lty(t)).collect();
+                let r = self.st.fresh_reg();
+                self.st.tuple(&nts, r)
             }
-            LTy::Ref(t) => RTy::Ref(Box::new(self.rty_of_lty(t)), self.st.fresh_reg()),
-            LTy::Array(t) => RTy::Array(Box::new(self.rty_of_lty(t)), self.st.fresh_reg()),
+            LTy::Ref(t) => {
+                let nt = self.rty_of_lty(t);
+                let r = self.st.fresh_reg();
+                self.st.reference(nt, r)
+            }
+            LTy::Array(t) => {
+                let nt = self.rty_of_lty(t);
+                let r = self.st.fresh_reg();
+                self.st.array(nt, r)
+            }
         }
     }
 
     // ----------------------------------------------------------- finalize
 
-    /// Resolves all region ids to dense numbering, filters fix formals and
-    /// call-site actuals to the runtime formals, and computes the marker
-    /// escape sets.
-    fn finalize(mut self, body: RExp) -> Annotated {
-        let mut dense: HashMap<Reg, RegVar> = HashMap::new();
-        let mut next = 0u32;
-        let mut canon = |st: &mut Stores, dense: &mut HashMap<Reg, RegVar>, r: RegVar| {
-            let c = st.find_reg(r.0);
-            *dense.entry(c).or_insert_with(|| {
-                let v = RegVar(next);
-                next += 1;
-                v
-            })
-        };
-
-        let mut body = body;
-        // Filter formals/rargs, then canonicalize places.
+    /// Numbers the regions that occur in the program densely, filters fix
+    /// formals and call-site actuals to the runtime formals, and computes
+    /// the escape sets of the markers (all of which are in `body`).
+    fn finalize(mut self, mut body: RExp) -> Annotated {
         filter_formals(&mut body, &self.fixmeta);
-        rewrite_places(&mut body, &mut |r| canon(&mut self.st, &mut dense, r));
-
-        let marker_escapes: Vec<BTreeSet<RegVar>> = {
-            let mut out = Vec::with_capacity(self.markers.len());
-            let markers = std::mem::take(&mut self.markers);
-            for m in &markers {
-                let mut set = BTreeSet::new();
-                for (ty, excl) in &m.tys {
-                    let mut f = BTreeSet::new();
-                    self.st.frv(ty, &mut f);
-                    for q in excl {
-                        f.remove(&self.st.find_reg(*q));
-                    }
-                    for r in f {
-                        set.insert(canon(&mut self.st, &mut dense, RegVar(r)));
-                    }
-                }
-                out.push(set);
+        // Canonical region → its dense number, handed out in order of
+        // first occurrence in the tree. A region that does not occur could
+        // never be bound by placement, so it needs no number and no
+        // mention in an escape set.
+        let mut dense = vec![u32::MAX; self.st.num_regs()];
+        let mut next = 0u32;
+        rewrite_places(&mut body, &mut |r| {
+            let slot = &mut dense[self.st.find_reg(r.0) as usize];
+            if *slot == u32::MAX {
+                *slot = next;
+                next += 1;
             }
-            out
-        };
+            RegVar(*slot)
+        });
+
+        // The occurring regions of a binding's type (minus the regions its
+        // scheme quantifies), computed when the first marker asks: a span
+        // of `pool`.
+        let mut pool: Vec<RegVar> = Vec::new();
+        let mut frv_of_bind: Vec<Option<(u32, u32)>> = vec![None; self.binds.len()];
+        let mut marker_escapes = Vec::with_capacity(self.markers.len());
+        for (i, m) in self.markers.iter().enumerate() {
+            let binds_end = match self.markers.get(i + 1) {
+                Some(next) => next.binds_start as usize,
+                None => self.marker_binds.len(),
+            };
+            self.tmp.clear();
+            self.st.frv(m.ty, &mut self.tmp);
+            let mut set: Vec<RegVar> = occurring(self.tmp.items(), &dense).collect();
+            for &b in &self.marker_binds[m.binds_start as usize..binds_end] {
+                let (start, len) = *frv_of_bind[b as usize].get_or_insert_with(|| {
+                    let (ty, _, qregs, _) = self.binds[b as usize].parts();
+                    self.tmp.clear();
+                    self.st.frv(ty, &mut self.tmp);
+                    let start = pool.len();
+                    pool.extend(occurring(self.tmp.items(), &dense));
+                    for &q in qregs {
+                        let q = dense[self.st.find_reg(q) as usize];
+                        if let Some(at) = pool[start..].iter().position(|r| r.0 == q) {
+                            pool.swap_remove(start + at);
+                        }
+                    }
+                    (start as u32, (pool.len() - start) as u32)
+                });
+                set.extend_from_slice(&pool[start as usize..(start + len) as usize]);
+            }
+            set.sort_unstable();
+            set.dedup();
+            marker_escapes.push(set);
+        }
         let global_escapes: BTreeSet<RegVar> = {
-            let g = std::mem::take(&mut self.global_frv);
-            g.into_iter()
-                .map(|r| canon(&mut self.st, &mut dense, RegVar(r)))
-                .collect()
+            let canonical: Vec<Reg> = self
+                .global_frv
+                .iter()
+                .map(|&r| self.st.find_reg(r))
+                .collect();
+            occurring(&canonical, &dense).collect()
         };
         Annotated {
             prog: RProgram {
@@ -1268,15 +1268,55 @@ impl Ann<'_> {
             },
             marker_escapes,
             global_escapes,
+            stats: AnnotateStats {
+                markers_live: self.markers.len() as u64,
+                frv_calls: self.st.frv_calls,
+                ..self.stats
+            },
         }
     }
 }
 
+/// Quantified variables of the two schemes under comparison (canonical),
+/// and the correspondence built so far.
+struct AlphaCx {
+    qa: Vec<Reg>,
+    qb: Vec<Reg>,
+    ea: Vec<Eff>,
+    eb: Vec<Eff>,
+    rmap: Vec<(Reg, Reg)>,
+    emap: Vec<(Eff, Eff)>,
+}
+
+/// Two canonical variables correspond if both are quantified (`qa`, `qb`)
+/// and `map` pairs them — extending it when `c1` is new — or if neither
+/// is quantified and they are the same variable.
+fn matched(c1: u32, c2: u32, qa: &[u32], qb: &[u32], map: &mut Vec<(u32, u32)>) -> bool {
+    match (qa.contains(&c1), qb.contains(&c2)) {
+        (true, true) => match map.iter().find(|(k, _)| *k == c1) {
+            Some(&(_, to)) => to == c2,
+            None => {
+                map.push((c1, c2));
+                true
+            }
+        },
+        (false, false) => c1 == c2,
+        _ => false,
+    }
+}
+
+/// The dense numbers of those of the canonical regions `regs` that occur
+/// in the program.
+fn occurring<'s>(regs: &'s [Reg], dense: &'s [u32]) -> impl Iterator<Item = RegVar> + 's {
+    regs.iter()
+        .map(|&r| RegVar(dense[r as usize]))
+        .filter(|r| r.0 != u32::MAX)
+}
+
 /// Collects all canonical places syntactically occurring in `e`.
-fn collect_places(e: &RExp, st: &mut Stores, out: &mut BTreeSet<Reg>) {
+fn collect_places(e: &RExp, st: &mut Stores, out: &mut IdSet) {
     for p in e.own_places() {
-        let c = st.find_reg(p.0);
-        out.insert(c);
+        out.insert(st.find_reg(p.0));
     }
     // Formals of nested fixes are binders, not occurrences; but their
     // bodies' places still count (they are allocated through the formal at
@@ -1287,26 +1327,26 @@ fn collect_places(e: &RExp, st: &mut Stores, out: &mut BTreeSet<Reg>) {
 
 /// Filters `Fix` formals and matching call-site/escape `rargs` down to the
 /// runtime formals (quantified regions with allocations).
-fn filter_formals(e: &mut RExp, meta: &HashMap<VarId, FixMeta>) {
+fn filter_formals(e: &mut RExp, meta: &HashMap<VarId, Vec<usize>>) {
     e.for_each_child_mut(|c| filter_formals(c, meta));
     match e {
         RExp::Fix { funs, .. } => {
             for f in funs {
-                if let Some(m) = meta.get(&f.var) {
-                    f.formals = m.formal_idx.iter().map(|&i| f.formals[i]).collect();
+                if let Some(idx) = meta.get(&f.var) {
+                    f.formals = idx.iter().map(|&i| f.formals[i]).collect();
                 }
             }
         }
         RExp::App { callee, rargs, .. } => {
             if let RExp::Var(v) = callee.as_ref() {
-                if let Some(m) = meta.get(v) {
-                    *rargs = m.formal_idx.iter().map(|&i| rargs[i]).collect();
+                if let Some(idx) = meta.get(v) {
+                    *rargs = idx.iter().map(|&i| rargs[i]).collect();
                 }
             }
         }
         RExp::FixVar { var, rargs, .. } => {
-            if let Some(m) = meta.get(var) {
-                *rargs = m.formal_idx.iter().map(|&i| rargs[i]).collect();
+            if let Some(idx) = meta.get(var) {
+                *rargs = idx.iter().map(|&i| rargs[i]).collect();
             }
         }
         _ => {}

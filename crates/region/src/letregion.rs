@@ -58,7 +58,7 @@ fn count_occurrences(e: &RExp, out: &mut HashMap<RegVar, usize>) {
 /// regions at markers and rewrites them into `Letregion` nodes.
 fn walk(
     e: &mut RExp,
-    escapes: &[BTreeSet<RegVar>],
+    escapes: &[Vec<RegVar>],
     global: &BTreeSet<RegVar>,
     totals: &HashMap<RegVar, usize>,
     bound: &mut BTreeSet<RegVar>,
@@ -82,7 +82,7 @@ fn walk(
             .iter()
             .filter(|(r, n)| {
                 !bound.contains(r)
-                    && !esc.contains(r)
+                    && esc.binary_search(r).is_err()
                     && !global.contains(r)
                     && totals.get(r) == Some(n)
             })
@@ -120,8 +120,9 @@ mod tests {
         // marker 0 wraps an allocation at ρ0 whose escape set is empty.
         let mut ann = Annotated {
             prog: dummy_prog(marker(0, RExp::Record(vec![RExp::Int(1)], RegVar(0)))),
-            marker_escapes: vec![BTreeSet::new()],
+            marker_escapes: vec![Vec::new()],
             global_escapes: BTreeSet::new(),
+            stats: Default::default(),
         };
         place(&mut ann);
         let RExp::Letregion { regs, .. } = &ann.prog.body else {
@@ -134,12 +135,11 @@ mod tests {
 
     #[test]
     fn escaping_region_becomes_global() {
-        let mut esc = BTreeSet::new();
-        esc.insert(RegVar(0));
         let mut ann = Annotated {
             prog: dummy_prog(marker(0, RExp::Record(vec![RExp::Int(1)], RegVar(0)))),
-            marker_escapes: vec![esc],
+            marker_escapes: vec![vec![RegVar(0)]],
             global_escapes: BTreeSet::new(),
+            stats: Default::default(),
         };
         place(&mut ann);
         assert!(
@@ -156,8 +156,9 @@ mod tests {
         let outer = marker(0, inner);
         let mut ann = Annotated {
             prog: dummy_prog(outer),
-            marker_escapes: vec![BTreeSet::new(), BTreeSet::new()],
+            marker_escapes: vec![Vec::new(), Vec::new()],
             global_escapes: BTreeSet::new(),
+            stats: Default::default(),
         };
         place(&mut ann);
         // The outer marker dissolves; the inner becomes the letregion.
@@ -173,8 +174,9 @@ mod tests {
         glob.insert(RegVar(0));
         let mut ann = Annotated {
             prog: dummy_prog(marker(0, RExp::Record(vec![RExp::Int(1)], RegVar(0)))),
-            marker_escapes: vec![BTreeSet::new()],
+            marker_escapes: vec![Vec::new()],
             global_escapes: glob,
+            stats: Default::default(),
         };
         place(&mut ann);
         assert_eq!(ann.prog.globals.len(), 1);

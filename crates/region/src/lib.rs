@@ -31,6 +31,7 @@
 //!    the `gt` mode where the collector degenerates to plain Cheney.
 
 pub mod annotate;
+mod freevars;
 pub mod letregion;
 pub mod multiplicity;
 pub mod pretty;

@@ -6,22 +6,63 @@
 //! live in a union-find store; effects are union-find nodes whose roots
 //! carry a set of atomic region effects plus links to other effect nodes
 //! (Talpin–Jouvelot style unification-based effect inference).
+//!
+//! Types live in an arena inside [`Stores`]: a type is a [`TyId`], a node
+//! is a `Copy` [`RTy`] whose children are further ids, and a unification
+//! variable is a node that is overwritten with a link when it is bound. So
+//! resolving, unifying, instantiating and binding a type in an environment
+//! all copy an index; no type is ever deep-cloned.
 
 use kit_lambda::ty::TyConId;
-use std::collections::{BTreeSet, HashMap};
 
 /// A region unification variable (index into [`Stores`]).
 pub type Reg = u32;
 /// An effect unification variable.
 pub type Eff = u32;
-/// A type unification variable.
-pub type TyV = u32;
 
-/// A region-annotated type.
-#[derive(Debug, Clone, PartialEq)]
+/// A region-annotated type: an index into the arena of [`Stores`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TyId(u32);
+
+impl TyId {
+    /// The arena index (the identity of an unbound type variable).
+    pub fn index(self) -> u32 {
+        self.0
+    }
+}
+
+/// The component types of a node: a range of the arena's child pool
+/// (read it with [`Stores::kids`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kids {
+    start: u32,
+    len: u32,
+}
+
+impl Kids {
+    /// Number of component types.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` for a node without component types.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// One node of a region-annotated type.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RTy {
-    /// Type unification variable (also erased source-level polymorphism).
-    Var(TyV),
+    /// Unbound type unification variable (also erased source-level
+    /// polymorphism); its identity is its [`TyId`].
+    Var,
+    /// A bound unification variable.
+    Link(TyId),
     /// Unboxed integer.
     Int,
     /// Unboxed boolean.
@@ -35,15 +76,15 @@ pub enum RTy {
     /// Exception value in a region.
     Exn(Reg),
     /// Tuple in a region.
-    Tuple(Vec<RTy>, Reg),
+    Tuple(Kids, Reg),
     /// Function: argument types, latent effect, result, closure region.
-    Arrow(Vec<RTy>, Eff, Box<RTy>, Reg),
+    Arrow(Kids, Eff, TyId, Reg),
     /// Datatype in a region.
-    Con(TyConId, Vec<RTy>, Reg),
+    Con(TyConId, Kids, Reg),
     /// Reference cell in a region.
-    Ref(Box<RTy>, Reg),
+    Ref(TyId, Reg),
     /// Array in a region.
-    Array(Box<RTy>, Reg),
+    Array(TyId, Reg),
 }
 
 impl RTy {
@@ -63,25 +104,111 @@ impl RTy {
     }
 }
 
+/// A set of small integer ids (regions, effects or type variables) that is
+/// emptied in O(1): membership is a per-id stamp compared with the current
+/// epoch, and the members are also kept as a list in insertion order.
+#[derive(Debug)]
+pub struct IdSet {
+    stamp: Vec<u32>,
+    epoch: u32,
+    items: Vec<u32>,
+}
+
+impl Default for IdSet {
+    fn default() -> Self {
+        IdSet {
+            stamp: Vec::new(),
+            epoch: 1,
+            items: Vec::new(),
+        }
+    }
+}
+
+impl IdSet {
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        self.epoch += 1;
+        self.items.clear();
+    }
+
+    /// Adds `id`; `false` if it was already a member.
+    pub fn insert(&mut self, id: u32) -> bool {
+        let i = id as usize;
+        if i >= self.stamp.len() {
+            self.stamp.resize((i + 1).next_power_of_two(), 0);
+        }
+        if self.stamp[i] == self.epoch {
+            return false;
+        }
+        self.stamp[i] = self.epoch;
+        self.items.push(id);
+        true
+    }
+
+    /// Membership test.
+    pub fn contains(&self, id: u32) -> bool {
+        self.stamp.get(id as usize) == Some(&self.epoch)
+    }
+
+    /// The members, in insertion order.
+    pub fn items(&self) -> &[u32] {
+        &self.items
+    }
+}
+
+/// Inserts `x` into the sorted, duplicate-free `v`.
+fn insert_sorted(v: &mut Vec<u32>, x: u32) {
+    if let Err(i) = v.binary_search(&x) {
+        v.insert(i, x);
+    }
+}
+
+/// An effect node. Roots carry the sets (sorted, duplicate-free; region
+/// members were canonical when they were added).
 #[derive(Debug, Clone, Default)]
 struct EffNode {
     parent: Option<Eff>,
-    regs: BTreeSet<Reg>,
-    children: BTreeSet<Eff>,
+    regs: Vec<Reg>,
+    children: Vec<Eff>,
 }
 
-/// Union-find stores for regions, effects and type variables.
-#[derive(Debug, Default)]
+/// Union-find stores for regions and effects, and the type arena.
+#[derive(Debug)]
 pub struct Stores {
     reg_parent: Vec<Reg>,
     effs: Vec<EffNode>,
-    tys: Vec<Option<RTy>>,
+    tys: Vec<RTy>,
+    kids: Vec<TyId>,
+    /// Effect nodes already visited by the closure walk in progress.
+    seen_eff: IdSet,
+    /// Number of [`Stores::frv`] walks so far (a work counter).
+    pub frv_calls: u64,
+}
+
+impl Default for Stores {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Stores {
-    /// Creates empty stores.
+    /// The type `int`.
+    pub const INT: TyId = TyId(0);
+    /// The type `bool`.
+    pub const BOOL: TyId = TyId(1);
+    /// The type `unit`.
+    pub const UNIT: TyId = TyId(2);
+
+    /// Creates empty stores (holding only the three unboxed base types).
     pub fn new() -> Self {
-        Self::default()
+        Stores {
+            reg_parent: Vec::new(),
+            effs: Vec::new(),
+            tys: vec![RTy::Int, RTy::Bool, RTy::Unit],
+            kids: Vec::new(),
+            seen_eff: IdSet::default(),
+            frv_calls: 0,
+        }
     }
 
     // -------------------------------------------------------------- regions
@@ -100,21 +227,15 @@ impl Stores {
 
     /// Canonical representative of `r`.
     pub fn find_reg(&mut self, r: Reg) -> Reg {
-        let p = self.reg_parent[r as usize];
-        if p == r {
-            return r;
+        let mut root = r;
+        while self.reg_parent[root as usize] != root {
+            root = self.reg_parent[root as usize];
         }
-        let root = self.find_reg(p);
-        self.reg_parent[r as usize] = root;
+        let mut cur = r;
+        while cur != root {
+            cur = std::mem::replace(&mut self.reg_parent[cur as usize], root);
+        }
         root
-    }
-
-    /// Non-mutating find (no path compression).
-    pub fn find_reg_ro(&self, mut r: Reg) -> Reg {
-        while self.reg_parent[r as usize] != r {
-            r = self.reg_parent[r as usize];
-        }
-        r
     }
 
     /// Unifies two region variables.
@@ -137,21 +258,25 @@ impl Stores {
 
     /// Canonical representative of `e`.
     pub fn find_eff(&mut self, e: Eff) -> Eff {
-        match self.effs[e as usize].parent {
-            None => e,
-            Some(p) => {
-                let root = self.find_eff(p);
-                self.effs[e as usize].parent = Some(root);
-                root
-            }
+        let mut root = e;
+        while let Some(p) = self.effs[root as usize].parent {
+            root = p;
         }
+        let mut cur = e;
+        while cur != root {
+            cur = self.effs[cur as usize]
+                .parent
+                .replace(root)
+                .expect("non-root effect has a parent");
+        }
+        root
     }
 
     /// Adds an atomic region effect (`put`/`get` ρ) to `e`.
     pub fn eff_add_reg(&mut self, e: Eff, r: Reg) {
         let e = self.find_eff(e);
         let r = self.find_reg(r);
-        self.effs[e as usize].regs.insert(r);
+        insert_sorted(&mut self.effs[e as usize].regs, r);
     }
 
     /// Makes `child`'s effect part of `e` (e.g. a call's latent effect
@@ -160,7 +285,7 @@ impl Stores {
         let e = self.find_eff(e);
         let c = self.find_eff(child);
         if e != c {
-            self.effs[e as usize].children.insert(c);
+            insert_sorted(&mut self.effs[e as usize].children, c);
         }
     }
 
@@ -174,54 +299,129 @@ impl Stores {
         let node = std::mem::take(&mut self.effs[ra as usize]);
         self.effs[ra as usize].parent = Some(rb);
         let tgt = &mut self.effs[rb as usize];
-        tgt.regs.extend(node.regs);
-        tgt.children.extend(node.children);
-        self.effs[rb as usize].children.remove(&ra);
+        for r in node.regs {
+            insert_sorted(&mut tgt.regs, r);
+        }
+        for c in node.children {
+            insert_sorted(&mut tgt.children, c);
+        }
+        if let Ok(i) = tgt.children.binary_search(&ra) {
+            tgt.children.remove(i);
+        }
     }
 
-    /// All (canonical) regions in the transitive closure of effect `e`.
-    pub fn eff_regs(&mut self, e: Eff) -> BTreeSet<Reg> {
-        let mut out = BTreeSet::new();
-        let mut seen = BTreeSet::new();
-        self.eff_regs_into(e, &mut out, &mut seen);
-        out
-    }
-
-    fn eff_regs_into(&mut self, e: Eff, out: &mut BTreeSet<Reg>, seen: &mut BTreeSet<Eff>) {
+    /// Adds all (canonical) regions in the transitive closure of effect `e`
+    /// to `out`, skipping effect nodes already in `seen`.
+    fn eff_closure(&mut self, e: Eff, out: &mut IdSet, seen: &mut IdSet) {
         let e = self.find_eff(e);
         if !seen.insert(e) {
             return;
         }
-        let regs: Vec<Reg> = self.effs[e as usize].regs.iter().copied().collect();
-        for r in regs {
-            let cr = self.find_reg(r);
-            out.insert(cr);
+        for i in 0..self.effs[e as usize].regs.len() {
+            let r = self.effs[e as usize].regs[i];
+            out.insert(self.find_reg(r));
         }
-        let children: Vec<Eff> = self.effs[e as usize].children.iter().copied().collect();
-        for c in children {
-            self.eff_regs_into(c, out, seen);
+        for i in 0..self.effs[e as usize].children.len() {
+            let c = self.effs[e as usize].children[i];
+            self.eff_closure(c, out, seen);
         }
+    }
+
+    /// All (canonical) regions in the transitive closure of effect `e`.
+    pub fn eff_regs(&mut self, e: Eff, out: &mut IdSet) {
+        let mut seen = std::mem::take(&mut self.seen_eff);
+        seen.clear();
+        self.eff_closure(e, out, &mut seen);
+        self.seen_eff = seen;
     }
 
     // ---------------------------------------------------------------- types
 
-    /// A fresh type variable.
-    pub fn fresh_ty(&mut self) -> RTy {
-        let t = self.tys.len() as TyV;
-        self.tys.push(None);
-        RTy::Var(t)
+    fn mk(&mut self, node: RTy) -> TyId {
+        let id = TyId(self.tys.len() as u32);
+        self.tys.push(node);
+        id
     }
 
-    /// Resolves the outermost variable links of a type.
-    pub fn resolve(&self, ty: &RTy) -> RTy {
-        let mut t = ty.clone();
-        while let RTy::Var(v) = t {
-            match &self.tys[v as usize] {
-                Some(next) => t = next.clone(),
-                None => return RTy::Var(v),
-            }
+    fn mk_kids(&mut self, kids: &[TyId]) -> Kids {
+        let start = self.kids.len() as u32;
+        self.kids.extend_from_slice(kids);
+        Kids {
+            start,
+            len: kids.len() as u32,
         }
-        t
+    }
+
+    /// A fresh type variable.
+    pub fn fresh_ty(&mut self) -> TyId {
+        self.mk(RTy::Var)
+    }
+
+    /// The type of a real at `r`.
+    pub fn real(&mut self, r: Reg) -> TyId {
+        self.mk(RTy::Real(r))
+    }
+
+    /// The type of a string at `r`.
+    pub fn string(&mut self, r: Reg) -> TyId {
+        self.mk(RTy::Str(r))
+    }
+
+    /// The type of an exception value at `r`.
+    pub fn exn(&mut self, r: Reg) -> TyId {
+        self.mk(RTy::Exn(r))
+    }
+
+    /// The type of a tuple of `comps` at `r`.
+    pub fn tuple(&mut self, comps: &[TyId], r: Reg) -> TyId {
+        let kids = self.mk_kids(comps);
+        self.mk(RTy::Tuple(kids, r))
+    }
+
+    /// A function type: `params`, latent effect, result, closure region.
+    pub fn arrow(&mut self, params: &[TyId], eff: Eff, ret: TyId, r: Reg) -> TyId {
+        let kids = self.mk_kids(params);
+        self.mk(RTy::Arrow(kids, eff, ret, r))
+    }
+
+    /// A function type over parameter types already in the pool (shared
+    /// with the arrow they were read from).
+    pub fn arrow_at(&mut self, params: Kids, eff: Eff, ret: TyId, r: Reg) -> TyId {
+        self.mk(RTy::Arrow(params, eff, ret, r))
+    }
+
+    /// A datatype applied to `targs`, its spine at `r`.
+    pub fn con(&mut self, tycon: TyConId, targs: &[TyId], r: Reg) -> TyId {
+        let kids = self.mk_kids(targs);
+        self.mk(RTy::Con(tycon, kids, r))
+    }
+
+    /// A reference cell holding `inner` at `r`.
+    pub fn reference(&mut self, inner: TyId, r: Reg) -> TyId {
+        self.mk(RTy::Ref(inner, r))
+    }
+
+    /// An array of `inner` at `r`.
+    pub fn array(&mut self, inner: TyId, r: Reg) -> TyId {
+        self.mk(RTy::Array(inner, r))
+    }
+
+    /// The component types `kids` stands for.
+    pub fn kids(&self, kids: Kids) -> &[TyId] {
+        &self.kids[kids.range()]
+    }
+
+    /// Follows the links of bound variables.
+    pub fn resolve(&self, mut ty: TyId) -> TyId {
+        while let RTy::Link(next) = self.tys[ty.0 as usize] {
+            ty = next;
+        }
+        ty
+    }
+
+    /// The node `ty` resolves to (never a [`RTy::Link`]).
+    pub fn node(&self, ty: TyId) -> RTy {
+        self.tys[self.resolve(ty).0 as usize]
     }
 
     /// Unifies two region-annotated types. `LambdaExp` is well-typed, so a
@@ -230,161 +430,136 @@ impl Stores {
     /// # Panics
     ///
     /// Panics on a type-constructor mismatch (compiler bug).
-    pub fn unify(&mut self, a: &RTy, b: &RTy) {
+    pub fn unify(&mut self, a: TyId, b: TyId) {
         let a = self.resolve(a);
         let b = self.resolve(b);
-        match (&a, &b) {
-            (RTy::Var(x), RTy::Var(y)) if x == y => {}
-            (RTy::Var(x), _) => self.tys[*x as usize] = Some(b),
-            (_, RTy::Var(y)) => self.tys[*y as usize] = Some(a),
+        if a == b {
+            return;
+        }
+        match (self.tys[a.0 as usize], self.tys[b.0 as usize]) {
+            (RTy::Var, _) => self.tys[a.0 as usize] = RTy::Link(b),
+            (_, RTy::Var) => self.tys[b.0 as usize] = RTy::Link(a),
             (RTy::Int, RTy::Int) | (RTy::Bool, RTy::Bool) | (RTy::Unit, RTy::Unit) => {}
             (RTy::Real(r1), RTy::Real(r2))
             | (RTy::Str(r1), RTy::Str(r2))
-            | (RTy::Exn(r1), RTy::Exn(r2)) => self.union_reg(*r1, *r2),
-            (RTy::Tuple(xs, r1), RTy::Tuple(ys, r2)) if xs.len() == ys.len() => {
-                self.union_reg(*r1, *r2);
-                for (x, y) in xs.iter().zip(ys) {
-                    self.unify(x, y);
-                }
+            | (RTy::Exn(r1), RTy::Exn(r2)) => self.union_reg(r1, r2),
+            (RTy::Tuple(xs, r1), RTy::Tuple(ys, r2)) if xs.len == ys.len => {
+                self.union_reg(r1, r2);
+                self.unify_kids(xs, ys);
             }
-            (RTy::Arrow(a1, e1, b1, r1), RTy::Arrow(a2, e2, b2, r2)) if a1.len() == a2.len() => {
-                self.union_reg(*r1, *r2);
-                self.union_eff(*e1, *e2);
-                for (x, y) in a1.iter().zip(a2) {
-                    self.unify(x, y);
-                }
+            (RTy::Arrow(a1, e1, b1, r1), RTy::Arrow(a2, e2, b2, r2)) if a1.len == a2.len => {
+                self.union_reg(r1, r2);
+                self.union_eff(e1, e2);
+                self.unify_kids(a1, a2);
                 self.unify(b1, b2);
             }
-            (RTy::Con(c1, xs, r1), RTy::Con(c2, ys, r2)) if c1 == c2 && xs.len() == ys.len() => {
-                self.union_reg(*r1, *r2);
-                for (x, y) in xs.iter().zip(ys) {
-                    self.unify(x, y);
-                }
+            (RTy::Con(c1, xs, r1), RTy::Con(c2, ys, r2)) if c1 == c2 && xs.len == ys.len => {
+                self.union_reg(r1, r2);
+                self.unify_kids(xs, ys);
             }
             (RTy::Ref(x, r1), RTy::Ref(y, r2)) | (RTy::Array(x, r1), RTy::Array(y, r2)) => {
-                self.union_reg(*r1, *r2);
+                self.union_reg(r1, r2);
                 self.unify(x, y);
             }
-            _ => panic!("region unification mismatch: {a:?} vs {b:?}"),
+            (x, y) => panic!("region unification mismatch: {x:?} vs {y:?}"),
         }
     }
 
-    /// Free (canonical) region variables of a type, including those in
-    /// latent effects.
-    pub fn frv(&mut self, ty: &RTy, out: &mut BTreeSet<Reg>) {
-        match self.resolve(ty) {
-            RTy::Var(_) | RTy::Int | RTy::Bool | RTy::Unit => {}
-            RTy::Real(r) | RTy::Str(r) | RTy::Exn(r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-            }
-            RTy::Tuple(ts, r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-                for t in &ts {
-                    self.frv(t, out);
-                }
-            }
-            RTy::Arrow(ps, e, b, r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-                for p in &ps {
-                    self.frv(p, out);
-                }
-                self.frv(&b, out);
-                let eff = self.eff_regs(e);
-                out.extend(eff);
-            }
-            RTy::Con(_, ts, r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-                for t in &ts {
-                    self.frv(t, out);
-                }
-            }
-            RTy::Ref(t, r) | RTy::Array(t, r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-                self.frv(&t, out);
-            }
+    fn unify_kids(&mut self, xs: Kids, ys: Kids) {
+        for (i, j) in xs.range().zip(ys.range()) {
+            let (x, y) = (self.kids[i], self.kids[j]);
+            self.unify(x, y);
         }
     }
 
-    /// Free (canonical) region variables of the type *skeleton* — like
-    /// [`Stores::frv`] but without closing over latent-effect sets. Used
-    /// for generalization: only skeleton regions are quantified (regions
-    /// that appear solely in effects are local to some body and will be
-    /// `letregion`-bound or become global); quantifying effect members
-    /// would make region-polymorphic recursion diverge.
-    pub fn frv_skel(&mut self, ty: &RTy, out: &mut BTreeSet<Reg>) {
-        match self.resolve(ty) {
-            RTy::Var(_) | RTy::Int | RTy::Bool | RTy::Unit => {}
-            RTy::Real(r) | RTy::Str(r) | RTy::Exn(r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-            }
-            RTy::Tuple(ts, r) | RTy::Con(_, ts, r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-                for t in &ts {
-                    self.frv_skel(t, out);
-                }
-            }
-            RTy::Arrow(ps, _, b, r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-                for p in &ps {
-                    self.frv_skel(p, out);
-                }
-                self.frv_skel(&b, out);
-            }
-            RTy::Ref(t, r) | RTy::Array(t, r) => {
-                let r = self.find_reg(r);
-                out.insert(r);
-                self.frv_skel(&t, out);
-            }
-        }
+    /// Adds the free (canonical) region variables of a type to `out`,
+    /// including those in latent effects.
+    pub fn frv(&mut self, ty: TyId, out: &mut IdSet) {
+        self.frv_calls += 1;
+        let mut seen = std::mem::take(&mut self.seen_eff);
+        seen.clear();
+        self.frv_walk(ty, out, Some(&mut seen));
+        self.seen_eff = seen;
     }
 
-    /// Free effect variables of a type (canonical roots).
-    pub fn fev(&mut self, ty: &RTy, out: &mut BTreeSet<Eff>) {
-        match self.resolve(ty) {
-            RTy::Arrow(ps, e, b, _) => {
-                let e = self.find_eff(e);
-                out.insert(e);
-                for p in &ps {
-                    self.fev(p, out);
-                }
-                self.fev(&b, out);
-            }
+    /// Adds the regions of the type *skeleton* to `out` in deterministic
+    /// structural traversal order — like [`Stores::frv`] but without
+    /// closing over latent-effect sets. Used for generalization: only
+    /// skeleton regions are quantified (regions that appear solely in
+    /// effects are local to some body and will be `letregion`-bound or
+    /// become global); quantifying effect members would make
+    /// region-polymorphic recursion diverge.
+    pub fn frv_skel_ordered(&mut self, ty: TyId, out: &mut IdSet) {
+        self.frv_walk(ty, out, None);
+    }
+
+    /// The walk behind both: the skeleton's regions in structural order,
+    /// and, given the `seen` set of effect nodes, each arrow's effect
+    /// closure after its component types.
+    fn frv_walk(&mut self, ty: TyId, out: &mut IdSet, mut seen: Option<&mut IdSet>) {
+        let node = self.node(ty);
+        if let Some(r) = node.outer_region() {
+            out.insert(self.find_reg(r));
+        }
+        match node {
             RTy::Tuple(ts, _) | RTy::Con(_, ts, _) => {
-                for t in &ts {
-                    self.fev(t, out);
+                for i in ts.range() {
+                    self.frv_walk(self.kids[i], out, seen.as_deref_mut());
                 }
             }
-            RTy::Ref(t, _) | RTy::Array(t, _) => self.fev(&t, out),
+            RTy::Arrow(ps, e, b, _) => {
+                for i in ps.range() {
+                    self.frv_walk(self.kids[i], out, seen.as_deref_mut());
+                }
+                self.frv_walk(b, out, seen.as_deref_mut());
+                if let Some(seen) = seen {
+                    self.eff_closure(e, out, seen);
+                }
+            }
+            RTy::Ref(t, _) | RTy::Array(t, _) => self.frv_walk(t, out, seen),
             _ => {}
         }
     }
 
-    /// Free type variables of a type.
-    pub fn ftv(&self, ty: &RTy, out: &mut BTreeSet<TyV>) {
-        match self.resolve(ty) {
-            RTy::Var(v) => {
-                out.insert(v);
+    /// Adds the free effect variables of a type (canonical roots) to `out`.
+    pub fn fev(&mut self, ty: TyId, out: &mut IdSet) {
+        match self.node(ty) {
+            RTy::Arrow(ps, e, b, _) => {
+                out.insert(self.find_eff(e));
+                for i in ps.range() {
+                    self.fev(self.kids[i], out);
+                }
+                self.fev(b, out);
             }
             RTy::Tuple(ts, _) | RTy::Con(_, ts, _) => {
-                for t in &ts {
-                    self.ftv(t, out);
+                for i in ts.range() {
+                    self.fev(self.kids[i], out);
+                }
+            }
+            RTy::Ref(t, _) | RTy::Array(t, _) => self.fev(t, out),
+            _ => {}
+        }
+    }
+
+    /// Adds the free type variables of a type to `out` (as arena indices).
+    pub fn ftv(&self, ty: TyId, out: &mut IdSet) {
+        let ty = self.resolve(ty);
+        match self.tys[ty.0 as usize] {
+            RTy::Var => {
+                out.insert(ty.0);
+            }
+            RTy::Tuple(ts, _) | RTy::Con(_, ts, _) => {
+                for i in ts.range() {
+                    self.ftv(self.kids[i], out);
                 }
             }
             RTy::Arrow(ps, _, b, _) => {
-                for p in &ps {
-                    self.ftv(p, out);
+                for i in ps.range() {
+                    self.ftv(self.kids[i], out);
                 }
-                self.ftv(&b, out);
+                self.ftv(b, out);
             }
-            RTy::Ref(t, _) | RTy::Array(t, _) => self.ftv(&t, out),
+            RTy::Ref(t, _) | RTy::Array(t, _) => self.ftv(t, out),
             _ => {}
         }
     }
@@ -393,26 +568,14 @@ impl Stores {
 /// A region type scheme: quantified type, region and effect variables.
 #[derive(Debug, Clone)]
 pub struct RScheme {
-    /// Quantified type variables (canonical at generalization time).
-    pub qtys: Vec<TyV>,
-    /// Quantified region variables.
+    /// Quantified type variables (arena indices of unbound variables).
+    pub qtys: Vec<u32>,
+    /// Quantified region variables (canonical at generalization time).
     pub qregs: Vec<Reg>,
-    /// Quantified effect variables.
+    /// Quantified effect variables (canonical at generalization time).
     pub qeffs: Vec<Eff>,
     /// The body.
-    pub ty: RTy,
-}
-
-impl RScheme {
-    /// A monomorphic scheme.
-    pub fn mono(ty: RTy) -> Self {
-        RScheme {
-            qtys: Vec::new(),
-            qregs: Vec::new(),
-            qeffs: Vec::new(),
-            ty,
-        }
-    }
+    pub ty: TyId,
 }
 
 /// Result of instantiating a scheme: the type plus the region substitution
@@ -420,174 +583,212 @@ impl RScheme {
 #[derive(Debug, Clone)]
 pub struct Instance {
     /// The instantiated type.
-    pub ty: RTy,
+    pub ty: TyId,
     /// Region substitution, in `qregs` order.
     pub reg_actuals: Vec<Reg>,
+}
+
+/// The substitution of one instantiation. Schemes quantify a handful of
+/// variables, so association lists beat hashing.
+#[derive(Default)]
+struct Subst {
+    tys: Vec<(u32, TyId)>,
+    regs: Vec<(Reg, Reg)>,
+    effs: Vec<(Eff, Eff)>,
+}
+
+fn lookup<V: Copy>(map: &[(u32, V)], key: u32) -> Option<V> {
+    map.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
 }
 
 impl Stores {
     /// Instantiates `s` with fresh region/effect/type variables.
     pub fn instantiate(&mut self, s: &RScheme) -> Instance {
-        let mut tmap: HashMap<TyV, RTy> = HashMap::new();
-        for &q in &s.qtys {
-            let f = self.fresh_ty();
-            tmap.insert(q, f);
+        if s.qtys.is_empty() && s.qregs.is_empty() && s.qeffs.is_empty() {
+            return Instance {
+                ty: s.ty,
+                reg_actuals: Vec::new(),
+            };
         }
-        let mut rmap: HashMap<Reg, Reg> = HashMap::new();
-        let mut reg_actuals = Vec::new();
-        for &q in &s.qregs {
-            let f = self.fresh_reg();
-            rmap.insert(q, f);
-            reg_actuals.push(f);
-        }
-        let mut emap: HashMap<Eff, Eff> = HashMap::new();
-        for &q in &s.qeffs {
-            let f = self.fresh_eff();
-            emap.insert(q, f);
-        }
+        let sub = Subst {
+            tys: s.qtys.iter().map(|&q| (q, self.fresh_ty())).collect(),
+            regs: s.qregs.iter().map(|&q| (q, self.fresh_reg())).collect(),
+            effs: s.qeffs.iter().map(|&q| (q, self.fresh_eff())).collect(),
+        };
         // Copy quantified effect sets under the substitution.
-        for &q in &s.qeffs {
-            let f = emap[&q];
+        for &(q, f) in &sub.effs {
             let root = self.find_eff(q);
-            let regs: Vec<Reg> = self.effs[root as usize].regs.iter().copied().collect();
-            let children: Vec<Eff> = self.effs[root as usize].children.iter().copied().collect();
-            for r in regs {
+            for i in 0..self.effs[root as usize].regs.len() {
+                let r = self.effs[root as usize].regs[i];
                 let cr = self.find_reg(r);
-                let nr = rmap.get(&cr).copied().unwrap_or(cr);
-                self.effs[f as usize].regs.insert(nr);
+                let nr = lookup(&sub.regs, cr).unwrap_or(cr);
+                insert_sorted(&mut self.effs[f as usize].regs, nr);
             }
-            for c in children {
+            for i in 0..self.effs[root as usize].children.len() {
+                let c = self.effs[root as usize].children[i];
                 let cc = self.find_eff(c);
-                let nc = emap.get(&cc).copied().unwrap_or(cc);
+                let nc = lookup(&sub.effs, cc).unwrap_or(cc);
                 if nc != f {
-                    self.effs[f as usize].children.insert(nc);
+                    insert_sorted(&mut self.effs[f as usize].children, nc);
                 }
             }
         }
-        let ty = self.copy_ty(&s.ty, &tmap, &rmap, &emap);
-        Instance { ty, reg_actuals }
+        Instance {
+            ty: self.copy_ty(s.ty, &sub),
+            reg_actuals: sub.regs.iter().map(|&(_, f)| f).collect(),
+        }
     }
 
-    fn copy_ty(
-        &mut self,
-        ty: &RTy,
-        tmap: &HashMap<TyV, RTy>,
-        rmap: &HashMap<Reg, Reg>,
-        emap: &HashMap<Eff, Eff>,
-    ) -> RTy {
-        let sub_r = |st: &mut Self, r: Reg| {
-            let c = st.find_reg(r);
-            rmap.get(&c).copied().unwrap_or(c)
-        };
-        match self.resolve(ty) {
-            RTy::Var(v) => tmap.get(&v).cloned().unwrap_or(RTy::Var(v)),
-            RTy::Int => RTy::Int,
-            RTy::Bool => RTy::Bool,
-            RTy::Unit => RTy::Unit,
-            RTy::Real(r) => RTy::Real(sub_r(self, r)),
-            RTy::Str(r) => RTy::Str(sub_r(self, r)),
-            RTy::Exn(r) => RTy::Exn(sub_r(self, r)),
+    /// `ty` under `sub`; subtrees the substitution leaves alone are shared.
+    fn copy_ty(&mut self, ty: TyId, sub: &Subst) -> TyId {
+        let ty = self.resolve(ty);
+        match self.tys[ty.0 as usize] {
+            RTy::Var => lookup(&sub.tys, ty.0).unwrap_or(ty),
+            RTy::Link(_) => unreachable!("resolved above"),
+            RTy::Int | RTy::Bool | RTy::Unit => ty,
+            RTy::Real(r) => {
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Real(nr))
+            }
+            RTy::Str(r) => {
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Str(nr))
+            }
+            RTy::Exn(r) => {
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Exn(nr))
+            }
             RTy::Tuple(ts, r) => {
-                let nts = ts
-                    .iter()
-                    .map(|t| self.copy_ty(t, tmap, rmap, emap))
-                    .collect();
-                RTy::Tuple(nts, sub_r(self, r))
+                let nts = self.copy_kids(ts, sub);
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Tuple(nts, nr))
             }
             RTy::Arrow(ps, e, b, r) => {
-                let nps = ps
-                    .iter()
-                    .map(|t| self.copy_ty(t, tmap, rmap, emap))
-                    .collect();
-                let nb = self.copy_ty(&b, tmap, rmap, emap);
+                let nps = self.copy_kids(ps, sub);
+                let nb = self.copy_ty(b, sub);
                 let ce = self.find_eff(e);
-                let ne = emap.get(&ce).copied().unwrap_or(ce);
-                RTy::Arrow(nps, ne, Box::new(nb), sub_r(self, r))
+                let ne = lookup(&sub.effs, ce).unwrap_or(ce);
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Arrow(nps, ne, nb, nr))
             }
             RTy::Con(c, ts, r) => {
-                let nts = ts
-                    .iter()
-                    .map(|t| self.copy_ty(t, tmap, rmap, emap))
-                    .collect();
-                RTy::Con(c, nts, sub_r(self, r))
+                let nts = self.copy_kids(ts, sub);
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Con(c, nts, nr))
             }
             RTy::Ref(t, r) => {
-                let nt = self.copy_ty(&t, tmap, rmap, emap);
-                RTy::Ref(Box::new(nt), sub_r(self, r))
+                let nt = self.copy_ty(t, sub);
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Ref(nt, nr))
             }
             RTy::Array(t, r) => {
-                let nt = self.copy_ty(&t, tmap, rmap, emap);
-                RTy::Array(Box::new(nt), sub_r(self, r))
+                let nt = self.copy_ty(t, sub);
+                let nr = self.sub_reg(r, sub);
+                self.rebuilt(ty, RTy::Array(nt, nr))
             }
+        }
+    }
+
+    fn sub_reg(&mut self, r: Reg, sub: &Subst) -> Reg {
+        let c = self.find_reg(r);
+        lookup(&sub.regs, c).unwrap_or(c)
+    }
+
+    fn copy_kids(&mut self, kids: Kids, sub: &Subst) -> Kids {
+        let copied: Vec<TyId> = kids
+            .range()
+            .map(|i| self.copy_ty(self.kids[i], sub))
+            .collect();
+        if copied == self.kids[kids.range()] {
+            kids
+        } else {
+            self.mk_kids(&copied)
+        }
+    }
+
+    /// `old` if `node` is what it already holds, else a new node.
+    fn rebuilt(&mut self, old: TyId, node: RTy) -> TyId {
+        if self.tys[old.0 as usize] == node {
+            old
+        } else {
+            self.mk(node)
         }
     }
 
     /// Generalizes `ty` against the environment's free variables.
     ///
-    /// Quantified variables are listed in **structural traversal order** of
+    /// Quantified regions are listed in **structural traversal order** of
     /// the type, not by variable id: two alpha-equivalent schemes then list
     /// corresponding regions at the same positions, which the
     /// region-polymorphic calling convention relies on (call sites record
     /// actuals positionally against one fixed-point round's scheme).
+    ///
+    /// `env_frv` and `env_fev` are canonicalized here (they may have been
+    /// collected before later unifications); `scratch` is clobbered.
     pub fn generalize(
         &mut self,
-        ty: &RTy,
-        env_frv: &BTreeSet<Reg>,
-        env_fev: &BTreeSet<Eff>,
-        env_ftv: &BTreeSet<TyV>,
+        ty: TyId,
+        env_frv: &[Reg],
+        env_fev: &[Eff],
+        env_ftv: &[u32],
+        scratch: &mut [IdSet; 2],
     ) -> RScheme {
-        let mut frv = Vec::new();
-        self.frv_skel_ordered(ty, &mut frv);
-        let mut fev = BTreeSet::new();
-        self.fev(ty, &mut fev);
-        let mut ftv = BTreeSet::new();
-        self.ftv(ty, &mut ftv);
-        let env_frv: BTreeSet<Reg> = env_frv.iter().map(|&r| self.find_reg(r)).collect();
-        let env_fev: BTreeSet<Eff> = env_fev.iter().map(|&e| self.find_eff(e)).collect();
+        let [env, own] = &mut *scratch;
+        env.clear();
+        for &r in env_frv {
+            env.insert(self.find_reg(r));
+        }
+        own.clear();
+        self.frv_skel_ordered(ty, own);
+        let qregs = own.items().iter().copied().filter(|&r| !env.contains(r));
+        let qregs: Vec<Reg> = qregs.collect();
+
+        env.clear();
+        for &e in env_fev {
+            env.insert(self.find_eff(e));
+        }
+        own.clear();
+        self.fev(ty, own);
+        let qeffs = own.items().iter().copied().filter(|&e| !env.contains(e));
+        let qeffs: Vec<Eff> = qeffs.collect();
+
         RScheme {
-            qtys: ftv.difference(env_ftv).copied().collect(),
-            qregs: frv.into_iter().filter(|r| !env_frv.contains(r)).collect(),
-            qeffs: fev.difference(&env_fev).copied().collect(),
-            ty: ty.clone(),
+            qtys: self.quantifiable_tys(ty, env_ftv, scratch),
+            qregs,
+            qeffs,
+            ty,
         }
     }
 
-    /// Skeleton regions in deterministic structural traversal order
-    /// (deduplicated).
-    pub fn frv_skel_ordered(&mut self, ty: &RTy, out: &mut Vec<Reg>) {
-        let push = |st: &mut Self, out: &mut Vec<Reg>, r: Reg| {
-            let c = st.find_reg(r);
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        };
-        match self.resolve(ty) {
-            RTy::Var(_) | RTy::Int | RTy::Bool | RTy::Unit => {}
-            RTy::Real(r) | RTy::Str(r) | RTy::Exn(r) => push(self, out, r),
-            RTy::Tuple(ts, r) | RTy::Con(_, ts, r) => {
-                push(self, out, r);
-                for t in &ts {
-                    self.frv_skel_ordered(t, out);
-                }
-            }
-            RTy::Arrow(ps, _, b, r) => {
-                push(self, out, r);
-                for p in &ps {
-                    self.frv_skel_ordered(p, out);
-                }
-                self.frv_skel_ordered(&b, out);
-            }
-            RTy::Ref(t, r) | RTy::Array(t, r) => {
-                push(self, out, r);
-                self.frv_skel_ordered(&t, out);
-            }
+    /// The type variables of `ty` that are not among `env_ftv` (which is
+    /// taken as collected: a variable bound since is not looked through).
+    pub fn quantifiable_tys(
+        &self,
+        ty: TyId,
+        env_ftv: &[u32],
+        scratch: &mut [IdSet; 2],
+    ) -> Vec<u32> {
+        let [env, own] = scratch;
+        env.clear();
+        for &t in env_ftv {
+            env.insert(t);
         }
+        own.clear();
+        self.ftv(ty, own);
+        let free = own.items().iter().copied();
+        free.filter(|&t| !env.contains(t)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn regs_of(st: &mut Stores, ty: TyId) -> IdSet {
+        let mut out = IdSet::default();
+        st.frv(ty, &mut out);
+        out
+    }
 
     #[test]
     fn region_union_find() {
@@ -605,8 +806,26 @@ mod tests {
         let mut st = Stores::new();
         let r1 = st.fresh_reg();
         let r2 = st.fresh_reg();
-        st.unify(&RTy::Real(r1), &RTy::Real(r2));
+        let (t1, t2) = (st.real(r1), st.real(r2));
+        st.unify(t1, t2);
         assert_eq!(st.find_reg(r1), st.find_reg(r2));
+    }
+
+    #[test]
+    fn unify_binds_variables_to_shared_nodes() {
+        let mut st = Stores::new();
+        let v = st.fresh_ty();
+        let r = st.fresh_reg();
+        let pair = st.tuple(&[Stores::INT, v], r);
+        let w = st.fresh_ty();
+        st.unify(w, pair);
+        st.unify(v, Stores::BOOL);
+        // `w` resolves to the very node `pair`, whose component is now bool.
+        assert_eq!(st.resolve(w), pair);
+        let RTy::Tuple(comps, _) = st.node(w) else {
+            panic!()
+        };
+        assert_eq!(st.node(st.kids(comps)[1]), RTy::Bool);
     }
 
     #[test]
@@ -619,9 +838,10 @@ mod tests {
         st.eff_add_reg(e2, r2);
         st.eff_add_child(e1, e2);
         st.eff_add_reg(e1, r1);
-        let regs = st.eff_regs(e1);
-        assert!(regs.contains(&st.find_reg(r1)));
-        assert!(regs.contains(&st.find_reg(r2)));
+        let mut regs = IdSet::default();
+        st.eff_regs(e1, &mut regs);
+        assert!(regs.contains(st.find_reg(r1)));
+        assert!(regs.contains(st.find_reg(r2)));
     }
 
     #[test]
@@ -632,7 +852,23 @@ mod tests {
         let e2 = st.fresh_eff();
         st.eff_add_reg(e1, r);
         st.union_eff(e1, e2);
-        assert!(st.eff_regs(e2).contains(&st.find_reg(r)));
+        let mut regs = IdSet::default();
+        st.eff_regs(e2, &mut regs);
+        assert!(regs.contains(st.find_reg(r)));
+    }
+
+    #[test]
+    fn effect_cycles_terminate() {
+        let mut st = Stores::new();
+        let r = st.fresh_reg();
+        let e1 = st.fresh_eff();
+        let e2 = st.fresh_eff();
+        st.eff_add_child(e1, e2);
+        st.eff_add_child(e2, e1);
+        st.eff_add_reg(e2, r);
+        let mut regs = IdSet::default();
+        st.eff_regs(e1, &mut regs);
+        assert_eq!(regs.items(), [r]);
     }
 
     #[test]
@@ -642,14 +878,14 @@ mod tests {
         let clos = st.fresh_reg();
         let e = st.fresh_eff();
         st.eff_add_reg(e, rho);
-        let ty = RTy::Arrow(vec![RTy::Int], e, Box::new(RTy::Int), clos);
-        let mut out = BTreeSet::new();
-        st.frv(&ty, &mut out);
+        let ty = st.arrow(&[Stores::INT], e, Stores::INT, clos);
+        let out = regs_of(&mut st, ty);
         assert!(
-            out.contains(&st.find_reg(rho)),
+            out.contains(st.find_reg(rho)),
             "latent effect region escapes"
         );
-        assert!(out.contains(&st.find_reg(clos)));
+        assert!(out.contains(st.find_reg(clos)));
+        assert_eq!(st.frv_calls, 1);
     }
 
     #[test]
@@ -658,12 +894,9 @@ mod tests {
         let rho = st.fresh_reg();
         let e = st.fresh_eff();
         st.eff_add_reg(e, rho);
-        let ty = RTy::Arrow(
-            vec![RTy::Int],
-            e,
-            Box::new(RTy::Tuple(vec![RTy::Int, RTy::Int], rho)),
-            st.fresh_reg(),
-        );
+        let clos = st.fresh_reg();
+        let pair = st.tuple(&[Stores::INT, Stores::INT], rho);
+        let ty = st.arrow(&[Stores::INT], e, pair, clos);
         let scheme = RScheme {
             qtys: vec![],
             qregs: vec![rho],
@@ -680,10 +913,31 @@ mod tests {
         );
         // The instantiated effect must mention the instantiated region, not
         // the formal.
-        let RTy::Arrow(_, ne, _, _) = st.resolve(&i1.ty) else {
+        let RTy::Arrow(ps, ne, _, _) = st.node(i1.ty) else {
             panic!()
         };
-        assert!(st.eff_regs(ne).contains(&st.find_reg(i1.reg_actuals[0])));
+        let mut regs = IdSet::default();
+        st.eff_regs(ne, &mut regs);
+        assert!(regs.contains(st.find_reg(i1.reg_actuals[0])));
+        // Subtrees without quantified variables are shared, not copied.
+        let RTy::Arrow(ps0, ..) = st.node(ty) else {
+            panic!()
+        };
+        assert_eq!(ps, ps0);
+    }
+
+    #[test]
+    fn monomorphic_scheme_instantiates_to_itself() {
+        let mut st = Stores::new();
+        let r = st.fresh_reg();
+        let ty = st.real(r);
+        let scheme = RScheme {
+            qtys: vec![],
+            qregs: vec![],
+            qeffs: vec![],
+            ty,
+        };
+        assert_eq!(st.instantiate(&scheme).ty, ty);
     }
 
     #[test]
@@ -692,16 +946,13 @@ mod tests {
         let kept = st.fresh_reg();
         let gened = st.fresh_reg();
         let e = st.fresh_eff();
-        let ty = RTy::Arrow(
-            vec![RTy::Real(kept)],
-            e,
-            Box::new(RTy::Real(gened)),
-            st.fresh_reg(),
-        );
-        let mut env = BTreeSet::new();
-        env.insert(kept);
-        let s = st.generalize(&ty, &env, &BTreeSet::new(), &BTreeSet::new());
+        let clos = st.fresh_reg();
+        let (a, b) = (st.real(kept), st.real(gened));
+        let ty = st.arrow(&[a], e, b, clos);
+        let s = st.generalize(ty, &[kept], &[], &[], &mut Default::default());
         assert!(!s.qregs.contains(&st.find_reg(kept)));
-        assert!(s.qregs.contains(&st.find_reg(gened)));
+        // Structural order: closure region first, then the result's.
+        assert_eq!(s.qregs, [st.find_reg(clos), st.find_reg(gened)]);
+        assert_eq!(s.qeffs, [e]);
     }
 }

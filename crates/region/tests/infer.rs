@@ -314,3 +314,55 @@ fn pretty_printer_shows_structure() {
     assert!(s.contains("globals ["), "{s}");
     assert!(s.contains("at r"), "{s}");
 }
+
+/// Work counters of annotating `n` independent top-level recursive
+/// functions (each builds a list of pairs, so each has regions to infer
+/// and markers to finalize), all of them used by the result.
+fn chain_stats(n: usize, gc_safe: bool) -> kit_region::annotate::AnnotateStats {
+    let mut src = String::new();
+    for i in 0..n {
+        src +=
+            &format!("fun f{i} (0, acc) = acc | f{i} (k, acc) = f{i} (k - 1, (k, {i}) :: acc)\n");
+    }
+    let uses: Vec<String> = (0..n).map(|i| format!("length (f{i} (3, nil))")).collect();
+    src += &format!("val it = {}\n", uses.join(" + "));
+    // The declaration chain nests as deep as it is long.
+    let annotate = move || {
+        let mut prog = kit_typing::compile_str(&src).expect("front-end failed");
+        kit_lambda::opt::optimize(&mut prog, &Default::default());
+        let ann = kit_region::annotate::annotate(&prog, gc_safe);
+        assert!(ann.stats.markers_live as usize == ann.marker_escapes.len());
+        ann.stats
+    };
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(annotate)
+        .expect("spawn")
+        .join()
+        .expect("annotation panicked")
+}
+
+#[test]
+fn annotation_work_is_linear_in_program_size() {
+    for gc_safe in [false, true] {
+        let small = chain_stats(40, gc_safe);
+        let large = chain_stats(160, gc_safe);
+        // Free-variable sets come from the one side-table walk, however
+        // many markers, closures and fixed-point rounds ask for them.
+        assert_eq!(small.free_var_walks, 1);
+        assert_eq!(large.free_var_walks, 1);
+        // Every function brings its own rounds and markers ...
+        assert!(large.fix_rounds >= small.fix_rounds + 2 * 120, "{large:?}");
+        assert!(large.markers_live > small.markers_live, "{large:?}");
+        assert!(large.markers_dropped > small.markers_dropped, "{large:?}");
+        // ... and four times the functions (on top of the fixed prelude)
+        // cost at most about four times the visits and region walks: no
+        // function pays for the ones declared around it.
+        let work = |s: &kit_region::annotate::AnnotateStats| s.node_visits + s.frv_calls;
+        assert!(
+            10 * work(&large) <= 43 * work(&small),
+            "4x the functions, {}x the work: {small:?} -> {large:?}",
+            work(&large) as f64 / work(&small) as f64
+        );
+    }
+}

@@ -19,10 +19,11 @@ impl Client {
     ///
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-            next_id: 1,
-        })
+        let stream = TcpStream::connect(addr)?;
+        // Call-by-call traffic: a frame must leave when it is written, not
+        // when the previous one has been acknowledged.
+        stream.set_nodelay(true)?;
+        Ok(Client { stream, next_id: 1 })
     }
 
     /// Sends `req` and waits for its response.

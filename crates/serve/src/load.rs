@@ -331,6 +331,9 @@ fn drive_conn(
     cap: usize,
 ) -> Result<ConnTally, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set nodelay: {e}"))?;
     let mut rx = stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;

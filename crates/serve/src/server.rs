@@ -537,6 +537,9 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
+        // Responses are single small frames; Nagle would hold each one
+        // back until the client acknowledges the previous.
+        let _ = stream.set_nodelay(true);
         let shared = Arc::clone(shared);
         let _ = thread::Builder::new()
             .name("kit-serve-conn".to_string())

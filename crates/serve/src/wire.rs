@@ -268,10 +268,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with a single `write`: on a
+/// socket, a header sent on its own is a small segment the peer's delayed
+/// ACK holds up the payload behind (40 ms per frame on Linux).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
 }
 
 /// Encodes a request into a frame payload.

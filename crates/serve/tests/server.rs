@@ -187,6 +187,36 @@ fn program_cache_shares_one_compilation() {
     handle.shutdown();
 }
 
+#[test]
+fn blocking_round_trip_is_not_held_up_by_delayed_acks() {
+    // One small frame out, one small frame back, call by call: a frame
+    // written as header-then-payload on a socket without TCP_NODELAY waits
+    // for the peer's delayed ACK (40 ms on Linux) — once per direction.
+    // The program itself runs in well under a millisecond.
+    let handle = start(1);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let src = FIB.replace("fib 13", "fib 12");
+    let mut call = || {
+        let t0 = std::time::Instant::now();
+        let resp = client
+            .call(Mode::Rgt, DispatchMode::default(), None, None, &src)
+            .expect("round trip");
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.result, "144");
+        t0.elapsed()
+    };
+    call(); // compiles; the timed calls hit the cache
+    let mut trips: Vec<Duration> = (0..20).map(|_| call()).collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median cached round trip {median:?}, all: {trips:?}"
+    );
+    assert_eq!(handle.cache_size(), 1);
+    handle.shutdown();
+}
+
 // ------------------------------------------------------ overload matrix
 
 #[test]

@@ -25,34 +25,58 @@ use kit_syntax::ast::{self, BinOp, Exp, Pat, TyExp};
 use kit_syntax::Span;
 use std::collections::HashMap;
 
-/// Elaborates `prelude` followed by `user` into a `LambdaExp` program.
+/// The elaborator as it stands after the prelude, with the prelude's typed
+/// declarations: what every compile continues from.
 ///
-/// The program result is the value of the last top-level `val` binding of
-/// the user program that binds a single variable (conventionally
-/// `val it = ...`), or `()` if there is none.
-///
-/// # Errors
-///
-/// Returns the first type error encountered.
-pub fn elaborate(prelude: &ast::Program, user: &ast::Program) -> Result<LProgram, TypeError> {
-    let mut el = Elab::new();
-    let mut tdecs = Vec::new();
-    for dec in prelude.decs.iter() {
-        el.anno_tyvars.clear();
-        tdecs.extend(el.infer_dec(dec)?);
-        el.cx.default_overloads();
+/// All elaboration state — the unification store, the datatype and
+/// exception environments, the variable table, the scopes — lives in
+/// [`Elab`] and nowhere else, and elaboration reads no clock, address or
+/// hash order. So continuing from a copy of this state yields the program
+/// that elaborating the prelude again would: the same `VarId`s, the same
+/// type-variable ids.
+pub(crate) struct Prelude {
+    el: Elab,
+    tdecs: Vec<TDec>,
+}
+
+impl Prelude {
+    /// Elaborates the prelude's declarations.
+    pub(crate) fn elaborate(prelude: &ast::Program) -> Result<Prelude, TypeError> {
+        let mut el = Elab::new();
+        let tdecs = el.infer_top_decs(&prelude.decs)?;
+        Ok(Prelude { el, tdecs })
     }
+
+    /// Elaborates `user` after the prelude and lowers both to `LambdaExp`.
+    ///
+    /// The program result is the value of the last top-level `val` binding
+    /// of the user program that binds a single variable (conventionally
+    /// `val it = ...`), or `()` if there is none.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first type error encountered.
+    pub(crate) fn elaborate_user(&self, user: &ast::Program) -> Result<LProgram, TypeError> {
+        finish(self.el.clone(), &self.tdecs, user)
+    }
+
+    /// [`Prelude::elaborate_user`] without the copy: the elaborator that
+    /// just did the prelude carries on, as every compile used to.
+    #[cfg(test)]
+    pub(crate) fn continue_with(self, user: &ast::Program) -> Result<LProgram, TypeError> {
+        finish(self.el, &self.tdecs, user)
+    }
+}
+
+fn finish(mut el: Elab, prelude: &[TDec], user: &ast::Program) -> Result<LProgram, TypeError> {
     el.user_phase = true;
-    for dec in user.decs.iter() {
-        el.anno_tyvars.clear();
-        tdecs.extend(el.infer_dec(dec)?);
-        el.cx.default_overloads();
-    }
+    let tdecs = el.infer_top_decs(&user.decs)?;
     let (result, result_ty) = match &el.last_val {
         Some((v, t)) => (TExp::Var(*v, t.clone()), t.clone()),
         None => (TExp::Unit, Ty::Unit),
     };
-    lower::lower_program(el.cx, el.data, el.exns, el.vars, tdecs, result, result_ty)
+    let decs = [prelude, &tdecs];
+    lower::lower_program(el.cx, el.data, el.exns, el.vars, decs, result, result_ty)
 }
 
 #[derive(Debug, Clone)]
@@ -77,6 +101,7 @@ enum TyDef {
     Data(TyConId, u32),
 }
 
+#[derive(Clone)]
 struct Elab {
     cx: InferCtx,
     data: DataEnv,
@@ -333,6 +358,18 @@ impl Elab {
     }
 
     // --------------------------------------------------------- declarations
+
+    /// Infers a run of top-level declarations; overloading is resolved at
+    /// the end of each.
+    fn infer_top_decs(&mut self, decs: &[ast::Dec]) -> Result<Vec<TDec>, TypeError> {
+        let mut tdecs = Vec::new();
+        for dec in decs {
+            self.anno_tyvars.clear();
+            tdecs.extend(self.infer_dec(dec)?);
+            self.cx.default_overloads();
+        }
+        Ok(tdecs)
+    }
 
     fn infer_dec(&mut self, dec: &ast::Dec) -> Result<Vec<TDec>, TypeError> {
         match dec {

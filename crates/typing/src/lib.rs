@@ -39,6 +39,7 @@ pub mod types;
 
 use kit_lambda::LProgram;
 use kit_syntax::SyntaxError;
+use std::sync::OnceLock;
 
 pub use types::TypeError;
 
@@ -54,14 +55,61 @@ pub fn compile_str(src: &str) -> Result<LProgram, TypeError> {
 
 /// Elaborates an already-parsed program (with the standard prelude).
 ///
+/// The prelude is parsed and elaborated once per process; every call
+/// continues from a copy of the elaborator as the prelude left it.
+///
 /// # Errors
 ///
 /// Returns a [`TypeError`] on ill-typed input.
 pub fn compile_program(prog: &kit_syntax::Program) -> Result<LProgram, TypeError> {
+    static PRELUDE: OnceLock<infer::Prelude> = OnceLock::new();
+    PRELUDE.get_or_init(elaborate_prelude).elaborate_user(prog)
+}
+
+fn elaborate_prelude() -> infer::Prelude {
     let prelude = kit_syntax::parse_program(prelude::PRELUDE).expect("prelude must parse");
-    infer::elaborate(&prelude, prog)
+    infer::Prelude::elaborate(&prelude).expect("prelude must elaborate")
 }
 
 fn from_syntax(e: SyntaxError) -> TypeError {
     TypeError::new(format!("syntax error: {}", e.message()), e.span())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kit_bench::programs::{self, SplitMix64};
+    use kit_bench::randgen::{self, Surface};
+
+    /// Continuing from a copy of the process-wide post-prelude state gives
+    /// exactly the program — `VarId`s, type-variable ids and all — that an
+    /// elaborator which has just done the prelude itself gives, compile
+    /// after compile: on every corpus program and on 200 generated ones.
+    #[test]
+    fn prelude_snapshot_equals_elaborating_from_scratch() {
+        let prelude = kit_syntax::parse_program(prelude::PRELUDE).expect("prelude must parse");
+        let corpus = programs::all().into_iter().map(|b| b.src.to_string());
+        let generated = (0..200)
+            .map(|i| randgen::program(&mut SplitMix64::new(0x5EED_1200 + i), Surface::Full));
+        let mut vars = 0;
+        for src in corpus.chain(generated).chain(["".to_string()]) {
+            let user = kit_syntax::parse_program(&src).expect("test program parses");
+            let scratch = infer::Prelude::elaborate(&prelude)
+                .and_then(|p| p.continue_with(&user))
+                .expect("test program elaborates");
+            let snapshot = compile_program(&user).expect("test program elaborates");
+            assert!(snapshot == scratch, "programs differ for:\n{src}");
+            vars += snapshot.vars.len();
+        }
+        assert!(vars > 50_000, "only {vars} variables compared");
+    }
+
+    #[test]
+    fn type_errors_leave_the_snapshot_intact() {
+        let bad = kit_syntax::parse_program("val x = 1 + \"one\"").unwrap();
+        let good = kit_syntax::parse_program("val it = length [1, 2]").unwrap();
+        let before = compile_program(&good).unwrap();
+        assert!(compile_program(&bad).is_err());
+        assert!(compile_program(&good).unwrap() == before);
+    }
 }

@@ -21,7 +21,8 @@ use kit_lambda::LProgram;
 use kit_syntax::Span;
 use std::collections::HashMap;
 
-/// Lowers the fully inferred program to `LambdaExp`.
+/// Lowers the fully inferred program — the declarations of `decs[0]`
+/// followed by those of `decs[1]` — to `LambdaExp`.
 ///
 /// # Errors
 ///
@@ -32,7 +33,7 @@ pub fn lower_program(
     data: DataEnv,
     exns: ExnEnv,
     vars: VarTable,
-    tdecs: Vec<TDec>,
+    decs: [&[TDec]; 2],
     result: TExp,
     result_ty: Ty,
 ) -> Result<LProgram, TypeError> {
@@ -45,7 +46,8 @@ pub fn lower_program(
         eq_defs: Vec::new(),
     };
     let core = lw.lower_exp(&result)?;
-    let mut body = lw.lower_decs(&tdecs, core)?;
+    let scope = lw.lower_decs(decs[1], core)?;
+    let mut body = lw.lower_decs(decs[0], scope)?;
     if !lw.eq_defs.is_empty() {
         body = LExp::Fix {
             funs: std::mem::take(&mut lw.eq_defs),

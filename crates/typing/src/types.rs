@@ -138,7 +138,7 @@ struct TvState {
 
 /// The inference context: a union-find store of unification variables and
 /// the current `let` level (Rémy-style level-based generalization).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct InferCtx {
     tvs: Vec<TvState>,
     /// Current generalization level.

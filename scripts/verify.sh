@@ -23,6 +23,11 @@ cargo test --release -p kit-bench --test fusion -q
 echo "==> 4-way engine equivalence: randomized differential (release)"
 cargo test --release -p kit-bench --test randomized -q
 
+echo "==> compile-output identity: corpus x modes + 200 generated programs"
+echo "    disassemble to the recorded bytecode, region programs equal up"
+echo "    to renaming (release)"
+cargo test --release -p kit-bench --test compile_identity -q
+
 echo "==> collector equivalence: parallel + sliced GC tests (release)"
 cargo test --release -p kit-runtime -q gc
 
@@ -66,5 +71,11 @@ echo "    tiny queue sheds typed Overloaded while executed work stays"
 echo "    bit-identical (serve test suite, release)"
 cargo test --release -p kit-serve -q flood
 cargo test --release -p kit-serve -q drain
+
+echo "==> repo benchmark (BENCHMARK.json): its own tests, then every"
+echo "    workload for 2 s untraced plus one traced run (exit status only),"
+echo "    so a crate change that breaks its build fails here"
+(cd benchmark && cargo test --offline -q)
+benchmark/run.sh --smoke
 
 echo "verify: OK"
