@@ -1,18 +1,16 @@
 //! Perf-trajectory snapshot: runs every benchmark of the paper's Fig. 3 in
 //! all five execution modes and writes a machine-readable JSON summary
-//! (default `BENCH_PR6.json`).
+//! to the path given with `--out` (required: there is no default, so a run
+//! can never overwrite a committed `BENCH_PR<n>.json` by accident).
 //!
-//! By default each (program, mode) cell is measured under four interpreter
-//! configurations, interleaved sample-by-sample so host throughput drift
-//! cancels out of the A/B comparison:
+//! By default each (program, mode) cell is measured under both
+//! interpreter configurations, interleaved sample-by-sample so host
+//! throughput drift cancels out of the A/B comparison:
 //!
-//! * `match_hand`    — PR 1 baseline: match-dispatch loop, hand fusion set
-//! * `threaded_full` — PR 2 loop: direct-threaded dispatch, full fusion table
-//! * `register`      — PR 3 engine: register-translated code (the translation
-//!   subsumes stack-shuffle fusion, so its fusion setting is moot)
-//! * `register_fused` — PR 4 engine: cross-block register translation with
-//!   the profile-selected superinstruction set re-fused over the register
-//!   stream
+//! * `match_off`     — the differential oracle: match-dispatch loop over
+//!   the unfused stream
+//! * `threaded_full` — the production engine: direct-threaded dispatch,
+//!   full fusion table
 //!
 //! The deterministic counters (instructions, words allocated, #GC, bytes
 //! copied) are bit-identical across runs, machines *and configurations* —
@@ -22,14 +20,13 @@
 //! number PRs optimizing the interpreter hot path are judged by.
 //!
 //! Usage: `cargo run -p kit-bench --release --bin bench-summary --
-//!         [--full] [--samples N] [--out PATH] [--jobs N]
+//!         --out PATH [--full] [--samples N] [--jobs N]
 //!         [--only prog,prog,...] [--modes r,rt,...]
-//!         [--dispatch match|threaded|register|register_fused]
-//!         [--fusion off|hand|full]
+//!         [--dispatch match|threaded] [--fusion off|full]
 //!         [--gc-compare] [--profile-fusion]`
 //!
 //! `--only`/`--modes` restrict the sweep; `--dispatch`/`--fusion` replace
-//! the three-way comparison with a single pinned configuration. `--jobs N`
+//! the two-way comparison with a single pinned configuration. `--jobs N`
 //! shards (program, mode) cells across N worker threads — the interleaved
 //! A/B stays intact because a cell never splits across shards.
 //!
@@ -37,7 +34,7 @@
 //! *collector modes*: each (program, mode) cell runs under the serial
 //! collector (`gc_serial`), the parallel collector with four workers
 //! (`gc_par4`), and the sliced bounded-pause collector (`gc_sliced`),
-//! all on the fastest dispatch engine. Every row reports `gc_time_ns`
+//! all on the production engine. Every row reports `gc_time_ns`
 //! and the pause quantiles (p50/p99/max from the runtime's log2 pause
 //! histogram), taken as a coherent set from the sample with the least
 //! collector time — the same best-of-N filter throughput gets — so the
@@ -58,7 +55,8 @@
 //! definition, not a memory regression.
 //!
 //! `--profile-fusion` runs the suite in the VM's fusion counting mode
-//! instead (fusion off, match dispatch, so base opcodes are visible),
+//! instead (match dispatch, hence unfused, so base opcodes are visible;
+//! prints to stdout, no `--out`),
 //! aggregates dynamic pair/triple frequencies of fallthrough-adjacent
 //! instructions, and prints the hot sequences plus a regenerated
 //! `FUSION_CANDIDATES` table for `crates/kam/src/fusion_table.rs`.
@@ -66,8 +64,8 @@
 //! `--serve` switches to the multi-tenant server benchmark (DESIGN.md
 //! §6i): an in-process `kit-serve` pool is driven at increasing
 //! concurrency levels over the serve mix (`--mix`, default
-//! [`kit_bench::serve_bench::DEFAULT_MIX`]) and the JSON (default
-//! `BENCH_PR9.json`) gets a `"serve"` array with requests/sec, p50/p99
+//! [`kit_bench::serve_bench::DEFAULT_MIX`]) and the JSON (`--out`,
+//! required here too) gets a `"serve"` array with requests/sec, p50/p99
 //! latency, per-program counters and per-worker collector time. Each
 //! point's per-program counters are asserted uniform across all
 //! responses, and a final standalone check demands bit-identical
@@ -108,35 +106,33 @@ impl Config {
     }
 }
 
-const COMPARE: [Config; 4] = [
-    Config::dispatch_cmp("match_hand", DispatchMode::Match, Fusion::Hand),
+const COMPARE: [Config; 2] = [
+    Config::dispatch_cmp("match_off", DispatchMode::Match, Fusion::Off),
     Config::dispatch_cmp("threaded_full", DispatchMode::Threaded, Fusion::Full),
-    Config::dispatch_cmp("register", DispatchMode::Register, Fusion::Off),
-    Config::dispatch_cmp("register_fused", DispatchMode::RegisterFused, Fusion::Off),
 ];
 
 /// The collector-mode comparison (`--gc-compare`): serial vs the
 /// parallel flip (4 workers) vs the sliced bounded-pause collector, all
-/// on the fastest dispatch engine so collection time dominates the A/B.
+/// on the production engine.
 const GC_COMPARE: [Config; 3] = [
     Config {
         name: "gc_serial",
-        dispatch: DispatchMode::RegisterFused,
-        fusion: Fusion::Off,
+        dispatch: DispatchMode::Threaded,
+        fusion: Fusion::Full,
         gc_workers: 1,
         gc_slice: None,
     },
     Config {
         name: "gc_par4",
-        dispatch: DispatchMode::RegisterFused,
-        fusion: Fusion::Off,
+        dispatch: DispatchMode::Threaded,
+        fusion: Fusion::Full,
         gc_workers: 4,
         gc_slice: None,
     },
     Config {
         name: "gc_sliced",
-        dispatch: DispatchMode::RegisterFused,
-        fusion: Fusion::Off,
+        dispatch: DispatchMode::Threaded,
+        fusion: Fusion::Full,
         gc_workers: 1,
         gc_slice: Some(4096),
     },
@@ -168,6 +164,33 @@ struct Cell {
     scale: i64,
 }
 
+/// Prints the usage line and exits with status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "bench-summary: {problem}\n\
+         usage: bench-summary --out PATH [--full] [--samples N] [--jobs N] [--only p,..] \
+         [--modes m,..] [--dispatch match|threaded] [--fusion off|full] [--gc-compare]\n\
+         \x20      bench-summary --serve --out PATH [--workers N] [--sessions N] [--mix SPEC] \
+         [--dispatch match|threaded]\n\
+         \x20      bench-summary --profile-fusion [--only p,..] [--modes m,..]"
+    );
+    std::process::exit(2);
+}
+
+/// The `--out` path; both writing modes refuse to run without one.
+fn required_out(args: &[String]) -> String {
+    args.iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .unwrap_or_else(|| usage("--out PATH is required (there is no default file)"))
+}
+
+fn parse_dispatch(s: &str) -> DispatchMode {
+    kit_bench::parse_dispatch(s)
+        .unwrap_or_else(|| usage(&format!("--dispatch {s}: expected match|threaded")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let full = args.iter().any(|a| a == "--full");
@@ -188,9 +211,6 @@ fn main() {
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(1)
         .max(1);
-    let out_path = flag_val("--out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR6.json".to_string());
     let csv_arg = |flag: &str| -> Option<Vec<String>> {
         flag_val(flag).map(|s| s.split(',').map(str::to_string).collect())
     };
@@ -200,18 +220,11 @@ fn main() {
     // comparison defaults to the paper's combined mode.
     let modes = csv_arg("--modes").or_else(|| gc_compare.then(|| vec!["rgt".to_string()]));
 
-    let dispatch = flag_val("--dispatch").map(|s| match s.as_str() {
-        "match" => DispatchMode::Match,
-        "threaded" => DispatchMode::Threaded,
-        "register" => DispatchMode::Register,
-        "register_fused" => DispatchMode::RegisterFused,
-        other => panic!("--dispatch {other}: expected match|threaded|register|register_fused"),
-    });
+    let dispatch = flag_val("--dispatch").map(|s| parse_dispatch(s));
     let fusion = flag_val("--fusion").map(|s| match s.as_str() {
         "off" => Fusion::Off,
-        "hand" => Fusion::Hand,
         "full" => Fusion::Full,
-        other => panic!("--fusion {other}: expected off|hand|full"),
+        other => usage(&format!("--fusion {other}: expected off|full")),
     });
 
     let cells: Vec<Cell> = all()
@@ -239,6 +252,7 @@ fn main() {
         profile_fusion(&cells);
         return;
     }
+    let out_path = required_out(&args);
 
     // Pinning either axis collapses the comparison to one configuration.
     let configs: Vec<Config> = if gc_compare {
@@ -465,7 +479,7 @@ fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -
 /// increasing concurrency over the serve mix, then floods a deliberately
 /// under-provisioned pool to record the overload columns (shed,
 /// rate_limited, deadline_exceeded, queue_depth_p99), and writes the
-/// `"serve"` rows (default `BENCH_PR10.json`).
+/// `"serve"` rows to `--out`.
 fn serve_summary(args: &[String]) {
     use kit_bench::serve_bench::{
         json_document, json_row, parse_mix, print_report, run_point, ServePoint, DEFAULT_MIX,
@@ -477,20 +491,12 @@ fn serve_summary(args: &[String]) {
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
     };
-    let out_path = flag_val("--out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let out_path = required_out(args);
     let workers = flag_val("--workers")
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from))
         .max(1);
-    let dispatch = flag_val("--dispatch").map_or(DispatchMode::default(), |s| match s.as_str() {
-        "match" => DispatchMode::Match,
-        "threaded" => DispatchMode::Threaded,
-        "register" => DispatchMode::Register,
-        "register_fused" => DispatchMode::RegisterFused,
-        other => panic!("--dispatch {other}: expected match|threaded|register|register_fused"),
-    });
+    let dispatch = flag_val("--dispatch").map_or(DispatchMode::default(), |s| parse_dispatch(s));
     let mix = parse_mix(
         flag_val("--mix").map_or(DEFAULT_MIX, String::as_str),
         Mode::Rgt,
@@ -686,7 +692,6 @@ fn profile_fusion(cells: &[Cell]) {
         println!("    Pattern {{");
         println!("        seq: &[{}],", seq.join(", "));
         println!("        out: FuseKind::{:?},", p.out);
-        println!("        tier: {},", p.tier);
         println!(
             "        dyn_count: {n},{}",
             if exact {
@@ -699,9 +704,9 @@ fn profile_fusion(cells: &[Cell]) {
     }
     println!("];");
 
-    // Hot fusible sequences the table does not cover yet — implementation
-    // candidates for the next tier.
-    println!("\n== uncovered fusible sequences (tier-2 candidates) ==");
+    // Hot fusible sequences the table does not cover yet — candidates
+    // for the next regeneration.
+    println!("\n== uncovered fusible sequences (candidates) ==");
     let covered = |seq: &[Opk]| FUSION_CANDIDATES.iter().any(|p| p.seq == seq);
     let mut shown = 0;
     for (ops, n) in total.hot_triples() {

@@ -7,7 +7,7 @@
 //!         [--conns N]               # TCP connections (default 64)
 //!         [--requests N]            # total requests (default 8×sessions)
 //!         [--mix SPEC]              # name[:scale][:fuel=N][:pages=N][:deadline=MS][:tenant=ID],…
-//!         [--mode r|rt|gt|rgt|smlnj] [--dispatch match|threaded|register|register_fused]
+//!         [--mode r|rt|gt|rgt|smlnj] [--dispatch match|threaded]
 //!         [--queue-cap N]           # in-process server admission bound
 //!         [--shed-policy newest|tenant-share]
 //!         [--rate RPS[:BURST]]      # in-process per-tenant token bucket
@@ -111,15 +111,11 @@ fn main() {
                 usage()
             })
     });
-    let dispatch = flag_val("--dispatch").map_or(DispatchMode::default(), |s| match s.as_str() {
-        "match" => DispatchMode::Match,
-        "threaded" => DispatchMode::Threaded,
-        "register" => DispatchMode::Register,
-        "register_fused" => DispatchMode::RegisterFused,
-        other => {
-            eprintln!("loadgen: unknown dispatch {other:?}");
+    let dispatch = flag_val("--dispatch").map_or(DispatchMode::default(), |s| {
+        kit_bench::parse_dispatch(s).unwrap_or_else(|| {
+            eprintln!("loadgen: unknown dispatch {s:?} (match|threaded)");
             usage()
-        }
+        })
     });
     let mix_spec = flag_val("--mix").map_or(DEFAULT_MIX, String::as_str);
     let mix = parse_mix(mix_spec, mode, dispatch).unwrap_or_else(|e| {

@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run -p kit-bench --release --bin region_probe --
 //!         [gc] [program] [scale]`
-use kit::{Compiler, DispatchMode, Fusion, Mode};
+use kit::{Compiler, Mode};
 use kit_bench::programs::by_name;
 use kit_runtime::RtConfig;
 
@@ -47,10 +47,7 @@ fn gc_ab(args: &[String]) {
             gc_workers: workers,
             ..RtConfig::default()
         };
-        let c = Compiler::new(Mode::Rgt)
-            .with_dispatch(DispatchMode::RegisterFused)
-            .with_fusion(Fusion::Off)
-            .with_config(cfg);
+        let c = Compiler::new(Mode::Rgt).with_config(cfg);
         let out = c.run_source(&src).unwrap();
         println!(
             "workers={workers}: #GC {:<3} gc {:>8.3}ms  copied {:>10}B  \

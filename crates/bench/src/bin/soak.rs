@@ -1,9 +1,9 @@
-//! Soak runner: the randomized 4-way engine differential from
+//! Soak runner: the randomized engine differential from
 //! `tests/randomized.rs`, promoted to a binary so it can run for
 //! arbitrarily many cases with full configuration fuzzing — page size,
 //! initial heap, `heap_shrink_factor` hysteresis, the generational
-//! policy, and all four dispatch modes (`Match` reference vs `Threaded`,
-//! `Register`, `RegisterFused`).
+//! policy — each case on both dispatch engines (the unfused `Match`
+//! oracle vs `Threaded` with full fusion).
 //!
 //! Usage: `cargo run -p kit-bench --release --bin soak --
 //!         [--cases N] [--seed S] [--gc-workers N] [--surface int|full]`
@@ -29,7 +29,7 @@
 //! and the process exits nonzero — so a CI hook (`scripts/verify.sh`
 //! wires in short runs of both surfaces) fails loudly.
 
-use kit::{Compiler, Mode};
+use kit::{Compiler, DispatchMode, Mode};
 use kit_bench::programs::SplitMix64;
 use kit_bench::randgen::{self, Surface};
 
@@ -94,10 +94,10 @@ fn main() {
         }
     }
     eprintln!(
-        "soak: {cases} cases ({surface:?} surface) x {} modes x 2 configs x {} engines = \
-         {runs} differentials, {failures} failures (seed {seed:#x})",
+        "soak: {cases} cases ({surface:?} surface) x {} modes x 2 configs = {runs} \
+         differentials over {} engines, {failures} failures (seed {seed:#x})",
         Mode::ALL_WITH_BASELINE.len(),
-        randgen::DIFF_ENGINES.len(),
+        DispatchMode::ALL.len(),
     );
     if failures > 0 {
         std::process::exit(1);

@@ -26,3 +26,13 @@ pub mod tables;
 
 pub use programs::{all, by_name, Benchmark};
 pub use runner::{run, run_scaled, MeasuredRun};
+
+/// Parses a `--dispatch` value — the one spelling `bench-summary` and
+/// `loadgen` share.
+pub fn parse_dispatch(s: &str) -> Option<kit::DispatchMode> {
+    match s {
+        "match" => Some(kit::DispatchMode::Match),
+        "threaded" => Some(kit::DispatchMode::Threaded),
+        _ => None,
+    }
+}

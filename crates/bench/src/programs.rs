@@ -163,8 +163,8 @@ pub fn all() -> Vec<Benchmark> {
         bench!("kitlife", "kitlife.sml", "the game of life", 24, 4),
         bench!("kitkb", "kitkb.sml", "Knuth-Bendix-style completion", 60, 6),
         // Branch-heavy additions (not in the paper's Fig. 3): values live
-        // across basic-block edges, the cells straight-line register
-        // allocation wins nothing on.
+        // across basic-block edges, so straight-line fusion covers little
+        // of them and dispatch dominates.
         bench!(
             "machine",
             "machine.sml",

@@ -1,4 +1,4 @@
-//! Random program generator and N-way engine differential, shared by the
+//! Random program generator and engine differential, shared by the
 //! `randomized` integration test (a short fixed-seed run in CI) and the
 //! `soak` binary (arbitrarily long runs with config fuzzing).
 //!
@@ -30,15 +30,6 @@ use crate::programs::SplitMix64;
 use kit::{Compiler, DispatchMode, Error, Fusion, Mode, Outcome};
 use kit_runtime::config::GenPolicy;
 use kit_runtime::RtConfig;
-
-/// The engines checked against the `Match` reference. Every generated
-/// program must behave identically — result, output, instruction total,
-/// and GC/alloc statistics — under all four dispatch modes.
-pub const DIFF_ENGINES: [DispatchMode; 3] = [
-    DispatchMode::Threaded,
-    DispatchMode::Register,
-    DispatchMode::RegisterFused,
-];
 
 /// Which grammar [`program`] draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1288,10 +1279,11 @@ fn diff_outcomes(want: &Outcome, got: &Outcome) -> Option<String> {
     None
 }
 
-/// Runs `src` under `Match` dispatch (the reference) and every engine in
-/// [`DIFF_ENGINES`], comparing results, output, instruction totals, and
-/// GC/alloc statistics. `Err` carries enough context to reproduce the
-/// divergence by hand (the engine, the field, and the full source).
+/// Runs `src` under `Match` dispatch (the unfused reference) and every
+/// other engine in [`DispatchMode::ALL`] with full fusion, comparing
+/// results, output, instruction totals, and GC/alloc statistics. `Err`
+/// carries enough context to reproduce the divergence by hand (the
+/// engine, the field, and the full source).
 pub fn differential(
     src: &str,
     mode: Mode,
@@ -1299,7 +1291,10 @@ pub fn differential(
     fuel: u64,
 ) -> Result<(), String> {
     let reference = run_once(src, mode, DispatchMode::Match, cfg, fuel);
-    for dispatch in DIFF_ENGINES {
+    for dispatch in DispatchMode::ALL {
+        if dispatch == DispatchMode::Match {
+            continue;
+        }
         let out = run_once(src, mode, dispatch, cfg, fuel);
         let ctx = || {
             format!(

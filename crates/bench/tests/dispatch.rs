@@ -1,12 +1,12 @@
 //! Round-trip tests for the threaded (struct-of-arrays) form: translating
 //! a linked program and rebuilding every instruction must reproduce the
-//! linked stream exactly, so both dispatch modes render the same
-//! disassembly and charge the same per-pc cost.
+//! linked stream exactly, so both forms render the same disassembly, and
+//! the threaded stream's charges add up to the source length.
 
 use kit::{Compiler, Mode};
 use kit_bench::programs;
 use kit_kam::link::{link, Fusion};
-use kit_kam::threaded::{translate, Op};
+use kit_kam::threaded::translate;
 use kit_kam::{disasm, Program};
 
 fn compiled(src: &str) -> Program {
@@ -19,7 +19,7 @@ fn compiled(src: &str) -> Program {
 fn threaded_form_round_trips_on_every_benchmark() {
     for b in programs::all() {
         let prog = compiled(&b.source_scaled(b.test_scale));
-        for fusion in [Fusion::Off, Fusion::Hand, Fusion::Full] {
+        for fusion in [Fusion::Off, Fusion::Full] {
             let linked = link(&prog, fusion);
             let tcode = translate(linked.clone());
             assert_eq!(
@@ -35,16 +35,16 @@ fn threaded_form_round_trips_on_every_benchmark() {
                     "{} ({fusion:?}): rebuild at pc {pc}",
                     b.name
                 );
-                // The SoA cost table must agree with the linked form —
-                // this is what keeps fuel and the GC schedule bit-identical
-                // across dispatch modes.
-                assert_eq!(
-                    Op::of(&linked.code[pc]).cost(),
-                    linked.code[pc].cost(),
-                    "{} ({fusion:?}): cost at pc {pc}",
-                    b.name
-                );
             }
+            // The charges must cover every source instruction exactly —
+            // this is what keeps fuel and the GC schedule bit-identical
+            // with the oracle's one-per-instruction count.
+            assert_eq!(
+                tcode.ops.iter().map(|op| op.cost()).sum::<u64>(),
+                prog.code.len() as u64,
+                "{} ({fusion:?}): charges vs source length",
+                b.name
+            );
         }
     }
 }
@@ -53,7 +53,7 @@ fn threaded_form_round_trips_on_every_benchmark() {
 fn both_dispatch_modes_render_the_same_mnemonic_stream() {
     for b in programs::all() {
         let prog = compiled(&b.source_scaled(b.test_scale));
-        for fusion in [Fusion::Off, Fusion::Hand, Fusion::Full] {
+        for fusion in [Fusion::Off, Fusion::Full] {
             let linked_render = disasm::disassemble_linked(&prog, fusion);
             let threaded_render = disasm::disassemble_threaded(&prog, fusion);
             // Identical apart from the "; linked:" / "; threaded:" header.
@@ -69,8 +69,8 @@ fn both_dispatch_modes_render_the_same_mnemonic_stream() {
 }
 
 #[test]
-fn tier2_and_tier3_superinstructions_appear_and_disassemble() {
-    // The profile-selected tier-2/tier-3 sets should fire on real
+fn profiled_superinstructions_appear_and_disassemble() {
+    // The profile-selected superinstructions should fire on real
     // benchmark code (that is what justified them) and render under
     // their mnemonics.
     let mut seen = std::collections::BTreeSet::new();
@@ -100,19 +100,10 @@ fn tier2_and_tier3_superinstructions_appear_and_disassemble() {
                 seen.insert(mn);
             }
         }
-        // Tier 1 only: no tier-2/tier-3 mnemonics may appear.
-        let hand = disasm::disassemble_threaded(&prog, Fusion::Hand);
-        for mn in PROFILED {
-            assert!(
-                !hand.contains(mn),
-                "{}: profiled {mn} leaked into Fusion::Hand",
-                b.name
-            );
-        }
     }
     // SelectConstPrim fired only ~2.5k times across the suite, so it need
     // not appear at test scale; the data-hot rest must. `SelectStore` is
-    // now almost always swallowed by the longer tier-3 `SelectStoreLoad`,
+    // now almost always swallowed by the longer `SelectStoreLoad`,
     // so it is exempt too.
     for mn in [
         " StoreLoadSelect {",
@@ -130,101 +121,4 @@ fn tier2_and_tier3_superinstructions_appear_and_disassemble() {
     ] {
         assert!(seen.contains(mn), "{mn} never fused on any benchmark");
     }
-}
-
-#[test]
-fn register_form_round_trips_on_every_benchmark() {
-    for b in programs::all() {
-        let prog = compiled(&b.source_scaled(b.test_scale));
-        let linked = link(&prog, Fusion::Off);
-        let r = kit_kam::register::translate(&linked);
-        // Cost preservation: the charge stream covers every source
-        // instruction — this is what keeps fuel and the GC schedule
-        // bit-identical to the stack engines. Entries carried across a
-        // block edge defer their charge into the successor block (the
-        // successor re-seeds them), so the books balance globally as
-        // emitted + deferred == source + seeded.
-        let total: u64 = r.costs.iter().map(|&c| c as u64).sum();
-        assert_eq!(
-            total + r.deferred,
-            linked.code.len() as u64 + r.seeded,
-            "{}: cost sum",
-            b.name
-        );
-        assert_eq!(
-            r.folded,
-            linked.code.len() as u64 - r.code.ops.len() as u64,
-            "{}: folded count",
-            b.name
-        );
-        // Every pc decodes; base ops decode to an LInstr whose opcode
-        // matches the stream (the register counterpart of `rebuild`).
-        for pc in 0..r.code.ops.len() {
-            match r.decode(pc) {
-                kit_kam::RegInstr::Base(ins) => {
-                    assert_eq!(
-                        Op::of(&ins),
-                        r.code.ops[pc],
-                        "{}: base decode at pc {pc}",
-                        b.name
-                    );
-                }
-                kit_kam::RegInstr::RPrim {
-                    a,
-                    b: kit_kam::RSrc::Stack,
-                    ..
-                }
-                | kit_kam::RegInstr::RPrimJump {
-                    a,
-                    b: kit_kam::RSrc::Stack,
-                    ..
-                } => {
-                    // Translator invariant: a physical B operand implies a
-                    // physical A operand.
-                    assert_eq!(a, kit_kam::RSrc::Stack, "{}: pc {pc}", b.name);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-#[test]
-fn register_opcodes_all_fire_and_disassemble() {
-    use kit_kam::threaded::Op as TOp;
-    let mut seen = std::collections::HashSet::new();
-    for b in programs::all() {
-        let prog = compiled(&b.source_scaled(b.test_scale));
-        let linked = link(&prog, Fusion::Off);
-        let r = kit_kam::register::translate(&linked);
-        for &op in &r.code.ops {
-            seen.insert(op);
-        }
-        let dis = disasm::disassemble_register(&prog);
-        assert!(
-            dis.starts_with("; register:"),
-            "{}: register disassembly header",
-            b.name
-        );
-        assert!(
-            dis.contains("Halt"),
-            "{}: register disassembly body",
-            b.name
-        );
-    }
-    // Every register-only opcode earns its keep on the benchmark corpus —
-    // except `RStoreConst`, whose `PushConst; Store` source shape the
-    // compiler only emits for constant let-bindings that survive
-    // optimization; a directed program covers it below.
-    for op in [TOp::RPrim, TOp::RPrimJump, TOp::RJumpIfFalse, TOp::RRet] {
-        assert!(seen.contains(&op), "{op:?} never emitted on any benchmark");
-    }
-    let prog = compiled("fun f n = let val k = (print \"\"; 7) in k + n end\nval it = f 35");
-    let linked = link(&prog, Fusion::Off);
-    let r = kit_kam::register::translate(&linked);
-    assert!(
-        r.code.ops.contains(&TOp::RStoreConst),
-        "constant let-binding should emit RStoreConst:\n{}",
-        disasm::disassemble_register(&prog)
-    );
 }

@@ -1,7 +1,7 @@
-//! Randomized 4-way engine differential: small generated programs must
-//! behave identically — result, output, instruction total, and GC/alloc
-//! statistics — under `Match`, `Threaded`, `Register`, and
-//! `RegisterFused` dispatch, in every mode, including on exception paths
+//! Randomized engine differential: small generated programs must behave
+//! identically — result, output, instruction total, and GC/alloc
+//! statistics — on the unfused `Match` oracle and on `Threaded` dispatch
+//! with full fusion, in every mode, including on exception paths
 //! and `VmError` outcomes (which the benchmark corpus in `fusion.rs`
 //! barely exercises).
 //!
@@ -19,7 +19,7 @@ use kit_runtime::RtConfig;
 
 const FUEL: u64 = 10_000_000;
 
-/// One case: the N-way engine differential under the default config, a
+/// One case: the engine differential under the default config, a
 /// heap-pressure config, the same pressure under the parallel and sliced
 /// collectors, and the cross-collector mutator-equivalence check.
 fn check_case(case: u64, src: &str, modes: &[Mode]) {

@@ -16,7 +16,7 @@
 //!   the collection count (the single-page-oscillation thrash case is
 //!   pinned by a dedicated unit test on `shrink_with_hysteresis`).
 
-use kit::{Compiler, DispatchMode, Fusion, Mode};
+use kit::{Compiler, Mode};
 use kit_bench::programs;
 use kit_runtime::config::GenPolicy;
 use kit_runtime::RtConfig;
@@ -33,8 +33,6 @@ const FACTORS: [Option<f64>; 7] = [
 
 fn run(src: &str, mode: Mode, cfg: RtConfig) -> kit::Outcome {
     Compiler::new(mode)
-        .with_dispatch(DispatchMode::Register)
-        .with_fusion(Fusion::Full)
         .with_fuel(200_000_000)
         .with_config(cfg)
         .run_source(src)

@@ -67,95 +67,6 @@ pub fn disassemble_threaded(p: &Program, fusion: link::Fusion) -> String {
     out
 }
 
-/// Renders the *register* form: the unfused linked stream rewritten by
-/// the translator in [`crate::regalloc`]. Register-only ops print as
-/// their [`crate::register::RegInstr`] decoding; each line carries the
-/// instruction charge (`[n]`), whose sum (plus the deferral books)
-/// reproduces the source length. Lines marked `*` forced a pending-entry
-/// flush; `; shape:` lines show the block-boundary register assignment
-/// agreed with all predecessors — the first thing to check when a
-/// cross-block carry misbehaves.
-pub fn disassemble_register(p: &Program) -> String {
-    let linked = link::link(p, link::Fusion::Off);
-    let src_len = linked.code.len();
-    let r = crate::register::translate(&linked);
-    let header = format!(
-        "; register: {} instructions ({} source instructions folded) from {} source instructions\n\
-         ; cross-block: {} entries seeded, {} charges deferred",
-        r.code.ops.len(),
-        r.folded,
-        src_len,
-        r.seeded,
-        r.deferred
-    );
-    render_register(p, &r, &header)
-}
-
-/// Renders the *register-fused* form: the register stream after the
-/// re-fusion pass merged profile-selected superinstruction windows. Same
-/// annotations as [`disassemble_register`]; a merged line's charge is the
-/// sum of its window's charges.
-pub fn disassemble_register_fused(p: &Program) -> String {
-    let linked = link::link(p, link::Fusion::Off);
-    let src_len = linked.code.len();
-    let r = crate::register::fuse(crate::register::translate(&linked));
-    let header = format!(
-        "; register_fused: {} instructions ({} re-fused, {} source instructions folded) from {} source instructions\n\
-         ; cross-block: {} entries seeded, {} charges deferred",
-        r.code.ops.len(),
-        r.code.fused,
-        r.folded,
-        src_len,
-        r.seeded,
-        r.deferred
-    );
-    render_register(p, &r, &header)
-}
-
-fn render_register(p: &Program, r: &crate::register::RegCode, header: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{header}");
-    let mut entries: std::collections::HashMap<usize, String> = Default::default();
-    for (fun, info) in p.funs.iter().enumerate() {
-        let pc = r.code.entry_pc[fun] as usize;
-        let name = &info.name;
-        entries
-            .entry(pc)
-            .and_modify(|s| {
-                let _ = write!(s, ", {name}");
-            })
-            .or_insert_with(|| name.clone());
-    }
-    let shapes: std::collections::HashMap<usize, &[crate::register::RSrc]> = r
-        .entry_shapes
-        .iter()
-        .map(|(pc, s)| (*pc as usize, s.as_slice()))
-        .collect();
-    for pc in 0..r.code.ops.len() {
-        if let Some(name) = entries.get(&pc) {
-            let _ = writeln!(out, "{name}:");
-        }
-        if let Some(shape) = shapes.get(&pc) {
-            let _ = writeln!(out, "         ; shape: {shape:?}");
-        }
-        let cost = r.costs[pc];
-        let flush = if r.flushed.get(pc).copied().unwrap_or(false) {
-            '*'
-        } else {
-            ' '
-        };
-        match r.decode(pc) {
-            crate::register::RegInstr::Base(ins) => {
-                let _ = writeln!(out, "  {pc:>5} {flush}[{cost}] {ins:?}");
-            }
-            reg => {
-                let _ = writeln!(out, "  {pc:>5} {flush}[{cost}] {reg:?}");
-            }
-        }
-    }
-    out
-}
-
 fn render_stream<'i>(
     p: &Program,
     entry_pc: &[u32],
@@ -194,29 +105,6 @@ mod tests {
         let s = disassemble(&prog);
         assert!(s.contains("<main>:"), "{s}");
         assert!(s.contains("Halt"), "{s}");
-    }
-
-    #[test]
-    fn register_dump_carries_flush_markers_and_entry_shapes() {
-        // A loop with a live accumulator crossing the back-edge: the
-        // cross-block pass seeds a non-empty shape at the loop header,
-        // which must show up as a `; shape:` annotation, and observation
-        // points force flushes, which must show up as `*` markers.
-        let src = "fun go (i, acc) = if i = 0 then acc else go (i - 1, (acc + i) mod 97)\n\
-                   val it = go (100, 1)";
-        let mut lprog = kit_typing::compile_str(src).unwrap();
-        kit_lambda::opt::optimize(&mut lprog, &Default::default());
-        let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::regions_only());
-        let prog = crate::compile(&rprog, true);
-        let dump = disassemble_register(&prog);
-        assert!(dump.starts_with("; register:"), "{dump}");
-        assert!(dump.contains("; cross-block:"), "{dump}");
-        assert!(dump.contains("; shape:"), "{dump}");
-        assert!(dump.contains("*["), "{dump}");
-        let fused = disassemble_register_fused(&prog);
-        assert!(fused.starts_with("; register_fused:"), "{fused}");
-        assert!(fused.contains("re-fused"), "{fused}");
-        assert!(fused.contains("Halt"), "{fused}");
     }
 
     #[test]

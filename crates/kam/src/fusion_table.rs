@@ -9,13 +9,9 @@
 //! the matcher in [`crate::link`] is greedy; a unit test enforces the
 //! ordering.
 //!
-//! `tier` records provenance: tier 1 is the hand-picked PR 1 set (kept
-//! selectable on its own for A/B continuity with `BENCH_PR1.json`), tier
-//! 2 the profile-selected additions, tier 3 the triples the tier-2
-//! profile still reported as hot-but-uncovered. `dyn_count` is the
-//! measured number of adjacent executions across the suite at test
-//! scale — documentation for the next regeneration, not an input to the
-//! matcher.
+//! `dyn_count` is the measured number of adjacent executions across the
+//! suite at test scale — documentation for the next regeneration, not an
+//! input to the matcher.
 
 /// Source-instruction kind, as matched by fusion patterns (a projection
 /// of [`crate::instr::Instr`] that ignores operands).
@@ -45,7 +41,7 @@ pub enum FuseKind {
     LoadSelectStore,
     LoadLoadPrimJump,
     LoadConstPrimJump,
-    // Tier 2: selected from `--profile-fusion` counts.
+    // Selected from `--profile-fusion` counts.
     StoreLoadSelect,
     LoadPrimJump,
     SelectConstPrim,
@@ -57,7 +53,7 @@ pub enum FuseKind {
     LoadSwitchCon,
     GcCheckLoad,
     RegHandleRegHandle,
-    // Tier 3: triples the tier-2 profile still reported uncovered.
+    // Triples that profile still reported hot but uncovered.
     SelectStoreLoad,
     GcCheckLoadSwitchCon,
     RegHandleRegHandleLoad,
@@ -73,9 +69,6 @@ pub struct Pattern {
     pub seq: &'static [Opk],
     /// Replacement superinstruction.
     pub out: FuseKind,
-    /// 1 = hand-picked PR 1 set, 2 = profile-selected addition, 3 =
-    /// uncovered-triple fixups on top of tier 2.
-    pub tier: u8,
     /// Measured fallthrough-adjacent executions across the benchmark
     /// suite (see module docs; regenerated with `--profile-fusion`).
     pub dyn_count: u64,
@@ -86,145 +79,121 @@ pub static FUSION_CANDIDATES: &[Pattern] = &[
     Pattern {
         seq: &[Opk::Load, Opk::Load, Opk::Prim, Opk::JumpIfFalse],
         out: FuseKind::LoadLoadPrimJump,
-        tier: 1,
-        dyn_count: 4112980,
+        dyn_count: 4413050, // min of overlapping triples
     },
     Pattern {
         seq: &[Opk::Load, Opk::PushConst, Opk::Prim, Opk::JumpIfFalse],
         out: FuseKind::LoadConstPrimJump,
-        tier: 1,
-        dyn_count: 1365200,
+        dyn_count: 2072175, // min of overlapping triples
     },
     Pattern {
         seq: &[Opk::Store, Opk::Load, Opk::Select],
         out: FuseKind::StoreLoadSelect,
-        tier: 2,
-        dyn_count: 19294318,
+        dyn_count: 19377233,
     },
     Pattern {
         seq: &[Opk::Select, Opk::Store, Opk::Load],
         out: FuseKind::SelectStoreLoad,
-        tier: 3,
-        dyn_count: 17480807,
+        dyn_count: 17552122,
     },
     Pattern {
         seq: &[Opk::GcCheck, Opk::Load, Opk::SwitchCon],
         out: FuseKind::GcCheckLoadSwitchCon,
-        tier: 3,
-        dyn_count: 8032545,
+        dyn_count: 8042220,
     },
     Pattern {
         seq: &[Opk::RegHandle, Opk::RegHandle, Opk::Load],
         out: FuseKind::RegHandleRegHandleLoad,
-        tier: 3,
-        dyn_count: 5138412,
+        dyn_count: 5183592,
     },
     Pattern {
         seq: &[Opk::RegHandle, Opk::Load, Opk::Load],
         out: FuseKind::RegHandleLoadLoad,
-        tier: 3,
         dyn_count: 4899492,
     },
     Pattern {
         seq: &[Opk::Load, Opk::Select, Opk::Store],
         out: FuseKind::LoadSelectStore,
-        tier: 1,
-        dyn_count: 17488090,
+        dyn_count: 17559405,
     },
     Pattern {
         seq: &[Opk::Load, Opk::Load, Opk::Prim],
         out: FuseKind::LoadLoadPrim,
-        tier: 1,
-        dyn_count: 4492800,
+        dyn_count: 5719705,
     },
     Pattern {
         seq: &[Opk::Load, Opk::Prim, Opk::JumpIfFalse],
         out: FuseKind::LoadPrimJump,
-        tier: 2,
-        dyn_count: 4112980,
+        dyn_count: 4413050,
     },
     Pattern {
         seq: &[Opk::Load, Opk::PushConst, Opk::Prim],
         out: FuseKind::LoadConstPrim,
-        tier: 1,
-        dyn_count: 3660790,
+        dyn_count: 4760270,
     },
     Pattern {
         seq: &[Opk::Select, Opk::PushConst, Opk::Prim],
         out: FuseKind::SelectConstPrim,
-        tier: 2,
-        dyn_count: 2465,
+        dyn_count: 148565,
     },
     Pattern {
         seq: &[Opk::Store, Opk::Load],
         out: FuseKind::StoreLoad,
-        tier: 2,
-        dyn_count: 26264872,
+        dyn_count: 27747092,
     },
     Pattern {
         seq: &[Opk::Load, Opk::Select],
         out: FuseKind::LoadSelect,
-        tier: 1,
-        dyn_count: 25855695,
+        dyn_count: 26270020,
     },
     Pattern {
         seq: &[Opk::Select, Opk::Store],
         out: FuseKind::SelectStore,
-        tier: 2,
-        dyn_count: 17488090,
+        dyn_count: 17559405,
     },
     Pattern {
         seq: &[Opk::Load, Opk::Load],
         out: FuseKind::LoadLoad,
-        tier: 2,
-        dyn_count: 15278157,
+        dyn_count: 17519372,
     },
     Pattern {
         seq: &[Opk::Prim, Opk::JumpIfFalse],
         out: FuseKind::PrimJump,
-        tier: 2,
-        dyn_count: 5900985,
+        dyn_count: 6792830,
     },
     Pattern {
         seq: &[Opk::PushConst, Opk::Prim],
         out: FuseKind::PushConstPrim,
-        tier: 1,
-        dyn_count: 4172095,
+        dyn_count: 6033555,
     },
     Pattern {
         seq: &[Opk::PushConst, Opk::JumpIfFalse],
         out: FuseKind::PushConstJumpIfFalse,
-        tier: 1,
-        dyn_count: 243085,
+        dyn_count: 226885,
     },
     Pattern {
         seq: &[Opk::Load, Opk::SwitchCon],
         out: FuseKind::LoadSwitchCon,
-        tier: 2,
-        dyn_count: 8916140,
+        dyn_count: 8962140,
     },
     Pattern {
         seq: &[Opk::GcCheck, Opk::Load],
         out: FuseKind::GcCheckLoad,
-        tier: 2,
-        dyn_count: 9304920,
+        dyn_count: 9691373,
     },
     Pattern {
         seq: &[Opk::RegHandle, Opk::RegHandle],
         out: FuseKind::RegHandleRegHandle,
-        tier: 2,
-        dyn_count: 9898762,
+        dyn_count: 9996807,
     },
     Pattern {
         seq: &[Opk::Load, Opk::Store],
         out: FuseKind::LoadStore,
-        tier: 2,
-        dyn_count: 7064103,
+        dyn_count: 7071756,
     },
     Pattern {
         seq: &[Opk::Store, Opk::Pop],
         out: FuseKind::StorePop,
-        tier: 1,
         dyn_count: 0,
     },
 ];

@@ -28,8 +28,6 @@ pub mod disasm;
 pub mod fusion_table;
 pub mod instr;
 pub mod link;
-pub mod regalloc;
-pub mod register;
 pub mod render;
 pub mod threaded;
 pub mod vm;
@@ -37,6 +35,5 @@ pub mod vm;
 pub use compile::compile;
 pub use instr::Program;
 pub use link::{link, Fusion, LInstr, LinkedProgram};
-pub use register::{RSrc, RegCode, RegInstr};
 pub use threaded::{FusionProfile, ThreadedCode};
 pub use vm::{DispatchMode, Executable, Vm, VmError, VmOutcome};

@@ -11,8 +11,7 @@
 //!    [`LinkedProgram::pc_of_label`]/[`LinkedProgram::fun_of_label`] tables
 //!    instead of a hash map.
 //! 2. **Fusion** — frequent pairs/triples/quads are collapsed into the
-//!    superinstructions of [`FUSION_CANDIDATES`] (the hand-picked tier-1
-//!    set plus the profile-selected tier-2 additions; regenerate with
+//!    superinstructions of [`FUSION_CANDIDATES`] (regenerate with
 //!    `bench-summary --profile-fusion`), cutting dispatches on the hot
 //!    path. A fused group never spans a *leader* (any pc bound in
 //!    `label_addrs`), so every branch target remains the start of a linked
@@ -20,37 +19,23 @@
 //!    (the pc after a non-tail call) is always a group start too.
 //!
 //! Fusion is semantics-preserving **including the instruction counter**:
-//! each superinstruction reports the number of source instructions it
-//! replaces via [`LInstr::cost`], so `VmOutcome::instructions` is identical
-//! with fusion on or off.
+//! each superinstruction is charged the number of source instructions it
+//! replaces ([`crate::threaded::Op::cost`]), so `VmOutcome::instructions`
+//! is identical with fusion on or off.
 
 use crate::fusion_table::{FuseKind, Opk, FUSION_CANDIDATES};
 use crate::instr::{Disc, Instr, Label, Program, RegSlot};
 use kit_lambda::exp::Prim;
 
-/// Which fusion candidates the link pass may emit.
+/// Whether the link pass emits superinstructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fusion {
     /// No superinstructions (branch targets are still pre-resolved) —
     /// the differential-testing reference.
     Off,
-    /// The hand-picked PR 1 set only (tier 1 of
-    /// [`FUSION_CANDIDATES`]) — the A/B baseline against
-    /// `BENCH_PR1.json`.
-    Hand,
     /// Every candidate in the generated table.
     #[default]
     Full,
-}
-
-impl Fusion {
-    fn max_tier(self) -> u8 {
-        match self {
-            Fusion::Off => 0,
-            Fusion::Hand => 1,
-            Fusion::Full => 3,
-        }
-    }
 }
 
 /// A linked instruction: operands pre-resolved to absolute pcs, hot
@@ -200,7 +185,7 @@ pub enum LInstr {
         at: Option<RegSlot>,
         target: u32,
     },
-    // ------------------------- tier 2 (profile-selected, `--profile-fusion`)
+    // ------------------------- profile-selected (`--profile-fusion`)
     /// `Store j; Load i; Select sel` (cost 3) — bind a match scrutinee and
     /// read its first field, the hottest measured triple.
     StoreLoadSelect {
@@ -274,7 +259,7 @@ pub enum LInstr {
         a: RegSlot,
         b: RegSlot,
     },
-    // --------------------------- tier 3 (uncovered-triple fixups)
+    // --------------------------- uncovered-triple fixups
     /// `Select sel; Store j; Load i` (cost 3) — store one field of a
     /// record already on the stack, then load the next operand.
     SelectStoreLoad {
@@ -305,41 +290,6 @@ pub enum LInstr {
         i: u32,
         j: u32,
     },
-}
-
-impl LInstr {
-    /// Number of source instructions this linked instruction stands for.
-    /// Summing `cost()` over executed instructions reproduces the unfused
-    /// instruction count exactly.
-    #[inline]
-    pub fn cost(&self) -> u64 {
-        match self {
-            LInstr::LoadLoadPrimJump { .. } | LInstr::LoadConstPrimJump { .. } => 4,
-            LInstr::LoadLoadPrim { .. }
-            | LInstr::LoadConstPrim { .. }
-            | LInstr::LoadSelectStore { .. }
-            | LInstr::StoreLoadSelect { .. }
-            | LInstr::LoadPrimJump { .. }
-            | LInstr::SelectConstPrim { .. }
-            | LInstr::SelectStoreLoad { .. }
-            | LInstr::GcCheckLoadSwitchCon { .. }
-            | LInstr::RegHandleRegHandleLoad { .. }
-            | LInstr::RegHandleLoadLoad { .. } => 3,
-            LInstr::PushConstPrim { .. }
-            | LInstr::LoadSelect { .. }
-            | LInstr::StorePop { .. }
-            | LInstr::PushConstJumpIfFalse { .. }
-            | LInstr::StoreLoad { .. }
-            | LInstr::LoadLoad { .. }
-            | LInstr::PrimJump { .. }
-            | LInstr::SelectStore { .. }
-            | LInstr::LoadStore { .. }
-            | LInstr::LoadSwitchCon { .. }
-            | LInstr::GcCheckLoad { .. }
-            | LInstr::RegHandleRegHandle { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// A program in linked form, ready for dispatch.
@@ -378,16 +328,15 @@ fn opk_of(ins: &Instr) -> Option<Opk> {
 }
 
 /// The fusion candidate matching at `i`, if any — the first (longest,
-/// by table ordering) enabled pattern whose kinds match at adjacent pcs
-/// with no interior leader; a branch could land mid-group otherwise.
+/// by table ordering) pattern whose kinds match at adjacent pcs with no
+/// interior leader; a branch could land mid-group otherwise.
 fn match_at(
     code: &[Instr],
     leader: &[bool],
     i: usize,
-    max_tier: u8,
 ) -> Option<&'static crate::fusion_table::Pattern> {
     'pat: for pat in FUSION_CANDIDATES {
-        if pat.tier > max_tier || i + pat.seq.len() > code.len() {
+        if i + pat.seq.len() > code.len() {
             continue;
         }
         for j in 1..pat.seq.len() {
@@ -407,9 +356,7 @@ fn match_at(
 
 /// Builds the superinstruction for a matched pattern from its source
 /// window. A pattern's kinds guarantee the shapes destructured here.
-/// Shared with the register-stream re-fusion pass in [`crate::register`],
-/// which resolves labels by identity (its targets are already pcs).
-pub(crate) fn build_fused(kind: FuseKind, w: &[Instr], resolve: &dyn Fn(Label) -> u32) -> LInstr {
+fn build_fused(kind: FuseKind, w: &[Instr], resolve: &dyn Fn(Label) -> u32) -> LInstr {
     match kind {
         FuseKind::LoadLoadPrimJump => match (&w[0], &w[1], &w[2], &w[3]) {
             (Instr::Load(a), Instr::Load(b), Instr::Prim { p, at }, Instr::JumpIfFalse(l)) => {
@@ -610,7 +557,7 @@ pub(crate) fn build_fused(kind: FuseKind, w: &[Instr], resolve: &dyn Fn(Label) -
     }
 }
 
-/// Links `prog`, fusing the selected superinstruction set.
+/// Links `prog`, fusing superinstructions unless `fusion` is off.
 pub fn link(prog: &Program, fusion: Fusion) -> LinkedProgram {
     let code = &prog.code;
     let n = code.len();
@@ -625,17 +572,15 @@ pub fn link(prog: &Program, fusion: Fusion) -> LinkedProgram {
     }
 
     // Pass 1: choose groups (greedy, longest first) and map old → new pcs.
-    let max_tier = fusion.max_tier();
     let mut new_pc_of_old = vec![u32::MAX; n];
     let mut group_len = vec![0u8; n];
     let mut group_kind = vec![None::<FuseKind>; n];
     let mut i = 0;
     let mut npc = 0u32;
     while i < n {
-        let pat = if max_tier > 0 {
-            match_at(code, &leader, i, max_tier)
-        } else {
-            None
+        let pat = match fusion {
+            Fusion::Off => None,
+            Fusion::Full => match_at(code, &leader, i),
         };
         let len = pat.map_or(1, |p| p.seq.len());
         new_pc_of_old[i] = npc;
@@ -776,6 +721,7 @@ fn link_one(prog: &Program, ins: &Instr, resolve: &dyn Fn(Label) -> u32) -> LIns
 mod tests {
     use super::*;
     use crate::instr::FunInfo;
+    use crate::threaded::Op;
     use kit_lambda::ty::{DataEnv, LTy};
 
     fn mini_program(code: Vec<Instr>, label_addrs: Vec<usize>) -> Program {
@@ -831,7 +777,7 @@ mod tests {
         // Old pc 5 (Halt) is the 4th linked instruction.
         assert_eq!(linked.code[2], LInstr::Jump(3));
         assert_eq!(linked.pc_of_label[1], 3);
-        let total: u64 = linked.code.iter().map(LInstr::cost).sum();
+        let total: u64 = linked.code.iter().map(|i| Op::of(i).cost()).sum();
         assert_eq!(
             total,
             prog.code.len() as u64,

@@ -69,7 +69,7 @@ pub enum Op {
     LoadSelectStore,
     LoadLoadPrimJump,
     LoadConstPrimJump,
-    // ------------------------------- tier-2 (profile-selected) additions
+    // ------------------------------------- profile-selected additions
     StoreLoadSelect,
     LoadPrimJump,
     SelectConstPrim,
@@ -81,36 +81,15 @@ pub enum Op {
     LoadSwitchCon,
     GcCheckLoad,
     RegHandleRegHandle,
-    // ------------------------------- tier-3 (uncovered-triple) additions
+    // ------------------------------------- uncovered-triple additions
     SelectStoreLoad,
     GcCheckLoadSwitchCon,
     RegHandleRegHandleLoad,
     RegHandleLoadLoad,
-    // ----------------------- register-form opcodes (no LInstr counterpart)
-    //
-    // Emitted only by the register translator in [`crate::regalloc`]; they
-    // take operands straight from locals/immediates instead of the operand
-    // stack. Their per-pc instruction charge is *dynamic* (the number of
-    // stack ops each occurrence replaces) and lives in
-    // [`crate::register::RegCode::costs`], not in [`Op::cost`].
-    /// Three-address primitive: operands from locals/consts/stack, result
-    /// pushed or stored to a local.
-    RPrim,
-    /// [`Op::RPrim`] fused with a conditional branch on its result.
-    RPrimJump,
-    /// Conditional branch on a local, no operand push.
-    RJumpIfFalse,
-    /// Store an immediate constant into a local.
-    RStoreConst,
-    /// Return with the result taken from a local or an immediate.
-    RRet,
-    /// Cost-accounting no-op: charges stack instructions whose effects
-    /// were cancelled entirely (e.g. a dropped pending push).
-    RNop,
 }
 
 /// Number of opcodes (size of the handler table).
-pub const OP_COUNT: usize = Op::RNop as usize + 1;
+pub const OP_COUNT: usize = Op::RegHandleLoadLoad as usize + 1;
 
 impl Op {
     /// Every opcode, in discriminant order (`ALL[op as usize] == op`).
@@ -172,12 +151,6 @@ impl Op {
         Op::GcCheckLoadSwitchCon,
         Op::RegHandleRegHandleLoad,
         Op::RegHandleLoadLoad,
-        Op::RPrim,
-        Op::RPrimJump,
-        Op::RJumpIfFalse,
-        Op::RStoreConst,
-        Op::RRet,
-        Op::RNop,
     ];
 
     /// The opcode of a linked instruction.
@@ -243,10 +216,10 @@ impl Op {
         }
     }
 
-    /// Source instructions this opcode accounts for — must agree with
-    /// [`LInstr::cost`] so fuel, instruction totals and the GC schedule
-    /// are bit-identical across dispatch modes (the round-trip test
-    /// asserts the two never drift apart).
+    /// Source instructions this opcode accounts for: the length of the
+    /// pattern a superinstruction replaces, 1 for a base opcode. Charging
+    /// it keeps fuel, instruction totals and the GC schedule bit-identical
+    /// with the oracle, which counts one per unfused instruction.
     #[inline]
     pub const fn cost(self) -> u64 {
         match self {
@@ -337,12 +310,6 @@ impl Op {
             Op::GcCheckLoadSwitchCon => "GcCheckLoadSwitchCon",
             Op::RegHandleRegHandleLoad => "RegHandleRegHandleLoad",
             Op::RegHandleLoadLoad => "RegHandleLoadLoad",
-            Op::RPrim => "RPrim",
-            Op::RPrimJump => "RPrimJump",
-            Op::RJumpIfFalse => "RJumpIfFalse",
-            Op::RStoreConst => "RStoreConst",
-            Op::RRet => "RRet",
-            Op::RNop => "RNop",
         }
     }
 }
@@ -360,14 +327,11 @@ pub struct Args {
     pub b: u32,
     /// Branch target / call entry pc.
     pub t: u32,
-    /// First `u16` operand (field counts, select index; operand-mode
-    /// nibbles of the register prims — see `crate::register`).
+    /// First `u16` operand (field counts, select index).
     pub n: u16,
-    /// Second `u16` operand (region-formal count, store slot of triples,
-    /// destination local of `RPrim`).
+    /// Second `u16` operand (region-formal count, store slot of triples).
     pub m: u16,
-    /// Boolean operand (tail call, discriminant word, has-arg,
-    /// `RPrim` result-goes-to-local).
+    /// Boolean operand (tail call, discriminant word, has-arg).
     pub flag: bool,
     /// Primitive operation (meaningful for prim opcodes only).
     pub p: Prim,
@@ -378,7 +342,7 @@ pub struct Args {
 }
 
 impl Args {
-    pub(crate) fn zero() -> Args {
+    fn zero() -> Args {
         Args {
             k: 0,
             a: 0,
@@ -453,10 +417,20 @@ pub fn translate(linked: LinkedProgram) -> ThreadedCode {
         fun_of_label,
         fused,
     } = linked;
-    let mut t = ThreadedCode::empty(entry_pc, pc_of_label, fun_of_label);
-    t.fused = fused;
-    t.ops.reserve(code.len());
-    t.args.reserve(code.len());
+    let mut t = ThreadedCode {
+        ops: Vec::with_capacity(code.len()),
+        args: Vec::with_capacity(code.len()),
+        strs: Vec::new(),
+        con_switches: Vec::new(),
+        int_switches: Vec::new(),
+        str_switches: Vec::new(),
+        exn_switches: Vec::new(),
+        names: Vec::new(),
+        entry_pc,
+        pc_of_label,
+        fun_of_label,
+        fused,
+    };
     for ins in code {
         t.push_linstr(ins);
     }
@@ -464,33 +438,9 @@ pub fn translate(linked: LinkedProgram) -> ThreadedCode {
 }
 
 impl ThreadedCode {
-    /// An empty stream sharing the linked program's label tables — the
-    /// starting point for both [`translate`] and the register translator
-    /// in [`crate::regalloc`].
-    pub fn empty(
-        entry_pc: Vec<u32>,
-        pc_of_label: Vec<u32>,
-        fun_of_label: Vec<u32>,
-    ) -> ThreadedCode {
-        ThreadedCode {
-            ops: Vec::new(),
-            args: Vec::new(),
-            strs: Vec::new(),
-            con_switches: Vec::new(),
-            int_switches: Vec::new(),
-            str_switches: Vec::new(),
-            exn_switches: Vec::new(),
-            names: Vec::new(),
-            entry_pc,
-            pc_of_label,
-            fun_of_label,
-            fused: 0,
-        }
-    }
-
     /// Appends one linked instruction, encoding its operands into [`Args`]
     /// and moving variable-sized payloads into the side tables.
-    pub fn push_linstr(&mut self, ins: LInstr) {
+    fn push_linstr(&mut self, ins: LInstr) {
         let t = self;
         let op = Op::of(&ins);
         let mut x = Args::zero();
@@ -914,20 +864,6 @@ impl ThreadedCode {
                 i: x.a,
                 j: x.b,
             },
-            op @ (Op::RPrim
-            | Op::RPrimJump
-            | Op::RJumpIfFalse
-            | Op::RStoreConst
-            | Op::RRet
-            | Op::RNop) => {
-                // Register-form opcodes have no LInstr counterpart; the
-                // register disassembler decodes them via
-                // `crate::register::RegCode::decode` instead.
-                panic!(
-                    "rebuild: register opcode {} has no linked form",
-                    op.mnemonic()
-                )
-            }
         }
     }
 }
@@ -1047,7 +983,7 @@ mod tests {
         // `Op` is `repr(u8)` with sequential discriminants; the handler
         // table is indexed by `op as usize`, so the last variant pins the
         // size.
-        assert_eq!(OP_COUNT, 63);
+        assert_eq!(OP_COUNT, 57);
         assert_eq!(Op::Halt as usize, 32);
         for (i, op) in Op::ALL.iter().enumerate() {
             assert_eq!(*op as usize, i, "ALL out of discriminant order");

@@ -107,37 +107,28 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// How [`Vm::run`] executes the linked stream. Both modes produce
-/// bit-identical observable behavior — results, output, instruction
-/// totals, fuel, and the GC schedule (enforced by the dispatch
-/// equivalence test in `kit-bench`).
+/// How [`Vm::run`] executes the program: one reference engine and one
+/// production engine. Both produce bit-identical observable behavior —
+/// results, output, instruction totals, fuel, and the GC schedule
+/// (enforced by the dispatch equivalence tests in `kit-bench`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// The classic match-per-instruction loop over [`LInstr`].
+    /// The differential oracle: a match-per-instruction loop over the
+    /// *unfused* [`LInstr`] stream. It shares no superinstruction code
+    /// with the threaded engine, so every fused handler is checked
+    /// against the base instructions it stands for.
     Match,
     /// Direct-threaded execution: the linked stream is translated to
     /// struct-of-arrays form ([`ThreadedCode`]) and dispatched through a
     /// `const` handler table indexed by opcode.
     #[default]
     Threaded,
-    /// Register-form execution: the unfused linked stream is rewritten by
-    /// [`crate::regalloc`] into three-address ops over virtual registers
-    /// (the frame's local slots) and dispatched with the threaded
-    /// machinery. The fusion setting is ignored — the register translator
-    /// subsumes superinstruction fusion by folding operand producers into
-    /// their consumers directly. Each register op charges the stack
-    /// instructions it replaces (see [`crate::register::RegCode::costs`]),
-    /// so instruction totals, fuel and the GC schedule stay bit-identical
-    /// with the other engines.
-    Register,
-    /// Register-form execution with the profile-selected superinstruction
-    /// set stacked on top: after [`crate::register::translate`], a
-    /// re-fusion pass ([`crate::register::fuse`]) merges the base-op
-    /// windows the symbolic-stack pass could not absorb (flushed loads
-    /// before calls, entry safepoints, copies around barriers). Costs
-    /// merge additively, so all accounting invariants of `Register` hold
-    /// unchanged.
-    RegisterFused,
+}
+
+impl DispatchMode {
+    /// Every engine, oracle first — the one list the differential tests
+    /// and tools iterate.
+    pub const ALL: [DispatchMode; 2] = [DispatchMode::Match, DispatchMode::Threaded];
 }
 
 /// A program linked and translated for one dispatch configuration — the
@@ -147,35 +138,22 @@ pub enum DispatchMode {
 /// instances via `Arc` by the server).
 #[derive(Debug)]
 pub enum Executable {
-    /// The linked stream, dispatched by the match loop.
+    /// The unfused linked stream, dispatched by the match loop.
     Match(LinkedProgram),
     /// Struct-of-arrays threaded form.
     Threaded(ThreadedCode),
-    /// Register form (covers both `Register` and `RegisterFused` —
-    /// re-fusion happens at preparation time).
-    Register(Box<crate::register::RegCode>),
 }
 
 impl Executable {
-    /// Links `prog` and translates it for `dispatch`. The fusion setting
-    /// is overridden to `Off` for the register engines — the register
-    /// translator consumes the unfused stream (it folds operand
-    /// producers into consumers itself, subsuming fusion).
+    /// Links `prog` and translates it for `dispatch`. `fusion` applies to
+    /// the threaded engine only: the match loop is the oracle and always
+    /// gets the unfused stream, whatever the caller asked for.
     pub fn prepare(prog: &Program, dispatch: DispatchMode, fusion: Fusion) -> Executable {
-        let fusion = match dispatch {
-            DispatchMode::Register | DispatchMode::RegisterFused => Fusion::Off,
-            _ => fusion,
-        };
-        let linked = link::link(prog, fusion);
         match dispatch {
-            DispatchMode::Match => Executable::Match(linked),
-            DispatchMode::Threaded => Executable::Threaded(threaded::translate(linked)),
-            DispatchMode::Register => {
-                Executable::Register(Box::new(crate::register::translate(&linked)))
+            DispatchMode::Match => Executable::Match(link::link(prog, Fusion::Off)),
+            DispatchMode::Threaded => {
+                Executable::Threaded(threaded::translate(link::link(prog, fusion)))
             }
-            DispatchMode::RegisterFused => Executable::Register(Box::new(crate::register::fuse(
-                crate::register::translate(&linked),
-            ))),
         }
     }
 }
@@ -238,8 +216,8 @@ pub struct Vm<'p> {
     fusion: Fusion,
     dispatch: DispatchMode,
     /// Fusion counting mode: dynamic pair/triple frequencies, recorded by
-    /// the match loop (enabling it forces `Match` dispatch and no fusion
-    /// so base opcodes stay visible).
+    /// the match loop (enabling it forces `Match` dispatch, whose stream
+    /// is unfused, so base opcodes stay visible).
     profile: Option<Box<FusionProfile>>,
     /// Error staged by a failing threaded handler before it returns
     /// [`Control::Fail`].
@@ -296,14 +274,9 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Disables superinstruction fusion (the link pass still resolves
-    /// branch targets). For differential testing of the fusion pass.
-    pub fn without_fusion(mut self) -> Self {
-        self.fusion = Fusion::Off;
-        self
-    }
-
-    /// Selects the superinstruction set the link pass may fuse.
+    /// Turns superinstruction fusion in the link pass on or off (`Off`
+    /// still resolves branch targets; it is the differential-testing
+    /// setting for the fusion pass).
     pub fn with_fusion(mut self, fusion: Fusion) -> Self {
         self.fusion = fusion;
         self
@@ -317,11 +290,10 @@ impl<'p> Vm<'p> {
 
     /// Enables the fusion counting mode: dynamic opcode pair/triple
     /// frequencies of fallthrough-adjacent instructions are recorded and
-    /// returned in [`VmOutcome::fusion_profile`]. Forces `Match` dispatch
-    /// with fusion off so base opcodes stay visible.
+    /// returned in [`VmOutcome::fusion_profile`]. Forces `Match` dispatch,
+    /// whose stream is unfused, so base opcodes stay visible.
     pub fn with_fusion_profile(mut self) -> Self {
         self.profile = Some(Box::default());
-        self.fusion = Fusion::Off;
         self.dispatch = DispatchMode::Match;
         self
     }
@@ -507,16 +479,12 @@ impl<'p> Vm<'p> {
                 let pc = tcode.entry_pc[main] as usize;
                 self.exec_threaded(tcode, pc)
             }
-            Executable::Register(rcode) => {
-                // The register translation renumbers pcs; entry points
-                // come from the remapped table.
-                let pc = rcode.code.entry_pc[main] as usize;
-                self.exec_register(rcode, pc)
-            }
         }
     }
 
-    /// The classic loop: fetch, `match` on the [`LInstr`] variant.
+    /// The oracle loop: fetch, `match` on the [`LInstr`] variant. It has
+    /// arms for base instructions only — [`Executable::prepare`] hands it
+    /// the unfused stream — so one dispatch is one source instruction.
     fn exec_match(mut self, linked: &LinkedProgram, mut pc: usize) -> Result<VmOutcome, VmError> {
         let code: &[LInstr] = &linked.code;
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
@@ -537,9 +505,7 @@ impl<'p> Vm<'p> {
 
         loop {
             let ins = &code[pc];
-            // Fused instructions account for every instruction they
-            // replace, so `instructions` matches an unfused run exactly.
-            icount += ins.cost();
+            icount += 1;
             if icount > fuel_limit {
                 return Err(VmError::OutOfFuel);
             }
@@ -840,247 +806,7 @@ impl<'p> Vm<'p> {
                         rt: self.rt,
                     });
                 }
-                // -------------------------------------- superinstructions
-                LInstr::LoadLoadPrim { a, b, p, at } => {
-                    let va = self.local(*a);
-                    let vb = self.local(*b);
-                    self.push(va);
-                    self.push(vb);
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                }
-                LInstr::PushConstPrim { k, p, at } => {
-                    self.push(*k);
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                }
-                LInstr::LoadSelect { i, sel } => {
-                    let v = self.local(*i);
-                    let w = self.rt.field(v, *sel as u64);
-                    self.push(w);
-                }
-                LInstr::StorePop { i } => {
-                    let v = self.pop();
-                    self.set_local(*i, v);
-                    self.pop();
-                }
-                LInstr::PushConstJumpIfFalse { k, target } => {
-                    if self.rt.untag_int(*k) == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                LInstr::LoadConstPrim { i, k, p, at } => {
-                    let v = self.local(*i);
-                    self.push(v);
-                    self.push(*k);
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                }
-                LInstr::LoadSelectStore { i, sel, j } => {
-                    let v = self.local(*i);
-                    let w = self.rt.field(v, *sel as u64);
-                    self.set_local(*j, w);
-                }
-                LInstr::LoadLoadPrimJump {
-                    a,
-                    b,
-                    p,
-                    at,
-                    target,
-                } => {
-                    let va = self.local(*a);
-                    let vb = self.local(*b);
-                    self.push(va);
-                    self.push(vb);
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                    let v = self.pop();
-                    if self.rt.untag_int(v) == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                LInstr::LoadConstPrimJump {
-                    i,
-                    k,
-                    p,
-                    at,
-                    target,
-                } => {
-                    let v = self.local(*i);
-                    self.push(v);
-                    self.push(*k);
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                    let v = self.pop();
-                    if self.rt.untag_int(v) == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                LInstr::StoreLoadSelect { j, i, sel } => {
-                    let v = self.pop();
-                    self.set_local(*j, v);
-                    let w = self.rt.field(self.local(*i), *sel as u64);
-                    self.push(w);
-                }
-                LInstr::LoadPrimJump { i, p, at, target } => {
-                    let v = self.local(*i);
-                    self.push(v);
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                    let v = self.pop();
-                    if self.rt.untag_int(v) == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                LInstr::SelectConstPrim { sel, k, p, at } => {
-                    let v = self.pop();
-                    let w = self.rt.field(v, *sel as u64);
-                    self.push(w);
-                    self.push(*k);
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                }
-                LInstr::StoreLoad { j, i } => {
-                    let v = self.pop();
-                    self.set_local(*j, v);
-                    let w = self.local(*i);
-                    self.push(w);
-                }
-                LInstr::LoadLoad { a, b } => {
-                    let va = self.local(*a);
-                    let vb = self.local(*b);
-                    self.push(va);
-                    self.push(vb);
-                }
-                LInstr::PrimJump { p, at, target } => {
-                    match self.do_prim(*p, *at) {
-                        Ok(()) => {}
-                        Err(exn) => raise_builtin!(self, pc, exn),
-                    }
-                    let v = self.pop();
-                    if self.rt.untag_int(v) == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                LInstr::SelectStore { sel, j } => {
-                    let v = self.pop();
-                    let w = self.rt.field(v, *sel as u64);
-                    self.set_local(*j, w);
-                }
-                LInstr::LoadStore { i, j } => {
-                    let v = self.local(*i);
-                    self.set_local(*j, v);
-                }
-                LInstr::LoadSwitchCon {
-                    i,
-                    disc,
-                    arms,
-                    default,
-                } => {
-                    let v = self.local(*i);
-                    let ctor: u32 = if !is_ptr(v) {
-                        scalar_val(v) as u32
-                    } else {
-                        match disc {
-                            Disc::Tag => {
-                                Tag::decode(self.rt.read_addr(ptr_addr(self.rt.canon(v)))).info
-                            }
-                            Disc::Field0 => scalar_val(self.rt.read_addr(ptr_addr(v))) as u32,
-                            Disc::Single(c) => *c,
-                            Disc::Enum => unreachable!("boxed value in enum datatype"),
-                        }
-                    };
-                    let target = arms
-                        .iter()
-                        .find(|(c, _)| *c == ctor)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    pc = target as usize;
-                }
-                LInstr::GcCheckLoad { i } => {
-                    if let Some(e) = self.gc_safe_point() {
-                        return Err(e);
-                    }
-                    let v = self.local(*i);
-                    self.push(v);
-                }
-                LInstr::RegHandleRegHandle { a, b } => {
-                    let ra = self.region_of(*a);
-                    let wa = self.rt.tag_int(ra.0 as i64);
-                    self.push(wa);
-                    let rb = self.region_of(*b);
-                    let wb = self.rt.tag_int(rb.0 as i64);
-                    self.push(wb);
-                }
-                LInstr::SelectStoreLoad { sel, j, i } => {
-                    let v = self.pop();
-                    let w = self.rt.field(v, *sel as u64);
-                    self.set_local(*j, w);
-                    let u = self.local(*i);
-                    self.push(u);
-                }
-                LInstr::GcCheckLoadSwitchCon {
-                    i,
-                    disc,
-                    arms,
-                    default,
-                } => {
-                    if let Some(e) = self.gc_safe_point() {
-                        return Err(e);
-                    }
-                    let v = self.local(*i);
-                    let ctor: u32 = if !is_ptr(v) {
-                        scalar_val(v) as u32
-                    } else {
-                        match disc {
-                            Disc::Tag => {
-                                Tag::decode(self.rt.read_addr(ptr_addr(self.rt.canon(v)))).info
-                            }
-                            Disc::Field0 => scalar_val(self.rt.read_addr(ptr_addr(v))) as u32,
-                            Disc::Single(c) => *c,
-                            Disc::Enum => unreachable!("boxed value in enum datatype"),
-                        }
-                    };
-                    let target = arms
-                        .iter()
-                        .find(|(c, _)| *c == ctor)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    pc = target as usize;
-                }
-                LInstr::RegHandleRegHandleLoad { a, b, i } => {
-                    let ra = self.region_of(*a);
-                    let wa = self.rt.tag_int(ra.0 as i64);
-                    self.push(wa);
-                    let rb = self.region_of(*b);
-                    let wb = self.rt.tag_int(rb.0 as i64);
-                    self.push(wb);
-                    let v = self.local(*i);
-                    self.push(v);
-                }
-                LInstr::RegHandleLoadLoad { r, i, j } => {
-                    let rr = self.region_of(*r);
-                    let wr = self.rt.tag_int(rr.0 as i64);
-                    self.push(wr);
-                    let v = self.local(*i);
-                    self.push(v);
-                    let w = self.local(*j);
-                    self.push(w);
-                }
+                fused => unreachable!("fused {fused:?} in the oracle's unfused stream"),
             }
         }
     }
@@ -1088,9 +814,9 @@ impl<'p> Vm<'p> {
     /// Direct-threaded execution: the driver keeps `pc` and the
     /// instruction counter in registers and dispatches through
     /// [`HANDLERS`]; each handler does one opcode's work and reports how
-    /// control continues. Costs come from [`Op::cost`], which mirrors
-    /// [`LInstr::cost`] exactly, so fuel and instruction totals are
-    /// bit-identical with the match loop.
+    /// control continues. Costs come from [`Op::cost`] — the source
+    /// instructions an opcode stands for — so fuel and instruction totals
+    /// are bit-identical with the match loop's one per instruction.
     fn exec_threaded(mut self, t: &ThreadedCode, entry: usize) -> Result<VmOutcome, VmError> {
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
         let mut icount: u64 = 0;
@@ -1149,104 +875,6 @@ impl<'p> Vm<'p> {
                 Op::RegHandleRegHandle => h_reg_handle_reg_handle(&mut self, t, pc as u32),
                 Op::SelectStoreLoad => h_select_store_load(&mut self, t, pc as u32),
                 Op::GcCheckLoadSwitchCon => h_gc_check_load_switch_con(&mut self, t, pc as u32),
-                Op::RegHandleRegHandleLoad => h_reg_handle_reg_handle_load(&mut self, t, pc as u32),
-                Op::RegHandleLoadLoad => h_reg_handle_load_load(&mut self, t, pc as u32),
-                _ => HANDLERS[op as usize](&mut self, t, pc as u32),
-            };
-            match ctl {
-                Control::Next => pc += 1,
-                Control::Goto(target) => pc = target as usize,
-                Control::Halt => {
-                    let result = self.halted.take().expect("Halt without a result");
-                    let result = self.finish_pending_gc(result);
-                    let mut stats = self.rt.stats.clone();
-                    stats.observe_bytes(self.rt.mem_bytes());
-                    return Ok(VmOutcome {
-                        result,
-                        output: self.output,
-                        instructions: icount,
-                        stats,
-                        fusion_profile: None,
-                        rt: self.rt,
-                    });
-                }
-                Control::Fail => {
-                    return Err(self.pending.take().expect("Fail without an error"));
-                }
-            }
-        }
-    }
-
-    /// Register-form execution: structurally the threaded loop, but the
-    /// per-pc charge comes from [`crate::register::RegCode::costs`] — a
-    /// register op charges every source instruction the translator folded
-    /// into it, so instruction totals, fuel and the GC schedule match the
-    /// stack engines bit-for-bit. Base opcodes surviving translation
-    /// dispatch through the same handlers as [`Vm::exec_threaded`].
-    fn exec_register(
-        mut self,
-        r: &crate::register::RegCode,
-        entry: usize,
-    ) -> Result<VmOutcome, VmError> {
-        let t = &r.code;
-        let fuel_limit = self.fuel.unwrap_or(u64::MAX);
-        let mut icount: u64 = 0;
-        let mut pc = entry;
-        loop {
-            let op = t.ops[pc];
-            icount += r.costs[pc] as u64;
-            if icount > fuel_limit {
-                return Err(VmError::OutOfFuel);
-            }
-            let ctl = match op {
-                Op::RPrim => h_rprim(&mut self, t, pc as u32),
-                Op::RPrimJump => h_rprim_jump(&mut self, t, pc as u32),
-                Op::RJumpIfFalse => h_rjump_if_false(&mut self, t, pc as u32),
-                Op::RStoreConst => h_rstore_const(&mut self, t, pc as u32),
-                Op::RRet => h_rret(&mut self, t, pc as u32),
-                Op::RNop => h_rnop(&mut self, t, pc as u32),
-                Op::PushConst => h_push_const(&mut self, t, pc as u32),
-                Op::Load => h_load(&mut self, t, pc as u32),
-                Op::Store => h_store(&mut self, t, pc as u32),
-                Op::Pop => h_pop(&mut self, t, pc as u32),
-                Op::MkRecord => h_mk_record(&mut self, t, pc as u32),
-                Op::Select => h_select(&mut self, t, pc as u32),
-                Op::MkCon => h_mk_con(&mut self, t, pc as u32),
-                Op::SwitchCon => h_switch_con(&mut self, t, pc as u32),
-                Op::Jump => h_jump(&mut self, t, pc as u32),
-                Op::JumpIfFalse => h_jump_if_false(&mut self, t, pc as u32),
-                Op::Prim => h_prim(&mut self, t, pc as u32),
-                Op::RegHandle => h_reg_handle(&mut self, t, pc as u32),
-                Op::Call => h_call(&mut self, t, pc as u32),
-                Op::Ret => h_ret(&mut self, t, pc as u32),
-                Op::GcCheck => h_gc_check(&mut self, t, pc as u32),
-                Op::LetRegion => h_let_region(&mut self, t, pc as u32),
-                Op::EndRegions => h_end_regions(&mut self, t, pc as u32),
-                Op::PushConstJumpIfFalse => h_push_const_jump_if_false(&mut self, t, pc as u32),
-                Op::LoadSelect => h_load_select(&mut self, t, pc as u32),
-                Op::LoadSelectStore => h_load_select_store(&mut self, t, pc as u32),
-                Op::SelectStore => h_select_store(&mut self, t, pc as u32),
-                Op::LoadStore => h_load_store(&mut self, t, pc as u32),
-                Op::LoadSwitchCon => h_load_switch_con(&mut self, t, pc as u32),
-                Op::GcCheckLoadSwitchCon => h_gc_check_load_switch_con(&mut self, t, pc as u32),
-                Op::RegHandleRegHandle => h_reg_handle_reg_handle(&mut self, t, pc as u32),
-                Op::PrimJump => h_prim_jump(&mut self, t, pc as u32),
-                // Re-fusion (`DispatchMode::RegisterFused`) reintroduces
-                // the rest of the superinstruction set over flushed
-                // base-op windows.
-                Op::GcCheckLoad => h_gc_check_load(&mut self, t, pc as u32),
-                Op::LoadLoad => h_load_load(&mut self, t, pc as u32),
-                Op::StoreLoad => h_store_load(&mut self, t, pc as u32),
-                Op::StorePop => h_store_pop(&mut self, t, pc as u32),
-                Op::LoadLoadPrim => h_load_load_prim(&mut self, t, pc as u32),
-                Op::PushConstPrim => h_push_const_prim(&mut self, t, pc as u32),
-                Op::LoadConstPrim => h_load_const_prim(&mut self, t, pc as u32),
-                Op::StoreLoadSelect => h_store_load_select(&mut self, t, pc as u32),
-                Op::SelectConstPrim => h_select_const_prim(&mut self, t, pc as u32),
-                Op::SelectStoreLoad => h_select_store_load(&mut self, t, pc as u32),
-                Op::LoadLoadPrimJump => h_load_load_prim_jump(&mut self, t, pc as u32),
-                Op::LoadConstPrimJump => h_load_const_prim_jump(&mut self, t, pc as u32),
-                Op::LoadPrimJump => h_load_prim_jump(&mut self, t, pc as u32),
                 Op::RegHandleRegHandleLoad => h_reg_handle_reg_handle_load(&mut self, t, pc as u32),
                 Op::RegHandleLoadLoad => h_reg_handle_load_load(&mut self, t, pc as u32),
                 _ => HANDLERS[op as usize](&mut self, t, pc as u32),
@@ -1844,12 +1472,6 @@ const HANDLERS: [OpHandler; OP_COUNT] = [
     h_gc_check_load_switch_con,
     h_reg_handle_reg_handle_load,
     h_reg_handle_load_load,
-    h_rprim,
-    h_rprim_jump,
-    h_rjump_if_false,
-    h_rstore_const,
-    h_rret,
-    h_rnop,
 ];
 
 #[inline]
@@ -2651,143 +2273,34 @@ fn h_reg_handle_load_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control
     Control::Next
 }
 
-// ------------------------------------------------ register-form handlers
-//
-// Operand modes for `RPrim`/`RPrimJump` live in `Args::n` as two nibbles
-// (`amode | bmode << 4`): 0 = on the operand stack, 1 = local `a`/`b`,
-// 2 = the constant `k` (at most one operand is a constant). `B` is the
-// top-of-stack operand; the translator guarantees that a physical `B`
-// implies a physical `A`, and that unary prims use the `B` slot only.
-// Staged operands are pushed before the generic [`Vm::do_prim`] path so
-// the stack at a raise point is exactly what the stack machine had.
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Fetches the staged operands of a register prim. `None` means the
-/// operand is already on the operand stack.
-#[inline(always)]
-fn rprim_operands(vm: &Vm<'_>, x: &threaded::Args) -> (Option<Word>, Option<Word>) {
-    let aval = match x.n & 0xf {
-        1 => Some(vm.local(x.a)),
-        2 => Some(x.k),
-        _ => None,
-    };
-    let bval = match x.n >> 4 {
-        1 => Some(vm.local(x.b)),
-        2 => Some(x.k),
-        _ => None,
-    };
-    (aval, bval)
-}
-
-#[inline(always)]
-fn h_rprim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let (aval, bval) = rprim_operands(vm, x);
-    if let (Some(a), Some(b)) = (aval, bval) {
-        if let Some(w) = fast_int_arith(vm, x.p, a, b) {
-            if x.flag {
-                vm.set_local(x.m as u32, w);
-            } else {
-                vm.push(w);
-            }
-            return Control::Next;
-        }
-        if let Some(res) = fast_int_cmp(vm, x.p, a, b) {
-            let w = vm.rt.tag_int(res as i64);
-            if x.flag {
-                vm.set_local(x.m as u32, w);
-            } else {
-                vm.push(w);
-            }
-            return Control::Next;
-        }
-    }
-    if let Some(a) = aval {
-        vm.push(a);
-    }
-    if let Some(b) = bval {
-        vm.push(b);
-    }
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => {
-            if x.flag {
-                let v = vm.pop();
-                vm.set_local(x.m as u32, v);
-            }
-            Control::Next
-        }
-        // The translator never folds a store into a raising prim, so the
-        // stack the handler unwinds matches the stack machine's.
-        Err(exn) => vm.raise_or_fail(exn),
-    }
-}
-
-#[inline(always)]
-fn h_rprim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let (aval, bval) = rprim_operands(vm, x);
-    if let (Some(a), Some(b)) = (aval, bval) {
-        if let Some(res) = fast_int_cmp(vm, x.p, a, b) {
-            return if res {
-                Control::Next
-            } else {
-                Control::Goto(x.t)
+    #[test]
+    fn the_oracle_is_prepared_unfused_whatever_fusion_is_asked_for() {
+        let src = "fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)\n\
+                   val it = fib 10";
+        let mut lprog = kit_typing::compile_str(src).unwrap();
+        kit_lambda::opt::optimize(&mut lprog, &Default::default());
+        let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::with_gc());
+        let prog = crate::compile(&rprog, true);
+        for fusion in [Fusion::Off, Fusion::Full] {
+            let Executable::Match(linked) = Executable::prepare(&prog, DispatchMode::Match, fusion)
+            else {
+                panic!("Match must prepare the linked form");
             };
+            assert_eq!(linked.fused, 0, "{fusion:?}");
+            assert_eq!(linked.code.len(), prog.code.len(), "{fusion:?}");
         }
+        // The same request does fuse for the production engine, so the
+        // assertion above is not vacuous.
+        let Executable::Threaded(t) =
+            Executable::prepare(&prog, DispatchMode::Threaded, Fusion::Full)
+        else {
+            panic!("Threaded must prepare the threaded form");
+        };
+        assert!(t.fused > 0);
+        assert!(t.ops.len() < prog.code.len());
     }
-    if let Some(a) = aval {
-        vm.push(a);
-    }
-    if let Some(b) = bval {
-        vm.push(b);
-    }
-    // Only non-raising prims are jump-folded, so `Err` is unreachable;
-    // keep the generic path anyway for uniformity.
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => {}
-        Err(exn) => return vm.raise_or_fail(exn),
-    }
-    let v = vm.pop();
-    if vm.rt.untag_int(v) == 0 {
-        Control::Goto(x.t)
-    } else {
-        Control::Next
-    }
-}
-
-#[inline(always)]
-fn h_rjump_if_false(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.local(x.a);
-    if vm.rt.untag_int(v) == 0 {
-        Control::Goto(x.t)
-    } else {
-        Control::Next
-    }
-}
-
-#[inline(always)]
-fn h_rstore_const(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    vm.set_local(x.a, x.k);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_rret(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    // Read the result before the frame (and its locals) is torn down.
-    let result = if x.n == 1 { vm.local(x.a) } else { x.k };
-    let f = vm.frames.pop().expect("return without frame");
-    debug_assert_eq!(vm.region_pool.len(), f.rbase, "return with open regions");
-    vm.cur_locals = vm.frames.last().map_or(0, |c| c.locals);
-    vm.formal_pool.truncate(f.fbase);
-    vm.rt.stack.truncate(f.base);
-    vm.rt.note_stack_trunc(f.base);
-    vm.push(result);
-    Control::Goto(f.ret_pc as u32)
-}
-
-#[inline(always)]
-fn h_rnop(_vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
-    Control::Next
 }

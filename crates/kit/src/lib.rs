@@ -272,29 +272,20 @@ impl Compiler {
         self
     }
 
-    /// Disables superinstruction fusion in the interpreter's link pass
-    /// (for differential testing; all observable behavior — including the
-    /// instruction count — is identical either way).
-    pub fn without_fusion(mut self) -> Self {
-        self.fusion = Fusion::Off;
-        self
-    }
-
-    /// Selects the superinstruction set the link pass may fuse (`Off`,
-    /// the hand-picked PR 1 `Hand` set, or the `Full` generated table).
+    /// Turns superinstruction fusion in the threaded engine's link pass
+    /// on (`Full`, the default) or off (`Off`, for differential testing;
+    /// all observable behavior — including the instruction count — is
+    /// identical either way). The match engine always runs unfused.
     pub fn with_fusion(mut self, fusion: Fusion) -> Self {
         self.fusion = fusion;
         self
     }
 
-    /// Selects the interpreter's dispatch engine: the classic match loop,
-    /// the direct-threaded handler table, the register-translated form
-    /// (stack bytecode rewritten to three-address ops post-link, with
-    /// cross-block register assignment), or the register-fused form
-    /// (the register stream re-fused with the profile-selected
-    /// superinstruction set). Observable behavior — results, output,
-    /// instruction totals, GC schedule and statistics — is identical
-    /// across all four.
+    /// Selects the interpreter's dispatch engine: the match loop over the
+    /// unfused stream (the differential oracle) or the direct-threaded
+    /// handler table (the default, and the only engine meant for
+    /// production). Observable behavior — results, output, instruction
+    /// totals, GC schedule and statistics — is identical across both.
     ///
     /// ```
     /// use kit::{Compiler, DispatchMode, Mode};
@@ -308,12 +299,9 @@ impl Compiler {
     ///         .unwrap()
     /// };
     /// let m = run(DispatchMode::Match);
-    /// let r = run(DispatchMode::Register);
-    /// let rf = run(DispatchMode::RegisterFused);
-    /// assert_eq!(m.result, r.result);
-    /// assert_eq!(m.instructions, r.instructions);
-    /// assert_eq!(m.result, rf.result);
-    /// assert_eq!(m.instructions, rf.instructions);
+    /// let t = run(DispatchMode::Threaded);
+    /// assert_eq!(m.result, t.result);
+    /// assert_eq!(m.instructions, t.instructions);
     /// ```
     pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
         self.dispatch = dispatch;
@@ -390,15 +378,14 @@ impl Compiler {
     /// dispatch engine, producing a [`PreparedProgram`] for repeated
     /// (and concurrent) execution.
     pub fn prepare_program(&self, prog: Program) -> PreparedProgram {
-        // The fusion counting mode forces match dispatch with fusion off
-        // (base opcodes must stay visible), mirroring
-        // `Vm::with_fusion_profile`.
-        let (dispatch, fusion) = if self.fusion_profile {
-            (DispatchMode::Match, Fusion::Off)
+        // The fusion counting mode forces match dispatch (unfused, so
+        // base opcodes stay visible), mirroring `Vm::with_fusion_profile`.
+        let dispatch = if self.fusion_profile {
+            DispatchMode::Match
         } else {
-            (self.dispatch, self.fusion)
+            self.dispatch
         };
-        let executable = Executable::prepare(&prog, dispatch, fusion);
+        let executable = Executable::prepare(&prog, dispatch, self.fusion);
         PreparedProgram {
             program: prog,
             executable,
@@ -501,12 +488,7 @@ mod tests {
 
         let src = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\n\
                    val it = fib 15";
-        for dispatch in [
-            DispatchMode::Match,
-            DispatchMode::Threaded,
-            DispatchMode::Register,
-            DispatchMode::RegisterFused,
-        ] {
+        for dispatch in DispatchMode::ALL {
             let c = Compiler::new(Mode::Rgt).with_dispatch(dispatch);
             let prep = c.prepare_source(src).unwrap();
             let a = c.run_prepared(&prep).unwrap();

@@ -8,13 +8,6 @@
 use kit::{Compiler, DispatchMode, Error, Mode, VmError};
 use std::time::{Duration, Instant};
 
-const ENGINES: [DispatchMode; 4] = [
-    DispatchMode::Match,
-    DispatchMode::Threaded,
-    DispatchMode::Register,
-    DispatchMode::RegisterFused,
-];
-
 const FIB: &str = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval it = fib 15";
 /// Runs forever; only fuel or a deadline stops it.
 const SPIN: &str = "fun loop n = loop (n + 1)\nval it = loop 0";
@@ -22,7 +15,7 @@ const SPIN: &str = "fun loop n = loop (n + 1)\nval it = loop 0";
 #[test]
 fn expired_deadline_breaches_at_the_first_safe_point_on_every_engine() {
     let mut errors = Vec::new();
-    for dispatch in ENGINES {
+    for dispatch in DispatchMode::ALL {
         let err = Compiler::new(Mode::Rgt)
             .with_dispatch(dispatch)
             .with_deadline_at(Instant::now())
@@ -49,7 +42,7 @@ fn expired_deadline_breaches_at_the_first_safe_point_on_every_engine() {
 
 #[test]
 fn short_deadline_stops_a_divergent_program() {
-    for dispatch in ENGINES {
+    for dispatch in DispatchMode::ALL {
         let err = Compiler::new(Mode::Rgt)
             .with_dispatch(dispatch)
             .with_deadline(Duration::from_millis(50))
@@ -81,7 +74,7 @@ fn deadline_error_text_is_constant() {
 
 #[test]
 fn generous_deadline_leaves_execution_bit_identical() {
-    for dispatch in ENGINES {
+    for dispatch in DispatchMode::ALL {
         let plain = Compiler::new(Mode::Rgt)
             .with_dispatch(dispatch)
             .run_source(FIB)

@@ -1,17 +1,10 @@
 //! Per-request quota enforcement (DESIGN.md §6i): fuel exhaustion and
-//! page-cap breaches return clean typed errors, identically across all
-//! four dispatch engines, and leave no state behind — repeated runs of
+//! page-cap breaches return clean typed errors, identically across both
+//! dispatch engines, and leave no state behind — repeated runs of
 //! one prepared program are bit-identical whether or not a capped run
 //! failed in between.
 
 use kit::{Compiler, DispatchMode, Error, Mode, VmError};
-
-const ENGINES: [DispatchMode; 4] = [
-    DispatchMode::Match,
-    DispatchMode::Threaded,
-    DispatchMode::Register,
-    DispatchMode::RegisterFused,
-];
 
 const BUILD: &str = "fun build 0 = nil | build n = n :: build (n-1)\nval it = length (build 40000)";
 const FIB: &str = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval it = fib 15";
@@ -19,7 +12,7 @@ const FIB: &str = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval i
 #[test]
 fn page_cap_breach_is_typed_and_engine_identical() {
     let mut errors = Vec::new();
-    for dispatch in ENGINES {
+    for dispatch in DispatchMode::ALL {
         let err = Compiler::new(Mode::Rgt)
             .with_dispatch(dispatch)
             .with_max_heap_pages(8)
@@ -43,7 +36,7 @@ fn page_cap_breach_is_typed_and_engine_identical() {
 
 #[test]
 fn fuel_exhaustion_is_typed_and_engine_identical() {
-    for dispatch in ENGINES {
+    for dispatch in DispatchMode::ALL {
         let err = Compiler::new(Mode::Rgt)
             .with_dispatch(dispatch)
             .with_fuel(1_000)

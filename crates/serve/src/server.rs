@@ -633,7 +633,8 @@ fn read_frame_guarded(reader: &mut TcpStream, shared: &Shared, opened: Instant) 
 /// Reads frames off one connection, admits them (shedding at admission
 /// when the queue is full or the tenant is over its rate), and reaps the
 /// connection on idle/stall/disconnect. A malformed frame gets a
-/// `BadRequest` response and closes the connection (framing is lost).
+/// `BadRequest` response and closes the connection (framing is lost); a
+/// sound frame with an unknown dispatch byte gets one and stays open.
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let peer = stream.peer_addr().ok();
     let mut reader = match stream.try_clone() {
@@ -661,7 +662,20 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         let req = match read_frame_guarded(&mut reader, shared, opened) {
             FrameRead::Frame(payload) => match wire::decode_request(&payload) {
                 Ok(req) => req,
-                Err(e) => {
+                Err(wire::DecodeError::UnknownDispatch { req_id }) => {
+                    // A sound frame naming an engine this server lacks:
+                    // refused before admission (the cache never sees it)
+                    // and the connection carries on.
+                    out.write(&error_response(
+                        req_id,
+                        Status::BadRequest,
+                        u32::MAX,
+                        wire::UNKNOWN_DISPATCH.to_string(),
+                    ));
+                    opened = Instant::now();
+                    continue;
+                }
+                Err(wire::DecodeError::Malformed(e)) => {
                     // The frame decoded badly; the req_id may be
                     // unrecoverable, so answer with id 0 and drop the
                     // connection.

@@ -189,19 +189,50 @@ pub fn dispatch_byte(d: DispatchMode) -> u8 {
     match d {
         DispatchMode::Match => 0,
         DispatchMode::Threaded => 1,
-        DispatchMode::Register => 2,
-        DispatchMode::RegisterFused => 3,
     }
 }
 
-fn dispatch_of(b: u8) -> io::Result<DispatchMode> {
-    Ok(match b {
-        0 => DispatchMode::Match,
-        1 => DispatchMode::Threaded,
-        2 => DispatchMode::Register,
-        3 => DispatchMode::RegisterFused,
-        other => return Err(bad(format!("unknown dispatch byte {other}"))),
-    })
+/// An old client may still send 2 or 3 (engines deleted in PR 13): those
+/// are refused like any unknown byte, never remapped to a live engine.
+fn dispatch_of(b: u8) -> Option<DispatchMode> {
+    match b {
+        0 => Some(DispatchMode::Match),
+        1 => Some(DispatchMode::Threaded),
+        _ => None,
+    }
+}
+
+/// The constant answer to a request naming an engine the server lacks.
+pub const UNKNOWN_DISPATCH: &str = "bad request: unknown dispatch engine";
+
+/// Why [`decode_request`] refused a frame payload.
+#[derive(Debug)]
+pub enum DecodeError {
+    /// The payload is malformed: nothing in it, the request id included,
+    /// can be trusted.
+    Malformed(io::Error),
+    /// An otherwise well-formed request whose dispatch byte names no
+    /// engine. Frame boundary and request id are intact, so the server
+    /// answers it and keeps the connection.
+    UnknownDispatch {
+        /// The refused request's id, for the response.
+        req_id: u64,
+    },
+}
+
+impl From<io::Error> for DecodeError {
+    fn from(e: io::Error) -> Self {
+        DecodeError::Malformed(e)
+    }
+}
+
+impl From<DecodeError> for io::Error {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Malformed(e) => e,
+            DecodeError::UnknownDispatch { .. } => bad(UNKNOWN_DISPATCH.to_string()),
+        }
+    }
 }
 
 // ------------------------------------------------------- payload cursors
@@ -293,21 +324,20 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     out
 }
 
-/// Decodes a request frame payload.
-pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
+/// Decodes a request frame payload. The dispatch byte is judged last, so
+/// [`DecodeError::UnknownDispatch`] means everything else checked out.
+pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
     let mut c = Cur {
         buf: payload,
         pos: 0,
     };
     let version = c.u8()?;
     if version != VERSION {
-        return Err(bad(format!(
-            "protocol version {version}, expected {VERSION}"
-        )));
+        return Err(bad(format!("protocol version {version}, expected {VERSION}")).into());
     }
     let req_id = c.u64()?;
     let mode = mode_of(c.u8()?)?;
-    let dispatch = dispatch_of(c.u8()?)?;
+    let dispatch_byte = c.u8()?;
     let fuel = match c.u64()? {
         0 => None,
         n => Some(n),
@@ -323,6 +353,9 @@ pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
     let tenant = c.str()?;
     let src = c.str()?;
     c.done()?;
+    let Some(dispatch) = dispatch_of(dispatch_byte) else {
+        return Err(DecodeError::UnknownDispatch { req_id });
+    };
     Ok(Request {
         req_id,
         mode,
@@ -395,7 +428,7 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
 
 /// Reads a request frame.
 pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
-    decode_request(&read_frame(r)?)
+    Ok(decode_request(&read_frame(r)?)?)
 }
 
 /// Writes a response as one frame.
@@ -417,7 +450,7 @@ mod tests {
         let req = Request {
             req_id: 77,
             mode: Mode::Rgt,
-            dispatch: DispatchMode::RegisterFused,
+            dispatch: DispatchMode::Threaded,
             fuel: Some(1_000_000),
             max_heap_pages: Some(64),
             deadline_ms: Some(250),
@@ -465,13 +498,28 @@ mod tests {
             tenant: String::new(),
             src: "val it = 0".to_string(),
         });
-        let e = decode_request(&req[..req.len() - 1]).unwrap_err();
+        let e = io::Error::from(decode_request(&req[..req.len() - 1]).unwrap_err());
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         // Unknown mode byte.
         let mut payload = req.clone();
         payload[9] = 200;
-        let e = decode_request(&payload).unwrap_err();
+        let e = io::Error::from(decode_request(&payload).unwrap_err());
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        // Unknown dispatch byte (2 and 3 are retired values): typed, with
+        // the request id, and only when the rest of the frame is sound.
+        for b in [2, 3, 255] {
+            let mut payload = req.clone();
+            payload[10] = b;
+            match decode_request(&payload) {
+                Err(DecodeError::UnknownDispatch { req_id: 1 }) => {}
+                other => panic!("dispatch byte {b}: {other:?}"),
+            }
+            payload.push(0); // trailing garbage outranks the dispatch byte
+            match decode_request(&payload) {
+                Err(DecodeError::Malformed(_)) => {}
+                other => panic!("dispatch byte {b} + trailing byte: {other:?}"),
+            }
+        }
         // Oversized frame length.
         let mut framed = Vec::new();
         framed.extend_from_slice(&u32::MAX.to_le_bytes());

@@ -157,11 +157,34 @@ fn compile_errors_and_bad_frames_get_typed_statuses() {
         tenant: String::new(),
         src: "val it = 1".to_string(),
     });
+    let sound = payload.clone();
     payload[9] = 250; // clobber the mode byte
     kit_serve::wire::write_frame(&mut raw, &payload).expect("write frame");
     raw.flush().expect("flush");
     let resp = kit_serve::wire::read_response(&mut raw).expect("read response");
     assert_eq!(resp.status, Status::BadRequest);
+
+    // A sound frame whose dispatch byte names no engine (2 and 3 are
+    // retired values) is refused under its own id with a constant
+    // message, never reaches the compile cache, and leaves the
+    // connection good for the next valid request.
+    let cached = handle.cache_size();
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect raw");
+    for b in [2, 3, 255] {
+        let mut payload = sound.clone();
+        payload[10] = b;
+        kit_serve::wire::write_frame(&mut raw, &payload).expect("write frame");
+        let resp = kit_serve::wire::read_response(&mut raw).expect("read response");
+        assert_eq!(resp.status, Status::BadRequest, "dispatch byte {b}");
+        assert_eq!(resp.req_id, 9, "dispatch byte {b}");
+        assert_eq!(resp.result, kit_serve::wire::UNKNOWN_DISPATCH);
+    }
+    assert_eq!(handle.cache_size(), cached);
+    kit_serve::wire::write_frame(&mut raw, &sound).expect("write frame");
+    let resp = kit_serve::wire::read_response(&mut raw).expect("read response");
+    assert_eq!((resp.status, resp.req_id), (Status::Ok, 9));
+    assert_eq!(resp.result, "1");
+    assert_eq!(handle.cache_size(), cached + 1);
     handle.shutdown();
 }
 
@@ -380,18 +403,13 @@ fn rate_limited_tenant_gets_typed_refusals_with_retry_advice() {
 #[test]
 fn deadline_breach_is_typed_and_engine_identical_through_the_server() {
     // The same spinning program under the same wall-clock budget must
-    // fail with the same status and the same error text on all four
+    // fail with the same status and the same error text on both
     // dispatch engines — deadlines surface at the shared safe points,
     // not at engine-specific places.
     let handle = start(2);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut outcomes = Vec::new();
-    for dispatch in [
-        DispatchMode::Match,
-        DispatchMode::Threaded,
-        DispatchMode::Register,
-        DispatchMode::RegisterFused,
-    ] {
+    for dispatch in DispatchMode::ALL {
         let resp = client
             .call_as(
                 "deadline-test",
@@ -418,7 +436,7 @@ fn deadline_breach_is_typed_and_engine_identical_through_the_server() {
         );
     }
     let (_, _, deadline_exceeded, ..) = handle.overload_stats();
-    assert_eq!(deadline_exceeded, 4);
+    assert_eq!(deadline_exceeded, DispatchMode::ALL.len() as u64);
     handle.shutdown();
 }
 

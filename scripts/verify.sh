@@ -17,10 +17,11 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-echo "==> 4-way engine equivalence: fusion differential (release)"
+echo "==> engine equivalence (Match oracle vs Threaded x {Off,Full}):"
+echo "    fusion differential over the corpus (release)"
 cargo test --release -p kit-bench --test fusion -q
 
-echo "==> 4-way engine equivalence: randomized differential (release)"
+echo "==> engine equivalence: randomized differential (release)"
 cargo test --release -p kit-bench --test randomized -q
 
 echo "==> compile-output identity: corpus x modes + 200 generated programs"
@@ -31,7 +32,7 @@ cargo test --release -p kit-bench --test compile_identity -q
 echo "==> collector equivalence: parallel + sliced GC tests (release)"
 cargo test --release -p kit-runtime -q gc
 
-echo "==> soak: short config-fuzzing run (all modes, all engines;"
+echo "==> soak: short config-fuzzing run (all modes, both engines;"
 echo "    gc_workers fuzzed over {1,2,4}, slice budget fuzzed on/off)"
 cargo run --release -p kit-bench --bin soak -- --cases 25 --seed 0x5EED0400
 
@@ -41,11 +42,11 @@ cargo run --release -p kit-bench --bin soak -- \
 
 echo "==> soak: full-surface generator (datatypes, arrays past the"
 echo "    large-object threshold, strings, reals, refs, nested handlers;"
-echo "    all modes, all engines, fuzzed workers/slice incl. combined)"
+echo "    all modes, both engines, fuzzed workers/slice incl. combined)"
 cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
-echo "==> bench-summary smoke run (2 programs, all four engines)"
+echo "==> bench-summary smoke run (2 programs, both engines)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --only fib,tak --modes r --samples 1 --out /tmp/bench_smoke.json
 rm -f /tmp/bench_smoke.json
@@ -78,4 +79,5 @@ echo "    so a crate change that breaks its build fails here"
 (cd benchmark && cargo test --offline -q)
 benchmark/run.sh --smoke
 
+echo "verify: wall ${SECONDS} s"
 echo "verify: OK"
