@@ -14,10 +14,11 @@
 //!   polymorphic list/tree/shape builders called from many allocation
 //!   sites), user datatypes with `SwitchCon`-heavy matches, lists,
 //!   tuples, refs, arrays (including ones past the large-object
-//!   threshold), strings, reals, deep nested `handle` chains, and
+//!   threshold), strings, reals, deep nested `handle` chains,
 //!   finite-region tuple bindings held live across allocating
-//!   subexpressions — the collector's hard cases (paper §2.2–2.5) that
-//!   int-only programs never reach.
+//!   subexpressions, and raises out of a `letregion` handled in the
+//!   same frame just before an allocating call — the collector's hard
+//!   cases (paper §2.2–2.5) that int-only programs never reach.
 //!
 //! Every generated program is well-typed by construction: expressions are
 //! drawn type-directed against a fixed world (two datatypes, two user
@@ -336,7 +337,7 @@ impl<'r> Gen<'r> {
         if d == 0 {
             return self.leaf(env, Ty::Int);
         }
-        match self.rng.below(30) {
+        match self.rng.below(31) {
             0..=2 => self.leaf(env, Ty::Int),
             3..=5 => {
                 let a = self.expr(env, Ty::Int, d - 1);
@@ -558,6 +559,43 @@ impl<'r> Gen<'r> {
                     format!("(if {a} < {k} then raise Crash (itos ({b})) else {b})")
                 }
             }
+            // A region-local value, a raise while it is live, and the
+            // handler in the same function: the unwind pops the
+            // `letregion` but not the frame, and the allocating call that
+            // follows collects with that frame's slots as roots — the
+            // slot of the dead value must not be one (DESIGN.md §6e).
+            28 => {
+                let v = self.fresh();
+                let r = self.fresh();
+                let k = 2 + self.rng.below(7);
+                let local = match self.rng.below(3) {
+                    0 => {
+                        let n = if self.rng.bool() {
+                            130 + self.rng.below(60)
+                        } else {
+                            3 + self.rng.below(9)
+                        };
+                        format!(
+                            "let val {v} = array ({n}, {k}) in \
+                             asub ({v}, {n} + {k}) + alength {v} end"
+                        )
+                    }
+                    1 => format!(
+                        "let val {v} = upto (1, {k}) in nth ({v}, {k} + 1) + length {v} end"
+                    ),
+                    _ => format!(
+                        "let val {v} = map (fn z => (z, z + 1, {k})) (upto (1, {k})) in \
+                         (case {v} of (a, _, _) :: _ => a div (a - a) | nil => 0) \
+                         + length {v} end"
+                    ),
+                };
+                let h = self.expr(env, Ty::Int, d - 1);
+                let grow = 30 + self.rng.below(170);
+                format!(
+                    "(let val {r} = ({local}) handle Subscript => ({h}) | Div => 11 \
+                     in {r} + length (upto (1, {grow} + {r} mod 7)) end)"
+                )
+            }
             // Handler chains: random arm subsets over a raising body, so
             // some raises are caught here, some a frame up, some never.
             _ => {
@@ -594,7 +632,9 @@ impl<'r> Gen<'r> {
                 let a = self.expr(env, Ty::Int, d - 1);
                 let b = self.expr(env, Ty::Int, d - 1);
                 let op = ["<", "<=", ">", ">=", "=", "<>"][self.rng.below(6) as usize];
-                format!("({a} {op} {b})")
+                // Ascribed: equality needs a ground type, and both sides
+                // may be variables nothing has been said about yet.
+                format!("(({a} : int) {op} {b})")
             }
             4 => {
                 let a = self.expr(env, Ty::Real, d - 1);

@@ -140,6 +140,9 @@ struct FnCx<'g> {
     /// Regions bound by callers outlive the frame, so depth 0 needs no
     /// clearing.
     open_lr: u32,
+    /// `letregion` scopes of this function compiled so far (never
+    /// decremented): a handled expression opened one iff this moved.
+    lr_seen: u32,
     /// Open infinite-region count (for Local slot indices).
     open_regions: u32,
 }
@@ -155,6 +158,7 @@ impl<'g> FnCx<'g> {
             fin,
             cleanup: 0,
             open_lr: 0,
+            lr_seen: 0,
             open_regions: 0,
         }
     }
@@ -291,10 +295,14 @@ impl Cx<'_> {
     /// clearing is emitted only inside them.
     fn clear_dead_slot(&mut self, s: u32, fcx: &FnCx<'_>) {
         if fcx.open_lr > 0 {
-            let null = if self.tagged { scalar(0) } else { 0 };
-            self.emit(Instr::PushConst(null));
-            self.emit(Instr::Store(s));
+            self.clear_slot(s);
         }
+    }
+
+    fn clear_slot(&mut self, s: u32) {
+        let null = if self.tagged { scalar(0) } else { 0 };
+        self.emit(Instr::PushConst(null));
+        self.emit(Instr::Store(s));
     }
 
     fn push_shared(&mut self, g: u32, fcx: &FnCx<'_>) {
@@ -679,6 +687,7 @@ impl Cx<'_> {
                 }
                 fcx.cleanup += 1;
                 fcx.open_lr += 1;
+                fcx.lr_seen += 1;
                 self.comp(body, fcx, false);
                 fcx.open_lr -= 1;
                 fcx.cleanup -= 1;
@@ -714,7 +723,9 @@ impl Cx<'_> {
                 let end = self.new_label();
                 self.emit(Instr::PushHandler { handler: lh });
                 fcx.cleanup += 1;
+                let (lo, lr_before) = (fcx.nlocals, fcx.lr_seen);
                 self.comp(body, fcx, false);
+                let hi = fcx.nlocals;
                 fcx.cleanup -= 1;
                 self.emit(Instr::PopHandler);
                 self.emit(Instr::Jump(end));
@@ -723,6 +734,19 @@ impl Cx<'_> {
                 let s = fcx.slot();
                 self.emit(Instr::Store(s));
                 fcx.vars.insert(*var, VB::Slot(s));
+                // A raise skips the scope-exit clears of every binding it
+                // unwinds past, and `do_raise` pops this function's
+                // letregions while the frame lives on. Slots are bump-
+                // allocated, so the bindings of `body` are exactly
+                // `lo..hi`, all dead here: clear them on the exception
+                // path if any could point into a region this function
+                // ends (one open around the handler, or one opened
+                // inside `body` and already popped by the unwind).
+                if fcx.open_lr > 0 || fcx.lr_seen > lr_before {
+                    for dead in lo..hi {
+                        self.clear_slot(dead);
+                    }
+                }
                 self.comp(handler, fcx, tail);
                 // The slot is only written on the exception path, so the
                 // clear lives in the handler arm (the normal path jumps

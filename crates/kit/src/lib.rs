@@ -214,13 +214,19 @@ impl Compiler {
 
     /// Overrides the runtime configuration (heap-to-live ratio, page size,
     /// profiling, ...). Tagging and GC flags are forced back to the mode's
-    /// requirements.
+    /// requirements, and `gt` drops a slice budget: the sliced collector
+    /// relies on a heap object's region being popped no later than any
+    /// stack-allocated value it points to dies, which holds only while
+    /// the infinite regions are not collapsed into one (DESIGN.md §6g).
     pub fn with_config(mut self, mut config: RtConfig) -> Self {
         let m = self.mode.rt_config();
         config.tagged = m.tagged;
         config.gc_enabled = m.gc_enabled;
         if config.generational.is_none() {
             config.generational = m.generational;
+        }
+        if self.mode == Mode::Gt {
+            config.gc_slice_budget_words = None;
         }
         self.config = config;
         self
@@ -349,35 +355,21 @@ impl Compiler {
     /// Returns a runtime error on uncaught exceptions, fuel exhaustion
     /// or a breached memory quota.
     pub fn run_program(&self, prog: &kit_kam::Program) -> Result<Outcome, Error> {
-        let rt = Rt::new(self.run_config());
-        let mut vm = Vm::new(prog, rt)
-            .with_fusion(self.fusion)
-            .with_dispatch(self.dispatch);
-        if let Some(f) = self.fuel {
-            vm = vm.with_fuel(f);
-        }
-        if self.fusion_profile {
-            vm = vm.with_fusion_profile();
-        }
-        let t0 = std::time::Instant::now();
-        let out = vm.run()?;
-        let wall = t0.elapsed();
-        let result = render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
-        Ok(Outcome {
-            result,
-            output: out.output,
-            instructions: out.instructions,
-            stats: out.stats,
-            profile: out.rt.profiler.samples().to_vec(),
-            fusion_profile: out.fusion_profile,
-            wall,
-        })
+        self.run_executable(prog, &self.executable_for(prog))
     }
 
     /// Links and translates compiled bytecode for this compiler's
     /// dispatch engine, producing a [`PreparedProgram`] for repeated
     /// (and concurrent) execution.
     pub fn prepare_program(&self, prog: Program) -> PreparedProgram {
+        let executable = self.executable_for(&prog);
+        PreparedProgram {
+            program: prog,
+            executable,
+        }
+    }
+
+    fn executable_for(&self, prog: &Program) -> Executable {
         // The fusion counting mode forces match dispatch (unfused, so
         // base opcodes stay visible), mirroring `Vm::with_fusion_profile`.
         let dispatch = if self.fusion_profile {
@@ -385,11 +377,7 @@ impl Compiler {
         } else {
             self.dispatch
         };
-        let executable = Executable::prepare(&prog, dispatch, self.fusion);
-        PreparedProgram {
-            program: prog,
-            executable,
-        }
+        Executable::prepare(prog, dispatch, self.fusion)
     }
 
     /// Compiles and prepares `src` in one step.
@@ -412,8 +400,13 @@ impl Compiler {
     /// Returns a runtime error on uncaught exceptions, fuel exhaustion
     /// or a breached memory quota.
     pub fn run_prepared(&self, prep: &PreparedProgram) -> Result<Outcome, Error> {
+        self.run_executable(&prep.program, &prep.executable)
+    }
+
+    /// The one VM set-up: a fresh `Rt` and `Vm` per run.
+    fn run_executable(&self, prog: &Program, exe: &Executable) -> Result<Outcome, Error> {
         let rt = Rt::new(self.run_config());
-        let mut vm = Vm::new(&prep.program, rt)
+        let mut vm = Vm::new(prog, rt)
             .with_fusion(self.fusion)
             .with_dispatch(self.dispatch);
         if let Some(f) = self.fuel {
@@ -423,14 +416,9 @@ impl Compiler {
             vm = vm.with_fusion_profile();
         }
         let t0 = std::time::Instant::now();
-        let out = vm.run_prepared(&prep.executable)?;
+        let out = vm.run_prepared(exe)?;
         let wall = t0.elapsed();
-        let result = render_value(
-            &out.rt,
-            out.result,
-            &prep.program.result_ty,
-            &prep.program.data,
-        );
+        let result = render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
         Ok(Outcome {
             result,
             output: out.output,

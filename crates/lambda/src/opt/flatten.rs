@@ -14,76 +14,81 @@
 use crate::exp::{LExp, LProgram, VarId};
 use crate::opt::simplify::for_each_child_mut;
 use crate::ty::LTy;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Runs argument flattening; returns the number of functions rewritten.
 pub fn flatten(prog: &mut LProgram) -> usize {
-    let mut cands: HashMap<VarId, usize> = HashMap::new();
-    collect_candidates(&prog.body, &mut cands);
+    flatten_counting(prog, &mut 0)
+}
+
+/// [`flatten`], adding the expression nodes it visits to `visits`.
+pub(crate) fn flatten_counting(prog: &mut LProgram, visits: &mut usize) -> usize {
+    // Parameter -> (function, arity) of every candidate.
+    let mut cands: HashMap<VarId, (VarId, usize)> = HashMap::new();
+    collect_candidates(&prog.body, &mut cands, visits);
     if cands.is_empty() {
         return 0;
     }
-    // Verify usage: the parameter may only appear under `Select`, and the
-    // function itself only as a saturated single-argument callee or as a
-    // value (eta-wrapped below).
-    let mut param_of: HashMap<VarId, (VarId, usize)> = HashMap::new();
-    find_params(&prog.body, &cands, &mut param_of);
-    let mut ok: HashMap<VarId, usize> = HashMap::new();
-    for (f, arity) in &cands {
-        if let Some((p, k)) = param_of.get(f) {
-            if k == arity && param_clean(&prog.body, *p) {
-                ok.insert(*f, *arity);
-            }
-        }
-    }
+    // Verify usage: the parameter may only appear under `Select`. The
+    // function itself may appear as a saturated single-argument callee
+    // or as a value (eta-wrapped below).
+    let mut dirty = HashSet::new();
+    dirty_params(&prog.body, &cands, &mut dirty, visits);
+    let ok: HashMap<VarId, usize> = cands
+        .iter()
+        .filter(|(p, _)| !dirty.contains(p))
+        .map(|(_, &fk)| fk)
+        .collect();
     if ok.is_empty() {
         return 0;
     }
     let n = ok.len();
-    rewrite(&mut prog.body, &ok, &mut prog.vars);
+    rewrite(&mut prog.body, &ok, &mut prog.vars, visits);
     n
 }
 
-/// Candidate functions: single tuple-typed parameter, inferred from the
-/// parameter type or from consistent `Select` arities.
-fn collect_candidates(e: &LExp, out: &mut HashMap<VarId, usize>) {
+/// Candidate functions: single tuple-typed parameter.
+fn collect_candidates(e: &LExp, out: &mut HashMap<VarId, (VarId, usize)>, visits: &mut usize) {
+    *visits += 1;
     if let LExp::Fix { funs, .. } = e {
         for f in funs {
-            if let [(_, LTy::Tuple(ts))] = f.params.as_slice() {
+            if let [(p, LTy::Tuple(ts))] = f.params.as_slice() {
                 if ts.len() >= 2 {
-                    out.insert(f.var, ts.len());
+                    out.insert(*p, (f.var, ts.len()));
                 }
             }
         }
     }
-    e.for_each_child(|c| collect_candidates(c, out));
+    e.for_each_child(|c| collect_candidates(c, out, visits));
 }
 
-fn find_params(e: &LExp, cands: &HashMap<VarId, usize>, out: &mut HashMap<VarId, (VarId, usize)>) {
-    if let LExp::Fix { funs, .. } = e {
-        for f in funs {
-            if let Some(&k) = cands.get(&f.var) {
-                out.insert(f.var, (f.params[0].0, k));
+/// The candidate parameters with an occurrence that is not the scrutinee
+/// of a `Select`.
+fn dirty_params(
+    e: &LExp,
+    cands: &HashMap<VarId, (VarId, usize)>,
+    dirty: &mut HashSet<VarId>,
+    visits: &mut usize,
+) {
+    *visits += 1;
+    match e {
+        LExp::Var(v) => {
+            if cands.contains_key(v) {
+                dirty.insert(*v);
             }
         }
-    }
-    e.for_each_child(|c| find_params(c, cands, out));
-}
-
-/// `true` if every occurrence of `p` is the scrutinee of a `Select`.
-fn param_clean(e: &LExp, p: VarId) -> bool {
-    match e {
-        LExp::Var(v) => *v != p,
-        LExp::Select { tup, .. } if matches!(tup.as_ref(), LExp::Var(v) if *v == p) => true,
-        _ => {
-            let mut ok = true;
-            e.for_each_child(|c| ok &= param_clean(c, p));
-            ok
-        }
+        LExp::Select { tup, .. } if matches!(tup.as_ref(), LExp::Var(_)) => {}
+        _ => e.for_each_child(|c| dirty_params(c, cands, dirty, visits)),
     }
 }
 
-fn rewrite(e: &mut LExp, ok: &HashMap<VarId, usize>, vars: &mut crate::exp::VarTable) {
+fn rewrite(
+    e: &mut LExp,
+    ok: &HashMap<VarId, usize>,
+    vars: &mut crate::exp::VarTable,
+    visits: &mut usize,
+) {
+    *visits += 1;
     // Saturated calls are handled before descending: the callee `Var` must
     // not be rewritten as an escaping use.
     if let LExp::App(callee, args) = e {
@@ -91,7 +96,7 @@ fn rewrite(e: &mut LExp, ok: &HashMap<VarId, usize>, vars: &mut crate::exp::VarT
             if let Some(&k) = ok.get(f) {
                 if args.len() == 1 {
                     for a in args.iter_mut() {
-                        rewrite(a, ok, vars);
+                        rewrite(a, ok, vars, visits);
                     }
                     let arg = args.pop().unwrap();
                     match arg {
@@ -121,7 +126,7 @@ fn rewrite(e: &mut LExp, ok: &HashMap<VarId, usize>, vars: &mut crate::exp::VarT
             }
         }
     }
-    for_each_child_mut(e, |c| rewrite(c, ok, vars));
+    for_each_child_mut(e, |c| rewrite(c, ok, vars, visits));
     match e {
         LExp::Fix { funs, .. } => {
             for f in funs.iter_mut() {
@@ -137,7 +142,7 @@ fn rewrite(e: &mut LExp, ok: &HashMap<VarId, usize>, vars: &mut crate::exp::VarT
                         vars.fresh(&name)
                     })
                     .collect();
-                subst_selects(&mut f.body, p, &comps);
+                subst_selects(&mut f.body, p, &comps, visits);
                 f.params = comps.into_iter().zip(tys).collect();
             }
         }
@@ -164,14 +169,15 @@ fn rewrite(e: &mut LExp, ok: &HashMap<VarId, usize>, vars: &mut crate::exp::VarT
     }
 }
 
-fn subst_selects(e: &mut LExp, p: VarId, comps: &[VarId]) {
+fn subst_selects(e: &mut LExp, p: VarId, comps: &[VarId], visits: &mut usize) {
+    *visits += 1;
     if let LExp::Select { i, tup, .. } = e {
         if matches!(tup.as_ref(), LExp::Var(v) if *v == p) {
             *e = LExp::Var(comps[*i]);
             return;
         }
     }
-    for_each_child_mut(e, |c| subst_selects(c, p, comps));
+    for_each_child_mut(e, |c| subst_selects(c, p, comps, visits));
 }
 
 #[cfg(test)]

@@ -13,53 +13,87 @@
 
 use crate::exp::{FixFun, LExp, LProgram, VarId, VarTable};
 use crate::opt::simplify::for_each_child_mut;
+use crate::opt::uses::Uses;
 use std::collections::HashMap;
 
 /// Runs one inlining pass over the program; returns the number of
 /// functions inlined or demoted.
 pub fn inline(prog: &mut LProgram, inline_size: usize) -> usize {
+    let mut uses = Uses::of(&prog.body);
+    inline_with(prog, inline_size, &mut uses)
+}
+
+/// [`inline`] against the program's use counts, which it keeps exact.
+pub(crate) fn inline_with(prog: &mut LProgram, inline_size: usize, uses: &mut Uses) -> usize {
     let mut n = 0;
-    demote_nonrecursive_fix(&mut prog.body, &mut n);
-    inline_lets(&mut prog.body, &mut prog.vars, inline_size, &mut n);
+    let mut marks = vec![0; prog.vars.len()];
+    demote_nonrecursive_fix(&mut prog.body, &mut marks, uses, &mut n);
+    inline_lets(&mut prog.body, &mut prog.vars, inline_size, uses, &mut n);
     n
 }
 
+/// [`demote_nonrecursive_fix`]'s mark on a variable while the walk is
+/// inside the function bodies of the `Fix` group that binds it ...
+const INSIDE: u8 = 1;
+/// ... and once it has met the variable there.
+const SEEN: u8 = 2;
+
 /// Rewrites `Fix` groups whose functions never reference the group into
-/// nested `Let`-of-`Fn` bindings.
-fn demote_nonrecursive_fix(e: &mut LExp, n: &mut usize) {
-    for_each_child_mut(e, |c| demote_nonrecursive_fix(c, n));
-    if let LExp::Fix { funs, body } = e {
-        let group: Vec<VarId> = funs.iter().map(|f| f.var).collect();
-        let recursive = funs.iter().any(|f| {
-            let fv = f.body.free_vars();
-            group.iter().any(|g| fv.contains(g))
-        });
-        if !recursive {
-            let funs = std::mem::take(funs);
-            let mut result = std::mem::replace(body, Box::new(LExp::Unit));
-            for f in funs.into_iter().rev() {
-                let FixFun {
-                    var,
-                    params,
-                    ret,
-                    body: fbody,
-                } = f;
-                let fn_ty = fn_ty_of(&params, &ret);
-                result = Box::new(LExp::Let {
-                    var,
-                    ty: fn_ty,
-                    rhs: Box::new(LExp::Fn {
-                        params,
-                        ret,
-                        body: Box::new(fbody),
-                    }),
-                    body: result,
-                });
+/// nested `Let`-of-`Fn` bindings. One walk decides every group: a group
+/// is recursive iff one of its variables occurs while the walk is inside
+/// the group's own bodies (`marks` is indexed by [`VarId`]).
+fn demote_nonrecursive_fix(e: &mut LExp, marks: &mut [u8], uses: &mut Uses, n: &mut usize) {
+    uses.visits += 1;
+    let LExp::Fix { funs, body } = e else {
+        if let LExp::Var(v) = e {
+            let m = &mut marks[v.0 as usize];
+            if *m & INSIDE != 0 {
+                *m |= SEEN;
             }
-            *e = *result;
-            *n += 1;
         }
+        return for_each_child_mut(e, |c| demote_nonrecursive_fix(c, marks, uses, n));
+    };
+    for f in funs.iter() {
+        marks[f.var.0 as usize] = INSIDE;
     }
+    for f in funs.iter_mut() {
+        demote_nonrecursive_fix(&mut f.body, marks, uses, n);
+    }
+    let mut recursive = false;
+    for f in funs.iter() {
+        recursive |= std::mem::take(&mut marks[f.var.0 as usize]) & SEEN != 0;
+    }
+    #[cfg(test)]
+    if uses.uses_walkers() {
+        recursive = crate::opt::uses::walkers::group_is_recursive(funs);
+    }
+    demote_nonrecursive_fix(body, marks, uses, n);
+    if recursive {
+        return;
+    }
+    let funs = std::mem::take(funs);
+    let mut result = std::mem::replace(body, Box::new(LExp::Unit));
+    for f in funs.into_iter().rev() {
+        let FixFun {
+            var,
+            params,
+            ret,
+            body: fbody,
+        } = f;
+        let fn_ty = fn_ty_of(&params, &ret);
+        result = Box::new(LExp::Let {
+            var,
+            ty: fn_ty,
+            rhs: Box::new(LExp::Fn {
+                params,
+                ret,
+                body: Box::new(fbody),
+            }),
+            body: result,
+        });
+    }
+    *e = *result;
+    *n += 1;
 }
 
 fn fn_ty_of(params: &[(VarId, crate::ty::LTy)], ret: &crate::ty::LTy) -> crate::ty::LTy {
@@ -71,30 +105,15 @@ fn fn_ty_of(params: &[(VarId, crate::ty::LTy)], ret: &crate::ty::LTy) -> crate::
     LTy::arrow(arg, ret.clone())
 }
 
-/// Counts, for every variable, total uses and uses in callee position.
-fn count_uses(e: &LExp, uses: &mut HashMap<VarId, (usize, usize)>) {
-    if let LExp::Var(v) = e {
-        uses.entry(*v).or_default().0 += 1;
-        return;
-    }
-    if let LExp::App(f, args) = e {
-        if let LExp::Var(v) = f.as_ref() {
-            let ent = uses.entry(*v).or_default();
-            ent.0 += 1;
-            ent.1 += 1;
-        } else {
-            count_uses(f, uses);
-        }
-        for a in args {
-            count_uses(a, uses);
-        }
-        return;
-    }
-    e.for_each_child(|c| count_uses(c, uses));
-}
-
-fn inline_lets(e: &mut LExp, vars: &mut VarTable, inline_size: usize, n: &mut usize) {
-    for_each_child_mut(e, |c| inline_lets(c, vars, inline_size, n));
+fn inline_lets(
+    e: &mut LExp,
+    vars: &mut VarTable,
+    inline_size: usize,
+    uses: &mut Uses,
+    n: &mut usize,
+) {
+    uses.visits += 1;
+    for_each_child_mut(e, |c| inline_lets(c, vars, inline_size, uses, n));
     let LExp::Let { var, rhs, body, .. } = e else {
         return;
     };
@@ -103,12 +122,11 @@ fn inline_lets(e: &mut LExp, vars: &mut VarTable, inline_size: usize, n: &mut us
     };
     let arity = params.len();
 
-    let mut uses = HashMap::new();
-    count_uses(body, &mut uses);
-    let (total, as_callee) = uses.get(var).copied().unwrap_or((0, 0));
+    let (total, as_callee) = uses.total_and_callee(*var, body);
     if total == 0 {
         // Dead function binding (closure creation is pure).
-        *e = *std::mem::replace(body, Box::new(LExp::Unit));
+        let kept = std::mem::replace(body.as_mut(), LExp::Unit);
+        uses.release(&std::mem::replace(e, kept));
         *n += 1;
         return;
     }
@@ -116,42 +134,65 @@ fn inline_lets(e: &mut LExp, vars: &mut VarTable, inline_size: usize, n: &mut us
     if total != as_callee {
         return;
     }
-    let small = rhs.size() <= inline_size;
-    if total == 1 || small {
-        let var = *var;
-        let f = std::mem::replace(rhs.as_mut(), LExp::Unit);
-        let mut b = std::mem::replace(body.as_mut(), LExp::Unit);
-        let mut remaining = total;
-        inline_calls(&mut b, var, &f, arity, vars, total > 1, &mut remaining);
-        *e = b;
-        *n += 1;
+    if total > 1 {
+        let size = rhs.size();
+        uses.visits += size;
+        if size > inline_size {
+            return;
+        }
     }
+    let var = *var;
+    let f = std::mem::replace(rhs.as_mut(), LExp::Unit);
+    let mut b = std::mem::replace(body.as_mut(), LExp::Unit);
+    let mut calls = Calls {
+        var,
+        f: &f,
+        arity,
+        rename: total > 1,
+        remaining: total,
+    };
+    calls.inline(&mut b, vars, uses);
+    if calls.rename {
+        // Every call got a renamed copy, counted when it was made.
+        uses.release(&f);
+    }
+    uses.forget(var);
+    *e = b;
+    *n += 1;
 }
 
-/// Replaces `App(Var(var), args)` with a beta redex of `f`.
-fn inline_calls(
-    e: &mut LExp,
+/// The call sites of one function being inlined.
+struct Calls<'f> {
     var: VarId,
-    f: &LExp,
+    f: &'f LExp,
     arity: usize,
-    vars: &mut VarTable,
     rename: bool,
-    remaining: &mut usize,
-) {
-    for_each_child_mut(e, |c| {
-        inline_calls(c, var, f, arity, vars, rename, remaining)
-    });
-    if let LExp::App(callee, args) = e {
-        if matches!(callee.as_ref(), LExp::Var(v) if *v == var) && args.len() == arity {
-            *remaining -= 1;
-            let body = if rename || *remaining > 0 {
-                rename_clone(f, vars, &mut HashMap::new())
-            } else {
-                f.clone()
-            };
-            **callee = body;
-            // The resulting `App(Fn, args)` is beta-reduced by the next
-            // simplify round.
+    remaining: usize,
+}
+
+impl Calls<'_> {
+    /// Replaces `App(Var(var), args)` with a beta redex of `f`.
+    fn inline(&mut self, e: &mut LExp, vars: &mut VarTable, uses: &mut Uses) {
+        if self.remaining == 0 {
+            return;
+        }
+        uses.visits += 1;
+        for_each_child_mut(e, |c| self.inline(c, vars, uses));
+        if let LExp::App(callee, args) = e {
+            if matches!(callee.as_ref(), LExp::Var(v) if *v == self.var) && args.len() == self.arity
+            {
+                self.remaining -= 1;
+                let body = if self.rename || self.remaining > 0 {
+                    let copy = rename_clone(self.f, vars, &mut HashMap::new());
+                    uses.add(&copy);
+                    copy
+                } else {
+                    self.f.clone()
+                };
+                **callee = body;
+                // The resulting `App(Fn, args)` is beta-reduced by the next
+                // simplify round.
+            }
         }
     }
 }
@@ -363,7 +404,7 @@ mod tests {
         let before = body.clone();
         let mut p = mkprog(body, vars);
         // Demotion must not fire; the binding is recursive.
-        demote_nonrecursive_fix(&mut p.body, &mut 0);
+        assert_eq!(inline(&mut p, 40), 0);
         assert_eq!(p.body, before);
     }
 }

@@ -4,21 +4,29 @@
 //! guarantee that the resulting fragments run in less space than the
 //! original fragments". We implement the same contraction-style passes:
 //!
+//! * reachability pruning of the top-level declarations ([`prune`]), so
+//!   that every later pass and phase is paid for the code the program
+//!   uses and not for the prelude in front of it,
 //! * constant folding and branch simplification ([`simplify`]),
 //! * dead-binding elimination and atomic-value propagation,
 //! * beta reduction and inlining of functions used exactly once or whose
 //!   bodies are small ([`inline`]).
 //!
 //! Passes run to a (bounded) fixpoint. All passes preserve the uniqueness
-//! of [`VarId`]s, which the region-inference phase relies on.
+//! of [`VarId`]s, which the region-inference phase relies on — and which
+//! lets the rewrites read use counts from one table (`uses.rs`) instead
+//! of walking a binding's scope each time they need one.
 //!
 //! [`VarId`]: crate::exp::VarId
 
 pub mod flatten;
 pub mod inline;
+pub mod prune;
 pub mod simplify;
+mod uses;
 
 use crate::exp::LProgram;
+use uses::Uses;
 
 /// Optimizer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,18 +60,38 @@ pub struct OptStats {
     pub flattened: usize,
     /// Rounds executed.
     pub rounds: usize,
+    /// Top-level bindings dropped as unreachable before the first round.
+    pub pruned: usize,
+    /// Expression nodes visited by all of the optimiser's walks: its work,
+    /// which has to stay proportional to the size of the program.
+    pub node_visits: usize,
 }
 
 /// Optimizes `prog` in place and reports statistics.
 pub fn optimize(prog: &mut LProgram, opts: &OptOptions) -> OptStats {
+    optimize_using(prog, opts, Uses::default())
+}
+
+/// [`optimize`] with every use count taken by the walkers the table
+/// replaced: the reference the table-driven passes are held to.
+#[cfg(test)]
+pub(crate) fn optimize_with_walkers(prog: &mut LProgram, opts: &OptOptions) -> OptStats {
+    optimize_using(prog, opts, Uses::with_walkers())
+}
+
+fn optimize_using(prog: &mut LProgram, opts: &OptOptions, mut uses: Uses) -> OptStats {
     let mut stats = OptStats::default();
     if !opts.enabled {
         return stats;
     }
+    // The pruning walk fills the table; every rewrite below keeps it exact.
+    stats.pruned = prune::prune_counting(prog, &mut uses);
     for _ in 0..opts.max_rounds {
         stats.rounds += 1;
-        let r1 = simplify::simplify(&mut prog.body);
-        let r2 = inline::inline(prog, opts.inline_size);
+        let r1 = simplify::simplify_with(&mut prog.body, &mut uses);
+        let r2 = inline::inline_with(prog, opts.inline_size, &mut uses);
+        #[cfg(debug_assertions)]
+        uses.assert_exact(&prog.body, "after an optimiser round");
         stats.rewrites += r1;
         stats.inlined += r2;
         if r1 + r2 == 0 {
@@ -72,10 +100,12 @@ pub fn optimize(prog: &mut LProgram, opts: &OptOptions) -> OptStats {
     }
     // Argument flattening last (its output shapes are final), followed by
     // one contraction round to clean up the projections it introduced.
-    stats.flattened = flatten::flatten(prog);
+    stats.flattened = flatten::flatten_counting(prog, &mut uses.visits);
     if stats.flattened > 0 {
-        stats.rewrites += simplify::simplify(&mut prog.body);
+        uses.recount(&prog.body);
+        stats.rewrites += simplify::simplify_with(&mut prog.body, &mut uses);
     }
+    stats.node_visits = uses.visits;
     stats
 }
 
@@ -107,9 +137,14 @@ mod tests {
             body: Box::new(LExp::Prim(Prim::IMul, vec![LExp::Var(x), LExp::Int(1)])),
         };
         let mut p = prog(body, vars);
+        let mut by_walkers = p.clone();
         let stats = optimize(&mut p, &OptOptions::default());
         assert!(stats.rewrites > 0);
         assert_eq!(p.body, LExp::Int(3));
+        // The reference the table is held to on real programs
+        // (`tests/optimizer.rs`) agrees here too.
+        optimize_with_walkers(&mut by_walkers, &OptOptions::default());
+        assert_eq!(by_walkers, p);
     }
 
     #[test]

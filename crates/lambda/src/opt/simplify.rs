@@ -2,11 +2,19 @@
 //! atomic-value propagation and dead-binding elimination.
 
 use crate::exp::{LExp, Prim, VarId};
+use crate::opt::uses::Uses;
 
 /// Simplifies `e` bottom-up; returns the number of rewrites applied.
 pub fn simplify(e: &mut LExp) -> usize {
+    let mut uses = Uses::of(e);
+    simplify_with(e, &mut uses)
+}
+
+/// [`simplify`] against the use counts of the program `e` is (part of),
+/// which it keeps exact through every rewrite.
+pub(crate) fn simplify_with(e: &mut LExp, uses: &mut Uses) -> usize {
     let mut n = 0;
-    simplify_exp(e, &mut n);
+    simplify_exp(e, uses, &mut n);
     n
 }
 
@@ -82,29 +90,23 @@ fn is_atomic(e: &LExp) -> bool {
     )
 }
 
-fn count_uses(e: &LExp, v: VarId) -> usize {
-    match e {
-        LExp::Var(w) => usize::from(*w == v),
-        _ => {
-            let mut n = 0;
-            e.for_each_child(|c| n += count_uses(c, v));
-            n
-        }
-    }
-}
-
 /// Substitutes `value` for every free occurrence of `v` in `e`.
 ///
 /// `value` must be atomic (binder-free), so no capture can occur given the
 /// global uniqueness of variable ids.
 pub fn subst_atomic(e: &mut LExp, v: VarId, value: &LExp) {
+    subst(e, v, value, &mut 0);
+}
+
+fn subst(e: &mut LExp, v: VarId, value: &LExp, visits: &mut usize) {
+    *visits += 1;
     if let LExp::Var(w) = e {
         if *w == v {
             *e = value.clone();
         }
         return;
     }
-    for_each_child_mut(e, |c| subst_atomic(c, v, value));
+    for_each_child_mut(e, |c| subst(c, v, value, visits));
 }
 
 /// Mutable version of [`LExp::for_each_child`].
@@ -190,11 +192,36 @@ fn take(e: &mut LExp) -> LExp {
     std::mem::replace(e, LExp::Unit)
 }
 
-fn simplify_exp(e: &mut LExp, n: &mut usize) {
+/// The variable `e` applies, if it is an application of one.
+fn applied_var(e: &LExp) -> Option<VarId> {
+    match e {
+        LExp::App(f, _) => match f.as_ref() {
+            LExp::Var(v) => Some(*v),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Replaces `e` by `kept` — a part of it that was [`take`]n out — and
+/// uncounts the uses in what is left of `e`.
+fn keep_only(e: &mut LExp, kept: LExp, uses: &mut Uses) {
+    uses.release(&std::mem::replace(e, kept));
+}
+
+fn simplify_exp(e: &mut LExp, uses: &mut Uses, n: &mut usize) {
     loop {
-        for_each_child_mut(e, |c| simplify_exp(c, n));
+        uses.visits += 1;
+        let applied_a_var = applied_var(e).is_some();
+        for_each_child_mut(e, |c| simplify_exp(c, uses, n));
+        if !applied_a_var {
+            if let Some(v) = applied_var(e) {
+                // The callee expression simplified to a variable.
+                uses.now_callee(v);
+            }
+        }
         let before = *n;
-        rewrite_node(e, n);
+        rewrite_node(e, uses, n);
         if *n == before {
             return;
         }
@@ -205,7 +232,7 @@ fn simplify_exp(e: &mut LExp, n: &mut usize) {
     }
 }
 
-fn rewrite_node(e: &mut LExp, n: &mut usize) {
+fn rewrite_node(e: &mut LExp, uses: &mut Uses, n: &mut usize) {
     // Try a rewrite at this node.
     match e {
         LExp::Prim(p, args) => {
@@ -216,11 +243,13 @@ fn rewrite_node(e: &mut LExp, n: &mut usize) {
         }
         LExp::If(c, t, f) => match c.as_ref() {
             LExp::Bool(true) => {
-                *e = take(t);
+                let kept = take(t);
+                keep_only(e, kept, uses);
                 *n += 1;
             }
             LExp::Bool(false) => {
-                *e = take(f);
+                let kept = take(f);
+                keep_only(e, kept, uses);
                 *n += 1;
             }
             _ => {
@@ -236,8 +265,8 @@ fn rewrite_node(e: &mut LExp, n: &mut usize) {
         LExp::Select { i, tup: r, .. } => {
             if let LExp::Record(es) = r.as_mut() {
                 if es.iter().all(is_pure) {
-                    let v = take(&mut es[*i]);
-                    *e = v;
+                    let kept = take(&mut es[*i]);
+                    keep_only(e, kept, uses);
                     *n += 1;
                 }
             }
@@ -271,7 +300,7 @@ fn rewrite_node(e: &mut LExp, n: &mut usize) {
                     .find(|(c, _)| *c == k)
                     .map(|(_, a)| take(a))
                     .unwrap_or_else(|| take(default));
-                *e = arm;
+                keep_only(e, arm, uses);
                 *n += 1;
             }
         }
@@ -283,11 +312,12 @@ fn rewrite_node(e: &mut LExp, n: &mut usize) {
         } => {
             if let LExp::Con { con, arg: None, .. } = scrut.as_ref() {
                 let con = *con;
-                if let Some(arm) = arms.iter_mut().find(|(c, _)| *c == con) {
-                    *e = take(&mut arm.1);
-                    *n += 1;
-                } else if let Some(d) = default {
-                    *e = take(d);
+                let kept = match arms.iter_mut().find(|(c, _)| *c == con) {
+                    Some(arm) => Some(take(&mut arm.1)),
+                    None => default.as_deref_mut().map(take),
+                };
+                if let Some(kept) = kept {
+                    keep_only(e, kept, uses);
                     *n += 1;
                 }
             }
@@ -296,11 +326,15 @@ fn rewrite_node(e: &mut LExp, n: &mut usize) {
             if is_atomic(rhs) {
                 let value = take(rhs);
                 let mut b = take(body);
-                subst_atomic(&mut b, *var, &value);
+                if uses.total(*var, &b) > 0 {
+                    subst(&mut b, *var, &value, &mut uses.visits);
+                }
+                uses.substituted(*var, &value);
                 *e = b;
                 *n += 1;
-            } else if is_pure(rhs) && count_uses(body, *var) == 0 {
-                *e = take(body);
+            } else if uses.total(*var, body) == 0 && is_pure(rhs) {
+                let kept = take(body);
+                keep_only(e, kept, uses);
                 *n += 1;
             }
         }

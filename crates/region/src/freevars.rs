@@ -224,7 +224,8 @@ mod tests {
     }
 
     /// The table agrees with a fresh `LExp::free_vars` walk at every node
-    /// it records, on a program that uses every binding form.
+    /// it records, on a program that uses every binding form (and enough
+    /// of the prelude that the optimiser's pruning leaves a few dozen).
     #[test]
     fn table_agrees_with_per_node_walks() {
         let src = "exception Boom of int\n\
@@ -236,7 +237,8 @@ mod tests {
                      let fun go (i, acc) = if i > x then acc else go (i + k, fn y => acc (y + i))\n\
                          val h = go (0, fn y => y + k)\n\
                      in (h x handle Boom n => n + x | _ => k) end\n\
-                   val it = outer (len (build 5, 0)) + (case \"s\" of \"s\" => 1 | _ => 2)";
+                   val it = outer (len (build 5, 0)) + (case \"s\" of \"s\" => 1 | _ => 2)\n\
+                            + foldl (fn (a, b) => a + b) k (map (fn y => y + k) (rev [1, 2, 3]))";
         let mut prog = kit_typing::compile_str(src).expect("front end");
         kit_lambda::opt::optimize(&mut prog, &Default::default());
         let table = FreeVars::of_program(&prog.body);

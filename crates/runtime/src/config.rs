@@ -47,7 +47,9 @@ pub struct RtConfig {
     /// many words and resume the collection at subsequent `GcCheck` safe
     /// points. `None` (the default) collects in one stop-the-world pause.
     /// Ignored by the generational baseline; takes precedence over
-    /// `gc_workers` (slices run serially).
+    /// `gc_workers` (slices run serially). Sound only for programs that
+    /// keep their infinite regions: `kit::Compiler::with_config` drops
+    /// it in `gt` (DESIGN.md §6g).
     pub gc_slice_budget_words: Option<u64>,
     /// Debugging: overwrite the payload of deallocated region pages with a
     /// poison pattern, so dangling-pointer dereferences fail loudly

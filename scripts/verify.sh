@@ -24,6 +24,15 @@ cargo test --release -p kit-bench --test fusion -q
 echo "==> engine equivalence: randomized differential (release)"
 cargo test --release -p kit-bench --test randomized -q
 
+echo "==> GC-root regressions in release too (debug trips the dangling-root"
+echo "    check, release the collector itself): raise handled in the frame"
+echo "    that owns the letregion, gt under a slice budget"
+cargo test --release -p kit-bench --test regressions -q
+
+echo "==> pay for what you use (Tier-1 leg, release): empty program <= 16"
+echo "    instructions, a program keeps exactly the prelude it reaches"
+cargo test --release --test pay_for_use -q
+
 echo "==> compile-output identity: corpus x modes + 200 generated programs"
 echo "    disassemble to the recorded bytecode, region programs equal up"
 echo "    to renaming (release)"

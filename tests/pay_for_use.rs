@@ -1,0 +1,87 @@
+//! Tier-1 check of "pay for what you use": the optimiser drops the
+//! top-level bindings a program cannot reach before region inference
+//! sees them, so what the compiler emits follows the program and not the
+//! 25-function prelude in front of it — and the dangling root that the
+//! prelude's start-up collections used to hide stays fixed.
+
+use kit::{oracle, Compiler, DispatchMode, Mode};
+
+/// Every function the prelude declares at top level, and `rev`'s and
+/// `length`'s inner loop.
+const PRELUDE: [&str; 26] = [
+    "ignore", "fst", "snd", "id", "hd", "tl", "null", "append", "rev", "length", "map", "app",
+    "foldl", "foldr", "filter", "exists", "all", "nth", "take", "drop", "tabulate", "min", "max",
+    "concat", "upto", "go",
+];
+
+#[test]
+fn the_empty_program_compiles_to_a_handful_of_instructions() {
+    for mode in Mode::ALL {
+        let prog = Compiler::new(mode).compile_source("val it = 0").unwrap();
+        assert!(
+            prog.code.len() <= 16,
+            "[{mode}] `val it = 0` is {} instructions",
+            prog.code.len()
+        );
+        assert_eq!(prog.funs.len(), 1, "[{mode}] only the program body");
+        assert!(prog.global_infinite.len() <= 1, "[{mode}] global regions");
+    }
+}
+
+#[test]
+fn a_program_keeps_exactly_the_prelude_it_reaches() {
+    let src = "fun sq x = x * x\n\
+               val it = foldl (fn (x, a) => x + a) 0 (map sq (rev [1, 2, 3, 4]))";
+    let want = oracle::run_oracle(src, None).unwrap();
+    assert_eq!(want.result, "30");
+    for mode in Mode::ALL {
+        let compiler = Compiler::new(mode);
+        let prog = compiler.compile_source(src).unwrap();
+        let mut kept: Vec<&str> = prog
+            .funs
+            .iter()
+            .map(|f| f.name.as_str())
+            .filter(|n| PRELUDE.contains(n))
+            .collect();
+        kept.sort_unstable();
+        // `rev` itself is a wrapper the inliner dissolves into its loop.
+        assert_eq!(kept, ["foldl", "go", "map"], "[{mode}]");
+        let out = compiler.run_program(&prog).unwrap();
+        assert_eq!(out.result, want.result, "[{mode}]");
+    }
+}
+
+/// `go` raises out of its own `letregion` and handles the exception
+/// itself, then calls an allocating function: the slot of the region-
+/// local array must not survive the unwind as a GC root (the full matrix
+/// of collectors and heap sizes is in `crates/bench/tests/regressions.rs`).
+#[test]
+fn a_raise_handled_in_its_own_frame_leaves_no_dangling_root() {
+    let src = "fun build (k, acc) = if k < 1 then acc else build (k - 1, k :: acc)\n\
+               fun sum (nil, a) = a | sum (x :: xs, a) = sum (xs, a + x)\n\
+               fun go (n, keep) =\n\
+               \u{20} if n < 1 then sum (keep, 0)\n\
+               \u{20} else\n\
+               \u{20}   let val r = (let val v = array (4, n) in asub (v, 4 + n - n) + alength v end)\n\
+               \u{20}               handle Subscript => 7\n\
+               \u{20}       val keep2 = build (4000 + r, keep)\n\
+               \u{20}   in (go (n - 1, keep2) + 1) mod 100003 end\n\
+               val it = go (60, nil)";
+    let run = move || {
+        let want = oracle::run_oracle(src, None).unwrap();
+        for dispatch in DispatchMode::ALL {
+            let out = Compiler::new(Mode::Rgt)
+                .with_dispatch(dispatch)
+                .run_source(src)
+                .unwrap_or_else(|e| panic!("{dispatch:?}: {e}"));
+            assert_eq!(out.result, want.result, "{dispatch:?}");
+            assert!(out.stats.gc_count > 0, "{dispatch:?}: must collect");
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(run)
+        .expect("spawn")
+        .join()
+        .expect("reproducer panicked");
+}
