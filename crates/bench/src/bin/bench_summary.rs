@@ -23,7 +23,18 @@
 //!         --out PATH [--full] [--samples N] [--jobs N]
 //!         [--only prog,prog,...] [--modes r,rt,...]
 //!         [--dispatch match|threaded] [--fusion off|full]
-//!         [--gc-compare] [--profile-fusion]`
+//!         [--gc-compare] [--profile-fusion] [--check-counts BENCH.json]`
+//!
+//! The file starts with an `env` block the tool fills in itself — commit
+//! (`git describe --always --dirty`: the short hash, marked when the
+//! tree has uncommitted changes), `rustc -V`, core count, sample count
+//! and the command line — so a row can be traced to what produced it.
+//!
+//! `--check-counts FILE` compares the deterministic counters of every
+//! cell just measured with the cell of the same (program, mode, config,
+//! scale) in an earlier `BENCH_PR<n>.json`, and exits 1 naming the first
+//! cell and counter that differ (or if no cell is in common): the gate
+//! for a PR that changes mechanism and claims the counts stayed put.
 //!
 //! `--only`/`--modes` restrict the sweep; `--dispatch`/`--fusion` replace
 //! the two-way comparison with a single pinned configuration. `--jobs N`
@@ -169,7 +180,8 @@ fn usage(problem: &str) -> ! {
     eprintln!(
         "bench-summary: {problem}\n\
          usage: bench-summary --out PATH [--full] [--samples N] [--jobs N] [--only p,..] \
-         [--modes m,..] [--dispatch match|threaded] [--fusion off|full] [--gc-compare]\n\
+         [--modes m,..] [--dispatch match|threaded] [--fusion off|full] [--gc-compare] \
+         [--check-counts BENCH.json]\n\
          \x20      bench-summary --serve --out PATH [--workers N] [--sessions N] [--mix SPEC] \
          [--dispatch match|threaded]\n\
          \x20      bench-summary --profile-fusion [--only p,..] [--modes m,..]"
@@ -289,7 +301,10 @@ fn main() {
     let serial: Duration = done.iter().map(|(_, _, d)| *d).sum();
     let rows: Vec<Row> = done.into_iter().flat_map(|(_, r, _)| r).collect();
 
-    let mut json = String::from("{\n  \"runs\": [\n");
+    let mut json = format!(
+        "{{\n  \"env\": {},\n  \"runs\": [\n",
+        env_json(&args, samples)
+    );
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
@@ -322,6 +337,15 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("wrote {} rows to {out_path}", rows.len());
+    if let Some(reference) = flag_val("--check-counts") {
+        match check_counts(&rows, reference) {
+            Ok(n) => eprintln!("check-counts: {n} cells equal to {reference}"),
+            Err(e) => {
+                eprintln!("check-counts: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
     if jobs > 1 {
         eprintln!(
             "sharded {} cells over {jobs} threads: {:.1}s wall vs {:.1}s serial ({:.1}s saved)",
@@ -331,6 +355,105 @@ fn main() {
             (serial.saturating_sub(started.elapsed())).as_secs_f64(),
         );
     }
+}
+
+/// First line of a command's standard output, or `"unknown"`.
+fn first_line_of(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The `env` block: where, with what and how the rows were produced.
+fn env_json(args: &[String], samples: usize) -> String {
+    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+    format!(
+        "{{\"commit\": \"{}\", \"rustc\": \"{}\", \"nproc\": {}, \"samples\": {samples}, \
+         \"command\": \"bench-summary {}\"}}",
+        esc(&first_line_of("git", &["describe", "--always", "--dirty"])),
+        esc(&first_line_of("rustc", &["-V"])),
+        std::thread::available_parallelism().map_or(0, usize::from),
+        esc(&args[1..].join(" ")),
+    )
+}
+
+/// The flat `"key": value` objects of a BENCH file's `"runs"` array, as
+/// text (values unquoted). Reads what this tool and a JSON pretty-printer
+/// write: run rows hold strings and numbers only, no nesting.
+fn read_runs(text: &str) -> Result<Vec<Vec<(String, String)>>, String> {
+    let at = text.find("\"runs\"").ok_or("no \"runs\" array")?;
+    let body = &text[at..];
+    let body = &body[body.find('[').ok_or("\"runs\" is not an array")? + 1..];
+    let mut rows = Vec::new();
+    let mut rest = body;
+    loop {
+        let close = rest.find(']').ok_or("unterminated \"runs\" array")?;
+        let Some(open) = rest.find('{').filter(|&o| o < close) else {
+            return Ok(rows);
+        };
+        let end = open + rest[open..].find('}').ok_or("unterminated run row")?;
+        let row = rest[open + 1..end]
+            .split(',')
+            .map(|field| {
+                let (k, v) = field
+                    .split_once(':')
+                    .ok_or_else(|| format!("run row field `{}`", field.trim()))?;
+                let unquote = |s: &str| s.trim().trim_matches('"').to_string();
+                Ok((unquote(k), unquote(v)))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        rows.push(row);
+        rest = &rest[end + 1..];
+    }
+}
+
+/// Holds `rows` to the cells of an earlier BENCH file; `Ok` is the number
+/// of cells compared.
+fn check_counts(rows: &[Row], reference: &str) -> Result<usize, String> {
+    let text = std::fs::read_to_string(reference).map_err(|e| format!("{reference}: {e}"))?;
+    let recorded = read_runs(&text).map_err(|e| format!("{reference}: {e}"))?;
+    let get = |row: &'_ [(String, String)], k: &str| -> Option<String> {
+        row.iter().find(|(f, _)| f == k).map(|(_, v)| v.clone())
+    };
+    let mut compared = 0;
+    for r in rows {
+        let key = [
+            ("program", r.program.clone()),
+            ("mode", r.mode.to_string()),
+            ("config", r.config.to_string()),
+            ("scale", r.scale.to_string()),
+        ];
+        let Some(old) = recorded
+            .iter()
+            .find(|row| key.iter().all(|(k, v)| get(row, k).as_ref() == Some(v)))
+        else {
+            continue;
+        };
+        compared += 1;
+        for (counter, now) in [
+            ("instructions", r.instructions),
+            ("words_allocated", r.words_allocated),
+            ("gc_count", r.gc_count),
+            ("bytes_copied", r.bytes_copied),
+        ] {
+            let was = get(old, counter).ok_or(format!("{reference}: row without {counter}"))?;
+            if was != now.to_string() {
+                return Err(format!(
+                    "{} [{}] {} @{}: {counter} is {now}, {reference} has {was}",
+                    r.program, r.mode, r.config, r.scale
+                ));
+            }
+        }
+    }
+    if compared == 0 {
+        return Err(format!("no measured cell is in {reference}"));
+    }
+    Ok(compared)
 }
 
 /// Runs every configuration over one (program, mode) cell, interleaving the
@@ -726,5 +849,58 @@ fn profile_fusion(cells: &[Cell]) {
                 shown += 1;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(instructions: u64) -> Row {
+        Row {
+            program: "fib".to_string(),
+            mode: "r",
+            config: "threaded_full",
+            scale: 24,
+            instructions,
+            instructions_per_sec: 1.0,
+            words_allocated: 40,
+            gc_count: 0,
+            bytes_copied: 0,
+            peak_pages: 1,
+            peak_bytes: 296,
+            gc_time_ns: 0,
+            gc_pause_p50_ns: 0,
+            gc_pause_p99_ns: 0,
+            gc_pause_max_ns: 0,
+            gc_slices: 0,
+        }
+    }
+
+    #[test]
+    fn check_counts_reads_both_layouts_and_names_the_first_difference() {
+        // One row as this tool writes it, one as a pretty-printer does.
+        let text = "{\n \"env\": {\"nproc\": 2},\n \"runs\": [\n\
+            {\"program\": \"tak\", \"mode\": \"r\", \"config\": \"threaded_full\", \"scale\": 7, \
+             \"instructions\": 5, \"words_allocated\": 0, \"gc_count\": 0, \"bytes_copied\": 0},\n\
+            {\n  \"program\": \"fib\",\n  \"mode\": \"r\",\n  \"config\": \"threaded_full\",\n  \
+             \"scale\": 24,\n  \"instructions\": 1871,\n  \"words_allocated\": 40,\n  \
+             \"gc_count\": 0,\n  \"bytes_copied\": 0\n }\n ],\n \"serve\": [{\"label\": \"x\"}]\n}\n";
+        assert_eq!(read_runs(text).unwrap().len(), 2);
+        let path = std::env::temp_dir().join(format!("check_counts_{}.json", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let file = path.to_str().unwrap();
+        assert_eq!(check_counts(&[row(1871)], file), Ok(1));
+        let err = check_counts(&[row(1872)], file).unwrap_err();
+        assert!(
+            err.contains("fib [r] threaded_full @24: instructions is 1872") && err.contains("1871"),
+            "{err}"
+        );
+        let mut elsewhere = row(1871);
+        elsewhere.scale = 25;
+        assert!(check_counts(&[elsewhere], file)
+            .unwrap_err()
+            .contains("no measured cell"));
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -237,8 +237,6 @@ pub struct Vm<'p> {
     /// which all engines execute at the same source positions, so the
     /// stride schedule is engine-invariant.
     safe_points: u64,
-    /// Reused buffer for record/constructor fields.
-    scratch: Vec<Word>,
     /// Write barrier log of the generational baseline: field addresses
     /// mutated since the last collection (may hold old→young pointers).
     remembered: Vec<u64>,
@@ -263,7 +261,6 @@ impl<'p> Vm<'p> {
             formal_pool: Vec::new(),
             region_pool: Vec::new(),
             safe_points: 0,
-            scratch: Vec::new(),
             remembered: Vec::new(),
         }
     }
@@ -318,6 +315,7 @@ impl<'p> Vm<'p> {
         self.rt.stack[self.cur_locals + i as usize] = v;
     }
 
+    #[inline(always)]
     fn region_of(&self, slot: RegSlot) -> RegionId {
         let f = self.frame();
         match slot {
@@ -332,67 +330,100 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Allocates a box at a place — infinite region or finite frame slot.
-    fn alloc_at(&mut self, slot: RegSlot, tag: Tag, fields: &[Word]) -> Word {
-        match slot {
+    /// Builds a box at a place out of the top `n` operand words and pushes
+    /// the pointer to it: tag (tagged mode), the optional `lead` word (a
+    /// constructor's discriminant), then the operands. An infinite region
+    /// gets them moved straight into its page; a finite region is a slot
+    /// of this frame, below the operand stack, so the move is within the
+    /// stack and downwards.
+    #[inline(always)]
+    fn box_from_stack(&mut self, slot: RegSlot, tag: Tag, lead: Option<Word>, n: usize) {
+        let v = match slot {
             RegSlot::Finite(off) => {
-                let f = self.frame();
-                let base = f.base + off as usize;
+                let base = self.frame().base + off as usize;
+                let stack = &mut self.rt.stack;
+                let start = stack.len() - n;
                 let mut at = base;
                 if self.rt.config.tagged {
-                    self.rt.stack[at] = tag.encode();
+                    stack[at] = tag.encode();
                     at += 1;
                 }
-                for w in fields {
-                    self.rt.stack[at] = *w;
+                if let Some(w) = lead {
+                    stack[at] = w;
                     at += 1;
                 }
+                for i in 0..n {
+                    stack[at + i] = stack[start + i];
+                }
+                stack.truncate(start);
                 ptr(STACK_BASE + base as u64)
             }
             _ => {
                 let r = self.region_of(slot);
-                self.rt.alloc_boxed(r, tag, fields)
+                self.rt.alloc_boxed_from_stack(r, tag, lead, n)
             }
-        }
+        };
+        self.push(v);
     }
 
-    /// Builds the callee frame out of the `[env][rhandles…][args…]` block
-    /// on top of the operand stack, moving the arguments into their local
-    /// slots in place — no intermediate buffers.
-    fn push_frame_from_stack(&mut self, fun: u32, n: usize, nf: usize, ret_pc: usize) {
+    /// Builds the callee frame at `base` out of the `[env][rhandles…]
+    /// [args…]` block on top of the operand stack, moving the arguments
+    /// into their local slots — no intermediate buffers. A non-tail call
+    /// passes the block's own position; a tail call passes the base of
+    /// the frame it replaces, further down.
+    ///
+    /// Deliberately out of line: inlined into the call handlers it made
+    /// the dispatch loop slower (DESIGN.md §6c).
+    #[inline(never)]
+    fn push_frame_from_stack(&mut self, fun: u32, n: usize, nf: usize, ret_pc: usize, base: usize) {
         let info = &self.prog.funs[fun as usize];
         let sp0 = self.rt.stack.len();
-        let base = sp0 - n - nf - 1;
-        let env = self.rt.stack[base];
+        let block = sp0 - n - nf - 1;
+        debug_assert!(base <= block);
+        let tagged = self.rt.config.tagged;
+        let env = self.rt.stack[block];
         let fbase = self.formal_pool.len();
-        for i in 0..nf {
-            let w = self.rt.stack[base + 1 + i];
-            self.formal_pool.push(RegionId(self.rt.untag_int(w) as u32));
-        }
+        let rt = &self.rt;
+        self.formal_pool.extend(
+            rt.stack[block + 1..block + 1 + nf]
+                .iter()
+                .map(|&w| RegionId(rt.untag_int(w) as u32)),
+        );
         let nfinite = info.nfinite as usize;
         let nlocals = info.nlocals as usize;
         let locals = base + nfinite;
-        let newlen = base + nfinite + nlocals;
-        let fill = if self.rt.config.tagged { scalar(0) } else { 0 };
+        let newlen = locals + nlocals;
+        let fill = if tagged { scalar(0) } else { 0 };
         if newlen > sp0 {
             self.rt.stack.resize(newlen, fill);
         }
-        // Slide the arguments into the local slots after `env` (overlap-
-        // safe); then truncate if the frame is smaller than the call block.
-        if n > 0 && locals + 1 != sp0 - n {
-            self.rt.stack.copy_within(sp0 - n..sp0, locals + 1);
+        // Slide the arguments into the local slots after `env`. Source
+        // and destination may overlap either way round (a frame with
+        // more finite-region slots than region handles moves them up),
+        // so copy away from the overlap.
+        let stack = &mut self.rt.stack[..];
+        let (src, dst) = (sp0 - n, locals + 1);
+        if dst < src {
+            for i in 0..n {
+                stack[dst + i] = stack[src + i];
+            }
+        } else if dst > src {
+            for i in (0..n).rev() {
+                stack[dst + i] = stack[src + i];
+            }
+        }
+        // Everything else below the old stack top is stale (the call
+        // block, or the replaced frame); above it `resize` already filled.
+        let stale = sp0.min(newlen);
+        stack[base..locals.min(stale)].fill(fill); // finite-region slots
+        stack[locals] = env;
+        if dst + n < stale {
+            stack[dst + n..stale].fill(fill); // remaining locals
         }
         self.rt.stack.truncate(newlen);
         // The old frame's finite-region boxes (tail call) are gone; let a
         // sliced collection prune its scan-buffer entries for them.
         self.rt.note_stack_trunc(base);
-        for i in base..locals {
-            self.rt.stack[i] = fill; // finite-region slots
-        }
-        self.rt.stack[locals] = env;
-        for i in locals + 1 + n..newlen {
-            self.rt.stack[i] = fill; // remaining locals
-        }
         self.frames.push(Frame {
             fun,
             ret_pc,
@@ -404,6 +435,20 @@ impl<'p> Vm<'p> {
         });
         self.cur_locals = locals;
         self.rt.observe_mem();
+    }
+
+    /// Pops the frame a tail call replaces; returns where the callee's
+    /// frame goes and where it returns to.
+    #[inline(always)]
+    fn pop_frame_for_tail_call(&mut self) -> (usize, usize) {
+        let f = self.frames.pop().expect("tail call without frame");
+        debug_assert_eq!(
+            self.region_pool.len(),
+            f.rbase,
+            "tail call with open regions"
+        );
+        self.formal_pool.truncate(f.fbase);
+        (f.base, f.ret_pc)
     }
 
     /// One-line call chain, innermost frame first, for diagnostics.
@@ -468,7 +513,7 @@ impl<'p> Vm<'p> {
         }
         let env0 = if self.rt.config.tagged { scalar(0) } else { 0 };
         self.push(env0);
-        self.push_frame_from_stack(self.prog.main, 0, 0, usize::MAX);
+        self.push_frame_from_stack(self.prog.main, 0, 0, usize::MAX, 0);
         let main = self.prog.main as usize;
         match exe {
             Executable::Match(linked) => {
@@ -520,9 +565,8 @@ impl<'p> Vm<'p> {
                     self.push(w);
                 }
                 LInstr::PushReal(x, at) => {
-                    let bits = x.to_bits();
-                    let v = self.alloc_at(*at, Tag::real(), &[bits]);
-                    self.push(v);
+                    self.push(x.to_bits());
+                    self.box_from_stack(*at, Tag::real(), None, 1);
                 }
                 LInstr::Load(i) => {
                     let v = self.local(*i);
@@ -536,16 +580,7 @@ impl<'p> Vm<'p> {
                     self.pop();
                 }
                 LInstr::MkRecord { n, at } => {
-                    let at = *at;
-                    let n = *n as usize;
-                    let start = self.rt.stack.len() - n;
-                    let mut fields = std::mem::take(&mut self.scratch);
-                    fields.clear();
-                    fields.extend_from_slice(&self.rt.stack[start..]);
-                    self.rt.stack.truncate(start);
-                    let v = self.alloc_at(at, Tag::record(n as u32), &fields);
-                    self.scratch = fields;
-                    self.push(v);
+                    self.box_from_stack(*at, Tag::record(*n as u32), None, *n as usize);
                 }
                 LInstr::Select(i) => {
                     let v = self.pop();
@@ -560,20 +595,9 @@ impl<'p> Vm<'p> {
                     }
                 }
                 LInstr::MkCon { ctor, n, disc, at } => {
-                    let at = *at;
-                    let n = *n as usize;
-                    let start = self.rt.stack.len() - n;
-                    let mut fields = std::mem::take(&mut self.scratch);
-                    fields.clear();
-                    if *disc {
-                        fields.push(scalar(*ctor as i64));
-                    }
-                    fields.extend_from_slice(&self.rt.stack[start..]);
-                    self.rt.stack.truncate(start);
-                    let tag = Tag::con(*ctor as u32, fields.len() as u32);
-                    let v = self.alloc_at(at, tag, &fields);
-                    self.scratch = fields;
-                    self.push(v);
+                    let lead = disc.then(|| scalar(*ctor as i64));
+                    let tag = Tag::con(*ctor as u32, *n as u32 + *disc as u32);
+                    self.box_from_stack(*at, tag, lead, *n as usize);
                 }
                 LInstr::DeConAdj => {
                     let v = self.pop();
@@ -660,24 +684,12 @@ impl<'p> Vm<'p> {
                 } => {
                     let n = *nargs as usize;
                     let nf = *nformals as usize;
-                    let ret = if *tail {
-                        let f = self.frames.pop().unwrap();
-                        debug_assert_eq!(
-                            self.region_pool.len(),
-                            f.rbase,
-                            "tail call with open regions"
-                        );
-                        self.formal_pool.truncate(f.fbase);
-                        // Slide the call block down onto the dead frame.
-                        let sp = self.rt.stack.len();
-                        let start = sp - n - nf - 1;
-                        self.rt.stack.copy_within(start..sp, f.base);
-                        self.rt.stack.truncate(f.base + n + nf + 1);
-                        f.ret_pc
+                    let (base, ret) = if *tail {
+                        self.pop_frame_for_tail_call()
                     } else {
-                        pc
+                        (self.rt.stack.len() - n - nf - 1, pc)
                     };
-                    self.push_frame_from_stack(*fun, n, nf, ret);
+                    self.push_frame_from_stack(*fun, n, nf, ret, base);
                     pc = *target as usize;
                 }
                 LInstr::CallClos { nargs, tail } => {
@@ -688,21 +700,12 @@ impl<'p> Vm<'p> {
                     let label = scalar_val(self.rt.field(clos, 0)) as usize;
                     let fun = linked.fun_of_label[label];
                     debug_assert_ne!(fun, u32::MAX, "closure label is not a function entry");
-                    let ret = if *tail {
-                        let f = self.frames.pop().unwrap();
-                        debug_assert_eq!(
-                            self.region_pool.len(),
-                            f.rbase,
-                            "tail call with open regions"
-                        );
-                        self.formal_pool.truncate(f.fbase);
-                        self.rt.stack.copy_within(sp - n - 1..sp, f.base);
-                        self.rt.stack.truncate(f.base + n + 1);
-                        f.ret_pc
+                    let (base, ret) = if *tail {
+                        self.pop_frame_for_tail_call()
                     } else {
-                        pc
+                        (sp - n - 1, pc)
                     };
-                    self.push_frame_from_stack(fun, n, 0, ret);
+                    self.push_frame_from_stack(fun, n, 0, ret, base);
                     pc = linked.pc_of_label[label] as usize;
                 }
                 LInstr::EnterViaPair { nformals } => {
@@ -761,19 +764,10 @@ impl<'p> Vm<'p> {
                     if !*has_arg {
                         self.push(scalar(*exn as i64));
                     } else {
-                        let arg = self.pop();
-                        let tag = Tag::exn(*exn, 1);
-                        let fields: Vec<Word> = if self.rt.config.tagged {
-                            vec![arg]
-                        } else {
-                            vec![scalar(*exn as i64), arg]
-                        };
-                        let v = self.alloc_at(
-                            at.expect("carrying exception needs a place"),
-                            tag,
-                            &fields,
-                        );
-                        self.push(v);
+                        // Untagged, the id leads the block in place of a tag.
+                        let lead = (!self.rt.config.tagged).then(|| scalar(*exn as i64));
+                        let at = at.expect("carrying exception needs a place");
+                        self.box_from_stack(at, Tag::exn(*exn, 1), lead, 1);
                     }
                 }
                 LInstr::DeExn => {
@@ -1144,8 +1138,8 @@ impl<'p> Vm<'p> {
         macro_rules! push_real {
             ($v:expr) => {{
                 let bits = ($v).to_bits();
-                let w = self.alloc_at(at.expect("real result needs a place"), Tag::real(), &[bits]);
-                self.push(w);
+                self.push(bits);
+                self.box_from_stack(at.expect("real result needs a place"), Tag::real(), None, 1);
             }};
         }
         macro_rules! push_str {
@@ -1323,9 +1317,7 @@ impl<'p> Vm<'p> {
                 push_int!(0); // unit
             }
             RefNew => {
-                let v = self.pop();
-                let w = self.alloc_at(at.expect("ref needs a place"), Tag::reference(), &[v]);
-                self.push(w);
+                self.box_from_stack(at.expect("ref needs a place"), Tag::reference(), None, 1);
             }
             RefGet => {
                 let r = self.pop();
@@ -1507,12 +1499,13 @@ fn h_unreachable(_vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
 
 fn h_push_real(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    let v = vm.alloc_at(
+    vm.push(x.k);
+    vm.box_from_stack(
         x.at.expect("real literal needs a place"),
         Tag::real(),
-        &[x.k],
+        None,
+        1,
     );
-    vm.push(v);
     Control::Next
 }
 
@@ -1539,19 +1532,12 @@ fn h_pop(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
 #[inline(always)]
 fn h_mk_record(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    let n = x.n as usize;
-    let start = vm.rt.stack.len() - n;
-    let mut fields = std::mem::take(&mut vm.scratch);
-    fields.clear();
-    fields.extend_from_slice(&vm.rt.stack[start..]);
-    vm.rt.stack.truncate(start);
-    let v = vm.alloc_at(
+    vm.box_from_stack(
         x.at.expect("record needs a place"),
-        Tag::record(n as u32),
-        &fields,
+        Tag::record(x.n as u32),
+        None,
+        x.n as usize,
     );
-    vm.scratch = fields;
-    vm.push(v);
     Control::Next
 }
 
@@ -1566,19 +1552,14 @@ fn h_select(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 #[inline(always)]
 fn h_mk_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    let n = x.n as usize;
-    let start = vm.rt.stack.len() - n;
-    let mut fields = std::mem::take(&mut vm.scratch);
-    fields.clear();
-    if x.flag {
-        fields.push(scalar(x.a as i64));
-    }
-    fields.extend_from_slice(&vm.rt.stack[start..]);
-    vm.rt.stack.truncate(start);
-    let tag = Tag::con(x.a, fields.len() as u32);
-    let v = vm.alloc_at(x.at.expect("constructor needs a place"), tag, &fields);
-    vm.scratch = fields;
-    vm.push(v);
+    let lead = x.flag.then(|| scalar(x.a as i64));
+    let tag = Tag::con(x.a, x.n as u32 + x.flag as u32);
+    vm.box_from_stack(
+        x.at.expect("constructor needs a place"),
+        tag,
+        lead,
+        x.n as usize,
+    );
     Control::Next
 }
 
@@ -1694,20 +1675,12 @@ fn h_call(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let n = x.n as usize;
     let nf = x.m as usize;
-    let ret = if x.flag {
-        let f = vm.frames.pop().unwrap();
-        debug_assert_eq!(vm.region_pool.len(), f.rbase, "tail call with open regions");
-        vm.formal_pool.truncate(f.fbase);
-        // Slide the call block down onto the dead frame.
-        let sp = vm.rt.stack.len();
-        let start = sp - n - nf - 1;
-        vm.rt.stack.copy_within(start..sp, f.base);
-        vm.rt.stack.truncate(f.base + n + nf + 1);
-        f.ret_pc
+    let (base, ret) = if x.flag {
+        vm.pop_frame_for_tail_call()
     } else {
-        pc as usize + 1
+        (vm.rt.stack.len() - n - nf - 1, pc as usize + 1)
     };
-    vm.push_frame_from_stack(x.a, n, nf, ret);
+    vm.push_frame_from_stack(x.a, n, nf, ret, base);
     Control::Goto(x.t)
 }
 
@@ -1720,17 +1693,12 @@ fn h_call_clos(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let label = scalar_val(vm.rt.field(clos, 0)) as usize;
     let fun = t.fun_of_label[label];
     debug_assert_ne!(fun, u32::MAX, "closure label is not a function entry");
-    let ret = if x.flag {
-        let f = vm.frames.pop().unwrap();
-        debug_assert_eq!(vm.region_pool.len(), f.rbase, "tail call with open regions");
-        vm.formal_pool.truncate(f.fbase);
-        vm.rt.stack.copy_within(sp - n - 1..sp, f.base);
-        vm.rt.stack.truncate(f.base + n + 1);
-        f.ret_pc
+    let (base, ret) = if x.flag {
+        vm.pop_frame_for_tail_call()
     } else {
-        pc as usize + 1
+        (sp - n - 1, pc as usize + 1)
     };
-    vm.push_frame_from_stack(fun, n, 0, ret);
+    vm.push_frame_from_stack(fun, n, 0, ret, base);
     Control::Goto(t.pc_of_label[label])
 }
 
@@ -1810,19 +1778,10 @@ fn h_mk_exn(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     if !x.flag {
         vm.push(scalar(x.a as i64));
     } else {
-        let arg = vm.pop();
-        let tag = Tag::exn(x.a, 1);
-        let fields: Vec<Word> = if vm.rt.config.tagged {
-            vec![arg]
-        } else {
-            vec![scalar(x.a as i64), arg]
-        };
-        let v = vm.alloc_at(
-            x.at.expect("carrying exception needs a place"),
-            tag,
-            &fields,
-        );
-        vm.push(v);
+        // Untagged, the id leads the block in place of a tag.
+        let lead = (!vm.rt.config.tagged).then(|| scalar(x.a as i64));
+        let at = x.at.expect("carrying exception needs a place");
+        vm.box_from_stack(at, Tag::exn(x.a, 1), lead, 1);
     }
     Control::Next
 }

@@ -144,3 +144,342 @@ fn disassembler_round_trip_smoke() {
     assert!(asm.contains("GcCheck"), "{asm}");
     let _ = LTy::Int;
 }
+
+// ------------------------------------------------------------ frame push
+//
+// Hand-assembled programs: the frame push slides the arguments from the
+// call block into the callee's local slots, up or down depending on how
+// many finite-region words (`nfinite`) the callee puts below its locals
+// versus how many region handles (`nf`) the caller pushed below the
+// arguments, and a tail call does it onto the frame it replaces.
+
+mod frames {
+    use kit_kam::instr::{FunInfo, Instr, RegSlot};
+    use kit_kam::{DispatchMode, Program, Vm};
+    use kit_lambda::exp::Prim;
+    use kit_lambda::ty::{DataEnv, LTy};
+    use kit_runtime::{Rt, RtConfig};
+
+    /// A callee frame shape: `nlocals` counts env + arguments + temps.
+    struct Shape {
+        nargs: u16,
+        nf: u16,
+        nfinite: u32,
+        nlocals: u32,
+    }
+
+    fn prim(p: Prim) -> Instr {
+        Instr::Prim { p, at: None }
+    }
+
+    /// `f(a1..an)` = `(a1 - a2)` (or `a1`, or 7 with fewer arguments)
+    /// `+ last local` (never written: must read as 0) `+ last formal`
+    /// (region id 1) `+ second field of a finite pair` (if it has room).
+    fn callee(code: &mut Vec<Instr>, s: &Shape, k: &dyn Fn(i64) -> u64) {
+        match s.nargs {
+            0 => code.push(Instr::PushConst(k(7))),
+            1 => code.push(Instr::Load(1)),
+            _ => code.extend([Instr::Load(1), Instr::Load(2), prim(Prim::ISub)]),
+        }
+        code.extend([Instr::Load(s.nlocals - 1), prim(Prim::IAdd)]);
+        if s.nf > 0 {
+            let last = RegSlot::Formal(s.nf as u32 - 1);
+            code.extend([Instr::RegHandle(last), prim(Prim::IAdd)]);
+        }
+        if s.nfinite >= 3 {
+            let at = RegSlot::Finite(s.nfinite - 3);
+            code.extend([
+                Instr::PushConst(k(1000)),
+                Instr::PushConst(k(100)),
+                Instr::MkRecord { n: 2, at },
+                Instr::Select(1),
+                prim(Prim::IAdd),
+            ]);
+        }
+        code.push(Instr::Ret);
+    }
+
+    fn want(s: &Shape, args: &[i64]) -> i64 {
+        let base = match args {
+            [] => 7,
+            [a] => *a,
+            [a, b, ..] => a - b,
+        };
+        base + (s.nf > 0) as i64 + if s.nfinite >= 3 { 100 } else { 0 }
+    }
+
+    /// Pushes `[env][handles…][args…]` and calls `label`.
+    fn call(
+        code: &mut Vec<Instr>,
+        label: usize,
+        s: &Shape,
+        args: &[i64],
+        tail: bool,
+        k: &dyn Fn(i64) -> u64,
+    ) {
+        code.push(Instr::PushConst(k(0)));
+        for _ in 0..s.nf {
+            code.push(Instr::RegHandle(RegSlot::Global(1)));
+        }
+        code.extend(args.iter().map(|&a| Instr::PushConst(k(a))));
+        code.push(Instr::Call {
+            label,
+            nargs: s.nargs,
+            nformals: s.nf,
+            tail,
+        });
+    }
+
+    /// main calls `via` (if any), which dirties its locals and tail-calls
+    /// the callee; otherwise main calls the callee directly.
+    fn run(callee_shape: Shape, via: Option<Shape>, args: &[i64]) {
+        assert_eq!(args.len(), callee_shape.nargs as usize);
+        assert!(
+            callee_shape.nlocals as usize >= args.len() + 2,
+            "env, arguments and a local nobody writes"
+        );
+        for (tagged, cfg) in [(true, RtConfig::rgt()), (false, RtConfig::r())] {
+            let k = move |n: i64| {
+                if tagged {
+                    kit_runtime::value::scalar(n)
+                } else {
+                    n as u64
+                }
+            };
+            let mut code = Vec::new();
+            let mut label_addrs = vec![0];
+            let mut funs = vec![FunInfo {
+                entry: 0,
+                nlocals: 2,
+                nfinite: 0,
+                name: "<main>".into(),
+            }];
+            // main: junk under the call block, so a slide that strays shows.
+            code.push(Instr::PushConst(k(55555)));
+            match &via {
+                None => call(&mut code, 1, &callee_shape, args, false, &k),
+                Some(v) => call(&mut code, 2, v, &[], false, &k),
+            }
+            code.push(Instr::Halt);
+            label_addrs.push(code.len());
+            callee(&mut code, &callee_shape, &k);
+            funs.push(FunInfo {
+                entry: 1,
+                nlocals: callee_shape.nlocals,
+                nfinite: callee_shape.nfinite,
+                name: "callee".into(),
+            });
+            if let Some(v) = &via {
+                label_addrs.push(code.len());
+                for i in 1..v.nlocals {
+                    code.extend([Instr::PushConst(k(77777)), Instr::Store(i)]);
+                }
+                call(&mut code, 1, &callee_shape, args, true, &k);
+                funs.push(FunInfo {
+                    entry: 2,
+                    nlocals: v.nlocals,
+                    nfinite: v.nfinite,
+                    name: "via".into(),
+                });
+            }
+            let prog = Program {
+                code,
+                label_addrs,
+                entry_of: (0..funs.len()).map(|i| (i, i as u32)).collect(),
+                funs,
+                main: 0,
+                global_infinite: vec![0, 0],
+                exn_names: vec![],
+                result_ty: LTy::Int,
+                data: DataEnv::default(),
+            };
+            for dispatch in DispatchMode::ALL {
+                let out = Vm::new(&prog, Rt::new(cfg.clone()))
+                    .with_dispatch(dispatch)
+                    .run()
+                    .expect("vm run");
+                assert_eq!(
+                    out.rt.untag_int(out.result),
+                    want(&callee_shape, args),
+                    "tagged={tagged} {dispatch:?}"
+                );
+                // Only main's frame and the junk word are left.
+                assert_eq!(out.rt.stack.len(), 3, "tagged={tagged} {dispatch:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn arguments_slide_up_when_finite_slots_outnumber_handles() {
+        run(
+            Shape {
+                nargs: 2,
+                nf: 0,
+                nfinite: 4,
+                nlocals: 5,
+            },
+            None,
+            &[50, 8],
+        );
+        run(
+            Shape {
+                nargs: 3,
+                nf: 1,
+                nfinite: 6,
+                nlocals: 5,
+            },
+            None,
+            &[50, 8, 1],
+        );
+    }
+
+    #[test]
+    fn overlapping_slide_up_copies_from_the_top() {
+        // Three arguments move up by one slot.
+        run(
+            Shape {
+                nargs: 3,
+                nf: 0,
+                nfinite: 1,
+                nlocals: 5,
+            },
+            None,
+            &[9, 4, 1],
+        );
+    }
+
+    #[test]
+    fn arguments_slide_down_when_handles_outnumber_finite_slots() {
+        run(
+            Shape {
+                nargs: 2,
+                nf: 3,
+                nfinite: 0,
+                nlocals: 6,
+            },
+            None,
+            &[50, 8],
+        );
+        // Overlapping: three arguments move down by one.
+        run(
+            Shape {
+                nargs: 3,
+                nf: 1,
+                nfinite: 0,
+                nlocals: 5,
+            },
+            None,
+            &[9, 4, 1],
+        );
+    }
+
+    #[test]
+    fn arguments_stay_put_when_the_two_cancel() {
+        run(
+            Shape {
+                nargs: 2,
+                nf: 3,
+                nfinite: 3,
+                nlocals: 4,
+            },
+            None,
+            &[50, 8],
+        );
+    }
+
+    #[test]
+    fn a_call_without_arguments_builds_a_clean_frame() {
+        run(
+            Shape {
+                nargs: 0,
+                nf: 0,
+                nfinite: 0,
+                nlocals: 3,
+            },
+            None,
+            &[],
+        );
+        run(
+            Shape {
+                nargs: 0,
+                nf: 2,
+                nfinite: 5,
+                nlocals: 2,
+            },
+            None,
+            &[],
+        );
+    }
+
+    #[test]
+    fn tail_call_onto_a_larger_frame_leaves_no_stale_locals() {
+        let big = Shape {
+            nargs: 0,
+            nf: 0,
+            nfinite: 4,
+            nlocals: 8,
+        };
+        run(
+            Shape {
+                nargs: 2,
+                nf: 0,
+                nfinite: 0,
+                nlocals: 4,
+            },
+            Some(big),
+            &[50, 8],
+        );
+        let big = Shape {
+            nargs: 0,
+            nf: 0,
+            nfinite: 4,
+            nlocals: 8,
+        };
+        run(
+            Shape {
+                nargs: 1,
+                nf: 2,
+                nfinite: 3,
+                nlocals: 3,
+            },
+            Some(big),
+            &[6],
+        );
+    }
+
+    #[test]
+    fn tail_call_onto_a_smaller_frame_grows_a_clean_one() {
+        let small = Shape {
+            nargs: 0,
+            nf: 0,
+            nfinite: 0,
+            nlocals: 2,
+        };
+        run(
+            Shape {
+                nargs: 2,
+                nf: 1,
+                nfinite: 5,
+                nlocals: 9,
+            },
+            Some(small),
+            &[50, 8],
+        );
+        let small = Shape {
+            nargs: 0,
+            nf: 0,
+            nfinite: 0,
+            nlocals: 2,
+        };
+        run(
+            Shape {
+                nargs: 3,
+                nf: 0,
+                nfinite: 0,
+                nlocals: 12,
+            },
+            Some(small),
+            &[50, 8, 3],
+        );
+    }
+}

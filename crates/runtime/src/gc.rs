@@ -93,11 +93,6 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     }
     let t0 = std::time::Instant::now();
     rt.in_gc = true;
-    // Write the mutator's bump cursor back: the accounting below and the
-    // flip read `a`/`used_words` straight from the descriptors, and the
-    // cache stays invalid for the whole collection (GC-path allocations
-    // write through).
-    rt.flush_alloc_cache();
     if rt.config.heap_shrink_factor.is_some() {
         // To-space should fill the arena bottom-up so the post-collection
         // shrink finds its free pages at the physical tail.
@@ -370,7 +365,6 @@ pub fn collect_gen(
 ) {
     let t0 = std::time::Instant::now();
     rt.in_gc = true;
-    rt.flush_alloc_cache();
     if major && rt.config.heap_shrink_factor.is_some() {
         // Same reasoning as in [`collect`]: the semispace passes must fill
         // to-space from the arena bottom so the post-collection shrink
@@ -438,6 +432,9 @@ fn collect_phase(
     {
         let d = &mut rt.regions[from.0 as usize];
         d.fp = NONE_ADDR;
+        // No page: `a == e` sends the next allocation to page extension.
+        d.a = 0;
+        d.e = 0;
         d.pages = 0;
         d.used_words = 0;
         d.status = false;
@@ -581,11 +578,10 @@ pub(crate) fn evacuate_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, v: Wor
             let tag = Tag::decode(w);
             debug_assert!(tag.kind != Kind::Sentinel, "evacuating page slack");
             let n = tag.box_words();
-            let new_addr = rt.alloc_words(r, n);
-            for i in 0..n {
-                let word = rt.heap.read(addr + i);
-                rt.heap.write(new_addr + i, word);
-            }
+            let new_addr = rt.bump(r, n);
+            rt.heap
+                .words
+                .copy_within(addr as usize..(addr + n) as usize, new_addr as usize);
             rt.heap.write(addr, ptr(new_addr));
             st.copied += n;
             let d = &mut rt.regions[r.0 as usize];
@@ -607,6 +603,26 @@ pub(crate) fn scan_stack_box_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, 
     for i in 0..tag.size as usize {
         let v = rt.stack[slot + 1 + i];
         rt.stack[slot + 1 + i] = evacuate_with(rt, st, v, p);
+    }
+}
+
+/// Scans the `size` fields of the to-space box at `s`. Scalars are passed
+/// over without a call or a write-back; the fields cannot be held as a
+/// slice across an evacuation, which may grow the arena.
+#[inline]
+pub(crate) fn scan_heap_box_with<P: EvacPolicy>(
+    rt: &mut Rt,
+    st: &mut GcState,
+    s: u64,
+    size: u32,
+    p: P,
+) {
+    for at in s + 1..s + 1 + size as u64 {
+        let v = rt.heap.read(at);
+        if is_ptr(v) {
+            let nv = evacuate_with(rt, st, v, p);
+            rt.heap.write(at, nv);
+        }
     }
 }
 
@@ -665,11 +681,7 @@ pub(crate) fn cheney_region_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, m
             continue;
         }
         if tag.scannable() {
-            for i in 0..tag.size as u64 {
-                let v = rt.heap.read(s + 1 + i);
-                let nv = evacuate_with(rt, st, v, p);
-                rt.heap.write(s + 1 + i, nv);
-            }
+            scan_heap_box_with(rt, st, s, tag.size, p);
         }
         s += tag.box_words();
     }

@@ -325,7 +325,7 @@ impl Worker<'_> {
 
     /// Bump-allocates `n` words in owned region `r`, extending it with a
     /// page from the private pool when the current page is full (the
-    /// worker-local mirror of `Rt::alloc_words` under `in_gc`).
+    /// worker-local mirror of `Rt::bump`).
     fn alloc_words(&mut self, r: RegionId, n: u64) -> u64 {
         debug_assert!(n <= self.raw.page_data_words);
         unsafe {
@@ -565,7 +565,6 @@ pub(crate) fn collect_parallel(rt: &mut Rt, root_slots: &[usize], extra_roots: &
     let t0 = std::time::Instant::now();
     let nworkers = rt.config.gc_workers;
     rt.in_gc = true;
-    rt.flush_alloc_cache();
     if rt.config.heap_shrink_factor.is_some() {
         rt.heap.sort_free_list();
     }

@@ -71,8 +71,8 @@
 //! still in flight ([`finish_sliced`]).
 
 use crate::gc::{
-    evacuate_with, finish_collection, flip_all, scan_stack_box_with, sweep_lobjs_all, EvacPolicy,
-    FlipInfo, GcState,
+    evacuate_with, finish_collection, flip_all, scan_heap_box_with, scan_stack_box_with,
+    sweep_lobjs_all, EvacPolicy, FlipInfo, GcState,
 };
 use crate::heap::{PAGE_HDR, PAGE_NEXT, PAGE_ORIGIN};
 use crate::lobj::LData;
@@ -180,9 +180,7 @@ impl Rt {
             return v;
         }
         let mut sl = self.sliced.take().expect("checked above");
-        // Keep the GC work out of the mutator allocation statistics, and
-        // make the descriptors accurate for the copy allocation.
-        self.flush_alloc_cache();
+        // A to-space page chained by the copy is not a mutator request.
         self.in_gc = true;
         let start = sl.st.scan_buffer.len().max(sl.st.sb_next);
         let nv = evacuate_with(self, &mut sl.st, v, SlicedEvac);
@@ -254,7 +252,6 @@ pub fn finish_sliced(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]
 /// [`FROM_BIT`], give every region a fresh to-space page, and install the
 /// cross-slice state.
 fn begin(rt: &mut Rt) {
-    rt.flush_alloc_cache();
     if rt.config.heap_shrink_factor.is_some() {
         // Same reasoning as the stop-the-world collector: to-space should
         // fill the arena bottom-up so the post-collection shrink finds
@@ -282,7 +279,6 @@ fn begin(rt: &mut Rt) {
 fn step(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word], force: bool) -> bool {
     let t0 = std::time::Instant::now();
     rt.in_gc = true;
-    rt.flush_alloc_cache();
     let mut sl = rt.sliced.take().expect("no sliced collection in progress");
     sl.slices += 1;
     let budget = if force || sl.slices > MAX_SLICES {
@@ -514,11 +510,7 @@ fn scan_region_budgeted(
         }
         *work += tag.box_words();
         if tag.scannable() {
-            for i in 0..tag.size as u64 {
-                let v = rt.heap.read(s + 1 + i);
-                let nv = evacuate_with(rt, &mut sl.st, v, SlicedEvac);
-                rt.heap.write(s + 1 + i, nv);
-            }
+            scan_heap_box_with(rt, &mut sl.st, s, tag.size, SlicedEvac);
         }
         s += tag.box_words();
     }

@@ -8,7 +8,7 @@
 //! any address is found with a single mask — this is how the collector
 //! finds `regiondesc(p)` (paper §2.4).
 
-use crate::value::{Word, NONE_ADDR};
+use crate::value::{Tag, Word, NONE_ADDR};
 
 /// Offset of the next-page link in a page descriptor.
 pub const PAGE_NEXT: u64 = 0;
@@ -82,6 +82,29 @@ impl Heap {
     #[inline]
     pub fn write(&mut self, addr: u64, v: Word) {
         self.words[addr as usize] = v;
+    }
+
+    /// Writes a box at `addr` — the tag word if `tagged`, the optional
+    /// `lead` word, then `fields` in one slice copy — through a slice of
+    /// the arena, so the range is bounds-checked once.
+    #[inline]
+    pub(crate) fn write_box(
+        &mut self,
+        addr: u64,
+        tagged: bool,
+        tag: Tag,
+        lead: Option<Word>,
+        fields: &[Word],
+    ) {
+        let fixed = tagged as usize + lead.is_some() as usize;
+        let dst = &mut self.words[addr as usize..addr as usize + fixed + fields.len()];
+        if tagged {
+            dst[0] = tag.encode();
+        }
+        if let Some(w) = lead {
+            dst[fixed - 1] = w;
+        }
+        dst[fixed..].copy_from_slice(fields);
     }
 
     /// The base address of the page containing `addr` (paper §2.4's

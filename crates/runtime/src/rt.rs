@@ -47,16 +47,12 @@ pub struct Rt {
     pub(crate) sliced: Option<Box<crate::gc_sliced::SlicedGc>>,
     data_strings: Vec<String>,
     data_interned: HashMap<String, u32>,
-    // Inline bump-allocation cache: the `(a, e)` cursor of the region the
-    // mutator allocated into last, kept out of its descriptor so the hot
-    // path is a single compare-and-bump. While the cache is valid
-    // (`cache_region != u32::MAX`), that descriptor's `a`/`used_words` are
-    // stale; [`Rt::flush_alloc_cache`] writes them back. The cache is
-    // never installed during a collection, so the collector always sees
-    // accurate descriptors (it must flush on entry).
-    cache_region: u32,
-    cache_a: u64,
-    cache_e: u64,
+    /// Total bytes of `data_strings`, kept so the footprint is O(1).
+    data_bytes: usize,
+    /// Footprint observations made (checks that accounting changes keep
+    /// the observation points).
+    #[cfg(test)]
+    mem_observations: u64,
 }
 
 impl Rt {
@@ -75,9 +71,9 @@ impl Rt {
             sliced: None,
             data_strings: Vec::new(),
             data_interned: HashMap::new(),
-            cache_region: u32::MAX,
-            cache_a: 0,
-            cache_e: 0,
+            data_bytes: 0,
+            #[cfg(test)]
+            mem_observations: 0,
             config,
         }
     }
@@ -104,11 +100,6 @@ impl Rt {
     /// Pops the newest region, returning its pages to the free-list in
     /// constant time and freeing its large objects (paper §2.1, §3.1).
     pub fn endregion(&mut self) {
-        // Region ids are stack indices and get reused: a stale cursor for
-        // the popped index must not leak into its successor.
-        if self.cache_region != u32::MAX && self.cache_region as usize + 1 == self.regions.len() {
-            self.flush_alloc_cache();
-        }
         let d = self.regions.pop().expect("region stack underflow");
         if d.fp != NONE_ADDR {
             if self.config.poison {
@@ -169,11 +160,9 @@ impl Rt {
         page
     }
 
-    /// Bump-allocates `nwords` payload words in region `r`, extending the
-    /// region with a fresh page if needed. Returns the word address.
-    ///
-    /// The fast path is a compare-and-bump on the cached cursor; the slow
-    /// path runs on region change and page boundaries.
+    /// Bump-allocates `nwords` payload words in region `r` for the
+    /// mutator, extending the region with a fresh page if needed. Returns
+    /// the word address.
     ///
     /// # Panics
     ///
@@ -181,55 +170,43 @@ impl Rt {
     /// go to the large-object space.
     #[inline]
     pub fn alloc_words(&mut self, r: RegionId, nwords: u64) -> u64 {
-        debug_assert!(nwords > 0);
-        if r.0 == self.cache_region && self.cache_a + nwords <= self.cache_e {
-            let addr = self.cache_a;
-            self.cache_a += nwords;
-            // The cache is never valid inside a collection, so this is
-            // mutator allocation by construction.
-            self.stats.words_allocated += nwords;
-            self.stats.allocations += 1;
-            return addr;
-        }
-        self.alloc_words_slow(r, nwords)
+        self.stats.words_allocated += nwords;
+        self.stats.allocations += 1;
+        self.bump(r, nwords)
     }
 
-    fn alloc_words_slow(&mut self, r: RegionId, nwords: u64) -> u64 {
-        self.flush_alloc_cache();
+    /// The paper's allocator (§2.1): a compare and a bump on the region
+    /// descriptor. Shared by the mutator ([`Rt::alloc_words`], which adds
+    /// the allocation statistics) and the collector's evacuation, whose
+    /// copies are not mutator allocation. A region without pages has
+    /// `a == e`, so it takes the page-extension path like a full one.
+    #[inline]
+    pub(crate) fn bump(&mut self, r: RegionId, nwords: u64) -> u64 {
+        debug_assert!(nwords > 0);
+        let d = &mut self.regions[r.0 as usize];
+        let addr = d.a;
+        if addr + nwords <= d.e {
+            d.a = addr + nwords;
+            d.used_words += nwords;
+            return addr;
+        }
+        self.bump_on_new_page(r, nwords)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn bump_on_new_page(&mut self, r: RegionId, nwords: u64) -> u64 {
         assert!(
             nwords as usize <= self.config.page_data_words(),
             "value of {nwords} words exceeds the region page size"
         );
-        let d = &self.regions[r.0 as usize];
-        if d.fp == NONE_ADDR || d.a + nwords > d.e {
-            self.extend_region(r);
-        }
+        self.stats.page_extensions += 1;
+        self.extend_region(r);
         let d = &mut self.regions[r.0 as usize];
         let addr = d.a;
         d.a += nwords;
         d.used_words += nwords;
-        let (a, e) = (d.a, d.e);
-        if !self.in_gc {
-            self.stats.words_allocated += nwords;
-            self.stats.allocations += 1;
-            self.cache_region = r.0;
-            self.cache_a = a;
-            self.cache_e = e;
-        }
         addr
-    }
-
-    /// Writes the cached bump cursor back into its region descriptor and
-    /// invalidates the cache. Must be called before anything reads a
-    /// descriptor's `a`/`used_words` directly — in particular on collector
-    /// entry and before popping the cached region.
-    pub fn flush_alloc_cache(&mut self) {
-        if self.cache_region != u32::MAX {
-            let d = &mut self.regions[self.cache_region as usize];
-            d.used_words += self.cache_a - d.a;
-            d.a = self.cache_a;
-            self.cache_region = u32::MAX;
-        }
     }
 
     /// Extends region `r` with a fresh page, writing the slack sentinel so
@@ -289,19 +266,35 @@ impl Rt {
     }
 
     /// Reads a word at any address (heap, stack, or large-object array).
+    /// The heap case is inline; everything else is out of line.
     #[inline]
     pub fn read_addr(&self, addr: u64) -> Word {
-        match space_of(addr) {
-            Space::Heap => {
-                let w = self.heap.read(addr);
-                if self.config.poison && (w >> 48) == 0xDEAD {
-                    panic!(
-                        "poison read at {addr:#x}: region r{} was deallocated",
-                        (w >> 16) & 0xFFFF_FFFF
-                    );
-                }
-                w
+        if addr < STACK_BASE {
+            let w = self.heap.read(addr);
+            if w >> 48 == 0xDEAD {
+                self.check_poison(addr, w);
             }
+            return w;
+        }
+        self.read_addr_outside_heap(addr)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn check_poison(&self, addr: u64, w: Word) {
+        if self.config.poison {
+            panic!(
+                "poison read at {addr:#x}: region r{} was deallocated",
+                (w >> 16) & 0xFFFF_FFFF
+            );
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn read_addr_outside_heap(&self, addr: u64) -> Word {
+        match space_of(addr) {
+            Space::Heap => unreachable!("heap reads are inline"),
             Space::Stack => self.stack[(addr - STACK_BASE) as usize],
             Space::Large => {
                 let id = Lobjs::id_of(addr);
@@ -318,8 +311,17 @@ impl Rt {
     /// Writes a word at any address.
     #[inline]
     pub fn write_addr(&mut self, addr: u64, v: Word) {
+        if addr < STACK_BASE {
+            return self.heap.write(addr, v);
+        }
+        self.write_addr_outside_heap(addr, v)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_addr_outside_heap(&mut self, addr: u64, v: Word) {
         match space_of(addr) {
-            Space::Heap => self.heap.write(addr, v),
+            Space::Heap => unreachable!("heap writes are inline"),
             Space::Stack => self.stack[(addr - STACK_BASE) as usize] = v,
             Space::Large => {
                 let id = Lobjs::id_of(addr);
@@ -336,35 +338,47 @@ impl Rt {
     /// Allocates a box with `tag` and `fields` in region `r`.
     ///
     /// In untagged mode the tag word is omitted — fields only.
+    #[inline]
     pub fn alloc_boxed(&mut self, r: RegionId, tag: Tag, fields: &[Word]) -> Word {
-        let n = fields.len() as u64 + self.hdr_words();
-        let addr = self.alloc_words(r, n);
-        let mut at = addr;
-        if self.config.tagged {
-            self.heap.write(at, tag.encode());
-            at += 1;
-        }
-        for f in fields {
-            self.heap.write(at, *f);
-            at += 1;
-        }
+        let words = self.hdr_words() + fields.len() as u64;
+        let addr = self.alloc_words(r, words);
+        self.heap
+            .write_box(addr, self.config.tagged, tag, None, fields);
+        ptr(addr)
+    }
+
+    /// Builds a box in region `r` out of the top `n` words of the operand
+    /// stack, in place: allocates `hdr + [lead] + n` words, writes the
+    /// tag (tagged mode) and the optional `lead` word (a constructor's
+    /// discriminant), moves the operands straight from the stack into the
+    /// page and pops them.
+    #[inline]
+    pub fn alloc_boxed_from_stack(
+        &mut self,
+        r: RegionId,
+        tag: Tag,
+        lead: Option<Word>,
+        n: usize,
+    ) -> Word {
+        let words = self.hdr_words() + lead.is_some() as u64 + n as u64;
+        let addr = self.alloc_words(r, words);
+        let start = self.stack.len() - n;
+        let operands = &self.stack[start..];
+        self.heap
+            .write_box(addr, self.config.tagged, tag, lead, operands);
+        self.stack.truncate(start);
         ptr(addr)
     }
 
     /// Allocates a tuple/closure record.
+    #[inline]
     pub fn alloc_record(&mut self, r: RegionId, fields: &[Word]) -> Word {
         self.alloc_boxed(r, Tag::record(fields.len() as u32), fields)
     }
 
     /// Allocates a boxed real.
     pub fn alloc_real(&mut self, r: RegionId, x: f64) -> Word {
-        let n = 1 + self.hdr_words();
-        let addr = self.alloc_words(r, n);
-        if self.config.tagged {
-            self.heap.write(addr, Tag::real().encode());
-        }
-        self.heap.write(addr + self.hdr_words(), x.to_bits());
-        ptr(addr)
+        self.alloc_boxed(r, Tag::real(), &[x.to_bits()])
     }
 
     /// Reads a boxed real.
@@ -393,6 +407,7 @@ impl Rt {
             return ptr(DATA_BASE + i as u64);
         }
         let i = self.data_strings.len() as u32;
+        self.data_bytes += s.len();
         self.data_strings.push(s.to_string());
         self.data_interned.insert(s.to_string(), i);
         ptr(DATA_BASE + i as u64)
@@ -450,17 +465,20 @@ impl Rt {
 
     // ------------------------------------------------------------ accounting
 
-    /// Total current memory footprint in bytes.
+    /// Total current memory footprint in bytes: four running totals, so
+    /// observing it on every call and `letregion` costs no walk.
+    #[inline]
     pub fn mem_bytes(&self) -> usize {
-        self.heap.bytes()
-            + self.stack.len() * 8
-            + self.lobjs.bytes()
-            + self.data_strings.iter().map(|s| s.len()).sum::<usize>()
+        self.heap.bytes() + self.stack.len() * 8 + self.lobjs.bytes() + self.data_bytes
     }
 
     /// Records the current footprint into the peak statistic.
     #[inline]
     pub fn observe_mem(&mut self) {
+        #[cfg(test)]
+        {
+            self.mem_observations += 1;
+        }
         let b = self.mem_bytes();
         self.stats.observe_bytes(b);
     }
@@ -501,15 +519,8 @@ impl Rt {
 
     /// Words still free in the page the region is currently filling.
     pub fn region_slack(&self, r: RegionId) -> u64 {
-        if r.0 == self.cache_region {
-            return self.cache_e - self.cache_a;
-        }
         let d = &self.regions[r.0 as usize];
-        if d.fp == NONE_ADDR {
-            0
-        } else {
-            d.e - d.a
-        }
+        d.e - d.a
     }
 
     /// `true` if `v` is a pointer into the runtime stack (a finite-region
@@ -697,54 +708,190 @@ mod tests {
         rt.check_page_conservation().unwrap();
     }
 
-    #[test]
-    fn bump_cache_crosses_page_boundaries_and_flushes() {
-        // 16-word pages, 14 payload words; tagged 4-word boxes → 3 per page.
-        let mut rt = Rt::new(RtConfig {
+    /// 16-word pages: 14 payload words each.
+    fn small_pages(cfg: RtConfig) -> Rt {
+        Rt::new(RtConfig {
             page_words_log2: 4,
-            ..RtConfig::rgt()
-        });
+            ..cfg
+        })
+    }
+
+    #[test]
+    fn bump_keeps_the_descriptor_exact_across_page_boundaries() {
+        // Tagged 4-word boxes → 3 per page, 2 words of slack.
+        let mut rt = small_pages(RtConfig::rgt());
         let free0 = rt.heap.free_pages();
         let r = rt.letregion(0);
-        for i in 0..11 {
-            let _ = rt.alloc_record(r, &[rt.tag_int(i), rt.tag_int(i), rt.tag_int(i)]);
+        for i in 0..11u64 {
+            let _ = rt.alloc_record(r, &[rt.tag_int(0), rt.tag_int(0), rt.tag_int(0)]);
+            // No cursor lives outside the descriptor: it is exact after
+            // every allocation, with nothing to write back.
+            let d = &rt.regions[0];
+            assert_eq!(d.used_words, 4 * (i + 1));
+            assert_eq!(d.pages as u64, i / 3 + 1);
+            assert_eq!(rt.region_slack(r), 14 - 4 * (i % 3 + 1));
         }
-        // Stats are exact even while the descriptor cursor is stale.
         assert_eq!(rt.stats.words_allocated, 44);
         assert_eq!(rt.stats.allocations, 11);
-        rt.flush_alloc_cache();
-        let d = &rt.regions[0];
-        assert_eq!(d.used_words, 44);
-        assert_eq!(d.pages, 4, "3 boxes per page, 11 boxes");
+        assert_eq!(
+            rt.stats.page_extensions, 3,
+            "4 pages, the first from letregion"
+        );
         rt.check_page_conservation().unwrap();
         rt.endregion();
         assert_eq!(rt.heap.free_pages(), free0, "all pages returned");
     }
 
     #[test]
-    fn cache_does_not_leak_across_region_reuse() {
-        // Region ids are reused stack indices: popping the cached region
-        // must not let its cursor serve allocations in the successor.
-        let mut rt = Rt::new(RtConfig {
-            page_words_log2: 4,
-            ..RtConfig::rgt()
-        });
+    fn a_reused_region_id_starts_from_a_fresh_page() {
+        // Region ids are reused stack indices: the successor of a popped
+        // region must not inherit its cursor.
+        let mut rt = small_pages(RtConfig::rgt());
         let r1 = rt.letregion(1);
-        let _ = rt.alloc_record(r1, &[rt.tag_int(1)]);
+        for _ in 0..5 {
+            let _ = rt.alloc_record(r1, &[rt.tag_int(1)]);
+        }
         rt.endregion();
         let r2 = rt.letregion(2);
         assert_eq!(r2.0, 0, "index reused");
-        let before = rt.regions[0].used_words;
+        let d = &rt.regions[0];
+        assert_eq!((d.a, d.pages, d.used_words), (d.fp + PAGE_HDR, 1, 0));
         let v = rt.alloc_record(r2, &[rt.tag_int(7), rt.tag_int(8)]);
+        assert_eq!(ptr_addr(v), rt.regions[0].fp + PAGE_HDR);
         assert_eq!(rt.untag_int(rt.field(v, 0)), 7);
         assert_eq!(rt.untag_int(rt.field(v, 1)), 8);
-        rt.flush_alloc_cache();
-        assert_eq!(
-            rt.regions[0].used_words - before,
-            3,
-            "tagged pair in the new region"
-        );
+        assert_eq!(rt.regions[0].used_words, 3, "tagged pair in the new region");
         rt.check_page_conservation().unwrap();
+    }
+
+    #[test]
+    fn alternating_regions_leave_the_fast_path_only_to_extend_a_page() {
+        // `(n, n * 3) :: acc` alternates two regions on every allocation;
+        // neither may pay for the other. 2-word boxes pack a 14-word page
+        // exactly, so pages == ceil(words / payload).
+        let mut rt = small_pages(RtConfig::rt());
+        let ra = rt.letregion(1);
+        let rb = rt.letregion(2);
+        for i in 0..10_000 {
+            let r = if i % 2 == 0 { ra } else { rb };
+            let _ = rt.alloc_record(r, &[rt.tag_int(i)]);
+        }
+        for d in &rt.regions {
+            assert_eq!(d.used_words, 10_000);
+            assert_eq!(d.pages, 10_000usize.div_ceil(14));
+        }
+        // Each region got its first page from `letregion`.
+        let pages: usize = rt.regions.iter().map(|d| d.pages).sum();
+        assert_eq!(rt.stats.page_extensions, pages as u64 - 2);
+        assert_eq!(rt.stats.allocations, 10_000);
+        rt.check_page_conservation().unwrap();
+    }
+
+    #[test]
+    fn in_place_box_equals_alloc_boxed() {
+        let junk = 0xABCD;
+        for cfg in [RtConfig::rgt(), RtConfig::r()] {
+            for lead in [None, Some(scalar(5))] {
+                for n in 0..=8usize {
+                    // `prefill` words already in the page: 0 leaves room,
+                    // 12 of 14 makes every box straddle the page end.
+                    for prefill in [0, 12u64] {
+                        let hdr = cfg.tagged as usize;
+                        if hdr + lead.is_some() as usize + n == 0 {
+                            continue; // no such box
+                        }
+                        let setup = || {
+                            let mut rt = small_pages(cfg.clone());
+                            let r = rt.letregion(0);
+                            if prefill > 0 {
+                                let _ = rt.alloc_words(r, prefill);
+                            }
+                            (rt, r)
+                        };
+                        let operands: Vec<Word> = (0..n as i64).map(|i| scalar(10 + i)).collect();
+                        let tag = Tag::con(3, (lead.is_some() as usize + n) as u32);
+
+                        let (mut a, r) = setup();
+                        a.stack.push(junk);
+                        a.stack.extend_from_slice(&operands);
+                        let va = a.alloc_boxed_from_stack(r, tag, lead, n);
+
+                        let (mut b, r) = setup();
+                        let fields: Vec<Word> = lead.iter().chain(&operands).copied().collect();
+                        let vb = b.alloc_boxed(r, tag, &fields);
+
+                        let ctx = format!(
+                            "tagged={} lead={lead:?} n={n} prefill={prefill}",
+                            cfg.tagged
+                        );
+                        assert_eq!(va, vb, "{ctx}");
+                        assert_eq!(a.heap.words, b.heap.words, "{ctx}: heap image");
+                        assert_eq!(a.stack, [junk], "{ctx}: operands popped, nothing else");
+                        assert_eq!(a.stats.words_allocated, b.stats.words_allocated, "{ctx}");
+                        assert_eq!(a.stats.allocations, b.stats.allocations, "{ctx}");
+                        assert_eq!(a.regions[0].used_words, b.regions[0].used_words, "{ctx}");
+                        let straddles = prefill + (hdr + fields.len()) as u64 > 14;
+                        assert_eq!(a.stats.page_extensions, straddles as u64, "{ctx}");
+                        if straddles && cfg.tagged {
+                            let slack = a.regions[0].fp + PAGE_HDR + prefill;
+                            assert_eq!(a.heap.read(slack), Tag::sentinel_word(), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The footprint as it was computed before `data_bytes` existed.
+    fn mem_bytes_walking(rt: &Rt) -> usize {
+        rt.heap.bytes()
+            + rt.stack.len() * 8
+            + rt.lobjs.bytes()
+            + rt.data_strings.iter().map(|s| s.len()).sum::<usize>()
+    }
+
+    #[test]
+    fn footprint_is_a_running_total_observed_where_it_always_was() {
+        // A program with 1 000 string constants: every observation point
+        // (letregion, page extension, string and array allocation) must
+        // see exactly what a walk over the data segment would have seen.
+        let mut rt = small_pages(RtConfig::rgt());
+        let mut want_peak = 0;
+        let mut want_observations = 0;
+        let mut check = |rt: &Rt, observed: u64| {
+            want_observations += observed;
+            assert_eq!(rt.mem_observations, want_observations);
+            assert_eq!(rt.mem_bytes(), mem_bytes_walking(rt));
+            // Nothing moves the footprint between the last observation
+            // and this check, so the walk reads what that one recorded.
+            if observed > 0 {
+                want_peak = want_peak.max(mem_bytes_walking(rt));
+            }
+            assert_eq!(rt.stats.peak_bytes, want_peak);
+        };
+        let g = rt.letregion(0);
+        check(&rt, 1);
+        for i in 0..1000 {
+            let _ = rt.intern_const_str(&format!("constant number {i}"));
+            let _ = rt.intern_const_str("the same one again");
+            assert_eq!(rt.mem_bytes(), mem_bytes_walking(&rt));
+            let r = rt.letregion(1);
+            check(&rt, 1);
+            rt.stack.push(scalar(i));
+            let extended = rt.stats.page_extensions;
+            for _ in 0..i % 9 {
+                let _ = rt.alloc_record(r, &[scalar(1), scalar(2)]);
+            }
+            check(&rt, rt.stats.page_extensions - extended);
+            if i % 100 == 0 {
+                let _ = rt.alloc_string(g, "x".repeat(i as usize));
+                let _ = rt.alloc_array(r, 10, scalar(0));
+                check(&rt, 2);
+            }
+            rt.endregion();
+            check(&rt, 0);
+        }
+        assert!(rt.data_bytes > 1000 * "constant number ".len());
     }
 
     #[test]

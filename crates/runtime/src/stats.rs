@@ -117,6 +117,10 @@ pub struct RtStats {
     pub words_allocated: u64,
     /// Number of region allocations.
     pub allocations: u64,
+    /// Times the bump allocator left its fast path to chain a fresh page
+    /// onto a region (mutator and collector alike) — the only reason it
+    /// ever does.
+    pub page_extensions: u64,
     /// Words allocated as large objects.
     pub lobj_words_allocated: u64,
     /// Regions pushed (infinite regions only).

@@ -4,17 +4,48 @@
 //! four paper modes — and with the `kit-lambda` reference evaluator on
 //! what the program computes. The corpus-wide and randomized versions
 //! live in `crates/bench/tests` and run from `scripts/verify.sh`.
+//!
+//! The same runs are held to recorded counts ([`PINS`]), so a change to
+//! the machine's *mechanism* (allocator, frame push, collector kernel)
+//! that moves a count fails here, not only in `verify.sh`.
 
 use kit::{oracle, Compiler, DispatchMode, Fusion, Mode};
 use kit_bench::by_name;
 
+/// `[instructions, words_allocated, allocations, gc_count,
+/// gc_copied_words, regions_created]` per mode in [`Mode::ALL`] order,
+/// recorded at `cadf285` (PR 14). A PR that changes the compiler, the
+/// bytecode or the GC schedule on purpose re-records them and says so.
+const PINS: [(&str, i64, [[u64; 6]; 4]); 2] = [
+    (
+        "fib",
+        16,
+        [
+            [39916, 0, 0, 0, 0, 0],
+            [39916, 0, 0, 0, 0, 0],
+            [39916, 0, 0, 0, 0, 1],
+            [39916, 0, 0, 0, 0, 0],
+        ],
+    ),
+    (
+        "churn",
+        12,
+        [
+            [189982, 37750, 15318, 0, 0, 4861],
+            [189982, 53068, 15318, 0, 0, 4861],
+            [175534, 53068, 15318, 3, 40220, 1],
+            [189982, 53068, 15318, 4, 6502, 4861],
+        ],
+    ),
+];
+
 #[test]
 fn oracle_and_production_engine_agree_in_every_mode() {
     let mut collected = false;
-    for (name, scale) in [("fib", 16), ("churn", 12)] {
+    for (name, scale, pins) in PINS {
         let src = by_name(name).unwrap().source_scaled(scale);
         let want = oracle::run_oracle(&src, None).unwrap_or_else(|e| panic!("{name} oracle: {e}"));
-        for mode in Mode::ALL {
+        for (mode, pin) in Mode::ALL.into_iter().zip(pins) {
             let run = |dispatch, fusion| {
                 Compiler::new(mode)
                     .with_dispatch(dispatch)
@@ -31,6 +62,19 @@ fn oracle_and_production_engine_agree_in_every_mode() {
                 reference.output, want.output,
                 "{name} [{mode}] vs evaluator"
             );
+            let s = &reference.stats;
+            assert_eq!(
+                [
+                    reference.instructions,
+                    s.words_allocated,
+                    s.allocations,
+                    s.gc_count,
+                    s.gc_copied_words,
+                    s.regions_created
+                ],
+                pin,
+                "{name} [{mode}]: counts moved from the recorded ones"
+            );
             collected |= reference.stats.gc_count > 0;
             for fusion in [Fusion::Off, Fusion::Full] {
                 let out = run(DispatchMode::Threaded, fusion);
@@ -45,6 +89,11 @@ fn oracle_and_production_engine_agree_in_every_mode() {
                 );
                 assert_eq!(
                     out.stats.words_allocated, reference.stats.words_allocated,
+                    "{ctx}"
+                );
+                assert_eq!(out.stats.allocations, reference.stats.allocations, "{ctx}");
+                assert_eq!(
+                    out.stats.regions_created, reference.stats.regions_created,
                     "{ctx}"
                 );
             }
