@@ -29,6 +29,8 @@
 //! assert!(out.stats.gc_count == out.stats.minor_gcs);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use kit_kam::{Program, Vm, VmError, VmOutcome};
 use kit_lambda::LProgram;
 use kit_region::RegionOptions;

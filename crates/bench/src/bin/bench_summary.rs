@@ -42,16 +42,15 @@
 //! A/B stays intact because a cell never splits across shards.
 //!
 //! `--gc-compare` switches the comparison axis from dispatch engines to
-//! *collector modes*: each (program, mode) cell runs under the serial
-//! collector (`gc_serial`), the parallel collector with four workers
-//! (`gc_par4`), and the sliced bounded-pause collector (`gc_sliced`),
-//! all on the production engine. Every row reports `gc_time_ns`
-//! and the pause quantiles (p50/p99/max from the runtime's log2 pause
-//! histogram), taken as a coherent set from the sample with the least
-//! collector time — the same best-of-N filter throughput gets — so the
-//! JSON answers the two acceptance questions
-//! directly: how much collection time the parallel flip saves, and how
-//! far below the serial max pause the sliced p99 sits. Mutator-visible
+//! *collector modes*: each (program, mode) cell runs under the
+//! stop-the-world collector (`gc_serial`) and the sliced bounded-pause
+//! collector (`gc_sliced`), both on the production engine. Every row
+//! reports `gc_time_ns` and the pause quantiles (p50/p99/max from the
+//! runtime's log2 pause histogram), taken as a coherent set from the
+//! sample with the least collector time — the same best-of-N filter
+//! throughput gets — so the JSON answers the acceptance question
+//! directly: how far below the stop-the-world max pause the sliced p99
+//! sits. Mutator-visible
 //! counters (instructions, words allocated, the result) are asserted
 //! identical across collector modes; the GC counters themselves differ
 //! by design, since the schedule is mode-dependent. Modes default to
@@ -93,15 +92,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// One interpreter configuration under measurement. `gc_workers` and
-/// `gc_slice` select the collector mode (serial / parallel / sliced);
-/// the dispatch-engine comparison leaves both at the serial defaults.
+/// One interpreter configuration under measurement. `gc_slice` selects
+/// the collector mode (stop-the-world / sliced); the dispatch-engine
+/// comparison leaves it at the stop-the-world default.
 #[derive(Clone, Copy)]
 struct Config {
     name: &'static str,
     dispatch: DispatchMode,
     fusion: Fusion,
-    gc_workers: usize,
     gc_slice: Option<u64>,
 }
 
@@ -111,7 +109,6 @@ impl Config {
             name,
             dispatch,
             fusion,
-            gc_workers: 1,
             gc_slice: None,
         }
     }
@@ -122,29 +119,19 @@ const COMPARE: [Config; 2] = [
     Config::dispatch_cmp("threaded_full", DispatchMode::Threaded, Fusion::Full),
 ];
 
-/// The collector-mode comparison (`--gc-compare`): serial vs the
-/// parallel flip (4 workers) vs the sliced bounded-pause collector, all
-/// on the production engine.
-const GC_COMPARE: [Config; 3] = [
+/// The collector-mode comparison (`--gc-compare`): stop-the-world vs the
+/// sliced bounded-pause collector, both on the production engine.
+const GC_COMPARE: [Config; 2] = [
     Config {
         name: "gc_serial",
         dispatch: DispatchMode::Threaded,
         fusion: Fusion::Full,
-        gc_workers: 1,
-        gc_slice: None,
-    },
-    Config {
-        name: "gc_par4",
-        dispatch: DispatchMode::Threaded,
-        fusion: Fusion::Full,
-        gc_workers: 4,
         gc_slice: None,
     },
     Config {
         name: "gc_sliced",
         dispatch: DispatchMode::Threaded,
         fusion: Fusion::Full,
-        gc_workers: 1,
         gc_slice: Some(4096),
     },
 ];
@@ -274,7 +261,6 @@ fn main() {
             name: "pinned",
             dispatch: dispatch.unwrap_or_default(),
             fusion: fusion.unwrap_or_default(),
-            gc_workers: 1,
             gc_slice: None,
         }]
     } else {
@@ -477,10 +463,9 @@ fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -
             let mut compiler = Compiler::new(cell.mode)
                 .with_dispatch(c.dispatch)
                 .with_fusion(c.fusion);
-            if c.gc_workers != 1 || c.gc_slice.is_some() {
+            if let Some(budget) = c.gc_slice {
                 compiler = compiler.with_config(RtConfig {
-                    gc_workers: c.gc_workers,
-                    gc_slice_budget_words: c.gc_slice,
+                    gc_slice_budget_words: Some(budget),
                     ..RtConfig::default()
                 });
             }

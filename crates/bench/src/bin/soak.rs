@@ -6,7 +6,7 @@
 //! oracle vs `Threaded` with full fusion).
 //!
 //! Usage: `cargo run -p kit-bench --release --bin soak --
-//!         [--cases N] [--seed S] [--gc-workers N] [--surface int|full]`
+//!         [--cases N] [--seed S] [--surface int|full]`
 //!
 //! `--surface` selects the generator grammar: `int` (the default) is the
 //! original int-expression generator, kept so historical seeds stay
@@ -18,10 +18,7 @@
 //! Every case is one generated program run in all five execution modes
 //! under the default runtime configuration plus one fuzzed configuration
 //! per mode. The fuzzed configuration draws the collector schedule by
-//! arm — serial, parallel (`gc_workers` ∈ {2, 4}), sliced ({32, 256}
-//! words), or deliberately both at once so the slice-over-workers
-//! precedence is exercised; `--gc-workers N` pins the worker count
-//! instead, for bisecting a parallel-only divergence. A full-surface
+//! arm — stop-the-world or sliced ({32, 256} words). A full-surface
 //! program that fails to compile is also a failure — the generator is
 //! type-directed, so a compile error is a generator bug that would
 //! otherwise silently shrink the differential surface. Any divergence
@@ -52,7 +49,6 @@ fn main() {
                 .or_else(|| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
         })
         .unwrap_or(0x5EED_5041);
-    let pin_workers = flag_val("--gc-workers").and_then(|s| s.parse::<usize>().ok());
     let surface = flag_val("--surface")
         .map(|s| Surface::parse(s).unwrap_or_else(|| panic!("bad --surface {s:?} (int|full)")))
         .unwrap_or(Surface::Int);
@@ -71,13 +67,10 @@ fn main() {
         }
         for mode in Mode::ALL_WITH_BASELINE {
             // Default configuration, then one fuzzed configuration per
-            // mode — tiny pages, aggressive shrink factors, parallel
-            // workers and slice budgets all move the GC schedule, which
-            // must still be engine-invariant.
-            let mut fuzzed = randgen::fuzz_config(&mut rng, mode);
-            if let Some(w) = pin_workers {
-                fuzzed.gc_workers = w;
-            }
+            // mode — tiny pages, aggressive shrink factors and slice
+            // budgets all move the GC schedule, which must still be
+            // engine-invariant.
+            let fuzzed = randgen::fuzz_config(&mut rng, mode);
             for cfg in [None, Some(&fuzzed)] {
                 runs += 1;
                 if let Err(e) = randgen::differential(&src, mode, cfg, FUEL) {

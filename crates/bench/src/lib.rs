@@ -17,6 +17,8 @@
 //! * `fig5`   — region profile of a compile-like workload, Figure 5;
 //! * `bootstrap` — the §4.5 substitute (large symbolic workload).
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod programs;
 pub mod randgen;

@@ -1,7 +1,7 @@
 (* churn — mutation-heavy heap pressure for the collector comparison:
    three tables of ref cells (with distinct element types, so region
-   inference gives each its own spine/cell regions and the parallel
-   collector has several comparably-sized regions to hand out) hold
+   inference gives each its own spine/cell regions and a collection
+   has several comparably-sized regions to copy) hold
    lists that stay live across the whole run, while the loop keeps
    overwriting slots through `:=`. Every collection therefore copies a
    large live set spread over many regions, and every update crosses

@@ -1242,22 +1242,18 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
             major_growth: 2 + rng.below(3) as usize,
         });
     } else {
-        // Collector-mode fuzzing. The four scheduling shapes are drawn
-        // as *arms* rather than independently, so the parallel+sliced
-        // combination — where the documented slice-over-workers
-        // precedence (config.rs) must kick in — is exercised every few
-        // cases instead of only when two independent draws coincide.
-        // Every shape must leave the counters the differential compares
-        // engine-invariant.
-        match rng.below(8) {
-            0..=2 => {} // serial, unsliced
-            3 | 4 => cfg.gc_workers = [2, 4][rng.below(2) as usize],
-            5 => cfg.gc_slice_budget_words = Some([32, 256][rng.below(2) as usize]),
-            _ => {
-                // Both axes set: slices must win and run serially.
-                cfg.gc_workers = [2, 4][rng.below(2) as usize];
-                cfg.gc_slice_budget_words = Some([32, 256][rng.below(2) as usize]);
-            }
+        // Collector-mode fuzzing: stop-the-world or sliced, drawn as
+        // arms. Arms 3, 4, 6 and 7 also drew a parallel worker count
+        // until the parallel collector was deleted (PR 16); that draw is
+        // kept and discarded, so pinned seeds still generate the same
+        // programs. Every shape must leave the counters the differential
+        // compares engine-invariant.
+        let arm = rng.below(8);
+        if matches!(arm, 3 | 4 | 6 | 7) {
+            rng.below(2);
+        }
+        if arm >= 5 {
+            cfg.gc_slice_budget_words = Some([32, 256][rng.below(2) as usize]);
         }
     }
     // Wall-clock deadlines are drawn only at the two differential-safe
@@ -1340,12 +1336,11 @@ pub fn differential(
             format!(
                 "{mode} {dispatch:?} (cfg: {}) on\n{src}",
                 cfg.map_or("default".to_string(), |c| format!(
-                    "pages=2^{} init={} shrink={:?} gen={} workers={} slice={:?}",
+                    "pages=2^{} init={} shrink={:?} gen={} slice={:?}",
                     c.page_words_log2,
                     c.initial_pages,
                     c.heap_shrink_factor,
                     c.generational.is_some(),
-                    c.gc_workers,
                     c.gc_slice_budget_words
                 ))
             )
@@ -1373,9 +1368,8 @@ pub fn differential(
 /// and compares the *mutator-visible* outcome: result, output,
 /// instruction total, and words allocated. The GC counters are
 /// deliberately excluded — the collection schedule is config-dependent
-/// (a parallel flip copies the same objects on a different worker, a
-/// sliced collection finishes at a later safe point), but none of that
-/// may ever leak into what the program computes.
+/// (a sliced collection finishes at a later safe point), but none of
+/// that may ever leak into what the program computes.
 ///
 /// # Errors
 ///
@@ -1440,61 +1434,21 @@ mod tests {
         }
     }
 
-    /// The documented precedence (config.rs): when both `gc_workers > 1`
-    /// and a slice budget are set, the sliced collector runs — serially.
-    /// The run must be bit-identical to the same config with the worker
-    /// count at 1, and must actually take the sliced path (`gc_slices`).
+    /// `fuzz_config` must keep drawing the sliced collector, and must
+    /// consume exactly the random draws it did while a worker count was
+    /// still fuzzed (the pin is the generator state the parent of PR 16
+    /// reaches), or every pinned soak seed would name a different program.
     #[test]
-    fn slice_budget_takes_precedence_over_workers() {
-        let src = "fun build 0 = nil | build n = (n, n * 7) :: build (n - 1)\n\
-                   fun sum ([], a) = a | sum ((x, y) :: t, a) = sum (t, a + x + y)\n\
-                   fun go (0, a) = a | go (k, a) = go (k - 1, (a + sum (build 120, 0)) mod 65521)\n\
-                   val it = go (40, 0)";
-        let base = RtConfig {
-            initial_pages: 4,
-            page_words_log2: 6,
-            gc_slice_budget_words: Some(64),
-            ..RtConfig::rgt()
-        };
-        let both = RtConfig {
-            gc_workers: 4,
-            ..base.clone()
-        };
-        let run = |cfg: &RtConfig| {
-            Compiler::new(Mode::Rgt)
-                .with_config(cfg.clone())
-                .run_source(src)
-                .unwrap()
-        };
-        let want = run(&base);
-        let got = run(&both);
-        assert!(
-            got.stats.gc_slices > 0,
-            "sliced collector did not run under workers=4 + slice budget"
-        );
-        assert_eq!(want.result, got.result);
-        assert_eq!(want.instructions, got.instructions);
-        assert_eq!(want.stats.gc_count, got.stats.gc_count);
-        assert_eq!(want.stats.gc_slices, got.stats.gc_slices);
-        assert_eq!(want.stats.gc_copied_words, got.stats.gc_copied_words);
-        assert_eq!(want.stats.peak_bytes, got.stats.peak_bytes);
-    }
-
-    /// The deliberate parallel+sliced arm of `fuzz_config` must actually
-    /// come up, for every non-baseline mode.
-    #[test]
-    fn fuzz_config_draws_workers_combined_with_slices() {
+    fn fuzz_config_draws_slices_and_keeps_its_draw_count() {
         let mut rng = SplitMix64::new(1);
-        let mut combined = 0;
-        for _ in 0..200 {
-            let cfg = fuzz_config(&mut rng, Mode::Rgt);
-            if cfg.gc_workers > 1 && cfg.gc_slice_budget_words.is_some() {
-                combined += 1;
-            }
-        }
-        assert!(
-            combined >= 20,
-            "parallel+sliced combination drawn only {combined}/200 times"
-        );
+        let sliced = (0..200)
+            .filter(|_| {
+                fuzz_config(&mut rng, Mode::Rgt)
+                    .gc_slice_budget_words
+                    .is_some()
+            })
+            .count();
+        assert_eq!(sliced, 77, "sliced arm drawn {sliced}/200 times");
+        assert_eq!(rng.next_u64(), 0x9633_714e_1be6_b21b);
     }
 }

@@ -20,8 +20,8 @@ use kit_runtime::RtConfig;
 const FUEL: u64 = 10_000_000;
 
 /// One case: the engine differential under the default config, a
-/// heap-pressure config, the same pressure under the parallel and sliced
-/// collectors, and the cross-collector mutator-equivalence check.
+/// heap-pressure config, the same pressure under the sliced collector,
+/// and the cross-collector mutator-equivalence check.
 fn check_case(case: u64, src: &str, modes: &[Mode]) {
     for &mode in modes {
         randgen::differential(src, mode, None, FUEL).unwrap_or_else(|e| panic!("case {case}: {e}"));
@@ -35,16 +35,9 @@ fn check_case(case: u64, src: &str, modes: &[Mode]) {
     };
     randgen::differential(src, Mode::Rgt, Some(&cfg), FUEL)
         .unwrap_or_else(|e| panic!("case {case}: {e}"));
-    // Same pressure under the parallel and sliced collectors: both
-    // must stay engine-invariant too (the parallel flip is
-    // deterministic round-based, the sliced schedule is driven by the
-    // same safe points in every engine).
-    let par = RtConfig {
-        gc_workers: 4,
-        ..cfg.clone()
-    };
-    randgen::differential(src, Mode::Rgt, Some(&par), FUEL)
-        .unwrap_or_else(|e| panic!("case {case} [workers=4]: {e}"));
+    // Same pressure under the sliced collector: it must stay
+    // engine-invariant too (the sliced schedule is driven by the same
+    // safe points in every engine).
     let sliced = RtConfig {
         gc_slice_budget_words: Some(48),
         ..cfg.clone()
@@ -52,12 +45,12 @@ fn check_case(case: u64, src: &str, modes: &[Mode]) {
     randgen::differential(src, Mode::Rgt, Some(&sliced), FUEL)
         .unwrap_or_else(|e| panic!("case {case} [sliced]: {e}"));
     // And across collectors the mutator-visible outcome must agree:
-    // serial, parallel, and sliced collections reclaim on different
+    // stop-the-world and sliced collections reclaim on different
     // schedules but may never change what the program computes.
     randgen::mutator_equivalence(
         src,
         Mode::Rgt,
-        &[("serial", &cfg), ("workers=4", &par), ("sliced", &sliced)],
+        &[("serial", &cfg), ("sliced", &sliced)],
         FUEL,
     )
     .unwrap_or_else(|e| panic!("case {case}: {e}"));

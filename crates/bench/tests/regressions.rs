@@ -12,104 +12,40 @@
 use kit::{oracle, Compiler, DispatchMode, Mode};
 use kit_runtime::RtConfig;
 
-/// `finish_collection` applied the parallel collector's heap headroom
-/// factor (`PAR_HEADROOM`) whenever `gc_workers > 1` — but a slice
-/// budget routes collection to the *serial* sliced collector regardless
-/// of the worker count (the documented precedence in config.rs). The
-/// result: the same program under `workers=4 + slice` grew the heap 3×
-/// wider than under `workers=1 + slice` and collected 2 times instead
-/// of 6, so `gc_count`, `gc_slices`, `gc_copied_words` and `peak_bytes`
-/// all depended on a worker pool that never ran. Found by the
-/// slice-over-workers precedence test this PR added (the engine
-/// differential could not see it: every engine shares the config, so
-/// they diverged together). Fixed by mirroring the collector dispatch
-/// condition in the headroom policy.
-#[test]
-fn par_headroom_must_not_apply_when_slice_budget_routes_serial() {
-    let src = "fun build 0 = nil | build n = (n, n * 7) :: build (n - 1)\n\
-               fun sum ([], a) = a | sum ((x, y) :: t, a) = sum (t, a + x + y)\n\
-               fun go (0, a) = a | go (k, a) = go (k - 1, (a + sum (build 120, 0)) mod 65521)\n\
-               val it = go (40, 0)";
-    let base = RtConfig {
-        initial_pages: 4,
-        page_words_log2: 6,
-        gc_slice_budget_words: Some(64),
-        ..RtConfig::rgt()
-    };
-    let run = |workers: usize| {
-        Compiler::new(Mode::Rgt)
-            .with_config(RtConfig {
-                gc_workers: workers,
-                ..base.clone()
-            })
-            .run_source(src)
-            .unwrap()
-    };
-    let one = run(1);
-    assert!(
-        one.stats.gc_slices > 0,
-        "reproducer must take the sliced path"
-    );
-    for workers in [2usize, 4] {
-        let w = run(workers);
-        assert_eq!(
-            (
-                &w.result,
-                w.instructions,
-                w.stats.gc_count,
-                w.stats.gc_slices,
-                w.stats.gc_copied_words,
-                w.stats.heap_grows,
-                w.stats.peak_bytes,
-            ),
-            (
-                &one.result,
-                one.instructions,
-                one.stats.gc_count,
-                one.stats.gc_slices,
-                one.stats.gc_copied_words,
-                one.stats.heap_grows,
-                one.stats.peak_bytes,
-            ),
-            "sliced run must be bit-identical at {workers} workers (precedence: slice wins)"
-        );
-    }
-}
-
 /// `letregion` placement collected a marker's bindable region variables
 /// (and the leftover global regions) by iterating a `HashMap`, so the
 /// order regions were pushed at runtime depended on the per-map hash
 /// seed — a fresh compile of the *same source* could produce a
 /// different region-stack layout. Every logical counter still agreed
-/// (the bindings are order-insensitive), but the parallel collector
-/// partitions regions into contiguous-id ranges: a hot region landing
-/// in a different range changes each worker's to-space need, hence the
-/// grant/starvation schedule, hence which arena pages get materialized
-/// — observed as `peak_bytes` wobbling across runs of `professor` at
-/// `gc_workers = 4`, in-process and across processes. Fixed by sorting
-/// both candidate lists; this pins the whole layout chain down.
+/// (the bindings are order-insensitive), but anything that walks
+/// regions by id saw a different stack — first observed through the
+/// since-deleted parallel collector, whose contiguous-id work partition
+/// made `peak_bytes` wobble across runs of `professor`, in-process and
+/// across processes. Fixed by sorting both candidate lists; this pins
+/// the whole layout chain down: the global-region push order of fresh
+/// compiles, and every collection record of the runs on top of it.
 #[test]
-fn region_layout_and_par_gc_peak_are_stable_across_compiles() {
+fn region_layout_and_gc_peak_are_stable_across_compiles() {
     let bench = kit_bench::by_name("professor").expect("professor benchmark exists");
     // Twice the test scale: at test scale the run collected twice only
     // while the unused prelude's global regions each held a page.
     let src = bench.source_scaled(2 * bench.test_scale);
+    // A fresh compile per run: the disassembly carries the `letregion`
+    // binding order and the global-region push order.
     let run = || {
-        Compiler::new(Mode::Rgt)
-            .with_config(RtConfig {
-                gc_workers: 4,
-                ..RtConfig::rgt()
-            })
-            .run_source(&src)
-            .unwrap()
+        let compiler = Compiler::new(Mode::Rgt);
+        let prog = compiler.compile_source(&src).unwrap();
+        let listing = kit_kam::disasm::disassemble(&prog);
+        (compiler.run_program(&prog).unwrap(), listing)
     };
-    let first = run();
+    let (first, first_listing) = run();
     assert!(
         first.stats.gc_count >= 2,
         "reproducer must actually collect"
     );
     for i in 1..3 {
-        let next = run();
+        let (next, listing) = run();
+        assert_eq!(listing, first_listing, "compile {i}: region layout differs");
         assert_eq!(
             (
                 &next.result,
@@ -174,10 +110,6 @@ fn assert_matches_oracle_everywhere(src: &str) {
         let collectors = [
             base.clone(),
             RtConfig {
-                gc_workers: 4,
-                ..base.clone()
-            },
-            RtConfig {
                 gc_slice_budget_words: Some(64),
                 ..base
             },
@@ -185,8 +117,8 @@ fn assert_matches_oracle_everywhere(src: &str) {
         for config in collectors {
             for dispatch in DispatchMode::ALL {
                 let ctx = format!(
-                    "{dispatch:?}, {} initial pages, {} workers, slice {:?}",
-                    config.initial_pages, config.gc_workers, config.gc_slice_budget_words
+                    "{dispatch:?}, {} initial pages, slice {:?}",
+                    config.initial_pages, config.gc_slice_budget_words
                 );
                 let out = Compiler::new(Mode::Rgt)
                     .with_config(config.clone())

@@ -23,6 +23,8 @@
 //! several boxed constructors store a discriminant word in untagged mode,
 //! while in tagged mode the tag word carries the constructor index.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod disasm;
 pub mod fusion_table;

@@ -18,6 +18,8 @@
 //! # Ok::<(), kit::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod oracle;
 
 use kit_kam::render::render_value;

@@ -13,6 +13,8 @@
 //! full system (regions, regions+GC, GC only, generational baseline) must
 //! agree with it.
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod exp;
 pub mod opt;

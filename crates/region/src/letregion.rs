@@ -35,8 +35,9 @@ pub fn place(ann: &mut Annotated) {
     // never occur syntactically (e.g. the regions of string constants) are
     // dropped entirely. `occ` is a HashMap, so the surviving set is sorted:
     // global-region push order must not depend on hash seeding, or the
-    // runtime region stack (and everything downstream of it, like the
-    // parallel collector's work partition) varies from compile to compile.
+    // runtime region stack (and everything downstream of it: the
+    // bytecode listing, region ids in profiles) varies from compile to
+    // compile.
     let mut globals: Vec<(RegVar, Mult)> = occ
         .keys()
         .filter(|r| !bound.contains(r))

@@ -30,6 +30,8 @@
 //!    collapsed onto one global region; finite regions are kept — this is
 //!    the `gt` mode where the collector degenerates to plain Cheney.
 
+#![forbid(unsafe_code)]
+
 pub mod annotate;
 mod freevars;
 pub mod letregion;

@@ -38,16 +38,10 @@ pub struct RtConfig {
     /// Generational collection policy (the SML/NJ-substitute baseline);
     /// `None` selects the paper's Cheney-for-regions collector.
     pub generational: Option<GenPolicy>,
-    /// Number of collector threads for the Cheney-for-regions collector.
-    /// `1` (the default) runs the exact serial collector; `> 1` partitions
-    /// live regions across a deterministic worker pool (DESIGN.md §6g).
-    /// Ignored by the generational baseline and by sliced collection.
-    pub gc_workers: usize,
     /// Incremental collection: bound the scan work done per pause to this
     /// many words and resume the collection at subsequent `GcCheck` safe
     /// points. `None` (the default) collects in one stop-the-world pause.
-    /// Ignored by the generational baseline; takes precedence over
-    /// `gc_workers` (slices run serially). Sound only for programs that
+    /// Ignored by the generational baseline. Sound only for programs that
     /// keep their infinite regions: `kit::Compiler::with_config` drops
     /// it in `gt` (DESIGN.md §6g).
     pub gc_slice_budget_words: Option<u64>,
@@ -154,7 +148,6 @@ impl RtConfig {
             large_object_words: 128,
             profile: false,
             generational: None,
-            gc_workers: 1,
             gc_slice_budget_words: None,
             poison: false,
             max_heap_pages: None,

@@ -47,7 +47,7 @@ pub(crate) trait EvacPolicy: Copy {
 /// Full collection: every heap object is in from-space and is copied into
 /// the region its page originated from (paper §2.4).
 #[derive(Clone, Copy)]
-pub(crate) struct FullEvac;
+struct FullEvac;
 
 impl EvacPolicy for FullEvac {
     #[inline]
@@ -59,7 +59,7 @@ impl EvacPolicy for FullEvac {
 /// Generational phase: only objects on pages stamped [`FROM_MARK`] move —
 /// into the promotion target — and everything else stays put.
 #[derive(Clone, Copy)]
-pub(crate) struct GenEvac {
+struct GenEvac {
     to: RegionId,
 }
 
@@ -88,9 +88,6 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
         rt.config.tagged,
         "garbage collection requires tagged values"
     );
-    if rt.config.gc_workers > 1 && rt.config.gc_slice_budget_words.is_none() {
-        return crate::gc_par::collect_parallel(rt, root_slots, extra_roots);
-    }
     let t0 = std::time::Instant::now();
     rt.in_gc = true;
     if rt.config.heap_shrink_factor.is_some() {
@@ -126,9 +123,10 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     finish_collection(rt, &flip, st.copied, lobjs_freed, t0);
 }
 
-/// Accounting + flip shared by the serial and parallel full collectors:
-/// detaches every region's page list into one global from-space and gives
-/// every region a fresh to-space page (the paper gives each one eagerly).
+/// Accounting + flip shared by the stop-the-world and sliced full
+/// collectors: detaches every region's page list into one global
+/// from-space and gives every region a fresh to-space page (the paper
+/// gives each one eagerly).
 #[derive(Debug)]
 pub(crate) struct FlipInfo {
     /// Head of the detached from-space page chain (`NONE_ADDR` if empty).
@@ -141,9 +139,6 @@ pub(crate) struct FlipInfo {
     pub(crate) waste_words: u64,
     /// Total payload words of the detached pages.
     pub(crate) from_space_words: u64,
-    /// Pages each region contributed, indexed by region id (the parallel
-    /// collector's partitioning weight).
-    pub(crate) region_from_pages: Vec<usize>,
 }
 
 pub(crate) fn flip_all(rt: &mut Rt) -> FlipInfo {
@@ -151,9 +146,7 @@ pub(crate) fn flip_all(rt: &mut Rt) -> FlipInfo {
     let page_payload = (rt.heap.page_words() - PAGE_HDR as usize) as u64;
     let mut waste_words = 0u64;
     let mut from_pages = 0usize;
-    let mut region_from_pages = Vec::with_capacity(rt.regions.len());
     for d in &rt.regions {
-        region_from_pages.push(d.pages);
         from_pages += d.pages;
         waste_words += d.pages as u64 * page_payload - d.used_words;
     }
@@ -194,13 +187,12 @@ pub(crate) fn flip_all(rt: &mut Rt) -> FlipInfo {
         from_pages,
         waste_words,
         from_space_words,
-        region_from_pages,
     }
 }
 
-/// Full-collection epilogue shared by the serial and parallel collectors:
-/// releases the from-space, applies the heap-sizing policy and records the
-/// collection in the statistics.
+/// Full-collection epilogue shared by the stop-the-world and sliced
+/// collectors: releases the from-space, applies the heap-sizing policy and
+/// records the collection in the statistics.
 pub(crate) fn finish_collection(
     rt: &mut Rt,
     flip: &FlipInfo,
@@ -216,24 +208,7 @@ pub(crate) fn finish_collection(
 
     // ---- post-collection policy and statistics.
     let live_pages: usize = rt.regions.iter().map(|d| d.pages).sum();
-    // Parallel mode trades memory for collection time deliberately: the
-    // headroom factor widens the garbage budget between collections
-    // (collector work per allocated byte falls as `live / (heap − live)`
-    // does), so the farmed-out collections are fewer and each one finds
-    // more of the short-lived garbage already dead. `gc_workers == 1`
-    // keeps the serial policy bit-for-bit. The condition must mirror the
-    // collector dispatch exactly: a slice budget routes collection to the
-    // serial sliced collector even when `gc_workers > 1` (documented
-    // precedence, config.rs), and that run must be bit-identical to the
-    // same config with one worker — so the parallel headroom may not
-    // apply when the parallel collector never runs.
-    let headroom = if rt.config.gc_workers > 1 && rt.config.gc_slice_budget_words.is_none() {
-        PAR_HEADROOM
-    } else {
-        1.0
-    };
-    let want_total =
-        ((live_pages as f64) * rt.config.heap_to_live_ratio * headroom).ceil() as usize;
+    let want_total = ((live_pages as f64) * rt.config.heap_to_live_ratio).ceil() as usize;
     if rt.heap.total_pages() < want_total {
         rt.heap.grow(want_total - rt.heap.total_pages());
         rt.stats.heap_grows += 1;
@@ -302,11 +277,6 @@ pub(crate) fn sweep_lobjs_all(rt: &mut Rt) -> usize {
     }
     lobjs_freed
 }
-
-/// Heap-to-live multiplier applied on top of `heap_to_live_ratio` when
-/// the parallel collector is active (`gc_workers > 1`): the space half
-/// of the collector's space-time tradeoff, see `finish_collection`.
-const PAR_HEADROOM: f64 = 3.0;
 
 /// Absolute minimum width of the shrink hysteresis band, in pages.
 const MIN_SHRINK_BAND: usize = 2;
@@ -499,9 +469,8 @@ fn collect_phase(
     rt.stats.gc_copied_words += st.copied;
 }
 
-/// Shared scan-loop state (paper §2.5). The serial, generational and
-/// sliced collectors all use one of these; the parallel collector keeps
-/// one per worker.
+/// Shared scan-loop state (paper §2.5): the full, generational and sliced
+/// collectors all use one of these.
 #[derive(Debug)]
 pub(crate) struct GcState {
     /// Scan pointers of partially-scanned regions (at most one per region).
@@ -627,7 +596,7 @@ pub(crate) fn scan_heap_box_with<P: EvacPolicy>(
 }
 
 /// Scans a large array in place.
-pub(crate) fn scan_large_array_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, id: u32, p: P) {
+fn scan_large_array_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, id: u32, p: P) {
     let len = match &rt.lobjs.get(id).data {
         LData::Arr(a) => a.len(),
         LData::Str(_) => return,
@@ -651,7 +620,7 @@ pub(crate) fn scan_large_array_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState
 /// identified through the origin pointer of the scan page — for the
 /// generational policy that is always the promotion target, whose pages
 /// are stamped with its id.
-pub(crate) fn cheney_region_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, mut s: u64, p: P) {
+fn cheney_region_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, mut s: u64, p: P) {
     let pw = rt.heap.page_words() as u64;
     let page = rt.heap.page_base(s);
     let r = RegionId(rt.heap.read(page + PAGE_ORIGIN) as u32);
@@ -691,7 +660,7 @@ pub(crate) fn cheney_region_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, m
 /// `collect_regions` (paper §2.5): alternate between the scan buffer
 /// (finite regions and large objects, traversed in place) and the scan
 /// stack (one region at a time) until both are exhausted.
-pub(crate) fn drain_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, p: P) {
+fn drain_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, p: P) {
     loop {
         let mut progressed = false;
         while st.sb_next < st.scan_buffer.len() {

@@ -22,9 +22,9 @@ pub const PAGE_HDR: u64 = 2;
 pub struct Heap {
     pub(crate) words: Vec<Word>,
     page_words: usize,
-    pub(crate) free_head: u64,
-    pub(crate) free_count: usize,
-    pub(crate) total_pages: usize,
+    free_head: u64,
+    free_count: usize,
+    total_pages: usize,
     /// `true` while the free-list is known to be in ascending address
     /// order (set by [`Heap::sort_free_list`], cleared by any operation
     /// that may disturb the order), so redundant re-sorts are skipped.
@@ -153,7 +153,7 @@ impl Heap {
             let n = (self.total_pages / 4).max(32);
             self.grow(n);
         }
-        let page = self.pop_free_page().expect("free_count is nonzero");
+        let page = self.pop_free_page();
         self.write(page + PAGE_NEXT, NONE_ADDR);
         self.write(page + PAGE_ORIGIN, origin);
         page
@@ -204,9 +204,8 @@ impl Heap {
     /// the physical tail can be returned (pages are indices into one
     /// contiguous arena), so the shrink stops at the first in-use tail
     /// page. Two passes over the free-list regardless of how many pages
-    /// come off — a per-page rescan would be quadratic when the parallel
-    /// collector's pool reserve inflates the arena by tens of thousands
-    /// of pages and the policy releases them all at once.
+    /// come off — a per-page rescan would be quadratic when the policy
+    /// releases tens of thousands of pages at once.
     pub fn release_tail(&mut self, max: usize) -> usize {
         if max == 0 || self.total_pages <= 1 {
             return 0;
@@ -261,9 +260,9 @@ impl Heap {
         self.free_count -= released;
         self.total_pages -= released;
         self.words.truncate(self.total_pages * self.page_words);
-        // Capacity is deliberately kept: the parallel collector's headroom
-        // policy grows and shrinks the heap every collection, so freeing
-        // the backing store here would turn each collection into an
+        // Capacity is deliberately kept: a workload whose live set swings
+        // grows and shrinks the heap collection after collection, and
+        // freeing the backing store here would turn each swing into an
         // munmap / refault / realloc-copy cycle. The arena keeps its
         // high-water backing and rematerializes pages for free.
         released + virgin
@@ -282,45 +281,32 @@ impl Heap {
         self.words.len() * 8
     }
 
-    /// Pops one page off the free-list without stamping it, or `None` if
-    /// no free page exists. The linked list is drained first; virgin
-    /// pages then materialize bottom-up, one page's worth of storage at a
-    /// time (`Vec` doubling amortizes the reallocations). Both orders
-    /// ascend, so `sorted` stays valid. The parallel collector uses this
-    /// to carve per-worker page pools before spawning.
-    pub(crate) fn pop_free_page(&mut self) -> Option<u64> {
+    /// Pops one page off the free-list without stamping it; the caller
+    /// ([`Heap::alloc_page`]) has made sure one exists. The linked list
+    /// is drained first; virgin pages then materialize bottom-up, one
+    /// page's worth of storage at a time (`Vec` doubling amortizes the
+    /// reallocations). Both orders ascend, so `sorted` stays valid.
+    fn pop_free_page(&mut self) -> u64 {
+        debug_assert!(self.free_count > 0);
+        self.free_count -= 1;
         if self.free_head != NONE_ADDR {
             let page = self.free_head;
             self.free_head = self.read(page + PAGE_NEXT);
-            self.free_count -= 1;
-            return Some(page);
+            return page;
         }
-        if self.virgin_pages() > 0 {
-            // Reserve backing for the whole span in one step, so at most
-            // one reallocation (arena memcpy) happens per policy grow —
-            // and it happens here, on the first allocation that needs the
-            // new pages (almost always a mutator allocation), not inside
-            // a collection pause.
-            let span = self.total_pages * self.page_words;
-            if span > self.words.capacity() {
-                let len = self.words.len();
-                self.words.reserve(span - len);
-            }
-            let base = self.words.len() as u64;
-            self.words.resize(self.words.len() + self.page_words, 0);
-            self.free_count -= 1;
-            return Some(base);
+        // Reserve backing for the whole span in one step, so at most one
+        // reallocation (arena memcpy) happens per policy grow — and it
+        // happens here, on the first allocation that needs the new pages
+        // (almost always a mutator allocation), not inside a collection
+        // pause.
+        let span = self.total_pages * self.page_words;
+        if span > self.words.capacity() {
+            let len = self.words.len();
+            self.words.reserve(span - len);
         }
-        None
-    }
-
-    /// Pushes one page back onto the free-list head (the inverse of
-    /// [`Heap::pop_free_page`], for unused pool pages).
-    pub(crate) fn push_free_page(&mut self, page: u64) {
-        self.sorted = false;
-        self.write(page + PAGE_NEXT, self.free_head);
-        self.free_head = page;
-        self.free_count += 1;
+        let base = self.words.len() as u64;
+        self.words.resize(self.words.len() + self.page_words, 0);
+        base
     }
 }
 
@@ -439,19 +425,6 @@ mod tests {
         let mut sorted = pages.clone();
         sorted.sort_unstable();
         assert_eq!(pages, sorted);
-    }
-
-    #[test]
-    fn pop_and_push_free_pages_round_trip() {
-        let mut h = Heap::new(64, 4);
-        let before = h.free_pages();
-        let a = h.pop_free_page().unwrap();
-        let b = h.pop_free_page().unwrap();
-        assert_eq!(h.free_pages(), before - 2);
-        h.push_free_page(b);
-        h.push_free_page(a);
-        assert_eq!(h.free_pages(), before);
-        assert_eq!(h.pop_free_page(), Some(a), "LIFO restore");
     }
 
     #[test]

@@ -37,9 +37,10 @@
 //! rt.endregion();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod gc;
-mod gc_par;
 pub mod gc_sliced;
 pub mod heap;
 pub mod lobj;

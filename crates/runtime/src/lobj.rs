@@ -32,7 +32,7 @@ pub struct Lobj {
 /// The large-object table.
 #[derive(Debug, Default)]
 pub struct Lobjs {
-    pub(crate) table: Vec<Option<Lobj>>,
+    table: Vec<Option<Lobj>>,
     free_ids: Vec<u32>,
     bytes: usize,
 }

@@ -571,23 +571,6 @@ mod tests {
         Rt::new(RtConfig::rgt())
     }
 
-    /// Send audit: the parallel collector ([`crate::gc_par`]) hands `&mut
-    /// Rt` to scoped worker threads through a raw-pointer wrapper whose
-    /// `unsafe impl Send` is only sound if every piece of runtime state
-    /// is itself `Send` — no `Rc`, no thread-bound interior mutability.
-    /// This compiles (or doesn't); the assertions at runtime are free.
-    #[test]
-    fn runtime_state_is_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<Rt>();
-        assert_send::<crate::heap::Heap>();
-        assert_send::<RegionDesc>();
-        assert_send::<crate::lobj::Lobjs>();
-        assert_send::<RtConfig>();
-        assert_send::<RtStats>();
-        assert_send::<crate::gc_sliced::SlicedGc>();
-    }
-
     #[test]
     fn letregion_endregion_conserves_pages() {
         let mut rt = rt();

@@ -26,6 +26,8 @@
 //! work instead of dropping it, and misbehaving connections (slowloris,
 //! stalled readers, mid-frame deaths) are reaped on typed budgets.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod load;
 pub mod server;

@@ -20,6 +20,8 @@
 //! # Ok::<(), kit_syntax::SyntaxError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -29,6 +29,8 @@
 //! # Ok::<(), kit_typing::TypeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builtins;
 pub mod infer;
 pub mod lower;

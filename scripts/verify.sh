@@ -38,31 +38,27 @@ echo "    disassemble to the recorded bytecode, region programs equal up"
 echo "    to renaming (release)"
 cargo test --release -p kit-bench --test compile_identity -q
 
-echo "==> collector equivalence: parallel + sliced GC tests (release)"
+echo "==> collector tests: full, generational and sliced (release)"
 cargo test --release -p kit-runtime -q gc
 
 echo "==> soak: short config-fuzzing run (all modes, both engines;"
-echo "    gc_workers fuzzed over {1,2,4}, slice budget fuzzed on/off)"
+echo "    slice budget fuzzed on/off)"
 cargo run --release -p kit-bench --bin soak -- --cases 25 --seed 0x5EED0400
-
-echo "==> soak: parallel collector pinned (gc_workers=4)"
-cargo run --release -p kit-bench --bin soak -- \
-    --cases 15 --seed 0x5EED0600 --gc-workers 4
 
 echo "==> soak: full-surface generator (datatypes, arrays past the"
 echo "    large-object threshold, strings, reals, refs, nested handlers;"
-echo "    all modes, both engines, fuzzed workers/slice incl. combined)"
+echo "    all modes, both engines, fuzzed slice budget)"
 cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR14.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR15.json, both"
 echo "    engines (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --samples 1 --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR14.json --out /tmp/bench_counts.json
+    --check-counts BENCH_PR15.json --out /tmp/bench_counts.json
 rm -f /tmp/bench_counts.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"

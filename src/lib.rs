@@ -15,4 +15,6 @@
 //! # Ok::<(), mlkit_rgc::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use kit::*;

@@ -8,9 +8,13 @@
 //! The same runs are held to recorded counts ([`PINS`]), so a change to
 //! the machine's *mechanism* (allocator, frame push, collector kernel)
 //! that moves a count fails here, not only in `verify.sh`.
+//!
+//! The collector is one more input: the three collectors that share the
+//! kernel (full, generational, sliced) each run churn on both engines.
 
-use kit::{oracle, Compiler, DispatchMode, Fusion, Mode};
+use kit::{oracle, Compiler, DispatchMode, Fusion, Mode, Outcome, RtConfig};
 use kit_bench::by_name;
+use kit_runtime::config::GenPolicy;
 
 /// `[instructions, words_allocated, allocations, gc_count,
 /// gc_copied_words, regions_created]` per mode in [`Mode::ALL`] order,
@@ -103,4 +107,72 @@ fn oracle_and_production_engine_agree_in_every_mode() {
         collected,
         "no run collected: the GC counters were never tested"
     );
+}
+
+/// Everything deterministic an [`Outcome`] counts: the instruction total
+/// and the whole of `RtStats` with its three wall-clock fields blanked.
+fn counters(out: &Outcome) -> String {
+    let mut stats = out.stats.clone();
+    stats.gc_time_ns = 0;
+    stats.gc_pause_max_ns = 0;
+    stats.gc_pause_hist = Default::default();
+    format!("{} instructions, {stats:?}", out.instructions)
+}
+
+/// The collector axis. The full and sliced collectors run in `rgt`; the
+/// generational one needs the single program region of `Mode::Baseline`
+/// (the VM asserts it). Each must collect, compute what the reference
+/// evaluator computes, and count the same on both engines.
+#[test]
+fn every_collector_agrees_with_the_evaluator_on_both_engines() {
+    let src = by_name("churn").unwrap().source_scaled(12);
+    let want = oracle::run_oracle(&src, None).unwrap_or_else(|e| panic!("churn oracle: {e}"));
+    let collectors = [
+        ("full", Mode::Rgt, RtConfig::rgt()),
+        (
+            "generational",
+            Mode::Baseline,
+            RtConfig {
+                generational: Some(GenPolicy::default()),
+                ..RtConfig::rgt()
+            },
+        ),
+        (
+            "sliced",
+            Mode::Rgt,
+            RtConfig {
+                gc_slice_budget_words: Some(64),
+                ..RtConfig::rgt()
+            },
+        ),
+    ];
+    for (collector, mode, config) in collectors {
+        let run = |dispatch| {
+            Compiler::new(mode)
+                .with_config(config.clone())
+                .with_dispatch(dispatch)
+                .run_source(&src)
+                .unwrap_or_else(|e| panic!("churn [{collector}] {dispatch:?}: {e}"))
+        };
+        let [reference, production] = DispatchMode::ALL.map(run);
+        for out in [&reference, &production] {
+            assert_eq!(out.result, want.result, "churn [{collector}] vs evaluator");
+            assert_eq!(out.output, want.output, "churn [{collector}] vs evaluator");
+        }
+        assert_eq!(
+            counters(&production),
+            counters(&reference),
+            "churn [{collector}]: engines count differently"
+        );
+        let s = &reference.stats;
+        assert!(s.gc_count > 0, "churn [{collector}] never collected");
+        assert_eq!(
+            (s.minor_gcs > 0, s.gc_slices > 0),
+            (
+                config.generational.is_some(),
+                config.gc_slice_budget_words.is_some()
+            ),
+            "churn [{collector}] ran a different collector"
+        );
+    }
 }
