@@ -12,7 +12,10 @@
 //! * [`Surface::Full`] — a type-directed generator over the whole MiniML
 //!   surface: recursive and mutually recursive functions (region-
 //!   polymorphic list/tree/shape builders called from many allocation
-//!   sites), user datatypes with `SwitchCon`-heavy matches, lists,
+//!   sites), a curried recursive function that is called saturated,
+//!   partially applied (bound to a `val`, passed to `map`) and given an
+//!   effectful first argument — the optimiser's uncurrying and its eta
+//!   wrappers —, user datatypes with `SwitchCon`-heavy matches, lists,
 //!   tuples, refs, arrays (including ones past the large-object
 //!   threshold), strings, reals, deep nested `handle` chains,
 //!   finite-region tuple bindings held live across allocating
@@ -182,6 +185,9 @@ struct Gen<'r> {
     rng: &'r mut SplitMix64,
     /// Functions generated so far; bodies may call any of these.
     fns: Vec<FnSig>,
+    /// Index in `fns` of the one declared `fun f a b ...`: call sites apply
+    /// it one argument at a time, and `partial` to all but the last.
+    curried: Option<usize>,
     /// Fresh-variable counter (`v0`, `v1`, ...).
     fresh: u32,
     /// Remaining calls to generated functions in the current top-level
@@ -200,6 +206,7 @@ impl<'r> Gen<'r> {
         Gen {
             rng,
             fns: Vec::new(),
+            curried: None,
             fresh: 0,
             calls: 0,
             big_len,
@@ -251,7 +258,8 @@ impl<'r> Gen<'r> {
             return None;
         }
         self.calls -= 1;
-        let f = self.fns[cands[self.rng.below(cands.len() as u64) as usize]].clone();
+        let fi = cands[self.rng.below(cands.len() as u64) as usize];
+        let f = self.fns[fi].clone();
         let mut args = Vec::new();
         for (i, &p) in f.params.iter().enumerate() {
             let mut a = self.expr(env, p, d.saturating_sub(1));
@@ -262,7 +270,40 @@ impl<'r> Gen<'r> {
             }
             args.push(a);
         }
-        Some(format!("({} ({}))", f.name, args.join(", ")))
+        let between = if self.curried == Some(fi) {
+            ") ("
+        } else {
+            ", "
+        };
+        Some(format!("({} ({}))", f.name, args.join(between)))
+    }
+
+    /// `f a` (or `f a b` for a three-parameter `f`) for a curried generated
+    /// function `f`, if one exists and the call budget allows: a function
+    /// of the last parameter. The first argument is clamped like any
+    /// bounded one and, half of the time, preceded by an effect — which
+    /// must happen once, where the partial application is evaluated, and
+    /// not once per call of the result.
+    fn partial(&mut self, env: &mut Vec<(String, Ty)>, d: u32) -> Option<String> {
+        let i = self.curried?;
+        if self.calls == 0 {
+            return None;
+        }
+        self.calls -= 1;
+        let f = self.fns[i].clone();
+        let (_, m) = f.bounded.expect("the curried kind is counter-driven");
+        let first = self.expr(env, Ty::Int, d.saturating_sub(1));
+        let mut app = if self.rng.bool() {
+            let u = self.unit(env, 1);
+            format!("{} (let val _ = {u} in ({first}) mod {m} end)", f.name)
+        } else {
+            format!("{} (({first}) mod {m})", f.name)
+        };
+        for _ in 2..f.params.len() {
+            let a = self.expr(env, Ty::Int, d.saturating_sub(1));
+            app.push_str(&format!(" ({a})"));
+        }
+        Some(format!("({app})"))
     }
 
     /// A leaf (depth-0) expression of type `ty`.
@@ -337,7 +378,7 @@ impl<'r> Gen<'r> {
         if d == 0 {
             return self.leaf(env, Ty::Int);
         }
-        match self.rng.below(31) {
+        match self.rng.below(33) {
             0..=2 => self.leaf(env, Ty::Int),
             3..=5 => {
                 let a = self.expr(env, Ty::Int, d - 1);
@@ -596,6 +637,24 @@ impl<'r> Gen<'r> {
                      in {r} + length (upto (1, {grow} + {r} mod 7)) end)"
                 )
             }
+            // A partial application held in a `val` and applied twice.
+            29 => match self.partial(env, d) {
+                Some(pa) => {
+                    let h = self.fresh();
+                    let a = self.expr(env, Ty::Int, d - 1);
+                    let b = self.expr(env, Ty::Int, d - 1);
+                    format!("(let val {h} = {pa} in ({h} ({a}) + {h} ({b})) mod 65521 end)")
+                }
+                None => self.leaf(env, Ty::Int),
+            },
+            // ... and one mapped over a list, every result observed.
+            30 => match self.partial(env, d) {
+                Some(pa) => {
+                    let l = self.expr(env, Ty::IntList, d - 1);
+                    format!("(foldl (fn (x, s) => (x + s) mod 65521) 0 (map {pa} ({l})))")
+                }
+                None => self.leaf(env, Ty::Int),
+            },
             // Handler chains: random arm subsets over a raising body, so
             // some raises are caught here, some a frame up, some never.
             _ => {
@@ -1113,6 +1172,35 @@ impl<'r> Gen<'r> {
                     bounded: Some((0, 6)),
                 });
             }
+            // Curried counter-driven recursion of two or three parameters:
+            // the self-call is saturated, `call` sites are saturated, and
+            // `partial` applies it to all but its last argument.
+            11 => {
+                let name = format!("fcu{i}");
+                let n = 2 + self.rng.below(2) as usize;
+                let ps = &["a", "b", "c"][..n];
+                let mut env: Vec<(String, Ty)> =
+                    ps.iter().map(|p| (p.to_string(), Ty::Int)).collect();
+                let base = self.expr(&mut env, Ty::Int, 2);
+                let pre = self.expr(&mut env, Ty::Int, 2);
+                let rest: Vec<String> = (1..n)
+                    .map(|_| format!("({})", self.expr(&mut env, Ty::Int, 1)))
+                    .collect();
+                let op = ["+", "-", "*"][self.rng.below(3) as usize];
+                out.push_str(&format!(
+                    "fun {name} {} = if a < 1 then {base} \
+                     else ((({pre}) {op} {name} (a - 1) {}) mod 65521)\n",
+                    ps.join(" "),
+                    rest.join(" ")
+                ));
+                self.curried = Some(i);
+                self.fns.push(FnSig {
+                    name,
+                    params: vec![Ty::Int; n],
+                    ret: Ty::Int,
+                    bounded: Some((0, 7)),
+                });
+            }
             // A mutually recursive pair.
             _ => {
                 let na = format!("fma{i}");
@@ -1146,10 +1234,10 @@ impl<'r> Gen<'r> {
 /// One random full-surface program. See the module docs for the grammar;
 /// the fixed skeleton is: two datatypes, two exceptions, three mutable
 /// globals (a large-object array, an array of refs, a list ref), five to
-/// nine generated functions (each kind at most once, builders always
-/// present), a generated per-iteration `step`, and a recursive driver
-/// whose handler chain catches everything so raising and non-raising
-/// iterations interleave.
+/// twelve kinds of generated function (each at most once, the builders and
+/// the curried function always present), a generated per-iteration `step`,
+/// and a recursive driver whose handler chain catches everything so raising
+/// and non-raising iterations interleave.
 fn program_full(rng: &mut SplitMix64) -> String {
     let mut g = Gen::new(rng);
     let mut out = String::new();
@@ -1165,9 +1253,10 @@ fn program_full(rng: &mut SplitMix64) -> String {
     out.push_str("val lbox = ref [0]\n");
 
     // The allocating builders are always present (they are what makes
-    // the program exercise the collector); the folds and scalar kinds
+    // the program exercise the collector), and so is the curried function
+    // (what makes it exercise uncurrying); the folds and scalar kinds
     // are drawn at random on top, in a shuffled order so call edges vary.
-    let mut kinds = vec![4, 6, 7, 8];
+    let mut kinds = vec![4, 6, 7, 8, 11];
     for k in [0, 1, 2, 3, 5, 9, 10] {
         if g.rng.below(3) < 2 {
             kinds.push(k);
@@ -1432,6 +1521,27 @@ mod tests {
                 panic!("case {case} does not compile: {e}\n{src}");
             }
         }
+    }
+
+    /// The curried kind must reach every use the optimiser treats
+    /// differently: saturated calls, a partial application bound to a
+    /// `val`, one passed to `map`, and an effect in the first argument.
+    #[test]
+    fn full_surface_programs_use_the_curried_function_every_way() {
+        let mut rng = SplitMix64::new(0x5EED_1700);
+        let (mut saturated, mut held, mut mapped, mut effectful) = (0, 0, 0, 0);
+        for _ in 0..60 {
+            let src = program(&mut rng, Surface::Full);
+            let body = src.split_once("fun fcu").expect("the curried kind").1;
+            saturated += body.matches(" (a - 1) (").count();
+            held += body.matches(" = (fcu").count();
+            mapped += body.matches("(map (fcu").count();
+            effectful += body.matches(" (let val _ = ").count();
+        }
+        assert!(
+            saturated >= 60 && held >= 20 && mapped >= 20 && effectful >= 20,
+            "{saturated} saturated, {held} held, {mapped} mapped, {effectful} effectful"
+        );
     }
 
     /// `fuzz_config` must keep drawing the sliced collector, and must

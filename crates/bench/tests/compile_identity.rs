@@ -10,13 +10,15 @@
 //! region variables is allowed to shrink: regions that never occur in the
 //! program consume no dense numbers).
 //!
-//! The file was last re-recorded by PR 14, which *meant* to change the
-//! bytecode (unreachable top-level bindings are pruned before region
-//! inference; handler arms clear the slots of the bindings a raise
-//! unwound past). The transition was checked before blessing and is
-//! recorded in EXPERIMENTS.md "The price of a compile-cache miss": on all
-//! 710 rows the new `code_len` is smaller, and on the 110 corpus rows
-//! result, output and allocation counts are unchanged.
+//! The file was last re-recorded by PR 17, which *meant* to change the
+//! bytecode (curried `fix`-bound functions are uncurried; formal regions
+//! are no longer global regions) and the generator (a curried function
+//! kind, so all 600 generated rows are other programs). The transition
+//! was checked before blessing and is recorded in EXPERIMENTS.md "PR 17":
+//! 59 of the 110 corpus rows changed, `code_len` is smaller or equal on
+//! every one of them, and result and output are unchanged on all 110;
+//! with the *old* generator the new compiler changes all 600 generated
+//! rows and shortens every one.
 //!
 //! Regenerate (only on a commit whose output is the reference):
 //! `cargo test --release -p kit-bench --test compile_identity -- --ignored bless`

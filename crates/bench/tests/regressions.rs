@@ -208,15 +208,13 @@ fn gt_ignores_a_slice_budget_instead_of_scanning_dead_stack_boxes() {
     });
 }
 
-/// OPEN (ROADMAP "Curried region-polymorphic functions allocate in a
-/// global region"): the same program fails the same way in `rgt`, for a
-/// different reason — `filter`'s inner `fn` does not capture the formal
-/// region it allocates the result in, because `letregion::place` also
-/// lists every formal as a global region and `collect_caps` skips
-/// regions that have a global of their name; the cells land in that
-/// global twin, which is never popped.
+/// The same program used to fail the same way in `rgt`, for a different
+/// reason: `filter`'s inner `fn` did not capture the formal region it
+/// allocates the result in, because `letregion::place` listed every
+/// formal as a global region and `collect_caps` skips globals; the cells
+/// landed in that global twin, which is never popped. Formals are no
+/// longer global (and `filter p l` is one call since PR 17).
 #[test]
-#[ignore = "open defect, see ROADMAP: curried region-polymorphic functions"]
 fn rgt_sliced_survives_a_curried_prelude_function_over_stack_pairs() {
     on_big_stack(|| {
         let want = oracle::run_oracle(HEAP_CELL_OUTLIVES_STACK_PAIR, None).expect("oracle");

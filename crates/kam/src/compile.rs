@@ -968,6 +968,9 @@ fn collect_caps(
                    bound_regs: &BTreeSet<RegVar>,
                    caps: &mut Vec<Cap>,
                    seen_r: &mut BTreeSet<RegVar>| {
+        // A global is addressed by its index from any frame; every other
+        // free region — `letregion`-bound or a formal of an enclosing
+        // function — reaches the closure as a captured handle.
         if bound_regs.contains(&r) || fcx.globals.contains_key(&r) {
             return;
         }

@@ -2,14 +2,24 @@
 //! regions, region-polymorphic calls, escaping `fix` functions (stubs),
 //! and collection at safe points with deep frame stacks.
 
+use kit_kam::instr::{Instr, RegSlot};
 use kit_kam::{compile, Vm};
 use kit_lambda::ty::LTy;
 use kit_region::RegionOptions;
 use kit_runtime::{Rt, RtConfig};
 
 fn run(src: &str, opts: RegionOptions, cfg: RtConfig) -> (String, kit_runtime::RtStats) {
+    run_with(src, opts, cfg, &Default::default())
+}
+
+fn run_with(
+    src: &str,
+    opts: RegionOptions,
+    cfg: RtConfig,
+    optimiser: &kit_lambda::opt::OptOptions,
+) -> (String, kit_runtime::RtStats) {
     let mut lprog = kit_typing::compile_str(src).expect("front-end");
-    kit_lambda::opt::optimize(&mut lprog, &Default::default());
+    kit_lambda::opt::optimize(&mut lprog, optimiser);
     let rprog = kit_region::infer(&lprog, opts);
     let mut prog = compile(&rprog, cfg.tagged);
     prog.result_ty = lprog.result_ty.clone();
@@ -132,6 +142,85 @@ fn region_handles_pass_through_closures() {
          val it = outer 41",
     );
     assert_eq!(res, "42");
+}
+
+/// The bytecode of `src` in `r` mode, and its function table.
+fn compile_r(src: &str) -> kit_kam::Program {
+    let mut lprog = kit_typing::compile_str(src).expect("front-end");
+    kit_lambda::opt::optimize(&mut lprog, &Default::default());
+    compile(
+        &kit_region::infer(&lprog, RegionOptions::regions_only()),
+        false,
+    )
+}
+
+#[test]
+fn an_inner_fn_allocates_in_the_formal_region_it_captured() {
+    // Not uncurriable (a `let` sits between the lambdas) and kept as a
+    // function (it is recursive), so the pair is built by an inner `fn`
+    // whose result region is a formal of `f`: the closure must carry the
+    // caller's actual as a captured handle. It used to resolve the region
+    // to a global of the same name that `letregion::place` listed and
+    // nothing ever popped.
+    let prog = compile_r(
+        "fun f x = if x < 0 then f (x + 1) else let val k = x + 1 in fn y => (k, y) end
+         val it = length (map (f 1) [1, 2, 3])",
+    );
+    let inner = prog.funs.iter().find(|f| f.name == "fn").expect("the fn");
+    let entry = prog.label_addrs[inner.entry];
+    let body: Vec<&Instr> = prog.code[entry..]
+        .iter()
+        .take_while(|i| !matches!(i, Instr::Ret))
+        .collect();
+    let pairs: Vec<RegSlot> = body
+        .iter()
+        .filter_map(|i| match i {
+            Instr::MkRecord { n: 2, at } => Some(*at),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        matches!(pairs[..], [RegSlot::EnvReg(_)]),
+        "the pair's place: {pairs:?} in {body:?}"
+    );
+}
+
+#[test]
+fn map_results_are_freed_with_their_region() {
+    // 10 000 lists of 100 cells, each dead after its `length`: region
+    // inference alone must reclaim them (16.4 MB before formals stopped
+    // being global, when every `map` result outlived the program).
+    let src = "fun f x = x + 1
+         fun loop (n, acc) =
+           if n < 1 then acc
+           else let val k = length (map f (upto (1, 100)))
+                in loop (n - 1, (acc + k) mod 1000) end
+         val it = loop (10000, 0)";
+    let (res, stats) = run(src, RegionOptions::regions_only(), RtConfig::r());
+    assert_eq!(res, "0");
+    assert!(
+        stats.peak_bytes < 1 << 20,
+        "peak {} bytes",
+        stats.peak_bytes
+    );
+    // Unoptimised, `map f` still returns a closure, which finds the
+    // result region among its captures (17.1 MB before).
+    let unoptimised = kit_lambda::opt::OptOptions {
+        enabled: false,
+        ..Default::default()
+    };
+    let (res, stats) = run_with(
+        src,
+        RegionOptions::regions_only(),
+        RtConfig::r(),
+        &unoptimised,
+    );
+    assert_eq!(res, "0");
+    assert!(
+        stats.peak_bytes < 2 << 20,
+        "peak {} bytes",
+        stats.peak_bytes
+    );
 }
 
 #[test]

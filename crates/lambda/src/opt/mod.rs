@@ -7,10 +7,14 @@
 //! * reachability pruning of the top-level declarations ([`prune`]), so
 //!   that every later pass and phase is paid for the code the program
 //!   uses and not for the prelude in front of it,
+//! * uncurrying of `fix`-bound functions ([`uncurry`]): `fun f a b = e`
+//!   takes both arguments at once, saturated calls pass them directly and
+//!   every other occurrence is eta-wrapped,
 //! * constant folding and branch simplification ([`simplify`]),
 //! * dead-binding elimination and atomic-value propagation,
 //! * beta reduction and inlining of functions used exactly once or whose
-//!   bodies are small ([`inline`]).
+//!   bodies are small ([`inline`]),
+//! * flattening of tuple arguments ([`flatten`]), last.
 //!
 //! Passes run to a (bounded) fixpoint. All passes preserve the uniqueness
 //! of [`VarId`]s, which the region-inference phase relies on — and which
@@ -23,6 +27,7 @@ pub mod flatten;
 pub mod inline;
 pub mod prune;
 pub mod simplify;
+pub mod uncurry;
 mod uses;
 
 use crate::exp::LProgram;
@@ -58,6 +63,8 @@ pub struct OptStats {
     pub inlined: usize,
     /// Number of functions whose tuple argument was flattened.
     pub flattened: usize,
+    /// Number of curried functions that now take their arguments at once.
+    pub uncurried: usize,
     /// Rounds executed.
     pub rounds: usize,
     /// Top-level bindings dropped as unreachable before the first round.
@@ -86,6 +93,11 @@ fn optimize_using(prog: &mut LProgram, opts: &OptOptions, mut uses: Uses) -> Opt
     }
     // The pruning walk fills the table; every rewrite below keeps it exact.
     stats.pruned = prune::prune_counting(prog, &mut uses);
+    // Before the first round, so that the inliner sees known n-ary calls
+    // and contraction dissolves the eta wrappers' atomic bindings.
+    stats.uncurried = uncurry::uncurry_with(prog, &mut uses);
+    #[cfg(debug_assertions)]
+    uses.assert_exact(&prog.body, "after uncurrying");
     for _ in 0..opts.max_rounds {
         stats.rounds += 1;
         let r1 = simplify::simplify_with(&mut prog.body, &mut uses);

@@ -6,7 +6,10 @@
 //! expression, from the types of its free variables, and from the global
 //! escape set (program result and exception payloads). Remaining regions
 //! become the program's **global regions** (the paper's `r1`, `r2`, ...),
-//! pushed at program start and popped at exit.
+//! pushed at program start and popped at exit — except the formal regions
+//! of `fix`-bound functions, which no `letregion` binds either: a formal is
+//! bound by its function and stands for the caller's actual, so it is
+//! never global.
 
 use crate::annotate::Annotated;
 #[cfg(test)]
@@ -22,7 +25,8 @@ pub fn place(ann: &mut Annotated) {
     // subtree contains *every* occurrence (otherwise a sibling use — e.g.
     // the actual region of a later call — would be out of scope).
     let mut totals: HashMap<RegVar, usize> = HashMap::new();
-    count_occurrences(&body, &mut totals);
+    let mut formals = BTreeSet::new();
+    count_occurrences(&body, &mut totals, &mut formals);
     let mut bound = BTreeSet::new();
     let occ = walk(
         &mut body,
@@ -31,16 +35,17 @@ pub fn place(ann: &mut Annotated) {
         &totals,
         &mut bound,
     );
-    // Everything not bound anywhere becomes a global region. Regions that
-    // never occur syntactically (e.g. the regions of string constants) are
-    // dropped entirely. `occ` is a HashMap, so the surviving set is sorted:
+    // Everything bound neither here nor by a function becomes a global
+    // region. Regions that never occur syntactically (e.g. the regions of
+    // string constants) are dropped entirely. `occ` is a HashMap, so the
+    // surviving set is sorted:
     // global-region push order must not depend on hash seeding, or the
     // runtime region stack (and everything downstream of it: the
     // bytecode listing, region ids in profiles) varies from compile to
     // compile.
     let mut globals: Vec<(RegVar, Mult)> = occ
         .keys()
-        .filter(|r| !bound.contains(r))
+        .filter(|r| !bound.contains(r) && !formals.contains(r))
         .map(|&r| (r, Mult::Infinite))
         .collect();
     globals.sort_unstable_by_key(|&(r, _)| r);
@@ -48,11 +53,16 @@ pub fn place(ann: &mut Annotated) {
     ann.prog.body = body;
 }
 
-fn count_occurrences(e: &RExp, out: &mut HashMap<RegVar, usize>) {
+/// Counts the occurrences of every region in `e` and collects the formal
+/// regions of its `fix`-bound functions.
+fn count_occurrences(e: &RExp, out: &mut HashMap<RegVar, usize>, formals: &mut BTreeSet<RegVar>) {
     for p in e.own_places() {
         *out.entry(p).or_default() += 1;
     }
-    e.for_each_child(|c| count_occurrences(c, out));
+    if let RExp::Fix { funs, .. } = e {
+        formals.extend(funs.iter().flat_map(|f| f.formals.iter().copied()));
+    }
+    e.for_each_child(|c| count_occurrences(c, out, formals));
 }
 
 /// Bottom-up walk returning the occurrence counts of the subtree; binds
@@ -181,6 +191,83 @@ mod tests {
         };
         place(&mut ann);
         assert_eq!(ann.prog.globals.len(), 1);
+    }
+
+    /// The formal regions of every `fix`-bound function in `e`.
+    fn formals_of(e: &RExp, out: &mut BTreeSet<RegVar>) {
+        if let RExp::Fix { funs, .. } = e {
+            out.extend(funs.iter().flat_map(|f| f.formals.iter().copied()));
+        }
+        e.for_each_child(|c| formals_of(c, out));
+    }
+
+    #[test]
+    fn a_formal_region_is_bound_by_its_function_and_never_global() {
+        use crate::rexp::RFixFun;
+        use kit_lambda::exp::VarId;
+        // fix f[ρ0] x = fn y => (x, y) at ρ0, closure at ρ1   in 0
+        // Nothing binds ρ0 or ρ1 with a letregion; only ρ1 is global.
+        let pair = RExp::Record(vec![RExp::Var(VarId(1)), RExp::Var(VarId(2))], RegVar(0));
+        let inner = RExp::Fn {
+            params: vec![VarId(2)],
+            body: Box::new(pair),
+            at: RegVar(1),
+        };
+        let fix = RExp::Fix {
+            funs: vec![RFixFun {
+                var: VarId(0),
+                formals: vec![RegVar(0)],
+                params: vec![VarId(1)],
+                body: inner,
+            }],
+            body: Box::new(RExp::Int(0)),
+            at: RegVar(2),
+        };
+        let mut ann = Annotated {
+            prog: dummy_prog(fix),
+            marker_escapes: Vec::new(),
+            global_escapes: BTreeSet::new(),
+            stats: Default::default(),
+        };
+        place(&mut ann);
+        let globals: Vec<RegVar> = ann.prog.globals.iter().map(|g| g.0).collect();
+        assert_eq!(globals, [RegVar(1), RegVar(2)]);
+    }
+
+    /// On the 22 corpus programs and 200 generated ones, with and without
+    /// the optimiser (which uncurries: without it `map`, `foldl` and the
+    /// rest keep their inner `fn`s, whose places are the formals that used
+    /// to be listed), with and without §2.6 weakening.
+    #[test]
+    fn no_formal_region_is_global_on_the_corpus_and_generated_programs() {
+        use kit_bench::programs::{self, SplitMix64};
+        use kit_bench::randgen::{self, Surface};
+        let corpus = programs::all()
+            .into_iter()
+            .map(|b| (b.name.to_string(), b.source_scaled(b.test_scale)));
+        let generated = (0..200).map(|i| {
+            let src = randgen::program(&mut SplitMix64::new(0x5EED_1700 + i), Surface::Full);
+            (format!("generated:{i}"), src)
+        });
+        let (mut programs, mut formals_seen) = (0, 0);
+        for (name, src) in corpus.chain(generated) {
+            let lowered = kit_typing::compile_str(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut optimised = lowered.clone();
+            kit_lambda::opt::optimize(&mut optimised, &Default::default());
+            for (lprog, gc_safe) in [(&optimised, true), (&optimised, false), (&lowered, true)] {
+                let mut ann = crate::annotate::annotate(lprog, gc_safe);
+                place(&mut ann);
+                let mut formals = BTreeSet::new();
+                formals_of(&ann.prog.body, &mut formals);
+                formals_seen += formals.len();
+                for (g, _) in &ann.prog.globals {
+                    assert!(!formals.contains(g), "{name}: formal r{} is global", g.0);
+                }
+            }
+            programs += 1;
+        }
+        assert_eq!(programs, 222);
+        assert!(formals_seen > 222 * 10, "only {formals_seen} formals seen");
     }
 
     fn dummy_prog(body: RExp) -> RProgram {

@@ -155,8 +155,9 @@ impl Lower {
         let tree = matchc::compile(&mut mc, &param_vars, rows, &default);
 
         // Curried lowering: the Fix function takes the first parameter and
-        // returns nested lambdas for the rest. (A later optimizer pass
-        // uncurries saturated calls.)
+        // returns directly nested lambdas for the rest — the shape
+        // `kit_lambda::opt::uncurry` folds back into one function of all
+        // the parameters.
         let ptys: Vec<LTy> = f.params.iter().map(|(_, t)| self.lty(t)).collect();
         let ret_lty = self.lty(&f.ret);
         let mut body = tree;

@@ -52,13 +52,13 @@ cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR15.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR17.json, both"
 echo "    engines (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --samples 1 --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR15.json --out /tmp/bench_counts.json
+    --check-counts BENCH_PR17.json --out /tmp/bench_counts.json
 rm -f /tmp/bench_counts.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"

@@ -5,6 +5,7 @@
 //! prelude's start-up collections used to hide stays fixed.
 
 use kit::{oracle, Compiler, DispatchMode, Mode};
+use kit_kam::instr::Instr;
 
 /// Every function the prelude declares at top level, and `rev`'s and
 /// `length`'s inner loop.
@@ -46,8 +47,60 @@ fn a_program_keeps_exactly_the_prelude_it_reaches() {
         kept.sort_unstable();
         // `rev` itself is a wrapper the inliner dissolves into its loop.
         assert_eq!(kept, ["foldl", "go", "map"], "[{mode}]");
+        // ... and `map` and `foldl` take their arguments at once: the only
+        // closures are the two the program wrote, the fold's lambda and
+        // `sq` (five before uncurrying: one per curried parameter).
+        let closures = prog.funs.iter().filter(|f| f.name == "fn").count();
+        assert_eq!(closures, 2, "[{mode}]");
         let out = compiler.run_program(&prog).unwrap();
         assert_eq!(out.result, want.result, "[{mode}]");
+    }
+}
+
+/// A saturated call of a `fun`-declared curried function is one known
+/// call with all its arguments: churn's `build2 n acc` and the prelude's
+/// `foldl f b l` as book reaches it loop by a tail call, open no
+/// `letregion` and build no closure (before uncurrying each step made one
+/// closure per parameter but the last, in a fresh region whose scope cost
+/// the tail call).
+#[test]
+fn a_saturated_call_of_a_curried_function_is_one_known_tail_call() {
+    // (program, function, parameters, closure calls in its body,
+    //  anonymous functions in the whole program). churn writes no `fn`;
+    // book has the lambda it folds with — the one closure `foldl` calls —
+    // and `cancel`, which the inliner keeps as a `let`-bound `fn`.
+    let cases = [("churn", "build2", 2, 0, 0), ("book", "foldl", 3, 1, 2)];
+    for (program, function, arity, closure_calls, lambdas) in cases {
+        let src = kit_bench::by_name(program).unwrap().src;
+        for mode in Mode::ALL {
+            let prog = Compiler::new(mode).compile_source(src).unwrap();
+            let ctx = format!("{program} [{mode}] {function}");
+            let info = prog.funs.iter().find(|f| f.name == function).expect(&ctx);
+            let entry = prog.label_addrs[info.entry];
+            let body: Vec<&Instr> = prog.code[entry..]
+                .iter()
+                .take_while(|i| !matches!(i, Instr::Ret))
+                .collect();
+            let self_calls: Vec<&&Instr> = body
+                .iter()
+                .filter(|i| matches!(i, Instr::Call { label, .. } if *label == info.entry))
+                .collect();
+            assert!(
+                matches!(self_calls[..], [Instr::Call { nargs, tail: true, .. }] if *nargs == arity),
+                "{ctx}: {self_calls:?}"
+            );
+            let count = |p: fn(&Instr) -> bool| body.iter().filter(|i| p(i)).count();
+            assert_eq!(count(|i| matches!(i, Instr::LetRegion { .. })), 0, "{ctx}");
+            assert_eq!(
+                count(|i| matches!(i, Instr::CallClos { .. })),
+                closure_calls,
+                "{ctx}"
+            );
+            // A closure is a record of a code label; every label a program
+            // can put in one is an anonymous function's or a stub's.
+            let anonymous = prog.funs.iter().filter(|f| f.name == "fn").count();
+            assert_eq!(anonymous, lambdas, "{ctx}: closures in the program");
+        }
     }
 }
 

@@ -34,14 +34,15 @@ fn leaf(rng: &mut SplitMix64, vars: usize) -> String {
 }
 
 /// A random expression of type int, using variables `x0..x{vars}`. The
-/// production weights match the original proptest strategy.
+/// production weights match the original proptest strategy, plus the
+/// partial-application arm.
 fn int_expr(rng: &mut SplitMix64, vars: usize, depth: u32) -> String {
     if depth == 0 {
         return leaf(rng, vars);
     }
     let a = int_expr(rng, vars, depth - 1);
     let b = int_expr(rng, vars, depth - 1);
-    match rng.below(14) {
+    match rng.below(15) {
         0..=3 => leaf(rng, vars),
         4..=6 => {
             let op = ["-", "+", "*"][rng.below(3) as usize];
@@ -55,6 +56,12 @@ fn int_expr(rng: &mut SplitMix64, vars: usize, depth: u32) -> String {
         10 => format!("(length [{a}, {b}] + hd [{a}])"),
         11 => format!("(let val y = {a} in y + {b} end)"),
         12 => format!("((fn q => q + {b}) {a})"),
+        // A curried recursive function applied to its first argument only,
+        // then twice to the second: the optimiser's eta wrapper.
+        13 => format!(
+            "(let fun cf n w = if n < 1 then w else cf (n - 1) (w + n) \
+             val h = cf (({a}) mod 5) in h ({b}) + h 1 end)"
+        ),
         _ => {
             let l = leaf(rng, vars);
             format!("(foldl op+ 0 (map (fn z => z + 1) [{l}, 2, 3]))")
