@@ -1,60 +1,59 @@
-//! Perf-trajectory snapshot: runs every benchmark of the paper's Fig. 3 in
-//! all five execution modes and writes a machine-readable JSON summary
-//! to the path given with `--out` (required: there is no default, so a run
-//! can never overwrite a committed `BENCH_PR<n>.json` by accident).
+//! Count snapshot: runs every benchmark of the paper's Fig. 3 in all five
+//! execution modes and writes the deterministic counters of each cell —
+//! instructions, words allocated, #GC, bytes copied, peak pages/bytes, GC
+//! slices — as machine-readable JSON to the path given with `--out`
+//! (there is no default, so a run can never overwrite a committed
+//! `BENCH_PR<n>.json` by accident).
 //!
-//! By default each (program, mode) cell is measured under both
-//! interpreter configurations, interleaved sample-by-sample so host
-//! throughput drift cancels out of the A/B comparison:
+//! This tool holds no clock. Every time, rate and pause in this
+//! repository is read by the repo benchmark (`benchmark/run.sh`, names in
+//! `BENCHMARK.json`), which alternates parent and change and reports
+//! quartiles; the `env` block of every file written here says so under
+//! `"times"`.
+//!
+//! Each (program, mode) cell runs once under both interpreter
+//! configurations:
 //!
 //! * `match_off`     — the differential oracle: match-dispatch loop over
 //!   the unfused stream
 //! * `threaded_full` — the production engine: direct-threaded dispatch,
 //!   full fusion table
 //!
-//! The deterministic counters (instructions, words allocated, #GC, bytes
-//! copied) are bit-identical across runs, machines *and configurations* —
-//! the driver asserts this, which is the dispatch-equivalence acceptance
-//! criterion. `instructions_per_sec` is the wall-clock throughput of the
-//! abstract machine (best of `--samples N` runs, default 3) and is the
-//! number PRs optimizing the interpreter hot path are judged by.
+//! The counters are bit-identical across runs, machines *and
+//! configurations* — the driver asserts this, which is the
+//! dispatch-equivalence acceptance criterion. Cells are sharded over
+//! `available_parallelism()` threads; with no timing there is nothing for
+//! a neighbour to disturb.
 //!
 //! Usage: `cargo run -p kit-bench --release --bin bench-summary --
-//!         --out PATH [--full] [--samples N] [--jobs N]
-//!         [--only prog,prog,...] [--modes r,rt,...]
-//!         [--dispatch match|threaded] [--fusion off|full]
-//!         [--gc-compare] [--profile-fusion] [--check-counts BENCH.json]`
+//!         [--out PATH] [--full] [--only prog,prog,...] [--modes r,rt,...]
+//!         [--gc-compare] [--check-counts BENCH.json] | --profile-fusion`
+//!
+//! Anything else on the command line — an unknown flag, or a program or
+//! mode name that does not exist — exits 2 with the usage line: a count
+//! gate must not silently check less than it was asked to.
 //!
 //! The file starts with an `env` block the tool fills in itself — commit
 //! (`git describe --always --dirty`: the short hash, marked when the
-//! tree has uncommitted changes), `rustc -V`, core count, sample count
-//! and the command line — so a row can be traced to what produced it.
+//! tree has uncommitted changes), `rustc -V`, core count, the command
+//! line and the `times` pointer — so a row can be traced to what
+//! produced it.
 //!
-//! `--check-counts FILE` compares the deterministic counters of every
-//! cell just measured with the cell of the same (program, mode, config,
-//! scale) in an earlier `BENCH_PR<n>.json`, and exits 1 naming the first
-//! cell and counter that differ (or if no cell is in common): the gate
-//! for a PR that changes mechanism and claims the counts stayed put.
-//!
-//! `--only`/`--modes` restrict the sweep; `--dispatch`/`--fusion` replace
-//! the two-way comparison with a single pinned configuration. `--jobs N`
-//! shards (program, mode) cells across N worker threads — the interleaved
-//! A/B stays intact because a cell never splits across shards.
+//! `--check-counts FILE` compares the counters of every cell just run
+//! with the cell of the same (program, mode, config, scale) in an earlier
+//! `BENCH_PR<n>.json`, and exits 1 naming the first cell and counter that
+//! differ (or if no cell is in common): the gate for a PR that changes
+//! mechanism and claims the counts stayed put. With `--check-counts`,
+//! `--out` is optional and nothing is written without it.
 //!
 //! `--gc-compare` switches the comparison axis from dispatch engines to
-//! *collector modes*: each (program, mode) cell runs under the
-//! stop-the-world collector (`gc_serial`) and the sliced bounded-pause
-//! collector (`gc_sliced`), both on the production engine. Every row
-//! reports `gc_time_ns` and the pause quantiles (p50/p99/max from the
-//! runtime's log2 pause histogram), taken as a coherent set from the
-//! sample with the least collector time — the same best-of-N filter
-//! throughput gets — so the JSON answers the acceptance question
-//! directly: how far below the stop-the-world max pause the sliced p99
-//! sits. Mutator-visible
-//! counters (instructions, words allocated, the result) are asserted
-//! identical across collector modes; the GC counters themselves differ
-//! by design, since the schedule is mode-dependent. Modes default to
-//! `rgt` (collector modes only matter when the collector runs).
+//! *collector modes*: each cell runs under the stop-the-world collector
+//! (`gc_serial`) and the sliced bounded-pause collector (`gc_sliced`),
+//! both on the production engine. Mutator-visible counters
+//! (instructions, words allocated, the result) are asserted identical
+//! across collector modes; the GC counters themselves differ by design,
+//! since the schedule is mode-dependent. Modes default to `rgt`
+//! (collector modes only matter when the collector runs).
 //!
 //! A note on the `peak_pages`/`peak_bytes` columns: since PR 6 the heap
 //! materializes pages lazily (DESIGN.md §6g/§6h), and these counters
@@ -70,18 +69,6 @@
 //! aggregates dynamic pair/triple frequencies of fallthrough-adjacent
 //! instructions, and prints the hot sequences plus a regenerated
 //! `FUSION_CANDIDATES` table for `crates/kam/src/fusion_table.rs`.
-//!
-//! `--serve` switches to the multi-tenant server benchmark (DESIGN.md
-//! §6i): an in-process `kit-serve` pool is driven at increasing
-//! concurrency levels over the serve mix (`--mix`, default
-//! [`kit_bench::serve_bench::DEFAULT_MIX`]) and the JSON (`--out`,
-//! required here too) gets a `"serve"` array with requests/sec, p50/p99
-//! latency, per-program counters and per-worker collector time. Each
-//! point's per-program counters are asserted uniform across all
-//! responses, and a final standalone check demands bit-identical
-//! instruction totals and GC counters against single-threaded runs.
-//! `--sessions N` pins a single concurrency level; `--workers N` sizes
-//! the pool.
 
 use kit::{Compiler, DispatchMode, Fusion, FusionProfile, KamOp as Op, Mode};
 use kit_bench::programs::{all, Benchmark};
@@ -90,11 +77,10 @@ use kit_runtime::RtConfig;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
-/// One interpreter configuration under measurement. `gc_slice` selects
-/// the collector mode (stop-the-world / sliced); the dispatch-engine
-/// comparison leaves it at the stop-the-world default.
+/// One interpreter configuration. `gc_slice` selects the collector mode
+/// (stop-the-world / sliced); the dispatch-engine comparison leaves it at
+/// the stop-the-world default.
 #[derive(Clone, Copy)]
 struct Config {
     name: &'static str,
@@ -103,20 +89,19 @@ struct Config {
     gc_slice: Option<u64>,
 }
 
-impl Config {
-    const fn dispatch_cmp(name: &'static str, dispatch: DispatchMode, fusion: Fusion) -> Config {
-        Config {
-            name,
-            dispatch,
-            fusion,
-            gc_slice: None,
-        }
-    }
-}
-
 const COMPARE: [Config; 2] = [
-    Config::dispatch_cmp("match_off", DispatchMode::Match, Fusion::Off),
-    Config::dispatch_cmp("threaded_full", DispatchMode::Threaded, Fusion::Full),
+    Config {
+        name: "match_off",
+        dispatch: DispatchMode::Match,
+        fusion: Fusion::Off,
+        gc_slice: None,
+    },
+    Config {
+        name: "threaded_full",
+        dispatch: DispatchMode::Threaded,
+        fusion: Fusion::Full,
+        gc_slice: None,
+    },
 ];
 
 /// The collector-mode comparison (`--gc-compare`): stop-the-world vs the
@@ -136,26 +121,25 @@ const GC_COMPARE: [Config; 2] = [
     },
 ];
 
+/// Where a reader of a BENCH file finds the times it does not hold.
+const TIMES: &str = "none here: every time, rate and pause is read by benchmark/run.sh \
+                     (metric names in BENCHMARK.json)";
+
 struct Row {
     program: String,
     mode: &'static str,
     config: &'static str,
     scale: i64,
     instructions: u64,
-    instructions_per_sec: f64,
     words_allocated: u64,
     gc_count: u64,
     bytes_copied: u64,
     peak_pages: u64,
     peak_bytes: u64,
-    gc_time_ns: u64,
-    gc_pause_p50_ns: u64,
-    gc_pause_p99_ns: u64,
-    gc_pause_max_ns: u64,
     gc_slices: u64,
 }
 
-/// One (program, mode) work item: all configs run interleaved inside it.
+/// One (program, mode) work item: all configs run inside it.
 struct Cell {
     bench: Benchmark,
     mode: Mode,
@@ -166,78 +150,92 @@ struct Cell {
 fn usage(problem: &str) -> ! {
     eprintln!(
         "bench-summary: {problem}\n\
-         usage: bench-summary --out PATH [--full] [--samples N] [--jobs N] [--only p,..] \
-         [--modes m,..] [--dispatch match|threaded] [--fusion off|full] [--gc-compare] \
-         [--check-counts BENCH.json]\n\
-         \x20      bench-summary --serve --out PATH [--workers N] [--sessions N] [--mix SPEC] \
-         [--dispatch match|threaded]\n\
-         \x20      bench-summary --profile-fusion [--only p,..] [--modes m,..]"
+         usage: bench-summary [--out PATH] [--full] [--only p,..] [--modes m,..] [--gc-compare] \
+         [--check-counts BENCH.json]   (one of --out, --check-counts is required)\n\
+         \x20      bench-summary --profile-fusion [--full] [--only p,..] [--modes m,..]"
     );
     std::process::exit(2);
 }
 
-/// The `--out` path; both writing modes refuse to run without one.
-fn required_out(args: &[String]) -> String {
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| usage("--out PATH is required (there is no default file)"))
+/// The command line, checked: every argument is a known flag or its value,
+/// every program and mode named exists.
+#[derive(Debug, Default)]
+struct Args {
+    out: Option<String>,
+    full: bool,
+    only: Option<Vec<String>>,
+    modes: Option<Vec<String>>,
+    gc_compare: bool,
+    profile_fusion: bool,
+    check_counts: Option<String>,
 }
 
-fn parse_dispatch(s: &str) -> DispatchMode {
-    kit_bench::parse_dispatch(s)
-        .unwrap_or_else(|| usage(&format!("--dispatch {s}: expected match|threaded")))
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} wants a value"))
+        };
+        let csv = |s: String| s.split(',').map(str::to_string).collect::<Vec<_>>();
+        match flag.as_str() {
+            "--out" => args.out = Some(value()?),
+            "--full" => args.full = true,
+            "--only" => args.only = Some(csv(value()?)),
+            "--modes" => args.modes = Some(csv(value()?)),
+            "--gc-compare" => args.gc_compare = true,
+            "--profile-fusion" => args.profile_fusion = true,
+            "--check-counts" => args.check_counts = Some(value()?),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    let programs: Vec<&str> = all().iter().map(|b| b.name).collect();
+    let modes = Mode::ALL_WITH_BASELINE.map(Mode::suffix);
+    for (flag, asked, known) in [
+        ("--only", &args.only, &programs[..]),
+        ("--modes", &args.modes, &modes[..]),
+    ] {
+        for name in asked.iter().flatten() {
+            if !known.contains(&name.as_str()) {
+                return Err(format!(
+                    "{flag} {name}: no such name (known: {})",
+                    known.join(",")
+                ));
+            }
+        }
+    }
+    if !args.profile_fusion && args.out.is_none() && args.check_counts.is_none() {
+        return Err("--out PATH is required (there is no default file)".to_string());
+    }
+    Ok(args)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let flag_val = |flag: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    if args.iter().any(|a| a == "--serve") {
-        serve_summary(&args);
-        return;
-    }
-    let samples = flag_val("--samples")
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(3)
-        .max(1);
-    let jobs = flag_val("--jobs")
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
-    let csv_arg = |flag: &str| -> Option<Vec<String>> {
-        flag_val(flag).map(|s| s.split(',').map(str::to_string).collect())
-    };
-    let only = csv_arg("--only");
-    let gc_compare = args.iter().any(|a| a == "--gc-compare");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|problem| usage(&problem));
     // Collector modes only differ where the collector runs, so the GC
     // comparison defaults to the paper's combined mode.
-    let modes = csv_arg("--modes").or_else(|| gc_compare.then(|| vec!["rgt".to_string()]));
-
-    let dispatch = flag_val("--dispatch").map(|s| parse_dispatch(s));
-    let fusion = flag_val("--fusion").map(|s| match s.as_str() {
-        "off" => Fusion::Off,
-        "full" => Fusion::Full,
-        other => usage(&format!("--fusion {other}: expected off|full")),
-    });
+    let modes = args
+        .modes
+        .or_else(|| args.gc_compare.then(|| vec!["rgt".to_string()]));
+    let selected = |names: &Option<Vec<String>>, name: &str| {
+        names.as_ref().is_none_or(|ns| ns.iter().any(|n| n == name))
+    };
 
     let cells: Vec<Cell> = all()
         .into_iter()
-        .filter(|b| only.as_ref().is_none_or(|o| o.iter().any(|n| n == b.name)))
+        .filter(|b| selected(&args.only, b.name))
         .flat_map(|b| {
-            let scale = if full { b.default_scale } else { b.test_scale };
+            let scale = if args.full {
+                b.default_scale
+            } else {
+                b.test_scale
+            };
             Mode::ALL_WITH_BASELINE
                 .into_iter()
-                .filter(|m| {
-                    modes
-                        .as_ref()
-                        .is_none_or(|ms| ms.iter().any(|s| s == m.suffix()))
-                })
+                .filter(|m| selected(&modes, m.suffix()))
                 .map(move |mode| Cell {
                     bench: b,
                     mode,
@@ -247,83 +245,63 @@ fn main() {
         })
         .collect();
 
-    if args.iter().any(|a| a == "--profile-fusion") {
+    if args.profile_fusion {
         profile_fusion(&cells);
         return;
     }
-    let out_path = required_out(&args);
 
-    // Pinning either axis collapses the comparison to one configuration.
-    let configs: Vec<Config> = if gc_compare {
-        GC_COMPARE.to_vec()
-    } else if dispatch.is_some() || fusion.is_some() {
-        vec![Config {
-            name: "pinned",
-            dispatch: dispatch.unwrap_or_default(),
-            fusion: fusion.unwrap_or_default(),
-            gc_slice: None,
-        }]
-    } else {
-        COMPARE.to_vec()
-    };
-
-    let started = Instant::now();
+    let configs = if args.gc_compare { GC_COMPARE } else { COMPARE };
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Vec<Row>, Duration)>> = Mutex::new(Vec::new());
+    let results: Mutex<Vec<(usize, Vec<Row>)>> = Mutex::new(Vec::new());
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(cells.len().max(1)) {
+        for _ in 0..threads.min(cells.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(cell) = cells.get(i) else { break };
-                let t0 = Instant::now();
-                let rows = run_cell(cell, &configs, samples, gc_compare);
-                results.lock().unwrap().push((i, rows, t0.elapsed()));
+                let rows = run_cell(cell, &configs, args.gc_compare);
+                results
+                    .lock()
+                    .expect("a cell that panics has already failed the run")
+                    .push((i, rows));
             });
         }
     });
 
-    let mut done = results.into_inner().unwrap();
-    done.sort_by_key(|(i, ..)| *i);
-    let serial: Duration = done.iter().map(|(_, _, d)| *d).sum();
-    let rows: Vec<Row> = done.into_iter().flat_map(|(_, r, _)| r).collect();
+    let mut done = results
+        .into_inner()
+        .expect("a cell that panics has already failed the run");
+    done.sort_by_key(|(i, _)| *i);
+    let rows: Vec<Row> = done.into_iter().flat_map(|(_, r)| r).collect();
 
-    let mut json = format!(
-        "{{\n  \"env\": {},\n  \"runs\": [\n",
-        env_json(&args, samples)
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"program\": \"{}\", \"mode\": \"{}\", \"config\": \"{}\", \
-             \"scale\": {}, \
-             \"instructions\": {}, \"instructions_per_sec\": {:.0}, \
-             \"words_allocated\": {}, \"gc_count\": {}, \"bytes_copied\": {}, \
-             \"peak_pages\": {}, \"peak_bytes\": {}, \
-             \"gc_time_ns\": {}, \"gc_pause_p50_ns\": {}, \"gc_pause_p99_ns\": {}, \
-             \"gc_pause_max_ns\": {}, \"gc_slices\": {}}}",
-            r.program,
-            r.mode,
-            r.config,
-            r.scale,
-            r.instructions,
-            r.instructions_per_sec,
-            r.words_allocated,
-            r.gc_count,
-            r.bytes_copied,
-            r.peak_pages,
-            r.peak_bytes,
-            r.gc_time_ns,
-            r.gc_pause_p50_ns,
-            r.gc_pause_p99_ns,
-            r.gc_pause_max_ns,
-            r.gc_slices,
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    if let Some(out_path) = &args.out {
+        let mut json = format!("{{\n  \"env\": {},\n  \"runs\": [\n", env_json(&argv));
+        for (i, r) in rows.iter().enumerate() {
+            let _ = write!(
+                json,
+                "    {{\"program\": \"{}\", \"mode\": \"{}\", \"config\": \"{}\", \
+                 \"scale\": {}, \"instructions\": {}, \
+                 \"words_allocated\": {}, \"gc_count\": {}, \"bytes_copied\": {}, \
+                 \"peak_pages\": {}, \"peak_bytes\": {}, \"gc_slices\": {}}}",
+                r.program,
+                r.mode,
+                r.config,
+                r.scale,
+                r.instructions,
+                r.words_allocated,
+                r.gc_count,
+                r.bytes_copied,
+                r.peak_pages,
+                r.peak_bytes,
+                r.gc_slices,
+            );
+            json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        }
+        json.push_str("  ]\n}\n");
+        std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+        eprintln!("wrote {} rows to {out_path}", rows.len());
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    eprintln!("wrote {} rows to {out_path}", rows.len());
-    if let Some(reference) = flag_val("--check-counts") {
+    if let Some(reference) = &args.check_counts {
         match check_counts(&rows, reference) {
             Ok(n) => eprintln!("check-counts: {n} cells equal to {reference}"),
             Err(e) => {
@@ -331,15 +309,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-    if jobs > 1 {
-        eprintln!(
-            "sharded {} cells over {jobs} threads: {:.1}s wall vs {:.1}s serial ({:.1}s saved)",
-            cells.len(),
-            started.elapsed().as_secs_f64(),
-            serial.as_secs_f64(),
-            (serial.saturating_sub(started.elapsed())).as_secs_f64(),
-        );
     }
 }
 
@@ -356,15 +325,15 @@ fn first_line_of(cmd: &str, args: &[&str]) -> String {
 }
 
 /// The `env` block: where, with what and how the rows were produced.
-fn env_json(args: &[String], samples: usize) -> String {
+fn env_json(args: &[String]) -> String {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     format!(
-        "{{\"commit\": \"{}\", \"rustc\": \"{}\", \"nproc\": {}, \"samples\": {samples}, \
-         \"command\": \"bench-summary {}\"}}",
+        "{{\"commit\": \"{}\", \"rustc\": \"{}\", \"nproc\": {}, \
+         \"command\": \"bench-summary {}\", \"times\": \"{TIMES}\"}}",
         esc(&first_line_of("git", &["describe", "--always", "--dirty"])),
         esc(&first_line_of("rustc", &["-V"])),
         std::thread::available_parallelism().map_or(0, usize::from),
-        esc(&args[1..].join(" ")),
+        esc(&args.join(" ")),
     )
 }
 
@@ -442,21 +411,17 @@ fn check_counts(rows: &[Row], reference: &str) -> Result<usize, String> {
     Ok(compared)
 }
 
-/// Runs every configuration over one (program, mode) cell, interleaving the
-/// sample rounds (config A sample 1, config B sample 1, ..., A 2, B 2, ...)
-/// so slow host drift hits all configurations equally.
+/// Runs one (program, mode) cell once under every configuration and
+/// asserts what the configurations must agree on.
 ///
 /// With `gc_compare`, the configurations differ in *collector mode*
 /// rather than dispatch engine, so the bit-identical assertion narrows
 /// to the mutator-visible counters plus the result — a sliced
 /// collection finishing at a later safe point legitimately changes
 /// `#GC` and the copied-word total, but never the program's answer.
-/// The five GC columns of a row, `(gc_time_ns, p50, p99, max, slices)`,
-/// taken together from one sample.
-type GcCols = (u64, u64, u64, u64, u64);
-
-fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -> Vec<Row> {
+fn run_cell(cell: &Cell, configs: &[Config], gc_compare: bool) -> Vec<Row> {
     let src = cell.bench.source_scaled(cell.scale);
+    let fail = |e: kit::Error| -> ! { panic!("{} [{}]: {e}", cell.bench.name, cell.mode) };
     let compilers: Vec<Compiler> = configs
         .iter()
         .map(|c| {
@@ -474,33 +439,11 @@ fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -
         .collect();
     let prog = compilers[0]
         .compile_source(&src)
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", cell.bench.name, cell.mode));
-    let mut best: Vec<Option<kit::Outcome>> = (0..configs.len()).map(|_| None).collect();
-    // GC timing gets the same best-of-N noise filter as throughput, from
-    // its own winning sample: the fastest-wall run is not necessarily the
-    // one with the least collector interference, and the five GC columns
-    // must stay a coherent set from a single run.
-    let mut best_gc: Vec<Option<GcCols>> = (0..configs.len()).map(|_| None).collect();
-    for _ in 0..samples {
-        for ((slot, gc_slot), compiler) in best.iter_mut().zip(&mut best_gc).zip(&compilers) {
-            let out = compiler
-                .run_program(&prog)
-                .unwrap_or_else(|e| panic!("{} [{}]: {e}", cell.bench.name, cell.mode));
-            if gc_slot.is_none_or(|(t, ..)| out.stats.gc_time_ns < t) {
-                *gc_slot = Some((
-                    out.stats.gc_time_ns,
-                    out.stats.gc_pause_hist.quantile_ns(0.5).unwrap_or(0),
-                    out.stats.gc_pause_hist.quantile_ns(0.99).unwrap_or(0),
-                    out.stats.gc_pause_max_ns,
-                    out.stats.gc_slices,
-                ));
-            }
-            if slot.as_ref().is_none_or(|b| out.wall < b.wall) {
-                *slot = Some(out);
-            }
-        }
-    }
-    let outs: Vec<kit::Outcome> = best.into_iter().map(Option::unwrap).collect();
+        .unwrap_or_else(|e| fail(e));
+    let outs: Vec<kit::Outcome> = compilers
+        .iter()
+        .map(|compiler| compiler.run_program(&prog).unwrap_or_else(|e| fail(e)))
+        .collect();
     for (c, o) in configs.iter().zip(&outs).skip(1) {
         if gc_compare {
             // Collector equivalence: the mode may move the GC schedule
@@ -542,24 +485,20 @@ fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -
             );
         }
     }
+    let page_bytes = (RtConfig::default().page_words() * std::mem::size_of::<u64>()) as u64;
     configs
         .iter()
         .zip(outs)
-        .zip(best_gc)
-        .map(|((c, out), gc)| {
-            let page_bytes = 256u64 * 8; // RtConfig default: 2^8 words/page
-            let (gc_time_ns, p50, p99, pause_max_ns, slices) = gc.unwrap();
+        .map(|(c, out)| {
             eprintln!(
-                "{:<10} {:<5} {:<14} {:>12} instr {:>10.2} Minstr/s  #GC {:<4} \
-                 gc {:>7.2}ms  p99 {:>9}ns",
+                "{:<10} {:<5} {:<14} {:>12} instr {:>11} words  #GC {:<4} {:>10} B copied",
                 cell.bench.name,
                 cell.mode.suffix(),
                 c.name,
                 out.instructions,
-                out.instructions as f64 / out.wall.as_secs_f64() / 1e6,
+                out.stats.words_allocated,
                 out.stats.gc_count,
-                gc_time_ns as f64 / 1e6,
-                p99,
+                out.stats.gc_copied_words * 8,
             );
             Row {
                 program: cell.bench.name.to_string(),
@@ -567,135 +506,15 @@ fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -
                 config: c.name,
                 scale: cell.scale,
                 instructions: out.instructions,
-                instructions_per_sec: out.instructions as f64 / out.wall.as_secs_f64(),
                 words_allocated: out.stats.words_allocated,
                 gc_count: out.stats.gc_count,
                 bytes_copied: out.stats.gc_copied_words * 8,
                 peak_pages: (out.stats.peak_bytes as u64).div_ceil(page_bytes),
                 peak_bytes: out.stats.peak_bytes as u64,
-                gc_time_ns,
-                gc_pause_p50_ns: p50,
-                gc_pause_p99_ns: p99,
-                gc_pause_max_ns: pause_max_ns,
-                gc_slices: slices,
+                gc_slices: out.stats.gc_slices,
             }
         })
         .collect()
-}
-
-/// The `--serve` mode: drives an in-process `kit-serve` pool at
-/// increasing concurrency over the serve mix, then floods a deliberately
-/// under-provisioned pool to record the overload columns (shed,
-/// rate_limited, deadline_exceeded, queue_depth_p99), and writes the
-/// `"serve"` rows to `--out`.
-fn serve_summary(args: &[String]) {
-    use kit_bench::serve_bench::{
-        json_document, json_row, parse_mix, print_report, run_point, ServePoint, DEFAULT_MIX,
-    };
-    use kit_serve::server::{Server, ServerConfig};
-
-    let flag_val = |flag: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let out_path = required_out(args);
-    let workers = flag_val("--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from))
-        .max(1);
-    let dispatch = flag_val("--dispatch").map_or(DispatchMode::default(), |s| parse_dispatch(s));
-    let mix = parse_mix(
-        flag_val("--mix").map_or(DEFAULT_MIX, String::as_str),
-        Mode::Rgt,
-        dispatch,
-    )
-    .unwrap_or_else(|e| panic!("--mix: {e}"));
-
-    // Concurrency levels: the acceptance point (1k sessions) plus a 4k
-    // point showing queueing behavior, unless --sessions pins one level.
-    let points: Vec<ServePoint> = match flag_val("--sessions").and_then(|s| s.parse().ok()) {
-        Some(sessions) => vec![point(sessions)],
-        None => vec![point(1_000), point(4_000)],
-    };
-
-    // Headroom for the ordinary points: the queue bound stays out of the
-    // way so these rows measure throughput, not shedding.
-    let handle = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers,
-            queue_cap: 16_384,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind server")
-    .spawn();
-    let mut rows = Vec::with_capacity(points.len() + 1);
-    for p in &points {
-        let report = run_point(handle.addr(), p, &mix)
-            .unwrap_or_else(|e| panic!("serve point {}: {e}", p.label));
-        print_report(p, workers, &report);
-        rows.push(json_row(p, workers, &report));
-    }
-
-    // The acceptance criterion: in-server counters bit-identical to
-    // standalone single-threaded execution of the same programs.
-    let checked = kit_serve::check_against_standalone(handle.addr(), &mix)
-        .unwrap_or_else(|e| panic!("standalone check: {e}"));
-    eprintln!(
-        "standalone check: {} programs bit-identical to single-threaded runs",
-        checked.len()
-    );
-    handle.shutdown();
-
-    // The overload row: the same mix flooded at 4× the ordinary
-    // concurrency into a deliberately tight queue, so the shed /
-    // queue_depth_p99 columns show the admission layer working instead
-    // of latency quietly collapsing.
-    let flood_handle = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers,
-            queue_cap: 256,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind flood server")
-    .spawn();
-    let flood = ServePoint {
-        label: "serve_flood".to_string(),
-        sessions: 4_000,
-        conns: 128,
-        requests: 12_000,
-    };
-    let report = run_point(flood_handle.addr(), &flood, &mix)
-        .unwrap_or_else(|e| panic!("serve point {}: {e}", flood.label));
-    print_report(&flood, workers, &report);
-    rows.push(json_row(&flood, workers, &report));
-    let checked = kit_serve::check_against_standalone(flood_handle.addr(), &mix)
-        .unwrap_or_else(|e| panic!("post-flood standalone check: {e}"));
-    eprintln!(
-        "post-flood check: {} programs bit-identical to single-threaded runs",
-        checked.len()
-    );
-    flood_handle.shutdown();
-
-    std::fs::write(&out_path, json_document(&rows))
-        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    eprintln!("wrote {} serve rows to {out_path}", rows.len());
-}
-
-/// Standard shape of a serve load point: sessions spread over enough
-/// connections to keep per-connection pipelines shallow, with enough
-/// requests that the pool reaches steady state.
-fn point(sessions: usize) -> kit_bench::serve_bench::ServePoint {
-    kit_bench::serve_bench::ServePoint {
-        label: format!("serve_{sessions}"),
-        sessions,
-        conns: (sessions / 16).clamp(1, 128),
-        requests: (sessions * 3).max(6_000),
-    }
 }
 
 /// The source-instruction kind a base opcode fuses as, if any.
@@ -848,17 +667,35 @@ mod tests {
             config: "threaded_full",
             scale: 24,
             instructions,
-            instructions_per_sec: 1.0,
             words_allocated: 40,
             gc_count: 0,
             bytes_copied: 0,
             peak_pages: 1,
             peak_bytes: 296,
-            gc_time_ns: 0,
-            gc_pause_p50_ns: 0,
-            gc_pause_p99_ns: 0,
-            gc_pause_max_ns: 0,
             gc_slices: 0,
+        }
+    }
+
+    #[test]
+    fn unknown_flags_programs_and_modes_are_refused_not_skipped() {
+        let argv =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(str::to_string).collect() };
+        let gate = parse_args(&argv("--only dlx,fib --modes r,rgt --check-counts F")).unwrap();
+        assert_eq!(gate.only, Some(vec!["dlx".to_string(), "fib".to_string()]));
+        assert_eq!(gate.out, None, "a count check needs no output file");
+        for (line, problem) in [
+            (
+                "--only dlx,fbi --check-counts F",
+                "--only fbi: no such name",
+            ),
+            ("--modes r,rtg --out F", "--modes rtg: no such name"),
+            ("--out F --samples 1", "unknown argument \"--samples\""),
+            ("--out F stray", "unknown argument \"stray\""),
+            ("--full --out", "--out wants a value"),
+            ("--full", "--out PATH is required"),
+        ] {
+            let err = parse_args(&argv(line)).unwrap_err();
+            assert!(err.contains(problem), "`{line}`: {err}");
         }
     }
 

@@ -15,15 +15,16 @@
 //!         [--check]                 # compare counters against standalone runs
 //!         [--chaos]                 # run adversarial clients alongside the load
 //!         [--chaos-secs N]          # chaos duration (default 3)
-//!         [--out PATH]              # write a {"serve": [row]} JSON document
 //! ```
 //!
-//! Reports requests/sec, p50/p99 latency, per-program counter aggregates
-//! (uniformity across *executed* responses is enforced by the driver;
-//! shed/rate-limited/deadline outcomes are tallied) and collector time
-//! per worker. `--check` additionally runs each mix program once on a
-//! standalone, identically configured `Compiler` and demands
-//! bit-identical instruction totals and GC counters.
+//! A correctness driver, not a stopwatch: it reports how many requests
+//! were answered and how, with per-program counter aggregates (uniformity
+//! across *executed* responses is enforced by the driver;
+//! shed/rate-limited/deadline outcomes are tallied). Latency and
+//! throughput are the repo benchmark's (`benchmark/run.sh`, workloads
+//! `serve_hot` and `serve_miss`). `--check` additionally runs each mix
+//! program once on a standalone, identically configured `Compiler` and
+//! demands bit-identical instruction totals and GC counters.
 //!
 //! `--chaos` (in-process server only) throws slowloris writers,
 //! mid-frame disconnects, malformed/oversized frames, stalled readers
@@ -35,10 +36,9 @@
 
 use kit::{DispatchMode, Mode};
 use kit_bench::chaos;
-use kit_bench::serve_bench::{
-    json_document, json_row, parse_mix, print_report, run_point, ServePoint, DEFAULT_MIX,
-};
+use kit_bench::serve_bench::{parse_mix, print_report, DEFAULT_MIX};
 use kit_serve::server::{RateLimit, Server, ServerConfig, ShedPolicy};
+use kit_serve::{run_load, LoadSpec};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -47,7 +47,7 @@ fn usage() -> ! {
         "usage: loadgen [--addr HOST:PORT | --workers N] [--sessions N] [--conns N] \
          [--requests N] [--mix SPEC] [--mode M] [--dispatch D] [--queue-cap N] \
          [--shed-policy newest|tenant-share] [--rate RPS[:BURST]] [--deadline-ms N] \
-         [--check] [--chaos] [--chaos-secs N] [--out PATH]"
+         [--check] [--chaos] [--chaos-secs N]"
     );
     std::process::exit(2);
 }
@@ -77,7 +77,6 @@ fn main() {
             "--check",
             "--chaos",
             "--chaos-secs",
-            "--out",
         ];
         let takes_value = |f: &str| f != "--check" && f != "--chaos";
         if known.contains(&a.as_str()) {
@@ -111,12 +110,15 @@ fn main() {
                 usage()
             })
     });
-    let dispatch = flag_val("--dispatch").map_or(DispatchMode::default(), |s| {
-        kit_bench::parse_dispatch(s).unwrap_or_else(|| {
+    let dispatch = match flag_val("--dispatch").map(String::as_str) {
+        None => DispatchMode::default(),
+        Some("match") => DispatchMode::Match,
+        Some("threaded") => DispatchMode::Threaded,
+        Some(s) => {
             eprintln!("loadgen: unknown dispatch {s:?} (match|threaded)");
             usage()
-        })
-    });
+        }
+    };
     let mix_spec = flag_val("--mix").map_or(DEFAULT_MIX, String::as_str);
     let mix = parse_mix(mix_spec, mode, dispatch).unwrap_or_else(|e| {
         eprintln!("loadgen: {e}");
@@ -194,18 +196,20 @@ fn main() {
             }
         };
 
+    let spec = |sessions, conns, requests| LoadSpec {
+        addr,
+        requests,
+        sessions,
+        conns,
+        mix: mix.clone(),
+    };
+
     // Pre-chaos leak probes: warm the compile cache with one run of the
     // mix — plus the chaos victim program the adversaries submit — so
     // the cache size is at its steady state before the baseline is
     // recorded.
     let probes_before = handle.as_ref().filter(|_| chaos_mode).map(|h| {
-        let warmup = ServePoint {
-            label: "warmup".to_string(),
-            sessions: 16,
-            conns: 4,
-            requests: mix.len().max(16),
-        };
-        run_point(addr, &warmup, &mix).unwrap_or_else(|e| {
+        run_load(&spec(16, 4, mix.len().max(16))).unwrap_or_else(|e| {
             eprintln!("loadgen: warmup failed: {e}");
             std::process::exit(1);
         });
@@ -221,17 +225,12 @@ fn main() {
         std::thread::spawn(move || chaos::run_chaos(addr, Duration::from_secs(secs)))
     });
 
-    let point = ServePoint {
-        label: format!("loadgen_{sessions}"),
-        sessions,
-        conns,
-        requests,
-    };
-    let report = run_point(addr, &point, &mix).unwrap_or_else(|e| {
+    let main_run = spec(sessions, conns, requests);
+    let report = run_load(&main_run).unwrap_or_else(|e| {
         eprintln!("loadgen: {e}");
         std::process::exit(1);
     });
-    print_report(&point, workers, &report);
+    print_report("loadgen", &main_run, workers, &report);
 
     if let Some(t) = chaos_thread {
         let inflicted = t.join().unwrap_or_else(|_| {
@@ -249,18 +248,13 @@ fn main() {
         );
 
         // Availability: a fresh burst after the abuse must answer
-        // correctly (the run_point uniformity checks are the assertion).
-        let burst = ServePoint {
-            label: "post_chaos".to_string(),
-            sessions: 64,
-            conns: 8,
-            requests: 256,
-        };
-        let after = run_point(addr, &burst, &mix).unwrap_or_else(|e| {
+        // correctly (the run_load uniformity checks are the assertion).
+        let burst = spec(64, 8, 256);
+        let after = run_load(&burst).unwrap_or_else(|e| {
             eprintln!("loadgen: post-chaos burst failed: {e}");
             std::process::exit(1);
         });
-        print_report(&burst, workers, &after);
+        print_report("post_chaos", &burst, workers, &after);
 
         // Leak probes: same worker pool, same cache, connections gone.
         let h = handle.as_ref().expect("chaos mode hosts the server");
@@ -309,15 +303,6 @@ fn main() {
             "check: all {} programs bit-identical to standalone",
             rows.len()
         );
-    }
-
-    if let Some(out) = flag_val("--out") {
-        let doc = json_document(&[json_row(&point, workers, &report)]);
-        std::fs::write(out, doc).unwrap_or_else(|e| {
-            eprintln!("loadgen: write {out}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {out}");
     }
 
     if let Some(h) = handle {

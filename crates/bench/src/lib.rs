@@ -7,6 +7,12 @@
 //! substrate is a bytecode interpreter, so defaults are chosen to keep
 //! whole-suite runs in seconds — see EXPERIMENTS.md).
 //!
+//! Nothing in this crate holds a stopwatch. Times — latency, throughput,
+//! pauses, per-layer costs — are read by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`); this crate reads *counts* (instructions, words
+//! allocated, #GC, bytes copied, peak memory), which repeat exactly, and
+//! drives the server for correctness.
+//!
 //! Binaries (all under `cargo run -p kit-bench --release --bin <name>`):
 //!
 //! * `table1` — effect of tagging (`r` vs `rt`), paper Table 1;
@@ -15,7 +21,11 @@
 //! * `table4` — comparison with the generational baseline, Table 4;
 //! * `fig4`   — GC fraction over time for `professor`, Figure 4;
 //! * `fig5`   — region profile of a compile-like workload, Figure 5;
-//! * `bootstrap` — the §4.5 substitute (large symbolic workload).
+//! * `bootstrap` — the §4.5 substitute (large symbolic workload);
+//! * `bench-summary` — the count rows of `BENCH_PR<n>.json` and the
+//!   `--check-counts` gate;
+//! * `loadgen` — `kit-serve` under a session mix: `--check`, `--chaos`,
+//!   flood and rate/deadline runs, leak probes.
 
 #![forbid(unsafe_code)]
 
@@ -27,14 +37,4 @@ pub mod serve_bench;
 pub mod tables;
 
 pub use programs::{all, by_name, Benchmark};
-pub use runner::{run, run_scaled, MeasuredRun};
-
-/// Parses a `--dispatch` value — the one spelling `bench-summary` and
-/// `loadgen` share.
-pub fn parse_dispatch(s: &str) -> Option<kit::DispatchMode> {
-    match s {
-        "match" => Some(kit::DispatchMode::Match),
-        "threaded" => Some(kit::DispatchMode::Threaded),
-        _ => None,
-    }
-}
+pub use runner::{run_scaled, MeasuredRun};

@@ -1,10 +1,12 @@
 //! Measurement runner: compiles once per mode, runs, and reports the
-//! quantities the paper's tables use.
+//! quantities the paper's tables use — all of them counts. Where the paper
+//! prints seconds the tables print instructions executed: a wall-clock
+//! cell did not repeat on the hosts this runs on (EXPERIMENTS.md, Table 1),
+//! and every time in this repository is the repo benchmark's (`benchmark/`).
 
 use crate::programs::Benchmark;
 use kit::{Compiler, Error, Mode, Outcome};
 use kit_runtime::RtConfig;
-use std::time::Duration;
 
 /// One measured execution.
 #[derive(Debug)]
@@ -13,27 +15,17 @@ pub struct MeasuredRun {
     pub name: String,
     /// Execution mode.
     pub mode: Mode,
-    /// Wall-clock time of the VM run (`t_*` in the tables).
-    pub time: Duration,
     /// Peak memory in bytes (`m_*`; heap + stack + large objects).
     pub peak_bytes: usize,
     /// Number of collections (`#GC`).
     pub gc_count: u64,
-    /// Instructions executed (deterministic time proxy).
+    /// Instructions executed (`i_*` in the tables, where the paper has
+    /// `t_*`).
     pub instructions: u64,
     /// Words allocated into regions.
     pub words_allocated: u64,
     /// The full outcome (accounting records, profile, output).
     pub outcome: Outcome,
-}
-
-/// Runs `bench` under `mode` at its default scale.
-///
-/// # Errors
-///
-/// Propagates compile/runtime errors.
-pub fn run(bench: &Benchmark, mode: Mode) -> Result<MeasuredRun, Error> {
-    run_scaled(bench, mode, bench.default_scale, None)
 }
 
 /// Runs at an explicit scale, optionally overriding the runtime
@@ -58,7 +50,6 @@ pub fn run_scaled(
     Ok(MeasuredRun {
         name: bench.name.to_string(),
         mode,
-        time: outcome.wall,
         peak_bytes: outcome.stats.peak_bytes,
         gc_count: outcome.stats.gc_count,
         instructions: outcome.instructions,
@@ -74,11 +65,6 @@ pub fn fmt_bytes(b: usize) -> String {
     } else {
         format!("{}K", b.div_ceil(1024))
     }
-}
-
-/// Formats a duration in seconds with two decimals.
-pub fn fmt_time(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
 }
 
 /// Percentage improvement `(a - b) / a`, as the paper's tables print it.

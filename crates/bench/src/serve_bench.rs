@@ -1,32 +1,17 @@
-//! Shared harness for benchmarking the multi-tenant server (`kit-serve`):
-//! mix parsing, load points, and the JSON rows `bench-summary --serve`
-//! and the `loadgen` binary both emit (so BENCH_PR9.json and ad-hoc load
-//! runs report identical numbers).
+//! What the `loadgen` binary and the root `tests/serve.rs` share for
+//! driving the multi-tenant server (`kit-serve`): the mix syntax and the
+//! count report of one load run. No times — those are the repo
+//! benchmark's (`benchmark/`).
 
 use crate::programs::by_name;
 use kit::{DispatchMode, Mode};
 use kit_serve::load::{LoadProgram, LoadReport, LoadSpec};
-use std::fmt::Write as _;
-use std::net::SocketAddr;
 
 /// The default serve mix: the paper benchmarks scaled so one request
 /// costs on the order of a millisecond — a multi-tenant service's
 /// request, not a batch job. `name:scale` entries as accepted by
 /// [`parse_mix`].
 pub const DEFAULT_MIX: &str = "fib:12,tak:4,churn:10,interp:30,book:60";
-
-/// One load point of the serve benchmark.
-#[derive(Debug, Clone)]
-pub struct ServePoint {
-    /// Row label in the JSON output.
-    pub label: String,
-    /// Concurrent in-flight sessions.
-    pub sessions: usize,
-    /// TCP connections carrying them.
-    pub conns: usize,
-    /// Total requests issued.
-    pub requests: usize,
-}
 
 /// Parses a mix spec: comma-separated
 /// `name[:scale][:fuel=N][:pages=N][:deadline=MS][:tenant=ID]` entries
@@ -88,57 +73,28 @@ pub fn parse_mix(
     Ok(mix)
 }
 
-/// Runs one load point against a running server.
-///
-/// # Errors
-///
-/// Propagates the load driver's error (socket failure or a per-program
-/// counter mismatch).
-pub fn run_point(
-    addr: SocketAddr,
-    point: &ServePoint,
-    mix: &[LoadProgram],
-) -> Result<LoadReport, String> {
-    kit_serve::load::run_load(&LoadSpec {
-        addr,
-        requests: point.requests,
-        sessions: point.sessions,
-        conns: point.conns,
-        mix: mix.to_vec(),
-    })
-}
-
-/// Prints a human-readable report for one load point.
-pub fn print_report(point: &ServePoint, workers: usize, report: &LoadReport) {
+/// Prints the counts of one load run.
+pub fn print_report(label: &str, spec: &LoadSpec, workers: usize, report: &LoadReport) {
     eprintln!(
-        "{:<12} {:>6} sessions {:>4} conns {:>4} workers {:>7} reqs: \
-         {:>9.0} req/s  p50 {:>7.2}ms  p99 {:>7.2}ms",
-        point.label,
-        point.sessions,
-        point.conns,
-        workers,
+        "{label:<12} {:>6} sessions {:>4} conns {workers:>4} workers {:>7} reqs answered: \
+         {} shed, {} rate-limited, {} deadline-exceeded, queue depth p99 {}",
+        spec.sessions,
+        spec.conns,
         report.requests,
-        report.rps,
-        report.p50_ms,
-        report.p99_ms,
+        report.shed,
+        report.rate_limited,
+        report.deadline_exceeded,
+        report.queue_depth_p99,
     );
-    if report.shed + report.rate_limited + report.deadline_exceeded > 0 {
-        eprintln!(
-            "    overload: {} shed, {} rate-limited, {} deadline-exceeded, queue depth p99 {}",
-            report.shed, report.rate_limited, report.deadline_exceeded, report.queue_depth_p99,
-        );
-    }
     for p in &report.per_program {
         eprintln!(
-            "    {:<22} {:>6} reqs  {:?}  {:>10} instr  {:>3} gcs  gc {:>7.2}ms total  \
-             p99 {:>7.2}ms{}",
+            "    {:<22} {:>6} reqs  {:?}  {:>10} instr  {:>3} gcs  {:>9} B peak{}",
             p.name,
             p.requests,
             p.status,
             p.instructions,
             p.gc_count,
-            p.gc_time_ns as f64 / 1e6,
-            p.p99_ms,
+            p.peak_bytes,
             if p.shed + p.rate_limited + p.deadline_exceeded > 0 {
                 format!(
                     "  ({} shed, {} limited, {} deadline)",
@@ -149,79 +105,4 @@ pub fn print_report(point: &ServePoint, workers: usize, report: &LoadReport) {
             },
         );
     }
-    let gc: Vec<String> = report
-        .per_worker_gc_ns
-        .iter()
-        .map(|(w, ns)| format!("w{w}={:.2}ms", *ns as f64 / 1e6))
-        .collect();
-    eprintln!("    per-worker gc: {}", gc.join(" "));
-}
-
-/// Renders one JSON row of the `"serve"` array.
-pub fn json_row(point: &ServePoint, workers: usize, report: &LoadReport) -> String {
-    let mut row = String::new();
-    let _ = write!(
-        row,
-        "{{\"label\": \"{}\", \"sessions\": {}, \"conns\": {}, \"workers\": {}, \
-         \"requests\": {}, \"wall_ms\": {:.1}, \"rps\": {:.0}, \
-         \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \
-         \"shed\": {}, \"rate_limited\": {}, \"deadline_exceeded\": {}, \
-         \"queue_depth_p99\": {}, \"programs\": [",
-        point.label,
-        point.sessions,
-        point.conns,
-        workers,
-        report.requests,
-        report.wall.as_secs_f64() * 1e3,
-        report.rps,
-        report.p50_ms,
-        report.p99_ms,
-        report.mean_ms,
-        report.shed,
-        report.rate_limited,
-        report.deadline_exceeded,
-        report.queue_depth_p99,
-    );
-    for (i, p) in report.per_program.iter().enumerate() {
-        let _ = write!(
-            row,
-            "{}{{\"name\": \"{}\", \"status\": \"{:?}\", \"requests\": {}, \
-             \"executed\": {}, \"shed\": {}, \"rate_limited\": {}, \
-             \"deadline_exceeded\": {}, \
-             \"instructions\": {}, \"gc_count\": {}, \"gc_copied_words\": {}, \
-             \"gc_time_ns\": {}, \"peak_bytes\": {}, \"p99_ms\": {:.3}}}",
-            if i > 0 { ", " } else { "" },
-            p.name,
-            p.status,
-            p.requests,
-            p.executed,
-            p.shed,
-            p.rate_limited,
-            p.deadline_exceeded,
-            p.instructions,
-            p.gc_count,
-            p.gc_copied_words,
-            p.gc_time_ns,
-            p.peak_bytes,
-            p.p99_ms,
-        );
-    }
-    row.push_str("], \"worker_gc_ns\": [");
-    for (i, (_, ns)) in report.per_worker_gc_ns.iter().enumerate() {
-        let _ = write!(row, "{}{}", if i > 0 { ", " } else { "" }, ns);
-    }
-    row.push_str("]}");
-    row
-}
-
-/// Wraps serve rows into the BENCH_PR9-style document.
-pub fn json_document(rows: &[String]) -> String {
-    let mut json = String::from("{\n  \"serve\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(row);
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    json
 }

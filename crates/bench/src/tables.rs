@@ -4,10 +4,13 @@
 //! `fig*` binaries print it; the integration tests assert on its shape).
 //! Absolute numbers differ from the paper — the substrate is a bytecode
 //! interpreter, not 2002 x86 hardware — but the *shapes* the paper argues
-//! from are reproduced; EXPERIMENTS.md records paper-vs-measured.
+//! from are reproduced; EXPERIMENTS.md records paper-vs-measured. Every
+//! cell is a count, so a table is the same on every run and every host:
+//! the paper's `t_*` (seconds) columns are `i_*` (instructions executed)
+//! here.
 
 use crate::programs::{all, by_name};
-use crate::runner::{fmt_bytes, fmt_time, improvement_pct, run_scaled, MeasuredRun};
+use crate::runner::{fmt_bytes, improvement_pct, run_scaled, MeasuredRun};
 use kit::Mode;
 use kit_runtime::RtConfig;
 use std::fmt::Write as _;
@@ -28,11 +31,14 @@ fn run_mode(b: &crate::Benchmark, mode: Mode, quick: bool) -> MeasuredRun {
 /// Table 1 — effect of tagging on time and memory (`r` vs `rt`).
 pub fn table1(quick: bool) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Effect of Tagging on Time and Memory Usage (Table 1)");
     let _ = writeln!(
         out,
-        "{:<10} {:>9} {:>9} {:>5}  {:>9} {:>9} {:>5}",
-        "Program", "t_r", "t_rt", "%", "m_r", "m_rt", "%"
+        "Effect of Tagging on Instructions and Memory Usage (Table 1)"
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} {:>11} {:>11} {:>5}  {:>9} {:>9} {:>5}",
+        "Program", "i_r", "i_rt", "%", "m_r", "m_rt", "%"
     );
     for b in all() {
         let r = run_mode(&b, Mode::R, quick);
@@ -42,15 +48,15 @@ pub fn table1(quick: bool) -> String {
             "{}: mode disagreement",
             b.name
         );
-        let tpct = improvement_pct(r.time.as_secs_f64(), rt.time.as_secs_f64());
+        let ipct = improvement_pct(r.instructions as f64, rt.instructions as f64);
         let mpct = improvement_pct(r.peak_bytes as f64, rt.peak_bytes as f64);
         let _ = writeln!(
             out,
-            "{:<10} {:>9} {:>9} {:>5}  {:>9} {:>9} {:>5}",
+            "{:<10} {:>11} {:>11} {:>5}  {:>9} {:>9} {:>5}",
             b.name,
-            fmt_time(r.time),
-            fmt_time(rt.time),
-            -tpct,
+            r.instructions,
+            rt.instructions,
+            -ipct,
             fmt_bytes(r.peak_bytes),
             fmt_bytes(rt.peak_bytes),
             -mpct,
@@ -73,8 +79,8 @@ pub fn table2(quick: bool) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>9} {:>9} {:>5}  {:>9} {:>9} {:>5}  {:>7} {:>7} {:>5}",
-        "Program", "t_gt", "t_rgt", "%", "m_gt", "m_rgt", "%", "#GC_gt", "#GC_rgt", "%"
+        "{:<10} {:>11} {:>11} {:>5}  {:>9} {:>9} {:>5}  {:>7} {:>7} {:>5}",
+        "Program", "i_gt", "i_rgt", "%", "m_gt", "m_rgt", "%", "#GC_gt", "#GC_rgt", "%"
     );
     for b in all() {
         let gt = run_mode(&b, Mode::Gt, quick);
@@ -86,11 +92,11 @@ pub fn table2(quick: bool) -> String {
         );
         let _ = writeln!(
             out,
-            "{:<10} {:>9} {:>9} {:>5}  {:>9} {:>9} {:>5}  {:>7} {:>7} {:>5}",
+            "{:<10} {:>11} {:>11} {:>5}  {:>9} {:>9} {:>5}  {:>7} {:>7} {:>5}",
             b.name,
-            fmt_time(gt.time),
-            fmt_time(rgt.time),
-            improvement_pct(gt.time.as_secs_f64(), rgt.time.as_secs_f64()),
+            gt.instructions,
+            rgt.instructions,
+            improvement_pct(gt.instructions as f64, rgt.instructions as f64),
             fmt_bytes(gt.peak_bytes),
             fmt_bytes(rgt.peak_bytes),
             improvement_pct(gt.peak_bytes as f64, rgt.peak_bytes as f64),
@@ -99,6 +105,10 @@ pub fn table2(quick: bool) -> String {
             improvement_pct(gt.gc_count as f64, rgt.gc_count as f64),
         );
     }
+    let _ = writeln!(
+        out,
+        "(i_ counts the mutator's instructions; the collector's work is the #GC columns)"
+    );
     out
 }
 
@@ -148,8 +158,8 @@ pub fn table4(quick: bool) -> String {
     let _ = writeln!(out, "Comparison with the Generational Baseline (Table 4)");
     let _ = writeln!(
         out,
-        "{:<10} {:>9} {:>9} {:>6}  {:>9} {:>9} {:>6}",
-        "Program", "t_smlnj", "t_rgt", "ratio", "m_smlnj", "m_rgt", "ratio"
+        "{:<10} {:>11} {:>11} {:>6}  {:>9} {:>9} {:>6}",
+        "Program", "i_smlnj", "i_rgt", "ratio", "m_smlnj", "m_rgt", "ratio"
     );
     for b in all() {
         let base = run_mode(&b, Mode::Baseline, quick);
@@ -159,15 +169,15 @@ pub fn table4(quick: bool) -> String {
             "{}: mode disagreement",
             b.name
         );
-        let tr = base.time.as_secs_f64() / rgt.time.as_secs_f64().max(1e-9);
+        let ir = base.instructions as f64 / (rgt.instructions as f64).max(1.0);
         let mr = base.peak_bytes as f64 / (rgt.peak_bytes as f64).max(1.0);
         let _ = writeln!(
             out,
-            "{:<10} {:>9} {:>9} {:>6.1}  {:>9} {:>9} {:>6.1}",
+            "{:<10} {:>11} {:>11} {:>6.1}  {:>9} {:>9} {:>6.1}",
             b.name,
-            fmt_time(base.time),
-            fmt_time(rgt.time),
-            tr,
+            base.instructions,
+            rgt.instructions,
+            ir,
             fmt_bytes(base.peak_bytes),
             fmt_bytes(rgt.peak_bytes),
             mr,
@@ -175,7 +185,8 @@ pub fn table4(quick: bool) -> String {
     }
     let _ = writeln!(
         out,
-        "(ratios > 1 favour regions+GC, as in the paper's t_smlnj/t_rgt columns)"
+        "(ratios > 1 favour regions+GC, as in the paper's t_smlnj/t_rgt columns;\n \
+         i_ counts the mutator's instructions, not the collector's work)"
     );
     out
 }
@@ -272,7 +283,7 @@ pub fn fig5(quick: bool) -> String {
 }
 
 /// The §4.5 bootstrapping substitute: the largest symbolic workload under
-/// `rgt` and the baseline, reporting time and peak memory.
+/// `rgt` and the baseline, reporting instructions and peak memory.
 pub fn bootstrap(quick: bool) -> String {
     let b = by_name("kitkb").expect("kitkb benchmark");
     let scale = if quick { 12 } else { 220 };
@@ -285,9 +296,9 @@ pub fn bootstrap(quick: bool) -> String {
         let r = run_scaled(&b, mode, scale, None).unwrap_or_else(|e| panic!("{mode}: {e}"));
         let _ = writeln!(
             out,
-            "  {:<7} time {:>8}s  peak {:>9}  collections {:>4} (minor {} / major {})",
+            "  {:<7} instructions {:>11}  peak {:>9}  collections {:>4} (minor {} / major {})",
             mode.suffix(),
-            fmt_time(r.time),
+            r.instructions,
             fmt_bytes(r.peak_bytes),
             r.gc_count,
             r.outcome.stats.minor_gcs,

@@ -11,7 +11,7 @@ fn table1_has_a_row_per_benchmark() {
     for b in all() {
         assert!(t.contains(b.name), "missing {} in:\n{t}", b.name);
     }
-    assert!(t.contains("t_r"), "{t}");
+    assert!(t.contains("i_r"), "{t}");
 }
 
 #[test]
@@ -35,7 +35,7 @@ fn table3_reports_fractions() {
 #[test]
 fn table4_compares_against_baseline() {
     let t = tables::table4(true);
-    assert!(t.contains("t_smlnj"), "{t}");
+    assert!(t.contains("i_smlnj"), "{t}");
     for b in all() {
         assert!(t.contains(b.name), "missing {} in:\n{t}", b.name);
     }

@@ -8,9 +8,10 @@
 //!   queue, the fixed worker pool, and the compile-once program cache
 //!   (`Arc<PreparedProgram>` keyed by mode, dispatch and source);
 //! * [`client`] — a minimal blocking client for tests and smoke runs;
-//! * [`load`] — the load driver reporting requests/sec, p50/p99 latency
-//!   and per-worker collector time (used by the `loadgen` binary and
-//!   `bench-summary --serve`).
+//! * [`load`] — the load driver: counts how every request was answered
+//!   and holds executed responses to per-program uniformity (used by the
+//!   `loadgen` binary and the serve tests; it holds no clock — latency
+//!   and throughput are read by the repo benchmark, `benchmark/`).
 //!
 //! Isolation story: every request executes on a fresh `Vm`/`Rt` under
 //! its own fuel, memory and wall-clock quota; only immutable compiled

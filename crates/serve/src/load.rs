@@ -1,9 +1,10 @@
 //! The load driver: opens `conns` TCP connections to a running server,
 //! keeps `sessions` requests in flight across them (pipelined — each
-//! connection has a sender and a receiver thread), and reports
-//! requests/sec, p50/p99 latency, per-program counter aggregates, and
-//! per-worker collector time. Shared by the `loadgen` binary and the
-//! `bench-summary` serve section so both report identical numbers.
+//! connection has a sender and a receiver thread), and reports what was
+//! answered: response counts and per-program counter aggregates. It is a
+//! correctness driver (chaos, flood, drain, `loadgen --check`) and holds
+//! no clock — latency and throughput are the repo benchmark's
+//! (`benchmark/`, open loop).
 //!
 //! Overload awareness (PR 10): responses split into *deterministic*
 //! outcomes ([`Status::is_deterministic`] — produced by actually running
@@ -16,11 +17,11 @@
 
 use crate::wire::{self, Request, Response, Status};
 use kit::{Compiler, DispatchMode, Mode};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashSet;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One program in the load mix.
 #[derive(Debug, Clone)]
@@ -106,33 +107,17 @@ pub struct ProgramReport {
     pub gc_count: u64,
     /// Uniform copied-word count.
     pub gc_copied_words: u64,
-    /// Summed collector time across the program's requests.
-    pub gc_time_ns: u64,
     /// Maximum peak footprint over the program's requests.
     pub peak_bytes: u64,
-    /// 99th-percentile latency over this program's responses,
-    /// milliseconds (the per-tenant fairness probe: a polite tenant's
-    /// p99 must hold while a hog floods).
-    pub p99_ms: f64,
     /// Uniform result/error text of the deterministic responses.
     pub result: String,
 }
 
-/// What one load run measured.
+/// What one load run was answered.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Responses received (== requests issued on success).
     pub requests: usize,
-    /// Wall-clock time from first send to last receive.
-    pub wall: Duration,
-    /// Requests per second.
-    pub rps: f64,
-    /// Median request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// Mean request latency, milliseconds.
-    pub mean_ms: f64,
     /// Requests shed at admission (`Overloaded`), all programs.
     pub shed: usize,
     /// Requests refused with `RateLimited`, all programs.
@@ -144,21 +129,9 @@ pub struct LoadReport {
     pub queue_depth_p99: u32,
     /// Per-program aggregates, mix order.
     pub per_program: Vec<ProgramReport>,
-    /// Collector nanoseconds summed per worker id.
-    pub per_worker_gc_ns: BTreeMap<u32, u64>,
 }
 
-/// Per-connection receiver tallies, merged after the join.
-#[derive(Default)]
-struct ConnTally {
-    latencies: Vec<Duration>,
-    queue_depths: Vec<u32>,
-    /// program index → accumulated responses
-    programs: HashMap<usize, ProgAcc>,
-    worker_gc_ns: HashMap<u32, u64>,
-    errors: Vec<String>,
-}
-
+/// What a mix program's responses added up to.
 #[derive(Default)]
 struct ProgAcc {
     requests: usize,
@@ -166,9 +139,7 @@ struct ProgAcc {
     shed: usize,
     rate_limited: usize,
     deadline_exceeded: usize,
-    gc_time_ns: u64,
     peak_bytes: u64,
-    latencies: Vec<Duration>,
     /// First deterministic response (uniformity reference).
     first: Option<Response>,
     /// First response of any status (fallback when nothing executed).
@@ -176,20 +147,51 @@ struct ProgAcc {
 }
 
 impl ProgAcc {
-    fn absorb_status(&mut self, status: Status) {
-        match status {
+    /// Counts one response. Deterministic responses must agree with the
+    /// first one seen; load-dependent outcomes are tallied, never compared.
+    fn absorb(&mut self, resp: Response) -> Result<(), String> {
+        self.requests += 1;
+        self.peak_bytes = self.peak_bytes.max(resp.peak_bytes);
+        match resp.status {
             Status::Overloaded => self.shed += 1,
             Status::RateLimited => self.rate_limited += 1,
             Status::DeadlineExceeded => self.deadline_exceeded += 1,
             _ => {}
         }
+        if !resp.status.is_deterministic() {
+            self.first_any.get_or_insert(resp);
+            return Ok(());
+        }
+        self.executed += 1;
+        fn observed(r: &Response) -> (Status, u64, u64, u64, &str) {
+            (
+                r.status,
+                r.instructions,
+                r.gc_count,
+                r.gc_copied_words,
+                &r.result,
+            )
+        }
+        match &self.first {
+            None => self.first = Some(resp),
+            Some(first) if observed(first) != observed(&resp) => {
+                return Err(format!(
+                    "(status, instructions, gc_count, gc_copied_words, result) \
+                     {:?} vs {:?}",
+                    observed(first),
+                    observed(&resp)
+                ));
+            }
+            Some(_) => {}
+        }
+        Ok(())
     }
 }
 
 struct Pending {
-    /// req_id → (program index, send instant)
-    inflight: HashMap<u64, (usize, Instant)>,
-    outstanding: usize,
+    /// Ids sent and not yet answered: a response outside this set is a
+    /// duplicate or an invention.
+    inflight: HashSet<u64>,
     /// Set by the receiver on failure so a capacity-blocked sender exits
     /// instead of waiting forever.
     aborted: bool,
@@ -216,7 +218,6 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, String> {
         share.max(1)
     };
 
-    let t0 = Instant::now();
     let mut handles = Vec::with_capacity(conns);
     for c in 0..conns {
         let addr = spec.addr;
@@ -224,66 +225,45 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, String> {
         let total = spec.requests;
         let nconns = conns;
         let cap = budget(c);
-        handles.push(thread::spawn(move || -> Result<ConnTally, String> {
+        handles.push(thread::spawn(move || {
             drive_conn(addr, &mix, total, nconns, c, cap)
         }));
     }
 
-    let mut tally = ConnTally::default();
-    for h in handles {
-        let t = h
-            .join()
-            .map_err(|_| "load connection thread panicked".to_string())??;
-        tally.latencies.extend(t.latencies);
-        tally.queue_depths.extend(t.queue_depths);
-        tally.errors.extend(t.errors);
-        for (w, ns) in t.worker_gc_ns {
-            *tally.worker_gc_ns.entry(w).or_insert(0) += ns;
-        }
-        for (p, acc) in t.programs {
-            merge_prog(&mut tally.programs, &mut tally.errors, p, acc);
+    // Join every connection before reporting the first failure.
+    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    let mut depths = Vec::with_capacity(spec.requests);
+    let mut programs: Vec<ProgAcc> = spec.mix.iter().map(|_| ProgAcc::default()).collect();
+    for conn in joined {
+        let responses = conn.map_err(|_| "load connection thread panicked".to_string())??;
+        for resp in responses {
+            depths.push(resp.queue_depth);
+            // The sender assigned request `i` to program `i % mix.len()`.
+            let idx = resp.req_id as usize % spec.mix.len();
+            programs[idx]
+                .absorb(resp)
+                .map_err(|e| format!("program #{idx} responses disagree: {e}"))?;
         }
     }
-    let wall = t0.elapsed();
 
-    if let Some(e) = tally.errors.first() {
-        return Err(e.clone());
-    }
-
-    let mut lat = tally.latencies;
-    lat.sort_unstable();
-    let n = lat.len();
+    let n = depths.len();
     if n != spec.requests {
         return Err(format!("expected {} responses, got {n}", spec.requests));
     }
-    let pct = |p: f64| lat[(((n as f64) * p).ceil() as usize).clamp(1, n) - 1];
-    let mean = lat.iter().sum::<Duration>() / n as u32;
-
-    let mut depths = tally.queue_depths;
     depths.sort_unstable();
-    let queue_depth_p99 = depths
-        .get((((depths.len() as f64) * 0.99).ceil() as usize).clamp(1, depths.len().max(1)) - 1)
-        .copied()
-        .unwrap_or(0);
+    let queue_depth_p99 = depths[((n as f64 * 0.99).ceil() as usize).clamp(1, n) - 1];
 
     let (mut shed, mut rate_limited, mut deadline_exceeded) = (0, 0, 0);
     let mut per_program = Vec::with_capacity(spec.mix.len());
-    for (i, prog) in spec.mix.iter().enumerate() {
-        let mut acc = tally
-            .programs
-            .remove(&i)
-            .ok_or_else(|| format!("program {} received no responses", prog.name))?;
+    for (prog, acc) in spec.mix.iter().zip(programs) {
         shed += acc.shed;
         rate_limited += acc.rate_limited;
         deadline_exceeded += acc.deadline_exceeded;
-        acc.latencies.sort_unstable();
-        let pn = acc.latencies.len();
-        let p99 = acc.latencies[(((pn as f64) * 0.99).ceil() as usize).clamp(1, pn) - 1];
         let reference = acc
             .first
             .as_ref()
             .or(acc.first_any.as_ref())
-            .expect("a counted program has at least one response");
+            .ok_or_else(|| format!("program {} received no responses", prog.name))?;
         per_program.push(ProgramReport {
             name: prog.name.clone(),
             requests: acc.requests,
@@ -295,33 +275,26 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, String> {
             instructions: reference.instructions,
             gc_count: reference.gc_count,
             gc_copied_words: reference.gc_copied_words,
-            gc_time_ns: acc.gc_time_ns,
             peak_bytes: acc.peak_bytes,
-            p99_ms: p99.as_secs_f64() * 1e3,
             result: reference.result.clone(),
         });
     }
 
     Ok(LoadReport {
         requests: n,
-        wall,
-        rps: n as f64 / wall.as_secs_f64(),
-        p50_ms: pct(0.50).as_secs_f64() * 1e3,
-        p99_ms: pct(0.99).as_secs_f64() * 1e3,
-        mean_ms: mean.as_secs_f64() * 1e3,
         shed,
         rate_limited,
         deadline_exceeded,
         queue_depth_p99,
         per_program,
-        per_worker_gc_ns: tally.worker_gc_ns.into_iter().collect(),
     })
 }
 
 /// Drives one connection: a sender thread pushes this connection's share
 /// of the request stream (request `i` goes to connection `i % nconns`,
 /// program `i % mix.len()`), blocking while `cap` requests are in
-/// flight; the receiver (this thread) tallies responses.
+/// flight; the receiver (this thread) collects the responses, each
+/// checked to answer a request that is in flight.
 fn drive_conn(
     addr: SocketAddr,
     mix: &[LoadProgram],
@@ -329,7 +302,7 @@ fn drive_conn(
     nconns: usize,
     conn: usize,
     cap: usize,
-) -> Result<ConnTally, String> {
+) -> Result<Vec<Response>, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_nodelay(true)
@@ -343,8 +316,7 @@ fn drive_conn(
         .map_err(|e| format!("set timeout: {e}"))?;
     let pending = Arc::new((
         Mutex::new(Pending {
-            inflight: HashMap::new(),
-            outstanding: 0,
+            inflight: HashSet::new(),
             aborted: false,
         }),
         Condvar::new(),
@@ -372,15 +344,13 @@ fn drive_conn(
                 };
                 let (lock, cv) = &*pending;
                 let mut p = lock.lock().expect("pending lock");
-                while p.outstanding >= cap && !p.aborted {
+                while p.inflight.len() >= cap && !p.aborted {
                     p = cv.wait(p).expect("pending wait");
                 }
                 if p.aborted {
                     return Err("receiver aborted".to_string());
                 }
-                p.inflight
-                    .insert(req.req_id, (i % mix.len(), Instant::now()));
-                p.outstanding += 1;
+                p.inflight.insert(req.req_id);
                 drop(p);
                 if let Err(e) = wire::write_request(&mut tx, &req) {
                     return Err(format!("send: {e}"));
@@ -390,128 +360,43 @@ fn drive_conn(
         })
     };
 
-    let mut tally = ConnTally::default();
-    for _ in 0..expected {
+    let mut responses = Vec::with_capacity(expected);
+    let mut failure = None;
+    while responses.len() < expected {
         let resp = match wire::read_response(&mut rx) {
             Ok(r) => r,
             Err(e) => {
-                tally.errors.push(format!("recv: {e}"));
+                failure = Some(format!("recv: {e}"));
                 break;
             }
         };
         let (lock, cv) = &*pending;
-        let mut p = lock.lock().expect("pending lock");
-        let Some((prog_idx, sent)) = p.inflight.remove(&resp.req_id) else {
-            tally
-                .errors
-                .push(format!("unexpected req_id {}", resp.req_id));
+        if !lock
+            .lock()
+            .expect("pending lock")
+            .inflight
+            .remove(&resp.req_id)
+        {
+            failure = Some(format!("unexpected req_id {}", resp.req_id));
             break;
-        };
-        p.outstanding -= 1;
-        drop(p);
+        }
         cv.notify_one();
-        let latency = sent.elapsed();
-        tally.latencies.push(latency);
-        tally.queue_depths.push(resp.queue_depth);
-        // Shed/limited responses carry `worker == u32::MAX` (no worker
-        // touched them); keep the per-worker books to real workers.
-        if resp.worker != u32::MAX {
-            *tally.worker_gc_ns.entry(resp.worker).or_insert(0) += resp.gc_time_ns;
-        }
-        let mut acc = ProgAcc {
-            requests: 1,
-            gc_time_ns: resp.gc_time_ns,
-            peak_bytes: resp.peak_bytes,
-            latencies: vec![latency],
-            ..ProgAcc::default()
-        };
-        acc.absorb_status(resp.status);
-        if resp.status.is_deterministic() {
-            acc.executed = 1;
-            acc.first = Some(resp);
-        } else {
-            acc.first_any = Some(resp);
-        }
-        merge_prog(&mut tally.programs, &mut tally.errors, prog_idx, acc);
+        responses.push(resp);
     }
 
-    if !tally.errors.is_empty() {
+    if failure.is_some() {
         let (lock, cv) = &*pending;
         lock.lock().expect("pending lock").aborted = true;
         cv.notify_all();
     }
-    match sender.join() {
-        Ok(Ok(())) => {}
-        // Suppress the sender's secondary error when the receiver
-        // already recorded the root cause.
-        Ok(Err(e)) if tally.errors.is_empty() => tally.errors.push(e),
-        Ok(Err(_)) => {}
-        Err(_) => tally.errors.push("sender thread panicked".to_string()),
-    }
-    Ok(tally)
-}
-
-/// Folds `acc` into the per-program map, recording an error if its
-/// deterministic counters disagree with what the program produced
-/// elsewhere. Load-dependent outcomes never participate in the
-/// comparison — only in the tallies.
-fn merge_prog(
-    programs: &mut HashMap<usize, ProgAcc>,
-    errors: &mut Vec<String>,
-    idx: usize,
-    acc: ProgAcc,
-) {
-    match programs.get_mut(&idx) {
-        None => {
-            programs.insert(idx, acc);
-        }
-        Some(have) => {
-            if let (Some(a), Some(b)) = (&have.first, &acc.first) {
-                if (
-                    a.status,
-                    a.instructions,
-                    a.gc_count,
-                    a.gc_copied_words,
-                    &a.result,
-                ) != (
-                    b.status,
-                    b.instructions,
-                    b.gc_count,
-                    b.gc_copied_words,
-                    &b.result,
-                ) {
-                    errors.push(format!(
-                        "program #{idx} responses disagree: \
-                         ({:?}, {} instr, {} gcs, {} copied, {:?}) vs \
-                         ({:?}, {} instr, {} gcs, {} copied, {:?})",
-                        a.status,
-                        a.instructions,
-                        a.gc_count,
-                        a.gc_copied_words,
-                        a.result,
-                        b.status,
-                        b.instructions,
-                        b.gc_count,
-                        b.gc_copied_words,
-                        b.result,
-                    ));
-                }
-            }
-            if have.first.is_none() {
-                have.first = acc.first;
-            }
-            if have.first_any.is_none() {
-                have.first_any = acc.first_any;
-            }
-            have.requests += acc.requests;
-            have.executed += acc.executed;
-            have.shed += acc.shed;
-            have.rate_limited += acc.rate_limited;
-            have.deadline_exceeded += acc.deadline_exceeded;
-            have.gc_time_ns += acc.gc_time_ns;
-            have.peak_bytes = have.peak_bytes.max(acc.peak_bytes);
-            have.latencies.extend(acc.latencies);
-        }
+    // The receiver's failure is the root cause; the sender's own error
+    // only counts when the receiver saw none.
+    let sent = sender
+        .join()
+        .unwrap_or_else(|_| Err("sender thread panicked".to_string()));
+    match failure {
+        Some(e) => Err(e),
+        None => sent.map(|()| responses),
     }
 }
 
@@ -609,4 +494,41 @@ pub fn check_against_standalone(
         });
     }
     Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn response(status: Status, instructions: u64) -> Response {
+        Response {
+            req_id: 0,
+            status,
+            worker: 0,
+            retry_after_ms: 0,
+            queue_depth: 0,
+            instructions,
+            gc_count: 0,
+            gc_copied_words: 0,
+            gc_time_ns: 0,
+            peak_bytes: 64,
+            result: "233".to_string(),
+            output: String::new(),
+        }
+    }
+
+    #[test]
+    fn executed_responses_must_agree_and_load_dependent_ones_are_only_counted() {
+        let mut acc = ProgAcc::default();
+        acc.absorb(response(Status::Overloaded, 0)).unwrap();
+        acc.absorb(response(Status::Ok, 1871)).unwrap();
+        acc.absorb(response(Status::DeadlineExceeded, 0)).unwrap();
+        acc.absorb(response(Status::Ok, 1871)).unwrap();
+        assert_eq!(
+            (acc.requests, acc.executed, acc.shed, acc.deadline_exceeded),
+            (4, 2, 1, 1)
+        );
+        let err = acc.absorb(response(Status::Ok, 1872)).unwrap_err();
+        assert!(err.contains("1871") && err.contains("1872"), "{err}");
+    }
 }

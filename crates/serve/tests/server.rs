@@ -59,8 +59,11 @@ fn mixed_outcomes_under_load_match_standalone() {
     .expect("load run");
 
     assert_eq!(report.requests, 96);
-    assert!(report.rps > 0.0);
-    assert!(report.p99_ms >= report.p50_ms);
+    // Round-robin over three programs, nothing load-dependent: each was
+    // asked 32 times and executed 32 times.
+    for p in &report.per_program {
+        assert_eq!((p.requests, p.executed), (32, 32), "{}", p.name);
+    }
     let by_name = |n: &str| {
         report
             .per_program

@@ -51,23 +51,27 @@ echo "    all modes, both engines, fuzzed slice budget)"
 cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
+echo "==> one measuring instrument: no time or rate field outside benchmark/"
+echo "    (times come from benchmark/run.sh, counts from bench-summary)"
+if grep -rnE 'instructions_per_sec|"rps"|p50_ms|p99_ms|mean_ms' crates/; then
+    echo "verify: a time or rate field is back under crates/ (see above)" >&2
+    exit 1
+fi
+
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR17.json, both"
-echo "    engines (a PR that moves them on purpose points this at its own"
-echo "    BENCH file)"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR18.json, both"
+echo "    engines; writes nothing (a PR that moves them on purpose points"
+echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
-    --full --samples 1 --modes r,rgt \
+    --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR17.json --out /tmp/bench_counts.json
-rm -f /tmp/bench_counts.json
+    --check-counts BENCH_PR18.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"
 cargo run --release -p kit-bench --bin loadgen -- \
     --sessions 64 --conns 8 --requests 256 --workers 4 \
-    --mix 'fib:12,fib:12:fuel=1000,churn:10:pages=4' --check \
-    --out /tmp/serve_smoke.json
-rm -f /tmp/serve_smoke.json
+    --mix 'fib:12,fib:12:fuel=1000,churn:10:pages=4' --check
 
 echo "==> kit-serve chaos smoke: slowloris, mid-frame disconnects,"
 echo "    malformed frames, stalled readers and connection churn next to"
