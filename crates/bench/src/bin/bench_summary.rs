@@ -64,15 +64,16 @@
 //! definition, not a memory regression.
 //!
 //! `--profile-fusion` runs the suite in the VM's fusion counting mode
-//! instead (match dispatch, hence unfused, so base opcodes are visible;
-//! prints to stdout, no `--out`),
-//! aggregates dynamic pair/triple frequencies of fallthrough-adjacent
-//! instructions, and prints the hot sequences plus a regenerated
-//! `FUSION_CANDIDATES` table for `crates/kam/src/fusion_table.rs`.
+//! instead (the oracle loop, so base opcodes are visible; prints to
+//! stdout, no `--out`), aggregates dynamic pair/triple frequencies of
+//! fallthrough-adjacent instructions, and prints the hot sequences, a
+//! regenerated `FUSION_CANDIDATES` table for
+//! `crates/kam/src/fusion_table.rs`, and the hot sequences of opcodes with
+//! packing lanes that no row covers.
 
 use kit::{Compiler, DispatchMode, Fusion, FusionProfile, KamOp as Op, Mode};
 use kit_bench::programs::{all, Benchmark};
-use kit_kam::fusion_table::{Opk, FUSION_CANDIDATES};
+use kit_kam::fusion_table::FUSION_CANDIDATES;
 use kit_runtime::RtConfig;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -517,21 +518,11 @@ fn run_cell(cell: &Cell, configs: &[Config], gc_compare: bool) -> Vec<Row> {
         .collect()
 }
 
-/// The source-instruction kind a base opcode fuses as, if any.
-fn opk_of(op: Op) -> Option<Opk> {
-    Some(match op {
-        Op::Load => Opk::Load,
-        Op::Store => Opk::Store,
-        Op::Pop => Opk::Pop,
-        Op::PushConst => Opk::PushConst,
-        Op::Select => Opk::Select,
-        Op::Prim => Opk::Prim,
-        Op::JumpIfFalse => Opk::JumpIfFalse,
-        Op::SwitchCon => Opk::SwitchCon,
-        Op::GcCheck => Opk::GcCheck,
-        Op::RegHandle => Opk::RegHandle,
-        _ => return None,
-    })
+/// The count of `seq` among the hot sequences of its length.
+fn count_of<const N: usize>(hot: &[([Op; N], u64)], seq: &[Op]) -> u64 {
+    hot.iter()
+        .find(|(ops, _)| ops[..] == *seq)
+        .map_or(0, |(_, n)| *n)
 }
 
 /// Runs the cells in the VM's counting mode and prints the hot adjacent
@@ -559,100 +550,48 @@ fn profile_fusion(cells: &[Cell]) {
         );
     }
 
-    let fusible = |ops: &[Op]| ops.iter().all(|&o| opk_of(o).is_some());
+    let (pairs, triples) = (total.hot_pairs(), total.hot_triples());
+    let line = |ops: &[Op], n: u64| {
+        let names: Vec<&str> = ops.iter().map(|op| op.mnemonic()).collect();
+        println!("{n:>14}  {}", names.join(";"));
+    };
     println!("\n== hot adjacent pairs ==");
-    for (ops, n) in total.hot_pairs().into_iter().take(24) {
-        println!(
-            "{:>14}  {};{}{}",
-            n,
-            ops[0].mnemonic(),
-            ops[1].mnemonic(),
-            if fusible(&ops) { "  [fusible]" } else { "" }
-        );
+    for (ops, n) in pairs.iter().take(24) {
+        line(ops, *n);
     }
     println!("\n== hot adjacent triples ==");
-    for (ops, n) in total.hot_triples().into_iter().take(24) {
-        println!(
-            "{:>14}  {};{};{}{}",
-            n,
-            ops[0].mnemonic(),
-            ops[1].mnemonic(),
-            ops[2].mnemonic(),
-            if fusible(&ops) { "  [fusible]" } else { "" }
-        );
+    for (ops, n) in triples.iter().take(24) {
+        line(ops, *n);
     }
 
-    // Regenerate the candidate table: current patterns with fresh counts.
-    let count_of = |seq: &[Opk]| -> (u64, bool) {
-        // The matrices hold pair/triple counts; a 4-long pattern's count is
-        // approximated (upper bound) by the rarer of its two triples.
-        let pair = |a: Opk, b: Opk| {
-            total
-                .hot_pairs()
-                .iter()
-                .find(|(ops, _)| opk_of(ops[0]) == Some(a) && opk_of(ops[1]) == Some(b))
-                .map_or(0, |(_, n)| *n)
-        };
-        let triple = |a: Opk, b: Opk, c: Opk| {
-            total
-                .hot_triples()
-                .iter()
-                .find(|(ops, _)| {
-                    opk_of(ops[0]) == Some(a)
-                        && opk_of(ops[1]) == Some(b)
-                        && opk_of(ops[2]) == Some(c)
-                })
-                .map_or(0, |(_, n)| *n)
-        };
-        match seq {
-            [a, b] => (pair(*a, *b), true),
-            [a, b, c] => (triple(*a, *b, *c), true),
-            [a, b, c, d] => (triple(*a, *b, *c).min(triple(*b, *c, *d)), false),
-            _ => (0, false),
-        }
+    // Regenerate the candidate table: current rows with fresh counts. The
+    // matrices hold pair/triple counts; a 4-long row's count is bounded
+    // above by the rarer of its two triples.
+    let count = |seq: &[Op]| match seq.len() {
+        2 => count_of(&pairs, seq),
+        3 => count_of(&triples, seq),
+        _ => count_of(&triples, &seq[..3]).min(count_of(&triples, &seq[1..])),
     };
     println!("\n== regenerated FUSION_CANDIDATES (paste into crates/kam/src/fusion_table.rs) ==");
-    println!("pub static FUSION_CANDIDATES: &[Pattern] = &[");
+    println!("pub const FUSION_CANDIDATES: &[Pattern] = &[");
     for p in FUSION_CANDIDATES {
-        let (n, exact) = count_of(p.seq);
-        let seq: Vec<String> = p.seq.iter().map(|k| format!("Opk::{k:?}")).collect();
-        println!("    Pattern {{");
-        println!("        seq: &[{}],", seq.join(", "));
-        println!("        out: FuseKind::{:?},", p.out);
-        println!(
-            "        dyn_count: {n},{}",
-            if exact {
-                ""
-            } else {
-                " // min of overlapping triples"
-            }
-        );
-        println!("    }},");
+        let seq: Vec<&str> = p.seq.iter().map(|op| op.mnemonic()).collect();
+        let n = count(p.seq);
+        println!("    row(&[{}], {:?}, {n}),", seq.join(", "), p.out);
     }
     println!("];");
 
-    // Hot fusible sequences the table does not cover yet — candidates
-    // for the next regeneration.
+    // Hot sequences of opcodes that have packing lanes and no row yet —
+    // candidates for the next regeneration.
     println!("\n== uncovered fusible sequences (candidates) ==");
-    let covered = |seq: &[Opk]| FUSION_CANDIDATES.iter().any(|p| p.seq == seq);
-    let mut shown = 0;
-    for (ops, n) in total.hot_triples() {
-        let seq: Option<Vec<Opk>> = ops.iter().map(|&o| opk_of(o)).collect();
-        if let Some(seq) = seq {
-            if !covered(&seq) && shown < 12 {
-                println!("{:>14}  {:?}", n, seq);
-                shown += 1;
-            }
-        }
+    let candidate = |ops: &[Op]| {
+        ops.iter().all(|op| op.packs()) && !FUSION_CANDIDATES.iter().any(|p| p.seq == ops)
+    };
+    for (ops, n) in triples.iter().filter(|(ops, _)| candidate(ops)).take(12) {
+        line(ops, *n);
     }
-    for (ops, n) in total.hot_pairs() {
-        let seq: Option<Vec<Opk>> = ops.iter().map(|&o| opk_of(o)).collect();
-        if let Some(seq) = seq {
-            if !covered(&seq) && shown < 24 {
-                println!("{:>14}  {:?}", n, seq);
-                shown += 1;
-            }
-        }
+    for (ops, n) in pairs.iter().filter(|(ops, _)| candidate(ops)).take(12) {
+        line(ops, *n);
     }
 }
 

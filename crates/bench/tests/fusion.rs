@@ -1,4 +1,4 @@
-//! Differential test for the interpreter's link/fusion pass and dispatch
+//! Differential test for the interpreter's fusion pass and dispatch
 //! engines: every benchmark, in every mode, must be bit-for-bit
 //! observationally identical on the unfused `Match` oracle and on the
 //! threaded engine with fusion off and on — same rendered result, same
@@ -6,9 +6,8 @@
 //! for the source instructions it replaces) the same instruction count
 //! and therefore the same GC schedule and allocation statistics.
 
-use kit::{Compiler, DispatchMode, Fusion, Mode};
+use kit::{Compiler, DispatchMode, Fusion, KamOp, Mode};
 use kit_bench::programs;
-use kit_kam::LInstr;
 
 #[test]
 fn fusion_and_dispatch_are_observationally_invisible_on_every_benchmark() {
@@ -31,35 +30,32 @@ fn check_all_benchmarks() {
     // The uncovered-triple fixups must actually fire on the
     // corpus they were profiled from (the equivalence loop below then
     // proves them invisible).
-    let mut triples = [0u64; 3];
+    let triples = [
+        KamOp::SelectStoreLoad,
+        KamOp::GcCheckLoadSwitchCon,
+        KamOp::RegHandleRegHandleLoad,
+    ];
+    let mut fired = [0usize; 3];
     for b in programs::all() {
         let src = b.source_scaled(b.test_scale);
         let prog = Compiler::new(Mode::R)
             .compile_source(&src)
             .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-        for ins in &kit_kam::link(&prog, Fusion::Full).code {
-            match ins {
-                LInstr::SelectStoreLoad { .. } => triples[0] += 1,
-                LInstr::GcCheckLoadSwitchCon { .. } => triples[1] += 1,
-                LInstr::RegHandleRegHandleLoad { .. } => triples[2] += 1,
-                _ => {}
-            }
+        let ops = kit_kam::threaded::translate(kit_kam::link(&prog), Fusion::Full).ops;
+        for (n, triple) in fired.iter_mut().zip(triples) {
+            *n += ops.iter().filter(|op| **op == triple).count();
         }
     }
     assert!(
-        triples.iter().all(|&n| n > 0),
-        "the triple fixups must fire on the benchmark corpus: \
-         SelectStoreLoad={} GcCheckLoadSwitchCon={} RegHandleRegHandleLoad={}",
-        triples[0],
-        triples[1],
-        triples[2]
+        fired.iter().all(|&n| n > 0),
+        "the triple fixups must fire on the benchmark corpus: {triples:?} = {fired:?}"
     );
 
     for b in programs::all() {
         let src = b.source_scaled(b.test_scale);
         for mode in Mode::ALL_WITH_BASELINE {
-            // The link pass runs inside the VM, so one compiled program
-            // serves all executions.
+            // Linking and translation run inside the VM, so one compiled
+            // program serves all executions.
             let prog = Compiler::new(mode)
                 .compile_source(&src)
                 .unwrap_or_else(|e| panic!("{} ({mode}): compile: {e}", b.name));

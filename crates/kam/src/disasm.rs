@@ -1,9 +1,12 @@
-//! Bytecode disassembler (`--dump-kam` style debugging output), for both
-//! the compiler's label-based stream and the linked form the interpreter
-//! dispatches on.
+//! Bytecode disassembler (`--dump-kam` style debugging output), for the
+//! compiler's label-based stream, the linked form the oracle dispatches
+//! on, and the threaded form the production engine does — where a
+//! superinstruction renders as its mnemonic plus the base instructions it
+//! stands for (`LoadSelectStore = Load a=1; Select n=0; Store a=2`).
 
 use crate::instr::Program;
 use crate::link;
+use crate::threaded::{translate, Args, Field, Fusion, Op};
 use std::fmt::Write as _;
 
 /// Renders the instruction stream with code addresses and function entry
@@ -31,46 +34,62 @@ pub fn disassemble(p: &Program) -> String {
     out
 }
 
-/// Renders the *linked* instruction stream (absolute pc operands, fused
-/// superinstructions) — what the interpreter actually executes.
-pub fn disassemble_linked(p: &Program, fusion: link::Fusion) -> String {
-    let linked = link::link(p, fusion);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "; linked: {} instructions ({} fused) from {} source instructions",
-        linked.code.len(),
-        linked.fused,
-        p.code.len()
-    );
-    render_stream(p, &linked.entry_pc, linked.code.iter(), &mut out);
+/// Renders the *linked* instruction stream (absolute pc operands, one
+/// instruction per source instruction) — what the oracle executes.
+pub fn disassemble_linked(p: &Program) -> String {
+    let linked = link::link(p);
+    let mut out = format!("; linked: {} instructions\n", linked.code.len());
+    let lines = linked.code.iter().map(|ins| format!("{ins:?}"));
+    render_stream(p, &linked.entry_pc, lines, &mut out);
     out
 }
 
-/// Renders the *threaded* (struct-of-arrays) form by rebuilding each
-/// instruction from its opcode + pre-decoded operands. Because the
-/// translation is lossless, this produces the same mnemonic stream as
-/// [`disassemble_linked`] apart from the header line — the round-trip
-/// property the dispatch tests rely on.
-pub fn disassemble_threaded(p: &Program, fusion: link::Fusion) -> String {
-    let tcode = crate::threaded::translate(link::link(p, fusion));
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "; threaded: {} instructions ({} fused) from {} source instructions",
+/// Renders the *threaded* (struct-of-arrays) form — what the production
+/// engine executes: the mnemonic and the operand fields the opcode reads;
+/// a superinstruction is followed by the base instructions it stands for
+/// ([`ThreadedCode::unfuse`](crate::threaded::ThreadedCode::unfuse)).
+pub fn disassemble_threaded(p: &Program, fusion: Fusion) -> String {
+    let tcode = translate(link::link(p), fusion);
+    let mut out = format!(
+        "; threaded: {} instructions ({} fused) from {} source instructions\n",
         tcode.ops.len(),
         tcode.fused,
         p.code.len()
     );
-    let rebuilt: Vec<_> = (0..tcode.ops.len()).map(|pc| tcode.rebuild(pc)).collect();
-    render_stream(p, &tcode.entry_pc, rebuilt.iter(), &mut out);
+    let lines = tcode.ops.iter().enumerate().map(|(pc, op)| {
+        let parts: Vec<String> = tcode.unfuse(pc).iter().map(show).collect();
+        if op.is_fused() {
+            format!("{} = {}", op.mnemonic(), parts.join("; "))
+        } else {
+            parts.concat()
+        }
+    });
+    render_stream(p, &tcode.entry_pc, lines, &mut out);
     out
 }
 
-fn render_stream<'i>(
+/// One base instruction of the threaded form: `Mnemonic field=value …`.
+fn show((op, x): &(Op, Args)) -> String {
+    let mut s = op.mnemonic().to_string();
+    for f in op.fields() {
+        let _ = match f {
+            Field::K => write!(s, " k={}", x.k),
+            Field::A => write!(s, " a={}", x.a),
+            Field::T => write!(s, " t={}", x.t),
+            Field::N => write!(s, " n={}", x.n),
+            Field::M => write!(s, " m={}", x.m),
+            Field::Flag => write!(s, " flag={}", x.flag),
+            Field::P => write!(s, " p={:?}", x.p),
+            Field::At => write!(s, " at={:?}", x.at),
+        };
+    }
+    s
+}
+
+fn render_stream(
     p: &Program,
     entry_pc: &[u32],
-    code: impl Iterator<Item = &'i crate::link::LInstr>,
+    lines: impl Iterator<Item = String>,
     out: &mut String,
 ) {
     let mut entries: std::collections::HashMap<usize, String> = Default::default();
@@ -84,11 +103,11 @@ fn render_stream<'i>(
             })
             .or_insert_with(|| name.clone());
     }
-    for (pc, ins) in code.enumerate() {
+    for (pc, line) in lines.enumerate() {
         if let Some(name) = entries.get(&pc) {
             let _ = writeln!(out, "{name}:");
         }
-        let _ = writeln!(out, "  {pc:>5}  {ins:?}");
+        let _ = writeln!(out, "  {pc:>5}  {line}");
     }
 }
 
@@ -108,15 +127,20 @@ mod tests {
     }
 
     #[test]
-    fn disassembles_the_linked_form() {
-        let mut lprog = kit_typing::compile_str("fun f (x, y) = x + y val it = f (1, 2)").unwrap();
+    fn disassembles_the_linked_and_threaded_forms() {
+        let src = "fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2) val it = fib 5";
+        let mut lprog = kit_typing::compile_str(src).unwrap();
         kit_lambda::opt::optimize(&mut lprog, &Default::default());
         let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::regions_only());
         let prog = crate::compile(&rprog, true);
-        let fused = disassemble_linked(&prog, link::Fusion::Full);
-        assert!(fused.contains("<main>:"), "{fused}");
-        assert!(fused.contains("Halt"), "{fused}");
-        let unfused = disassemble_linked(&prog, link::Fusion::Off);
+        let linked = disassemble_linked(&prog);
+        assert!(linked.contains("<main>:"), "{linked}");
+        assert!(linked.contains("Halt"), "{linked}");
+        let unfused = disassemble_threaded(&prog, Fusion::Off);
         assert!(unfused.contains("(0 fused)"), "{unfused}");
+        // `n < 2` (tagged 2 is 5): the components follow the mnemonic.
+        let fused = disassemble_threaded(&prog, Fusion::Full);
+        let lt = "PushConstPrim = PushConst k=5; Prim p=ILt at=None\n";
+        assert!(fused.contains(lt), "{fused}");
     }
 }

@@ -1,209 +1,85 @@
-//! Fusion-candidate table consumed by the link pass.
+//! The superinstruction table: which runs of base opcodes the threaded
+//! translation ([`crate::threaded::translate`]) collapses into one opcode.
+//!
+//! A row is all a superinstruction is, besides its handler: `seq` is the
+//! run it replaces, `out` its opcode. Its operands are its components'
+//! operands under the one packing rule of [`crate::threaded`], and its
+//! charge ([`Op::cost`]) is `seq.len()`.
 //!
 //! This table is *generated*: `cargo run -p kit-bench --release --bin
-//! bench-summary -- --profile-fusion` runs the benchmark suite in the
-//! VM's counting mode (fusion off, so base opcodes are visible),
+//! bench-summary -- --profile-fusion --full` runs the benchmark suite in
+//! the VM's counting mode (the oracle loop, so base opcodes are visible),
 //! aggregates dynamic pair/triple frequencies of fallthrough-adjacent
 //! instructions, and prints a replacement for [`FUSION_CANDIDATES`] with
-//! fresh `dyn_count` numbers. Patterns are ordered longest-first because
-//! the matcher in [`crate::link`] is greedy; a unit test enforces the
-//! ordering.
+//! fresh `dyn_count` numbers. Rows are ordered longest-first because the
+//! matcher is greedy; a unit test enforces the ordering. A row whose
+//! fresh count is 0 is deleted with its opcode and handler (PR 19:
+//! `Store; Pop`).
 //!
 //! `dyn_count` is the measured number of adjacent executions across the
-//! suite at test scale — documentation for the next regeneration, not an
-//! input to the matcher.
+//! suite at paper scale (`--full`, all five modes; PR 19's bytecode) —
+//! documentation for the next regeneration, not an input to the matcher.
 
-/// Source-instruction kind, as matched by fusion patterns (a projection
-/// of [`crate::instr::Instr`] that ignores operands).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Opk {
-    Load,
-    Store,
-    Pop,
-    PushConst,
-    Select,
-    Prim,
-    JumpIfFalse,
-    SwitchCon,
-    GcCheck,
-    RegHandle,
-}
+use crate::threaded::Op::{self, *};
 
-/// The superinstruction a matched pattern is replaced by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FuseKind {
-    LoadLoadPrim,
-    PushConstPrim,
-    LoadSelect,
-    StorePop,
-    PushConstJumpIfFalse,
-    LoadConstPrim,
-    LoadSelectStore,
-    LoadLoadPrimJump,
-    LoadConstPrimJump,
-    // Selected from `--profile-fusion` counts.
-    StoreLoadSelect,
-    LoadPrimJump,
-    SelectConstPrim,
-    StoreLoad,
-    LoadLoad,
-    PrimJump,
-    SelectStore,
-    LoadStore,
-    LoadSwitchCon,
-    GcCheckLoad,
-    RegHandleRegHandle,
-    // Triples that profile still reported hot but uncovered.
-    SelectStoreLoad,
-    GcCheckLoadSwitchCon,
-    RegHandleRegHandleLoad,
-    RegHandleLoadLoad,
-}
-
-/// One fusion candidate: the instruction sequence `seq` collapses into
-/// the superinstruction `out` (cost = `seq.len()`).
+/// One fusion candidate: the opcode run `seq` collapses into the
+/// superinstruction `out` (cost = `seq.len()`).
 #[derive(Debug)]
 pub struct Pattern {
-    /// Source-instruction kinds, matched at adjacent pcs with no interior
-    /// leader.
-    pub seq: &'static [Opk],
+    /// Base opcodes, matched at adjacent pcs with no interior leader.
+    pub seq: &'static [Op],
     /// Replacement superinstruction.
-    pub out: FuseKind,
+    pub out: Op,
     /// Measured fallthrough-adjacent executions across the benchmark
-    /// suite (see module docs; regenerated with `--profile-fusion`).
+    /// suite (see module docs; regenerated with `--profile-fusion`). A
+    /// 4-long row's count is the rarer of its two overlapping triples.
     pub dyn_count: u64,
 }
 
+const fn row(seq: &'static [Op], out: Op, dyn_count: u64) -> Pattern {
+    Pattern {
+        seq,
+        out,
+        dyn_count,
+    }
+}
+
 /// All fusion candidates, longest pattern first (the matcher is greedy).
-pub static FUSION_CANDIDATES: &[Pattern] = &[
-    Pattern {
-        seq: &[Opk::Load, Opk::Load, Opk::Prim, Opk::JumpIfFalse],
-        out: FuseKind::LoadLoadPrimJump,
-        dyn_count: 4413050, // min of overlapping triples
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::PushConst, Opk::Prim, Opk::JumpIfFalse],
-        out: FuseKind::LoadConstPrimJump,
-        dyn_count: 2072175, // min of overlapping triples
-    },
-    Pattern {
-        seq: &[Opk::Store, Opk::Load, Opk::Select],
-        out: FuseKind::StoreLoadSelect,
-        dyn_count: 19377233,
-    },
-    Pattern {
-        seq: &[Opk::Select, Opk::Store, Opk::Load],
-        out: FuseKind::SelectStoreLoad,
-        dyn_count: 17552122,
-    },
-    Pattern {
-        seq: &[Opk::GcCheck, Opk::Load, Opk::SwitchCon],
-        out: FuseKind::GcCheckLoadSwitchCon,
-        dyn_count: 8042220,
-    },
-    Pattern {
-        seq: &[Opk::RegHandle, Opk::RegHandle, Opk::Load],
-        out: FuseKind::RegHandleRegHandleLoad,
-        dyn_count: 5183592,
-    },
-    Pattern {
-        seq: &[Opk::RegHandle, Opk::Load, Opk::Load],
-        out: FuseKind::RegHandleLoadLoad,
-        dyn_count: 4899492,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::Select, Opk::Store],
-        out: FuseKind::LoadSelectStore,
-        dyn_count: 17559405,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::Load, Opk::Prim],
-        out: FuseKind::LoadLoadPrim,
-        dyn_count: 5719705,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::Prim, Opk::JumpIfFalse],
-        out: FuseKind::LoadPrimJump,
-        dyn_count: 4413050,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::PushConst, Opk::Prim],
-        out: FuseKind::LoadConstPrim,
-        dyn_count: 4760270,
-    },
-    Pattern {
-        seq: &[Opk::Select, Opk::PushConst, Opk::Prim],
-        out: FuseKind::SelectConstPrim,
-        dyn_count: 148565,
-    },
-    Pattern {
-        seq: &[Opk::Store, Opk::Load],
-        out: FuseKind::StoreLoad,
-        dyn_count: 27747092,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::Select],
-        out: FuseKind::LoadSelect,
-        dyn_count: 26270020,
-    },
-    Pattern {
-        seq: &[Opk::Select, Opk::Store],
-        out: FuseKind::SelectStore,
-        dyn_count: 17559405,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::Load],
-        out: FuseKind::LoadLoad,
-        dyn_count: 17519372,
-    },
-    Pattern {
-        seq: &[Opk::Prim, Opk::JumpIfFalse],
-        out: FuseKind::PrimJump,
-        dyn_count: 6792830,
-    },
-    Pattern {
-        seq: &[Opk::PushConst, Opk::Prim],
-        out: FuseKind::PushConstPrim,
-        dyn_count: 6033555,
-    },
-    Pattern {
-        seq: &[Opk::PushConst, Opk::JumpIfFalse],
-        out: FuseKind::PushConstJumpIfFalse,
-        dyn_count: 226885,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::SwitchCon],
-        out: FuseKind::LoadSwitchCon,
-        dyn_count: 8962140,
-    },
-    Pattern {
-        seq: &[Opk::GcCheck, Opk::Load],
-        out: FuseKind::GcCheckLoad,
-        dyn_count: 9691373,
-    },
-    Pattern {
-        seq: &[Opk::RegHandle, Opk::RegHandle],
-        out: FuseKind::RegHandleRegHandle,
-        dyn_count: 9996807,
-    },
-    Pattern {
-        seq: &[Opk::Load, Opk::Store],
-        out: FuseKind::LoadStore,
-        dyn_count: 7071756,
-    },
-    Pattern {
-        seq: &[Opk::Store, Opk::Pop],
-        out: FuseKind::StorePop,
-        dyn_count: 0,
-    },
+/// One row per line, as `--profile-fusion` prints them.
+#[rustfmt::skip]
+pub const FUSION_CANDIDATES: &[Pattern] = &[
+    row(&[Load, Load, Prim, JumpIfFalse], LoadLoadPrimJump, 113382675),
+    row(&[Load, PushConst, Prim, JumpIfFalse], LoadConstPrimJump, 91749760),
+    row(&[Store, Load, Select], StoreLoadSelect, 403584914),
+    row(&[Select, Store, Load], SelectStoreLoad, 383415523),
+    row(&[GcCheck, Load, SwitchCon], GcCheckLoadSwitchCon, 118621710),
+    row(&[RegHandle, RegHandle, Load], RegHandleRegHandleLoad, 86065958),
+    row(&[RegHandle, Load, Load], RegHandleLoadLoad, 110611679),
+    row(&[Load, Select, Store], LoadSelectStore, 383458195),
+    row(&[Load, Load, Prim], LoadLoadPrim, 172332995),
+    row(&[Load, Prim, JumpIfFalse], LoadPrimJump, 113382675),
+    row(&[Load, PushConst, Prim], LoadConstPrim, 161987945),
+    row(&[Select, PushConst, Prim], SelectConstPrim, 60000),
+    row(&[Store, Load], StoreLoad, 648593147),
+    row(&[Load, Select], LoadSelect, 462652855),
+    row(&[Select, Store], SelectStore, 383458195),
+    row(&[Load, Load], LoadLoad, 428091559),
+    row(&[Prim, JumpIfFalse], PrimJump, 206172190),
+    row(&[PushConst, Prim], PushConstPrim, 202471045),
+    row(&[PushConst, JumpIfFalse], PushConstJumpIfFalse, 6171765),
+    row(&[Load, SwitchCon], LoadSwitchCon, 162166525),
+    row(&[GcCheck, Load], GcCheckLoad, 152912007),
+    row(&[RegHandle, RegHandle], RegHandleRegHandle, 109394143),
+    row(&[Load, Store], LoadStore, 150028816),
 ];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threaded::Field;
 
     #[test]
-    fn candidates_are_longest_first() {
+    fn candidates_are_longest_first_and_unique() {
         for w in FUSION_CANDIDATES.windows(2) {
             assert!(
                 w[0].seq.len() >= w[1].seq.len(),
@@ -212,13 +88,44 @@ mod tests {
                 w[1].out
             );
         }
-    }
-
-    #[test]
-    fn patterns_are_unique() {
         for (i, a) in FUSION_CANDIDATES.iter().enumerate() {
             for b in &FUSION_CANDIDATES[i + 1..] {
                 assert_ne!(a.seq, b.seq, "duplicate pattern {:?}/{:?}", a.out, b.out);
+            }
+        }
+    }
+
+    #[test]
+    fn every_fused_opcode_is_the_out_of_exactly_one_row() {
+        for op in Op::ALL {
+            let rows = FUSION_CANDIDATES.iter().filter(|p| p.out == op).count();
+            assert_eq!(rows, usize::from(op.is_fused()), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn every_seq_member_has_a_packing_lane_and_no_lane_overflows() {
+        for p in FUSION_CANDIDATES {
+            assert!(p.seq.len() >= 2, "{:?}", p.out);
+            let count = |f: Field| {
+                p.seq
+                    .iter()
+                    .flat_map(|op| op.fields())
+                    .filter(|g| **g == f)
+                    .count()
+            };
+            for op in p.seq {
+                assert!(!op.is_fused() && op.packs(), "{:?}: {op:?}", p.out);
+            }
+            // `a` then `b`; `at` then `at2`; one of everything else.
+            assert!(count(Field::A) <= 2 && count(Field::At) <= 2, "{:?}", p.out);
+            for f in [Field::K, Field::N, Field::P, Field::T] {
+                assert!(count(f) <= 1, "{:?}: two {f:?} operands", p.out);
+            }
+            // A branch target belongs to the last member: control leaves
+            // a group only at its end.
+            for op in &p.seq[..p.seq.len() - 1] {
+                assert!(!op.fields().contains(&Field::T), "{:?}: {op:?}", p.out);
             }
         }
     }

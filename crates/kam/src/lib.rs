@@ -16,6 +16,21 @@
 //! Kit includes *all* top-level variables in the root set and only
 //! collects at function entry — both faithfully reproduced here.)
 //!
+//! Execution is two engines over one bytecode, in three forms:
+//!
+//! ```text
+//! Instr ──link──▶ LInstr ──translate (+ fuse)──▶ Op / Args
+//! ```
+//!
+//! [`link()`](link()) resolves labels to pcs and nothing else; the
+//! oracle ([`vm::DispatchMode::Match`]) runs that form, whose 33 base
+//! instructions are all it can be handed. [`threaded::translate`] lays
+//! the same stream out as struct-of-arrays and — with
+//! [`Fusion::Full`] — regroups hot runs into superinstructions, each of
+//! which is one row of [`fusion_table::FUSION_CANDIDATES`], one handler
+//! and one jump-table arm in [`vm`], and charged the instructions it
+//! replaces; the production engine runs that.
+//!
 //! Constructor representation follows the ML Kit's untagged scheme:
 //! nullary constructors are scalars; a datatype with exactly one boxed
 //! constructor needs no runtime discriminant (a cons cell is 2 words
@@ -36,6 +51,6 @@ pub mod vm;
 
 pub use compile::compile;
 pub use instr::Program;
-pub use link::{link, Fusion, LInstr, LinkedProgram};
-pub use threaded::{FusionProfile, ThreadedCode};
+pub use link::{link, LInstr, LinkedProgram};
+pub use threaded::{Fusion, FusionProfile, ThreadedCode};
 pub use vm::{DispatchMode, Executable, Vm, VmError, VmOutcome};

@@ -1,158 +1,184 @@
 //! Struct-of-arrays translation of the linked form for direct-threaded
-//! dispatch.
+//! dispatch, and the fusion of hot opcode runs into superinstructions.
 //!
 //! [`translate`] turns a [`LinkedProgram`] into a [`ThreadedCode`]: one
 //! dense opcode byte per instruction ([`Op`]) plus a parallel array of
 //! pre-decoded fixed-size operands ([`Args`]). Variable-sized payloads
 //! (switch tables, string literals, `letregion` name lists) move into side
 //! tables indexed through an operand slot, so the arrays the dispatch loop
-//! touches are compact and cache-dense. The execution engine itself — the
-//! `const` handler table indexed by `Op` — lives next to the classic match
-//! loop in [`crate::vm`]; this module owns the data layout and the exact
-//! [`Op::cost`] accounting that keeps instruction totals bit-identical
-//! across dispatch modes.
+//! touches are compact and cache-dense. With [`Fusion::Full`] the
+//! one-to-one stream is then regrouped: every run matching a row of
+//! [`FUSION_CANDIDATES`] becomes that row's opcode, and branch targets,
+//! switch tables and entry points move to the regrouped pcs.
 //!
-//! [`ThreadedCode::rebuild`] reconstructs the [`LInstr`] for any pc, which
-//! the disassembler and the round-trip tests use to prove the translation
-//! lossless.
+//! **The packing rule.** A superinstruction's [`Args`] is the merge of its
+//! components' operands, in component order: `u32` operands (local slots,
+//! switch-table indices) take `a` then `b`, a constant takes `k`, a select
+//! index `n`, a primitive `p` with its place, a branch target `t`, region
+//! slots (a primitive's place, a `RegHandle`'s slot) `at` then `at2`.
+//! `pack` applies it, [`ThreadedCode::unfuse`] is its inverse, and a
+//! table test holds every row to the lanes there are. [`Op::cost`] of a
+//! superinstruction is its row's `seq.len()` — the source instructions it
+//! stands for — which keeps instruction totals, fuel and the GC schedule
+//! bit-identical with the oracle's one per instruction.
+//!
+//! The execution engine itself — the jump table over [`Op`] — lives next
+//! to the oracle loop in [`crate::vm`].
 
+use crate::fusion_table::{Pattern, FUSION_CANDIDATES};
 use crate::instr::{Disc, RegSlot};
 use crate::link::{LInstr, LinkedProgram};
 use kit_lambda::exp::Prim;
 use std::fmt;
 
-/// Dense opcode of the threaded engine: the handler-table index. One
-/// variant per [`LInstr`] variant, in the same order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Op {
-    PushConst = 0,
-    PushStr,
-    Spread,
-    Unreachable,
-    PushReal,
-    Load,
-    Store,
-    Pop,
-    MkRecord,
-    Select,
-    MkCon,
-    DeConAdj,
-    SwitchCon,
-    SwitchInt,
-    SwitchStr,
-    SwitchExn,
-    Jump,
-    JumpIfFalse,
-    Prim,
-    RegHandle,
-    Call,
-    CallClos,
-    EnterViaPair,
-    Ret,
-    GcCheck,
-    LetRegion,
-    EndRegions,
-    PushHandler,
-    PopHandler,
-    MkExn,
-    DeExn,
-    Raise,
-    Halt,
-    // ------------------------------------------------- superinstructions
-    LoadLoadPrim,
-    PushConstPrim,
-    LoadSelect,
-    StorePop,
-    PushConstJumpIfFalse,
-    LoadConstPrim,
-    LoadSelectStore,
-    LoadLoadPrimJump,
-    LoadConstPrimJump,
-    // ------------------------------------- profile-selected additions
-    StoreLoadSelect,
-    LoadPrimJump,
-    SelectConstPrim,
-    StoreLoad,
-    LoadLoad,
-    PrimJump,
-    SelectStore,
-    LoadStore,
-    LoadSwitchCon,
-    GcCheckLoad,
-    RegHandleRegHandle,
-    // ------------------------------------- uncovered-triple additions
-    SelectStoreLoad,
-    GcCheckLoadSwitchCon,
-    RegHandleRegHandleLoad,
-    RegHandleLoadLoad,
+/// Whether [`translate`] emits superinstructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Fusion {
+    /// No superinstructions: one opcode per linked instruction — the
+    /// differential-testing setting for the fusion pass.
+    Off,
+    /// Every candidate in the generated table.
+    #[default]
+    Full,
 }
 
-/// Number of opcodes (size of the handler table).
-pub const OP_COUNT: usize = Op::RegHandleLoadLoad as usize + 1;
+/// One operand field of [`Args`] a base opcode reads, named as there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    K,
+    A,
+    T,
+    N,
+    M,
+    Flag,
+    P,
+    At,
+}
+
+/// Declares the opcode list once: the enum, [`Op::ALL`], the mnemonics,
+/// and for each base opcode the [`Args`] fields it reads.
+macro_rules! ops {
+    (base { $($b:ident [$($f:ident),*],)* } fused { $($s:ident,)* }) => {
+        /// Dense opcode of the threaded engine. The base opcodes mirror
+        /// the [`LInstr`] variants, in the same order; the
+        /// superinstructions follow, one per row of
+        /// [`FUSION_CANDIDATES`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Op {
+            $($b,)*
+            $($s,)*
+        }
+
+        impl Op {
+            /// Every opcode, in discriminant order (`ALL[op as usize] ==
+            /// op`).
+            pub const ALL: [Op; OP_COUNT] = [$(Op::$b,)* $(Op::$s,)*];
+
+            /// Number of base opcodes; every later one is fused.
+            const BASE_COUNT: usize = [$(Op::$b),*].len();
+
+            /// The mnemonic (the variant name).
+            pub fn mnemonic(self) -> &'static str {
+                match self {
+                    $(Op::$b => stringify!($b),)*
+                    $(Op::$s => stringify!($s),)*
+                }
+            }
+
+            /// The operand fields a base opcode reads; empty for a
+            /// superinstruction, whose operands are its components' (see
+            /// [`ThreadedCode::unfuse`]).
+            pub fn fields(self) -> &'static [Field] {
+                match self {
+                    $(Op::$b => &[$(Field::$f),*],)*
+                    _ => &[],
+                }
+            }
+        }
+
+        /// Number of opcodes.
+        pub const OP_COUNT: usize = [$(Op::$b,)* $(Op::$s,)*].len();
+    };
+}
+
+ops! {
+    base {
+        PushConst [K],
+        PushStr [A],
+        Spread [N],
+        Unreachable [],
+        PushReal [K, At],
+        Load [A],
+        Store [A],
+        Pop [],
+        MkRecord [N, At],
+        Select [N],
+        MkCon [A, N, Flag, At],
+        DeConAdj [],
+        SwitchCon [A],
+        SwitchInt [A],
+        SwitchStr [A],
+        SwitchExn [A],
+        Jump [T],
+        JumpIfFalse [T],
+        Prim [P, At],
+        RegHandle [At],
+        Call [A, T, N, M, Flag],
+        CallClos [N, Flag],
+        EnterViaPair [N],
+        Ret [],
+        GcCheck [],
+        LetRegion [A],
+        EndRegions [N],
+        PushHandler [T],
+        PopHandler [],
+        MkExn [A, Flag, At],
+        DeExn [],
+        Raise [],
+        Halt [],
+    }
+    fused {
+        LoadLoadPrim,
+        PushConstPrim,
+        LoadSelect,
+        PushConstJumpIfFalse,
+        LoadConstPrim,
+        LoadSelectStore,
+        LoadLoadPrimJump,
+        LoadConstPrimJump,
+        // Selected from `--profile-fusion` counts.
+        StoreLoadSelect,
+        LoadPrimJump,
+        SelectConstPrim,
+        StoreLoad,
+        LoadLoad,
+        PrimJump,
+        SelectStore,
+        LoadStore,
+        LoadSwitchCon,
+        GcCheckLoad,
+        RegHandleRegHandle,
+        // Triples the profile still reported hot but uncovered.
+        SelectStoreLoad,
+        GcCheckLoadSwitchCon,
+        RegHandleRegHandleLoad,
+        RegHandleLoadLoad,
+    }
+}
+
+/// [`Op::cost`] as a table: 1, or the length of the run a row replaces.
+const COSTS: [u8; OP_COUNT] = {
+    let mut costs = [1; OP_COUNT];
+    let mut i = 0;
+    while i < FUSION_CANDIDATES.len() {
+        costs[FUSION_CANDIDATES[i].out as usize] = FUSION_CANDIDATES[i].seq.len() as u8;
+        i += 1;
+    }
+    costs
+};
 
 impl Op {
-    /// Every opcode, in discriminant order (`ALL[op as usize] == op`).
-    pub const ALL: [Op; OP_COUNT] = [
-        Op::PushConst,
-        Op::PushStr,
-        Op::Spread,
-        Op::Unreachable,
-        Op::PushReal,
-        Op::Load,
-        Op::Store,
-        Op::Pop,
-        Op::MkRecord,
-        Op::Select,
-        Op::MkCon,
-        Op::DeConAdj,
-        Op::SwitchCon,
-        Op::SwitchInt,
-        Op::SwitchStr,
-        Op::SwitchExn,
-        Op::Jump,
-        Op::JumpIfFalse,
-        Op::Prim,
-        Op::RegHandle,
-        Op::Call,
-        Op::CallClos,
-        Op::EnterViaPair,
-        Op::Ret,
-        Op::GcCheck,
-        Op::LetRegion,
-        Op::EndRegions,
-        Op::PushHandler,
-        Op::PopHandler,
-        Op::MkExn,
-        Op::DeExn,
-        Op::Raise,
-        Op::Halt,
-        Op::LoadLoadPrim,
-        Op::PushConstPrim,
-        Op::LoadSelect,
-        Op::StorePop,
-        Op::PushConstJumpIfFalse,
-        Op::LoadConstPrim,
-        Op::LoadSelectStore,
-        Op::LoadLoadPrimJump,
-        Op::LoadConstPrimJump,
-        Op::StoreLoadSelect,
-        Op::LoadPrimJump,
-        Op::SelectConstPrim,
-        Op::StoreLoad,
-        Op::LoadLoad,
-        Op::PrimJump,
-        Op::SelectStore,
-        Op::LoadStore,
-        Op::LoadSwitchCon,
-        Op::GcCheckLoad,
-        Op::RegHandleRegHandle,
-        Op::SelectStoreLoad,
-        Op::GcCheckLoadSwitchCon,
-        Op::RegHandleRegHandleLoad,
-        Op::RegHandleLoadLoad,
-    ];
-
     /// The opcode of a linked instruction.
     pub fn of(ins: &LInstr) -> Op {
         match ins {
@@ -189,155 +215,64 @@ impl Op {
             LInstr::DeExn => Op::DeExn,
             LInstr::Raise => Op::Raise,
             LInstr::Halt => Op::Halt,
-            LInstr::LoadLoadPrim { .. } => Op::LoadLoadPrim,
-            LInstr::PushConstPrim { .. } => Op::PushConstPrim,
-            LInstr::LoadSelect { .. } => Op::LoadSelect,
-            LInstr::StorePop { .. } => Op::StorePop,
-            LInstr::PushConstJumpIfFalse { .. } => Op::PushConstJumpIfFalse,
-            LInstr::LoadConstPrim { .. } => Op::LoadConstPrim,
-            LInstr::LoadSelectStore { .. } => Op::LoadSelectStore,
-            LInstr::LoadLoadPrimJump { .. } => Op::LoadLoadPrimJump,
-            LInstr::LoadConstPrimJump { .. } => Op::LoadConstPrimJump,
-            LInstr::StoreLoadSelect { .. } => Op::StoreLoadSelect,
-            LInstr::LoadPrimJump { .. } => Op::LoadPrimJump,
-            LInstr::SelectConstPrim { .. } => Op::SelectConstPrim,
-            LInstr::StoreLoad { .. } => Op::StoreLoad,
-            LInstr::LoadLoad { .. } => Op::LoadLoad,
-            LInstr::PrimJump { .. } => Op::PrimJump,
-            LInstr::SelectStore { .. } => Op::SelectStore,
-            LInstr::LoadStore { .. } => Op::LoadStore,
-            LInstr::LoadSwitchCon { .. } => Op::LoadSwitchCon,
-            LInstr::GcCheckLoad { .. } => Op::GcCheckLoad,
-            LInstr::RegHandleRegHandle { .. } => Op::RegHandleRegHandle,
-            LInstr::SelectStoreLoad { .. } => Op::SelectStoreLoad,
-            LInstr::GcCheckLoadSwitchCon { .. } => Op::GcCheckLoadSwitchCon,
-            LInstr::RegHandleRegHandleLoad { .. } => Op::RegHandleRegHandleLoad,
-            LInstr::RegHandleLoadLoad { .. } => Op::RegHandleLoadLoad,
         }
     }
 
     /// Source instructions this opcode accounts for: the length of the
-    /// pattern a superinstruction replaces, 1 for a base opcode. Charging
-    /// it keeps fuel, instruction totals and the GC schedule bit-identical
-    /// with the oracle, which counts one per unfused instruction.
+    /// run a superinstruction's row replaces, 1 for a base opcode.
+    /// Charging it keeps fuel, instruction totals and the GC schedule
+    /// bit-identical with the oracle, which counts one per instruction.
     #[inline]
     pub const fn cost(self) -> u64 {
-        match self {
-            Op::LoadLoadPrimJump | Op::LoadConstPrimJump => 4,
-            Op::LoadLoadPrim
-            | Op::LoadConstPrim
-            | Op::LoadSelectStore
-            | Op::StoreLoadSelect
-            | Op::LoadPrimJump
-            | Op::SelectConstPrim
-            | Op::SelectStoreLoad
-            | Op::GcCheckLoadSwitchCon
-            | Op::RegHandleRegHandleLoad
-            | Op::RegHandleLoadLoad => 3,
-            Op::PushConstPrim
-            | Op::LoadSelect
-            | Op::StorePop
-            | Op::PushConstJumpIfFalse
-            | Op::StoreLoad
-            | Op::LoadLoad
-            | Op::PrimJump
-            | Op::SelectStore
-            | Op::LoadStore
-            | Op::LoadSwitchCon
-            | Op::GcCheckLoad
-            | Op::RegHandleRegHandle => 2,
-            _ => 1,
-        }
+        COSTS[self as usize] as u64
     }
 
-    /// The mnemonic (the `LInstr` variant name).
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            Op::PushConst => "PushConst",
-            Op::PushStr => "PushStr",
-            Op::Spread => "Spread",
-            Op::Unreachable => "Unreachable",
-            Op::PushReal => "PushReal",
-            Op::Load => "Load",
-            Op::Store => "Store",
-            Op::Pop => "Pop",
-            Op::MkRecord => "MkRecord",
-            Op::Select => "Select",
-            Op::MkCon => "MkCon",
-            Op::DeConAdj => "DeConAdj",
-            Op::SwitchCon => "SwitchCon",
-            Op::SwitchInt => "SwitchInt",
-            Op::SwitchStr => "SwitchStr",
-            Op::SwitchExn => "SwitchExn",
-            Op::Jump => "Jump",
-            Op::JumpIfFalse => "JumpIfFalse",
-            Op::Prim => "Prim",
-            Op::RegHandle => "RegHandle",
-            Op::Call => "Call",
-            Op::CallClos => "CallClos",
-            Op::EnterViaPair => "EnterViaPair",
-            Op::Ret => "Ret",
-            Op::GcCheck => "GcCheck",
-            Op::LetRegion => "LetRegion",
-            Op::EndRegions => "EndRegions",
-            Op::PushHandler => "PushHandler",
-            Op::PopHandler => "PopHandler",
-            Op::MkExn => "MkExn",
-            Op::DeExn => "DeExn",
-            Op::Raise => "Raise",
-            Op::Halt => "Halt",
-            Op::LoadLoadPrim => "LoadLoadPrim",
-            Op::PushConstPrim => "PushConstPrim",
-            Op::LoadSelect => "LoadSelect",
-            Op::StorePop => "StorePop",
-            Op::PushConstJumpIfFalse => "PushConstJumpIfFalse",
-            Op::LoadConstPrim => "LoadConstPrim",
-            Op::LoadSelectStore => "LoadSelectStore",
-            Op::LoadLoadPrimJump => "LoadLoadPrimJump",
-            Op::LoadConstPrimJump => "LoadConstPrimJump",
-            Op::StoreLoadSelect => "StoreLoadSelect",
-            Op::LoadPrimJump => "LoadPrimJump",
-            Op::SelectConstPrim => "SelectConstPrim",
-            Op::StoreLoad => "StoreLoad",
-            Op::LoadLoad => "LoadLoad",
-            Op::PrimJump => "PrimJump",
-            Op::SelectStore => "SelectStore",
-            Op::LoadStore => "LoadStore",
-            Op::LoadSwitchCon => "LoadSwitchCon",
-            Op::GcCheckLoad => "GcCheckLoad",
-            Op::RegHandleRegHandle => "RegHandleRegHandle",
-            Op::SelectStoreLoad => "SelectStoreLoad",
-            Op::GcCheckLoadSwitchCon => "GcCheckLoadSwitchCon",
-            Op::RegHandleRegHandleLoad => "RegHandleRegHandleLoad",
-            Op::RegHandleLoadLoad => "RegHandleLoadLoad",
-        }
+    /// Whether this is a superinstruction.
+    pub fn is_fused(self) -> bool {
+        self as usize >= Op::BASE_COUNT
+    }
+
+    /// The row this superinstruction is the `out` of.
+    fn row(self) -> Option<&'static Pattern> {
+        FUSION_CANDIDATES.iter().find(|p| p.out == self)
+    }
+
+    /// Whether every operand of this base opcode has a packing lane, so
+    /// it can be a member of a fusion row.
+    pub fn packs(self) -> bool {
+        !self
+            .fields()
+            .iter()
+            .any(|f| matches!(f, Field::M | Field::Flag))
     }
 }
 
-/// Pre-decoded fixed-size operands of one threaded instruction. Field use
-/// is per-opcode (documented at [`translate`]); unused fields are zeroed.
-#[derive(Debug, Clone, Copy)]
+/// Pre-decoded fixed-size operands of one threaded instruction. A base
+/// opcode reads the fields [`Op::fields`] lists, a superinstruction the
+/// lanes the packing rule (module docs) gave its components; unused
+/// fields are zeroed.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Args {
     /// 64-bit immediate (constants, real bits).
     pub k: u64,
     /// First `u32` operand (local slot, function id, side-table index,
     /// exception id).
     pub a: u32,
-    /// Second `u32` operand (local slot).
+    /// Second `u32` operand (superinstructions only).
     pub b: u32,
     /// Branch target / call entry pc.
     pub t: u32,
     /// First `u16` operand (field counts, select index).
     pub n: u16,
-    /// Second `u16` operand (region-formal count, store slot of triples).
+    /// Second `u16` operand (region-formal count).
     pub m: u16,
     /// Boolean operand (tail call, discriminant word, has-arg).
     pub flag: bool,
     /// Primitive operation (meaningful for prim opcodes only).
     pub p: Prim,
-    /// Allocation place, if any.
+    /// Allocation place or region slot, if any.
     pub at: Option<RegSlot>,
-    /// Second region slot (`RegHandleRegHandle` only).
+    /// Second region slot (superinstructions only).
     pub at2: Option<RegSlot>,
 }
 
@@ -365,7 +300,7 @@ pub type SwitchRows<K> = (Box<[(K, u32)]>, u32);
 /// [`DispatchMode::Threaded`](crate::vm::DispatchMode) executes.
 #[derive(Debug, Clone)]
 pub struct ThreadedCode {
-    /// Opcode stream (handler-table indices), parallel to `args`.
+    /// Opcode stream, parallel to `args`.
     pub ops: Vec<Op>,
     /// Pre-decoded operands, parallel to `ops`.
     pub args: Vec<Args>,
@@ -387,35 +322,20 @@ pub struct ThreadedCode {
     pub pc_of_label: Vec<u32>,
     /// Label id → function id (for `CallClos`).
     pub fun_of_label: Vec<u32>,
-    /// Superinstructions in the stream (copied from the link pass).
+    /// Superinstructions in the stream (0 with fusion off).
     pub fused: u64,
 }
 
-/// Translates a linked program into threaded struct-of-arrays form.
-///
-/// Field assignments per opcode (see [`Args`]): `PushConst{k}`,
-/// `PushStr{a=str}`, `Spread{n}`, `PushReal{k=bits, at}`, `Load{a}`,
-/// `Store{a}`, `MkRecord{n, at}`, `Select{n}`, `MkCon{a=ctor, n,
-/// flag=disc, at}`, switches `{a=table}`, `Jump{t}`, `JumpIfFalse{t}`,
-/// `Prim{p, at}`, `RegHandle{at}`, `Call{a=fun, t, n=nargs, m=nformals,
-/// flag=tail}`, `CallClos{n, flag}`, `EnterViaPair{n}`, `LetRegion{a}`,
-/// `EndRegions{n}`, `PushHandler{t}`, `MkExn{a=exn, flag, at}`, and the
-/// superinstructions `LoadLoadPrim{a, b, p, at}`, `PushConstPrim{k, p,
-/// at}`, `LoadSelect{a, n}`, `StorePop{a}`, `PushConstJumpIfFalse{k, t}`,
-/// `LoadConstPrim{a, k, p, at}`, `LoadSelectStore{a, n, m=j}`,
-/// `LoadLoadPrimJump{a, b, p, at, t}`, `LoadConstPrimJump{a, k, p, at,
-/// t}`, `StoreLoadSelect{a=j, b=i, n=sel}`, `LoadPrimJump{a, p, at, t}`,
-/// `SelectConstPrim{n=sel, k, p, at}`, `StoreLoad{a=j, b=i}`,
-/// `LoadLoad{a, b}`, `PrimJump{p, at, t}`, `SelectStoreLoad{n=sel, a=j,
-/// b=i}`, `GcCheckLoadSwitchCon{b=i, a=table}`,
-/// `RegHandleRegHandleLoad{at, at2, a=i}`.
-pub fn translate(linked: LinkedProgram) -> ThreadedCode {
+/// Translates a linked program into threaded struct-of-arrays form: one
+/// opcode per linked instruction, operands in the fields [`Op::fields`]
+/// names (side tables through `a`), then — with [`Fusion::Full`] — the
+/// regrouping into superinstructions.
+pub fn translate(linked: LinkedProgram, fusion: Fusion) -> ThreadedCode {
     let LinkedProgram {
         code,
         entry_pc,
         pc_of_label,
         fun_of_label,
-        fused,
     } = linked;
     let mut t = ThreadedCode {
         ops: Vec::with_capacity(code.len()),
@@ -429,12 +349,52 @@ pub fn translate(linked: LinkedProgram) -> ThreadedCode {
         entry_pc,
         pc_of_label,
         fun_of_label,
-        fused,
+        fused: 0,
     };
     for ins in code {
         t.push_linstr(ins);
     }
+    if fusion == Fusion::Full {
+        t.fuse();
+    }
     t
+}
+
+/// The fusion candidate matching at `i`, if any — the first (longest, by
+/// table ordering) row whose opcodes match at adjacent pcs with no
+/// interior leader; a branch could land mid-group otherwise.
+fn match_at(ops: &[Op], leader: &[bool], i: usize) -> Option<&'static Pattern> {
+    FUSION_CANDIDATES.iter().find(|pat| {
+        let end = i + pat.seq.len();
+        end <= ops.len() && ops[i..end] == *pat.seq && !leader[i + 1..end].contains(&true)
+    })
+}
+
+/// The packing rule (module docs): merges the operands of a run of base
+/// opcodes into one superinstruction's [`Args`].
+fn pack(seq: &[Op], parts: &[Args]) -> Args {
+    let mut g = Args::zero();
+    let (mut words, mut regions) = (0, 0);
+    for (op, x) in seq.iter().zip(parts) {
+        for f in op.fields() {
+            match f {
+                Field::A => {
+                    *[&mut g.a, &mut g.b][words] = x.a;
+                    words += 1;
+                }
+                Field::At => {
+                    *[&mut g.at, &mut g.at2][regions] = x.at;
+                    regions += 1;
+                }
+                Field::K => g.k = x.k,
+                Field::N => g.n = x.n,
+                Field::P => g.p = x.p,
+                Field::T => g.t = x.t,
+                Field::M | Field::Flag => unreachable!("{op:?} has no packing lane"),
+            }
+        }
+    }
+    g
 }
 
 impl ThreadedCode {
@@ -531,349 +491,129 @@ impl ThreadedCode {
                 x.flag = has_arg;
                 x.at = at;
             }
-            LInstr::LoadLoadPrim { a, b, p, at } => {
-                x.a = a;
-                x.b = b;
-                x.p = p;
-                x.at = at;
-            }
-            LInstr::PushConstPrim { k, p, at } => {
-                x.k = k;
-                x.p = p;
-                x.at = at;
-            }
-            LInstr::LoadSelect { i, sel } => {
-                x.a = i;
-                x.n = sel;
-            }
-            LInstr::StorePop { i } => x.a = i,
-            LInstr::PushConstJumpIfFalse { k, target } => {
-                x.k = k;
-                x.t = target;
-            }
-            LInstr::LoadConstPrim { i, k, p, at } => {
-                x.a = i;
-                x.k = k;
-                x.p = p;
-                x.at = at;
-            }
-            LInstr::LoadSelectStore { i, sel, j } => {
-                x.a = i;
-                x.n = sel;
-                x.m = j as u16;
-                debug_assert_eq!(x.m as u32, j, "store slot exceeds u16");
-            }
-            LInstr::LoadLoadPrimJump {
-                a,
-                b,
-                p,
-                at,
-                target,
-            } => {
-                x.a = a;
-                x.b = b;
-                x.p = p;
-                x.at = at;
-                x.t = target;
-            }
-            LInstr::LoadConstPrimJump {
-                i,
-                k,
-                p,
-                at,
-                target,
-            } => {
-                x.a = i;
-                x.k = k;
-                x.p = p;
-                x.at = at;
-                x.t = target;
-            }
-            LInstr::StoreLoadSelect { j, i, sel } => {
-                x.a = j;
-                x.b = i;
-                x.n = sel;
-            }
-            LInstr::LoadPrimJump { i, p, at, target } => {
-                x.a = i;
-                x.p = p;
-                x.at = at;
-                x.t = target;
-            }
-            LInstr::SelectConstPrim { sel, k, p, at } => {
-                x.n = sel;
-                x.k = k;
-                x.p = p;
-                x.at = at;
-            }
-            LInstr::StoreLoad { j, i } => {
-                x.a = j;
-                x.b = i;
-            }
-            LInstr::LoadLoad { a, b } => {
-                x.a = a;
-                x.b = b;
-            }
-            LInstr::PrimJump { p, at, target } => {
-                x.p = p;
-                x.at = at;
-                x.t = target;
-            }
-            LInstr::SelectStore { sel, j } => {
-                x.n = sel;
-                x.a = j;
-            }
-            LInstr::LoadStore { i, j } => {
-                x.a = i;
-                x.b = j;
-            }
-            LInstr::LoadSwitchCon {
-                i,
-                disc,
-                arms,
-                default,
-            } => {
-                x.b = i;
-                x.a = t.con_switches.len() as u32;
-                t.con_switches.push((disc, (arms, default)));
-            }
-            LInstr::GcCheckLoad { i } => x.a = i,
-            LInstr::RegHandleRegHandle { a, b } => {
-                x.at = Some(a);
-                x.at2 = Some(b);
-            }
-            LInstr::SelectStoreLoad { sel, j, i } => {
-                x.n = sel;
-                x.a = j;
-                x.b = i;
-            }
-            LInstr::GcCheckLoadSwitchCon {
-                i,
-                disc,
-                arms,
-                default,
-            } => {
-                x.b = i;
-                x.a = t.con_switches.len() as u32;
-                t.con_switches.push((disc, (arms, default)));
-            }
-            LInstr::RegHandleRegHandleLoad { a, b, i } => {
-                x.at = Some(a);
-                x.at2 = Some(b);
-                x.a = i;
-            }
-            LInstr::RegHandleLoadLoad { r, i, j } => {
-                x.at = Some(r);
-                x.a = i;
-                x.b = j;
-            }
         }
         t.ops.push(op);
         t.args.push(x);
     }
 
-    /// Reconstructs the linked instruction at `pc` (the inverse of
-    /// [`translate`]; used by the disassembler and the round-trip tests).
-    pub fn rebuild(&self, pc: usize) -> LInstr {
-        let x = &self.args[pc];
-        match self.ops[pc] {
-            Op::PushConst => LInstr::PushConst(x.k),
-            Op::PushStr => LInstr::PushStr(self.strs[x.a as usize].clone()),
-            Op::Spread => LInstr::Spread { n: x.n },
-            Op::Unreachable => LInstr::Unreachable,
-            Op::PushReal => LInstr::PushReal(f64::from_bits(x.k), x.at.unwrap()),
-            Op::Load => LInstr::Load(x.a),
-            Op::Store => LInstr::Store(x.a),
-            Op::Pop => LInstr::Pop,
-            Op::MkRecord => LInstr::MkRecord {
-                n: x.n,
-                at: x.at.unwrap(),
-            },
-            Op::Select => LInstr::Select(x.n),
-            Op::MkCon => LInstr::MkCon {
-                ctor: x.a as u16,
-                n: x.n,
-                disc: x.flag,
-                at: x.at.unwrap(),
-            },
-            Op::DeConAdj => LInstr::DeConAdj,
-            Op::SwitchCon => {
-                let (disc, (arms, default)) = &self.con_switches[x.a as usize];
-                LInstr::SwitchCon {
-                    disc: *disc,
-                    arms: arms.clone(),
-                    default: *default,
-                }
+    /// Regroups the one-to-one stream into superinstructions, in place. A
+    /// group never spans a *leader* (any pc a label is bound to), so every
+    /// branch target remains the start of an instruction; calls are in no
+    /// row, so a return address (the pc after a non-tail call) is a group
+    /// start too.
+    fn fuse(&mut self) {
+        let n = self.ops.len();
+        let mut leader = vec![false; n];
+        for &pc in &self.pc_of_label {
+            if pc != u32::MAX {
+                leader[pc as usize] = true;
             }
-            Op::SwitchInt => {
-                let (arms, default) = &self.int_switches[x.a as usize];
-                LInstr::SwitchInt {
-                    arms: arms.clone(),
-                    default: *default,
-                }
-            }
-            Op::SwitchStr => {
-                let (arms, default) = &self.str_switches[x.a as usize];
-                LInstr::SwitchStr {
-                    arms: arms.clone(),
-                    default: *default,
-                }
-            }
-            Op::SwitchExn => {
-                let (arms, default) = &self.exn_switches[x.a as usize];
-                LInstr::SwitchExn {
-                    arms: arms.clone(),
-                    default: *default,
-                }
-            }
-            Op::Jump => LInstr::Jump(x.t),
-            Op::JumpIfFalse => LInstr::JumpIfFalse(x.t),
-            Op::Prim => LInstr::Prim { p: x.p, at: x.at },
-            Op::RegHandle => LInstr::RegHandle(x.at.unwrap()),
-            Op::Call => LInstr::Call {
-                fun: x.a,
-                target: x.t,
-                nargs: x.n,
-                nformals: x.m,
-                tail: x.flag,
-            },
-            Op::CallClos => LInstr::CallClos {
-                nargs: x.n,
-                tail: x.flag,
-            },
-            Op::EnterViaPair => LInstr::EnterViaPair { nformals: x.n },
-            Op::Ret => LInstr::Ret,
-            Op::GcCheck => LInstr::GcCheck,
-            Op::LetRegion => LInstr::LetRegion {
-                names: self.names[x.a as usize].clone(),
-            },
-            Op::EndRegions => LInstr::EndRegions(x.n),
-            Op::PushHandler => LInstr::PushHandler { target: x.t },
-            Op::PopHandler => LInstr::PopHandler,
-            Op::MkExn => LInstr::MkExn {
-                exn: x.a,
-                has_arg: x.flag,
-                at: x.at,
-            },
-            Op::DeExn => LInstr::DeExn,
-            Op::Raise => LInstr::Raise,
-            Op::Halt => LInstr::Halt,
-            Op::LoadLoadPrim => LInstr::LoadLoadPrim {
-                a: x.a,
-                b: x.b,
-                p: x.p,
-                at: x.at,
-            },
-            Op::PushConstPrim => LInstr::PushConstPrim {
-                k: x.k,
-                p: x.p,
-                at: x.at,
-            },
-            Op::LoadSelect => LInstr::LoadSelect { i: x.a, sel: x.n },
-            Op::StorePop => LInstr::StorePop { i: x.a },
-            Op::PushConstJumpIfFalse => LInstr::PushConstJumpIfFalse {
-                k: x.k,
-                target: x.t,
-            },
-            Op::LoadConstPrim => LInstr::LoadConstPrim {
-                i: x.a,
-                k: x.k,
-                p: x.p,
-                at: x.at,
-            },
-            Op::LoadSelectStore => LInstr::LoadSelectStore {
-                i: x.a,
-                sel: x.n,
-                j: x.m as u32,
-            },
-            Op::LoadLoadPrimJump => LInstr::LoadLoadPrimJump {
-                a: x.a,
-                b: x.b,
-                p: x.p,
-                at: x.at,
-                target: x.t,
-            },
-            Op::LoadConstPrimJump => LInstr::LoadConstPrimJump {
-                i: x.a,
-                k: x.k,
-                p: x.p,
-                at: x.at,
-                target: x.t,
-            },
-            Op::StoreLoadSelect => LInstr::StoreLoadSelect {
-                j: x.a,
-                i: x.b,
-                sel: x.n,
-            },
-            Op::LoadPrimJump => LInstr::LoadPrimJump {
-                i: x.a,
-                p: x.p,
-                at: x.at,
-                target: x.t,
-            },
-            Op::SelectConstPrim => LInstr::SelectConstPrim {
-                sel: x.n,
-                k: x.k,
-                p: x.p,
-                at: x.at,
-            },
-            Op::StoreLoad => LInstr::StoreLoad { j: x.a, i: x.b },
-            Op::LoadLoad => LInstr::LoadLoad { a: x.a, b: x.b },
-            Op::PrimJump => LInstr::PrimJump {
-                p: x.p,
-                at: x.at,
-                target: x.t,
-            },
-            Op::SelectStore => LInstr::SelectStore { sel: x.n, j: x.a },
-            Op::LoadStore => LInstr::LoadStore { i: x.a, j: x.b },
-            Op::LoadSwitchCon => {
-                let (disc, (arms, default)) = &self.con_switches[x.a as usize];
-                LInstr::LoadSwitchCon {
-                    i: x.b,
-                    disc: *disc,
-                    arms: arms.clone(),
-                    default: *default,
-                }
-            }
-            Op::GcCheckLoad => LInstr::GcCheckLoad { i: x.a },
-            Op::RegHandleRegHandle => LInstr::RegHandleRegHandle {
-                a: x.at.unwrap(),
-                b: x.at2.unwrap(),
-            },
-            Op::SelectStoreLoad => LInstr::SelectStoreLoad {
-                sel: x.n,
-                j: x.a,
-                i: x.b,
-            },
-            Op::GcCheckLoadSwitchCon => {
-                let (disc, (arms, default)) = &self.con_switches[x.a as usize];
-                LInstr::GcCheckLoadSwitchCon {
-                    i: x.b,
-                    disc: *disc,
-                    arms: arms.clone(),
-                    default: *default,
-                }
-            }
-            Op::RegHandleRegHandleLoad => LInstr::RegHandleRegHandleLoad {
-                a: x.at.unwrap(),
-                b: x.at2.unwrap(),
-                i: x.a,
-            },
-            Op::RegHandleLoadLoad => LInstr::RegHandleLoadLoad {
-                r: x.at.unwrap(),
-                i: x.a,
-                j: x.b,
-            },
         }
+
+        // Choose groups (greedy, longest first) and map old → new pcs.
+        let mut new_pc = vec![u32::MAX; n];
+        let mut group = vec![None; n];
+        let (mut i, mut npc) = (0, 0);
+        while i < n {
+            new_pc[i] = npc;
+            group[i] = match_at(&self.ops, &leader, i);
+            npc += 1;
+            i += group[i].map_or(1, |pat| pat.seq.len());
+        }
+
+        // Move every pc operand to the new numbering.
+        let remap = |pc: &mut u32| {
+            if *pc != u32::MAX {
+                debug_assert_ne!(new_pc[*pc as usize], u32::MAX, "branch into a fused group");
+                *pc = new_pc[*pc as usize];
+            }
+        };
+        for (op, x) in self.ops.iter().zip(&mut self.args) {
+            if op.fields().contains(&Field::T) {
+                remap(&mut x.t);
+            }
+        }
+        fn targets<K>(rows: &mut SwitchRows<K>) -> impl Iterator<Item = &mut u32> {
+            rows.0
+                .iter_mut()
+                .map(|(_, t)| t)
+                .chain(std::iter::once(&mut rows.1))
+        }
+        self.con_switches
+            .iter_mut()
+            .flat_map(|(_, rows)| targets(rows))
+            .chain(self.int_switches.iter_mut().flat_map(targets))
+            .chain(self.str_switches.iter_mut().flat_map(targets))
+            .chain(self.exn_switches.iter_mut().flat_map(targets))
+            .chain(&mut self.entry_pc)
+            .chain(&mut self.pc_of_label)
+            .for_each(remap);
+
+        // Compact: a new pc is never ahead of the old pcs it is read from.
+        let (mut i, mut w) = (0, 0);
+        while i < n {
+            let len = match group[i] {
+                Some(pat) => {
+                    let len = pat.seq.len();
+                    self.args[w] = pack(pat.seq, &self.args[i..i + len]);
+                    self.ops[w] = pat.out;
+                    self.fused += 1;
+                    len
+                }
+                None => {
+                    self.ops[w] = self.ops[i];
+                    self.args[w] = self.args[i];
+                    1
+                }
+            };
+            i += len;
+            w += 1;
+        }
+        self.ops.truncate(w);
+        self.args.truncate(w);
+    }
+
+    /// The base instructions the instruction at `pc` stands for, operands
+    /// in their own fields: itself for a base opcode, its row's run for a
+    /// superinstruction — the inverse of the packing rule.
+    pub fn unfuse(&self, pc: usize) -> Vec<(Op, Args)> {
+        let (op, g) = (self.ops[pc], &self.args[pc]);
+        let Some(pat) = op.row() else {
+            return vec![(op, *g)];
+        };
+        let (mut words, mut regions) = (0, 0);
+        let part = |&op: &Op| {
+            let mut x = Args::zero();
+            for f in op.fields() {
+                match f {
+                    Field::A => {
+                        x.a = [g.a, g.b][words];
+                        words += 1;
+                    }
+                    Field::At => {
+                        x.at = [g.at, g.at2][regions];
+                        regions += 1;
+                    }
+                    Field::K => x.k = g.k,
+                    Field::N => x.n = g.n,
+                    Field::P => x.p = g.p,
+                    Field::T => x.t = g.t,
+                    Field::M | Field::Flag => unreachable!("{op:?} has no packing lane"),
+                }
+            }
+            (op, x)
+        };
+        pat.seq.iter().map(part).collect()
     }
 }
 
 /// Dynamic opcode-sequence counters — the VM's fusion counting mode.
 ///
 /// Counts pairs and triples of *fallthrough-adjacent* executed
-/// instructions (consecutive pcs), which are exactly the sequences the
-/// link pass could fuse; transitions taken via a branch are excluded.
-/// Collected with fusion off so base opcodes are visible, and dumped by
+/// instructions (consecutive pcs), which are exactly the sequences
+/// [`translate`] could fuse; transitions taken via a branch are excluded.
+/// Collected by the oracle loop, whose stream is unfused, so base opcodes
+/// are visible, and dumped by
 /// `bench-summary --profile-fusion` to regenerate the candidate table in
 /// `crates/kam/src/fusion_table.rs`.
 #[derive(Clone)]
@@ -977,16 +717,162 @@ impl fmt::Debug for FusionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::{FunInfo, Instr, Program};
+    use crate::link::link;
+    use crate::vm::{DispatchMode, Vm};
+    use kit_lambda::ty::{DataEnv, LTy};
+    use kit_runtime::value::scalar;
+    use kit_runtime::{Rt, RtConfig};
+
+    /// A one-function program; label `i` is bound to `label_addrs[i]`.
+    fn mini_program(code: Vec<Instr>, label_addrs: Vec<usize>, nlocals: u32) -> Program {
+        Program {
+            code,
+            label_addrs,
+            funs: vec![FunInfo {
+                entry: 0,
+                nlocals,
+                nfinite: 0,
+                name: "<main>".into(),
+            }],
+            entry_of: [(0usize, 0u32)].into_iter().collect(),
+            main: 0,
+            global_infinite: vec![0],
+            exn_names: vec![],
+            result_ty: LTy::Int,
+            data: DataEnv::default(),
+        }
+    }
+
+    fn iadd() -> Instr {
+        Instr::Prim {
+            p: Prim::IAdd,
+            at: None,
+        }
+    }
 
     #[test]
-    fn op_count_covers_the_enum() {
-        // `Op` is `repr(u8)` with sequential discriminants; the handler
-        // table is indexed by `op as usize`, so the last variant pins the
-        // size.
-        assert_eq!(OP_COUNT, 57);
+    fn op_list_is_dense_and_base_first() {
+        // `Op` is `repr(u8)` with sequential discriminants: `COSTS` and the
+        // profile matrices are indexed by `op as usize`.
+        assert_eq!((Op::BASE_COUNT, OP_COUNT), (33, 56));
         assert_eq!(Op::Halt as usize, 32);
         for (i, op) in Op::ALL.iter().enumerate() {
             assert_eq!(*op as usize, i, "ALL out of discriminant order");
+            assert_eq!(op.is_fused(), i >= 33);
+            assert_eq!(op.is_fused(), op.cost() > 1, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn fuses_load_load_prim_and_remaps_targets() {
+        // label 0 -> pc 0, label 1 -> pc 5 (the Halt).
+        let prog = mini_program(
+            vec![
+                Instr::DeConAdj, // pc 0 (leader), in no row
+                Instr::Load(1),  // pc 1 ┐
+                Instr::Load(2),  // pc 2 │ fused (cost 3)
+                iadd(),          // pc 3 ┘
+                Instr::Jump(1),  // pc 4
+                Instr::Halt,     // pc 5 (leader)
+            ],
+            vec![0, 5],
+            4,
+        );
+        let t = translate(link(&prog), Fusion::Full);
+        assert_eq!(t.fused, 1);
+        assert_eq!(t.ops, [Op::DeConAdj, Op::LoadLoadPrim, Op::Jump, Op::Halt]);
+        let x = t.args[1];
+        assert_eq!((x.a, x.b, x.p, x.at), (1, 2, Prim::IAdd, None));
+        let off = translate(link(&prog), Fusion::Off);
+        assert_eq!(
+            t.unfuse(1),
+            (1..4)
+                .map(|pc| (off.ops[pc], off.args[pc]))
+                .collect::<Vec<_>>()
+        );
+        // Old pc 5 (Halt) is the 4th threaded instruction.
+        assert_eq!(t.args[2].t, 3);
+        assert_eq!(t.pc_of_label[1], 3);
+        assert_eq!(
+            t.ops.iter().map(|op| op.cost()).sum::<u64>(),
+            prog.code.len() as u64,
+            "costs cover every source instruction"
+        );
+    }
+
+    #[test]
+    fn leaders_block_fusion() {
+        // A label bound to the Select keeps Load+Select unfused.
+        let prog = mini_program(
+            vec![Instr::Load(0), Instr::Select(1), Instr::Halt],
+            vec![0, 1],
+            4,
+        );
+        let t = translate(link(&prog), Fusion::Full);
+        assert_eq!(t.fused, 0);
+        assert_eq!(t.ops.len(), 3);
+        assert_eq!(t.pc_of_label[1], 1);
+    }
+
+    #[test]
+    fn link_and_fusion_off_are_one_to_one() {
+        let prog = mini_program(
+            vec![Instr::Load(1), Instr::Load(2), iadd(), Instr::Halt],
+            vec![0],
+            4,
+        );
+        let linked = link(&prog);
+        assert_eq!(linked.code.len(), prog.code.len());
+        let t = translate(linked, Fusion::Off);
+        assert_eq!(t.fused, 0);
+        assert_eq!(t.ops, [Op::Load, Op::Load, Op::Prim, Op::Halt]);
+    }
+
+    #[test]
+    fn a_store_slot_past_u16_survives_fusion() {
+        // Nothing upstream bounds a function's locals, so the store slot
+        // of `Load; Select; Store` travels in a `u32` lane like any other.
+        const SLOT: u32 = 70_000;
+        let prog = mini_program(
+            vec![
+                Instr::PushConst(scalar(7)),
+                Instr::MkRecord {
+                    n: 1,
+                    at: crate::instr::RegSlot::Global(0),
+                },
+                Instr::Store(1),
+                Instr::Load(1), // leader: keeps `Store; Load; Select` out
+                Instr::Select(0),
+                Instr::Store(SLOT),
+                Instr::Load(SLOT),
+                Instr::Halt,
+            ],
+            vec![0, 3],
+            SLOT + 1,
+        );
+        let full = translate(link(&prog), Fusion::Full);
+        let off = translate(link(&prog), Fusion::Off);
+        assert_eq!(full.ops[3], Op::LoadSelectStore);
+        assert_eq!(full.args[3].b, SLOT);
+        assert_eq!(
+            full.unfuse(3),
+            (3..6)
+                .map(|pc| (off.ops[pc], off.args[pc]))
+                .collect::<Vec<_>>()
+        );
+        for dispatch in DispatchMode::ALL {
+            let out = Vm::new(&prog, Rt::new(RtConfig::rgt()))
+                .with_dispatch(dispatch)
+                .run()
+                .expect("vm run");
+            assert_eq!(out.result, scalar(7), "{dispatch:?}");
+            assert_eq!(out.rt.stack[SLOT as usize], scalar(7), "{dispatch:?}");
+            assert_eq!(
+                out.rt.stack[SLOT as usize & 0xFFFF],
+                scalar(0),
+                "{dispatch:?}"
+            );
         }
     }
 

@@ -10,14 +10,15 @@
 //!
 //! The interpreter never dispatches on [`Instr`] directly: [`Vm::run`]
 //! first runs the link pass ([`crate::link`]), which resolves every branch
-//! operand to an absolute pc and fuses hot instruction sequences. The
-//! reported instruction count is that of the *source* stream — fused
-//! instructions account for the instructions they replace — so counters
-//! are identical with fusion on or off.
+//! operand to an absolute pc; the production engine then translates that
+//! form and fuses hot opcode runs ([`crate::threaded`]). The reported
+//! instruction count is that of the *source* stream — a superinstruction
+//! accounts for the instructions it replaces — so counters are identical
+//! on both engines, with fusion on or off.
 
 use crate::instr::{Disc, Program, RegSlot};
-use crate::link::{self, Fusion, LInstr, LinkedProgram};
-use crate::threaded::{self, FusionProfile, Op, ThreadedCode, OP_COUNT};
+use crate::link::{self, LInstr, LinkedProgram};
+use crate::threaded::{self, Fusion, FusionProfile, Op, ThreadedCode};
 use kit_lambda::eval::{fmt_sml_int, fmt_sml_real, int_in_range};
 use kit_lambda::exp::Prim;
 use kit_lambda::ty::{EXN_DIV, EXN_OVERFLOW, EXN_SIZE, EXN_SUBSCRIPT};
@@ -114,13 +115,14 @@ impl std::error::Error for VmError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// The differential oracle: a match-per-instruction loop over the
-    /// *unfused* [`LInstr`] stream. It shares no superinstruction code
-    /// with the threaded engine, so every fused handler is checked
-    /// against the base instructions it stands for.
+    /// [`LInstr`] stream, which has no superinstructions by type. It
+    /// shares no superinstruction code with the threaded engine, so every
+    /// fused handler is checked against the base instructions it stands
+    /// for.
     Match,
     /// Direct-threaded execution: the linked stream is translated to
-    /// struct-of-arrays form ([`ThreadedCode`]) and dispatched through a
-    /// `const` handler table indexed by opcode.
+    /// struct-of-arrays form ([`ThreadedCode`]), fused, and dispatched
+    /// through a jump table over the opcode byte.
     #[default]
     Threaded,
 }
@@ -138,7 +140,7 @@ impl DispatchMode {
 /// instances via `Arc` by the server).
 #[derive(Debug)]
 pub enum Executable {
-    /// The unfused linked stream, dispatched by the match loop.
+    /// The linked stream, dispatched by the match loop.
     Match(LinkedProgram),
     /// Struct-of-arrays threaded form.
     Threaded(ThreadedCode),
@@ -146,14 +148,13 @@ pub enum Executable {
 
 impl Executable {
     /// Links `prog` and translates it for `dispatch`. `fusion` applies to
-    /// the threaded engine only: the match loop is the oracle and always
-    /// gets the unfused stream, whatever the caller asked for.
+    /// the threaded engine only: the match loop is the oracle, and the
+    /// linked form it runs cannot hold a superinstruction.
     pub fn prepare(prog: &Program, dispatch: DispatchMode, fusion: Fusion) -> Executable {
+        let linked = link::link(prog);
         match dispatch {
-            DispatchMode::Match => Executable::Match(link::link(prog, Fusion::Off)),
-            DispatchMode::Threaded => {
-                Executable::Threaded(threaded::translate(link::link(prog, fusion)))
-            }
+            DispatchMode::Match => Executable::Match(linked),
+            DispatchMode::Threaded => Executable::Threaded(threaded::translate(linked, fusion)),
         }
     }
 }
@@ -271,9 +272,8 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Turns superinstruction fusion in the link pass on or off (`Off`
-    /// still resolves branch targets; it is the differential-testing
-    /// setting for the fusion pass).
+    /// Turns superinstruction fusion in the threaded translation on or off
+    /// (`Off` is the differential-testing setting for the fusion pass).
     pub fn with_fusion(mut self, fusion: Fusion) -> Self {
         self.fusion = fusion;
         self
@@ -527,9 +527,9 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The oracle loop: fetch, `match` on the [`LInstr`] variant. It has
-    /// arms for base instructions only — [`Executable::prepare`] hands it
-    /// the unfused stream — so one dispatch is one source instruction.
+    /// The oracle loop: fetch, `match` on the [`LInstr`] variant — base
+    /// instructions only, by type — so one dispatch is one source
+    /// instruction.
     fn exec_match(mut self, linked: &LinkedProgram, mut pc: usize) -> Result<VmOutcome, VmError> {
         let code: &[LInstr] = &linked.code;
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
@@ -800,15 +800,14 @@ impl<'p> Vm<'p> {
                         rt: self.rt,
                     });
                 }
-                fused => unreachable!("fused {fused:?} in the oracle's unfused stream"),
             }
         }
     }
 
     /// Direct-threaded execution: the driver keeps `pc` and the
-    /// instruction counter in registers and dispatches through
-    /// [`HANDLERS`]; each handler does one opcode's work and reports how
-    /// control continues. Costs come from [`Op::cost`] — the source
+    /// instruction counter in registers and dispatches on the opcode
+    /// byte; each handler does one opcode's work and reports how control
+    /// continues. Costs come from [`Op::cost`] — the source
     /// instructions an opcode stands for — so fuel and instruction totals
     /// are bit-identical with the match loop's one per instruction.
     fn exec_threaded(mut self, t: &ThreadedCode, entry: usize) -> Result<VmOutcome, VmError> {
@@ -825,32 +824,46 @@ impl<'p> Vm<'p> {
             // dense-`u8` match below: it compiles to a single jump table
             // over the opcode byte, and the hot handlers are
             // `#[inline(always)]` so their bodies land inside the arms
-            // (an opaque call through the table would block inlining and
-            // costs ~10% on the recursive benchmarks). Cold opcodes go
-            // through [`HANDLERS`], which stays the single canonical
-            // opcode -> handler mapping.
+            // (an opaque call through a table would block inlining and
+            // costs ~10% on the recursive benchmarks). The match is
+            // exhaustive: it is the opcode -> handler mapping.
             let ctl = match op {
                 Op::PushConst => h_push_const(&mut self, t, pc as u32),
+                Op::PushStr => h_push_str(&mut self, t, pc as u32),
+                Op::Spread => h_spread(&mut self, t, pc as u32),
+                Op::Unreachable => h_unreachable(&mut self, t, pc as u32),
+                Op::PushReal => h_push_real(&mut self, t, pc as u32),
                 Op::Load => h_load(&mut self, t, pc as u32),
                 Op::Store => h_store(&mut self, t, pc as u32),
                 Op::Pop => h_pop(&mut self, t, pc as u32),
                 Op::MkRecord => h_mk_record(&mut self, t, pc as u32),
                 Op::Select => h_select(&mut self, t, pc as u32),
                 Op::MkCon => h_mk_con(&mut self, t, pc as u32),
+                Op::DeConAdj => h_de_con_adj(&mut self, t, pc as u32),
                 Op::SwitchCon => h_switch_con(&mut self, t, pc as u32),
+                Op::SwitchInt => h_switch_int(&mut self, t, pc as u32),
+                Op::SwitchStr => h_switch_str(&mut self, t, pc as u32),
+                Op::SwitchExn => h_switch_exn(&mut self, t, pc as u32),
                 Op::Jump => h_jump(&mut self, t, pc as u32),
                 Op::JumpIfFalse => h_jump_if_false(&mut self, t, pc as u32),
                 Op::Prim => h_prim(&mut self, t, pc as u32),
                 Op::RegHandle => h_reg_handle(&mut self, t, pc as u32),
                 Op::Call => h_call(&mut self, t, pc as u32),
+                Op::CallClos => h_call_clos(&mut self, t, pc as u32),
+                Op::EnterViaPair => h_enter_via_pair(&mut self, t, pc as u32),
                 Op::Ret => h_ret(&mut self, t, pc as u32),
                 Op::GcCheck => h_gc_check(&mut self, t, pc as u32),
                 Op::LetRegion => h_let_region(&mut self, t, pc as u32),
                 Op::EndRegions => h_end_regions(&mut self, t, pc as u32),
+                Op::PushHandler => h_push_handler(&mut self, t, pc as u32),
+                Op::PopHandler => h_pop_handler(&mut self, t, pc as u32),
+                Op::MkExn => h_mk_exn(&mut self, t, pc as u32),
+                Op::DeExn => h_de_exn(&mut self, t, pc as u32),
+                Op::Raise => h_raise(&mut self, t, pc as u32),
+                Op::Halt => h_halt(&mut self, t, pc as u32),
                 Op::LoadLoadPrim => h_load_load_prim(&mut self, t, pc as u32),
                 Op::PushConstPrim => h_push_const_prim(&mut self, t, pc as u32),
                 Op::LoadSelect => h_load_select(&mut self, t, pc as u32),
-                Op::StorePop => h_store_pop(&mut self, t, pc as u32),
                 Op::PushConstJumpIfFalse => h_push_const_jump_if_false(&mut self, t, pc as u32),
                 Op::LoadConstPrim => h_load_const_prim(&mut self, t, pc as u32),
                 Op::LoadSelectStore => h_load_select_store(&mut self, t, pc as u32),
@@ -871,7 +884,6 @@ impl<'p> Vm<'p> {
                 Op::GcCheckLoadSwitchCon => h_gc_check_load_switch_con(&mut self, t, pc as u32),
                 Op::RegHandleRegHandleLoad => h_reg_handle_reg_handle_load(&mut self, t, pc as u32),
                 Op::RegHandleLoadLoad => h_reg_handle_load_load(&mut self, t, pc as u32),
-                _ => HANDLERS[op as usize](&mut self, t, pc as u32),
             };
             match ctl {
                 Control::Next => pc += 1,
@@ -1401,71 +1413,6 @@ enum Control {
     Fail,
 }
 
-/// A threaded instruction handler: one opcode's worth of work.
-type OpHandler = for<'a, 'p, 't> fn(&'a mut Vm<'p>, &'t ThreadedCode, u32) -> Control;
-
-/// The direct-threaded dispatch table, indexed by `Op as usize` (the
-/// order of [`Op::ALL`]).
-const HANDLERS: [OpHandler; OP_COUNT] = [
-    h_push_const,
-    h_push_str,
-    h_spread,
-    h_unreachable,
-    h_push_real,
-    h_load,
-    h_store,
-    h_pop,
-    h_mk_record,
-    h_select,
-    h_mk_con,
-    h_de_con_adj,
-    h_switch_con,
-    h_switch_int,
-    h_switch_str,
-    h_switch_exn,
-    h_jump,
-    h_jump_if_false,
-    h_prim,
-    h_reg_handle,
-    h_call,
-    h_call_clos,
-    h_enter_via_pair,
-    h_ret,
-    h_gc_check,
-    h_let_region,
-    h_end_regions,
-    h_push_handler,
-    h_pop_handler,
-    h_mk_exn,
-    h_de_exn,
-    h_raise,
-    h_halt,
-    h_load_load_prim,
-    h_push_const_prim,
-    h_load_select,
-    h_store_pop,
-    h_push_const_jump_if_false,
-    h_load_const_prim,
-    h_load_select_store,
-    h_load_load_prim_jump,
-    h_load_const_prim_jump,
-    h_store_load_select,
-    h_load_prim_jump,
-    h_select_const_prim,
-    h_store_load,
-    h_load_load,
-    h_prim_jump,
-    h_select_store,
-    h_load_store,
-    h_load_switch_con,
-    h_gc_check_load,
-    h_reg_handle_reg_handle,
-    h_select_store_load,
-    h_gc_check_load_switch_con,
-    h_reg_handle_reg_handle_load,
-    h_reg_handle_load_load,
-];
-
 #[inline]
 fn args(t: &ThreadedCode, pc: u32) -> &threaded::Args {
     &t.args[pc as usize]
@@ -1569,10 +1516,11 @@ fn h_de_con_adj(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     Control::Next
 }
 
+/// Branches on the constructor of `v` through constructor-switch table
+/// `table` — the one decode the three `…SwitchCon` handlers share.
 #[inline(always)]
-fn h_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let v = vm.pop();
-    let (disc, (arms, default)) = &t.con_switches[args(t, pc).a as usize];
+fn switch_con(vm: &Vm<'_>, t: &ThreadedCode, v: Word, table: u32) -> Control {
+    let (disc, (arms, default)) = &t.con_switches[table as usize];
     let ctor: u32 = if !is_ptr(v) {
         scalar_val(v) as u32
     } else {
@@ -1589,6 +1537,12 @@ fn h_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
         .map(|(_, t)| *t)
         .unwrap_or(*default);
     Control::Goto(target)
+}
+
+#[inline(always)]
+fn h_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let v = vm.pop();
+    switch_con(vm, t, v, args(t, pc).a)
 }
 
 fn h_switch_int(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
@@ -1905,14 +1859,6 @@ fn h_load_select(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 }
 
 #[inline(always)]
-fn h_store_pop(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let v = vm.pop();
-    vm.set_local(args(t, pc).a, v);
-    vm.pop();
-    Control::Next
-}
-
-#[inline(always)]
 fn h_push_const_jump_if_false(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     if vm.rt.untag_int(x.k) == 0 {
@@ -1948,7 +1894,7 @@ fn h_load_select_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
     let w = vm.rt.field(v, x.n as u64);
-    vm.set_local(x.m as u32, w);
+    vm.set_local(x.b, w);
     Control::Next
 }
 
@@ -2124,24 +2070,7 @@ fn h_load_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 #[inline(always)]
 fn h_load_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    let v = vm.local(x.b);
-    let (disc, (arms, default)) = &t.con_switches[x.a as usize];
-    let ctor: u32 = if !is_ptr(v) {
-        scalar_val(v) as u32
-    } else {
-        match *disc {
-            Disc::Tag => Tag::decode(vm.rt.read_addr(ptr_addr(vm.rt.canon(v)))).info,
-            Disc::Field0 => scalar_val(vm.rt.read_addr(ptr_addr(v))) as u32,
-            Disc::Single(c) => c,
-            Disc::Enum => unreachable!("boxed value in enum datatype"),
-        }
-    };
-    let target = arms
-        .iter()
-        .find(|(c, _)| *c == ctor)
-        .map(|(_, t)| *t)
-        .unwrap_or(*default);
-    Control::Goto(target)
+    switch_con(vm, t, vm.local(x.a), x.b)
 }
 
 #[inline(always)]
@@ -2185,24 +2114,7 @@ fn h_gc_check_load_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Con
         return Control::Fail;
     }
     let x = args(t, pc);
-    let v = vm.local(x.b);
-    let (disc, (arms, default)) = &t.con_switches[x.a as usize];
-    let ctor: u32 = if !is_ptr(v) {
-        scalar_val(v) as u32
-    } else {
-        match *disc {
-            Disc::Tag => Tag::decode(vm.rt.read_addr(ptr_addr(vm.rt.canon(v)))).info,
-            Disc::Field0 => scalar_val(vm.rt.read_addr(ptr_addr(v))) as u32,
-            Disc::Single(c) => c,
-            Disc::Enum => unreachable!("boxed value in enum datatype"),
-        }
-    };
-    let target = arms
-        .iter()
-        .find(|(c, _)| *c == ctor)
-        .map(|(_, t)| *t)
-        .unwrap_or(*default);
-    Control::Goto(target)
+    switch_con(vm, t, vm.local(x.a), x.b)
 }
 
 #[inline(always)]
@@ -2249,7 +2161,6 @@ mod tests {
             else {
                 panic!("Match must prepare the linked form");
             };
-            assert_eq!(linked.fused, 0, "{fusion:?}");
             assert_eq!(linked.code.len(), prog.code.len(), "{fusion:?}");
         }
         // The same request does fuse for the production engine, so the

@@ -25,9 +25,10 @@ pub mod oracle;
 use kit_kam::render::render_value;
 use kit_kam::{Executable, Vm};
 use kit_lambda::opt::OptOptions;
-use kit_lambda::LProgram;
+use kit_lambda::{LExp, LProgram};
 use kit_region::RegionOptions;
 use kit_runtime::Rt;
+use kit_syntax::Span;
 use kit_typing::TypeError;
 use std::fmt;
 
@@ -177,6 +178,28 @@ pub struct PreparedProgram {
     pub executable: Executable,
 }
 
+/// Deepest `LambdaExp` nesting [`Compiler`] compiles: every top-level
+/// declaration after the first, `let` binding, pattern variable, list
+/// element and operand is a level. Each pass behind elaboration recurses
+/// once per level; measured per level, release / debug build: the
+/// optimiser needs 1.2 / 2.5 KB of stack, region inference 0.7 / 9 KB,
+/// code generation 0.6 / 6.2 KB — so the optimiser recurses deepest in
+/// release, region inference in debug, and this limit needs 1.8 / 13.5 MB.
+/// (The parser bounds what it and the elaborator recurse on:
+/// `kit_syntax::parser::MAX_NESTING`.)
+pub const MAX_NESTING: usize = 1500;
+
+/// Nesting depth of `e`, counted without recursing.
+fn nesting(e: &LExp) -> usize {
+    let mut deepest = 0;
+    let mut work = vec![(e, 1)];
+    while let Some((e, depth)) = work.pop() {
+        deepest = deepest.max(depth);
+        e.for_each_child(|child| work.push((child, depth + 1)));
+    }
+    deepest
+}
+
 /// A configured compiler.
 #[derive(Debug, Clone)]
 pub struct Compiler {
@@ -280,7 +303,7 @@ impl Compiler {
         self
     }
 
-    /// Turns superinstruction fusion in the threaded engine's link pass
+    /// Turns superinstruction fusion in the threaded engine's translation
     /// on (`Full`, the default) or off (`Off`, for differential testing;
     /// all observable behavior — including the instruction count — is
     /// identical either way). The match engine always runs unfused.
@@ -338,9 +361,15 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Currently infallible after elaboration; the `Result` is kept for
-    /// interface stability.
+    /// Refuses a program nested deeper than [`MAX_NESTING`].
     pub fn compile_lambda(&self, lprog: &mut LProgram) -> Result<kit_kam::Program, Error> {
+        let depth = nesting(&lprog.body);
+        if depth > MAX_NESTING {
+            return Err(Error::Compile(TypeError::new(
+                format!("program nests {depth} levels deep; the limit is {MAX_NESTING}"),
+                Span::synthetic(),
+            )));
+        }
         kit_lambda::opt::optimize(lprog, &self.opt);
         let rprog = kit_region::infer(lprog, self.mode.region_options());
         let mut prog = kit_kam::compile(&rprog, self.config.tagged);

@@ -317,6 +317,13 @@ impl Server {
             config: self.config,
         });
 
+        // A stack overflow aborts the process — `catch_unwind` never sees
+        // it — so a worker's stack is sized for the deepest program the
+        // compiler admits, in the build that needs most: the elaborator at
+        // `kit_syntax::parser::MAX_NESTING` in a debug build, 23 MB (the
+        // passes behind it, at `kit::MAX_NESTING`, 13.5 MB). Reserved
+        // address space; only the pages a compile reaches are touched.
+        const WORKER_STACK_BYTES: usize = 32 << 20;
         let mut pool = Vec::with_capacity(workers);
         for id in 0..workers {
             let shared = Arc::clone(&shared);
@@ -324,6 +331,7 @@ impl Server {
             pool.push(
                 thread::Builder::new()
                     .name(format!("kit-serve-worker-{id}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || {
                         worker_loop(&shared, id as u32);
                         shared.live_workers.fetch_sub(1, Ordering::SeqCst);

@@ -192,6 +192,38 @@ fn compile_errors_and_bad_frames_get_typed_statuses() {
 }
 
 #[test]
+fn a_program_nested_past_the_compilers_limits_is_refused_and_the_server_keeps_serving() {
+    // 2 000 one-line declarations are 2 000 nested `let`s to every pass
+    // behind the elaborator; 20 000 parentheses are 20 000 recursions of the
+    // parser; 5 000 additions are a loop to the parser and 5 000 recursions
+    // of the elaborator. Each overflowed a worker's stack, which
+    // `catch_unwind` cannot see: the process died on a 46 KB request.
+    let handle = start(1);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut vals = String::from("val x0 = 1\n");
+    for i in 1..=2000 {
+        vals.push_str(&format!("val x{i} = x{} + {i}\n", i - 1));
+    }
+    vals.push_str("val it = x2000\n");
+    let parens = format!("val it = {}1{}", "(".repeat(20_000), ")".repeat(20_000));
+    let sum = format!("val it = 1{}", " + 1".repeat(5_000));
+    let mut call = |src: &str| {
+        client
+            .call(Mode::Rgt, DispatchMode::Threaded, None, None, src)
+            .expect("call")
+    };
+    for src in [&vals, &parens, &sum] {
+        let resp = call(src);
+        assert_eq!(resp.status, Status::CompileError);
+        assert!(resp.result.contains("levels deep"), "{}", resp.result);
+    }
+    let resp = call("val it = 1");
+    assert_eq!((resp.status, resp.result.as_str()), (Status::Ok, "1"));
+    assert_eq!(handle.live_workers(), 1);
+    handle.shutdown();
+}
+
+#[test]
 fn program_cache_shares_one_compilation() {
     // Same source, mode and dispatch from many connections: every
     // response must be identical (same Arc'd PreparedProgram) and the

@@ -14,6 +14,11 @@
 //! `handle` more loosely still. Application binds tightest. As in SML, the
 //! prefix forms `if`/`case`/`fn`/`raise`/`while` are whole expressions, not
 //! infix operands: `1 + if ...` requires parentheses.
+//!
+//! The parser refuses input that would make it recurse deeper than
+//! [`MAX_NESTING`]: a stack overflow is an abort, not an error, so the
+//! depth a source may reach is bounded where the source first meets a
+//! stack.
 
 use crate::ast::*;
 use crate::error::SyntaxError;
@@ -36,7 +41,11 @@ use crate::token::Token;
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
     let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser {
+        toks,
+        idx: 0,
+        depth: 0,
+    };
     let mut decs = Vec::new();
     while !p.at(&Token::Eof) {
         // Tolerate stray top-level semicolons (common in SML sources).
@@ -57,15 +66,33 @@ pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
 /// trailing input after the expression.
 pub fn parse_exp(src: &str) -> Result<Exp, SyntaxError> {
     let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser {
+        toks,
+        idx: 0,
+        depth: 0,
+    };
     let e = p.exp()?;
     p.expect(Token::Eof)?;
     Ok(e)
 }
 
+/// Deepest expression, pattern or type nesting the front end accepts: the
+/// parser counts its own recursion against it (a bracket, a keyword form,
+/// the right operand of an infix operator, a prefix operator), and the
+/// elaborator in `kit-typing`, which walks the tree the parser built,
+/// counts its own — a run of left-associative operators or curried
+/// arguments nests the tree without nesting the parser. Measured per
+/// level, release / debug build: the parser needs 2.8 / 27 KB of stack
+/// (parentheses), the elaborator 3.8 / 89 KB (`fn x => fn y => …`), so
+/// this limit fits a 32 MiB stack in either (`kit-serve` gives its workers
+/// one) and a 2 MiB one in release.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     toks: Vec<Spanned>,
     idx: usize,
+    /// Nesting of the construct being parsed, against [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -107,6 +134,30 @@ impl Parser {
                 self.peek_span(),
             ))
         }
+    }
+
+    /// Goes one level of nesting down; returns the depth to come back to.
+    fn deeper(&mut self) -> Result<usize, SyntaxError> {
+        let outer = self.depth;
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(SyntaxError::new(
+                format!("nested more than {MAX_NESTING} levels deep"),
+                self.peek_span(),
+            ));
+        }
+        Ok(outer)
+    }
+
+    /// Runs `parse` one level down.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, SyntaxError>,
+    ) -> Result<T, SyntaxError> {
+        let outer = self.deeper()?;
+        let parsed = parse(self)?;
+        self.depth = outer;
+        Ok(parsed)
     }
 
     fn ident(&mut self) -> Result<(String, Span), SyntaxError> {
@@ -268,13 +319,14 @@ impl Parser {
     // ------------------------------------------------------------------ types
 
     fn tyexp(&mut self) -> Result<TyExp, SyntaxError> {
-        let lhs = self.tytuple()?;
+        let outer = self.deeper()?;
+        let mut ty = self.tytuple()?;
         if self.eat(&Token::Arrow) {
             let rhs = self.tyexp()?;
-            Ok(TyExp::Arrow(Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
+            ty = TyExp::Arrow(Box::new(ty), Box::new(rhs));
         }
+        self.depth = outer;
+        Ok(ty)
     }
 
     fn tytuple(&mut self) -> Result<TyExp, SyntaxError> {
@@ -294,6 +346,7 @@ impl Parser {
         let mut t = self.atty()?;
         while let Token::Ident(name) = self.peek().clone() {
             self.bump();
+            self.deeper()?; // a postfix constructor nests `t`; `tyexp` comes back up
             t = TyExp::Con(name, vec![t]);
         }
         Ok(t)
@@ -338,18 +391,19 @@ impl Parser {
     // -------------------------------------------------------------- patterns
 
     fn pat(&mut self) -> Result<Pat, SyntaxError> {
-        let lhs = self.apppat()?;
+        let outer = self.deeper()?;
+        let mut pat = self.apppat()?;
         if self.eat(&Token::Cons) {
             let rhs = self.pat()?;
-            let span = lhs.span().merge(rhs.span());
-            return Ok(Pat::Cons(Box::new(lhs), Box::new(rhs), span));
-        }
-        if self.eat(&Token::Colon) {
+            let span = pat.span().merge(rhs.span());
+            pat = Pat::Cons(Box::new(pat), Box::new(rhs), span);
+        } else if self.eat(&Token::Colon) {
             let ty = self.tyexp()?;
-            let span = lhs.span();
-            return Ok(Pat::Ascribe(Box::new(lhs), ty, span));
+            let span = pat.span();
+            pat = Pat::Ascribe(Box::new(pat), ty, span);
         }
-        Ok(lhs)
+        self.depth = outer;
+        Ok(pat)
     }
 
     fn apppat(&mut self) -> Result<Pat, SyntaxError> {
@@ -467,8 +521,9 @@ impl Parser {
     }
 
     fn exp_no_handle(&mut self) -> Result<Exp, SyntaxError> {
+        let outer = self.deeper()?;
         let sp = self.peek_span();
-        match self.peek() {
+        let e = match self.peek() {
             Token::If => {
                 self.bump();
                 let c = self.exp()?;
@@ -506,7 +561,9 @@ impl Parser {
                 Ok(Exp::Raise(Box::new(e), span))
             }
             _ => self.orelse_exp(),
-        }
+        };
+        self.depth = outer;
+        e
     }
 
     fn rules(&mut self) -> Result<Vec<Rule>, SyntaxError> {
@@ -567,7 +624,7 @@ impl Parser {
             }
             let op_tok = self.bump().tok;
             let next_min = if right { level } else { level + 1 };
-            let rhs = self.infix_exp(next_min)?;
+            let rhs = self.nested(|p| p.infix_exp(next_min))?;
             let span = lhs.span().merge(rhs.span());
             lhs = match op_tok {
                 Token::Cons => Exp::Cons(Box::new(lhs), Box::new(rhs), span),
@@ -613,19 +670,19 @@ impl Parser {
         match self.peek() {
             Token::Tilde => {
                 self.bump();
-                let e = self.prefix_exp()?;
+                let e = self.nested(Self::prefix_exp)?;
                 let span = sp.merge(e.span());
                 Ok(Exp::Neg(Box::new(e), span))
             }
             Token::Bang => {
                 self.bump();
-                let e = self.prefix_exp()?;
+                let e = self.nested(Self::prefix_exp)?;
                 let span = sp.merge(e.span());
                 Ok(Exp::Deref(Box::new(e), span))
             }
             Token::Not => {
                 self.bump();
-                let e = self.prefix_exp()?;
+                let e = self.nested(Self::prefix_exp)?;
                 let span = sp.merge(e.span());
                 Ok(Exp::Not(Box::new(e), span))
             }
@@ -884,6 +941,46 @@ mod tests {
         let Exp::Let(decs, body, _) = e else { panic!() };
         assert_eq!(decs.len(), 1);
         assert_eq!(body.len(), 2);
+    }
+
+    #[test]
+    fn nesting_is_bounded_in_every_direction_a_tree_can_grow() {
+        // On the stack `MAX_NESTING` was sized for (a debug build's test
+        // thread has 2 MiB, which 80 levels of parentheses fill).
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(check_nesting_bound)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn check_nesting_bound() {
+        let deep = |n: usize| {
+            [
+                format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+                format!("{}nil", "1 :: ".repeat(n)),
+                format!("{}0", "if true then 1 else ".repeat(n)),
+                format!("{}0", "fn x => ".repeat(n)),
+                format!("{}1", "~ ".repeat(n)),
+                format!("fn {}x{} => 0", "(".repeat(n), ")".repeat(n)),
+                format!("(0 : {}int)", "int -> ".repeat(n)),
+            ]
+        };
+        for src in deep(MAX_NESTING - 2) {
+            parse_exp(&src).unwrap_or_else(|e| panic!("{e}: {}", &src[..40]));
+        }
+        // Far past the limit the answer is still an error, not the guard
+        // page: the refusal comes at level `MAX_NESTING + 1`.
+        for src in deep(64 * MAX_NESTING) {
+            let err = parse_exp(&src).unwrap_err();
+            assert!(err.message().contains("levels deep"), "{err}");
+        }
+        // Siblings do not add up, and a run of left-associative operators
+        // or arguments is a loop here (the elaborator bounds the tree).
+        let wide = format!("[{}1]", "((((1)))), ".repeat(4 * MAX_NESTING));
+        parse_exp(&wide).unwrap();
+        parse_exp(&format!("f{}", " x + 1".repeat(4 * MAX_NESTING))).unwrap();
     }
 
     #[test]

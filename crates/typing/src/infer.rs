@@ -22,6 +22,7 @@ use kit_lambda::ty::{
 };
 use kit_lambda::LProgram;
 use kit_syntax::ast::{self, BinOp, Exp, Pat, TyExp};
+use kit_syntax::parser::MAX_NESTING;
 use kit_syntax::Span;
 use std::collections::HashMap;
 
@@ -112,6 +113,9 @@ struct Elab {
     anno_tyvars: HashMap<String, Ty>,
     last_val: Option<(VarId, Ty)>,
     user_phase: bool,
+    /// Nesting of the expression being inferred, against
+    /// [`kit_syntax::parser::MAX_NESTING`].
+    depth: usize,
 }
 
 impl Elab {
@@ -160,6 +164,7 @@ impl Elab {
             anno_tyvars: HashMap::new(),
             last_val: None,
             user_phase: false,
+            depth: 0,
         }
     }
 
@@ -705,7 +710,23 @@ impl Elab {
         Ok(out)
     }
 
+    /// Infers `exp`, one level deeper. The parser bounded its own
+    /// recursion, but `1 + 1 + …` nests the tree in a loop there and in
+    /// recursion here (and in every pass that walks the typed tree).
     fn infer_exp(&mut self, exp: &Exp) -> Result<(TExp, Ty), TypeError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(TypeError::new(
+                format!("expression nested more than {MAX_NESTING} levels deep"),
+                exp.span(),
+            ));
+        }
+        let typed = self.infer_exp_at(exp);
+        self.depth -= 1;
+        typed
+    }
+
+    fn infer_exp_at(&mut self, exp: &Exp) -> Result<(TExp, Ty), TypeError> {
         let span = exp.span();
         match exp {
             Exp::Int(n, _) => Ok((TExp::Int(*n), Ty::Int)),

@@ -58,14 +58,23 @@ if grep -rnE 'instructions_per_sec|"rps"|p50_ms|p99_ms|mean_ms' crates/; then
     exit 1
 fi
 
+echo "==> bench-summary --profile-fusion (fib, msort): exits 0, and every"
+echo "    uncovered-candidate row is '<count>  Op;Op[;Op]'"
+cargo run --release -q -p kit-bench --bin bench-summary -- \
+    --profile-fusion --only fib,msort 2>/dev/null |
+    awk '/^== uncovered/ { tail = 1; next }
+         tail && NF && !/^ +[0-9]+  [A-Za-z]+(;[A-Za-z]+)(;[A-Za-z]+)?$/ { print "malformed: " $0; bad = 1 }
+         tail && NF { rows++ }
+         END { exit bad || !rows }'
+
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR18.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR19.json, both"
 echo "    engines; writes nothing (a PR that moves them on purpose points"
 echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR18.json
+    --check-counts BENCH_PR19.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"
@@ -86,6 +95,10 @@ echo "    tiny queue sheds typed Overloaded while executed work stays"
 echo "    bit-identical (serve test suite, release)"
 cargo test --release -p kit-serve -q flood
 cargo test --release -p kit-serve -q drain
+
+echo "==> kit-serve: a program nested past the compiler's limits (2 000"
+echo "    declarations, 20 000 parentheses) is a typed refusal, in release too"
+cargo test --release -p kit-serve -q nested
 
 echo "==> repo benchmark (BENCHMARK.json): its own tests, then every"
 echo "    workload for 2 s untraced plus one traced run (exit status only),"

@@ -11,9 +11,14 @@
 //!
 //! The collector is one more input: the three collectors that share the
 //! kernel (full, generational, sliced) each run churn on both engines.
+//!
+//! What the production engine runs is also checked as a structure, not
+//! only through results: its fused stream must be a regrouping of the
+//! stream the oracle runs (`kit_bench::fusion_check`).
 
 use kit::{oracle, Compiler, DispatchMode, Fusion, Mode, Outcome, RtConfig};
 use kit_bench::by_name;
+use kit_bench::fusion_check::assert_fusion_regroups;
 use kit_runtime::config::GenPolicy;
 
 /// `[instructions, words_allocated, allocations, gc_count,
@@ -115,6 +120,20 @@ fn oracle_and_production_engine_agree_in_every_mode() {
         collected,
         "no run collected: the GC counters were never tested"
     );
+}
+
+#[test]
+fn the_fused_stream_is_a_regrouping_of_the_stream_the_oracle_runs() {
+    for (name, scale, _) in PINS {
+        let src = by_name(name).unwrap().source_scaled(scale);
+        for mode in Mode::ALL {
+            let prog = Compiler::new(mode)
+                .compile_source(&src)
+                .unwrap_or_else(|e| panic!("{name} [{mode}]: {e}"));
+            let full = assert_fusion_regroups(&prog, &format!("{name} [{mode}]"));
+            assert!(full.fused > 0, "{name} [{mode}]: nothing fused");
+        }
+    }
 }
 
 /// Everything deterministic an [`Outcome`] counts: the instruction total
