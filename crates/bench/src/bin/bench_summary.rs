@@ -1,7 +1,7 @@
 //! Count snapshot: runs every benchmark of the paper's Fig. 3 in all five
 //! execution modes and writes the deterministic counters of each cell —
-//! instructions, words allocated, #GC, bytes copied, peak pages/bytes, GC
-//! slices — as machine-readable JSON to the path given with `--out`
+//! instructions, words allocated, #GC, bytes copied, peak pages/bytes —
+//! as machine-readable JSON to the path given with `--out`
 //! (there is no default, so a run can never overwrite a committed
 //! `BENCH_PR<n>.json` by accident).
 //!
@@ -27,7 +27,7 @@
 //!
 //! Usage: `cargo run -p kit-bench --release --bin bench-summary --
 //!         [--out PATH] [--full] [--only prog,prog,...] [--modes r,rt,...]
-//!         [--gc-compare] [--check-counts BENCH.json] | --profile-fusion`
+//!         [--check-counts BENCH.json] | --profile-fusion`
 //!
 //! Anything else on the command line — an unknown flag, or a program or
 //! mode name that does not exist — exits 2 with the usage line: a count
@@ -45,15 +45,6 @@
 //! differ (or if no cell is in common): the gate for a PR that changes
 //! mechanism and claims the counts stayed put. With `--check-counts`,
 //! `--out` is optional and nothing is written without it.
-//!
-//! `--gc-compare` switches the comparison axis from dispatch engines to
-//! *collector modes*: each cell runs under the stop-the-world collector
-//! (`gc_serial`) and the sliced bounded-pause collector (`gc_sliced`),
-//! both on the production engine. Mutator-visible counters
-//! (instructions, words allocated, the result) are asserted identical
-//! across collector modes; the GC counters themselves differ by design,
-//! since the schedule is mode-dependent. Modes default to `rgt`
-//! (collector modes only matter when the collector runs).
 //!
 //! A note on the `peak_pages`/`peak_bytes` columns: since PR 6 the heap
 //! materializes pages lazily (DESIGN.md §6g/§6h), and these counters
@@ -79,15 +70,12 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One interpreter configuration. `gc_slice` selects the collector mode
-/// (stop-the-world / sliced); the dispatch-engine comparison leaves it at
-/// the stop-the-world default.
+/// One interpreter configuration.
 #[derive(Clone, Copy)]
 struct Config {
     name: &'static str,
     dispatch: DispatchMode,
     fusion: Fusion,
-    gc_slice: Option<u64>,
 }
 
 const COMPARE: [Config; 2] = [
@@ -95,30 +83,11 @@ const COMPARE: [Config; 2] = [
         name: "match_off",
         dispatch: DispatchMode::Match,
         fusion: Fusion::Off,
-        gc_slice: None,
     },
     Config {
         name: "threaded_full",
         dispatch: DispatchMode::Threaded,
         fusion: Fusion::Full,
-        gc_slice: None,
-    },
-];
-
-/// The collector-mode comparison (`--gc-compare`): stop-the-world vs the
-/// sliced bounded-pause collector, both on the production engine.
-const GC_COMPARE: [Config; 2] = [
-    Config {
-        name: "gc_serial",
-        dispatch: DispatchMode::Threaded,
-        fusion: Fusion::Full,
-        gc_slice: None,
-    },
-    Config {
-        name: "gc_sliced",
-        dispatch: DispatchMode::Threaded,
-        fusion: Fusion::Full,
-        gc_slice: Some(4096),
     },
 ];
 
@@ -137,7 +106,6 @@ struct Row {
     bytes_copied: u64,
     peak_pages: u64,
     peak_bytes: u64,
-    gc_slices: u64,
 }
 
 /// One (program, mode) work item: all configs run inside it.
@@ -151,7 +119,7 @@ struct Cell {
 fn usage(problem: &str) -> ! {
     eprintln!(
         "bench-summary: {problem}\n\
-         usage: bench-summary [--out PATH] [--full] [--only p,..] [--modes m,..] [--gc-compare] \
+         usage: bench-summary [--out PATH] [--full] [--only p,..] [--modes m,..] \
          [--check-counts BENCH.json]   (one of --out, --check-counts is required)\n\
          \x20      bench-summary --profile-fusion [--full] [--only p,..] [--modes m,..]"
     );
@@ -166,7 +134,6 @@ struct Args {
     full: bool,
     only: Option<Vec<String>>,
     modes: Option<Vec<String>>,
-    gc_compare: bool,
     profile_fusion: bool,
     check_counts: Option<String>,
 }
@@ -186,7 +153,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--full" => args.full = true,
             "--only" => args.only = Some(csv(value()?)),
             "--modes" => args.modes = Some(csv(value()?)),
-            "--gc-compare" => args.gc_compare = true,
             "--profile-fusion" => args.profile_fusion = true,
             "--check-counts" => args.check_counts = Some(value()?),
             other => return Err(format!("unknown argument {other:?}")),
@@ -216,11 +182,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).unwrap_or_else(|problem| usage(&problem));
-    // Collector modes only differ where the collector runs, so the GC
-    // comparison defaults to the paper's combined mode.
-    let modes = args
-        .modes
-        .or_else(|| args.gc_compare.then(|| vec!["rgt".to_string()]));
     let selected = |names: &Option<Vec<String>>, name: &str| {
         names.as_ref().is_none_or(|ns| ns.iter().any(|n| n == name))
     };
@@ -236,7 +197,7 @@ fn main() {
             };
             Mode::ALL_WITH_BASELINE
                 .into_iter()
-                .filter(|m| selected(&modes, m.suffix()))
+                .filter(|m| selected(&args.modes, m.suffix()))
                 .map(move |mode| Cell {
                     bench: b,
                     mode,
@@ -251,7 +212,6 @@ fn main() {
         return;
     }
 
-    let configs = if args.gc_compare { GC_COMPARE } else { COMPARE };
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, Vec<Row>)>> = Mutex::new(Vec::new());
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
@@ -260,7 +220,7 @@ fn main() {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(cell) = cells.get(i) else { break };
-                let rows = run_cell(cell, &configs, args.gc_compare);
+                let rows = run_cell(cell);
                 results
                     .lock()
                     .expect("a cell that panics has already failed the run")
@@ -283,7 +243,7 @@ fn main() {
                 "    {{\"program\": \"{}\", \"mode\": \"{}\", \"config\": \"{}\", \
                  \"scale\": {}, \"instructions\": {}, \
                  \"words_allocated\": {}, \"gc_count\": {}, \"bytes_copied\": {}, \
-                 \"peak_pages\": {}, \"peak_bytes\": {}, \"gc_slices\": {}}}",
+                 \"peak_pages\": {}, \"peak_bytes\": {}}}",
                 r.program,
                 r.mode,
                 r.config,
@@ -294,7 +254,6 @@ fn main() {
                 r.bytes_copied,
                 r.peak_pages,
                 r.peak_bytes,
-                r.gc_slices,
             );
             json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
         }
@@ -412,32 +371,17 @@ fn check_counts(rows: &[Row], reference: &str) -> Result<usize, String> {
     Ok(compared)
 }
 
-/// Runs one (program, mode) cell once under every configuration and
-/// asserts what the configurations must agree on.
-///
-/// With `gc_compare`, the configurations differ in *collector mode*
-/// rather than dispatch engine, so the bit-identical assertion narrows
-/// to the mutator-visible counters plus the result — a sliced
-/// collection finishing at a later safe point legitimately changes
-/// `#GC` and the copied-word total, but never the program's answer.
-fn run_cell(cell: &Cell, configs: &[Config], gc_compare: bool) -> Vec<Row> {
+/// Runs one (program, mode) cell once under both configurations and
+/// asserts that the deterministic counters do not depend on the dispatch
+/// engine or the fusion set.
+fn run_cell(cell: &Cell) -> Vec<Row> {
     let src = cell.bench.source_scaled(cell.scale);
     let fail = |e: kit::Error| -> ! { panic!("{} [{}]: {e}", cell.bench.name, cell.mode) };
-    let compilers: Vec<Compiler> = configs
-        .iter()
-        .map(|c| {
-            let mut compiler = Compiler::new(cell.mode)
-                .with_dispatch(c.dispatch)
-                .with_fusion(c.fusion);
-            if let Some(budget) = c.gc_slice {
-                compiler = compiler.with_config(RtConfig {
-                    gc_slice_budget_words: Some(budget),
-                    ..RtConfig::default()
-                });
-            }
-            compiler
-        })
-        .collect();
+    let compilers = COMPARE.map(|c| {
+        Compiler::new(cell.mode)
+            .with_dispatch(c.dispatch)
+            .with_fusion(c.fusion)
+    });
     let prog = compilers[0]
         .compile_source(&src)
         .unwrap_or_else(|e| fail(e));
@@ -445,49 +389,29 @@ fn run_cell(cell: &Cell, configs: &[Config], gc_compare: bool) -> Vec<Row> {
         .iter()
         .map(|compiler| compiler.run_program(&prog).unwrap_or_else(|e| fail(e)))
         .collect();
-    for (c, o) in configs.iter().zip(&outs).skip(1) {
-        if gc_compare {
-            // Collector equivalence: the mode may move the GC schedule
-            // but never what the mutator computes.
-            assert_eq!(
-                (&o.result, o.instructions, o.stats.words_allocated),
-                (
-                    &outs[0].result,
-                    outs[0].instructions,
-                    outs[0].stats.words_allocated
-                ),
-                "{} [{}]: collector mode {} diverges from {}",
-                cell.bench.name,
-                cell.mode,
-                c.name,
-                configs[0].name,
-            );
-        } else {
-            // Dispatch equivalence: the deterministic counters must not
-            // depend on the dispatch engine or the fusion set.
-            assert_eq!(
-                (
-                    o.instructions,
-                    o.stats.words_allocated,
-                    o.stats.gc_count,
-                    o.stats.gc_copied_words
-                ),
-                (
-                    outs[0].instructions,
-                    outs[0].stats.words_allocated,
-                    outs[0].stats.gc_count,
-                    outs[0].stats.gc_copied_words
-                ),
-                "{} [{}]: config {} diverges from {}",
-                cell.bench.name,
-                cell.mode,
-                c.name,
-                configs[0].name,
-            );
-        }
+    for (c, o) in COMPARE.iter().zip(&outs).skip(1) {
+        assert_eq!(
+            (
+                o.instructions,
+                o.stats.words_allocated,
+                o.stats.gc_count,
+                o.stats.gc_copied_words
+            ),
+            (
+                outs[0].instructions,
+                outs[0].stats.words_allocated,
+                outs[0].stats.gc_count,
+                outs[0].stats.gc_copied_words
+            ),
+            "{} [{}]: config {} diverges from {}",
+            cell.bench.name,
+            cell.mode,
+            c.name,
+            COMPARE[0].name,
+        );
     }
     let page_bytes = (RtConfig::default().page_words() * std::mem::size_of::<u64>()) as u64;
-    configs
+    COMPARE
         .iter()
         .zip(outs)
         .map(|(c, out)| {
@@ -512,7 +436,6 @@ fn run_cell(cell: &Cell, configs: &[Config], gc_compare: bool) -> Vec<Row> {
                 bytes_copied: out.stats.gc_copied_words * 8,
                 peak_pages: (out.stats.peak_bytes as u64).div_ceil(page_bytes),
                 peak_bytes: out.stats.peak_bytes as u64,
-                gc_slices: out.stats.gc_slices,
             }
         })
         .collect()
@@ -611,7 +534,6 @@ mod tests {
             bytes_copied: 0,
             peak_pages: 1,
             peak_bytes: 296,
-            gc_slices: 0,
         }
     }
 

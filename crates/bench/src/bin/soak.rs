@@ -1,33 +1,32 @@
 //! Soak runner: the randomized engine differential from
 //! `tests/randomized.rs`, promoted to a binary so it can run for
-//! arbitrarily many cases with full configuration fuzzing — page size,
-//! initial heap, `heap_shrink_factor` hysteresis, the generational
-//! policy — each case on both dispatch engines (the unfused `Match`
-//! oracle vs `Threaded` with full fusion).
+//! arbitrarily many cases with full configuration fuzzing, each case on
+//! both dispatch engines (the unfused `Match` oracle vs `Threaded` with
+//! full fusion).
 //!
 //! Usage: `cargo run -p kit-bench --release --bin soak --
 //!         [--cases N] [--seed S] [--surface int|full]`
 //!
 //! `--surface` selects the generator grammar: `int` (the default) is the
-//! original int-expression generator, kept so historical seeds stay
-//! reproducible; `full` is the whole-language generator (datatypes,
-//! arrays past the large-object threshold, strings, reals, refs, nested
-//! handlers — DESIGN.md §6h) that actually reaches the collector's hard
-//! cases.
+//! original int-expression generator; `full` is the whole-language
+//! generator (datatypes, arrays past the large-object threshold, strings,
+//! reals, refs, nested handlers — DESIGN.md §6h) that actually reaches the
+//! collector's hard cases.
 //!
 //! Every case is one generated program run in all five execution modes
 //! under the default runtime configuration plus one fuzzed configuration
-//! per mode. The fuzzed configuration draws the collector schedule by
-//! arm — stop-the-world or sliced ({32, 256} words). A full-surface
-//! program that fails to compile is also a failure — the generator is
-//! type-directed, so a compile error is a generator bug that would
-//! otherwise silently shrink the differential surface. Any divergence
-//! prints the offending engine, field, config, and full program source,
-//! and the process exits nonzero — so a CI hook (`scripts/verify.sh`
-//! wires in short runs of both surfaces) fails loudly.
+//! per mode (page size, initial heap, shrink hysteresis, collection
+//! trigger, heap-to-live ratio, generational policy). Case *k* draws its
+//! program and its configurations from two streams derived from
+//! `(seed, k)` alone (`randgen::case_rngs`), so it reproduces without the
+//! cases before it. A full-surface program that fails to compile is also a
+//! failure — the generator is type-directed, so a compile error is a
+//! generator bug that would otherwise silently shrink the differential
+//! surface. Any divergence prints the offending engine, field, config, and
+//! full program source, and the process exits nonzero — so a CI hook
+//! (`scripts/verify.sh` wires in short runs of both surfaces) fails loudly.
 
 use kit::{Compiler, DispatchMode, Mode};
-use kit_bench::programs::SplitMix64;
 use kit_bench::randgen::{self, Surface};
 
 const FUEL: u64 = 10_000_000;
@@ -53,11 +52,11 @@ fn main() {
         .map(|s| Surface::parse(s).unwrap_or_else(|| panic!("bad --surface {s:?} (int|full)")))
         .unwrap_or(Surface::Int);
 
-    let mut rng = SplitMix64::new(seed);
     let mut failures = 0u64;
     let mut runs = 0u64;
     for case in 0..cases {
-        let src = randgen::program(&mut rng, surface);
+        let (mut prog_rng, mut cfg_rng) = randgen::case_rngs(seed, case);
+        let src = randgen::program(&mut prog_rng, surface);
         // A generated program that does not compile never reaches the
         // differential, so it must count as a failure in its own right.
         if let Err(e) = Compiler::new(Mode::Rgt).compile_source(&src) {
@@ -67,10 +66,10 @@ fn main() {
         }
         for mode in Mode::ALL_WITH_BASELINE {
             // Default configuration, then one fuzzed configuration per
-            // mode — tiny pages, aggressive shrink factors and slice
-            // budgets all move the GC schedule, which must still be
+            // mode — tiny pages, aggressive shrink factors, triggers and
+            // heap ratios all move the GC schedule, which must still be
             // engine-invariant.
-            let fuzzed = randgen::fuzz_config(&mut rng, mode);
+            let fuzzed = randgen::fuzz_config(&mut cfg_rng, mode);
             for cfg in [None, Some(&fuzzed)] {
                 runs += 1;
                 if let Err(e) = randgen::differential(&src, mode, cfg, FUEL) {

@@ -16,15 +16,23 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The state advances by this much per output.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// A generator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
+    /// Passes over the next `n` outputs in one step.
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(Self::GAMMA));
+    }
+
     /// The next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -4,8 +4,8 @@
    has several comparably-sized regions to copy) hold
    lists that stay live across the whole run, while the loop keeps
    overwriting slots through `:=`. Every collection therefore copies a
-   large live set spread over many regions, and every update crosses
-   the write barrier — the sliced collector's hard case. The checksum
+   large live set spread over many regions, and every update is a
+   remembered-set entry under the generational baseline. The checksum
    reads old values before dropping them, so a barrier or evacuation
    bug changes the answer. *)
 val scale = 600

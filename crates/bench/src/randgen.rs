@@ -7,8 +7,8 @@
 //! * [`Surface::Int`] — the original int-expression generator: `div`/`mod`
 //!   with dynamically-zero divisors, overflow-prone arithmetic, user
 //!   exceptions raised conditionally deep inside expressions, and
-//!   `handle` chains, all inside a recursive driver. Kept bit-for-bit so
-//!   historical soak seeds stay reproducible.
+//!   `handle` chains, all inside a recursive driver. Kept bit-for-bit: the
+//!   fixed-seed tests name their programs by generator state.
 //! * [`Surface::Full`] — a type-directed generator over the whole MiniML
 //!   surface: recursive and mutually recursive functions (region-
 //!   polymorphic list/tree/shape builders called from many allocation
@@ -944,9 +944,8 @@ impl<'r> Gen<'r> {
         }
     }
 
-    /// A unit-valued effect: array/ref mutation (write-barrier traffic
-    /// under the sliced collector, remembered-set traffic under the
-    /// generational baseline) or, rarely, output.
+    /// A unit-valued effect: array/ref mutation (remembered-set traffic
+    /// under the generational baseline) or, rarely, output.
     fn unit(&mut self, env: &mut Vec<(String, Ty)>, d: u32) -> String {
         match self.rng.below(12) {
             0..=2 => {
@@ -1313,16 +1312,34 @@ fn program_full(rng: &mut SplitMix64) -> String {
 // Config fuzzing and the differential
 // ------------------------------------------------------------------------
 
+/// The two random streams of soak case `case` under `seed`: one for
+/// [`program`], one for [`fuzz_config`]. Both are functions of
+/// `(seed, case)` alone — the case's base word is output number `case` of
+/// `SplitMix64::new(seed)`, reached by one [`SplitMix64::skip`] — so case
+/// *k* reproduces without generating cases 0…k−1, and a configuration arm
+/// can come or go without renaming any program.
+pub fn case_rngs(seed: u64, case: u64) -> (SplitMix64, SplitMix64) {
+    const CONFIG_SALT: u64 = 0xC0F1_6C0F_16C0_F16C;
+    let mut root = SplitMix64::new(seed);
+    root.skip(case);
+    let base = root.next_u64();
+    (SplitMix64::new(base), SplitMix64::new(base ^ CONFIG_SALT))
+}
+
 /// A random runtime configuration for `mode`: page size, initial heap,
-/// shrink hysteresis, and (for the baseline mode) the generational
-/// policy are all fuzzed. `with_config` forces the tagging/GC flags back
-/// to the mode's requirements, so the result is always well-formed.
+/// shrink hysteresis, the collection trigger and heap-to-live ratio (the
+/// paper's §4 dials), and (for the baseline mode) the generational policy
+/// are all fuzzed. Every value must leave the counters the differential
+/// compares engine-invariant. `with_config` forces the tagging/GC flags
+/// back to the mode's requirements, so the result is always well-formed.
 pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
     let mut cfg = RtConfig {
         // 32..512-word pages; tiny pages force collections mid-expression.
         page_words_log2: 5 + rng.below(5) as u32,
         initial_pages: [2, 4, 8, 64][rng.below(4) as usize],
         heap_shrink_factor: [None, Some(1.0), Some(2.0), Some(4.0)][rng.below(4) as usize],
+        heap_to_live_ratio: [1.5, 3.0, 9.0][rng.below(3) as usize],
+        gc_threshold: [1.0 / 3.0, 0.5][rng.below(2) as usize],
         ..RtConfig::default()
     };
     if mode == Mode::Baseline {
@@ -1330,20 +1347,6 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
             nursery_pages: [2, 8, 64][rng.below(3) as usize],
             major_growth: 2 + rng.below(3) as usize,
         });
-    } else {
-        // Collector-mode fuzzing: stop-the-world or sliced, drawn as
-        // arms. Arms 3, 4, 6 and 7 also drew a parallel worker count
-        // until the parallel collector was deleted (PR 16); that draw is
-        // kept and discarded, so pinned seeds still generate the same
-        // programs. Every shape must leave the counters the differential
-        // compares engine-invariant.
-        let arm = rng.below(8);
-        if matches!(arm, 3 | 4 | 6 | 7) {
-            rng.below(2);
-        }
-        if arm >= 5 {
-            cfg.gc_slice_budget_words = Some([32, 256][rng.below(2) as usize]);
-        }
     }
     // Wall-clock deadlines are drawn only at the two differential-safe
     // extremes: far-future (must be invisible — same counters as no
@@ -1425,12 +1428,13 @@ pub fn differential(
             format!(
                 "{mode} {dispatch:?} (cfg: {}) on\n{src}",
                 cfg.map_or("default".to_string(), |c| format!(
-                    "pages=2^{} init={} shrink={:?} gen={} slice={:?}",
+                    "pages=2^{} init={} shrink={:?} ratio={} threshold={:.2} gen={}",
                     c.page_words_log2,
                     c.initial_pages,
                     c.heap_shrink_factor,
-                    c.generational.is_some(),
-                    c.gc_slice_budget_words
+                    c.heap_to_live_ratio,
+                    c.gc_threshold,
+                    c.generational.is_some()
                 ))
             )
         };
@@ -1447,58 +1451,6 @@ pub fn differential(
             }
             (want, got) => {
                 return Err(format!("{}: engines disagree: {want:?} vs {got:?}", ctx()));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs `src` once per configuration in `cfgs` (under `Match` dispatch)
-/// and compares the *mutator-visible* outcome: result, output,
-/// instruction total, and words allocated. The GC counters are
-/// deliberately excluded — the collection schedule is config-dependent
-/// (a sliced collection finishes at a later safe point), but none of
-/// that may ever leak into what the program computes.
-///
-/// # Errors
-///
-/// `Err` names the diverging configuration and field, with the source.
-pub fn mutator_equivalence(
-    src: &str,
-    mode: Mode,
-    cfgs: &[(&str, &RtConfig)],
-    fuel: u64,
-) -> Result<(), String> {
-    let (ref_name, ref_cfg) = cfgs[0];
-    let reference = run_once(src, mode, DispatchMode::Match, Some(ref_cfg), fuel);
-    for (name, cfg) in &cfgs[1..] {
-        let out = run_once(src, mode, DispatchMode::Match, Some(cfg), fuel);
-        let ctx = || format!("{mode} {name} vs {ref_name} on\n{src}");
-        match (&reference, &out) {
-            (Ok(want), Ok(got)) => {
-                macro_rules! field {
-                    ($f:literal, $w:expr, $g:expr) => {
-                        if $w != $g {
-                            return Err(format!("{}: {}: {:?} vs {:?}", ctx(), $f, $w, $g));
-                        }
-                    };
-                }
-                field!("result", want.result, got.result);
-                field!("output", want.output, got.output);
-                field!("instructions", want.instructions, got.instructions);
-                field!(
-                    "words allocated",
-                    want.stats.words_allocated,
-                    got.stats.words_allocated
-                );
-            }
-            (Err(Error::Run(want)), Err(Error::Run(got))) => {
-                if got != want {
-                    return Err(format!("{}: error {got:?} vs {want:?}", ctx()));
-                }
-            }
-            (want, got) => {
-                return Err(format!("{}: configs disagree: {want:?} vs {got:?}", ctx()));
             }
         }
     }
@@ -1544,21 +1496,34 @@ mod tests {
         );
     }
 
-    /// `fuzz_config` must keep drawing the sliced collector, and must
-    /// consume exactly the random draws it did while a worker count was
-    /// still fuzzed (the pin is the generator state the parent of PR 16
-    /// reaches), or every pinned soak seed would name a different program.
+    /// Case *k*'s program stream is seeded with output *k* of the seed's
+    /// own generator (the one-step jump lands where stepping does), its
+    /// configuration stream is a different one, and `fuzz_config` reaches
+    /// every value of the two §4 dials.
     #[test]
-    fn fuzz_config_draws_slices_and_keeps_its_draw_count() {
-        let mut rng = SplitMix64::new(1);
-        let sliced = (0..200)
-            .filter(|_| {
-                fuzz_config(&mut rng, Mode::Rgt)
-                    .gc_slice_budget_words
-                    .is_some()
-            })
-            .count();
-        assert_eq!(sliced, 77, "sliced arm drawn {sliced}/200 times");
-        assert_eq!(rng.next_u64(), 0x9633_714e_1be6_b21b);
+    fn case_streams_jump_to_their_case_and_fuzz_config_turns_both_dials() {
+        let mut stepped = SplitMix64::new(1);
+        for case in 0..10 {
+            let base = stepped.next_u64();
+            let (mut prog, mut cfg) = case_rngs(1, case);
+            let first = prog.next_u64();
+            assert_eq!(first, SplitMix64::new(base).next_u64(), "case {case}");
+            assert_ne!(first, cfg.next_u64(), "case {case}");
+        }
+
+        let mut seen = std::collections::BTreeSet::new();
+        for case in 0..100 {
+            let cfg = fuzz_config(&mut case_rngs(1, case).1, Mode::Rgt);
+            seen.insert((
+                (cfg.heap_to_live_ratio * 10.0) as u32,
+                cfg.gc_threshold == 0.5,
+            ));
+        }
+        let ratios = [15, 30, 90];
+        let all: Vec<_> = ratios
+            .iter()
+            .flat_map(|&r| [(r, false), (r, true)])
+            .collect();
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
     }
 }

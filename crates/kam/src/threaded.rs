@@ -142,7 +142,6 @@ ops! {
         LoadLoadPrim,
         PushConstPrim,
         LoadSelect,
-        PushConstJumpIfFalse,
         LoadConstPrim,
         LoadSelectStore,
         LoadLoadPrimJump,
@@ -150,7 +149,6 @@ ops! {
         // Selected from `--profile-fusion` counts.
         StoreLoadSelect,
         LoadPrimJump,
-        SelectConstPrim,
         StoreLoad,
         LoadLoad,
         PrimJump,
@@ -755,7 +753,7 @@ mod tests {
     fn op_list_is_dense_and_base_first() {
         // `Op` is `repr(u8)` with sequential discriminants: `COSTS` and the
         // profile matrices are indexed by `op as usize`.
-        assert_eq!((Op::BASE_COUNT, OP_COUNT), (33, 56));
+        assert_eq!((Op::BASE_COUNT, OP_COUNT), (33, 54));
         assert_eq!(Op::Halt as usize, 32);
         for (i, op) in Op::ALL.iter().enumerate() {
             assert_eq!(*op as usize, i, "ALL out of discriminant order");

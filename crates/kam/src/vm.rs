@@ -421,9 +421,6 @@ impl<'p> Vm<'p> {
             stack[dst + n..stale].fill(fill); // remaining locals
         }
         self.rt.stack.truncate(newlen);
-        // The old frame's finite-region boxes (tail call) are gone; let a
-        // sliced collection prune its scan-buffer entries for them.
-        self.rt.note_stack_trunc(base);
         self.frames.push(Frame {
             fun,
             ret_pc,
@@ -613,9 +610,7 @@ impl<'p> Vm<'p> {
                         scalar_val(v) as u32
                     } else {
                         match disc {
-                            Disc::Tag => {
-                                Tag::decode(self.rt.read_addr(ptr_addr(self.rt.canon(v)))).info
-                            }
+                            Disc::Tag => Tag::decode(self.rt.read_addr(ptr_addr(v))).info,
                             Disc::Field0 => scalar_val(self.rt.read_addr(ptr_addr(v))) as u32,
                             Disc::Single(c) => *c,
                             Disc::Enum => unreachable!("boxed value in enum datatype"),
@@ -726,7 +721,6 @@ impl<'p> Vm<'p> {
                     self.cur_locals = self.frames.last().map_or(0, |c| c.locals);
                     self.formal_pool.truncate(f.fbase);
                     self.rt.stack.truncate(f.base);
-                    self.rt.note_stack_trunc(f.base);
                     self.push(result);
                     pc = f.ret_pc;
                 }
@@ -788,7 +782,6 @@ impl<'p> Vm<'p> {
                 }
                 LInstr::Halt => {
                     let result = self.pop();
-                    let result = self.finish_pending_gc(result);
                     let mut stats = self.rt.stats.clone();
                     stats.observe_bytes(self.rt.mem_bytes());
                     return Ok(VmOutcome {
@@ -864,14 +857,12 @@ impl<'p> Vm<'p> {
                 Op::LoadLoadPrim => h_load_load_prim(&mut self, t, pc as u32),
                 Op::PushConstPrim => h_push_const_prim(&mut self, t, pc as u32),
                 Op::LoadSelect => h_load_select(&mut self, t, pc as u32),
-                Op::PushConstJumpIfFalse => h_push_const_jump_if_false(&mut self, t, pc as u32),
                 Op::LoadConstPrim => h_load_const_prim(&mut self, t, pc as u32),
                 Op::LoadSelectStore => h_load_select_store(&mut self, t, pc as u32),
                 Op::LoadLoadPrimJump => h_load_load_prim_jump(&mut self, t, pc as u32),
                 Op::LoadConstPrimJump => h_load_const_prim_jump(&mut self, t, pc as u32),
                 Op::StoreLoadSelect => h_store_load_select(&mut self, t, pc as u32),
                 Op::LoadPrimJump => h_load_prim_jump(&mut self, t, pc as u32),
-                Op::SelectConstPrim => h_select_const_prim(&mut self, t, pc as u32),
                 Op::StoreLoad => h_store_load(&mut self, t, pc as u32),
                 Op::LoadLoad => h_load_load(&mut self, t, pc as u32),
                 Op::PrimJump => h_prim_jump(&mut self, t, pc as u32),
@@ -890,7 +881,6 @@ impl<'p> Vm<'p> {
                 Control::Goto(target) => pc = target as usize,
                 Control::Halt => {
                     let result = self.halted.take().expect("Halt without a result");
-                    let result = self.finish_pending_gc(result);
                     let mut stats = self.rt.stats.clone();
                     stats.observe_bytes(self.rt.mem_bytes());
                     return Ok(VmOutcome {
@@ -926,7 +916,6 @@ impl<'p> Vm<'p> {
         if !is_ptr(v) {
             scalar_val(v) as u32
         } else if self.rt.config.tagged {
-            let v = self.rt.canon(v);
             Tag::decode(self.rt.read_addr(ptr_addr(v))).info
         } else {
             scalar_val(self.rt.read_addr(ptr_addr(v))) as u32
@@ -945,7 +934,6 @@ impl<'p> Vm<'p> {
         self.region_pool.truncate(h.region_pool_len);
         self.formal_pool.truncate(h.formal_pool_len);
         self.rt.stack.truncate(h.stack_len);
-        self.rt.note_stack_trunc(h.stack_len);
         self.push(exn_val);
         Some(h.target)
     }
@@ -1012,10 +1000,6 @@ impl<'p> Vm<'p> {
                 }
             }
         }
-        if self.rt.config.gc_slice_budget_words.is_some() {
-            kit_runtime::gc_sliced::collect_sliced(&mut self.rt, &roots, &mut []);
-            return;
-        }
         gc::collect(&mut self.rt, &roots, &mut []);
     }
 
@@ -1069,10 +1053,9 @@ impl<'p> Vm<'p> {
     }
 
     /// The quota slow path: if the materialized footprint exceeds the
-    /// cap, force one full collection (finishing any in-flight slice),
-    /// release the free arena tail, and re-measure. A request that stays
-    /// over the cap after all that is genuinely holding too much live
-    /// data and fails with a typed error.
+    /// cap, force one full collection, release the free arena tail, and
+    /// re-measure. A request that stays over the cap after all that is
+    /// genuinely holding too much live data and fails with a typed error.
     #[cold]
     fn quota_check(&mut self) -> Option<VmError> {
         if !self.rt.over_quota() {
@@ -1083,10 +1066,6 @@ impl<'p> Vm<'p> {
                 self.collect_generational(pol);
             } else {
                 self.collect();
-                if self.rt.sliced_active() {
-                    let roots = self.roots();
-                    kit_runtime::gc_sliced::finish_sliced(&mut self.rt, &roots, &mut []);
-                }
             }
         }
         self.rt.quota_reclaim();
@@ -1098,19 +1077,6 @@ impl<'p> Vm<'p> {
         } else {
             None
         }
-    }
-
-    /// Forcibly completes a sliced collection still in flight at program
-    /// exit, with the result value as an extra root (the from-space must
-    /// not outlive the collection).
-    fn finish_pending_gc(&mut self, result: Word) -> Word {
-        if !self.rt.sliced_active() {
-            return result;
-        }
-        let roots = self.roots();
-        let mut extra = [result];
-        kit_runtime::gc_sliced::finish_sliced(&mut self.rt, &roots, &mut extra);
-        extra[0]
     }
 
     // ------------------------------------------------------------- prims
@@ -1333,14 +1299,11 @@ impl<'p> Vm<'p> {
             }
             RefGet => {
                 let r = self.pop();
-                let r = self.rt.canon(r);
                 let v = self.rt.field(r, 0);
                 self.push(v);
             }
             RefSet => {
                 let (r, v) = binop!();
-                let r = self.rt.canon(r);
-                let v = self.rt.gc_write_barrier(v);
                 self.rt.set_field(r, 0, v);
                 if self.rt.config.generational.is_some() {
                     let addr = ptr_addr(r) + self.rt.hdr_words();
@@ -1350,7 +1313,7 @@ impl<'p> Vm<'p> {
             }
             RefEq | ArrEq => {
                 let (a, b) = binop!();
-                push_bool!(self.rt.canon(a) == self.rt.canon(b));
+                push_bool!(a == b);
             }
             ArrNew => {
                 let (n, init) = binop!();
@@ -1381,7 +1344,6 @@ impl<'p> Vm<'p> {
                     return Err(EXN_SUBSCRIPT);
                 }
                 let addr = self.rt.arr_elem_addr(a, i as usize);
-                let v = self.rt.gc_write_barrier(v);
                 self.rt.write_addr(addr, v);
                 if self.rt.config.generational.is_some() {
                     self.remembered.push(addr);
@@ -1525,7 +1487,7 @@ fn switch_con(vm: &Vm<'_>, t: &ThreadedCode, v: Word, table: u32) -> Control {
         scalar_val(v) as u32
     } else {
         match *disc {
-            Disc::Tag => Tag::decode(vm.rt.read_addr(ptr_addr(vm.rt.canon(v)))).info,
+            Disc::Tag => Tag::decode(vm.rt.read_addr(ptr_addr(v))).info,
             Disc::Field0 => scalar_val(vm.rt.read_addr(ptr_addr(v))) as u32,
             Disc::Single(c) => c,
             Disc::Enum => unreachable!("boxed value in enum datatype"),
@@ -1678,7 +1640,6 @@ fn h_ret(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     vm.cur_locals = vm.frames.last().map_or(0, |c| c.locals);
     vm.formal_pool.truncate(f.fbase);
     vm.rt.stack.truncate(f.base);
-    vm.rt.note_stack_trunc(f.base);
     vm.push(result);
     Control::Goto(f.ret_pc as u32)
 }
@@ -1859,16 +1820,6 @@ fn h_load_select(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 }
 
 #[inline(always)]
-fn h_push_const_jump_if_false(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    if vm.rt.untag_int(x.k) == 0 {
-        Control::Goto(x.t)
-    } else {
-        Control::Next
-    }
-}
-
-#[inline(always)]
 fn h_load_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
@@ -1986,19 +1937,6 @@ fn h_load_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
         Control::Goto(x.t)
     } else {
         Control::Next
-    }
-}
-
-#[inline(always)]
-fn h_select_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.pop();
-    let w = vm.rt.field(v, x.n as u64);
-    vm.push(w);
-    vm.push(x.k);
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => Control::Next,
-        Err(exn) => vm.raise_or_fail(exn),
     }
 }
 

@@ -239,19 +239,14 @@ impl Compiler {
 
     /// Overrides the runtime configuration (heap-to-live ratio, page size,
     /// profiling, ...). Tagging and GC flags are forced back to the mode's
-    /// requirements, and `gt` drops a slice budget: the sliced collector
-    /// relies on a heap object's region being popped no later than any
-    /// stack-allocated value it points to dies, which holds only while
-    /// the infinite regions are not collapsed into one (DESIGN.md §6g).
+    /// requirements, and the baseline keeps its generational policy; every
+    /// other field is taken as given, in every mode.
     pub fn with_config(mut self, mut config: RtConfig) -> Self {
         let m = self.mode.rt_config();
         config.tagged = m.tagged;
         config.gc_enabled = m.gc_enabled;
         if config.generational.is_none() {
             config.generational = m.generational;
-        }
-        if self.mode == Mode::Gt {
-            config.gc_slice_budget_words = None;
         }
         self.config = config;
         self
@@ -519,6 +514,42 @@ mod tests {
             let a2 = c.run_prepared(&prep).unwrap();
             assert_eq!(a.result, a2.result, "{dispatch:?}");
             assert_eq!(a.instructions, a2.instructions, "{dispatch:?}");
+        }
+    }
+
+    #[test]
+    fn with_config_overrides_only_the_fields_the_mode_owns() {
+        // Every field named, each differing from every mode's default: a
+        // new `RtConfig` field has to be placed here, and a mode-specific
+        // carve-out in `with_config` fails the comparison.
+        let c = RtConfig {
+            page_words_log2: 7,
+            tagged: false,
+            gc_enabled: false,
+            gc_threshold: 0.5,
+            heap_to_live_ratio: 9.0,
+            heap_shrink_factor: None,
+            initial_pages: 4,
+            large_object_words: 64,
+            profile: true,
+            generational: None,
+            poison: true,
+            max_heap_pages: Some(100),
+            deadline: Some(std::time::Instant::now()),
+        };
+        for mode in Mode::ALL_WITH_BASELINE {
+            let m = mode.rt_config();
+            let want = RtConfig {
+                tagged: m.tagged,
+                gc_enabled: m.gc_enabled,
+                generational: m.generational,
+                ..c.clone()
+            };
+            assert_eq!(
+                Compiler::new(mode).with_config(c.clone()).config,
+                want,
+                "{mode}"
+            );
         }
     }
 

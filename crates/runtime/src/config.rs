@@ -38,13 +38,6 @@ pub struct RtConfig {
     /// Generational collection policy (the SML/NJ-substitute baseline);
     /// `None` selects the paper's Cheney-for-regions collector.
     pub generational: Option<GenPolicy>,
-    /// Incremental collection: bound the scan work done per pause to this
-    /// many words and resume the collection at subsequent `GcCheck` safe
-    /// points. `None` (the default) collects in one stop-the-world pause.
-    /// Ignored by the generational baseline. Sound only for programs that
-    /// keep their infinite regions: `kit::Compiler::with_config` drops
-    /// it in `gt` (DESIGN.md §6g).
-    pub gc_slice_budget_words: Option<u64>,
     /// Debugging: overwrite the payload of deallocated region pages with a
     /// poison pattern, so dangling-pointer dereferences fail loudly
     /// instead of silently reading stale values.
@@ -148,7 +141,6 @@ impl RtConfig {
             large_object_words: 128,
             profile: false,
             generational: None,
-            gc_slice_budget_words: None,
             poison: false,
             max_heap_pages: None,
             deadline: None,

@@ -34,11 +34,11 @@ use crate::value::{
     is_ptr, ptr, ptr_addr, space_of, Kind, Space, Tag, Word, NONE_ADDR, STACK_BASE,
 };
 
-/// Policy hook of the shared scan loop: all collector variants (full,
-/// generational, sliced) share [`evacuate_with`], [`cheney_region_with`]
-/// and [`drain_with`], differing only in how a heap object's destination
-/// is decided.
-pub(crate) trait EvacPolicy: Copy {
+/// Policy hook of the shared scan loop: both collectors (full and
+/// generational) share [`evacuate_with`], [`cheney_region_with`] and
+/// [`drain_with`], differing only in how a heap object's destination is
+/// decided.
+trait EvacPolicy: Copy {
     /// Decides the fate of the heap object on `page`: `Some(r)` copies it
     /// into region `r`; `None` leaves it in place.
     fn heap_dest(self, rt: &Rt, page: u64) -> Option<RegionId>;
@@ -96,9 +96,43 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
         rt.heap.sort_free_list();
     }
 
+    // ---- accounting before the flip (Table 3 inputs).
+    let pw = rt.heap.page_words() as u64;
+    let page_payload = pw - PAGE_HDR;
+    let mut waste_words = 0u64;
+    let mut from_pages = 0usize;
+    for d in &rt.regions {
+        from_pages += d.pages;
+        waste_words += d.pages as u64 * page_payload - d.used_words;
+    }
+    let from_space_words = from_pages as u64 * page_payload;
+
     // ---- flip: detach all pages into the global from-space, give every
-    // region a fresh to-space page.
-    let flip = flip_all(rt);
+    // region a fresh to-space page (the paper gives each one eagerly).
+    let mut fs_head = NONE_ADDR;
+    let mut fs_tail_last_addr = NONE_ADDR; // any address within the tail page
+    for i in 0..rt.regions.len() {
+        let (fp, e) = {
+            let d = &rt.regions[i];
+            (d.fp, d.e)
+        };
+        if fp != NONE_ADDR {
+            let last_page = e - pw;
+            rt.heap.write(last_page + PAGE_NEXT, fs_head);
+            if fs_head == NONE_ADDR {
+                fs_tail_last_addr = e - 1;
+            }
+            fs_head = fp;
+        }
+        let page = rt.heap.alloc_page(i as u64);
+        let d = &mut rt.regions[i];
+        d.fp = page;
+        d.a = page + PAGE_HDR;
+        d.e = page + pw;
+        d.pages = 1;
+        d.used_words = 0;
+        d.status = false;
+    }
 
     let mut st = GcState::new();
 
@@ -120,90 +154,9 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     // ---- sweep large objects: free unmarked, unmark survivors.
     let lobjs_freed = sweep_lobjs_all(rt);
 
-    finish_collection(rt, &flip, st.copied, lobjs_freed, t0);
-}
-
-/// Accounting + flip shared by the stop-the-world and sliced full
-/// collectors: detaches every region's page list into one global
-/// from-space and gives every region a fresh to-space page (the paper
-/// gives each one eagerly).
-#[derive(Debug)]
-pub(crate) struct FlipInfo {
-    /// Head of the detached from-space page chain (`NONE_ADDR` if empty).
-    pub(crate) fs_head: u64,
-    /// Any address inside the chain's tail page (for `free_run`).
-    pub(crate) fs_tail_last_addr: u64,
-    /// Total detached pages.
-    pub(crate) from_pages: usize,
-    /// Unused words inside the detached pages (Table 3 waste).
-    pub(crate) waste_words: u64,
-    /// Total payload words of the detached pages.
-    pub(crate) from_space_words: u64,
-}
-
-pub(crate) fn flip_all(rt: &mut Rt) -> FlipInfo {
-    // ---- accounting before the flip (Table 3 inputs).
-    let page_payload = (rt.heap.page_words() - PAGE_HDR as usize) as u64;
-    let mut waste_words = 0u64;
-    let mut from_pages = 0usize;
-    for d in &rt.regions {
-        from_pages += d.pages;
-        waste_words += d.pages as u64 * page_payload - d.used_words;
-    }
-    let from_space_words = from_pages as u64 * page_payload;
-
-    let mut fs_head = NONE_ADDR;
-    let mut fs_tail_last_addr = NONE_ADDR; // any address within the tail page
-    for i in 0..rt.regions.len() {
-        let (fp, e) = {
-            let d = &rt.regions[i];
-            (d.fp, d.e)
-        };
-        if fp != NONE_ADDR {
-            let last_page = e - rt.heap.page_words() as u64;
-            rt.heap.write(last_page + PAGE_NEXT, fs_head);
-            if fs_head == NONE_ADDR {
-                fs_tail_last_addr = e - 1;
-            }
-            fs_head = fp;
-        }
-        let d = &mut rt.regions[i];
-        d.fp = NONE_ADDR;
-        d.pages = 0;
-        d.used_words = 0;
-        d.status = false;
-        // Fresh to-space page (the paper gives every region one eagerly).
-        let page = rt.heap.alloc_page(i as u64);
-        let pw = rt.heap.page_words() as u64;
-        let d = &mut rt.regions[i];
-        d.fp = page;
-        d.a = page + PAGE_HDR;
-        d.e = page + pw;
-        d.pages = 1;
-    }
-    FlipInfo {
-        fs_head,
-        fs_tail_last_addr,
-        from_pages,
-        waste_words,
-        from_space_words,
-    }
-}
-
-/// Full-collection epilogue shared by the stop-the-world and sliced
-/// collectors: releases the from-space, applies the heap-sizing policy and
-/// records the collection in the statistics.
-pub(crate) fn finish_collection(
-    rt: &mut Rt,
-    flip: &FlipInfo,
-    copied: u64,
-    lobjs_freed: usize,
-    t0: std::time::Instant,
-) {
     // ---- release the global from-space in O(1).
-    if flip.fs_head != NONE_ADDR {
-        rt.heap
-            .free_run(flip.fs_head, flip.fs_tail_last_addr, flip.from_pages);
+    if fs_head != NONE_ADDR {
+        rt.heap.free_run(fs_head, fs_tail_last_addr, from_pages);
     }
 
     // ---- post-collection policy and statistics.
@@ -218,17 +171,17 @@ pub(crate) fn finish_collection(
     rt.stats.gc_records.push(GcRecord {
         prev_live_pages: rt.stats.last_live_pages,
         pages_requested: rt.stats.pages_requested_since_gc,
-        from_pages: flip.from_pages,
+        from_pages,
         live_pages,
-        waste_words: flip.waste_words,
-        from_space_words: flip.from_space_words,
-        copied_words: copied,
+        waste_words,
+        from_space_words,
+        copied_words: st.copied,
         lobjs_freed,
     });
     rt.stats.last_live_pages = live_pages;
     rt.stats.pages_requested_since_gc = 0;
     rt.stats.gc_count += 1;
-    rt.stats.gc_copied_words += copied;
+    rt.stats.gc_copied_words += st.copied;
     rt.stats.record_pause(t0.elapsed().as_nanos() as u64);
     rt.gc_needed = false;
     rt.in_gc = false;
@@ -241,7 +194,7 @@ pub(crate) fn finish_collection(
 
 /// Removes the constant marks left on finite-region (stack) boxes by the
 /// scan (§2.5).
-pub(crate) fn unmark_scan_buffer(rt: &mut Rt, scan_buffer: &[usize]) {
+fn unmark_scan_buffer(rt: &mut Rt, scan_buffer: &[usize]) {
     for &slot in scan_buffer {
         let mut tag = Tag::decode(rt.stack[slot]);
         tag.mark = false;
@@ -251,7 +204,7 @@ pub(crate) fn unmark_scan_buffer(rt: &mut Rt, scan_buffer: &[usize]) {
 
 /// Sweeps every region's large-object list: frees unmarked objects,
 /// unmarks survivors. Returns the number freed.
-pub(crate) fn sweep_lobjs_all(rt: &mut Rt) -> usize {
+fn sweep_lobjs_all(rt: &mut Rt) -> usize {
     let mut lobjs_freed = 0usize;
     for i in 0..rt.regions.len() {
         let mut head = rt.regions[i].lobjs;
@@ -469,24 +422,23 @@ fn collect_phase(
     rt.stats.gc_copied_words += st.copied;
 }
 
-/// Shared scan-loop state (paper §2.5): the full, generational and sliced
-/// collectors all use one of these.
+/// Shared scan-loop state (paper §2.5) of one collection.
 #[derive(Debug)]
-pub(crate) struct GcState {
+struct GcState {
     /// Scan pointers of partially-scanned regions (at most one per region).
-    pub(crate) scan_stack: Vec<u64>,
+    scan_stack: Vec<u64>,
     /// Stack slots of finite-region boxes: unscanned tail + all entries for
     /// the final unmarking pass.
-    pub(crate) scan_buffer: Vec<usize>,
-    pub(crate) sb_next: usize,
+    scan_buffer: Vec<usize>,
+    sb_next: usize,
     /// Large arrays queued for traversal.
-    pub(crate) lobj_queue: Vec<u32>,
-    pub(crate) lq_next: usize,
-    pub(crate) copied: u64,
+    lobj_queue: Vec<u32>,
+    lq_next: usize,
+    copied: u64,
 }
 
 impl GcState {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         GcState {
             scan_stack: Vec::new(),
             scan_buffer: Vec::new(),
@@ -501,8 +453,8 @@ impl GcState {
 /// Evacuates one value (paper §2.5 `evacuate`): returns the value to store
 /// in place of `v`. The [`EvacPolicy`] decides which heap objects move and
 /// where to; everything else (scalars, constants, finite-region boxes,
-/// large objects) is handled identically in every collector variant.
-pub(crate) fn evacuate_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, v: Word, p: P) -> Word {
+/// large objects) is handled identically in both collectors.
+fn evacuate_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, v: Word, p: P) -> Word {
     if !is_ptr(v) {
         return v;
     }
@@ -564,7 +516,7 @@ pub(crate) fn evacuate_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, v: Wor
 }
 
 /// Scans a finite-region box in place (fields updated, value not moved).
-pub(crate) fn scan_stack_box_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, slot: usize, p: P) {
+fn scan_stack_box_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, slot: usize, p: P) {
     let tag = Tag::decode(rt.stack[slot]);
     if !tag.scannable() {
         return;
@@ -579,13 +531,7 @@ pub(crate) fn scan_stack_box_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, 
 /// over without a call or a write-back; the fields cannot be held as a
 /// slice across an evacuation, which may grow the arena.
 #[inline]
-pub(crate) fn scan_heap_box_with<P: EvacPolicy>(
-    rt: &mut Rt,
-    st: &mut GcState,
-    s: u64,
-    size: u32,
-    p: P,
-) {
+fn scan_heap_box_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, s: u64, size: u32, p: P) {
     for at in s + 1..s + 1 + size as u64 {
         let v = rt.heap.read(at);
         if is_ptr(v) {
@@ -953,6 +899,22 @@ mod tests {
         let elem2 = rt.read_addr(rt.arr_elem_addr(arr, 0));
         assert_eq!(rt.untag_int(rt.field(elem2, 0)), 5);
         assert_eq!(rt.stats.gc_records[0].lobjs_freed, 1);
+        assert!(
+            !rt.lobjs.get(Lobjs::id_of(ptr_addr(arr))).marked,
+            "a surviving large object must be unmarked for the next cycle"
+        );
+    }
+
+    #[test]
+    fn extra_roots_are_evacuated_and_updated() {
+        let mut rt = rt();
+        let r = rt.letregion(0);
+        let live = build_list(&mut rt, r, 100);
+        let mut extra = [live];
+        collect(&mut rt, &[], &mut extra);
+        assert_ne!(extra[0], live, "the register must see the to-space copy");
+        assert_eq!(list_sum(&rt, extra[0]), 100 * 101 / 2);
+        rt.check_page_conservation().unwrap();
     }
 
     #[test]

@@ -41,7 +41,6 @@
 
 pub mod config;
 pub mod gc;
-pub mod gc_sliced;
 pub mod heap;
 pub mod lobj;
 pub mod profile;

@@ -106,15 +106,6 @@ impl Lobjs {
             .expect("dangling large-object id")
     }
 
-    /// `true` if `id` refers to a live object. The sliced collector uses
-    /// this to drop queued ids whose object was freed by an `endregion`
-    /// between slices.
-    pub fn is_live(&self, id: u32) -> bool {
-        self.table
-            .get(id as usize)
-            .is_some_and(|slot| slot.is_some())
-    }
-
     /// Total payload bytes currently live (for memory accounting).
     pub fn bytes(&self) -> usize {
         self.bytes

@@ -42,9 +42,6 @@ pub struct Rt {
     pub in_gc: bool,
     /// Region profiler (paper Fig. 5).
     pub profiler: Profiler,
-    /// State of an in-progress sliced (incremental) collection, if any
-    /// (see [`crate::gc_sliced`]).
-    pub(crate) sliced: Option<Box<crate::gc_sliced::SlicedGc>>,
     data_strings: Vec<String>,
     data_interned: HashMap<String, u32>,
     /// Total bytes of `data_strings`, kept so the footprint is O(1).
@@ -68,7 +65,6 @@ impl Rt {
             gc_needed: false,
             in_gc: false,
             profiler: Profiler::new(config.profile),
-            sliced: None,
             data_strings: Vec::new(),
             data_interned: HashMap::new(),
             data_bytes: 0,
@@ -117,9 +113,6 @@ impl Rt {
         }
         self.free_lobj_list(d.lobjs);
         self.stats.regions_popped += 1;
-        if let Some(sl) = self.sliced.as_mut() {
-            sl.on_region_pop(self.regions.len());
-        }
     }
 
     /// Pops regions until `depth` remain (used for scope exit and

@@ -59,57 +59,6 @@ impl GcRecord {
     }
 }
 
-/// A small log2 histogram of GC pause times.
-///
-/// Bucket `i` counts pauses with `2^(i-1) < ns <= 2^i - 1` (bucket 0
-/// counts zero-length pauses), i.e. a pause lands in the bucket of its
-/// bit length. Quantiles are answered with the bucket's upper bound, so
-/// they are exact to within a factor of two — plenty for the pause
-/// *distribution* the VM-service roadmap item asks for.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PauseHist {
-    /// Pause counts by bit length of the nanosecond duration.
-    pub buckets: [u64; 64],
-}
-
-impl Default for PauseHist {
-    fn default() -> Self {
-        PauseHist { buckets: [0; 64] }
-    }
-}
-
-impl PauseHist {
-    /// Records one pause of `ns` nanoseconds.
-    #[inline]
-    pub fn record(&mut self, ns: u64) {
-        let b = (u64::BITS - ns.leading_zeros()) as usize;
-        self.buckets[b.min(63)] += 1;
-    }
-
-    /// Total number of recorded pauses.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Upper bound (ns) of the bucket holding the `q`-quantile pause
-    /// (`0.0 < q <= 1.0`), or `None` if nothing was recorded.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(if b == 0 { 0 } else { (1u64 << b) - 1 });
-            }
-        }
-        None
-    }
-}
-
 /// Cumulative runtime statistics.
 #[derive(Debug, Clone, Default)]
 pub struct RtStats {
@@ -139,17 +88,8 @@ pub struct RtStats {
     pub gc_copied_words: u64,
     /// Wall-clock nanoseconds spent collecting.
     pub gc_time_ns: u64,
-    /// Longest single GC pause (one full collection, or one slice in
-    /// sliced mode), nanoseconds.
+    /// Longest single GC pause (one collection), nanoseconds.
     pub gc_pause_max_ns: u64,
-    /// Distribution of GC pause times.
-    pub gc_pause_hist: PauseHist,
-    /// Slices run by the sliced (incremental) collector, across all
-    /// collections.
-    pub gc_slices: u64,
-    /// Largest drain work (words scanned) of any single slice — bounded
-    /// by `gc_slice_budget_words` plus one object.
-    pub gc_max_slice_scan_words: u64,
     /// Peak memory (heap arena + stack + large objects + data), bytes.
     pub peak_bytes: usize,
     /// Live pages after the most recent collection.
@@ -173,14 +113,13 @@ impl RtStats {
         }
     }
 
-    /// Records one GC pause: total time, max pause and the histogram.
+    /// Records one GC pause: total time and max pause.
     #[inline]
     pub fn record_pause(&mut self, ns: u64) {
         self.gc_time_ns += ns;
         if ns > self.gc_pause_max_ns {
             self.gc_pause_max_ns = ns;
         }
-        self.gc_pause_hist.record(ns);
     }
 
     /// Aggregate RI fraction over all collections (Table 3, `RI`).
@@ -250,21 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_histogram_buckets_and_quantiles() {
-        let mut h = PauseHist::default();
-        assert_eq!(h.quantile_ns(0.5), None);
-        // 99 short pauses, one long outlier.
-        for _ in 0..99 {
-            h.record(1000); // bucket 10 (<= 1023)
-        }
-        h.record(1_000_000); // bucket 20 (<= 1048575)
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_ns(0.5), Some(1023));
-        assert_eq!(h.quantile_ns(0.99), Some(1023));
-        assert_eq!(h.quantile_ns(1.0), Some((1 << 20) - 1));
-    }
-
-    #[test]
     fn record_pause_tracks_total_and_max() {
         let mut s = RtStats::default();
         s.record_pause(10);
@@ -272,6 +196,5 @@ mod tests {
         s.record_pause(20);
         assert_eq!(s.gc_time_ns, 530);
         assert_eq!(s.gc_pause_max_ns, 500);
-        assert_eq!(s.gc_pause_hist.count(), 3);
     }
 }

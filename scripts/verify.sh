@@ -26,7 +26,7 @@ cargo test --release -p kit-bench --test randomized -q
 
 echo "==> GC-root regressions in release too (debug trips the dangling-root"
 echo "    check, release the collector itself): raise handled in the frame"
-echo "    that owns the letregion, gt under a slice budget"
+echo "    that owns the letregion, dead heap cells pointing into popped frames"
 cargo test --release -p kit-bench --test regressions -q
 
 echo "==> pay for what you use (Tier-1 leg, release): empty program <= 16"
@@ -38,16 +38,16 @@ echo "    disassemble to the recorded bytecode, region programs equal up"
 echo "    to renaming (release)"
 cargo test --release -p kit-bench --test compile_identity -q
 
-echo "==> collector tests: full, generational and sliced (release)"
+echo "==> collector tests: full and generational (release)"
 cargo test --release -p kit-runtime -q gc
 
 echo "==> soak: short config-fuzzing run (all modes, both engines;"
-echo "    slice budget fuzzed on/off)"
+echo "    page size, heap sizing, trigger and heap-to-live ratio fuzzed)"
 cargo run --release -p kit-bench --bin soak -- --cases 25 --seed 0x5EED0400
 
 echo "==> soak: full-surface generator (datatypes, arrays past the"
 echo "    large-object threshold, strings, reals, refs, nested handlers;"
-echo "    all modes, both engines, fuzzed slice budget)"
+echo "    all modes, both engines, fuzzed configuration)"
 cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
@@ -55,6 +55,14 @@ echo "==> one measuring instrument: no time or rate field outside benchmark/"
 echo "    (times come from benchmark/run.sh, counts from bench-summary)"
 if grep -rnE 'instructions_per_sec|"rps"|p50_ms|p99_ms|mean_ms' crates/; then
     echo "verify: a time or rate field is back under crates/ (see above)" >&2
+    exit 1
+fi
+
+echo "==> two collectors: no name of the sliced collector, its barriers, its"
+echo "    flag or the pause histogram anywhere in the code"
+if grep -rnE 'gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
+    echo "verify: a name deleted in PR 20 is back (see above)" >&2
     exit 1
 fi
 
@@ -68,13 +76,13 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR19.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR20.json, both"
 echo "    engines; writes nothing (a PR that moves them on purpose points"
 echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR19.json
+    --check-counts BENCH_PR20.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"
