@@ -20,6 +20,15 @@
 //! with the *old* generator the new compiler changes all 600 generated
 //! rows and shortens every one.
 //!
+//! PR 21 re-recorded it again for operand text only: region formals took
+//! local slots `1..=nf` (so a region-polymorphic function's parameter
+//! slots moved up by `nf`, and `RegSlot::Formal` names the slot) and
+//! `EnterViaPair` gained its argument count. All 710 bytecode digests
+//! changed; the `code_len` and region-program columns are identical on
+//! every row, and results, outputs, instruction totals and the fused
+//! opcode stream are unchanged on all 110 corpus and 600 generated rows
+//! (EXPERIMENTS.md "PR 21").
+//!
 //! Regenerate (only on a commit whose output is the reference):
 //! `cargo test --release -p kit-bench --test compile_identity -- --ignored bless`
 

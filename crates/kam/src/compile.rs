@@ -584,17 +584,7 @@ impl Cx<'_> {
                     .filter(|(_, b)| matches!(b, VB::Fix(_)))
                     .map(|(v, b)| (*v, b.clone()))
                     .collect();
-                let entry = self.compile_function(
-                    "fn",
-                    params,
-                    &[],
-                    body,
-                    &caps,
-                    1,
-                    None,
-                    fcx.globals,
-                    &fix_binds,
-                );
+                let entry = self.compile_function(params, body, &caps, fcx.globals, &fix_binds);
                 // Closure record: [label, captures...].
                 self.emit(Instr::PushConst(scalar(entry as i64)));
                 self.push_caps(&caps, fcx);
@@ -757,16 +747,13 @@ impl Cx<'_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Compiles an `fn` closure's body out of line; its environment is the
+    /// closure `[label, caps..]`.
     fn compile_function(
         &mut self,
-        name: &str,
         params: &[VarId],
-        formals: &[RegVar],
         body: &RExp,
         caps: &[Cap],
-        env_base: u32,
-        stub: Option<usize>,
         globals: &HashMap<RegVar, RegSlot>,
         fix_binds: &[(VarId, VB)],
     ) -> usize {
@@ -774,12 +761,6 @@ impl Cx<'_> {
         // Compile out of line: jump over the body in the current stream.
         let skip = self.new_label();
         self.emit(Instr::Jump(skip));
-        if let Some(stub_label) = stub {
-            self.bind(stub_label);
-            self.emit(Instr::EnterViaPair {
-                nformals: formals.len() as u16,
-            });
-        }
         self.bind(entry);
         self.emit(Instr::GcCheck);
         let mut inner = FnCx::new(globals, FiniteArea::default());
@@ -792,10 +773,7 @@ impl Cx<'_> {
             inner.vars.insert(*p, VB::Slot(1 + i as u32));
         }
         inner.nlocals = 1 + params.len() as u32;
-        for (i, r) in formals.iter().enumerate() {
-            inner.regs.insert(*r, RegSlot::Formal(i as u32));
-        }
-        Self::bind_caps(caps, env_base, &mut inner);
+        Self::bind_caps(caps, 1, &mut inner);
         self.comp(body, &mut inner, true);
         self.emit(Instr::Ret);
         let id = self.funs.len() as u32;
@@ -803,12 +781,9 @@ impl Cx<'_> {
             entry,
             nlocals: inner.nlocals,
             nfinite: inner.fin.watermark,
-            name: name.to_string(),
+            name: "fn".to_string(),
         });
         self.entry_of.insert(entry, id);
-        if let Some(stub_label) = stub {
-            self.entry_of.insert(stub_label, id);
-        }
         self.bind(skip);
         entry
     }
@@ -878,8 +853,10 @@ impl Cx<'_> {
             let skip = self.new_label();
             self.emit(Instr::Jump(skip));
             self.bind(info.stub);
+            let (nf, n) = (f.formals.len() as u32, f.params.len() as u32);
             self.emit(Instr::EnterViaPair {
-                nformals: f.formals.len() as u16,
+                nformals: nf as u16,
+                nargs: n as u16,
             });
             self.bind(info.label);
             self.emit(Instr::GcCheck);
@@ -887,13 +864,14 @@ impl Cx<'_> {
             for (v, b) in fcx.vars.iter().filter(|(_, b)| matches!(b, VB::Fix(_))) {
                 inner.vars.insert(*v, b.clone());
             }
-            for (i, p) in f.params.iter().enumerate() {
-                inner.vars.insert(*p, VB::Slot(1 + i as u32));
-            }
-            inner.nlocals = 1 + f.params.len() as u32;
+            // Frame: [shared][formals..][params..][locals..].
             for (i, r) in f.formals.iter().enumerate() {
-                inner.regs.insert(*r, RegSlot::Formal(i as u32));
+                inner.regs.insert(*r, RegSlot::Formal(1 + i as u32));
             }
+            for (i, p) in f.params.iter().enumerate() {
+                inner.vars.insert(*p, VB::Slot(1 + nf + i as u32));
+            }
+            inner.nlocals = 1 + nf + n;
             Self::bind_caps(&caps, 0, &mut inner);
             // Members of the group are visible inside bodies; their shared
             // closure is this body's own environment (slot 0).

@@ -14,10 +14,11 @@ pub enum RegSlot {
     /// its runtime region id, since globals are created first and never
     /// popped).
     Global(u32),
-    /// `letregion`-bound infinite region: index into the current frame's
-    /// region list.
+    /// `letregion`-bound infinite region: the `i`-th open in the current
+    /// frame, counted from the region-stack depth at its entry.
     Local(u32),
-    /// Formal region parameter of the current function.
+    /// Formal region parameter of the current function: its local slot
+    /// (`1..=nf`, between the environment and the arguments).
     Formal(u32),
     /// Region handle captured in the current closure (field index).
     EnvReg(u32),
@@ -137,7 +138,8 @@ pub enum Instr {
     /// Push the region handle (scalar) for a place — used to pass actual
     /// regions at region-polymorphic calls and into closures.
     RegHandle(RegSlot),
-    /// Known call: stack holds `[env, rhandles.., args..]` (args on top).
+    /// Known call: stack holds `[env, rhandles.., args..]` (args on top) —
+    /// the callee's first `1 + nformals + nargs` local slots.
     Call {
         /// Entry point.
         label: Label,
@@ -158,10 +160,13 @@ pub enum Instr {
     },
     /// Stub entry for an escaping region-polymorphic function: the
     /// environment is a pair `[stub_label, shared, rhandles..]`; unpack it
-    /// and fall through to the main entry.
+    /// (the arguments move up past the formal slots the handles fill) and
+    /// fall through to the main entry.
     EnterViaPair {
         /// Number of packed region handles.
         nformals: u16,
+        /// Value arguments.
+        nargs: u16,
     },
     /// Return the top of stack to the caller.
     Ret,
@@ -203,10 +208,10 @@ pub enum Instr {
 pub struct FunInfo {
     /// Entry label.
     pub entry: Label,
-    /// Number of local slots (including slot 0 = environment and the
-    /// parameter slots).
+    /// Number of local slots (including slot 0 = environment, the
+    /// region-formal and the parameter slots).
     pub nlocals: u32,
-    /// Words of finite-region space in the frame.
+    /// Words of finite-region space in the frame, after the locals.
     pub nfinite: u32,
     /// Display name.
     pub name: String,

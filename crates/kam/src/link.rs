@@ -84,6 +84,7 @@ pub enum LInstr {
     },
     EnterViaPair {
         nformals: u16,
+        nargs: u16,
     },
     Ret,
     GcCheck,
@@ -209,8 +210,9 @@ fn link_one(prog: &Program, ins: &Instr, resolve: &dyn Fn(Label) -> u32) -> LIns
             nargs: *nargs,
             tail: *tail,
         },
-        Instr::EnterViaPair { nformals } => LInstr::EnterViaPair {
+        Instr::EnterViaPair { nformals, nargs } => LInstr::EnterViaPair {
             nformals: *nformals,
+            nargs: *nargs,
         },
         Instr::Ret => LInstr::Ret,
         Instr::GcCheck => LInstr::GcCheck,

@@ -126,7 +126,7 @@ ops! {
         RegHandle [At],
         Call [A, T, N, M, Flag],
         CallClos [N, Flag],
-        EnterViaPair [N],
+        EnterViaPair [N, M],
         Ret [],
         GcCheck [],
         LetRegion [A],
@@ -262,7 +262,8 @@ pub struct Args {
     pub t: u32,
     /// First `u16` operand (field counts, select index).
     pub n: u16,
-    /// Second `u16` operand (region-formal count).
+    /// Second `u16` operand (a call's region-formal count, a stub's
+    /// argument count).
     pub m: u16,
     /// Boolean operand (tail call, discriminant word, has-arg).
     pub flag: bool,
@@ -477,7 +478,10 @@ impl ThreadedCode {
                 x.n = nargs;
                 x.flag = tail;
             }
-            LInstr::EnterViaPair { nformals } => x.n = nformals,
+            LInstr::EnterViaPair { nformals, nargs } => {
+                x.n = nformals;
+                x.m = nargs;
+            }
             LInstr::LetRegion { names } => {
                 x.a = t.names.len() as u32;
                 t.names.push(names);

@@ -1,12 +1,16 @@
 //! The abstract machine.
 //!
 //! Frames live in the simulated runtime stack of [`kit_runtime::Rt`]:
-//! `[finite regions | locals | operand stack]`. Locals and operand slots
-//! always hold well-formed values (scalars odd, pointers even in tagged
-//! mode), so the garbage collector's root set is exactly the locals and
-//! operand ranges of every frame — enumerated at the `GcCheck` safe point
-//! executed on function entry (paper §4: collection happens at the next
-//! function entry once the free-list drops below the threshold).
+//! `[env | region formals | args | locals… | finite regions | operands]`.
+//! A frame is a window on the operand stack: the `[env][rhandles][args]`
+//! block a call leaves on top of the stack already is the callee's first
+//! slots. Locals and operand slots always hold well-formed values
+//! (scalars odd, pointers even in tagged mode), so the garbage
+//! collector's root set is exactly the locals and operand ranges of every
+//! frame — the finite area between them is reached only through pointers
+//! — enumerated at the `GcCheck` safe point executed on function entry
+//! (paper §4: collection happens at the next function entry once the
+//! free-list drops below the threshold).
 //!
 //! The interpreter never dispatches on [`Instr`] directly: [`Vm::run`]
 //! first runs the link pass ([`crate::link`]), which resolves every branch
@@ -178,17 +182,19 @@ pub struct VmOutcome {
 
 #[derive(Debug)]
 struct Frame {
-    /// Function id (for the uncaught-exception backtrace).
+    /// Function id (for the uncaught-exception backtrace, and the finite
+    /// area's size in [`Vm::roots`]).
     fun: u32,
     ret_pc: usize,
+    /// Local slot 0 (the environment); region formals, arguments and the
+    /// other locals follow.
     base: usize,
-    locals: usize,
-    nlocals: usize,
-    /// Base of this frame's formal region handles in [`Vm::formal_pool`].
-    fbase: usize,
-    /// Base of this frame's `letregion`-bound regions in
-    /// [`Vm::region_pool`].
-    rbase: usize,
+    /// Start of the finite-region area, after the locals; the operands
+    /// start `nfinite` words further up.
+    fin: usize,
+    /// Region-stack depth at entry. Region ids are stack positions, so
+    /// the frame's `i`-th open `letregion` region is `region_depth + i`.
+    region_depth: usize,
 }
 
 #[derive(Debug)]
@@ -197,8 +203,6 @@ struct Handler {
     frame_idx: usize,
     stack_len: usize,
     region_depth: usize,
-    region_pool_len: usize,
-    formal_pool_len: usize,
 }
 
 /// The bytecode interpreter.
@@ -207,7 +211,7 @@ pub struct Vm<'p> {
     prog: &'p Program,
     rt: Rt,
     frames: Vec<Frame>,
-    /// `Frame::locals` of the innermost frame (0 when no frame is live),
+    /// `Frame::base` of the innermost frame (0 when no frame is live),
     /// kept in sync by every call/return/unwind — `local`/`set_local`
     /// are on the dispatch fast path and must not re-derive it.
     cur_locals: usize,
@@ -225,13 +229,6 @@ pub struct Vm<'p> {
     pending: Option<VmError>,
     /// Result staged by the threaded `Halt` handler.
     halted: Option<Word>,
-    /// Formal region handles of every live frame, stacked; each frame
-    /// indexes its slice via `Frame::fbase`. Keeping one shared pool makes
-    /// a call allocation-free.
-    formal_pool: Vec<RegionId>,
-    /// `letregion`-bound regions of every live frame, stacked
-    /// (`Frame::rbase`); pops are LIFO within the owning frame.
-    region_pool: Vec<RegionId>,
     /// Safe points executed while a wall-clock deadline was armed; drives
     /// the strided clock read in [`Vm::gc_safe_point`] and is reported in
     /// [`VmError::DeadlineExceeded`]. Counts `gc_safe_point` calls only,
@@ -259,8 +256,6 @@ impl<'p> Vm<'p> {
             profile: None,
             pending: None,
             halted: None,
-            formal_pool: Vec::new(),
-            region_pool: Vec::new(),
             safe_points: 0,
             remembered: Vec::new(),
         }
@@ -320,10 +315,10 @@ impl<'p> Vm<'p> {
         let f = self.frame();
         match slot {
             RegSlot::Global(i) => RegionId(i),
-            RegSlot::Local(i) => self.region_pool[f.rbase + i as usize],
-            RegSlot::Formal(i) => self.formal_pool[f.fbase + i as usize],
+            RegSlot::Local(i) => RegionId(f.region_depth as u32 + i),
+            RegSlot::Formal(s) => RegionId(self.rt.untag_int(self.local(s)) as u32),
             RegSlot::EnvReg(i) => {
-                let env = self.rt.stack[f.locals];
+                let env = self.local(0);
                 RegionId(self.rt.untag_int(self.rt.field(env, i as u64)) as u32)
             }
             RegSlot::Finite(_) => panic!("finite region used as a region handle"),
@@ -340,7 +335,7 @@ impl<'p> Vm<'p> {
     fn box_from_stack(&mut self, slot: RegSlot, tag: Tag, lead: Option<Word>, n: usize) {
         let v = match slot {
             RegSlot::Finite(off) => {
-                let base = self.frame().base + off as usize;
+                let base = self.frame().fin + off as usize;
                 let stack = &mut self.rt.stack;
                 let start = stack.len() - n;
                 let mut at = base;
@@ -366,71 +361,36 @@ impl<'p> Vm<'p> {
         self.push(v);
     }
 
-    /// Builds the callee frame at `base` out of the `[env][rhandles…]
-    /// [args…]` block on top of the operand stack, moving the arguments
-    /// into their local slots — no intermediate buffers. A non-tail call
-    /// passes the block's own position; a tail call passes the base of
-    /// the frame it replaces, further down.
+    /// Makes the `[env][rhandles…][args…]` block of `blk` words on top of
+    /// the operand stack the callee's first slots, at `base`. A non-tail
+    /// call passes the block's own position, so nothing moves: the stack
+    /// only grows to the callee's frame size. A tail call passes the base
+    /// of the frame it replaces, further down, and the block slides down
+    /// onto it once.
     ///
     /// Deliberately out of line: inlined into the call handlers it made
     /// the dispatch loop slower (DESIGN.md §6c).
     #[inline(never)]
-    fn push_frame_from_stack(&mut self, fun: u32, n: usize, nf: usize, ret_pc: usize, base: usize) {
+    fn push_frame_from_stack(&mut self, fun: u32, blk: usize, ret_pc: usize, base: usize) {
         let info = &self.prog.funs[fun as usize];
-        let sp0 = self.rt.stack.len();
-        let block = sp0 - n - nf - 1;
-        debug_assert!(base <= block);
-        let tagged = self.rt.config.tagged;
-        let env = self.rt.stack[block];
-        let fbase = self.formal_pool.len();
-        let rt = &self.rt;
-        self.formal_pool.extend(
-            rt.stack[block + 1..block + 1 + nf]
-                .iter()
-                .map(|&w| RegionId(rt.untag_int(w) as u32)),
-        );
-        let nfinite = info.nfinite as usize;
-        let nlocals = info.nlocals as usize;
-        let locals = base + nfinite;
-        let newlen = locals + nlocals;
-        let fill = if tagged { scalar(0) } else { 0 };
-        if newlen > sp0 {
-            self.rt.stack.resize(newlen, fill);
+        let fin = base + info.nlocals as usize;
+        let size = fin + info.nfinite as usize;
+        let stack = &mut self.rt.stack;
+        let block = stack.len() - blk;
+        if base < block {
+            stack.copy_within(block.., base);
+            stack.truncate(base + blk);
         }
-        // Slide the arguments into the local slots after `env`. Source
-        // and destination may overlap either way round (a frame with
-        // more finite-region slots than region handles moves them up),
-        // so copy away from the overlap.
-        let stack = &mut self.rt.stack[..];
-        let (src, dst) = (sp0 - n, locals + 1);
-        if dst < src {
-            for i in 0..n {
-                stack[dst + i] = stack[src + i];
-            }
-        } else if dst > src {
-            for i in (0..n).rev() {
-                stack[dst + i] = stack[src + i];
-            }
-        }
-        // Everything else below the old stack top is stale (the call
-        // block, or the replaced frame); above it `resize` already filled.
-        let stale = sp0.min(newlen);
-        stack[base..locals.min(stale)].fill(fill); // finite-region slots
-        stack[locals] = env;
-        if dst + n < stale {
-            stack[dst + n..stale].fill(fill); // remaining locals
-        }
-        self.rt.stack.truncate(newlen);
+        let fill = if self.rt.config.tagged { scalar(0) } else { 0 };
+        stack.resize(size, fill);
         self.frames.push(Frame {
             fun,
             ret_pc,
             base,
-            locals,
-            nlocals,
-            fbase,
-            rbase: self.region_pool.len(),
+            fin,
+            region_depth: self.rt.region_depth(),
         });
-        self.cur_locals = locals;
+        self.cur_locals = base;
         self.rt.observe_mem();
     }
 
@@ -440,12 +400,44 @@ impl<'p> Vm<'p> {
     fn pop_frame_for_tail_call(&mut self) -> (usize, usize) {
         let f = self.frames.pop().expect("tail call without frame");
         debug_assert_eq!(
-            self.region_pool.len(),
-            f.rbase,
+            self.rt.region_depth(),
+            f.region_depth,
             "tail call with open regions"
         );
-        self.formal_pool.truncate(f.fbase);
         (f.base, f.ret_pc)
+    }
+
+    /// `Ret`: pops the frame and leaves the result where its block was;
+    /// returns the return address.
+    #[inline(always)]
+    fn ret(&mut self) -> usize {
+        let result = self.pop();
+        let f = self.frames.pop().expect("return without frame");
+        debug_assert_eq!(
+            self.rt.region_depth(),
+            f.region_depth,
+            "return with open regions"
+        );
+        self.cur_locals = self.frames.last().map_or(0, |c| c.base);
+        self.rt.stack.truncate(f.base);
+        self.push(result);
+        f.ret_pc
+    }
+
+    /// `EnterViaPair`: the closure-call block carried no region handles,
+    /// so the `n` arguments move up by `nf` and the pair's handles fill
+    /// the formal slots under them; the pair's shared closure becomes the
+    /// environment.
+    fn enter_via_pair(&mut self, nf: usize, n: usize) {
+        let pair = self.local(0);
+        let shared = self.rt.field(pair, 1);
+        self.set_local(0, shared);
+        let b = self.cur_locals;
+        self.rt.stack.copy_within(b + 1..b + 1 + n, b + 1 + nf);
+        for i in 0..nf {
+            let w = self.rt.field(pair, 2 + i as u64);
+            self.rt.stack[b + 1 + i] = w;
+        }
     }
 
     /// One-line call chain, innermost frame first, for diagnostics.
@@ -510,7 +502,7 @@ impl<'p> Vm<'p> {
         }
         let env0 = if self.rt.config.tagged { scalar(0) } else { 0 };
         self.push(env0);
-        self.push_frame_from_stack(self.prog.main, 0, 0, usize::MAX, 0);
+        self.push_frame_from_stack(self.prog.main, 1, usize::MAX, 0);
         let main = self.prog.main as usize;
         match exe {
             Executable::Match(linked) => {
@@ -684,7 +676,7 @@ impl<'p> Vm<'p> {
                     } else {
                         (self.rt.stack.len() - n - nf - 1, pc)
                     };
-                    self.push_frame_from_stack(*fun, n, nf, ret, base);
+                    self.push_frame_from_stack(*fun, 1 + nf + n, ret, base);
                     pc = *target as usize;
                 }
                 LInstr::CallClos { nargs, tail } => {
@@ -700,30 +692,13 @@ impl<'p> Vm<'p> {
                     } else {
                         (sp - n - 1, pc)
                     };
-                    self.push_frame_from_stack(fun, n, 0, ret, base);
+                    self.push_frame_from_stack(fun, 1 + n, ret, base);
                     pc = linked.pc_of_label[label] as usize;
                 }
-                LInstr::EnterViaPair { nformals } => {
-                    let pair = self.local(0);
-                    let shared = self.rt.field(pair, 1);
-                    self.set_local(0, shared);
-                    let fbase = self.frame().fbase;
-                    self.formal_pool.truncate(fbase);
-                    for i in 0..*nformals {
-                        let w = self.rt.field(pair, 2 + i as u64);
-                        self.formal_pool.push(RegionId(self.rt.untag_int(w) as u32));
-                    }
+                LInstr::EnterViaPair { nformals, nargs } => {
+                    self.enter_via_pair(*nformals as usize, *nargs as usize);
                 }
-                LInstr::Ret => {
-                    let result = self.pop();
-                    let f = self.frames.pop().expect("return without frame");
-                    debug_assert_eq!(self.region_pool.len(), f.rbase, "return with open regions");
-                    self.cur_locals = self.frames.last().map_or(0, |c| c.locals);
-                    self.formal_pool.truncate(f.fbase);
-                    self.rt.stack.truncate(f.base);
-                    self.push(result);
-                    pc = f.ret_pc;
-                }
+                LInstr::Ret => pc = self.ret(),
                 LInstr::GcCheck => {
                     if let Some(e) = self.gc_safe_point() {
                         return Err(e);
@@ -731,14 +706,12 @@ impl<'p> Vm<'p> {
                 }
                 LInstr::LetRegion { names } => {
                     for name in names.iter() {
-                        let id = self.rt.letregion(*name);
-                        self.region_pool.push(id);
+                        self.rt.letregion(*name);
                     }
                 }
                 LInstr::EndRegions(n) => {
                     for _ in 0..*n {
                         self.rt.endregion();
-                        self.region_pool.pop();
                     }
                 }
                 LInstr::PushHandler { target } => {
@@ -747,8 +720,6 @@ impl<'p> Vm<'p> {
                         frame_idx: self.frames.len() - 1,
                         stack_len: self.rt.stack.len(),
                         region_depth: self.rt.region_depth(),
-                        region_pool_len: self.region_pool.len(),
-                        formal_pool_len: self.formal_pool.len(),
                     });
                 }
                 LInstr::PopHandler => {
@@ -930,24 +901,25 @@ impl<'p> Vm<'p> {
         let h = self.handlers.pop()?;
         self.rt.pop_regions_to(h.region_depth);
         self.frames.truncate(h.frame_idx + 1);
-        self.cur_locals = self.frames.last().map_or(0, |c| c.locals);
-        self.region_pool.truncate(h.region_pool_len);
-        self.formal_pool.truncate(h.formal_pool_len);
+        self.cur_locals = self.frames.last().map_or(0, |c| c.base);
         self.rt.stack.truncate(h.stack_len);
         self.push(exn_val);
         Some(h.target)
     }
 
+    /// Every frame's locals and operands: the finite area between them
+    /// holds boxes the collector reaches through pointers, and stale
+    /// words of boxes already dead.
     fn roots(&self) -> Vec<usize> {
         let mut roots = Vec::new();
         for (i, f) in self.frames.iter().enumerate() {
-            let op_end = self
+            let ops = f.fin + self.prog.funs[f.fun as usize].nfinite as usize;
+            let end = self
                 .frames
                 .get(i + 1)
-                .map(|g| g.base)
-                .unwrap_or(self.rt.stack.len());
-            roots.extend(f.locals..f.locals + f.nlocals);
-            roots.extend(f.locals + f.nlocals..op_end);
+                .map_or(self.rt.stack.len(), |g| g.base);
+            roots.extend(f.base..f.fin);
+            roots.extend(ops..end);
         }
         roots
     }
@@ -1596,7 +1568,7 @@ fn h_call(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     } else {
         (vm.rt.stack.len() - n - nf - 1, pc as usize + 1)
     };
-    vm.push_frame_from_stack(x.a, n, nf, ret, base);
+    vm.push_frame_from_stack(x.a, 1 + nf + n, ret, base);
     Control::Goto(x.t)
 }
 
@@ -1614,34 +1586,19 @@ fn h_call_clos(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     } else {
         (sp - n - 1, pc as usize + 1)
     };
-    vm.push_frame_from_stack(fun, n, 0, ret, base);
+    vm.push_frame_from_stack(fun, 1 + n, ret, base);
     Control::Goto(t.pc_of_label[label])
 }
 
 fn h_enter_via_pair(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let nformals = args(t, pc).n;
-    let pair = vm.local(0);
-    let shared = vm.rt.field(pair, 1);
-    vm.set_local(0, shared);
-    let fbase = vm.frame().fbase;
-    vm.formal_pool.truncate(fbase);
-    for i in 0..nformals {
-        let w = vm.rt.field(pair, 2 + i as u64);
-        vm.formal_pool.push(RegionId(vm.rt.untag_int(w) as u32));
-    }
+    let x = args(t, pc);
+    vm.enter_via_pair(x.n as usize, x.m as usize);
     Control::Next
 }
 
 #[inline(always)]
 fn h_ret(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
-    let result = vm.pop();
-    let f = vm.frames.pop().expect("return without frame");
-    debug_assert_eq!(vm.region_pool.len(), f.rbase, "return with open regions");
-    vm.cur_locals = vm.frames.last().map_or(0, |c| c.locals);
-    vm.formal_pool.truncate(f.fbase);
-    vm.rt.stack.truncate(f.base);
-    vm.push(result);
-    Control::Goto(f.ret_pc as u32)
+    Control::Goto(vm.ret() as u32)
 }
 
 #[inline(always)]
@@ -1656,8 +1613,7 @@ fn h_gc_check(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
 #[inline(always)]
 fn h_let_region(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     for name in t.names[args(t, pc).a as usize].iter() {
-        let id = vm.rt.letregion(*name);
-        vm.region_pool.push(id);
+        vm.rt.letregion(*name);
     }
     Control::Next
 }
@@ -1666,7 +1622,6 @@ fn h_let_region(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 fn h_end_regions(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     for _ in 0..args(t, pc).n {
         vm.rt.endregion();
-        vm.region_pool.pop();
     }
     Control::Next
 }
@@ -1677,8 +1632,6 @@ fn h_push_handler(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
         frame_idx: vm.frames.len() - 1,
         stack_len: vm.rt.stack.len(),
         region_depth: vm.rt.region_depth(),
-        region_pool_len: vm.region_pool.len(),
-        formal_pool_len: vm.formal_pool.len(),
     });
     Control::Next
 }

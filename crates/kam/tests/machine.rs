@@ -236,25 +236,43 @@ fn disassembler_round_trip_smoke() {
 
 // ------------------------------------------------------------ frame push
 //
-// Hand-assembled programs: the frame push slides the arguments from the
-// call block into the callee's local slots, up or down depending on how
-// many finite-region words (`nfinite`) the callee puts below its locals
-// versus how many region handles (`nf`) the caller pushed below the
-// arguments, and a tail call does it onto the frame it replaces.
+// Hand-assembled programs. A frame is `[env][region formals][args]
+// [locals…][finite area][operands]`, so the `[env][handles…][args…]` block
+// a known call leaves on the stack already is the callee's first slots:
+// the push only grows the stack to the callee's frame size. A tail call
+// slides the block down onto the frame it replaces; a closure call
+// through a stub leaves no handles in the block, and `EnterViaPair` moves
+// the arguments up past the formal slots it fills from the pair.
 
 mod frames {
     use kit_kam::instr::{FunInfo, Instr, RegSlot};
     use kit_kam::{DispatchMode, Program, Vm};
     use kit_lambda::exp::Prim;
     use kit_lambda::ty::{DataEnv, LTy};
+    use kit_runtime::value::scalar;
     use kit_runtime::{Rt, RtConfig};
 
-    /// A callee frame shape: `nlocals` counts env + arguments + temps.
+    /// A frame shape: `temps` locals after env, formals and arguments.
+    #[derive(Clone, Copy, Debug)]
     struct Shape {
         nargs: u16,
         nf: u16,
         nfinite: u32,
-        nlocals: u32,
+        temps: u32,
+    }
+
+    impl Shape {
+        fn nlocals(&self) -> u32 {
+            1 + self.nf as u32 + self.nargs as u32 + self.temps
+        }
+    }
+
+    /// How the callee is reached: a known `Call` whose block carries the
+    /// handles, or a `CallClos` on a `[stub, shared, handles…]` pair.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Via {
+        Known,
+        Pair,
     }
 
     fn prim(p: Prim) -> Instr {
@@ -263,16 +281,18 @@ mod frames {
 
     /// `f(a1..an)` = `(a1 - a2)` (or `a1`, or 7 with fewer arguments)
     /// `+ last local` (never written: must read as 0) `+ last formal`
-    /// (region id 1) `+ second field of a finite pair` (if it has room).
+    /// (region id 1; the others are 0) `+ second field of a finite pair`
+    /// (if it has room).
     fn callee(code: &mut Vec<Instr>, s: &Shape, k: &dyn Fn(i64) -> u64) {
+        let arg = 1 + s.nf as u32;
         match s.nargs {
             0 => code.push(Instr::PushConst(k(7))),
-            1 => code.push(Instr::Load(1)),
-            _ => code.extend([Instr::Load(1), Instr::Load(2), prim(Prim::ISub)]),
+            1 => code.push(Instr::Load(arg)),
+            _ => code.extend([Instr::Load(arg), Instr::Load(arg + 1), prim(Prim::ISub)]),
         }
-        code.extend([Instr::Load(s.nlocals - 1), prim(Prim::IAdd)]);
+        code.extend([Instr::Load(s.nlocals() - 1), prim(Prim::IAdd)]);
         if s.nf > 0 {
-            let last = RegSlot::Formal(s.nf as u32 - 1);
+            let last = RegSlot::Formal(s.nf as u32);
             code.extend([Instr::RegHandle(last), prim(Prim::IAdd)]);
         }
         if s.nfinite >= 3 {
@@ -297,46 +317,69 @@ mod frames {
         base + (s.nf > 0) as i64 + if s.nfinite >= 3 { 100 } else { 0 }
     }
 
-    /// Pushes `[env][handles…][args…]` and calls `label`.
+    /// The region handles for `s`'s formals: region 0, the last one 1.
+    fn handles(s: &Shape) -> impl Iterator<Item = Instr> {
+        let nf = s.nf;
+        (0..nf).map(move |i| Instr::RegHandle(RegSlot::Global((i + 1 == nf) as u32)))
+    }
+
+    /// Pushes the call block for `s` and calls `label` (its entry) or
+    /// `stub` (its `EnterViaPair`).
     fn call(
         code: &mut Vec<Instr>,
-        label: usize,
+        (label, stub): (usize, usize),
         s: &Shape,
+        via: Via,
         args: &[i64],
         tail: bool,
         k: &dyn Fn(i64) -> u64,
     ) {
-        code.push(Instr::PushConst(k(0)));
-        for _ in 0..s.nf {
-            code.push(Instr::RegHandle(RegSlot::Global(1)));
+        let nargs = s.nargs;
+        match via {
+            Via::Known => {
+                code.push(Instr::PushConst(k(0)));
+                code.extend(handles(s));
+                code.extend(args.iter().map(|&a| Instr::PushConst(k(a))));
+                code.push(Instr::Call {
+                    label,
+                    nargs,
+                    nformals: s.nf,
+                    tail,
+                });
+            }
+            Via::Pair => {
+                code.extend([
+                    Instr::PushConst(scalar(stub as i64)),
+                    Instr::PushConst(k(0)),
+                ]);
+                code.extend(handles(s));
+                let at = RegSlot::Global(0);
+                code.push(Instr::MkRecord { n: 2 + s.nf, at });
+                code.extend(args.iter().map(|&a| Instr::PushConst(k(a))));
+                code.push(Instr::CallClos { nargs, tail });
+            }
         }
-        code.extend(args.iter().map(|&a| Instr::PushConst(k(a))));
-        code.push(Instr::Call {
-            label,
-            nargs: s.nargs,
-            nformals: s.nf,
-            tail,
-        });
     }
 
-    /// main calls `via` (if any), which dirties its locals and tail-calls
-    /// the callee; otherwise main calls the callee directly.
-    fn run(callee_shape: Shape, via: Option<Shape>, args: &[i64]) {
-        assert_eq!(args.len(), callee_shape.nargs as usize);
-        assert!(
-            callee_shape.nlocals as usize >= args.len() + 2,
-            "env, arguments and a local nobody writes"
-        );
+    /// main calls `hop` (if any), which dirties its locals and tail-calls
+    /// the callee; otherwise main calls the callee directly. Tagged and
+    /// untagged, on both engines.
+    fn run(s: Shape, via: Via, hop: Option<Shape>, args: &[i64]) {
+        assert_eq!(args.len(), s.nargs as usize);
+        assert!(s.temps >= 1, "a local nobody writes");
+        let ctx = format!("{s:?} via {via:?} hop {hop:?}");
         for (tagged, cfg) in [(true, RtConfig::rgt()), (false, RtConfig::r())] {
             let k = move |n: i64| {
                 if tagged {
-                    kit_runtime::value::scalar(n)
+                    scalar(n)
                 } else {
                     n as u64
                 }
             };
+            // Labels: 0 main, 1 callee, 2 callee's stub, 3 hop.
+            let (callee_labels, hop_labels) = ((1, 2), (3, 3));
             let mut code = Vec::new();
-            let mut label_addrs = vec![0];
+            let mut label_addrs = vec![0; 4];
             let mut funs = vec![FunInfo {
                 entry: 0,
                 nlocals: 2,
@@ -345,36 +388,44 @@ mod frames {
             }];
             // main: junk under the call block, so a slide that strays shows.
             code.push(Instr::PushConst(k(55555)));
-            match &via {
-                None => call(&mut code, 1, &callee_shape, args, false, &k),
-                Some(v) => call(&mut code, 2, v, &[], false, &k),
+            match &hop {
+                None => call(&mut code, callee_labels, &s, via, args, false, &k),
+                Some(h) => call(&mut code, hop_labels, h, Via::Known, &[], false, &k),
             }
             code.push(Instr::Halt);
-            label_addrs.push(code.len());
-            callee(&mut code, &callee_shape, &k);
+            label_addrs[2] = code.len();
+            code.push(Instr::EnterViaPair {
+                nformals: s.nf,
+                nargs: s.nargs,
+            });
+            label_addrs[1] = code.len();
+            callee(&mut code, &s, &k);
             funs.push(FunInfo {
                 entry: 1,
-                nlocals: callee_shape.nlocals,
-                nfinite: callee_shape.nfinite,
+                nlocals: s.nlocals(),
+                nfinite: s.nfinite,
                 name: "callee".into(),
             });
-            if let Some(v) = &via {
-                label_addrs.push(code.len());
-                for i in 1..v.nlocals {
+            let mut entry_of: std::collections::HashMap<usize, u32> =
+                [(0, 0), (1, 1), (2, 1)].into();
+            if let Some(h) = &hop {
+                label_addrs[3] = code.len();
+                for i in 1..h.nlocals() {
                     code.extend([Instr::PushConst(k(77777)), Instr::Store(i)]);
                 }
-                call(&mut code, 1, &callee_shape, args, true, &k);
+                call(&mut code, callee_labels, &s, via, args, true, &k);
                 funs.push(FunInfo {
-                    entry: 2,
-                    nlocals: v.nlocals,
-                    nfinite: v.nfinite,
-                    name: "via".into(),
+                    entry: 3,
+                    nlocals: h.nlocals(),
+                    nfinite: h.nfinite,
+                    name: "hop".into(),
                 });
+                entry_of.insert(3, 2);
             }
             let prog = Program {
                 code,
                 label_addrs,
-                entry_of: (0..funs.len()).map(|i| (i, i as u32)).collect(),
+                entry_of,
                 funs,
                 main: 0,
                 global_infinite: vec![0, 0],
@@ -387,188 +438,126 @@ mod frames {
                     .with_dispatch(dispatch)
                     .run()
                     .expect("vm run");
-                assert_eq!(
-                    out.rt.untag_int(out.result),
-                    want(&callee_shape, args),
-                    "tagged={tagged} {dispatch:?}"
-                );
+                let ctx = format!("{ctx} tagged={tagged} {dispatch:?}");
+                assert_eq!(out.rt.untag_int(out.result), want(&s, args), "{ctx}");
                 // Only main's frame and the junk word are left.
-                assert_eq!(out.rt.stack.len(), 3, "tagged={tagged} {dispatch:?}");
+                assert_eq!(out.rt.stack.len(), 3, "{ctx}");
             }
         }
     }
 
-    #[test]
-    fn arguments_slide_up_when_finite_slots_outnumber_handles() {
-        run(
-            Shape {
-                nargs: 2,
-                nf: 0,
-                nfinite: 4,
-                nlocals: 5,
-            },
-            None,
-            &[50, 8],
-        );
-        run(
-            Shape {
-                nargs: 3,
-                nf: 1,
-                nfinite: 6,
-                nlocals: 5,
-            },
-            None,
-            &[50, 8, 1],
-        );
+    fn shape(nargs: u16, nf: u16, nfinite: u32, temps: u32) -> Shape {
+        Shape {
+            nargs,
+            nf,
+            nfinite,
+            temps,
+        }
     }
 
+    /// Every mix of region formals, finite words and arguments — none,
+    /// fewer handles than finite words, more, as many — reached by a known
+    /// call and through a stub.
     #[test]
-    fn overlapping_slide_up_copies_from_the_top() {
-        // Three arguments move up by one slot.
-        run(
-            Shape {
-                nargs: 3,
-                nf: 0,
-                nfinite: 1,
-                nlocals: 5,
-            },
-            None,
-            &[9, 4, 1],
-        );
+    fn the_call_block_is_the_callees_first_slots() {
+        let args = [50, 8, 1];
+        for nargs in 0..=3 {
+            for nf in [0, 1, 3] {
+                for nfinite in [0, 1, 3, 6] {
+                    for via in [Via::Known, Via::Pair] {
+                        let s = shape(nargs, nf, nfinite, 1 + nfinite % 2);
+                        run(s, via, None, &args[..nargs as usize]);
+                    }
+                }
+            }
+        }
     }
 
+    /// A closure entered through `EnterViaPair` with two formals and two
+    /// arguments: the arguments move up by two and the handles land under
+    /// them, from a fresh frame and from a tail call.
     #[test]
-    fn arguments_slide_down_when_handles_outnumber_finite_slots() {
-        run(
-            Shape {
-                nargs: 2,
-                nf: 3,
-                nfinite: 0,
-                nlocals: 6,
-            },
-            None,
-            &[50, 8],
-        );
-        // Overlapping: three arguments move down by one.
-        run(
-            Shape {
-                nargs: 3,
-                nf: 1,
-                nfinite: 0,
-                nlocals: 5,
-            },
-            None,
-            &[9, 4, 1],
-        );
+    fn a_stub_entry_moves_two_arguments_past_two_formals() {
+        let s = shape(2, 2, 3, 2);
+        run(s, Via::Pair, None, &[50, 8]);
+        run(s, Via::Pair, Some(shape(0, 0, 4, 6)), &[50, 8]);
+        run(s, Via::Pair, Some(shape(0, 0, 0, 1)), &[50, 8]);
     }
 
+    /// A tail call onto the frame it replaces, larger or smaller than the
+    /// callee's: the block slides down once and no local of the replaced
+    /// frame shows through.
     #[test]
-    fn arguments_stay_put_when_the_two_cancel() {
-        run(
-            Shape {
-                nargs: 2,
-                nf: 3,
-                nfinite: 3,
-                nlocals: 4,
-            },
-            None,
-            &[50, 8],
-        );
+    fn a_tail_call_slides_the_block_onto_the_frame_it_replaces() {
+        let big = shape(0, 0, 4, 7);
+        let small = shape(0, 0, 0, 1);
+        for (s, args) in [
+            (shape(2, 0, 0, 1), &[50, 8][..]),
+            (shape(1, 2, 3, 1), &[6][..]),
+            (shape(2, 1, 5, 5), &[50, 8][..]),
+            (shape(3, 0, 0, 8), &[50, 8, 3][..]),
+        ] {
+            for hop in [big, small] {
+                for via in [Via::Known, Via::Pair] {
+                    run(s, via, Some(hop), args);
+                }
+            }
+        }
     }
 
+    /// The finite area sits between the locals and the operands and is no
+    /// root: a dead finite box whose field is the only pointer to a heap
+    /// record must not make a forced collection copy the record. Kept on
+    /// the operand stack instead, the same box does (the control).
     #[test]
-    fn a_call_without_arguments_builds_a_clean_frame() {
-        run(
-            Shape {
-                nargs: 0,
-                nf: 0,
-                nfinite: 0,
-                nlocals: 3,
-            },
-            None,
-            &[],
-        );
-        run(
-            Shape {
-                nargs: 0,
-                nf: 2,
-                nfinite: 5,
-                nlocals: 2,
-            },
-            None,
-            &[],
-        );
-    }
-
-    #[test]
-    fn tail_call_onto_a_larger_frame_leaves_no_stale_locals() {
-        let big = Shape {
-            nargs: 0,
-            nf: 0,
-            nfinite: 4,
-            nlocals: 8,
+    fn a_dead_finite_box_roots_nothing() {
+        const N: u16 = 8;
+        let copied = |keep: bool| {
+            let k = scalar;
+            let mut code: Vec<Instr> = (0..N).map(|i| Instr::PushConst(k(i as i64))).collect();
+            code.extend([
+                Instr::MkRecord {
+                    n: N,
+                    at: RegSlot::Global(0),
+                },
+                Instr::MkRecord {
+                    n: 1,
+                    at: RegSlot::Finite(0),
+                },
+            ]);
+            if !keep {
+                code.push(Instr::Pop);
+            }
+            code.extend([Instr::GcCheck, Instr::PushConst(k(1)), Instr::Halt]);
+            let prog = Program {
+                code,
+                label_addrs: vec![0],
+                entry_of: [(0, 0)].into(),
+                funs: vec![FunInfo {
+                    entry: 0,
+                    nlocals: 2,
+                    nfinite: 2,
+                    name: "<main>".into(),
+                }],
+                main: 0,
+                global_infinite: vec![0],
+                exn_names: vec![],
+                result_ty: LTy::Int,
+                data: DataEnv::default(),
+            };
+            DispatchMode::ALL.map(|dispatch| {
+                let mut rt = Rt::new(RtConfig::rgt());
+                rt.gc_needed = true;
+                let out = Vm::new(&prog, rt)
+                    .with_dispatch(dispatch)
+                    .run()
+                    .expect("vm run");
+                assert_eq!(out.stats.gc_count, 1, "keep={keep} {dispatch:?}");
+                out.stats.gc_copied_words
+            })
         };
-        run(
-            Shape {
-                nargs: 2,
-                nf: 0,
-                nfinite: 0,
-                nlocals: 4,
-            },
-            Some(big),
-            &[50, 8],
-        );
-        let big = Shape {
-            nargs: 0,
-            nf: 0,
-            nfinite: 4,
-            nlocals: 8,
-        };
-        run(
-            Shape {
-                nargs: 1,
-                nf: 2,
-                nfinite: 3,
-                nlocals: 3,
-            },
-            Some(big),
-            &[6],
-        );
-    }
-
-    #[test]
-    fn tail_call_onto_a_smaller_frame_grows_a_clean_one() {
-        let small = Shape {
-            nargs: 0,
-            nf: 0,
-            nfinite: 0,
-            nlocals: 2,
-        };
-        run(
-            Shape {
-                nargs: 2,
-                nf: 1,
-                nfinite: 5,
-                nlocals: 9,
-            },
-            Some(small),
-            &[50, 8],
-        );
-        let small = Shape {
-            nargs: 0,
-            nf: 0,
-            nfinite: 0,
-            nlocals: 2,
-        };
-        run(
-            Shape {
-                nargs: 3,
-                nf: 0,
-                nfinite: 0,
-                nlocals: 12,
-            },
-            Some(small),
-            &[50, 8, 3],
-        );
+        assert_eq!(copied(false), [0, 0], "a finite-area word was a root");
+        let [kept, _] = copied(true);
+        assert!(kept > N as u64, "the control copied {kept} words");
     }
 }

@@ -58,13 +58,35 @@ if grep -rnE 'instructions_per_sec|"rps"|p50_ms|p99_ms|mean_ms' crates/; then
     exit 1
 fi
 
-echo "==> two collectors: no name of the sliced collector, its barriers, its"
-echo "    flag or the pause histogram anywhere in the code"
-if grep -rnE 'gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare' \
+echo "==> deleted names stay deleted: the sliced collector, its barriers, its"
+echo "    flag and the pause histogram (PR 20); the region-handle pools beside"
+echo "    the stack and the frame and handler fields indexing them (PR 21)"
+if grep -rnE 'gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare|formal_pool|region_pool|fbase|rbase|formal_pool_len|region_pool_len' \
     crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
-    echo "verify: a name deleted in PR 20 is back (see above)" >&2
+    echo "verify: a name deleted in PR 20 or PR 21 is back (see above)" >&2
     exit 1
 fi
+
+echo "==> doc rot: every repo path README.md and DESIGN.md name exists, and"
+echo "    every backticked Type::item there is in the code (a line naming"
+echo "    the PR that removed it is exempt)"
+rot=0
+for p in $(grep -ohE '(^|[^A-Za-z0-9_/.~-])(crates|scripts|examples|benchmark|tests|src)/[A-Za-z0-9_./*-]*' \
+    README.md DESIGN.md | sed -E 's/^[^a-z]//; s/[.,:]+$//' | sort -u); do
+    compgen -G "$p" >/dev/null || { echo "doc rot: $p does not exist" >&2; rot=1; }
+done
+in_code() { grep -rqw --include='*.rs' -e "$1" crates src tests examples benchmark; }
+while IFS=: read -r file line text; do
+    for ref in $(grep -oE '`[A-Z][A-Za-z0-9_]*::(\{[^}`]*\}?|[A-Za-z_][A-Za-z0-9_]*)' <<<"$text" |
+        sed -E 's/[`{}]//g; s/::/ /; s/,//g' | tr ' ' ':'); do
+        ty=${ref%%:*}
+        for item in $(tr ':' ' ' <<<"${ref#*:}"); do
+            in_code "$ty" && in_code "$item" ||
+                { echo "doc rot: $file:$line: $ty::$item is not in the code" >&2; rot=1; }
+        done
+    done
+done < <(grep -nE '`[A-Z][A-Za-z0-9_]*::' README.md DESIGN.md | grep -vE '\bPRs? ?[0-9]+')
+[ "$rot" = 0 ] || { echo "verify: README.md/DESIGN.md name what is not there (see above)" >&2; exit 1; }
 
 echo "==> bench-summary --profile-fusion (fib, msort): exits 0, and every"
 echo "    uncovered-candidate row is '<count>  Op;Op[;Op]'"
@@ -76,13 +98,13 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR20.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR21.json, both"
 echo "    engines; writes nothing (a PR that moves them on purpose points"
 echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR20.json
+    --check-counts BENCH_PR21.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"

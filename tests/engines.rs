@@ -214,3 +214,82 @@ fn every_collector_agrees_with_the_evaluator_on_both_engines() {
         gc_counts[0]
     );
 }
+
+/// A raise from two frames down — `inner` called by `middle`, each with
+/// its own `letregion`s open — caught in `outer`, a frame with a region
+/// formal and open `letregion`s of its own, whose handler then allocates
+/// into both. With region handles in frame words, the unwind must leave
+/// the handler frame's formal slot and its open regions' ids intact and
+/// pop exactly the regions opened below it. A small heap makes the
+/// collector run across the unwinds.
+#[test]
+fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
+    use kit_kam::instr::{Instr, RegSlot};
+    use kit_runtime::Rt;
+    let src = "exception Boom of int\n\
+               fun inner (d, n) =\n\
+               \u{20} let val l = [n, n + 1, n + 2]\n\
+               \u{20} in if d > 0 then inner (d - 1, n) + length l\n\
+               \u{20}    else if length l + n > 4 then raise Boom (hd l) else length l end\n\
+               fun middle (d, n) =\n\
+               \u{20} let val l = [n, n]\n\
+               \u{20} in if d > 0 then middle (d - 1, n) + length l\n\
+               \u{20}    else inner (1, n + length l) + length l end\n\
+               fun outer (d, xs, n) =\n\
+               \u{20} let val tmp = [n, n, n]\n\
+               \u{20} in if d > 0 then outer (d - 1, xs, n) + length tmp\n\
+               \u{20}    else length ((middle (1, n) :: xs)\n\
+               \u{20}                 handle Boom k => k :: length (k :: tmp) :: xs) end\n\
+               fun loop (0, acc) = acc\n\
+               \u{20} | loop (i, acc) = loop (i - 1, acc + outer (1, [acc, i], i))\n\
+               val it = loop (300, 0)";
+    let want = oracle::run_oracle(src, None).unwrap();
+    let config = RtConfig {
+        initial_pages: 4,
+        page_words_log2: 6,
+        ..RtConfig::rgt()
+    };
+    let compiler = Compiler::new(Mode::Rgt).with_config(config.clone());
+    let prog = compiler.compile_source(src).unwrap();
+    // The shape the test is about: `outer` handles inside a `letregion`
+    // and allocates into a formal region and a `letregion`-bound one.
+    // Its code runs up to `loop`'s, the next function declared.
+    let addr = |name: &str| {
+        let f = prog.funs.iter().find(|f| f.name == name).unwrap();
+        prog.label_addrs[f.entry]
+    };
+    let body = &prog.code[addr("outer")..addr("loop")];
+    let has = |p: &dyn Fn(&Instr) -> bool| body.iter().any(p);
+    assert!(has(&|i| matches!(i, Instr::PushHandler { .. })));
+    assert!(has(&|i| matches!(i, Instr::LetRegion { .. })));
+    for place in [RegSlot::Formal(1), RegSlot::Local(0)] {
+        assert!(
+            has(&|i| matches!(i, Instr::MkCon { at, .. } if *at == place)),
+            "no allocation at {place:?}"
+        );
+    }
+    let counts = DispatchMode::ALL.map(|dispatch| {
+        let out = kit_kam::Vm::new(&prog, Rt::new(config.clone()))
+            .with_dispatch(dispatch)
+            .run()
+            .unwrap_or_else(|e| panic!("{dispatch:?}: {e}"));
+        let result =
+            kit_kam::render::render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
+        assert_eq!(result, want.result, "{dispatch:?} vs evaluator");
+        out.rt
+            .check_page_conservation()
+            .unwrap_or_else(|e| panic!("{dispatch:?}: {e}"));
+        assert_eq!(
+            out.rt.region_depth(),
+            prog.global_infinite.len(),
+            "{dispatch:?}: a region outlived its frame"
+        );
+        (
+            out.instructions,
+            out.stats.gc_count,
+            out.stats.gc_copied_words,
+        )
+    });
+    assert_eq!(counts[0], counts[1], "the engines count differently");
+    assert!(counts[0].1 > 0, "the heap was sized to force collections");
+}

@@ -1,6 +1,6 @@
 //! Tier-1 serve check: `kit-serve` behind the load driver the chaos,
 //! flood and drain legs of `scripts/verify.sh` use, small enough for
-//! `cargo test -q` (the whole file runs in about a tenth of a second in
+//! `cargo test -q` (the whole file runs in about a third of a second in
 //! a debug build; its budget is 10 s). 16 sessions over 4 connections
 //! keep one worker saturated, so every request queues behind others, and:
 //!
@@ -10,15 +10,22 @@
 //!   [`Compiler`] run, including the run that breaches its fuel quota;
 //! * a queue bound sheds with typed `Overloaded` and a wall-clock budget
 //!   ends a run with typed `DeadlineExceeded`, and neither loses a
-//!   request or changes what the admitted ones compute.
+//!   request or changes what the admitted ones compute — with the worker
+//!   held by a spinner before the load starts, so neither depends on how
+//!   the scheduler interleaves the sessions.
 //!
 //! The full overload matrix is `crates/serve/tests/server.rs`.
 
 use kit::{Compiler, DispatchMode, Mode};
 use kit_bench::serve_bench::parse_mix;
-use kit_serve::{run_load, LoadProgram, LoadSpec, Server, ServerConfig, ServerHandle, Status};
+use kit_serve::{
+    run_load, Client, LoadProgram, LoadSpec, Server, ServerConfig, ServerHandle, Status,
+};
+use std::time::{Duration, Instant};
 
 const MIX: &str = "fib:12,fib:12:fuel=1000";
+/// Never returns: only a deadline stops it.
+const SPIN: &str = "fun loop n = loop (n + 1)\nval it = loop 0";
 
 fn one_worker(queue_cap: usize) -> ServerHandle {
     Server::bind(
@@ -96,28 +103,53 @@ fn a_full_queue_sheds_and_a_deadline_cuts_off_without_losing_a_request() {
     const QUEUE_CAP: usize = 4;
     let handle = one_worker(QUEUE_CAP);
     let mut mix = parse_mix(MIX, Mode::Rgt, DispatchMode::default()).expect("mix");
-    // Never returns: holds the only worker for its whole budget, so the
-    // other fifteen sessions meet a full queue.
     mix.push(LoadProgram {
         deadline_ms: Some(40),
-        ..LoadProgram::plain(
-            "spin",
-            Mode::Rgt,
-            DispatchMode::default(),
-            "fun loop n = loop (n + 1)\nval it = loop 0",
-        )
+        ..LoadProgram::plain("spin", Mode::Rgt, DispatchMode::default(), SPIN)
     });
+    // One spinner first, on its own connection, and the load only once
+    // the worker holds it (it compiled it, and nothing is queued): the
+    // sixteen sessions then meet a busy worker and a full queue however
+    // the scheduler orders them, and a deadline cuts off at least this
+    // one even if every spinner in the load is shed.
+    let addr = handle.addr();
+    let first = std::thread::spawn(move || {
+        Client::connect(addr)
+            .and_then(|mut c| {
+                c.call_as(
+                    "",
+                    Some(250),
+                    Mode::Rgt,
+                    DispatchMode::default(),
+                    None,
+                    None,
+                    SPIN,
+                )
+            })
+            .expect("the first spinner is answered")
+    });
+    let t0 = Instant::now();
+    while handle.cache_size() == 0 || handle.queue_depth() != 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the worker never took the spinner"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let report = load(&handle, 48, mix.clone());
+    assert_eq!(
+        first.join().expect("spinner thread").status,
+        Status::DeadlineExceeded
+    );
 
     assert_eq!(report.requests, 48, "shed or cut off, still answered");
     assert!(report.shed >= 1, "{report:?}");
-    assert!(report.deadline_exceeded >= 1, "{report:?}");
     assert!(report.queue_depth_p99 as usize <= QUEUE_CAP, "{report:?}");
     let (shed, _, deadline_exceeded, ..) = handle.overload_stats();
     assert_eq!(
         (shed as usize, deadline_exceeded as usize),
-        (report.shed, report.deadline_exceeded),
-        "the server's books match the wire"
+        (report.shed, report.deadline_exceeded + 1),
+        "the server's books match the wire, and the first spinner"
     );
     for p in &report.per_program {
         assert_eq!(
