@@ -3,20 +3,19 @@
 //! — same results and counters on both engines — is `tests/fusion.rs`.)
 
 use kit_kam::threaded::{translate, Field, Fusion, Op, SwitchRows, ThreadedCode};
-use kit_kam::{link, Program};
+use kit_kam::Program;
 
-/// Panics unless, for `prog`: the `Off` stream is the linked stream opcode
-/// for opcode; the charges of the `Full` stream sum to `prog.code.len()`;
+/// Panics unless, for `prog`: the `Off` stream is `prog.code` opcode for
+/// opcode; the charges of the `Full` stream sum to `prog.code.len()`;
 /// and `unfuse` of the `Full` stream, concatenated, is the `Off` stream —
 /// operands equal, pc operands (branch targets, switch tables, entry
 /// points, label pcs) equal through the pc map the charges define.
 /// Returns the `Full` stream.
 pub fn assert_fusion_regroups(prog: &Program, ctx: &str) -> ThreadedCode {
-    let linked = link(prog);
-    let of_linked: Vec<Op> = linked.code.iter().map(Op::of).collect();
-    let off = translate(linked.clone(), Fusion::Off);
-    let full = translate(linked, Fusion::Full);
-    assert_eq!(off.ops, of_linked, "{ctx}: Off vs linked opcodes");
+    let of_code: Vec<Op> = prog.code.iter().map(Op::of).collect();
+    let off = translate(prog, Fusion::Off);
+    let full = translate(prog, Fusion::Full);
+    assert_eq!(off.ops, of_code, "{ctx}: Off vs compiled opcodes");
 
     // Old pc → new pc: a group starts where the charges before it end.
     let mut new_pc = vec![u32::MAX; prog.code.len()];

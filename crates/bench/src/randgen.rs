@@ -604,7 +604,7 @@ impl<'r> Gen<'r> {
             // handler in the same function: the unwind pops the
             // `letregion` but not the frame, and the allocating call that
             // follows collects with that frame's slots as roots — the
-            // slot of the dead value must not be one (DESIGN.md §6e).
+            // slot of the dead value must not be one (DESIGN.md §6b).
             28 => {
                 let v = self.fresh();
                 let r = self.fresh();

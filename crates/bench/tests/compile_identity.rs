@@ -29,12 +29,24 @@
 //! opcode stream are unchanged on all 110 corpus and 600 generated rows
 //! (EXPERIMENTS.md "PR 21").
 //!
+//! PR 23 re-recorded it for the bytecode column only: the compiler binds
+//! its own labels, so branch operands print as pcs, a known call as
+//! `Call { fun, target, .. }` and a handler as `PushHandler { target }`,
+//! and entry markers come from `FunInfo::entry` (a stub gets none). All
+//! 710 bytecode digests changed; the `code_len` and region-program
+//! columns are identical on every row, and the instruction text at every
+//! pc is byte-identical to the parent's linked listing (EXPERIMENTS.md
+//! "PR 23"). Every row also checks that the labels are bound
+//! (`assert_labels_bound`).
+//!
 //! Regenerate (only on a commit whose output is the reference):
 //! `cargo test --release -p kit-bench --test compile_identity -- --ignored bless`
 
 use kit::{Compiler, Mode};
 use kit_bench::programs::{self, SplitMix64};
 use kit_bench::randgen::{self, Surface};
+use kit_kam::instr::Instr;
+use kit_kam::Program;
 use kit_lambda::opt::OptOptions;
 use kit_region::RegionOptions;
 use std::collections::HashMap;
@@ -100,11 +112,49 @@ fn canonical_regions(s: &str) -> String {
     out
 }
 
+/// The compiler bound every label it emitted: each pc operand is inside
+/// the stream, a known call enters its callee at the callee's entry, and
+/// a label's pc is in the stream or `u32::MAX` (unbound).
+fn assert_labels_bound(prog: &Program, mode: Mode) {
+    fn arms<K>(arms: &[(K, u32)], default: u32) -> Vec<u32> {
+        arms.iter().map(|a| a.1).chain([default]).collect()
+    }
+    let n = prog.code.len() as u32;
+    for (pc, ins) in prog.code.iter().enumerate() {
+        let targets = match ins {
+            Instr::SwitchCon {
+                arms: a, default, ..
+            }
+            | Instr::SwitchExn { arms: a, default } => arms(a, *default),
+            Instr::SwitchInt { arms: a, default } => arms(a, *default),
+            Instr::SwitchStr { arms: a, default } => arms(a, *default),
+            Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::PushHandler { target: t } => vec![*t],
+            Instr::Call { fun, target, .. } => {
+                let entry = prog.funs.get(*fun as usize).map(|f| f.entry);
+                assert_eq!(entry, Some(*target), "{mode}: pc {pc}: {ins:?}");
+                vec![*target]
+            }
+            _ => vec![],
+        };
+        assert!(
+            targets.iter().all(|&t| t < n),
+            "{mode}: pc {pc}: {ins:?} of {n}"
+        );
+    }
+    for (label, &pc) in prog.pc_of_label.iter().enumerate() {
+        assert!(
+            pc == u32::MAX || pc < n,
+            "{mode}: label {label} at {pc} of {n}"
+        );
+    }
+}
+
 /// One golden row: bytecode digest, code length, region-program digest.
 fn digest(src: &str, mode: Mode) -> String {
     let prog = Compiler::new(mode)
         .compile_source(src)
         .unwrap_or_else(|e| panic!("{mode}: {e}"));
+    assert_labels_bound(&prog, mode);
     let mut lprog = kit_typing::compile_str(src).expect("compiled above");
     kit_lambda::opt::optimize(&mut lprog, &OptOptions::default());
     let rprog = kit_region::infer(&lprog, region_options(mode));

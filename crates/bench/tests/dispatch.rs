@@ -1,7 +1,7 @@
 //! Structural tests for the threaded (struct-of-arrays) form: with fusion
 //! on it must be a pure regrouping of the stream the oracle runs —
 //! `unfuse` of the `Full` stream, concatenated, is the `Off` stream, which
-//! is the linked stream opcode for opcode, and the charges add up to the
+//! is the compiled stream opcode for opcode, and the charges add up to the
 //! source length (`kit_bench::fusion_check`) — on every corpus program in
 //! every mode and on generated full-surface programs.
 
@@ -13,7 +13,7 @@ use kit_kam::threaded::Op;
 use std::collections::BTreeSet;
 
 #[test]
-fn fusion_is_a_regrouping_of_the_linked_stream_on_every_benchmark_in_every_mode() {
+fn fusion_is_a_regrouping_of_the_compiled_stream_on_every_benchmark_in_every_mode() {
     // The superinstructions must also fire on the code they were profiled
     // from (that is what justifies each row). One does not: its run
     // executes, but a longer row takes every static site on the corpus
@@ -38,7 +38,7 @@ fn fusion_is_a_regrouping_of_the_linked_stream_on_every_benchmark_in_every_mode(
 }
 
 #[test]
-fn fusion_is_a_regrouping_of_the_linked_stream_on_generated_programs() {
+fn fusion_is_a_regrouping_of_the_compiled_stream_on_generated_programs() {
     let mut rng = SplitMix64::new(0x5EED_1900);
     for case in 0..200 {
         let src = randgen::program(&mut rng, Surface::Full);

@@ -41,7 +41,7 @@ fn check_all_benchmarks() {
         let prog = Compiler::new(Mode::R)
             .compile_source(&src)
             .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-        let ops = kit_kam::threaded::translate(kit_kam::link(&prog), Fusion::Full).ops;
+        let ops = kit_kam::threaded::translate(&prog, Fusion::Full).ops;
         for (n, triple) in fired.iter_mut().zip(triples) {
             *n += ops.iter().filter(|op| **op == triple).count();
         }
@@ -54,7 +54,7 @@ fn check_all_benchmarks() {
     for b in programs::all() {
         let src = b.source_scaled(b.test_scale);
         for mode in Mode::ALL_WITH_BASELINE {
-            // Linking and translation run inside the VM, so one compiled
+            // Translation runs inside the VM, so one compiled
             // program serves all executions.
             let prog = Compiler::new(mode)
                 .compile_source(&src)

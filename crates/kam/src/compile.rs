@@ -20,9 +20,9 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
         prog,
         tagged,
         code: Vec::new(),
-        labels: Vec::new(),
+        pc_of_label: Vec::new(),
+        fun_of_label: Vec::new(),
         funs: Vec::new(),
-        entry_of: HashMap::new(),
         next_group: 0,
     };
     // Global regions: infinite ones are created by the VM at startup (their
@@ -52,21 +52,21 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
     cx.comp(&prog.body, &mut fcx, false);
     cx.emit(Instr::Halt);
     let main_info = FunInfo {
-        entry,
+        entry: cx.pc_of_label[entry as usize],
         nlocals: fcx.nlocals,
         nfinite: fcx.fin.watermark,
         name: "<main>".to_string(),
     };
     let main_id = cx.funs.len() as u32;
     cx.funs.push(main_info);
-    cx.entry_of.insert(entry, main_id);
+    cx.fun_of_label[entry as usize] = main_id;
 
-    let entry_of = cx.entry_of.clone();
+    resolve(&mut cx.code, &cx.pc_of_label, &cx.fun_of_label);
     Program {
         code: cx.code,
-        label_addrs: cx.labels,
+        pc_of_label: cx.pc_of_label,
+        fun_of_label: cx.fun_of_label,
         funs: cx.funs,
-        entry_of,
         main: main_id,
         global_infinite,
         exn_names: (0..prog.exns.len())
@@ -74,6 +74,39 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
             .collect(),
         result_ty: kit_lambda::ty::LTy::Unit, // filled by the driver
         data: prog.data.clone(),
+    }
+}
+
+/// The last pass: binds every branch operand's label to its pc, and gives
+/// a known call its callee's function id.
+fn resolve(code: &mut [Instr], pc_of_label: &[u32], fun_of_label: &[u32]) {
+    let n = code.len();
+    let pc = |l: &mut u32| {
+        let addr = pc_of_label[*l as usize];
+        assert!((addr as usize) < n, "branch to unbound label {l}");
+        *l = addr;
+    };
+    for ins in code {
+        match ins {
+            Instr::SwitchCon { arms, default, .. } | Instr::SwitchExn { arms, default } => {
+                arms.iter_mut().for_each(|(_, l)| pc(l));
+                pc(default);
+            }
+            Instr::SwitchInt { arms, default } => {
+                arms.iter_mut().for_each(|(_, l)| pc(l));
+                pc(default);
+            }
+            Instr::SwitchStr { arms, default } => {
+                arms.iter_mut().for_each(|(_, l)| pc(l));
+                pc(default);
+            }
+            Instr::Jump(l) | Instr::JumpIfFalse(l) | Instr::PushHandler { target: l } => pc(l),
+            Instr::Call { fun, target, .. } => {
+                *fun = fun_of_label[*target as usize];
+                pc(target);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -91,8 +124,8 @@ enum VB {
 
 #[derive(Debug, Clone)]
 struct FixInfo {
-    label: usize,
-    stub: usize,
+    label: u32,
+    stub: u32,
     nformals: u16,
     group: u32,
 }
@@ -184,9 +217,11 @@ struct Cx<'a> {
     prog: &'a RProgram,
     tagged: bool,
     code: Vec<Instr>,
-    labels: Vec<usize>,
+    /// Label id → pc (`u32::MAX` until bound).
+    pc_of_label: Vec<u32>,
+    /// Label id → function id (`u32::MAX` unless an entry or a stub).
+    fun_of_label: Vec<u32>,
     funs: Vec<FunInfo>,
-    entry_of: HashMap<usize, u32>,
     next_group: u32,
 }
 
@@ -195,13 +230,14 @@ impl Cx<'_> {
         self.code.push(i);
     }
 
-    fn new_label(&mut self) -> usize {
-        self.labels.push(usize::MAX);
-        self.labels.len() - 1
+    fn new_label(&mut self) -> u32 {
+        self.pc_of_label.push(u32::MAX);
+        self.fun_of_label.push(u32::MAX);
+        self.pc_of_label.len() as u32 - 1
     }
 
-    fn bind(&mut self, l: usize) {
-        self.labels[l] = self.code.len();
+    fn bind(&mut self, l: u32) {
+        self.pc_of_label[l as usize] = self.code.len() as u32;
     }
 
     // ------------------------------------------------- constructor layout
@@ -609,8 +645,10 @@ impl Cx<'_> {
                         for a in args {
                             self.comp(a, fcx, false);
                         }
+                        // `resolve` fills in the function id.
                         self.emit(Instr::Call {
-                            label: info.label,
+                            fun: u32::MAX,
+                            target: info.label,
                             nargs: args.len() as u16,
                             nformals: info.nformals,
                             tail: tail && fcx.cleanup == 0,
@@ -711,7 +749,7 @@ impl Cx<'_> {
             RExp::Handle { body, var, handler } => {
                 let lh = self.new_label();
                 let end = self.new_label();
-                self.emit(Instr::PushHandler { handler: lh });
+                self.emit(Instr::PushHandler { target: lh });
                 fcx.cleanup += 1;
                 let (lo, lr_before) = (fcx.nlocals, fcx.lr_seen);
                 self.comp(body, fcx, false);
@@ -756,7 +794,7 @@ impl Cx<'_> {
         caps: &[Cap],
         globals: &HashMap<RegVar, RegSlot>,
         fix_binds: &[(VarId, VB)],
-    ) -> usize {
+    ) -> u32 {
         let entry = self.new_label();
         // Compile out of line: jump over the body in the current stream.
         let skip = self.new_label();
@@ -778,12 +816,12 @@ impl Cx<'_> {
         self.emit(Instr::Ret);
         let id = self.funs.len() as u32;
         self.funs.push(FunInfo {
-            entry,
+            entry: self.pc_of_label[entry as usize],
             nlocals: inner.nlocals,
             nfinite: inner.fin.watermark,
             name: "fn".to_string(),
         });
-        self.entry_of.insert(entry, id);
+        self.fun_of_label[entry as usize] = id;
         self.bind(skip);
         entry
     }
@@ -884,13 +922,13 @@ impl Cx<'_> {
             debug_assert_eq!(inner.open_lr, 0);
             let id = self.funs.len() as u32;
             self.funs.push(FunInfo {
-                entry: info.label,
+                entry: self.pc_of_label[info.label as usize],
                 nlocals: inner.nlocals,
                 nfinite: inner.fin.watermark,
                 name: self.prog.vars.name(f.var).to_string(),
             });
-            self.entry_of.insert(info.label, id);
-            self.entry_of.insert(info.stub, id);
+            self.fun_of_label[info.label as usize] = id;
+            self.fun_of_label[info.stub as usize] = id;
             self.bind(skip);
         }
         self.comp(body, fcx, tail);

@@ -1,46 +1,20 @@
 //! Bytecode disassembler (`--dump-kam` style debugging output), for the
-//! compiler's label-based stream, the linked form the oracle dispatches
-//! on, and the threaded form the production engine does — where a
-//! superinstruction renders as its mnemonic plus the base instructions it
-//! stands for (`LoadSelectStore = Load a=1; Select n=0; Store a=2`).
+//! compiled stream the oracle dispatches on and the threaded form the
+//! production engine does — where a superinstruction renders as its
+//! mnemonic plus the base instructions it stands for
+//! (`LoadSelectStore = Load a=1; Select n=0; Store a=2`).
 
 use crate::instr::Program;
-use crate::link;
 use crate::threaded::{translate, Args, Field, Fusion, Op};
 use std::fmt::Write as _;
 
-/// Renders the instruction stream with code addresses and function entry
-/// markers.
+/// Renders the instruction stream (absolute pc operands) with code
+/// addresses and function entry markers — what the oracle executes.
 pub fn disassemble(p: &Program) -> String {
     let mut out = String::new();
-    // Invert label addresses for display.
-    let mut entries: std::collections::HashMap<usize, String> = Default::default();
-    for (label, fun) in &p.entry_of {
-        let addr = p.label_addrs[*label];
-        let name = &p.funs[*fun as usize].name;
-        entries
-            .entry(addr)
-            .and_modify(|s| {
-                let _ = write!(s, ", {name}");
-            })
-            .or_insert_with(|| name.clone());
-    }
-    for (addr, ins) in p.code.iter().enumerate() {
-        if let Some(name) = entries.get(&addr) {
-            let _ = writeln!(out, "{name}:");
-        }
-        let _ = writeln!(out, "  {addr:>5}  {ins:?}");
-    }
-    out
-}
-
-/// Renders the *linked* instruction stream (absolute pc operands, one
-/// instruction per source instruction) — what the oracle executes.
-pub fn disassemble_linked(p: &Program) -> String {
-    let linked = link::link(p);
-    let mut out = format!("; linked: {} instructions\n", linked.code.len());
-    let lines = linked.code.iter().map(|ins| format!("{ins:?}"));
-    render_stream(p, &linked.entry_pc, lines, &mut out);
+    let entry_pc: Vec<u32> = p.funs.iter().map(|f| f.entry).collect();
+    let lines = p.code.iter().map(|ins| format!("{ins:?}"));
+    render_stream(p, &entry_pc, lines, &mut out);
     out
 }
 
@@ -49,7 +23,7 @@ pub fn disassemble_linked(p: &Program) -> String {
 /// a superinstruction is followed by the base instructions it stands for
 /// ([`ThreadedCode::unfuse`](crate::threaded::ThreadedCode::unfuse)).
 pub fn disassemble_threaded(p: &Program, fusion: Fusion) -> String {
-    let tcode = translate(link::link(p), fusion);
+    let tcode = translate(p, fusion);
     let mut out = format!(
         "; threaded: {} instructions ({} fused) from {} source instructions\n",
         tcode.ops.len(),
@@ -116,26 +90,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disassembles_a_program() {
-        let mut lprog = kit_typing::compile_str("val it = 1 + 2").unwrap();
-        kit_lambda::opt::optimize(&mut lprog, &Default::default());
-        let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::regions_only());
-        let prog = crate::compile(&rprog, true);
-        let s = disassemble(&prog);
-        assert!(s.contains("<main>:"), "{s}");
-        assert!(s.contains("Halt"), "{s}");
-    }
-
-    #[test]
-    fn disassembles_the_linked_and_threaded_forms() {
+    fn disassembles_the_compiled_and_threaded_forms() {
         let src = "fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2) val it = fib 5";
         let mut lprog = kit_typing::compile_str(src).unwrap();
         kit_lambda::opt::optimize(&mut lprog, &Default::default());
         let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::regions_only());
         let prog = crate::compile(&rprog, true);
-        let linked = disassemble_linked(&prog);
-        assert!(linked.contains("<main>:"), "{linked}");
-        assert!(linked.contains("Halt"), "{linked}");
+        let code = disassemble(&prog);
+        assert!(code.contains("<main>:"), "{code}");
+        assert!(code.contains("Halt"), "{code}");
         let unfused = disassemble_threaded(&prog, Fusion::Off);
         assert!(unfused.contains("(0 fused)"), "{unfused}");
         // `n < 2` (tagged 2 is 5): the components follow the mnemonic.

@@ -3,10 +3,6 @@
 use kit_lambda::exp::Prim;
 use kit_lambda::ty::LTy;
 
-/// A label id, resolved to a code address through
-/// [`Program::label_addrs`].
-pub type Label = usize;
-
 /// How a place (region variable) is resolved at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegSlot {
@@ -43,7 +39,11 @@ pub enum Disc {
     Enum,
 }
 
-/// One bytecode instruction.
+/// One bytecode instruction. Every branch operand is an absolute pc: while
+/// [`compile()`](crate::compile()) emits it holds a label id, and its last
+/// pass binds each one to the pc the label is bound to. A closure's code
+/// word stays a label, looked up at run time through
+/// [`Program::pc_of_label`] and [`Program::fun_of_label`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// Push a precomputed constant word (tagged int/bool/unit, code label
@@ -98,35 +98,35 @@ pub enum Instr {
         /// How boxed values are discriminated.
         disc: Disc,
         /// `(constructor, target)` pairs.
-        arms: Vec<(u32, Label)>,
+        arms: Vec<(u32, u32)>,
         /// Fallthrough target.
-        default: Label,
+        default: u32,
     },
     /// Pop an int and branch.
     SwitchInt {
         /// `(value, target)` pairs.
-        arms: Vec<(i64, Label)>,
+        arms: Vec<(i64, u32)>,
         /// Fallthrough target.
-        default: Label,
+        default: u32,
     },
     /// Pop a string and branch.
     SwitchStr {
         /// `(constant, target)` pairs.
-        arms: Vec<(String, Label)>,
+        arms: Vec<(String, u32)>,
         /// Fallthrough target.
-        default: Label,
+        default: u32,
     },
     /// Pop an exception value and branch on its constructor.
     SwitchExn {
         /// `(exception id, target)` pairs.
-        arms: Vec<(u32, Label)>,
+        arms: Vec<(u32, u32)>,
         /// Fallthrough target.
-        default: Label,
+        default: u32,
     },
     /// Unconditional jump.
-    Jump(Label),
+    Jump(u32),
     /// Pop a bool; jump if false.
-    JumpIfFalse(Label),
+    JumpIfFalse(u32),
     /// Primitive application; pops the arguments, pushes the result.
     /// Allocating primitives carry their place.
     Prim {
@@ -141,8 +141,10 @@ pub enum Instr {
     /// Known call: stack holds `[env, rhandles.., args..]` (args on top) —
     /// the callee's first `1 + nformals + nargs` local slots.
     Call {
-        /// Entry point.
-        label: Label,
+        /// The callee's function id.
+        fun: u32,
+        /// Its entry pc.
+        target: u32,
         /// Value arguments.
         nargs: u16,
         /// Region arguments.
@@ -179,10 +181,10 @@ pub enum Instr {
     },
     /// Pop the newest `n` infinite regions of this frame.
     EndRegions(u16),
-    /// Install an exception handler running at `handler`.
+    /// Install an exception handler running at `target`.
     PushHandler {
         /// Handler entry.
-        handler: Label,
+        target: u32,
     },
     /// Remove the most recent handler.
     PopHandler,
@@ -206,8 +208,8 @@ pub enum Instr {
 /// Metadata for one compiled function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunInfo {
-    /// Entry label.
-    pub entry: Label,
+    /// Entry pc.
+    pub entry: u32,
     /// Number of local slots (including slot 0 = environment, the
     /// region-formal and the parameter slots).
     pub nlocals: u32,
@@ -222,13 +224,14 @@ pub struct FunInfo {
 pub struct Program {
     /// Flat instruction stream.
     pub code: Vec<Instr>,
-    /// Label id → code address.
-    pub label_addrs: Vec<usize>,
-    /// Per-function frame metadata, indexed by the function id stored at
-    /// `entry_of`.
+    /// Label id → pc (`u32::MAX` if unbound). Used by `CallClos`, whose
+    /// target label is only known at run time (closure field 0).
+    pub pc_of_label: Vec<u32>,
+    /// Label id → function id (`u32::MAX` if the label is not a function
+    /// entry or stub).
+    pub fun_of_label: Vec<u32>,
+    /// Per-function frame metadata, indexed by function id.
     pub funs: Vec<FunInfo>,
-    /// Map from entry label to function id (parallel to `funs`).
-    pub entry_of: std::collections::HashMap<Label, u32>,
     /// Top-level "function" (program body) id.
     pub main: u32,
     /// Global regions: `(name, finite?)`; finite globals give (name, slot).

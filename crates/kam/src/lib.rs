@@ -16,14 +16,15 @@
 //! Kit includes *all* top-level variables in the root set and only
 //! collects at function entry — both faithfully reproduced here.)
 //!
-//! Execution is two engines over one bytecode, in three forms:
+//! Execution is two engines over one bytecode, in two forms:
 //!
 //! ```text
-//! Instr ──link──▶ LInstr ──translate (+ fuse)──▶ Op / Args
+//! Instr ──translate (+ fuse)──▶ Op / Args
 //! ```
 //!
-//! [`link()`](link()) resolves labels to pcs and nothing else; the
-//! oracle ([`vm::DispatchMode::Match`]) runs that form, whose 33 base
+//! [`compile()`](compile()) binds its own labels, so every branch operand
+//! of an [`instr::Instr`] is an absolute pc; the oracle
+//! ([`vm::DispatchMode::Match`]) runs that stream as it is, whose 33
 //! instructions are all it can be handed. [`threaded::translate`] lays
 //! the same stream out as struct-of-arrays and — with
 //! [`Fusion::Full`] — regroups hot runs into superinstructions, each of
@@ -44,13 +45,11 @@ pub mod compile;
 pub mod disasm;
 pub mod fusion_table;
 pub mod instr;
-pub mod link;
 pub mod render;
 pub mod threaded;
 pub mod vm;
 
 pub use compile::compile;
 pub use instr::Program;
-pub use link::{link, LInstr, LinkedProgram};
 pub use threaded::{Fusion, FusionProfile, ThreadedCode};
 pub use vm::{DispatchMode, Executable, Vm, VmError, VmOutcome};

@@ -1,7 +1,7 @@
-//! Struct-of-arrays translation of the linked form for direct-threaded
+//! Struct-of-arrays translation of the compiled stream for direct-threaded
 //! dispatch, and the fusion of hot opcode runs into superinstructions.
 //!
-//! [`translate`] turns a [`LinkedProgram`] into a [`ThreadedCode`]: one
+//! [`translate`] turns a [`Program`] into a [`ThreadedCode`]: one
 //! dense opcode byte per instruction ([`Op`]) plus a parallel array of
 //! pre-decoded fixed-size operands ([`Args`]). Variable-sized payloads
 //! (switch tables, string literals, `letregion` name lists) move into side
@@ -26,15 +26,14 @@
 //! to the oracle loop in [`crate::vm`].
 
 use crate::fusion_table::{Pattern, FUSION_CANDIDATES};
-use crate::instr::{Disc, RegSlot};
-use crate::link::{LInstr, LinkedProgram};
+use crate::instr::{Disc, Instr, Program, RegSlot};
 use kit_lambda::exp::Prim;
 use std::fmt;
 
 /// Whether [`translate`] emits superinstructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fusion {
-    /// No superinstructions: one opcode per linked instruction — the
+    /// No superinstructions: one opcode per source instruction — the
     /// differential-testing setting for the fusion pass.
     Off,
     /// Every candidate in the generated table.
@@ -60,7 +59,7 @@ pub enum Field {
 macro_rules! ops {
     (base { $($b:ident [$($f:ident),*],)* } fused { $($s:ident,)* }) => {
         /// Dense opcode of the threaded engine. The base opcodes mirror
-        /// the [`LInstr`] variants, in the same order; the
+        /// the [`Instr`] variants, in the same order; the
         /// superinstructions follow, one per row of
         /// [`FUSION_CANDIDATES`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -177,42 +176,42 @@ const COSTS: [u8; OP_COUNT] = {
 };
 
 impl Op {
-    /// The opcode of a linked instruction.
-    pub fn of(ins: &LInstr) -> Op {
+    /// The opcode of an instruction.
+    pub fn of(ins: &Instr) -> Op {
         match ins {
-            LInstr::PushConst(..) => Op::PushConst,
-            LInstr::PushStr(..) => Op::PushStr,
-            LInstr::Spread { .. } => Op::Spread,
-            LInstr::Unreachable => Op::Unreachable,
-            LInstr::PushReal(..) => Op::PushReal,
-            LInstr::Load(..) => Op::Load,
-            LInstr::Store(..) => Op::Store,
-            LInstr::Pop => Op::Pop,
-            LInstr::MkRecord { .. } => Op::MkRecord,
-            LInstr::Select(..) => Op::Select,
-            LInstr::MkCon { .. } => Op::MkCon,
-            LInstr::DeConAdj => Op::DeConAdj,
-            LInstr::SwitchCon { .. } => Op::SwitchCon,
-            LInstr::SwitchInt { .. } => Op::SwitchInt,
-            LInstr::SwitchStr { .. } => Op::SwitchStr,
-            LInstr::SwitchExn { .. } => Op::SwitchExn,
-            LInstr::Jump(..) => Op::Jump,
-            LInstr::JumpIfFalse(..) => Op::JumpIfFalse,
-            LInstr::Prim { .. } => Op::Prim,
-            LInstr::RegHandle(..) => Op::RegHandle,
-            LInstr::Call { .. } => Op::Call,
-            LInstr::CallClos { .. } => Op::CallClos,
-            LInstr::EnterViaPair { .. } => Op::EnterViaPair,
-            LInstr::Ret => Op::Ret,
-            LInstr::GcCheck => Op::GcCheck,
-            LInstr::LetRegion { .. } => Op::LetRegion,
-            LInstr::EndRegions(..) => Op::EndRegions,
-            LInstr::PushHandler { .. } => Op::PushHandler,
-            LInstr::PopHandler => Op::PopHandler,
-            LInstr::MkExn { .. } => Op::MkExn,
-            LInstr::DeExn => Op::DeExn,
-            LInstr::Raise => Op::Raise,
-            LInstr::Halt => Op::Halt,
+            Instr::PushConst(..) => Op::PushConst,
+            Instr::PushStr(..) => Op::PushStr,
+            Instr::Spread { .. } => Op::Spread,
+            Instr::Unreachable => Op::Unreachable,
+            Instr::PushReal(..) => Op::PushReal,
+            Instr::Load(..) => Op::Load,
+            Instr::Store(..) => Op::Store,
+            Instr::Pop => Op::Pop,
+            Instr::MkRecord { .. } => Op::MkRecord,
+            Instr::Select(..) => Op::Select,
+            Instr::MkCon { .. } => Op::MkCon,
+            Instr::DeConAdj => Op::DeConAdj,
+            Instr::SwitchCon { .. } => Op::SwitchCon,
+            Instr::SwitchInt { .. } => Op::SwitchInt,
+            Instr::SwitchStr { .. } => Op::SwitchStr,
+            Instr::SwitchExn { .. } => Op::SwitchExn,
+            Instr::Jump(..) => Op::Jump,
+            Instr::JumpIfFalse(..) => Op::JumpIfFalse,
+            Instr::Prim { .. } => Op::Prim,
+            Instr::RegHandle(..) => Op::RegHandle,
+            Instr::Call { .. } => Op::Call,
+            Instr::CallClos { .. } => Op::CallClos,
+            Instr::EnterViaPair { .. } => Op::EnterViaPair,
+            Instr::Ret => Op::Ret,
+            Instr::GcCheck => Op::GcCheck,
+            Instr::LetRegion { .. } => Op::LetRegion,
+            Instr::EndRegions(..) => Op::EndRegions,
+            Instr::PushHandler { .. } => Op::PushHandler,
+            Instr::PopHandler => Op::PopHandler,
+            Instr::MkExn { .. } => Op::MkExn,
+            Instr::DeExn => Op::DeExn,
+            Instr::Raise => Op::Raise,
+            Instr::Halt => Op::Halt,
         }
     }
 
@@ -315,7 +314,7 @@ pub struct ThreadedCode {
     pub exn_switches: Vec<SwitchRows<u32>>,
     /// `letregion` name lists, indexed by `a`.
     pub names: Vec<Box<[u32]>>,
-    /// Function id → entry pc (from the linked program).
+    /// Function id → entry pc.
     pub entry_pc: Vec<u32>,
     /// Label id → pc (for `CallClos`).
     pub pc_of_label: Vec<u32>,
@@ -325,33 +324,28 @@ pub struct ThreadedCode {
     pub fused: u64,
 }
 
-/// Translates a linked program into threaded struct-of-arrays form: one
-/// opcode per linked instruction, operands in the fields [`Op::fields`]
-/// names (side tables through `a`), then — with [`Fusion::Full`] — the
-/// regrouping into superinstructions.
-pub fn translate(linked: LinkedProgram, fusion: Fusion) -> ThreadedCode {
-    let LinkedProgram {
-        code,
-        entry_pc,
-        pc_of_label,
-        fun_of_label,
-    } = linked;
+/// Translates a program into threaded struct-of-arrays form: one opcode
+/// per instruction, operands in the fields [`Op::fields`] names (side
+/// tables through `a`), then — with [`Fusion::Full`] — the regrouping into
+/// superinstructions.
+pub fn translate(prog: &Program, fusion: Fusion) -> ThreadedCode {
+    let n = prog.code.len();
     let mut t = ThreadedCode {
-        ops: Vec::with_capacity(code.len()),
-        args: Vec::with_capacity(code.len()),
+        ops: Vec::with_capacity(n),
+        args: Vec::with_capacity(n),
         strs: Vec::new(),
         con_switches: Vec::new(),
         int_switches: Vec::new(),
         str_switches: Vec::new(),
         exn_switches: Vec::new(),
         names: Vec::new(),
-        entry_pc,
-        pc_of_label,
-        fun_of_label,
+        entry_pc: prog.funs.iter().map(|f| f.entry).collect(),
+        pc_of_label: prog.pc_of_label.clone(),
+        fun_of_label: prog.fun_of_label.clone(),
         fused: 0,
     };
-    for ins in code {
-        t.push_linstr(ins);
+    for ins in &prog.code {
+        t.push_instr(ins);
     }
     if fusion == Fusion::Full {
         t.fuse();
@@ -397,71 +391,71 @@ fn pack(seq: &[Op], parts: &[Args]) -> Args {
 }
 
 impl ThreadedCode {
-    /// Appends one linked instruction, encoding its operands into [`Args`]
-    /// and moving variable-sized payloads into the side tables.
-    fn push_linstr(&mut self, ins: LInstr) {
+    /// Appends one instruction, encoding its operands into [`Args`] and
+    /// copying variable-sized payloads into the side tables.
+    fn push_instr(&mut self, ins: &Instr) {
         let t = self;
-        let op = Op::of(&ins);
+        let op = Op::of(ins);
         let mut x = Args::zero();
-        match ins {
-            LInstr::PushConst(k) => x.k = k,
-            LInstr::PushStr(s) => {
+        match *ins {
+            Instr::PushConst(k) => x.k = k,
+            Instr::PushStr(ref s) => {
                 x.a = t.strs.len() as u32;
-                t.strs.push(s);
+                t.strs.push(s.clone());
             }
-            LInstr::Spread { n } => x.n = n,
-            LInstr::Unreachable
-            | LInstr::Pop
-            | LInstr::DeConAdj
-            | LInstr::Ret
-            | LInstr::GcCheck
-            | LInstr::PopHandler
-            | LInstr::DeExn
-            | LInstr::Raise
-            | LInstr::Halt => {}
-            LInstr::PushReal(r, at) => {
+            Instr::Spread { n } => x.n = n,
+            Instr::Unreachable
+            | Instr::Pop
+            | Instr::DeConAdj
+            | Instr::Ret
+            | Instr::GcCheck
+            | Instr::PopHandler
+            | Instr::DeExn
+            | Instr::Raise
+            | Instr::Halt => {}
+            Instr::PushReal(r, at) => {
                 x.k = r.to_bits();
                 x.at = Some(at);
             }
-            LInstr::Load(i) | LInstr::Store(i) => x.a = i,
-            LInstr::MkRecord { n, at } => {
+            Instr::Load(i) | Instr::Store(i) => x.a = i,
+            Instr::MkRecord { n, at } => {
                 x.n = n;
                 x.at = Some(at);
             }
-            LInstr::Select(i) => x.n = i,
-            LInstr::MkCon { ctor, n, disc, at } => {
+            Instr::Select(i) => x.n = i,
+            Instr::MkCon { ctor, n, disc, at } => {
                 x.a = ctor as u32;
                 x.n = n;
                 x.flag = disc;
                 x.at = Some(at);
             }
-            LInstr::SwitchCon {
+            Instr::SwitchCon {
                 disc,
-                arms,
+                ref arms,
                 default,
             } => {
                 x.a = t.con_switches.len() as u32;
-                t.con_switches.push((disc, (arms, default)));
+                t.con_switches.push((disc, (arms[..].into(), default)));
             }
-            LInstr::SwitchInt { arms, default } => {
+            Instr::SwitchInt { ref arms, default } => {
                 x.a = t.int_switches.len() as u32;
-                t.int_switches.push((arms, default));
+                t.int_switches.push((arms[..].into(), default));
             }
-            LInstr::SwitchStr { arms, default } => {
+            Instr::SwitchStr { ref arms, default } => {
                 x.a = t.str_switches.len() as u32;
-                t.str_switches.push((arms, default));
+                t.str_switches.push((arms[..].into(), default));
             }
-            LInstr::SwitchExn { arms, default } => {
+            Instr::SwitchExn { ref arms, default } => {
                 x.a = t.exn_switches.len() as u32;
-                t.exn_switches.push((arms, default));
+                t.exn_switches.push((arms[..].into(), default));
             }
-            LInstr::Jump(target) | LInstr::JumpIfFalse(target) => x.t = target,
-            LInstr::Prim { p, at } => {
+            Instr::Jump(target) | Instr::JumpIfFalse(target) => x.t = target,
+            Instr::Prim { p, at } => {
                 x.p = p;
                 x.at = at;
             }
-            LInstr::RegHandle(slot) => x.at = Some(slot),
-            LInstr::Call {
+            Instr::RegHandle(slot) => x.at = Some(slot),
+            Instr::Call {
                 fun,
                 target,
                 nargs,
@@ -474,21 +468,21 @@ impl ThreadedCode {
                 x.m = nformals;
                 x.flag = tail;
             }
-            LInstr::CallClos { nargs, tail } => {
+            Instr::CallClos { nargs, tail } => {
                 x.n = nargs;
                 x.flag = tail;
             }
-            LInstr::EnterViaPair { nformals, nargs } => {
+            Instr::EnterViaPair { nformals, nargs } => {
                 x.n = nformals;
                 x.m = nargs;
             }
-            LInstr::LetRegion { names } => {
+            Instr::LetRegion { ref names } => {
                 x.a = t.names.len() as u32;
-                t.names.push(names);
+                t.names.push(names[..].into());
             }
-            LInstr::EndRegions(n) => x.n = n,
-            LInstr::PushHandler { target } => x.t = target,
-            LInstr::MkExn { exn, has_arg, at } => {
+            Instr::EndRegions(n) => x.n = n,
+            Instr::PushHandler { target } => x.t = target,
+            Instr::MkExn { exn, has_arg, at } => {
                 x.a = exn;
                 x.flag = has_arg;
                 x.at = at;
@@ -720,24 +714,25 @@ impl fmt::Debug for FusionProfile {
 mod tests {
     use super::*;
     use crate::instr::{FunInfo, Instr, Program};
-    use crate::link::link;
     use crate::vm::{DispatchMode, Vm};
     use kit_lambda::ty::{DataEnv, LTy};
     use kit_runtime::value::scalar;
     use kit_runtime::{Rt, RtConfig};
 
-    /// A one-function program; label `i` is bound to `label_addrs[i]`.
-    fn mini_program(code: Vec<Instr>, label_addrs: Vec<usize>, nlocals: u32) -> Program {
+    /// A one-function program; label `i` is bound to `pc_of_label[i]`.
+    fn mini_program(code: Vec<Instr>, pc_of_label: Vec<u32>, nlocals: u32) -> Program {
+        let mut fun_of_label = vec![u32::MAX; pc_of_label.len()];
+        fun_of_label[0] = 0;
         Program {
             code,
-            label_addrs,
+            pc_of_label,
+            fun_of_label,
             funs: vec![FunInfo {
                 entry: 0,
                 nlocals,
                 nfinite: 0,
                 name: "<main>".into(),
             }],
-            entry_of: [(0usize, 0u32)].into_iter().collect(),
             main: 0,
             global_infinite: vec![0],
             exn_names: vec![],
@@ -775,18 +770,18 @@ mod tests {
                 Instr::Load(1),  // pc 1 ┐
                 Instr::Load(2),  // pc 2 │ fused (cost 3)
                 iadd(),          // pc 3 ┘
-                Instr::Jump(1),  // pc 4
+                Instr::Jump(5),  // pc 4
                 Instr::Halt,     // pc 5 (leader)
             ],
             vec![0, 5],
             4,
         );
-        let t = translate(link(&prog), Fusion::Full);
+        let t = translate(&prog, Fusion::Full);
         assert_eq!(t.fused, 1);
         assert_eq!(t.ops, [Op::DeConAdj, Op::LoadLoadPrim, Op::Jump, Op::Halt]);
         let x = t.args[1];
         assert_eq!((x.a, x.b, x.p, x.at), (1, 2, Prim::IAdd, None));
-        let off = translate(link(&prog), Fusion::Off);
+        let off = translate(&prog, Fusion::Off);
         assert_eq!(
             t.unfuse(1),
             (1..4)
@@ -811,22 +806,20 @@ mod tests {
             vec![0, 1],
             4,
         );
-        let t = translate(link(&prog), Fusion::Full);
+        let t = translate(&prog, Fusion::Full);
         assert_eq!(t.fused, 0);
         assert_eq!(t.ops.len(), 3);
         assert_eq!(t.pc_of_label[1], 1);
     }
 
     #[test]
-    fn link_and_fusion_off_are_one_to_one() {
+    fn fusion_off_is_one_to_one() {
         let prog = mini_program(
             vec![Instr::Load(1), Instr::Load(2), iadd(), Instr::Halt],
             vec![0],
             4,
         );
-        let linked = link(&prog);
-        assert_eq!(linked.code.len(), prog.code.len());
-        let t = translate(linked, Fusion::Off);
+        let t = translate(&prog, Fusion::Off);
         assert_eq!(t.fused, 0);
         assert_eq!(t.ops, [Op::Load, Op::Load, Op::Prim, Op::Halt]);
     }
@@ -853,8 +846,8 @@ mod tests {
             vec![0, 3],
             SLOT + 1,
         );
-        let full = translate(link(&prog), Fusion::Full);
-        let off = translate(link(&prog), Fusion::Off);
+        let full = translate(&prog, Fusion::Full);
+        let off = translate(&prog, Fusion::Off);
         assert_eq!(full.ops[3], Op::LoadSelectStore);
         assert_eq!(full.args[3].b, SLOT);
         assert_eq!(

@@ -12,16 +12,14 @@
 //! (paper §4: collection happens at the next function entry once the
 //! free-list drops below the threshold).
 //!
-//! The interpreter never dispatches on [`Instr`] directly: [`Vm::run`]
-//! first runs the link pass ([`crate::link`]), which resolves every branch
-//! operand to an absolute pc; the production engine then translates that
-//! form and fuses hot opcode runs ([`crate::threaded`]). The reported
+//! The oracle dispatches on [`Instr`] as compiled — every branch operand
+//! is already an absolute pc; the production engine translates that
+//! stream and fuses hot opcode runs ([`crate::threaded`]). The reported
 //! instruction count is that of the *source* stream — a superinstruction
 //! accounts for the instructions it replaces — so counters are identical
 //! on both engines, with fusion on or off.
 
-use crate::instr::{Disc, Program, RegSlot};
-use crate::link::{self, LInstr, LinkedProgram};
+use crate::instr::{Disc, Instr, Program, RegSlot};
 use crate::threaded::{self, Fusion, FusionProfile, Op, ThreadedCode};
 use kit_lambda::eval::{fmt_sml_int, fmt_sml_real, int_in_range};
 use kit_lambda::exp::Prim;
@@ -119,12 +117,12 @@ impl std::error::Error for VmError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// The differential oracle: a match-per-instruction loop over the
-    /// [`LInstr`] stream, which has no superinstructions by type. It
+    /// [`Instr`] stream, which has no superinstructions by type. It
     /// shares no superinstruction code with the threaded engine, so every
     /// fused handler is checked against the base instructions it stands
     /// for.
     Match,
-    /// Direct-threaded execution: the linked stream is translated to
+    /// Direct-threaded execution: the stream is translated to
     /// struct-of-arrays form ([`ThreadedCode`]), fused, and dispatched
     /// through a jump table over the opcode byte.
     #[default]
@@ -137,28 +135,31 @@ impl DispatchMode {
     pub const ALL: [DispatchMode; 2] = [DispatchMode::Match, DispatchMode::Threaded];
 }
 
-/// A program linked and translated for one dispatch configuration — the
-/// one-time half of [`Vm::run`], split out so a compiled program can be
+/// A program translated for one dispatch configuration — the one-time
+/// half of [`Vm::run`], split out so a compiled program can be
 /// prepared once and executed many times (concurrently: the payload is
 /// plain immutable data, `Send + Sync`, and is shared across VM
 /// instances via `Arc` by the server).
+// One per prepared program, held behind an `Arc` by the server: the
+// empty oracle variant's size costs nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Executable {
-    /// The linked stream, dispatched by the match loop.
-    Match(LinkedProgram),
+    /// The program's own stream, dispatched by the match loop: nothing to
+    /// prepare.
+    Match,
     /// Struct-of-arrays threaded form.
     Threaded(ThreadedCode),
 }
 
 impl Executable {
-    /// Links `prog` and translates it for `dispatch`. `fusion` applies to
-    /// the threaded engine only: the match loop is the oracle, and the
-    /// linked form it runs cannot hold a superinstruction.
+    /// Translates `prog` for `dispatch`. `fusion` applies to the threaded
+    /// engine only: the match loop is the oracle, and the [`Instr`] stream
+    /// it runs cannot hold a superinstruction.
     pub fn prepare(prog: &Program, dispatch: DispatchMode, fusion: Fusion) -> Executable {
-        let linked = link::link(prog);
         match dispatch {
-            DispatchMode::Match => Executable::Match(linked),
-            DispatchMode::Threaded => Executable::Threaded(threaded::translate(linked, fusion)),
+            DispatchMode::Match => Executable::Match,
+            DispatchMode::Threaded => Executable::Threaded(threaded::translate(prog, fusion)),
         }
     }
 }
@@ -199,7 +200,7 @@ struct Frame {
 
 #[derive(Debug)]
 struct Handler {
-    target: usize, // linked code address
+    target: usize, // code address
     frame_idx: usize,
     stack_len: usize,
     region_depth: usize,
@@ -505,9 +506,9 @@ impl<'p> Vm<'p> {
         self.push_frame_from_stack(self.prog.main, 1, usize::MAX, 0);
         let main = self.prog.main as usize;
         match exe {
-            Executable::Match(linked) => {
-                let pc = linked.entry_pc[main] as usize;
-                self.exec_match(linked, pc)
+            Executable::Match => {
+                let pc = self.prog.funs[main].entry as usize;
+                self.exec_match(pc)
             }
             Executable::Threaded(tcode) => {
                 let pc = tcode.entry_pc[main] as usize;
@@ -516,11 +517,12 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The oracle loop: fetch, `match` on the [`LInstr`] variant — base
+    /// The oracle loop: fetch, `match` on the [`Instr`] variant — base
     /// instructions only, by type — so one dispatch is one source
     /// instruction.
-    fn exec_match(mut self, linked: &LinkedProgram, mut pc: usize) -> Result<VmOutcome, VmError> {
-        let code: &[LInstr] = &linked.code;
+    fn exec_match(mut self, mut pc: usize) -> Result<VmOutcome, VmError> {
+        let prog = self.prog;
+        let code: &[Instr] = &prog.code;
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
         let mut icount: u64 = 0;
 
@@ -548,51 +550,51 @@ impl<'p> Vm<'p> {
             }
             pc += 1;
             match ins {
-                LInstr::PushConst(w) => self.push(*w),
-                LInstr::PushStr(s) => {
+                Instr::PushConst(w) => self.push(*w),
+                Instr::PushStr(s) => {
                     let w = self.rt.intern_const_str(s);
                     self.push(w);
                 }
-                LInstr::PushReal(x, at) => {
+                Instr::PushReal(x, at) => {
                     self.push(x.to_bits());
                     self.box_from_stack(*at, Tag::real(), None, 1);
                 }
-                LInstr::Load(i) => {
+                Instr::Load(i) => {
                     let v = self.local(*i);
                     self.push(v);
                 }
-                LInstr::Store(i) => {
+                Instr::Store(i) => {
                     let v = self.pop();
                     self.set_local(*i, v);
                 }
-                LInstr::Pop => {
+                Instr::Pop => {
                     self.pop();
                 }
-                LInstr::MkRecord { n, at } => {
+                Instr::MkRecord { n, at } => {
                     self.box_from_stack(*at, Tag::record(*n as u32), None, *n as usize);
                 }
-                LInstr::Select(i) => {
+                Instr::Select(i) => {
                     let v = self.pop();
                     let w = self.rt.field(v, *i as u64);
                     self.push(w);
                 }
-                LInstr::Spread { n } => {
+                Instr::Spread { n } => {
                     let v = self.pop();
                     for i in 0..*n {
                         let w = self.rt.field(v, i as u64);
                         self.push(w);
                     }
                 }
-                LInstr::MkCon { ctor, n, disc, at } => {
+                Instr::MkCon { ctor, n, disc, at } => {
                     let lead = disc.then(|| scalar(*ctor as i64));
                     let tag = Tag::con(*ctor as u32, *n as u32 + *disc as u32);
                     self.box_from_stack(*at, tag, lead, *n as usize);
                 }
-                LInstr::DeConAdj => {
+                Instr::DeConAdj => {
                     let v = self.pop();
                     self.push(ptr(ptr_addr(v) + 1));
                 }
-                LInstr::SwitchCon {
+                Instr::SwitchCon {
                     disc,
                     arms,
                     default,
@@ -615,7 +617,7 @@ impl<'p> Vm<'p> {
                         .unwrap_or(*default);
                     pc = target as usize;
                 }
-                LInstr::SwitchInt { arms, default } => {
+                Instr::SwitchInt { arms, default } => {
                     let v = self.pop();
                     let n = self.rt.untag_int(v);
                     let target = arms
@@ -625,7 +627,7 @@ impl<'p> Vm<'p> {
                         .unwrap_or(*default);
                     pc = target as usize;
                 }
-                LInstr::SwitchStr { arms, default } => {
+                Instr::SwitchStr { arms, default } => {
                     let v = self.pop();
                     let s = self.rt.str_val(v);
                     let target = arms
@@ -635,7 +637,7 @@ impl<'p> Vm<'p> {
                         .unwrap_or(*default);
                     pc = target as usize;
                 }
-                LInstr::SwitchExn { arms, default } => {
+                Instr::SwitchExn { arms, default } => {
                     let v = self.pop();
                     let id = self.exn_id(v);
                     let target = arms
@@ -645,24 +647,24 @@ impl<'p> Vm<'p> {
                         .unwrap_or(*default);
                     pc = target as usize;
                 }
-                LInstr::Jump(t) => pc = *t as usize,
-                LInstr::JumpIfFalse(t) => {
+                Instr::Jump(t) => pc = *t as usize,
+                Instr::JumpIfFalse(t) => {
                     let v = self.pop();
                     if self.rt.untag_int(v) == 0 {
                         pc = *t as usize;
                     }
                 }
-                LInstr::Unreachable => unreachable!("exhaustive switch fell through"),
-                LInstr::Prim { p, at } => match self.do_prim(*p, *at) {
+                Instr::Unreachable => unreachable!("exhaustive switch fell through"),
+                Instr::Prim { p, at } => match self.do_prim(*p, *at) {
                     Ok(()) => {}
                     Err(exn) => raise_builtin!(self, pc, exn),
                 },
-                LInstr::RegHandle(slot) => {
+                Instr::RegHandle(slot) => {
                     let r = self.region_of(*slot);
                     let w = self.rt.tag_int(r.0 as i64);
                     self.push(w);
                 }
-                LInstr::Call {
+                Instr::Call {
                     fun,
                     target,
                     nargs,
@@ -679,13 +681,13 @@ impl<'p> Vm<'p> {
                     self.push_frame_from_stack(*fun, 1 + nf + n, ret, base);
                     pc = *target as usize;
                 }
-                LInstr::CallClos { nargs, tail } => {
+                Instr::CallClos { nargs, tail } => {
                     let n = *nargs as usize;
                     let sp = self.rt.stack.len();
                     // The closure doubles as the callee's environment.
                     let clos = self.rt.stack[sp - n - 1];
                     let label = scalar_val(self.rt.field(clos, 0)) as usize;
-                    let fun = linked.fun_of_label[label];
+                    let fun = prog.fun_of_label[label];
                     debug_assert_ne!(fun, u32::MAX, "closure label is not a function entry");
                     let (base, ret) = if *tail {
                         self.pop_frame_for_tail_call()
@@ -693,28 +695,28 @@ impl<'p> Vm<'p> {
                         (sp - n - 1, pc)
                     };
                     self.push_frame_from_stack(fun, 1 + n, ret, base);
-                    pc = linked.pc_of_label[label] as usize;
+                    pc = prog.pc_of_label[label] as usize;
                 }
-                LInstr::EnterViaPair { nformals, nargs } => {
+                Instr::EnterViaPair { nformals, nargs } => {
                     self.enter_via_pair(*nformals as usize, *nargs as usize);
                 }
-                LInstr::Ret => pc = self.ret(),
-                LInstr::GcCheck => {
+                Instr::Ret => pc = self.ret(),
+                Instr::GcCheck => {
                     if let Some(e) = self.gc_safe_point() {
                         return Err(e);
                     }
                 }
-                LInstr::LetRegion { names } => {
+                Instr::LetRegion { names } => {
                     for name in names.iter() {
                         self.rt.letregion(*name);
                     }
                 }
-                LInstr::EndRegions(n) => {
+                Instr::EndRegions(n) => {
                     for _ in 0..*n {
                         self.rt.endregion();
                     }
                 }
-                LInstr::PushHandler { target } => {
+                Instr::PushHandler { target } => {
                     self.handlers.push(Handler {
                         target: *target as usize,
                         frame_idx: self.frames.len() - 1,
@@ -722,10 +724,10 @@ impl<'p> Vm<'p> {
                         region_depth: self.rt.region_depth(),
                     });
                 }
-                LInstr::PopHandler => {
+                Instr::PopHandler => {
                     self.handlers.pop().expect("handler stack underflow");
                 }
-                LInstr::MkExn { exn, has_arg, at } => {
+                Instr::MkExn { exn, has_arg, at } => {
                     if !*has_arg {
                         self.push(scalar(*exn as i64));
                     } else {
@@ -735,13 +737,13 @@ impl<'p> Vm<'p> {
                         self.box_from_stack(at, Tag::exn(*exn, 1), lead, 1);
                     }
                 }
-                LInstr::DeExn => {
+                Instr::DeExn => {
                     let v = self.pop();
                     let off = if self.rt.config.tagged { 0 } else { 1 };
                     let w = self.rt.field(v, off);
                     self.push(w);
                 }
-                LInstr::Raise => {
+                Instr::Raise => {
                     let v = self.pop();
                     match self.do_raise(v) {
                         Some(new_pc) => pc = new_pc,
@@ -751,7 +753,7 @@ impl<'p> Vm<'p> {
                         }
                     }
                 }
-                LInstr::Halt => {
+                Instr::Halt => {
                     let result = self.pop();
                     let mut stats = self.rt.stats.clone();
                     stats.observe_bytes(self.rt.mem_bytes());
@@ -2048,11 +2050,8 @@ mod tests {
         let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::with_gc());
         let prog = crate::compile(&rprog, true);
         for fusion in [Fusion::Off, Fusion::Full] {
-            let Executable::Match(linked) = Executable::prepare(&prog, DispatchMode::Match, fusion)
-            else {
-                panic!("Match must prepare the linked form");
-            };
-            assert_eq!(linked.code.len(), prog.code.len(), "{fusion:?}");
+            let exe = Executable::prepare(&prog, DispatchMode::Match, fusion);
+            assert!(matches!(exe, Executable::Match), "{fusion:?}");
         }
         // The same request does fuse for the production engine, so the
         // assertion above is not vacuous.

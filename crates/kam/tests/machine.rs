@@ -167,7 +167,7 @@ fn an_inner_fn_allocates_in_the_formal_region_it_captured() {
          val it = length (map (f 1) [1, 2, 3])",
     );
     let inner = prog.funs.iter().find(|f| f.name == "fn").expect("the fn");
-    let entry = prog.label_addrs[inner.entry];
+    let entry = inner.entry as usize;
     let body: Vec<&Instr> = prog.code[entry..]
         .iter()
         .take_while(|i| !matches!(i, Instr::Ret))
@@ -324,10 +324,11 @@ mod frames {
     }
 
     /// Pushes the call block for `s` and calls `label` (its entry) or
-    /// `stub` (its `EnterViaPair`).
+    /// `stub` (its `EnterViaPair`). A known call names the label until
+    /// `run` binds it.
     fn call(
         code: &mut Vec<Instr>,
-        (label, stub): (usize, usize),
+        (label, stub): (u32, u32),
         s: &Shape,
         via: Via,
         args: &[i64],
@@ -341,7 +342,8 @@ mod frames {
                 code.extend(handles(s));
                 code.extend(args.iter().map(|&a| Instr::PushConst(k(a))));
                 code.push(Instr::Call {
-                    label,
+                    fun: u32::MAX,
+                    target: label,
                     nargs,
                     nformals: s.nf,
                     tail,
@@ -379,7 +381,8 @@ mod frames {
             // Labels: 0 main, 1 callee, 2 callee's stub, 3 hop.
             let (callee_labels, hop_labels) = ((1, 2), (3, 3));
             let mut code = Vec::new();
-            let mut label_addrs = vec![0; 4];
+            let mut pc_of_label = vec![0, 0, 0, u32::MAX];
+            let mut fun_of_label = vec![0, 1, 1, u32::MAX];
             let mut funs = vec![FunInfo {
                 entry: 0,
                 nlocals: 2,
@@ -393,39 +396,42 @@ mod frames {
                 Some(h) => call(&mut code, hop_labels, h, Via::Known, &[], false, &k),
             }
             code.push(Instr::Halt);
-            label_addrs[2] = code.len();
+            pc_of_label[2] = code.len() as u32;
             code.push(Instr::EnterViaPair {
                 nformals: s.nf,
                 nargs: s.nargs,
             });
-            label_addrs[1] = code.len();
+            pc_of_label[1] = code.len() as u32;
             callee(&mut code, &s, &k);
             funs.push(FunInfo {
-                entry: 1,
+                entry: pc_of_label[1],
                 nlocals: s.nlocals(),
                 nfinite: s.nfinite,
                 name: "callee".into(),
             });
-            let mut entry_of: std::collections::HashMap<usize, u32> =
-                [(0, 0), (1, 1), (2, 1)].into();
             if let Some(h) = &hop {
-                label_addrs[3] = code.len();
+                (pc_of_label[3], fun_of_label[3]) = (code.len() as u32, 2);
                 for i in 1..h.nlocals() {
                     code.extend([Instr::PushConst(k(77777)), Instr::Store(i)]);
                 }
                 call(&mut code, callee_labels, &s, via, args, true, &k);
                 funs.push(FunInfo {
-                    entry: 3,
+                    entry: pc_of_label[3],
                     nlocals: h.nlocals(),
                     nfinite: h.nfinite,
                     name: "hop".into(),
                 });
-                entry_of.insert(3, 2);
+            }
+            for ins in &mut code {
+                if let Instr::Call { fun, target, .. } = ins {
+                    *fun = fun_of_label[*target as usize];
+                    *target = pc_of_label[*target as usize];
+                }
             }
             let prog = Program {
                 code,
-                label_addrs,
-                entry_of,
+                pc_of_label,
+                fun_of_label,
                 funs,
                 main: 0,
                 global_infinite: vec![0, 0],
@@ -531,8 +537,8 @@ mod frames {
             code.extend([Instr::GcCheck, Instr::PushConst(k(1)), Instr::Halt]);
             let prog = Program {
                 code,
-                label_addrs: vec![0],
-                entry_of: [(0, 0)].into(),
+                pc_of_label: vec![0],
+                fun_of_label: vec![0],
                 funs: vec![FunInfo {
                     entry: 0,
                     nlocals: 2,

@@ -150,8 +150,6 @@ pub struct Outcome {
     /// Dynamic opcode pair/triple counts if the fusion counting mode was
     /// enabled ([`Compiler::with_fusion_profile`]).
     pub fusion_profile: Option<Box<FusionProfile>>,
-    /// Wall-clock execution time of the VM run.
-    pub wall: std::time::Duration,
 }
 
 impl Outcome {
@@ -164,7 +162,7 @@ impl Outcome {
     }
 }
 
-/// A program compiled *and* linked/translated for one dispatch engine:
+/// A program compiled *and* translated for one dispatch engine:
 /// the expensive, shareable half of execution. Prepare once with
 /// [`Compiler::prepare_source`], then run any number of times with
 /// [`Compiler::run_prepared`] — concurrently if desired, since the
@@ -174,7 +172,8 @@ impl Outcome {
 pub struct PreparedProgram {
     /// The compiled bytecode (entry points, render tables).
     pub program: Program,
-    /// The linked stream, translated for the compiler's dispatch engine.
+    /// The bytecode prepared for the compiler's dispatch engine: translated
+    /// (and fused) for the threaded engine, nothing for the oracle.
     pub executable: Executable,
 }
 
@@ -372,7 +371,7 @@ impl Compiler {
         Ok(prog)
     }
 
-    /// Runs compiled bytecode. Links and translates on every call; for
+    /// Runs compiled bytecode. Translates on every call; for
     /// repeated runs of the same program, [`Compiler::prepare_source`] +
     /// [`Compiler::run_prepared`] pay that cost once.
     ///
@@ -384,7 +383,7 @@ impl Compiler {
         self.run_executable(prog, &self.executable_for(prog))
     }
 
-    /// Links and translates compiled bytecode for this compiler's
+    /// Translates compiled bytecode for this compiler's
     /// dispatch engine, producing a [`PreparedProgram`] for repeated
     /// (and concurrent) execution.
     pub fn prepare_program(&self, prog: Program) -> PreparedProgram {
@@ -418,8 +417,8 @@ impl Compiler {
     /// Runs a prepared program on a fresh `Vm`/`Rt`. Observationally
     /// identical to [`Compiler::run_program`] on the same bytecode with
     /// the same configuration — results, output, instruction totals and
-    /// GC counters are bit-identical — but skips the per-run link and
-    /// translation work.
+    /// GC counters are bit-identical — but skips the per-run translation
+    /// work.
     ///
     /// # Errors
     ///
@@ -441,9 +440,7 @@ impl Compiler {
         if self.fusion_profile {
             vm = vm.with_fusion_profile();
         }
-        let t0 = std::time::Instant::now();
         let out = vm.run_prepared(exe)?;
-        let wall = t0.elapsed();
         let result = render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
         Ok(Outcome {
             result,
@@ -452,7 +449,6 @@ impl Compiler {
             stats: out.stats,
             profile: out.rt.profiler.samples().to_vec(),
             fusion_profile: out.fusion_profile,
-            wall,
         })
     }
 
@@ -495,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_program_is_send_sync_and_matches_per_run_linking() {
+    fn prepared_program_is_send_sync_and_matches_per_run_translation() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<PreparedProgram>();
         assert_send_sync::<RtConfig>();

@@ -60,10 +60,11 @@ fi
 
 echo "==> deleted names stay deleted: the sliced collector, its barriers, its"
 echo "    flag and the pause histogram (PR 20); the region-handle pools beside"
-echo "    the stack and the frame and handler fields indexing them (PR 21)"
-if grep -rnE 'gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare|formal_pool|region_pool|fbase|rbase|formal_pool_len|region_pool_len' \
+echo "    the stack and the frame and handler fields indexing them (PR 21); the"
+echo "    linked copy of the instruction set and the label tables it read (PR 23)"
+if grep -rnE 'gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare|formal_pool|region_pool|fbase|rbase|formal_pool_len|region_pool_len|LInstr|LinkedProgram|link_one|disassemble_linked|label_addrs|entry_of' \
     crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
-    echo "verify: a name deleted in PR 20 or PR 21 is back (see above)" >&2
+    echo "verify: a name deleted in PR 20, 21 or 23 is back (see above)" >&2
     exit 1
 fi
 
@@ -98,13 +99,13 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR21.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR23.json, both"
 echo "    engines; writes nothing (a PR that moves them on purpose points"
 echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR21.json
+    --check-counts BENCH_PR23.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"

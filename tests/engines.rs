@@ -256,7 +256,7 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
     // Its code runs up to `loop`'s, the next function declared.
     let addr = |name: &str| {
         let f = prog.funs.iter().find(|f| f.name == name).unwrap();
-        prog.label_addrs[f.entry]
+        f.entry as usize
     };
     let body = &prog.code[addr("outer")..addr("loop")];
     let has = |p: &dyn Fn(&Instr) -> bool| body.iter().any(p);

@@ -76,14 +76,14 @@ fn a_saturated_call_of_a_curried_function_is_one_known_tail_call() {
             let prog = Compiler::new(mode).compile_source(src).unwrap();
             let ctx = format!("{program} [{mode}] {function}");
             let info = prog.funs.iter().find(|f| f.name == function).expect(&ctx);
-            let entry = prog.label_addrs[info.entry];
+            let entry = info.entry as usize;
             let body: Vec<&Instr> = prog.code[entry..]
                 .iter()
                 .take_while(|i| !matches!(i, Instr::Ret))
                 .collect();
             let self_calls: Vec<&&Instr> = body
                 .iter()
-                .filter(|i| matches!(i, Instr::Call { label, .. } if *label == info.entry))
+                .filter(|i| matches!(i, Instr::Call { target, .. } if *target == info.entry))
                 .collect();
             assert!(
                 matches!(self_calls[..], [Instr::Call { nargs, tail: true, .. }] if *nargs == arity),
