@@ -39,6 +39,14 @@
 //! "PR 23"). Every row also checks that the labels are bound
 //! (`assert_labels_bound`).
 //!
+//! It was last re-recorded for the region-program column only, when the
+//! prelude came to be lowered once, before any program (so its lowering
+//! variables are numbered first), and a one-row match came to bind a
+//! variable pattern at a tuple component or constructor argument directly
+//! instead of through a temporary. Variables print with their ids, so all
+//! 710 region digests changed; the bytecode and `code_len` columns are
+//! identical on all 710 rows (EXPERIMENTS.md, "Lowering the prelude once").
+//!
 //! Regenerate (only on a commit whose output is the reference):
 //! `cargo test --release -p kit-bench --test compile_identity -- --ignored bless`
 

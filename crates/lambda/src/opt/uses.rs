@@ -162,7 +162,7 @@ impl Uses {
     }
 
     /// Panics unless the maintained table equals a recount of `body`.
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn assert_exact(&self, body: &LExp, when: &str) {
         let fresh = Uses::of(body);
         let n = self.counts.len().max(fresh.counts.len());

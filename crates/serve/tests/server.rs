@@ -198,6 +198,9 @@ fn a_program_nested_past_the_compilers_limits_is_refused_and_the_server_keeps_se
     // parser; 5 000 additions are a loop to the parser and 5 000 recursions
     // of the elaborator. Each overflowed a worker's stack, which
     // `catch_unwind` cannot see: the process died on a 46 KB request.
+    // 1 000 declarations of a 16-wide tuple pattern are 17 000 levels, and
+    // the refusal comes only after elaboration, so elaboration has to stay
+    // linear in declarations for the worker to answer at once.
     let handle = start(1);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut vals = String::from("val x0 = 1\n");
@@ -207,12 +210,23 @@ fn a_program_nested_past_the_compilers_limits_is_refused_and_the_server_keeps_se
     vals.push_str("val it = x2000\n");
     let parens = format!("val it = {}1{}", "(".repeat(20_000), ")".repeat(20_000));
     let sum = format!("val it = 1{}", " + 1".repeat(5_000));
+    let mut wide = String::from("val a0_15 = 0\n");
+    for i in 1..=1000 {
+        let pat: Vec<String> = (0..16).map(|j| format!("a{i}_{j}")).collect();
+        wide.push_str(&format!(
+            "val ({}) = (a{}_15 + 1{})\n",
+            pat.join(", "),
+            i - 1,
+            ", 0".repeat(15)
+        ));
+    }
+    wide.push_str("val it = a1000_0\n");
     let mut call = |src: &str| {
         client
             .call(Mode::Rgt, DispatchMode::Threaded, None, None, src)
             .expect("call")
     };
-    for src in [&vals, &parens, &sum] {
+    for src in [&vals, &parens, &sum, &wide] {
         let resp = call(src);
         assert_eq!(resp.status, Status::CompileError);
         assert!(resp.result.contains("levels deep"), "{}", resp.result);

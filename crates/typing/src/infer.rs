@@ -26,29 +26,32 @@ use kit_syntax::parser::MAX_NESTING;
 use kit_syntax::Span;
 use std::collections::HashMap;
 
-/// The elaborator as it stands after the prelude, with the prelude's typed
-/// declarations: what every compile continues from.
+/// The elaborator as it stands after the prelude has been elaborated and
+/// lowered, with the lowered prelude: what every compile continues from.
 ///
 /// All elaboration state — the unification store, the datatype and
 /// exception environments, the variable table, the scopes — lives in
-/// [`Elab`] and nowhere else, and elaboration reads no clock, address or
-/// hash order. So continuing from a copy of this state yields the program
-/// that elaborating the prelude again would: the same `VarId`s, the same
-/// type-variable ids.
+/// [`Elab`] and nowhere else, and neither elaboration nor lowering reads a
+/// clock, address or hash order. So continuing from a copy of this state
+/// yields the program that elaborating and lowering the prelude again
+/// would: the same `VarId`s, the same type-variable ids.
 pub(crate) struct Prelude {
     el: Elab,
-    tdecs: Vec<TDec>,
+    lowered: lower::LoweredPrelude,
 }
 
 impl Prelude {
-    /// Elaborates the prelude's declarations.
+    /// Elaborates and lowers the prelude's declarations; the prelude's
+    /// lowering variables are numbered before any program's.
     pub(crate) fn elaborate(prelude: &ast::Program) -> Result<Prelude, TypeError> {
         let mut el = Elab::new();
         let tdecs = el.infer_top_decs(&prelude.decs)?;
-        Ok(Prelude { el, tdecs })
+        let lowered = lower::lower_prelude(&el.cx, &el.data, &el.exns, &mut el.vars, &tdecs)?;
+        Ok(Prelude { el, lowered })
     }
 
-    /// Elaborates `user` after the prelude and lowers both to `LambdaExp`.
+    /// Elaborates and lowers `user` after the prelude, behind a copy of
+    /// the lowered prelude.
     ///
     /// The program result is the value of the last top-level `val` binding
     /// of the user program that binds a single variable (conventionally
@@ -58,26 +61,33 @@ impl Prelude {
     ///
     /// Returns the first type error encountered.
     pub(crate) fn elaborate_user(&self, user: &ast::Program) -> Result<LProgram, TypeError> {
-        finish(self.el.clone(), &self.tdecs, user)
+        finish(self.el.clone(), &self.lowered, user)
     }
 
     /// [`Prelude::elaborate_user`] without the copy: the elaborator that
     /// just did the prelude carries on, as every compile used to.
     #[cfg(test)]
     pub(crate) fn continue_with(self, user: &ast::Program) -> Result<LProgram, TypeError> {
-        finish(self.el, &self.tdecs, user)
+        finish(self.el, &self.lowered, user)
     }
 }
 
-fn finish(mut el: Elab, prelude: &[TDec], user: &ast::Program) -> Result<LProgram, TypeError> {
+fn finish(
+    mut el: Elab,
+    prelude: &lower::LoweredPrelude,
+    user: &ast::Program,
+) -> Result<LProgram, TypeError> {
     el.user_phase = true;
     let tdecs = el.infer_top_decs(&user.decs)?;
-    let (result, result_ty) = match &el.last_val {
-        Some((v, t)) => (TExp::Var(*v, t.clone()), t.clone()),
-        None => (TExp::Unit, Ty::Unit),
-    };
-    let decs = [prelude, &tdecs];
-    lower::lower_program(el.cx, el.data, el.exns, el.vars, decs, result, result_ty)
+    lower::lower_program(
+        prelude,
+        el.cx,
+        el.data,
+        el.exns,
+        el.vars,
+        &tdecs,
+        el.last_val,
+    )
 }
 
 #[derive(Debug, Clone)]

@@ -57,8 +57,9 @@ pub fn compile_str(src: &str) -> Result<LProgram, TypeError> {
 
 /// Elaborates an already-parsed program (with the standard prelude).
 ///
-/// The prelude is parsed and elaborated once per process; every call
-/// continues from a copy of the elaborator as the prelude left it.
+/// The prelude is parsed, elaborated and lowered once per process; every
+/// call continues from a copy of the elaborator as the prelude left it and
+/// puts a copy of the lowered prelude in front of the program's own code.
 ///
 /// # Errors
 ///
@@ -70,11 +71,25 @@ pub fn compile_program(prog: &kit_syntax::Program) -> Result<LProgram, TypeError
 
 fn elaborate_prelude() -> infer::Prelude {
     let prelude = kit_syntax::parse_program(prelude::PRELUDE).expect("prelude must parse");
-    infer::Prelude::elaborate(&prelude).expect("prelude must elaborate")
+    infer::Prelude::elaborate(&prelude).expect("prelude must elaborate and lower")
 }
 
 fn from_syntax(e: SyntaxError) -> TypeError {
     TypeError::new(format!("syntax error: {}", e.message()), e.span())
+}
+
+#[cfg(test)]
+thread_local! {
+    static WORK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds `n()` units of work to this thread's counter under `cfg(test)` and
+/// does nothing otherwise: the linearity test's clock.
+pub(crate) fn count_work(n: impl FnOnce() -> usize) {
+    #[cfg(test)]
+    WORK.with(|w| w.set(w.get() + n()));
+    #[cfg(not(test))]
+    let _ = n;
 }
 
 #[cfg(test)]
@@ -85,8 +100,9 @@ mod tests {
 
     /// Continuing from a copy of the process-wide post-prelude state gives
     /// exactly the program — `VarId`s, type-variable ids and all — that an
-    /// elaborator which has just done the prelude itself gives, compile
-    /// after compile: on every corpus program and on 200 generated ones.
+    /// elaborator which has just elaborated and lowered the prelude itself
+    /// gives, compile after compile: on every corpus program and on 200
+    /// generated ones.
     #[test]
     fn prelude_snapshot_equals_elaborating_from_scratch() {
         let prelude = kit_syntax::parse_program(prelude::PRELUDE).expect("prelude must parse");
@@ -104,6 +120,58 @@ mod tests {
             vars += snapshot.vars.len();
         }
         assert!(vars > 50_000, "only {vars} variables compared");
+    }
+
+    /// `n` top-level declarations binding a 16-wide tuple pattern (the last
+    /// component under a constructor), each using the one before.
+    fn wide_declarations(n: usize) -> String {
+        let mut src = String::from("datatype box = B of int\nval a0_15 = 0\n");
+        for i in 1..=n {
+            let pat: Vec<String> = (0..15).map(|j| format!("a{i}_{j}")).collect();
+            let exp: Vec<String> = (1..15).map(|j| j.to_string()).collect();
+            src += &format!(
+                "val ({}, B a{i}_15) = (a{}_15 + 1, {}, B {i})\n",
+                pat.join(", "),
+                i - 1,
+                exp.join(", ")
+            );
+        }
+        src + &format!("val it = a{n}_0\n")
+    }
+
+    /// What elaborating and lowering `src` costs by `count_work`: typed
+    /// nodes lowered, nodes match compilation copied or substituted into,
+    /// and type variables overload defaulting looked at.
+    fn elaboration_work(src: String) -> usize {
+        let run = move || {
+            compile_str("").expect("the prelude elaborates");
+            WORK.with(|w| w.set(0));
+            compile_str(&src).expect("test program elaborates");
+            WORK.with(|w| w.get())
+        };
+        // The declaration chain nests as deep as it is long.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(run)
+            .expect("spawn")
+            .join()
+            .expect("elaboration panicked")
+    }
+
+    /// A top-level pattern declaration does not pay for the declarations
+    /// after it (the rest of the program is its match's body, which match
+    /// compilation must neither copy nor walk per pattern variable), nor
+    /// for the type variables before it (overload defaulting must not scan
+    /// them all).
+    #[test]
+    fn elaboration_work_is_linear_in_declarations() {
+        let small = elaboration_work(wide_declarations(100));
+        let large = elaboration_work(wide_declarations(400));
+        assert!(
+            10 * large <= 43 * small,
+            "4x the declarations, {}x the work: {small} -> {large}",
+            large as f64 / small as f64
+        );
     }
 
     #[test]

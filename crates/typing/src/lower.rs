@@ -21,59 +21,122 @@ use kit_lambda::LProgram;
 use kit_syntax::Span;
 use std::collections::HashMap;
 
-/// Lowers the fully inferred program — the declarations of `decs[0]`
-/// followed by those of `decs[1]` — to `LambdaExp`.
+/// The prelude, lowered once: its declarations as a `Let`/`Fix` spine
+/// around a hole, and the equality functions lowering generated for it.
+///
+/// Prelude types are final when the prelude is (its functions are
+/// generalized and its overloads defaulted), and its lowering variables
+/// are drawn before any program's, so this is the same for every program.
+pub struct LoweredPrelude {
+    spine: LExp,
+    eq_memo: HashMap<LTy, VarId>,
+    eq_defs: Vec<FixFun>,
+}
+
+/// What stands in the prelude's spine for the program's own code.
+const HOLE: LExp = LExp::Unit;
+
+/// The innermost body of `e`'s `Let`/`Fix` spine.
+fn spine_end(e: &mut LExp) -> &mut LExp {
+    match e {
+        LExp::Let { body, .. } | LExp::Fix { body, .. } => spine_end(body),
+        other => other,
+    }
+}
+
+/// Lowers the prelude's declarations, drawing fresh variables from `vars`.
+///
+/// # Errors
+///
+/// Fails as [`lower_program`] does.
+pub fn lower_prelude(
+    cx: &InferCtx,
+    data: &DataEnv,
+    exns: &ExnEnv,
+    vars: &mut VarTable,
+    decs: &[TDec],
+) -> Result<LoweredPrelude, TypeError> {
+    let mut lw = Lower::new(cx, data, exns, vars, HashMap::new());
+    let mut spine = lw.lower_decs(decs, HOLE)?;
+    assert!(
+        *spine_end(&mut spine) == HOLE,
+        "the prelude lowers to a Let/Fix spine"
+    );
+    Ok(LoweredPrelude {
+        spine,
+        eq_memo: lw.eq_memo,
+        eq_defs: lw.eq_defs,
+    })
+}
+
+/// Lowers a program's declarations `decs` to `LambdaExp`, inside a copy
+/// of the lowered `prelude`. The program's value is the variable `result`
+/// (of its type), or `()` if there is none.
 ///
 /// # Errors
 ///
 /// Fails on equality at a type that is not ground (functions, arrays of
 /// functions, or residual type variables).
 pub fn lower_program(
+    prelude: &LoweredPrelude,
     cx: InferCtx,
     data: DataEnv,
     exns: ExnEnv,
-    vars: VarTable,
-    decs: [&[TDec]; 2],
-    result: TExp,
-    result_ty: Ty,
+    mut vars: VarTable,
+    decs: &[TDec],
+    result: Option<(VarId, Ty)>,
 ) -> Result<LProgram, TypeError> {
-    let mut lw = Lower {
-        cx,
-        data,
-        exns,
-        vars,
-        eq_memo: HashMap::new(),
-        eq_defs: Vec::new(),
+    let (core, result_ty) = match result {
+        Some((v, t)) => (LExp::Var(v), cx.to_lty(&t)),
+        None => (LExp::Unit, LTy::Unit),
     };
-    let core = lw.lower_exp(&result)?;
-    let scope = lw.lower_decs(decs[1], core)?;
-    let mut body = lw.lower_decs(decs[0], scope)?;
-    if !lw.eq_defs.is_empty() {
+    let mut lw = Lower::new(&cx, &data, &exns, &mut vars, prelude.eq_memo.clone());
+    let user = lw.lower_decs(decs, core)?;
+    let eq_defs: Vec<FixFun> = prelude.eq_defs.iter().cloned().chain(lw.eq_defs).collect();
+    let mut body = prelude.spine.clone();
+    *spine_end(&mut body) = user;
+    if !eq_defs.is_empty() {
         body = LExp::Fix {
-            funs: std::mem::take(&mut lw.eq_defs),
+            funs: eq_defs,
             body: Box::new(body),
         };
     }
-    let result_ty = lw.cx.to_lty(&result_ty);
     Ok(LProgram {
-        data: lw.data,
-        exns: lw.exns,
-        vars: lw.vars,
+        data,
+        exns,
+        vars,
         body,
         result_ty,
     })
 }
 
-struct Lower {
-    cx: InferCtx,
-    data: DataEnv,
-    exns: ExnEnv,
-    vars: VarTable,
+struct Lower<'a> {
+    cx: &'a InferCtx,
+    data: &'a DataEnv,
+    exns: &'a ExnEnv,
+    vars: &'a mut VarTable,
     eq_memo: HashMap<LTy, VarId>,
     eq_defs: Vec<FixFun>,
 }
 
-impl Lower {
+impl<'a> Lower<'a> {
+    fn new(
+        cx: &'a InferCtx,
+        data: &'a DataEnv,
+        exns: &'a ExnEnv,
+        vars: &'a mut VarTable,
+        eq_memo: HashMap<LTy, VarId>,
+    ) -> Self {
+        Lower {
+            cx,
+            data,
+            exns,
+            vars,
+            eq_memo,
+            eq_defs: Vec::new(),
+        }
+    }
+
     fn lty(&self, t: &Ty) -> LTy {
         self.cx.to_lty(t)
     }
@@ -83,6 +146,15 @@ impl Lower {
             exp: Box::new(LExp::ExCon { exn, arg: None }),
             ty: UNKNOWN_TY,
         }
+    }
+
+    /// [`matchc::compile`] with this lowering's variables and datatypes.
+    fn match_tree(&mut self, occs: &[VarId], rows: Vec<(Vec<TPat>, LExp)>, default: &LExp) -> LExp {
+        let mut mc = MatchCtx {
+            vars: self.vars,
+            data: self.data,
+        };
+        matchc::compile(&mut mc, occs, rows, default)
     }
 
     fn lower_decs(&mut self, decs: &[TDec], inner: LExp) -> Result<LExp, TypeError> {
@@ -107,16 +179,8 @@ impl Lower {
                         _ => {
                             let sv = self.vars.fresh("bind");
                             let default = self.raise_exn(EXN_BIND);
-                            let mut mc = MatchCtx {
-                                vars: &mut self.vars,
-                                data: &self.data,
-                            };
-                            let tree = matchc::compile(
-                                &mut mc,
-                                &[sv],
-                                vec![(vec![pat.clone()], out)],
-                                &default,
-                            );
+                            let tree =
+                                self.match_tree(&[sv], vec![(vec![pat.clone()], out)], &default);
                             LExp::Let {
                                 var: sv,
                                 ty: UNKNOWN_TY,
@@ -148,11 +212,7 @@ impl Lower {
             rows.push((pats.clone(), self.lower_exp(body)?));
         }
         let default = self.raise_exn(EXN_MATCH);
-        let mut mc = MatchCtx {
-            vars: &mut self.vars,
-            data: &self.data,
-        };
-        let tree = matchc::compile(&mut mc, &param_vars, rows, &default);
+        let tree = self.match_tree(&param_vars, rows, &default);
 
         // Curried lowering: the Fix function takes the first parameter and
         // returns directly nested lambdas for the rest — the shape
@@ -179,6 +239,7 @@ impl Lower {
     }
 
     fn lower_exp(&mut self, e: &TExp) -> Result<LExp, TypeError> {
+        crate::count_work(|| 1);
         match e {
             TExp::Int(n) => Ok(LExp::Int(*n)),
             TExp::Real(r) => Ok(LExp::Real(*r)),
@@ -321,11 +382,7 @@ impl Lower {
                     .collect::<Result<Vec<_>, TypeError>>()?;
                 let sv = self.vars.fresh("scrut");
                 let default = self.raise_exn(EXN_MATCH);
-                let mut mc = MatchCtx {
-                    vars: &mut self.vars,
-                    data: &self.data,
-                };
-                let tree = matchc::compile(&mut mc, &[sv], rows, &default);
+                let tree = self.match_tree(&[sv], rows, &default);
                 let _ = span;
                 Ok(LExp::Let {
                     var: sv,
@@ -352,11 +409,7 @@ impl Lower {
                     exp: Box::new(LExp::Var(ev)),
                     ty: UNKNOWN_TY,
                 };
-                let mut mc = MatchCtx {
-                    vars: &mut self.vars,
-                    data: &self.data,
-                };
-                let tree = matchc::compile(&mut mc, &[ev], rows, &default);
+                let tree = self.match_tree(&[ev], rows, &default);
                 let _ = span;
                 Ok(LExp::Handle {
                     body: Box::new(body),

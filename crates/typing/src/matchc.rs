@@ -13,7 +13,15 @@
 //! Rule bodies may be duplicated across branches; duplicated copies are
 //! alpha-renamed so variable ids stay globally unique (a requirement of the
 //! optimizer and region inference). Pattern variables never produce `let`
-//! bindings: the occurrence variable is substituted directly.
+//! bindings of their own: the occurrence variable is substituted directly.
+//!
+//! A one-row match (a `val` pattern, a one-rule `fn`, a one-clause `fun`)
+//! reaches its body exactly once, so the body is moved into the tree, and
+//! a variable pattern at a tuple component or a constructor's argument is
+//! that sub-value's binder — alpha-equivalent to a temporary substituted
+//! into the body, without the walk over it. For a top-level `val` the body
+//! is the rest of the program: this is what keeps lowering linear in the
+//! number of declarations.
 
 use crate::texp::TPat;
 use kit_lambda::exp::{LExp, VarId, VarTable};
@@ -80,17 +88,40 @@ struct Solver<'a, 'b> {
 }
 
 impl Solver<'_, '_> {
+    fn one_row(&self) -> bool {
+        self.bodies.len() == 1
+    }
+
     fn emit_body(&mut self, row: &Row) -> LExp {
-        let mut e = if self.used[row.body] {
-            rename_clone(&self.bodies[row.body], self.mc.vars, &mut HashMap::new())
+        let first = !std::mem::replace(&mut self.used[row.body], true);
+        let mut e = if first && self.one_row() {
+            std::mem::replace(&mut self.bodies[0], LExp::Unit)
         } else {
-            self.used[row.body] = true;
-            self.bodies[row.body].clone()
+            assert!(!self.one_row(), "a one-row match emits its body once");
+            let body = &self.bodies[row.body];
+            crate::count_work(|| body.size());
+            if first {
+                body.clone()
+            } else {
+                rename_clone(body, self.mc.vars, &mut HashMap::new())
+            }
         };
         for (pvar, occ) in &row.subst {
+            crate::count_work(|| e.size());
             subst_atomic(&mut e, *pvar, &LExp::Var(*occ));
         }
         e
+    }
+
+    /// The variable bound to a sub-value (a tuple component, a
+    /// constructor's argument) whose pattern in the first row is `pat`: in
+    /// a one-row match a variable pattern is its own binder, otherwise a
+    /// fresh temporary named `name`.
+    fn sub_occ(&mut self, pat: Option<&TPat>, name: &str) -> VarId {
+        match pat {
+            Some(TPat::Var(v, _)) if self.one_row() => *v,
+            _ => self.mc.vars.fresh(name),
+        }
     }
 
     fn solve(&mut self, mut rows: Vec<Row>) -> LExp {
@@ -103,20 +134,23 @@ impl Solver<'_, '_> {
             cols.retain_mut(|(occ, pat)| match pat {
                 TPat::Wild => false,
                 TPat::Var(v, _) => {
-                    subst.push((*v, *occ));
+                    // A binder (see `sub_occ`) needs no substitution.
+                    if v != occ {
+                        subst.push((*v, *occ));
+                    }
                     false
                 }
                 _ => true,
             });
         }
         if rows[0].cols.is_empty() {
-            let row0 = rows[0].clone();
+            let row0 = rows.swap_remove(0);
             return self.emit_body(&row0);
         }
         let (occ, pat) = rows[0].cols[0].clone();
         match pat {
             TPat::Wild | TPat::Var(_, _) => unreachable!("normalized above"),
-            TPat::Tuple(ps) => self.destructure_tuple(occ, ps.len(), rows),
+            TPat::Tuple(ps) => self.destructure_tuple(occ, &ps, rows),
             TPat::Int(_) => self.branch_int(occ, rows),
             TPat::Str(_) => self.branch_str(occ, rows),
             TPat::Bool(_) => self.branch_bool(occ, rows),
@@ -126,10 +160,13 @@ impl Solver<'_, '_> {
     }
 
     /// Destructures the tuple at `occ` once, expanding tuple tests at `occ`
-    /// in every row into component tests.
-    fn destructure_tuple(&mut self, occ: VarId, arity: usize, mut rows: Vec<Row>) -> LExp {
-        let comps: Vec<VarId> = (0..arity)
-            .map(|i| self.mc.vars.fresh(&format!("t{i}")))
+    /// in every row into component tests; `first` is the first row's.
+    fn destructure_tuple(&mut self, occ: VarId, first: &[TPat], mut rows: Vec<Row>) -> LExp {
+        let arity = first.len();
+        let comps: Vec<VarId> = first
+            .iter()
+            .enumerate()
+            .map(|(i, p)| self.sub_occ(Some(p), &format!("t{i}")))
             .collect();
         for row in &mut rows {
             let mut new_cols = Vec::new();
@@ -308,11 +345,15 @@ impl Solver<'_, '_> {
         let keys: Vec<ConId> = Self::keys_of(&rows, occ, get);
         let mut arms = Vec::new();
         for k in &keys {
-            // Fresh variable for the constructor argument in this arm.
+            // The variable for the constructor argument in this arm.
             let carries = self.mc.data.get(tycon).constructors[k.0 as usize]
                 .arg
                 .is_some();
-            let argv = carries.then(|| self.mc.vars.fresh("conarg"));
+            let first = match &rows[0].cols[0].1 {
+                TPat::Con { con, arg, .. } if con == k => arg.as_deref(),
+                _ => None,
+            };
+            let argv = carries.then(|| self.sub_occ(first, "conarg"));
             let spec = Self::specialize(&rows, occ, k, get, |r, p| {
                 if let TPat::Con { arg: Some(ap), .. } = p {
                     r.cols.insert(0, (argv.expect("carrying constructor"), *ap));
@@ -358,7 +399,11 @@ impl Solver<'_, '_> {
         let keys: Vec<ExnId> = Self::keys_of(&rows, occ, get);
         let mut arms = Vec::new();
         for k in &keys {
-            let argv = self.mc.vars.fresh("exnarg");
+            let first = match &rows[0].cols[0].1 {
+                TPat::Exn { exn, arg } if exn == k => arg.as_deref(),
+                _ => None,
+            };
+            let argv = self.sub_occ(first, "exnarg");
             let mut used_arg = false;
             let spec = Self::specialize(&rows, occ, k, get, |r, p| {
                 if let TPat::Exn { arg: Some(ap), .. } = p {

@@ -141,6 +141,9 @@ struct TvState {
 #[derive(Debug, Clone, Default)]
 pub struct InferCtx {
     tvs: Vec<TvState>,
+    /// Every variable that has had a `Num`/`Ord` kind since the last
+    /// [`InferCtx::default_overloads`]: the only ones it can have to default.
+    overloaded: Vec<TvId>,
     /// Current generalization level.
     pub level: u32,
 }
@@ -164,6 +167,9 @@ impl InferCtx {
             kind,
             level: self.level,
         });
+        if kind != TvKind::Any {
+            self.overloaded.push(id);
+        }
         Ty::Var(id)
     }
 
@@ -257,8 +263,11 @@ impl InferCtx {
                 let kind = self.tvs[x.0 as usize].kind;
                 if let Ty::Var(y) = &b {
                     // Merge kinds onto the surviving root.
-                    let merged = kind.meet(self.tvs[y.0 as usize].kind);
-                    self.tvs[y.0 as usize].kind = merged;
+                    let root = &mut self.tvs[y.0 as usize];
+                    if root.kind == TvKind::Any && kind != TvKind::Any {
+                        self.overloaded.push(*y);
+                    }
+                    root.kind = kind.meet(root.kind);
                 } else {
                     self.check_kind(kind, &b)?;
                 }
@@ -344,11 +353,15 @@ impl InferCtx {
     /// Defaults every unresolved `Num`/`Ord` variable to `int`.
     ///
     /// Called at the end of each top-level declaration, mirroring SML's
-    /// overloading resolution scope.
+    /// overloading resolution scope. Looks only at the variables that took
+    /// such a kind since the last call, so a program's declarations cost
+    /// their own variables, not the whole store each.
     pub fn default_overloads(&mut self) {
-        for i in 0..self.tvs.len() {
-            if self.tvs[i].link.is_none() && self.tvs[i].kind != TvKind::Any {
-                self.tvs[i].link = Some(Ty::Int);
+        crate::count_work(|| self.overloaded.len());
+        for TvId(i) in self.overloaded.drain(..) {
+            let st = &mut self.tvs[i as usize];
+            if st.link.is_none() {
+                st.link = Some(Ty::Int);
             }
         }
     }

@@ -17,6 +17,10 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
+echo "==> every crate's tests build in release too (no test helper hides"
+echo "    behind debug_assertions)"
+cargo test --release --workspace --no-run -q
+
 echo "==> engine equivalence (Match oracle vs Threaded x {Off,Full}):"
 echo "    fusion differential over the corpus (release)"
 cargo test --release -p kit-bench --test fusion -q
@@ -99,13 +103,13 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR23.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR24.json, both"
 echo "    engines; writes nothing (a PR that moves them on purpose points"
 echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR23.json
+    --check-counts BENCH_PR24.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"
@@ -128,7 +132,8 @@ cargo test --release -p kit-serve -q flood
 cargo test --release -p kit-serve -q drain
 
 echo "==> kit-serve: a program nested past the compiler's limits (2 000"
-echo "    declarations, 20 000 parentheses) is a typed refusal, in release too"
+echo "    declarations, 20 000 parentheses, 1 000 wide pattern declarations)"
+echo "    is a typed refusal, in release too"
 cargo test --release -p kit-serve -q nested
 
 echo "==> repo benchmark (BENCHMARK.json): its own tests, then every"
