@@ -9,7 +9,6 @@
 //!         [--mix SPEC]              # name[:scale][:fuel=N][:pages=N][:deadline=MS][:tenant=ID],…
 //!         [--mode r|rt|gt|rgt|smlnj] [--dispatch match|threaded]
 //!         [--queue-cap N]           # in-process server admission bound
-//!         [--shed-policy newest|tenant-share]
 //!         [--rate RPS[:BURST]]      # in-process per-tenant token bucket
 //!         [--deadline-ms N]         # in-process server default deadline
 //!         [--check]                 # compare counters against standalone runs
@@ -37,7 +36,7 @@
 use kit::{DispatchMode, Mode};
 use kit_bench::chaos;
 use kit_bench::serve_bench::{parse_mix, print_report, DEFAULT_MIX};
-use kit_serve::server::{RateLimit, Server, ServerConfig, ShedPolicy};
+use kit_serve::server::{RateLimit, Server, ServerConfig};
 use kit_serve::{run_load, LoadSpec};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -46,8 +45,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT | --workers N] [--sessions N] [--conns N] \
          [--requests N] [--mix SPEC] [--mode M] [--dispatch D] [--queue-cap N] \
-         [--shed-policy newest|tenant-share] [--rate RPS[:BURST]] [--deadline-ms N] \
-         [--check] [--chaos] [--chaos-secs N]"
+         [--rate RPS[:BURST]] [--deadline-ms N] [--check] [--chaos] [--chaos-secs N]"
     );
     std::process::exit(2);
 }
@@ -71,7 +69,6 @@ fn main() {
             "--mode",
             "--dispatch",
             "--queue-cap",
-            "--shed-policy",
             "--rate",
             "--deadline-ms",
             "--check",
@@ -151,16 +148,6 @@ fn main() {
                     ..ServerConfig::default()
                 };
                 config.queue_cap = parse_num("--queue-cap", config.queue_cap).max(1);
-                if let Some(policy) = flag_val("--shed-policy") {
-                    config.shed_policy = match policy.as_str() {
-                        "newest" => ShedPolicy::RejectNewest,
-                        "tenant-share" => ShedPolicy::TenantShare,
-                        other => {
-                            eprintln!("loadgen: unknown shed policy {other:?}");
-                            usage()
-                        }
-                    };
-                }
                 if let Some(rate) = flag_val("--rate") {
                     let (rps, burst) = match rate.split_once(':') {
                         Some((r, b)) => (r.parse(), b.parse()),

@@ -12,6 +12,7 @@
 use crate::programs::{all, by_name};
 use crate::runner::{fmt_bytes, improvement_pct, run_scaled, MeasuredRun};
 use kit::Mode;
+use kit_runtime::profile::regions_by_peak;
 use kit_runtime::RtConfig;
 use std::fmt::Write as _;
 
@@ -251,16 +252,7 @@ pub fn fig5(quick: bool) -> String {
         "Region profile of tyan under rgt (Figure 5) — {} samples",
         samples.len()
     );
-    // The largest regions by peak, like the profile's legend.
-    let mut peaks: std::collections::BTreeMap<u32, u64> = Default::default();
-    for s in samples {
-        for (&name, &w) in &s.by_region {
-            let e = peaks.entry(name).or_default();
-            *e = (*e).max(w);
-        }
-    }
-    let mut top: Vec<(u32, u64)> = peaks.into_iter().collect();
-    top.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+    let mut top = regions_by_peak(samples);
     top.truncate(5);
     let _ = writeln!(out, "largest regions by peak words:");
     for (name, peak) in &top {

@@ -203,7 +203,6 @@ fn nesting(e: &LExp) -> usize {
 #[derive(Debug, Clone)]
 pub struct Compiler {
     mode: Mode,
-    opt: OptOptions,
     config: RtConfig,
     fuel: Option<u64>,
     /// Relative wall-clock budget, anchored to `Instant::now()` when a
@@ -221,7 +220,6 @@ impl Compiler {
     pub fn new(mode: Mode) -> Self {
         Compiler {
             mode,
-            opt: OptOptions::default(),
             config: mode.rt_config(),
             fuel: None,
             deadline: None,
@@ -288,12 +286,6 @@ impl Compiler {
     /// the server's admission queue) counts against the budget.
     pub fn with_deadline_at(mut self, deadline: std::time::Instant) -> Self {
         self.config.deadline = Some(deadline);
-        self
-    }
-
-    /// Disables the `LambdaExp` optimizer.
-    pub fn without_optimizer(mut self) -> Self {
-        self.opt.enabled = false;
         self
     }
 
@@ -364,7 +356,7 @@ impl Compiler {
                 Span::synthetic(),
             )));
         }
-        kit_lambda::opt::optimize(lprog, &self.opt);
+        kit_lambda::opt::optimize(lprog, &OptOptions::default());
         let rprog = kit_region::infer(lprog, self.mode.region_options());
         let mut prog = kit_kam::compile(&rprog, self.config.tagged);
         prog.result_ty = lprog.result_ty.clone();
@@ -526,7 +518,6 @@ mod tests {
             heap_to_live_ratio: 9.0,
             heap_shrink_factor: None,
             initial_pages: 4,
-            large_object_words: 64,
             profile: true,
             generational: None,
             poison: true,

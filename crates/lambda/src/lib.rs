@@ -18,7 +18,6 @@
 pub mod eval;
 pub mod exp;
 pub mod opt;
-pub mod pretty;
 pub mod ty;
 
 pub use exp::{FixFun, LExp, LProgram, Prim, VarId, VarTable};

@@ -53,12 +53,6 @@ pub enum LTy {
 }
 
 impl LTy {
-    /// `true` if values of this type are unboxed scalars at runtime (never
-    /// live in a region and are ignored by the garbage collector).
-    pub fn is_unboxed(&self) -> bool {
-        matches!(self, LTy::Int | LTy::Bool | LTy::Unit)
-    }
-
     /// Convenience constructor for `t1 -> t2`.
     pub fn arrow(a: LTy, b: LTy) -> LTy {
         LTy::Arrow(Box::new(a), Box::new(b))
@@ -177,11 +171,6 @@ impl Datatype {
     /// Number of constructors that carry an argument (boxed at runtime).
     pub fn boxed_count(&self) -> usize {
         self.constructors.iter().filter(|c| c.arg.is_some()).count()
-    }
-
-    /// Number of nullary constructors (unboxed scalars at runtime).
-    pub fn nullary_count(&self) -> usize {
-        self.constructors.iter().filter(|c| c.arg.is_none()).count()
     }
 }
 
@@ -372,7 +361,6 @@ mod tests {
         assert_eq!(list.name, "list");
         assert_eq!(list.constructors.len(), 2);
         assert_eq!(list.boxed_count(), 1);
-        assert_eq!(list.nullary_count(), 1);
     }
 
     #[test]
@@ -391,14 +379,6 @@ mod tests {
         assert_eq!(env.get(EXN_DIV).name, "Div");
         assert_eq!(env.get(EXN_MATCH).name, "Match");
         assert_eq!(env.len(), 6);
-    }
-
-    #[test]
-    fn unboxed_classification() {
-        assert!(LTy::Int.is_unboxed());
-        assert!(LTy::Bool.is_unboxed());
-        assert!(!LTy::Real.is_unboxed());
-        assert!(!LTy::Tuple(vec![LTy::Int, LTy::Int]).is_unboxed());
     }
 
     #[test]

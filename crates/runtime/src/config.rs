@@ -30,9 +30,6 @@ pub struct RtConfig {
     pub heap_shrink_factor: Option<f64>,
     /// Initial number of region pages.
     pub initial_pages: usize,
-    /// Boxed values at least this many words go to the large-object space
-    /// (strings and arrays always do).
-    pub large_object_words: usize,
     /// Record a region profile (paper Fig. 5).
     pub profile: bool,
     /// Generational collection policy (the SML/NJ-substitute baseline);
@@ -138,7 +135,6 @@ impl RtConfig {
             heap_to_live_ratio: 3.0,
             heap_shrink_factor: Some(4.0),
             initial_pages: 64,
-            large_object_words: 128,
             profile: false,
             generational: None,
             poison: false,

@@ -67,11 +67,6 @@ impl Heap {
         self.free_count
     }
 
-    /// Pages currently owned by regions (or the collector's from-space).
-    pub fn used_pages(&self) -> usize {
-        self.total_pages - self.free_count
-    }
-
     /// Reads a heap word.
     #[inline]
     pub fn read(&self, addr: u64) -> Word {

@@ -61,20 +61,21 @@ impl Profiler {
     pub fn samples(&self) -> &[Sample] {
         &self.samples
     }
+}
 
-    /// Region names ordered by their peak size, largest first.
-    pub fn regions_by_peak(&self) -> Vec<(u32, u64)> {
-        let mut peak: BTreeMap<u32, u64> = BTreeMap::new();
-        for s in &self.samples {
-            for (&name, &w) in &s.by_region {
-                let e = peak.entry(name).or_default();
-                *e = (*e).max(w);
-            }
+/// Region names of `samples` with their peak size in words, largest
+/// first (ties by name, ascending) — the profile's legend.
+pub fn regions_by_peak(samples: &[Sample]) -> Vec<(u32, u64)> {
+    let mut peak: BTreeMap<u32, u64> = BTreeMap::new();
+    for s in samples {
+        for (&name, &w) in &s.by_region {
+            let e = peak.entry(name).or_default();
+            *e = (*e).max(w);
         }
-        let mut v: Vec<(u32, u64)> = peak.into_iter().collect();
-        v.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
-        v
     }
+    let mut v: Vec<(u32, u64)> = peak.into_iter().collect();
+    v.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+    v
 }
 
 #[cfg(test)]
@@ -99,6 +100,6 @@ mod tests {
         d3.used_words = 1;
         p.sample(&[d1, d2, d3]);
         assert_eq!(p.samples()[0].by_region[&7], 15);
-        assert_eq!(p.regions_by_peak()[0], (7, 15));
+        assert_eq!(regions_by_peak(p.samples())[0], (7, 15));
     }
 }

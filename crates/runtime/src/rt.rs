@@ -14,7 +14,7 @@ use crate::region::RegionDesc;
 pub use crate::region::RegionId;
 use crate::stats::RtStats;
 use crate::value::{
-    self, ptr, ptr_addr, scalar, scalar_val, space_of, Space, Tag, Word, DATA_BASE, LOBJ_STRIDE,
+    ptr, ptr_addr, scalar, scalar_val, space_of, Space, Tag, Word, DATA_BASE, LOBJ_STRIDE,
     NONE_ADDR, STACK_BASE,
 };
 use std::collections::HashMap;
@@ -514,12 +514,6 @@ impl Rt {
     pub fn region_slack(&self, r: RegionId) -> u64 {
         let d = &self.regions[r.0 as usize];
         d.e - d.a
-    }
-
-    /// `true` if `v` is a pointer into the runtime stack (a finite-region
-    /// value); the collector treats these specially (§2.5).
-    pub fn points_into_stack(&self, v: Word) -> bool {
-        value::is_ptr(v) && space_of(ptr_addr(v)) == Space::Stack
     }
 
     /// Sanity check: every page is either on the free-list or owned by

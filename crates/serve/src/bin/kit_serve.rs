@@ -3,20 +3,19 @@
 //!
 //! ```text
 //! kit-serve [--addr HOST:PORT] [--workers N]
-//!           [--queue-cap N] [--shed-policy newest|tenant-share]
-//!           [--rate RPS[:BURST]] [--deadline-ms N]
+//!           [--queue-cap N] [--rate RPS[:BURST]] [--deadline-ms N]
 //! ```
 //!
 //! Prints `listening on HOST:PORT` on stdout once ready (port 0 in
 //! `--addr` picks an ephemeral port; scripts parse this line).
 
-use kit_serve::server::{RateLimit, Server, ServerConfig, ShedPolicy};
+use kit_serve::server::{RateLimit, Server, ServerConfig};
 use std::io::Write;
 
 fn usage() -> ! {
     eprintln!(
         "usage: kit-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
-         [--shed-policy newest|tenant-share] [--rate RPS[:BURST]] [--deadline-ms N]"
+         [--rate RPS[:BURST]] [--deadline-ms N]"
     );
     std::process::exit(2);
 }
@@ -34,13 +33,6 @@ fn main() {
             }
             "--queue-cap" => {
                 config.queue_cap = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--shed-policy" => {
-                config.shed_policy = match value().as_str() {
-                    "newest" => ShedPolicy::RejectNewest,
-                    "tenant-share" => ShedPolicy::TenantShare,
-                    _ => usage(),
-                };
             }
             "--rate" => {
                 let v = value();

@@ -36,5 +36,5 @@ pub mod wire;
 
 pub use client::Client;
 pub use load::{check_against_standalone, run_load, LoadProgram, LoadReport, LoadSpec};
-pub use server::{DrainReport, RateLimit, Server, ServerConfig, ServerHandle, ShedPolicy};
+pub use server::{DrainReport, RateLimit, Server, ServerConfig, ServerHandle};
 pub use wire::{Request, Response, Status};

@@ -14,7 +14,7 @@
 //! mid-execution:
 //!
 //! * the job queue is bounded ([`ServerConfig::queue_cap`]); a full
-//!   queue sheds per [`ShedPolicy`] with a typed [`Status::Overloaded`]
+//!   queue sheds by tenant share with a typed [`Status::Overloaded`]
 //!   carrying `retry_after_ms`;
 //! * each tenant (explicit id, or hashed client IP) owns a token bucket
 //!   ([`ServerConfig::rate_limit`]); an empty bucket answers
@@ -43,21 +43,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// What to do when a request arrives and the admission queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Shed the arriving request (cheapest; FIFO fairness for admitted
-    /// work).
-    #[default]
-    RejectNewest,
-    /// Shed by tenant share: if the arriving tenant already holds the
-    /// largest share of the queue it is shed; otherwise the *newest
-    /// queued* request of the largest-share tenant is answered
-    /// `Overloaded` and the newcomer takes its place. A hog floods
-    /// itself out of the queue; polite tenants keep getting admitted.
-    TenantShare,
-}
-
 /// Per-tenant token-bucket rate limit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLimit {
@@ -74,10 +59,13 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission-queue bound: requests beyond this depth are shed with a
     /// typed `Overloaded` response instead of silently degrading p99 for
-    /// everyone already admitted.
+    /// everyone already admitted. Shedding is by tenant share: an arrival
+    /// whose tenant already holds the largest share of the queue is shed;
+    /// otherwise the *newest queued* request of the largest-share tenant
+    /// is, and the arrival takes its place. A hog floods itself out of
+    /// the queue while polite tenants keep getting admitted; a queue
+    /// holding one tenant's traffic sheds the arrival.
     pub queue_cap: usize,
-    /// Full-queue shedding policy.
-    pub shed_policy: ShedPolicy,
     /// Per-tenant token bucket; `None` disables rate limiting.
     pub rate_limit: Option<RateLimit>,
     /// Wall-clock deadline applied to requests that do not carry their
@@ -111,7 +99,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: thread::available_parallelism().map_or(4, usize::from),
             queue_cap: 1024,
-            shed_policy: ShedPolicy::default(),
             rate_limit: None,
             default_deadline_ms: None,
             idle_timeout: Duration::from_secs(60),
@@ -192,8 +179,8 @@ struct Job {
     out: Arc<ConnWriter>,
 }
 
-/// The admission queue plus the per-tenant share books the
-/// [`ShedPolicy::TenantShare`] policy needs.
+/// The admission queue plus the per-tenant share books tenant-share
+/// shedding needs.
 #[derive(Default)]
 struct Queue {
     jobs: VecDeque<Job>,
@@ -250,12 +237,10 @@ struct Shared {
     overload: OverloadStats,
     /// Token buckets, keyed like queue shares.
     buckets: Mutex<HashMap<u64, Bucket>>,
-    /// Gauges for the leak probes: live worker threads, open reader
-    /// connections, in-flight (started, unfinished) requests.
-    live_workers: AtomicUsize,
+    /// Open reader connections (a leak probe's gauge).
     open_conns: AtomicUsize,
-    in_flight: AtomicUsize,
-    /// Workers that have exited, for the bounded drain join.
+    /// Workers that have exited, for the bounded drain join and the
+    /// live-worker leak probe.
     exited: Mutex<usize>,
     exited_cv: Condvar,
 }
@@ -309,9 +294,7 @@ impl Server {
             workers: (0..workers).map(|_| WorkerStats::default()).collect(),
             overload: OverloadStats::default(),
             buckets: Mutex::new(HashMap::new()),
-            live_workers: AtomicUsize::new(0),
             open_conns: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
             exited: Mutex::new(0),
             exited_cv: Condvar::new(),
             config: self.config,
@@ -327,14 +310,12 @@ impl Server {
         let mut pool = Vec::with_capacity(workers);
         for id in 0..workers {
             let shared = Arc::clone(&shared);
-            shared.live_workers.fetch_add(1, Ordering::SeqCst);
             pool.push(
                 thread::Builder::new()
                     .name(format!("kit-serve-worker-{id}"))
                     .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || {
                         worker_loop(&shared, id as u32);
-                        shared.live_workers.fetch_sub(1, Ordering::SeqCst);
                         let mut exited = relock(shared.exited.lock());
                         *exited += 1;
                         shared.exited_cv.notify_all();
@@ -414,7 +395,7 @@ impl ServerHandle {
     /// Live worker threads (the chaos leg's leak probe: must equal the
     /// configured pool size for the server's whole life).
     pub fn live_workers(&self) -> usize {
-        self.shared.live_workers.load(Ordering::SeqCst)
+        self.shared.workers.len() - *relock(self.shared.exited.lock())
     }
 
     /// Open reader connections (gauge; settles to 0 when all peers are
@@ -788,27 +769,18 @@ fn admit(shared: &Arc<Shared>, req: Request, peer: Option<SocketAddr>, out: &Arc
 
     let mut q = relock(shared.queue.lock());
     let depth = q.jobs.len();
-    shared
-        .overload
-        .queue_depth_max
-        .fetch_max(depth + 1, Ordering::Relaxed);
     let mut evicted = None;
     if depth >= shared.config.queue_cap {
-        let shed_incoming = match shared.config.shed_policy {
-            ShedPolicy::RejectNewest => true,
-            ShedPolicy::TenantShare => {
-                let max_share = q.shares.values().copied().max().unwrap_or(0);
-                let my_share = q.shares.get(&tenant).copied().unwrap_or(0);
-                // The newcomer is shed only if it already holds (at
-                // least) the largest share; otherwise the hog loses its
-                // newest queued request to make room.
-                if my_share + 1 > max_share {
-                    true
-                } else {
-                    evicted = q.evict_largest_share();
-                    evicted.is_none()
-                }
-            }
+        let max_share = q.shares.values().copied().max().unwrap_or(0);
+        let my_share = q.shares.get(&tenant).copied().unwrap_or(0);
+        // The newcomer is shed only if it already holds (at least) the
+        // largest share — always so in a one-tenant queue; otherwise the
+        // hog loses its newest queued request to make room.
+        let shed_incoming = if my_share + 1 > max_share {
+            true
+        } else {
+            evicted = q.evict_largest_share();
+            evicted.is_none()
         };
         if shed_incoming {
             drop(q);
@@ -831,6 +803,10 @@ fn admit(shared: &Arc<Shared>, req: Request, peer: Option<SocketAddr>, out: &Arc
         depth: depth_at_admission,
         out: Arc::clone(out),
     });
+    shared
+        .overload
+        .queue_depth_max
+        .fetch_max(q.jobs.len(), Ordering::Relaxed);
     drop(q);
     shared.available.notify_one();
     if let Some(victim) = evicted {
@@ -882,9 +858,6 @@ fn worker_loop(shared: &Arc<Shared>, id: u32) {
                     return;
                 }
                 if let Some(job) = q.pop() {
-                    // Claimed under the queue lock so the drain's
-                    // "queued vs in-flight" split is exact.
-                    shared.in_flight.fetch_add(1, Ordering::SeqCst);
                     break job;
                 }
                 q = shared
@@ -906,7 +879,6 @@ fn worker_loop(shared: &Arc<Shared>, id: u32) {
                 .fetch_add(1, Ordering::Relaxed);
         }
         job.out.write(&resp);
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -7,7 +7,7 @@
 //! closes, mid-frame EOF reaping).
 
 use kit::{Compiler, DispatchMode, Mode};
-use kit_serve::server::{RateLimit, Server, ServerConfig, ShedPolicy};
+use kit_serve::server::{RateLimit, Server, ServerConfig};
 use kit_serve::wire::Status;
 use kit_serve::{check_against_standalone, run_load, Client, LoadProgram, LoadSpec};
 use std::time::Duration;
@@ -327,8 +327,13 @@ fn flood_is_shed_with_typed_overloaded_and_healthy_work_stays_exact() {
         "queue depth p99 {} exceeds the configured bound",
         report.queue_depth_p99
     );
-    let (shed, ..) = handle.overload_stats();
+    let (shed, .., queue_depth_max) = handle.overload_stats();
     assert_eq!(shed as usize, p.shed);
+    // The watermark is a depth the queue held, so the cap bounds it too.
+    assert!(
+        queue_depth_max <= 4,
+        "queue depth watermark {queue_depth_max} exceeds the configured bound"
+    );
 
     // Retry advice is present on a directly-observed shed response.
     // (Flood again with a single pipelined burst and look at one.)
@@ -339,13 +344,12 @@ fn flood_is_shed_with_typed_overloaded_and_healthy_work_stays_exact() {
 
 #[test]
 fn tenant_share_shedding_keeps_the_polite_tenant_served() {
-    // A hog floods; a polite tenant trickles. Under TenantShare the
-    // queue sheds the hog's requests, so the polite tenant keeps
-    // executing (and its executed responses stay uniform).
+    // A hog floods; a polite tenant trickles. A full queue sheds the
+    // hog's requests, so the polite tenant keeps executing (and its
+    // executed responses stay uniform).
     let handle = start_with(ServerConfig {
         workers: 2,
         queue_cap: 8,
-        shed_policy: ShedPolicy::TenantShare,
         ..ServerConfig::default()
     });
     let mut hog = prog("hog", FIB, None, None);

@@ -2,8 +2,7 @@
 //! region-inference + garbage-collection reproduction.
 //!
 //! The crate provides a lexer ([`lexer::Lexer`]), a recursive-descent parser
-//! ([`parser::parse_program`]) producing the surface [`ast`], and a pretty
-//! printer ([`pretty`]) used by round-trip tests.
+//! ([`parser::parse_program`]) producing the surface [`ast`].
 //!
 //! MiniML covers the value shapes the runtime distinguishes: integers,
 //! booleans, reals, strings, tuples, user datatypes with pattern matching,
@@ -27,7 +26,6 @@ pub mod error;
 pub mod lexer;
 pub mod parser;
 pub mod pos;
-pub mod pretty;
 pub mod token;
 
 pub use ast::Program;

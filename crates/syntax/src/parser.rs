@@ -58,24 +58,6 @@ pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
     Ok(Program { decs })
 }
 
-/// Parses a single expression (used by tests and the REPL-style examples).
-///
-/// # Errors
-///
-/// Returns the first lexical or syntactic error encountered, including
-/// trailing input after the expression.
-pub fn parse_exp(src: &str) -> Result<Exp, SyntaxError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser {
-        toks,
-        idx: 0,
-        depth: 0,
-    };
-    let e = p.exp()?;
-    p.expect(Token::Eof)?;
-    Ok(e)
-}
-
 /// Deepest expression, pattern or type nesting the front end accepts: the
 /// parser counts its own recursion against it (a bracket, a keyword form,
 /// the right operand of an infix operator, a prefix operator), and the
@@ -837,6 +819,15 @@ impl Parser {
 mod tests {
     use super::*;
 
+    /// The expression `src` parses to, as the body of `val it = src`.
+    fn exp_of(src: &str) -> Result<Exp, SyntaxError> {
+        let mut p = parse_program(&format!("val it = {src}"))?;
+        match p.decs.pop() {
+            Some(Dec::Val { exp, .. }) if p.decs.is_empty() => Ok(exp),
+            d => panic!("{src:?} is not one expression: {d:?}"),
+        }
+    }
+
     #[test]
     fn parses_val_dec() {
         let p = parse_program("val x = 1 + 2 * 3").unwrap();
@@ -853,7 +844,7 @@ mod tests {
 
     #[test]
     fn application_binds_tighter_than_infix() {
-        let e = parse_exp("f x + g y").unwrap();
+        let e = exp_of("f x + g y").unwrap();
         let Exp::BinOp(BinOp::Add, l, r, _) = e else {
             panic!()
         };
@@ -863,20 +854,20 @@ mod tests {
 
     #[test]
     fn cons_is_right_associative() {
-        let e = parse_exp("1 :: 2 :: nil").unwrap();
+        let e = exp_of("1 :: 2 :: nil").unwrap();
         let Exp::Cons(_, tl, _) = e else { panic!() };
         assert!(matches!(*tl, Exp::Cons(_, _, _)));
     }
 
     #[test]
     fn comparison_below_arith() {
-        let e = parse_exp("1 + 2 < 3 * 4").unwrap();
+        let e = exp_of("1 + 2 < 3 * 4").unwrap();
         assert!(matches!(e, Exp::BinOp(BinOp::Lt, _, _, _)));
     }
 
     #[test]
     fn andalso_orelse_precedence() {
-        let e = parse_exp("a < b andalso c orelse d").unwrap();
+        let e = exp_of("a < b andalso c orelse d").unwrap();
         let Exp::Orelse(l, _, _) = e else { panic!() };
         assert!(matches!(*l, Exp::Andalso(_, _, _)));
     }
@@ -929,7 +920,7 @@ mod tests {
 
     #[test]
     fn parses_case_with_nested_patterns() {
-        let e = parse_exp("case xs of (x, y) :: rest => x | nil => 0").unwrap();
+        let e = exp_of("case xs of (x, y) :: rest => x | nil => 0").unwrap();
         let Exp::Case(_, rules, _) = e else { panic!() };
         assert_eq!(rules.len(), 2);
         assert!(matches!(rules[0].pat, Pat::Cons(_, _, _)));
@@ -937,7 +928,7 @@ mod tests {
 
     #[test]
     fn parses_let_with_sequence() {
-        let e = parse_exp("let val x = 1 in print x; x + 1 end").unwrap();
+        let e = exp_of("let val x = 1 in print x; x + 1 end").unwrap();
         let Exp::Let(decs, body, _) = e else { panic!() };
         assert_eq!(decs.len(), 1);
         assert_eq!(body.len(), 2);
@@ -968,30 +959,30 @@ mod tests {
             ]
         };
         for src in deep(MAX_NESTING - 2) {
-            parse_exp(&src).unwrap_or_else(|e| panic!("{e}: {}", &src[..40]));
+            exp_of(&src).unwrap_or_else(|e| panic!("{e}: {}", &src[..40]));
         }
         // Far past the limit the answer is still an error, not the guard
         // page: the refusal comes at level `MAX_NESTING + 1`.
         for src in deep(64 * MAX_NESTING) {
-            let err = parse_exp(&src).unwrap_err();
+            let err = exp_of(&src).unwrap_err();
             assert!(err.message().contains("levels deep"), "{err}");
         }
         // Siblings do not add up, and a run of left-associative operators
         // or arguments is a loop here (the elaborator bounds the tree).
         let wide = format!("[{}1]", "((((1)))), ".repeat(4 * MAX_NESTING));
-        parse_exp(&wide).unwrap();
-        parse_exp(&format!("f{}", " x + 1".repeat(4 * MAX_NESTING))).unwrap();
+        exp_of(&wide).unwrap();
+        exp_of(&format!("f{}", " x + 1".repeat(4 * MAX_NESTING))).unwrap();
     }
 
     #[test]
     fn parses_handle_and_raise() {
-        let e = parse_exp("(raise Overflow) handle Overflow => 0").unwrap();
+        let e = exp_of("(raise Overflow) handle Overflow => 0").unwrap();
         assert!(matches!(e, Exp::Handle(_, _, _)));
     }
 
     #[test]
     fn parses_ref_ops() {
-        let e = parse_exp("r := !r + 1").unwrap();
+        let e = exp_of("r := !r + 1").unwrap();
         let Exp::BinOp(BinOp::Assign, _, rhs, _) = e else {
             panic!()
         };
@@ -1000,33 +991,33 @@ mod tests {
 
     #[test]
     fn parses_fn_and_composition() {
-        let e = parse_exp("(fn x => x + 1) o double").unwrap();
+        let e = exp_of("(fn x => x + 1) o double").unwrap();
         assert!(matches!(e, Exp::BinOp(BinOp::Compose, _, _, _)));
     }
 
     #[test]
     fn parses_op_section() {
-        let e = parse_exp("foldl op+ 0 xs").unwrap();
+        let e = exp_of("foldl op+ 0 xs").unwrap();
         // foldl (op+) 0 xs is a chain of applications.
         assert!(matches!(e, Exp::App(_, _, _)));
     }
 
     #[test]
     fn parses_while_loop() {
-        let e = parse_exp("while !i < 10 do i := !i + 1").unwrap();
+        let e = exp_of("while !i < 10 do i := !i + 1").unwrap();
         assert!(matches!(e, Exp::While(_, _, _)));
     }
 
     #[test]
     fn parses_list_literal() {
-        let e = parse_exp("[1, 2, 3]").unwrap();
+        let e = exp_of("[1, 2, 3]").unwrap();
         let Exp::List(xs, _) = e else { panic!() };
         assert_eq!(xs.len(), 3);
     }
 
     #[test]
     fn parses_seq_parens() {
-        let e = parse_exp("(print \"a\"; 1)").unwrap();
+        let e = exp_of("(print \"a\"; 1)").unwrap();
         let Exp::Seq(xs, _) = e else { panic!() };
         assert_eq!(xs.len(), 2);
     }
@@ -1039,13 +1030,13 @@ mod tests {
 
     #[test]
     fn if_requires_parens_as_operand() {
-        assert!(parse_exp("1 + if true then 1 else 2").is_err());
-        assert!(parse_exp("1 + (if true then 1 else 2)").is_ok());
+        assert!(exp_of("1 + if true then 1 else 2").is_err());
+        assert!(exp_of("1 + (if true then 1 else 2)").is_ok());
     }
 
     #[test]
     fn negation_of_application() {
-        let e = parse_exp("~(f x)").unwrap();
+        let e = exp_of("~(f x)").unwrap();
         assert!(matches!(e, Exp::Neg(_, _)));
     }
 

@@ -73,22 +73,6 @@ pub enum TPat {
 }
 
 impl TPat {
-    /// Variables bound by this pattern, in left-to-right order.
-    pub fn bound_vars(&self) -> Vec<(VarId, Ty)> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut Vec<(VarId, Ty)>) {
-        match self {
-            TPat::Var(v, t) => out.push((*v, t.clone())),
-            TPat::Tuple(ps) => ps.iter().for_each(|p| p.collect_vars(out)),
-            TPat::Con { arg: Some(p), .. } | TPat::Exn { arg: Some(p), .. } => p.collect_vars(out),
-            _ => {}
-        }
-    }
-
     /// `true` if the pattern can never fail to match.
     pub fn irrefutable(&self) -> bool {
         match self {
@@ -279,17 +263,6 @@ pub enum TExp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bound_vars_in_order() {
-        let p = TPat::Tuple(vec![
-            TPat::Var(VarId(1), Ty::Int),
-            TPat::Wild,
-            TPat::Var(VarId(2), Ty::Bool),
-        ]);
-        let vs: Vec<u32> = p.bound_vars().iter().map(|(v, _)| v.0).collect();
-        assert_eq!(vs, vec![1, 2]);
-    }
 
     #[test]
     fn irrefutable_patterns() {

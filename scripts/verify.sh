@@ -49,8 +49,8 @@ echo "==> soak: short config-fuzzing run (all modes, both engines;"
 echo "    page size, heap sizing, trigger and heap-to-live ratio fuzzed)"
 cargo run --release -p kit-bench --bin soak -- --cases 25 --seed 0x5EED0400
 
-echo "==> soak: full-surface generator (datatypes, arrays past the"
-echo "    large-object threshold, strings, reals, refs, nested handlers;"
+echo "==> soak: full-surface generator (datatypes, arrays (large objects),"
+echo "    strings, reals, refs, nested handlers;"
 echo "    all modes, both engines, fuzzed configuration)"
 cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
@@ -69,6 +69,15 @@ echo "    linked copy of the instruction set and the label tables it read (PR 23
 if grep -rnE 'gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare|formal_pool|region_pool|fbase|rbase|formal_pool_len|region_pool_len|LInstr|LinkedProgram|link_one|disassemble_linked|label_addrs|entry_of' \
     crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
     echo "verify: a name deleted in PR 20, 21 or 23 is back (see above)" >&2
+    exit 1
+fi
+echo "==> deleted names stay deleted, as whole words: the two unused"
+echo "    pretty-printers and the expression parser only they used, the orphan"
+echo "    helpers, the region probe bin, the options nobody set (shed policy"
+echo "    included) and the unread in-flight gauge"
+if grep -rnE '\b(kit_syntax::pretty|kit_lambda::pretty|parse_exp|points_into_stack|used_pages|is_unboxed|nullary_count|region_probe|large_object_words|without_optimizer|ShedPolicy|RejectNewest|shed_policy|shed-policy|in_flight)\b' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
+    echo "verify: a deleted name is back (see above)" >&2
     exit 1
 fi
 
@@ -103,13 +112,13 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR24.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR25.json, both"
 echo "    engines; writes nothing (a PR that moves them on purpose points"
 echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR24.json
+    --check-counts BENCH_PR25.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"
