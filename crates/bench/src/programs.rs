@@ -223,6 +223,34 @@ pub fn by_name(name: &str) -> Option<Benchmark> {
     all().into_iter().find(|b| b.name == name)
 }
 
+/// `n` top-level declarations binding a 16-wide tuple pattern (the last
+/// component under a constructor), each using the one before: a spine as
+/// long as the program, for the compiler's linearity tests.
+pub fn wide_declarations(n: usize) -> String {
+    let mut src = String::from("datatype box = B of int\nval a0_15 = 0\n");
+    for i in 1..=n {
+        let pat: Vec<String> = (0..15).map(|j| format!("a{i}_{j}")).collect();
+        let exp: Vec<String> = (1..15).map(|j| j.to_string()).collect();
+        src += &format!(
+            "val ({}, B a{i}_15) = (a{}_15 + 1, {}, B {i})\n",
+            pat.join(", "),
+            i - 1,
+            exp.join(", ")
+        );
+    }
+    src + &format!("val it = a{n}_0\n")
+}
+
+/// One `let` binding `n` pairs, each built from the one before: `n` nested
+/// finite regions, for the compiler's linearity tests.
+pub fn pair_let(n: usize) -> String {
+    let mut src = String::from("val it = let\n  val p0 = (0, 0)\n");
+    for i in 1..=n {
+        src += &format!("  val p{i} = (fst p{} + 1, {i})\n", i - 1);
+    }
+    src + &format!("in fst p{n} + snd p{n} end\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

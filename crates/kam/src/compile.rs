@@ -12,7 +12,7 @@ use kit_lambda::exp::VarId;
 use kit_lambda::ty::{SchemeTy, TyConId};
 use kit_region::{Mult, Place, RExp, RFixFun, RProgram, RegVar};
 use kit_runtime::value::scalar;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Compiles a RegionExp program for the given tagging mode.
 pub fn compile(prog: &RProgram, tagged: bool) -> Program {
@@ -24,7 +24,9 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
         fun_of_label: Vec::new(),
         funs: Vec::new(),
         next_group: 0,
+        finite_sizes: HashMap::new(),
     };
+    cx.finite_sizes = finite_sizes(&cx);
     // Global regions: infinite ones are created by the VM at startup (their
     // region ids equal their position); finite ones live in the main frame.
     let mut global_regs: HashMap<RegVar, RegSlot> = HashMap::new();
@@ -37,8 +39,7 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
                 global_infinite.push(r.0);
             }
             Mult::Finite => {
-                let size = finite_size(&cx, &prog.body, *r);
-                let off = main_fin.alloc(size);
+                let off = main_fin.alloc(cx.finite_sizes[r]);
                 global_regs.insert(*r, RegSlot::Finite(off));
             }
         }
@@ -223,6 +224,8 @@ struct Cx<'a> {
     fun_of_label: Vec<u32>,
     funs: Vec<FunInfo>,
     next_group: u32,
+    /// Words of every finite region's one allocation ([`finite_sizes`]).
+    finite_sizes: HashMap<RegVar, u32>,
 }
 
 impl Cx<'_> {
@@ -277,7 +280,9 @@ impl Cx<'_> {
 
     // ----------------------------------------------------------- captures
 
-    /// Ordered capture list for a set of function bodies.
+    /// Ordered capture list for a set of function bodies: their free
+    /// variables, a `fix`-bound one as its group's shared closure, and
+    /// their free regions that are not global, each once.
     fn captures(
         &self,
         bodies: &[&RExp],
@@ -286,20 +291,25 @@ impl Cx<'_> {
         fcx: &FnCx<'_>,
     ) -> Vec<Cap> {
         let mut caps: Vec<Cap> = Vec::new();
-        let mut seen_v = BTreeSet::new();
-        let mut seen_r = BTreeSet::new();
-        let mut seen_g = BTreeSet::new();
+        let mut seen = HashSet::new();
         for b in bodies {
-            collect_caps(
-                b,
-                &mut bound.clone(),
-                &mut bound_regs.clone(),
-                fcx,
-                &mut caps,
-                &mut seen_v,
-                &mut seen_r,
-                &mut seen_g,
-            );
+            collect_caps(b, &mut bound.clone(), &mut bound_regs.clone(), &mut |c| {
+                let cap = match c {
+                    Cap::Var(v) => match fcx.vars.get(&v) {
+                        Some(VB::Fix(info)) => Cap::Shared(info.group),
+                        _ => c,
+                    },
+                    // A global is addressed by its index from any frame;
+                    // every other free region — `letregion`-bound or a
+                    // formal of an enclosing function — reaches the
+                    // closure as a captured handle.
+                    Cap::Reg(r) if fcx.globals.contains_key(&r) => return,
+                    _ => c,
+                };
+                if seen.insert(cap) {
+                    caps.push(cap);
+                }
+            });
         }
         caps
     }
@@ -704,8 +714,7 @@ impl Cx<'_> {
                             fcx.regs.insert(*r, RegSlot::Local(idx));
                         }
                         Mult::Finite => {
-                            let size = finite_size(self, body, *r);
-                            let off = fcx.fin.alloc(size);
+                            let off = fcx.fin.alloc(self.finite_sizes[r]);
                             fcx.regs.insert(*r, RegSlot::Finite(off));
                         }
                     }
@@ -941,70 +950,38 @@ impl Cx<'_> {
 
 // ------------------------------------------------------------ captures
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Cap {
     Var(VarId),
     Reg(RegVar),
     Shared(u32),
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Reports every free occurrence in `e`, in order: a variable as
+/// [`Cap::Var`], a region as [`Cap::Reg`]. Names in `bound`/`bound_regs`
+/// and those bound inside `e` are not free.
 fn collect_caps(
     e: &RExp,
     bound: &mut BTreeSet<VarId>,
     bound_regs: &mut BTreeSet<RegVar>,
-    fcx: &FnCx<'_>,
-    caps: &mut Vec<Cap>,
-    seen_v: &mut BTreeSet<VarId>,
-    seen_r: &mut BTreeSet<RegVar>,
-    seen_g: &mut BTreeSet<u32>,
+    out: &mut impl FnMut(Cap),
 ) {
-    let cap_var = |v: VarId,
-                   bound: &BTreeSet<VarId>,
-                   caps: &mut Vec<Cap>,
-                   seen_v: &mut BTreeSet<VarId>,
-                   seen_g: &mut BTreeSet<u32>| {
-        if bound.contains(&v) {
-            return;
-        }
-        match fcx.vars.get(&v) {
-            Some(VB::Fix(info)) => {
-                if seen_g.insert(info.group) {
-                    caps.push(Cap::Shared(info.group));
-                }
-            }
-            _ => {
-                if seen_v.insert(v) {
-                    caps.push(Cap::Var(v));
-                }
-            }
-        }
-    };
-    let cap_reg = |r: RegVar,
-                   bound_regs: &BTreeSet<RegVar>,
-                   caps: &mut Vec<Cap>,
-                   seen_r: &mut BTreeSet<RegVar>| {
-        // A global is addressed by its index from any frame; every other
-        // free region — `letregion`-bound or a formal of an enclosing
-        // function — reaches the closure as a captured handle.
-        if bound_regs.contains(&r) || fcx.globals.contains_key(&r) {
-            return;
-        }
-        if seen_r.insert(r) {
-            caps.push(Cap::Reg(r));
-        }
-    };
+    count_work(|| 1);
     for p in e.own_places() {
-        cap_reg(p, bound_regs, caps, seen_r);
+        if !bound_regs.contains(&p) {
+            out(Cap::Reg(p));
+        }
     }
     match e {
         RExp::Var(v) | RExp::FixVar { var: v, .. } => {
-            cap_var(*v, bound, caps, seen_v, seen_g);
+            if !bound.contains(v) {
+                out(Cap::Var(*v));
+            }
         }
         RExp::Let { var, rhs, body } => {
-            collect_caps(rhs, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
+            collect_caps(rhs, bound, bound_regs, out);
             let fresh = bound.insert(*var);
-            collect_caps(body, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
+            collect_caps(body, bound, bound_regs, out);
             if fresh {
                 bound.remove(var);
             }
@@ -1015,7 +992,7 @@ fn collect_caps(
                 .copied()
                 .filter(|p| bound.insert(*p))
                 .collect();
-            collect_caps(body, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
+            collect_caps(body, bound, bound_regs, out);
             for p in fresh {
                 bound.remove(&p);
             }
@@ -1039,9 +1016,7 @@ fn collect_caps(
                     .copied()
                     .filter(|r| bound_regs.insert(*r))
                     .collect();
-                collect_caps(
-                    &f.body, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g,
-                );
+                collect_caps(&f.body, bound, bound_regs, out);
                 for p in fp {
                     bound.remove(&p);
                 }
@@ -1049,7 +1024,7 @@ fn collect_caps(
                     bound_regs.remove(&r);
                 }
             }
-            collect_caps(body, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
+            collect_caps(body, bound, bound_regs, out);
             for v in fresh {
                 bound.remove(&v);
             }
@@ -1060,189 +1035,151 @@ fn collect_caps(
                 .map(|(r, _)| *r)
                 .filter(|r| bound_regs.insert(*r))
                 .collect();
-            collect_caps(body, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
+            collect_caps(body, bound, bound_regs, out);
             for r in fresh {
                 bound_regs.remove(&r);
             }
         }
         RExp::Handle { body, var, handler } => {
-            collect_caps(body, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
+            collect_caps(body, bound, bound_regs, out);
             let fresh = bound.insert(*var);
-            collect_caps(
-                handler, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g,
-            );
+            collect_caps(handler, bound, bound_regs, out);
             if fresh {
                 bound.remove(var);
             }
         }
-        RExp::App { callee, args, .. } => {
-            collect_caps(callee, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
-            for a in args {
-                collect_caps(a, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g);
-            }
-        }
-        _ => e.for_each_child(|c| {
-            collect_caps(c, bound, bound_regs, fcx, caps, seen_v, seen_r, seen_g)
-        }),
+        _ => e.for_each_child(|c| collect_caps(c, bound, bound_regs, out)),
     }
 }
 
 // ------------------------------------------------------- finite sizing
 
-/// Physical size in words of the single allocation in finite region `r`.
-fn finite_size(cx: &Cx<'_>, body: &RExp, r: RegVar) -> u32 {
-    let hdr = cx.tagged as u32;
-    let mut size = 0u32;
-    find_finite_site(cx, body, r, hdr, &mut size);
-    size.max(1)
+/// Physical size in words of every finite region's single allocation (at
+/// least 1), in one walk of the program. A closure's size is bounded by
+/// the distinct names free in its body, its own parameters and global
+/// regions included — never fewer than `captures` finds.
+fn finite_sizes(cx: &Cx<'_>) -> HashMap<RegVar, u32> {
+    let mut sizes: HashMap<RegVar, u32> = cx
+        .prog
+        .globals
+        .iter()
+        .filter(|(_, m)| *m == Mult::Finite)
+        .map(|&(r, _)| (r, 1))
+        .collect();
+    size_sites(cx, &cx.prog.body, &mut sizes);
+    sizes
 }
 
-fn find_finite_site(cx: &Cx<'_>, e: &RExp, r: RegVar, hdr: u32, out: &mut u32) {
-    let record = |n: u32| n + hdr;
-    match e {
-        RExp::Real(_, p) if *p == r => *out = (*out).max(1 + hdr),
-        RExp::Record(es, p) if *p == r => *out = (*out).max(record(es.len() as u32)),
-        RExp::Fn { body, at, .. } if *at == r => {
-            // Closure = [label, caps..]; capture count must match the
-            // MkRecord emitted for this closure. We conservatively size by
-            // the number of distinct free variables + regions, matching
-            // `captures` (which dedupes the same way).
-            let caps = count_caps_upper(cx, body);
-            *out = (*out).max(record(1 + caps));
-        }
-        RExp::Fix { funs, at, .. } if *at == r => {
-            let mut n = 0;
-            for f in funs {
-                n += count_caps_upper(cx, &f.body);
+/// Raises `sizes` to each allocation site's words in `e`; a `letregion`
+/// adds its finite regions before its body is walked.
+fn size_sites(cx: &Cx<'_>, e: &RExp, sizes: &mut HashMap<RegVar, u32>) {
+    count_work(|| 1);
+    let hdr = cx.tagged as u32;
+    let (at, fields) = match e {
+        RExp::Letregion { regs, .. } => {
+            for (r, m) in regs {
+                if *m == Mult::Finite {
+                    sizes.insert(*r, 1);
+                }
             }
-            *out = (*out).max(record(n.max(1)));
+            (None, 0)
         }
-        RExp::FixVar { rargs, at, .. } if *at == r => {
-            *out = (*out).max(record(2 + rargs.len() as u32));
+        RExp::Real(_, p) => (Some(*p), 1),
+        RExp::Record(es, p) => (Some(*p), es.len() as u32),
+        // Closure = [label, caps..].
+        RExp::Fn { body, at, .. } if sizes.contains_key(at) => (Some(*at), 1 + distinct_free(body)),
+        RExp::Fix { funs, at, .. } if sizes.contains_key(at) => {
+            let n: u32 = funs.iter().map(|f| distinct_free(&f.body)).sum();
+            (Some(*at), n.max(1))
         }
-        RExp::Prim(_, _, Some(p)) if *p == r => *out = (*out).max(record(1)),
+        RExp::FixVar { rargs, at, .. } => (Some(*at), 2 + rargs.len() as u32),
+        RExp::Prim(_, _, Some(p)) => (Some(*p), 1),
         RExp::Con {
             tycon,
             con,
             at: Some(p),
             ..
-        } if *p == r => {
+        } => {
             let (_, fields) = cx.con_rep(*tycon);
             let disc = cx.con_needs_disc(*tycon) as u32;
-            *out = (*out).max(record(fields[con.0 as usize] as u32 + disc));
+            (Some(*p), fields[con.0 as usize] as u32 + disc)
         }
-        RExp::ExCon { at: Some(p), .. } if *p == r => {
-            let disc = (!cx.tagged) as u32;
-            *out = (*out).max(record(1 + disc));
-        }
-        _ => {}
+        RExp::ExCon { at: Some(p), .. } => (Some(*p), 1 + (!cx.tagged) as u32),
+        _ => (None, 0),
+    };
+    if let Some(size) = at.and_then(|p| sizes.get_mut(&p)) {
+        *size = (*size).max(fields + hdr);
     }
-    e.for_each_child(|c| find_finite_site(cx, c, r, hdr, out));
+    e.for_each_child(|c| size_sites(cx, c, sizes));
 }
 
-/// Upper bound on the capture count of a function body (over-approximates
-/// by ignoring the enclosing context's classification of fix groups).
-fn count_caps_upper(_cx: &Cx<'_>, body: &RExp) -> u32 {
-    let mut vars = BTreeSet::new();
-    let mut regs = BTreeSet::new();
-    free_names(
-        body,
-        &mut BTreeSet::new(),
-        &mut BTreeSet::new(),
-        &mut vars,
-        &mut regs,
-    );
-    (vars.len() + regs.len()) as u32
+/// The number of distinct variables and regions free in `body`.
+fn distinct_free(body: &RExp) -> u32 {
+    let mut seen = HashSet::new();
+    collect_caps(body, &mut BTreeSet::new(), &mut BTreeSet::new(), &mut |c| {
+        seen.insert(c);
+    });
+    seen.len() as u32
 }
 
-fn free_names(
-    e: &RExp,
-    bound: &mut BTreeSet<VarId>,
-    bound_regs: &mut BTreeSet<RegVar>,
-    vars: &mut BTreeSet<VarId>,
-    regs: &mut BTreeSet<RegVar>,
-) {
-    for p in e.own_places() {
-        if !bound_regs.contains(&p) {
-            regs.insert(p);
-        }
+#[cfg(test)]
+thread_local! {
+    static WORK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds `n()` units of work to this thread's counter under `cfg(test)` and
+/// does nothing otherwise: the linearity test's clock.
+fn count_work(n: impl FnOnce() -> usize) {
+    #[cfg(test)]
+    WORK.with(|w| w.set(w.get() + n()));
+    #[cfg(not(test))]
+    let _ = n;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kit_bench::programs::{pair_let, wide_declarations};
+
+    /// What code generation's walks over `src` cost by `count_work`: nodes
+    /// visited sizing the finite regions and by `collect_caps`, for
+    /// captures and for sizing closures in finite regions.
+    fn codegen_work(src: String) -> usize {
+        let run = move || {
+            let mut lprog = kit_typing::compile_str(&src).expect("test program elaborates");
+            kit_lambda::opt::optimize(&mut lprog, &Default::default());
+            let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::with_gc());
+            WORK.with(|w| w.set(0));
+            compile(&rprog, true);
+            WORK.with(|w| w.get())
+        };
+        // The declaration chain nests as deep as it is long.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(run)
+            .expect("spawn")
+            .join()
+            .expect("code generation panicked")
     }
-    match e {
-        RExp::Var(v) | RExp::FixVar { var: v, .. } => {
-            if !bound.contains(v) {
-                vars.insert(*v);
-            }
+
+    /// A finite region's size costs one look at its allocation site, not
+    /// a walk of the `letregion`'s scope.
+    #[test]
+    fn codegen_work_is_linear_in_declarations() {
+        for (shape, small, large) in [
+            (
+                "wide declarations",
+                wide_declarations(100),
+                wide_declarations(400),
+            ),
+            ("pair let", pair_let(60), pair_let(240)),
+        ] {
+            let (small, large) = (codegen_work(small), codegen_work(large));
+            assert!(
+                10 * large <= 43 * small,
+                "{shape}: 4x the declarations, {}x the work: {small} -> {large}",
+                large as f64 / small as f64
+            );
         }
-        RExp::Let { var, rhs, body } => {
-            free_names(rhs, bound, bound_regs, vars, regs);
-            let fresh = bound.insert(*var);
-            free_names(body, bound, bound_regs, vars, regs);
-            if fresh {
-                bound.remove(var);
-            }
-        }
-        RExp::Fn { params, body, .. } => {
-            let fresh: Vec<VarId> = params
-                .iter()
-                .copied()
-                .filter(|p| bound.insert(*p))
-                .collect();
-            free_names(body, bound, bound_regs, vars, regs);
-            for p in fresh {
-                bound.remove(&p);
-            }
-        }
-        RExp::Fix { funs, body, .. } => {
-            let fresh: Vec<VarId> = funs
-                .iter()
-                .map(|f| f.var)
-                .filter(|v| bound.insert(*v))
-                .collect();
-            for f in funs {
-                let fp: Vec<VarId> = f
-                    .params
-                    .iter()
-                    .copied()
-                    .filter(|p| bound.insert(*p))
-                    .collect();
-                let fr: Vec<RegVar> = f
-                    .formals
-                    .iter()
-                    .copied()
-                    .filter(|r| bound_regs.insert(*r))
-                    .collect();
-                free_names(&f.body, bound, bound_regs, vars, regs);
-                for p in fp {
-                    bound.remove(&p);
-                }
-                for r in fr {
-                    bound_regs.remove(&r);
-                }
-            }
-            free_names(body, bound, bound_regs, vars, regs);
-            for v in fresh {
-                bound.remove(&v);
-            }
-        }
-        RExp::Letregion { regs: rs, body } => {
-            let fresh: Vec<RegVar> = rs
-                .iter()
-                .map(|(r, _)| *r)
-                .filter(|r| bound_regs.insert(*r))
-                .collect();
-            free_names(body, bound, bound_regs, vars, regs);
-            for r in fresh {
-                bound_regs.remove(&r);
-            }
-        }
-        RExp::Handle { body, var, handler } => {
-            free_names(body, bound, bound_regs, vars, regs);
-            let fresh = bound.insert(*var);
-            free_names(handler, bound, bound_regs, vars, regs);
-            if fresh {
-                bound.remove(var);
-            }
-        }
-        _ => e.for_each_child(|c| free_names(c, bound, bound_regs, vars, regs)),
     }
 }

@@ -1264,7 +1264,6 @@ impl<'a> Ann<'a> {
                 body,
                 globals: Vec::new(),
                 num_regvars: next,
-                mults: HashMap::new(),
             },
             marker_escapes,
             global_escapes,
@@ -1355,31 +1354,7 @@ fn filter_formals(e: &mut RExp, meta: &HashMap<VarId, Vec<usize>>) {
 
 /// Rewrites every place through `f` (canonicalization).
 fn rewrite_places(e: &mut RExp, f: &mut impl FnMut(RegVar) -> RegVar) {
-    match e {
-        RExp::Real(_, p) | RExp::Record(_, p) | RExp::Fn { at: p, .. } => *p = f(*p),
-        RExp::Fix { at, funs, .. } => {
-            *at = f(*at);
-            for fun in funs.iter_mut() {
-                for r in &mut fun.formals {
-                    *r = f(*r);
-                }
-            }
-        }
-        RExp::Prim(_, _, Some(p)) => *p = f(*p),
-        RExp::Con { at: Some(p), .. } | RExp::ExCon { at: Some(p), .. } => *p = f(*p),
-        RExp::FixVar { rargs, at, .. } => {
-            for r in rargs.iter_mut() {
-                *r = f(*r);
-            }
-            *at = f(*at);
-        }
-        RExp::App { rargs, .. } => {
-            for r in rargs.iter_mut() {
-                *r = f(*r);
-            }
-        }
-        _ => {}
-    }
+    e.map_own_regions(&mut *f);
     e.for_each_child_mut(|c| rewrite_places(c, f));
 }
 

@@ -27,25 +27,18 @@ pub fn place(ann: &mut Annotated) {
     let mut totals: HashMap<RegVar, usize> = HashMap::new();
     let mut formals = BTreeSet::new();
     count_occurrences(&body, &mut totals, &mut formals);
-    let mut bound = BTreeSet::new();
-    let occ = walk(
-        &mut body,
-        &ann.marker_escapes,
-        &ann.global_escapes,
-        &totals,
-        &mut bound,
-    );
-    // Everything bound neither here nor by a function becomes a global
-    // region. Regions that never occur syntactically (e.g. the regions of
-    // string constants) are dropped entirely. `occ` is a HashMap, so the
-    // surviving set is sorted:
+    let occ = walk(&mut body, &ann.marker_escapes, &ann.global_escapes, &totals);
+    // Everything bound neither by a marker (those left `occ`) nor by a
+    // function becomes a global region. Regions that never occur
+    // syntactically (e.g. the regions of string constants) are dropped
+    // entirely. `occ` is a HashMap, so the surviving set is sorted:
     // global-region push order must not depend on hash seeding, or the
     // runtime region stack (and everything downstream of it: the
     // bytecode listing, region ids in profiles) varies from compile to
     // compile.
     let mut globals: Vec<(RegVar, Mult)> = occ
         .keys()
-        .filter(|r| !bound.contains(r) && !formals.contains(r))
+        .filter(|r| !formals.contains(r))
         .map(|&r| (r, Mult::Infinite))
         .collect();
     globals.sort_unstable_by_key(|&(r, _)| r);
@@ -56,6 +49,7 @@ pub fn place(ann: &mut Annotated) {
 /// Counts the occurrences of every region in `e` and collects the formal
 /// regions of its `fix`-bound functions.
 fn count_occurrences(e: &RExp, out: &mut HashMap<RegVar, usize>, formals: &mut BTreeSet<RegVar>) {
+    crate::count_work(|| 1);
     for p in e.own_places() {
         *out.entry(p).or_default() += 1;
     }
@@ -65,37 +59,43 @@ fn count_occurrences(e: &RExp, out: &mut HashMap<RegVar, usize>, formals: &mut B
     e.for_each_child(|c| count_occurrences(c, out, formals));
 }
 
-/// Bottom-up walk returning the occurrence counts of the subtree; binds
-/// regions at markers and rewrites them into `Letregion` nodes.
+/// Bottom-up walk returning the occurrence counts of the subtree's regions
+/// that no marker in it binds; binds regions at markers and rewrites them
+/// into `Letregion` nodes. A bound region leaves the map, so it can reach
+/// neither an enclosing marker's candidates nor the globals; the smaller
+/// of two maps is merged into the larger, so no occurrence is copied more
+/// than logarithmically often.
 fn walk(
     e: &mut RExp,
     escapes: &[Vec<RegVar>],
     global: &BTreeSet<RegVar>,
     totals: &HashMap<RegVar, usize>,
-    bound: &mut BTreeSet<RegVar>,
 ) -> HashMap<RegVar, usize> {
+    crate::count_work(|| 1);
     let mut occ: HashMap<RegVar, usize> = HashMap::new();
     for p in e.own_places() {
         *occ.entry(p).or_default() += 1;
     }
     e.for_each_child_mut(|c| {
-        let sub = walk(c, escapes, global, totals, bound);
+        let mut sub = walk(c, escapes, global, totals);
+        if sub.len() > occ.len() {
+            std::mem::swap(&mut sub, &mut occ);
+        }
+        crate::count_work(|| sub.len());
         for (r, n) in sub {
             *occ.entry(r).or_default() += n;
         }
     });
     if let RExp::Marker { id, body } = e {
         let esc = &escapes[*id as usize];
+        crate::count_work(|| occ.len());
         // Sorted: `occ` iterates in hash order, and the order chosen here
         // is the order the VM pushes the regions in, so it must be a
         // function of the program alone (see `place` on globals).
         let mut cands: Vec<RegVar> = occ
             .iter()
             .filter(|(r, n)| {
-                !bound.contains(r)
-                    && esc.binary_search(r).is_err()
-                    && !global.contains(r)
-                    && totals.get(r) == Some(n)
+                esc.binary_search(r).is_err() && !global.contains(r) && totals.get(r) == Some(n)
             })
             .map(|(r, _)| *r)
             .collect();
@@ -104,7 +104,9 @@ fn walk(
         if cands.is_empty() {
             *e = inner;
         } else {
-            bound.extend(cands.iter().copied());
+            for r in &cands {
+                occ.remove(r);
+            }
             *e = RExp::Letregion {
                 regs: cands.into_iter().map(|r| (r, Mult::Infinite)).collect(),
                 body: Box::new(inner),
@@ -278,7 +280,6 @@ mod tests {
             body,
             globals: Vec::new(),
             num_regvars: 8,
-            mults: Default::default(),
         }
     }
 }

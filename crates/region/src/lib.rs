@@ -101,11 +101,76 @@ pub fn infer(prog: &kit_lambda::LProgram, opts: RegionOptions) -> RProgram {
     let mut ann = annotate::annotate(prog, opts.gc_safe);
     letregion::place(&mut ann);
     let mut rprog = ann.prog;
-    multiplicity::infer_multiplicities(&mut rprog);
     if opts.disable_finite {
         multiplicity::collapse_all(&mut rprog);
     } else if opts.disable {
         multiplicity::collapse_infinite(&mut rprog);
+    } else {
+        multiplicity::infer_multiplicities(&mut rprog);
     }
     rprog
+}
+
+#[cfg(test)]
+thread_local! {
+    static WORK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds `n()` units of work to this thread's counter under `cfg(test)` and
+/// does nothing otherwise: the linearity test's clock.
+pub(crate) fn count_work(n: impl FnOnce() -> usize) {
+    #[cfg(test)]
+    WORK.with(|w| w.set(w.get() + n()));
+    #[cfg(not(test))]
+    let _ = n;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kit_bench::programs::{pair_let, wide_declarations};
+
+    /// What placing `letregion`s and inferring multiplicities costs on
+    /// `src` by `count_work`: nodes visited, and occurrence-map entries
+    /// merged or looked at by a marker.
+    fn region_work(src: String) -> usize {
+        let run = move || {
+            let mut lprog = kit_typing::compile_str(&src).expect("test program elaborates");
+            kit_lambda::opt::optimize(&mut lprog, &Default::default());
+            let mut ann = annotate::annotate(&lprog, true);
+            WORK.with(|w| w.set(0));
+            letregion::place(&mut ann);
+            multiplicity::infer_multiplicities(&mut ann.prog);
+            WORK.with(|w| w.get())
+        };
+        // The declaration chain nests as deep as it is long.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(run)
+            .expect("spawn")
+            .join()
+            .expect("region inference panicked")
+    }
+
+    /// A `letregion` does not pay for the program around it: placement
+    /// copies no occurrence map wholesale, and representation inference
+    /// judges a region's one site without re-walking its scope.
+    #[test]
+    fn region_work_is_linear_in_declarations() {
+        for (shape, small, large) in [
+            (
+                "wide declarations",
+                wide_declarations(100),
+                wide_declarations(400),
+            ),
+            ("pair let", pair_let(60), pair_let(240)),
+        ] {
+            let (small, large) = (region_work(small), region_work(large));
+            assert!(
+                10 * large <= 43 * small,
+                "{shape}: 4x the declarations, {}x the work: {small} -> {large}",
+                large as f64 / small as f64
+            );
+        }
+    }
 }

@@ -1,6 +1,7 @@
 //! Region representation inference (paper §3, Birkedal–Tofte–Vejlstrup):
 //! multiplicity analysis deciding finite vs infinite regions, and the
-//! "disable region inference" collapse used for the `gt` mode.
+//! "disable region inference" collapse used for the `gt` mode. One scan
+//! gathers each region's usage, one rewrite applies the decisions.
 
 use crate::rexp::{Mult, RExp, RProgram, RegVar};
 use kit_lambda::exp::Prim;
@@ -10,9 +11,12 @@ use std::collections::HashMap;
 struct Usage {
     /// Static allocation sites with this place.
     sites: u32,
-    /// Some site sits under a `fn`/`fix` boundary relative to the binding —
-    /// it may execute many times per region lifetime.
-    under_lambda: bool,
+    /// Lambda depth of the deepest site.
+    site_depth: u32,
+    /// Lambda depth of the binding `letregion` (0 for a global). A site
+    /// deeper than its binding sits under a `fn`/`fix` boundary relative to
+    /// it — it may execute many times per region lifetime.
+    binder_depth: u32,
     /// Passed as an actual region argument (callee may allocate repeatedly).
     as_rarg: bool,
     /// Receives a large object (strings/arrays need the region's
@@ -20,61 +24,94 @@ struct Usage {
     large: bool,
 }
 
-/// Decides [`Mult::Finite`] vs [`Mult::Infinite`] for every `letregion`
-/// binding and every global, and drops regions that are never used.
-pub fn infer_multiplicities(prog: &mut RProgram) {
-    let mut usage: HashMap<RegVar, Usage> = HashMap::new();
-    scan(&prog.body, 0, &mut usage);
-    // Finite candidate: one site, no region arguments, no large objects.
-    // Whether the site is under a lambda is judged *relative to the
-    // binding* during the rewrite (for globals: relative to the program).
-    let decide = |r: RegVar, usage: &HashMap<RegVar, Usage>| -> Option<Mult> {
-        let u = usage.get(&r).cloned().unwrap_or_default();
-        if u.sites == 0 && !u.as_rarg {
-            return None; // dead region: drop the binding
-        }
-        if u.sites == 1 && !u.as_rarg && !u.large {
+impl Usage {
+    /// Finite: one site, not under a lambda relative to the binding, no
+    /// region arguments, no large objects. `None`: a dead region, whose
+    /// binding is dropped.
+    fn mult(&self) -> Option<Mult> {
+        if self.sites == 0 && !self.as_rarg {
+            None
+        } else if self.sites == 1
+            && self.site_depth == self.binder_depth
+            && !self.as_rarg
+            && !self.large
+        {
             Some(Mult::Finite)
         } else {
             Some(Mult::Infinite)
         }
+    }
+}
+
+/// What the rewrite does with the regions once their multiplicities are
+/// decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Collapse {
+    /// Keep every region.
+    Nothing,
+    /// Collapse the infinite regions onto one global region.
+    Infinite,
+    /// Collapse every region onto one global region.
+    All,
+}
+
+/// Decides [`Mult::Finite`] vs [`Mult::Infinite`] for every `letregion`
+/// binding and every global, and drops regions that are never used.
+pub fn infer_multiplicities(prog: &mut RProgram) {
+    represent(prog, Collapse::Nothing);
+}
+
+/// "Disabling region inference" (paper §4): multiplicities as
+/// [`infer_multiplicities`], then every infinite region — letregion-bound,
+/// global, or passed as a region argument — is replaced by one global
+/// region; finite regions are kept (values still go on the stack). The
+/// collector then degenerates to plain Cheney within one region.
+pub fn collapse_infinite(prog: &mut RProgram) {
+    represent(prog, Collapse::Infinite);
+}
+
+/// Collapses *every* region — finite ones included — onto one global
+/// region, for the generational baseline (SML/NJ allocates everything in
+/// the heap and "uses no stack at all", paper §1.1).
+pub fn collapse_all(prog: &mut RProgram) {
+    represent(prog, Collapse::All);
+}
+
+fn represent(prog: &mut RProgram, collapse: Collapse) {
+    let mut usage: HashMap<RegVar, Usage> = HashMap::new();
+    scan(&prog.body, 0, &mut usage);
+    // Which regions stay, and as what: collapsing keeps only the finite
+    // ones, and the baseline keeps none.
+    let decide = |r: RegVar| -> Option<Mult> {
+        let m = usage.get(&r).and_then(Usage::mult);
+        match collapse {
+            Collapse::Nothing => m,
+            Collapse::Infinite => m.filter(|&m| m == Mult::Finite),
+            Collapse::All => None,
+        }
     };
-    rewrite(&mut prog.body, &usage, &decide);
+    let onto = (collapse != Collapse::Nothing).then(|| {
+        prog.num_regvars += 1;
+        RegVar(prog.num_regvars - 1)
+    });
+    rewrite(&mut prog.body, &decide, onto);
     let globals = std::mem::take(&mut prog.globals);
     prog.globals = globals
         .into_iter()
-        .filter_map(|(r, _)| {
-            decide(r, &usage).map(|m| {
-                let u = usage.get(&r).cloned().unwrap_or_default();
-                (
-                    r,
-                    if m == Mult::Finite && u.under_lambda {
-                        Mult::Infinite
-                    } else {
-                        m
-                    },
-                )
-            })
-        })
+        .filter_map(|(r, _)| decide(r).map(|m| (r, m)))
         .collect();
-    prog.mults = usage.keys().map(|&r| (r, Mult::Infinite)).collect();
-    // Record the final multiplicities.
-    let mut mults = HashMap::new();
-    collect_mults(&prog.body, &mut mults);
-    for (r, m) in &prog.globals {
-        mults.insert(*r, *m);
+    if let Some(g) = onto {
+        prog.globals.insert(0, (g, Mult::Infinite));
     }
-    prog.mults = mults;
 }
 
 fn scan(e: &RExp, depth: u32, usage: &mut HashMap<RegVar, Usage>) {
+    crate::count_work(|| 1);
     let site = |r: RegVar, large: bool, usage: &mut HashMap<RegVar, Usage>| {
         let u = usage.entry(r).or_default();
         u.sites += 1;
+        u.site_depth = u.site_depth.max(depth);
         u.large |= large;
-        if depth > 0 {
-            u.under_lambda = true;
-        }
     };
     match e {
         RExp::Real(_, p) | RExp::Record(_, p) | RExp::Fn { at: p, .. } => site(*p, false, usage),
@@ -98,16 +135,14 @@ fn scan(e: &RExp, depth: u32, usage: &mut HashMap<RegVar, Usage>) {
                 usage.entry(*r).or_default().as_rarg = true;
             }
         }
+        RExp::Letregion { regs, .. } => {
+            for (r, _) in regs {
+                usage.entry(*r).or_default().binder_depth = depth;
+            }
+        }
         _ => {}
     }
-    // Descend; lambda boundaries bump the depth so sites inside them are
-    // "executed many times" relative to regions bound outside. A region
-    // bound *inside* the lambda never sees the boundary because its
-    // letregion node is itself inside — its sites were counted at depth
-    // relative to the whole program, so compare against the letregion's
-    // own depth instead: we conservatively mark `under_lambda` for any
-    // site under *any* lambda and additionally allow the common case by
-    // re-scanning at rewrite time.
+    // Descend; lambda boundaries bump the depth.
     match e {
         RExp::Fn { body, .. } => scan(body, depth + 1, usage),
         RExp::Fix { funs, body, .. } => {
@@ -120,183 +155,26 @@ fn scan(e: &RExp, depth: u32, usage: &mut HashMap<RegVar, Usage>) {
     }
 }
 
-/// Re-scan a `letregion` body with the binding as depth 0 to decide
-/// whether the single site is under a lambda *relative to the binding*.
-fn under_lambda_rel(body: &RExp, r: RegVar) -> bool {
-    fn go(e: &RExp, r: RegVar, depth: u32, found: &mut bool) {
-        if depth > 0 && e.own_places().contains(&r) {
-            *found = true;
-        }
-        match e {
-            RExp::Fn { body, .. } => go(body, r, depth + 1, found),
-            RExp::Fix { funs, body, .. } => {
-                for f in funs {
-                    go(&f.body, r, depth + 1, found);
-                }
-                go(body, r, depth, found);
-            }
-            _ => e.for_each_child(|c| go(c, r, depth, found)),
-        }
+/// Applies the decisions: a `letregion` keeps the regions `decide` keeps
+/// and dissolves when it keeps none; when collapsing, every region a node
+/// names that is not kept — formals and region arguments included —
+/// becomes `onto`.
+fn rewrite(e: &mut RExp, decide: &impl Fn(RegVar) -> Option<Mult>, onto: Option<RegVar>) {
+    crate::count_work(|| 1);
+    if let Some(g) = onto {
+        e.map_own_regions(|r| if decide(r).is_some() { r } else { g });
     }
-    let mut found = false;
-    go(body, r, 0, &mut found);
-    found
-}
-
-fn rewrite(
-    e: &mut RExp,
-    usage: &HashMap<RegVar, Usage>,
-    decide: &impl Fn(RegVar, &HashMap<RegVar, Usage>) -> Option<Mult>,
-) {
-    e.for_each_child_mut(|c| rewrite(c, usage, decide));
+    e.for_each_child_mut(|c| rewrite(c, decide, onto));
     if let RExp::Letregion { regs, body } = e {
-        let mut new_regs = Vec::new();
-        for (r, _) in regs.iter() {
-            match decide(*r, usage) {
-                None => {}
-                Some(Mult::Finite) => {
-                    // Finiteness was judged against global lambda depth;
-                    // accept sites under lambdas only if the lambda is
-                    // outside this binding.
-                    let m = if under_lambda_rel(body, *r) {
-                        Mult::Infinite
-                    } else {
-                        Mult::Finite
-                    };
-                    new_regs.push((*r, m));
-                }
-                Some(m) => new_regs.push((*r, m)),
-            }
-        }
-        if new_regs.is_empty() {
+        let kept: Vec<(RegVar, Mult)> = regs
+            .iter()
+            .filter_map(|&(r, _)| decide(r).map(|m| (r, m)))
+            .collect();
+        if kept.is_empty() {
             let inner = std::mem::replace(body.as_mut(), RExp::Unit);
             *e = inner;
         } else {
-            *regs = new_regs;
-        }
-    }
-}
-
-fn collect_mults(e: &RExp, out: &mut HashMap<RegVar, Mult>) {
-    if let RExp::Letregion { regs, .. } = e {
-        for (r, m) in regs {
-            out.insert(*r, *m);
-        }
-    }
-    e.for_each_child(|c| collect_mults(c, out));
-}
-
-/// "Disabling region inference" (paper §4): every infinite region —
-/// letregion-bound, global, or passed as a region argument — is replaced
-/// by one global region; finite regions are kept (values still go on the
-/// stack). The collector then degenerates to plain Cheney within one
-/// region.
-pub fn collapse_infinite(prog: &mut RProgram) {
-    let global = RegVar(prog.num_regvars);
-    prog.num_regvars += 1;
-    let mut infinite: HashMap<RegVar, RegVar> = HashMap::new();
-    for (r, m) in &prog.globals {
-        if *m == Mult::Infinite {
-            infinite.insert(*r, global);
-        }
-    }
-    collect_infinite(&prog.body, global, &mut infinite);
-    // Region arguments always map to the global region too (their formals
-    // are infinite by construction).
-    subst(&mut prog.body, &infinite, global);
-    strip_letregions(&mut prog.body);
-    let mut globals: Vec<(RegVar, Mult)> = prog
-        .globals
-        .iter()
-        .filter(|(_, m)| *m == Mult::Finite)
-        .copied()
-        .collect();
-    globals.insert(0, (global, Mult::Infinite));
-    // Finite letregion-bound regions stay bound in the body; infinite ones
-    // are gone. Globals: finite globals stay, infinite collapse into one.
-    prog.globals = globals;
-    prog.mults.insert(global, Mult::Infinite);
-}
-
-/// Collapses *every* region — finite ones included — onto one global
-/// region, for the generational baseline (SML/NJ allocates everything in
-/// the heap and "uses no stack at all", paper §1.1).
-pub fn collapse_all(prog: &mut RProgram) {
-    force_all_infinite(&mut prog.body);
-    for (_, m) in prog.globals.iter_mut() {
-        *m = Mult::Infinite;
-    }
-    collapse_infinite(prog);
-}
-
-fn force_all_infinite(e: &mut RExp) {
-    if let RExp::Letregion { regs, .. } = e {
-        for (_, m) in regs.iter_mut() {
-            *m = Mult::Infinite;
-        }
-    }
-    e.for_each_child_mut(force_all_infinite);
-}
-
-fn collect_infinite(e: &RExp, global: RegVar, map: &mut HashMap<RegVar, RegVar>) {
-    if let RExp::Letregion { regs, .. } = e {
-        for (r, m) in regs {
-            if *m == Mult::Infinite {
-                map.insert(*r, global);
-            }
-        }
-    }
-    if let RExp::Fix { funs, .. } = e {
-        for f in funs {
-            for r in &f.formals {
-                map.insert(*r, global);
-            }
-        }
-    }
-    e.for_each_child(|c| collect_infinite(c, global, map));
-}
-
-fn subst(e: &mut RExp, map: &HashMap<RegVar, RegVar>, global: RegVar) {
-    let s = |r: &mut RegVar| {
-        if let Some(n) = map.get(r) {
-            *r = *n;
-        }
-    };
-    match e {
-        RExp::Real(_, p) | RExp::Record(_, p) | RExp::Fn { at: p, .. } => s(p),
-        RExp::Fix { at, funs, .. } => {
-            s(at);
-            for f in funs.iter_mut() {
-                for r in &mut f.formals {
-                    *r = global;
-                }
-            }
-        }
-        RExp::Prim(_, _, Some(p)) => s(p),
-        RExp::Con { at: Some(p), .. } | RExp::ExCon { at: Some(p), .. } => s(p),
-        RExp::FixVar { rargs, at, .. } => {
-            for r in rargs.iter_mut() {
-                *r = global;
-            }
-            s(at);
-        }
-        RExp::App { rargs, .. } => {
-            for r in rargs.iter_mut() {
-                *r = global;
-            }
-        }
-        _ => {}
-    }
-    e.for_each_child_mut(|c| subst(c, map, global));
-}
-
-fn strip_letregions(e: &mut RExp) {
-    e.for_each_child_mut(strip_letregions);
-    if let RExp::Letregion { regs, body } = e {
-        regs.retain(|(_, m)| *m == Mult::Finite);
-        if regs.is_empty() {
-            let inner = std::mem::replace(body.as_mut(), RExp::Unit);
-            *e = inner;
+            *regs = kept;
         }
     }
 }
@@ -314,7 +192,6 @@ mod tests {
             body,
             globals,
             num_regvars: 10,
-            mults: Default::default(),
         }
     }
 
@@ -348,6 +225,26 @@ mod tests {
             panic!()
         };
         assert_eq!(regs[0].1, Mult::Infinite);
+
+        // Judged from the binding: a `letregion` inside the `fn` whose one
+        // site is in that same body runs once per region lifetime.
+        let body = RExp::Fn {
+            params: vec![],
+            body: Box::new(RExp::Letregion {
+                regs: vec![(RegVar(0), Mult::Infinite)],
+                body: Box::new(RExp::Record(vec![RExp::Int(1)], RegVar(0))),
+            }),
+            at: RegVar(1),
+        };
+        let mut p = prog(body, vec![(RegVar(1), Mult::Infinite)]);
+        infer_multiplicities(&mut p);
+        let RExp::Fn { body, .. } = &p.body else {
+            panic!("{:?}", p.body)
+        };
+        let RExp::Letregion { regs, .. } = body.as_ref() else {
+            panic!("{body:?}")
+        };
+        assert_eq!(regs[0].1, Mult::Finite);
     }
 
     #[test]
@@ -408,7 +305,6 @@ mod tests {
             )),
         };
         let mut p = prog(body, vec![(RegVar(1), Mult::Infinite)]);
-        infer_multiplicities(&mut p);
         collapse_infinite(&mut p);
         let g = p.globals[0].0;
         // No letregion remains. The outer record region (one site) stays a

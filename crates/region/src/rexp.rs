@@ -6,7 +6,6 @@
 
 use kit_lambda::exp::{Prim, VarId, VarTable};
 use kit_lambda::ty::{ConId, DataEnv, ExnEnv, ExnId, TyConId};
-use std::collections::HashMap;
 
 /// A region variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -413,6 +412,37 @@ impl RExp {
             _ => Vec::new(),
         }
     }
+
+    /// Replaces every region this node names — its places and, for a
+    /// `fix`, its functions' formals — by `f` of it (not descending into
+    /// children).
+    pub fn map_own_regions(&mut self, mut f: impl FnMut(RegVar) -> RegVar) {
+        match self {
+            RExp::Real(_, p) | RExp::Record(_, p) | RExp::Fn { at: p, .. } => *p = f(*p),
+            RExp::Fix { at, funs, .. } => {
+                *at = f(*at);
+                for fun in funs.iter_mut() {
+                    for r in &mut fun.formals {
+                        *r = f(*r);
+                    }
+                }
+            }
+            RExp::Prim(_, _, Some(p)) => *p = f(*p),
+            RExp::Con { at: Some(p), .. } | RExp::ExCon { at: Some(p), .. } => *p = f(*p),
+            RExp::FixVar { rargs, at, .. } => {
+                for r in rargs.iter_mut() {
+                    *r = f(*r);
+                }
+                *at = f(*at);
+            }
+            RExp::App { rargs, .. } => {
+                for r in rargs.iter_mut() {
+                    *r = f(*r);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A complete RegionExp program.
@@ -431,6 +461,4 @@ pub struct RProgram {
     pub globals: Vec<(RegVar, Mult)>,
     /// Total number of region variables.
     pub num_regvars: u32,
-    /// Multiplicity of every region variable (formals are `Infinite`).
-    pub mults: HashMap<RegVar, Mult>,
 }

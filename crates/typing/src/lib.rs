@@ -95,7 +95,7 @@ pub(crate) fn count_work(n: impl FnOnce() -> usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kit_bench::programs::{self, SplitMix64};
+    use kit_bench::programs::{self, wide_declarations, SplitMix64};
     use kit_bench::randgen::{self, Surface};
 
     /// Continuing from a copy of the process-wide post-prelude state gives
@@ -120,23 +120,6 @@ mod tests {
             vars += snapshot.vars.len();
         }
         assert!(vars > 50_000, "only {vars} variables compared");
-    }
-
-    /// `n` top-level declarations binding a 16-wide tuple pattern (the last
-    /// component under a constructor), each using the one before.
-    fn wide_declarations(n: usize) -> String {
-        let mut src = String::from("datatype box = B of int\nval a0_15 = 0\n");
-        for i in 1..=n {
-            let pat: Vec<String> = (0..15).map(|j| format!("a{i}_{j}")).collect();
-            let exp: Vec<String> = (1..15).map(|j| j.to_string()).collect();
-            src += &format!(
-                "val ({}, B a{i}_15) = (a{}_15 + 1, {}, B {i})\n",
-                pat.join(", "),
-                i - 1,
-                exp.join(", ")
-            );
-        }
-        src + &format!("val it = a{n}_0\n")
     }
 
     /// What elaborating and lowering `src` costs by `count_work`: typed
