@@ -241,6 +241,18 @@ pub fn wide_declarations(n: usize) -> String {
     src + &format!("val it = a{n}_0\n")
 }
 
+/// `n` top-level declarations of an integer literal, then an `n`-field
+/// tuple reading every one: a spine of atomic bindings, each used once at
+/// its end, for the optimiser's linearity test.
+pub fn atomic_spine(n: usize) -> String {
+    let mut src = String::new();
+    for i in 0..n {
+        src += &format!("val a{i} = {i}\n");
+    }
+    let fields: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
+    src + &format!("val it = ({})\n", fields.join(", "))
+}
+
 /// One `let` binding `n` pairs, each built from the one before: `n` nested
 /// finite regions, for the compiler's linearity tests.
 pub fn pair_let(n: usize) -> String {

@@ -21,7 +21,7 @@
 
 use crate::instr::{Disc, Instr, Program, RegSlot};
 use crate::threaded::{self, Fusion, FusionProfile, Op, ThreadedCode};
-use kit_lambda::eval::{fmt_sml_int, fmt_sml_real, int_in_range};
+use kit_lambda::eval::{floor_div_mod, fmt_sml_int, fmt_sml_real, int_in_range};
 use kit_lambda::exp::Prim;
 use kit_lambda::ty::{EXN_DIV, EXN_OVERFLOW, EXN_SIZE, EXN_SUBSCRIPT};
 use kit_runtime::gc;
@@ -1121,20 +1121,10 @@ impl<'p> Vm<'p> {
                 if b == 0 {
                     return Err(EXN_DIV);
                 }
-                let q = a.wrapping_div(b);
-                let r = a.wrapping_rem(b);
-                let adj = r != 0 && (r < 0) != (b < 0);
-                push_int!(if p == IDiv {
-                    if adj {
-                        q - 1
-                    } else {
-                        q
-                    }
-                } else if adj {
-                    r + b
-                } else {
-                    r
-                });
+                match floor_div_mod(p, a, b) {
+                    Some(v) => push_int!(v),
+                    None => return Err(EXN_OVERFLOW),
+                }
             }
             INeg => {
                 let w = self.pop();

@@ -9,17 +9,19 @@ use kit_region::RegionOptions;
 use kit_runtime::{Rt, RtConfig};
 
 fn run(src: &str, opts: RegionOptions, cfg: RtConfig) -> (String, kit_runtime::RtStats) {
-    run_with(src, opts, cfg, &Default::default())
+    run_with(src, opts, cfg, true)
 }
 
 fn run_with(
     src: &str,
     opts: RegionOptions,
     cfg: RtConfig,
-    optimiser: &kit_lambda::opt::OptOptions,
+    optimise: bool,
 ) -> (String, kit_runtime::RtStats) {
     let mut lprog = kit_typing::compile_str(src).expect("front-end");
-    kit_lambda::opt::optimize(&mut lprog, optimiser);
+    if optimise {
+        kit_lambda::opt::optimize(&mut lprog, &Default::default());
+    }
     let rprog = kit_region::infer(&lprog, opts);
     let mut prog = compile(&rprog, cfg.tagged);
     prog.result_ty = lprog.result_ty.clone();
@@ -205,16 +207,7 @@ fn map_results_are_freed_with_their_region() {
     );
     // Unoptimised, `map f` still returns a closure, which finds the
     // result region among its captures (17.1 MB before).
-    let unoptimised = kit_lambda::opt::OptOptions {
-        enabled: false,
-        ..Default::default()
-    };
-    let (res, stats) = run_with(
-        src,
-        RegionOptions::regions_only(),
-        RtConfig::r(),
-        &unoptimised,
-    );
+    let (res, stats) = run_with(src, RegionOptions::regions_only(), RtConfig::r(), false);
     assert_eq!(res, "0");
     assert!(
         stats.peak_bytes < 2 << 20,

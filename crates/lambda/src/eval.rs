@@ -467,30 +467,16 @@ impl Evaluator {
                 Some(v) => done(Value::Int(v)),
                 None => raise(crate::ty::EXN_OVERFLOW),
             },
-            IDiv => {
+            IDiv | IMod => {
                 let b = args.pop().unwrap().int();
                 let a = args.pop().unwrap().int();
                 if b == 0 {
                     return raise(crate::ty::EXN_DIV);
                 }
-                // SML `div` is floor division.
-                let q = a.wrapping_div(b);
-                let r = a.wrapping_rem(b);
-                done(Value::Int(if r != 0 && (r < 0) != (b < 0) {
-                    q - 1
-                } else {
-                    q
-                }))
-            }
-            IMod => {
-                let b = args.pop().unwrap().int();
-                let a = args.pop().unwrap().int();
-                if b == 0 {
-                    return raise(crate::ty::EXN_DIV);
+                match floor_div_mod(p, a, b) {
+                    Some(v) => done(Value::Int(v)),
+                    None => raise(crate::ty::EXN_OVERFLOW),
                 }
-                done(Value::Int(
-                    a.rem_euclid(b) + if b < 0 && a.rem_euclid(b) != 0 { b } else { 0 },
-                ))
             }
             INeg => {
                 let v = -args.pop().unwrap().int();
@@ -673,6 +659,19 @@ impl Evaluator {
 /// range raises `Overflow` in every execution mode.
 pub fn int_in_range(v: i64) -> bool {
     (-(1i64 << 62)..(1i64 << 62)).contains(&v)
+}
+
+/// SML's `div` (`Prim::IDiv`) or `mod` of `a` by a nonzero `b`, both
+/// rounding the quotient down; `None` if the quotient leaves the integer
+/// range, which only `minInt div ~1` does (a remainder is smaller than `b`).
+#[inline]
+pub fn floor_div_mod(p: Prim, a: i64, b: i64) -> Option<i64> {
+    let (q, r) = (a.wrapping_div(b), a.wrapping_rem(b));
+    let adj = r != 0 && (r < 0) != (b < 0);
+    match p {
+        Prim::IDiv => Some(q - i64::from(adj)).filter(|v| int_in_range(*v)),
+        _ => Some(if adj { r + b } else { r }),
+    }
 }
 
 /// Formats an integer in SML style (`~` for the minus sign).

@@ -18,19 +18,23 @@ use std::collections::HashMap;
 
 /// Runs one inlining pass over the program; returns the number of
 /// functions inlined or demoted.
-pub fn inline(prog: &mut LProgram, inline_size: usize) -> usize {
+pub fn inline(prog: &mut LProgram) -> usize {
     let mut uses = Uses::of(&prog.body);
-    inline_with(prog, inline_size, &mut uses)
+    inline_with(prog, &mut uses)
 }
 
 /// [`inline`] against the program's use counts, which it keeps exact.
-pub(crate) fn inline_with(prog: &mut LProgram, inline_size: usize, uses: &mut Uses) -> usize {
+pub(crate) fn inline_with(prog: &mut LProgram, uses: &mut Uses) -> usize {
     let mut n = 0;
     let mut marks = vec![0; prog.vars.len()];
     demote_nonrecursive_fix(&mut prog.body, &mut marks, uses, &mut n);
-    inline_lets(&mut prog.body, &mut prog.vars, inline_size, uses, &mut n);
+    inline_lets(&mut prog.body, &mut prog.vars, uses, &mut n);
     n
 }
+
+/// Maximum body size (AST nodes) of a function inlined at more than one
+/// call site.
+const INLINE_SIZE: usize = 40;
 
 /// [`demote_nonrecursive_fix`]'s mark on a variable while the walk is
 /// inside the function bodies of the `Fix` group that binds it ...
@@ -105,15 +109,9 @@ fn fn_ty_of(params: &[(VarId, crate::ty::LTy)], ret: &crate::ty::LTy) -> crate::
     LTy::arrow(arg, ret.clone())
 }
 
-fn inline_lets(
-    e: &mut LExp,
-    vars: &mut VarTable,
-    inline_size: usize,
-    uses: &mut Uses,
-    n: &mut usize,
-) {
+fn inline_lets(e: &mut LExp, vars: &mut VarTable, uses: &mut Uses, n: &mut usize) {
     uses.visits += 1;
-    for_each_child_mut(e, |c| inline_lets(c, vars, inline_size, uses, n));
+    for_each_child_mut(e, |c| inline_lets(c, vars, uses, n));
     let LExp::Let { var, rhs, body, .. } = e else {
         return;
     };
@@ -137,7 +135,7 @@ fn inline_lets(
     if total > 1 {
         let size = rhs.size();
         uses.visits += size;
-        if size > inline_size {
+        if size > INLINE_SIZE {
             return;
         }
     }
@@ -306,7 +304,7 @@ mod tests {
             body: Box::new(LExp::App(Box::new(LExp::Var(f)), vec![LExp::Int(41)])),
         };
         let mut p = mkprog(body, vars);
-        assert_eq!(inline(&mut p, 40), 1);
+        assert_eq!(inline(&mut p), 1);
         simplify(&mut p.body);
         simplify(&mut p.body);
         assert_eq!(p.body, LExp::Int(42));
@@ -335,7 +333,7 @@ mod tests {
             )),
         };
         let mut p = mkprog(body, vars);
-        assert!(inline(&mut p, 40) > 0);
+        assert!(inline(&mut p) > 0);
         simplify(&mut p.body);
         simplify(&mut p.body);
         assert_eq!(p.body, LExp::Int(25));
@@ -362,7 +360,7 @@ mod tests {
         };
         let before = body.clone();
         let mut p = mkprog(body, vars);
-        assert_eq!(inline(&mut p, 40), 0);
+        assert_eq!(inline(&mut p), 0);
         assert_eq!(p.body, before);
     }
 
@@ -381,7 +379,7 @@ mod tests {
             body: Box::new(LExp::App(Box::new(LExp::Var(f)), vec![LExp::Int(7)])),
         };
         let mut p = mkprog(body, vars);
-        assert!(inline(&mut p, 40) > 0);
+        assert!(inline(&mut p) > 0);
         simplify(&mut p.body);
         simplify(&mut p.body);
         assert_eq!(p.body, LExp::Int(7));
@@ -404,7 +402,7 @@ mod tests {
         let before = body.clone();
         let mut p = mkprog(body, vars);
         // Demotion must not fire; the binding is recursive.
-        assert_eq!(inline(&mut p, 40), 0);
+        assert_eq!(inline(&mut p), 0);
         assert_eq!(p.body, before);
     }
 }

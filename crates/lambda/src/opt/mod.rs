@@ -33,26 +33,15 @@ mod uses;
 use crate::exp::LProgram;
 use uses::Uses;
 
-/// Optimizer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptOptions {
-    /// Maximum number of contract/inline rounds.
-    pub max_rounds: usize,
-    /// Maximum body size (AST nodes) for multi-use inlining.
-    pub inline_size: usize,
-    /// Master switch; when false, `optimize` is the identity.
-    pub enabled: bool,
-}
+/// Optimizer configuration: there is none, the optimiser has one
+/// behaviour. The type stays for the callers written against it: the repo
+/// benchmark's layer probe (`benchmark/src/layers.rs`), which changes only
+/// with the benchmark itself, passes `&OptOptions::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OptOptions {}
 
-impl Default for OptOptions {
-    fn default() -> Self {
-        OptOptions {
-            max_rounds: 4,
-            inline_size: 40,
-            enabled: true,
-        }
-    }
-}
+/// Contract/inline rounds at most.
+const MAX_ROUNDS: usize = 4;
 
 /// Statistics reported by one optimizer run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,33 +64,33 @@ pub struct OptStats {
 }
 
 /// Optimizes `prog` in place and reports statistics.
-pub fn optimize(prog: &mut LProgram, opts: &OptOptions) -> OptStats {
-    optimize_using(prog, opts, Uses::default())
+pub fn optimize(prog: &mut LProgram, _: &OptOptions) -> OptStats {
+    optimize_using(prog, Uses::default())
 }
 
 /// [`optimize`] with every use count taken by the walkers the table
 /// replaced: the reference the table-driven passes are held to.
 #[cfg(test)]
-pub(crate) fn optimize_with_walkers(prog: &mut LProgram, opts: &OptOptions) -> OptStats {
-    optimize_using(prog, opts, Uses::with_walkers())
+pub(crate) fn optimize_with_walkers(prog: &mut LProgram) -> OptStats {
+    optimize_using(prog, Uses::with_walkers())
 }
 
-fn optimize_using(prog: &mut LProgram, opts: &OptOptions, mut uses: Uses) -> OptStats {
-    let mut stats = OptStats::default();
-    if !opts.enabled {
-        return stats;
-    }
-    // The pruning walk fills the table; every rewrite below keeps it exact.
-    stats.pruned = prune::prune_counting(prog, &mut uses);
-    // Before the first round, so that the inliner sees known n-ary calls
-    // and contraction dissolves the eta wrappers' atomic bindings.
-    stats.uncurried = uncurry::uncurry_with(prog, &mut uses);
+fn optimize_using(prog: &mut LProgram, mut uses: Uses) -> OptStats {
+    let mut stats = OptStats {
+        // The pruning walk fills the table; every rewrite below keeps it
+        // exact.
+        pruned: prune::prune_counting(prog, &mut uses),
+        // Before the first round, so that the inliner sees known n-ary
+        // calls and contraction dissolves the eta wrappers' atomic bindings.
+        uncurried: uncurry::uncurry_with(prog, &mut uses),
+        ..OptStats::default()
+    };
     #[cfg(debug_assertions)]
     uses.assert_exact(&prog.body, "after uncurrying");
-    for _ in 0..opts.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         stats.rounds += 1;
         let r1 = simplify::simplify_with(&mut prog.body, &mut uses);
-        let r2 = inline::inline_with(prog, opts.inline_size, &mut uses);
+        let r2 = inline::inline_with(prog, &mut uses);
         #[cfg(debug_assertions)]
         uses.assert_exact(&prog.body, "after an optimiser round");
         stats.rewrites += r1;
@@ -155,23 +144,7 @@ mod tests {
         assert_eq!(p.body, LExp::Int(3));
         // The reference the table is held to on real programs
         // (`tests/optimizer.rs`) agrees here too.
-        optimize_with_walkers(&mut by_walkers, &OptOptions::default());
+        optimize_with_walkers(&mut by_walkers);
         assert_eq!(by_walkers, p);
-    }
-
-    #[test]
-    fn disabled_optimizer_is_identity() {
-        let mut vars = VarTable::new();
-        let _ = vars.fresh("x");
-        let body = LExp::Prim(Prim::IAdd, vec![LExp::Int(1), LExp::Int(2)]);
-        let mut p = prog(body.clone(), vars);
-        optimize(
-            &mut p,
-            &OptOptions {
-                enabled: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(p.body, body);
     }
 }

@@ -13,9 +13,13 @@ pub fn simplify(e: &mut LExp) -> usize {
 /// [`simplify`] against the use counts of the program `e` is (part of),
 /// which it keeps exact through every rewrite.
 pub(crate) fn simplify_with(e: &mut LExp, uses: &mut Uses) -> usize {
-    let mut n = 0;
-    simplify_exp(e, uses, &mut n);
-    n
+    let mut s = Simplifier {
+        uses,
+        subst: Vec::new(),
+        n: 0,
+    };
+    s.exp(e);
+    s.n
 }
 
 /// `true` if evaluating `e` can have no effect (no I/O, no mutation, no
@@ -95,18 +99,13 @@ fn is_atomic(e: &LExp) -> bool {
 /// `value` must be atomic (binder-free), so no capture can occur given the
 /// global uniqueness of variable ids.
 pub fn subst_atomic(e: &mut LExp, v: VarId, value: &LExp) {
-    subst(e, v, value, &mut 0);
-}
-
-fn subst(e: &mut LExp, v: VarId, value: &LExp, visits: &mut usize) {
-    *visits += 1;
     if let LExp::Var(w) = e {
         if *w == v {
             *e = value.clone();
         }
         return;
     }
-    for_each_child_mut(e, |c| subst(c, v, value, visits));
+    for_each_child_mut(e, |c| subst_atomic(c, v, value));
 }
 
 /// Mutable version of [`LExp::for_each_child`].
@@ -203,165 +202,203 @@ fn applied_var(e: &LExp) -> Option<VarId> {
     }
 }
 
-/// Replaces `e` by `kept` — a part of it that was [`take`]n out — and
-/// uncounts the uses in what is left of `e`.
-fn keep_only(e: &mut LExp, kept: LExp, uses: &mut Uses) {
-    uses.release(&std::mem::replace(e, kept));
+/// One simplification walk. A `let` of an atomic value is dropped as the
+/// walk reaches it and its variable recorded in `subst`, so each
+/// occurrence is replaced when the walk reaches *it* — and the nodes above
+/// the occurrence, reached after it, fold in the same walk.
+struct Simplifier<'u> {
+    uses: &'u mut Uses,
+    /// The value of every variable whose atomic binding was dropped,
+    /// indexed by [`VarId`].
+    subst: Vec<Option<LExp>>,
+    /// Rewrites applied.
+    n: usize,
 }
 
-fn simplify_exp(e: &mut LExp, uses: &mut Uses, n: &mut usize) {
-    loop {
-        uses.visits += 1;
-        let applied_a_var = applied_var(e).is_some();
-        for_each_child_mut(e, |c| simplify_exp(c, uses, n));
-        if !applied_a_var {
-            if let Some(v) = applied_var(e) {
-                // The callee expression simplified to a variable.
-                uses.now_callee(v);
-            }
+impl Simplifier<'_> {
+    /// Every later occurrence of `v` is `value` (atomic).
+    fn bind(&mut self, v: VarId, value: LExp) {
+        self.uses.substituted(v, &value);
+        let i = v.0 as usize;
+        if i >= self.subst.len() {
+            self.subst.resize_with(i + 1, || None);
         }
-        let before = *n;
-        rewrite_node(e, uses, n);
-        if *n == before {
-            return;
-        }
-        // A rewrite may expose new redexes (e.g. beta reduction produces
-        // fresh `let`s); re-simplify the node until it is stable. Each
-        // rewrite eliminates a binder or a primitive node, so this loop
-        // terminates.
+        self.subst[i] = Some(value);
+        self.n += 1;
     }
-}
 
-fn rewrite_node(e: &mut LExp, uses: &mut Uses, n: &mut usize) {
-    // Try a rewrite at this node.
-    match e {
-        LExp::Prim(p, args) => {
-            if let Some(folded) = fold_prim(*p, args) {
-                *e = folded;
-                *n += 1;
+    fn exp(&mut self, e: &mut LExp) {
+        self.uses.visits += 1;
+        match e {
+            LExp::Var(v) => {
+                if let Some(Some(value)) = self.subst.get(v.0 as usize) {
+                    *e = value.clone();
+                }
+                return;
             }
-        }
-        LExp::If(c, t, f) => match c.as_ref() {
-            LExp::Bool(true) => {
-                let kept = take(t);
-                keep_only(e, kept, uses);
-                *n += 1;
-            }
-            LExp::Bool(false) => {
-                let kept = take(f);
-                keep_only(e, kept, uses);
-                *n += 1;
+            LExp::Let { var, rhs, body, .. } => {
+                self.exp(rhs);
+                if is_atomic(rhs) {
+                    let value = take(rhs);
+                    self.bind(*var, value);
+                    self.exp(body);
+                    *e = take(body);
+                    return;
+                }
+                self.exp(body);
             }
             _ => {
-                if matches!(
-                    (t.as_ref(), f.as_ref()),
-                    (LExp::Bool(true), LExp::Bool(false))
-                ) {
-                    *e = take(c);
-                    *n += 1;
-                }
-            }
-        },
-        LExp::Select { i, tup: r, .. } => {
-            if let LExp::Record(es) = r.as_mut() {
-                if es.iter().all(is_pure) {
-                    let kept = take(&mut es[*i]);
-                    keep_only(e, kept, uses);
-                    *n += 1;
+                let applied_a_var = applied_var(e).is_some();
+                for_each_child_mut(e, |c| self.exp(c));
+                if !applied_a_var {
+                    if let Some(v) = applied_var(e) {
+                        // The callee expression simplified to a variable.
+                        self.uses.now_callee(v);
+                    }
                 }
             }
         }
-        LExp::DeCon { scrut, con, .. } => {
-            if let LExp::Con {
-                con: c2,
-                arg: Some(a),
-                ..
-            } = scrut.as_mut()
-            {
-                if c2 == con {
-                    *e = take(a);
-                    *n += 1;
+        // One try: what a rewrite keeps of this node is simplified already.
+        self.rewrite(e);
+    }
+
+    /// Replaces `e` by `kept` — a part of it that was [`take`]n out — and
+    /// uncounts the uses in what is left of `e`.
+    fn keep_only(&mut self, e: &mut LExp, kept: LExp) {
+        self.uses.release(&std::mem::replace(e, kept));
+        self.n += 1;
+    }
+
+    /// Tries one rewrite at `e`, whose children are simplified.
+    fn rewrite(&mut self, e: &mut LExp) {
+        match e {
+            LExp::Prim(p, args) => {
+                if let Some(folded) = fold_prim(*p, args) {
+                    *e = folded;
+                    self.n += 1;
                 }
             }
-        }
-        LExp::SwitchInt {
-            scrut,
-            arms,
-            default,
-        } => {
-            let key = match scrut.as_ref() {
-                LExp::Int(k) => Some(*k),
-                LExp::Bool(b) => Some(*b as i64),
-                _ => None,
-            };
-            if let Some(k) = key {
-                let arm = arms
-                    .iter_mut()
-                    .find(|(c, _)| *c == k)
-                    .map(|(_, a)| take(a))
-                    .unwrap_or_else(|| take(default));
-                keep_only(e, arm, uses);
-                *n += 1;
+            LExp::If(c, t, f) => match c.as_ref() {
+                LExp::Bool(true) => {
+                    let kept = take(t);
+                    self.keep_only(e, kept);
+                }
+                LExp::Bool(false) => {
+                    let kept = take(f);
+                    self.keep_only(e, kept);
+                }
+                _ => {
+                    if matches!(
+                        (t.as_ref(), f.as_ref()),
+                        (LExp::Bool(true), LExp::Bool(false))
+                    ) {
+                        *e = take(c);
+                        self.n += 1;
+                    }
+                }
+            },
+            LExp::Select { i, tup: r, .. } => {
+                if let LExp::Record(es) = r.as_mut() {
+                    if es.iter().all(is_pure) {
+                        let kept = take(&mut es[*i]);
+                        self.keep_only(e, kept);
+                    }
+                }
             }
-        }
-        LExp::SwitchCon {
-            scrut,
-            arms,
-            default,
-            ..
-        } => {
-            if let LExp::Con { con, arg: None, .. } = scrut.as_ref() {
-                let con = *con;
-                let kept = match arms.iter_mut().find(|(c, _)| *c == con) {
-                    Some(arm) => Some(take(&mut arm.1)),
-                    None => default.as_deref_mut().map(take),
+            LExp::DeCon { scrut, con, .. } => {
+                if let LExp::Con {
+                    con: c2,
+                    arg: Some(a),
+                    ..
+                } = scrut.as_mut()
+                {
+                    if c2 == con {
+                        *e = take(a);
+                        self.n += 1;
+                    }
+                }
+            }
+            LExp::SwitchInt {
+                scrut,
+                arms,
+                default,
+            } => {
+                let key = match scrut.as_ref() {
+                    LExp::Int(k) => Some(*k),
+                    LExp::Bool(b) => Some(*b as i64),
+                    _ => None,
                 };
-                if let Some(kept) = kept {
-                    keep_only(e, kept, uses);
-                    *n += 1;
+                if let Some(k) = key {
+                    let arm = arms
+                        .iter_mut()
+                        .find(|(c, _)| *c == k)
+                        .map(|(_, a)| take(a))
+                        .unwrap_or_else(|| take(default));
+                    self.keep_only(e, arm);
                 }
             }
-        }
-        LExp::Let { var, rhs, body, .. } => {
-            if is_atomic(rhs) {
-                let value = take(rhs);
-                let mut b = take(body);
-                if uses.total(*var, &b) > 0 {
-                    subst(&mut b, *var, &value, &mut uses.visits);
+            LExp::SwitchCon {
+                scrut,
+                arms,
+                default,
+                ..
+            } => {
+                if let LExp::Con { con, arg: None, .. } = scrut.as_ref() {
+                    let con = *con;
+                    let kept = match arms.iter_mut().find(|(c, _)| *c == con) {
+                        Some(arm) => Some(take(&mut arm.1)),
+                        None => default.as_deref_mut().map(take),
+                    };
+                    if let Some(kept) = kept {
+                        self.keep_only(e, kept);
+                    }
                 }
-                uses.substituted(*var, &value);
-                *e = b;
-                *n += 1;
-            } else if uses.total(*var, body) == 0 && is_pure(rhs) {
-                let kept = take(body);
-                keep_only(e, kept, uses);
-                *n += 1;
             }
-        }
-        LExp::App(f, args) => {
-            if let LExp::Fn { params, .. } = f.as_ref() {
-                if params.len() == args.len() {
-                    let LExp::Fn { params, body, .. } = take(f.as_mut()) else {
+            LExp::Let { var, rhs, body, .. } => {
+                debug_assert!(!is_atomic(rhs), "the walk drops atomic bindings");
+                if self.uses.total(*var, body) == 0 && is_pure(rhs) {
+                    let kept = take(body);
+                    self.keep_only(e, kept);
+                }
+            }
+            // Beta reduction. `args` and the function's body are simplified:
+            // the atomic arguments are substituted by one more walk of the
+            // body, the others bound by `let`s.
+            LExp::App(f, args) => {
+                if matches!(f.as_ref(), LExp::Fn { params, .. } if params.len() == args.len()) {
+                    let LExp::Fn { params, body, .. } = take(f) else {
                         unreachable!()
                     };
-                    let args = std::mem::take(args);
-                    let mut result = *body;
+                    let (mut lets, mut rewalk) = (Vec::new(), false);
+                    for ((v, ty), a) in params.into_iter().zip(std::mem::take(args)) {
+                        if is_atomic(&a) {
+                            rewalk |= self.uses.total(v, &body) > 0;
+                            self.bind(v, a);
+                        } else {
+                            lets.push((v, ty, a));
+                        }
+                    }
+                    *e = *body;
+                    if rewalk {
+                        self.exp(e);
+                    }
                     // Bind right-to-left so evaluation order is preserved by
                     // the nested lets (leftmost binds outermost).
-                    for ((v, t), a) in params.into_iter().zip(args).rev() {
-                        result = LExp::Let {
-                            var: v,
-                            ty: t,
-                            rhs: Box::new(a),
-                            body: Box::new(result),
+                    for (var, ty, rhs) in lets.into_iter().rev() {
+                        let body = Box::new(take(e));
+                        *e = LExp::Let {
+                            var,
+                            ty,
+                            rhs: Box::new(rhs),
+                            body,
                         };
+                        self.rewrite(e);
                     }
-                    *e = result;
-                    *n += 1;
+                    self.n += 1;
                 }
             }
+            _ => {}
         }
-        _ => {}
     }
 }
 
@@ -391,19 +428,8 @@ fn fold_prim(p: Prim, args: &[LExp]) -> Option<LExp> {
             if b == 0 {
                 return None; // keep the raising expression
             }
-            let q = a.wrapping_div(b);
-            let r = a.wrapping_rem(b);
-            let floor_q = if r != 0 && (r < 0) != (b < 0) {
-                q - 1
-            } else {
-                q
-            };
-            let floor_r = if r != 0 && (r < 0) != (b < 0) {
-                r + b
-            } else {
-                r
-            };
-            Some(LExp::Int(if p == IDiv { floor_q } else { floor_r }))
+            // Unfolded, too, when it overflows (`minInt div ~1`).
+            crate::eval::floor_div_mod(p, a, b).map(LExp::Int)
         }
         INeg => int(&args[0])?
             .checked_neg()
@@ -470,6 +496,15 @@ mod tests {
     fn keeps_overflowing_multiplication() {
         let mut e = LExp::Prim(Prim::IMul, vec![LExp::Int(i64::MAX), LExp::Int(2)]);
         assert_eq!(simplify(&mut e), 0);
+    }
+
+    #[test]
+    fn keeps_overflowing_division() {
+        let min_int = -(1 << 62);
+        let mut e = LExp::Prim(Prim::IDiv, vec![LExp::Int(min_int), LExp::Int(-1)]);
+        assert_eq!(simplify(&mut e), 0);
+        let mut e = LExp::Prim(Prim::IMod, vec![LExp::Int(min_int), LExp::Int(-1)]);
+        assert_eq!((simplify(&mut e), e), (1, LExp::Int(0)));
     }
 
     #[test]
@@ -553,9 +588,9 @@ mod tests {
             }),
             vec![LExp::Int(10), LExp::Int(4)],
         );
-        simplify(&mut e);
-        // After beta + propagation of atomic ints + folding: 6.
-        simplify(&mut e);
+        // Beta, the two atomic arguments propagated, the subtraction
+        // folded: four rewrites in one walk.
+        assert_eq!(simplify(&mut e), 4);
         assert_eq!(e, LExp::Int(6));
     }
 }

@@ -114,13 +114,12 @@ fn pruning_is_invisible_idempotent_and_leaves_every_variable_bound() {
 #[test]
 fn table_driven_passes_equal_the_per_binding_walkers() {
     with_big_stack(|| {
-        let opts = opt::OptOptions::default();
         let (mut rewrites, mut inlined) = (0, 0);
         for (name, prog) in population() {
             let mut by_table = prog.clone();
             let mut by_walkers = prog.clone();
-            let a = opt::optimize(&mut by_table, &opts);
-            let b = opt::optimize_with_walkers(&mut by_walkers, &opts);
+            let a = opt::optimize(&mut by_table, &opt::OptOptions::default());
+            let b = opt::optimize_with_walkers(&mut by_walkers);
             assert!(by_table == by_walkers, "{name}: programs differ");
             // The walkers visit more nodes; everything else is equal.
             let but_visits = |s: opt::OptStats| opt::OptStats {
@@ -143,16 +142,20 @@ fn table_driven_passes_equal_the_per_binding_walkers() {
     });
 }
 
-/// Optimiser statistics for `n` independent top-level recursive functions,
-/// all of them used by the result (so none is pruned, inlined or demoted).
-fn chain_stats(n: usize) -> OptStats {
+/// `n` independent top-level recursive functions, all of them used by the
+/// result (so none is pruned, inlined or demoted).
+fn chain(n: usize) -> String {
     let mut src = String::new();
     for i in 0..n {
         src +=
             &format!("fun f{i} (0, acc) = acc | f{i} (k, acc) = f{i} (k - 1, (k, {i}) :: acc)\n");
     }
     let uses: Vec<String> = (0..n).map(|i| format!("length (f{i} (3, nil))")).collect();
-    src += &format!("val it = {}\n", uses.join(" + "));
+    src + &format!("val it = {}\n", uses.join(" + "))
+}
+
+/// Optimiser statistics for `src`.
+fn stats(src: String) -> OptStats {
     // The declaration chain nests as deep as it is long.
     std::thread::Builder::new()
         .stack_size(64 << 20)
@@ -167,34 +170,35 @@ fn chain_stats(n: usize) -> OptStats {
 
 #[test]
 fn optimiser_work_is_linear_in_program_size() {
-    let small = chain_stats(40);
-    let large = chain_stats(160);
+    let small = stats(chain(40));
+    let large = stats(chain(160));
     // Both drop the same unused prelude; each flattens every `f<i>` and
     // the copy of `length`'s loop inlined at its use ...
     assert_eq!(small.pruned, large.pruned);
     assert!(small.pruned > 15, "{small:?}");
     assert_eq!((small.flattened, large.flattened), (2 * 40, 2 * 160));
     // ... and four times the functions cost at most about four times the
-    // visits: no binding pays for the declarations around it.
-    assert!(
-        10 * large.node_visits <= 43 * small.node_visits,
-        "4x the functions, {}x the work: {small:?} -> {large:?}",
-        large.node_visits as f64 / small.node_visits as f64
-    );
-}
-
-#[test]
-fn disabled_optimiser_is_the_identity_and_reports_nothing() {
-    let src = "fun f x = x + 1 val it = f 2";
-    let mut prog = kit_typing::compile_str(src).unwrap();
-    let before = prog.clone();
-    let stats = optimize(
-        &mut prog,
-        &OptOptions {
-            enabled: false,
-            ..OptOptions::default()
-        },
-    );
-    assert!(prog == before);
-    assert_eq!(stats, OptStats::default());
+    // visits: no binding pays for the declarations around it. Nor does it
+    // on a spine of wide pattern declarations, or of atomic bindings that
+    // contraction substitutes away.
+    let shapes = [
+        ("functions", small, large),
+        (
+            "wide declarations",
+            stats(programs::wide_declarations(100)),
+            stats(programs::wide_declarations(400)),
+        ),
+        (
+            "atomic bindings",
+            stats(programs::atomic_spine(100)),
+            stats(programs::atomic_spine(400)),
+        ),
+    ];
+    for (shape, small, large) in shapes {
+        assert!(
+            10 * large.node_visits <= 43 * small.node_visits,
+            "4x the {shape}, {}x the work: {small:?} -> {large:?}",
+            large.node_visits as f64 / small.node_visits as f64
+        );
+    }
 }

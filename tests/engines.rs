@@ -293,3 +293,44 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
     assert_eq!(counts[0], counts[1], "the engines count differently");
     assert!(counts[0].1 > 0, "the heap was sized to force collections");
 }
+
+/// `minInt div ~1` is the one quotient outside the 63-bit range: the
+/// reference evaluator and every mode on both engines raise `Overflow` for
+/// it, whether the optimiser sees the operands or only the run does, and
+/// `minInt mod ~1` is 0.
+#[test]
+fn min_int_div_minus_one_overflows_in_every_mode_and_engine() {
+    let min_int = "(~4611686018427387903 - 1)";
+    let through_a_function = |op: &str| {
+        format!(
+            "fun f (0, a, b) = a {op} b | f (k, a, b) = f (k - 1, a, b)\n\
+             val it = f (3, {min_int}, ~1)"
+        )
+    };
+    let cases = [
+        (format!("val it = {min_int} div ~1"), "uncaught Overflow"),
+        (through_a_function("div"), "uncaught Overflow"),
+        (format!("val it = {min_int} mod ~1"), "0"),
+        (through_a_function("mod"), "0"),
+    ];
+    let answer = |r: Result<String, kit::Error>| match r {
+        Ok(result) => result,
+        Err(kit::Error::Run(kit_kam::VmError::UncaughtException { name, .. })) => {
+            format!("uncaught {name}")
+        }
+        Err(e) => format!("error: {e}"),
+    };
+    for (src, want) in &cases {
+        let oracle = oracle::run_oracle(src, None).map(|o| o.result);
+        assert_eq!(answer(oracle), *want, "{src}: evaluator");
+        for mode in Mode::ALL_WITH_BASELINE {
+            for dispatch in DispatchMode::ALL {
+                let out = Compiler::new(mode)
+                    .with_dispatch(dispatch)
+                    .run_source(src)
+                    .map(|o| o.result);
+                assert_eq!(answer(out), *want, "{src}: [{mode}] {dispatch:?}");
+            }
+        }
+    }
+}
