@@ -21,7 +21,7 @@
 
 use crate::instr::{Disc, Instr, Program, RegSlot};
 use crate::threaded::{self, Fusion, FusionProfile, Op, ThreadedCode};
-use kit_lambda::eval::{floor_div_mod, fmt_sml_int, fmt_sml_real, int_in_range};
+use kit_lambda::eval::{floor_div_mod, fmt_sml_int, fmt_sml_real, int_in_range, real_to_int};
 use kit_lambda::exp::Prim;
 use kit_lambda::ty::{EXN_DIV, EXN_OVERFLOW, EXN_SIZE, EXN_SUBSCRIPT};
 use kit_runtime::gc;
@@ -1186,15 +1186,12 @@ impl<'p> Vm<'p> {
                 let v = self.rt.untag_int(w) as f64;
                 push_real!(v);
             }
-            Floor => {
+            Floor | Trunc => {
                 let w = self.pop();
-                let v = self.rt.real_val(w).floor() as i64;
-                push_int!(v);
-            }
-            Trunc => {
-                let w = self.pop();
-                let v = self.rt.real_val(w).trunc() as i64;
-                push_int!(v);
+                match real_to_int(p, self.rt.real_val(w)) {
+                    Some(v) => push_int!(v),
+                    None => return Err(EXN_OVERFLOW),
+                }
             }
             Sqrt | Sin | Cos | Atan | Ln | Exp => {
                 let w = self.pop();

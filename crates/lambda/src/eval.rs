@@ -521,8 +521,10 @@ impl Evaluator {
             RGe => done(Value::Bool(binreal!(|a, b| a >= b))),
             REq => done(Value::Bool(binreal!(|a: f64, b: f64| a == b))),
             IntToReal => done(Value::Real(args.pop().unwrap().int() as f64)),
-            Floor => done(Value::Int(args.pop().unwrap().real().floor() as i64)),
-            Trunc => done(Value::Int(args.pop().unwrap().real().trunc() as i64)),
+            Floor | Trunc => match real_to_int(p, args.pop().unwrap().real()) {
+                Some(v) => done(Value::Int(v)),
+                None => raise(crate::ty::EXN_OVERFLOW),
+            },
             Sqrt => done(Value::Real(args.pop().unwrap().real().sqrt())),
             Sin => done(Value::Real(args.pop().unwrap().real().sin())),
             Cos => done(Value::Real(args.pop().unwrap().real().cos())),
@@ -672,6 +674,22 @@ pub fn floor_div_mod(p: Prim, a: i64, b: i64) -> Option<i64> {
         Prim::IDiv => Some(q - i64::from(adj)).filter(|v| int_in_range(*v)),
         _ => Some(if adj { r + b } else { r }),
     }
+}
+
+/// `floor` (`Prim::Floor`) or `trunc` of `r`; `None` if the result leaves
+/// the integer range, as a huge magnitude, an infinity or NaN does (SML
+/// raises `Domain` for NaN; this subset has no `Domain`, so `Overflow`
+/// stands in).
+#[inline]
+pub fn real_to_int(p: Prim, r: f64) -> Option<i64> {
+    let v = if matches!(p, Prim::Floor) {
+        r.floor()
+    } else {
+        r.trunc()
+    };
+    // The bounds are powers of two, exact as reals; NaN fails both tests.
+    let limit = (1i64 << 62) as f64;
+    (v >= -limit && v < limit).then_some(v as i64)
 }
 
 /// Formats an integer in SML style (`~` for the minus sign).

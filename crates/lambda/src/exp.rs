@@ -14,9 +14,14 @@ use std::collections::BTreeSet;
 pub struct VarId(pub u32);
 
 /// Maps [`VarId`]s to their source names, and issues fresh variables.
+///
+/// The names are stored back to back in one string, so copying a table
+/// (every compile starts from a copy of the prelude's) is two flat copies.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VarTable {
-    names: Vec<String>,
+    text: String,
+    /// `ends[i]` is where the name of `VarId(i)` ends in `text`.
+    ends: Vec<u32>,
 }
 
 impl VarTable {
@@ -27,8 +32,9 @@ impl VarTable {
 
     /// Issues a fresh variable with a display `name`.
     pub fn fresh(&mut self, name: &str) -> VarId {
-        let id = VarId(self.names.len() as u32);
-        self.names.push(name.to_string());
+        let id = VarId(self.ends.len() as u32);
+        self.text.push_str(name);
+        self.ends.push(self.text.len() as u32);
         id
     }
 
@@ -38,17 +44,19 @@ impl VarTable {
     ///
     /// Panics if `v` was not issued by this table.
     pub fn name(&self, v: VarId) -> &str {
-        &self.names[v.0 as usize]
+        let i = v.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start as usize..self.ends[i] as usize]
     }
 
     /// Number of variables issued.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// `true` if no variables were issued.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 }
 

@@ -16,6 +16,9 @@
 //! output or exception; any other right-hand side must pass
 //! [`is_pure`], the predicate dead-`let` elimination already uses, and
 //! an impure one stays and keeps what it mentions alive.
+//!
+//! The walk itself is [`reach`], over any spine of [`Decl`]s: lowering
+//! runs it over the prelude to copy only what a program reaches.
 
 use crate::exp::{FixFun, LExp, LProgram, VarId};
 use crate::opt::simplify::is_pure;
@@ -28,48 +31,124 @@ pub fn prune(prog: &mut LProgram) -> usize {
     prune_counting(prog, &mut Uses::default())
 }
 
-enum Binding {
+/// One binding of a top-level spine.
+#[derive(Debug, Clone)]
+pub enum Binding {
     Let(VarId, LTy, Box<LExp>),
     Fix(Vec<FixFun>),
+}
+
+impl Binding {
+    /// Splits `e` into its top-level bindings, outermost first, and the
+    /// expression they end in.
+    pub fn unspine(mut e: LExp) -> (Vec<Binding>, LExp) {
+        let mut spine = Vec::new();
+        loop {
+            e = match e {
+                LExp::Let { var, ty, rhs, body } => {
+                    spine.push(Binding::Let(var, ty, rhs));
+                    *body
+                }
+                LExp::Fix { funs, body } => {
+                    spine.push(Binding::Fix(funs));
+                    *body
+                }
+                end => return (spine, end),
+            };
+        }
+    }
+
+    /// The binding around `body`.
+    pub fn wrap(self, body: LExp) -> LExp {
+        let body = Box::new(body);
+        match self {
+            Binding::Let(var, ty, rhs) => LExp::Let { var, ty, rhs, body },
+            Binding::Fix(funs) => LExp::Fix { funs, body },
+        }
+    }
+
+    /// Calls `f` on its right-hand side or on each function body.
+    pub fn for_each_part<'a>(&'a self, mut f: impl FnMut(&'a LExp)) {
+        match self {
+            Binding::Let(_, _, rhs) => f(rhs),
+            Binding::Fix(funs) => funs.iter().for_each(|fun| f(&fun.body)),
+        }
+    }
+}
+
+/// A binding as [`reach`] decides it.
+pub trait Decl {
+    /// Whether `live` holds one of the variables it binds.
+    fn binds_live(&self, live: impl Fn(VarId) -> bool) -> bool;
+    /// Whether it may go when nothing kept mentions it: a `Fix` group
+    /// always, a `Let` only if its right-hand side is [`is_pure`].
+    fn droppable(&self) -> bool;
+}
+
+impl Decl for Binding {
+    fn binds_live(&self, live: impl Fn(VarId) -> bool) -> bool {
+        match self {
+            Binding::Let(var, _, _) => live(*var),
+            Binding::Fix(funs) => funs.iter().any(|f| live(f.var)),
+        }
+    }
+
+    fn droppable(&self) -> bool {
+        match self {
+            Binding::Let(_, _, rhs) => is_pure(rhs),
+            Binding::Fix(_) => true,
+        }
+    }
+}
+
+/// The live set of [`reach`].
+pub trait Live<B> {
+    fn is_live(&self, v: VarId) -> bool;
+    /// Makes live what the kept binding `b` mentions.
+    fn keep(&mut self, b: &B);
+}
+
+impl Live<Binding> for Uses {
+    fn is_live(&self, v: VarId) -> bool {
+        self.is_used(v)
+    }
+
+    fn keep(&mut self, b: &Binding) {
+        b.for_each_part(|e| self.add(e));
+    }
+}
+
+/// [`prune`]'s walk: from the innermost binding of `spine` outwards, keeps
+/// each binding that binds a live variable or is not droppable, and makes
+/// live what it mentions before deciding the next. A binding is mentioned
+/// only from further in, so one pass decides them all. Returns the kept
+/// bindings, innermost first.
+pub fn reach<B: Decl, L: Live<B>>(
+    spine: impl DoubleEndedIterator<Item = B>,
+    live: &mut L,
+) -> Vec<B> {
+    spine
+        .rev()
+        .filter(|b| {
+            let kept = b.binds_live(|v| live.is_live(v)) || !b.droppable();
+            if kept {
+                live.keep(b);
+            }
+            kept
+        })
+        .collect()
 }
 
 /// [`prune`], leaving in `uses` (empty on entry) the use counts of the
 /// program that remains — the marking walk is the counting walk.
 pub(crate) fn prune_counting(prog: &mut LProgram, uses: &mut Uses) -> usize {
-    let mut spine = Vec::new();
-    let mut rest = std::mem::replace(&mut prog.body, LExp::Unit);
-    let mut rest = loop {
-        match rest {
-            LExp::Let { var, ty, rhs, body } => {
-                spine.push(Binding::Let(var, ty, rhs));
-                rest = *body;
-            }
-            LExp::Fix { funs, body } => {
-                spine.push(Binding::Fix(funs));
-                rest = *body;
-            }
-            result => break result,
-        }
-    };
-    uses.visits += spine.len();
-    uses.add(&rest);
-    let mut pruned = 0;
-    for b in spine.into_iter().rev() {
-        match b {
-            Binding::Let(var, ty, rhs) if uses.is_used(var) || !is_pure(&rhs) => {
-                uses.add(&rhs);
-                let body = Box::new(rest);
-                rest = LExp::Let { var, ty, rhs, body };
-            }
-            Binding::Fix(funs) if funs.iter().any(|f| uses.is_used(f.var)) => {
-                funs.iter().for_each(|f| uses.add(&f.body));
-                let body = Box::new(rest);
-                rest = LExp::Fix { funs, body };
-            }
-            _ => pruned += 1,
-        }
-    }
-    prog.body = rest;
+    let (spine, result) = Binding::unspine(std::mem::replace(&mut prog.body, LExp::Unit));
+    let len = spine.len();
+    uses.visits += len;
+    uses.add(&result);
+    let kept = reach(spine.into_iter(), uses);
+    let pruned = len - kept.len();
+    prog.body = kept.into_iter().fold(result, |body, b| b.wrap(body));
     pruned
 }
 

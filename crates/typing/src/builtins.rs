@@ -5,7 +5,7 @@
 //! are lowered to primitive applications; builtins used as values are
 //! eta-expanded by the lowerer.
 
-use crate::types::{InferCtx, TvKind, Ty};
+use crate::types::{InferCtx, TvKind, TyId};
 use kit_lambda::exp::Prim;
 
 /// A built-in function.
@@ -79,42 +79,42 @@ pub const ALL: &[(&str, Builtin)] = &[
 
 impl Builtin {
     /// A fresh instance of the builtin's type.
-    pub fn fresh_ty(self, cx: &mut InferCtx) -> Ty {
+    pub fn fresh_ty(self, cx: &mut InferCtx) -> TyId {
         use Builtin::*;
-        match self {
-            Print => Ty::arrow(Ty::Str, Ty::Unit),
-            Itos => Ty::arrow(Ty::Int, Ty::Str),
-            Rtos => Ty::arrow(Ty::Real, Ty::Str),
-            Chr => Ty::arrow(Ty::Int, Ty::Str),
-            RealOf => Ty::arrow(Ty::Int, Ty::Real),
-            Floor | Trunc => Ty::arrow(Ty::Real, Ty::Int),
-            Sqrt | Sin | Cos | Atan | Ln | Exp => Ty::arrow(Ty::Real, Ty::Real),
-            Size => Ty::arrow(Ty::Str, Ty::Int),
-            StrSub => Ty::arrow(Ty::Tuple(vec![Ty::Str, Ty::Int]), Ty::Int),
+        let (param, result) = match self {
+            Print => (TyId::STR, TyId::UNIT),
+            Itos => (TyId::INT, TyId::STR),
+            Rtos => (TyId::REAL, TyId::STR),
+            Chr => (TyId::INT, TyId::STR),
+            RealOf => (TyId::INT, TyId::REAL),
+            Floor | Trunc => (TyId::REAL, TyId::INT),
+            Sqrt | Sin | Cos | Atan | Ln | Exp => (TyId::REAL, TyId::REAL),
+            Size => (TyId::STR, TyId::INT),
+            StrSub => (cx.tuple(&[TyId::STR, TyId::INT]), TyId::INT),
             RefNew => {
                 let a = cx.fresh();
-                Ty::arrow(a.clone(), Ty::Ref(Box::new(a)))
+                (a, cx.reference(a))
             }
             Array => {
                 let a = cx.fresh();
-                Ty::arrow(Ty::Tuple(vec![Ty::Int, a.clone()]), Ty::Array(Box::new(a)))
+                (cx.tuple(&[TyId::INT, a]), cx.array(a))
             }
             Asub => {
                 let a = cx.fresh();
-                Ty::arrow(Ty::Tuple(vec![Ty::Array(Box::new(a.clone())), Ty::Int]), a)
+                let arr = cx.array(a);
+                (cx.tuple(&[arr, TyId::INT]), a)
             }
             Aupdate => {
                 let a = cx.fresh();
-                Ty::arrow(
-                    Ty::Tuple(vec![Ty::Array(Box::new(a.clone())), Ty::Int, a]),
-                    Ty::Unit,
-                )
+                let arr = cx.array(a);
+                (cx.tuple(&[arr, TyId::INT, a]), TyId::UNIT)
             }
             Alength => {
                 let a = cx.fresh();
-                Ty::arrow(Ty::Array(Box::new(a)), Ty::Int)
+                (cx.array(a), TyId::INT)
             }
-        }
+        };
+        cx.arrow(param, result)
     }
 
     /// The primitive this builtin lowers to, with the number of `LambdaExp`
@@ -147,29 +147,30 @@ impl Builtin {
 }
 
 /// A fresh numeric (`int`/`real`) variable — used by overloaded operators.
-pub fn fresh_num(cx: &mut InferCtx) -> Ty {
+pub fn fresh_num(cx: &mut InferCtx) -> TyId {
     cx.fresh_kinded(TvKind::Num)
 }
 
 /// A fresh ordered (`int`/`real`/`string`) variable.
-pub fn fresh_ord(cx: &mut InferCtx) -> Ty {
+pub fn fresh_ord(cx: &mut InferCtx) -> TyId {
     cx.fresh_kinded(TvKind::Ord)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Ty;
 
     #[test]
     fn arity_matches_tuple_shape() {
         for (_, b) in ALL {
             let mut cx = InferCtx::new();
             let ty = b.fresh_ty(&mut cx);
-            let Ty::Arrow(param, _) = ty else {
+            let Ty::Arrow(param, _) = cx.node(ty) else {
                 panic!("builtin type must be an arrow")
             };
-            let expect = match *param {
-                Ty::Tuple(ref ts) => ts.len(),
+            let expect = match cx.node(param) {
+                Ty::Tuple(ts) => ts.len(),
                 _ => 1,
             };
             assert_eq!(b.prim().1, expect, "{b:?}");

@@ -14,27 +14,30 @@
 use crate::builtins::{self, Builtin};
 use crate::lower;
 use crate::texp::{OvOp, TDec, TExp, TFun, TPat, TRule};
-use crate::types::{InferCtx, Scheme, Ty, TypeError};
+use crate::types::{InferCtx, Scheme, TyId, TypeError};
 use kit_lambda::exp::{Prim, VarId, VarTable};
 use kit_lambda::ty::{
-    ConId, Constructor, DataEnv, Datatype, ExnEnv, ExnId, SchemeTy, TyConId, EXN_BIND, EXN_DIV,
-    EXN_MATCH, EXN_OVERFLOW, EXN_SIZE, EXN_SUBSCRIPT,
+    ConId, Constructor, DataEnv, Datatype, ExnEnv, ExnId, LTy, SchemeTy, TyConId, EXN_BIND,
+    EXN_DIV, EXN_MATCH, EXN_OVERFLOW, EXN_SIZE, EXN_SUBSCRIPT,
 };
 use kit_lambda::LProgram;
 use kit_syntax::ast::{self, BinOp, Exp, Pat, TyExp};
 use kit_syntax::parser::MAX_NESTING;
 use kit_syntax::Span;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The elaborator as it stands after the prelude has been elaborated and
 /// lowered, with the lowered prelude: what every compile continues from.
 ///
-/// All elaboration state — the unification store, the datatype and
-/// exception environments, the variable table, the scopes — lives in
-/// [`Elab`] and nowhere else, and neither elaboration nor lowering reads a
-/// clock, address or hash order. So continuing from a copy of this state
-/// yields the program that elaborating and lowering the prelude again
-/// would: the same `VarId`s, the same type-variable ids.
+/// All elaboration state — the type arena and unification store, the
+/// datatype and exception environments, the variable table, the scopes —
+/// lives in [`Elab`] and nowhere else, and neither elaboration nor
+/// lowering reads a clock, address or hash order. So continuing from a
+/// copy of this state yields the program that elaborating and lowering
+/// the prelude again would: the same `VarId`s, the same type-variable ids.
+/// The copy is cheap: the arena and the variable table are flat vectors,
+/// and the prelude's scope is shared, not copied.
 pub(crate) struct Prelude {
     el: Elab,
     lowered: lower::LoweredPrelude,
@@ -47,11 +50,13 @@ impl Prelude {
         let mut el = Elab::new();
         let tdecs = el.infer_top_decs(&prelude.decs)?;
         let lowered = lower::lower_prelude(&el.cx, &el.data, &el.exns, &mut el.vars, &tdecs)?;
+        el.scopes.freeze();
+        el.tyscopes.freeze();
         Ok(Prelude { el, lowered })
     }
 
-    /// Elaborates and lowers `user` after the prelude, behind a copy of
-    /// the lowered prelude.
+    /// Elaborates and lowers `user` after the prelude, inside the prelude
+    /// bindings it reaches.
     ///
     /// The program result is the value of the last top-level `val` binding
     /// of the user program that binds a single variable (conventionally
@@ -69,6 +74,12 @@ impl Prelude {
     #[cfg(test)]
     pub(crate) fn continue_with(self, user: &ast::Program) -> Result<LProgram, TypeError> {
         finish(self.el, &self.lowered, user)
+    }
+
+    /// The lowered prelude and the variables it is numbered in.
+    #[cfg(test)]
+    pub(crate) fn lowered(&self) -> (&lower::LoweredPrelude, &VarTable) {
+        (&self.lowered, &self.el.vars)
     }
 }
 
@@ -90,7 +101,7 @@ fn finish(
     )
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Binding {
     Val(VarId, Scheme),
     Builtin(Builtin),
@@ -98,7 +109,7 @@ enum Binding {
     Exn(ExnId),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum TyDef {
     Int,
     Real,
@@ -112,20 +123,93 @@ enum TyDef {
     Data(TyConId, u32),
 }
 
+/// Nested name scopes over a frozen bottom layer that every copy of the
+/// elaborator shares: the prelude's top level.
+#[derive(Clone)]
+struct Scopes<T> {
+    base: Arc<HashMap<String, T>>,
+    layers: Vec<HashMap<String, T>>,
+}
+
+impl<T> Scopes<T> {
+    fn new(top: HashMap<String, T>) -> Self {
+        Scopes {
+            base: Arc::default(),
+            layers: vec![top],
+        }
+    }
+
+    fn push(&mut self) {
+        self.layers.push(HashMap::new());
+    }
+
+    fn pop(&mut self) {
+        self.layers.pop();
+    }
+
+    fn bind(&mut self, name: &str, b: T) {
+        let top = self.layers.last_mut().expect("a scope is open");
+        top.insert(name.to_string(), b);
+    }
+
+    fn lookup(&self, name: &str) -> Option<&T> {
+        self.layers
+            .iter()
+            .rev()
+            .find_map(|s| s.get(name))
+            .or_else(|| self.base.get(name))
+    }
+
+    /// Makes the top level the shared base, under a fresh empty top level.
+    fn freeze(&mut self) {
+        assert!(
+            self.layers.len() == 1 && self.base.is_empty(),
+            "frozen once, at top level"
+        );
+        self.base = Arc::new(std::mem::take(&mut self.layers[0]));
+    }
+}
+
 #[derive(Clone)]
 struct Elab {
     cx: InferCtx,
     data: DataEnv,
     exns: ExnEnv,
     vars: VarTable,
-    scopes: Vec<HashMap<String, Binding>>,
-    tyscopes: Vec<HashMap<String, TyDef>>,
-    anno_tyvars: HashMap<String, Ty>,
-    last_val: Option<(VarId, Ty)>,
+    scopes: Scopes<Binding>,
+    tyscopes: Scopes<TyDef>,
+    anno_tyvars: HashMap<String, TyId>,
+    last_val: Option<(VarId, TyId)>,
     user_phase: bool,
     /// Nesting of the expression being inferred, against
     /// [`kit_syntax::parser::MAX_NESTING`].
     depth: usize,
+}
+
+/// The variables one pattern binds, in order, and the set of their names,
+/// so a wide tuple pattern costs its width, not its width squared.
+struct PatBinds<'p> {
+    list: Vec<(&'p str, VarId, TyId)>,
+    names: HashSet<&'p str>,
+}
+
+impl<'p> PatBinds<'p> {
+    fn new() -> Self {
+        PatBinds {
+            list: Vec::new(),
+            names: HashSet::new(),
+        }
+    }
+
+    /// Adds `name` unless the pattern already binds it; `false` if it does.
+    fn add(&mut self, name: &'p str, v: VarId, t: TyId) -> bool {
+        crate::count_work(|| 1);
+        let fresh = self.names.insert(name);
+        if fresh {
+            self.list.push((name, v, t));
+        }
+        fresh
+    }
 }
 
 impl Elab {
@@ -169,8 +253,8 @@ impl Elab {
             data: DataEnv::new(),
             exns: ExnEnv::new(),
             vars: VarTable::new(),
-            scopes: vec![scope],
-            tyscopes: vec![tyscope],
+            scopes: Scopes::new(scope),
+            tyscopes: Scopes::new(tyscope),
             anno_tyvars: HashMap::new(),
             last_val: None,
             user_phase: false,
@@ -181,8 +265,8 @@ impl Elab {
     // ------------------------------------------------------------- scoping
 
     fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
-        self.tyscopes.push(HashMap::new());
+        self.scopes.push();
+        self.tyscopes.push();
     }
 
     fn pop_scope(&mut self) {
@@ -191,38 +275,45 @@ impl Elab {
     }
 
     fn bind(&mut self, name: &str, b: Binding) {
-        self.scopes.last_mut().unwrap().insert(name.to_string(), b);
+        self.scopes.bind(name, b);
     }
 
-    fn lookup(&self, name: &str) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    fn lookup(&self, name: &str) -> Option<Binding> {
+        self.scopes.lookup(name).copied()
     }
 
-    fn bind_ty(&mut self, name: &str, d: TyDef) {
-        self.tyscopes
-            .last_mut()
-            .unwrap()
-            .insert(name.to_string(), d);
-    }
-
-    fn lookup_ty(&self, name: &str) -> Option<&TyDef> {
-        self.tyscopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn unify_at(&mut self, span: Span, a: &Ty, b: &Ty) -> Result<(), TypeError> {
+    fn unify_at(&mut self, span: Span, a: TyId, b: TyId) -> Result<(), TypeError> {
         self.cx.unify(a, b).map_err(|m| TypeError::new(m, span))
+    }
+
+    /// The argument type of constructor `con` of `tycon` at `targs`.
+    fn con_arg_ty(&mut self, tycon: TyConId, con: ConId, targs: &[TyId]) -> TyId {
+        let arg = self.data.get(tycon).constructors[con.0 as usize]
+            .arg
+            .as_ref();
+        scheme_to_ty(
+            &mut self.cx,
+            arg.expect("a constructor with an argument"),
+            targs,
+        )
+    }
+
+    /// The argument type of exception `exn`, if it carries one.
+    fn exn_arg_ty(&mut self, exn: ExnId) -> Option<TyId> {
+        let arg = self.exns.get(exn).arg.as_ref()?;
+        Some(lty_to_ty(&mut self.cx, arg))
     }
 
     // ----------------------------------------------------- type expressions
 
-    fn ty_of_tyexp(&mut self, t: &TyExp, span: Span) -> Result<Ty, TypeError> {
+    fn ty_of_tyexp(&mut self, t: &TyExp, span: Span) -> Result<TyId, TypeError> {
         match t {
             TyExp::Var(v) => {
                 if let Some(ty) = self.anno_tyvars.get(v) {
-                    return Ok(ty.clone());
+                    return Ok(*ty);
                 }
                 let ty = self.cx.fresh();
-                self.anno_tyvars.insert(v.clone(), ty.clone());
+                self.anno_tyvars.insert(v.clone(), ty);
                 Ok(ty)
             }
             TyExp::Tuple(ts) => {
@@ -230,21 +321,22 @@ impl Elab {
                     .iter()
                     .map(|t| self.ty_of_tyexp(t, span))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(Ty::Tuple(tys))
+                Ok(self.cx.tuple(&tys))
             }
-            TyExp::Arrow(a, b) => Ok(Ty::arrow(
-                self.ty_of_tyexp(a, span)?,
-                self.ty_of_tyexp(b, span)?,
-            )),
+            TyExp::Arrow(a, b) => {
+                let a = self.ty_of_tyexp(a, span)?;
+                let b = self.ty_of_tyexp(b, span)?;
+                Ok(self.cx.arrow(a, b))
+            }
             TyExp::Con(name, args) => {
-                let args: Vec<Ty> = args
+                let args: Vec<TyId> = args
                     .iter()
                     .map(|t| self.ty_of_tyexp(t, span))
                     .collect::<Result<Vec<_>, _>>()?;
-                let def = self
-                    .lookup_ty(name)
-                    .ok_or_else(|| TypeError::new(format!("unknown type `{name}`"), span))?
-                    .clone();
+                let def = *self
+                    .tyscopes
+                    .lookup(name)
+                    .ok_or_else(|| TypeError::new(format!("unknown type `{name}`"), span))?;
                 let expect_arity = |n: usize| -> Result<(), TypeError> {
                     if args.len() == n {
                         Ok(())
@@ -255,46 +347,29 @@ impl Elab {
                         ))
                     }
                 };
+                let base = |t: TyId| expect_arity(0).map(|()| t);
                 match def {
-                    TyDef::Int => {
-                        expect_arity(0)?;
-                        Ok(Ty::Int)
-                    }
-                    TyDef::Real => {
-                        expect_arity(0)?;
-                        Ok(Ty::Real)
-                    }
-                    TyDef::Str => {
-                        expect_arity(0)?;
-                        Ok(Ty::Str)
-                    }
-                    TyDef::Bool => {
-                        expect_arity(0)?;
-                        Ok(Ty::Bool)
-                    }
-                    TyDef::Unit => {
-                        expect_arity(0)?;
-                        Ok(Ty::Unit)
-                    }
-                    TyDef::Exn => {
-                        expect_arity(0)?;
-                        Ok(Ty::Exn)
-                    }
+                    TyDef::Int => base(TyId::INT),
+                    TyDef::Real => base(TyId::REAL),
+                    TyDef::Str => base(TyId::STR),
+                    TyDef::Bool => base(TyId::BOOL),
+                    TyDef::Unit => base(TyId::UNIT),
+                    TyDef::Exn => base(TyId::EXN),
                     TyDef::List => {
                         expect_arity(1)?;
-                        Ok(Ty::list(args.into_iter().next().unwrap()))
+                        Ok(self.cx.list(args[0]))
                     }
                     TyDef::Ref => {
                         expect_arity(1)?;
-                        Ok(Ty::Ref(Box::new(args.into_iter().next().unwrap())))
+                        Ok(self.cx.reference(args[0]))
                     }
                     TyDef::Array => {
                         expect_arity(1)?;
-                        Ok(Ty::Array(Box::new(args.into_iter().next().unwrap())))
+                        Ok(self.cx.array(args[0]))
                     }
                     TyDef::Data(id, arity) => {
                         expect_arity(arity as usize)?;
-                        Ok(Ty::Con(id, args))
+                        Ok(self.cx.con(id, &args))
                     }
                 }
             }
@@ -330,7 +405,8 @@ impl Elab {
                     .map(|t| self.schemety_of_tyexp(t, tyvars, span))
                     .collect::<Result<_, _>>()?;
                 let def = self
-                    .lookup_ty(name)
+                    .tyscopes
+                    .lookup(name)
                     .ok_or_else(|| TypeError::new(format!("unknown type `{name}`"), span))?;
                 Ok(match def {
                     TyDef::Int => SchemeTy::Int,
@@ -348,30 +424,6 @@ impl Elab {
         }
     }
 
-    /// Instantiates a constructor-argument scheme with inference types.
-    fn scheme_to_ty(&self, s: &SchemeTy, targs: &[Ty]) -> Ty {
-        match s {
-            SchemeTy::Param(i) => targs[*i as usize].clone(),
-            SchemeTy::Int => Ty::Int,
-            SchemeTy::Bool => Ty::Bool,
-            SchemeTy::Unit => Ty::Unit,
-            SchemeTy::Real => Ty::Real,
-            SchemeTy::Str => Ty::Str,
-            SchemeTy::Exn => Ty::Exn,
-            SchemeTy::Con(c, ts) => {
-                Ty::Con(*c, ts.iter().map(|t| self.scheme_to_ty(t, targs)).collect())
-            }
-            SchemeTy::Arrow(a, b) => {
-                Ty::arrow(self.scheme_to_ty(a, targs), self.scheme_to_ty(b, targs))
-            }
-            SchemeTy::Tuple(ts) => {
-                Ty::Tuple(ts.iter().map(|t| self.scheme_to_ty(t, targs)).collect())
-            }
-            SchemeTy::Ref(t) => Ty::Ref(Box::new(self.scheme_to_ty(t, targs))),
-            SchemeTy::Array(t) => Ty::Array(Box::new(self.scheme_to_ty(t, targs))),
-        }
-    }
-
     // --------------------------------------------------------- declarations
 
     /// Infers a run of top-level declarations; overloading is resolved at
@@ -386,54 +438,52 @@ impl Elab {
         Ok(tdecs)
     }
 
-    fn infer_dec(&mut self, dec: &ast::Dec) -> Result<Vec<TDec>, TypeError> {
+    fn infer_dec(&mut self, dec: &ast::Dec) -> Result<Option<TDec>, TypeError> {
         match dec {
             ast::Dec::Val { pat, exp, span } => {
                 self.cx.level += 1;
                 let (trhs, rhs_ty) = self.infer_exp(exp)?;
                 self.cx.level -= 1;
-                let mut binds = Vec::new();
-                let tpat = self.infer_pat(pat, &rhs_ty, &mut binds)?;
+                let mut binds = PatBinds::new();
+                let tpat = self.infer_pat(pat, rhs_ty, &mut binds)?;
                 let generalizable = is_value(exp);
-                for (name, var, ty) in binds {
+                for (name, var, ty) in binds.list {
                     let scheme = if generalizable {
-                        self.cx.generalize(&ty)
+                        self.cx.generalize(ty)
                     } else {
-                        Scheme::mono(ty.clone())
+                        Scheme::mono(ty)
                     };
-                    self.bind(&name, Binding::Val(var, scheme));
+                    self.bind(name, Binding::Val(var, scheme));
                 }
                 if self.user_phase {
                     if let Pat::Var(name, _) = pat {
-                        if self.lookup(name).is_some() {
-                            if let Some(Binding::Val(v, _)) = self.lookup(name) {
-                                self.last_val = Some((*v, rhs_ty.clone()));
-                            }
+                        if let Some(Binding::Val(v, _)) = self.lookup(name) {
+                            self.last_val = Some((v, rhs_ty));
                         }
                     }
                 }
-                Ok(vec![TDec::Val {
+                Ok(Some(TDec::Val {
                     pat: tpat,
                     rhs: trhs,
                     span: *span,
-                }])
+                }))
             }
-            ast::Dec::Fun { binds, span } => self.infer_fun_group(binds, *span),
+            ast::Dec::Fun { binds, .. } => self.infer_fun_group(binds).map(Some),
             ast::Dec::Datatype { binds, span } => {
                 self.infer_datatypes(binds, *span)?;
-                Ok(Vec::new())
+                Ok(None)
             }
             ast::Dec::Exception { name, arg, span } => {
                 let arg_lty = match arg {
                     Some(t) => {
                         let ty = self.ty_of_tyexp(t, *span)?;
-                        Some(self.cx.to_lty(&ty))
+                        Some(self.cx.to_lty(ty))
                     }
                     None => None,
                 };
                 let id = self.exns.define(name, arg_lty);
                 self.bind(name, Binding::Exn(id));
-                Ok(Vec::new())
+                Ok(None)
             }
         }
     }
@@ -444,7 +494,8 @@ impl Elab {
             .iter()
             .map(|b| {
                 let id = self.data.reserve(&b.name);
-                self.bind_ty(&b.name, TyDef::Data(id, b.tyvars.len() as u32));
+                self.tyscopes
+                    .bind(&b.name, TyDef::Data(id, b.tyvars.len() as u32));
                 id
             })
             .collect();
@@ -476,24 +527,20 @@ impl Elab {
         Ok(())
     }
 
-    fn infer_fun_group(
-        &mut self,
-        binds: &[ast::FunBind],
-        span: Span,
-    ) -> Result<Vec<TDec>, TypeError> {
+    fn infer_fun_group(&mut self, binds: &[ast::FunBind]) -> Result<TDec, TypeError> {
         self.cx.level += 1;
         // Monomorphic bindings for the whole group.
         let mut sigs = Vec::new();
         for b in binds {
             let arity = b.clauses[0].pats.len();
-            let param_tys: Vec<Ty> = (0..arity).map(|_| self.cx.fresh()).collect();
+            let param_tys: Vec<TyId> = (0..arity).map(|_| self.cx.fresh()).collect();
             let ret = self.cx.fresh();
             let fun_ty = param_tys
                 .iter()
                 .rev()
-                .fold(ret.clone(), |acc, p| Ty::arrow(p.clone(), acc));
+                .fold(ret, |acc, p| self.cx.arrow(*p, acc));
             let var = self.vars.fresh(&b.name);
-            self.bind(&b.name, Binding::Val(var, Scheme::mono(fun_ty.clone())));
+            self.bind(&b.name, Binding::Val(var, Scheme::mono(fun_ty)));
             sigs.push((var, param_tys, ret, fun_ty));
         }
         let mut tfuns = Vec::new();
@@ -503,27 +550,27 @@ impl Elab {
                 self.push_scope();
                 let mut pats = Vec::new();
                 for (p, pt) in clause.pats.iter().zip(param_tys) {
-                    let mut cbinds = Vec::new();
-                    let tp = self.infer_pat(p, pt, &mut cbinds)?;
-                    for (name, v, t) in cbinds {
-                        self.bind(&name, Binding::Val(v, Scheme::mono(t)));
+                    let mut cbinds = PatBinds::new();
+                    let tp = self.infer_pat(p, *pt, &mut cbinds)?;
+                    for (name, v, t) in cbinds.list {
+                        self.bind(name, Binding::Val(v, Scheme::mono(t)));
                     }
                     pats.push(tp);
                 }
                 let (body, bty) = self.infer_exp(&clause.body)?;
-                self.unify_at(clause.body.span(), &bty, ret)?;
+                self.unify_at(clause.body.span(), bty, *ret)?;
                 self.pop_scope();
                 clauses.push((pats, body));
             }
-            let params: Vec<(VarId, Ty)> = param_tys
+            let params: Vec<(VarId, TyId)> = param_tys
                 .iter()
                 .enumerate()
-                .map(|(i, t)| (self.vars.fresh(&format!("{}#{}", b.name, i)), t.clone()))
+                .map(|(i, t)| (self.vars.fresh(&format!("{}#{}", b.name, i)), *t))
                 .collect();
             tfuns.push(TFun {
                 var: *var,
                 params,
-                ret: ret.clone(),
+                ret: *ret,
                 clauses,
                 span: b.span,
             });
@@ -531,41 +578,40 @@ impl Elab {
         self.cx.level -= 1;
         // Generalize and re-bind.
         for (b, (var, _, _, fun_ty)) in binds.iter().zip(&sigs) {
-            let scheme = self.cx.generalize(fun_ty);
+            let scheme = self.cx.generalize(*fun_ty);
             self.bind(&b.name, Binding::Val(*var, scheme));
         }
-        let _ = span;
-        Ok(vec![TDec::Fun(tfuns)])
+        Ok(TDec::Fun(tfuns))
     }
 
     // ------------------------------------------------------------- patterns
 
-    fn infer_pat(
+    fn infer_pat<'p>(
         &mut self,
-        pat: &Pat,
-        expected: &Ty,
-        binds: &mut Vec<(String, VarId, Ty)>,
+        pat: &'p Pat,
+        expected: TyId,
+        binds: &mut PatBinds<'p>,
     ) -> Result<TPat, TypeError> {
         let span = pat.span();
         match pat {
             Pat::Wild(_) => Ok(TPat::Wild),
             Pat::Unit(_) => {
-                self.unify_at(span, expected, &Ty::Unit)?;
+                self.unify_at(span, expected, TyId::UNIT)?;
                 Ok(TPat::Wild)
             }
             Pat::Int(n, _) => {
-                self.unify_at(span, expected, &Ty::Int)?;
+                self.unify_at(span, expected, TyId::INT)?;
                 Ok(TPat::Int(*n))
             }
             Pat::Str(s, _) => {
-                self.unify_at(span, expected, &Ty::Str)?;
+                self.unify_at(span, expected, TyId::STR)?;
                 Ok(TPat::Str(s.clone()))
             }
             Pat::Bool(b, _) => {
-                self.unify_at(span, expected, &Ty::Bool)?;
+                self.unify_at(span, expected, TyId::BOOL)?;
                 Ok(TPat::Bool(*b))
             }
-            Pat::Var(name, _) => match self.lookup(name).cloned() {
+            Pat::Var(name, _) => match self.lookup(name) {
                 Some(Binding::Ctor(tycon, con)) => {
                     let dt = self.data.get(tycon);
                     if dt.constructors[con.0 as usize].arg.is_some() {
@@ -574,8 +620,9 @@ impl Elab {
                             span,
                         ));
                     }
-                    let targs: Vec<Ty> = (0..dt.arity).map(|_| self.cx.fresh()).collect();
-                    self.unify_at(span, expected, &Ty::Con(tycon, targs.clone()))?;
+                    let targs: Vec<TyId> = (0..dt.arity).map(|_| self.cx.fresh()).collect();
+                    let ty = self.cx.con(tycon, &targs);
+                    self.unify_at(span, expected, ty)?;
                     Ok(TPat::Con {
                         tycon,
                         con,
@@ -590,45 +637,46 @@ impl Elab {
                             span,
                         ));
                     }
-                    self.unify_at(span, expected, &Ty::Exn)?;
+                    self.unify_at(span, expected, TyId::EXN)?;
                     Ok(TPat::Exn { exn: id, arg: None })
                 }
                 _ => {
-                    if binds.iter().any(|(n, _, _)| n == name) {
+                    let v = self.vars.fresh(name);
+                    if !binds.add(name, v, expected) {
                         return Err(TypeError::new(
                             format!("duplicate variable `{name}` in pattern"),
                             span,
                         ));
                     }
-                    let v = self.vars.fresh(name);
-                    binds.push((name.clone(), v, expected.clone()));
-                    Ok(TPat::Var(v, expected.clone()))
+                    Ok(TPat::Var(v, expected))
                 }
             },
             Pat::Tuple(ps, _) => {
-                let tys: Vec<Ty> = ps.iter().map(|_| self.cx.fresh()).collect();
-                self.unify_at(span, expected, &Ty::Tuple(tys.clone()))?;
+                let tys: Vec<TyId> = ps.iter().map(|_| self.cx.fresh()).collect();
+                let ty = self.cx.tuple(&tys);
+                self.unify_at(span, expected, ty)?;
                 let tps = ps
                     .iter()
                     .zip(&tys)
-                    .map(|(p, t)| self.infer_pat(p, t, binds))
+                    .map(|(p, t)| self.infer_pat(p, *t, binds))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(TPat::Tuple(tps))
             }
-            Pat::Con(name, argp, _) => match self.lookup(name).cloned() {
+            Pat::Con(name, argp, _) => match self.lookup(name) {
                 Some(Binding::Ctor(tycon, con)) => {
                     let dt = self.data.get(tycon);
                     let arity = dt.arity;
-                    let Some(arg_scheme) = dt.constructors[con.0 as usize].arg.clone() else {
+                    if dt.constructors[con.0 as usize].arg.is_none() {
                         return Err(TypeError::new(
                             format!("constructor `{name}` takes no argument"),
                             span,
                         ));
-                    };
-                    let targs: Vec<Ty> = (0..arity).map(|_| self.cx.fresh()).collect();
-                    self.unify_at(span, expected, &Ty::Con(tycon, targs.clone()))?;
-                    let arg_ty = self.scheme_to_ty(&arg_scheme, &targs);
-                    let tp = self.infer_pat(argp, &arg_ty, binds)?;
+                    }
+                    let targs: Vec<TyId> = (0..arity).map(|_| self.cx.fresh()).collect();
+                    let ty = self.cx.con(tycon, &targs);
+                    self.unify_at(span, expected, ty)?;
+                    let arg_ty = self.con_arg_ty(tycon, con, &targs);
+                    let tp = self.infer_pat(argp, arg_ty, binds)?;
                     Ok(TPat::Con {
                         tycon,
                         con,
@@ -637,15 +685,15 @@ impl Elab {
                     })
                 }
                 Some(Binding::Exn(id)) => {
-                    let Some(arg_ty) = self.exns.get(id).arg.clone() else {
+                    if self.exns.get(id).arg.is_none() {
                         return Err(TypeError::new(
                             format!("exception `{name}` takes no argument"),
                             span,
                         ));
-                    };
-                    self.unify_at(span, expected, &Ty::Exn)?;
-                    let arg_ty = lty_to_ty(&arg_ty);
-                    let tp = self.infer_pat(argp, &arg_ty, binds)?;
+                    }
+                    self.unify_at(span, expected, TyId::EXN)?;
+                    let arg_ty = self.exn_arg_ty(id).expect("checked above");
+                    let tp = self.infer_pat(argp, arg_ty, binds)?;
                     Ok(TPat::Exn {
                         exn: id,
                         arg: Some(Box::new(tp)),
@@ -658,19 +706,20 @@ impl Elab {
             },
             Pat::List(ps, _) => {
                 let elem = self.cx.fresh();
-                self.unify_at(span, expected, &Ty::list(elem.clone()))?;
+                let list = self.cx.list(elem);
+                self.unify_at(span, expected, list)?;
                 let mut out = TPat::Con {
                     tycon: kit_lambda::ty::LIST,
                     con: kit_lambda::ty::NIL,
-                    targs: vec![elem.clone()],
+                    targs: vec![elem],
                     arg: None,
                 };
                 for p in ps.iter().rev() {
-                    let tp = self.infer_pat(p, &elem, binds)?;
+                    let tp = self.infer_pat(p, elem, binds)?;
                     out = TPat::Con {
                         tycon: kit_lambda::ty::LIST,
                         con: kit_lambda::ty::CONS,
-                        targs: vec![elem.clone()],
+                        targs: vec![elem],
                         arg: Some(Box::new(TPat::Tuple(vec![tp, out]))),
                     };
                 }
@@ -678,9 +727,10 @@ impl Elab {
             }
             Pat::Cons(h, t, _) => {
                 let elem = self.cx.fresh();
-                self.unify_at(span, expected, &Ty::list(elem.clone()))?;
-                let th = self.infer_pat(h, &elem, binds)?;
-                let tt = self.infer_pat(t, &Ty::list(elem.clone()), binds)?;
+                let list = self.cx.list(elem);
+                self.unify_at(span, expected, list)?;
+                let th = self.infer_pat(h, elem, binds)?;
+                let tt = self.infer_pat(t, list, binds)?;
                 Ok(TPat::Con {
                     tycon: kit_lambda::ty::LIST,
                     con: kit_lambda::ty::CONS,
@@ -690,8 +740,8 @@ impl Elab {
             }
             Pat::Ascribe(p, t, _) => {
                 let ty = self.ty_of_tyexp(t, span)?;
-                self.unify_at(span, expected, &ty)?;
-                self.infer_pat(p, &ty, binds)
+                self.unify_at(span, expected, ty)?;
+                self.infer_pat(p, ty, binds)
             }
         }
     }
@@ -701,19 +751,19 @@ impl Elab {
     fn infer_rules(
         &mut self,
         rules: &[ast::Rule],
-        scrut_ty: &Ty,
-        result_ty: &Ty,
+        scrut_ty: TyId,
+        result_ty: TyId,
     ) -> Result<Vec<TRule>, TypeError> {
         let mut out = Vec::new();
         for r in rules {
             self.push_scope();
-            let mut binds = Vec::new();
+            let mut binds = PatBinds::new();
             let tp = self.infer_pat(&r.pat, scrut_ty, &mut binds)?;
-            for (name, v, t) in binds {
-                self.bind(&name, Binding::Val(v, Scheme::mono(t)));
+            for (name, v, t) in binds.list {
+                self.bind(name, Binding::Val(v, Scheme::mono(t)));
             }
             let (te, ty) = self.infer_exp(&r.exp)?;
-            self.unify_at(r.exp.span(), &ty, result_ty)?;
+            self.unify_at(r.exp.span(), ty, result_ty)?;
             self.pop_scope();
             out.push(TRule { pat: tp, exp: te });
         }
@@ -723,7 +773,7 @@ impl Elab {
     /// Infers `exp`, one level deeper. The parser bounded its own
     /// recursion, but `1 + 1 + …` nests the tree in a loop there and in
     /// recursion here (and in every pass that walks the typed tree).
-    fn infer_exp(&mut self, exp: &Exp) -> Result<(TExp, Ty), TypeError> {
+    fn infer_exp(&mut self, exp: &Exp) -> Result<(TExp, TyId), TypeError> {
         self.depth += 1;
         if self.depth > MAX_NESTING {
             return Err(TypeError::new(
@@ -736,14 +786,27 @@ impl Elab {
         typed
     }
 
-    fn infer_exp_at(&mut self, exp: &Exp) -> Result<(TExp, Ty), TypeError> {
+    /// A sequence of expressions and the type of the last one (`unit` for
+    /// none).
+    fn infer_seq(&mut self, es: &[Exp]) -> Result<(Vec<TExp>, TyId), TypeError> {
+        let mut tes = Vec::new();
+        let mut last_ty = TyId::UNIT;
+        for e in es {
+            let (te, ty) = self.infer_exp(e)?;
+            tes.push(te);
+            last_ty = ty;
+        }
+        Ok((tes, last_ty))
+    }
+
+    fn infer_exp_at(&mut self, exp: &Exp) -> Result<(TExp, TyId), TypeError> {
         let span = exp.span();
         match exp {
-            Exp::Int(n, _) => Ok((TExp::Int(*n), Ty::Int)),
-            Exp::Real(r, _) => Ok((TExp::Real(*r), Ty::Real)),
-            Exp::Str(s, _) => Ok((TExp::Str(s.clone()), Ty::Str)),
-            Exp::Bool(b, _) => Ok((TExp::Bool(*b), Ty::Bool)),
-            Exp::Unit(_) => Ok((TExp::Unit, Ty::Unit)),
+            Exp::Int(n, _) => Ok((TExp::Int(*n), TyId::INT)),
+            Exp::Real(r, _) => Ok((TExp::Real(*r), TyId::REAL)),
+            Exp::Str(s, _) => Ok((TExp::Str(s.clone()), TyId::STR)),
+            Exp::Bool(b, _) => Ok((TExp::Bool(*b), TyId::BOOL)),
+            Exp::Unit(_) => Ok((TExp::Unit, TyId::UNIT)),
             Exp::Var(name, _) => self.infer_var(name, span),
             Exp::Tuple(es, _) => {
                 let mut tes = Vec::new();
@@ -753,55 +816,58 @@ impl Elab {
                     tes.push(te);
                     tys.push(ty);
                 }
-                Ok((TExp::Tuple(tes), Ty::Tuple(tys)))
+                Ok((TExp::Tuple(tes), self.cx.tuple(&tys)))
             }
             Exp::List(es, _) => {
                 let elem = self.cx.fresh();
                 let mut out = TExp::Con {
                     tycon: kit_lambda::ty::LIST,
                     con: kit_lambda::ty::NIL,
-                    targs: vec![elem.clone()],
+                    targs: vec![elem],
                     arg: None,
                 };
                 for e in es.iter().rev() {
                     let (te, ty) = self.infer_exp(e)?;
-                    self.unify_at(e.span(), &ty, &elem)?;
+                    self.unify_at(e.span(), ty, elem)?;
                     out = TExp::Con {
                         tycon: kit_lambda::ty::LIST,
                         con: kit_lambda::ty::CONS,
-                        targs: vec![elem.clone()],
+                        targs: vec![elem],
                         arg: Some(Box::new(TExp::Tuple(vec![te, out]))),
                     };
                 }
-                Ok((out, Ty::list(elem)))
+                Ok((out, self.cx.list(elem)))
             }
             Exp::Cons(h, t, _) => {
                 let (th, hty) = self.infer_exp(h)?;
                 let (tt, tty) = self.infer_exp(t)?;
-                self.unify_at(span, &tty, &Ty::list(hty.clone()))?;
+                let list = self.cx.list(hty);
+                self.unify_at(span, tty, list)?;
                 Ok((
                     TExp::Con {
                         tycon: kit_lambda::ty::LIST,
                         con: kit_lambda::ty::CONS,
-                        targs: vec![hty.clone()],
+                        targs: vec![hty],
                         arg: Some(Box::new(TExp::Tuple(vec![th, tt]))),
                     },
-                    Ty::list(hty),
+                    list,
                 ))
             }
             Exp::Append(a, b, _) => {
                 // `xs @ ys` is `append (xs, ys)` from the prelude.
                 let (ta, tya) = self.infer_exp(a)?;
                 let (tb, tyb) = self.infer_exp(b)?;
-                self.unify_at(span, &tya, &tyb)?;
+                self.unify_at(span, tya, tyb)?;
                 let elem = self.cx.fresh();
-                self.unify_at(span, &tya, &Ty::list(elem))?;
-                let Some(Binding::Val(v, scheme)) = self.lookup("append").cloned() else {
+                let list = self.cx.list(elem);
+                self.unify_at(span, tya, list)?;
+                let Some(Binding::Val(v, scheme)) = self.lookup("append") else {
                     return Err(TypeError::new("prelude `append` is missing", span));
                 };
-                let fty = self.cx.instantiate(&scheme);
-                let arg = Ty::Tuple(vec![tya.clone(), tyb]);
-                self.unify_at(span, &fty, &Ty::arrow(arg, tya.clone()))?;
+                let fty = self.cx.instantiate(scheme);
+                let arg = self.cx.tuple(&[tya, tyb]);
+                let want = self.cx.arrow(arg, tya);
+                self.unify_at(span, fty, want)?;
                 Ok((
                     TExp::App(
                         Box::new(TExp::Var(v, fty)),
@@ -815,12 +881,12 @@ impl Elab {
             Exp::Neg(e, _) => {
                 let (te, ty) = self.infer_exp(e)?;
                 let n = builtins::fresh_num(&mut self.cx);
-                self.unify_at(span, &ty, &n)?;
+                self.unify_at(span, ty, n)?;
                 Ok((
                     TExp::Overload {
                         op: OvOp::Neg,
                         args: vec![te],
-                        ty: n.clone(),
+                        ty: n,
                         span,
                     },
                     n,
@@ -829,7 +895,8 @@ impl Elab {
             Exp::Deref(e, _) => {
                 let (te, ty) = self.infer_exp(e)?;
                 let a = self.cx.fresh();
-                self.unify_at(span, &ty, &Ty::Ref(Box::new(a.clone())))?;
+                let cell = self.cx.reference(a);
+                self.unify_at(span, ty, cell)?;
                 Ok((
                     TExp::Prim {
                         prim: Prim::RefGet,
@@ -840,61 +907,61 @@ impl Elab {
             }
             Exp::Not(e, _) => {
                 let (te, ty) = self.infer_exp(e)?;
-                self.unify_at(span, &ty, &Ty::Bool)?;
+                self.unify_at(span, ty, TyId::BOOL)?;
                 Ok((
                     TExp::If(
                         Box::new(te),
                         Box::new(TExp::Bool(false)),
                         Box::new(TExp::Bool(true)),
                     ),
-                    Ty::Bool,
+                    TyId::BOOL,
                 ))
             }
             Exp::Andalso(a, b, _) => {
                 let (ta, tya) = self.infer_exp(a)?;
                 let (tb, tyb) = self.infer_exp(b)?;
-                self.unify_at(span, &tya, &Ty::Bool)?;
-                self.unify_at(span, &tyb, &Ty::Bool)?;
+                self.unify_at(span, tya, TyId::BOOL)?;
+                self.unify_at(span, tyb, TyId::BOOL)?;
                 Ok((
                     TExp::If(Box::new(ta), Box::new(tb), Box::new(TExp::Bool(false))),
-                    Ty::Bool,
+                    TyId::BOOL,
                 ))
             }
             Exp::Orelse(a, b, _) => {
                 let (ta, tya) = self.infer_exp(a)?;
                 let (tb, tyb) = self.infer_exp(b)?;
-                self.unify_at(span, &tya, &Ty::Bool)?;
-                self.unify_at(span, &tyb, &Ty::Bool)?;
+                self.unify_at(span, tya, TyId::BOOL)?;
+                self.unify_at(span, tyb, TyId::BOOL)?;
                 Ok((
                     TExp::If(Box::new(ta), Box::new(TExp::Bool(true)), Box::new(tb)),
-                    Ty::Bool,
+                    TyId::BOOL,
                 ))
             }
             Exp::If(c, t, f, _) => {
                 let (tc, cty) = self.infer_exp(c)?;
-                self.unify_at(c.span(), &cty, &Ty::Bool)?;
+                self.unify_at(c.span(), cty, TyId::BOOL)?;
                 let (tt, tty) = self.infer_exp(t)?;
                 let (tf, fty) = self.infer_exp(f)?;
-                self.unify_at(span, &tty, &fty)?;
+                self.unify_at(span, tty, fty)?;
                 Ok((TExp::If(Box::new(tc), Box::new(tt), Box::new(tf)), tty))
             }
             Exp::While(c, b, _) => {
                 let (tc, cty) = self.infer_exp(c)?;
-                self.unify_at(c.span(), &cty, &Ty::Bool)?;
+                self.unify_at(c.span(), cty, TyId::BOOL)?;
                 let (tb, bty) = self.infer_exp(b)?;
-                self.unify_at(b.span(), &bty, &Ty::Unit)?;
-                Ok((TExp::While(Box::new(tc), Box::new(tb)), Ty::Unit))
+                self.unify_at(b.span(), bty, TyId::UNIT)?;
+                Ok((TExp::While(Box::new(tc), Box::new(tb)), TyId::UNIT))
             }
             Exp::Case(scrut, rules, _) => {
                 let (ts, sty) = self.infer_exp(scrut)?;
                 let rty = self.cx.fresh();
-                let trules = self.infer_rules(rules, &sty, &rty)?;
+                let trules = self.infer_rules(rules, sty, rty)?;
                 Ok((
                     TExp::Case {
                         scrut: Box::new(ts),
                         sty,
                         rules: trules,
-                        rty: rty.clone(),
+                        rty,
                         span,
                     },
                     rty,
@@ -905,47 +972,49 @@ impl Elab {
                 let rty = self.cx.fresh();
                 // Single irrefutable variable rule: bind the parameter
                 // directly (common case, avoids a trivial match).
-                if rules.len() == 1 {
-                    if let Pat::Var(name, _) = &rules[0].pat {
-                        if !matches!(
-                            self.lookup(name),
-                            Some(Binding::Ctor(_, _)) | Some(Binding::Exn(_))
-                        ) {
-                            self.push_scope();
-                            let v = self.vars.fresh(name);
-                            self.bind(name, Binding::Val(v, Scheme::mono(pty.clone())));
-                            let (tb, bty) = self.infer_exp(&rules[0].exp)?;
-                            self.unify_at(span, &bty, &rty)?;
-                            self.pop_scope();
-                            return Ok((
-                                TExp::Fn {
-                                    param: v,
-                                    pty: pty.clone(),
-                                    rty: rty.clone(),
-                                    body: Box::new(tb),
-                                },
-                                Ty::arrow(pty, rty),
-                            ));
-                        }
+                if let [ast::Rule {
+                    pat: Pat::Var(name, _),
+                    exp: body,
+                }] = rules.as_slice()
+                {
+                    if !matches!(
+                        self.lookup(name),
+                        Some(Binding::Ctor(_, _)) | Some(Binding::Exn(_))
+                    ) {
+                        self.push_scope();
+                        let v = self.vars.fresh(name);
+                        self.bind(name, Binding::Val(v, Scheme::mono(pty)));
+                        let (tb, bty) = self.infer_exp(body)?;
+                        self.unify_at(span, bty, rty)?;
+                        self.pop_scope();
+                        return Ok((
+                            TExp::Fn {
+                                param: v,
+                                pty,
+                                rty,
+                                body: Box::new(tb),
+                            },
+                            self.cx.arrow(pty, rty),
+                        ));
                     }
                 }
                 let pv = self.vars.fresh("arg");
-                let trules = self.infer_rules(rules, &pty, &rty)?;
+                let trules = self.infer_rules(rules, pty, rty)?;
                 let body = TExp::Case {
-                    scrut: Box::new(TExp::Var(pv, pty.clone())),
-                    sty: pty.clone(),
+                    scrut: Box::new(TExp::Var(pv, pty)),
+                    sty: pty,
                     rules: trules,
-                    rty: rty.clone(),
+                    rty,
                     span,
                 };
                 Ok((
                     TExp::Fn {
                         param: pv,
-                        pty: pty.clone(),
-                        rty: rty.clone(),
+                        pty,
+                        rty,
                         body: Box::new(body),
                     },
-                    Ty::arrow(pty, rty),
+                    self.cx.arrow(pty, rty),
                 ))
             }
             Exp::Let(decs, body, _) => {
@@ -954,18 +1023,10 @@ impl Elab {
                 for d in decs {
                     tdecs.extend(self.infer_dec(d)?);
                 }
-                let mut tes = Vec::new();
-                let mut last_ty = Ty::Unit;
-                for (i, e) in body.iter().enumerate() {
-                    let (te, ty) = self.infer_exp(e)?;
-                    tes.push(te);
-                    if i == body.len() - 1 {
-                        last_ty = ty;
-                    }
-                }
+                let (mut tes, last_ty) = self.infer_seq(body)?;
                 self.pop_scope();
                 let body_exp = if tes.len() == 1 {
-                    tes.into_iter().next().unwrap()
+                    tes.pop().unwrap()
                 } else {
                     TExp::Seq(tes)
                 };
@@ -978,31 +1039,23 @@ impl Elab {
                 ))
             }
             Exp::Seq(es, _) => {
-                let mut tes = Vec::new();
-                let mut last_ty = Ty::Unit;
-                for (i, e) in es.iter().enumerate() {
-                    let (te, ty) = self.infer_exp(e)?;
-                    tes.push(te);
-                    if i == es.len() - 1 {
-                        last_ty = ty;
-                    }
-                }
+                let (tes, last_ty) = self.infer_seq(es)?;
                 Ok((TExp::Seq(tes), last_ty))
             }
             Exp::Raise(e, _) => {
                 let (te, ty) = self.infer_exp(e)?;
-                self.unify_at(span, &ty, &Ty::Exn)?;
+                self.unify_at(span, ty, TyId::EXN)?;
                 let rty = self.cx.fresh();
-                Ok((TExp::Raise(Box::new(te), rty.clone()), rty))
+                Ok((TExp::Raise(Box::new(te), rty), rty))
             }
             Exp::Handle(e, rules, _) => {
                 let (te, ty) = self.infer_exp(e)?;
-                let trules = self.infer_rules(rules, &Ty::Exn, &ty)?;
+                let trules = self.infer_rules(rules, TyId::EXN, ty)?;
                 Ok((
                     TExp::Handle {
                         body: Box::new(te),
                         rules: trules,
-                        rty: ty.clone(),
+                        rty: ty,
                         span,
                     },
                     ty,
@@ -1011,13 +1064,13 @@ impl Elab {
             Exp::Ascribe(e, t, _) => {
                 let (te, ty) = self.infer_exp(e)?;
                 let want = self.ty_of_tyexp(t, span)?;
-                self.unify_at(span, &ty, &want)?;
+                self.unify_at(span, ty, want)?;
                 Ok((te, want))
             }
         }
     }
 
-    fn infer_var(&mut self, name: &str, span: Span) -> Result<(TExp, Ty), TypeError> {
+    fn infer_var(&mut self, name: &str, span: Span) -> Result<(TExp, TyId), TypeError> {
         // `op+`-style references are expanded to overloaded lambdas by the
         // lowerer; here they become Overload/Eq-producing functions.
         if let Some(rest) = name.strip_prefix("op") {
@@ -1025,23 +1078,22 @@ impl Elab {
                 return self.infer_op_section(rest, span);
             }
         }
-        match self.lookup(name).cloned() {
+        match self.lookup(name) {
             Some(Binding::Val(v, scheme)) => {
-                let ty = self.cx.instantiate(&scheme);
-                Ok((TExp::Var(v, ty.clone()), ty))
+                let ty = self.cx.instantiate(scheme);
+                Ok((TExp::Var(v, ty), ty))
             }
             Some(Binding::Builtin(b)) => {
                 let ty = b.fresh_ty(&mut self.cx);
-                Ok((TExp::Builtin(b, ty.clone()), ty))
+                Ok((TExp::Builtin(b, ty), ty))
             }
             Some(Binding::Ctor(tycon, con)) => {
                 let dt = self.data.get(tycon);
-                let arity = dt.arity;
-                let arg = dt.constructors[con.0 as usize].arg.clone();
-                let targs: Vec<Ty> = (0..arity).map(|_| self.cx.fresh()).collect();
-                let res_ty = Ty::Con(tycon, targs.clone());
-                match arg {
-                    None => Ok((
+                let carries = dt.constructors[con.0 as usize].arg.is_some();
+                let targs: Vec<TyId> = (0..dt.arity).map(|_| self.cx.fresh()).collect();
+                let res_ty = self.cx.con(tycon, &targs);
+                if !carries {
+                    return Ok((
                         TExp::Con {
                             tycon,
                             con,
@@ -1049,30 +1101,27 @@ impl Elab {
                             arg: None,
                         },
                         res_ty,
-                    )),
-                    Some(s) => {
-                        let arg_ty = self.scheme_to_ty(&s, &targs);
-                        Ok((
-                            TExp::ConVal { tycon, con, targs },
-                            Ty::arrow(arg_ty, res_ty),
-                        ))
-                    }
+                    ));
                 }
+                let arg_ty = self.con_arg_ty(tycon, con, &targs);
+                let fun_ty = self.cx.arrow(arg_ty, res_ty);
+                Ok((TExp::ConVal { tycon, con, targs }, fun_ty))
             }
-            Some(Binding::Exn(id)) => match self.exns.get(id).arg.clone() {
-                None => Ok((TExp::ExCon { exn: id, arg: None }, Ty::Exn)),
-                Some(at) => Ok((TExp::ExnVal(id), Ty::arrow(lty_to_ty(&at), Ty::Exn))),
+            Some(Binding::Exn(id)) => match self.exn_arg_ty(id) {
+                None => Ok((TExp::ExCon { exn: id, arg: None }, TyId::EXN)),
+                Some(at) => Ok((TExp::ExnVal(id), self.cx.arrow(at, TyId::EXN))),
             },
             None => Err(TypeError::new(format!("unbound variable `{name}`"), span)),
         }
     }
 
     /// `op +` and friends, used as first-class functions.
-    fn infer_op_section(&mut self, sym: &str, span: Span) -> Result<(TExp, Ty), TypeError> {
+    fn infer_op_section(&mut self, sym: &str, span: Span) -> Result<(TExp, TyId), TypeError> {
         let p = self.vars.fresh("p");
         let a = self.vars.fresh("a");
         let b = self.vars.fresh("b");
-        let (body, opnd_ty, res_ty): (TExp, Ty, Ty) = match sym {
+        // The body, the two operands' types and the result type.
+        let (body, a_ty, b_ty, res_ty) = match sym {
             "+" | "-" | "*" => {
                 let t = builtins::fresh_num(&mut self.cx);
                 let op = match sym {
@@ -1083,11 +1132,12 @@ impl Elab {
                 (
                     TExp::Overload {
                         op,
-                        args: vec![TExp::Var(a, t.clone()), TExp::Var(b, t.clone())],
-                        ty: t.clone(),
+                        args: vec![TExp::Var(a, t), TExp::Var(b, t)],
+                        ty: t,
                         span,
                     },
-                    t.clone(),
+                    t,
+                    t,
                     t,
                 )
             }
@@ -1102,66 +1152,63 @@ impl Elab {
                 (
                     TExp::Overload {
                         op,
-                        args: vec![TExp::Var(a, t.clone()), TExp::Var(b, t.clone())],
-                        ty: t.clone(),
+                        args: vec![TExp::Var(a, t), TExp::Var(b, t)],
+                        ty: t,
                         span,
                     },
                     t,
-                    Ty::Bool,
+                    t,
+                    TyId::BOOL,
                 )
             }
             "=" => {
                 let t = self.cx.fresh();
                 (
                     TExp::Eq {
-                        lhs: Box::new(TExp::Var(a, t.clone())),
-                        rhs: Box::new(TExp::Var(b, t.clone())),
-                        ty: t.clone(),
+                        lhs: Box::new(TExp::Var(a, t)),
+                        rhs: Box::new(TExp::Var(b, t)),
+                        ty: t,
                         negate: false,
                         span,
                     },
                     t,
-                    Ty::Bool,
+                    t,
+                    TyId::BOOL,
                 )
             }
-            "div" | "mod" => (
-                TExp::Prim {
-                    prim: if sym == "div" { Prim::IDiv } else { Prim::IMod },
-                    args: vec![TExp::Var(a, Ty::Int), TExp::Var(b, Ty::Int)],
-                },
-                Ty::Int,
-                Ty::Int,
-            ),
-            "/" => (
-                TExp::Prim {
-                    prim: Prim::RDiv,
-                    args: vec![TExp::Var(a, Ty::Real), TExp::Var(b, Ty::Real)],
-                },
-                Ty::Real,
-                Ty::Real,
-            ),
-            "^" => (
-                TExp::Prim {
-                    prim: Prim::StrConcat,
-                    args: vec![TExp::Var(a, Ty::Str), TExp::Var(b, Ty::Str)],
-                },
-                Ty::Str,
-                Ty::Str,
-            ),
+            "div" | "mod" | "/" | "^" => {
+                let (prim, t) = match sym {
+                    "div" => (Prim::IDiv, TyId::INT),
+                    "mod" => (Prim::IMod, TyId::INT),
+                    "/" => (Prim::RDiv, TyId::REAL),
+                    _ => (Prim::StrConcat, TyId::STR),
+                };
+                (
+                    TExp::Prim {
+                        prim,
+                        args: vec![TExp::Var(a, t), TExp::Var(b, t)],
+                    },
+                    t,
+                    t,
+                    t,
+                )
+            }
             "::" => {
                 let t = self.cx.fresh();
+                let list = self.cx.list(t);
                 (
                     TExp::Con {
                         tycon: kit_lambda::ty::LIST,
                         con: kit_lambda::ty::CONS,
-                        targs: vec![t.clone()],
+                        targs: vec![t],
                         arg: Some(Box::new(TExp::Tuple(vec![
-                            TExp::Var(a, t.clone()),
-                            TExp::Var(b, Ty::list(t.clone())),
+                            TExp::Var(a, t),
+                            TExp::Var(b, list),
                         ]))),
                     },
-                    t.clone(),
-                    Ty::list(t),
+                    t,
+                    list,
+                    list,
                 )
             }
             other => {
@@ -1172,67 +1219,62 @@ impl Elab {
             }
         };
         // fn p => case p of (a, b) => body
-        let (a_ty, b_ty) = match sym {
-            "::" => (opnd_ty.clone(), Ty::list(opnd_ty.clone())),
-            _ => (opnd_ty.clone(), opnd_ty.clone()),
-        };
-        let p_ty = Ty::Tuple(vec![a_ty.clone(), b_ty.clone()]);
+        let p_ty = self.cx.tuple(&[a_ty, b_ty]);
         let case = TExp::Case {
-            scrut: Box::new(TExp::Var(p, p_ty.clone())),
-            sty: p_ty.clone(),
+            scrut: Box::new(TExp::Var(p, p_ty)),
+            sty: p_ty,
             rules: vec![TRule {
                 pat: TPat::Tuple(vec![TPat::Var(a, a_ty), TPat::Var(b, b_ty)]),
                 exp: body,
             }],
-            rty: res_ty.clone(),
+            rty: res_ty,
             span,
         };
         Ok((
             TExp::Fn {
                 param: p,
-                pty: p_ty.clone(),
-                rty: res_ty.clone(),
+                pty: p_ty,
+                rty: res_ty,
                 body: Box::new(case),
             },
-            Ty::arrow(p_ty, res_ty),
+            self.cx.arrow(p_ty, res_ty),
         ))
     }
 
-    fn infer_app(&mut self, f: &Exp, a: &Exp, span: Span) -> Result<(TExp, Ty), TypeError> {
+    fn infer_app(&mut self, f: &Exp, a: &Exp, span: Span) -> Result<(TExp, TyId), TypeError> {
         // Constructor / exception application is built directly.
         if let Exp::Var(name, _) = f {
-            match self.lookup(name).cloned() {
+            match self.lookup(name) {
                 Some(Binding::Ctor(tycon, con)) => {
                     let dt = self.data.get(tycon);
-                    let arity = dt.arity;
-                    if let Some(s) = dt.constructors[con.0 as usize].arg.clone() {
-                        let targs: Vec<Ty> = (0..arity).map(|_| self.cx.fresh()).collect();
-                        let arg_ty = self.scheme_to_ty(&s, &targs);
+                    if dt.constructors[con.0 as usize].arg.is_some() {
+                        let targs: Vec<TyId> = (0..dt.arity).map(|_| self.cx.fresh()).collect();
+                        let arg_ty = self.con_arg_ty(tycon, con, &targs);
                         let (ta, tya) = self.infer_exp(a)?;
-                        self.unify_at(span, &tya, &arg_ty)?;
+                        self.unify_at(span, tya, arg_ty)?;
+                        let ty = self.cx.con(tycon, &targs);
                         return Ok((
                             TExp::Con {
                                 tycon,
                                 con,
-                                targs: targs.clone(),
+                                targs,
                                 arg: Some(Box::new(ta)),
                             },
-                            Ty::Con(tycon, targs),
+                            ty,
                         ));
                     }
                 }
-                Some(Binding::Exn(id)) => {
-                    if let Some(at) = self.exns.get(id).arg.clone() {
-                        let (ta, tya) = self.infer_exp(a)?;
-                        self.unify_at(span, &tya, &lty_to_ty(&at))?;
-                        return Ok((
-                            TExp::ExCon {
-                                exn: id,
-                                arg: Some(Box::new(ta)),
-                            },
-                            Ty::Exn,
-                        ));
-                    }
+                Some(Binding::Exn(id)) if self.exns.get(id).arg.is_some() => {
+                    let (ta, tya) = self.infer_exp(a)?;
+                    let at = self.exn_arg_ty(id).expect("checked above");
+                    self.unify_at(span, tya, at)?;
+                    return Ok((
+                        TExp::ExCon {
+                            exn: id,
+                            arg: Some(Box::new(ta)),
+                        },
+                        TyId::EXN,
+                    ));
                 }
                 _ => {}
             }
@@ -1240,7 +1282,8 @@ impl Elab {
         let (tf, fty) = self.infer_exp(f)?;
         let (ta, aty) = self.infer_exp(a)?;
         let r = self.cx.fresh();
-        self.unify_at(span, &fty, &Ty::arrow(aty, r.clone()))?;
+        let want = self.cx.arrow(aty, r);
+        self.unify_at(span, fty, want)?;
         Ok((TExp::App(Box::new(tf), Box::new(ta)), r))
     }
 
@@ -1250,14 +1293,14 @@ impl Elab {
         a: &Exp,
         b: &Exp,
         span: Span,
-    ) -> Result<(TExp, Ty), TypeError> {
+    ) -> Result<(TExp, TyId), TypeError> {
         let (ta, tya) = self.infer_exp(a)?;
         let (tb, tyb) = self.infer_exp(b)?;
         match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul => {
                 let t = builtins::fresh_num(&mut self.cx);
-                self.unify_at(span, &tya, &t)?;
-                self.unify_at(span, &tyb, &t)?;
+                self.unify_at(span, tya, t)?;
+                self.unify_at(span, tyb, t)?;
                 let ov = match op {
                     BinOp::Add => OvOp::Add,
                     BinOp::Sub => OvOp::Sub,
@@ -1267,7 +1310,7 @@ impl Elab {
                     TExp::Overload {
                         op: ov,
                         args: vec![ta, tb],
-                        ty: t.clone(),
+                        ty: t,
                         span,
                     },
                     t,
@@ -1275,8 +1318,8 @@ impl Elab {
             }
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                 let t = builtins::fresh_ord(&mut self.cx);
-                self.unify_at(span, &tya, &t)?;
-                self.unify_at(span, &tyb, &t)?;
+                self.unify_at(span, tya, t)?;
+                self.unify_at(span, tyb, t)?;
                 let ov = match op {
                     BinOp::Lt => OvOp::Lt,
                     BinOp::Le => OvOp::Le,
@@ -1290,38 +1333,28 @@ impl Elab {
                         ty: t,
                         span,
                     },
-                    Ty::Bool,
+                    TyId::BOOL,
                 ))
             }
-            BinOp::Div | BinOp::Mod => {
-                self.unify_at(span, &tya, &Ty::Int)?;
-                self.unify_at(span, &tyb, &Ty::Int)?;
-                let p = if op == BinOp::Div {
-                    Prim::IDiv
-                } else {
-                    Prim::IMod
+            BinOp::Div | BinOp::Mod | BinOp::RDiv | BinOp::Concat => {
+                let (prim, t) = match op {
+                    BinOp::Div => (Prim::IDiv, TyId::INT),
+                    BinOp::Mod => (Prim::IMod, TyId::INT),
+                    BinOp::RDiv => (Prim::RDiv, TyId::REAL),
+                    _ => (Prim::StrConcat, TyId::STR),
                 };
+                self.unify_at(span, tya, t)?;
+                self.unify_at(span, tyb, t)?;
                 Ok((
                     TExp::Prim {
-                        prim: p,
+                        prim,
                         args: vec![ta, tb],
                     },
-                    Ty::Int,
-                ))
-            }
-            BinOp::RDiv => {
-                self.unify_at(span, &tya, &Ty::Real)?;
-                self.unify_at(span, &tyb, &Ty::Real)?;
-                Ok((
-                    TExp::Prim {
-                        prim: Prim::RDiv,
-                        args: vec![ta, tb],
-                    },
-                    Ty::Real,
+                    t,
                 ))
             }
             BinOp::Eq | BinOp::Neq => {
-                self.unify_at(span, &tya, &tyb)?;
+                self.unify_at(span, tya, tyb)?;
                 Ok((
                     TExp::Eq {
                         lhs: Box::new(ta),
@@ -1330,30 +1363,20 @@ impl Elab {
                         negate: op == BinOp::Neq,
                         span,
                     },
-                    Ty::Bool,
-                ))
-            }
-            BinOp::Concat => {
-                self.unify_at(span, &tya, &Ty::Str)?;
-                self.unify_at(span, &tyb, &Ty::Str)?;
-                Ok((
-                    TExp::Prim {
-                        prim: Prim::StrConcat,
-                        args: vec![ta, tb],
-                    },
-                    Ty::Str,
+                    TyId::BOOL,
                 ))
             }
             BinOp::Assign => {
                 let cell = self.cx.fresh();
-                self.unify_at(span, &tya, &Ty::Ref(Box::new(cell.clone())))?;
-                self.unify_at(span, &tyb, &cell)?;
+                let ref_ty = self.cx.reference(cell);
+                self.unify_at(span, tya, ref_ty)?;
+                self.unify_at(span, tyb, cell)?;
                 Ok((
                     TExp::Prim {
                         prim: Prim::RefSet,
                         args: vec![ta, tb],
                     },
-                    Ty::Unit,
+                    TyId::UNIT,
                 ))
             }
             BinOp::Compose => {
@@ -1362,21 +1385,23 @@ impl Elab {
                 let ax = self.cx.fresh();
                 let bx = self.cx.fresh();
                 let cx2 = self.cx.fresh();
-                self.unify_at(span, &tyb, &Ty::arrow(ax.clone(), bx.clone()))?;
-                self.unify_at(span, &tya, &Ty::arrow(bx.clone(), cx2.clone()))?;
+                let g_ty = self.cx.arrow(ax, bx);
+                self.unify_at(span, tyb, g_ty)?;
+                let f_ty = self.cx.arrow(bx, cx2);
+                self.unify_at(span, tya, f_ty)?;
                 let vf = self.vars.fresh("f");
                 let vg = self.vars.fresh("g");
                 let body = TExp::App(
-                    Box::new(TExp::Var(vf, tya.clone())),
+                    Box::new(TExp::Var(vf, tya)),
                     Box::new(TExp::App(
-                        Box::new(TExp::Var(vg, tyb.clone())),
-                        Box::new(TExp::Var(x, ax.clone())),
+                        Box::new(TExp::Var(vg, tyb)),
+                        Box::new(TExp::Var(x, ax)),
                     )),
                 );
                 let lam = TExp::Fn {
                     param: x,
-                    pty: ax.clone(),
-                    rty: cx2.clone(),
+                    pty: ax,
+                    rty: cx2,
                     body: Box::new(body),
                 };
                 let exp = TExp::Let {
@@ -1394,29 +1419,78 @@ impl Elab {
                     ],
                     body: Box::new(lam),
                 };
-                Ok((exp, Ty::arrow(ax, cx2)))
+                Ok((exp, self.cx.arrow(ax, cx2)))
             }
+        }
+    }
+}
+
+/// Instantiates a constructor-argument scheme with inference types.
+fn scheme_to_ty(cx: &mut InferCtx, s: &SchemeTy, targs: &[TyId]) -> TyId {
+    match s {
+        SchemeTy::Param(i) => targs[*i as usize],
+        SchemeTy::Int => TyId::INT,
+        SchemeTy::Bool => TyId::BOOL,
+        SchemeTy::Unit => TyId::UNIT,
+        SchemeTy::Real => TyId::REAL,
+        SchemeTy::Str => TyId::STR,
+        SchemeTy::Exn => TyId::EXN,
+        SchemeTy::Con(c, ts) => {
+            let ts: Vec<TyId> = ts.iter().map(|t| scheme_to_ty(cx, t, targs)).collect();
+            cx.con(*c, &ts)
+        }
+        SchemeTy::Arrow(a, b) => {
+            let a = scheme_to_ty(cx, a, targs);
+            let b = scheme_to_ty(cx, b, targs);
+            cx.arrow(a, b)
+        }
+        SchemeTy::Tuple(ts) => {
+            let ts: Vec<TyId> = ts.iter().map(|t| scheme_to_ty(cx, t, targs)).collect();
+            cx.tuple(&ts)
+        }
+        SchemeTy::Ref(t) => {
+            let t = scheme_to_ty(cx, t, targs);
+            cx.reference(t)
+        }
+        SchemeTy::Array(t) => {
+            let t = scheme_to_ty(cx, t, targs);
+            cx.array(t)
         }
     }
 }
 
 /// Converts a closed `LTy` (exception argument types) back to an inference
 /// type.
-fn lty_to_ty(t: &kit_lambda::ty::LTy) -> Ty {
-    use kit_lambda::ty::LTy;
+fn lty_to_ty(cx: &mut InferCtx, t: &LTy) -> TyId {
     match t {
-        LTy::TyVar(_) => Ty::Unit, // exception args must be closed; erased
-        LTy::Int => Ty::Int,
-        LTy::Bool => Ty::Bool,
-        LTy::Unit => Ty::Unit,
-        LTy::Real => Ty::Real,
-        LTy::Str => Ty::Str,
-        LTy::Exn => Ty::Exn,
-        LTy::Con(c, ts) => Ty::Con(*c, ts.iter().map(lty_to_ty).collect()),
-        LTy::Arrow(a, b) => Ty::arrow(lty_to_ty(a), lty_to_ty(b)),
-        LTy::Tuple(ts) => Ty::Tuple(ts.iter().map(lty_to_ty).collect()),
-        LTy::Ref(t) => Ty::Ref(Box::new(lty_to_ty(t))),
-        LTy::Array(t) => Ty::Array(Box::new(lty_to_ty(t))),
+        LTy::TyVar(_) => TyId::UNIT, // exception args must be closed; erased
+        LTy::Int => TyId::INT,
+        LTy::Bool => TyId::BOOL,
+        LTy::Unit => TyId::UNIT,
+        LTy::Real => TyId::REAL,
+        LTy::Str => TyId::STR,
+        LTy::Exn => TyId::EXN,
+        LTy::Con(c, ts) => {
+            let ts: Vec<TyId> = ts.iter().map(|t| lty_to_ty(cx, t)).collect();
+            cx.con(*c, &ts)
+        }
+        LTy::Arrow(a, b) => {
+            let a = lty_to_ty(cx, a);
+            let b = lty_to_ty(cx, b);
+            cx.arrow(a, b)
+        }
+        LTy::Tuple(ts) => {
+            let ts: Vec<TyId> = ts.iter().map(|t| lty_to_ty(cx, t)).collect();
+            cx.tuple(&ts)
+        }
+        LTy::Ref(t) => {
+            let t = lty_to_ty(cx, t);
+            cx.reference(t)
+        }
+        LTy::Array(t) => {
+            let t = lty_to_ty(cx, t);
+            cx.array(t)
+        }
     }
 }
 

@@ -59,7 +59,8 @@ pub fn compile_str(src: &str) -> Result<LProgram, TypeError> {
 ///
 /// The prelude is parsed, elaborated and lowered once per process; every
 /// call continues from a copy of the elaborator as the prelude left it and
-/// puts a copy of the lowered prelude in front of the program's own code.
+/// puts copies of the prelude bindings the program reaches in front of the
+/// program's own code.
 ///
 /// # Errors
 ///
@@ -84,7 +85,7 @@ thread_local! {
 }
 
 /// Adds `n()` units of work to this thread's counter under `cfg(test)` and
-/// does nothing otherwise: the linearity test's clock.
+/// does nothing otherwise: the linearity tests' clock.
 pub(crate) fn count_work(n: impl FnOnce() -> usize) {
     #[cfg(test)]
     WORK.with(|w| w.set(w.get() + n()));
@@ -97,6 +98,7 @@ mod tests {
     use super::*;
     use kit_bench::programs::{self, wide_declarations, SplitMix64};
     use kit_bench::randgen::{self, Surface};
+    use kit_lambda::exp::LExp;
 
     /// Continuing from a copy of the process-wide post-prelude state gives
     /// exactly the program — `VarId`s, type-variable ids and all — that an
@@ -122,9 +124,11 @@ mod tests {
         assert!(vars > 50_000, "only {vars} variables compared");
     }
 
-    /// What elaborating and lowering `src` costs by `count_work`: typed
-    /// nodes lowered, nodes match compilation copied or substituted into,
-    /// and type variables overload defaulting looked at.
+    /// What elaborating and lowering `src` costs by `count_work`: type
+    /// nodes built, links `resolve` followed, names the duplicate-variable
+    /// check compared, typed nodes lowered, rows match compilation sorted
+    /// or specialized, nodes it copied or substituted into, and type
+    /// variables overload defaulting looked at.
     fn elaboration_work(src: String) -> usize {
         let run = move || {
             compile_str("").expect("the prelude elaborates");
@@ -141,19 +145,104 @@ mod tests {
             .expect("elaboration panicked")
     }
 
+    /// Four times the input costs at most 4.3 times the work.
+    fn assert_linear(shape: &str, program: impl Fn(usize) -> String) {
+        let small = elaboration_work(program(100));
+        let large = elaboration_work(program(400));
+        assert!(
+            10 * large <= 43 * small,
+            "4x the {shape}, {}x the work: {small} -> {large}",
+            large as f64 / small as f64
+        );
+    }
+
+    /// `val (a0, …, a{n-1}) = (0, …, n - 1)`: one pattern `n` wide.
+    fn wide_tuple(n: usize) -> String {
+        let names: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
+        let values: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+        format!(
+            "val ({}) = ({})\nval it = a0\n",
+            names.join(", "),
+            values.join(", ")
+        )
+    }
+
     /// A top-level pattern declaration does not pay for the declarations
     /// after it (the rest of the program is its match's body, which match
     /// compilation must neither copy nor walk per pattern variable), nor
     /// for the type variables before it (overload defaulting must not scan
-    /// them all).
+    /// them all); and a pattern's variables do not pay for each other (the
+    /// duplicate check must not scan the ones before).
     #[test]
     fn elaboration_work_is_linear_in_declarations() {
-        let small = elaboration_work(wide_declarations(100));
-        let large = elaboration_work(wide_declarations(400));
-        assert!(
-            10 * large <= 43 * small,
-            "4x the declarations, {}x the work: {small} -> {large}",
-            large as f64 / small as f64
+        assert_linear("declarations", wide_declarations);
+        assert_linear("tuple components", wide_tuple);
+    }
+
+    /// One `case` of `n` integer arms and a wildcard.
+    fn int_arms(n: usize) -> String {
+        let arms: Vec<String> = (0..n).map(|i| format!("{i} => {}", i + 1)).collect();
+        format!(
+            "fun f k = case k of {} | _ => 0\nval it = f 3\n",
+            arms.join(" | ")
+        )
+    }
+
+    /// One `case` over a datatype of `n` constructors, an arm each.
+    fn con_arms(n: usize) -> String {
+        let cons: Vec<String> = (0..n).map(|i| format!("C{i}")).collect();
+        let arms: Vec<String> = (0..n).map(|i| format!("C{i} => {i}")).collect();
+        format!(
+            "datatype t = {}\nfun f c = case c of {}\nval it = f C3\n",
+            cons.join(" | "),
+            arms.join(" | ")
+        )
+    }
+
+    /// Match compilation sorts a `case`'s rows by key once: an arm is
+    /// built from its own rows and the shared ones, not from a scan of
+    /// every row, and a new key is not compared with every key before it.
+    #[test]
+    fn case_work_is_linear_in_arms() {
+        assert_linear("integer arms", int_arms);
+        assert_linear("constructor arms", con_arms);
+    }
+
+    /// The names a program binds at top level, outermost first.
+    fn top_level(src: &str) -> Vec<String> {
+        let prog = compile_str(src).expect("test program elaborates");
+        let mut names = Vec::new();
+        let mut e = &prog.body;
+        loop {
+            e = match e {
+                LExp::Let { var, body, .. } => {
+                    names.push(prog.vars.name(*var).to_string());
+                    body
+                }
+                LExp::Fix { funs, body } => {
+                    names.extend(funs.iter().map(|f| prog.vars.name(f.var).to_string()));
+                    body
+                }
+                _ => return names,
+            };
+        }
+    }
+
+    /// A program holds the prelude bindings it mentions, directly or
+    /// through another copied one, and no others.
+    #[test]
+    fn a_program_holds_only_the_prelude_it_reaches() {
+        assert_eq!(top_level("val it = 0"), ["it"]);
+        assert_eq!(top_level("val it = length [1, 2]"), ["length", "it"]);
+        assert_eq!(
+            top_level("val it = foldl (op +) 0 (map (fn x => x) (rev [1]))"),
+            ["rev", "map", "foldl", "it"]
+        );
+        // `f` is never called, but the program is closed before pruning:
+        // `map` comes with `f`, and pruning drops the two together.
+        assert_eq!(
+            top_level("fun f xs = map (fn x => x) xs\nval it = 1"),
+            ["map", "f", "it"]
         );
     }
 

@@ -14,35 +14,111 @@
 
 use crate::matchc::{self, MatchCtx, UNKNOWN_TY};
 use crate::texp::{OvOp, TDec, TExp, TFun, TPat};
-use crate::types::{InferCtx, Ty, TypeError};
+use crate::types::{InferCtx, TyId, TypeError};
 use kit_lambda::exp::{FixFun, LExp, Prim, VarId, VarTable};
+use kit_lambda::opt::prune::{reach, Binding, Decl, Live};
 use kit_lambda::ty::{ConId, DataEnv, ExnEnv, LTy, TyConId, EXN_BIND, EXN_MATCH};
 use kit_lambda::LProgram;
 use kit_syntax::Span;
 use std::collections::HashMap;
 
-/// The prelude, lowered once: its declarations as a `Let`/`Fix` spine
-/// around a hole, and the equality functions lowering generated for it.
+/// The prelude, lowered once: its top-level bindings, each with what it
+/// takes to decide whether a program reaches it, and the equality
+/// functions lowering generated for them.
 ///
 /// Prelude types are final when the prelude is (its functions are
 /// generalized and its overloads defaulted), and its lowering variables
 /// are drawn before any program's, so this is the same for every program.
 pub struct LoweredPrelude {
-    spine: LExp,
+    /// Outermost first.
+    bindings: Vec<TopBinding>,
     eq_memo: HashMap<LTy, VarId>,
     eq_defs: Vec<FixFun>,
 }
 
-/// What stands in the prelude's spine for the program's own code.
-const HOLE: LExp = LExp::Unit;
+/// One top-level `Let` or `Fix` of the lowered prelude.
+struct TopBinding {
+    binding: Binding,
+    /// The variables its right-hand side or function bodies mention.
+    mentions: Vec<VarId>,
+    /// [`Decl::droppable`], decided once.
+    droppable: bool,
+}
 
-/// The innermost body of `e`'s `Let`/`Fix` spine.
-fn spine_end(e: &mut LExp) -> &mut LExp {
-    match e {
-        LExp::Let { body, .. } | LExp::Fix { body, .. } => spine_end(body),
-        other => other,
+impl TopBinding {
+    fn new(binding: Binding) -> Self {
+        let mut mentions = Vec::new();
+        binding.for_each_part(|e| each_var(e, |v| mentions.push(v)));
+        mentions.sort_unstable();
+        mentions.dedup();
+        TopBinding {
+            droppable: binding.droppable(),
+            binding,
+            mentions,
+        }
     }
 }
+
+impl Decl for &TopBinding {
+    fn binds_live(&self, live: impl Fn(VarId) -> bool) -> bool {
+        self.binding.binds_live(live)
+    }
+
+    fn droppable(&self) -> bool {
+        self.droppable
+    }
+}
+
+/// One flag per variable: whether a program reaches it.
+struct Marks(Vec<bool>);
+
+impl Live<&TopBinding> for Marks {
+    fn is_live(&self, v: VarId) -> bool {
+        self.0[v.0 as usize]
+    }
+
+    fn keep(&mut self, b: &&TopBinding) {
+        b.mentions.iter().for_each(|v| self.0[v.0 as usize] = true);
+    }
+}
+
+/// Calls `f` on every variable occurrence in `e`. A work list, not
+/// recursion: `e` may be a program's spine, as deep as its declarations
+/// are many, and is not yet checked against `kit::MAX_NESTING`.
+fn each_var(e: &LExp, mut f: impl FnMut(VarId)) {
+    let mut work = vec![e];
+    while let Some(e) = work.pop() {
+        match e {
+            LExp::Var(v) => f(*v),
+            _ => e.for_each_child(|c| work.push(c)),
+        }
+    }
+}
+
+impl LoweredPrelude {
+    /// `user` inside copies of the prelude bindings it mentions, directly
+    /// or through a copied binding: [`reach`] over the prelude, starting
+    /// from everything `user` mentions. `nvars` bounds every variable.
+    fn plug(&self, user: LExp, nvars: usize) -> LExp {
+        let mut live = Marks(vec![false; nvars]);
+        each_var(&user, |v| live.0[v.0 as usize] = true);
+        let reached = reach(self.bindings.iter(), &mut live);
+        debug_assert_eq!(
+            self.bindings
+                .iter()
+                .filter(|b| b.binding.binds_live(|v| live.is_live(v)) || !b.droppable)
+                .count(),
+            reached.len(),
+            "a prelude binding the program reaches was left out"
+        );
+        reached
+            .into_iter()
+            .fold(user, |body, b| b.binding.clone().wrap(body))
+    }
+}
+
+/// What stands in the prelude's spine for the program's own code.
+const HOLE: LExp = LExp::Unit;
 
 /// Lowers the prelude's declarations, drawing fresh variables from `vars`.
 ///
@@ -56,22 +132,20 @@ pub fn lower_prelude(
     vars: &mut VarTable,
     decs: &[TDec],
 ) -> Result<LoweredPrelude, TypeError> {
-    let mut lw = Lower::new(cx, data, exns, vars, HashMap::new());
-    let mut spine = lw.lower_decs(decs, HOLE)?;
-    assert!(
-        *spine_end(&mut spine) == HOLE,
-        "the prelude lowers to a Let/Fix spine"
-    );
+    let mut lw = Lower::new(cx, data, exns, vars, None);
+    let (spine, end) = Binding::unspine(lw.lower_decs(decs, HOLE)?);
+    assert!(end == HOLE, "the prelude lowers to a Let/Fix spine");
     Ok(LoweredPrelude {
-        spine,
+        bindings: spine.into_iter().map(TopBinding::new).collect(),
         eq_memo: lw.eq_memo,
         eq_defs: lw.eq_defs,
     })
 }
 
-/// Lowers a program's declarations `decs` to `LambdaExp`, inside a copy
-/// of the lowered `prelude`. The program's value is the variable `result`
-/// (of its type), or `()` if there is none.
+/// Lowers a program's declarations `decs` to `LambdaExp`, inside copies of
+/// the prelude bindings they mention (directly or through a copied one).
+/// The program's value is the variable `result` (of its type), or `()` if
+/// there is none.
 ///
 /// # Errors
 ///
@@ -84,17 +158,16 @@ pub fn lower_program(
     exns: ExnEnv,
     mut vars: VarTable,
     decs: &[TDec],
-    result: Option<(VarId, Ty)>,
+    result: Option<(VarId, TyId)>,
 ) -> Result<LProgram, TypeError> {
     let (core, result_ty) = match result {
-        Some((v, t)) => (LExp::Var(v), cx.to_lty(&t)),
+        Some((v, t)) => (LExp::Var(v), cx.to_lty(t)),
         None => (LExp::Unit, LTy::Unit),
     };
-    let mut lw = Lower::new(&cx, &data, &exns, &mut vars, prelude.eq_memo.clone());
+    let mut lw = Lower::new(&cx, &data, &exns, &mut vars, Some(&prelude.eq_memo));
     let user = lw.lower_decs(decs, core)?;
     let eq_defs: Vec<FixFun> = prelude.eq_defs.iter().cloned().chain(lw.eq_defs).collect();
-    let mut body = prelude.spine.clone();
-    *spine_end(&mut body) = user;
+    let mut body = prelude.plug(user, vars.len());
     if !eq_defs.is_empty() {
         body = LExp::Fix {
             funs: eq_defs,
@@ -115,6 +188,8 @@ struct Lower<'a> {
     data: &'a DataEnv,
     exns: &'a ExnEnv,
     vars: &'a mut VarTable,
+    /// The prelude's equality functions, looked up in place.
+    prelude_memo: Option<&'a HashMap<LTy, VarId>>,
     eq_memo: HashMap<LTy, VarId>,
     eq_defs: Vec<FixFun>,
 }
@@ -125,19 +200,20 @@ impl<'a> Lower<'a> {
         data: &'a DataEnv,
         exns: &'a ExnEnv,
         vars: &'a mut VarTable,
-        eq_memo: HashMap<LTy, VarId>,
+        prelude_memo: Option<&'a HashMap<LTy, VarId>>,
     ) -> Self {
         Lower {
             cx,
             data,
             exns,
             vars,
-            eq_memo,
+            prelude_memo,
+            eq_memo: HashMap::new(),
             eq_defs: Vec::new(),
         }
     }
 
-    fn lty(&self, t: &Ty) -> LTy {
+    fn lty(&self, t: TyId) -> LTy {
         self.cx.to_lty(t)
     }
 
@@ -166,7 +242,7 @@ impl<'a> Lower<'a> {
                     match pat {
                         TPat::Var(v, t) => LExp::Let {
                             var: *v,
-                            ty: self.lty(t),
+                            ty: self.lty(*t),
                             rhs: Box::new(rhs),
                             body: Box::new(out),
                         },
@@ -218,8 +294,8 @@ impl<'a> Lower<'a> {
         // returns directly nested lambdas for the rest — the shape
         // `kit_lambda::opt::uncurry` folds back into one function of all
         // the parameters.
-        let ptys: Vec<LTy> = f.params.iter().map(|(_, t)| self.lty(t)).collect();
-        let ret_lty = self.lty(&f.ret);
+        let ptys: Vec<LTy> = f.params.iter().map(|(_, t)| self.lty(*t)).collect();
+        let ret_lty = self.lty(f.ret);
         let mut body = tree;
         let mut rty = ret_lty;
         for i in (1..f.params.len()).rev() {
@@ -247,14 +323,14 @@ impl<'a> Lower<'a> {
             TExp::Bool(b) => Ok(LExp::Bool(*b)),
             TExp::Unit => Ok(LExp::Unit),
             TExp::Var(v, _) => Ok(LExp::Var(*v)),
-            TExp::Builtin(b, ty) => Ok(self.eta_builtin(*b, ty)),
+            TExp::Builtin(b, ty) => Ok(self.eta_builtin(*b, *ty)),
             TExp::Con {
                 tycon,
                 con,
                 targs,
                 arg,
             } => {
-                let targs: Vec<LTy> = targs.iter().map(|t| self.lty(t)).collect();
+                let targs: Vec<LTy> = targs.iter().map(|t| self.lty(*t)).collect();
                 let arg = match arg {
                     Some(a) => Some(Box::new(self.lower_exp(a)?)),
                     None => None,
@@ -267,7 +343,7 @@ impl<'a> Lower<'a> {
                 })
             }
             TExp::ConVal { tycon, con, targs } => {
-                let targs_l: Vec<LTy> = targs.iter().map(|t| self.lty(t)).collect();
+                let targs_l: Vec<LTy> = targs.iter().map(|t| self.lty(*t)).collect();
                 let arg_ty = self
                     .data
                     .con_arg_ty(*tycon, *con, &targs_l)
@@ -322,8 +398,8 @@ impl<'a> Lower<'a> {
                 rty,
                 body,
             } => Ok(LExp::Fn {
-                params: vec![(*param, self.lty(pty))],
-                ret: self.lty(rty),
+                params: vec![(*param, self.lty(*pty))],
+                ret: self.lty(*rty),
                 body: Box::new(self.lower_exp(body)?),
             }),
             TExp::Let { decs, body } => {
@@ -372,9 +448,7 @@ impl<'a> Lower<'a> {
                     body: Box::new(LExp::App(Box::new(LExp::Var(loopv)), vec![])),
                 })
             }
-            TExp::Case {
-                scrut, rules, span, ..
-            } => {
+            TExp::Case { scrut, rules, .. } => {
                 let scrut = self.lower_exp(scrut)?;
                 let rows = rules
                     .iter()
@@ -383,7 +457,6 @@ impl<'a> Lower<'a> {
                 let sv = self.vars.fresh("scrut");
                 let default = self.raise_exn(EXN_MATCH);
                 let tree = self.match_tree(&[sv], rows, &default);
-                let _ = span;
                 Ok(LExp::Let {
                     var: sv,
                     ty: UNKNOWN_TY,
@@ -393,11 +466,9 @@ impl<'a> Lower<'a> {
             }
             TExp::Raise(e, ty) => Ok(LExp::Raise {
                 exp: Box::new(self.lower_exp(e)?),
-                ty: self.lty(ty),
+                ty: self.lty(*ty),
             }),
-            TExp::Handle {
-                body, rules, span, ..
-            } => {
+            TExp::Handle { body, rules, .. } => {
                 let body = self.lower_exp(body)?;
                 let ev = self.vars.fresh("exn");
                 let rows = rules
@@ -410,14 +481,13 @@ impl<'a> Lower<'a> {
                     ty: UNKNOWN_TY,
                 };
                 let tree = self.match_tree(&[ev], rows, &default);
-                let _ = span;
                 Ok(LExp::Handle {
                     body: Box::new(body),
                     var: ev,
                     handler: Box::new(tree),
                 })
             }
-            TExp::Overload { op, args, ty, span } => self.lower_overload(*op, args, ty, *span),
+            TExp::Overload { op, args, ty, span } => self.lower_overload(*op, args, *ty, *span),
             TExp::Eq {
                 lhs,
                 rhs,
@@ -427,7 +497,7 @@ impl<'a> Lower<'a> {
             } => {
                 let l = self.lower_exp(lhs)?;
                 let r = self.lower_exp(rhs)?;
-                let lty = self.lty(ty);
+                let lty = self.lty(*ty);
                 let eq = self.eq_exp(&lty, l, r, *span)?;
                 Ok(if *negate {
                     LExp::If(
@@ -485,7 +555,7 @@ impl<'a> Lower<'a> {
                 });
             }
             TExp::ConVal { tycon, con, targs } => {
-                let targs: Vec<LTy> = targs.iter().map(|t| self.lty(t)).collect();
+                let targs: Vec<LTy> = targs.iter().map(|t| self.lty(*t)).collect();
                 let a = self.lower_exp(a)?;
                 return Ok(LExp::Con {
                     tycon: *tycon,
@@ -509,7 +579,7 @@ impl<'a> Lower<'a> {
     }
 
     /// Eta-expands a builtin referenced as a value.
-    fn eta_builtin(&mut self, b: crate::builtins::Builtin, ty: &Ty) -> LExp {
+    fn eta_builtin(&mut self, b: crate::builtins::Builtin, ty: TyId) -> LExp {
         let (prim, arity) = b.prim();
         let lty = self.lty(ty);
         let (pty, rty) = match &lty {
@@ -540,7 +610,7 @@ impl<'a> Lower<'a> {
         &mut self,
         op: OvOp,
         args: &[TExp],
-        ty: &Ty,
+        ty: TyId,
         span: Span,
     ) -> Result<LExp, TypeError> {
         let largs = args
@@ -687,7 +757,8 @@ impl<'a> Lower<'a> {
     /// instance.
     fn eq_fun(&mut self, tycon: TyConId, targs: &[LTy], span: Span) -> Result<VarId, TypeError> {
         let key = LTy::Con(tycon, targs.to_vec());
-        if let Some(v) = self.eq_memo.get(&key) {
+        let known = self.prelude_memo.and_then(|m| m.get(&key));
+        if let Some(v) = known.or_else(|| self.eq_memo.get(&key)) {
             return Ok(*v);
         }
         let name = format!("eq_{}", self.data.get(tycon).name);
@@ -757,5 +828,49 @@ impl<'a> Lower<'a> {
             body,
         });
         Ok(fv)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kit_lambda::opt::prune::prune;
+
+    /// Pruning the whole lowered prelude around a body keeps exactly the
+    /// bindings [`LoweredPrelude::plug`] copies around it, on a spine that
+    /// is mostly dead.
+    #[test]
+    fn pruning_the_whole_prelude_keeps_what_plugging_copies() {
+        let ast = kit_syntax::parse_program(crate::prelude::PRELUDE).expect("prelude must parse");
+        let prelude = crate::infer::Prelude::elaborate(&ast).expect("prelude must elaborate");
+        let (lowered, vars) = prelude.lowered();
+        let var = |name: &str| {
+            let found = (0..vars.len() as u32)
+                .map(VarId)
+                .find(|v| vars.name(*v) == name);
+            LExp::Var(found.expect("a prelude binding"))
+        };
+        let len = lowered.bindings.len();
+        for (body, kept) in [
+            (LExp::Unit, 0),
+            (var("length"), 1),
+            (LExp::Record(vec![var("map"), var("foldl"), var("rev")]), 3),
+        ] {
+            let whole = lowered
+                .bindings
+                .iter()
+                .rev()
+                .fold(body.clone(), |e, b| b.binding.clone().wrap(e));
+            let mut prog = LProgram {
+                data: DataEnv::new(),
+                exns: ExnEnv::new(),
+                vars: vars.clone(),
+                body: whole,
+                result_ty: LTy::Unit,
+            };
+            assert_eq!(prune(&mut prog), len - kept, "{body:?}");
+            assert_eq!(prog.body, lowered.plug(body, vars.len()));
+        }
+        assert!(len > 20, "only {len} prelude bindings");
     }
 }

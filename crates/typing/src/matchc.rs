@@ -10,6 +10,10 @@
 //! * rows without a test at the branched occurrence flow into every arm and
 //!   the default, preserving first-match semantics.
 //!
+//! A branch sorts its rows by key in one pass ([`Buckets`]), so each arm
+//! is built from its own rows and the shared ones: a `case` of `n` arms
+//! costs `n`, not `n²`.
+//!
 //! Rule bodies may be duplicated across branches; duplicated copies are
 //! alpha-renamed so variable ids stay globally unique (a requirement of the
 //! optimizer and region inference). Pattern variables never produce `let`
@@ -27,8 +31,9 @@ use crate::texp::TPat;
 use kit_lambda::exp::{LExp, VarId, VarTable};
 use kit_lambda::opt::inline::rename_clone;
 use kit_lambda::opt::simplify::subst_atomic;
-use kit_lambda::ty::{ConId, DataEnv, ExnId, LTy, TyConId};
+use kit_lambda::ty::{DataEnv, LTy, TyConId};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Placeholder type for compiler-introduced binders whose precise type is
 /// irrelevant downstream (region inference recomputes types bottom-up).
@@ -47,6 +52,27 @@ struct Row {
     cols: Vec<(VarId, TPat)>,
     subst: Vec<(VarId, VarId)>, // pattern var -> occurrence var
     body: usize,
+}
+
+/// The rows of a branch at one occurrence, sorted by their test there:
+/// the keys in order of first occurrence, the positions of the rows
+/// testing each, and those of the rows every arm and the default share
+/// (a variable, a wildcard or no test at the occurrence). Positions are
+/// ascending.
+struct Buckets<K> {
+    keys: Vec<K>,
+    keyed: Vec<Vec<usize>>,
+    any: Vec<usize>,
+}
+
+impl<K: PartialEq> Buckets<K> {
+    /// The rows testing `k`, found by a scan (for `bool`'s two keys).
+    fn keyed_at(&self, k: &K) -> &[usize] {
+        match self.keys.iter().position(|x| x == k) {
+            Some(s) => &self.keyed[s],
+            None => &[],
+        }
+    }
 }
 
 /// Compiles a match over the occurrence variables `occs`.
@@ -151,8 +177,28 @@ impl Solver<'_, '_> {
         match pat {
             TPat::Wild | TPat::Var(_, _) => unreachable!("normalized above"),
             TPat::Tuple(ps) => self.destructure_tuple(occ, &ps, rows),
-            TPat::Int(_) => self.branch_int(occ, rows),
-            TPat::Str(_) => self.branch_str(occ, rows),
+            TPat::Int(_) => {
+                let (arms, default) = self.literal_arms(occ, &rows, |p| match p {
+                    TPat::Int(n) => Some(*n),
+                    _ => None,
+                });
+                LExp::SwitchInt {
+                    scrut: Box::new(LExp::Var(occ)),
+                    arms,
+                    default: Box::new(default),
+                }
+            }
+            TPat::Str(_) => {
+                let (arms, default) = self.literal_arms(occ, &rows, |p| match p {
+                    TPat::Str(s) => Some(s.clone()),
+                    _ => None,
+                });
+                LExp::SwitchStr {
+                    scrut: Box::new(LExp::Var(occ)),
+                    arms,
+                    default: Box::new(default),
+                }
+            }
             TPat::Bool(_) => self.branch_bool(occ, rows),
             TPat::Con { tycon, .. } => self.branch_con(occ, tycon, rows),
             TPat::Exn { .. } => self.branch_exn(occ, rows),
@@ -204,147 +250,113 @@ impl Solver<'_, '_> {
             })
     }
 
-    /// Rows relevant when `occ` is known to match constructor-like key `k`.
-    /// Rows without a test at `occ` are kept (they match anything).
-    fn specialize<K: PartialEq + Clone>(
+    /// Sorts `rows` by their test at `occ`, in one pass.
+    fn buckets<K: Eq + Hash + Clone>(
         rows: &[Row],
         occ: VarId,
-        key: &K,
         get_key: impl Fn(&TPat) -> Option<K>,
+    ) -> Buckets<K> {
+        crate::count_work(|| rows.len());
+        let mut slots: HashMap<K, usize> = HashMap::new();
+        let mut b = Buckets {
+            keys: Vec::new(),
+            keyed: Vec::new(),
+            any: Vec::new(),
+        };
+        for (i, row) in rows.iter().enumerate() {
+            let test = row.cols.iter().find(|(o, _)| *o == occ);
+            match test.and_then(|(_, p)| get_key(p)) {
+                Some(k) => {
+                    let slot = *slots.entry(k.clone()).or_insert_with(|| {
+                        b.keys.push(k);
+                        b.keyed.push(Vec::new());
+                        b.keys.len() - 1
+                    });
+                    b.keyed[slot].push(i);
+                }
+                None => b.any.push(i),
+            }
+        }
+        b
+    }
+
+    /// The rows relevant when `occ` is known to match one key: those at
+    /// positions `keyed`, which test `occ` against it (`expand` replaces
+    /// the test by its sub-patterns), and those at positions `any`, which
+    /// match whatever `occ` holds — merged back into row order.
+    fn specialize(
+        rows: &[Row],
+        occ: VarId,
+        keyed: &[usize],
+        any: &[usize],
         expand: impl Fn(&mut Row, TPat),
     ) -> Vec<Row> {
-        let mut out = Vec::new();
-        for row in rows {
-            match row.cols.iter().position(|(o, _)| *o == occ) {
-                None => out.push(row.clone()),
-                Some(ix) => {
-                    let pat = &row.cols[ix].1;
-                    match get_key(pat) {
-                        Some(ref k2) if k2 == key => {
-                            let mut r = row.clone();
-                            let (_, p) = r.cols.remove(ix);
-                            expand(&mut r, p);
-                            out.push(r);
-                        }
-                        Some(_) => {}
-                        None => {
-                            // Variable/wildcard at this occurrence: matches.
-                            let mut r = row.clone();
-                            let (_, p) = r.cols.remove(ix);
-                            match p {
-                                TPat::Wild => {}
-                                TPat::Var(v, _) => r.subst.push((v, occ)),
-                                other => {
-                                    panic!("mixed pattern kinds at occurrence: {other:?}")
-                                }
-                            }
-                            out.push(r);
-                        }
-                    }
+        crate::count_work(|| keyed.len() + any.len());
+        let mut out = Vec::with_capacity(keyed.len() + any.len());
+        let (mut k, mut a) = (keyed.iter().peekable(), any.iter().peekable());
+        loop {
+            let (i, tests_key) = match (k.peek(), a.peek()) {
+                (Some(&&i), Some(&&j)) if i < j => (*k.next().unwrap(), true),
+                (_, Some(_)) => (*a.next().unwrap(), false),
+                (Some(_), None) => (*k.next().unwrap(), true),
+                (None, None) => return out,
+            };
+            let mut r = rows[i].clone();
+            if let Some(ix) = r.cols.iter().position(|(o, _)| *o == occ) {
+                let (_, p) = r.cols.remove(ix);
+                match p {
+                    p if tests_key => expand(&mut r, p),
+                    TPat::Wild => {}
+                    TPat::Var(v, _) => r.subst.push((v, occ)),
+                    other => panic!("mixed pattern kinds at occurrence: {other:?}"),
                 }
             }
+            out.push(r);
         }
-        out
     }
 
-    /// Rows still relevant when no arm matched.
-    fn default_rows(rows: &[Row], occ: VarId) -> Vec<Row> {
-        rows.iter()
-            .filter_map(|row| match row.cols.iter().position(|(o, _)| *o == occ) {
-                None => Some(row.clone()),
-                Some(ix) => match &row.cols[ix].1 {
-                    TPat::Wild | TPat::Var(_, _) => {
-                        let mut r = row.clone();
-                        let (_, p) = r.cols.remove(ix);
-                        if let TPat::Var(v, _) = p {
-                            r.subst.push((v, occ));
-                        }
-                        Some(r)
-                    }
-                    _ => None,
-                },
-            })
-            .collect()
-    }
-
-    fn keys_of<K: PartialEq + Clone>(
-        rows: &[Row],
+    /// The arms and the default of a switch on literal keys at `occ`.
+    fn literal_arms<K: Eq + Hash + Clone>(
+        &mut self,
         occ: VarId,
+        rows: &[Row],
         get_key: impl Fn(&TPat) -> Option<K>,
-    ) -> Vec<K> {
-        let mut keys: Vec<K> = Vec::new();
-        for row in rows {
-            if let Some((_, p)) = row.cols.iter().find(|(o, _)| *o == occ) {
-                if let Some(k) = get_key(p) {
-                    if !keys.contains(&k) {
-                        keys.push(k);
-                    }
-                }
-            }
-        }
-        keys
-    }
-
-    fn branch_int(&mut self, occ: VarId, rows: Vec<Row>) -> LExp {
-        let get = |p: &TPat| match p {
-            TPat::Int(n) => Some(*n),
-            _ => None,
-        };
-        let keys = Self::keys_of(&rows, occ, get);
-        let arms = keys
+    ) -> (Vec<(K, LExp)>, LExp) {
+        let b = Self::buckets(rows, occ, get_key);
+        let arms = b
+            .keys
             .into_iter()
-            .map(|k| {
-                let spec = Self::specialize(&rows, occ, &k, get, |_, _| {});
+            .zip(&b.keyed)
+            .map(|(k, keyed)| {
+                let spec = Self::specialize(rows, occ, keyed, &b.any, |_, _| {});
                 (k, self.solve(spec))
             })
             .collect();
-        let def = self.solve(Self::default_rows(&rows, occ));
-        LExp::SwitchInt {
-            scrut: Box::new(LExp::Var(occ)),
-            arms,
-            default: Box::new(def),
-        }
-    }
-
-    fn branch_str(&mut self, occ: VarId, rows: Vec<Row>) -> LExp {
-        let get = |p: &TPat| match p {
-            TPat::Str(s) => Some(s.clone()),
-            _ => None,
-        };
-        let keys = Self::keys_of(&rows, occ, get);
-        let arms = keys
-            .into_iter()
-            .map(|k| {
-                let spec = Self::specialize(&rows, occ, &k, get, |_, _| {});
-                (k, self.solve(spec))
-            })
-            .collect();
-        let def = self.solve(Self::default_rows(&rows, occ));
-        LExp::SwitchStr {
-            scrut: Box::new(LExp::Var(occ)),
-            arms,
-            default: Box::new(def),
-        }
+        let default = self.solve(Self::specialize(rows, occ, &[], &b.any, |_, _| {}));
+        (arms, default)
     }
 
     fn branch_bool(&mut self, occ: VarId, rows: Vec<Row>) -> LExp {
-        let get = |p: &TPat| match p {
+        let b = Self::buckets(&rows, occ, |p| match p {
             TPat::Bool(b) => Some(*b),
             _ => None,
+        });
+        let mut arm = |v: bool| {
+            let spec = Self::specialize(&rows, occ, b.keyed_at(&v), &b.any, |_, _| {});
+            self.solve(spec)
         };
-        let t = self.solve(Self::specialize(&rows, occ, &true, get, |_, _| {}));
-        let f = self.solve(Self::specialize(&rows, occ, &false, get, |_, _| {}));
+        let t = arm(true);
+        let f = arm(false);
         LExp::If(Box::new(LExp::Var(occ)), Box::new(t), Box::new(f))
     }
 
     fn branch_con(&mut self, occ: VarId, tycon: TyConId, rows: Vec<Row>) -> LExp {
-        let get = |p: &TPat| match p {
+        let b = Self::buckets(&rows, occ, |p| match p {
             TPat::Con { con, .. } => Some(*con),
             _ => None,
-        };
-        let keys: Vec<ConId> = Self::keys_of(&rows, occ, get);
+        });
         let mut arms = Vec::new();
-        for k in &keys {
+        for (k, keyed) in b.keys.iter().zip(&b.keyed) {
             // The variable for the constructor argument in this arm.
             let carries = self.mc.data.get(tycon).constructors[k.0 as usize]
                 .arg
@@ -354,11 +366,9 @@ impl Solver<'_, '_> {
                 _ => None,
             };
             let argv = carries.then(|| self.sub_occ(first, "conarg"));
-            let spec = Self::specialize(&rows, occ, k, get, |r, p| {
+            let spec = Self::specialize(&rows, occ, keyed, &b.any, |r, p| {
                 if let TPat::Con { arg: Some(ap), .. } = p {
                     r.cols.insert(0, (argv.expect("carrying constructor"), *ap));
-                } else if let TPat::Con { arg: None, .. } = p {
-                    // nullary: nothing to expand
                 }
             });
             let inner = self.solve(spec);
@@ -377,11 +387,12 @@ impl Solver<'_, '_> {
             };
             arms.push((*k, arm));
         }
-        let complete = keys.len() == self.mc.data.get(tycon).constructors.len();
+        let complete = b.keys.len() == self.mc.data.get(tycon).constructors.len();
         let default = if complete {
             None
         } else {
-            Some(Box::new(self.solve(Self::default_rows(&rows, occ))))
+            let spec = Self::specialize(&rows, occ, &[], &b.any, |_, _| {});
+            Some(Box::new(self.solve(spec)))
         };
         LExp::SwitchCon {
             scrut: Box::new(LExp::Var(occ)),
@@ -392,30 +403,26 @@ impl Solver<'_, '_> {
     }
 
     fn branch_exn(&mut self, occ: VarId, rows: Vec<Row>) -> LExp {
-        let get = |p: &TPat| match p {
+        let b = Self::buckets(&rows, occ, |p| match p {
             TPat::Exn { exn, .. } => Some(*exn),
             _ => None,
-        };
-        let keys: Vec<ExnId> = Self::keys_of(&rows, occ, get);
+        });
         let mut arms = Vec::new();
-        for k in &keys {
+        for (k, keyed) in b.keys.iter().zip(&b.keyed) {
             let first = match &rows[0].cols[0].1 {
                 TPat::Exn { exn, arg } if exn == k => arg.as_deref(),
                 _ => None,
             };
             let argv = self.sub_occ(first, "exnarg");
-            let mut used_arg = false;
-            let spec = Self::specialize(&rows, occ, k, get, |r, p| {
+            let spec = Self::specialize(&rows, occ, keyed, &b.any, |r, p| {
                 if let TPat::Exn { arg: Some(ap), .. } = p {
                     r.cols.insert(0, (argv, *ap));
                 }
             });
-            // Determine whether any row binds the argument.
-            for row in &spec {
-                if row.cols.iter().any(|(o, _)| *o == argv) {
-                    used_arg = true;
-                }
-            }
+            // Whether any row binds the argument.
+            let used_arg = spec
+                .iter()
+                .any(|row| row.cols.iter().any(|(o, _)| *o == argv));
             let inner = self.solve(spec);
             let arm = if used_arg {
                 LExp::Let {
@@ -433,7 +440,8 @@ impl Solver<'_, '_> {
             arms.push((*k, arm));
         }
         // Exceptions are an open type: always emit a default.
-        let default = Box::new(self.solve(Self::default_rows(&rows, occ)));
+        let spec = Self::specialize(&rows, occ, &[], &b.any, |_, _| {});
+        let default = Box::new(self.solve(spec));
         LExp::SwitchExn {
             scrut: Box::new(LExp::Var(occ)),
             arms,
@@ -445,7 +453,7 @@ impl Solver<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Ty;
+    use crate::types::TyId;
     use kit_lambda::eval::{eval, Value};
     use kit_lambda::ty::{ExnEnv, CONS, LIST, NIL};
 
@@ -454,14 +462,14 @@ mod tests {
         let mut out = TPat::Con {
             tycon: LIST,
             con: NIL,
-            targs: vec![Ty::Int],
+            targs: vec![TyId::INT],
             arg: None,
         };
         for p in ps.into_iter().rev() {
             out = TPat::Con {
                 tycon: LIST,
                 con: CONS,
-                targs: vec![Ty::Int],
+                targs: vec![TyId::INT],
                 arg: Some(Box::new(TPat::Tuple(vec![p, out]))),
             };
         }
@@ -493,6 +501,27 @@ mod tests {
         }
     }
 
+    /// `case n of …` over the integer rows, evaluated at each scrutinee.
+    fn int_case(rows: Vec<(Vec<TPat>, LExp)>, expect: &[(i64, i64)]) {
+        let mut vars = VarTable::new();
+        let data = DataEnv::new();
+        let n = vars.fresh("n");
+        let mut mc = MatchCtx {
+            vars: &mut vars,
+            data: &data,
+        };
+        let tree = compile(&mut mc, &[n], rows, &LExp::Int(-1));
+        for &(v, want) in expect {
+            let prog = LExp::Let {
+                var: n,
+                ty: UNKNOWN_TY,
+                rhs: Box::new(LExp::Int(v)),
+                body: Box::new(tree.clone()),
+            };
+            assert_eq!(run(&prog), want, "scrut {v}");
+        }
+    }
+
     #[test]
     fn compiles_list_length_style_match() {
         // case xs of nil => 0 | x :: _ => x
@@ -506,9 +535,9 @@ mod tests {
                 vec![TPat::Con {
                     tycon: LIST,
                     con: CONS,
-                    targs: vec![Ty::Int],
+                    targs: vec![TyId::INT],
                     arg: Some(Box::new(TPat::Tuple(vec![
-                        TPat::Var(x, Ty::Int),
+                        TPat::Var(x, TyId::INT),
                         TPat::Wild,
                     ]))),
                 }],
@@ -536,28 +565,24 @@ mod tests {
     #[test]
     fn first_match_priority_with_literals() {
         // case n of 0 => 10 | 1 => 11 | _ => 99
-        let mut vars = VarTable::new();
-        let data = DataEnv::new();
-        let n = vars.fresh("n");
         let rows = vec![
             (vec![TPat::Int(0)], LExp::Int(10)),
             (vec![TPat::Int(1)], LExp::Int(11)),
             (vec![TPat::Wild], LExp::Int(99)),
         ];
-        let mut mc = MatchCtx {
-            vars: &mut vars,
-            data: &data,
-        };
-        let tree = compile(&mut mc, &[n], rows, &LExp::Int(-1));
-        for (v, expect) in [(0, 10), (1, 11), (7, 99)] {
-            let prog = LExp::Let {
-                var: n,
-                ty: UNKNOWN_TY,
-                rhs: Box::new(LExp::Int(v)),
-                body: Box::new(tree.clone()),
-            };
-            assert_eq!(run(&prog), expect, "scrut {v}");
-        }
+        int_case(rows, &[(0, 10), (1, 11), (7, 99)]);
+    }
+
+    #[test]
+    fn a_wildcard_between_keys_shadows_the_rows_after_it() {
+        // case n of 1 => 1 | _ => 2 | 1 => 3 | 4 => 4
+        let rows = vec![
+            (vec![TPat::Int(1)], LExp::Int(1)),
+            (vec![TPat::Wild], LExp::Int(2)),
+            (vec![TPat::Int(1)], LExp::Int(3)),
+            (vec![TPat::Int(4)], LExp::Int(4)),
+        ];
+        int_case(rows, &[(1, 1), (4, 2), (7, 2)]);
     }
 
     #[test]
@@ -572,10 +597,10 @@ mod tests {
         let x2 = vars.fresh("x");
         let y2 = vars.fresh("y");
         let rows = vec![
-            (vec![TPat::Int(0), TPat::Var(y1, Ty::Int)], LExp::Var(y1)),
-            (vec![TPat::Var(x1, Ty::Int), TPat::Int(0)], LExp::Var(x1)),
+            (vec![TPat::Int(0), TPat::Var(y1, TyId::INT)], LExp::Var(y1)),
+            (vec![TPat::Var(x1, TyId::INT), TPat::Int(0)], LExp::Var(x1)),
             (
-                vec![TPat::Var(x2, Ty::Int), TPat::Var(y2, Ty::Int)],
+                vec![TPat::Var(x2, TyId::INT), TPat::Var(y2, TyId::INT)],
                 LExp::Prim(
                     kit_lambda::exp::Prim::IAdd,
                     vec![LExp::Var(x2), LExp::Var(y2)],
@@ -605,21 +630,6 @@ mod tests {
 
     #[test]
     fn default_reached_when_no_rule_matches() {
-        let mut vars = VarTable::new();
-        let data = DataEnv::new();
-        let n = vars.fresh("n");
-        let rows = vec![(vec![TPat::Int(1)], LExp::Int(1))];
-        let mut mc = MatchCtx {
-            vars: &mut vars,
-            data: &data,
-        };
-        let tree = compile(&mut mc, &[n], rows, &LExp::Int(-7));
-        let prog = LExp::Let {
-            var: n,
-            ty: UNKNOWN_TY,
-            rhs: Box::new(LExp::Int(9)),
-            body: Box::new(tree),
-        };
-        assert_eq!(run(&prog), -7);
+        int_case(vec![(vec![TPat::Int(1)], LExp::Int(1))], &[(9, -1)]);
     }
 }

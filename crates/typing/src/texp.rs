@@ -3,13 +3,13 @@
 //!
 //! `TExp` sits between the surface AST and `LambdaExp`: names are resolved
 //! (variables carry unique [`VarId`]s, constructors carry their datatype
-//! ids), every node that needs one carries an inference [`Ty`], but
+//! ids), every node that needs one carries an inference type ([`TyId`]), but
 //! patterns are not yet compiled and overloaded operators are not yet
 //! resolved — both happen during lowering, after the enclosing top-level
 //! declaration's types are final.
 
 use crate::builtins::Builtin;
-use crate::types::Ty;
+use crate::types::TyId;
 use kit_lambda::exp::VarId;
 use kit_lambda::ty::{ConId, ExnId, TyConId};
 use kit_syntax::Span;
@@ -43,7 +43,7 @@ pub enum TPat {
     /// `_` (also used for the unit pattern).
     Wild,
     /// Variable binding.
-    Var(VarId, Ty),
+    Var(VarId, TyId),
     /// Integer literal.
     Int(i64),
     /// String literal.
@@ -59,7 +59,7 @@ pub enum TPat {
         /// Constructor.
         con: ConId,
         /// Type arguments of the datatype at this pattern.
-        targs: Vec<Ty>,
+        targs: Vec<TyId>,
         /// Argument pattern for value-carrying constructors.
         arg: Option<Box<TPat>>,
     },
@@ -98,9 +98,9 @@ pub struct TFun {
     /// The bound function variable.
     pub var: VarId,
     /// Fresh parameter variables with their types (curried arguments).
-    pub params: Vec<(VarId, Ty)>,
+    pub params: Vec<(VarId, TyId)>,
     /// Result type.
-    pub ret: Ty,
+    pub ret: TyId,
     /// Clauses: argument patterns (one per parameter) and body.
     pub clauses: Vec<(Vec<TPat>, TExp)>,
     /// Source span (for match-failure diagnostics).
@@ -137,10 +137,10 @@ pub enum TExp {
     /// Unit literal.
     Unit,
     /// Resolved variable (its type is the instantiation at this use).
-    Var(VarId, Ty),
+    Var(VarId, TyId),
     /// Builtin referenced as a value (eta-expanded at lowering if not
     /// directly applied).
-    Builtin(Builtin, Ty),
+    Builtin(Builtin, TyId),
     /// Datatype constructor application (or nullary constant).
     Con {
         /// Datatype.
@@ -148,7 +148,7 @@ pub enum TExp {
         /// Constructor.
         con: ConId,
         /// Type arguments at this use.
-        targs: Vec<Ty>,
+        targs: Vec<TyId>,
         /// Argument.
         arg: Option<Box<TExp>>,
     },
@@ -159,7 +159,7 @@ pub enum TExp {
         /// Constructor.
         con: ConId,
         /// Type arguments at this use.
-        targs: Vec<Ty>,
+        targs: Vec<TyId>,
     },
     /// Exception constructor application (or nullary exception value).
     ExCon {
@@ -180,9 +180,9 @@ pub enum TExp {
         /// Parameter.
         param: VarId,
         /// Parameter type.
-        pty: Ty,
+        pty: TyId,
         /// Result type.
-        rty: Ty,
+        rty: TyId,
         /// Body.
         body: Box<TExp>,
     },
@@ -204,16 +204,16 @@ pub enum TExp {
         /// Scrutinee.
         scrut: Box<TExp>,
         /// Its type.
-        sty: Ty,
+        sty: TyId,
         /// The rules.
         rules: Vec<TRule>,
         /// Result type.
-        rty: Ty,
+        rty: TyId,
         /// Source span.
         span: Span,
     },
     /// `raise e`.
-    Raise(Box<TExp>, Ty),
+    Raise(Box<TExp>, TyId),
     /// `e handle rules`; an unhandled exception is re-raised.
     Handle {
         /// Protected expression.
@@ -221,7 +221,7 @@ pub enum TExp {
         /// Handler rules (patterns of type `exn`).
         rules: Vec<TRule>,
         /// Result type.
-        rty: Ty,
+        rty: TyId,
         /// Source span.
         span: Span,
     },
@@ -233,7 +233,7 @@ pub enum TExp {
         /// Operands.
         args: Vec<TExp>,
         /// Operand type.
-        ty: Ty,
+        ty: TyId,
         /// Source span.
         span: Span,
     },
@@ -245,7 +245,7 @@ pub enum TExp {
         /// Right operand.
         rhs: Box<TExp>,
         /// Compared type.
-        ty: Ty,
+        ty: TyId,
         /// `true` for `<>`.
         negate: bool,
         /// Source span.
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn irrefutable_patterns() {
         assert!(TPat::Wild.irrefutable());
-        assert!(TPat::Tuple(vec![TPat::Wild, TPat::Var(VarId(0), Ty::Int)]).irrefutable());
+        assert!(TPat::Tuple(vec![TPat::Wild, TPat::Var(VarId(0), TyId::INT)]).irrefutable());
         assert!(!TPat::Int(3).irrefutable());
     }
 }

@@ -83,8 +83,10 @@ fi
 echo "==> deleted names stay deleted, as whole words: the re-walks of region"
 echo "    placement, representation inference and finite-region sizing, the"
 echo "    unread multiplicity table, codegen's second free-name walker and the"
-echo "    optimiser options only tests set"
-if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size' \
+echo "    optimiser options only tests set; the boxed-type tree walkers the"
+echo "    type arena replaced and the row scans the match compiler's buckets"
+echo "    replaced"
+if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size|subst_qvars|resolve_deep|keys_of|default_rows|spine_end' \
     crates || grep -rnw 'mults' crates/region; then
     echo "verify: a deleted name is back (see above)" >&2
     exit 1
@@ -121,13 +123,13 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR27.json, both"
+echo "    bytes copied of the 40 full-scale cells of BENCH_PR28.json, both"
 echo "    engines; writes nothing (a PR that moves them on purpose points"
 echo "    this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,rgt \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR27.json
+    --check-counts BENCH_PR28.json
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"

@@ -334,3 +334,49 @@ fn min_int_div_minus_one_overflows_in_every_mode_and_engine() {
         }
     }
 }
+
+/// `floor` and `trunc` of a real whose integral part leaves the 63-bit
+/// range — a huge magnitude, an infinity, NaN, or `2^62` (the real nearest
+/// `4611686018427387903`) — raise `Overflow` in the reference evaluator
+/// and in every mode on both engines (SML raises `Domain` for NaN; this
+/// subset has no `Domain`), whether the optimiser sees the operand or only
+/// the run does. The range's ends convert.
+#[test]
+fn floor_and_trunc_out_of_range_overflow_in_every_mode_and_engine() {
+    let table = [
+        ("trunc", "1e300", "uncaught Overflow"),
+        ("floor", "(~1e300)", "uncaught Overflow"),
+        ("floor", "4611686018427387903.0", "uncaught Overflow"),
+        ("trunc", "(1.0 / 0.0)", "uncaught Overflow"),
+        ("floor", "(0.0 / 0.0)", "uncaught Overflow"),
+        ("floor", "(~4611686018427387904.0)", "~4611686018427387904"),
+        ("trunc", "4611686018427387392.0", "4611686018427387392"),
+        ("floor", "(~2.5)", "~3"),
+        ("trunc", "(~2.5)", "~2"),
+    ];
+    let answer = |r: Result<String, kit::Error>| match r {
+        Ok(result) => result,
+        Err(kit::Error::Run(kit_kam::VmError::UncaughtException { name, .. })) => {
+            format!("uncaught {name}")
+        }
+        Err(e) => format!("error: {e}"),
+    };
+    for (f, x, want) in table {
+        let literal = format!("val it = {f} {x}");
+        let through_a_function =
+            format!("fun g (0, x) = {f} x | g (k, x) = g (k - 1, x)\nval it = g (3, {x})");
+        for src in [literal, through_a_function] {
+            let oracle = oracle::run_oracle(&src, None).map(|o| o.result);
+            assert_eq!(answer(oracle), want, "{src}: evaluator");
+            for mode in Mode::ALL_WITH_BASELINE {
+                for dispatch in DispatchMode::ALL {
+                    let out = Compiler::new(mode)
+                        .with_dispatch(dispatch)
+                        .run_source(&src)
+                        .map(|o| o.result);
+                    assert_eq!(answer(out), want, "{src}: [{mode}] {dispatch:?}");
+                }
+            }
+        }
+    }
+}
