@@ -9,10 +9,10 @@
 //!
 //! * region inference fully disabled **including finite regions** (every
 //!   value heap-allocated in one region, like SML/NJ), and
-//! * a two-generation copying collector: a nursery that is minor-collected
-//!   by promotion into a tenured generation (with a mutation write
-//!   barrier / remembered set), and occasional major semispace passes over
-//!   the tenured generation.
+//! * a two-generation copying collector (`Collector::Generational` of
+//!   `kit-runtime`): a nursery that is minor-collected by promotion into a
+//!   tenured generation (with a mutation write barrier / remembered set),
+//!   and occasional major semispace passes over the tenured generation.
 //!
 //! Because front end, optimizer and instruction set are identical to the
 //! region system's, time and memory ratios against this baseline measure
@@ -34,16 +34,14 @@
 use kit_kam::{Program, Vm, VmError, VmOutcome};
 use kit_lambda::LProgram;
 use kit_region::RegionOptions;
-use kit_runtime::config::GenPolicy;
+use kit_runtime::config::{Collector, GenPolicy};
 use kit_runtime::{Rt, RtConfig};
 
 /// The baseline runtime configuration: tagged values, one program region,
 /// two-generation collection.
 pub fn baseline_config() -> RtConfig {
     RtConfig {
-        tagged: true,
-        gc_enabled: true,
-        generational: Some(GenPolicy::default()),
+        collector: Collector::Generational(GenPolicy::default()),
         ..RtConfig::gt()
     }
 }
@@ -108,7 +106,7 @@ mod tests {
         let mut lprog = kit_typing::compile_str(src).expect("front-end");
         let prog = compile_baseline(&mut lprog);
         let cfg = RtConfig {
-            generational: Some(GenPolicy {
+            collector: Collector::Generational(GenPolicy {
                 nursery_pages: 8,
                 major_growth: 4,
             }),
@@ -137,7 +135,7 @@ mod tests {
         let mut lprog = kit_typing::compile_str(src).expect("front-end");
         let prog = compile_baseline(&mut lprog);
         let cfg = RtConfig {
-            generational: Some(GenPolicy {
+            collector: Collector::Generational(GenPolicy {
                 nursery_pages: 6,
                 major_growth: 2,
             }),
@@ -159,6 +157,29 @@ mod tests {
     }
 
     #[test]
+    fn the_barrier_remembers_a_field_once_and_only_for_a_pointer() {
+        // 10^6 stores between two collections (none runs): a scalar is
+        // never remembered, the same pointer once. Each store used to be
+        // remembered, outside the page quota.
+        for (init, stored, want) in [("0", "n", 0), ("nil", "keep", 1)] {
+            let src = format!(
+                "val keep = [1] val r = ref {init}
+                 fun loop 0 = () | loop n = (r := {stored}; loop (n - 1))
+                 val it = loop 1000000"
+            );
+            let mut lprog = kit_typing::compile_str(&src).expect("front-end");
+            let prog = compile_baseline(&mut lprog);
+            let cfg = RtConfig {
+                max_heap_pages: Some(64),
+                ..baseline_config()
+            };
+            let out = run_baseline_with(&prog, None, cfg).expect("run");
+            assert_eq!(out.stats.gc_count, 0, "r := {stored}");
+            assert_eq!(out.rt.remembered_len(), want, "r := {stored}");
+        }
+    }
+
+    #[test]
     fn mutation_barrier_keeps_old_to_young_alive() {
         // An old ref repeatedly redirected at fresh young data: without the
         // remembered set the young list would be collected.
@@ -170,7 +191,7 @@ mod tests {
         let mut lprog = kit_typing::compile_str(src).expect("front-end");
         let prog = compile_baseline(&mut lprog);
         let cfg = RtConfig {
-            generational: Some(GenPolicy {
+            collector: Collector::Generational(GenPolicy {
                 nursery_pages: 4,
                 major_growth: 3,
             }),

@@ -32,7 +32,7 @@
 
 use crate::programs::SplitMix64;
 use kit::{Compiler, DispatchMode, Error, Fusion, Mode, Outcome};
-use kit_runtime::config::GenPolicy;
+use kit_runtime::config::{Collector, GenPolicy};
 use kit_runtime::RtConfig;
 
 /// Which grammar [`program`] draws from.
@@ -1330,7 +1330,7 @@ pub fn case_rngs(seed: u64, case: u64) -> (SplitMix64, SplitMix64) {
 /// shrink hysteresis, the collection trigger and heap-to-live ratio (the
 /// paper's §4 dials), and (for the baseline mode) the generational policy
 /// are all fuzzed. Every value must leave the counters the differential
-/// compares engine-invariant. `with_config` forces the tagging/GC flags
+/// compares engine-invariant. `with_config` forces tagging and the collector
 /// back to the mode's requirements, so the result is always well-formed.
 pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
     let mut cfg = RtConfig {
@@ -1343,7 +1343,7 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
         ..RtConfig::default()
     };
     if mode == Mode::Baseline {
-        cfg.generational = Some(GenPolicy {
+        cfg.collector = Collector::Generational(GenPolicy {
             nursery_pages: [2, 8, 64][rng.below(3) as usize],
             major_growth: 2 + rng.below(3) as usize,
         });
@@ -1434,7 +1434,7 @@ pub fn differential(
                     c.heap_shrink_factor,
                     c.heap_to_live_ratio,
                     c.gc_threshold,
-                    c.generational.is_some()
+                    matches!(c.collector, Collector::Generational(_))
                 ))
             )
         };

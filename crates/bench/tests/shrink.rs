@@ -18,7 +18,7 @@
 
 use kit::{Compiler, Mode};
 use kit_bench::programs;
-use kit_runtime::config::GenPolicy;
+use kit_runtime::config::{Collector, GenPolicy};
 use kit_runtime::RtConfig;
 
 const FACTORS: [Option<f64>; 7] = [
@@ -51,15 +51,13 @@ fn rgt_pressure(factor: Option<f64>) -> RtConfig {
 }
 
 /// The generational baseline under the same pressure, covering the
-/// `collect_gen` major-collection shrink path.
+/// major-collection shrink path.
 fn baseline_pressure(factor: Option<f64>) -> RtConfig {
     RtConfig {
         initial_pages: 4,
         page_words_log2: 6,
         heap_shrink_factor: factor,
-        tagged: true,
-        gc_enabled: true,
-        generational: Some(GenPolicy::default()),
+        collector: Collector::Generational(GenPolicy::default()),
         ..RtConfig::gt()
     }
 }

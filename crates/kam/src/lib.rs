@@ -10,9 +10,10 @@
 //! handles (the ML Kit's region vectors).
 //!
 //! [`vm::Vm`] executes the bytecode with safe points at function entry:
-//! when the runtime's free-list drops below the threshold, the next
-//! function entry runs the Cheney-for-regions collector with the frames'
-//! locals and operand stacks as the root set. (The paper notes that the ML
+//! once the runtime says a collection is due (for the paper's collector,
+//! when its free-list drops below the threshold), the next function entry
+//! runs the runtime's collector with the frames' locals and operand
+//! stacks as the root set. (The paper notes that the ML
 //! Kit includes *all* top-level variables in the root set and only
 //! collects at function entry — both faithfully reproduced here.)
 //!

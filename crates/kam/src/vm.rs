@@ -24,6 +24,7 @@ use crate::threaded::{self, Fusion, FusionProfile, Op, ThreadedCode};
 use kit_lambda::eval::{floor_div_mod, fmt_sml_int, fmt_sml_real, int_in_range, real_to_int};
 use kit_lambda::exp::Prim;
 use kit_lambda::ty::{EXN_DIV, EXN_OVERFLOW, EXN_SIZE, EXN_SUBSCRIPT};
+use kit_runtime::config::Collector;
 use kit_runtime::gc;
 use kit_runtime::value::{is_ptr, ptr, ptr_addr, scalar, scalar_val, Tag, Word, STACK_BASE};
 use kit_runtime::{RegionId, Rt, RtStats};
@@ -236,9 +237,6 @@ pub struct Vm<'p> {
     /// which all engines execute at the same source positions, so the
     /// stride schedule is engine-invariant.
     safe_points: u64,
-    /// Write barrier log of the generational baseline: field addresses
-    /// mutated since the last collection (may hold old→young pointers).
-    remembered: Vec<u64>,
 }
 
 impl<'p> Vm<'p> {
@@ -258,7 +256,6 @@ impl<'p> Vm<'p> {
             pending: None,
             halted: None,
             safe_points: 0,
-            remembered: Vec::new(),
         }
     }
 
@@ -490,17 +487,7 @@ impl<'p> Vm<'p> {
     /// As [`Vm::run`].
     pub fn run_prepared(mut self, exe: &Executable) -> Result<VmOutcome, VmError> {
         // Create the global regions (ids 0..n) and the main frame.
-        for name in &self.prog.global_infinite {
-            let _ = self.rt.letregion(*name);
-        }
-        if self.rt.config.generational.is_some() {
-            assert_eq!(
-                self.rt.region_depth(),
-                1,
-                "the generational baseline needs exactly one program region"
-            );
-            let _ = self.rt.letregion(u32::MAX); // the tenured generation
-        }
+        self.rt.push_globals(&self.prog.global_infinite);
         let env0 = if self.rt.config.tagged { scalar(0) } else { 0 };
         self.push(env0);
         self.push_frame_from_stack(self.prog.main, 1, usize::MAX, 0);
@@ -926,28 +913,8 @@ impl<'p> Vm<'p> {
         roots
     }
 
-    /// One baseline collection: minor promotion, plus a major semispace
-    /// pass when the tenured generation outgrew its budget.
-    fn collect_generational(&mut self, pol: kit_runtime::config::GenPolicy) {
-        let roots = self.roots();
-        let tenured_pages = self.rt.regions[1].pages;
-        let major = tenured_pages
-            >= pol
-                .nursery_pages
-                .max(self.rt.stats.last_live_pages * pol.major_growth);
-        let mut remembered = std::mem::take(&mut self.remembered);
-        gc::collect_gen(
-            &mut self.rt,
-            &roots,
-            &mut remembered,
-            RegionId(0),
-            RegionId(1),
-            major,
-        );
-    }
-
-    /// Runs the Cheney-for-regions collector with all frames' locals and
-    /// operand ranges as roots.
+    /// Runs the runtime's collector with all frames' locals and operand
+    /// ranges as roots.
     fn collect(&mut self) {
         let roots = self.roots();
         // Every root must point at a live object: the compiler clears
@@ -978,8 +945,8 @@ impl<'p> Vm<'p> {
     }
 
     /// Collection policy at a `GcCheck` safe point, shared by all
-    /// engines: enforce the optional wall-clock deadline, run the
-    /// configured collector if it is due, then enforce the optional
+    /// engines: enforce the optional wall-clock deadline, collect if the
+    /// runtime says a collection is due, then enforce the optional
     /// page-cap quota. Returns the quota error if the cap is breached
     /// even after a forced collection. With neither a cap nor a deadline
     /// configured the extra checks are single `is_some` tests, so
@@ -992,12 +959,7 @@ impl<'p> Vm<'p> {
                 return Some(e);
             }
         }
-        if let Some(pol) = self.rt.config.generational {
-            let nursery = &self.rt.regions[0];
-            if nursery.pages >= pol.nursery_pages {
-                self.collect_generational(pol);
-            }
-        } else if self.rt.gc_needed && self.rt.config.gc_enabled {
+        if self.rt.gc_needed {
             self.collect();
         }
         if self.rt.config.max_heap_pages.is_some() {
@@ -1027,7 +989,7 @@ impl<'p> Vm<'p> {
     }
 
     /// The quota slow path: if the materialized footprint exceeds the
-    /// cap, force one full collection, release the free arena tail, and
+    /// cap, force one collection, release the free arena tail, and
     /// re-measure. A request that stays over the cap after all that is
     /// genuinely holding too much live data and fails with a typed error.
     #[cold]
@@ -1035,12 +997,8 @@ impl<'p> Vm<'p> {
         if !self.rt.over_quota() {
             return None;
         }
-        if self.rt.config.gc_enabled {
-            if let Some(pol) = self.rt.config.generational {
-                self.collect_generational(pol);
-            } else {
-                self.collect();
-            }
+        if self.rt.config.collector != Collector::Off {
+            self.collect();
         }
         self.rt.quota_reclaim();
         if self.rt.over_quota() {
@@ -1265,11 +1223,8 @@ impl<'p> Vm<'p> {
             }
             RefSet => {
                 let (r, v) = binop!();
-                self.rt.set_field(r, 0, v);
-                if self.rt.config.generational.is_some() {
-                    let addr = ptr_addr(r) + self.rt.hdr_words();
-                    self.remembered.push(addr);
-                }
+                let addr = ptr_addr(r) + self.rt.hdr_words();
+                self.rt.update(addr, v);
                 push_int!(0);
             }
             RefEq | ArrEq => {
@@ -1305,10 +1260,7 @@ impl<'p> Vm<'p> {
                     return Err(EXN_SUBSCRIPT);
                 }
                 let addr = self.rt.arr_elem_addr(a, i as usize);
-                self.rt.write_addr(addr, v);
-                if self.rt.config.generational.is_some() {
-                    self.remembered.push(addr);
-                }
+                self.rt.update(addr, v);
                 push_int!(0);
             }
             ArrLen => {

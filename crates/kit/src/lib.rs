@@ -27,6 +27,7 @@ use kit_kam::{Executable, Vm};
 use kit_lambda::opt::OptOptions;
 use kit_lambda::{LExp, LProgram};
 use kit_region::RegionOptions;
+use kit_runtime::config::Collector;
 use kit_runtime::Rt;
 use kit_syntax::Span;
 use kit_typing::TypeError;
@@ -235,16 +236,17 @@ impl Compiler {
     }
 
     /// Overrides the runtime configuration (heap-to-live ratio, page size,
-    /// profiling, ...). Tagging and GC flags are forced back to the mode's
-    /// requirements, and the baseline keeps its generational policy; every
-    /// other field is taken as given, in every mode.
+    /// profiling, ...). Tagging and the collector are forced back to the
+    /// mode's, except that the baseline's generational collector takes a
+    /// given generational policy; every other field is taken as given, in
+    /// every mode.
     pub fn with_config(mut self, mut config: RtConfig) -> Self {
         let m = self.mode.rt_config();
         config.tagged = m.tagged;
-        config.gc_enabled = m.gc_enabled;
-        if config.generational.is_none() {
-            config.generational = m.generational;
-        }
+        config.collector = match (m.collector, config.collector) {
+            (Collector::Generational(_), given @ Collector::Generational(_)) => given,
+            (mode, _) => mode,
+        };
         self.config = config;
         self
     }
@@ -513,13 +515,12 @@ mod tests {
         let c = RtConfig {
             page_words_log2: 7,
             tagged: false,
-            gc_enabled: false,
+            collector: Collector::Off,
             gc_threshold: 0.5,
             heap_to_live_ratio: 9.0,
             heap_shrink_factor: None,
             initial_pages: 4,
             profile: true,
-            generational: None,
             poison: true,
             max_heap_pages: Some(100),
             deadline: Some(std::time::Instant::now()),
@@ -528,8 +529,7 @@ mod tests {
             let m = mode.rt_config();
             let want = RtConfig {
                 tagged: m.tagged,
-                gc_enabled: m.gc_enabled,
-                generational: m.generational,
+                collector: m.collector,
                 ..c.clone()
             };
             assert_eq!(
@@ -538,6 +538,17 @@ mod tests {
                 "{mode}"
             );
         }
+        // The one carve-out: the baseline runs a given generational policy.
+        let pol = Collector::Generational(kit_runtime::config::GenPolicy {
+            nursery_pages: 2,
+            major_growth: 5,
+        });
+        let given = RtConfig {
+            collector: pol,
+            ..c
+        };
+        let got = Compiler::new(Mode::Baseline).with_config(given).config;
+        assert_eq!(got.collector, pol);
     }
 
     #[test]

@@ -97,7 +97,6 @@ pub fn annotate(prog: &LProgram, gc_safe: bool) -> Annotated {
         fixmeta: HashMap::new(),
         global_frv: Vec::new(),
         gc_safe,
-        debug: std::env::var_os("KIT_REGION_DEBUG").is_some(),
         stats: AnnotateStats {
             free_var_walks: 1,
             ..AnnotateStats::default()
@@ -168,8 +167,6 @@ struct Ann<'a> {
     /// Regions forced global; not necessarily canonical.
     global_frv: Vec<Reg>,
     gc_safe: bool,
-    /// `KIT_REGION_DEBUG` is set: dump every round's schemes.
-    debug: bool,
     stats: AnnotateStats,
     /// Scratch sets, used within one step and never across a recursive
     /// `ann` call.
@@ -965,18 +962,6 @@ impl<'a> Ann<'a> {
                     .iter()
                     .zip(&new_schemes)
                     .all(|(a, b)| self.scheme_alpha_eq(a, b));
-            if self.debug {
-                for (f, sch) in funs.iter().zip(&new_schemes) {
-                    let shown = self.show_ty(sch.ty);
-                    eprintln!(
-                        "[region] iter {iter} {}: qtys={} qregs={:?} qeffs={} same={same} ty={shown}",
-                        self.prog.vars.name(f.var),
-                        sch.qtys.len(),
-                        sch.qregs,
-                        sch.qeffs.len()
-                    );
-                }
-            }
             bodies = rbodies;
             schemes = new_schemes;
             if same {
@@ -985,11 +970,6 @@ impl<'a> Ann<'a> {
             }
         }
         if !converged {
-            if self.debug {
-                for f in funs {
-                    eprintln!("[region] fixpoint fallback: {}", self.prog.vars.name(f.var));
-                }
-            }
             // Fall back to the sound region-monomorphic result: redo one
             // round with Mono bindings.
             self.drop_markers(mark);
@@ -1112,44 +1092,6 @@ impl<'a> Ann<'a> {
             let (p, q) = (self.st.kids(x)[i], self.st.kids(y)[i]);
             self.ty_alpha_eq(p, q, cx)
         })
-    }
-
-    /// Debug rendering of a resolved type with canonical region ids.
-    fn show_ty(&mut self, ty: TyId) -> String {
-        let show_all = |ann: &mut Self, ts: Kids, sep: &str| {
-            let inner: Vec<String> = (0..ts.len())
-                .map(|i| ann.show_ty(ann.st.kids(ts)[i]))
-                .collect();
-            inner.join(sep)
-        };
-        match self.st.node(ty) {
-            RTy::Var => format!("'t{}", self.st.resolve(ty).index()),
-            RTy::Link(_) => unreachable!("nodes are resolved"),
-            RTy::Int => "int".into(),
-            RTy::Bool => "bool".into(),
-            RTy::Unit => "unit".into(),
-            RTy::Real(r) => format!("real@{}", self.st.find_reg(r)),
-            RTy::Str(r) => format!("str@{}", self.st.find_reg(r)),
-            RTy::Exn(r) => format!("exn@{}", self.st.find_reg(r)),
-            RTy::Tuple(ts, r) => {
-                format!("({})@{}", show_all(self, ts, "*"), self.st.find_reg(r))
-            }
-            RTy::Arrow(ps, e, b, r) => format!(
-                "(({})-e{}->{})@{}",
-                show_all(self, ps, ","),
-                self.st.find_eff(e),
-                self.show_ty(b),
-                self.st.find_reg(r)
-            ),
-            RTy::Con(c, ts, r) => format!(
-                "C{}<{}>@{}",
-                c.0,
-                show_all(self, ts, ","),
-                self.st.find_reg(r)
-            ),
-            RTy::Ref(t, r) => format!("ref({})@{}", self.show_ty(t), self.st.find_reg(r)),
-            RTy::Array(t, r) => format!("arr({})@{}", self.show_ty(t), self.st.find_reg(r)),
-        }
     }
 
     fn rty_of_lty(&mut self, t: &LTy) -> TyId {

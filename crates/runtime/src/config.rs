@@ -6,7 +6,7 @@
 /// The four modes measured in the paper are produced by [`RtConfig::r`],
 /// [`RtConfig::rt`], [`RtConfig::gt`] and [`RtConfig::rgt`]. `gt` mode is
 /// realized at compile time (all infinite-region allocations target one
-/// global region) combined with `tagged + gc` here.
+/// global region) combined with `tagged` and [`Collector::Regions`] here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtConfig {
     /// log2 of the region-page size in words (paper §2.4: pages are 2^n
@@ -14,8 +14,8 @@ pub struct RtConfig {
     pub page_words_log2: u32,
     /// Whether values carry tag words (required for garbage collection).
     pub tagged: bool,
-    /// Whether the garbage collector may run.
-    pub gc_enabled: bool,
+    /// Which collector runs, if any.
+    pub collector: Collector,
     /// Collection is requested when the free-list falls below this
     /// fraction of the total region heap (paper §4: 1/3).
     pub gc_threshold: f64,
@@ -32,9 +32,6 @@ pub struct RtConfig {
     pub initial_pages: usize,
     /// Record a region profile (paper Fig. 5).
     pub profile: bool,
-    /// Generational collection policy (the SML/NJ-substitute baseline);
-    /// `None` selects the paper's Cheney-for-regions collector.
-    pub generational: Option<GenPolicy>,
     /// Debugging: overwrite the payload of deallocated region pages with a
     /// poison pattern, so dangling-pointer dereferences fail loudly
     /// instead of silently reading stale values.
@@ -57,10 +54,27 @@ pub struct RtConfig {
     pub deadline: Option<std::time::Instant>,
 }
 
+/// The collector a runtime runs. Both collectors are the one sequence in
+/// [`crate::gc`]; they differ in which pages are from-space and where a
+/// survivor goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Collector {
+    /// No collection: regions alone (modes `r` and `rt`).
+    Off,
+    /// The paper's Cheney-for-regions collector, requested when the
+    /// free-list falls below [`RtConfig::gc_threshold`].
+    Regions,
+    /// The two-generation collector of the SML/NJ-substitute baseline:
+    /// the program's one region is the nursery, region 1 the tenured
+    /// generation.
+    Generational(GenPolicy),
+}
+
 /// Policy knobs for the two-generation baseline collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenPolicy {
-    /// Minor collection once the nursery holds this many pages.
+    /// Minor collection once the nursery holds this many pages (the
+    /// trigger fires when the nursery takes a page).
     pub nursery_pages: usize,
     /// Major collection once the tenured generation exceeds this multiple
     /// of its size after the previous major collection.
@@ -92,7 +106,6 @@ impl RtConfig {
     pub fn r() -> Self {
         RtConfig {
             tagged: false,
-            gc_enabled: false,
             ..Self::base()
         }
     }
@@ -102,7 +115,6 @@ impl RtConfig {
     pub fn rt() -> Self {
         RtConfig {
             tagged: true,
-            gc_enabled: false,
             ..Self::base()
         }
     }
@@ -112,7 +124,7 @@ impl RtConfig {
     pub fn gt() -> Self {
         RtConfig {
             tagged: true,
-            gc_enabled: true,
+            collector: Collector::Regions,
             ..Self::base()
         }
     }
@@ -121,7 +133,7 @@ impl RtConfig {
     pub fn rgt() -> Self {
         RtConfig {
             tagged: true,
-            gc_enabled: true,
+            collector: Collector::Regions,
             ..Self::base()
         }
     }
@@ -130,13 +142,12 @@ impl RtConfig {
         RtConfig {
             page_words_log2: 8, // 256 words = 2 KiB pages
             tagged: true,
-            gc_enabled: false,
+            collector: Collector::Off,
             gc_threshold: 1.0 / 3.0,
             heap_to_live_ratio: 3.0,
             heap_shrink_factor: Some(4.0),
             initial_pages: 64,
             profile: false,
-            generational: None,
             poison: false,
             max_heap_pages: None,
             deadline: None,
@@ -163,9 +174,10 @@ mod tests {
 
     #[test]
     fn modes_match_paper() {
-        assert!(!RtConfig::r().tagged && !RtConfig::r().gc_enabled);
-        assert!(RtConfig::rt().tagged && !RtConfig::rt().gc_enabled);
-        assert!(RtConfig::gt().tagged && RtConfig::gt().gc_enabled);
-        assert!(RtConfig::rgt().tagged && RtConfig::rgt().gc_enabled);
+        use Collector::{Off, Regions};
+        assert!(!RtConfig::r().tagged && RtConfig::r().collector == Off);
+        assert!(RtConfig::rt().tagged && RtConfig::rt().collector == Off);
+        assert!(RtConfig::gt().tagged && RtConfig::gt().collector == Regions);
+        assert!(RtConfig::rgt().tagged && RtConfig::rgt().collector == Regions);
     }
 }

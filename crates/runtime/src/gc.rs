@@ -1,69 +1,101 @@
-//! Cheney's stop-and-copy collector extended to regions (paper §2.2–2.5).
+//! Cheney's stop-and-copy collector extended to regions (paper §2.2–2.5),
+//! and the two-generation collector of the SML/NJ-substitute baseline
+//! (DESIGN.md §4), as one sequence. A *pass* proceeds as follows:
 //!
-//! One collection proceeds as follows:
-//!
-//! 1. Every region's page list is detached and concatenated into a single
-//!    **global from-space**; each region descriptor is re-initialised with
-//!    a fresh page from the free-list (its to-space). The collector never
-//!    allocates into from-space.
-//! 2. Every root is *evacuated*: scalars and data-segment constants are
+//! 1. **Flip.** The paper's collector detaches every region's page list
+//!    into a single **global from-space**, origins intact, and gives each
+//!    region a fresh page from the free-list (its to-space); a generational
+//!    pass detaches one region's pages, stamped [`FROM_MARK`]. The
+//!    collector never allocates into from-space.
+//! 2. Every root, and every field the generational write barrier
+//!    remembered, is *evacuated*: scalars and data-segment constants are
 //!    returned unchanged; pointers into the stack (values in **finite
 //!    regions**) are marked as constants and queued on the **scan buffer**
-//!    — they are traversed in place, never moved; **large objects** are
-//!    marked and arrays queued for traversal — they are traversed but
-//!    never copied (§3.1); heap values are copied *into the region they
-//!    came from*, found through the **origin pointer** of their page
-//!    (§2.4), and a forward pointer (even word) replaces their tag (odd
-//!    word).
+//!    — traversed in place, never moved; **large objects** are marked and
+//!    arrays queued for traversal — traversed but never copied (§3.1); a
+//!    heap value in from-space is copied to its destination — for the
+//!    paper's collector the region it came from, found through the
+//!    **origin pointer** of its page (§2.4) — and a forward pointer (even
+//!    word) replaces its tag (odd word).
 //! 3. Each region has at most one scan pointer, kept on the **scan stack**
 //!    while the region status bit `b` is `SOME`; scanning a region runs
 //!    Cheney's loop locally until the scan pointer catches the region's
 //!    allocation pointer, following next-page links and skipping page
 //!    slack via the sentinel tag.
 //! 4. Afterwards the constant marks on finite-region values are removed,
-//!    unmarked large objects are freed, the global from-space is appended
-//!    to the free-list in O(1), and the heap is grown to maintain the
-//!    heap-to-live ratio (§4).
+//!    unmarked large objects in from-space are freed and survivors join
+//!    their destination region, and from-space is appended to the
+//!    free-list in O(1).
+//!
+//! A collection is one pass for the paper's collector; for the
+//! generational one it is a minor pass (nursery into tenured) and, once
+//! the tenured generation outgrew its budget, a major pass (tenured into
+//! itself). A full or major collection then grows the heap to maintain
+//! the heap-to-live ratio (§4), or shrinks it with hysteresis.
 
+use crate::config::Collector;
 use crate::heap::{PAGE_HDR, PAGE_NEXT, PAGE_ORIGIN};
 use crate::lobj::{LData, Lobjs};
 use crate::region::RegionId;
-use crate::rt::Rt;
+use crate::rt::{Rt, NURSERY, TENURED};
 use crate::stats::GcRecord;
 use crate::value::{
     is_ptr, ptr, ptr_addr, space_of, Kind, Space, Tag, Word, NONE_ADDR, STACK_BASE,
 };
 
-/// Policy hook of the shared scan loop: both collectors (full and
-/// generational) share [`evacuate_with`], [`cheney_region_with`] and
-/// [`drain_with`], differing only in how a heap object's destination is
-/// decided.
+/// A pass's policy: which pages are from-space and where a survivor goes.
+/// The two collectors share [`pass`] and its scan loop ([`evacuate_with`],
+/// [`cheney_region_with`], [`drain_with`]), differing only here.
 trait EvacPolicy: Copy {
+    /// Detaches from-space from the regions.
+    fn flip(self, rt: &mut Rt) -> FromSpace;
     /// Decides the fate of the heap object on `page`: `Some(r)` copies it
     /// into region `r`; `None` leaves it in place.
     fn heap_dest(self, rt: &Rt, page: u64) -> Option<RegionId>;
+    /// Where the surviving large objects of region `i` go; `None` if the
+    /// region is not in from-space.
+    fn lobj_dest(self, i: usize) -> Option<RegionId>;
 }
 
-/// Full collection: every heap object is in from-space and is copied into
-/// the region its page originated from (paper §2.4).
+/// The paper's collector: every region is in from-space, and every value
+/// is copied into the region its page originated from (§2.4).
 #[derive(Clone, Copy)]
 struct FullEvac;
 
 impl EvacPolicy for FullEvac {
+    fn flip(self, rt: &mut Rt) -> FromSpace {
+        detach(rt, 0..rt.regions.len(), true)
+    }
+
     #[inline]
     fn heap_dest(self, rt: &Rt, page: u64) -> Option<RegionId> {
         Some(RegionId(rt.heap.read(page + PAGE_ORIGIN) as u32))
     }
+
+    fn lobj_dest(self, i: usize) -> Option<RegionId> {
+        Some(RegionId(i as u32))
+    }
 }
 
-/// Generational phase: only objects on pages stamped [`FROM_MARK`] move —
-/// into the promotion target — and everything else stays put.
+/// A generational pass: only objects on pages stamped [`FROM_MARK`] — the
+/// pages of region `from` — move, into `to`; everything else stays put.
 #[derive(Clone, Copy)]
 struct GenEvac {
+    from: RegionId,
     to: RegionId,
 }
 
 impl EvacPolicy for GenEvac {
+    fn flip(self, rt: &mut Rt) -> FromSpace {
+        let from = self.from.0 as usize;
+        let mut p = rt.regions[from].fp;
+        while p != NONE_ADDR {
+            rt.heap.write(p + PAGE_ORIGIN, FROM_MARK);
+            p = rt.heap.read(p + PAGE_NEXT);
+        }
+        detach(rt, from..from + 1, self.from == self.to)
+    }
+
     #[inline]
     fn heap_dest(self, rt: &Rt, page: u64) -> Option<RegionId> {
         if rt.heap.read(page + PAGE_ORIGIN) == FROM_MARK {
@@ -72,9 +104,65 @@ impl EvacPolicy for GenEvac {
             None
         }
     }
+
+    fn lobj_dest(self, i: usize) -> Option<RegionId> {
+        (i == self.from.0 as usize).then_some(self.to)
+    }
 }
 
-/// Performs one garbage collection.
+/// Page-origin marker identifying detached from-space pages during a
+/// generational pass.
+const FROM_MARK: u64 = u64::MAX - 1;
+
+/// The pages a pass evacuates: a chain from `head` to the page holding
+/// `tail`, `pages` long, of which the allocator had handed out
+/// `used_words`.
+struct FromSpace {
+    head: u64,
+    tail: u64,
+    pages: usize,
+    used_words: u64,
+}
+
+/// Moves the pages of `regions` onto one from-space chain and resets their
+/// descriptors: each with a fresh to-space page if `fresh` (the paper
+/// gives every region one eagerly), else with none, so that its next
+/// allocation takes the page-extension path.
+fn detach(rt: &mut Rt, regions: std::ops::Range<usize>, fresh: bool) -> FromSpace {
+    let pw = rt.heap.page_words() as u64;
+    let mut fs = FromSpace {
+        head: NONE_ADDR,
+        tail: NONE_ADDR,
+        pages: 0,
+        used_words: 0,
+    };
+    for i in regions {
+        let d = &rt.regions[i];
+        let (fp, e) = (d.fp, d.e);
+        fs.pages += d.pages;
+        fs.used_words += d.used_words;
+        if fp != NONE_ADDR {
+            rt.heap.write(e - pw + PAGE_NEXT, fs.head);
+            if fs.head == NONE_ADDR {
+                fs.tail = e - 1;
+            }
+            fs.head = fp;
+        }
+        let (fp, a, e, pages) = if fresh {
+            let page = rt.heap.alloc_page(i as u64);
+            (page, page + PAGE_HDR, page + pw, 1)
+        } else {
+            (NONE_ADDR, 0, 0, 0)
+        };
+        let d = &mut rt.regions[i];
+        (d.fp, d.a, d.e, d.pages) = (fp, a, e, pages);
+        d.used_words = 0;
+        d.status = false;
+    }
+    fs
+}
+
+/// Performs one garbage collection with the runtime's collector.
 ///
 /// `root_slots` are indices into `rt.stack` holding live values (the VM's
 /// frame maps); `extra_roots` are additional value words held in VM
@@ -90,105 +178,127 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     );
     let t0 = std::time::Instant::now();
     rt.in_gc = true;
-    if rt.config.heap_shrink_factor.is_some() {
-        // To-space should fill the arena bottom-up so the post-collection
-        // shrink finds its free pages at the physical tail.
+    // `None` for the paper's collector; for the generational one, whether
+    // the tenured generation outgrew its budget, so that a major pass
+    // follows the minor one.
+    let major = match rt.config.collector {
+        Collector::Generational(pol) => {
+            let budget = pol
+                .nursery_pages
+                .max(rt.stats.last_live_pages * pol.major_growth);
+            Some(rt.regions[TENURED.0 as usize].pages >= budget)
+        }
+        Collector::Off | Collector::Regions => None,
+    };
+    // Only a collection that leaves every live page in to-space resizes
+    // the heap. Its to-space should fill the arena bottom-up so the shrink
+    // finds its free pages at the physical tail.
+    let resize = major != Some(false);
+    if resize && rt.config.heap_shrink_factor.is_some() {
         rt.heap.sort_free_list();
     }
-
-    // ---- accounting before the flip (Table 3 inputs).
-    let pw = rt.heap.page_words() as u64;
-    let page_payload = pw - PAGE_HDR;
-    let mut waste_words = 0u64;
-    let mut from_pages = 0usize;
-    for d in &rt.regions {
-        from_pages += d.pages;
-        waste_words += d.pages as u64 * page_payload - d.used_words;
-    }
-    let from_space_words = from_pages as u64 * page_payload;
-
-    // ---- flip: detach all pages into the global from-space, give every
-    // region a fresh to-space page (the paper gives each one eagerly).
-    let mut fs_head = NONE_ADDR;
-    let mut fs_tail_last_addr = NONE_ADDR; // any address within the tail page
-    for i in 0..rt.regions.len() {
-        let (fp, e) = {
-            let d = &rt.regions[i];
-            (d.fp, d.e)
-        };
-        if fp != NONE_ADDR {
-            let last_page = e - pw;
-            rt.heap.write(last_page + PAGE_NEXT, fs_head);
-            if fs_head == NONE_ADDR {
-                fs_tail_last_addr = e - 1;
+    let full = match major {
+        None => Some(pass(rt, root_slots, extra_roots, FullEvac)),
+        Some(major) => {
+            let minor = GenEvac {
+                from: NURSERY,
+                to: TENURED,
+            };
+            pass(rt, root_slots, extra_roots, minor);
+            rt.stats.minor_gcs += 1;
+            if major {
+                let tenured = GenEvac {
+                    from: TENURED,
+                    to: TENURED,
+                };
+                pass(rt, root_slots, extra_roots, tenured);
+                rt.stats.major_gcs += 1;
             }
-            fs_head = fp;
+            None
         }
-        let page = rt.heap.alloc_page(i as u64);
-        let d = &mut rt.regions[i];
-        d.fp = page;
-        d.a = page + PAGE_HDR;
-        d.e = page + pw;
-        d.pages = 1;
-        d.used_words = 0;
-        d.status = false;
+    };
+
+    if resize {
+        let live_pages: usize = rt.regions.iter().map(|d| d.pages).sum();
+        let want_total = ((live_pages as f64) * rt.config.heap_to_live_ratio).ceil() as usize;
+        if rt.heap.total_pages() < want_total {
+            rt.heap.grow(want_total - rt.heap.total_pages());
+            rt.stats.heap_grows += 1;
+        } else {
+            shrink_with_hysteresis(rt, want_total);
+        }
+        if let Some(p) = &full {
+            let from_space_words = p.fs.pages as u64 * (rt.heap.page_words() as u64 - PAGE_HDR);
+            rt.stats.gc_records.push(GcRecord {
+                prev_live_pages: rt.stats.last_live_pages,
+                pages_requested: rt.stats.pages_requested_since_gc,
+                from_pages: p.fs.pages,
+                live_pages,
+                waste_words: from_space_words - p.fs.used_words,
+                from_space_words,
+                copied_words: p.copied,
+                lobjs_freed: p.lobjs_freed,
+            });
+        }
+        rt.stats.last_live_pages = live_pages;
     }
-
-    let mut st = GcState::new();
-
-    // ---- evacuate the root set.
-    for &slot in root_slots {
-        let v = rt.stack[slot];
-        rt.stack[slot] = evacuate_with(rt, &mut st, v, FullEvac);
-    }
-    for v in extra_roots.iter_mut() {
-        *v = evacuate_with(rt, &mut st, *v, FullEvac);
-    }
-
-    // ---- collect_regions (paper §2.5).
-    drain_with(rt, &mut st, FullEvac);
-
-    // ---- unmark finite-region values (remove constant marks, §2.5).
-    unmark_scan_buffer(rt, &st.scan_buffer);
-
-    // ---- sweep large objects: free unmarked, unmark survivors.
-    let lobjs_freed = sweep_lobjs_all(rt);
-
-    // ---- release the global from-space in O(1).
-    if fs_head != NONE_ADDR {
-        rt.heap.free_run(fs_head, fs_tail_last_addr, from_pages);
-    }
-
-    // ---- post-collection policy and statistics.
-    let live_pages: usize = rt.regions.iter().map(|d| d.pages).sum();
-    let want_total = ((live_pages as f64) * rt.config.heap_to_live_ratio).ceil() as usize;
-    if rt.heap.total_pages() < want_total {
-        rt.heap.grow(want_total - rt.heap.total_pages());
-        rt.stats.heap_grows += 1;
-    } else {
-        shrink_with_hysteresis(rt, want_total);
-    }
-    rt.stats.gc_records.push(GcRecord {
-        prev_live_pages: rt.stats.last_live_pages,
-        pages_requested: rt.stats.pages_requested_since_gc,
-        from_pages,
-        live_pages,
-        waste_words,
-        from_space_words,
-        copied_words: st.copied,
-        lobjs_freed,
-    });
-    rt.stats.last_live_pages = live_pages;
     rt.stats.pages_requested_since_gc = 0;
     rt.stats.gc_count += 1;
-    rt.stats.gc_copied_words += st.copied;
     rt.stats.record_pause(t0.elapsed().as_nanos() as u64);
     rt.gc_needed = false;
     rt.in_gc = false;
     rt.observe_mem();
-    if rt.profiler.enabled() {
+    if full.is_some() && rt.profiler.enabled() {
         let regions = rt.regions.clone();
         rt.profiler.sample(&regions);
+    }
+}
+
+/// What a pass reports for the statistics.
+struct Pass {
+    fs: FromSpace,
+    copied: u64,
+    lobjs_freed: usize,
+}
+
+/// One pass of the collection sequence under policy `p`.
+fn pass<P: EvacPolicy>(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word], p: P) -> Pass {
+    let fs = p.flip(rt);
+    let mut st = GcState::default();
+
+    // ---- evacuate the root set and the remembered fields.
+    for &slot in root_slots {
+        let v = rt.stack[slot];
+        rt.stack[slot] = evacuate_with(rt, &mut st, v, p);
+    }
+    for v in extra_roots.iter_mut() {
+        *v = evacuate_with(rt, &mut st, *v, p);
+    }
+    let remembered = std::mem::take(&mut rt.remembered);
+    for &addr in &remembered {
+        let v = rt.read_addr(addr);
+        let nv = evacuate_with(rt, &mut st, v, p);
+        rt.write_addr(addr, nv);
+    }
+    rt.remembered = remembered;
+    rt.remembered.clear();
+    rt.remembered_set.clear();
+
+    // ---- collect_regions (paper §2.5).
+    drain_with(rt, &mut st, p);
+
+    // ---- unmark finite-region values (remove constant marks, §2.5).
+    unmark_scan_buffer(rt, &st.scan_buffer);
+
+    let lobjs_freed = sweep_lobjs(rt, p);
+
+    // ---- release from-space in O(1).
+    rt.heap.free_run(fs.head, fs.tail, fs.pages);
+    rt.stats.gc_copied_words += st.copied;
+    Pass {
+        fs,
+        copied: st.copied,
+        lobjs_freed,
     }
 }
 
@@ -202,31 +312,37 @@ fn unmark_scan_buffer(rt: &mut Rt, scan_buffer: &[usize]) {
     }
 }
 
-/// Sweeps every region's large-object list: frees unmarked objects,
-/// unmarks survivors. Returns the number freed.
-fn sweep_lobjs_all(rt: &mut Rt) -> usize {
+/// Sweeps the large objects of from-space: frees the unmarked ones and
+/// unmarks the survivors, which join their destination region. Those of a
+/// region outside from-space were at most visited, and are unmarked.
+/// Returns the number freed.
+fn sweep_lobjs<P: EvacPolicy>(rt: &mut Rt, p: P) -> usize {
     let mut lobjs_freed = 0usize;
     for i in 0..rt.regions.len() {
-        let mut head = rt.regions[i].lobjs;
-        let mut new_head = 0u32;
+        let Some(dest) = p.lobj_dest(i) else {
+            let mut head = rt.regions[i].lobjs;
+            while head != 0 {
+                let o = rt.lobjs.get_mut(head - 1);
+                o.marked = false;
+                head = o.next;
+            }
+            continue;
+        };
+        let mut head = std::mem::take(&mut rt.regions[i].lobjs);
         while head != 0 {
             let id = head - 1;
-            let (next, marked) = {
-                let o = rt.lobjs.get(id);
-                (o.next, o.marked)
-            };
-            head = next;
-            if marked {
-                let o = rt.lobjs.get_mut(id);
+            let o = rt.lobjs.get_mut(id);
+            head = o.next;
+            if o.marked {
                 o.marked = false;
-                o.next = new_head;
-                new_head = id + 1;
+                let d = &mut rt.regions[dest.0 as usize];
+                o.next = d.lobjs;
+                d.lobjs = id + 1;
             } else {
                 rt.lobjs.free(id);
                 lobjs_freed += 1;
             }
         }
-        rt.regions[i].lobjs = new_head;
     }
     lobjs_freed
 }
@@ -265,165 +381,8 @@ fn shrink_with_hysteresis(rt: &mut Rt, want_total: usize) {
     }
 }
 
-/// Page-origin marker identifying detached from-space pages during a
-/// generational phase.
-const FROM_MARK: u64 = u64::MAX - 1;
-
-/// One generational collection of the baseline runtime (the SML/NJ
-/// substitute, DESIGN.md §4).
-///
-/// A **minor** collection promotes nursery survivors into the tenured
-/// generation; `remembered` holds the field addresses mutated since the
-/// previous collection (the write barrier), which may contain old→young
-/// pointers. A **major** collection additionally runs a semispace pass
-/// over the tenured generation (after the minor the nursery is empty, so
-/// the stack is the complete root set).
-pub fn collect_gen(
-    rt: &mut Rt,
-    root_slots: &[usize],
-    remembered: &mut Vec<u64>,
-    young: RegionId,
-    old: RegionId,
-    major: bool,
-) {
-    let t0 = std::time::Instant::now();
-    rt.in_gc = true;
-    if major && rt.config.heap_shrink_factor.is_some() {
-        // Same reasoning as in [`collect`]: the semispace passes must fill
-        // to-space from the arena bottom so the post-collection shrink
-        // finds its free pages at the physical tail. Without this the
-        // tenured survivors land on arbitrary free-list pages and
-        // `release_tail` stops at the first in-use page it meets.
-        rt.heap.sort_free_list();
-    }
-    collect_phase(rt, root_slots, remembered, young, old);
-    rt.stats.minor_gcs += 1;
-    remembered.clear();
-    if major {
-        collect_phase(rt, root_slots, &mut Vec::new(), old, old);
-        rt.stats.major_gcs += 1;
-        // Maintain the heap-to-live ratio after a major collection.
-        let live: usize = rt.regions.iter().map(|d| d.pages).sum();
-        let want = ((live as f64) * rt.config.heap_to_live_ratio).ceil() as usize;
-        if rt.heap.total_pages() < want {
-            rt.heap.grow(want - rt.heap.total_pages());
-            rt.stats.heap_grows += 1;
-        } else {
-            shrink_with_hysteresis(rt, want);
-        }
-        rt.stats.last_live_pages = live;
-    }
-    rt.stats.gc_count += 1;
-    rt.stats.pages_requested_since_gc = 0;
-    rt.stats.record_pause(t0.elapsed().as_nanos() as u64);
-    rt.gc_needed = false;
-    rt.in_gc = false;
-    rt.observe_mem();
-}
-
-/// Evacuates everything live in `from` into `to` (which may be `from`
-/// itself, giving a classic semispace flip). Objects outside `from` are
-/// left in place.
-fn collect_phase(
-    rt: &mut Rt,
-    root_slots: &[usize],
-    remembered: &mut [u64],
-    from: RegionId,
-    to: RegionId,
-) {
-    let pw = rt.heap.page_words() as u64;
-    // Detach the from-region's pages, stamping them as from-space.
-    let (fp, e, pages) = {
-        let d = &rt.regions[from.0 as usize];
-        (d.fp, d.e, d.pages)
-    };
-    let mut fs_tail = NONE_ADDR;
-    if fp != NONE_ADDR {
-        let mut p = fp;
-        loop {
-            rt.heap.write(p + PAGE_ORIGIN, FROM_MARK);
-            let next = rt.heap.read(p + PAGE_NEXT);
-            if next == NONE_ADDR {
-                fs_tail = p;
-                break;
-            }
-            p = next;
-        }
-        debug_assert_eq!(rt.heap.page_base(e - 1), fs_tail);
-    }
-    let from_lobjs = rt.regions[from.0 as usize].lobjs;
-    {
-        let d = &mut rt.regions[from.0 as usize];
-        d.fp = NONE_ADDR;
-        // No page: `a == e` sends the next allocation to page extension.
-        d.a = 0;
-        d.e = 0;
-        d.pages = 0;
-        d.used_words = 0;
-        d.status = false;
-        d.lobjs = 0;
-    }
-    if to == from {
-        let page = rt.heap.alloc_page(from.0 as u64);
-        let d = &mut rt.regions[from.0 as usize];
-        d.fp = page;
-        d.a = page + PAGE_HDR;
-        d.e = page + pw;
-        d.pages = 1;
-    }
-
-    let mut st = GcState::new();
-    let pol = GenEvac { to };
-    // Roots: the stack, plus remembered mutated fields (old→young).
-    for &slot in root_slots {
-        let v = rt.stack[slot];
-        rt.stack[slot] = evacuate_with(rt, &mut st, v, pol);
-    }
-    for &addr in remembered.iter() {
-        let v = rt.read_addr(addr);
-        let nv = evacuate_with(rt, &mut st, v, pol);
-        rt.write_addr(addr, nv);
-    }
-    drain_with(rt, &mut st, pol);
-    // Unmark finite-region values.
-    unmark_scan_buffer(rt, &st.scan_buffer);
-    // Sweep the from-region's large objects: survivors move to `to`.
-    let mut head = from_lobjs;
-    while head != 0 {
-        let id = head - 1;
-        let (next, marked) = {
-            let o = rt.lobjs.get(id);
-            (o.next, o.marked)
-        };
-        head = next;
-        if marked {
-            let to_head = rt.regions[to.0 as usize].lobjs;
-            let o = rt.lobjs.get_mut(id);
-            o.next = to_head;
-            rt.regions[to.0 as usize].lobjs = id + 1;
-        } else {
-            rt.lobjs.free(id);
-        }
-    }
-    // Clear remaining marks (including large objects owned by other
-    // generations that were only visited).
-    for i in 0..rt.regions.len() {
-        let mut h = rt.regions[i].lobjs;
-        while h != 0 {
-            let o = rt.lobjs.get_mut(h - 1);
-            o.marked = false;
-            h = o.next;
-        }
-    }
-    // Release the from-space.
-    if fp != NONE_ADDR {
-        rt.heap.free_run(fp, fs_tail + 1, pages);
-    }
-    rt.stats.gc_copied_words += st.copied;
-}
-
-/// Shared scan-loop state (paper §2.5) of one collection.
-#[derive(Debug)]
+/// Shared scan-loop state (paper §2.5) of one pass.
+#[derive(Debug, Default)]
 struct GcState {
     /// Scan pointers of partially-scanned regions (at most one per region).
     scan_stack: Vec<u64>,
@@ -435,19 +394,6 @@ struct GcState {
     lobj_queue: Vec<u32>,
     lq_next: usize,
     copied: u64,
-}
-
-impl GcState {
-    fn new() -> Self {
-        GcState {
-            scan_stack: Vec::new(),
-            scan_buffer: Vec::new(),
-            sb_next: 0,
-            lobj_queue: Vec::new(),
-            lq_next: 0,
-            copied: 0,
-        }
-    }
 }
 
 /// Evacuates one value (paper §2.5 `evacuate`): returns the value to store
@@ -634,12 +580,29 @@ fn drain_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, p: P) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RtConfig;
+    use crate::config::{GenPolicy, RtConfig};
 
     fn rt() -> Rt {
         Rt::new(RtConfig {
             initial_pages: 16,
             ..RtConfig::rgt()
+        })
+    }
+
+    /// A generational collector whose every collection is major (a tenured
+    /// budget of no pages) or minor (a budget of `usize::MAX` pages).
+    fn generational(major: bool) -> Collector {
+        let nursery_pages = if major { 0 } else { usize::MAX };
+        Collector::Generational(GenPolicy {
+            nursery_pages,
+            major_growth: 0,
+        })
+    }
+
+    fn gen_rt(major: bool) -> Rt {
+        Rt::new(RtConfig {
+            collector: generational(major),
+            ..rt().config
         })
     }
 
@@ -744,10 +707,11 @@ mod tests {
         let mut rt = Rt::new(RtConfig {
             initial_pages: 16,
             heap_shrink_factor: Some(1.0),
+            collector: generational(true),
             ..RtConfig::rgt()
         });
         let young = rt.letregion(0);
-        let old = rt.letregion(0);
+        let _old = rt.letregion(0);
         for _ in 0..200 {
             let _ = build_list(&mut rt, young, 200);
         }
@@ -755,9 +719,8 @@ mod tests {
         rt.stack.push(live);
         let root = rt.stack.len() - 1;
         let before = rt.heap.total_pages();
-        let mut remembered = Vec::new();
-        collect_gen(&mut rt, &[root], &mut remembered, young, old, true);
-        collect_gen(&mut rt, &[root], &mut remembered, young, old, true);
+        collect(&mut rt, &[root], &mut []);
+        collect(&mut rt, &[root], &mut []);
         let live_pages: usize = rt.regions.iter().map(|d| d.pages).sum();
         let want = ((live_pages as f64) * rt.config.heap_to_live_ratio).ceil() as usize;
         let floor = want.max(rt.config.initial_pages);
@@ -969,7 +932,7 @@ mod tests {
 
     #[test]
     fn generational_minor_promotes_survivors() {
-        let mut rt = rt();
+        let mut rt = gen_rt(false);
         let young = rt.letregion(0);
         let old = rt.letregion(1);
         let live = build_list(&mut rt, young, 50);
@@ -977,7 +940,7 @@ mod tests {
             let _ = build_list(&mut rt, young, 100);
         }
         rt.stack.push(live);
-        collect_gen(&mut rt, &[0], &mut Vec::new(), young, old, false);
+        collect(&mut rt, &[0], &mut []);
         // Survivors moved to the old generation; the nursery is empty.
         assert_eq!(rt.regions[young.0 as usize].used_words, 0);
         assert!(rt.regions[old.0 as usize].used_words > 0);
@@ -988,18 +951,19 @@ mod tests {
 
     #[test]
     fn generational_remembered_set_rescues_old_to_young() {
-        let mut rt = rt();
+        let mut rt = gen_rt(false);
         let young = rt.letregion(0);
         let old = rt.letregion(1);
         // An old cell pointing at young data, reachable ONLY through it.
         let cell = rt.alloc_boxed(old, Tag::reference(), &[rt.tag_int(0)]);
-        collect_gen(&mut rt, &[], &mut Vec::new(), young, old, false);
+        collect(&mut rt, &[], &mut []);
         let young_list = build_list(&mut rt, young, 10);
-        rt.set_field(cell, 0, young_list);
         let field_addr = kit_field_addr(&rt, cell);
+        rt.update(field_addr, young_list);
+        assert_eq!(rt.remembered_len(), 1);
         rt.stack.push(cell);
-        let mut remembered = vec![field_addr];
-        collect_gen(&mut rt, &[0], &mut remembered, young, old, true);
+        rt.config.collector = generational(true);
+        collect(&mut rt, &[0], &mut []);
         let v = rt.field(rt.stack[0], 0);
         assert_eq!(
             list_sum(&rt, v),
@@ -1014,17 +978,18 @@ mod tests {
 
     #[test]
     fn generational_major_compacts_tenured() {
-        let mut rt = rt();
+        let mut rt = gen_rt(false);
         let young = rt.letregion(0);
         let old = rt.letregion(1);
         // Promote a lot of garbage into tenured, then major-collect.
         for _ in 0..20 {
             let _ = build_list(&mut rt, young, 200);
-            collect_gen(&mut rt, &[], &mut Vec::new(), young, old, false);
+            collect(&mut rt, &[], &mut []);
         }
         let live = build_list(&mut rt, young, 10);
         rt.stack.push(live);
-        collect_gen(&mut rt, &[0], &mut Vec::new(), young, old, true);
+        rt.config.collector = generational(true);
+        collect(&mut rt, &[0], &mut []);
         assert_eq!(rt.stats.major_gcs, 1);
         assert!(
             rt.regions[old.0 as usize].pages <= 2,

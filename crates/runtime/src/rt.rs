@@ -6,7 +6,7 @@
 //! deallocating regions, allocating into regions, and reading/writing
 //! boxed values in a tagging-aware way.
 
-use crate::config::RtConfig;
+use crate::config::{Collector, RtConfig};
 use crate::heap::{Heap, PAGE_HDR, PAGE_NEXT};
 use crate::lobj::{LData, Lobjs};
 use crate::profile::Profiler;
@@ -14,10 +14,16 @@ use crate::region::RegionDesc;
 pub use crate::region::RegionId;
 use crate::stats::RtStats;
 use crate::value::{
-    ptr, ptr_addr, scalar, scalar_val, space_of, Space, Tag, Word, DATA_BASE, LOBJ_STRIDE,
+    is_ptr, ptr, ptr_addr, scalar, scalar_val, space_of, Space, Tag, Word, DATA_BASE, LOBJ_STRIDE,
     NONE_ADDR, STACK_BASE,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// Under [`Collector::Generational`], the program's one region: the nursery.
+pub(crate) const NURSERY: RegionId = RegionId(0);
+/// Under [`Collector::Generational`], the tenured generation the runtime
+/// pushes after the nursery.
+pub(crate) const TENURED: RegionId = RegionId(1);
 
 /// The runtime state for one program execution.
 #[derive(Debug)]
@@ -34,7 +40,8 @@ pub struct Rt {
     pub lobjs: Lobjs,
     /// Statistics.
     pub stats: RtStats,
-    /// Set when the free-list dropped below the threshold; the mutator
+    /// Set when a collection is due — the free-list dropped below the
+    /// threshold, or the nursery reached its size — so the mutator
     /// collects at the next safe point (function entry, paper §4).
     pub gc_needed: bool,
     /// True while the collector runs (suppresses accounting of to-space
@@ -42,6 +49,11 @@ pub struct Rt {
     pub in_gc: bool,
     /// Region profiler (paper Fig. 5).
     pub profiler: Profiler,
+    /// The generational collector's write barrier: the fields that took a
+    /// pointer since the last collection, each once, in the order first
+    /// written (any may hold a tenured→nursery pointer).
+    pub(crate) remembered: Vec<u64>,
+    pub(crate) remembered_set: HashSet<u64>,
     data_strings: Vec<String>,
     data_interned: HashMap<String, u32>,
     /// Total bytes of `data_strings`, kept so the footprint is O(1).
@@ -65,6 +77,8 @@ impl Rt {
             gc_needed: false,
             in_gc: false,
             profiler: Profiler::new(config.profile),
+            remembered: Vec::new(),
+            remembered_set: HashSet::new(),
             data_strings: Vec::new(),
             data_interned: HashMap::new(),
             data_bytes: 0,
@@ -91,6 +105,23 @@ impl Rt {
         self.stats.regions_created += 1;
         self.observe_mem();
         id
+    }
+
+    /// Pushes the program's global regions, ids `0..names.len()`. Under
+    /// the generational collector the one global region is the nursery,
+    /// and the tenured generation follows it as region 1.
+    pub fn push_globals(&mut self, names: &[u32]) {
+        for &name in names {
+            let _ = self.letregion(name);
+        }
+        if let Collector::Generational(_) = self.config.collector {
+            assert_eq!(
+                self.region_depth(),
+                1,
+                "the generational baseline needs exactly one program region"
+            );
+            let _ = self.letregion(u32::MAX);
+        }
     }
 
     /// Pops the newest region, returning its pages to the free-list in
@@ -137,18 +168,24 @@ impl Rt {
     }
 
     /// Requests a page from the free-list, stamping `origin`, and updates
-    /// the collection trigger.
+    /// the collection trigger: the region collector's fires when the
+    /// free-list falls below `gc_threshold` of the heap, the generational
+    /// one's when this page brings the nursery to its size.
     fn alloc_page_for(&mut self, origin: u32) -> u64 {
         let page = self.heap.alloc_page(origin as u64);
         if !self.in_gc {
             self.stats.pages_requested_since_gc += 1;
-            if self.config.gc_enabled {
-                let threshold =
-                    (self.heap.total_pages() as f64 * self.config.gc_threshold) as usize;
-                if self.heap.free_pages() < threshold {
-                    self.gc_needed = true;
+            self.gc_needed |= match self.config.collector {
+                Collector::Off => false,
+                Collector::Regions => {
+                    self.heap.free_pages()
+                        < (self.heap.total_pages() as f64 * self.config.gc_threshold) as usize
                 }
-            }
+                Collector::Generational(pol) => {
+                    origin == NURSERY.0
+                        && self.regions.first().map_or(0, |d| d.pages) + 1 >= pol.nursery_pages
+                }
+            };
         }
         page
     }
@@ -389,6 +426,32 @@ impl Rt {
     #[inline]
     pub fn set_field(&mut self, v: Word, i: u64, x: Word) {
         self.write_addr(ptr_addr(v) + self.hdr_words() + i, x);
+    }
+
+    /// A mutator store into a ref cell or an array slot: writes `v` at
+    /// `addr` and, under the generational collector, remembers the field
+    /// (it may now point from the tenured generation into the nursery) if
+    /// `v` is a pointer and the field is not remembered yet.
+    #[inline(always)]
+    pub fn update(&mut self, addr: u64, v: Word) {
+        self.write_addr(addr, v);
+        if let Collector::Generational(_) = self.config.collector {
+            self.remember(addr, v);
+        }
+    }
+
+    /// The generational barrier proper, out of line so that [`Rt::update`]
+    /// stays a store and a test on the other collectors' paths.
+    #[inline(never)]
+    fn remember(&mut self, addr: u64, v: Word) {
+        if is_ptr(v) && self.remembered_set.insert(addr) {
+            self.remembered.push(addr);
+        }
+    }
+
+    /// Fields in the remembered set (see [`Rt::update`]).
+    pub fn remembered_len(&self) -> usize {
+        self.remembered.len()
     }
 
     // -------------------------------------------------------------- strings

@@ -85,10 +85,17 @@ echo "    placement, representation inference and finite-region sizing, the"
 echo "    unread multiplicity table, codegen's second free-name walker and the"
 echo "    optimiser options only tests set; the boxed-type tree walkers the"
 echo "    type arena replaced and the row scans the match compiler's buckets"
-echo "    replaced"
-if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size|subst_qvars|resolve_deep|keys_of|default_rows|spine_end' \
+echo "    replaced; the second collection sequence, the two collector flags"
+echo "    and the region-inference debug dump with its env var"
+if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size|subst_qvars|resolve_deep|keys_of|default_rows|spine_end|KIT_REGION_DEBUG|show_ty|collect_generational|collect_phase|collect_gen|gc_enabled' \
     crates || grep -rnw 'mults' crates/region; then
     echo "verify: a deleted name is back (see above)" >&2
+    exit 1
+fi
+echo "==> the VM does not know which collector runs: crates/kam/src names no"
+echo "    generational policy, remembered set or generational branch"
+if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
+    echo "verify: collector policy is back in the VM (see above)" >&2
     exit 1
 fi
 
@@ -123,13 +130,20 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 40 full-scale cells of BENCH_PR28.json, both"
-echo "    engines; writes nothing (a PR that moves them on purpose points"
-echo "    this at its own BENCH file)"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR29.json in r, gt,"
+echo "    rgt and the generational baseline, both engines; writes nothing (a"
+echo "    PR that moves them on purpose points this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
-    --full --modes r,rgt \
+    --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR28.json
+    --check-counts BENCH_PR29.json
+
+echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
+echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"
+for b in table1 table2 table3 table4 fig4 fig5 bootstrap; do
+    cargo run --release -q -p kit-bench --bin "$b" | diff -u "bench_output/$b.txt" - ||
+        { echo "verify: bench_output/$b.txt is stale (see above)" >&2; exit 1; }
+done
 
 echo "==> kit-serve smoke: 64-session burst, mixed fuel/memory-quota"
 echo "    outcomes, every served counter bit-identical to standalone"

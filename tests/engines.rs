@@ -20,7 +20,7 @@
 use kit::{oracle, Compiler, DispatchMode, Fusion, Mode, Outcome, RtConfig};
 use kit_bench::by_name;
 use kit_bench::fusion_check::assert_fusion_regroups;
-use kit_runtime::config::GenPolicy;
+use kit_runtime::config::{Collector, GenPolicy};
 
 /// `[instructions, words_allocated, allocations, gc_count,
 /// gc_copied_words, regions_created]` per mode in [`Mode::ALL`] order,
@@ -147,7 +147,7 @@ fn counters(out: &Outcome) -> String {
 }
 
 /// The collector axis. The full collector runs in `rgt`; the generational
-/// one needs the single program region of `Mode::Baseline` (the VM
+/// one needs the single program region of `Mode::Baseline` (the runtime
 /// asserts it). Each must collect, compute what the reference evaluator
 /// computes, and count the same on both engines. The two full rows start
 /// from the same four pages and differ in the paper's §4 dial alone: a
@@ -166,7 +166,7 @@ fn every_collector_agrees_with_the_evaluator_on_both_engines() {
             "generational",
             Mode::Baseline,
             RtConfig {
-                generational: Some(GenPolicy::default()),
+                collector: Collector::Generational(GenPolicy::default()),
                 ..RtConfig::rgt()
             },
         ),
@@ -202,7 +202,7 @@ fn every_collector_agrees_with_the_evaluator_on_both_engines() {
         assert!(s.gc_count > 0, "churn [{collector}] never collected");
         assert_eq!(
             s.minor_gcs > 0,
-            config.generational.is_some(),
+            matches!(config.collector, Collector::Generational(_)),
             "churn [{collector}] ran a different collector"
         );
         gc_counts.push(s.gc_count);
