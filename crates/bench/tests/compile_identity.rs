@@ -158,6 +158,7 @@ fn assert_labels_bound(prog: &Program, mode: Mode) {
 }
 
 /// One golden row: bytecode digest, code length, region-program digest.
+/// The region program must also pass `kit_region::check`.
 fn digest(src: &str, mode: Mode) -> String {
     let prog = Compiler::new(mode)
         .compile_source(src)
@@ -166,6 +167,7 @@ fn digest(src: &str, mode: Mode) -> String {
     let mut lprog = kit_typing::compile_str(src).expect("compiled above");
     kit_lambda::opt::optimize(&mut lprog, &OptOptions::default());
     let rprog = kit_region::infer(&lprog, region_options(mode));
+    kit_region::check(&rprog).unwrap_or_else(|e| panic!("{mode}: {e}"));
     format!(
         "{:016x} {} {:016x}",
         fnv1a(&kit_kam::disasm::disassemble(&prog)),

@@ -158,7 +158,7 @@ fn raise_handled_in_its_own_frame_leaves_no_root_into_the_popped_region_boxed() 
 ///   pointers into frames long gone and must trace from the roots alone.
 /// * `rgt` depends on `filter`'s inner `fn` capturing the formal region
 ///   it allocates the result in: while `letregion::place` listed every
-///   formal as a global and `collect_caps` skipped globals, the cells
+///   formal as a global and capture analysis skipped globals, the cells
 ///   landed in a global twin that is never popped (PR 17; `filter p l` is
 ///   one call since).
 #[test]

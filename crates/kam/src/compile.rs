@@ -6,16 +6,22 @@
 //! representation, region-polymorphic calling convention, tail calls
 //! (only outside `letregion`/handler scopes — the ML Kit limitation noted
 //! in §4.4 of the paper), and safe-point placement at function entries.
+//!
+//! Two walks. `Layout::of` reads every closure's captures and every
+//! finite region's size off the program in one walk; the code walk then
+//! resolves names through program-wide tables indexed by variable and
+//! region (variables and regions are bound once), rebinding only what a
+//! function it enters binds and restoring that when it leaves.
 
 use crate::instr::{Disc, FunInfo, Instr, Program, RegSlot};
 use kit_lambda::exp::VarId;
 use kit_lambda::ty::{SchemeTy, TyConId};
-use kit_region::{Mult, Place, RExp, RFixFun, RProgram, RegVar};
+use kit_region::{ExpId, Mult, Place, RExp, RFixFun, RProgram, RegVar, Span};
 use kit_runtime::value::scalar;
-use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Compiles a RegionExp program for the given tagging mode.
 pub fn compile(prog: &RProgram, tagged: bool) -> Program {
+    let layout = Layout::of(prog, tagged);
     let mut cx = Cx {
         prog,
         tagged,
@@ -23,34 +29,37 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
         pc_of_label: Vec::new(),
         fun_of_label: Vec::new(),
         funs: Vec::new(),
-        next_group: 0,
-        finite_sizes: HashMap::new(),
+        vars: vec![None; prog.vars.len()],
+        fixes: vec![None; prog.vars.len()],
+        shareds: vec![None; prog.vars.len()],
+        regs: vec![None; prog.num_regvars as usize],
+        globals: vec![None; prog.num_regvars as usize],
+        shadowed: Vec::new(),
+        saved: Vec::new(),
+        layout,
     };
-    cx.finite_sizes = finite_sizes(&cx);
     // Global regions: infinite ones are created by the VM at startup (their
     // region ids equal their position); finite ones live in the main frame.
-    let mut global_regs: HashMap<RegVar, RegSlot> = HashMap::new();
     let mut global_infinite = Vec::new();
     let mut main_fin = FiniteArea::default();
-    for (r, m) in &prog.globals {
-        match m {
+    for &(r, m) in &prog.globals {
+        let slot = match m {
             Mult::Infinite => {
-                global_regs.insert(*r, RegSlot::Global(global_infinite.len() as u32));
                 global_infinite.push(r.0);
+                RegSlot::Global(global_infinite.len() as u32 - 1)
             }
-            Mult::Finite => {
-                let off = main_fin.alloc(cx.finite_sizes[r]);
-                global_regs.insert(*r, RegSlot::Finite(off));
-            }
-        }
+            Mult::Finite => RegSlot::Finite(main_fin.alloc(cx.layout.finite[r.0 as usize])),
+        };
+        cx.regs[r.0 as usize] = Some(slot);
+        cx.globals[r.0 as usize] = Some(slot);
     }
 
     // Compile the main body as function 0.
     let entry = cx.new_label();
     cx.bind(entry);
-    let mut fcx = FnCx::new(&global_regs, main_fin);
+    let mut fcx = FnCx::new(main_fin);
     cx.emit(Instr::GcCheck);
-    cx.comp(&prog.body, &mut fcx, false);
+    cx.comp(prog.body, &mut fcx, false);
     cx.emit(Instr::Halt);
     let main_info = FunInfo {
         entry: cx.pc_of_label[entry as usize],
@@ -113,22 +122,23 @@ fn resolve(code: &mut [Instr], pc_of_label: &[u32], fun_of_label: &[u32]) {
 
 // ---------------------------------------------------------------- contexts
 
-#[derive(Debug, Clone)]
+/// Where a variable's value is in the function being compiled.
+#[derive(Debug, Clone, Copy)]
 enum VB {
     /// Local slot.
     Slot(u32),
     /// Field of the current environment (absolute field index).
     Env(u32),
-    /// A `fix`-bound function.
-    Fix(FixInfo),
 }
 
-#[derive(Debug, Clone)]
+/// A `fix`-bound function: the same in every function that names it.
+#[derive(Debug, Clone, Copy)]
 struct FixInfo {
     label: u32,
     stub: u32,
     nformals: u16,
-    group: u32,
+    /// The group's first function, which names the group's shared closure.
+    group: VarId,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -139,6 +149,14 @@ enum SharedSrc {
     Env(u32),
     /// The group captured nothing: its shared value is scalar 0.
     Scalar,
+}
+
+/// A binding overwritten on entry to a function, put back on exit.
+#[derive(Debug, Clone, Copy)]
+enum Saved {
+    Var(VarId, Option<VB>),
+    Reg(RegVar, Option<RegSlot>),
+    Shared(VarId, Option<SharedSrc>),
 }
 
 #[derive(Debug, Default, Clone)]
@@ -156,11 +174,8 @@ impl FiniteArea {
     }
 }
 
-struct FnCx<'g> {
-    vars: HashMap<VarId, VB>,
-    regs: HashMap<RegVar, RegSlot>,
-    shareds: HashMap<u32, SharedSrc>,
-    globals: &'g HashMap<RegVar, RegSlot>,
+/// The frame of the function being compiled.
+struct FnCx {
     nlocals: u32,
     fin: FiniteArea,
     /// Open letregion scopes (tail calls are disabled inside them — the ML
@@ -181,13 +196,9 @@ struct FnCx<'g> {
     open_regions: u32,
 }
 
-impl<'g> FnCx<'g> {
-    fn new(globals: &'g HashMap<RegVar, RegSlot>, fin: FiniteArea) -> Self {
+impl FnCx {
+    fn new(fin: FiniteArea) -> Self {
         FnCx {
-            vars: HashMap::new(),
-            regs: HashMap::new(),
-            shareds: HashMap::new(),
-            globals,
             nlocals: 1, // slot 0 = environment
             fin,
             cleanup: 0,
@@ -202,16 +213,6 @@ impl<'g> FnCx<'g> {
         self.nlocals += 1;
         s
     }
-
-    fn regslot(&self, r: RegVar) -> RegSlot {
-        if let Some(s) = self.regs.get(&r) {
-            return *s;
-        }
-        *self
-            .globals
-            .get(&r)
-            .unwrap_or_else(|| panic!("region r{} not in scope", r.0))
-    }
 }
 
 struct Cx<'a> {
@@ -223,9 +224,23 @@ struct Cx<'a> {
     /// Label id → function id (`u32::MAX` unless an entry or a stub).
     fun_of_label: Vec<u32>,
     funs: Vec<FunInfo>,
-    next_group: u32,
-    /// Words of every finite region's one allocation ([`finite_sizes`]).
-    finite_sizes: HashMap<RegVar, u32>,
+    /// By variable: where its value is in the current function.
+    vars: Vec<Option<VB>>,
+    /// By variable: the `fix`-bound function it names, program-wide.
+    fixes: Vec<Option<FixInfo>>,
+    /// By a group's first function: where the group's shared closure is in
+    /// the current function.
+    shareds: Vec<Option<SharedSrc>>,
+    /// By region: how the current function reaches it.
+    regs: Vec<Option<RegSlot>>,
+    /// By region: how any function reaches it if it is global.
+    globals: Vec<Option<RegSlot>>,
+    /// Global regions the functions being compiled bind otherwise (in
+    /// `gt` mode every formal is the global region), innermost last.
+    shadowed: Vec<RegVar>,
+    /// Bindings the functions being compiled overwrote, innermost last.
+    saved: Vec<Saved>,
+    layout: Layout,
 }
 
 impl Cx<'_> {
@@ -243,86 +258,92 @@ impl Cx<'_> {
         self.pc_of_label[l as usize] = self.code.len() as u32;
     }
 
-    // ------------------------------------------------- constructor layout
-
-    /// `(discriminant scheme, per-ctor inline field count)`.
-    fn con_rep(&self, tycon: TyConId) -> (Disc, Vec<u16>) {
-        let dt = self.prog.data.get(tycon);
-        let fields: Vec<u16> = dt
-            .constructors
-            .iter()
-            .map(|c| match &c.arg {
-                None => 0,
-                Some(SchemeTy::Tuple(ts)) => ts.len() as u16,
-                Some(_) => 1,
-            })
-            .collect();
-        let boxed = dt.boxed_count();
-        let disc = if boxed == 0 {
-            Disc::Enum
-        } else if self.tagged {
-            Disc::Tag
-        } else if boxed == 1 {
-            let single = fields
-                .iter()
-                .position(|&n| n > 0)
-                .expect("one boxed constructor") as u32;
-            Disc::Single(single)
-        } else {
-            Disc::Field0
-        };
-        (disc, fields)
+    fn regslot(&self, r: RegVar) -> RegSlot {
+        self.regs[r.0 as usize].unwrap_or_else(|| panic!("region r{} not in scope", r.0))
     }
 
-    fn con_needs_disc(&self, tycon: TyConId) -> bool {
-        !self.tagged && self.prog.data.get(tycon).boxed_count() > 1
+    // ----------------------------------------------- entering a function
+
+    fn rebind_var(&mut self, v: VarId, b: VB) {
+        let old = self.vars[v.0 as usize].replace(b);
+        self.saved.push(Saved::Var(v, old));
+    }
+
+    fn rebind_reg(&mut self, r: RegVar, s: RegSlot) {
+        let old = self.regs[r.0 as usize].replace(s);
+        self.saved.push(Saved::Reg(r, old));
+        if self.shadows(r) {
+            self.shadowed.push(r);
+        }
+    }
+
+    /// Whether `r` is a global region bound otherwise right now.
+    fn shadows(&self, r: RegVar) -> bool {
+        let g = self.globals[r.0 as usize];
+        g.is_some() && self.regs[r.0 as usize] != g
+    }
+
+    /// Starts a function: the global regions an enclosing function binds
+    /// otherwise are global again inside it.
+    fn enter(&mut self) -> usize {
+        let mark = self.saved.len();
+        for i in 0..self.shadowed.len() {
+            let r = self.shadowed[i];
+            if self.shadows(r) {
+                let g = self.globals[r.0 as usize].expect("a global");
+                self.rebind_reg(r, g);
+            }
+        }
+        mark
+    }
+
+    fn rebind_shared(&mut self, g: VarId, s: SharedSrc) {
+        let old = self.shareds[g.0 as usize].replace(s);
+        self.saved.push(Saved::Shared(g, old));
+    }
+
+    /// Puts back the bindings saved since there were `mark` of them.
+    fn restore(&mut self, mark: usize) {
+        while self.saved.len() > mark {
+            match self.saved.pop().expect("above mark") {
+                Saved::Var(v, b) => self.vars[v.0 as usize] = b,
+                Saved::Reg(r, s) => {
+                    if self.shadows(r) {
+                        self.shadowed.pop();
+                    }
+                    self.regs[r.0 as usize] = s;
+                }
+                Saved::Shared(g, s) => self.shareds[g.0 as usize] = s,
+            }
+        }
+    }
+
+    /// Binds the capture list `layout.caps[caps]` inside a function whose
+    /// environment starts at field `base` (1 for `fn` closures, 0 for
+    /// shared closures).
+    fn bind_caps(&mut self, caps: (u32, u32), base: u32) {
+        count_work(|| (caps.1 - caps.0) as usize);
+        for (i, k) in (caps.0..caps.1).enumerate() {
+            let idx = base + i as u32;
+            match self.layout.caps[k as usize] {
+                Cap::Var(v) => self.rebind_var(v, VB::Env(idx)),
+                Cap::Reg(r) => self.rebind_reg(r, RegSlot::EnvReg(idx)),
+                Cap::Shared(g) => self.rebind_shared(g, SharedSrc::Env(idx)),
+            }
+        }
     }
 
     // ----------------------------------------------------------- captures
 
-    /// Ordered capture list for a set of function bodies: their free
-    /// variables, a `fix`-bound one as its group's shared closure, and
-    /// their free regions that are not global, each once.
-    fn captures(
-        &self,
-        bodies: &[&RExp],
-        bound: &BTreeSet<VarId>,
-        bound_regs: &BTreeSet<RegVar>,
-        fcx: &FnCx<'_>,
-    ) -> Vec<Cap> {
-        let mut caps: Vec<Cap> = Vec::new();
-        let mut seen = HashSet::new();
-        for b in bodies {
-            collect_caps(b, &mut bound.clone(), &mut bound_regs.clone(), &mut |c| {
-                let cap = match c {
-                    Cap::Var(v) => match fcx.vars.get(&v) {
-                        Some(VB::Fix(info)) => Cap::Shared(info.group),
-                        _ => c,
-                    },
-                    // A global is addressed by its index from any frame;
-                    // every other free region — `letregion`-bound or a
-                    // formal of an enclosing function — reaches the
-                    // closure as a captured handle.
-                    Cap::Reg(r) if fcx.globals.contains_key(&r) => return,
-                    _ => c,
-                };
-                if seen.insert(cap) {
-                    caps.push(cap);
-                }
-            });
-        }
-        caps
-    }
-
-    /// Emits code pushing the value of `v` (resolved in `fcx`).
-    fn push_var(&mut self, v: VarId, fcx: &FnCx<'_>) {
-        match fcx.vars.get(&v) {
-            Some(VB::Slot(s)) => self.emit(Instr::Load(*s)),
+    /// Emits code pushing the value of `v`.
+    fn push_var(&mut self, v: VarId) {
+        match self.vars[v.0 as usize] {
+            Some(VB::Slot(s)) => self.emit(Instr::Load(s)),
             Some(VB::Env(i)) => {
                 self.emit(Instr::Load(0));
-                self.emit(Instr::Select(*i as u16));
+                self.emit(Instr::Select(i as u16));
             }
-            Some(VB::Fix(_)) => {
+            None if self.fixes[v.0 as usize].is_some() => {
                 panic!(
                     "fix-bound {} used as plain variable (should be FixVar)",
                     v.0
@@ -339,7 +360,7 @@ impl Cx<'_> {
     /// collector would trace freed (possibly reused) pages. Only letregion
     /// scopes of the current function can end while the frame is live, so
     /// clearing is emitted only inside them.
-    fn clear_dead_slot(&mut self, s: u32, fcx: &FnCx<'_>) {
+    fn clear_dead_slot(&mut self, s: u32, fcx: &FnCx) {
         if fcx.open_lr > 0 {
             self.clear_slot(s);
         }
@@ -351,62 +372,43 @@ impl Cx<'_> {
         self.emit(Instr::Store(s));
     }
 
-    fn push_shared(&mut self, g: u32, fcx: &FnCx<'_>) {
-        match fcx.shareds.get(&g) {
-            Some(SharedSrc::Slot(s)) => self.emit(Instr::Load(*s)),
+    fn push_shared(&mut self, g: VarId) {
+        match self.shareds[g.0 as usize] {
+            Some(SharedSrc::Slot(s)) => self.emit(Instr::Load(s)),
             Some(SharedSrc::Env(i)) => {
                 self.emit(Instr::Load(0));
-                self.emit(Instr::Select(*i as u16));
+                self.emit(Instr::Select(i as u16));
             }
             Some(SharedSrc::Scalar) => self.emit(Instr::PushConst(scalar(0))),
-            None => panic!("shared closure of group {g} not in scope"),
+            None => panic!("shared closure of group {} not in scope", g.0),
         }
     }
 
-    fn push_caps(&mut self, caps: &[Cap], fcx: &FnCx<'_>) {
-        for c in caps {
-            match c {
-                Cap::Var(v) => self.push_var(*v, fcx),
-                Cap::Reg(r) => self.emit(Instr::RegHandle(fcx.regslot(*r))),
-                Cap::Shared(g) => self.push_shared(*g, fcx),
-            }
-        }
-    }
-
-    /// Binds the capture list inside a fresh function context whose
-    /// environment starts at field `base` (1 for `fn` closures, 0 for
-    /// shared closures).
-    fn bind_caps(caps: &[Cap], base: u32, inner: &mut FnCx<'_>) {
-        for (i, c) in caps.iter().enumerate() {
-            let idx = base + i as u32;
-            match c {
-                Cap::Var(v) => {
-                    inner.vars.insert(*v, VB::Env(idx));
-                }
-                Cap::Reg(r) => {
-                    inner.regs.insert(*r, RegSlot::EnvReg(idx));
-                }
-                Cap::Shared(g) => {
-                    inner.shareds.insert(*g, SharedSrc::Env(idx));
-                }
+    fn push_caps(&mut self, caps: (u32, u32)) {
+        for k in caps.0..caps.1 {
+            match self.layout.caps[k as usize] {
+                Cap::Var(v) => self.push_var(v),
+                Cap::Reg(r) => self.emit(Instr::RegHandle(self.regslot(r))),
+                Cap::Shared(g) => self.push_shared(g),
             }
         }
     }
 
     // ----------------------------------------------------------- compile
 
-    fn comp(&mut self, e: &RExp, fcx: &mut FnCx<'_>, tail: bool) {
-        match e {
-            RExp::Var(v) => self.push_var(*v, fcx),
+    fn comp(&mut self, id: ExpId, fcx: &mut FnCx, tail: bool) {
+        let prog = self.prog;
+        match prog.node(id) {
+            RExp::Var(v) => self.push_var(v),
             RExp::Int(n) => {
-                let w = if self.tagged { scalar(*n) } else { *n as u64 };
+                let w = if self.tagged { scalar(n) } else { n as u64 };
                 self.emit(Instr::PushConst(w));
             }
             RExp::Bool(b) => {
                 let w = if self.tagged {
-                    scalar(*b as i64)
+                    scalar(b as i64)
                 } else {
-                    *b as u64
+                    b as u64
                 };
                 self.emit(Instr::PushConst(w));
             }
@@ -416,24 +418,24 @@ impl Cx<'_> {
             }
             RExp::Str(s) => {
                 // Interned by the VM at load time via a pseudo-prim.
-                self.emit(Instr::PushStr(s.clone()));
+                self.emit(Instr::PushStr(prog.str(s).to_string()));
             }
             RExp::Real(x, p) => {
-                let at = fcx.regslot(*p);
-                self.emit(Instr::PushReal(*x, at));
+                let at = self.regslot(p);
+                self.emit(Instr::PushReal(x, at));
             }
             RExp::Prim(p, args, at) => {
-                for a in args {
+                for &a in prog.kids(args) {
                     self.comp(a, fcx, false);
                 }
-                let at = at.map(|r| fcx.regslot(r));
-                self.emit(Instr::Prim { p: *p, at });
+                let at = at.map(|r| self.regslot(r));
+                self.emit(Instr::Prim { p, at });
             }
             RExp::Record(es, p) => {
-                for a in es {
+                for &a in prog.kids(es) {
                     self.comp(a, fcx, false);
                 }
-                let at = fcx.regslot(*p);
+                let at = self.regslot(p);
                 self.emit(Instr::MkRecord {
                     n: es.len() as u16,
                     at,
@@ -441,7 +443,7 @@ impl Cx<'_> {
             }
             RExp::Select(i, e) => {
                 self.comp(e, fcx, false);
-                self.emit(Instr::Select(*i as u16));
+                self.emit(Instr::Select(i as u16));
             }
             RExp::Con {
                 tycon,
@@ -449,7 +451,7 @@ impl Cx<'_> {
                 arg,
                 at,
             } => {
-                let (_, fields) = self.con_rep(*tycon);
+                let (_, fields) = con_rep(prog, self.tagged, tycon);
                 let k = fields[con.0 as usize];
                 match arg {
                     None => {
@@ -460,12 +462,12 @@ impl Cx<'_> {
                     Some(a) => {
                         // Inline a syntactic record argument directly.
                         let is_tuple_decl = matches!(
-                            self.prog.data.get(*tycon).constructors[con.0 as usize].arg,
+                            prog.data.get(tycon).constructors[con.0 as usize].arg,
                             Some(SchemeTy::Tuple(_))
                         );
                         if is_tuple_decl {
-                            if let RExp::Record(es, _) = a.as_ref() {
-                                for f in es {
+                            if let RExp::Record(es, _) = prog.node(a) {
+                                for &f in prog.kids(es) {
                                     self.comp(f, fcx, false);
                                 }
                             } else {
@@ -475,11 +477,11 @@ impl Cx<'_> {
                         } else {
                             self.comp(a, fcx, false);
                         }
-                        let at = fcx.regslot(at.expect("carrying constructor without place"));
+                        let at = self.regslot(at.expect("carrying constructor without place"));
                         self.emit(Instr::MkCon {
                             ctor: con.0 as u16,
                             n: k,
-                            disc: self.con_needs_disc(*tycon),
+                            disc: con_needs_disc(prog, self.tagged, tycon),
                             at,
                         });
                     }
@@ -488,18 +490,18 @@ impl Cx<'_> {
             RExp::DeCon { tycon, con, scrut } => {
                 self.comp(scrut, fcx, false);
                 let is_tuple_decl = matches!(
-                    self.prog.data.get(*tycon).constructors[con.0 as usize].arg,
+                    prog.data.get(tycon).constructors[con.0 as usize].arg,
                     Some(SchemeTy::Tuple(_))
                 );
                 if is_tuple_decl {
                     // Inlined tuple: the constructor block *is* the tuple
                     // (skipping the discriminant word in untagged mode).
-                    if self.con_needs_disc(*tycon) {
+                    if con_needs_disc(prog, self.tagged, tycon) {
                         self.emit(Instr::DeConAdj);
                     }
                 } else {
                     // Single-field argument: read it out of the block.
-                    let off = u16::from(self.con_needs_disc(*tycon));
+                    let off = u16::from(con_needs_disc(prog, self.tagged, tycon));
                     self.emit(Instr::Select(off));
                 }
             }
@@ -510,23 +512,14 @@ impl Cx<'_> {
                 default,
             } => {
                 self.comp(scrut, fcx, false);
-                let (disc, _) = self.con_rep(*tycon);
-                let end = self.new_label();
-                let dflt = self.new_label();
-                let mut larm = Vec::new();
-                for (c, _) in arms {
-                    larm.push((c.0, self.new_label()));
-                }
+                let (disc, _) = con_rep(prog, self.tagged, tycon);
+                let (larm, dflt, end) = self.arm_labels(arms, |k| k as u32);
                 self.emit(Instr::SwitchCon {
                     disc,
                     arms: larm.clone(),
                     default: dflt,
                 });
-                for ((_, a), (_, l)) in arms.iter().zip(&larm) {
-                    self.bind(*l);
-                    self.comp(a, fcx, tail);
-                    self.emit(Instr::Jump(end));
-                }
+                self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 match default {
                     Some(d) => self.comp(d, fcx, tail),
@@ -540,21 +533,12 @@ impl Cx<'_> {
                 default,
             } => {
                 self.comp(scrut, fcx, false);
-                let end = self.new_label();
-                let dflt = self.new_label();
-                let mut larm = Vec::new();
-                for (k, _) in arms {
-                    larm.push((*k, self.new_label()));
-                }
+                let (larm, dflt, end) = self.arm_labels(arms, |k| k);
                 self.emit(Instr::SwitchInt {
                     arms: larm.clone(),
                     default: dflt,
                 });
-                for ((_, a), (_, l)) in arms.iter().zip(&larm) {
-                    self.bind(*l);
-                    self.comp(a, fcx, tail);
-                    self.emit(Instr::Jump(end));
-                }
+                self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
                 self.bind(end);
@@ -565,21 +549,13 @@ impl Cx<'_> {
                 default,
             } => {
                 self.comp(scrut, fcx, false);
-                let end = self.new_label();
-                let dflt = self.new_label();
-                let mut larm = Vec::new();
-                for (k, _) in arms {
-                    larm.push((k.clone(), self.new_label()));
-                }
+                let (larm, dflt, end) =
+                    self.arm_labels(arms, |k| prog.str(kit_region::StrId(k as u32)).to_string());
                 self.emit(Instr::SwitchStr {
                     arms: larm.clone(),
                     default: dflt,
                 });
-                for ((_, a), (_, l)) in arms.iter().zip(&larm) {
-                    self.bind(*l);
-                    self.comp(a, fcx, tail);
-                    self.emit(Instr::Jump(end));
-                }
+                self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
                 self.bind(end);
@@ -590,21 +566,12 @@ impl Cx<'_> {
                 default,
             } => {
                 self.comp(scrut, fcx, false);
-                let end = self.new_label();
-                let dflt = self.new_label();
-                let mut larm = Vec::new();
-                for (k, _) in arms {
-                    larm.push((k.0, self.new_label()));
-                }
+                let (larm, dflt, end) = self.arm_labels(arms, |k| k as u32);
                 self.emit(Instr::SwitchExn {
                     arms: larm.clone(),
                     default: dflt,
                 });
-                for ((_, a), (_, l)) in arms.iter().zip(&larm) {
-                    self.bind(*l);
-                    self.comp(a, fcx, tail);
-                    self.emit(Instr::Jump(end));
-                }
+                self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
                 self.bind(end);
@@ -621,22 +588,15 @@ impl Cx<'_> {
                 self.bind(end);
             }
             RExp::Fn { params, body, at } => {
-                let bound: BTreeSet<VarId> = params.iter().copied().collect();
-                let caps = self.captures(&[body], &bound, &BTreeSet::new(), fcx);
+                let caps = self.layout.caps_of[id.0 as usize];
                 // Emit the function body out of line.
-                let fix_binds: Vec<(VarId, VB)> = fcx
-                    .vars
-                    .iter()
-                    .filter(|(_, b)| matches!(b, VB::Fix(_)))
-                    .map(|(v, b)| (*v, b.clone()))
-                    .collect();
-                let entry = self.compile_function(params, body, &caps, fcx.globals, &fix_binds);
+                let entry = self.compile_function(params, body, caps);
                 // Closure record: [label, captures...].
                 self.emit(Instr::PushConst(scalar(entry as i64)));
-                self.push_caps(&caps, fcx);
-                let at = fcx.regslot(*at);
+                self.push_caps(caps);
+                let at = self.regslot(at);
                 self.emit(Instr::MkRecord {
-                    n: 1 + caps.len() as u16,
+                    n: 1 + (caps.1 - caps.0) as u16,
                     at,
                 });
             }
@@ -645,14 +605,14 @@ impl Cx<'_> {
                 rargs,
                 args,
             } => {
-                if let RExp::Var(v) = callee.as_ref() {
-                    if let Some(VB::Fix(info)) = fcx.vars.get(v).cloned() {
+                if let RExp::Var(v) = prog.node(callee) {
+                    if let Some(info) = self.fixes[v.0 as usize] {
                         // Known call: [shared, rhandles.., args..].
-                        self.push_shared(info.group, fcx);
-                        for r in rargs {
-                            self.emit(Instr::RegHandle(fcx.regslot(*r)));
+                        self.push_shared(info.group);
+                        for &r in prog.places(rargs) {
+                            self.emit(Instr::RegHandle(self.regslot(r)));
                         }
-                        for a in args {
+                        for &a in prog.kids(args) {
                             self.comp(a, fcx, false);
                         }
                         // `resolve` fills in the function id.
@@ -667,7 +627,7 @@ impl Cx<'_> {
                     }
                 }
                 self.comp(callee, fcx, false);
-                for a in args {
+                for &a in prog.kids(args) {
                     self.comp(a, fcx, false);
                 }
                 self.emit(Instr::CallClos {
@@ -676,15 +636,15 @@ impl Cx<'_> {
                 });
             }
             RExp::FixVar { var, rargs, at } => {
-                let Some(VB::Fix(info)) = fcx.vars.get(var).cloned() else {
+                let Some(info) = self.fixes[var.0 as usize] else {
                     panic!("FixVar of non-fix binding {}", var.0)
                 };
                 self.emit(Instr::PushConst(scalar(info.stub as i64)));
-                self.push_shared(info.group, fcx);
-                for r in rargs {
-                    self.emit(Instr::RegHandle(fcx.regslot(*r)));
+                self.push_shared(info.group);
+                for &r in prog.places(rargs) {
+                    self.emit(Instr::RegHandle(self.regslot(r)));
                 }
-                let at = fcx.regslot(*at);
+                let at = self.regslot(at);
                 self.emit(Instr::MkRecord {
                     n: 2 + rargs.len() as u16,
                     at,
@@ -694,33 +654,34 @@ impl Cx<'_> {
                 self.comp(rhs, fcx, false);
                 let s = fcx.slot();
                 self.emit(Instr::Store(s));
-                fcx.vars.insert(*var, VB::Slot(s));
+                self.vars[var.0 as usize] = Some(VB::Slot(s));
                 self.comp(body, fcx, tail);
                 self.clear_dead_slot(s, fcx);
             }
-            RExp::Fix { funs, body, at } => self.comp_fix(funs, body, *at, fcx, tail),
+            RExp::Fix { funs, body, at } => self.comp_fix(id, funs, body, at, fcx, tail),
             RExp::Letregion { regs, body } => {
+                let regs = prog.regs(regs);
                 let inf: Vec<u32> = regs
                     .iter()
                     .filter(|(_, m)| *m == Mult::Infinite)
                     .map(|(r, _)| r.0)
                     .collect();
                 let fin_save = fcx.fin.next;
-                for (r, m) in regs {
-                    match m {
+                for &(r, m) in regs {
+                    let slot = match m {
                         Mult::Infinite => {
-                            let idx = fcx.open_regions;
                             fcx.open_regions += 1;
-                            fcx.regs.insert(*r, RegSlot::Local(idx));
+                            RegSlot::Local(fcx.open_regions - 1)
                         }
                         Mult::Finite => {
-                            let off = fcx.fin.alloc(self.finite_sizes[r]);
-                            fcx.regs.insert(*r, RegSlot::Finite(off));
+                            RegSlot::Finite(fcx.fin.alloc(self.layout.finite[r.0 as usize]))
                         }
-                    }
+                    };
+                    self.regs[r.0 as usize] = Some(slot);
                 }
-                if !inf.is_empty() {
-                    self.emit(Instr::LetRegion { names: inf.clone() });
+                let ninf = inf.len();
+                if ninf > 0 {
+                    self.emit(Instr::LetRegion { names: inf });
                 }
                 fcx.cleanup += 1;
                 fcx.open_lr += 1;
@@ -728,22 +689,21 @@ impl Cx<'_> {
                 self.comp(body, fcx, false);
                 fcx.open_lr -= 1;
                 fcx.cleanup -= 1;
-                if !inf.is_empty() {
-                    self.emit(Instr::EndRegions(inf.len() as u16));
-                    fcx.open_regions -= inf.len() as u32;
+                if ninf > 0 {
+                    self.emit(Instr::EndRegions(ninf as u16));
+                    fcx.open_regions -= ninf as u32;
                 }
                 fcx.fin.next = fin_save;
             }
             RExp::Marker { .. } => panic!("marker reached code generation"),
             RExp::ExCon { exn, arg, at } => {
-                let has_arg = arg.is_some();
                 if let Some(a) = arg {
                     self.comp(a, fcx, false);
                 }
-                let at = at.map(|r| fcx.regslot(r));
+                let at = at.map(|r| self.regslot(r));
                 self.emit(Instr::MkExn {
                     exn: exn.0,
-                    has_arg,
+                    has_arg: arg.is_some(),
                     at,
                 });
             }
@@ -770,7 +730,7 @@ impl Cx<'_> {
                 // The raised value is on the operand stack.
                 let s = fcx.slot();
                 self.emit(Instr::Store(s));
-                fcx.vars.insert(*var, VB::Slot(s));
+                self.vars[var.0 as usize] = Some(VB::Slot(s));
                 // A raise skips the scope-exit clears of every binding it
                 // unwinds past, and `do_raise` pops this function's
                 // letregions while the frame lives on. Slots are bump-
@@ -794,34 +754,61 @@ impl Cx<'_> {
         }
     }
 
+    /// A label per arm (keyed by `key` of the arm's key), then the default's
+    /// and the end's.
+    fn arm_labels<K>(
+        &mut self,
+        arms: Span<kit_region::Arm>,
+        key: impl Fn(i64) -> K,
+    ) -> (Vec<(K, u32)>, u32, u32) {
+        let end = self.new_label();
+        let dflt = self.new_label();
+        let larm = self
+            .prog
+            .arms(arms)
+            .iter()
+            .map(|a| (key(a.key), self.new_label()))
+            .collect();
+        (larm, dflt, end)
+    }
+
+    /// Each arm at its label, jumping to `end`.
+    fn comp_arms<K>(
+        &mut self,
+        arms: Span<kit_region::Arm>,
+        larm: &[(K, u32)],
+        end: u32,
+        fcx: &mut FnCx,
+        tail: bool,
+    ) {
+        let prog = self.prog;
+        for (a, (_, l)) in prog.arms(arms).iter().zip(larm) {
+            self.bind(*l);
+            self.comp(a.body, fcx, tail);
+            self.emit(Instr::Jump(end));
+        }
+    }
+
     /// Compiles an `fn` closure's body out of line; its environment is the
     /// closure `[label, caps..]`.
-    fn compile_function(
-        &mut self,
-        params: &[VarId],
-        body: &RExp,
-        caps: &[Cap],
-        globals: &HashMap<RegVar, RegSlot>,
-        fix_binds: &[(VarId, VB)],
-    ) -> u32 {
+    fn compile_function(&mut self, params: Span<VarId>, body: ExpId, caps: (u32, u32)) -> u32 {
         let entry = self.new_label();
         // Compile out of line: jump over the body in the current stream.
         let skip = self.new_label();
         self.emit(Instr::Jump(skip));
         self.bind(entry);
         self.emit(Instr::GcCheck);
-        let mut inner = FnCx::new(globals, FiniteArea::default());
-        // Fix-function bindings (labels/arities) are context-independent;
-        // their shared closures travel through captures.
-        for (v, b) in fix_binds {
-            inner.vars.insert(*v, b.clone());
-        }
-        for (i, p) in params.iter().enumerate() {
-            inner.vars.insert(*p, VB::Slot(1 + i as u32));
+        let mut inner = FnCx::new(FiniteArea::default());
+        let mark = self.enter();
+        let params = self.prog.params(params);
+        count_work(|| params.len());
+        for (i, &p) in params.iter().enumerate() {
+            self.rebind_var(p, VB::Slot(1 + i as u32));
         }
         inner.nlocals = 1 + params.len() as u32;
-        Self::bind_caps(caps, 1, &mut inner);
+        self.bind_caps(caps, 1);
         self.comp(body, &mut inner, true);
+        self.restore(mark);
         self.emit(Instr::Ret);
         let id = self.funs.len() as u32;
         self.funs.push(FunInfo {
@@ -837,66 +824,47 @@ impl Cx<'_> {
 
     fn comp_fix(
         &mut self,
-        funs: &[RFixFun],
-        body: &RExp,
+        id: ExpId,
+        funs: Span<RFixFun>,
+        body: ExpId,
         at: Place,
-        fcx: &mut FnCx<'_>,
+        fcx: &mut FnCx,
         tail: bool,
     ) {
-        let group = self.next_group;
-        self.next_group += 1;
-        // Capture analysis over all member bodies, excluding members,
-        // their params, their formals.
-        let mut bound: BTreeSet<VarId> = funs.iter().map(|f| f.var).collect();
-        let mut bound_regs: BTreeSet<RegVar> = BTreeSet::new();
-        for f in funs {
-            bound.extend(f.params.iter().copied());
-            bound_regs.extend(f.formals.iter().copied());
-        }
+        let prog = self.prog;
+        let funs = prog.funs(funs);
+        let group = funs[0].var;
         // Pre-assign labels so recursive references resolve.
-        let infos: Vec<FixInfo> = funs
-            .iter()
-            .map(|f| FixInfo {
+        for f in funs {
+            let info = FixInfo {
                 label: self.new_label(),
                 stub: self.new_label(),
                 nformals: f.formals.len() as u16,
                 group,
-            })
-            .collect();
-        // Temporary context for capture analysis: members must be visible
-        // as Fix bindings (so they become Shared captures, not Var).
-        let mut probe = FnCx::new(fcx.globals, FiniteArea::default());
-        probe.vars = fcx.vars.clone();
-        probe.regs = fcx.regs.clone();
-        probe.shareds = fcx.shareds.clone();
-        for (f, info) in funs.iter().zip(&infos) {
-            probe.vars.insert(f.var, VB::Fix(info.clone()));
+            };
+            self.fixes[f.var.0 as usize] = Some(info);
         }
-        probe.shareds.insert(group, SharedSrc::Scalar);
-        let bodies: Vec<&RExp> = funs.iter().map(|f| &f.body).collect();
-        let caps = self.captures(&bodies, &bound, &bound_regs, &probe);
+        let caps = self.layout.caps_of[id.0 as usize];
 
         // Build the shared closure in the defining frame.
-        let shared_src = if caps.is_empty() {
+        let shared_src = if caps.0 == caps.1 {
             SharedSrc::Scalar
         } else {
-            self.push_caps(&caps, fcx);
-            let at = fcx.regslot(at);
+            self.push_caps(caps);
+            let at = self.regslot(at);
             self.emit(Instr::MkRecord {
-                n: caps.len() as u16,
+                n: (caps.1 - caps.0) as u16,
                 at,
             });
             let s = fcx.slot();
             self.emit(Instr::Store(s));
             SharedSrc::Slot(s)
         };
-        fcx.shareds.insert(group, shared_src);
-        for (f, info) in funs.iter().zip(&infos) {
-            fcx.vars.insert(f.var, VB::Fix(info.clone()));
-        }
+        self.shareds[group.0 as usize] = Some(shared_src);
 
         // Compile member bodies.
-        for (f, info) in funs.iter().zip(&infos) {
+        for f in funs {
+            let info = self.fixes[f.var.0 as usize].expect("assigned above");
             let skip = self.new_label();
             self.emit(Instr::Jump(skip));
             self.bind(info.stub);
@@ -907,26 +875,23 @@ impl Cx<'_> {
             });
             self.bind(info.label);
             self.emit(Instr::GcCheck);
-            let mut inner = FnCx::new(fcx.globals, FiniteArea::default());
-            for (v, b) in fcx.vars.iter().filter(|(_, b)| matches!(b, VB::Fix(_))) {
-                inner.vars.insert(*v, b.clone());
-            }
+            let mut inner = FnCx::new(FiniteArea::default());
+            let mark = self.enter();
+            count_work(|| (nf + n) as usize);
             // Frame: [shared][formals..][params..][locals..].
-            for (i, r) in f.formals.iter().enumerate() {
-                inner.regs.insert(*r, RegSlot::Formal(1 + i as u32));
+            for (i, &r) in prog.places(f.formals).iter().enumerate() {
+                self.rebind_reg(r, RegSlot::Formal(1 + i as u32));
             }
-            for (i, p) in f.params.iter().enumerate() {
-                inner.vars.insert(*p, VB::Slot(1 + nf + i as u32));
+            for (i, &p) in prog.params(f.params).iter().enumerate() {
+                self.rebind_var(p, VB::Slot(1 + nf + i as u32));
             }
             inner.nlocals = 1 + nf + n;
-            Self::bind_caps(&caps, 0, &mut inner);
-            // Members of the group are visible inside bodies; their shared
-            // closure is this body's own environment (slot 0).
-            for (g, i2) in funs.iter().zip(&infos) {
-                inner.vars.insert(g.var, VB::Fix(i2.clone()));
-            }
-            inner.shareds.insert(group, SharedSrc::Slot(0));
-            self.comp(&f.body, &mut inner, true);
+            self.bind_caps(caps, 0);
+            // The group's shared closure is this body's own environment
+            // (slot 0).
+            self.rebind_shared(group, SharedSrc::Slot(0));
+            self.comp(f.body, &mut inner, true);
+            self.restore(mark);
             self.emit(Instr::Ret);
             debug_assert_eq!(inner.open_lr, 0);
             let id = self.funs.len() as u32;
@@ -934,7 +899,7 @@ impl Cx<'_> {
                 entry: self.pc_of_label[info.label as usize],
                 nlocals: inner.nlocals,
                 nfinite: inner.fin.watermark,
-                name: self.prog.vars.name(f.var).to_string(),
+                name: prog.vars.name(f.var).to_string(),
             });
             self.fun_of_label[info.label as usize] = id;
             self.fun_of_label[info.stub as usize] = id;
@@ -948,178 +913,337 @@ impl Cx<'_> {
     }
 }
 
-// ------------------------------------------------------------ captures
+/// `(discriminant scheme, per-ctor inline field count)` of `tycon`.
+fn con_rep(prog: &RProgram, tagged: bool, tycon: TyConId) -> (Disc, Vec<u16>) {
+    let dt = prog.data.get(tycon);
+    let fields: Vec<u16> = dt
+        .constructors
+        .iter()
+        .map(|c| match &c.arg {
+            None => 0,
+            Some(SchemeTy::Tuple(ts)) => ts.len() as u16,
+            Some(_) => 1,
+        })
+        .collect();
+    let boxed = dt.boxed_count();
+    let disc = if boxed == 0 {
+        Disc::Enum
+    } else if tagged {
+        Disc::Tag
+    } else if boxed == 1 {
+        let single = fields
+            .iter()
+            .position(|&n| n > 0)
+            .expect("one boxed constructor") as u32;
+        Disc::Single(single)
+    } else {
+        Disc::Field0
+    };
+    (disc, fields)
+}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Whether a boxed value of `tycon` carries a discriminant word.
+fn con_needs_disc(prog: &RProgram, tagged: bool, tycon: TyConId) -> bool {
+    !tagged && prog.data.get(tycon).boxed_count() > 1
+}
+
+// ------------------------------------------------------------ layout
+
+/// One element of a closure's environment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cap {
     Var(VarId),
     Reg(RegVar),
-    Shared(u32),
+    /// The shared closure of the group whose first function this is.
+    Shared(VarId),
 }
 
-/// Reports every free occurrence in `e`, in order: a variable as
-/// [`Cap::Var`], a region as [`Cap::Reg`]. Names in `bound`/`bound_regs`
-/// and those bound inside `e` are not free.
-fn collect_caps(
-    e: &RExp,
-    bound: &mut BTreeSet<VarId>,
-    bound_regs: &mut BTreeSet<RegVar>,
-    out: &mut impl FnMut(Cap),
-) {
-    count_work(|| 1);
-    for p in e.own_places() {
-        if !bound_regs.contains(&p) {
-            out(Cap::Reg(p));
-        }
-    }
-    match e {
-        RExp::Var(v) | RExp::FixVar { var: v, .. } => {
-            if !bound.contains(v) {
-                out(Cap::Var(*v));
+/// Every closure's captures and every finite region's size.
+struct Layout {
+    /// Capture lists, one run per closure.
+    caps: Vec<Cap>,
+    /// By node: the run of `caps` of the `fn` or `fix` there.
+    caps_of: Vec<(u32, u32)>,
+    /// By region: words of its one allocation if it is finite (at least 1),
+    /// else 0.
+    finite: Vec<u32>,
+}
+
+/// A variable or a region, as one index: variables first.
+type Name = u32;
+
+/// Per name: where it is bound and what the walk knows of it.
+#[derive(Debug, Clone, Copy, Default)]
+struct NameState {
+    /// Closure depth of its binder: free in the open closures deeper than
+    /// this (0 for globals and unbound names: free in every closure).
+    depth: u32,
+    /// The newest open closure known to list it: it is free in, and
+    /// listed by, exactly the open closures deeper than `depth` that were
+    /// opened no later than this one (closures are numbered as opened).
+    listed: u32,
+    /// The `fn` or `fix` whose own binder it is (params, the group's
+    /// functions, formals), numbered as the closures are.
+    own: u32,
+    /// The last capture list it entered (deduplication).
+    in_caps: u32,
+}
+
+/// The walk behind [`Layout::of`]. A closure is an `fn` body or one
+/// function body of a `fix`; it lists the names free in it in order of
+/// first occurrence — its own parameters, formals and group included, which
+/// is what sizing a closure in a finite region counts. An occurrence is
+/// listed by each enclosing open closure it is free in, innermost first,
+/// stopping at the first one that lists it already (every closure outside
+/// that one does too), so the walk costs the program plus the lists.
+struct LayoutWalk<'p> {
+    prog: &'p RProgram,
+    tagged: bool,
+    nvars: u32,
+    names: Vec<NameState>,
+    /// `(name, state)` before a binder overwrote it, innermost last.
+    shadowed: Vec<(Name, NameState)>,
+    /// By variable: the group's first function if it is `fix`-bound.
+    group_of: Vec<Option<VarId>>,
+    global: Vec<bool>,
+    /// The open closures' numbers, outermost first.
+    open: Vec<u32>,
+    /// Their lists, by depth (buffers are reused).
+    lists: Vec<Vec<Name>>,
+    /// The lists of the closed closures of every `fn` and `fix` still
+    /// being walked, innermost last.
+    closed: Vec<Name>,
+    closures: u32,
+    out: Layout,
+}
+
+impl Layout {
+    fn of(prog: &RProgram, tagged: bool) -> Layout {
+        let (nvars, nregs) = (prog.vars.len(), prog.num_regvars as usize);
+        let mut w = LayoutWalk {
+            prog,
+            tagged,
+            nvars: nvars as u32,
+            names: vec![NameState::default(); nvars + nregs],
+            shadowed: Vec::new(),
+            group_of: vec![None; nvars],
+            global: vec![false; nregs],
+            open: Vec::new(),
+            lists: Vec::new(),
+            closed: Vec::new(),
+            closures: 0,
+            out: Layout {
+                caps: Vec::new(),
+                caps_of: vec![(0, 0); prog.num_nodes()],
+                finite: vec![0; nregs],
+            },
+        };
+        for &(r, m) in &prog.globals {
+            w.global[r.0 as usize] = true;
+            if m == Mult::Finite {
+                w.out.finite[r.0 as usize] = 1;
             }
         }
-        RExp::Let { var, rhs, body } => {
-            collect_caps(rhs, bound, bound_regs, out);
-            let fresh = bound.insert(*var);
-            collect_caps(body, bound, bound_regs, out);
-            if fresh {
-                bound.remove(var);
-            }
-        }
-        RExp::Fn { params, body, .. } => {
-            let fresh: Vec<VarId> = params
-                .iter()
-                .copied()
-                .filter(|p| bound.insert(*p))
-                .collect();
-            collect_caps(body, bound, bound_regs, out);
-            for p in fresh {
-                bound.remove(&p);
-            }
-        }
-        RExp::Fix { funs, body, .. } => {
-            let fresh: Vec<VarId> = funs
-                .iter()
-                .map(|f| f.var)
-                .filter(|v| bound.insert(*v))
-                .collect();
-            for f in funs {
-                let fp: Vec<VarId> = f
-                    .params
-                    .iter()
-                    .copied()
-                    .filter(|p| bound.insert(*p))
-                    .collect();
-                let fr: Vec<RegVar> = f
-                    .formals
-                    .iter()
-                    .copied()
-                    .filter(|r| bound_regs.insert(*r))
-                    .collect();
-                collect_caps(&f.body, bound, bound_regs, out);
-                for p in fp {
-                    bound.remove(&p);
-                }
-                for r in fr {
-                    bound_regs.remove(&r);
-                }
-            }
-            collect_caps(body, bound, bound_regs, out);
-            for v in fresh {
-                bound.remove(&v);
-            }
-        }
-        RExp::Letregion { regs, body } => {
-            let fresh: Vec<RegVar> = regs
-                .iter()
-                .map(|(r, _)| *r)
-                .filter(|r| bound_regs.insert(*r))
-                .collect();
-            collect_caps(body, bound, bound_regs, out);
-            for r in fresh {
-                bound_regs.remove(&r);
-            }
-        }
-        RExp::Handle { body, var, handler } => {
-            collect_caps(body, bound, bound_regs, out);
-            let fresh = bound.insert(*var);
-            collect_caps(handler, bound, bound_regs, out);
-            if fresh {
-                bound.remove(var);
-            }
-        }
-        _ => e.for_each_child(|c| collect_caps(c, bound, bound_regs, out)),
+        w.exp(prog.body);
+        w.out
     }
 }
 
-// ------------------------------------------------------- finite sizing
-
-/// Physical size in words of every finite region's single allocation (at
-/// least 1), in one walk of the program. A closure's size is bounded by
-/// the distinct names free in its body, its own parameters and global
-/// regions included — never fewer than `captures` finds.
-fn finite_sizes(cx: &Cx<'_>) -> HashMap<RegVar, u32> {
-    let mut sizes: HashMap<RegVar, u32> = cx
-        .prog
-        .globals
-        .iter()
-        .filter(|(_, m)| *m == Mult::Finite)
-        .map(|&(r, _)| (r, 1))
-        .collect();
-    size_sites(cx, &cx.prog.body, &mut sizes);
-    sizes
-}
-
-/// Raises `sizes` to each allocation site's words in `e`; a `letregion`
-/// adds its finite regions before its body is walked.
-fn size_sites(cx: &Cx<'_>, e: &RExp, sizes: &mut HashMap<RegVar, u32>) {
-    count_work(|| 1);
-    let hdr = cx.tagged as u32;
-    let (at, fields) = match e {
-        RExp::Letregion { regs, .. } => {
-            for (r, m) in regs {
-                if *m == Mult::Finite {
-                    sizes.insert(*r, 1);
-                }
-            }
-            (None, 0)
-        }
-        RExp::Real(_, p) => (Some(*p), 1),
-        RExp::Record(es, p) => (Some(*p), es.len() as u32),
-        // Closure = [label, caps..].
-        RExp::Fn { body, at, .. } if sizes.contains_key(at) => (Some(*at), 1 + distinct_free(body)),
-        RExp::Fix { funs, at, .. } if sizes.contains_key(at) => {
-            let n: u32 = funs.iter().map(|f| distinct_free(&f.body)).sum();
-            (Some(*at), n.max(1))
-        }
-        RExp::FixVar { rargs, at, .. } => (Some(*at), 2 + rargs.len() as u32),
-        RExp::Prim(_, _, Some(p)) => (Some(*p), 1),
-        RExp::Con {
-            tycon,
-            con,
-            at: Some(p),
-            ..
-        } => {
-            let (_, fields) = cx.con_rep(*tycon);
-            let disc = cx.con_needs_disc(*tycon) as u32;
-            (Some(*p), fields[con.0 as usize] as u32 + disc)
-        }
-        RExp::ExCon { at: Some(p), .. } => (Some(*p), 1 + (!cx.tagged) as u32),
-        _ => (None, 0),
-    };
-    if let Some(size) = at.and_then(|p| sizes.get_mut(&p)) {
-        *size = (*size).max(fields + hdr);
+impl LayoutWalk<'_> {
+    fn reg(&self, r: RegVar) -> Name {
+        self.nvars + r.0
     }
-    e.for_each_child(|c| size_sites(cx, c, sizes));
-}
 
-/// The number of distinct variables and regions free in `body`.
-fn distinct_free(body: &RExp) -> u32 {
-    let mut seen = HashSet::new();
-    collect_caps(body, &mut BTreeSet::new(), &mut BTreeSet::new(), &mut |c| {
-        seen.insert(c);
-    });
-    seen.len() as u32
+    /// An occurrence of `n` at the current depth.
+    fn occur(&mut self, n: Name) {
+        let st = self.names[n as usize];
+        let depth = self.open.len() as u32;
+        let mut listed = false;
+        for k in (st.depth + 1..=depth).rev() {
+            if self.open[k as usize - 1] <= st.listed {
+                break;
+            }
+            self.lists[k as usize - 1].push(n);
+            listed = true;
+        }
+        if listed {
+            self.names[n as usize].listed = *self.open.last().expect("depth > 0");
+        }
+    }
+
+    /// Binds `n` at the current depth; `own` is the `fn` or `fix` whose
+    /// parameter, function or formal it is (0 for none).
+    fn bind(&mut self, n: Name, own: u32) {
+        let st = &mut self.names[n as usize];
+        self.shadowed.push((n, *st));
+        *st = NameState {
+            depth: self.open.len() as u32,
+            own,
+            ..*st
+        };
+    }
+
+    /// Unbinds everything bound since there were `mark` shadowed names.
+    fn unbind(&mut self, mark: usize) {
+        while self.shadowed.len() > mark {
+            let (n, st) = self.shadowed.pop().expect("above mark");
+            self.names[n as usize] = NameState {
+                in_caps: self.names[n as usize].in_caps,
+                ..st
+            };
+        }
+    }
+
+    fn open(&mut self) {
+        self.closures += 1;
+        self.open.push(self.closures);
+        if self.lists.len() < self.open.len() {
+            self.lists.push(Vec::new());
+        }
+    }
+
+    /// Closes the innermost closure, a body of the `fn` or `fix` numbered
+    /// `own`, moving the names it listed that are not that one's own
+    /// binders onto `closed`; returns how many names it listed.
+    fn close(&mut self, own: u32) -> u32 {
+        let depth = self.open.len();
+        self.open.pop();
+        let names = &self.names;
+        let list = &mut self.lists[depth - 1];
+        let len = list.len() as u32;
+        self.closed
+            .extend(list.drain(..).filter(|&n| names[n as usize].own != own));
+        len
+    }
+
+    /// Turns the names on `closed` from `from` on into the capture list of
+    /// the `fn` or `fix` numbered `own` (which deduplicates it), and takes
+    /// them off; returns the list's run of `caps`.
+    fn captures(&mut self, from: usize, own: u32) -> (u32, u32) {
+        let start = self.out.caps.len() as u32;
+        for i in from..self.closed.len() {
+            let n = self.closed[i];
+            let (cap, key) = if n < self.nvars {
+                match self.group_of[n as usize] {
+                    Some(g) => (Cap::Shared(g), g.0),
+                    None => (Cap::Var(VarId(n)), n),
+                }
+            } else {
+                let r = RegVar(n - self.nvars);
+                // A global is addressed by its index from any frame;
+                // every other free region — `letregion`-bound or a formal
+                // of an enclosing function — reaches the closure as a
+                // captured handle.
+                if self.global[r.0 as usize] {
+                    continue;
+                }
+                (Cap::Reg(r), n)
+            };
+            if self.names[key as usize].in_caps != own {
+                self.names[key as usize].in_caps = own;
+                self.out.caps.push(cap);
+            }
+        }
+        self.closed.truncate(from);
+        (start, self.out.caps.len() as u32)
+    }
+
+    /// Raises the finite region `at`'s size to `words` (plus the tag).
+    fn site(&mut self, at: RegVar, words: u32) {
+        let size = &mut self.out.finite[at.0 as usize];
+        if *size > 0 {
+            *size = (*size).max(words + self.tagged as u32);
+        }
+    }
+
+    fn exp(&mut self, id: ExpId) {
+        count_work(|| 1);
+        let prog = self.prog;
+        let e = prog.node(id);
+        prog.for_each_place(&e, |r| self.occur(self.nvars + r.0));
+        let mark = self.shadowed.len();
+        match e {
+            RExp::Var(v) => self.occur(v.0),
+            RExp::FixVar { var, rargs, at } => {
+                self.occur(var.0);
+                self.site(at, 2 + rargs.len() as u32);
+            }
+            RExp::Real(_, p) | RExp::Prim(_, _, Some(p)) => self.site(p, 1),
+            RExp::Record(es, p) => self.site(p, es.len() as u32),
+            RExp::Con {
+                tycon,
+                con,
+                at: Some(p),
+                ..
+            } => {
+                let (_, fields) = con_rep(prog, self.tagged, tycon);
+                let disc = con_needs_disc(prog, self.tagged, tycon) as u32;
+                self.site(p, fields[con.0 as usize] as u32 + disc);
+            }
+            RExp::ExCon { at: Some(p), .. } => self.site(p, 1 + (!self.tagged) as u32),
+            _ => {}
+        }
+        match e {
+            RExp::Let { var, rhs, body } => {
+                self.exp(rhs);
+                self.bind(var.0, 0);
+                self.exp(body);
+            }
+            RExp::Handle { body, var, handler } => {
+                self.exp(body);
+                self.bind(var.0, 0);
+                self.exp(handler);
+            }
+            RExp::Letregion { regs, body } => {
+                for &(r, m) in prog.regs(regs) {
+                    self.bind(self.reg(r), 0);
+                    if m == Mult::Finite {
+                        self.out.finite[r.0 as usize] = 1;
+                    }
+                }
+                self.exp(body);
+            }
+            RExp::Fn { params, body, at } => {
+                let (own, from) = (self.closures + 1, self.closed.len());
+                for &p in prog.params(params) {
+                    self.bind(p.0, own);
+                }
+                self.open();
+                self.exp(body);
+                let free = self.close(own);
+                self.out.caps_of[id.0 as usize] = self.captures(from, own);
+                // Closure = [label, caps..].
+                self.site(at, 1 + free);
+            }
+            RExp::Fix { funs, body, at } => {
+                let (own, from) = (self.closures + 1, self.closed.len());
+                let funs = prog.funs(funs);
+                for f in funs {
+                    self.group_of[f.var.0 as usize] = Some(funs[0].var);
+                    self.bind(f.var.0, own);
+                }
+                let mut free = 0;
+                for f in funs {
+                    let fmark = self.shadowed.len();
+                    for &p in prog.params(f.params) {
+                        self.bind(p.0, own);
+                    }
+                    for &r in prog.places(f.formals) {
+                        self.bind(self.reg(r), own);
+                    }
+                    self.open();
+                    self.exp(f.body);
+                    free += self.close(own);
+                    self.unbind(fmark);
+                }
+                self.out.caps_of[id.0 as usize] = self.captures(from, own);
+                self.site(at, free.max(1));
+                self.exp(body);
+            }
+            _ => prog.for_each_child(&e, |c| self.exp(c)),
+        }
+        self.unbind(mark);
+    }
 }
 
 #[cfg(test)]
@@ -1141,9 +1265,8 @@ mod tests {
     use super::*;
     use kit_bench::programs::{pair_let, wide_declarations};
 
-    /// What code generation's walks over `src` cost by `count_work`: nodes
-    /// visited sizing the finite regions and by `collect_caps`, for
-    /// captures and for sizing closures in finite regions.
+    /// What code generation costs on `src` by `count_work`: nodes visited
+    /// by the layout walk, and bindings made on entry to each function.
     fn codegen_work(src: String) -> usize {
         let run = move || {
             let mut lprog = kit_typing::compile_str(&src).expect("test program elaborates");
@@ -1162,8 +1285,21 @@ mod tests {
             .expect("code generation panicked")
     }
 
+    /// `n` independent top-level recursive functions, used in one flat
+    /// tuple: every function is compiled in a scope holding all the ones
+    /// declared before it.
+    fn independent_functions(n: usize) -> String {
+        let mut src = String::new();
+        for i in 0..n {
+            src += &format!("fun f{i} x = if x < 1 then {i} else f{i} (x - 1)\n");
+        }
+        let uses: Vec<String> = (0..n).map(|i| format!("f{i} {i}")).collect();
+        src + &format!("val it = ({})\n", uses.join(", "))
+    }
+
     /// A finite region's size costs one look at its allocation site, not
-    /// a walk of the `letregion`'s scope.
+    /// a walk of the `letregion`'s scope, and a function does not pay for
+    /// the functions in scope around it.
     #[test]
     fn codegen_work_is_linear_in_declarations() {
         for (shape, small, large) in [
@@ -1173,6 +1309,11 @@ mod tests {
                 wide_declarations(400),
             ),
             ("pair let", pair_let(60), pair_let(240)),
+            (
+                "independent functions",
+                independent_functions(100),
+                independent_functions(400),
+            ),
         ] {
             let (small, large) = (codegen_work(small), codegen_work(large));
             assert!(

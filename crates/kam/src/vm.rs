@@ -53,9 +53,9 @@ pub enum VmError {
         cap: usize,
     },
     /// The wall-clock deadline (`RtConfig::deadline`) had passed at a
-    /// `GcCheck` safe point — the same points fuel and the page quota are
-    /// enforced at, so on a fixed clock outcome the breach lands at the
-    /// identical safe point on every dispatch engine.
+    /// `GcCheck` safe point — where the page quota is enforced too (fuel
+    /// is charged per instruction) — so on a fixed clock outcome the breach
+    /// lands at the identical safe point on every dispatch engine.
     DeadlineExceeded {
         /// Ordinal of the safe point (counting only those executed while a
         /// deadline was armed) whose clock read observed the breach. An

@@ -276,8 +276,9 @@ impl Compiler {
     /// Bounds each run's wall-clock time (the per-request deadline of the
     /// server): the budget is anchored to `Instant::now()` when the run
     /// starts, and a run whose clock expires fails with
-    /// [`VmError::DeadlineExceeded`] at a `GcCheck` safe point — the same
-    /// points fuel and the page quota are enforced at, on every engine.
+    /// [`VmError::DeadlineExceeded`] at a `GcCheck` safe point — where the
+    /// page quota is enforced too, on every engine (fuel is charged per
+    /// instruction instead).
     pub fn with_deadline(mut self, budget: std::time::Duration) -> Self {
         self.deadline = Some(budget);
         self

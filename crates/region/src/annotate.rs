@@ -26,28 +26,30 @@
 //! * free-variable sets come from a side table built in one walk
 //!   ([`crate::freevars`]), never from re-walking a subtree;
 //! * a fixed-point round that is superseded leaves nothing behind: its
-//!   bodies are dropped and its `letregion` candidates (markers) are
-//!   truncated away before the next round starts, so only candidates of
-//!   the final tree are ever finalized;
+//!   nodes and its `letregion` candidates (markers) are truncated away
+//!   before the next round starts, so only candidates of the final tree
+//!   are ever finalized;
 //! * a marker records the *bindings* of its free variables — indices into
 //!   an append-only arena, since the environment rebinds a group's
 //!   variables between rounds — and escape sets are computed at the end,
 //!   when the stores are frozen, as unions of per-binding region sets that
 //!   are each computed once;
-//! * types are arena indices ([`crate::rtype::TyId`]).
+//! * types are arena indices ([`crate::rtype::TyId`]);
+//! * the program is pushed into an arena ([`crate::rexp::Arena`]) as it is
+//!   annotated; variable-length parts wait on scratch stacks, so no node
+//!   allocates.
 //!
-//! Output: an [`RExp`] whose places are densely numbered in order of first
-//! occurrence, plus per-marker escape sets consumed by `letregion`
+//! Output: an arena program whose places are densely numbered in order of
+//! first occurrence, plus per-marker escape sets consumed by `letregion`
 //! placement. Regions that occur nowhere in the program get no number:
 //! placement could never bind them.
 
 use crate::freevars::FreeVars;
-use crate::rexp::{RExp, RFixFun, RProgram, RegVar};
+use crate::rexp::{Arena, Arm, ExpId, Mark, RExp, RFixFun, RProgram, RegVar, Span};
 use crate::rtype::{Eff, IdSet, Kids, RScheme, RTy, Reg, Stores, TyId};
 use kit_lambda::exp::{FixFun, LExp, Prim, VarId};
 use kit_lambda::ty::{ConId, LTy, SchemeTy, TyConId};
 use kit_lambda::LProgram;
-use std::collections::{BTreeSet, HashMap};
 
 /// Work counters of one annotation run: plain counts, so that "linear in
 /// program size" can be asserted without timing anything.
@@ -65,6 +67,8 @@ pub struct AnnotateStats {
     pub markers_dropped: u64,
     /// Free-region-variable walks over a type (with its effect closure).
     pub frv_calls: u64,
+    /// Effect nodes and their regions visited by effect-closure walks.
+    pub eff_closure_steps: u64,
 }
 
 /// Result of annotation: the program (with [`RExp::Marker`] nodes still in
@@ -74,12 +78,54 @@ pub struct Annotated {
     /// The annotated program; `globals` is empty until placement runs.
     pub prog: RProgram,
     /// For each marker id: regions that must *not* be bound at or below
-    /// it, ascending.
-    pub marker_escapes: Vec<Vec<RegVar>>,
-    /// Regions escaping globally (program result, raised exceptions).
-    pub global_escapes: BTreeSet<RegVar>,
+    /// it.
+    pub marker_escapes: Escapes,
+    /// Regions escaping globally (program result, raised exceptions),
+    /// ascending.
+    pub global_escapes: Vec<RegVar>,
     /// How much work annotation did.
     pub stats: AnnotateStats,
+}
+
+/// The escape sets of the markers, one run of a shared pool each.
+#[derive(Debug, Default)]
+pub struct Escapes {
+    pool: Vec<RegVar>,
+    /// Where each marker's set ends in `pool` (it starts where the
+    /// previous one's ends).
+    ends: Vec<u32>,
+}
+
+impl Escapes {
+    /// Builds the table from one ascending set per marker.
+    #[cfg(test)]
+    pub(crate) fn from_sets<'s>(sets: impl IntoIterator<Item = &'s [RegVar]>) -> Escapes {
+        let mut t = Escapes::default();
+        for set in sets {
+            t.pool.extend_from_slice(set);
+            t.ends.push(t.pool.len() as u32);
+        }
+        t
+    }
+
+    /// The regions marker `id` may not bind, ascending.
+    pub fn of(&self, id: u32) -> &[RegVar] {
+        let start = match id {
+            0 => 0,
+            _ => self.ends[id as usize - 1] as usize,
+        };
+        &self.pool[start..self.ends[id as usize] as usize]
+    }
+
+    /// Number of markers.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no markers.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
 }
 
 /// Runs annotation over an optimized `LambdaExp` program.
@@ -94,7 +140,12 @@ pub fn annotate(prog: &LProgram, gc_safe: bool) -> Annotated {
         cur_eff: Vec::new(),
         markers: Vec::new(),
         marker_binds: Vec::new(),
-        fixmeta: HashMap::new(),
+        fixmeta: vec![(u32::MAX, 0); prog.vars.len()],
+        formal_idx: Vec::new(),
+        out: Arena::default(),
+        kid_stack: Vec::new(),
+        ty_stack: Vec::new(),
+        arm_stack: Vec::new(),
         global_frv: Vec::new(),
         gc_safe,
         stats: AnnotateStats {
@@ -103,6 +154,7 @@ pub fn annotate(prog: &LProgram, gc_safe: bool) -> Annotated {
         },
         tmp: IdSet::default(),
         scratch: Default::default(),
+        alpha: AlphaCx::default(),
     };
     let top_eff = ann.st.fresh_eff();
     ann.cur_eff.push(top_eff);
@@ -161,9 +213,18 @@ struct Ann<'a> {
     /// The markers of the tree built so far (superseded rounds truncated).
     markers: Vec<MarkerInfo>,
     marker_binds: Vec<BindId>,
-    /// Per `fix` function: indices into the scheme's `qregs` that are
-    /// runtime formals (regions the body allocates into).
-    fixmeta: HashMap<VarId, Vec<usize>>,
+    /// Per variable (a `fix` function's, or `(u32::MAX, 0)`): where its
+    /// runtime formals — the indices into its scheme's `qregs` of the
+    /// regions the body allocates into — lie in `formal_idx`.
+    fixmeta: Vec<(u32, u32)>,
+    formal_idx: Vec<u32>,
+    /// The program built so far.
+    out: Arena,
+    /// Scratch stacks for variable-length node parts whose elements are
+    /// annotated one by one; each call leaves them as it found them.
+    kid_stack: Vec<ExpId>,
+    ty_stack: Vec<TyId>,
+    arm_stack: Vec<Arm>,
     /// Regions forced global; not necessarily canonical.
     global_frv: Vec<Reg>,
     gc_safe: bool,
@@ -172,6 +233,8 @@ struct Ann<'a> {
     /// `ann` call.
     tmp: IdSet,
     scratch: [IdSet; 2],
+    /// Scratch for comparing schemes.
+    alpha: AlphaCx,
 }
 
 impl<'a> Ann<'a> {
@@ -203,8 +266,15 @@ impl<'a> Ann<'a> {
         self.global_frv.extend_from_slice(self.tmp.items());
     }
 
-    fn fresh_tys(&mut self, n: usize) -> Vec<TyId> {
-        (0..n).map(|_| self.st.fresh_ty()).collect()
+    /// Pushes `n` fresh type variables onto `ty_stack`; returns where
+    /// they start.
+    fn fresh_tys(&mut self, n: usize) -> usize {
+        let base = self.ty_stack.len();
+        for _ in 0..n {
+            let t = self.st.fresh_ty();
+            self.ty_stack.push(t);
+        }
+        base
     }
 
     /// Converts a constructor-argument scheme to a type.
@@ -215,10 +285,11 @@ impl<'a> Ann<'a> {
     /// `self_reg`, the datatype's own region. Only type-parameter
     /// positions carry their instantiation's regions. This is what makes
     /// the component regions visible in the datatype's (single-region)
-    /// type, so escape analysis cannot lose them.
-    fn conv_scheme(&mut self, s: &SchemeTy, targs: &[TyId], self_reg: Reg) -> TyId {
+    /// type, so escape analysis cannot lose them. The type arguments are
+    /// on `ty_stack` from `targs` on.
+    fn conv_scheme(&mut self, s: &SchemeTy, targs: usize, self_reg: Reg) -> TyId {
         match s {
-            SchemeTy::Param(i) => targs[*i as usize],
+            SchemeTy::Param(i) => self.ty_stack[targs + *i as usize],
             SchemeTy::Int => Stores::INT,
             SchemeTy::Bool => Stores::BOOL,
             SchemeTy::Unit => Stores::UNIT,
@@ -226,11 +297,10 @@ impl<'a> Ann<'a> {
             SchemeTy::Str => self.st.string(self_reg),
             SchemeTy::Exn => self.st.exn(self_reg),
             SchemeTy::Con(tc, args) => {
-                let nargs: Vec<TyId> = args
-                    .iter()
-                    .map(|a| self.conv_scheme(a, targs, self_reg))
-                    .collect();
-                self.st.con(*tc, &nargs, self_reg)
+                let base = self.conv_all(args, targs, self_reg);
+                let ty = self.st.con(*tc, &self.ty_stack[base..], self_reg);
+                self.ty_stack.truncate(base);
+                ty
             }
             SchemeTy::Arrow(a, b) => {
                 // Functions stored in datatypes: the closure shares the
@@ -243,11 +313,10 @@ impl<'a> Ann<'a> {
                 self.st.arrow(&[na], e, nb, self_reg)
             }
             SchemeTy::Tuple(ts) => {
-                let nts: Vec<TyId> = ts
-                    .iter()
-                    .map(|t| self.conv_scheme(t, targs, self_reg))
-                    .collect();
-                self.st.tuple(&nts, self_reg)
+                let base = self.conv_all(ts, targs, self_reg);
+                let ty = self.st.tuple(&self.ty_stack[base..], self_reg);
+                self.ty_stack.truncate(base);
+                ty
             }
             SchemeTy::Ref(t) => {
                 let nt = self.conv_scheme(t, targs, self_reg);
@@ -260,6 +329,16 @@ impl<'a> Ann<'a> {
         }
     }
 
+    /// Converts `ss` onto `ty_stack`; returns where they start.
+    fn conv_all(&mut self, ss: &[SchemeTy], targs: usize, self_reg: Reg) -> usize {
+        let base = self.ty_stack.len();
+        for s in ss {
+            let t = self.conv_scheme(s, targs, self_reg);
+            self.ty_stack.push(t);
+        }
+        base
+    }
+
     /// The argument type of constructor `con` of the datatype whose type
     /// arguments and spine region `ty` (a resolved `Con` type) carries.
     fn con_arg_ty(&mut self, tycon: TyConId, con: ConId, ty: TyId) -> Option<TyId> {
@@ -270,8 +349,11 @@ impl<'a> Ann<'a> {
         let RTy::Con(_, targs, spine) = self.st.node(ty) else {
             unreachable!("constructor of a non-datatype type")
         };
-        let targs = self.st.kids(targs).to_vec();
-        Some(self.conv_scheme(scheme, &targs, spine))
+        let base = self.ty_stack.len();
+        self.ty_stack.extend_from_slice(self.st.kids(targs));
+        let ty = self.conv_scheme(scheme, base, spine);
+        self.ty_stack.truncate(base);
+        Some(ty)
     }
 
     /// A fresh instance `tycon<'a, ...> @ ρ` of a datatype, and its ρ.
@@ -279,13 +361,15 @@ impl<'a> Ann<'a> {
         let arity = self.prog.data.get(tycon).arity as usize;
         let targs = self.fresh_tys(arity);
         let reg = self.st.fresh_reg();
-        (self.st.con(tycon, &targs, reg), reg)
+        let ty = self.st.con(tycon, &self.ty_stack[targs..], reg);
+        self.ty_stack.truncate(targs);
+        (ty, reg)
     }
 
     /// Records a `letregion` candidate around `inner`, the annotation of
     /// `lexp`: the escape set will cover `node_ty` and the types the free
     /// variables of `lexp` are bound at right now.
-    fn marker(&mut self, inner: RExp, node_ty: TyId, lexp: &LExp) -> RExp {
+    fn marker(&mut self, inner: ExpId, node_ty: TyId, lexp: &LExp) -> ExpId {
         let binds_start = self.marker_binds.len() as u32;
         for v in self.fvs.of(lexp) {
             match self.env[v.0 as usize] {
@@ -298,19 +382,17 @@ impl<'a> Ann<'a> {
             ty: node_ty,
             binds_start,
         });
-        RExp::Marker {
-            id,
-            body: Box::new(inner),
-        }
+        self.out.push(RExp::Marker { id, body: inner })
     }
 
-    /// Forgets the markers made since there were `mark` of them: the tree
-    /// they sit in has been superseded.
-    fn drop_markers(&mut self, mark: usize) {
-        if let Some(first) = self.markers.get(mark) {
+    /// Forgets the nodes and markers made since `mark` was taken: the
+    /// round they belong to has been superseded.
+    fn drop_round(&mut self, (markers, nodes): (usize, Mark)) {
+        self.out.truncate(nodes);
+        if let Some(first) = self.markers.get(markers) {
             self.marker_binds.truncate(first.binds_start as usize);
-            self.stats.markers_dropped += (self.markers.len() - mark) as u64;
-            self.markers.truncate(mark);
+            self.stats.markers_dropped += (self.markers.len() - markers) as u64;
+            self.markers.truncate(markers);
         }
     }
 
@@ -358,21 +440,22 @@ impl<'a> Ann<'a> {
 
     // --------------------------------------------------------------- driver
 
-    fn ann(&mut self, e: &LExp) -> (RExp, TyId) {
+    fn ann(&mut self, e: &LExp) -> (ExpId, TyId) {
         self.stats.node_visits += 1;
-        match e {
+        let (node, ty) = match e {
             LExp::Var(v) => {
                 let bind = binding(&self.binds, &self.env, *v)
                     .unwrap_or_else(|| panic!("unbound variable {} in region inference", v.0));
                 match bind {
                     Bind::Mono(t) => (RExp::Var(*v), *t),
-                    Bind::PolyVal(s) => (RExp::Var(*v), self.st.instantiate(s).ty),
+                    Bind::PolyVal(s) => (RExp::Var(*v), self.st.instantiate(s)),
                     Bind::Fix(s) => {
                         // Escaping use of a fix function: allocate a pair
                         // closure; the shared closure's region stays in the
                         // latent effect so it outlives the pair.
                         let inst = self.st.instantiate(s);
-                        let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.node(inst.ty) else {
+                        let rargs = self.out.push_places(self.st.reg_actuals().map(RegVar));
+                        let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.node(inst) else {
                             panic!("fix-bound variable with non-arrow type")
                         };
                         let pair_reg = self.st.fresh_reg();
@@ -381,7 +464,7 @@ impl<'a> Ann<'a> {
                         (
                             RExp::FixVar {
                                 var: *v,
-                                rargs: inst.reg_actuals.iter().map(|&r| RegVar(r)).collect(),
+                                rargs,
                                 at: RegVar(pair_reg),
                             },
                             self.st.arrow_at(ps, eff, ret, pair_reg),
@@ -396,7 +479,7 @@ impl<'a> Ann<'a> {
                 // Constants live in the data segment; the region in the
                 // type is never allocated into.
                 let r = self.st.fresh_reg();
-                (RExp::Str(s.clone()), self.st.string(r))
+                (RExp::Str(self.out.push_str(s)), self.st.string(r))
             }
             LExp::Real(x) => {
                 let r = self.alloc_reg();
@@ -404,18 +487,22 @@ impl<'a> Ann<'a> {
             }
             LExp::Prim(p, args) => self.ann_prim(*p, args),
             LExp::Record(es) => {
-                let (res, tys) = self.ann_all(es);
+                let (kids, tys) = self.ann_all(es);
                 let r = self.alloc_reg();
-                (RExp::Record(res, RegVar(r)), self.st.tuple(&tys, r))
+                let ty = self.st.tuple(&self.ty_stack[tys..], r);
+                self.ty_stack.truncate(tys);
+                (RExp::Record(kids, RegVar(r)), ty)
             }
             LExp::Select { i, arity, tup } => {
                 let (re, t) = self.ann(tup);
                 let comps = self.fresh_tys(*arity);
                 let reg = self.st.fresh_reg();
-                let want = self.st.tuple(&comps, reg);
+                let want = self.st.tuple(&self.ty_stack[comps..], reg);
+                let comp = self.ty_stack[comps + *i];
+                self.ty_stack.truncate(comps);
                 self.st.unify(t, want);
                 self.get_ty(t);
-                (RExp::Select(*i, Box::new(re)), comps[*i])
+                (RExp::Select(*i, re), comp)
             }
             LExp::Con {
                 tycon, con, arg, ..
@@ -429,7 +516,7 @@ impl<'a> Ann<'a> {
                     RExp::DeCon {
                         tycon: *tycon,
                         con: *con,
-                        scrut: Box::new(rs),
+                        scrut: rs,
                     },
                     arg_ty,
                 )
@@ -444,9 +531,9 @@ impl<'a> Ann<'a> {
                 let result = self.st.fresh_ty();
                 (
                     RExp::SwitchCon {
-                        scrut: Box::new(rs),
+                        scrut: rs,
                         tycon: *tycon,
-                        arms: self.ann_arms(arms, result),
+                        arms: self.ann_arms(arms, result, |_, c| c.0 as i64),
                         default: default.as_ref().map(|d| self.ann_arm(d, result)),
                     },
                     result,
@@ -461,8 +548,8 @@ impl<'a> Ann<'a> {
                 let result = self.st.fresh_ty();
                 (
                     RExp::SwitchInt {
-                        scrut: Box::new(rs),
-                        arms: self.ann_arms(arms, result),
+                        scrut: rs,
+                        arms: self.ann_arms(arms, result, |_, k| *k),
                         default: self.ann_arm(default, result),
                     },
                     result,
@@ -478,8 +565,8 @@ impl<'a> Ann<'a> {
                 let result = self.st.fresh_ty();
                 (
                     RExp::SwitchStr {
-                        scrut: Box::new(rs),
-                        arms: self.ann_arms(arms, result),
+                        scrut: rs,
+                        arms: self.ann_arms(arms, result, |out, k| out.push_str(k).0 as i64),
                         default: self.ann_arm(default, result),
                     },
                     result,
@@ -495,8 +582,8 @@ impl<'a> Ann<'a> {
                 let result = self.st.fresh_ty();
                 (
                     RExp::SwitchExn {
-                        scrut: Box::new(rs),
-                        arms: self.ann_arms(arms, result),
+                        scrut: rs,
+                        arms: self.ann_arms(arms, result, |_, x| x.0 as i64),
                         default: self.ann_arm(default, result),
                     },
                     result,
@@ -507,12 +594,12 @@ impl<'a> Ann<'a> {
                 let (rt, tt) = self.ann_armed(th);
                 let (re, te) = self.ann_armed(el);
                 self.st.unify(tt, te);
-                (RExp::If(Box::new(rc), Box::new(rt), Box::new(re)), tt)
+                (RExp::If(rc, rt, re), tt)
             }
             LExp::Fn { params, body, .. } => {
                 let ptys = self.fresh_tys(params.len());
-                for ((v, _), t) in params.iter().zip(&ptys) {
-                    self.bind(*v, Bind::Mono(*t));
+                for (k, (v, _)) in params.iter().enumerate() {
+                    self.bind(*v, Bind::Mono(self.ty_stack[ptys + k]));
                 }
                 let eff = self.st.fresh_eff();
                 self.cur_eff.push(eff);
@@ -521,13 +608,15 @@ impl<'a> Ann<'a> {
                 let clos = self.alloc_reg();
                 let captured = self.fvs.of(e);
                 self.weaken_captures(captured, eff);
+                let ty = self.st.arrow(&self.ty_stack[ptys..], eff, tb, clos);
+                self.ty_stack.truncate(ptys);
                 (
                     RExp::Fn {
-                        params: params.iter().map(|(v, _)| *v).collect(),
-                        body: Box::new(rb),
+                        params: self.out.push_params(params.iter().map(|(v, _)| *v)),
+                        body: rb,
                         at: RegVar(clos),
                     },
-                    self.st.arrow(&ptys, eff, tb, clos),
+                    ty,
                 )
             }
             LExp::App(f, args) => self.ann_app(f, args),
@@ -553,8 +642,8 @@ impl<'a> Ann<'a> {
                 (
                     RExp::Let {
                         var: *var,
-                        rhs: Box::new(rrhs),
-                        body: Box::new(rb),
+                        rhs: rrhs,
+                        body: rb,
                     },
                     tb,
                 )
@@ -581,7 +670,7 @@ impl<'a> Ann<'a> {
                 (
                     RExp::ExCon {
                         exn: *exn,
-                        arg: Some(Box::new(ra)),
+                        arg: Some(ra),
                         at: Some(RegVar(r)),
                     },
                     self.st.exn(r),
@@ -600,7 +689,7 @@ impl<'a> Ann<'a> {
                 (
                     RExp::DeExn {
                         exn: *exn,
-                        scrut: Box::new(rs),
+                        scrut: rs,
                     },
                     ty,
                 )
@@ -608,7 +697,7 @@ impl<'a> Ann<'a> {
             LExp::Raise { exp, .. } => {
                 let (re, t) = self.ann(exp);
                 self.escapes_globally(t);
-                (RExp::Raise(Box::new(re)), self.st.fresh_ty())
+                (RExp::Raise(re), self.st.fresh_ty())
             }
             LExp::Handle { body, var, handler } => {
                 let (rb, tb) = self.ann_armed(body);
@@ -620,42 +709,62 @@ impl<'a> Ann<'a> {
                 self.st.unify(tb, th);
                 (
                     RExp::Handle {
-                        body: Box::new(rb),
+                        body: rb,
                         var: *var,
-                        handler: Box::new(rh),
+                        handler: rh,
                     },
                     tb,
                 )
             }
-        }
+        };
+        (self.out.push(node), ty)
     }
 
-    fn ann_all(&mut self, es: &[LExp]) -> (Vec<RExp>, Vec<TyId>) {
-        es.iter().map(|e| self.ann(e)).unzip()
+    /// Annotates `es` in order: their nodes become a child list, and their
+    /// types are left on `ty_stack` from the returned position (the caller
+    /// truncates it back).
+    fn ann_all(&mut self, es: &[LExp]) -> (Span<ExpId>, usize) {
+        let (kids, tys) = (self.kid_stack.len(), self.ty_stack.len());
+        for e in es {
+            let (id, t) = self.ann(e);
+            self.kid_stack.push(id);
+            self.ty_stack.push(t);
+        }
+        (self.out.push_kids(self.kid_stack.drain(kids..)), tys)
     }
 
     /// Annotates `e` and wraps it in a `letregion` candidate.
-    fn ann_armed(&mut self, e: &LExp) -> (RExp, TyId) {
+    fn ann_armed(&mut self, e: &LExp) -> (ExpId, TyId) {
         let (r, t) = self.ann(e);
         (self.marker(r, t, e), t)
     }
 
     /// A branch arm: a candidate whose type is the switch's `result`.
-    fn ann_arm(&mut self, e: &LExp, result: TyId) -> Box<RExp> {
+    fn ann_arm(&mut self, e: &LExp, result: TyId) -> ExpId {
         let (r, t) = self.ann_armed(e);
         self.st.unify(t, result);
-        Box::new(r)
+        r
     }
 
-    fn ann_arms<K: Clone>(&mut self, arms: &[(K, LExp)], result: TyId) -> Vec<(K, RExp)> {
-        arms.iter()
-            .map(|(k, a)| (k.clone(), *self.ann_arm(a, result)))
-            .collect()
+    /// The arms of a switch, each keyed by `key` of its `K`.
+    fn ann_arms<K>(
+        &mut self,
+        arms: &[(K, LExp)],
+        result: TyId,
+        key: impl Fn(&mut Arena, &K) -> i64,
+    ) -> Span<Arm> {
+        let base = self.arm_stack.len();
+        for (k, a) in arms {
+            let body = self.ann_arm(a, result);
+            let key = key(&mut self.out, k);
+            self.arm_stack.push(Arm { key, body });
+        }
+        self.out.push_arms(self.arm_stack.drain(base..))
     }
 
     /// Annotates a scrutinee of datatype `tycon` and records the read of
     /// its spine; returns its (resolved `Con`) type.
-    fn ann_scrutinee(&mut self, scrut: &LExp, tycon: TyConId) -> (RExp, TyId) {
+    fn ann_scrutinee(&mut self, scrut: &LExp, tycon: TyConId) -> (ExpId, TyId) {
         let (rs, t) = self.ann(scrut);
         let (want, _) = self.fresh_con_ty(tycon);
         self.st.unify(t, want);
@@ -678,13 +787,13 @@ impl<'a> Ann<'a> {
             let want = self.con_arg_ty(tycon, con, ty).expect("checked above");
             self.st.unify(ta, want);
             self.put(spine);
-            Box::new(ra)
+            ra
         });
         (
             RExp::Con {
                 tycon,
                 con,
-                at: arg.as_ref().map(|_| RegVar(spine)),
+                at: arg.map(|_| RegVar(spine)),
                 arg,
             },
             ty,
@@ -711,7 +820,9 @@ impl<'a> Ann<'a> {
     }
 
     fn ann_prim(&mut self, p: Prim, args: &[LExp]) -> (RExp, TyId) {
-        let (ras, tys) = self.ann_all(args);
+        let (ras, base) = self.ann_all(args);
+        let n = args.len();
+        let arg = |ann: &Self, k: usize| ann.ty_stack[base + k];
         use Prim::*;
         // Constrain operand types to the primitive's expected shapes (the
         // operand may still be an unresolved variable otherwise).
@@ -723,42 +834,31 @@ impl<'a> Ann<'a> {
             let inner = st.fresh_ty();
             st.array(inner, r)
         };
+        let all = |ann: &mut Self, shape: fn(&mut Stores, Reg) -> TyId| {
+            for k in 0..n {
+                ann.constrain(arg(ann, k), shape);
+            }
+        };
         match p {
-            RAdd | RSub | RMul | RDiv | RLt | RLe | RGt | RGe | REq => {
-                for &t in &tys {
-                    self.constrain(t, Stores::real);
-                }
-            }
+            RAdd | RSub | RMul | RDiv | RLt | RLe | RGt | RGe | REq => all(self, Stores::real),
             RNeg | RAbs | Sqrt | Sin | Cos | Atan | Exp | Floor | Trunc | RtoS | Ln => {
-                self.constrain(tys[0], Stores::real);
+                self.constrain(arg(self, 0), Stores::real);
             }
-            StrEq | StrLt | StrConcat => {
-                for &t in &tys {
-                    self.constrain(t, Stores::string);
-                }
-            }
-            StrSize | Print => self.constrain(tys[0], Stores::string),
+            StrEq | StrLt | StrConcat => all(self, Stores::string),
+            StrSize | Print => self.constrain(arg(self, 0), Stores::string),
             StrSub => {
-                self.constrain(tys[0], Stores::string);
-                self.st.unify(tys[1], Stores::INT);
+                self.constrain(arg(self, 0), Stores::string);
+                self.st.unify(arg(self, 1), Stores::INT);
             }
-            RefGet | RefSet => self.constrain(tys[0], any_ref),
-            RefEq => {
-                for &t in &tys {
-                    self.constrain(t, any_ref);
-                }
-            }
-            ArrSub | ArrUpd | ArrLen => self.constrain(tys[0], any_array),
-            ArrEq => {
-                for &t in &tys {
-                    self.constrain(t, any_array);
-                }
-            }
+            RefGet | RefSet => self.constrain(arg(self, 0), any_ref),
+            RefEq => all(self, any_ref),
+            ArrSub | ArrUpd | ArrLen => self.constrain(arg(self, 0), any_array),
+            ArrEq => all(self, any_array),
             _ => {}
         }
         // Reads touch the operands' outer regions.
-        for &t in &tys {
-            self.get_ty(t);
+        for k in 0..n {
+            self.get_ty(arg(self, k));
         }
         let (place, ty): (Option<Reg>, TyId) = match p {
             IAdd | ISub | IMul | IDiv | IMod | INeg | IAbs => (None, Stores::INT),
@@ -779,37 +879,38 @@ impl<'a> Ann<'a> {
             Print => (None, Stores::UNIT),
             RefNew => {
                 let r = self.alloc_reg();
-                (Some(r), self.st.reference(tys[0], r))
+                (Some(r), self.st.reference(arg(self, 0), r))
             }
             RefGet | RefSet => {
-                let RTy::Ref(inner, _) = self.st.node(tys[0]) else {
+                let RTy::Ref(inner, _) = self.st.node(arg(self, 0)) else {
                     panic!("deref of or assignment to non-ref")
                 };
                 if p == RefGet {
                     (None, inner)
                 } else {
-                    self.st.unify(inner, tys[1]);
+                    self.st.unify(inner, arg(self, 1));
                     (None, Stores::UNIT)
                 }
             }
             RefEq | ArrEq => (None, Stores::BOOL),
             ArrNew => {
                 let r = self.alloc_reg();
-                (Some(r), self.st.array(tys[1], r))
+                (Some(r), self.st.array(arg(self, 1), r))
             }
             ArrSub | ArrUpd => {
-                let RTy::Array(inner, _) = self.st.node(tys[0]) else {
+                let RTy::Array(inner, _) = self.st.node(arg(self, 0)) else {
                     panic!("sub or update of non-array")
                 };
                 if p == ArrSub {
                     (None, inner)
                 } else {
-                    self.st.unify(inner, tys[2]);
+                    self.st.unify(inner, arg(self, 2));
                     (None, Stores::UNIT)
                 }
             }
             ArrLen => (None, Stores::INT),
         };
+        self.ty_stack.truncate(base);
         (RExp::Prim(p, ras, place.map(RegVar)), ty)
     }
 
@@ -818,25 +919,27 @@ impl<'a> Ann<'a> {
         if let LExp::Var(v) = f {
             if let Some(Bind::Fix(s)) = binding(&self.binds, &self.env, *v) {
                 let inst = self.st.instantiate(s);
-                let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.node(inst.ty) else {
+                let rargs = self.out.push_places(self.st.reg_actuals().map(RegVar));
+                let RTy::Arrow(ps, eff, ret, shared_reg) = self.st.node(inst) else {
                     panic!("fix function with non-arrow type")
                 };
                 assert_eq!(ps.len(), args.len(), "fix call arity mismatch");
-                let mut rargs_exps = Vec::with_capacity(args.len());
+                let base = self.kid_stack.len();
                 for (i, a) in args.iter().enumerate() {
                     let (ra, ta) = self.ann(a);
                     let pt = self.st.kids(ps)[i];
                     self.st.unify(ta, pt);
-                    rargs_exps.push(ra);
+                    self.kid_stack.push(ra);
                 }
                 let e = self.eff();
                 self.st.eff_add_child(e, eff);
                 self.st.eff_add_reg(e, shared_reg);
+                let args = self.out.push_kids(self.kid_stack.drain(base..));
                 return (
                     RExp::App {
-                        callee: Box::new(RExp::Var(*v)),
-                        rargs: inst.reg_actuals.iter().map(|&r| RegVar(r)).collect(),
-                        args: rargs_exps,
+                        callee: self.out.push(RExp::Var(*v)),
+                        rargs,
+                        args,
                     },
                     ret,
                 );
@@ -847,15 +950,16 @@ impl<'a> Ann<'a> {
         let eff = self.st.fresh_eff();
         let ret = self.st.fresh_ty();
         let clos = self.st.fresh_reg();
-        let want = self.st.arrow(&tys, eff, ret, clos);
+        let want = self.st.arrow(&self.ty_stack[tys..], eff, ret, clos);
+        self.ty_stack.truncate(tys);
         self.st.unify(tf, want);
         let e = self.eff();
         self.st.eff_add_child(e, eff);
         self.st.eff_add_reg(e, clos);
         (
             RExp::App {
-                callee: Box::new(rf),
-                rargs: Vec::new(),
+                callee: rf,
+                rargs: Span::EMPTY,
                 args: ras,
             },
             ret,
@@ -882,25 +986,33 @@ impl<'a> Ann<'a> {
     /// One fixed-point round over a `fix` group: fresh arrow skeletons,
     /// the group bound monomorphically (`prev` is `None`) or at the
     /// previous round's schemes, every body annotated against its
-    /// skeleton. Returns the annotated bodies and the skeletons.
+    /// skeleton. Returns the annotated bodies — each as the first and the
+    /// last (root) of the nodes it consists of — and the skeletons.
     fn fix_round(
         &mut self,
         funs: &[FixFun],
         prev: Option<&[RScheme]>,
         shared_reg: Reg,
         weaken: Option<&[VarId]>,
-    ) -> (Vec<RExp>, Vec<TyId>) {
+    ) -> (Vec<(ExpId, ExpId)>, Vec<TyId>) {
         self.stats.fix_rounds += 1;
-        let skeletons: Vec<(Vec<TyId>, TyId, Eff)> = funs
+        // Per function: where its parameter types start on `ty_stack`, its
+        // result type and its latent effect.
+        let base = self.ty_stack.len();
+        let skeletons: Vec<(usize, TyId, Eff)> = funs
             .iter()
             .map(|f| {
                 let ptys = self.fresh_tys(f.params.len());
                 (ptys, self.st.fresh_ty(), self.st.fresh_eff())
             })
             .collect();
-        let arrows: Vec<TyId> = skeletons
+        let arrows: Vec<TyId> = funs
             .iter()
-            .map(|(ptys, ret, eff)| self.st.arrow(ptys, *eff, *ret, shared_reg))
+            .zip(&skeletons)
+            .map(|(f, &(ptys, ret, eff))| {
+                let ps = &self.ty_stack[ptys..ptys + f.params.len()];
+                self.st.arrow(ps, eff, ret, shared_reg)
+            })
             .collect();
         for (i, f) in funs.iter().enumerate() {
             let bind = match prev {
@@ -910,19 +1022,21 @@ impl<'a> Ann<'a> {
             self.bind(f.var, bind);
         }
         let mut rbodies = Vec::with_capacity(funs.len());
-        for (f, (ptys, ret, eff)) in funs.iter().zip(&skeletons) {
-            for ((v, _), t) in f.params.iter().zip(ptys) {
-                self.bind(*v, Bind::Mono(*t));
+        for (f, &(ptys, ret, eff)) in funs.iter().zip(&skeletons) {
+            for (k, (v, _)) in f.params.iter().enumerate() {
+                self.bind(*v, Bind::Mono(self.ty_stack[ptys + k]));
             }
-            self.cur_eff.push(*eff);
+            self.cur_eff.push(eff);
+            let first = ExpId(self.out.num_nodes() as u32);
             let (rb, tb) = self.ann_armed(&f.body);
             self.cur_eff.pop();
-            self.st.unify(tb, *ret);
+            self.st.unify(tb, ret);
             if let Some(captured) = weaken {
-                self.weaken_captures(captured, *eff);
+                self.weaken_captures(captured, eff);
             }
-            rbodies.push(rb);
+            rbodies.push((first, rb));
         }
+        self.ty_stack.truncate(base);
         (rbodies, arrows)
     }
 
@@ -940,14 +1054,14 @@ impl<'a> Ann<'a> {
 
         // Round 0 is region-monomorphic recursion; every later round binds
         // the group at the previous round's schemes (region-polymorphic
-        // recursion). Each round supersedes the one before: its bodies
-        // replace the old ones and the old markers are forgotten.
-        let mark = self.markers.len();
+        // recursion). Each round supersedes the one before: its nodes and
+        // its markers are truncated away before the next one starts.
+        let mark = (self.markers.len(), self.out.mark());
         let mut schemes: Vec<RScheme> = Vec::new();
         let mut bodies = Vec::new();
         let mut converged = false;
         for iter in 0..=MAX_ITERS {
-            self.drop_markers(mark);
+            self.drop_round(mark);
             let prev = (iter > 0).then_some(schemes.as_slice());
             let (rbodies, arrows) = self.fix_round(funs, prev, shared_reg, Some(captured));
             let new_schemes: Vec<RScheme> = arrows
@@ -972,7 +1086,7 @@ impl<'a> Ann<'a> {
         if !converged {
             // Fall back to the sound region-monomorphic result: redo one
             // round with Mono bindings.
-            self.drop_markers(mark);
+            self.drop_round(mark);
             let (rbodies, arrows) = self.fix_round(funs, None, shared_reg, None);
             bodies = rbodies;
             // Region/effect-monomorphic, but still type-polymorphic —
@@ -991,13 +1105,16 @@ impl<'a> Ann<'a> {
 
         // Determine runtime formals: quantified regions that actually
         // receive allocations in the body (syntactic places / rargs).
-        for ((f, rbody), s) in funs.iter().zip(&bodies).zip(&schemes) {
+        for ((f, &(first, rbody)), s) in funs.iter().zip(&bodies).zip(&schemes) {
             self.tmp.clear();
-            collect_places(rbody, &mut self.st, &mut self.tmp);
-            let formal_idx = (0..s.qregs.len())
-                .filter(|&k| self.tmp.contains(self.st.find_reg(s.qregs[k])))
-                .collect();
-            self.fixmeta.insert(f.var, formal_idx);
+            collect_places(&self.out, first, rbody, &mut self.st, &mut self.tmp);
+            let start = self.formal_idx.len() as u32;
+            for k in 0..s.qregs.len() {
+                if self.tmp.contains(self.st.find_reg(s.qregs[k])) {
+                    self.formal_idx.push(k as u32);
+                }
+            }
+            self.fixmeta[f.var.0 as usize] = (start, self.formal_idx.len() as u32);
         }
 
         // Bind the final schemes for the let-body.
@@ -1008,19 +1125,20 @@ impl<'a> Ann<'a> {
         let (rb, tb) = self.ann(body);
         let rfuns: Vec<RFixFun> = funs
             .iter()
-            .zip(bodies)
+            .zip(&bodies)
             .zip(&schemes)
-            .map(|((f, rbody), s)| RFixFun {
+            .map(|((f, &(_, rbody)), s)| RFixFun {
                 var: f.var,
-                formals: s.qregs.iter().map(|&r| RegVar(r)).collect(), // filtered in finalize
-                params: f.params.iter().map(|(v, _)| *v).collect(),
+                // Filtered down to the runtime formals in `finalize`.
+                formals: self.out.push_places(s.qregs.iter().map(|&r| RegVar(r))),
+                params: self.out.push_params(f.params.iter().map(|(v, _)| *v)),
                 body: rbody,
             })
             .collect();
         (
             RExp::Fix {
-                funs: rfuns,
-                body: Box::new(rb),
+                funs: self.out.push_funs(rfuns),
+                body: rb,
                 at: RegVar(shared_reg),
             },
             tb,
@@ -1037,15 +1155,20 @@ impl<'a> Ann<'a> {
         {
             return false;
         }
-        let mut cx = AlphaCx {
-            qa: a.qregs.iter().map(|&r| self.st.find_reg(r)).collect(),
-            qb: b.qregs.iter().map(|&r| self.st.find_reg(r)).collect(),
-            ea: a.qeffs.iter().map(|&e| self.st.find_eff(e)).collect(),
-            eb: b.qeffs.iter().map(|&e| self.st.find_eff(e)).collect(),
-            rmap: Vec::new(),
-            emap: Vec::new(),
-        };
-        self.ty_alpha_eq(a.ty, b.ty, &mut cx)
+        let mut cx = std::mem::take(&mut self.alpha);
+        cx.qa.clear();
+        cx.qa.extend(a.qregs.iter().map(|&r| self.st.find_reg(r)));
+        cx.qb.clear();
+        cx.qb.extend(b.qregs.iter().map(|&r| self.st.find_reg(r)));
+        cx.ea.clear();
+        cx.ea.extend(a.qeffs.iter().map(|&e| self.st.find_eff(e)));
+        cx.eb.clear();
+        cx.eb.extend(b.qeffs.iter().map(|&e| self.st.find_eff(e)));
+        cx.rmap.clear();
+        cx.emap.clear();
+        let same = self.ty_alpha_eq(a.ty, b.ty, &mut cx);
+        self.alpha = cx;
+        same
     }
 
     fn ty_alpha_eq(&mut self, a: TyId, b: TyId, cx: &mut AlphaCx) -> bool {
@@ -1138,29 +1261,36 @@ impl<'a> Ann<'a> {
     /// Numbers the regions that occur in the program densely, filters fix
     /// formals and call-site actuals to the runtime formals, and computes
     /// the escape sets of the markers (all of which are in `body`).
-    fn finalize(mut self, mut body: RExp) -> Annotated {
-        filter_formals(&mut body, &self.fixmeta);
+    fn finalize(mut self, body: ExpId) -> Annotated {
+        self.filter_formals();
         // Canonical region → its dense number, handed out in order of
         // first occurrence in the tree. A region that does not occur could
         // never be bound by placement, so it needs no number and no
         // mention in an escape set.
         let mut dense = vec![u32::MAX; self.st.num_regs()];
         let mut next = 0u32;
-        rewrite_places(&mut body, &mut |r| {
+        regions_in_order(&self.out, body, &mut |r| {
             let slot = &mut dense[self.st.find_reg(r.0) as usize];
             if *slot == u32::MAX {
                 *slot = next;
                 next += 1;
             }
-            RegVar(*slot)
         });
+        // Every node is reachable here (superseded rounds are gone, and no
+        // marker has been dissolved into a copy yet), so one pass over the
+        // arena renumbers each region once.
+        for id in 0..self.out.num_nodes() {
+            self.out.map_regions(ExpId(id as u32), |r| {
+                RegVar(dense[self.st.find_reg(r.0) as usize])
+            });
+        }
 
         // The occurring regions of a binding's type (minus the regions its
         // scheme quantifies), computed when the first marker asks: a span
         // of `pool`.
         let mut pool: Vec<RegVar> = Vec::new();
         let mut frv_of_bind: Vec<Option<(u32, u32)>> = vec![None; self.binds.len()];
-        let mut marker_escapes = Vec::with_capacity(self.markers.len());
+        let mut escapes = Escapes::default();
         for (i, m) in self.markers.iter().enumerate() {
             let binds_end = match self.markers.get(i + 1) {
                 Some(next) => next.binds_start as usize,
@@ -1168,29 +1298,34 @@ impl<'a> Ann<'a> {
             };
             self.tmp.clear();
             self.st.frv(m.ty, &mut self.tmp);
-            let mut set: Vec<RegVar> = occurring(self.tmp.items(), &dense).collect();
+            let start = escapes.pool.len();
+            escapes.pool.extend(occurring(self.tmp.items(), &dense));
             for &b in &self.marker_binds[m.binds_start as usize..binds_end] {
-                let (start, len) = *frv_of_bind[b as usize].get_or_insert_with(|| {
+                let (from, len) = *frv_of_bind[b as usize].get_or_insert_with(|| {
                     let (ty, _, qregs, _) = self.binds[b as usize].parts();
                     self.tmp.clear();
                     self.st.frv(ty, &mut self.tmp);
-                    let start = pool.len();
+                    let from = pool.len();
                     pool.extend(occurring(self.tmp.items(), &dense));
                     for &q in qregs {
                         let q = dense[self.st.find_reg(q) as usize];
-                        if let Some(at) = pool[start..].iter().position(|r| r.0 == q) {
-                            pool.swap_remove(start + at);
+                        if let Some(at) = pool[from..].iter().position(|r| r.0 == q) {
+                            pool.swap_remove(from + at);
                         }
                     }
-                    (start as u32, (pool.len() - start) as u32)
+                    (from as u32, (pool.len() - from) as u32)
                 });
-                set.extend_from_slice(&pool[start as usize..(start + len) as usize]);
+                escapes
+                    .pool
+                    .extend_from_slice(&pool[from as usize..(from + len) as usize]);
             }
+            let set = &mut escapes.pool[start..];
             set.sort_unstable();
-            set.dedup();
-            marker_escapes.push(set);
+            let kept = dedup_sorted(set);
+            escapes.pool.truncate(start + kept);
+            escapes.ends.push(escapes.pool.len() as u32);
         }
-        let global_escapes: BTreeSet<RegVar> = {
+        let mut global_escapes: Vec<RegVar> = {
             let canonical: Vec<Reg> = self
                 .global_frv
                 .iter()
@@ -1198,28 +1333,69 @@ impl<'a> Ann<'a> {
                 .collect();
             occurring(&canonical, &dense).collect()
         };
+        global_escapes.sort_unstable();
+        global_escapes.dedup();
         Annotated {
             prog: RProgram {
                 data: self.prog.data.clone(),
                 exns: self.prog.exns.clone(),
                 vars: self.prog.vars.clone(),
+                arena: self.out,
                 body,
                 globals: Vec::new(),
                 num_regvars: next,
             },
-            marker_escapes,
+            marker_escapes: escapes,
             global_escapes,
             stats: AnnotateStats {
                 markers_live: self.markers.len() as u64,
                 frv_calls: self.st.frv_calls,
+                eff_closure_steps: self.st.eff_closure_steps,
                 ..self.stats
             },
+        }
+    }
+
+    /// Filters `Fix` formals and the matching call-site and escape `rargs`
+    /// down to the runtime formals (quantified regions with allocations),
+    /// in place.
+    fn filter_formals(&mut self) {
+        let meta = |v: VarId| {
+            let (start, end) = self.fixmeta[v.0 as usize];
+            (start != u32::MAX).then(|| &self.formal_idx[start as usize..end as usize])
+        };
+        for id in 0..self.out.num_nodes() {
+            let id = ExpId(id as u32);
+            let mut e = self.out.node(id);
+            let (var, rargs) = match &mut e {
+                RExp::Fix { funs, .. } => {
+                    for k in 0..funs.len() {
+                        let f = self.out.funs(*funs)[k];
+                        if let Some(idx) = meta(f.var) {
+                            let formals = self.out.keep_places(f.formals, idx);
+                            self.out.funs_mut(*funs)[k].formals = formals;
+                        }
+                    }
+                    continue;
+                }
+                RExp::App { callee, rargs, .. } => match self.out.node(*callee) {
+                    RExp::Var(v) => (v, rargs),
+                    _ => continue,
+                },
+                RExp::FixVar { var, rargs, .. } => (*var, rargs),
+                _ => continue,
+            };
+            if let Some(idx) = meta(var) {
+                *rargs = self.out.keep_places(*rargs, idx);
+                self.out.set(id, e);
+            }
         }
     }
 }
 
 /// Quantified variables of the two schemes under comparison (canonical),
 /// and the correspondence built so far.
+#[derive(Default)]
 struct AlphaCx {
     qa: Vec<Reg>,
     qb: Vec<Reg>,
@@ -1254,50 +1430,44 @@ fn occurring<'s>(regs: &'s [Reg], dense: &'s [u32]) -> impl Iterator<Item = RegV
         .filter(|r| r.0 != u32::MAX)
 }
 
-/// Collects all canonical places syntactically occurring in `e`.
-fn collect_places(e: &RExp, st: &mut Stores, out: &mut IdSet) {
-    for p in e.own_places() {
-        out.insert(st.find_reg(p.0));
+/// Moves the distinct elements of the sorted `v` to its front; returns
+/// how many there are.
+fn dedup_sorted(v: &mut [RegVar]) -> usize {
+    let mut w = 0;
+    for i in 0..v.len() {
+        if w == 0 || v[w - 1] != v[i] {
+            v[w] = v[i];
+            w += 1;
+        }
     }
-    // Formals of nested fixes are binders, not occurrences; but their
-    // bodies' places still count (they are allocated through the formal at
-    // runtime, bound at call sites — for the *enclosing* function the rargs
-    // at call sites already count).
-    e.for_each_child(|c| collect_places(c, st, out));
+    w
 }
 
-/// Filters `Fix` formals and matching call-site/escape `rargs` down to the
-/// runtime formals (quantified regions with allocations).
-fn filter_formals(e: &mut RExp, meta: &HashMap<VarId, Vec<usize>>) {
-    e.for_each_child_mut(|c| filter_formals(c, meta));
-    match e {
-        RExp::Fix { funs, .. } => {
-            for f in funs {
-                if let Some(idx) = meta.get(&f.var) {
-                    f.formals = idx.iter().map(|&i| f.formals[i]).collect();
-                }
-            }
-        }
-        RExp::App { callee, rargs, .. } => {
-            if let RExp::Var(v) = callee.as_ref() {
-                if let Some(idx) = meta.get(v) {
-                    *rargs = idx.iter().map(|&i| rargs[i]).collect();
-                }
-            }
-        }
-        RExp::FixVar { var, rargs, .. } => {
-            if let Some(idx) = meta.get(var) {
-                *rargs = idx.iter().map(|&i| rargs[i]).collect();
-            }
-        }
-        _ => {}
+/// Collects all canonical places syntactically occurring in the expression
+/// made of the nodes `first..=root`: annotating it pushed exactly those,
+/// nested functions' bodies included. Formals of nested fixes are binders,
+/// not occurrences; but their bodies' places still count (they are
+/// allocated through the formal at runtime, bound at call sites — for the
+/// *enclosing* function the rargs at call sites already count).
+fn collect_places(out: &Arena, first: ExpId, root: ExpId, st: &mut Stores, set: &mut IdSet) {
+    for id in first.0..=root.0 {
+        out.for_each_place(&out.node(ExpId(id)), |p| {
+            set.insert(st.find_reg(p.0));
+        });
     }
 }
 
-/// Rewrites every place through `f` (canonicalization).
-fn rewrite_places(e: &mut RExp, f: &mut impl FnMut(RegVar) -> RegVar) {
-    e.map_own_regions(&mut *f);
-    e.for_each_child_mut(|c| rewrite_places(c, f));
+/// Applies `f` to every region under `id` in pre-order, a `fix`'s formals
+/// after its place, as [`Arena::map_regions`] would meet them.
+fn regions_in_order(out: &Arena, id: ExpId, f: &mut impl FnMut(RegVar)) {
+    let e = out.node(id);
+    out.for_each_place(&e, &mut *f);
+    if let RExp::Fix { funs, .. } = e {
+        for fun in out.funs(funs) {
+            out.places(fun.formals).iter().for_each(|&r| f(r));
+        }
+    }
+    out.for_each_child(&e, |c| regions_in_order(out, c, f));
 }
 
 /// Syntactic values may be generalized (type variables only).

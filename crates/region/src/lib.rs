@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 pub mod annotate;
+mod check;
 mod freevars;
 pub mod letregion;
 pub mod multiplicity;
@@ -40,7 +41,8 @@ pub mod pretty;
 pub mod rexp;
 pub mod rtype;
 
-pub use rexp::{Mult, Place, RExp, RFixFun, RProgram, RegVar};
+pub use check::{check, CheckError};
+pub use rexp::{Arena, Arm, ExpId, Mult, Place, RExp, RFixFun, RProgram, RegVar, Span, StrId};
 
 /// Options controlling region inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +109,11 @@ pub fn infer(prog: &kit_lambda::LProgram, opts: RegionOptions) -> RProgram {
         multiplicity::collapse_infinite(&mut rprog);
     } else {
         multiplicity::infer_multiplicities(&mut rprog);
+    }
+    if cfg!(debug_assertions) {
+        if let Err(e) = check(&rprog) {
+            panic!("region inference emitted an ill-formed program: {e}");
+        }
     }
     rprog
 }

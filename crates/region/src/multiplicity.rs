@@ -3,9 +3,8 @@
 //! "disable region inference" collapse used for the `gt` mode. One scan
 //! gathers each region's usage, one rewrite applies the decisions.
 
-use crate::rexp::{Mult, RExp, RProgram, RegVar};
+use crate::rexp::{Arena, ExpId, Mult, RExp, RProgram, RegVar};
 use kit_lambda::exp::Prim;
-use std::collections::HashMap;
 
 #[derive(Debug, Default, Clone)]
 struct Usage {
@@ -78,12 +77,12 @@ pub fn collapse_all(prog: &mut RProgram) {
 }
 
 fn represent(prog: &mut RProgram, collapse: Collapse) {
-    let mut usage: HashMap<RegVar, Usage> = HashMap::new();
-    scan(&prog.body, 0, &mut usage);
+    let mut usage = vec![Usage::default(); prog.num_regvars as usize];
+    scan(prog, prog.body, 0, &mut usage);
     // Which regions stay, and as what: collapsing keeps only the finite
     // ones, and the baseline keeps none.
     let decide = |r: RegVar| -> Option<Mult> {
-        let m = usage.get(&r).and_then(Usage::mult);
+        let m = usage[r.0 as usize].mult();
         match collapse {
             Collapse::Nothing => m,
             Collapse::Infinite => m.filter(|&m| m == Mult::Finite),
@@ -94,7 +93,8 @@ fn represent(prog: &mut RProgram, collapse: Collapse) {
         prog.num_regvars += 1;
         RegVar(prog.num_regvars - 1)
     });
-    rewrite(&mut prog.body, &decide, onto);
+    let body = prog.body;
+    rewrite(prog, body, &decide, onto, &mut Vec::new());
     let globals = std::mem::take(&mut prog.globals);
     prog.globals = globals
         .into_iter()
@@ -105,76 +105,85 @@ fn represent(prog: &mut RProgram, collapse: Collapse) {
     }
 }
 
-fn scan(e: &RExp, depth: u32, usage: &mut HashMap<RegVar, Usage>) {
+fn scan(prog: &Arena, id: ExpId, depth: u32, usage: &mut [Usage]) {
     crate::count_work(|| 1);
-    let site = |r: RegVar, large: bool, usage: &mut HashMap<RegVar, Usage>| {
-        let u = usage.entry(r).or_default();
+    let site = |r: RegVar, large: bool, usage: &mut [Usage]| {
+        let u = &mut usage[r.0 as usize];
         u.sites += 1;
         u.site_depth = u.site_depth.max(depth);
         u.large |= large;
     };
+    let e = prog.node(id);
     match e {
-        RExp::Real(_, p) | RExp::Record(_, p) | RExp::Fn { at: p, .. } => site(*p, false, usage),
-        RExp::Fix { at, .. } => site(*at, false, usage),
+        RExp::Real(_, p) | RExp::Record(_, p) | RExp::Fn { at: p, .. } => site(p, false, usage),
+        RExp::Fix { at, .. } => site(at, false, usage),
         RExp::Prim(p, _, Some(place)) => {
             let large = matches!(
                 p,
                 Prim::StrConcat | Prim::ItoS | Prim::RtoS | Prim::Chr | Prim::ArrNew
             );
-            site(*place, large, usage);
+            site(place, large, usage);
         }
-        RExp::Con { at: Some(p), .. } | RExp::ExCon { at: Some(p), .. } => site(*p, false, usage),
+        RExp::Con { at: Some(p), .. } | RExp::ExCon { at: Some(p), .. } => site(p, false, usage),
         RExp::FixVar { rargs, at, .. } => {
-            site(*at, false, usage);
-            for r in rargs {
-                usage.entry(*r).or_default().as_rarg = true;
+            site(at, false, usage);
+            for r in prog.places(rargs) {
+                usage[r.0 as usize].as_rarg = true;
             }
         }
         RExp::App { rargs, .. } => {
-            for r in rargs {
-                usage.entry(*r).or_default().as_rarg = true;
+            for r in prog.places(rargs) {
+                usage[r.0 as usize].as_rarg = true;
             }
         }
         RExp::Letregion { regs, .. } => {
-            for (r, _) in regs {
-                usage.entry(*r).or_default().binder_depth = depth;
+            for (r, _) in prog.regs(regs) {
+                usage[r.0 as usize].binder_depth = depth;
             }
         }
         _ => {}
     }
     // Descend; lambda boundaries bump the depth.
     match e {
-        RExp::Fn { body, .. } => scan(body, depth + 1, usage),
+        RExp::Fn { body, .. } => scan(prog, body, depth + 1, usage),
         RExp::Fix { funs, body, .. } => {
-            for f in funs {
-                scan(&f.body, depth + 1, usage);
+            for f in prog.funs(funs) {
+                scan(prog, f.body, depth + 1, usage);
             }
-            scan(body, depth, usage);
+            scan(prog, body, depth, usage);
         }
-        _ => e.for_each_child(|c| scan(c, depth, usage)),
+        _ => prog.for_each_child(&e, |c| scan(prog, c, depth, usage)),
     }
 }
 
-/// Applies the decisions: a `letregion` keeps the regions `decide` keeps
-/// and dissolves when it keeps none; when collapsing, every region a node
-/// names that is not kept — formals and region arguments included —
-/// becomes `onto`.
-fn rewrite(e: &mut RExp, decide: &impl Fn(RegVar) -> Option<Mult>, onto: Option<RegVar>) {
+/// Applies the decisions in place: a `letregion` keeps the regions
+/// `decide` keeps and dissolves when it keeps none; when collapsing, every
+/// region a node names that is not kept — formals and region arguments
+/// included — becomes `onto`. `kids` is scratch.
+fn rewrite(
+    prog: &mut Arena,
+    id: ExpId,
+    decide: &impl Fn(RegVar) -> Option<Mult>,
+    onto: Option<RegVar>,
+    kids: &mut Vec<ExpId>,
+) {
     crate::count_work(|| 1);
     if let Some(g) = onto {
-        e.map_own_regions(|r| if decide(r).is_some() { r } else { g });
+        prog.map_regions(id, |r| if decide(r).is_some() { r } else { g });
     }
-    e.for_each_child_mut(|c| rewrite(c, decide, onto));
+    let e = prog.node(id);
+    let base = kids.len();
+    prog.push_children(&e, kids);
+    for k in base..kids.len() {
+        rewrite(prog, kids[k], decide, onto, kids);
+    }
+    kids.truncate(base);
     if let RExp::Letregion { regs, body } = e {
-        let kept: Vec<(RegVar, Mult)> = regs
-            .iter()
-            .filter_map(|&(r, _)| decide(r).map(|m| (r, m)))
-            .collect();
-        if kept.is_empty() {
-            let inner = std::mem::replace(body.as_mut(), RExp::Unit);
-            *e = inner;
+        let regs = prog.retain_regs(regs, decide);
+        if regs.is_empty() {
+            prog.set(id, prog.node(body));
         } else {
-            *regs = kept;
+            prog.set(id, RExp::Letregion { regs, body });
         }
     }
 }
@@ -182,146 +191,134 @@ fn rewrite(e: &mut RExp, decide: &impl Fn(RegVar) -> Option<Mult>, onto: Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rexp::{RExp, RProgram};
+    use crate::rexp::Span;
 
-    fn prog(body: RExp, globals: Vec<(RegVar, Mult)>) -> RProgram {
+    fn prog(globals: Vec<(RegVar, Mult)>) -> RProgram {
         RProgram {
             data: kit_lambda::ty::DataEnv::new(),
             exns: kit_lambda::ty::ExnEnv::new(),
             vars: kit_lambda::exp::VarTable::new(),
-            body,
+            arena: Arena::default(),
+            body: ExpId(0),
             globals,
             num_regvars: 10,
         }
     }
 
+    /// `(n) at r`.
+    fn record(p: &mut RProgram, n: i64, r: u32) -> ExpId {
+        let n = p.push(RExp::Int(n));
+        let kids = p.push_kids([n]);
+        p.push(RExp::Record(kids, RegVar(r)))
+    }
+
+    fn letregion(p: &mut RProgram, r: u32, body: ExpId) -> ExpId {
+        let regs = p.push_regs([(RegVar(r), Mult::Infinite)]);
+        p.push(RExp::Letregion { regs, body })
+    }
+
+    /// The multiplicities bound by the `letregion` at `id`.
+    fn bound_mults(p: &RProgram, id: ExpId) -> Vec<Mult> {
+        let RExp::Letregion { regs, .. } = p.node(id) else {
+            panic!("expected letregion, got {:?}", p.node(id))
+        };
+        p.regs(regs).iter().map(|&(_, m)| m).collect()
+    }
+
     #[test]
     fn single_site_region_is_finite() {
-        let body = RExp::Letregion {
-            regs: vec![(RegVar(0), Mult::Infinite)],
-            body: Box::new(RExp::Record(vec![RExp::Int(1)], RegVar(0))),
-        };
-        let mut p = prog(body, vec![]);
+        let mut p = prog(vec![]);
+        let rec = record(&mut p, 1, 0);
+        p.body = letregion(&mut p, 0, rec);
         infer_multiplicities(&mut p);
-        let RExp::Letregion { regs, .. } = &p.body else {
-            panic!()
-        };
-        assert_eq!(regs[0].1, Mult::Finite);
+        assert_eq!(bound_mults(&p, p.body), [Mult::Finite]);
     }
 
     #[test]
     fn site_under_lambda_is_infinite() {
-        let body = RExp::Letregion {
-            regs: vec![(RegVar(0), Mult::Infinite)],
-            body: Box::new(RExp::Fn {
-                params: vec![],
-                body: Box::new(RExp::Record(vec![RExp::Int(1)], RegVar(0))),
-                at: RegVar(1),
-            }),
-        };
-        let mut p = prog(body, vec![(RegVar(1), Mult::Infinite)]);
+        let mut p = prog(vec![(RegVar(1), Mult::Infinite)]);
+        let rec = record(&mut p, 1, 0);
+        let f = p.push(RExp::Fn {
+            params: Span::EMPTY,
+            body: rec,
+            at: RegVar(1),
+        });
+        p.body = letregion(&mut p, 0, f);
         infer_multiplicities(&mut p);
-        let RExp::Letregion { regs, .. } = &p.body else {
-            panic!()
-        };
-        assert_eq!(regs[0].1, Mult::Infinite);
+        assert_eq!(bound_mults(&p, p.body), [Mult::Infinite]);
 
         // Judged from the binding: a `letregion` inside the `fn` whose one
         // site is in that same body runs once per region lifetime.
-        let body = RExp::Fn {
-            params: vec![],
-            body: Box::new(RExp::Letregion {
-                regs: vec![(RegVar(0), Mult::Infinite)],
-                body: Box::new(RExp::Record(vec![RExp::Int(1)], RegVar(0))),
-            }),
+        let mut p = prog(vec![(RegVar(1), Mult::Infinite)]);
+        let rec = record(&mut p, 1, 0);
+        let lr = letregion(&mut p, 0, rec);
+        p.body = p.push(RExp::Fn {
+            params: Span::EMPTY,
+            body: lr,
             at: RegVar(1),
-        };
-        let mut p = prog(body, vec![(RegVar(1), Mult::Infinite)]);
+        });
         infer_multiplicities(&mut p);
-        let RExp::Fn { body, .. } = &p.body else {
-            panic!("{:?}", p.body)
+        let RExp::Fn { body, .. } = p.node(p.body) else {
+            panic!("{:?}", p.node(p.body))
         };
-        let RExp::Letregion { regs, .. } = body.as_ref() else {
-            panic!("{body:?}")
-        };
-        assert_eq!(regs[0].1, Mult::Finite);
+        assert_eq!(bound_mults(&p, body), [Mult::Finite]);
+    }
+
+    /// `letregion r0 in ((1) at r0, (2) at r0) at r1`.
+    fn two_sites(p: &mut RProgram) {
+        let (a, b) = (record(p, 1, 0), record(p, 2, 0));
+        let kids = p.push_kids([a, b]);
+        let outer = p.push(RExp::Record(kids, RegVar(1)));
+        p.body = letregion(p, 0, outer);
     }
 
     #[test]
     fn multi_site_region_is_infinite() {
-        let body = RExp::Letregion {
-            regs: vec![(RegVar(0), Mult::Infinite)],
-            body: Box::new(RExp::Record(
-                vec![
-                    RExp::Record(vec![RExp::Int(1)], RegVar(0)),
-                    RExp::Record(vec![RExp::Int(2)], RegVar(0)),
-                ],
-                RegVar(1),
-            )),
-        };
-        let mut p = prog(body, vec![(RegVar(1), Mult::Infinite)]);
+        let mut p = prog(vec![(RegVar(1), Mult::Infinite)]);
+        two_sites(&mut p);
         infer_multiplicities(&mut p);
-        let RExp::Letregion { regs, .. } = &p.body else {
-            panic!()
-        };
-        assert_eq!(regs[0].1, Mult::Infinite);
+        assert_eq!(bound_mults(&p, p.body), [Mult::Infinite]);
     }
 
     #[test]
     fn dead_region_binding_dropped() {
-        let body = RExp::Letregion {
-            regs: vec![(RegVar(0), Mult::Infinite)],
-            body: Box::new(RExp::Int(1)),
-        };
-        let mut p = prog(body, vec![]);
+        let mut p = prog(vec![]);
+        let one = p.push(RExp::Int(1));
+        p.body = letregion(&mut p, 0, one);
         infer_multiplicities(&mut p);
-        assert_eq!(p.body, RExp::Int(1));
+        assert_eq!(p.node(p.body), RExp::Int(1));
     }
 
     #[test]
     fn string_allocation_forces_infinite() {
-        let body = RExp::Letregion {
-            regs: vec![(RegVar(0), Mult::Infinite)],
-            body: Box::new(RExp::Prim(Prim::ItoS, vec![RExp::Int(5)], Some(RegVar(0)))),
-        };
-        let mut p = prog(body, vec![]);
+        let mut p = prog(vec![]);
+        let five = p.push(RExp::Int(5));
+        let kids = p.push_kids([five]);
+        let s = p.push(RExp::Prim(Prim::ItoS, kids, Some(RegVar(0))));
+        p.body = letregion(&mut p, 0, s);
         infer_multiplicities(&mut p);
-        let RExp::Letregion { regs, .. } = &p.body else {
-            panic!()
-        };
-        assert_eq!(regs[0].1, Mult::Infinite);
+        assert_eq!(bound_mults(&p, p.body), [Mult::Infinite]);
     }
 
     #[test]
     fn collapse_rewrites_infinite_to_global() {
-        let body = RExp::Letregion {
-            regs: vec![(RegVar(0), Mult::Infinite)],
-            body: Box::new(RExp::Record(
-                vec![
-                    RExp::Record(vec![RExp::Int(1)], RegVar(0)),
-                    RExp::Record(vec![RExp::Int(2)], RegVar(0)),
-                ],
-                RegVar(1),
-            )),
-        };
-        let mut p = prog(body, vec![(RegVar(1), Mult::Infinite)]);
+        let mut p = prog(vec![(RegVar(1), Mult::Infinite)]);
+        two_sites(&mut p);
         collapse_infinite(&mut p);
         let g = p.globals[0].0;
         // No letregion remains. The outer record region (one site) stays a
         // finite stack region — the paper keeps finite regions in `gt` mode
         // — while the two-site inner region collapses onto the global.
-        let RExp::Record(es, p1) = &p.body else {
-            panic!("{:?}", p.body)
+        let RExp::Record(es, p1) = p.node(p.body) else {
+            panic!("{:?}", p.node(p.body))
         };
-        assert_eq!(*p1, RegVar(1));
+        assert_eq!(p1, RegVar(1));
         assert!(p.globals.contains(&(RegVar(1), Mult::Finite)));
-        let RExp::Record(_, p2) = &es[0] else {
-            panic!()
-        };
-        assert_eq!(*p2, g);
-        let RExp::Record(_, p3) = &es[1] else {
-            panic!()
-        };
-        assert_eq!(*p3, g);
+        for &inner in p.kids(es) {
+            let RExp::Record(_, at) = p.node(inner) else {
+                panic!()
+            };
+            assert_eq!(at, g);
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! Pretty printer for RegionExp (`--dump-regions` style output and golden
 //! tests).
 
-use crate::rexp::{Mult, RExp, RProgram, RegVar};
-use kit_lambda::exp::VarTable;
+use crate::rexp::{Arm, ExpId, Mult, RExp, RProgram, RegVar, Span, StrId};
 use std::fmt::Write as _;
 
 /// Renders a RegionExp program, including its global regions.
@@ -11,11 +10,11 @@ pub fn program_to_string(p: &RProgram) -> String {
     let globals: Vec<String> = p.globals.iter().map(|(r, m)| reg_str(*r, *m)).collect();
     let _ = writeln!(out, "globals [{}]", globals.join(", "));
     let mut pr = Printer {
-        vars: &p.vars,
+        p,
         out: &mut out,
         indent: 0,
     };
-    pr.exp(&p.body);
+    pr.exp(p.body);
     out
 }
 
@@ -26,11 +25,11 @@ fn reg_str(r: RegVar, m: Mult) -> String {
     }
 }
 
-/// Renders one expression.
-pub fn exp_to_string(e: &RExp, vars: &VarTable) -> String {
+/// Renders one expression of `p`.
+pub fn exp_to_string(p: &RProgram, e: ExpId) -> String {
     let mut out = String::new();
     let mut pr = Printer {
-        vars,
+        p,
         out: &mut out,
         indent: 0,
     };
@@ -38,8 +37,14 @@ pub fn exp_to_string(e: &RExp, vars: &VarTable) -> String {
     out
 }
 
+/// `r1,r2,..` for a region list.
+fn regions(p: &RProgram, rs: Span<RegVar>) -> String {
+    let rs: Vec<String> = p.places(rs).iter().map(|r| format!("r{}", r.0)).collect();
+    rs.join(",")
+}
+
 struct Printer<'a> {
-    vars: &'a VarTable,
+    p: &'a RProgram,
     out: &'a mut String,
     indent: usize,
 }
@@ -49,21 +54,38 @@ impl Printer<'_> {
         let _ = write!(self.out, "\n{}", "  ".repeat(self.indent));
     }
 
-    fn exp(&mut self, e: &RExp) {
-        match e {
-            RExp::Var(v) => {
-                let _ = write!(self.out, "{}_{}", self.vars.name(*v), v.0);
-            }
+    fn name(&mut self, v: kit_lambda::exp::VarId) {
+        let _ = write!(self.out, "{}_{}", self.p.vars.name(v), v.0);
+    }
+
+    fn arms(&mut self, arms: Span<Arm>, key: impl Fn(&RProgram, i64) -> String) {
+        let p = self.p;
+        for &Arm { key: k, body } in p.arms(arms) {
+            self.nl();
+            let _ = write!(self.out, "| {} => ", key(p, k));
+            self.exp(body);
+        }
+    }
+
+    fn default(&mut self, d: ExpId) {
+        self.nl();
+        self.out.push_str("| _ => ");
+        self.exp(d);
+    }
+
+    fn at(&mut self, r: Option<RegVar>) {
+        if let Some(r) = r {
+            let _ = write!(self.out, " at r{}", r.0);
+        }
+    }
+
+    fn exp(&mut self, id: ExpId) {
+        let p = self.p;
+        match p.node(id) {
+            RExp::Var(v) => self.name(v),
             RExp::FixVar { var, rargs, at } => {
-                let rs: Vec<String> = rargs.iter().map(|r| format!("r{}", r.0)).collect();
-                let _ = write!(
-                    self.out,
-                    "{}_{}[{}] at r{}",
-                    self.vars.name(*var),
-                    var.0,
-                    rs.join(","),
-                    at.0
-                );
+                self.name(var);
+                let _ = write!(self.out, "[{}] at r{}", regions(p, rargs), at.0);
             }
             RExp::Int(n) => {
                 let _ = write!(self.out, "{n}");
@@ -73,23 +95,21 @@ impl Printer<'_> {
             }
             RExp::Unit => self.out.push_str("()"),
             RExp::Str(s) => {
-                let _ = write!(self.out, "{s:?}");
+                let _ = write!(self.out, "{:?}", p.str(s));
             }
-            RExp::Real(x, p) => {
-                let _ = write!(self.out, "{x} at r{}", p.0);
+            RExp::Real(x, r) => {
+                let _ = write!(self.out, "{x} at r{}", r.0);
             }
-            RExp::Prim(p, args, at) => {
-                let _ = write!(self.out, "{p:?}(");
-                self.list(args);
+            RExp::Prim(prim, args, at) => {
+                let _ = write!(self.out, "{prim:?}(");
+                self.list(p.kids(args));
                 self.out.push(')');
-                if let Some(r) = at {
-                    let _ = write!(self.out, " at r{}", r.0);
-                }
+                self.at(at);
             }
-            RExp::Record(es, p) => {
+            RExp::Record(es, r) => {
                 self.out.push('(');
-                self.list(es);
-                let _ = write!(self.out, ") at r{}", p.0);
+                self.list(p.kids(es));
+                let _ = write!(self.out, ") at r{}", r.0);
             }
             RExp::Select(i, e) => {
                 let _ = write!(self.out, "#{i} ");
@@ -107,9 +127,7 @@ impl Printer<'_> {
                     self.exp(a);
                     self.out.push(')');
                 }
-                if let Some(r) = at {
-                    let _ = write!(self.out, " at r{}", r.0);
-                }
+                self.at(at);
             }
             RExp::DeCon { scrut, .. } => {
                 self.out.push_str("decon ");
@@ -124,15 +142,9 @@ impl Printer<'_> {
                 self.out.push_str("case ");
                 self.exp(scrut);
                 self.indent += 1;
-                for (c, a) in arms {
-                    self.nl();
-                    let _ = write!(self.out, "| #{} => ", c.0);
-                    self.exp(a);
-                }
+                self.arms(arms, |_, k| format!("#{k}"));
                 if let Some(d) = default {
-                    self.nl();
-                    self.out.push_str("| _ => ");
-                    self.exp(d);
+                    self.default(d);
                 }
                 self.indent -= 1;
             }
@@ -144,14 +156,8 @@ impl Printer<'_> {
                 self.out.push_str("caseint ");
                 self.exp(scrut);
                 self.indent += 1;
-                for (k, a) in arms {
-                    self.nl();
-                    let _ = write!(self.out, "| {k} => ");
-                    self.exp(a);
-                }
-                self.nl();
-                self.out.push_str("| _ => ");
-                self.exp(default);
+                self.arms(arms, |_, k| k.to_string());
+                self.default(default);
                 self.indent -= 1;
             }
             RExp::SwitchStr {
@@ -162,14 +168,8 @@ impl Printer<'_> {
                 self.out.push_str("casestr ");
                 self.exp(scrut);
                 self.indent += 1;
-                for (k, a) in arms {
-                    self.nl();
-                    let _ = write!(self.out, "| {k:?} => ");
-                    self.exp(a);
-                }
-                self.nl();
-                self.out.push_str("| _ => ");
-                self.exp(default);
+                self.arms(arms, |p, k| format!("{:?}", p.str(StrId(k as u32))));
+                self.default(default);
                 self.indent -= 1;
             }
             RExp::SwitchExn {
@@ -180,14 +180,8 @@ impl Printer<'_> {
                 self.out.push_str("caseexn ");
                 self.exp(scrut);
                 self.indent += 1;
-                for (k, a) in arms {
-                    self.nl();
-                    let _ = write!(self.out, "| exn#{} => ", k.0);
-                    self.exp(a);
-                }
-                self.nl();
-                self.out.push_str("| _ => ");
-                self.exp(default);
+                self.arms(arms, |_, k| format!("exn#{k}"));
+                self.default(default);
                 self.indent -= 1;
             }
             RExp::If(c, t, f) => {
@@ -200,12 +194,7 @@ impl Printer<'_> {
             }
             RExp::Fn { params, body, at } => {
                 self.out.push_str("(fn (");
-                for (i, v) in params.iter().enumerate() {
-                    if i > 0 {
-                        self.out.push_str(", ");
-                    }
-                    let _ = write!(self.out, "{}_{}", self.vars.name(*v), v.0);
-                }
+                self.params(params);
                 self.out.push_str(") => ");
                 self.exp(body);
                 let _ = write!(self.out, ") at r{}", at.0);
@@ -219,37 +208,31 @@ impl Printer<'_> {
                 self.exp(callee);
                 self.out.push(']');
                 if !rargs.is_empty() {
-                    let rs: Vec<String> = rargs.iter().map(|r| format!("r{}", r.0)).collect();
-                    let _ = write!(self.out, "[{}]", rs.join(","));
+                    let _ = write!(self.out, "[{}]", regions(p, rargs));
                 }
                 self.out.push('(');
-                self.list(args);
+                self.list(p.kids(args));
                 self.out.push(')');
             }
             RExp::Let { var, rhs, body } => {
-                let _ = write!(self.out, "let {}_{} = ", self.vars.name(*var), var.0);
+                self.out.push_str("let ");
+                self.name(var);
+                self.out.push_str(" = ");
                 self.exp(rhs);
                 self.nl();
                 self.out.push_str("in ");
                 self.exp(body);
             }
             RExp::Fix { funs, body, at } => {
-                for (i, f) in funs.iter().enumerate() {
+                for (i, f) in p.funs(funs).iter().enumerate() {
                     self.out.push_str(if i == 0 { "fix " } else { "and " });
-                    let _ = write!(self.out, "{}_{}", self.vars.name(f.var), f.var.0);
-                    let rs: Vec<String> = f.formals.iter().map(|r| format!("r{}", r.0)).collect();
-                    let _ = write!(self.out, "[{}]", rs.join(","));
-                    self.out.push('(');
-                    for (j, v) in f.params.iter().enumerate() {
-                        if j > 0 {
-                            self.out.push_str(", ");
-                        }
-                        let _ = write!(self.out, "{}_{}", self.vars.name(*v), v.0);
-                    }
+                    self.name(f.var);
+                    let _ = write!(self.out, "[{}](", regions(p, f.formals));
+                    self.params(f.params);
                     let _ = write!(self.out, ") at r{} = ", at.0);
                     self.indent += 1;
                     self.nl();
-                    self.exp(&f.body);
+                    self.exp(f.body);
                     self.indent -= 1;
                     self.nl();
                 }
@@ -257,7 +240,7 @@ impl Printer<'_> {
                 self.exp(body);
             }
             RExp::Letregion { regs, body } => {
-                let rs: Vec<String> = regs.iter().map(|(r, m)| reg_str(*r, *m)).collect();
+                let rs: Vec<String> = p.regs(regs).iter().map(|(r, m)| reg_str(*r, *m)).collect();
                 let _ = write!(self.out, "letregion {} in", rs.join(", "));
                 self.indent += 1;
                 self.nl();
@@ -277,9 +260,7 @@ impl Printer<'_> {
                     self.exp(a);
                     self.out.push(')');
                 }
-                if let Some(r) = at {
-                    let _ = write!(self.out, " at r{}", r.0);
-                }
+                self.at(at);
             }
             RExp::DeExn { scrut, .. } => {
                 self.out.push_str("deexn ");
@@ -292,14 +273,26 @@ impl Printer<'_> {
             RExp::Handle { body, var, handler } => {
                 self.out.push('(');
                 self.exp(body);
-                let _ = write!(self.out, ") handle {}_{} => ", self.vars.name(*var), var.0);
+                self.out.push_str(") handle ");
+                self.name(var);
+                self.out.push_str(" => ");
                 self.exp(handler);
             }
         }
     }
 
-    fn list(&mut self, es: &[RExp]) {
-        for (i, e) in es.iter().enumerate() {
+    fn params(&mut self, params: Span<kit_lambda::exp::VarId>) {
+        let p = self.p;
+        for (i, &v) in p.params(params).iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.name(v);
+        }
+    }
+
+    fn list(&mut self, es: &[ExpId]) {
+        for (i, &e) in es.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }

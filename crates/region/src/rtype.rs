@@ -181,8 +181,15 @@ pub struct Stores {
     kids: Vec<TyId>,
     /// Effect nodes already visited by the closure walk in progress.
     seen_eff: IdSet,
+    /// The last instantiation's substitution.
+    sub: Subst,
+    /// Scratch: the copied component types of the nodes being copied.
+    copied: Vec<TyId>,
     /// Number of [`Stores::frv`] walks so far (a work counter).
     pub frv_calls: u64,
+    /// Effect nodes and their regions visited by effect-closure walks so
+    /// far (a work counter).
+    pub eff_closure_steps: u64,
 }
 
 impl Default for Stores {
@@ -207,7 +214,10 @@ impl Stores {
             tys: vec![RTy::Int, RTy::Bool, RTy::Unit],
             kids: Vec::new(),
             seen_eff: IdSet::default(),
+            sub: Subst::default(),
+            copied: Vec::new(),
             frv_calls: 0,
+            eff_closure_steps: 0,
         }
     }
 
@@ -314,9 +324,11 @@ impl Stores {
     /// to `out`, skipping effect nodes already in `seen`.
     fn eff_closure(&mut self, e: Eff, out: &mut IdSet, seen: &mut IdSet) {
         let e = self.find_eff(e);
+        self.eff_closure_steps += 1;
         if !seen.insert(e) {
             return;
         }
+        self.eff_closure_steps += self.effs[e as usize].regs.len() as u64;
         for i in 0..self.effs[e as usize].regs.len() {
             let r = self.effs[e as usize].regs[i];
             out.insert(self.find_reg(r));
@@ -578,19 +590,9 @@ pub struct RScheme {
     pub ty: TyId,
 }
 
-/// Result of instantiating a scheme: the type plus the region substitution
-/// (formal → actual), used to pass actual regions at known calls.
-#[derive(Debug, Clone)]
-pub struct Instance {
-    /// The instantiated type.
-    pub ty: TyId,
-    /// Region substitution, in `qregs` order.
-    pub reg_actuals: Vec<Reg>,
-}
-
 /// The substitution of one instantiation. Schemes quantify a handful of
 /// variables, so association lists beat hashing.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Subst {
     tys: Vec<(u32, TyId)>,
     regs: Vec<(Reg, Reg)>,
@@ -602,19 +604,23 @@ fn lookup<V: Copy>(map: &[(u32, V)], key: u32) -> Option<V> {
 }
 
 impl Stores {
-    /// Instantiates `s` with fresh region/effect/type variables.
-    pub fn instantiate(&mut self, s: &RScheme) -> Instance {
+    /// Instantiates `s` with fresh region/effect/type variables; the
+    /// regions substituted for its quantified ones are then
+    /// [`Stores::reg_actuals`].
+    pub fn instantiate(&mut self, s: &RScheme) -> TyId {
+        let mut sub = std::mem::take(&mut self.sub);
+        sub.tys.clear();
+        sub.regs.clear();
+        sub.effs.clear();
         if s.qtys.is_empty() && s.qregs.is_empty() && s.qeffs.is_empty() {
-            return Instance {
-                ty: s.ty,
-                reg_actuals: Vec::new(),
-            };
+            self.sub = sub;
+            return s.ty;
         }
-        let sub = Subst {
-            tys: s.qtys.iter().map(|&q| (q, self.fresh_ty())).collect(),
-            regs: s.qregs.iter().map(|&q| (q, self.fresh_reg())).collect(),
-            effs: s.qeffs.iter().map(|&q| (q, self.fresh_eff())).collect(),
-        };
+        sub.tys.extend(s.qtys.iter().map(|&q| (q, self.fresh_ty())));
+        sub.regs
+            .extend(s.qregs.iter().map(|&q| (q, self.fresh_reg())));
+        sub.effs
+            .extend(s.qeffs.iter().map(|&q| (q, self.fresh_eff())));
         // Copy quantified effect sets under the substitution.
         for &(q, f) in &sub.effs {
             let root = self.find_eff(q);
@@ -633,10 +639,15 @@ impl Stores {
                 }
             }
         }
-        Instance {
-            ty: self.copy_ty(s.ty, &sub),
-            reg_actuals: sub.regs.iter().map(|&(_, f)| f).collect(),
-        }
+        let ty = self.copy_ty(s.ty, &sub);
+        self.sub = sub;
+        ty
+    }
+
+    /// The regions the last [`Stores::instantiate`] substituted for the
+    /// scheme's quantified regions, in `qregs` order.
+    pub fn reg_actuals(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.sub.regs.iter().map(|&(_, f)| f)
     }
 
     /// `ty` under `sub`; subtrees the substitution leaves alone are shared.
@@ -695,15 +706,26 @@ impl Stores {
     }
 
     fn copy_kids(&mut self, kids: Kids, sub: &Subst) -> Kids {
-        let copied: Vec<TyId> = kids
-            .range()
-            .map(|i| self.copy_ty(self.kids[i], sub))
-            .collect();
-        if copied == self.kids[kids.range()] {
+        let base = self.copied.len();
+        let mut same = true;
+        for i in kids.range() {
+            let kid = self.kids[i];
+            let copy = self.copy_ty(kid, sub);
+            same &= copy == kid;
+            self.copied.push(copy);
+        }
+        let out = if same {
             kids
         } else {
-            self.mk_kids(&copied)
-        }
+            let start = self.kids.len() as u32;
+            self.kids.extend_from_slice(&self.copied[base..]);
+            Kids {
+                start,
+                len: kids.len,
+            }
+        };
+        self.copied.truncate(base);
+        out
     }
 
     /// `old` if `node` is what it already holds, else a new node.
@@ -904,21 +926,23 @@ mod tests {
             ty,
         };
         let i1 = st.instantiate(&scheme);
-        let i2 = st.instantiate(&scheme);
-        assert_eq!(i1.reg_actuals.len(), 1);
+        let a1: Vec<Reg> = st.reg_actuals().collect();
+        st.instantiate(&scheme);
+        let a2: Vec<Reg> = st.reg_actuals().collect();
+        assert_eq!(a1.len(), 1);
         assert_ne!(
-            st.find_reg(i1.reg_actuals[0]),
-            st.find_reg(i2.reg_actuals[0]),
+            st.find_reg(a1[0]),
+            st.find_reg(a2[0]),
             "instances get distinct result regions"
         );
         // The instantiated effect must mention the instantiated region, not
         // the formal.
-        let RTy::Arrow(ps, ne, _, _) = st.node(i1.ty) else {
+        let RTy::Arrow(ps, ne, _, _) = st.node(i1) else {
             panic!()
         };
         let mut regs = IdSet::default();
         st.eff_regs(ne, &mut regs);
-        assert!(regs.contains(st.find_reg(i1.reg_actuals[0])));
+        assert!(regs.contains(st.find_reg(a1[0])));
         // Subtrees without quantified variables are shared, not copied.
         let RTy::Arrow(ps0, ..) = st.node(ty) else {
             panic!()
@@ -937,7 +961,7 @@ mod tests {
             qeffs: vec![],
             ty,
         };
-        assert_eq!(st.instantiate(&scheme).ty, ty);
+        assert_eq!(st.instantiate(&scheme), ty);
     }
 
     #[test]

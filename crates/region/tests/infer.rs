@@ -1,10 +1,9 @@
 //! End-to-end region-inference tests: MiniML source → LambdaExp →
-//! RegionExp, with structural validation (region scoping, no leftover
-//! markers) and qualitative checks of the inference (region-polymorphic
-//! recursion, §2.6 weakening, `gt`-mode collapse).
+//! RegionExp, checked by `kit_region::check` (region scoping, no leftover
+//! markers, region arity of calls), and qualitative checks of the inference
+//! (region-polymorphic recursion, §2.6 weakening, `gt`-mode collapse).
 
-use kit_region::{infer, Mult, RExp, RProgram, RegVar, RegionOptions};
-use std::collections::HashSet;
+use kit_region::{check, infer, ExpId, Mult, RExp, RProgram, RegionOptions};
 
 fn compile(src: &str, opts: RegionOptions) -> RProgram {
     let mut prog = kit_typing::compile_str(src).expect("front-end failed");
@@ -12,78 +11,50 @@ fn compile(src: &str, opts: RegionOptions) -> RProgram {
     infer(&prog, opts)
 }
 
-/// Checks that every place is in scope (bound by letregion, a formal of an
-/// enclosing fix function, or global) and that no markers remain.
 fn validate(p: &RProgram) {
-    let mut scope: HashSet<RegVar> = p.globals.iter().map(|(r, _)| *r).collect();
-    check(&p.body, &mut scope);
+    if let Err(e) = check(p) {
+        panic!("{e}\n{}", kit_region::pretty::program_to_string(p));
+    }
 }
 
-fn check(e: &RExp, scope: &mut HashSet<RegVar>) {
-    for r in e.own_places() {
-        assert!(
-            scope.contains(&r),
-            "region r{} used out of scope in {e:?}",
-            r.0
-        );
-    }
-    match e {
-        RExp::Marker { .. } => panic!("marker survived placement"),
-        RExp::Letregion { regs, body } => {
-            let fresh: Vec<RegVar> = regs
-                .iter()
-                .map(|(r, _)| *r)
-                .filter(|r| scope.insert(*r))
-                .collect();
-            check(body, scope);
-            for r in fresh {
-                scope.remove(&r);
-            }
+/// Applies `f` to every node reachable from `id`.
+fn visit(p: &RProgram, id: ExpId, f: &mut impl FnMut(RExp)) {
+    let e = p.node(id);
+    f(e);
+    p.for_each_child(&e, |c| visit(p, c, f));
+}
+
+/// The multiplicities bound by every `letregion` of `p`, in order.
+fn letregion_mults(p: &RProgram) -> Vec<Vec<Mult>> {
+    let mut out = Vec::new();
+    visit(p, p.body, &mut |e| {
+        if let RExp::Letregion { regs, .. } = e {
+            out.push(p.regs(regs).iter().map(|&(_, m)| m).collect());
         }
-        RExp::Fix { funs, body, .. } => {
-            for f in funs {
-                let fresh: Vec<RegVar> = f
-                    .formals
-                    .iter()
-                    .copied()
-                    .filter(|r| scope.insert(*r))
-                    .collect();
-                check(&f.body, scope);
-                for r in fresh {
-                    scope.remove(&r);
-                }
-            }
-            check(body, scope);
+    });
+    out
+}
+
+fn count_letregions(p: &RProgram) -> usize {
+    letregion_mults(p).len()
+}
+
+fn count_finite(p: &RProgram) -> usize {
+    letregion_mults(p)
+        .iter()
+        .flatten()
+        .filter(|&&m| m == Mult::Finite)
+        .count()
+}
+
+fn find_fix_formals(p: &RProgram) -> Vec<usize> {
+    let mut out = Vec::new();
+    visit(p, p.body, &mut |e| {
+        if let RExp::Fix { funs, .. } = e {
+            out.extend(p.funs(funs).iter().map(|f| f.formals.len()));
         }
-        _ => e.for_each_child(|c| check(c, scope)),
-    }
-}
-
-fn count_letregions(e: &RExp) -> usize {
-    let mut n = 0;
-    if matches!(e, RExp::Letregion { .. }) {
-        n += 1;
-    }
-    e.for_each_child(|c| n += count_letregions(c));
-    n
-}
-
-fn count_finite(e: &RExp) -> usize {
-    let mut n = 0;
-    if let RExp::Letregion { regs, .. } = e {
-        n += regs.iter().filter(|(_, m)| *m == Mult::Finite).count();
-    }
-    e.for_each_child(|c| n += count_finite(c));
-    n
-}
-
-fn find_fix_formals(e: &RExp, out: &mut Vec<usize>) {
-    if let RExp::Fix { funs, .. } = e {
-        for f in funs {
-            out.push(f.formals.len());
-        }
-    }
-    e.for_each_child(|c| find_fix_formals(c, out));
+    });
+    out
 }
 
 const MODES: [RegionOptions; 4] = [
@@ -129,7 +100,7 @@ fn local_tuple_gets_local_region() {
     );
     validate(&p);
     assert!(
-        count_letregions(&p.body) >= 1,
+        count_letregions(&p) >= 1,
         "argument tuples should be letregion-bound"
     );
 }
@@ -142,7 +113,7 @@ fn finite_regions_inferred_for_single_tuples() {
     );
     validate(&p);
     assert!(
-        count_finite(&p.body) >= 1,
+        count_finite(&p) >= 1,
         "one-shot pair should be finite:\n{}",
         kit_region::pretty::program_to_string(&p)
     );
@@ -170,8 +141,7 @@ fn region_polymorphic_recursion_gives_formals() {
         RegionOptions::regions_only(),
     );
     validate(&p);
-    let mut formals = Vec::new();
-    find_fix_formals(&p.body, &mut formals);
+    let formals = find_fix_formals(&p);
     assert!(
         formals.iter().any(|&n| n >= 1),
         "expected region-polymorphic functions, formals: {formals:?}\n{}",
@@ -191,7 +161,7 @@ fn intermediate_lists_not_global() {
     );
     validate(&p);
     assert!(
-        count_letregions(&p.body) >= 1,
+        count_letregions(&p) >= 1,
         "intermediate list should be region-bound:\n{}",
         kit_region::pretty::program_to_string(&p)
     );
@@ -205,16 +175,13 @@ fn disable_mode_has_no_infinite_letregions() {
         RegionOptions::disabled(),
     );
     validate(&p);
-    fn no_infinite(e: &RExp) {
-        if let RExp::Letregion { regs, .. } = e {
-            assert!(
-                regs.iter().all(|(_, m)| *m == Mult::Finite),
-                "gt mode must not bind infinite regions locally"
-            );
-        }
-        e.for_each_child(no_infinite);
-    }
-    no_infinite(&p.body);
+    assert!(
+        letregion_mults(&p)
+            .iter()
+            .flatten()
+            .all(|&m| m == Mult::Finite),
+        "gt mode must not bind infinite regions locally"
+    );
     // Exactly one infinite global region (plus possibly finite globals).
     let inf_globals = p
         .globals
@@ -243,8 +210,8 @@ fn weakening_keeps_captured_region_alive() {
     // still in scope at the top level — i.e. not bound by a letregion
     // that closes before `h` is applied. We check the weaker structural
     // property that gc-safe binds strictly fewer regions locally.
-    let n_without = count_letregions(&without.body);
-    let n_with = count_letregions(&with.body);
+    let n_without = count_letregions(&without);
+    let n_with = count_letregions(&with);
     assert!(
         n_with <= n_without,
         "weakening must not create more local regions ({n_with} vs {n_without})"
@@ -331,7 +298,7 @@ fn chain_stats(n: usize, gc_safe: bool) -> kit_region::annotate::AnnotateStats {
         let mut prog = kit_typing::compile_str(&src).expect("front-end failed");
         kit_lambda::opt::optimize(&mut prog, &Default::default());
         let ann = kit_region::annotate::annotate(&prog, gc_safe);
-        assert!(ann.stats.markers_live as usize == ann.marker_escapes.len());
+        assert_eq!(ann.stats.markers_live as usize, ann.marker_escapes.len());
         ann.stats
     };
     std::thread::Builder::new()
@@ -356,9 +323,12 @@ fn annotation_work_is_linear_in_program_size() {
         assert!(large.markers_live > small.markers_live, "{large:?}");
         assert!(large.markers_dropped > small.markers_dropped, "{large:?}");
         // ... and four times the functions (on top of the fixed prelude)
-        // cost at most about four times the visits and region walks: no
-        // function pays for the ones declared around it.
-        let work = |s: &kit_region::annotate::AnnotateStats| s.node_visits + s.frv_calls;
+        // cost at most about four times the visits, region walks and
+        // effect-closure steps: no function pays for the ones declared
+        // around it.
+        let work = |s: &kit_region::annotate::AnnotateStats| {
+            s.node_visits + s.frv_calls + s.eff_closure_steps
+        };
         assert!(
             10 * work(&large) <= 43 * work(&small),
             "4x the functions, {}x the work: {small:?} -> {large:?}",

@@ -138,10 +138,11 @@ impl<'a> Lexer<'a> {
         }
 
         if c.is_ascii_alphabetic() {
+            // Keywords are looked up before a name is allocated.
             let word = self.lex_word();
-            let tok = match Token::keyword(&word) {
+            let tok = match Token::keyword(word) {
                 Some(k) => k,
-                None => Token::Ident(word),
+                None => Token::Ident(word.to_string()),
             };
             return Ok(Spanned {
                 tok,
@@ -157,7 +158,7 @@ impl<'a> Lexer<'a> {
                     return Err(SyntaxError::new("empty type variable", span(self)));
                 }
                 Ok(Spanned {
-                    tok: Token::TyVar(word),
+                    tok: Token::TyVar(word.to_string()),
                     span: span(self),
                 })
             }
@@ -225,7 +226,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_word(&mut self) -> String {
+    /// An alphanumeric word: ASCII letters, digits, `_` and `'`.
+    fn lex_word(&mut self) -> &'a str {
         let start = self.pos;
         while self
             .peek()
@@ -233,7 +235,7 @@ impl<'a> Lexer<'a> {
         {
             self.bump();
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        std::str::from_utf8(&self.src[start..self.pos]).expect("a word is ASCII")
     }
 
     fn lex_number(&mut self, start: usize, line: u32) -> Result<Spanned, SyntaxError> {

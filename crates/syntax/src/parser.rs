@@ -90,12 +90,31 @@ impl Parser {
         self.peek() == t
     }
 
+    /// Consumes the current token. A token with a name or a string moves
+    /// out, leaving an empty one behind that nothing reads again: the one
+    /// backtrack, in `funbind`, re-reads only a `|`, and the last token,
+    /// which stays current, is `<eof>`.
     fn bump(&mut self) -> Spanned {
-        let s = self.toks[self.idx].clone();
+        let s = &mut self.toks[self.idx];
+        let tok = match &mut s.tok {
+            Token::Ident(x) => Token::Ident(std::mem::take(x)),
+            Token::TyVar(x) => Token::TyVar(std::mem::take(x)),
+            Token::Str(x) => Token::Str(std::mem::take(x)),
+            t => t.clone(),
+        };
+        let span = s.span;
         if self.idx + 1 < self.toks.len() {
             self.idx += 1;
         }
-        s
+        Spanned { tok, span }
+    }
+
+    /// Consumes the current token, a name or string, and returns its text.
+    fn bump_text(&mut self) -> String {
+        match self.bump().tok {
+            Token::Ident(x) | Token::TyVar(x) | Token::Str(x) => x,
+            t => unreachable!("`{t}` carries no text"),
+        }
     }
 
     fn eat(&mut self, t: &Token) -> bool {
@@ -143,10 +162,10 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<(String, Span), SyntaxError> {
-        match self.peek().clone() {
-            Token::Ident(s) => {
-                let sp = self.bump().span;
-                Ok((s, sp))
+        match self.peek() {
+            Token::Ident(_) => {
+                let sp = self.peek_span();
+                Ok((self.bump_text(), sp))
             }
             other => Err(SyntaxError::new(
                 format!("expected identifier, found `{other}`"),
@@ -222,8 +241,8 @@ impl Parser {
                 // Only continue if what follows the bar is this function name.
                 let save = self.idx;
                 self.bump();
-                match self.peek().clone() {
-                    Token::Ident(n) if n == name => {
+                match self.peek() {
+                    Token::Ident(n) if *n == name => {
                         self.bump();
                         continue;
                     }
@@ -251,19 +270,13 @@ impl Parser {
 
     fn databind(&mut self) -> Result<DataBind, SyntaxError> {
         let mut tyvars = Vec::new();
-        match self.peek().clone() {
-            Token::TyVar(v) => {
-                self.bump();
-                tyvars.push(v);
-            }
+        match self.peek() {
+            Token::TyVar(_) => tyvars.push(self.bump_text()),
             Token::LParen if matches!(self.toks[self.idx + 1].tok, Token::TyVar(_)) => {
                 self.bump();
                 loop {
-                    match self.peek().clone() {
-                        Token::TyVar(v) => {
-                            self.bump();
-                            tyvars.push(v);
-                        }
+                    match self.peek() {
+                        Token::TyVar(_) => tyvars.push(self.bump_text()),
                         other => {
                             return Err(SyntaxError::new(
                                 format!("expected type variable, found `{other}`"),
@@ -326,8 +339,8 @@ impl Parser {
 
     fn tyapp(&mut self) -> Result<TyExp, SyntaxError> {
         let mut t = self.atty()?;
-        while let Token::Ident(name) = self.peek().clone() {
-            self.bump();
+        while let Token::Ident(_) = self.peek() {
+            let name = self.bump_text();
             self.deeper()?; // a postfix constructor nests `t`; `tyexp` comes back up
             t = TyExp::Con(name, vec![t]);
         }
@@ -335,15 +348,9 @@ impl Parser {
     }
 
     fn atty(&mut self) -> Result<TyExp, SyntaxError> {
-        match self.peek().clone() {
-            Token::TyVar(v) => {
-                self.bump();
-                Ok(TyExp::Var(v))
-            }
-            Token::Ident(name) => {
-                self.bump();
-                Ok(TyExp::Con(name, Vec::new()))
-            }
+        match self.peek() {
+            Token::TyVar(_) => Ok(TyExp::Var(self.bump_text())),
+            Token::Ident(_) => Ok(TyExp::Con(self.bump_text(), Vec::new())),
             Token::LParen => {
                 self.bump();
                 let first = self.tyexp()?;
@@ -389,9 +396,9 @@ impl Parser {
     }
 
     fn apppat(&mut self) -> Result<Pat, SyntaxError> {
-        if let Token::Ident(name) = self.peek().clone() {
+        if let Token::Ident(_) = self.peek() {
             let sp = self.peek_span();
-            self.bump();
+            let name = self.bump_text();
             if self.starts_atpat() {
                 let arg = self.atpat()?;
                 let span = sp.merge(arg.span());
@@ -419,25 +426,25 @@ impl Parser {
 
     fn atpat(&mut self) -> Result<Pat, SyntaxError> {
         let sp = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             Token::Underscore => {
                 self.bump();
                 Ok(Pat::Wild(sp))
             }
-            Token::Ident(name) => {
-                self.bump();
+            Token::Ident(_) => {
+                let name = self.bump_text();
                 Ok(Pat::Var(name, sp))
             }
-            Token::Int(n) => {
+            &Token::Int(n) => {
                 self.bump();
                 Ok(Pat::Int(n, sp))
             }
-            Token::Char(c) => {
+            &Token::Char(c) => {
                 self.bump();
                 Ok(Pat::Int(c, sp))
             }
-            Token::Str(s) => {
-                self.bump();
+            Token::Str(_) => {
+                let s = self.bump_text();
                 Ok(Pat::Str(s, sp))
             }
             Token::True => {
@@ -691,21 +698,21 @@ impl Parser {
 
     fn atexp(&mut self) -> Result<Exp, SyntaxError> {
         let sp = self.peek_span();
-        match self.peek().clone() {
-            Token::Int(n) => {
+        match self.peek() {
+            &Token::Int(n) => {
                 self.bump();
                 Ok(Exp::Int(n, sp))
             }
-            Token::Char(c) => {
+            &Token::Char(c) => {
                 self.bump();
                 Ok(Exp::Int(c, sp))
             }
-            Token::Real(r) => {
+            &Token::Real(r) => {
                 self.bump();
                 Ok(Exp::Real(r, sp))
             }
-            Token::Str(s) => {
-                self.bump();
+            Token::Str(_) => {
+                let s = self.bump_text();
                 Ok(Exp::Str(s, sp))
             }
             Token::True => {
@@ -716,8 +723,8 @@ impl Parser {
                 self.bump();
                 Ok(Exp::Bool(false, sp))
             }
-            Token::Ident(name) => {
-                self.bump();
+            Token::Ident(_) => {
+                let name = self.bump_text();
                 Ok(Exp::Var(name, sp))
             }
             Token::Op => {

@@ -86,8 +86,10 @@ echo "    unread multiplicity table, codegen's second free-name walker and the"
 echo "    optimiser options only tests set; the boxed-type tree walkers the"
 echo "    type arena replaced and the row scans the match compiler's buckets"
 echo "    replaced; the second collection sequence, the two collector flags"
-echo "    and the region-inference debug dump with its env var"
-if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size|subst_qvars|resolve_deep|keys_of|default_rows|spine_end|KIT_REGION_DEBUG|show_ty|collect_generational|collect_phase|collect_gen|gc_enabled' \
+echo "    and the region-inference debug dump with its env var; codegen's"
+echo "    per-closure capture re-walks and the boxed region-program tree's"
+echo "    helpers the region arena replaced"
+if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size|subst_qvars|resolve_deep|keys_of|default_rows|spine_end|KIT_REGION_DEBUG|show_ty|collect_generational|collect_phase|collect_gen|gc_enabled|collect_caps|distinct_free|size_sites|finite_sizes|fix_binds|own_places|map_own_regions|count_occurrences|drop_markers' \
     crates || grep -rnw 'mults' crates/region; then
     echo "verify: a deleted name is back (see above)" >&2
     exit 1
@@ -130,13 +132,13 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR29.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR31.json in r, gt,"
 echo "    rgt and the generational baseline, both engines; writes nothing (a"
 echo "    PR that moves them on purpose points this at its own BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR29.json
+    --check-counts BENCH_PR31.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"
