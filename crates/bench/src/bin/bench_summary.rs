@@ -14,14 +14,13 @@
 //! Each (program, mode) cell runs once under both interpreter
 //! configurations:
 //!
-//! * `match_off`     — the differential oracle: match-dispatch loop over
+//! * `threaded_off`  — the differential oracle: base handlers only, over
 //!   the unfused stream
-//! * `threaded_full` — the production engine: direct-threaded dispatch,
-//!   full fusion table
+//! * `threaded_full` — the production engine: full fusion table
 //!
 //! The counters are bit-identical across runs, machines *and
 //! configurations* — the driver asserts this, which is the
-//! dispatch-equivalence acceptance criterion. Cells are sharded over
+//! fusion-equivalence acceptance criterion. Cells are sharded over
 //! `available_parallelism()` threads; with no timing there is nothing for
 //! a neighbour to disturb.
 //!
@@ -55,14 +54,14 @@
 //! definition, not a memory regression.
 //!
 //! `--profile-fusion` runs the suite in the VM's fusion counting mode
-//! instead (the oracle loop, so base opcodes are visible; prints to
+//! instead (fusion off, so base opcodes are visible; prints to
 //! stdout, no `--out`), aggregates dynamic pair/triple frequencies of
 //! fallthrough-adjacent instructions, and prints the hot sequences, a
 //! regenerated `FUSION_CANDIDATES` table for
 //! `crates/kam/src/fusion_table.rs`, and the hot sequences of opcodes with
 //! packing lanes that no row covers.
 
-use kit::{Compiler, DispatchMode, Fusion, FusionProfile, KamOp as Op, Mode};
+use kit::{Compiler, Fusion, FusionProfile, KamOp as Op, Mode};
 use kit_bench::programs::{all, Benchmark};
 use kit_kam::fusion_table::FUSION_CANDIDATES;
 use kit_runtime::RtConfig;
@@ -70,25 +69,10 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One interpreter configuration.
-#[derive(Clone, Copy)]
-struct Config {
-    name: &'static str,
-    dispatch: DispatchMode,
-    fusion: Fusion,
-}
-
-const COMPARE: [Config; 2] = [
-    Config {
-        name: "match_off",
-        dispatch: DispatchMode::Match,
-        fusion: Fusion::Off,
-    },
-    Config {
-        name: "threaded_full",
-        dispatch: DispatchMode::Threaded,
-        fusion: Fusion::Full,
-    },
+/// The two interpreter configurations, oracle first.
+const COMPARE: [(&str, Fusion); 2] = [
+    ("threaded_off", Fusion::Off),
+    ("threaded_full", Fusion::Full),
 ];
 
 /// Where a reader of a BENCH file finds the times it does not hold.
@@ -372,16 +356,12 @@ fn check_counts(rows: &[Row], reference: &str) -> Result<usize, String> {
 }
 
 /// Runs one (program, mode) cell once under both configurations and
-/// asserts that the deterministic counters do not depend on the dispatch
-/// engine or the fusion set.
+/// asserts that the deterministic counters do not depend on the fusion
+/// set.
 fn run_cell(cell: &Cell) -> Vec<Row> {
     let src = cell.bench.source_scaled(cell.scale);
     let fail = |e: kit::Error| -> ! { panic!("{} [{}]: {e}", cell.bench.name, cell.mode) };
-    let compilers = COMPARE.map(|c| {
-        Compiler::new(cell.mode)
-            .with_dispatch(c.dispatch)
-            .with_fusion(c.fusion)
-    });
+    let compilers = COMPARE.map(|(_, fusion)| Compiler::new(cell.mode).with_fusion(fusion));
     let prog = compilers[0]
         .compile_source(&src)
         .unwrap_or_else(|e| fail(e));
@@ -389,7 +369,7 @@ fn run_cell(cell: &Cell) -> Vec<Row> {
         .iter()
         .map(|compiler| compiler.run_program(&prog).unwrap_or_else(|e| fail(e)))
         .collect();
-    for (c, o) in COMPARE.iter().zip(&outs).skip(1) {
+    for ((name, _), o) in COMPARE.iter().zip(&outs).skip(1) {
         assert_eq!(
             (
                 o.instructions,
@@ -406,20 +386,20 @@ fn run_cell(cell: &Cell) -> Vec<Row> {
             "{} [{}]: config {} diverges from {}",
             cell.bench.name,
             cell.mode,
-            c.name,
-            COMPARE[0].name,
+            name,
+            COMPARE[0].0,
         );
     }
     let page_bytes = (RtConfig::default().page_words() * std::mem::size_of::<u64>()) as u64;
     COMPARE
         .iter()
         .zip(outs)
-        .map(|(c, out)| {
+        .map(|((name, _), out)| {
             eprintln!(
                 "{:<10} {:<5} {:<14} {:>12} instr {:>11} words  #GC {:<4} {:>10} B copied",
                 cell.bench.name,
                 cell.mode.suffix(),
-                c.name,
+                name,
                 out.instructions,
                 out.stats.words_allocated,
                 out.stats.gc_count,
@@ -428,7 +408,7 @@ fn run_cell(cell: &Cell) -> Vec<Row> {
             Row {
                 program: cell.bench.name.to_string(),
                 mode: cell.mode.suffix(),
-                config: c.name,
+                config: name,
                 scale: cell.scale,
                 instructions: out.instructions,
                 words_allocated: out.stats.words_allocated,

@@ -7,7 +7,7 @@
 //!         [--conns N]               # TCP connections (default 64)
 //!         [--requests N]            # total requests (default 8×sessions)
 //!         [--mix SPEC]              # name[:scale][:fuel=N][:pages=N][:deadline=MS][:tenant=ID],…
-//!         [--mode r|rt|gt|rgt|smlnj] [--dispatch match|threaded]
+//!         [--mode r|rt|gt|rgt|smlnj]
 //!         [--queue-cap N]           # in-process server admission bound
 //!         [--rate RPS[:BURST]]      # in-process per-tenant token bucket
 //!         [--deadline-ms N]         # in-process server default deadline
@@ -33,7 +33,7 @@
 //! match their pre-chaos values, and open connections must settle to
 //! zero.
 
-use kit::{DispatchMode, Mode};
+use kit::Mode;
 use kit_bench::chaos;
 use kit_bench::serve_bench::{parse_mix, print_report, DEFAULT_MIX};
 use kit_serve::server::{RateLimit, Server, ServerConfig};
@@ -44,7 +44,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT | --workers N] [--sessions N] [--conns N] \
-         [--requests N] [--mix SPEC] [--mode M] [--dispatch D] [--queue-cap N] \
+         [--requests N] [--mix SPEC] [--mode M] [--queue-cap N] \
          [--rate RPS[:BURST]] [--deadline-ms N] [--check] [--chaos] [--chaos-secs N]"
     );
     std::process::exit(2);
@@ -67,7 +67,6 @@ fn main() {
             "--requests",
             "--mix",
             "--mode",
-            "--dispatch",
             "--queue-cap",
             "--rate",
             "--deadline-ms",
@@ -107,17 +106,8 @@ fn main() {
                 usage()
             })
     });
-    let dispatch = match flag_val("--dispatch").map(String::as_str) {
-        None => DispatchMode::default(),
-        Some("match") => DispatchMode::Match,
-        Some("threaded") => DispatchMode::Threaded,
-        Some(s) => {
-            eprintln!("loadgen: unknown dispatch {s:?} (match|threaded)");
-            usage()
-        }
-    };
     let mix_spec = flag_val("--mix").map_or(DEFAULT_MIX, String::as_str);
-    let mix = parse_mix(mix_spec, mode, dispatch).unwrap_or_else(|e| {
+    let mix = parse_mix(mix_spec, mode).unwrap_or_else(|e| {
         eprintln!("loadgen: {e}");
         usage()
     });

@@ -1,8 +1,7 @@
-//! Soak runner: the randomized engine differential from
-//! `tests/randomized.rs`, promoted to a binary so it can run for
-//! arbitrarily many cases with full configuration fuzzing, each case on
-//! both dispatch engines (the unfused `Match` oracle vs `Threaded` with
-//! full fusion).
+//! Soak runner: the randomized differential from `tests/randomized.rs`,
+//! promoted to a binary so it can run for arbitrarily many cases with full
+//! configuration fuzzing, each case with fusion off and on, and against
+//! the reference evaluator.
 //!
 //! Usage: `cargo run -p kit-bench --release --bin soak --
 //!         [--cases N] [--seed S] [--surface int|full]`
@@ -22,11 +21,11 @@
 //! cases before it. A full-surface program that fails to compile is also a
 //! failure — the generator is type-directed, so a compile error is a
 //! generator bug that would otherwise silently shrink the differential
-//! surface. Any divergence prints the offending engine, field, config, and
+//! surface. Any divergence prints the failed check, field, config, and
 //! full program source, and the process exits nonzero — so a CI hook
 //! (`scripts/verify.sh` wires in short runs of both surfaces) fails loudly.
 
-use kit::{Compiler, DispatchMode, Mode};
+use kit::{Compiler, Mode};
 use kit_bench::randgen::{self, Surface};
 
 const FUEL: u64 = 10_000_000;
@@ -68,7 +67,7 @@ fn main() {
             // Default configuration, then one fuzzed configuration per
             // mode — tiny pages, aggressive shrink factors, triggers and
             // heap ratios all move the GC schedule, which must still be
-            // engine-invariant.
+            // fusion-invariant.
             let fuzzed = randgen::fuzz_config(&mut cfg_rng, mode);
             for cfg in [None, Some(&fuzzed)] {
                 runs += 1;
@@ -87,9 +86,8 @@ fn main() {
     }
     eprintln!(
         "soak: {cases} cases ({surface:?} surface) x {} modes x 2 configs = {runs} \
-         differentials over {} engines, {failures} failures (seed {seed:#x})",
+         differentials, {failures} failures (seed {seed:#x})",
         Mode::ALL_WITH_BASELINE.len(),
-        DispatchMode::ALL.len(),
     );
     if failures > 0 {
         std::process::exit(1);

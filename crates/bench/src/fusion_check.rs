@@ -1,6 +1,6 @@
 //! The structural half of the fusion differential: `Fusion::Full` must be
-//! a pure regrouping of the stream the oracle runs. (The behavioural half
-//! — same results and counters on both engines — is `tests/fusion.rs`.)
+//! a pure regrouping of the unfused stream. (The behavioural half — same
+//! results and counters at both fusion levels — is `tests/fusion.rs`.)
 
 use kit_kam::threaded::{translate, Field, Fusion, Op, SwitchRows, ThreadedCode};
 use kit_kam::Program;

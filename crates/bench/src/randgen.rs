@@ -1,4 +1,5 @@
-//! Random program generator and engine differential, shared by the
+//! Random program generator and the differential (fusion off against
+//! on, and both against the reference evaluator), shared by the
 //! `randomized` integration test (a short fixed-seed run in CI) and the
 //! `soak` binary (arbitrarily long runs with config fuzzing).
 //!
@@ -31,7 +32,7 @@
 //! well under the differential's fuel budget.
 
 use crate::programs::SplitMix64;
-use kit::{Compiler, DispatchMode, Error, Fusion, Mode, Outcome};
+use kit::{Compiler, Error, Fusion, Mode, Outcome, VmError};
 use kit_runtime::config::{Collector, GenPolicy};
 use kit_runtime::RtConfig;
 
@@ -1330,7 +1331,7 @@ pub fn case_rngs(seed: u64, case: u64) -> (SplitMix64, SplitMix64) {
 /// shrink hysteresis, the collection trigger and heap-to-live ratio (the
 /// paper's §4 dials), and (for the baseline mode) the generational policy
 /// are all fuzzed. Every value must leave the counters the differential
-/// compares engine-invariant. `with_config` forces tagging and the collector
+/// compares fusion-invariant. `with_config` forces tagging and the collector
 /// back to the mode's requirements, so the result is always well-formed.
 pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
     let mut cfg = RtConfig {
@@ -1339,7 +1340,9 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
         initial_pages: [2, 4, 8, 64][rng.below(4) as usize],
         heap_shrink_factor: [None, Some(1.0), Some(2.0), Some(4.0)][rng.below(4) as usize],
         heap_to_live_ratio: [1.5, 3.0, 9.0][rng.below(3) as usize],
-        gc_threshold: [1.0 / 3.0, 0.5][rng.below(2) as usize],
+        // 1.0: every page taken schedules a collection at the next safe
+        // point.
+        gc_threshold: [1.0 / 3.0, 0.5, 1.0][rng.below(3) as usize],
         ..RtConfig::default()
     };
     if mode == Mode::Baseline {
@@ -1350,8 +1353,8 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
     }
     // Wall-clock deadlines are drawn only at the two differential-safe
     // extremes: far-future (must be invisible — same counters as no
-    // deadline at all) and already-expired (breaches at safe point 1 on
-    // every engine, so the typed error is engine-identical). A deadline
+    // deadline at all) and already-expired (breaches at safe point 1 at
+    // either fusion level, so the typed error is the same). A deadline
     // that lands *mid-run* would make the outcome depend on host timing,
     // which a differential harness cannot tolerate.
     match rng.below(16) {
@@ -1363,96 +1366,87 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
     cfg
 }
 
-fn run_once(
-    src: &str,
-    mode: Mode,
-    dispatch: DispatchMode,
-    cfg: Option<&RtConfig>,
-    fuel: u64,
-) -> Result<Outcome, Error> {
-    let mut c = Compiler::new(mode)
-        .with_dispatch(dispatch)
-        .with_fusion(Fusion::Full)
-        .with_fuel(fuel);
-    if let Some(cfg) = cfg {
-        c = c.with_config(cfg.clone());
-    }
-    c.run_source(src)
+/// Everything deterministic an [`Outcome`] counts: the instruction total
+/// and the whole of `RtStats` with its two wall-clock fields blanked.
+pub fn counters(out: &Outcome) -> String {
+    let mut stats = out.stats.clone();
+    stats.gc_time_ns = 0;
+    stats.gc_pause_max_ns = 0;
+    format!("{} instructions, {stats:?}", out.instructions)
 }
 
-fn diff_outcomes(want: &Outcome, got: &Outcome) -> Option<String> {
-    macro_rules! field {
-        ($name:literal, $w:expr, $g:expr) => {
-            if $w != $g {
-                return Some(format!("{}: {:?} vs {:?}", $name, $w, $g));
-            }
-        };
-    }
-    field!("result", want.result, got.result);
-    field!("output", want.output, got.output);
-    field!("instructions", want.instructions, got.instructions);
-    field!(
-        "words allocated",
-        want.stats.words_allocated,
-        got.stats.words_allocated
-    );
-    field!("allocations", want.stats.allocations, got.stats.allocations);
-    field!("#GC", want.stats.gc_count, got.stats.gc_count);
-    field!(
-        "copied words",
-        want.stats.gc_copied_words,
-        got.stats.gc_copied_words
-    );
-    field!("peak bytes", want.stats.peak_bytes, got.stats.peak_bytes);
-    None
-}
-
-/// Runs `src` under `Match` dispatch (the unfused reference) and every
-/// other engine in [`DispatchMode::ALL`] with full fusion, comparing
-/// results, output, instruction totals, and GC/alloc statistics. `Err`
-/// carries enough context to reproduce the divergence by hand (the
-/// engine, the field, and the full source).
+/// Runs `src` on the engine with fusion off (base handlers only) and with
+/// every superinstruction, and holds the two to each other — result,
+/// output, typed error and every counter ([`counters`]) — and what they
+/// compute to the reference evaluator ([`kit::oracle::run_oracle`]): the
+/// rendered result and output, or the exception that escapes. An error
+/// only the machine raises (fuel, page quota, deadline) has no evaluator
+/// counterpart and is held to the other fusion level alone. `Err` carries
+/// enough context to reproduce the divergence by hand (the check, the
+/// field, the configuration and the full source).
 pub fn differential(
     src: &str,
     mode: Mode,
     cfg: Option<&RtConfig>,
     fuel: u64,
 ) -> Result<(), String> {
-    let reference = run_once(src, mode, DispatchMode::Match, cfg, fuel);
-    for dispatch in DispatchMode::ALL {
-        if dispatch == DispatchMode::Match {
-            continue;
+    let ctx = || {
+        format!(
+            "{mode} (cfg: {}) on\n{src}",
+            cfg.map_or("default".to_string(), |c| format!(
+                "pages=2^{} init={} shrink={:?} ratio={} threshold={:.2} gen={}",
+                c.page_words_log2,
+                c.initial_pages,
+                c.heap_shrink_factor,
+                c.heap_to_live_ratio,
+                c.gc_threshold,
+                matches!(c.collector, Collector::Generational(_))
+            ))
+        )
+    };
+    let [off, full] = [Fusion::Off, Fusion::Full].map(|fusion| {
+        let c = Compiler::new(mode).with_fusion(fusion).with_fuel(fuel);
+        match cfg {
+            Some(cfg) => c.with_config(cfg.clone()),
+            None => c,
         }
-        let out = run_once(src, mode, dispatch, cfg, fuel);
-        let ctx = || {
-            format!(
-                "{mode} {dispatch:?} (cfg: {}) on\n{src}",
-                cfg.map_or("default".to_string(), |c| format!(
-                    "pages=2^{} init={} shrink={:?} ratio={} threshold={:.2} gen={}",
-                    c.page_words_log2,
-                    c.initial_pages,
-                    c.heap_shrink_factor,
-                    c.heap_to_live_ratio,
-                    c.gc_threshold,
-                    matches!(c.collector, Collector::Generational(_))
-                ))
-            )
-        };
-        match (&reference, &out) {
-            (Ok(want), Ok(got)) => {
-                if let Some(d) = diff_outcomes(want, got) {
-                    return Err(format!("{}: {d}", ctx()));
-                }
-            }
-            (Err(Error::Run(want)), Err(Error::Run(got))) => {
-                if got != want {
-                    return Err(format!("{}: error {got:?} vs {want:?}", ctx()));
-                }
-            }
-            (want, got) => {
-                return Err(format!("{}: engines disagree: {want:?} vs {got:?}", ctx()));
+    });
+    let prog = full
+        .compile_source(src)
+        .map_err(|e| format!("{}: compile: {e}", ctx()))?;
+    let (want, got) = (off.run_program(&prog), full.run_program(&prog));
+    match (&want, &got) {
+        (Ok(w), Ok(g)) => {
+            let (cw, cg) = (counters(w), counters(g));
+            if (&w.result, &w.output, &cw) != (&g.result, &g.output, &cg) {
+                return Err(format!(
+                    "{}: Off vs Full: {:?} {:?} {cw}\nvs {:?} {:?} {cg}",
+                    ctx(),
+                    w.result,
+                    w.output,
+                    g.result,
+                    g.output
+                ));
             }
         }
+        (Err(Error::Run(w)), Err(Error::Run(g))) if w == g => {}
+        _ => return Err(format!("{}: Off vs Full: {want:?} vs {got:?}", ctx())),
+    }
+    let computed = match got {
+        Ok(out) => Ok((out.result, out.output)),
+        Err(Error::Run(e @ VmError::UncaughtException { .. })) => Err(e),
+        Err(_) => return Ok(()),
+    };
+    let evaluated = match kit::oracle::run_oracle(src, None) {
+        Ok(o) => Ok((o.result, o.output)),
+        Err(Error::Run(e)) => Err(e),
+        Err(e) => return Err(format!("{}: evaluator: {e}", ctx())),
+    };
+    if computed != evaluated {
+        return Err(format!(
+            "{}: engine {computed:?} vs evaluator {evaluated:?}",
+            ctx()
+        ));
     }
     Ok(())
 }
@@ -1516,13 +1510,13 @@ mod tests {
             let cfg = fuzz_config(&mut case_rngs(1, case).1, Mode::Rgt);
             seen.insert((
                 (cfg.heap_to_live_ratio * 10.0) as u32,
-                cfg.gc_threshold == 0.5,
+                (cfg.gc_threshold * 100.0).round() as u32,
             ));
         }
         let ratios = [15, 30, 90];
         let all: Vec<_> = ratios
             .iter()
-            .flat_map(|&r| [(r, false), (r, true)])
+            .flat_map(|&r| [(r, 33), (r, 50), (r, 100)])
             .collect();
         assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
     }

@@ -4,7 +4,7 @@
 //! benchmark's (`benchmark/`).
 
 use crate::programs::by_name;
-use kit::{DispatchMode, Mode};
+use kit::Mode;
 use kit_serve::load::{LoadProgram, LoadReport, LoadSpec};
 
 /// The default serve mix: the paper benchmarks scaled so one request
@@ -23,11 +23,7 @@ pub const DEFAULT_MIX: &str = "fib:12,tak:4,churn:10,interp:30,book:60";
 /// # Errors
 ///
 /// Returns a message naming the offending entry.
-pub fn parse_mix(
-    spec: &str,
-    mode: Mode,
-    dispatch: DispatchMode,
-) -> Result<Vec<LoadProgram>, String> {
+pub fn parse_mix(spec: &str, mode: Mode) -> Result<Vec<LoadProgram>, String> {
     let mut mix = Vec::new();
     for entry in spec.split(',').filter(|s| !s.is_empty()) {
         let mut parts = entry.split(':');
@@ -59,7 +55,6 @@ pub fn parse_mix(
         mix.push(LoadProgram {
             name: entry.to_string(),
             mode,
-            dispatch,
             fuel,
             max_heap_pages: pages,
             deadline_ms,

@@ -9,7 +9,7 @@
 //! pruning of the unused prelude (which had made every program's first
 //! collection happen at start-up, on a grown heap) exposed the last one.
 
-use kit::{oracle, Compiler, DispatchMode, Mode};
+use kit::{oracle, Compiler, Fusion, Mode};
 use kit_runtime::RtConfig;
 
 /// `letregion` placement collected a marker's bindable region variables
@@ -96,7 +96,7 @@ fn raise_past_a_region_local(
     )
 }
 
-/// Both engines must return what the reference evaluator returns, under
+/// Both fusion levels must return what the reference evaluator returns, under
 /// the default heap and under page pressure.
 fn assert_matches_oracle_everywhere(src: &str) {
     let want = oracle::run_oracle(src, None).expect("oracle");
@@ -107,11 +107,11 @@ fn assert_matches_oracle_everywhere(src: &str) {
     };
     let mut collected = false;
     for config in [RtConfig::rgt(), pressure] {
-        for dispatch in DispatchMode::ALL {
-            let ctx = format!("{dispatch:?}, {} initial pages", config.initial_pages);
+        for fusion in [Fusion::Off, Fusion::Full] {
+            let ctx = format!("{fusion:?}, {} initial pages", config.initial_pages);
             let out = Compiler::new(Mode::Rgt)
                 .with_config(config.clone())
-                .with_dispatch(dispatch)
+                .with_fusion(fusion)
                 .run_source(src)
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(out.result, want.result, "{ctx}");
@@ -182,14 +182,14 @@ fn dead_heap_cells_pointing_into_popped_frames_are_never_traced() {
             ..RtConfig::rgt()
         };
         for mode in [Mode::Gt, Mode::Rgt] {
-            for dispatch in DispatchMode::ALL {
+            for fusion in [Fusion::Off, Fusion::Full] {
                 let out = Compiler::new(mode)
                     .with_config(pressure.clone())
-                    .with_dispatch(dispatch)
+                    .with_fusion(fusion)
                     .run_source(SRC)
-                    .unwrap_or_else(|e| panic!("{mode} {dispatch:?}: {e}"));
-                assert_eq!(out.result, want.result, "{mode} {dispatch:?}");
-                assert!(out.stats.gc_count > 5, "{mode} {dispatch:?}: must collect");
+                    .unwrap_or_else(|e| panic!("{mode} {fusion:?}: {e}"));
+                assert_eq!(out.result, want.result, "{mode} {fusion:?}");
+                assert!(out.stats.gc_count > 5, "{mode} {fusion:?}: must collect");
             }
         }
     });

@@ -1,15 +1,14 @@
 //! Bytecode disassembler (`--dump-kam` style debugging output), for the
-//! compiled stream the oracle dispatches on and the threaded form the
-//! production engine does — where a superinstruction renders as its
-//! mnemonic plus the base instructions it stands for
-//! (`LoadSelectStore = Load a=1; Select n=0; Store a=2`).
+//! compiled stream and the threaded form the engine runs — where a
+//! superinstruction renders as its mnemonic plus the base instructions it
+//! stands for (`LoadSelectStore = Load a=1; Select n=0; Store a=2`).
 
 use crate::instr::Program;
 use crate::threaded::{translate, Args, Field, Fusion, Op};
 use std::fmt::Write as _;
 
 /// Renders the instruction stream (absolute pc operands) with code
-/// addresses and function entry markers — what the oracle executes.
+/// addresses and function entry markers — what the translation reads.
 pub fn disassemble(p: &Program) -> String {
     let mut out = String::new();
     let entry_pc: Vec<u32> = p.funs.iter().map(|f| f.entry).collect();
@@ -18,8 +17,8 @@ pub fn disassemble(p: &Program) -> String {
     out
 }
 
-/// Renders the *threaded* (struct-of-arrays) form — what the production
-/// engine executes: the mnemonic and the operand fields the opcode reads;
+/// Renders the *threaded* (struct-of-arrays) form — what the engine
+/// executes: the mnemonic and the operand fields the opcode reads;
 /// a superinstruction is followed by the base instructions it stands for
 /// ([`ThreadedCode::unfuse`](crate::threaded::ThreadedCode::unfuse)).
 pub fn disassemble_threaded(p: &Program, fusion: Fusion) -> String {

@@ -8,7 +8,7 @@
 //!
 //! This table is *generated*: `cargo run -p kit-bench --release --bin
 //! bench-summary -- --profile-fusion --full` runs the benchmark suite in
-//! the VM's counting mode (the oracle loop, so base opcodes are visible),
+//! the VM's counting mode (with fusion off, so base opcodes are visible),
 //! aggregates dynamic pair/triple frequencies of fallthrough-adjacent
 //! instructions, and prints a replacement for [`FUSION_CANDIDATES`] with
 //! fresh `dyn_count` numbers. Rows are ordered longest-first because the
@@ -61,7 +61,6 @@ pub const FUSION_CANDIDATES: &[Pattern] = &[
     row(&[Load, PushConst, Prim], LoadConstPrim, 161987945),
     row(&[Store, Load], StoreLoad, 648593147),
     row(&[Load, Select], LoadSelect, 462652855),
-    row(&[Select, Store], SelectStore, 383458195),
     row(&[Load, Load], LoadLoad, 428091559),
     row(&[Prim, JumpIfFalse], PrimJump, 206172190),
     row(&[PushConst, Prim], PushConstPrim, 202471045),

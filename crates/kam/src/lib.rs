@@ -17,22 +17,23 @@
 //! Kit includes *all* top-level variables in the root set and only
 //! collects at function entry — both faithfully reproduced here.)
 //!
-//! Execution is two engines over one bytecode, in two forms:
+//! Execution is one engine over one bytecode, at two fusion levels:
 //!
 //! ```text
-//! Instr ──translate (+ fuse)──▶ Op / Args
+//! Instr ──translate (+ fuse)──▶ Op / Args ──▶ vm::Vm (one loop)
 //! ```
 //!
 //! [`compile()`](compile()) binds its own labels, so every branch operand
-//! of an [`instr::Instr`] is an absolute pc; the oracle
-//! ([`vm::DispatchMode::Match`]) runs that stream as it is, whose 33
-//! instructions are all it can be handed. [`threaded::translate`] lays
-//! the same stream out as struct-of-arrays and — with
-//! [`Fusion::Full`] — regroups hot runs into superinstructions, each of
-//! which is one row of [`fusion_table::FUSION_CANDIDATES`], one handler
-//! and one jump-table arm in [`vm`], and charged the instructions it
-//! replaces; the production engine runs that.
-//!
+//! of an [`instr::Instr`] is an absolute pc. [`threaded::translate`] lays
+//! that stream out as struct-of-arrays, one base opcode per instruction.
+//! With [`Fusion::Full`] (production) it then regroups hot runs into
+//! superinstructions, each of which is one row of
+//! [`fusion_table::FUSION_CANDIDATES`], one handler and one jump-table arm
+//! in [`vm`], and charged the instructions it replaces. With
+//! [`Fusion::Off`] only base handlers run, and they share no code with any
+//! fused one: that run is the differential oracle for fusion, and the
+//! `kit-lambda` evaluator is the oracle for what a program computes.
+
 //! Constructor representation follows the ML Kit's untagged scheme:
 //! nullary constructors are scalars; a datatype with exactly one boxed
 //! constructor needs no runtime discriminant (a cons cell is 2 words

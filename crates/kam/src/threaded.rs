@@ -20,10 +20,10 @@
 //! table test holds every row to the lanes there are. [`Op::cost`] of a
 //! superinstruction is its row's `seq.len()` — the source instructions it
 //! stands for — which keeps instruction totals, fuel and the GC schedule
-//! bit-identical with the oracle's one per instruction.
+//! bit-identical with [`Fusion::Off`]'s one per instruction.
 //!
-//! The execution engine itself — the jump table over [`Op`] — lives next
-//! to the oracle loop in [`crate::vm`].
+//! The execution engine itself — the jump table over [`Op`] — lives in
+//! [`crate::vm`].
 
 use crate::fusion_table::{Pattern, FUSION_CANDIDATES};
 use crate::instr::{Disc, Instr, Program, RegSlot};
@@ -33,8 +33,8 @@ use std::fmt;
 /// Whether [`translate`] emits superinstructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fusion {
-    /// No superinstructions: one opcode per source instruction — the
-    /// differential-testing setting for the fusion pass.
+    /// No superinstructions: one opcode per source instruction, run by
+    /// base handlers only — the differential oracle for the fusion pass.
     Off,
     /// Every candidate in the generated table.
     #[default]
@@ -151,7 +151,6 @@ ops! {
         StoreLoad,
         LoadLoad,
         PrimJump,
-        SelectStore,
         LoadStore,
         LoadSwitchCon,
         GcCheckLoad,
@@ -218,7 +217,8 @@ impl Op {
     /// Source instructions this opcode accounts for: the length of the
     /// run a superinstruction's row replaces, 1 for a base opcode.
     /// Charging it keeps fuel, instruction totals and the GC schedule
-    /// bit-identical with the oracle, which counts one per instruction.
+    /// bit-identical with [`Fusion::Off`], which counts one per
+    /// instruction.
     #[inline]
     pub const fn cost(self) -> u64 {
         COSTS[self as usize] as u64
@@ -294,8 +294,7 @@ impl Args {
 /// Switch side-table row: `(arms, default pc)`.
 pub type SwitchRows<K> = (Box<[(K, u32)]>, u32);
 
-/// A program in threaded (struct-of-arrays) form: what
-/// [`DispatchMode::Threaded`](crate::vm::DispatchMode) executes.
+/// A program in threaded (struct-of-arrays) form: what the VM executes.
 #[derive(Debug, Clone)]
 pub struct ThreadedCode {
     /// Opcode stream, parallel to `args`.
@@ -608,8 +607,9 @@ impl ThreadedCode {
 /// Counts pairs and triples of *fallthrough-adjacent* executed
 /// instructions (consecutive pcs), which are exactly the sequences
 /// [`translate`] could fuse; transitions taken via a branch are excluded.
-/// Collected by the oracle loop, whose stream is unfused, so base opcodes
-/// are visible, and dumped by
+/// Collected by the VM's counting instance over the stream it runs — with
+/// fusion off, base opcodes, as `bench-summary --profile-fusion` asks
+/// for — and dumped by
 /// `bench-summary --profile-fusion` to regenerate the candidate table in
 /// `crates/kam/src/fusion_table.rs`.
 #[derive(Clone)]
@@ -714,7 +714,7 @@ impl fmt::Debug for FusionProfile {
 mod tests {
     use super::*;
     use crate::instr::{FunInfo, Instr, Program};
-    use crate::vm::{DispatchMode, Vm};
+    use crate::vm::Vm;
     use kit_lambda::ty::{DataEnv, LTy};
     use kit_runtime::value::scalar;
     use kit_runtime::{Rt, RtConfig};
@@ -752,7 +752,7 @@ mod tests {
     fn op_list_is_dense_and_base_first() {
         // `Op` is `repr(u8)` with sequential discriminants: `COSTS` and the
         // profile matrices are indexed by `op as usize`.
-        assert_eq!((Op::BASE_COUNT, OP_COUNT), (33, 54));
+        assert_eq!((Op::BASE_COUNT, OP_COUNT), (33, 53));
         assert_eq!(Op::Halt as usize, 32);
         for (i, op) in Op::ALL.iter().enumerate() {
             assert_eq!(*op as usize, i, "ALL out of discriminant order");
@@ -856,17 +856,17 @@ mod tests {
                 .map(|pc| (off.ops[pc], off.args[pc]))
                 .collect::<Vec<_>>()
         );
-        for dispatch in DispatchMode::ALL {
+        for fusion in [Fusion::Off, Fusion::Full] {
             let out = Vm::new(&prog, Rt::new(RtConfig::rgt()))
-                .with_dispatch(dispatch)
+                .with_fusion(fusion)
                 .run()
                 .expect("vm run");
-            assert_eq!(out.result, scalar(7), "{dispatch:?}");
-            assert_eq!(out.rt.stack[SLOT as usize], scalar(7), "{dispatch:?}");
+            assert_eq!(out.result, scalar(7), "{fusion:?}");
+            assert_eq!(out.rt.stack[SLOT as usize], scalar(7), "{fusion:?}");
             assert_eq!(
                 out.rt.stack[SLOT as usize & 0xFFFF],
                 scalar(0),
-                "{dispatch:?}"
+                "{fusion:?}"
             );
         }
     }

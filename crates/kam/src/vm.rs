@@ -12,14 +12,17 @@
 //! (paper §4: collection happens at the next function entry once the
 //! free-list drops below the threshold).
 //!
-//! The oracle dispatches on [`Instr`] as compiled — every branch operand
-//! is already an absolute pc; the production engine translates that
-//! stream and fuses hot opcode runs ([`crate::threaded`]). The reported
+//! One engine runs every program: [`crate::threaded`] translates the
+//! compiled [`Instr`](crate::instr::Instr) stream, whose branch operands
+//! are already absolute pcs, and (with [`Fusion::Full`]) fuses hot opcode
+//! runs; the loop below dispatches on the opcode byte. With
+//! [`Fusion::Off`] it runs base handlers only, which share no code with
+//! any fused one: that is the differential oracle for fusion. The reported
 //! instruction count is that of the *source* stream — a superinstruction
 //! accounts for the instructions it replaces — so counters are identical
-//! on both engines, with fusion on or off.
+//! with fusion on or off.
 
-use crate::instr::{Disc, Instr, Program, RegSlot};
+use crate::instr::{Disc, Program, RegSlot};
 use crate::threaded::{self, Fusion, FusionProfile, Op, ThreadedCode};
 use kit_lambda::eval::{floor_div_mod, fmt_sml_int, fmt_sml_real, int_in_range, real_to_int};
 use kit_lambda::exp::Prim;
@@ -55,12 +58,12 @@ pub enum VmError {
     /// The wall-clock deadline (`RtConfig::deadline`) had passed at a
     /// `GcCheck` safe point — where the page quota is enforced too (fuel
     /// is charged per instruction) — so on a fixed clock outcome the breach
-    /// lands at the identical safe point on every dispatch engine.
+    /// lands at the identical safe point at either fusion level.
     DeadlineExceeded {
         /// Ordinal of the safe point (counting only those executed while a
         /// deadline was armed) whose clock read observed the breach. An
         /// already-expired deadline always breaches at safe point 1, so
-        /// the engine-identical claim is directly testable.
+        /// the fusion-invariant claim is directly testable.
         checks: u64,
     },
 }
@@ -111,57 +114,31 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// How [`Vm::run`] executes the program: one reference engine and one
-/// production engine. Both produce bit-identical observable behavior —
-/// results, output, instruction totals, fuel, and the GC schedule
-/// (enforced by the dispatch equivalence tests in `kit-bench`).
+/// The dispatch engine: there is one, so this selects nothing. It is
+/// still accepted by [`Executable::prepare`] and [`Vm::with_dispatch`],
+/// and carried by the server's wire format, because the benchmark package
+/// names it; it goes with the next wire version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// The differential oracle: a match-per-instruction loop over the
-    /// [`Instr`] stream, which has no superinstructions by type. It
-    /// shares no superinstruction code with the threaded engine, so every
-    /// fused handler is checked against the base instructions it stands
-    /// for.
-    Match,
     /// Direct-threaded execution: the stream is translated to
-    /// struct-of-arrays form ([`ThreadedCode`]), fused, and dispatched
-    /// through a jump table over the opcode byte.
+    /// struct-of-arrays form ([`ThreadedCode`]), fused as asked, and
+    /// dispatched through a jump table over the opcode byte.
     #[default]
     Threaded,
 }
 
-impl DispatchMode {
-    /// Every engine, oracle first — the one list the differential tests
-    /// and tools iterate.
-    pub const ALL: [DispatchMode; 2] = [DispatchMode::Match, DispatchMode::Threaded];
-}
-
-/// A program translated for one dispatch configuration — the one-time
-/// half of [`Vm::run`], split out so a compiled program can be
-/// prepared once and executed many times (concurrently: the payload is
-/// plain immutable data, `Send + Sync`, and is shared across VM
-/// instances via `Arc` by the server).
-// One per prepared program, held behind an `Arc` by the server: the
-// empty oracle variant's size costs nothing.
-#[allow(clippy::large_enum_variant)]
+/// A program translated for one fusion level — the one-time half of
+/// [`Vm::run`], split out so a compiled program can be prepared once and
+/// executed many times (concurrently: the payload is plain immutable
+/// data, `Send + Sync`, and is shared across VM instances via `Arc` by
+/// the server).
 #[derive(Debug)]
-pub enum Executable {
-    /// The program's own stream, dispatched by the match loop: nothing to
-    /// prepare.
-    Match,
-    /// Struct-of-arrays threaded form.
-    Threaded(ThreadedCode),
-}
+pub struct Executable(ThreadedCode);
 
 impl Executable {
-    /// Translates `prog` for `dispatch`. `fusion` applies to the threaded
-    /// engine only: the match loop is the oracle, and the [`Instr`] stream
-    /// it runs cannot hold a superinstruction.
-    pub fn prepare(prog: &Program, dispatch: DispatchMode, fusion: Fusion) -> Executable {
-        match dispatch {
-            DispatchMode::Match => Executable::Match,
-            DispatchMode::Threaded => Executable::Threaded(threaded::translate(prog, fusion)),
-        }
+    /// Translates `prog` to threaded form at fusion level `fusion`.
+    pub fn prepare(prog: &Program, _dispatch: DispatchMode, fusion: Fusion) -> Executable {
+        Executable(threaded::translate(prog, fusion))
     }
 }
 
@@ -221,10 +198,8 @@ pub struct Vm<'p> {
     output: String,
     fuel: Option<u64>,
     fusion: Fusion,
-    dispatch: DispatchMode,
     /// Fusion counting mode: dynamic pair/triple frequencies, recorded by
-    /// the match loop (enabling it forces `Match` dispatch, whose stream
-    /// is unfused, so base opcodes stay visible).
+    /// the counting instance of [`Vm::exec_threaded`].
     profile: Option<Box<FusionProfile>>,
     /// Error staged by a failing threaded handler before it returns
     /// [`Control::Fail`].
@@ -234,8 +209,8 @@ pub struct Vm<'p> {
     /// Safe points executed while a wall-clock deadline was armed; drives
     /// the strided clock read in [`Vm::gc_safe_point`] and is reported in
     /// [`VmError::DeadlineExceeded`]. Counts `gc_safe_point` calls only,
-    /// which all engines execute at the same source positions, so the
-    /// stride schedule is engine-invariant.
+    /// which run at the same source positions at either fusion level, so
+    /// the stride schedule is fusion-invariant.
     safe_points: u64,
 }
 
@@ -251,7 +226,6 @@ impl<'p> Vm<'p> {
             output: String::new(),
             fuel: None,
             fusion: Fusion::default(),
-            dispatch: DispatchMode::default(),
             profile: None,
             pending: None,
             halted: None,
@@ -272,19 +246,19 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Selects the dispatch engine.
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
+    /// Accepts the one [`DispatchMode`] and changes nothing.
+    pub fn with_dispatch(self, _dispatch: DispatchMode) -> Self {
         self
     }
 
     /// Enables the fusion counting mode: dynamic opcode pair/triple
     /// frequencies of fallthrough-adjacent instructions are recorded and
-    /// returned in [`VmOutcome::fusion_profile`]. Forces `Match` dispatch,
-    /// whose stream is unfused, so base opcodes stay visible.
+    /// returned in [`VmOutcome::fusion_profile`]. Turns fusion off for
+    /// [`Vm::run`], so base opcodes stay visible; under
+    /// [`Vm::run_prepared`] the counts are of the stream prepared.
     pub fn with_fusion_profile(mut self) -> Self {
         self.profile = Some(Box::default());
-        self.dispatch = DispatchMode::Match;
+        self.fusion = Fusion::Off;
         self
     }
 
@@ -469,18 +443,18 @@ impl<'p> Vm<'p> {
     /// [`VmError::OutOfFuel`] if the optional budget is exhausted;
     /// [`VmError::QuotaExceeded`] if the optional page cap is breached.
     pub fn run(self) -> Result<VmOutcome, VmError> {
-        let exe = Executable::prepare(self.prog, self.dispatch, self.fusion);
+        let exe = Executable::prepare(self.prog, DispatchMode::Threaded, self.fusion);
         self.run_prepared(&exe)
     }
 
     /// Runs a program prepared by [`Executable::prepare`] to completion.
     ///
-    /// The executable decides the engine (it is already translated for
-    /// one); the VM's own `dispatch` setting is not consulted. Sharing
+    /// The executable decides the fusion level (it is already translated
+    /// for one); the VM's own `fusion` setting is not consulted. Sharing
     /// one `Executable` across many VMs — concurrently, via `Arc` — is
     /// the compile-once/run-many entry point the server is built on, and
     /// is observationally identical to [`Vm::run`] with the same
-    /// configuration (the dispatch-equivalence tests run through both).
+    /// configuration (the fusion differentials run through both).
     ///
     /// # Errors
     ///
@@ -492,268 +466,12 @@ impl<'p> Vm<'p> {
         self.push(env0);
         self.push_frame_from_stack(self.prog.main, 1, usize::MAX, 0);
         let main = self.prog.main as usize;
-        match exe {
-            Executable::Match => {
-                let pc = self.prog.funs[main].entry as usize;
-                self.exec_match(pc)
-            }
-            Executable::Threaded(tcode) => {
-                let pc = tcode.entry_pc[main] as usize;
-                self.exec_threaded(tcode, pc)
-            }
-        }
-    }
-
-    /// The oracle loop: fetch, `match` on the [`Instr`] variant — base
-    /// instructions only, by type — so one dispatch is one source
-    /// instruction.
-    fn exec_match(mut self, mut pc: usize) -> Result<VmOutcome, VmError> {
-        let prog = self.prog;
-        let code: &[Instr] = &prog.code;
-        let fuel_limit = self.fuel.unwrap_or(u64::MAX);
-        let mut icount: u64 = 0;
-
-        macro_rules! raise_builtin {
-            ($self:ident, $pc:ident, $exn:expr) => {{
-                let v = scalar($exn.0 as i64);
-                match $self.do_raise(v) {
-                    Some(new_pc) => {
-                        $pc = new_pc;
-                        continue;
-                    }
-                    None => return Err($self.uncaught($exn.0)),
-                }
-            }};
-        }
-
-        loop {
-            let ins = &code[pc];
-            icount += 1;
-            if icount > fuel_limit {
-                return Err(VmError::OutOfFuel);
-            }
-            if let Some(prof) = self.profile.as_deref_mut() {
-                prof.step(pc, Op::of(ins));
-            }
-            pc += 1;
-            match ins {
-                Instr::PushConst(w) => self.push(*w),
-                Instr::PushStr(s) => {
-                    let w = self.rt.intern_const_str(s);
-                    self.push(w);
-                }
-                Instr::PushReal(x, at) => {
-                    self.push(x.to_bits());
-                    self.box_from_stack(*at, Tag::real(), None, 1);
-                }
-                Instr::Load(i) => {
-                    let v = self.local(*i);
-                    self.push(v);
-                }
-                Instr::Store(i) => {
-                    let v = self.pop();
-                    self.set_local(*i, v);
-                }
-                Instr::Pop => {
-                    self.pop();
-                }
-                Instr::MkRecord { n, at } => {
-                    self.box_from_stack(*at, Tag::record(*n as u32), None, *n as usize);
-                }
-                Instr::Select(i) => {
-                    let v = self.pop();
-                    let w = self.rt.field(v, *i as u64);
-                    self.push(w);
-                }
-                Instr::Spread { n } => {
-                    let v = self.pop();
-                    for i in 0..*n {
-                        let w = self.rt.field(v, i as u64);
-                        self.push(w);
-                    }
-                }
-                Instr::MkCon { ctor, n, disc, at } => {
-                    let lead = disc.then(|| scalar(*ctor as i64));
-                    let tag = Tag::con(*ctor as u32, *n as u32 + *disc as u32);
-                    self.box_from_stack(*at, tag, lead, *n as usize);
-                }
-                Instr::DeConAdj => {
-                    let v = self.pop();
-                    self.push(ptr(ptr_addr(v) + 1));
-                }
-                Instr::SwitchCon {
-                    disc,
-                    arms,
-                    default,
-                } => {
-                    let v = self.pop();
-                    let ctor: u32 = if !is_ptr(v) {
-                        scalar_val(v) as u32
-                    } else {
-                        match disc {
-                            Disc::Tag => Tag::decode(self.rt.read_addr(ptr_addr(v))).info,
-                            Disc::Field0 => scalar_val(self.rt.read_addr(ptr_addr(v))) as u32,
-                            Disc::Single(c) => *c,
-                            Disc::Enum => unreachable!("boxed value in enum datatype"),
-                        }
-                    };
-                    let target = arms
-                        .iter()
-                        .find(|(c, _)| *c == ctor)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    pc = target as usize;
-                }
-                Instr::SwitchInt { arms, default } => {
-                    let v = self.pop();
-                    let n = self.rt.untag_int(v);
-                    let target = arms
-                        .iter()
-                        .find(|(k, _)| *k == n)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    pc = target as usize;
-                }
-                Instr::SwitchStr { arms, default } => {
-                    let v = self.pop();
-                    let s = self.rt.str_val(v);
-                    let target = arms
-                        .iter()
-                        .find(|(k, _)| k == s)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    pc = target as usize;
-                }
-                Instr::SwitchExn { arms, default } => {
-                    let v = self.pop();
-                    let id = self.exn_id(v);
-                    let target = arms
-                        .iter()
-                        .find(|(k, _)| *k == id)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    pc = target as usize;
-                }
-                Instr::Jump(t) => pc = *t as usize,
-                Instr::JumpIfFalse(t) => {
-                    let v = self.pop();
-                    if self.rt.untag_int(v) == 0 {
-                        pc = *t as usize;
-                    }
-                }
-                Instr::Unreachable => unreachable!("exhaustive switch fell through"),
-                Instr::Prim { p, at } => match self.do_prim(*p, *at) {
-                    Ok(()) => {}
-                    Err(exn) => raise_builtin!(self, pc, exn),
-                },
-                Instr::RegHandle(slot) => {
-                    let r = self.region_of(*slot);
-                    let w = self.rt.tag_int(r.0 as i64);
-                    self.push(w);
-                }
-                Instr::Call {
-                    fun,
-                    target,
-                    nargs,
-                    nformals,
-                    tail,
-                } => {
-                    let n = *nargs as usize;
-                    let nf = *nformals as usize;
-                    let (base, ret) = if *tail {
-                        self.pop_frame_for_tail_call()
-                    } else {
-                        (self.rt.stack.len() - n - nf - 1, pc)
-                    };
-                    self.push_frame_from_stack(*fun, 1 + nf + n, ret, base);
-                    pc = *target as usize;
-                }
-                Instr::CallClos { nargs, tail } => {
-                    let n = *nargs as usize;
-                    let sp = self.rt.stack.len();
-                    // The closure doubles as the callee's environment.
-                    let clos = self.rt.stack[sp - n - 1];
-                    let label = scalar_val(self.rt.field(clos, 0)) as usize;
-                    let fun = prog.fun_of_label[label];
-                    debug_assert_ne!(fun, u32::MAX, "closure label is not a function entry");
-                    let (base, ret) = if *tail {
-                        self.pop_frame_for_tail_call()
-                    } else {
-                        (sp - n - 1, pc)
-                    };
-                    self.push_frame_from_stack(fun, 1 + n, ret, base);
-                    pc = prog.pc_of_label[label] as usize;
-                }
-                Instr::EnterViaPair { nformals, nargs } => {
-                    self.enter_via_pair(*nformals as usize, *nargs as usize);
-                }
-                Instr::Ret => pc = self.ret(),
-                Instr::GcCheck => {
-                    if let Some(e) = self.gc_safe_point() {
-                        return Err(e);
-                    }
-                }
-                Instr::LetRegion { names } => {
-                    for name in names.iter() {
-                        self.rt.letregion(*name);
-                    }
-                }
-                Instr::EndRegions(n) => {
-                    for _ in 0..*n {
-                        self.rt.endregion();
-                    }
-                }
-                Instr::PushHandler { target } => {
-                    self.handlers.push(Handler {
-                        target: *target as usize,
-                        frame_idx: self.frames.len() - 1,
-                        stack_len: self.rt.stack.len(),
-                        region_depth: self.rt.region_depth(),
-                    });
-                }
-                Instr::PopHandler => {
-                    self.handlers.pop().expect("handler stack underflow");
-                }
-                Instr::MkExn { exn, has_arg, at } => {
-                    if !*has_arg {
-                        self.push(scalar(*exn as i64));
-                    } else {
-                        // Untagged, the id leads the block in place of a tag.
-                        let lead = (!self.rt.config.tagged).then(|| scalar(*exn as i64));
-                        let at = at.expect("carrying exception needs a place");
-                        self.box_from_stack(at, Tag::exn(*exn, 1), lead, 1);
-                    }
-                }
-                Instr::DeExn => {
-                    let v = self.pop();
-                    let off = if self.rt.config.tagged { 0 } else { 1 };
-                    let w = self.rt.field(v, off);
-                    self.push(w);
-                }
-                Instr::Raise => {
-                    let v = self.pop();
-                    match self.do_raise(v) {
-                        Some(new_pc) => pc = new_pc,
-                        None => {
-                            let id = self.exn_id(v);
-                            return Err(self.uncaught(id));
-                        }
-                    }
-                }
-                Instr::Halt => {
-                    let result = self.pop();
-                    let mut stats = self.rt.stats.clone();
-                    stats.observe_bytes(self.rt.mem_bytes());
-                    return Ok(VmOutcome {
-                        result,
-                        output: self.output,
-                        instructions: icount,
-                        stats,
-                        fusion_profile: self.profile.take(),
-                        rt: self.rt,
-                    });
-                }
-            }
+        let t = &exe.0;
+        let pc = t.entry_pc[main] as usize;
+        if self.profile.is_some() {
+            self.exec_threaded::<true>(t, pc)
+        } else {
+            self.exec_threaded::<false>(t, pc)
         }
     }
 
@@ -762,8 +480,14 @@ impl<'p> Vm<'p> {
     /// byte; each handler does one opcode's work and reports how control
     /// continues. Costs come from [`Op::cost`] — the source
     /// instructions an opcode stands for — so fuel and instruction totals
-    /// are bit-identical with the match loop's one per instruction.
-    fn exec_threaded(mut self, t: &ThreadedCode, entry: usize) -> Result<VmOutcome, VmError> {
+    /// are bit-identical at either fusion level. `PROFILE` selects the
+    /// fusion counting instance, which records every dispatch in
+    /// [`Vm::profile`]; the production instance has no such branch.
+    fn exec_threaded<const PROFILE: bool>(
+        mut self,
+        t: &ThreadedCode,
+        entry: usize,
+    ) -> Result<VmOutcome, VmError> {
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
         let mut icount: u64 = 0;
         let mut pc = entry;
@@ -773,13 +497,20 @@ impl<'p> Vm<'p> {
             if icount > fuel_limit {
                 return Err(VmError::OutOfFuel);
             }
+            if PROFILE {
+                if let Some(prof) = self.profile.as_deref_mut() {
+                    prof.step(pc, op);
+                }
+            }
             // Rust has no computed goto, so the "threading" here is the
             // dense-`u8` match below: it compiles to a single jump table
-            // over the opcode byte, and the hot handlers are
-            // `#[inline(always)]` so their bodies land inside the arms
-            // (an opaque call through a table would block inlining and
-            // costs ~10% on the recursive benchmarks). The match is
-            // exhaustive: it is the opcode -> handler mapping.
+            // over the opcode byte, and every handler is
+            // `#[inline(always)]` so its body lands inside its arm (an
+            // opaque call through a table would block inlining and costs
+            // ~10% on the recursive benchmarks; with two instances of
+            // this loop, a handler without the attribute has two callers
+            // and is left out of line). The match is exhaustive: it is
+            // the opcode -> handler mapping.
             let ctl = match op {
                 Op::PushConst => h_push_const(&mut self, t, pc as u32),
                 Op::PushStr => h_push_str(&mut self, t, pc as u32),
@@ -826,7 +557,6 @@ impl<'p> Vm<'p> {
                 Op::StoreLoad => h_store_load(&mut self, t, pc as u32),
                 Op::LoadLoad => h_load_load(&mut self, t, pc as u32),
                 Op::PrimJump => h_prim_jump(&mut self, t, pc as u32),
-                Op::SelectStore => h_select_store(&mut self, t, pc as u32),
                 Op::LoadStore => h_load_store(&mut self, t, pc as u32),
                 Op::LoadSwitchCon => h_load_switch_con(&mut self, t, pc as u32),
                 Op::GcCheckLoad => h_gc_check_load(&mut self, t, pc as u32),
@@ -848,7 +578,7 @@ impl<'p> Vm<'p> {
                         output: self.output,
                         instructions: icount,
                         stats,
-                        fusion_profile: None,
+                        fusion_profile: self.profile.take(),
                         rt: self.rt,
                     });
                 }
@@ -944,8 +674,8 @@ impl<'p> Vm<'p> {
         gc::collect(&mut self.rt, &roots, &mut []);
     }
 
-    /// Collection policy at a `GcCheck` safe point, shared by all
-    /// engines: enforce the optional wall-clock deadline, collect if the
+    /// Collection policy at a `GcCheck` safe point, shared by every
+    /// handler that contains one: enforce the optional wall-clock deadline, collect if the
     /// runtime says a collection is due, then enforce the optional
     /// page-cap quota. Returns the quota error if the cap is breached
     /// even after a forced collection. With neither a cap nor a deadline
@@ -972,10 +702,10 @@ impl<'p> Vm<'p> {
     /// The deadline slow path (only entered with a deadline armed): read
     /// the clock at the first safe point and every 16th after it — the
     /// first read catches an already-expired deadline at the earliest
-    /// enforceable point (safe point 1, on every engine), and the stride
-    /// keeps the clock read off the function-entry fast path. The
+    /// enforceable point (safe point 1, at either fusion level), and the
+    /// stride keeps the clock read off the function-entry fast path. The
     /// counter advances only while a deadline is armed, so the stride
-    /// schedule is identical across engines and runs.
+    /// schedule is identical across fusion levels and runs.
     #[cold]
     fn deadline_check(&mut self, deadline: std::time::Instant) -> Option<VmError> {
         const STRIDE_MASK: u64 = 15;
@@ -1299,12 +1029,14 @@ fn h_push_const(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Next
 }
 
+#[inline(always)]
 fn h_push_str(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let w = vm.rt.intern_const_str(&t.strs[args(t, pc).a as usize]);
     vm.push(w);
     Control::Next
 }
 
+#[inline(always)]
 fn h_spread(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let n = args(t, pc).n;
     let v = vm.pop();
@@ -1315,10 +1047,12 @@ fn h_spread(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Next
 }
 
+#[inline(always)]
 fn h_unreachable(_vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     unreachable!("exhaustive switch fell through")
 }
 
+#[inline(always)]
 fn h_push_real(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     vm.push(x.k);
@@ -1385,6 +1119,7 @@ fn h_mk_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Next
 }
 
+#[inline(always)]
 fn h_de_con_adj(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     let v = vm.pop();
     vm.push(ptr(ptr_addr(v) + 1));
@@ -1420,6 +1155,7 @@ fn h_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     switch_con(vm, t, v, args(t, pc).a)
 }
 
+#[inline(always)]
 fn h_switch_int(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let v = vm.pop();
     let n = vm.rt.untag_int(v);
@@ -1432,6 +1168,7 @@ fn h_switch_int(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Goto(target)
 }
 
+#[inline(always)]
 fn h_switch_str(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let v = vm.pop();
     let (arms, default) = &t.str_switches[args(t, pc).a as usize];
@@ -1444,6 +1181,7 @@ fn h_switch_str(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Goto(target)
 }
 
+#[inline(always)]
 fn h_switch_exn(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let v = vm.pop();
     let id = vm.exn_id(v);
@@ -1513,6 +1251,7 @@ fn h_call(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Goto(x.t)
 }
 
+#[inline(always)]
 fn h_call_clos(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let n = x.n as usize;
@@ -1531,6 +1270,7 @@ fn h_call_clos(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Goto(t.pc_of_label[label])
 }
 
+#[inline(always)]
 fn h_enter_via_pair(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     vm.enter_via_pair(x.n as usize, x.m as usize);
@@ -1567,6 +1307,7 @@ fn h_end_regions(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Next
 }
 
+#[inline(always)]
 fn h_push_handler(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     vm.handlers.push(Handler {
         target: args(t, pc).t as usize,
@@ -1577,11 +1318,13 @@ fn h_push_handler(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Next
 }
 
+#[inline(always)]
 fn h_pop_handler(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     vm.handlers.pop().expect("handler stack underflow");
     Control::Next
 }
 
+#[inline(always)]
 fn h_mk_exn(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     if !x.flag {
@@ -1595,6 +1338,7 @@ fn h_mk_exn(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     Control::Next
 }
 
+#[inline(always)]
 fn h_de_exn(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     let v = vm.pop();
     let off = if vm.rt.config.tagged { 0 } else { 1 };
@@ -1603,6 +1347,7 @@ fn h_de_exn(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     Control::Next
 }
 
+#[inline(always)]
 fn h_raise(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     let v = vm.pop();
     match vm.do_raise(v) {
@@ -1615,6 +1360,7 @@ fn h_raise(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     }
 }
 
+#[inline(always)]
 fn h_halt(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
     let result = vm.pop();
     vm.halted = Some(result);
@@ -1883,15 +1629,6 @@ fn h_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 }
 
 #[inline(always)]
-fn h_select_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.pop();
-    let w = vm.rt.field(v, x.n as u64);
-    vm.set_local(x.a, w);
-    Control::Next
-}
-
-#[inline(always)]
 fn h_load_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
@@ -1980,26 +1717,42 @@ fn h_reg_handle_load_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control
 mod tests {
     use super::*;
 
-    #[test]
-    fn the_oracle_is_prepared_unfused_whatever_fusion_is_asked_for() {
+    fn fib_program() -> Program {
         let src = "fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)\n\
                    val it = fib 10";
         let mut lprog = kit_typing::compile_str(src).unwrap();
         kit_lambda::opt::optimize(&mut lprog, &Default::default());
         let rprog = kit_region::infer(&lprog, kit_region::RegionOptions::with_gc());
-        let prog = crate::compile(&rprog, true);
-        for fusion in [Fusion::Off, Fusion::Full] {
-            let exe = Executable::prepare(&prog, DispatchMode::Match, fusion);
-            assert!(matches!(exe, Executable::Match), "{fusion:?}");
-        }
-        // The same request does fuse for the production engine, so the
-        // assertion above is not vacuous.
-        let Executable::Threaded(t) =
-            Executable::prepare(&prog, DispatchMode::Threaded, Fusion::Full)
-        else {
-            panic!("Threaded must prepare the threaded form");
-        };
-        assert!(t.fused > 0);
-        assert!(t.ops.len() < prog.code.len());
+        crate::compile(&rprog, true)
+    }
+
+    #[test]
+    fn prepare_translates_at_the_fusion_level_asked_for() {
+        let prog = fib_program();
+        let off = Executable::prepare(&prog, DispatchMode::default(), Fusion::Off);
+        assert_eq!((off.0.fused, off.0.ops.len()), (0, prog.code.len()));
+        let full = Executable::prepare(&prog, DispatchMode::default(), Fusion::Full);
+        assert!(full.0.fused > 0);
+        assert!(full.0.ops.len() < prog.code.len());
+    }
+
+    #[test]
+    fn the_counting_instance_runs_unfused_and_counts_what_it_runs() {
+        let prog = fib_program();
+        let run = |vm: Vm<'_>| vm.run().unwrap();
+        let plain = run(Vm::new(&prog, Rt::new(kit_runtime::RtConfig::rgt())));
+        let counted =
+            run(Vm::new(&prog, Rt::new(kit_runtime::RtConfig::rgt())).with_fusion_profile());
+        assert!(plain.fusion_profile.is_none());
+        assert_eq!(counted.result, plain.result);
+        assert_eq!(counted.instructions, plain.instructions);
+        let prof = counted
+            .fusion_profile
+            .expect("the counting instance returns a profile");
+        let pairs = prof.hot_pairs();
+        assert!(!pairs.is_empty());
+        assert!(pairs
+            .iter()
+            .all(|(ops, _)| ops.iter().all(|op| !op.is_fused())));
     }
 }

@@ -239,7 +239,7 @@ fn disassembler_round_trip_smoke() {
 
 mod frames {
     use kit_kam::instr::{FunInfo, Instr, RegSlot};
-    use kit_kam::{DispatchMode, Program, Vm};
+    use kit_kam::{Fusion, Program, Vm};
     use kit_lambda::exp::Prim;
     use kit_lambda::ty::{DataEnv, LTy};
     use kit_runtime::value::scalar;
@@ -358,7 +358,7 @@ mod frames {
 
     /// main calls `hop` (if any), which dirties its locals and tail-calls
     /// the callee; otherwise main calls the callee directly. Tagged and
-    /// untagged, on both engines.
+    /// untagged, at both fusion levels.
     fn run(s: Shape, via: Via, hop: Option<Shape>, args: &[i64]) {
         assert_eq!(args.len(), s.nargs as usize);
         assert!(s.temps >= 1, "a local nobody writes");
@@ -432,12 +432,12 @@ mod frames {
                 result_ty: LTy::Int,
                 data: DataEnv::default(),
             };
-            for dispatch in DispatchMode::ALL {
+            for fusion in [Fusion::Off, Fusion::Full] {
                 let out = Vm::new(&prog, Rt::new(cfg.clone()))
-                    .with_dispatch(dispatch)
+                    .with_fusion(fusion)
                     .run()
                     .expect("vm run");
-                let ctx = format!("{ctx} tagged={tagged} {dispatch:?}");
+                let ctx = format!("{ctx} tagged={tagged} {fusion:?}");
                 assert_eq!(out.rt.untag_int(out.result), want(&s, args), "{ctx}");
                 // Only main's frame and the junk word are left.
                 assert_eq!(out.rt.stack.len(), 3, "{ctx}");
@@ -544,14 +544,14 @@ mod frames {
                 result_ty: LTy::Int,
                 data: DataEnv::default(),
             };
-            DispatchMode::ALL.map(|dispatch| {
+            [Fusion::Off, Fusion::Full].map(|fusion| {
                 let mut rt = Rt::new(RtConfig::rgt());
                 rt.gc_needed = true;
                 let out = Vm::new(&prog, rt)
-                    .with_dispatch(dispatch)
+                    .with_fusion(fusion)
                     .run()
                     .expect("vm run");
-                assert_eq!(out.stats.gc_count, 1, "keep={keep} {dispatch:?}");
+                assert_eq!(out.stats.gc_count, 1, "keep={keep} {fusion:?}");
                 out.stats.gc_copied_words
             })
         };

@@ -163,7 +163,7 @@ impl Outcome {
     }
 }
 
-/// A program compiled *and* translated for one dispatch engine:
+/// A program compiled *and* translated for one fusion level:
 /// the expensive, shareable half of execution. Prepare once with
 /// [`Compiler::prepare_source`], then run any number of times with
 /// [`Compiler::run_prepared`] — concurrently if desired, since the
@@ -173,8 +173,8 @@ impl Outcome {
 pub struct PreparedProgram {
     /// The compiled bytecode (entry points, render tables).
     pub program: Program,
-    /// The bytecode prepared for the compiler's dispatch engine: translated
-    /// (and fused) for the threaded engine, nothing for the oracle.
+    /// The bytecode translated (and fused, as the compiler asks) for the
+    /// engine.
     pub executable: Executable,
 }
 
@@ -212,7 +212,6 @@ pub struct Compiler {
     /// [`Compiler::with_deadline_at`] lives in `config.deadline` instead.
     deadline: Option<std::time::Duration>,
     fusion: Fusion,
-    dispatch: DispatchMode,
     fusion_profile: bool,
 }
 
@@ -225,7 +224,6 @@ impl Compiler {
             fuel: None,
             deadline: None,
             fusion: Fusion::default(),
-            dispatch: DispatchMode::default(),
             fusion_profile: false,
         }
     }
@@ -277,7 +275,7 @@ impl Compiler {
     /// server): the budget is anchored to `Instant::now()` when the run
     /// starts, and a run whose clock expires fails with
     /// [`VmError::DeadlineExceeded`] at a `GcCheck` safe point — where the
-    /// page quota is enforced too, on every engine (fuel is charged per
+    /// page quota is enforced too, at either fusion level (fuel is charged per
     /// instruction instead).
     pub fn with_deadline(mut self, budget: std::time::Duration) -> Self {
         self.deadline = Some(budget);
@@ -292,45 +290,30 @@ impl Compiler {
         self
     }
 
-    /// Turns superinstruction fusion in the threaded engine's translation
-    /// on (`Full`, the default) or off (`Off`, for differential testing;
-    /// all observable behavior — including the instruction count — is
-    /// identical either way). The match engine always runs unfused.
+    /// Turns superinstruction fusion in the engine's translation on
+    /// (`Full`, the default) or off (`Off`: base handlers only, the
+    /// differential oracle for fusion). All observable behavior —
+    /// results, output, instruction totals, GC schedule and statistics —
+    /// is identical either way.
+    ///
+    /// ```
+    /// use kit::{Compiler, Fusion, Mode};
+    ///
+    /// let src = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\n\
+    ///            val it = fib 12";
+    /// let run = |f| Compiler::new(Mode::Rgt).with_fusion(f).run_source(src).unwrap();
+    /// let (off, full) = (run(Fusion::Off), run(Fusion::Full));
+    /// assert_eq!(off.result, full.result);
+    /// assert_eq!(off.instructions, full.instructions);
+    /// ```
     pub fn with_fusion(mut self, fusion: Fusion) -> Self {
         self.fusion = fusion;
         self
     }
 
-    /// Selects the interpreter's dispatch engine: the match loop over the
-    /// unfused stream (the differential oracle) or the direct-threaded
-    /// handler table (the default, and the only engine meant for
-    /// production). Observable behavior — results, output, instruction
-    /// totals, GC schedule and statistics — is identical across both.
-    ///
-    /// ```
-    /// use kit::{Compiler, DispatchMode, Mode};
-    ///
-    /// let src = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\n\
-    ///            val it = fib 12";
-    /// let run = |d| {
-    ///     Compiler::new(Mode::Rgt)
-    ///         .with_dispatch(d)
-    ///         .run_source(src)
-    ///         .unwrap()
-    /// };
-    /// let m = run(DispatchMode::Match);
-    /// let t = run(DispatchMode::Threaded);
-    /// assert_eq!(m.result, t.result);
-    /// assert_eq!(m.instructions, t.instructions);
-    /// ```
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Enables the VM's fusion counting mode: dynamic opcode pair/triple
     /// frequencies are returned in [`Outcome::fusion_profile`]. Forces
-    /// match dispatch with fusion off so base opcodes stay visible.
+    /// fusion off, so base opcodes stay visible.
     pub fn with_fusion_profile(mut self) -> Self {
         self.fusion_profile = true;
         self
@@ -378,8 +361,8 @@ impl Compiler {
         self.run_executable(prog, &self.executable_for(prog))
     }
 
-    /// Translates compiled bytecode for this compiler's
-    /// dispatch engine, producing a [`PreparedProgram`] for repeated
+    /// Translates compiled bytecode at this compiler's fusion level,
+    /// producing a [`PreparedProgram`] for repeated
     /// (and concurrent) execution.
     pub fn prepare_program(&self, prog: Program) -> PreparedProgram {
         let executable = self.executable_for(&prog);
@@ -390,14 +373,14 @@ impl Compiler {
     }
 
     fn executable_for(&self, prog: &Program) -> Executable {
-        // The fusion counting mode forces match dispatch (unfused, so
-        // base opcodes stay visible), mirroring `Vm::with_fusion_profile`.
-        let dispatch = if self.fusion_profile {
-            DispatchMode::Match
+        // The fusion counting mode runs unfused, so base opcodes stay
+        // visible, as `Vm::with_fusion_profile` does.
+        let fusion = if self.fusion_profile {
+            Fusion::Off
         } else {
-            self.dispatch
+            self.fusion
         };
-        Executable::prepare(prog, dispatch, self.fusion)
+        Executable::prepare(prog, DispatchMode::Threaded, fusion)
     }
 
     /// Compiles and prepares `src` in one step.
@@ -426,9 +409,7 @@ impl Compiler {
     /// The one VM set-up: a fresh `Rt` and `Vm` per run.
     fn run_executable(&self, prog: &Program, exe: &Executable) -> Result<Outcome, Error> {
         let rt = Rt::new(self.run_config());
-        let mut vm = Vm::new(prog, rt)
-            .with_fusion(self.fusion)
-            .with_dispatch(self.dispatch);
+        let mut vm = Vm::new(prog, rt).with_fusion(self.fusion);
         if let Some(f) = self.fuel {
             vm = vm.with_fuel(f);
         }
@@ -493,18 +474,18 @@ mod tests {
 
         let src = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\n\
                    val it = fib 15";
-        for dispatch in DispatchMode::ALL {
-            let c = Compiler::new(Mode::Rgt).with_dispatch(dispatch);
+        for fusion in [Fusion::Off, Fusion::Full] {
+            let c = Compiler::new(Mode::Rgt).with_fusion(fusion);
             let prep = c.prepare_source(src).unwrap();
             let a = c.run_prepared(&prep).unwrap();
             let b = c.run_source(src).unwrap();
-            assert_eq!(a.result, b.result, "{dispatch:?}");
-            assert_eq!(a.instructions, b.instructions, "{dispatch:?}");
-            assert_eq!(a.stats.gc_count, b.stats.gc_count, "{dispatch:?}");
+            assert_eq!(a.result, b.result, "{fusion:?}");
+            assert_eq!(a.instructions, b.instructions, "{fusion:?}");
+            assert_eq!(a.stats.gc_count, b.stats.gc_count, "{fusion:?}");
             // Repeated runs over one prepared program are identical too.
             let a2 = c.run_prepared(&prep).unwrap();
-            assert_eq!(a.result, a2.result, "{dispatch:?}");
-            assert_eq!(a.instructions, a2.instructions, "{dispatch:?}");
+            assert_eq!(a.result, a2.result, "{fusion:?}");
+            assert_eq!(a.instructions, a2.instructions, "{fusion:?}");
         }
     }
 

@@ -1,11 +1,11 @@
 //! Wall-clock deadline enforcement (DESIGN.md §6j): breaches surface as
 //! a typed `VmError::DeadlineExceeded` at `GcCheck` safe points — the
 //! same points fuel and page quotas use — so an already-expired deadline
-//! fails at the *first* safe point on every dispatch engine (the strided
+//! fails at the *first* safe point at both fusion levels (the strided
 //! clock read always samples safe point 1), and a generous deadline
 //! leaves execution bit-identical to an undeadlined run.
 
-use kit::{Compiler, DispatchMode, Error, Mode, VmError};
+use kit::{Compiler, Error, Fusion, Mode, VmError};
 use std::time::{Duration, Instant};
 
 const FIB: &str = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval it = fib 15";
@@ -13,11 +13,11 @@ const FIB: &str = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval i
 const SPIN: &str = "fun loop n = loop (n + 1)\nval it = loop 0";
 
 #[test]
-fn expired_deadline_breaches_at_the_first_safe_point_on_every_engine() {
+fn expired_deadline_breaches_at_the_first_safe_point_at_both_fusion_levels() {
     let mut errors = Vec::new();
-    for dispatch in DispatchMode::ALL {
+    for fusion in [Fusion::Off, Fusion::Full] {
         let err = Compiler::new(Mode::Rgt)
-            .with_dispatch(dispatch)
+            .with_fusion(fusion)
             .with_deadline_at(Instant::now())
             .run_source(FIB)
             .expect_err("an already-expired deadline cannot run anything");
@@ -25,16 +25,16 @@ fn expired_deadline_breaches_at_the_first_safe_point_on_every_engine() {
             Error::Run(VmError::DeadlineExceeded { checks }) => {
                 assert_eq!(
                     *checks, 1,
-                    "{dispatch:?}: the stride samples the first safe point"
+                    "{fusion:?}: the stride samples the first safe point"
                 );
             }
-            other => panic!("{dispatch:?}: expected DeadlineExceeded, got {other}"),
+            other => panic!("{fusion:?}: expected DeadlineExceeded, got {other}"),
         }
         errors.push(err);
     }
     // The typed error (including the breaching safe-point ordinal) is
-    // identical across engines — the deadline is an engine-shared
-    // safe-point property, not an engine detail.
+    // identical at both fusion levels — the deadline is a safe-point
+    // property, not a dispatch detail.
     for window in errors.windows(2) {
         assert_eq!(window[0], window[1]);
     }
@@ -42,17 +42,17 @@ fn expired_deadline_breaches_at_the_first_safe_point_on_every_engine() {
 
 #[test]
 fn short_deadline_stops_a_divergent_program() {
-    for dispatch in DispatchMode::ALL {
+    for fusion in [Fusion::Off, Fusion::Full] {
         let err = Compiler::new(Mode::Rgt)
-            .with_dispatch(dispatch)
+            .with_fusion(fusion)
             .with_deadline(Duration::from_millis(50))
             .run_source(SPIN)
             .expect_err("the spin loop cannot finish");
         match err {
             Error::Run(VmError::DeadlineExceeded { checks }) => {
-                assert!(checks >= 1, "{dispatch:?}");
+                assert!(checks >= 1, "{fusion:?}");
             }
-            other => panic!("{dispatch:?}: expected DeadlineExceeded, got {other}"),
+            other => panic!("{fusion:?}: expected DeadlineExceeded, got {other}"),
         }
     }
 }
@@ -74,29 +74,26 @@ fn deadline_error_text_is_constant() {
 
 #[test]
 fn generous_deadline_leaves_execution_bit_identical() {
-    for dispatch in DispatchMode::ALL {
+    for fusion in [Fusion::Off, Fusion::Full] {
         let plain = Compiler::new(Mode::Rgt)
-            .with_dispatch(dispatch)
+            .with_fusion(fusion)
             .run_source(FIB)
             .expect("plain run");
         let deadlined = Compiler::new(Mode::Rgt)
-            .with_dispatch(dispatch)
+            .with_fusion(fusion)
             .with_deadline(Duration::from_secs(600))
             .run_source(FIB)
             .expect("deadlined run");
-        assert_eq!(plain.result, deadlined.result, "{dispatch:?}");
-        assert_eq!(plain.instructions, deadlined.instructions, "{dispatch:?}");
-        assert_eq!(
-            plain.stats.gc_count, deadlined.stats.gc_count,
-            "{dispatch:?}"
-        );
+        assert_eq!(plain.result, deadlined.result, "{fusion:?}");
+        assert_eq!(plain.instructions, deadlined.instructions, "{fusion:?}");
+        assert_eq!(plain.stats.gc_count, deadlined.stats.gc_count, "{fusion:?}");
         assert_eq!(
             plain.stats.gc_copied_words, deadlined.stats.gc_copied_words,
-            "{dispatch:?}"
+            "{fusion:?}"
         );
         assert_eq!(
             plain.stats.peak_bytes, deadlined.stats.peak_bytes,
-            "{dispatch:?}"
+            "{fusion:?}"
         );
     }
 }

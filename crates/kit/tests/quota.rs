@@ -1,48 +1,48 @@
 //! Per-request quota enforcement (DESIGN.md §6i): fuel exhaustion and
-//! page-cap breaches return clean typed errors, identically across both
-//! dispatch engines, and leave no state behind — repeated runs of
+//! page-cap breaches return clean typed errors, identically at both
+//! fusion levels, and leave no state behind — repeated runs of
 //! one prepared program are bit-identical whether or not a capped run
 //! failed in between.
 
-use kit::{Compiler, DispatchMode, Error, Mode, VmError};
+use kit::{Compiler, Error, Fusion, Mode, VmError};
 
 const BUILD: &str = "fun build 0 = nil | build n = n :: build (n-1)\nval it = length (build 40000)";
 const FIB: &str = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval it = fib 15";
 
 #[test]
-fn page_cap_breach_is_typed_and_engine_identical() {
+fn page_cap_breach_is_typed_and_fusion_invariant() {
     let mut errors = Vec::new();
-    for dispatch in DispatchMode::ALL {
+    for fusion in [Fusion::Off, Fusion::Full] {
         let err = Compiler::new(Mode::Rgt)
-            .with_dispatch(dispatch)
+            .with_fusion(fusion)
             .with_max_heap_pages(8)
             .run_source(BUILD)
             .expect_err("the 40k-cons list cannot fit in 8 pages");
         match &err {
             Error::Run(VmError::QuotaExceeded { pages, cap }) => {
-                assert_eq!(*cap, 8, "{dispatch:?}");
-                assert!(*pages > 8, "{dispatch:?}: failing footprint {pages}");
+                assert_eq!(*cap, 8, "{fusion:?}");
+                assert!(*pages > 8, "{fusion:?}: failing footprint {pages}");
             }
-            other => panic!("{dispatch:?}: expected QuotaExceeded, got {other}"),
+            other => panic!("{fusion:?}: expected QuotaExceeded, got {other}"),
         }
         errors.push(err);
     }
     // Quota is checked only at GcCheck safe points, so the failing
-    // footprint is the same number of pages in every engine.
+    // footprint is the same number of pages at both fusion levels.
     for window in errors.windows(2) {
         assert_eq!(window[0], window[1]);
     }
 }
 
 #[test]
-fn fuel_exhaustion_is_typed_and_engine_identical() {
-    for dispatch in DispatchMode::ALL {
+fn fuel_exhaustion_is_typed_and_fusion_invariant() {
+    for fusion in [Fusion::Off, Fusion::Full] {
         let err = Compiler::new(Mode::Rgt)
-            .with_dispatch(dispatch)
+            .with_fusion(fusion)
             .with_fuel(1_000)
             .run_source(FIB)
             .expect_err("fib 15 needs more than 1000 instructions");
-        assert_eq!(err, Error::Run(VmError::OutOfFuel), "{dispatch:?}");
+        assert_eq!(err, Error::Run(VmError::OutOfFuel), "{fusion:?}");
     }
 }
 

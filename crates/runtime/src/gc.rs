@@ -170,7 +170,10 @@ fn detach(rt: &mut Rt, regions: std::ops::Range<usize>, fresh: bool) -> FromSpac
 ///
 /// # Panics
 ///
-/// Panics if the runtime is untagged — pointer tracing requires tags.
+/// Panics if the runtime is untagged — pointer tracing requires tags. In
+/// a test or debug build, also panics if the collection did not conserve
+/// pages ([`Rt::check_page_conservation`]): every collection is checked
+/// where it ends, in its one epilogue.
 pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     assert!(
         rt.config.tagged,
@@ -245,6 +248,10 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     rt.stats.pages_requested_since_gc = 0;
     rt.stats.gc_count += 1;
     rt.stats.record_pause(t0.elapsed().as_nanos() as u64);
+    #[cfg(any(test, debug_assertions))]
+    if let Err(e) = rt.check_page_conservation() {
+        panic!("after collection {}: {e}", rt.stats.gc_count);
+    }
     rt.gc_needed = false;
     rt.in_gc = false;
     rt.observe_mem();
@@ -651,19 +658,16 @@ mod tests {
         let after_first = rt.heap.total_pages();
         assert!(after_first < before, "first collection must release pages");
         assert_eq!(list_sum(&rt, rt.stack[root]), 15);
-        rt.check_page_conservation().unwrap();
 
         // The next collection re-sorts the (now huge) free-list, places
         // to-space at the bottom of the arena, and the release reaches the
         // growth target exactly.
         collect(&mut rt, &[root], &mut []);
         assert_eq!(rt.heap.total_pages(), floor, "shrink-to-target");
-        rt.check_page_conservation().unwrap();
 
         // Within the hysteresis band nothing more is released.
         collect(&mut rt, &[root], &mut []);
         assert!(rt.heap.total_pages() >= floor, "no thrash inside the band");
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]
@@ -697,7 +701,6 @@ mod tests {
             (grows, shrinks),
             "one page of live-set noise thrashed the arena size"
         );
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]
@@ -731,7 +734,6 @@ mod tests {
             rt.heap.total_pages()
         );
         assert_eq!(list_sum(&rt, rt.stack[root]), 15);
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]
@@ -745,7 +747,6 @@ mod tests {
         let list2 = rt.stack[root];
         assert_ne!(list, list2, "list must have been copied");
         assert_eq!(list_sum(&rt, list2), 500 * 501 / 2);
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]
@@ -877,7 +878,6 @@ mod tests {
         collect(&mut rt, &[], &mut extra);
         assert_ne!(extra[0], live, "the register must see the to-space copy");
         assert_eq!(list_sum(&rt, extra[0]), 100 * 101 / 2);
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]
@@ -905,7 +905,6 @@ mod tests {
         rt.stack.push(v);
         collect(&mut rt, &[0], &mut []);
         assert_eq!(list_sum(&rt, rt.stack[0]), 200);
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]
@@ -946,7 +945,6 @@ mod tests {
         assert!(rt.regions[old.0 as usize].used_words > 0);
         assert_eq!(list_sum(&rt, rt.stack[0]), 50 * 51 / 2);
         assert_eq!(rt.stats.minor_gcs, 1);
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]
@@ -997,7 +995,6 @@ mod tests {
             rt.regions[old.0 as usize].pages
         );
         assert_eq!(list_sum(&rt, rt.stack[0]), 55);
-        rt.check_page_conservation().unwrap();
     }
 
     #[test]

@@ -37,6 +37,7 @@ impl Client {
     }
 
     /// Sends a request built from parts, assigning the next request id.
+    /// `dispatch` names the one engine and changes nothing.
     ///
     /// # Errors
     ///
@@ -44,12 +45,12 @@ impl Client {
     pub fn call(
         &mut self,
         mode: kit::Mode,
-        dispatch: kit::DispatchMode,
+        _dispatch: kit::DispatchMode,
         fuel: Option<u64>,
         max_heap_pages: Option<usize>,
         src: &str,
     ) -> io::Result<Response> {
-        self.call_as("", None, mode, dispatch, fuel, max_heap_pages, src)
+        self.call_as("", None, mode, fuel, max_heap_pages, src)
     }
 
     /// Like [`call`], with an explicit tenant id and wall-clock budget
@@ -60,13 +61,11 @@ impl Client {
     /// # Errors
     ///
     /// Propagates socket and protocol errors.
-    #[allow(clippy::too_many_arguments)]
     pub fn call_as(
         &mut self,
         tenant: &str,
         deadline_ms: Option<u64>,
         mode: kit::Mode,
-        dispatch: kit::DispatchMode,
         fuel: Option<u64>,
         max_heap_pages: Option<usize>,
         src: &str,
@@ -76,7 +75,7 @@ impl Client {
         self.send(&Request {
             req_id,
             mode,
-            dispatch,
+            dispatch: kit::DispatchMode::Threaded,
             fuel,
             max_heap_pages,
             deadline_ms: deadline_ms.filter(|&ms| ms > 0),

@@ -6,7 +6,7 @@
 //! * [`wire`] — the length-prefixed binary request/response protocol;
 //! * [`server`] — acceptor, per-connection readers, the shared job
 //!   queue, the fixed worker pool, and the compile-once program cache
-//!   (`Arc<PreparedProgram>` keyed by mode, dispatch and source);
+//!   (`Arc<PreparedProgram>` keyed by mode and source);
 //! * [`client`] — a minimal blocking client for tests and smoke runs;
 //! * [`load`] — the load driver: counts how every request was answered
 //!   and holds executed responses to per-program uniformity (used by the
@@ -22,7 +22,7 @@
 //!
 //! Overload story (DESIGN.md §6j): admission is bounded and sheds with
 //! typed `Overloaded` responses, tenants are rate-limited by token
-//! bucket (`RateLimited`), deadlines surface as engine-identical
+//! bucket (`RateLimited`), deadlines surface as a typed
 //! `DeadlineExceeded` at the VM's safe points, drains answer queued
 //! work instead of dropping it, and misbehaving connections (slowloris,
 //! stalled readers, mid-frame deaths) are reaped on typed budgets.

@@ -30,8 +30,6 @@ pub struct LoadProgram {
     pub name: String,
     /// Execution mode.
     pub mode: Mode,
-    /// Dispatch engine.
-    pub dispatch: DispatchMode,
     /// Per-request fuel quota.
     pub fuel: Option<u64>,
     /// Per-request memory quota in pages.
@@ -47,11 +45,10 @@ pub struct LoadProgram {
 impl LoadProgram {
     /// A quota-free program under the given name — the common case for
     /// tests and generated mixes.
-    pub fn plain(name: &str, mode: Mode, dispatch: DispatchMode, src: &str) -> LoadProgram {
+    pub fn plain(name: &str, mode: Mode, src: &str) -> LoadProgram {
         LoadProgram {
             name: name.to_string(),
             mode,
-            dispatch,
             fuel: None,
             max_heap_pages: None,
             deadline_ms: None,
@@ -335,7 +332,7 @@ fn drive_conn(
                 let req = Request {
                     req_id: i as u64,
                     mode: prog.mode,
-                    dispatch: prog.dispatch,
+                    dispatch: DispatchMode::Threaded,
                     fuel: prog.fuel,
                     max_heap_pages: prog.max_heap_pages,
                     deadline_ms: prog.deadline_ms,
@@ -430,14 +427,14 @@ pub fn check_against_standalone(
         let served = client
             .call(
                 prog.mode,
-                prog.dispatch,
+                DispatchMode::Threaded,
                 prog.fuel,
                 prog.max_heap_pages,
                 &prog.src,
             )
             .map_err(|e| format!("{}: call failed: {e}", prog.name))?;
 
-        let mut compiler = Compiler::new(prog.mode).with_dispatch(prog.dispatch);
+        let mut compiler = Compiler::new(prog.mode);
         if let Some(fuel) = prog.fuel {
             compiler = compiler.with_fuel(fuel);
         }

@@ -6,7 +6,7 @@
 //! worker threads executes them. Each request runs on its own `Vm`/`Rt`
 //! under its own fuel, memory and wall-clock quota; compiled programs are
 //! shared immutably across workers through an `Arc<PreparedProgram>`
-//! cache keyed by `(mode, dispatch, source)`, so a program submitted by
+//! cache keyed by `(mode, source)`, so a program submitted by
 //! many tenants is compiled and translated once.
 //!
 //! The overload-survival layer (PR 10) sheds at *admission*, where a
@@ -221,7 +221,7 @@ impl Queue {
     }
 }
 
-type CacheKey = (u8, u8, String);
+type CacheKey = (u8, String);
 
 struct Shared {
     config: ServerConfig,
@@ -948,7 +948,7 @@ fn execute_inner(shared: &Shared, worker: u32, job: &Job) -> Response {
         }
     }
 
-    let mut compiler = Compiler::new(req.mode).with_dispatch(req.dispatch);
+    let mut compiler = Compiler::new(req.mode);
     if let Some(fuel) = req.fuel {
         compiler = compiler.with_fuel(fuel);
     }
@@ -959,11 +959,7 @@ fn execute_inner(shared: &Shared, worker: u32, job: &Job) -> Response {
         compiler = compiler.with_deadline_at(deadline);
     }
 
-    let key: CacheKey = (
-        wire::mode_byte(req.mode),
-        wire::dispatch_byte(req.dispatch),
-        req.src.clone(),
-    );
+    let key: CacheKey = (wire::mode_byte(req.mode), req.src.clone());
     let cached = relock(shared.cache.lock()).get(&key).cloned();
     let prep = match cached {
         Some(prep) => prep,

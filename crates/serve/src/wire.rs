@@ -31,7 +31,8 @@ pub struct Request {
     pub req_id: u64,
     /// Execution mode (paper §1.2).
     pub mode: Mode,
-    /// Dispatch engine to execute with.
+    /// The dispatch engine: there is one, sent as byte 1; the field goes
+    /// with the next protocol version.
     pub dispatch: DispatchMode,
     /// Instruction budget; `None` is unlimited.
     pub fuel: Option<u64>,
@@ -184,22 +185,18 @@ fn mode_of(b: u8) -> io::Result<Mode> {
     })
 }
 
-/// Wire encoding of a [`DispatchMode`] (also the server's cache-key byte).
-pub fn dispatch_byte(d: DispatchMode) -> u8 {
+/// Wire encoding of a [`DispatchMode`].
+fn dispatch_byte(d: DispatchMode) -> u8 {
     match d {
-        DispatchMode::Match => 0,
         DispatchMode::Threaded => 1,
     }
 }
 
-/// An old client may still send 2 or 3 (engines deleted in PR 13): those
-/// are refused like any unknown byte, never remapped to a live engine.
+/// Byte 1 is the one engine. An old client may still send 0, 2 or 3, the
+/// values of deleted engines: those are refused like any unknown byte,
+/// never remapped to the live one.
 fn dispatch_of(b: u8) -> Option<DispatchMode> {
-    match b {
-        0 => Some(DispatchMode::Match),
-        1 => Some(DispatchMode::Threaded),
-        _ => None,
-    }
+    (b == 1).then_some(DispatchMode::Threaded)
 }
 
 /// The constant answer to a request naming an engine the server lacks.
@@ -491,7 +488,7 @@ mod tests {
         let req = encode_request(&Request {
             req_id: 1,
             mode: Mode::R,
-            dispatch: DispatchMode::Match,
+            dispatch: DispatchMode::Threaded,
             fuel: None,
             max_heap_pages: None,
             deadline_ms: None,
@@ -505,9 +502,9 @@ mod tests {
         payload[9] = 200;
         let e = io::Error::from(decode_request(&payload).unwrap_err());
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        // Unknown dispatch byte (2 and 3 are retired values): typed, with
-        // the request id, and only when the rest of the frame is sound.
-        for b in [2, 3, 255] {
+        // Unknown dispatch byte (0, 2 and 3 are retired values): typed,
+        // with the request id, and only when the rest of the frame is sound.
+        for b in [0, 2, 3, 255] {
             let mut payload = req.clone();
             payload[10] = b;
             match decode_request(&payload) {

@@ -2,7 +2,7 @@
 //! bit-identical counters vs standalone execution, tenant isolation
 //! (a neighbour breaching its quota must not perturb anyone else), and
 //! the overload matrix — flood (bounded queue + typed `Overloaded`),
-//! rate limiting, wall-clock deadlines (engine-identical), graceful
+//! rate limiting, wall-clock deadlines (typed and repeatable), graceful
 //! drain (zero dropped in-flight), and reader hygiene (idle/stall typed
 //! closes, mid-frame EOF reaping).
 
@@ -21,7 +21,6 @@ fn prog(name: &str, src: &str, fuel: Option<u64>, pages: Option<usize>) -> LoadP
     LoadProgram {
         name: name.to_string(),
         mode: Mode::Rgt,
-        dispatch: DispatchMode::Threaded,
         fuel,
         max_heap_pages: pages,
         deadline_ms: None,
@@ -118,7 +117,6 @@ fn quota_breach_is_not_observable_by_concurrent_tenants() {
         .find(|p| p.name == "victim")
         .expect("victim row");
     let alone = Compiler::new(Mode::Rgt)
-        .with_dispatch(DispatchMode::Threaded)
         .run_source(FIB)
         .expect("standalone run");
     assert_eq!(victim.status, Status::Ok);
@@ -153,7 +151,7 @@ fn compile_errors_and_bad_frames_get_typed_statuses() {
     let mut payload = kit_serve::wire::encode_request(&kit_serve::Request {
         req_id: 9,
         mode: Mode::R,
-        dispatch: DispatchMode::Match,
+        dispatch: DispatchMode::Threaded,
         fuel: None,
         max_heap_pages: None,
         deadline_ms: None,
@@ -167,13 +165,13 @@ fn compile_errors_and_bad_frames_get_typed_statuses() {
     let resp = kit_serve::wire::read_response(&mut raw).expect("read response");
     assert_eq!(resp.status, Status::BadRequest);
 
-    // A sound frame whose dispatch byte names no engine (2 and 3 are
+    // A sound frame whose dispatch byte names no engine (0, 2 and 3 are
     // retired values) is refused under its own id with a constant
     // message, never reaches the compile cache, and leaves the
     // connection good for the next valid request.
     let cached = handle.cache_size();
     let mut raw = TcpStream::connect(handle.addr()).expect("connect raw");
-    for b in [2, 3, 255] {
+    for b in [0, 2, 3, 255] {
         let mut payload = sound.clone();
         payload[10] = b;
         kit_serve::wire::write_frame(&mut raw, &payload).expect("write frame");
@@ -239,7 +237,7 @@ fn a_program_nested_past_the_compilers_limits_is_refused_and_the_server_keeps_se
 
 #[test]
 fn program_cache_shares_one_compilation() {
-    // Same source, mode and dispatch from many connections: every
+    // Same source and mode from many connections: every
     // response must be identical (same Arc'd PreparedProgram) and the
     // server must survive the burst with exactly one cached entry's
     // worth of behavior — counters uniform across all 64 sessions.
@@ -411,15 +409,7 @@ fn rate_limited_tenant_gets_typed_refusals_with_retry_advice() {
     let mut ok = 0;
     for _ in 0..10 {
         let resp = client
-            .call_as(
-                "greedy",
-                None,
-                Mode::Rgt,
-                DispatchMode::Threaded,
-                None,
-                None,
-                "val it = 1 + 2",
-            )
+            .call_as("greedy", None, Mode::Rgt, None, None, "val it = 1 + 2")
             .expect("call");
         match resp.status {
             Status::Ok => ok += 1,
@@ -436,15 +426,7 @@ fn rate_limited_tenant_gets_typed_refusals_with_retry_advice() {
 
     // A different tenant has its own bucket: its first call sails through.
     let resp = client
-        .call_as(
-            "modest",
-            None,
-            Mode::Rgt,
-            DispatchMode::Threaded,
-            None,
-            None,
-            "val it = 1 + 2",
-        )
+        .call_as("modest", None, Mode::Rgt, None, None, "val it = 1 + 2")
         .expect("call");
     assert_eq!(resp.status, Status::Ok);
 
@@ -454,42 +436,30 @@ fn rate_limited_tenant_gets_typed_refusals_with_retry_advice() {
 }
 
 #[test]
-fn deadline_breach_is_typed_and_engine_identical_through_the_server() {
+fn deadline_breach_is_typed_and_repeatable_through_the_server() {
     // The same spinning program under the same wall-clock budget must
-    // fail with the same status and the same error text on both
-    // dispatch engines — deadlines surface at the shared safe points,
-    // not at engine-specific places.
+    // fail with the same status and the same error text when compiled
+    // and when served from the cache — deadlines surface at safe points,
+    // whose text carries no run-dependent ordinal.
     let handle = start(2);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut outcomes = Vec::new();
-    for dispatch in DispatchMode::ALL {
+    for run in 0..2 {
         let resp = client
-            .call_as(
-                "deadline-test",
-                Some(80),
-                Mode::Rgt,
-                dispatch,
-                None,
-                None,
-                SPIN,
-            )
+            .call_as("deadline-test", Some(80), Mode::Rgt, None, None, SPIN)
             .expect("call");
-        outcomes.push((dispatch, resp.status, resp.result));
+        outcomes.push((run, resp.status, resp.result));
     }
-    for (dispatch, status, result) in &outcomes {
+    for (run, status, result) in &outcomes {
         assert_eq!(
             *status,
             Status::DeadlineExceeded,
-            "{dispatch:?} must breach the deadline"
+            "run {run} must breach the deadline"
         );
-        assert_eq!(
-            result, &outcomes[0].2,
-            "{dispatch:?} error text diverges from {:?}",
-            outcomes[0].0
-        );
+        assert_eq!(result, &outcomes[0].2, "run {run}: error text diverges");
     }
     let (_, _, deadline_exceeded, ..) = handle.overload_stats();
-    assert_eq!(deadline_exceeded, DispatchMode::ALL.len() as u64);
+    assert_eq!(deadline_exceeded, outcomes.len() as u64);
     handle.shutdown();
 }
 

@@ -21,11 +21,12 @@ echo "==> every crate's tests build in release too (no test helper hides"
 echo "    behind debug_assertions)"
 cargo test --release --workspace --no-run -q
 
-echo "==> engine equivalence (Match oracle vs Threaded x {Off,Full}):"
-echo "    fusion differential over the corpus (release)"
+echo "==> fusion equivalence (Off = Full on every counter) over the corpus,"
+echo "    five modes (release)"
 cargo test --release -p kit-bench --test fusion -q
 
-echo "==> engine equivalence: randomized differential (release)"
+echo "==> randomized differential: generated programs agree with the"
+echo "    evaluator, and Off = Full on every counter (release)"
 cargo test --release -p kit-bench --test randomized -q
 
 echo "==> GC-root regressions in release too (debug trips the dangling-root"
@@ -45,13 +46,14 @@ cargo test --release -p kit-bench --test compile_identity -q
 echo "==> collector tests: full and generational (release)"
 cargo test --release -p kit-runtime -q gc
 
-echo "==> soak: short config-fuzzing run (all modes, both engines;"
-echo "    page size, heap sizing, trigger and heap-to-live ratio fuzzed)"
+echo "==> soak: short config-fuzzing run (all modes; the evaluator, and"
+echo "    Off = Full; page size, heap sizing, trigger and heap-to-live ratio"
+echo "    fuzzed)"
 cargo run --release -p kit-bench --bin soak -- --cases 25 --seed 0x5EED0400
 
 echo "==> soak: full-surface generator (datatypes, arrays (large objects),"
 echo "    strings, reals, refs, nested handlers;"
-echo "    all modes, both engines, fuzzed configuration)"
+echo "    all modes; the evaluator, and Off = Full; fuzzed configuration)"
 cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
@@ -94,6 +96,14 @@ if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|
     echo "verify: a deleted name is back (see above)" >&2
     exit 1
 fi
+echo "==> deleted names stay deleted, as whole words: the match loop, what"
+echo "    selected it (the dispatch list, the loadgen flag, the count config)"
+echo "    and the superinstruction that fused nowhere"
+if grep -rnwE 'exec_match|match_off|Executable::Match|DispatchMode::Match|DispatchMode::ALL|h_select_store|--dispatch' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
+    echo "verify: a deleted name is back (see above)" >&2
+    exit 1
+fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -132,13 +142,14 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR31.json in r, gt,"
-echo "    rgt and the generational baseline, both engines; writes nothing (a"
-echo "    PR that moves them on purpose points this at its own BENCH file)"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR32.json in r, gt,"
+echo "    rgt and the generational baseline, both fusion levels; writes"
+echo "    nothing (a PR that moves them on purpose points this at its own"
+echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR31.json
+    --check-counts BENCH_PR32.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"

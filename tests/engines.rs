@@ -1,7 +1,7 @@
-//! Tier-1 engine check: the differential oracle (`Match`, unfused) and
-//! the production engine (`Threaded` with full fusion), plus `Threaded`
-//! with fusion off, must agree bit for bit on two small programs in all
-//! four paper modes — and with the `kit-lambda` reference evaluator on
+//! Tier-1 engine check: the engine with fusion off (base handlers only,
+//! the differential oracle) and on (every superinstruction, the
+//! production setting) must agree bit for bit on two small programs in
+//! all four paper modes — and with the `kit-lambda` reference evaluator on
 //! what the program computes. The corpus-wide and randomized versions
 //! live in `crates/bench/tests` and run from `scripts/verify.sh`.
 //!
@@ -10,17 +10,23 @@
 //! that moves a count fails here, not only in `verify.sh`.
 //!
 //! The collector is one more input: the two collectors that share the
-//! kernel (full, generational) each run churn on both engines, the full
-//! one also at the heap-to-live ratio DESIGN.md §6g points callers to.
+//! kernel (full, generational) each run churn at both fusion levels, the
+//! full one also at the heap-to-live ratio DESIGN.md §6g points callers
+//! to; and two programs that barely collect by default run with a
+//! collection scheduled by every page taken.
 //!
-//! What the production engine runs is also checked as a structure, not
+//! What the production setting runs is also checked as a structure, not
 //! only through results: its fused stream must be a regrouping of the
-//! stream the oracle runs (`kit_bench::fusion_check`).
+//! unfused stream (`kit_bench::fusion_check`).
 
-use kit::{oracle, Compiler, DispatchMode, Fusion, Mode, Outcome, RtConfig};
+use kit::{oracle, Compiler, Fusion, Mode, RtConfig};
 use kit_bench::by_name;
 use kit_bench::fusion_check::assert_fusion_regroups;
+use kit_bench::randgen::counters;
 use kit_runtime::config::{Collector, GenPolicy};
+
+/// Both fusion levels, the oracle first.
+const FUSIONS: [Fusion; 2] = [Fusion::Off, Fusion::Full];
 
 /// `[instructions, words_allocated, allocations, gc_count,
 /// gc_copied_words, regions_created]` per mode in [`Mode::ALL`] order,
@@ -64,14 +70,12 @@ fn oracle_and_production_engine_agree_in_every_mode() {
         let src = by_name(name).unwrap().source_scaled(scale);
         let want = oracle::run_oracle(&src, None).unwrap_or_else(|e| panic!("{name} oracle: {e}"));
         for (mode, pin) in Mode::ALL.into_iter().zip(pins) {
-            let run = |dispatch, fusion| {
+            let [reference, production] = FUSIONS.map(|fusion| {
                 Compiler::new(mode)
-                    .with_dispatch(dispatch)
                     .with_fusion(fusion)
                     .run_source(&src)
-                    .unwrap_or_else(|e| panic!("{name} [{mode}] {dispatch:?}/{fusion:?}: {e}"))
-            };
-            let reference = run(DispatchMode::Match, Fusion::Off);
+                    .unwrap_or_else(|e| panic!("{name} [{mode}] {fusion:?}: {e}"))
+            });
             assert_eq!(
                 reference.result, want.result,
                 "{name} [{mode}] vs evaluator"
@@ -94,27 +98,10 @@ fn oracle_and_production_engine_agree_in_every_mode() {
                 "{name} [{mode}]: counts moved from the recorded ones"
             );
             collected |= reference.stats.gc_count > 0;
-            for fusion in [Fusion::Off, Fusion::Full] {
-                let out = run(DispatchMode::Threaded, fusion);
-                let ctx = format!("{name} [{mode}] Threaded/{fusion:?}");
-                assert_eq!(out.result, reference.result, "{ctx}: result");
-                assert_eq!(out.output, reference.output, "{ctx}: output");
-                assert_eq!(out.instructions, reference.instructions, "{ctx}");
-                assert_eq!(out.stats.gc_count, reference.stats.gc_count, "{ctx}");
-                assert_eq!(
-                    out.stats.gc_copied_words, reference.stats.gc_copied_words,
-                    "{ctx}"
-                );
-                assert_eq!(
-                    out.stats.words_allocated, reference.stats.words_allocated,
-                    "{ctx}"
-                );
-                assert_eq!(out.stats.allocations, reference.stats.allocations, "{ctx}");
-                assert_eq!(
-                    out.stats.regions_created, reference.stats.regions_created,
-                    "{ctx}"
-                );
-            }
+            let ctx = format!("{name} [{mode}] Full");
+            assert_eq!(production.result, reference.result, "{ctx}: result");
+            assert_eq!(production.output, reference.output, "{ctx}: output");
+            assert_eq!(counters(&production), counters(&reference), "{ctx}");
         }
     }
     assert!(
@@ -137,19 +124,10 @@ fn the_fused_stream_is_a_regrouping_of_the_stream_the_oracle_runs() {
     }
 }
 
-/// Everything deterministic an [`Outcome`] counts: the instruction total
-/// and the whole of `RtStats` with its two wall-clock fields blanked.
-fn counters(out: &Outcome) -> String {
-    let mut stats = out.stats.clone();
-    stats.gc_time_ns = 0;
-    stats.gc_pause_max_ns = 0;
-    format!("{} instructions, {stats:?}", out.instructions)
-}
-
 /// The collector axis. The full collector runs in `rgt`; the generational
 /// one needs the single program region of `Mode::Baseline` (the runtime
 /// asserts it). Each must collect, compute what the reference evaluator
-/// computes, and count the same on both engines. The two full rows start
+/// computes, and count the same at both fusion levels. The two full rows start
 /// from the same four pages and differ in the paper's §4 dial alone: a
 /// heap-to-live ratio of 9 must buy strictly fewer collections than 3.
 #[test]
@@ -181,14 +159,14 @@ fn every_collector_agrees_with_the_evaluator_on_both_engines() {
     ];
     let mut gc_counts = Vec::new();
     for (collector, mode, config) in collectors {
-        let run = |dispatch| {
+        let run = |fusion| {
             Compiler::new(mode)
                 .with_config(config.clone())
-                .with_dispatch(dispatch)
+                .with_fusion(fusion)
                 .run_source(&src)
-                .unwrap_or_else(|e| panic!("churn [{collector}] {dispatch:?}: {e}"))
+                .unwrap_or_else(|e| panic!("churn [{collector}] {fusion:?}: {e}"))
         };
-        let [reference, production] = DispatchMode::ALL.map(run);
+        let [reference, production] = FUSIONS.map(run);
         for out in [&reference, &production] {
             assert_eq!(out.result, want.result, "churn [{collector}] vs evaluator");
             assert_eq!(out.output, want.output, "churn [{collector}] vs evaluator");
@@ -196,7 +174,7 @@ fn every_collector_agrees_with_the_evaluator_on_both_engines() {
         assert_eq!(
             counters(&production),
             counters(&reference),
-            "churn [{collector}]: engines count differently"
+            "churn [{collector}]: the fusion levels count differently"
         );
         let s = &reference.stats;
         assert!(s.gc_count > 0, "churn [{collector}] never collected");
@@ -268,21 +246,21 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
             "no allocation at {place:?}"
         );
     }
-    let counts = DispatchMode::ALL.map(|dispatch| {
+    let counts = FUSIONS.map(|fusion| {
         let out = kit_kam::Vm::new(&prog, Rt::new(config.clone()))
-            .with_dispatch(dispatch)
+            .with_fusion(fusion)
             .run()
-            .unwrap_or_else(|e| panic!("{dispatch:?}: {e}"));
+            .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
         let result =
             kit_kam::render::render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
-        assert_eq!(result, want.result, "{dispatch:?} vs evaluator");
+        assert_eq!(result, want.result, "{fusion:?} vs evaluator");
         out.rt
             .check_page_conservation()
-            .unwrap_or_else(|e| panic!("{dispatch:?}: {e}"));
+            .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
         assert_eq!(
             out.rt.region_depth(),
             prog.global_infinite.len(),
-            "{dispatch:?}: a region outlived its frame"
+            "{fusion:?}: a region outlived its frame"
         );
         (
             out.instructions,
@@ -290,12 +268,12 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
             out.stats.gc_copied_words,
         )
     });
-    assert_eq!(counts[0], counts[1], "the engines count differently");
+    assert_eq!(counts[0], counts[1], "the fusion levels count differently");
     assert!(counts[0].1 > 0, "the heap was sized to force collections");
 }
 
 /// `minInt div ~1` is the one quotient outside the 63-bit range: the
-/// reference evaluator and every mode on both engines raise `Overflow` for
+/// reference evaluator and every mode at both fusion levels raise `Overflow` for
 /// it, whether the optimiser sees the operands or only the run does, and
 /// `minInt mod ~1` is 0.
 #[test]
@@ -324,12 +302,12 @@ fn min_int_div_minus_one_overflows_in_every_mode_and_engine() {
         let oracle = oracle::run_oracle(src, None).map(|o| o.result);
         assert_eq!(answer(oracle), *want, "{src}: evaluator");
         for mode in Mode::ALL_WITH_BASELINE {
-            for dispatch in DispatchMode::ALL {
+            for fusion in FUSIONS {
                 let out = Compiler::new(mode)
-                    .with_dispatch(dispatch)
+                    .with_fusion(fusion)
                     .run_source(src)
                     .map(|o| o.result);
-                assert_eq!(answer(out), *want, "{src}: [{mode}] {dispatch:?}");
+                assert_eq!(answer(out), *want, "{src}: [{mode}] {fusion:?}");
             }
         }
     }
@@ -338,7 +316,7 @@ fn min_int_div_minus_one_overflows_in_every_mode_and_engine() {
 /// `floor` and `trunc` of a real whose integral part leaves the 63-bit
 /// range — a huge magnitude, an infinity, NaN, or `2^62` (the real nearest
 /// `4611686018427387903`) — raise `Overflow` in the reference evaluator
-/// and in every mode on both engines (SML raises `Domain` for NaN; this
+/// and in every mode at both fusion levels (SML raises `Domain` for NaN; this
 /// subset has no `Domain`), whether the optimiser sees the operand or only
 /// the run does. The range's ends convert.
 #[test]
@@ -369,14 +347,127 @@ fn floor_and_trunc_out_of_range_overflow_in_every_mode_and_engine() {
             let oracle = oracle::run_oracle(&src, None).map(|o| o.result);
             assert_eq!(answer(oracle), want, "{src}: evaluator");
             for mode in Mode::ALL_WITH_BASELINE {
-                for dispatch in DispatchMode::ALL {
+                for fusion in FUSIONS {
                     let out = Compiler::new(mode)
-                        .with_dispatch(dispatch)
+                        .with_fusion(fusion)
                         .run_source(&src)
                         .map(|o| o.result);
-                    assert_eq!(answer(out), want, "{src}: [{mode}] {dispatch:?}");
+                    assert_eq!(answer(out), want, "{src}: [{mode}] {fusion:?}");
                 }
             }
         }
     }
+}
+
+/// Collections where the checks can bite: `kitkb` and `simple` allocate
+/// but collect at most once at their default settings. With a collection
+/// scheduled by every page taken (`gc_threshold` 1.0; the generational
+/// collector, which that threshold does not drive, gets a two-page
+/// nursery) every run in `gt`, `rgt` and the baseline collects at least
+/// twice, computes what the reference evaluator computes, and counts the
+/// same at both fusion levels. In a debug build each of those
+/// collections also checks page conservation where it ends.
+#[test]
+fn collections_forced_by_every_page_agree_with_the_evaluator() {
+    for name in ["kitkb", "simple"] {
+        let bench = by_name(name).unwrap();
+        let src = bench.source_scaled(bench.test_scale);
+        let want = oracle::run_oracle(&src, None).unwrap_or_else(|e| panic!("{name} oracle: {e}"));
+        for mode in [Mode::Gt, Mode::Rgt, Mode::Baseline] {
+            // `with_config` puts back each mode's own tagging and
+            // collector, except the baseline's generational policy.
+            let config = RtConfig {
+                gc_threshold: 1.0,
+                collector: Collector::Generational(GenPolicy {
+                    nursery_pages: 2,
+                    ..GenPolicy::default()
+                }),
+                ..RtConfig::gt()
+            };
+            let [reference, production] = FUSIONS.map(|fusion| {
+                Compiler::new(mode)
+                    .with_config(config.clone())
+                    .with_fusion(fusion)
+                    .run_source(&src)
+                    .unwrap_or_else(|e| panic!("{name} [{mode}] {fusion:?}: {e}"))
+            });
+            assert_eq!(
+                (&reference.result, &reference.output),
+                (&want.result, &want.output),
+                "{name} [{mode}] vs evaluator"
+            );
+            assert_eq!(
+                (&production.result, counters(&production)),
+                (&reference.result, counters(&reference)),
+                "{name} [{mode}]: the fusion levels disagree"
+            );
+            assert!(
+                reference.stats.gc_count >= 2,
+                "{name} [{mode}] collected {} times",
+                reference.stats.gc_count
+            );
+        }
+    }
+}
+
+/// A `fun` that escapes as a value is entered through its closure stub:
+/// `EnterViaPair` swaps the closure for its shared environment, moves the
+/// arguments up and fills the region formals from the closure. Nothing
+/// else here takes that path — the optimiser calls every other function
+/// directly or through an eta wrapper — so this program does, 50 times,
+/// with two region formals, the second for pairs that outlive the list
+/// the first holds. It must compute what the evaluator computes
+/// in every mode at both fusion levels, with the default heap and with a
+/// collection scheduled by every page and freed pages poisoned.
+#[test]
+fn a_function_entered_through_its_closure_stub_agrees_with_the_evaluator() {
+    let src = "fun pair (a, b) = (a, b)\n\
+               fun mk n = if n < 1 then nil else pair (n, n + 1) :: mk (n - 1)\n\
+               fun sum (nil, acc) = acc | sum ((a, b) :: t, acc) = sum (t, acc + a * b)\n\
+               fun pick k = if k mod 2 = 0 then mk else (fn n => mk (n + 1))\n\
+               fun loop (0, keep) = keep\n\
+               \u{20} | loop (i, keep) =\n\
+               \u{20}   let val l = (pick i) (20 + i mod 7) in loop (i - 1, hd l :: keep) end\n\
+               val it = sum (loop (100, nil), 0)";
+    let want = oracle::run_oracle(src, None).unwrap();
+    let pressure = RtConfig {
+        initial_pages: 4,
+        page_words_log2: 6,
+        gc_threshold: 1.0,
+        poison: true,
+        ..RtConfig::rgt()
+    };
+    for mode in Mode::ALL_WITH_BASELINE {
+        for config in [None, Some(&pressure)] {
+            let [reference, production] = FUSIONS.map(|fusion| {
+                let c = Compiler::new(mode).with_fusion(fusion);
+                match config {
+                    Some(config) => c.with_config(config.clone()),
+                    None => c,
+                }
+                .run_source(src)
+                .unwrap_or_else(|e| panic!("[{mode}] {fusion:?}: {e}"))
+            });
+            let ctx = format!("[{mode}] pressure={}", config.is_some());
+            assert_eq!(reference.result, want.result, "{ctx} vs evaluator");
+            assert_eq!(
+                (&production.result, counters(&production)),
+                (&reference.result, counters(&reference)),
+                "{ctx}: the fusion levels disagree"
+            );
+        }
+    }
+    let profile = Compiler::new(Mode::Rgt)
+        .with_fusion_profile()
+        .run_source(src)
+        .unwrap()
+        .fusion_profile
+        .unwrap();
+    let entered: u64 = profile
+        .hot_pairs()
+        .iter()
+        .filter(|(ops, _)| ops[0] == kit::KamOp::EnterViaPair)
+        .map(|(_, n)| n)
+        .sum();
+    assert_eq!(entered, 50, "the stub ran {entered} times");
 }

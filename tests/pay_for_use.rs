@@ -4,7 +4,7 @@
 //! 25-function prelude in front of it — and the dangling root that the
 //! prelude's start-up collections used to hide stays fixed.
 
-use kit::{oracle, Compiler, DispatchMode, Mode};
+use kit::{oracle, Compiler, Fusion, Mode};
 use kit_kam::instr::Instr;
 
 /// Every function the prelude declares at top level, and `rev`'s and
@@ -122,13 +122,13 @@ fn a_raise_handled_in_its_own_frame_leaves_no_dangling_root() {
                val it = go (60, nil)";
     let run = move || {
         let want = oracle::run_oracle(src, None).unwrap();
-        for dispatch in DispatchMode::ALL {
+        for fusion in [Fusion::Off, Fusion::Full] {
             let out = Compiler::new(Mode::Rgt)
-                .with_dispatch(dispatch)
+                .with_fusion(fusion)
                 .run_source(src)
-                .unwrap_or_else(|e| panic!("{dispatch:?}: {e}"));
-            assert_eq!(out.result, want.result, "{dispatch:?}");
-            assert!(out.stats.gc_count > 0, "{dispatch:?}: must collect");
+                .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
+            assert_eq!(out.result, want.result, "{fusion:?}");
+            assert!(out.stats.gc_count > 0, "{fusion:?}: must collect");
         }
     };
     std::thread::Builder::new()

@@ -16,7 +16,7 @@
 //!
 //! The full overload matrix is `crates/serve/tests/server.rs`.
 
-use kit::{Compiler, DispatchMode, Mode};
+use kit::{Compiler, Mode};
 use kit_bench::serve_bench::parse_mix;
 use kit_serve::{
     run_load, Client, LoadProgram, LoadSpec, Server, ServerConfig, ServerHandle, Status,
@@ -54,7 +54,7 @@ fn load(handle: &ServerHandle, requests: usize, mix: Vec<LoadProgram>) -> kit_se
 #[test]
 fn sixteen_sessions_on_one_worker_match_standalone_runs() {
     let handle = one_worker(ServerConfig::default().queue_cap);
-    let mix = parse_mix(MIX, Mode::Rgt, DispatchMode::default()).expect("mix");
+    let mix = parse_mix(MIX, Mode::Rgt).expect("mix");
     let report = load(&handle, 64, mix.clone());
     assert_eq!(report.requests, 64);
     assert_eq!(
@@ -102,10 +102,10 @@ fn sixteen_sessions_on_one_worker_match_standalone_runs() {
 fn a_full_queue_sheds_and_a_deadline_cuts_off_without_losing_a_request() {
     const QUEUE_CAP: usize = 4;
     let handle = one_worker(QUEUE_CAP);
-    let mut mix = parse_mix(MIX, Mode::Rgt, DispatchMode::default()).expect("mix");
+    let mut mix = parse_mix(MIX, Mode::Rgt).expect("mix");
     mix.push(LoadProgram {
         deadline_ms: Some(40),
-        ..LoadProgram::plain("spin", Mode::Rgt, DispatchMode::default(), SPIN)
+        ..LoadProgram::plain("spin", Mode::Rgt, SPIN)
     });
     // One spinner first, on its own connection, and the load only once
     // the worker holds it (it compiled it, and nothing is queued): the
@@ -115,17 +115,7 @@ fn a_full_queue_sheds_and_a_deadline_cuts_off_without_losing_a_request() {
     let addr = handle.addr();
     let first = std::thread::spawn(move || {
         Client::connect(addr)
-            .and_then(|mut c| {
-                c.call_as(
-                    "",
-                    Some(250),
-                    Mode::Rgt,
-                    DispatchMode::default(),
-                    None,
-                    None,
-                    SPIN,
-                )
-            })
+            .and_then(|mut c| c.call_as("", Some(250), Mode::Rgt, None, None, SPIN))
             .expect("the first spinner is answered")
     });
     let t0 = Instant::now();
