@@ -16,9 +16,11 @@
 //!   sites), a curried recursive function that is called saturated,
 //!   partially applied (bound to a `val`, passed to `map`) and given an
 //!   effectful first argument — the optimiser's uncurrying and its eta
-//!   wrappers —, user datatypes with `SwitchCon`-heavy matches, lists,
-//!   tuples, refs, arrays (including ones past the large-object
-//!   threshold), strings, reals, deep nested `handle` chains,
+//!   wrappers —, a pair-list builder that escapes as a value chosen
+//!   through an `if` (entered through its closure stub), user datatypes
+//!   with `SwitchCon`-heavy matches, lists, tuples, refs, arrays
+//!   (including ones past the large-object threshold), strings, reals,
+//!   deep nested `handle` chains,
 //!   finite-region tuple bindings held live across allocating
 //!   subexpressions, and raises out of a `letregion` handled in the
 //!   same frame just before an allocating call — the collector's hard
@@ -189,6 +191,9 @@ struct Gen<'r> {
     /// Index in `fns` of the one declared `fun f a b ...`: call sites apply
     /// it one argument at a time, and `partial` to all but the last.
     curried: Option<usize>,
+    /// Index in `fns` of the function that applies the escaping builder
+    /// (kind 12); the driver calls it on every iteration.
+    escaping: Option<usize>,
     /// Fresh-variable counter (`v0`, `v1`, ...).
     fresh: u32,
     /// Remaining calls to generated functions in the current top-level
@@ -208,6 +213,7 @@ impl<'r> Gen<'r> {
             rng,
             fns: Vec::new(),
             curried: None,
+            escaping: None,
             fresh: 0,
             calls: 0,
             big_len,
@@ -1201,6 +1207,38 @@ impl<'r> Gen<'r> {
                     bounded: Some((0, 7)),
                 });
             }
+            // A region-polymorphic pair-list builder that escapes as a
+            // value: chosen through an `if` against an anonymous wrapper
+            // and applied where neither is known, so the builder is
+            // entered through its closure stub (`EnterViaPair`) with two
+            // region formals. Its first pair outlives the list that holds
+            // it, so the two formals name regions of different lifetimes.
+            // The optimiser calls every other generated function directly.
+            12 => {
+                let name = format!("fes{i}");
+                let pick = format!("fep{i}");
+                // The driver applies it on every iteration: no calls in
+                // its element, so its cost stays a few allocations.
+                self.calls = 0;
+                let mut env = vec![("k".to_string(), Ty::Int)];
+                let x = self.expr(&mut env, Ty::Int, 1);
+                out.push_str(&format!(
+                    "fun {name} k = if k < 1 then nil else ((({x}), k) :: {name} (k - 1))\n\
+                     fun {pick} (j, k) =\n\
+                     \u{20} let val ps =\n\
+                     \u{20}   case (if (j + k) mod 2 = 0 then {name} else (fn n => {name} (n + 1))) k of\n\
+                     \u{20}     nil => nil\n\
+                     \u{20}   | p :: _ => [p, (j, k)]\n\
+                     \u{20} in foldl (fn ((p, q), s) => (p * q + s) mod 65521) 0 ps end\n"
+                ));
+                self.escaping = Some(self.fns.len());
+                self.fns.push(FnSig {
+                    name: pick,
+                    params: vec![Ty::Int, Ty::Int],
+                    ret: Ty::Int,
+                    bounded: Some((1, 10)),
+                });
+            }
             // A mutually recursive pair.
             _ => {
                 let na = format!("fma{i}");
@@ -1233,11 +1271,12 @@ impl<'r> Gen<'r> {
 
 /// One random full-surface program. See the module docs for the grammar;
 /// the fixed skeleton is: two datatypes, two exceptions, three mutable
-/// globals (a large-object array, an array of refs, a list ref), five to
-/// twelve kinds of generated function (each at most once, the builders and
-/// the curried function always present), a generated per-iteration `step`,
-/// and a recursive driver whose handler chain catches everything so raising
-/// and non-raising iterations interleave.
+/// globals (a large-object array, an array of refs, a list ref), six to
+/// thirteen kinds of generated function (each at most once, the builders,
+/// the curried function and the escaping builder always present), a
+/// generated per-iteration `step`, and a recursive driver whose handler
+/// chain catches everything so raising and non-raising iterations
+/// interleave.
 fn program_full(rng: &mut SplitMix64) -> String {
     let mut g = Gen::new(rng);
     let mut out = String::new();
@@ -1253,10 +1292,11 @@ fn program_full(rng: &mut SplitMix64) -> String {
     out.push_str("val lbox = ref [0]\n");
 
     // The allocating builders are always present (they are what makes
-    // the program exercise the collector), and so is the curried function
-    // (what makes it exercise uncurrying); the folds and scalar kinds
+    // the program exercise the collector), and so are the curried function
+    // (what makes it exercise uncurrying) and the escaping builder (what
+    // makes it enter a closure stub); the folds and scalar kinds
     // are drawn at random on top, in a shuffled order so call edges vary.
-    let mut kinds = vec![4, 6, 7, 8, 11];
+    let mut kinds = vec![4, 6, 7, 8, 11, 12];
     for k in [0, 1, 2, 3, 5, 9, 10] {
         if g.rng.below(3) < 2 {
             kinds.push(k);
@@ -1280,15 +1320,17 @@ fn program_full(rng: &mut SplitMix64) -> String {
 
     // The driver: every iteration runs under the full handler chain, so
     // an exception anywhere in `step` feeds back into the accumulator
-    // instead of ending the program.
-    out.push_str(
+    // instead of ending the program. It also applies the escaping
+    // builder, through its closure stub: `n + n mod 10` is even.
+    let pick = &g.fns[g.escaping.expect("the escaping builder is always drawn")].name;
+    out.push_str(&format!(
         "fun go n acc =\n\
          \u{20}  if n < 1 then acc\n\
-         \u{20}  else go (n - 1) (((acc * 31 + step (n, acc)) \
+         \u{20}  else go (n - 1) (((acc * 31 + {pick} (n, n mod 10) + step (n, acc)) \
          handle Div => ~1 | Overflow => ~2 | Subscript => ~3 | Size => ~4 \
          | Match => ~5 | Bind => ~6 | Boom k => ((k + acc) mod 65537) \
-         | Crash s => (size s + acc)) mod 100003)\n",
-    );
+         | Crash s => (size s + acc)) mod 100003)\n"
+    ));
 
     // A final observation outside the loop reads the mutated globals
     // back, so a mis-evacuated cell or array element changes the result
@@ -1488,6 +1530,32 @@ mod tests {
             saturated >= 60 && held >= 20 && mapped >= 20 && effectful >= 20,
             "{saturated} saturated, {held} held, {mapped} mapped, {effectful} effectful"
         );
+    }
+
+    /// Every draw enters a closure stub (`EnterViaPair`), in `r` and
+    /// `rgt` alike: the driver applies the escaping builder on every
+    /// iteration.
+    #[test]
+    fn full_surface_programs_enter_a_closure_stub() {
+        let mut rng = SplitMix64::new(0x5EED_3300);
+        for case in 0..10 {
+            let src = program(&mut rng, Surface::Full);
+            for mode in [Mode::R, Mode::Rgt] {
+                let profile = Compiler::new(mode)
+                    .with_fusion_profile()
+                    .run_source(&src)
+                    .unwrap_or_else(|e| panic!("case {case} [{mode}]: {e}\n{src}"))
+                    .fusion_profile
+                    .expect("a profiled run");
+                let entered: u64 = profile
+                    .hot_pairs()
+                    .iter()
+                    .filter(|(ops, _)| ops[0] == kit::KamOp::EnterViaPair)
+                    .map(|(_, n)| n)
+                    .sum();
+                assert!(entered > 0, "case {case} [{mode}] enters no stub\n{src}");
+            }
+        }
     }
 
     /// Case *k*'s program stream is seeded with output *k* of the seed's

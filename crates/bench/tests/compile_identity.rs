@@ -47,6 +47,12 @@
 //! 710 region digests changed; the bytecode and `code_len` columns are
 //! identical on all 710 rows (EXPERIMENTS.md, "Lowering the prelude once").
 //!
+//! The 600 generated rows were re-recorded once more when the generator
+//! gained a builder that escapes as a value and is entered through its
+//! closure stub (DESIGN.md §6h): the drawn programs changed, and the 110
+//! corpus rows are identical (EXPERIMENTS.md, "Every debug build catches
+//! dangling reads").
+//!
 //! Regenerate (only on a commit whose output is the reference):
 //! `cargo test --release -p kit-bench --test compile_identity -- --ignored bless`
 

@@ -647,30 +647,6 @@ impl<'p> Vm<'p> {
     /// ranges as roots.
     fn collect(&mut self) {
         let roots = self.roots();
-        // Every root must point at a live object: the compiler clears
-        // binding slots that go out of scope inside letregion scopes
-        // (`clear_dead_slot`), so no local can dangle into an ended
-        // region. A root landing on page slack means that invariant
-        // broke — report it with frame context before the collector
-        // trips over it.
-        #[cfg(debug_assertions)]
-        for &slot in &roots {
-            let v = self.rt.stack[slot];
-            if is_ptr(v)
-                && matches!(
-                    kit_runtime::value::space_of(ptr_addr(v)),
-                    kit_runtime::value::Space::Heap
-                )
-            {
-                let w = self.rt.read_addr(ptr_addr(v));
-                if !is_ptr(w) && Tag::decode(w).kind == kit_runtime::value::Kind::Sentinel {
-                    panic!(
-                        "dangling GC root at stack slot {slot} (value {v:#x}) in {}",
-                        self.backtrace()
-                    );
-                }
-            }
-        }
         gc::collect(&mut self.rt, &roots, &mut []);
     }
 

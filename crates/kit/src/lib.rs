@@ -503,7 +503,6 @@ mod tests {
             heap_shrink_factor: None,
             initial_pages: 4,
             profile: true,
-            poison: true,
             max_heap_pages: Some(100),
             deadline: Some(std::time::Instant::now()),
         };

@@ -107,7 +107,7 @@ fn pruning_is_invisible_idempotent_and_leaves_every_variable_bound() {
                 "{name}: a second pruning changed the program"
             );
         }
-        assert_eq!(dropped, 1_493, "bindings dropped over the population");
+        assert_eq!(dropped, 1_539, "bindings dropped over the population");
     });
 }
 

@@ -32,10 +32,6 @@ pub struct RtConfig {
     pub initial_pages: usize,
     /// Record a region profile (paper Fig. 5).
     pub profile: bool,
-    /// Debugging: overwrite the payload of deallocated region pages with a
-    /// poison pattern, so dangling-pointer dereferences fail loudly
-    /// instead of silently reading stale values.
-    pub poison: bool,
     /// Memory quota: cap the number of *materialized* region pages (the
     /// same accounting as `RtStats::peak_pages`, large objects included at
     /// their page-equivalent size). Allocation itself never fails — the
@@ -148,7 +144,6 @@ impl RtConfig {
             heap_shrink_factor: Some(4.0),
             initial_pages: 64,
             profile: false,
-            poison: false,
             max_heap_pages: None,
             deadline: None,
         }

@@ -34,7 +34,7 @@
 //! the heap-to-live ratio (§4), or shrinks it with hysteresis.
 
 use crate::config::Collector;
-use crate::heap::{PAGE_HDR, PAGE_NEXT, PAGE_ORIGIN};
+use crate::heap::{PAGE_HDR, PAGE_NEXT, PAGE_ORIGIN, POISON};
 use crate::lobj::{LData, Lobjs};
 use crate::region::RegionId;
 use crate::rt::{Rt, NURSERY, TENURED};
@@ -114,12 +114,12 @@ impl EvacPolicy for GenEvac {
 /// generational pass.
 const FROM_MARK: u64 = u64::MAX - 1;
 
-/// The pages a pass evacuates: a chain from `head` to the page holding
-/// `tail`, `pages` long, of which the allocator had handed out
+/// The pages a pass evacuates: a chain from `head` to the page that ends
+/// at `end`, `pages` long, of which the allocator had handed out
 /// `used_words`.
 struct FromSpace {
     head: u64,
-    tail: u64,
+    end: u64,
     pages: usize,
     used_words: u64,
 }
@@ -132,7 +132,7 @@ fn detach(rt: &mut Rt, regions: std::ops::Range<usize>, fresh: bool) -> FromSpac
     let pw = rt.heap.page_words() as u64;
     let mut fs = FromSpace {
         head: NONE_ADDR,
-        tail: NONE_ADDR,
+        end: NONE_ADDR,
         pages: 0,
         used_words: 0,
     };
@@ -144,7 +144,7 @@ fn detach(rt: &mut Rt, regions: std::ops::Range<usize>, fresh: bool) -> FromSpac
         if fp != NONE_ADDR {
             rt.heap.write(e - pw + PAGE_NEXT, fs.head);
             if fs.head == NONE_ADDR {
-                fs.tail = e - 1;
+                fs.end = e;
             }
             fs.head = fp;
         }
@@ -171,9 +171,9 @@ fn detach(rt: &mut Rt, regions: std::ops::Range<usize>, fresh: bool) -> FromSpac
 /// # Panics
 ///
 /// Panics if the runtime is untagged — pointer tracing requires tags. In
-/// a test or debug build, also panics if the collection did not conserve
-/// pages ([`Rt::check_page_conservation`]): every collection is checked
-/// where it ends, in its one epilogue.
+/// a test or debug build, also panics if the collection left the heap
+/// out of shape ([`check_epilogue`]): every collection is checked where
+/// it ends, in its one epilogue.
 pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     assert!(
         rt.config.tagged,
@@ -249,7 +249,7 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
     rt.stats.gc_count += 1;
     rt.stats.record_pause(t0.elapsed().as_nanos() as u64);
     #[cfg(any(test, debug_assertions))]
-    if let Err(e) = rt.check_page_conservation() {
+    if let Err(e) = check_epilogue(rt) {
         panic!("after collection {}: {e}", rt.stats.gc_count);
     }
     rt.gc_needed = false;
@@ -259,6 +259,25 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
         let regions = rt.regions.clone();
         rt.profiler.sample(&regions);
     }
+}
+
+/// What every collection leaves (paper §2.2–2.5): pages conserved
+/// ([`Rt::check_page_conservation`]), every region's status bit clear,
+/// every live large object unmarked and the remembered set empty. O(pages
+/// + regions + large objects).
+#[cfg(any(test, debug_assertions))]
+fn check_epilogue(rt: &Rt) -> Result<(), String> {
+    rt.check_page_conservation()?;
+    if let Some(i) = rt.regions.iter().position(|d| d.status) {
+        return Err(format!("region {i}'s status bit is set"));
+    }
+    if let Some(id) = rt.lobjs.first_marked() {
+        return Err(format!("large object {id} is still marked"));
+    }
+    if !rt.remembered.is_empty() || !rt.remembered_set.is_empty() {
+        return Err("the remembered set is not empty".to_string());
+    }
+    Ok(())
 }
 
 /// What a pass reports for the statistics.
@@ -300,7 +319,7 @@ fn pass<P: EvacPolicy>(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Wor
     let lobjs_freed = sweep_lobjs(rt, p);
 
     // ---- release from-space in O(1).
-    rt.heap.free_run(fs.head, fs.tail, fs.pages);
+    rt.heap.free_run(fs.head, fs.end, fs.pages);
     rt.stats.gc_copied_words += st.copied;
     Pass {
         fs,
@@ -449,6 +468,7 @@ fn evacuate_with<P: EvacPolicy>(rt: &mut Rt, st: &mut GcState, v: Word, p: P) ->
                 // Forward pointer: already evacuated.
                 return w;
             }
+            debug_assert_ne!(w, POISON, "evacuating a freed word at {addr:#x}");
             let tag = Tag::decode(w);
             debug_assert!(tag.kind != Kind::Sentinel, "evacuating page slack");
             let n = tag.box_words();
@@ -747,6 +767,49 @@ mod tests {
         let list2 = rt.stack[root];
         assert_ne!(list, list2, "list must have been copied");
         assert_eq!(list_sum(&rt, list2), 500 * 501 / 2);
+    }
+
+    /// From-space is freed at the end of a collection (§2.2: nothing may
+    /// point into it). A debug build poisons it, so a stale pointer read
+    /// after the collection panics; a release build reads a forward
+    /// pointer.
+    #[test]
+    fn a_stale_from_space_pointer_panics_exactly_in_debug() {
+        let mut rt = rt();
+        let r = rt.letregion(0);
+        let old = build_list(&mut rt, r, 10);
+        let mut roots = [old];
+        collect(&mut rt, &[], &mut roots);
+        assert_eq!(list_sum(&rt, roots[0]), 55);
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.field(old, 0)));
+        assert_eq!(read.is_err(), cfg!(debug_assertions));
+    }
+
+    /// Each clause of the epilogue check fails on a heap that breaks it.
+    #[test]
+    fn the_epilogue_check_names_each_broken_clause() {
+        let mut rt = rt();
+        let r = rt.letregion(0);
+        let a = rt.alloc_array(r, 3, rt.tag_int(0));
+        assert_eq!(check_epilogue(&rt), Ok(()));
+        rt.regions[0].status = true;
+        assert_eq!(
+            check_epilogue(&rt),
+            Err("region 0's status bit is set".to_string())
+        );
+        rt.regions[0].status = false;
+        let id = Lobjs::id_of(ptr_addr(a));
+        rt.lobjs.get_mut(id).marked = true;
+        assert_eq!(
+            check_epilogue(&rt),
+            Err(format!("large object {id} is still marked"))
+        );
+        rt.lobjs.get_mut(id).marked = false;
+        rt.remembered.push(rt.arr_elem_addr(a, 0));
+        assert_eq!(
+            check_epilogue(&rt),
+            Err("the remembered set is not empty".to_string())
+        );
     }
 
     #[test]

@@ -17,6 +17,14 @@ pub const PAGE_ORIGIN: u64 = 1;
 /// First payload word of a page.
 pub const PAGE_HDR: u64 = 2;
 
+/// What a debug build writes over every payload word it frees
+/// ([`Heap::free_run`]), so that a read through a dangling pointer panics
+/// ([`crate::Rt::read_addr`], and the collector's evacuation) instead of
+/// returning a stale value. Odd, so the collector never takes it for a
+/// forward pointer. A debug build also panics on a live word that
+/// happens to equal it.
+pub const POISON: Word = 0xDEAD_BEEF_DEAD_BEEF;
+
 /// The region heap.
 #[derive(Debug)]
 pub struct Heap {
@@ -155,16 +163,29 @@ impl Heap {
     }
 
     /// Appends a whole chain of pages (`first ..` following next-links,
-    /// ending at the page containing `last_addr`) to the free-list in
-    /// constant time (paper §2.1). `count` pages are returned.
-    pub fn free_run(&mut self, first: u64, last_addr: u64, count: usize) {
+    /// ending at the page holding the word before `end`) to the free-list
+    /// in constant time (paper §2.1). `count` pages are returned. A debug
+    /// build first poisons what was handed out: every page's payload
+    /// whole, the last one up to `end` ([`POISON`]).
+    pub fn free_run(&mut self, first: u64, end: u64, count: usize) {
         if first == NONE_ADDR {
             return;
         }
         // The chain is prepended in whatever order the region built it.
         self.sorted = false;
-        let last_page = self.page_base(last_addr);
+        let last_page = self.page_base(end - 1);
         debug_assert_eq!(self.read(last_page + PAGE_NEXT), NONE_ADDR);
+        #[cfg(debug_assertions)]
+        {
+            let mut p = first;
+            while p != last_page {
+                let next = self.read(p + PAGE_NEXT);
+                self.words[(p + PAGE_HDR) as usize..(p + self.page_words as u64) as usize]
+                    .fill(POISON);
+                p = next;
+            }
+            self.words[(last_page + PAGE_HDR) as usize..end as usize].fill(POISON);
+        }
         self.write(last_page + PAGE_NEXT, self.free_head);
         self.free_head = first;
         self.free_count += count;
@@ -384,7 +405,7 @@ mod tests {
         pages.sort();
         for &p in &pages[2..] {
             h.write(p + PAGE_NEXT, NONE_ADDR);
-            h.free_run(p, p, 1);
+            h.free_run(p, p + 64, 1);
         }
         assert_eq!(h.free_pages(), 6);
         // All six free pages sit above the two in-use ones: releasable.
@@ -410,7 +431,7 @@ mod tests {
         assert_eq!(h.sort_skips, 2);
         // Freeing a run disturbs the order; the next sort is real again.
         h.write(a + PAGE_NEXT, NONE_ADDR);
-        h.free_run(a, a, 1);
+        h.free_run(a, a + 64, 1);
         h.sort_free_list();
         assert_eq!(h.sort_skips, 2);
         h.sort_free_list();
@@ -427,7 +448,7 @@ mod tests {
         let mut h = Heap::new(64, 2);
         let a = h.alloc_page(0);
         h.write(a + PAGE_NEXT, NONE_ADDR);
-        h.free_run(a, a, 1);
+        h.free_run(a, a + 64, 1);
         let b = h.alloc_page(1);
         assert_eq!(a, b, "free-list is LIFO");
     }

@@ -111,6 +111,15 @@ impl Lobjs {
         self.bytes
     }
 
+    /// The first live object whose mark is set, if any (a collection
+    /// leaves none).
+    pub fn first_marked(&self) -> Option<u32> {
+        self.table
+            .iter()
+            .position(|o| o.as_ref().is_some_and(|o| o.marked))
+            .map(|i| i as u32)
+    }
+
     /// Number of live objects.
     pub fn live_count(&self) -> usize {
         self.table.len() - self.free_ids.len()

@@ -7,6 +7,8 @@
 //! boxed values in a tagging-aware way.
 
 use crate::config::{Collector, RtConfig};
+#[cfg(debug_assertions)]
+use crate::heap::POISON;
 use crate::heap::{Heap, PAGE_HDR, PAGE_NEXT};
 use crate::lobj::{LData, Lobjs};
 use crate::profile::Profiler;
@@ -129,18 +131,7 @@ impl Rt {
     pub fn endregion(&mut self) {
         let d = self.regions.pop().expect("region stack underflow");
         if d.fp != NONE_ADDR {
-            if self.config.poison {
-                let pw = self.heap.page_words() as u64;
-                let mut p = d.fp;
-                let pat = 0xDEAD_0000_0000_0001u64 | ((d.name as u64) << 16);
-                while p != NONE_ADDR {
-                    for i in crate::heap::PAGE_HDR..pw {
-                        self.heap.write(p + i, pat);
-                    }
-                    p = self.heap.read(p + crate::heap::PAGE_NEXT);
-                }
-            }
-            self.heap.free_run(d.fp, d.e - 1, d.pages);
+            self.heap.free_run(d.fp, d.a, d.pages);
         }
         self.free_lobj_list(d.lobjs);
         self.stats.regions_popped += 1;
@@ -301,23 +292,13 @@ impl Rt {
     pub fn read_addr(&self, addr: u64) -> Word {
         if addr < STACK_BASE {
             let w = self.heap.read(addr);
-            if w >> 48 == 0xDEAD {
-                self.check_poison(addr, w);
+            #[cfg(debug_assertions)]
+            if w == POISON {
+                poison_read(addr);
             }
             return w;
         }
         self.read_addr_outside_heap(addr)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn check_poison(&self, addr: u64, w: Word) {
-        if self.config.poison {
-            panic!(
-                "poison read at {addr:#x}: region r{} was deallocated",
-                (w >> 16) & 0xFFFF_FFFF
-            );
-        }
     }
 
     #[cold]
@@ -610,6 +591,15 @@ impl Rt {
     }
 }
 
+/// A read of a freed word ([`crate::heap::POISON`]): a dangling pointer
+/// was followed.
+#[cfg(debug_assertions)]
+#[cold]
+#[inline(never)]
+fn poison_read(addr: u64) -> ! {
+    panic!("poison read at {addr:#x}: the page was freed")
+}
+
 /// The stride between large-object addresses (re-exported for the VM).
 pub const LOBJ_ADDR_STRIDE: u64 = LOBJ_STRIDE;
 
@@ -678,6 +668,44 @@ mod tests {
             let r = rt.letregion(0);
             let v = rt.alloc_real(r, -2.5);
             assert_eq!(rt.real_val(v), -2.5);
+        }
+    }
+
+    /// A legal word that begins like a poison pattern reads back: the
+    /// check compares the whole word with one constant.
+    #[test]
+    fn a_real_whose_bits_begin_with_dead_reads_back() {
+        let x = f64::from_bits(0xDEAD_0000_0000_0000);
+        for cfg in [RtConfig::r(), RtConfig::rgt()] {
+            let mut rt = Rt::new(cfg);
+            let r = rt.letregion(0);
+            let v = rt.alloc_real(r, x);
+            assert_eq!(rt.real_val(v).to_bits(), x.to_bits());
+        }
+    }
+
+    /// A popped region's pages are poisoned in a debug build, up to the
+    /// allocation pointer, so a read through a dangling pointer into it
+    /// panics — on its first page and on its last. A release build reads
+    /// the stale word.
+    #[test]
+    fn a_read_into_a_popped_region_panics_exactly_in_debug() {
+        for cfg in [RtConfig::r(), RtConfig::rgt()] {
+            let mut rt = small_pages(cfg);
+            let _global = rt.letregion(0);
+            let r = rt.letregion(1);
+            let first = rt.alloc_record(r, &[rt.tag_int(1), rt.tag_int(2)]);
+            let mut last = first;
+            for i in 0..20 {
+                last = rt.alloc_record(r, &[rt.tag_int(i), rt.tag_int(i)]);
+            }
+            assert!(rt.regions[1].pages > 1);
+            rt.endregion();
+            for v in [first, last] {
+                let read =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.field(v, 1)));
+                assert_eq!(read.is_err(), cfg!(debug_assertions));
+            }
         }
     }
 

@@ -29,9 +29,10 @@ echo "==> randomized differential: generated programs agree with the"
 echo "    evaluator, and Off = Full on every counter (release)"
 cargo test --release -p kit-bench --test randomized -q
 
-echo "==> GC-root regressions in release too (debug trips the dangling-root"
-echo "    check, release the collector itself): raise handled in the frame"
-echo "    that owns the letregion, dead heap cells pointing into popped frames"
+echo "==> GC-root regressions in release too (the collector's own checks"
+echo "    trip in both builds; a debug build also poisons freed pages): raise"
+echo "    handled in the frame that owns the letregion, dead heap cells"
+echo "    pointing into popped frames"
 cargo test --release -p kit-bench --test regressions -q
 
 echo "==> pay for what you use (Tier-1 leg, release): empty program <= 16"
@@ -102,6 +103,13 @@ echo "    and the superinstruction that fused nowhere"
 if grep -rnwE 'exec_match|match_off|Executable::Match|DispatchMode::Match|DispatchMode::ALL|h_select_store|--dispatch' \
     crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
     echo "verify: a deleted name is back (see above)" >&2
+    exit 1
+fi
+echo "==> deleted names stay deleted: the poison knob and its settings (a"
+echo "    debug build poisons every freed page) and the VM's root pre-scan"
+if grep -rnE 'config\.poison|poison: (true|false)|dangling GC root' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
+    echo "verify: the poison knob or the root pre-scan is back (see above)" >&2
     exit 1
 fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
