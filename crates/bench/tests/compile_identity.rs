@@ -53,6 +53,15 @@
 //! corpus rows are identical (EXPERIMENTS.md, "Every debug build catches
 //! dangling reads").
 //!
+//! The bytecode and `code_len` columns were re-recorded when the roots
+//! came to be read from a frame map: local slots are taken in stack order
+//! and given back when their scope exits, the slot clears at scope exits
+//! and handler arms are gone, and the listing prints each non-tail call's
+//! entry (`live=N`), so these digests pin the map. All 710 bytecode
+//! digests changed; the region column is identical on all 710 rows, and
+//! `code_len` is smaller on 670 and equal on the other 40 (727 313 →
+//! 648 371 instructions in all; EXPERIMENTS.md, "Roots from a frame map").
+//!
 //! Regenerate (only on a commit whose output is the reference):
 //! `cargo test --release -p kit-bench --test compile_identity -- --ignored bless`
 

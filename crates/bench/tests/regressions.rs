@@ -1,7 +1,8 @@
 //! Minimized reproducers for bugs found by the randomized differential.
 //!
 //! PR 3's int-expression fuzzer caught the dangling dead-slot root bug
-//! (fixed in `kit-kam`, covered by `clear_dead_slot` handling there);
+//! (a slot left behind by its scope stayed a root; the frame map now
+//! names only the slots in scope, DESIGN.md "Roots");
 //! this file holds the bugs the PR 8 full-surface generator and the
 //! widened configuration fuzzing surfaced. Each test is the smallest
 //! program + config pair that reproduced the failure, named after the
@@ -72,9 +73,11 @@ fn region_layout_and_gc_peak_are_stable_across_compiles() {
 
 /// `go` binds a region-local value, raises while it is live and handles
 /// the exception *itself*: `do_raise` pops the `letregion`'s regions but
-/// the frame survives, and the scope-exit clear of the binding's slot
-/// (`clear_dead_slot`) was jumped over — so the collection inside the
-/// allocating call that follows traced a root into a freed region.
+/// the frame survives with the binding's slot still pointing into them.
+/// When every local was a root, the scope-exit clear of that slot was
+/// jumped over, so the collection inside the allocating call that
+/// follows traced a root into a freed region. The frame map holds by
+/// construction: at that call the slot is past the slots in scope.
 /// `local` is that value and the raise, `grow` sizes the call, and the
 /// kept list holds `elem`s (matched by `pat`, summed as `add`).
 fn raise_past_a_region_local(

@@ -5,7 +5,10 @@
 //! the shared closures of referenced `fix` groups), constructor
 //! representation, region-polymorphic calling convention, tail calls
 //! (only outside `letregion`/handler scopes — the ML Kit limitation noted
-//! in §4.4 of the paper), and safe-point placement at function entries.
+//! in §4.4 of the paper), safe-point placement at function entries, and
+//! the frame map: local slots are taken in stack order and given back
+//! when their scope exits, and each non-tail call records how many are in
+//! scope — the roots of its frame while it is suspended.
 //!
 //! Two walks. `Layout::of` reads every closure's captures and every
 //! finite region's size off the program in one walk; the code walk then
@@ -36,12 +39,13 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
         globals: vec![None; prog.num_regvars as usize],
         shadowed: Vec::new(),
         saved: Vec::new(),
+        frame_map: Vec::new(),
         layout,
     };
     // Global regions: infinite ones are created by the VM at startup (their
     // region ids equal their position); finite ones live in the main frame.
     let mut global_infinite = Vec::new();
-    let mut main_fin = FiniteArea::default();
+    let mut main_fin = Area::default();
     for &(r, m) in &prog.globals {
         let slot = match m {
             Mult::Infinite => {
@@ -57,13 +61,13 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
     // Compile the main body as function 0.
     let entry = cx.new_label();
     cx.bind(entry);
-    let mut fcx = FnCx::new(main_fin);
+    let mut fcx = FnCx::new(main_fin, 0);
     cx.emit(Instr::GcCheck);
     cx.comp(prog.body, &mut fcx, false);
     cx.emit(Instr::Halt);
     let main_info = FunInfo {
         entry: cx.pc_of_label[entry as usize],
-        nlocals: fcx.nlocals,
+        nlocals: fcx.locals.watermark,
         nfinite: fcx.fin.watermark,
         name: "<main>".to_string(),
     };
@@ -77,6 +81,7 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
         pc_of_label: cx.pc_of_label,
         fun_of_label: cx.fun_of_label,
         funs: cx.funs,
+        frame_map: cx.frame_map,
         main: main_id,
         global_infinite,
         exn_names: (0..prog.exns.len())
@@ -159,13 +164,16 @@ enum Saved {
     Shared(VarId, Option<SharedSrc>),
 }
 
+/// Frame words in stack order: a scope takes words at `next` and gives
+/// them back when it exits; `watermark`, the most ever in use, is what
+/// the frame reserves.
 #[derive(Debug, Default, Clone)]
-struct FiniteArea {
+struct Area {
     next: u32,
     watermark: u32,
 }
 
-impl FiniteArea {
+impl Area {
     fn alloc(&mut self, words: u32) -> u32 {
         let off = self.next;
         self.next += words;
@@ -176,42 +184,37 @@ impl FiniteArea {
 
 /// The frame of the function being compiled.
 struct FnCx {
-    nlocals: u32,
-    fin: FiniteArea,
+    /// Local slots: the environment, the region formals and parameters,
+    /// then one slot per binding in scope. A binding takes its slot at its
+    /// `Store`, so the slots in scope are always the prefix
+    /// `0..locals.next` — what a non-tail call records in the frame map.
+    locals: Area,
+    fin: Area,
     /// Open letregion scopes (tail calls are disabled inside them — the ML
     /// Kit limitation).
     cleanup: u32,
-    /// Open `letregion` scopes of *this* function (a subset of `cleanup`,
-    /// which also counts handler scopes). While one is open, a binding
-    /// going out of scope must clear its local slot: the collector's root
-    /// set spans every local, and a stale slot may point into a region
-    /// the function is about to end (or into a reused finite-region area).
-    /// Regions bound by callers outlive the frame, so depth 0 needs no
-    /// clearing.
-    open_lr: u32,
-    /// `letregion` scopes of this function compiled so far (never
-    /// decremented): a handled expression opened one iff this moved.
-    lr_seen: u32,
     /// Open infinite-region count (for Local slot indices).
     open_regions: u32,
 }
 
 impl FnCx {
-    fn new(fin: FiniteArea) -> Self {
+    /// A frame whose first `1 + params` slots are the environment, the
+    /// region formals and the parameters.
+    fn new(fin: Area, params: u32) -> Self {
         FnCx {
-            nlocals: 1, // slot 0 = environment
+            locals: Area {
+                next: 1 + params,
+                watermark: 1 + params,
+            },
             fin,
             cleanup: 0,
-            open_lr: 0,
-            lr_seen: 0,
             open_regions: 0,
         }
     }
 
+    /// Takes the next slot for a binding whose `Store` comes next.
     fn slot(&mut self) -> u32 {
-        let s = self.nlocals;
-        self.nlocals += 1;
-        s
+        self.locals.alloc(1)
     }
 }
 
@@ -240,6 +243,8 @@ struct Cx<'a> {
     shadowed: Vec<RegVar>,
     /// Bindings the functions being compiled overwrote, innermost last.
     saved: Vec<Saved>,
+    /// `(return pc, slots in scope)` of every non-tail call, by pc.
+    frame_map: Vec<(u32, u32)>,
     layout: Layout,
 }
 
@@ -353,23 +358,13 @@ impl Cx<'_> {
         }
     }
 
-    /// Clears the slot of a binding that just went out of scope. The GC
-    /// root set includes every local of every live frame, so a stale slot
-    /// must not keep pointing into a region this function may end before
-    /// it returns — after `EndRegions` such a pointer dangles and the
-    /// collector would trace freed (possibly reused) pages. Only letregion
-    /// scopes of the current function can end while the frame is live, so
-    /// clearing is emitted only inside them.
-    fn clear_dead_slot(&mut self, s: u32, fcx: &FnCx) {
-        if fcx.open_lr > 0 {
-            self.clear_slot(s);
+    /// After a call: a non-tail one records its return pc and the slots in
+    /// scope there, its frame's roots while it is suspended.
+    fn map_return(&mut self, tail: bool, fcx: &FnCx) {
+        if !tail {
+            self.frame_map
+                .push((self.code.len() as u32, fcx.locals.next));
         }
-    }
-
-    fn clear_slot(&mut self, s: u32) {
-        let null = if self.tagged { scalar(0) } else { 0 };
-        self.emit(Instr::PushConst(null));
-        self.emit(Instr::Store(s));
     }
 
     fn push_shared(&mut self, g: VarId) {
@@ -605,6 +600,7 @@ impl Cx<'_> {
                 rargs,
                 args,
             } => {
+                let tail = tail && fcx.cleanup == 0;
                 if let RExp::Var(v) = prog.node(callee) {
                     if let Some(info) = self.fixes[v.0 as usize] {
                         // Known call: [shared, rhandles.., args..].
@@ -621,8 +617,9 @@ impl Cx<'_> {
                             target: info.label,
                             nargs: args.len() as u16,
                             nformals: info.nformals,
-                            tail: tail && fcx.cleanup == 0,
+                            tail,
                         });
+                        self.map_return(tail, fcx);
                         return;
                     }
                 }
@@ -632,8 +629,9 @@ impl Cx<'_> {
                 }
                 self.emit(Instr::CallClos {
                     nargs: args.len() as u16,
-                    tail: tail && fcx.cleanup == 0,
+                    tail,
                 });
+                self.map_return(tail, fcx);
             }
             RExp::FixVar { var, rargs, at } => {
                 let Some(info) = self.fixes[var.0 as usize] else {
@@ -656,7 +654,7 @@ impl Cx<'_> {
                 self.emit(Instr::Store(s));
                 self.vars[var.0 as usize] = Some(VB::Slot(s));
                 self.comp(body, fcx, tail);
-                self.clear_dead_slot(s, fcx);
+                fcx.locals.next = s;
             }
             RExp::Fix { funs, body, at } => self.comp_fix(id, funs, body, at, fcx, tail),
             RExp::Letregion { regs, body } => {
@@ -684,10 +682,7 @@ impl Cx<'_> {
                     self.emit(Instr::LetRegion { names: inf });
                 }
                 fcx.cleanup += 1;
-                fcx.open_lr += 1;
-                fcx.lr_seen += 1;
                 self.comp(body, fcx, false);
-                fcx.open_lr -= 1;
                 fcx.cleanup -= 1;
                 if ninf > 0 {
                     self.emit(Instr::EndRegions(ninf as u16));
@@ -720,35 +715,19 @@ impl Cx<'_> {
                 let end = self.new_label();
                 self.emit(Instr::PushHandler { target: lh });
                 fcx.cleanup += 1;
-                let (lo, lr_before) = (fcx.nlocals, fcx.lr_seen);
                 self.comp(body, fcx, false);
-                let hi = fcx.nlocals;
                 fcx.cleanup -= 1;
                 self.emit(Instr::PopHandler);
                 self.emit(Instr::Jump(end));
                 self.bind(lh);
-                // The raised value is on the operand stack.
+                // The raised value is on the operand stack. `body` gave
+                // its slots back, so the slots a raise unwinds past are
+                // beyond the prefix here, whatever they still hold.
                 let s = fcx.slot();
                 self.emit(Instr::Store(s));
                 self.vars[var.0 as usize] = Some(VB::Slot(s));
-                // A raise skips the scope-exit clears of every binding it
-                // unwinds past, and `do_raise` pops this function's
-                // letregions while the frame lives on. Slots are bump-
-                // allocated, so the bindings of `body` are exactly
-                // `lo..hi`, all dead here: clear them on the exception
-                // path if any could point into a region this function
-                // ends (one open around the handler, or one opened
-                // inside `body` and already popped by the unwind).
-                if fcx.open_lr > 0 || fcx.lr_seen > lr_before {
-                    for dead in lo..hi {
-                        self.clear_slot(dead);
-                    }
-                }
                 self.comp(handler, fcx, tail);
-                // The slot is only written on the exception path, so the
-                // clear lives in the handler arm (the normal path jumps
-                // straight to `end`).
-                self.clear_dead_slot(s, fcx);
+                fcx.locals.next = s;
                 self.bind(end);
             }
         }
@@ -798,14 +777,13 @@ impl Cx<'_> {
         self.emit(Instr::Jump(skip));
         self.bind(entry);
         self.emit(Instr::GcCheck);
-        let mut inner = FnCx::new(FiniteArea::default());
-        let mark = self.enter();
         let params = self.prog.params(params);
+        let mut inner = FnCx::new(Area::default(), params.len() as u32);
+        let mark = self.enter();
         count_work(|| params.len());
         for (i, &p) in params.iter().enumerate() {
             self.rebind_var(p, VB::Slot(1 + i as u32));
         }
-        inner.nlocals = 1 + params.len() as u32;
         self.bind_caps(caps, 1);
         self.comp(body, &mut inner, true);
         self.restore(mark);
@@ -813,7 +791,7 @@ impl Cx<'_> {
         let id = self.funs.len() as u32;
         self.funs.push(FunInfo {
             entry: self.pc_of_label[entry as usize],
-            nlocals: inner.nlocals,
+            nlocals: inner.locals.watermark,
             nfinite: inner.fin.watermark,
             name: "fn".to_string(),
         });
@@ -847,6 +825,7 @@ impl Cx<'_> {
         let caps = self.layout.caps_of[id.0 as usize];
 
         // Build the shared closure in the defining frame.
+        let in_scope = fcx.locals.next;
         let shared_src = if caps.0 == caps.1 {
             SharedSrc::Scalar
         } else {
@@ -875,7 +854,7 @@ impl Cx<'_> {
             });
             self.bind(info.label);
             self.emit(Instr::GcCheck);
-            let mut inner = FnCx::new(FiniteArea::default());
+            let mut inner = FnCx::new(Area::default(), nf + n);
             let mark = self.enter();
             count_work(|| (nf + n) as usize);
             // Frame: [shared][formals..][params..][locals..].
@@ -885,7 +864,6 @@ impl Cx<'_> {
             for (i, &p) in prog.params(f.params).iter().enumerate() {
                 self.rebind_var(p, VB::Slot(1 + nf + i as u32));
             }
-            inner.nlocals = 1 + nf + n;
             self.bind_caps(caps, 0);
             // The group's shared closure is this body's own environment
             // (slot 0).
@@ -893,11 +871,10 @@ impl Cx<'_> {
             self.comp(f.body, &mut inner, true);
             self.restore(mark);
             self.emit(Instr::Ret);
-            debug_assert_eq!(inner.open_lr, 0);
             let id = self.funs.len() as u32;
             self.funs.push(FunInfo {
                 entry: self.pc_of_label[info.label as usize],
-                nlocals: inner.nlocals,
+                nlocals: inner.locals.watermark,
                 nfinite: inner.fin.watermark,
                 name: prog.vars.name(f.var).to_string(),
             });
@@ -907,9 +884,7 @@ impl Cx<'_> {
         }
         self.comp(body, fcx, tail);
         // The shared-closure slot dies with the fix scope.
-        if let SharedSrc::Slot(s) = shared_src {
-            self.clear_dead_slot(s, fcx);
-        }
+        fcx.locals.next = in_scope;
     }
 }
 
@@ -1283,6 +1258,49 @@ mod tests {
             .expect("spawn")
             .join()
             .expect("code generation panicked")
+    }
+
+    fn compile_src(src: &str) -> Program {
+        let mut lprog = kit_typing::compile_str(src).expect("test program elaborates");
+        kit_lambda::opt::optimize(&mut lprog, &Default::default());
+        compile(
+            &kit_region::infer(&lprog, kit_region::RegionOptions::with_gc()),
+            true,
+        )
+    }
+
+    /// Every non-tail call, and nothing else, has a frame-map entry at the
+    /// pc after it, in pc order.
+    #[test]
+    fn the_frame_map_has_an_entry_for_every_non_tail_call() {
+        for b in kit_bench::programs::all() {
+            let prog = compile_src(&b.source_scaled(b.test_scale));
+            let returns: Vec<u32> = (prog.code.iter().enumerate())
+                .filter(|(_, ins)| {
+                    matches!(
+                        ins,
+                        Instr::Call { tail: false, .. } | Instr::CallClos { tail: false, .. }
+                    )
+                })
+                .map(|(pc, _)| pc as u32 + 1)
+                .collect();
+            let pcs: Vec<u32> = prog.frame_map.iter().map(|&(pc, _)| pc).collect();
+            assert_eq!(pcs, returns, "{}", b.name);
+        }
+    }
+
+    /// Sibling scopes share their slots, and a call sees only the slots
+    /// in scope: `a` is stored before `f a` runs, `b` reuses its slot.
+    #[test]
+    fn sibling_scopes_share_a_slot_and_a_call_sees_only_its_scope() {
+        let prog = compile_src(
+            "fun f x = if x < 1 then 0 else f (x - 1)\n\
+             val it = (let val a = f 1 in a + f a end) + (let val b = f 2 in b * f b end)",
+        );
+        let main = &prog.funs[prog.main as usize];
+        assert_eq!(main.nlocals, 2, "the environment and one slot for a and b");
+        let lives: Vec<u32> = prog.frame_map.iter().map(|&(_, live)| live).collect();
+        assert_eq!(lives, [1, 2, 1, 2]);
     }
 
     /// `n` independent top-level recursive functions, used in one flat

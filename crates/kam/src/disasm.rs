@@ -8,11 +8,17 @@ use crate::threaded::{translate, Args, Field, Fusion, Op};
 use std::fmt::Write as _;
 
 /// Renders the instruction stream (absolute pc operands) with code
-/// addresses and function entry markers — what the translation reads.
+/// addresses, function entry markers and each non-tail call's frame-map
+/// entry (`live=N`) — what the translation reads.
 pub fn disassemble(p: &Program) -> String {
     let mut out = String::new();
     let entry_pc: Vec<u32> = p.funs.iter().map(|f| f.entry).collect();
-    let lines = p.code.iter().map(|ins| format!("{ins:?}"));
+    let lines = p.code.iter().enumerate().map(|(pc, ins)| {
+        match p.frame_map.binary_search_by_key(&(pc as u32 + 1), |e| e.0) {
+            Ok(i) => format!("{ins:?} live={}", p.frame_map[i].1),
+            Err(_) => format!("{ins:?}"),
+        }
+    });
     render_stream(p, &entry_pc, lines, &mut out);
     out
 }
@@ -104,5 +110,7 @@ mod tests {
         let fused = disassemble_threaded(&prog, Fusion::Full);
         let lt = "PushConstPrim = PushConst k=5; Prim p=ILt at=None\n";
         assert!(fused.contains(lt), "{fused}");
+        // `fib (n - 1)` waits with the environment and `n` in scope.
+        assert!(code.contains("tail: false } live=2\n"), "{code}");
     }
 }

@@ -232,6 +232,10 @@ pub struct Program {
     pub fun_of_label: Vec<u32>,
     /// Per-function frame metadata, indexed by function id.
     pub funs: Vec<FunInfo>,
+    /// The frame map: `(return pc, live)` of every non-tail call, sorted;
+    /// while it is suspended, its frame's roots are local slots `0..live`
+    /// (the bindings in scope) and its operands.
+    pub frame_map: Vec<(u32, u32)>,
     /// Top-level "function" (program body) id.
     pub main: u32,
     /// Global regions: `(name, finite?)`; finite globals give (name, slot).

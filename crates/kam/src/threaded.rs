@@ -9,7 +9,7 @@
 //! touches are compact and cache-dense. With [`Fusion::Full`] the
 //! one-to-one stream is then regrouped: every run matching a row of
 //! [`FUSION_CANDIDATES`] becomes that row's opcode, and branch targets,
-//! switch tables and entry points move to the regrouped pcs.
+//! switch tables, entry points and the frame map move to the regrouped pcs.
 //!
 //! **The packing rule.** A superinstruction's [`Args`] is the merge of its
 //! components' operands, in component order: `u32` operands (local slots,
@@ -319,6 +319,8 @@ pub struct ThreadedCode {
     pub pc_of_label: Vec<u32>,
     /// Label id → function id (for `CallClos`).
     pub fun_of_label: Vec<u32>,
+    /// [`Program::frame_map`] at the pcs of this stream.
+    pub frame_map: Vec<(u32, u32)>,
     /// Superinstructions in the stream (0 with fusion off).
     pub fused: u64,
 }
@@ -341,6 +343,7 @@ pub fn translate(prog: &Program, fusion: Fusion) -> ThreadedCode {
         entry_pc: prog.funs.iter().map(|f| f.entry).collect(),
         pc_of_label: prog.pc_of_label.clone(),
         fun_of_label: prog.fun_of_label.clone(),
+        frame_map: prog.frame_map.clone(),
         fused: 0,
     };
     for ins in &prog.code {
@@ -542,6 +545,7 @@ impl ThreadedCode {
             .chain(self.exn_switches.iter_mut().flat_map(targets))
             .chain(&mut self.entry_pc)
             .chain(&mut self.pc_of_label)
+            .chain(self.frame_map.iter_mut().map(|(pc, _)| pc))
             .for_each(remap);
 
         // Compact: a new pc is never ahead of the old pcs it is read from.
@@ -733,6 +737,7 @@ mod tests {
                 nfinite: 0,
                 name: "<main>".into(),
             }],
+            frame_map: vec![],
             main: 0,
             global_infinite: vec![0],
             exn_names: vec![],

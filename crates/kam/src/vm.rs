@@ -4,13 +4,12 @@
 //! `[env | region formals | args | locals… | finite regions | operands]`.
 //! A frame is a window on the operand stack: the `[env][rhandles][args]`
 //! block a call leaves on top of the stack already is the callee's first
-//! slots. Locals and operand slots always hold well-formed values
-//! (scalars odd, pointers even in tagged mode), so the garbage
-//! collector's root set is exactly the locals and operand ranges of every
-//! frame — the finite area between them is reached only through pointers
-//! — enumerated at the `GcCheck` safe point executed on function entry
-//! (paper §4: collection happens at the next function entry once the
-//! free-list drops below the threshold).
+//! slots. The garbage collector's roots are enumerated at the `GcCheck`
+//! safe point executed on function entry (paper §4: collection happens at
+//! the next function entry once the free-list drops below the threshold)
+//! from the frame map: each suspended frame's slots in scope at its call
+//! and its operands, and the whole of the entered frame. The finite area
+//! between locals and operands is reached only through pointers.
 //!
 //! One engine runs every program: [`crate::threaded`] translates the
 //! compiled [`Instr`](crate::instr::Instr) stream, whose branch operands
@@ -626,27 +625,33 @@ impl<'p> Vm<'p> {
         Some(h.target)
     }
 
-    /// Every frame's locals and operands: the finite area between them
-    /// holds boxes the collector reaches through pointers, and stale
-    /// words of boxes already dead.
-    fn roots(&self) -> Vec<usize> {
+    /// The roots: a frame suspended at a call, its slots in scope there
+    /// (`live` of the call's entry in the frame map `map`; a missing entry
+    /// is a codegen bug) and its operands. The top frame stands at a
+    /// function entry's `GcCheck`, its slots past the arguments fresh
+    /// fill: it is taken whole. The finite area is reached via pointers.
+    fn roots(&self, map: &[(u32, u32)]) -> Vec<usize> {
         let mut roots = Vec::new();
         for (i, f) in self.frames.iter().enumerate() {
             let ops = f.fin + self.prog.funs[f.fun as usize].nfinite as usize;
-            let end = self
-                .frames
-                .get(i + 1)
-                .map_or(self.rt.stack.len(), |g| g.base);
-            roots.extend(f.base..f.fin);
+            let (live, end) = match self.frames.get(i + 1) {
+                Some(callee) => {
+                    let at = map.binary_search_by_key(&callee.ret_pc, |e| e.0 as usize);
+                    let live = map[at.expect("a suspended call has a frame-map entry")].1;
+                    (f.base + live as usize, callee.base)
+                }
+                None => (f.fin, self.rt.stack.len()),
+            };
+            roots.extend(f.base..live);
             roots.extend(ops..end);
         }
         roots
     }
 
-    /// Runs the runtime's collector with all frames' locals and operand
-    /// ranges as roots.
-    fn collect(&mut self) {
-        let roots = self.roots();
+    /// Runs the runtime's collector on the roots [`Vm::roots`] reads off
+    /// the frame map.
+    fn collect(&mut self, map: &[(u32, u32)]) {
+        let roots = self.roots(map);
         gc::collect(&mut self.rt, &roots, &mut []);
     }
 
@@ -659,17 +664,17 @@ impl<'p> Vm<'p> {
     /// instruction totals and the GC schedule of unconstrained runs are
     /// untouched.
     #[inline(always)]
-    fn gc_safe_point(&mut self) -> Option<VmError> {
+    fn gc_safe_point(&mut self, map: &[(u32, u32)]) -> Option<VmError> {
         if let Some(deadline) = self.rt.config.deadline {
             if let Some(e) = self.deadline_check(deadline) {
                 return Some(e);
             }
         }
         if self.rt.gc_needed {
-            self.collect();
+            self.collect(map);
         }
         if self.rt.config.max_heap_pages.is_some() {
-            self.quota_check()
+            self.quota_check(map)
         } else {
             None
         }
@@ -699,12 +704,12 @@ impl<'p> Vm<'p> {
     /// re-measure. A request that stays over the cap after all that is
     /// genuinely holding too much live data and fails with a typed error.
     #[cold]
-    fn quota_check(&mut self) -> Option<VmError> {
+    fn quota_check(&mut self, map: &[(u32, u32)]) -> Option<VmError> {
         if !self.rt.over_quota() {
             return None;
         }
         if self.rt.config.collector != Collector::Off {
-            self.collect();
+            self.collect(map);
         }
         self.rt.quota_reclaim();
         if self.rt.over_quota() {
@@ -1259,8 +1264,8 @@ fn h_ret(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
 }
 
 #[inline(always)]
-fn h_gc_check(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
-    if let Some(e) = vm.gc_safe_point() {
+fn h_gc_check(vm: &mut Vm<'_>, t: &ThreadedCode, _pc: u32) -> Control {
+    if let Some(e) = vm.gc_safe_point(&t.frame_map) {
         vm.pending = Some(e);
         return Control::Fail;
     }
@@ -1620,7 +1625,7 @@ fn h_load_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 
 #[inline(always)]
 fn h_gc_check_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    if let Some(e) = vm.gc_safe_point() {
+    if let Some(e) = vm.gc_safe_point(&t.frame_map) {
         vm.pending = Some(e);
         return Control::Fail;
     }
@@ -1654,7 +1659,7 @@ fn h_select_store_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 
 #[inline(always)]
 fn h_gc_check_load_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    if let Some(e) = vm.gc_safe_point() {
+    if let Some(e) = vm.gc_safe_point(&t.frame_map) {
         vm.pending = Some(e);
         return Control::Fail;
     }

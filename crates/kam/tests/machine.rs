@@ -388,6 +388,8 @@ mod frames {
                 None => call(&mut code, callee_labels, &s, via, args, false, &k),
                 Some(h) => call(&mut code, hop_labels, h, Via::Known, &[], false, &k),
             }
+            // main waits at its call with its two slots in scope.
+            let frame_map = vec![(code.len() as u32, 2)];
             code.push(Instr::Halt);
             pc_of_label[2] = code.len() as u32;
             code.push(Instr::EnterViaPair {
@@ -426,6 +428,7 @@ mod frames {
                 pc_of_label,
                 fun_of_label,
                 funs,
+                frame_map,
                 main: 0,
                 global_infinite: vec![0, 0],
                 exn_names: vec![],
@@ -538,6 +541,7 @@ mod frames {
                     nfinite: 2,
                     name: "<main>".into(),
                 }],
+                frame_map: vec![],
                 main: 0,
                 global_infinite: vec![0],
                 exn_names: vec![],

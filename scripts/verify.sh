@@ -112,6 +112,14 @@ if grep -rnE 'config\.poison|poison: (true|false)|dangling GC root' \
     echo "verify: the poison knob or the root pre-scan is back (see above)" >&2
     exit 1
 fi
+echo "==> deleted names stay deleted, as whole words: codegen's slot clears"
+echo "    and the letregion counters that placed them (the roots come from"
+echo "    the frame map)"
+if grep -rnwE 'clear_dead_slot|clear_slot|open_lr|lr_seen' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
+    echo "verify: a slot clear is back (see above)" >&2
+    exit 1
+fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -150,14 +158,14 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR32.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR34.json in r, gt,"
 echo "    rgt and the generational baseline, both fusion levels; writes"
 echo "    nothing (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR32.json
+    --check-counts BENCH_PR34.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"
