@@ -14,11 +14,10 @@
 //!
 //! Every case is one generated program run in all five execution modes
 //! under the default runtime configuration plus one fuzzed configuration
-//! per mode (page size, initial heap, shrink hysteresis, collection
-//! trigger, heap-to-live ratio, generational policy). Case *k* draws its
-//! program and its configurations from two streams derived from
-//! `(seed, k)` alone (`randgen::case_rngs`), so it reproduces without the
-//! cases before it. A full-surface program that fails to compile is also a
+//! per mode (page size, initial heap, collection trigger, heap-to-live
+//! ratio, generational policy). Case *k* draws its program and its
+//! configurations from two streams derived from `(seed, k)` alone
+//! (`randgen::case_rngs`), so it reproduces without the cases before it. A full-surface program that fails to compile is also a
 //! failure — the generator is type-directed, so a compile error is a
 //! generator bug that would otherwise silently shrink the differential
 //! surface. Any divergence prints the failed check, field, config, and
@@ -65,9 +64,8 @@ fn main() {
         }
         for mode in Mode::ALL_WITH_BASELINE {
             // Default configuration, then one fuzzed configuration per
-            // mode — tiny pages, aggressive shrink factors, triggers and
-            // heap ratios all move the GC schedule, which must still be
-            // fusion-invariant.
+            // mode — tiny pages, triggers and heap ratios all move the GC
+            // schedule, which must still be fusion-invariant.
             let fuzzed = randgen::fuzz_config(&mut cfg_rng, mode);
             for cfg in [None, Some(&fuzzed)] {
                 runs += 1;

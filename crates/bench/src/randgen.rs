@@ -1370,17 +1370,16 @@ pub fn case_rngs(seed: u64, case: u64) -> (SplitMix64, SplitMix64) {
 }
 
 /// A random runtime configuration for `mode`: page size, initial heap,
-/// shrink hysteresis, the collection trigger and heap-to-live ratio (the
-/// paper's §4 dials), and (for the baseline mode) the generational policy
-/// are all fuzzed. Every value must leave the counters the differential
-/// compares fusion-invariant. `with_config` forces tagging and the collector
+/// the collection trigger and heap-to-live ratio (the paper's §4 dials),
+/// and (for the baseline mode) the generational policy are all fuzzed.
+/// Every value must leave the counters the differential compares
+/// fusion-invariant. `with_config` forces tagging and the collector
 /// back to the mode's requirements, so the result is always well-formed.
 pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
     let mut cfg = RtConfig {
         // 32..512-word pages; tiny pages force collections mid-expression.
         page_words_log2: 5 + rng.below(5) as u32,
         initial_pages: [2, 4, 8, 64][rng.below(4) as usize],
-        heap_shrink_factor: [None, Some(1.0), Some(2.0), Some(4.0)][rng.below(4) as usize],
         heap_to_live_ratio: [1.5, 3.0, 9.0][rng.below(3) as usize],
         // 1.0: every page taken schedules a collection at the next safe
         // point.
@@ -1436,10 +1435,9 @@ pub fn differential(
         format!(
             "{mode} (cfg: {}) on\n{src}",
             cfg.map_or("default".to_string(), |c| format!(
-                "pages=2^{} init={} shrink={:?} ratio={} threshold={:.2} gen={}",
+                "pages=2^{} init={} ratio={} threshold={:.2} gen={}",
                 c.page_words_log2,
                 c.initial_pages,
-                c.heap_shrink_factor,
                 c.heap_to_live_ratio,
                 c.gc_threshold,
                 matches!(c.collector, Collector::Generational(_))

@@ -699,10 +699,9 @@ impl<'p> Vm<'p> {
         None
     }
 
-    /// The quota slow path: if the materialized footprint exceeds the
-    /// cap, force one collection, release the free arena tail, and
-    /// re-measure. A request that stays over the cap after all that is
-    /// genuinely holding too much live data and fails with a typed error.
+    /// The quota slow path: if the pages in use exceed the cap, force one
+    /// collection and re-measure. A request that stays over the cap after
+    /// that is holding too much live data and fails with a typed error.
     #[cold]
     fn quota_check(&mut self, map: &[(u32, u32)]) -> Option<VmError> {
         if !self.rt.over_quota() {
@@ -711,7 +710,6 @@ impl<'p> Vm<'p> {
         if self.rt.config.collector != Collector::Off {
             self.collect(map);
         }
-        self.rt.quota_reclaim();
         if self.rt.over_quota() {
             Some(VmError::QuotaExceeded {
                 pages: self.rt.quota_pages(),

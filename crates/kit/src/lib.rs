@@ -261,8 +261,9 @@ impl Compiler {
         self
     }
 
-    /// Caps each run's materialized region-heap footprint (the
-    /// per-request memory quota of the server). A run that stays over
+    /// Caps the region-heap pages each run holds in use (the per-request
+    /// memory quota of the server; `RtConfig::max_heap_pages` says what is
+    /// charged). A run that stays over
     /// the cap after a forced collection at a `GcCheck` safe point fails
     /// with [`VmError::QuotaExceeded`]. Unlike [`Compiler::with_config`]
     /// this leaves the mode's other runtime defaults untouched.
@@ -500,7 +501,6 @@ mod tests {
             collector: Collector::Off,
             gc_threshold: 0.5,
             heap_to_live_ratio: 9.0,
-            heap_shrink_factor: None,
             initial_pages: 4,
             profile: true,
             max_heap_pages: Some(100),

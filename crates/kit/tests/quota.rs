@@ -105,3 +105,49 @@ fn quota_error_renders_pages_and_cap() {
         "unhelpful message: {msg}"
     );
 }
+
+#[test]
+fn the_cap_charges_pages_in_use_not_the_arena_high_water() {
+    // `r` mode on 32-word pages. The 60-cell list lives only inside its
+    // `letregion`, and the literal is built with no safe point in between,
+    // so no quota check sees it; the arena still grows past the cap to hold
+    // it. The region pops, and the run goes on with a small live list, whose
+    // page the cap must not charge for the high-water below it.
+    const SRC: &str = "fun len (x :: xs) = 1 + len xs | len nil = 0\n\
+        val small = let val big = [1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,\
+        21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,\
+        48,49,50,51,52,53,54,55,56,57,58,59,60]\n\
+        in case big of x :: _ => [x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x] | nil => nil end\n\
+        val it = len small";
+    const CAP: usize = 4;
+    let run = |cap| {
+        let cfg = kit::RtConfig {
+            page_words_log2: 5,
+            ..kit::RtConfig::r()
+        };
+        Compiler::new(Mode::R)
+            .with_config(cfg)
+            .with_max_heap_pages(cap)
+            .run_source(SRC)
+    };
+    let handle = std::thread::Builder::new()
+        .stack_size(64 * 1024 * 1024)
+        .spawn(move || (run(1), run(CAP)))
+        .unwrap();
+    let (tight, capped) = handle.join().unwrap();
+    // The pages in use at a safe point never exceed two.
+    assert_eq!(
+        tight.expect_err("two pages exceed a cap of one"),
+        Error::Run(VmError::QuotaExceeded { pages: 2, cap: 1 })
+    );
+    let out = capped.expect("the pages in use stay under the cap");
+    assert_eq!(out.result_int(), Some(20));
+    // The arena's high-water is well over the cap (peak_bytes is the arena
+    // plus a few dozen stack words).
+    let cap_bytes = CAP * 32 * 8;
+    assert!(
+        out.stats.peak_bytes > 2 * cap_bytes,
+        "the big list never outgrew the cap: {} bytes",
+        out.stats.peak_bytes
+    );
+}

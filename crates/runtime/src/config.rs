@@ -20,25 +20,22 @@ pub struct RtConfig {
     /// fraction of the total region heap (paper §4: 1/3).
     pub gc_threshold: f64,
     /// After a collection the region heap is grown until it is at least
-    /// this multiple of the live (to-space) pages (paper §4: 3.0).
+    /// this multiple of the live (to-space) pages (paper §4: 3.0). This is
+    /// the only rule that sizes the heap: it never shrinks.
     pub heap_to_live_ratio: f64,
-    /// Asymmetric heap sizing: growth to `heap_to_live_ratio × live` is
-    /// immediate, but free pages are only released back to the allocator
-    /// when the heap exceeds `heap_shrink_factor` times that target
-    /// (hysteresis, so a single deep recursion does not thrash the arena).
-    /// The shrink trims back to the growth target; `None` never shrinks.
-    pub heap_shrink_factor: Option<f64>,
     /// Initial number of region pages.
     pub initial_pages: usize,
     /// Record a region profile (paper Fig. 5).
     pub profile: bool,
-    /// Memory quota: cap the number of *materialized* region pages (the
-    /// same accounting as `RtStats::peak_pages`, large objects included at
-    /// their page-equivalent size). Allocation itself never fails — the
-    /// breach sets a sticky flag that the VM observes at the next `GcCheck`
-    /// safe point (after giving the collector a chance to get back under
-    /// the cap), so enforcement is deterministic across engines and does
-    /// not perturb the GC schedule. `None` (the default) is unlimited.
+    /// Memory quota: cap the region pages *in use* — owned by a region,
+    /// not on the free-list — plus large objects at their page-equivalent
+    /// size ([`crate::Rt::quota_pages`]). A free page is not charged,
+    /// whether a pop or a collection freed it or it was never touched.
+    /// Allocation itself never fails: the VM compares the count with the
+    /// cap at each `GcCheck` safe point (after giving the collector a
+    /// chance to get back under the cap), so enforcement is deterministic
+    /// across engines and does not perturb the GC schedule. `None` (the
+    /// default) is unlimited.
     pub max_heap_pages: Option<usize>,
     /// Wall-clock deadline: the run fails with a typed
     /// `VmError::DeadlineExceeded` at the first `GcCheck` safe point whose
@@ -141,7 +138,6 @@ impl RtConfig {
             collector: Collector::Off,
             gc_threshold: 1.0 / 3.0,
             heap_to_live_ratio: 3.0,
-            heap_shrink_factor: Some(4.0),
             initial_pages: 64,
             profile: false,
             max_heap_pages: None,

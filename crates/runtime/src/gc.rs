@@ -31,7 +31,8 @@
 //! generational one it is a minor pass (nursery into tenured) and, once
 //! the tenured generation outgrew its budget, a major pass (tenured into
 //! itself). A full or major collection then grows the heap to maintain
-//! the heap-to-live ratio (§4), or shrinks it with hysteresis.
+//! the heap-to-live ratio (§4); nothing else sizes the heap, and it never
+//! shrinks.
 
 use crate::config::Collector;
 use crate::heap::{PAGE_HDR, PAGE_NEXT, PAGE_ORIGIN, POISON};
@@ -193,13 +194,9 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
         }
         Collector::Off | Collector::Regions => None,
     };
-    // Only a collection that leaves every live page in to-space resizes
-    // the heap. Its to-space should fill the arena bottom-up so the shrink
-    // finds its free pages at the physical tail.
+    // Only a collection that leaves every live page in to-space measures
+    // the live set the heap is sized by.
     let resize = major != Some(false);
-    if resize && rt.config.heap_shrink_factor.is_some() {
-        rt.heap.sort_free_list();
-    }
     let full = match major {
         None => Some(pass(rt, root_slots, extra_roots, FullEvac)),
         Some(major) => {
@@ -227,8 +224,6 @@ pub fn collect(rt: &mut Rt, root_slots: &[usize], extra_roots: &mut [Word]) {
         if rt.heap.total_pages() < want_total {
             rt.heap.grow(want_total - rt.heap.total_pages());
             rt.stats.heap_grows += 1;
-        } else {
-            shrink_with_hysteresis(rt, want_total);
         }
         if let Some(p) = &full {
             let from_space_words = p.fs.pages as u64 * (rt.heap.page_words() as u64 - PAGE_HDR);
@@ -371,40 +366,6 @@ fn sweep_lobjs<P: EvacPolicy>(rt: &mut Rt, p: P) -> usize {
         }
     }
     lobjs_freed
-}
-
-/// Absolute minimum width of the shrink hysteresis band, in pages.
-const MIN_SHRINK_BAND: usize = 2;
-
-/// Minimum width of the shrink hysteresis band: one page of live-set
-/// noise is amplified to `heap_to_live_ratio` pages of growth-target
-/// movement, so any narrower band would let a workload oscillating by a
-/// single live page release and re-grow the arena tail on every
-/// collection. A factor close to 1.0 would otherwise make `cap == floor`
-/// (no band at all).
-fn min_shrink_band(rt: &Rt) -> usize {
-    (rt.config.heap_to_live_ratio.ceil() as usize).max(MIN_SHRINK_BAND)
-}
-
-/// Asymmetric heap sizing (growth is immediate, above): once the arena
-/// exceeds `heap_shrink_factor` times the growth target, free tail pages
-/// are released back down to the target. The hysteresis band between the
-/// two keeps a workload that oscillates around one size from thrashing
-/// `grow`/`release_tail` on every collection; the band is never narrower
-/// than [`min_shrink_band`] pages regardless of the factor.
-fn shrink_with_hysteresis(rt: &mut Rt, want_total: usize) {
-    let Some(factor) = rt.config.heap_shrink_factor else {
-        return;
-    };
-    let floor = want_total.max(rt.config.initial_pages);
-    let cap = (((floor as f64) * factor).ceil() as usize).max(floor + min_shrink_band(rt));
-    if rt.heap.total_pages() > cap {
-        let released = rt.heap.release_tail(rt.heap.total_pages() - floor);
-        if released > 0 {
-            rt.stats.heap_shrinks += 1;
-            rt.stats.pages_released += released as u64;
-        }
-    }
 }
 
 /// Shared scan-loop state (paper §2.5) of one pass.
@@ -654,106 +615,35 @@ mod tests {
         sum
     }
 
+    /// The heap is sized by one rule: after a collection it grows to
+    /// `heap_to_live_ratio × live` if it is smaller. When the live set
+    /// collapses, the heap keeps its size.
     #[test]
-    fn collector_shrinks_an_oversized_heap_with_hysteresis() {
+    fn the_heap_only_grows_when_the_live_set_collapses() {
         let mut rt = rt();
         let r = rt.letregion(0);
-        // Blow the heap up with garbage, then drop it all.
-        for _ in 0..200 {
-            let _ = build_list(&mut rt, r, 200);
+        let big = build_list(&mut rt, r, 5000);
+        rt.stack.push(big);
+        collect(&mut rt, &[0], &mut []);
+        let big_live = rt.stats.last_live_pages;
+        let mut total = rt.heap.total_pages();
+        rt.stack[0] = build_list(&mut rt, r, 60);
+        for _ in 0..4 {
+            collect(&mut rt, &[0], &mut []);
+            assert!(
+                rt.heap.total_pages() >= total,
+                "the heap fell from {total} to {} pages",
+                rt.heap.total_pages()
+            );
+            total = rt.heap.total_pages();
         }
-        let live = build_list(&mut rt, r, 5);
-        rt.stack.push(live);
-        let root = rt.stack.len() - 1;
-        let before = rt.heap.total_pages();
-        collect(&mut rt, &[root], &mut []);
-        let live_pages: usize = rt.regions.iter().map(|d| d.pages).sum();
-        let want = ((live_pages as f64) * rt.config.heap_to_live_ratio).ceil() as usize;
-        let floor = want.max(rt.config.initial_pages);
-        let cap = ((floor as f64) * rt.config.heap_shrink_factor.unwrap()).ceil() as usize;
-        assert!(before > cap, "setup must overshoot the hysteresis cap");
-        // Shrink fired, but only the free tail is physically releasable —
-        // this collection's to-space came from whatever pages were free at
-        // the flip, which may sit high in the arena.
-        let after_first = rt.heap.total_pages();
-        assert!(after_first < before, "first collection must release pages");
-        assert_eq!(list_sum(&rt, rt.stack[root]), 15);
-
-        // The next collection re-sorts the (now huge) free-list, places
-        // to-space at the bottom of the arena, and the release reaches the
-        // growth target exactly.
-        collect(&mut rt, &[root], &mut []);
-        assert_eq!(rt.heap.total_pages(), floor, "shrink-to-target");
-
-        // Within the hysteresis band nothing more is released.
-        collect(&mut rt, &[root], &mut []);
-        assert!(rt.heap.total_pages() >= floor, "no thrash inside the band");
-    }
-
-    #[test]
-    fn tight_shrink_factor_does_not_thrash() {
-        // factor = 1.0 collapses cap onto floor, so without the minimum
-        // hysteresis band a live set oscillating by one page would
-        // release the arena tail on every down-cycle and re-grow it on
-        // every up-cycle. 1300 vs 1385 cons cells is exactly one page of
-        // live-set movement (≈ 3 words per cell, ≈ 84 cells per page).
-        let mut rt = Rt::new(RtConfig {
-            initial_pages: 16,
-            heap_shrink_factor: Some(1.0),
-            ..RtConfig::rgt()
-        });
-        let r = rt.letregion(0);
-        let live = build_list(&mut rt, r, 1385);
-        rt.stack.push(live);
-        let root = rt.stack.len() - 1;
-        // Converge onto the target.
-        collect(&mut rt, &[root], &mut []);
-        collect(&mut rt, &[root], &mut []);
-        let (grows, shrinks) = (rt.stats.heap_grows, rt.stats.heap_shrinks);
-        for i in 0..10 {
-            let n = if i % 2 == 0 { 1300 } else { 1385 };
-            let live = build_list(&mut rt, r, n);
-            rt.stack[root] = live;
-            collect(&mut rt, &[root], &mut []);
-        }
-        assert_eq!(
-            (rt.stats.heap_grows, rt.stats.heap_shrinks),
-            (grows, shrinks),
-            "one page of live-set noise thrashed the arena size"
-        );
-    }
-
-    #[test]
-    fn generational_major_shrinks_oversized_heap() {
-        // The major path must sort the free-list before its flips, or the
-        // tenured survivors land mid-arena and `release_tail` stops early.
-        let mut rt = Rt::new(RtConfig {
-            initial_pages: 16,
-            heap_shrink_factor: Some(1.0),
-            collector: generational(true),
-            ..RtConfig::rgt()
-        });
-        let young = rt.letregion(0);
-        let _old = rt.letregion(0);
-        for _ in 0..200 {
-            let _ = build_list(&mut rt, young, 200);
-        }
-        let live = build_list(&mut rt, young, 5);
-        rt.stack.push(live);
-        let root = rt.stack.len() - 1;
-        let before = rt.heap.total_pages();
-        collect(&mut rt, &[root], &mut []);
-        collect(&mut rt, &[root], &mut []);
-        let live_pages: usize = rt.regions.iter().map(|d| d.pages).sum();
-        let want = ((live_pages as f64) * rt.config.heap_to_live_ratio).ceil() as usize;
-        let floor = want.max(rt.config.initial_pages);
-        assert!(before > floor + MIN_SHRINK_BAND, "setup must overshoot");
+        let small_live = rt.stats.last_live_pages;
         assert!(
-            rt.heap.total_pages() <= floor + MIN_SHRINK_BAND,
-            "major collections must release the garbage tail: {} pages left, floor {floor}",
-            rt.heap.total_pages()
+            big_live >= 40 * small_live,
+            "the live set must collapse: {big_live} -> {small_live} pages"
         );
-        assert_eq!(list_sum(&rt, rt.stack[root]), 15);
+        assert!(rt.stats.heap_grows <= rt.stats.gc_count);
+        assert_eq!(list_sum(&rt, rt.stack[0]), 60 * 61 / 2);
     }
 
     #[test]

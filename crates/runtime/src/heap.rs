@@ -33,13 +33,6 @@ pub struct Heap {
     free_head: u64,
     free_count: usize,
     total_pages: usize,
-    /// `true` while the free-list is known to be in ascending address
-    /// order (set by [`Heap::sort_free_list`], cleared by any operation
-    /// that may disturb the order), so redundant re-sorts are skipped.
-    sorted: bool,
-    /// Number of [`Heap::sort_free_list`] calls skipped because the list
-    /// was already sorted (observable for tests).
-    pub sort_skips: u64,
 }
 
 impl Heap {
@@ -53,8 +46,6 @@ impl Heap {
             free_head: NONE_ADDR,
             free_count: 0,
             total_pages: 0,
-            sorted: false,
-            sort_skips: 0,
         };
         h.grow(initial_pages.max(1));
         h
@@ -130,23 +121,11 @@ impl Heap {
     /// the grant would charge megabytes of memset and page faults to the
     /// GC pause; lazily, headroom that is never allocated from never
     /// costs a byte, and first-touch cost lands on the mutator allocation
-    /// that actually uses the page. Virgin pages sit above every
-    /// materialized page, so a sorted free-list stays sorted.
+    /// that actually uses the page. The heap never gives pages back: the
+    /// collector's heap-to-live rule only ever grows it.
     pub fn grow(&mut self, n: usize) {
         self.free_count += n;
         self.total_pages += n;
-    }
-
-    /// Pages granted by [`grow`](Heap::grow) but not yet backed by arena
-    /// storage. Always the address range `words.len() ..` upward.
-    pub fn virgin_pages(&self) -> usize {
-        self.total_pages - self.words.len() / self.page_words
-    }
-
-    /// Pages currently backed by arena storage (virgin grants excluded) —
-    /// the footprint measure the page-cap quota is charged against.
-    pub fn materialized_pages(&self) -> usize {
-        self.words.len() / self.page_words
     }
 
     /// Takes one page from the free-list (growing the heap if empty) and
@@ -171,8 +150,6 @@ impl Heap {
         if first == NONE_ADDR {
             return;
         }
-        // The chain is prepended in whatever order the region built it.
-        self.sorted = false;
         let last_page = self.page_base(end - 1);
         debug_assert_eq!(self.read(last_page + PAGE_NEXT), NONE_ADDR);
         #[cfg(debug_assertions)]
@@ -189,99 +166,6 @@ impl Heap {
         self.write(last_page + PAGE_NEXT, self.free_head);
         self.free_head = first;
         self.free_count += count;
-    }
-
-    /// Rebuilds the free-list in ascending address order, so subsequent
-    /// [`alloc_page`](Heap::alloc_page) calls fill the arena from the
-    /// bottom. Run before a collection's flip when shrinking is enabled:
-    /// to-space then lands at low addresses and the tail stays free for
-    /// [`release_tail`](Heap::release_tail).
-    pub fn sort_free_list(&mut self) {
-        if self.sorted {
-            // Popping from a sorted list keeps it sorted and releasing
-            // tail pages preserves relative order, so the last sort is
-            // still valid: re-linking would be a no-op.
-            self.sort_skips += 1;
-            return;
-        }
-        let mut pages: Vec<u64> = self.pages_from(self.free_head).collect();
-        pages.sort_unstable();
-        let mut head = NONE_ADDR;
-        for &p in pages.iter().rev() {
-            self.write(p + PAGE_NEXT, head);
-            head = p;
-        }
-        self.free_head = head;
-        self.sorted = true;
-    }
-
-    /// Releases up to `max` *free* pages from the tail of the arena back
-    /// to the process allocator, returning how many were released. Only
-    /// the physical tail can be returned (pages are indices into one
-    /// contiguous arena), so the shrink stops at the first in-use tail
-    /// page. Two passes over the free-list regardless of how many pages
-    /// come off — a per-page rescan would be quadratic when the policy
-    /// releases tens of thousands of pages at once.
-    pub fn release_tail(&mut self, max: usize) -> usize {
-        if max == 0 || self.total_pages <= 1 {
-            return 0;
-        }
-        // Virgin pages are the extreme tail and were never backed by
-        // storage: un-granting them is pure bookkeeping.
-        let virgin = self.virgin_pages().min(max).min(self.total_pages - 1);
-        self.total_pages -= virgin;
-        self.free_count -= virgin;
-        let max = max - virgin;
-        if max == 0 || self.total_pages <= 1 {
-            return virgin;
-        }
-        // Pass 1: which pages are free?
-        let mut free = vec![false; self.total_pages];
-        let mut cur = self.free_head;
-        while cur != NONE_ADDR {
-            free[(cur as usize) / self.page_words] = true;
-            cur = self.read(cur + PAGE_NEXT);
-        }
-        // The releasable run is the contiguous free tail.
-        let mut released = 0;
-        while released < max
-            && self.total_pages - released > 1
-            && free[self.total_pages - released - 1]
-        {
-            released += 1;
-        }
-        if released == 0 {
-            return virgin;
-        }
-        // Pass 2: unlink the run. It is exactly the set of free pages at
-        // or above the cut, so one filtering walk suffices; removal
-        // preserves the relative order of the survivors, so a sorted
-        // list stays sorted.
-        let cut = ((self.total_pages - released) * self.page_words) as u64;
-        let mut prev = NONE_ADDR;
-        let mut cur = self.free_head;
-        while cur != NONE_ADDR {
-            let next = self.read(cur + PAGE_NEXT);
-            if cur >= cut {
-                if prev == NONE_ADDR {
-                    self.free_head = next;
-                } else {
-                    self.write(prev + PAGE_NEXT, next);
-                }
-            } else {
-                prev = cur;
-            }
-            cur = next;
-        }
-        self.free_count -= released;
-        self.total_pages -= released;
-        self.words.truncate(self.total_pages * self.page_words);
-        // Capacity is deliberately kept: a workload whose live set swings
-        // grows and shrinks the heap collection after collection, and
-        // freeing the backing store here would turn each swing into an
-        // munmap / refault / realloc-copy cycle. The arena keeps its
-        // high-water backing and rematerializes pages for free.
-        released + virgin
     }
 
     /// Iterates the page chain starting at `first`.
@@ -301,7 +185,7 @@ impl Heap {
     /// ([`Heap::alloc_page`]) has made sure one exists. The linked list
     /// is drained first; virgin pages then materialize bottom-up, one
     /// page's worth of storage at a time (`Vec` doubling amortizes the
-    /// reallocations). Both orders ascend, so `sorted` stays valid.
+    /// reallocations).
     fn pop_free_page(&mut self) -> u64 {
         debug_assert!(self.free_count > 0);
         self.free_count -= 1;
@@ -393,54 +277,6 @@ mod tests {
         h.write(b + PAGE_NEXT, c);
         let chain: Vec<u64> = h.pages_from(a).collect();
         assert_eq!(chain, vec![a, b, c]);
-    }
-
-    #[test]
-    fn release_tail_returns_free_tail_pages_only() {
-        let mut h = Heap::new(64, 8);
-        // Occupy the two lowest pages; the free-list holds the rest.
-        // (Pages come off the LIFO free-list highest-first, so drain and
-        // re-free everything but the lowest two.)
-        let mut pages: Vec<u64> = (0..8).map(|_| h.alloc_page(0)).collect();
-        pages.sort();
-        for &p in &pages[2..] {
-            h.write(p + PAGE_NEXT, NONE_ADDR);
-            h.free_run(p, p + 64, 1);
-        }
-        assert_eq!(h.free_pages(), 6);
-        // All six free pages sit above the two in-use ones: releasable.
-        assert_eq!(h.release_tail(100), 6);
-        assert_eq!(h.total_pages(), 2);
-        assert_eq!(h.free_pages(), 0);
-        // The tail is now in use; nothing further can be released.
-        assert_eq!(h.release_tail(100), 0);
-        assert_eq!(h.bytes(), 2 * 64 * 8);
-    }
-
-    #[test]
-    fn redundant_free_list_sorts_are_skipped() {
-        let mut h = Heap::new(64, 8);
-        assert_eq!(h.sort_skips, 0);
-        h.sort_free_list(); // grow() left the list unsorted: real sort
-        assert_eq!(h.sort_skips, 0);
-        h.sort_free_list(); // nothing disturbed the order since
-        assert_eq!(h.sort_skips, 1);
-        // Popping pages keeps a sorted list sorted.
-        let a = h.alloc_page(0);
-        h.sort_free_list();
-        assert_eq!(h.sort_skips, 2);
-        // Freeing a run disturbs the order; the next sort is real again.
-        h.write(a + PAGE_NEXT, NONE_ADDR);
-        h.free_run(a, a + 64, 1);
-        h.sort_free_list();
-        assert_eq!(h.sort_skips, 2);
-        h.sort_free_list();
-        assert_eq!(h.sort_skips, 3);
-        // The skipped sort left the list genuinely ascending.
-        let pages: Vec<u64> = h.pages_from(h.free_head).collect();
-        let mut sorted = pages.clone();
-        sorted.sort_unstable();
-        assert_eq!(pages, sorted);
     }
 
     #[test]

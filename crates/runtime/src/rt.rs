@@ -520,38 +520,22 @@ impl Rt {
         self.stats.observe_bytes(b);
     }
 
-    /// Materialized footprint in page-equivalents: region-heap pages
-    /// backed by storage plus large-object bytes rounded up to whole
-    /// pages. This is the measure capped by `RtConfig::max_heap_pages`;
-    /// virgin (granted-but-untouched) headroom is free.
+    /// Pages in use: region-heap pages owned by a region (the heap's
+    /// pages less its free-list) plus large-object bytes rounded up to
+    /// whole pages. This is the measure capped by
+    /// `RtConfig::max_heap_pages`; free pages are not charged, whether
+    /// freed by a pop or a collection or never yet touched.
     pub fn quota_pages(&self) -> usize {
         let page_bytes = self.config.page_words() * 8;
-        self.heap.materialized_pages() + self.lobjs.bytes().div_ceil(page_bytes)
+        self.heap.total_pages() - self.heap.free_pages() + self.lobjs.bytes().div_ceil(page_bytes)
     }
 
-    /// `true` if a page cap is configured and the materialized footprint
-    /// currently exceeds it.
+    /// `true` if a page cap is configured and the pages in use currently
+    /// exceed it.
     pub fn over_quota(&self) -> bool {
         self.config
             .max_heap_pages
             .is_some_and(|cap| self.quota_pages() > cap)
-    }
-
-    /// Best-effort release after a quota-forced collection: un-grants
-    /// virgin headroom and returns the free arena tail, so a transient
-    /// spike the collector already reclaimed stops counting against the
-    /// cap. Only called on the quota-breach slow path — it must not
-    /// perturb the GC schedule of runs that stay under their cap.
-    pub fn quota_reclaim(&mut self) {
-        let Some(cap) = self.config.max_heap_pages else {
-            return;
-        };
-        let excess = self.quota_pages().saturating_sub(cap);
-        if excess == 0 {
-            return;
-        }
-        self.heap.sort_free_list();
-        self.heap.release_tail(self.heap.virgin_pages() + excess);
     }
 
     /// Words still free in the page the region is currently filling.

@@ -96,10 +96,6 @@ pub struct RtStats {
     pub last_live_pages: usize,
     /// Post-collection arena growths (heap-to-live ratio maintenance).
     pub heap_grows: u64,
-    /// Post-collection arena shrinks that actually released pages.
-    pub heap_shrinks: u64,
-    /// Total pages released back to the OS-side arena by shrinking.
-    pub pages_released: u64,
     /// Per-collection accounting records.
     pub gc_records: Vec<GcRecord>,
 }

@@ -84,15 +84,20 @@ pub struct ServerConfig {
     /// socket) fails the write, marks the connection dead and frees the
     /// worker.
     pub write_timeout: Duration,
-    /// How long [`ServerHandle::shutdown`] waits for in-flight requests
-    /// before giving up on the remaining workers.
-    pub drain_timeout: Duration,
-    /// Bound on the compile cache: once this many distinct programs are
-    /// cached, further misses compile per-request instead of inserting,
-    /// so a tenant flooding unique sources cannot grow memory without
-    /// bound.
-    pub compile_cache_cap: usize,
 }
+
+/// How long [`ServerHandle::shutdown`] waits for in-flight requests
+/// before giving up on the remaining workers.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Bound on the compile cache: once this many distinct programs are
+/// cached, further misses compile per-request instead of inserting, so a
+/// tenant flooding unique sources cannot grow memory without bound.
+const COMPILE_CACHE_CAP: usize = 1024;
+
+/// Backoff advice while draining: long enough that a retry lands after a
+/// typical restart (the drain timeout).
+const DRAIN_RETRY_MS: u32 = DRAIN_TIMEOUT.as_millis() as u32;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -104,8 +109,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             frame_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            drain_timeout: Duration::from_secs(5),
-            compile_cache_cap: 1024,
         }
     }
 }
@@ -457,7 +460,7 @@ impl ServerHandle {
             job.out.write(&shed_response(
                 job.req.req_id,
                 Status::Overloaded,
-                drain_retry_ms(&self.shared.config),
+                DRAIN_RETRY_MS,
                 job.depth,
                 "server draining; request was not started".to_string(),
             ));
@@ -495,12 +498,11 @@ impl ServerHandle {
     }
 
     /// Stops the server via a graceful [`drain`] bounded by
-    /// [`ServerConfig::drain_timeout`].
+    /// `DRAIN_TIMEOUT` (5 s).
     ///
     /// [`drain`]: ServerHandle::drain
     pub fn shutdown(self) -> DrainReport {
-        let timeout = self.shared.config.drain_timeout;
-        self.drain(timeout)
+        self.drain(DRAIN_TIMEOUT)
     }
 }
 
@@ -509,12 +511,6 @@ impl ServerHandle {
 /// a client can act on.
 fn retry_after_ms(depth: usize, workers: usize) -> u32 {
     (depth / workers.max(1)).clamp(10, 2000) as u32
-}
-
-/// Backoff advice while draining: long enough that a retry lands after
-/// a typical restart.
-fn drain_retry_ms(config: &ServerConfig) -> u32 {
-    (config.drain_timeout.as_millis() as u32).clamp(100, 10_000)
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -742,7 +738,7 @@ fn admit(shared: &Arc<Shared>, req: Request, peer: Option<SocketAddr>, out: &Arc
         out.write(&shed_response(
             req.req_id,
             Status::Overloaded,
-            drain_retry_ms(&shared.config),
+            DRAIN_RETRY_MS,
             0,
             "server draining".to_string(),
         ));
@@ -971,7 +967,7 @@ fn execute_inner(shared: &Shared, worker: u32, job: &Job) -> Response {
                 // cache is left alone (bounded memory) — the request
                 // still runs on its private copy.
                 let mut cache = relock(shared.cache.lock());
-                if cache.len() >= shared.config.compile_cache_cap && !cache.contains_key(&key) {
+                if cache.len() >= COMPILE_CACHE_CAP && !cache.contains_key(&key) {
                     drop(cache);
                     prep
                 } else {

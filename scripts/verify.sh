@@ -120,6 +120,14 @@ if grep -rnwE 'clear_dead_slot|clear_slot|open_lr|lr_seen' \
     echo "verify: a slot clear is back (see above)" >&2
     exit 1
 fi
+echo "==> deleted names stay deleted, as whole words: the heap shrink, the"
+echo "    free-list sort and arena-tail release that served it, and their"
+echo "    counters (the heap only grows)"
+if grep -rnwE 'heap_shrink_factor|shrink_with_hysteresis|release_tail|quota_reclaim|sort_free_list|sort_skips|heap_shrinks|pages_released' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
+    echo "verify: the heap shrink is back (see above)" >&2
+    exit 1
+fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -158,14 +166,14 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR34.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR38.json in r, gt,"
 echo "    rgt and the generational baseline, both fusion levels; writes"
 echo "    nothing (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR34.json
+    --check-counts BENCH_PR38.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"
