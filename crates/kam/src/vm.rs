@@ -722,6 +722,12 @@ impl<'p> Vm<'p> {
 
     // ------------------------------------------------------------- prims
 
+    /// The slow path of every prim handler: the prims the handlers' fast
+    /// path ([`fast_binop`], [`prim_on_stack`]) does not take, and the
+    /// raise of one it declined. `+ − × div mod` and `asub`/`aupdate`
+    /// reach here only when they raise (a debug build asserts that the
+    /// fast path declined them); the int comparisons and `alength` never do.
+    #[inline(never)]
     fn do_prim(&mut self, p: Prim, at: Option<RegSlot>) -> Result<(), kit_lambda::ty::ExnId> {
         use Prim::*;
         macro_rules! binop {
@@ -770,28 +776,14 @@ impl<'p> Vm<'p> {
             }};
         }
         match p {
-            IAdd | ISub | IMul => {
+            IAdd | ISub | IMul | IDiv | IMod => {
                 let (a, b) = int2!();
-                let v = match p {
-                    IAdd => a.checked_add(b),
-                    ISub => a.checked_sub(b),
-                    _ => a.checked_mul(b),
-                }
-                .filter(|v| int_in_range(*v));
-                match v {
-                    Some(v) => push_int!(v),
-                    None => return Err(EXN_OVERFLOW),
-                }
+                debug_assert_eq!(fast_int(p, a, b), None, "{p:?} has a result");
+                let div = b == 0 && matches!(p, IDiv | IMod);
+                return Err(if div { EXN_DIV } else { EXN_OVERFLOW });
             }
-            IDiv | IMod => {
-                let (a, b) = int2!();
-                if b == 0 {
-                    return Err(EXN_DIV);
-                }
-                match floor_div_mod(p, a, b) {
-                    Some(v) => push_int!(v),
-                    None => return Err(EXN_OVERFLOW),
-                }
+            ILt | ILe | IGt | IGe | IEq | ArrLen => {
+                unreachable!("{p:?} is served by the handlers' fast path")
             }
             INeg => {
                 let w = self.pop();
@@ -808,16 +800,6 @@ impl<'p> Vm<'p> {
                     return Err(EXN_OVERFLOW);
                 }
                 push_int!(v);
-            }
-            ILt | ILe | IGt | IGe | IEq => {
-                let (a, b) = int2!();
-                push_bool!(match p {
-                    ILt => a < b,
-                    ILe => a <= b,
-                    IGt => a > b,
-                    IGe => a >= b,
-                    _ => a == b,
-                });
             }
             RAdd | RSub | RMul | RDiv => {
                 let (a, b) = real2!();
@@ -951,31 +933,17 @@ impl<'p> Vm<'p> {
                 let w = self.rt.alloc_array(r, n as usize, init);
                 self.push(w);
             }
-            ArrSub => {
+            ArrSub | ArrUpd => {
+                if p == ArrUpd {
+                    self.pop();
+                }
                 let (a, i) = binop!();
-                let i = self.rt.untag_int(i);
-                if i < 0 || i as usize >= self.rt.arr_len(a) {
-                    return Err(EXN_SUBSCRIPT);
-                }
-                let v = self.rt.read_addr(self.rt.arr_elem_addr(a, i as usize));
-                self.push(v);
-            }
-            ArrUpd => {
-                let v = self.pop();
-                let wi = self.pop();
-                let i = self.rt.untag_int(wi);
-                let a = self.pop();
-                if i < 0 || i as usize >= self.rt.arr_len(a) {
-                    return Err(EXN_SUBSCRIPT);
-                }
-                let addr = self.rt.arr_elem_addr(a, i as usize);
-                self.rt.update(addr, v);
-                push_int!(0);
-            }
-            ArrLen => {
-                let a = self.pop();
-                let n = self.rt.arr_len(a) as i64;
-                push_int!(n);
+                debug_assert_eq!(
+                    self.rt.arr_get(a, self.rt.untag_int(i)),
+                    None,
+                    "{p:?} in bounds"
+                );
+                return Err(EXN_SUBSCRIPT);
             }
         }
         Ok(())
@@ -1191,21 +1159,16 @@ fn h_jump_if_false(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 #[inline(always)]
 fn h_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    if matches!(
-        x.p,
-        Prim::ILt | Prim::ILe | Prim::IGt | Prim::IGe | Prim::IEq
-    ) {
-        let b = vm.pop();
-        let a = vm.pop();
-        let res = fast_int_cmp(vm, x.p, a, b).expect("int comparison");
-        let w = vm.rt.tag_int(res as i64);
-        vm.push(w);
+    // A prim's operand sits at least on its frame's environment, so the
+    // stack holds two words even for a one-operand prim.
+    let n = vm.rt.stack.len();
+    let (a, b) = (vm.rt.stack[n - 2], vm.rt.stack[n - 1]);
+    if let Some(w) = fast_binop(vm, x.p, a, b) {
+        vm.rt.stack.truncate(n - 1);
+        vm.rt.stack[n - 2] = w;
         return Control::Next;
     }
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => Control::Next,
-        Err(exn) => vm.raise_or_fail(exn),
-    }
+    prim_on_stack(vm, x.p, x.at)
 }
 
 #[inline(always)]
@@ -1348,39 +1311,90 @@ fn h_halt(vm: &mut Vm<'_>, _t: &ThreadedCode, _pc: u32) -> Control {
 
 // -------------------------------------------- superinstruction handlers
 
-/// Integer-comparison fast path for the fused compare-and-branch
-/// superinstructions: computes exactly what [`Vm::do_prim`] would push
-/// for the int comparisons (they cannot raise or allocate) without the
-/// operand-stack round trip. `None` sends the caller down the generic
-/// path.
+/// The integer fast path of every prim handler: `< <= > >= =`,
+/// `+ − ×`, and `div`/`mod` by a nonzero divisor, on untagged operands.
+/// `None` for any other prim, or for a result that raises (out of the
+/// int range, or a zero divisor): [`Vm::do_prim`] raises it.
 #[inline(always)]
-fn fast_int_cmp(vm: &Vm<'_>, p: Prim, a: Word, b: Word) -> Option<bool> {
-    let (x, y) = (vm.rt.untag_int(a), vm.rt.untag_int(b));
+fn fast_int(p: Prim, x: i64, y: i64) -> Option<i64> {
     match p {
-        Prim::ILt => Some(x < y),
-        Prim::ILe => Some(x <= y),
-        Prim::IGt => Some(x > y),
-        Prim::IGe => Some(x >= y),
-        Prim::IEq => Some(x == y),
+        Prim::ILt => Some((x < y) as i64),
+        Prim::ILe => Some((x <= y) as i64),
+        Prim::IGt => Some((x > y) as i64),
+        Prim::IGe => Some((x >= y) as i64),
+        Prim::IEq => Some((x == y) as i64),
+        Prim::IAdd => x.checked_add(y).filter(|v| int_in_range(*v)),
+        Prim::ISub => x.checked_sub(y).filter(|v| int_in_range(*v)),
+        Prim::IMul => x.checked_mul(y).filter(|v| int_in_range(*v)),
+        Prim::IDiv | Prim::IMod if y != 0 => floor_div_mod(p, x, y),
         _ => None,
     }
 }
 
-/// Integer-arithmetic fast path for the fused prim superinstructions:
-/// returns the tagged result word, or `None` (wrong prim, overflow, or
-/// out of the implementation's int range) to send the caller down the
-/// generic path — which recomputes and raises `Overflow` properly.
+/// The fast path of a prim on its two top operands `a`, `b`, held in
+/// registers: the integer ones through [`fast_int`], and `asub` by one
+/// large-object lookup. Every prim handler, the compare-and-branch ones
+/// too, tries it first. Returns the result word; `None` sends the caller
+/// to [`prim_on_stack`] (or [`prim_branch`]) with the operands pushed.
 #[inline(always)]
-fn fast_int_arith(vm: &Vm<'_>, p: Prim, a: Word, b: Word) -> Option<Word> {
-    let (x, y) = (vm.rt.untag_int(a), vm.rt.untag_int(b));
-    let v = match p {
-        Prim::IAdd => x.checked_add(y),
-        Prim::ISub => x.checked_sub(y),
-        Prim::IMul => x.checked_mul(y),
-        _ => None,
+fn fast_binop(vm: &Vm<'_>, p: Prim, a: Word, b: Word) -> Option<Word> {
+    let y = vm.rt.untag_int(b);
+    match p {
+        Prim::ArrSub => vm.rt.arr_get(a, y),
+        _ => fast_int(p, vm.rt.untag_int(a), y).map(|v| vm.rt.tag_int(v)),
     }
-    .filter(|v| int_in_range(*v))?;
-    Some(vm.rt.tag_int(v))
+}
+
+/// A prim on operands on the stack that [`fast_binop`] did not take:
+/// `aupdate` and `alength` inline, everything else — and every raise —
+/// in [`Vm::do_prim`].
+#[inline(always)]
+fn prim_on_stack(vm: &mut Vm<'_>, p: Prim, at: Option<RegSlot>) -> Control {
+    let n = vm.rt.stack.len();
+    match p {
+        Prim::ArrUpd => {
+            let (a, i, v) = (vm.rt.stack[n - 3], vm.rt.stack[n - 2], vm.rt.stack[n - 1]);
+            if vm.rt.arr_set(a, vm.rt.untag_int(i), v) {
+                vm.rt.stack.truncate(n - 2);
+                vm.rt.stack[n - 3] = vm.rt.tag_int(0);
+                return Control::Next;
+            }
+        }
+        Prim::ArrLen => {
+            let len = vm.rt.arr_len(vm.rt.stack[n - 1]);
+            vm.rt.stack[n - 1] = vm.rt.tag_int(len as i64);
+            return Control::Next;
+        }
+        _ => {}
+    }
+    match vm.do_prim(p, at) {
+        Ok(()) => Control::Next,
+        Err(exn) => vm.raise_or_fail(exn),
+    }
+}
+
+/// The `JumpIfFalse` of a fused compare-and-branch on the prim's result
+/// `w`: on if it is true, else to `t`.
+#[inline(always)]
+fn branch(vm: &Vm<'_>, w: Word, t: u32) -> Control {
+    if vm.rt.untag_int(w) != 0 {
+        Control::Next
+    } else {
+        Control::Goto(t)
+    }
+}
+
+/// A fused compare-and-branch whose prim [`fast_binop`] did not take, its
+/// operands on the stack: [`prim_on_stack`], then the branch on its result.
+#[inline(always)]
+fn prim_branch(vm: &mut Vm<'_>, p: Prim, at: Option<RegSlot>, t: u32) -> Control {
+    match prim_on_stack(vm, p, at) {
+        Control::Next => {
+            let w = vm.pop();
+            branch(vm, w, t)
+        }
+        raised => raised,
+    }
 }
 
 #[inline(always)]
@@ -1388,45 +1402,26 @@ fn h_load_load_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let va = vm.local(x.a);
     let vb = vm.local(x.b);
-    if let Some(w) = fast_int_arith(vm, x.p, va, vb) {
+    if let Some(w) = fast_binop(vm, x.p, va, vb) {
         vm.push(w);
         return Control::Next;
     }
     vm.push(va);
     vm.push(vb);
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => Control::Next,
-        Err(exn) => vm.raise_or_fail(exn),
-    }
+    prim_on_stack(vm, x.p, x.at)
 }
 
 #[inline(always)]
 fn h_push_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     // The other operand is already on the stack, under the constant.
-    if matches!(
-        x.p,
-        Prim::ILt | Prim::ILe | Prim::IGt | Prim::IGe | Prim::IEq
-    ) {
-        let a = vm.pop();
-        let res = fast_int_cmp(vm, x.p, a, x.k).expect("int comparison");
-        let w = vm.rt.tag_int(res as i64);
-        vm.push(w);
+    let n = vm.rt.stack.len();
+    if let Some(w) = fast_binop(vm, x.p, vm.rt.stack[n - 1], x.k) {
+        vm.rt.stack[n - 1] = w;
         return Control::Next;
     }
-    if matches!(x.p, Prim::IAdd | Prim::ISub | Prim::IMul) {
-        let a = vm.pop();
-        if let Some(w) = fast_int_arith(vm, x.p, a, x.k) {
-            vm.push(w);
-            return Control::Next;
-        }
-        vm.push(a);
-    }
     vm.push(x.k);
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => Control::Next,
-        Err(exn) => vm.raise_or_fail(exn),
-    }
+    prim_on_stack(vm, x.p, x.at)
 }
 
 #[inline(always)]
@@ -1442,21 +1437,13 @@ fn h_load_select(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 fn h_load_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
-    if let Some(w) = fast_int_arith(vm, x.p, v, x.k) {
-        vm.push(w);
-        return Control::Next;
-    }
-    if let Some(res) = fast_int_cmp(vm, x.p, v, x.k) {
-        let w = vm.rt.tag_int(res as i64);
+    if let Some(w) = fast_binop(vm, x.p, v, x.k) {
         vm.push(w);
         return Control::Next;
     }
     vm.push(v);
     vm.push(x.k);
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => Control::Next,
-        Err(exn) => vm.raise_or_fail(exn),
-    }
+    prim_on_stack(vm, x.p, x.at)
 }
 
 #[inline(always)]
@@ -1473,50 +1460,24 @@ fn h_load_load_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control 
     let x = args(t, pc);
     let va = vm.local(x.a);
     let vb = vm.local(x.b);
-    if let Some(res) = fast_int_cmp(vm, x.p, va, vb) {
-        return if res {
-            Control::Next
-        } else {
-            Control::Goto(x.t)
-        };
+    if let Some(w) = fast_binop(vm, x.p, va, vb) {
+        return branch(vm, w, x.t);
     }
     vm.push(va);
     vm.push(vb);
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => {}
-        Err(exn) => return vm.raise_or_fail(exn),
-    }
-    let v = vm.pop();
-    if vm.rt.untag_int(v) == 0 {
-        Control::Goto(x.t)
-    } else {
-        Control::Next
-    }
+    prim_branch(vm, x.p, x.at, x.t)
 }
 
 #[inline(always)]
 fn h_load_const_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
-    if let Some(res) = fast_int_cmp(vm, x.p, v, x.k) {
-        return if res {
-            Control::Next
-        } else {
-            Control::Goto(x.t)
-        };
+    if let Some(w) = fast_binop(vm, x.p, v, x.k) {
+        return branch(vm, w, x.t);
     }
     vm.push(v);
     vm.push(x.k);
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => {}
-        Err(exn) => return vm.raise_or_fail(exn),
-    }
-    let v = vm.pop();
-    if vm.rt.untag_int(v) == 0 {
-        Control::Goto(x.t)
-    } else {
-        Control::Next
-    }
+    prim_branch(vm, x.p, x.at, x.t)
 }
 
 #[inline(always)]
@@ -1534,29 +1495,14 @@ fn h_load_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
     // The other operand is already on the stack (under the loaded one).
-    if matches!(
-        x.p,
-        Prim::ILt | Prim::ILe | Prim::IGt | Prim::IGe | Prim::IEq
-    ) {
-        let a = vm.pop();
-        let res = fast_int_cmp(vm, x.p, a, v).expect("int comparison");
-        return if res {
-            Control::Next
-        } else {
-            Control::Goto(x.t)
-        };
+    let n = vm.rt.stack.len();
+    let a = vm.rt.stack[n - 1];
+    if let Some(w) = fast_binop(vm, x.p, a, v) {
+        vm.rt.stack.truncate(n - 1);
+        return branch(vm, w, x.t);
     }
     vm.push(v);
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => {}
-        Err(exn) => return vm.raise_or_fail(exn),
-    }
-    let v = vm.pop();
-    if vm.rt.untag_int(v) == 0 {
-        Control::Goto(x.t)
-    } else {
-        Control::Next
-    }
+    prim_branch(vm, x.p, x.at, x.t)
 }
 
 #[inline(always)]
@@ -1582,29 +1528,13 @@ fn h_load_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 #[inline(always)]
 fn h_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    if matches!(
-        x.p,
-        Prim::ILt | Prim::ILe | Prim::IGt | Prim::IGe | Prim::IEq
-    ) {
-        let b = vm.pop();
-        let a = vm.pop();
-        let res = fast_int_cmp(vm, x.p, a, b).expect("int comparison");
-        return if res {
-            Control::Next
-        } else {
-            Control::Goto(x.t)
-        };
+    let n = vm.rt.stack.len();
+    let (a, b) = (vm.rt.stack[n - 2], vm.rt.stack[n - 1]);
+    if let Some(w) = fast_binop(vm, x.p, a, b) {
+        vm.rt.stack.truncate(n - 2);
+        return branch(vm, w, x.t);
     }
-    match vm.do_prim(x.p, x.at) {
-        Ok(()) => {}
-        Err(exn) => return vm.raise_or_fail(exn),
-    }
-    let v = vm.pop();
-    if vm.rt.untag_int(v) == 0 {
-        Control::Goto(x.t)
-    } else {
-        Control::Next
-    }
+    prim_branch(vm, x.p, x.at, x.t)
 }
 
 #[inline(always)]

@@ -7,7 +7,8 @@
 //! catches a read through a pointer into a popped region.
 
 use kit::oracle::run_oracle;
-use kit::{Compiler, Mode};
+use kit::{Compiler, Fusion, Mode};
+use kit_runtime::config::{Collector, GenPolicy};
 use kit_runtime::RtConfig;
 
 const FUEL: u64 = 300_000_000;
@@ -237,6 +238,136 @@ fn refs_arrays_loops() {
          val it = total (0, 0)",
     );
     check("val r = ref [1,2] val _ = r := 0 :: !r val it = !r");
+}
+
+/// What `src` answers — its result, or the exception that escapes — in
+/// every mode, the baseline too, at both fusion levels: the reference
+/// evaluator's answer, which must be `want`.
+#[track_caller]
+fn check_answer(src: &str, want: &str) {
+    let answer = |r: Result<String, kit::Error>| match r {
+        Ok(result) => result,
+        Err(kit::Error::Run(kit::VmError::UncaughtException { name, .. })) => {
+            format!("uncaught {name}")
+        }
+        Err(e) => format!("error: {e}"),
+    };
+    let oracle = run_oracle(src, Some(FUEL)).map(|o| o.result);
+    assert_eq!(answer(oracle), want, "evaluator\n{src}");
+    for mode in Mode::ALL_WITH_BASELINE {
+        for fusion in [Fusion::Off, Fusion::Full] {
+            let out = Compiler::new(mode)
+                .with_fusion(fusion)
+                .with_fuel(FUEL)
+                .run_source(src)
+                .map(|o| o.result);
+            assert_eq!(answer(out), want, "[{mode}] {fusion:?}\n{src}");
+        }
+    }
+}
+
+/// `asub` and `aupdate` one below the bounds, at the length and at
+/// `minInt` raise `Subscript`, with a literal index and with one only the
+/// run sees; an empty array has length 0 and no element.
+#[test]
+fn array_bounds() {
+    let a = "val a = array (3, 7)\n";
+    let get = "fun get (0, a, i) = asub (a, i) | get (k, a, i) = get (k - 1, a, i)\n";
+    let set = "fun set (0, a, i) = aupdate (a, i, 5) | set (k, a, i) = set (k - 1, a, i)\n";
+    for i in ["~1", "alength a", "(~4611686018427387903 - 1)"] {
+        let cases = [
+            format!("{a}val it = asub (a, {i})"),
+            format!("{a}{get}val it = get (3, a, {i})"),
+            format!("{a}val it = aupdate (a, {i}, 5)"),
+            format!("{a}{set}val it = set (3, a, {i})"),
+        ];
+        for src in cases {
+            check_answer(&src, "uncaught Subscript");
+        }
+        check_answer(
+            &format!("{a}{get}val it = (get (3, a, {i}) handle Subscript => 35) + asub (a, 2)"),
+            "42",
+        );
+    }
+    check_answer(
+        &format!("{a}{set}val _ = set (3, a, 0) val _ = aupdate (a, 2, 9)\nval it = (asub (a, 0), asub (a, 1), asub (a, 2), alength a)"),
+        "(5, 7, 9, 3)",
+    );
+    check_answer("val it = alength (array (0, 7))", "0");
+    check_answer("val it = asub (array (0, 7), 0)", "uncaught Subscript");
+    check_answer(
+        "val it = aupdate (array (0, 7), 0, 1)",
+        "uncaught Subscript",
+    );
+}
+
+/// An array element as a branch condition: `if asub (a, i)` compiles to a
+/// prim and a `JumpIfFalse`, which fusion joins into one compare-and-branch
+/// handler, so the array read runs there and not in the value handlers.
+/// Literal and run-time indices, in bounds and out.
+#[test]
+fn branch_on_an_array_element() {
+    let a = "val a = array (3, true) val _ = aupdate (a, 2, false)\n";
+    let f = "fun f (0, a, i) = (if asub (a, i) then 1 else 0) | f (k, a, i) = f (k - 1, a, i)\n";
+    let count = "fun count (i, n) = if i >= alength a then n\n\
+                 \u{20}  else count (i + 1, if asub (a, i) then n + 1 else n)\n";
+    let cases = [
+        (format!("{a}val it = if asub (a, 1) then 1 else 0"), "1"),
+        (format!("{a}val it = if asub (a, 2) then 1 else 0"), "0"),
+        (
+            format!("{a}val it = if asub (a, 3) then 1 else 0"),
+            "uncaught Subscript",
+        ),
+        (
+            format!("{a}{f}val it = (f (3, a, 0), f (3, a, 2))"),
+            "(1, 0)",
+        ),
+        (format!("{a}{f}val it = f (3, a, ~1)"), "uncaught Subscript"),
+        (format!("{a}{count}val it = count (0, 0)"), "2"),
+    ];
+    for (src, want) in cases {
+        check_answer(&src, want);
+    }
+}
+
+/// The baseline's write barrier on arrays. The array lives in a pair that
+/// a minor collection tenures, so no later minor collection scans it: a
+/// list stored into it afterwards, freshly allocated in the nursery,
+/// survives the minor collections the next call forces (a two-page
+/// nursery) only because the store remembered its field.
+#[test]
+fn a_list_stored_into_a_tenured_array_survives_minor_collections() {
+    let src = "val box = (array (8, nil), 0)\n\
+               fun tab () = case box of (a, _) => a\n\
+               fun junk (0, acc) = length acc | junk (n, acc) = junk (n - 1, n :: acc)\n\
+               fun fill i = if i >= 8 then 0\n\
+               \u{20}  else (aupdate (tab (), i, [i, 2 * i, 3 * i]); junk (300, nil) + fill (i + 1))\n\
+               fun total (i, acc) = if i >= 8 then acc\n\
+               \u{20}  else total (i + 1, acc + foldl op+ 0 (asub (tab (), i)))\n\
+               val n = fill 0\n\
+               val it = (n, total (0, 0))";
+    let want = run_oracle(src, None).unwrap().result;
+    assert_eq!(want, "(2400, 168)");
+    let config = RtConfig {
+        collector: Collector::Generational(GenPolicy {
+            nursery_pages: 2,
+            ..GenPolicy::default()
+        }),
+        ..RtConfig::gt()
+    };
+    for fusion in [Fusion::Off, Fusion::Full] {
+        let out = Compiler::new(Mode::Baseline)
+            .with_config(config.clone())
+            .with_fusion(fusion)
+            .run_source(src)
+            .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
+        assert_eq!(out.result, want, "{fusion:?}");
+        assert!(
+            out.stats.minor_gcs >= 8,
+            "{fusion:?}: {} minor collections",
+            out.stats.minor_gcs
+        );
+    }
 }
 
 #[test]

@@ -659,6 +659,7 @@ impl Evaluator {
 /// MiniML integers are 63-bit (the tagged representation is `2i + 1` in a
 /// 64-bit word, exactly as in the ML Kit); arithmetic that leaves this
 /// range raises `Overflow` in every execution mode.
+#[inline]
 pub fn int_in_range(v: i64) -> bool {
     (-(1i64 << 62)..(1i64 << 62)).contains(&v)
 }

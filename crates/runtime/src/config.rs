@@ -34,8 +34,12 @@ pub struct RtConfig {
     /// Allocation itself never fails: the VM compares the count with the
     /// cap at each `GcCheck` safe point (after giving the collector a
     /// chance to get back under the cap), so enforcement is deterministic
-    /// across engines and does not perturb the GC schedule. `None` (the
-    /// default) is unlimited.
+    /// across engines and does not perturb the GC schedule. Between two
+    /// safe points straight-line code can hold pages past the cap unseen:
+    /// a 60-element list literal reaches about 10 pages under a cap of 4
+    /// and completes. That excess is bounded by the program text — no
+    /// loop runs without a call — not by the cap. `None` (the default) is
+    /// unlimited.
     pub max_heap_pages: Option<usize>,
     /// Wall-clock deadline: the run fails with a typed
     /// `VmError::DeadlineExceeded` at the first `GcCheck` safe point whose

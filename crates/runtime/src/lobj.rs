@@ -89,6 +89,7 @@ impl Lobjs {
     /// # Panics
     ///
     /// Panics if the id is not live.
+    #[inline]
     pub fn get(&self, id: u32) -> &Lobj {
         self.table[id as usize]
             .as_ref()
@@ -100,6 +101,7 @@ impl Lobjs {
     /// # Panics
     ///
     /// Panics if the id is not live.
+    #[inline]
     pub fn get_mut(&mut self, id: u32) -> &mut Lobj {
         self.table[id as usize]
             .as_mut()
@@ -131,6 +133,7 @@ impl Lobjs {
     }
 
     /// Decodes a large-object address back to its id.
+    #[inline]
     pub fn id_of(addr: u64) -> u32 {
         ((addr - LOBJ_BASE) / LOBJ_STRIDE) as u32
     }

@@ -287,7 +287,9 @@ impl Rt {
     }
 
     /// Reads a word at any address (heap, stack, or large-object array).
-    /// The heap case is inline; everything else is out of line.
+    /// Heap and stack reads — every box in an infinite or a finite region
+    /// — are inline. Large objects are out of line: the mutator reaches
+    /// arrays through [`Rt::arr_get`] and [`Rt::arr_set`] instead.
     #[inline]
     pub fn read_addr(&self, addr: u64) -> Word {
         if addr < STACK_BASE {
@@ -298,15 +300,16 @@ impl Rt {
             }
             return w;
         }
-        self.read_addr_outside_heap(addr)
+        if addr < DATA_BASE {
+            return self.stack[(addr - STACK_BASE) as usize];
+        }
+        self.read_large(addr)
     }
 
     #[cold]
     #[inline(never)]
-    fn read_addr_outside_heap(&self, addr: u64) -> Word {
+    fn read_large(&self, addr: u64) -> Word {
         match space_of(addr) {
-            Space::Heap => unreachable!("heap reads are inline"),
-            Space::Stack => self.stack[(addr - STACK_BASE) as usize],
             Space::Large => {
                 let id = Lobjs::id_of(addr);
                 let off = (addr - Lobjs::addr_of(id)) as usize;
@@ -316,24 +319,28 @@ impl Rt {
                 }
             }
             Space::Data => panic!("word read from the data segment"),
+            Space::Heap | Space::Stack => unreachable!("heap and stack reads are inline"),
         }
     }
 
-    /// Writes a word at any address.
+    /// Writes a word at any address; heap and stack writes are inline, as
+    /// in [`Rt::read_addr`].
     #[inline]
     pub fn write_addr(&mut self, addr: u64, v: Word) {
         if addr < STACK_BASE {
             return self.heap.write(addr, v);
         }
-        self.write_addr_outside_heap(addr, v)
+        if addr < DATA_BASE {
+            self.stack[(addr - STACK_BASE) as usize] = v;
+            return;
+        }
+        self.write_large(addr, v)
     }
 
     #[cold]
     #[inline(never)]
-    fn write_addr_outside_heap(&mut self, addr: u64, v: Word) {
+    fn write_large(&mut self, addr: u64, v: Word) {
         match space_of(addr) {
-            Space::Heap => unreachable!("heap writes are inline"),
-            Space::Stack => self.stack[(addr - STACK_BASE) as usize] = v,
             Space::Large => {
                 let id = Lobjs::id_of(addr);
                 let off = (addr - Lobjs::addr_of(id)) as usize;
@@ -343,6 +350,7 @@ impl Rt {
                 }
             }
             Space::Data => panic!("word write to the data segment"),
+            Space::Heap | Space::Stack => unreachable!("heap and stack writes are inline"),
         }
     }
 
@@ -416,6 +424,13 @@ impl Rt {
     #[inline(always)]
     pub fn update(&mut self, addr: u64, v: Word) {
         self.write_addr(addr, v);
+        self.barrier(addr, v);
+    }
+
+    /// The store rule of [`Rt::update`] and [`Rt::arr_set`]: under the
+    /// generational collector, `v` just stored at `addr` is remembered.
+    #[inline(always)]
+    fn barrier(&mut self, addr: u64, v: Word) {
         if let Collector::Generational(_) = self.config.collector {
             self.remember(addr, v);
         }
@@ -487,9 +502,42 @@ impl Rt {
     }
 
     /// Array length.
+    #[inline]
     pub fn arr_len(&self, v: Word) -> usize {
+        self.arr(v).len()
+    }
+
+    /// Element `i` of array `v`, or `None` if `i` is out of bounds: one
+    /// large-object lookup and the bounds check.
+    #[inline]
+    pub fn arr_get(&self, v: Word, i: i64) -> Option<Word> {
+        let i = usize::try_from(i).ok()?;
+        self.arr(v).get(i).copied()
+    }
+
+    /// Stores `x` as element `i` of array `v` with [`Rt::update`]'s
+    /// barrier; `false` (and no store) if `i` is out of bounds.
+    #[inline]
+    pub fn arr_set(&mut self, v: Word, i: i64, x: Word) -> bool {
+        let Ok(i) = usize::try_from(i) else {
+            return false;
+        };
+        let addr = ptr_addr(v);
+        match &mut self.lobjs.get_mut(Lobjs::id_of(addr)).data {
+            LData::Arr(a) => match a.get_mut(i) {
+                Some(slot) => *slot = x,
+                None => return false,
+            },
+            LData::Str(_) => panic!("string used as array"),
+        }
+        self.barrier(addr + i as u64, x);
+        true
+    }
+
+    #[inline]
+    fn arr(&self, v: Word) -> &[Word] {
         match &self.lobjs.get(Lobjs::id_of(ptr_addr(v))).data {
-            LData::Arr(a) => a.len(),
+            LData::Arr(a) => a,
             LData::Str(_) => panic!("string used as array"),
         }
     }
@@ -719,6 +767,15 @@ mod tests {
         rt.write_addr(addr, rt.tag_int(42));
         assert_eq!(rt.untag_int(rt.read_addr(rt.arr_elem_addr(a, 3))), 42);
         assert_eq!(rt.untag_int(rt.read_addr(rt.arr_elem_addr(a, 0))), 7);
+        // The mutator's accessors agree with the word reader and writer,
+        // and refuse what is out of bounds without a store.
+        assert_eq!(rt.arr_get(a, 3), Some(rt.tag_int(42)));
+        assert!(rt.arr_set(a, 4, rt.tag_int(9)));
+        assert_eq!(rt.untag_int(rt.read_addr(rt.arr_elem_addr(a, 4))), 9);
+        for i in [-1, 5, i64::MIN] {
+            assert_eq!(rt.arr_get(a, i), None, "index {i}");
+            assert!(!rt.arr_set(a, i, rt.tag_int(0)), "index {i}");
+        }
         rt.endregion();
         assert_eq!(rt.lobjs.live_count(), 0, "arrays freed with their region");
     }

@@ -128,6 +128,14 @@ if grep -rnwE 'heap_shrink_factor|shrink_with_hysteresis|release_tail|quota_recl
     echo "verify: the heap shrink is back (see above)" >&2
     exit 1
 fi
+echo "==> deleted names stay deleted, as whole words: the two integer fast"
+echo "    paths one helper replaced, and the out-of-line readers that held the"
+echo "    stack case (prims and finite-region reads run in the handlers)"
+if grep -rnwE 'fast_int_cmp|fast_int_arith|read_addr_outside_heap|write_addr_outside_heap' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
+    echo "verify: a prim path beside the fast path is back (see above)" >&2
+    exit 1
+fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -166,14 +174,14 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR38.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR39.json in r, gt,"
 echo "    rgt and the generational baseline, both fusion levels; writes"
 echo "    nothing (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR38.json
+    --check-counts BENCH_PR39.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"

@@ -127,6 +127,71 @@ fn the_fused_stream_is_a_regrouping_of_the_stream_the_oracle_runs() {
     }
 }
 
+/// Fuel is charged for each instruction before it runs, a
+/// superinstruction for all it stands for: a run of `n` instructions
+/// completes on a budget of exactly `n`, with the result it has without
+/// one, and runs out on `n − 1`, in `r` and `rgt` at both fusion levels.
+/// A program whose exception escapes is held to its boundary the same
+/// way: the `asub` at index `~1` that raises `Subscript`, out of the
+/// fused `LoadLoadPrim` at full fusion, is instruction [`ESCAPE_AT`].
+#[test]
+fn fuel_runs_out_exactly_one_instruction_short() {
+    let out_of_fuel = Err(kit::Error::Run(kit_kam::VmError::OutOfFuel));
+    for name in ["fib", "tak", "accum", "msort", "machine", "kitlife"] {
+        let bench = by_name(name).unwrap();
+        let src = bench.source_scaled(bench.test_scale);
+        for mode in [Mode::R, Mode::Rgt] {
+            for fusion in FUSIONS {
+                let compiler = Compiler::new(mode).with_fusion(fusion);
+                let prog = compiler.compile_source(&src).unwrap();
+                let ctx = format!("{name} [{mode}] {fusion:?}");
+                let free = compiler
+                    .run_program(&prog)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let n = free.instructions;
+                let run = |fuel| compiler.clone().with_fuel(fuel).run_program(&prog);
+                let exact = run(n).unwrap_or_else(|e| panic!("{ctx} on {n}: {e}"));
+                assert_eq!(
+                    (exact.result, exact.output, exact.instructions),
+                    (free.result, free.output, n),
+                    "{ctx} on its own count"
+                );
+                assert_eq!(
+                    run(n - 1).map(|o| o.result),
+                    out_of_fuel,
+                    "{ctx} on {}",
+                    n - 1
+                );
+            }
+        }
+    }
+    let src = "fun sum (a, i, acc) = sum (a, i - 1, asub (a, i) + acc)\n\
+               val it = sum (array (40, 1), 39, 0)";
+    let escaped = Err(kit::Error::Run(kit_kam::VmError::UncaughtException {
+        name: "Subscript".into(),
+        backtrace: String::new(),
+    }));
+    for mode in [Mode::R, Mode::Rgt] {
+        for fusion in FUSIONS {
+            let run = |fuel| {
+                Compiler::new(mode)
+                    .with_fusion(fusion)
+                    .with_fuel(fuel)
+                    .run_source(src)
+                    .map(|o| o.result)
+            };
+            assert_eq!(run(ESCAPE_AT), escaped, "[{mode}] {fusion:?}");
+            assert_eq!(run(ESCAPE_AT - 1), out_of_fuel, "[{mode}] {fusion:?}");
+        }
+    }
+}
+
+/// The instruction that raises in the escaping program of
+/// [`fuel_runs_out_exactly_one_instruction_short`], in `r` and `rgt`: the
+/// main program's 11, 13 in each of the 40 calls at `39` down to `0`,
+/// and 10 in the call at `~1`.
+const ESCAPE_AT: u64 = 541;
+
 /// The collector axis. The full collector runs in `rgt`; the generational
 /// one needs the single program region of `Mode::Baseline` (the runtime
 /// asserts it). Each must collect, compute what the reference evaluator
@@ -278,22 +343,53 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
 /// `minInt div ~1` is the one quotient outside the 63-bit range: the
 /// reference evaluator and every mode at both fusion levels raise `Overflow` for
 /// it, whether the optimiser sees the operands or only the run does, and
-/// `minInt mod ~1` is 0.
+/// `minInt mod ~1` is 0. The run sees them as two loaded operands
+/// (`LoadLoadPrim`), or as a loaded dividend and a constant divisor
+/// (`LoadConstPrim`) or a computed one and a constant (`PushConstPrim`) —
+/// the shapes of the fused handlers' fast path — where a zero divisor
+/// raises `Div` and `div`/`mod` round the quotient down.
 #[test]
 fn min_int_div_minus_one_overflows_in_every_mode_and_engine() {
     let min_int = "(~4611686018427387903 - 1)";
-    let through_a_function = |op: &str| {
+    let through_a_function = |a: &str, op: &str, b: &str| {
         format!(
             "fun f (0, a, b) = a {op} b | f (k, a, b) = f (k - 1, a, b)\n\
-             val it = f (3, {min_int}, ~1)"
+             val it = f (3, {a}, {b})"
         )
     };
-    let cases = [
+    // `body` over the run-time value `a`.
+    let by_a_constant = |body: &str, a: &str| {
+        format!("fun g (0, a) = {body} | g (k, a) = g (k - 1, a)\nval it = g (3, {a})")
+    };
+    let mut cases = vec![
         (format!("val it = {min_int} div ~1"), "uncaught Overflow"),
-        (through_a_function("div"), "uncaught Overflow"),
+        (
+            through_a_function(min_int, "div", "~1"),
+            "uncaught Overflow",
+        ),
         (format!("val it = {min_int} mod ~1"), "0"),
-        (through_a_function("mod"), "0"),
+        (through_a_function(min_int, "mod", "~1"), "0"),
+        (by_a_constant("a div ~1", min_int), "uncaught Overflow"),
+        (by_a_constant("a mod ~1", min_int), "0"),
+        (by_a_constant("a mod 0", "7"), "uncaught Div"),
+        (by_a_constant("a div 0", "7"), "uncaught Div"),
+        (
+            by_a_constant("(a - 1) div ~1", "~4611686018427387903"),
+            "uncaught Overflow",
+        ),
+        (by_a_constant("(a - 1) mod 0", "7"), "uncaught Div"),
     ];
+    // `a` and `a + 1`, for the computed dividend `a + 1 - 1`.
+    for (a, a1, op, b, want) in [
+        ("~7", "~6", "div", "2", "~4"),
+        ("~7", "~6", "mod", "2", "1"),
+        ("7", "8", "mod", "~2", "~1"),
+    ] {
+        cases.push((format!("val it = {a} {op} {b}"), want));
+        cases.push((through_a_function(a, op, b), want));
+        cases.push((by_a_constant(&format!("a {op} {b}"), a), want));
+        cases.push((by_a_constant(&format!("(a - 1) {op} {b}"), a1), want));
+    }
     let answer = |r: Result<String, kit::Error>| match r {
         Ok(result) => result,
         Err(kit::Error::Run(kit_kam::VmError::UncaughtException { name, .. })) => {
