@@ -2,20 +2,23 @@
 //! a pure regrouping of the unfused stream. (The behavioural half — same
 //! results and counters at both fusion levels — is `tests/fusion.rs`.)
 
-use kit_kam::threaded::{translate, Field, Fusion, Op, SwitchRows, ThreadedCode};
-use kit_kam::Program;
+use kit_kam::threaded::{Field, Fusion, SwitchRows, ThreadedCode};
+use kit_kam::{DispatchMode, Executable, Program};
 
-/// Panics unless, for `prog`: the `Off` stream is `prog.code` opcode for
-/// opcode; the charges of the `Full` stream sum to `prog.code.len()`;
-/// and `unfuse` of the `Full` stream, concatenated, is the `Off` stream —
-/// operands equal, pc operands (branch targets, switch tables, entry
-/// points, label pcs) equal through the pc map the charges define.
-/// Returns the `Full` stream.
+/// Panics unless, for `prog`: `prepare` at `Off` is the identity; the
+/// charges of the `Full` stream sum to `prog.code.len()`; and `unfuse` of
+/// the `Full` stream, concatenated, is the `Off` stream — operands equal,
+/// pc operands (branch targets, switch tables, entry points, label pcs,
+/// the frame map) equal through the pc map the charges define. Returns
+/// the `Full` stream.
 pub fn assert_fusion_regroups(prog: &Program, ctx: &str) -> ThreadedCode {
-    let of_code: Vec<Op> = prog.code.iter().map(Op::of).collect();
-    let off = translate(prog, Fusion::Off);
-    let full = translate(prog, Fusion::Full);
-    assert_eq!(off.ops, of_code, "{ctx}: Off vs compiled opcodes");
+    let prepare = |fusion| Executable::prepare(prog, DispatchMode::Threaded, fusion);
+    let off = &prog.code;
+    assert!(
+        prepare(Fusion::Off).code() == off,
+        "{ctx}: prepare at Off is not the identity"
+    );
+    let full = prepare(Fusion::Full).code().clone();
 
     // Old pc → new pc: a group starts where the charges before it end.
     let mut new_pc = vec![u32::MAX; prog.code.len()];
@@ -24,7 +27,7 @@ pub fn assert_fusion_regroups(prog: &Program, ctx: &str) -> ThreadedCode {
         new_pc[old] = new as u32;
         old += op.cost() as usize;
     }
-    assert_eq!(old, prog.code.len(), "{ctx}: charges vs source length");
+    assert_eq!(old, prog.code.len(), "{ctx}: charges vs unfused length");
     let map = |pc: u32| new_pc.get(pc as usize).copied().unwrap_or(u32::MAX);
 
     let mut pc = 0;
@@ -54,6 +57,12 @@ pub fn assert_fusion_regroups(prog: &Program, ctx: &str) -> ThreadedCode {
     assert_eq!(full.entry_pc, pcs(&off.entry_pc), "{ctx}: entry pcs");
     assert_eq!(full.pc_of_label, pcs(&off.pc_of_label), "{ctx}: label pcs");
     assert_eq!(full.fun_of_label, off.fun_of_label, "{ctx}");
+    let frames: Vec<_> = off
+        .frame_map
+        .iter()
+        .map(|&(pc, live)| (map(pc), live))
+        .collect();
+    assert_eq!(full.frame_map, frames, "{ctx}: frame map");
     assert_eq!((&full.strs, &full.names), (&off.strs, &off.names), "{ctx}");
     let (discs, rows): (Vec<_>, Vec<_>) = off.con_switches.iter().cloned().unzip();
     let con: (Vec<_>, Vec<_>) = full.con_switches.iter().cloned().unzip();

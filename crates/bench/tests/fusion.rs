@@ -36,7 +36,8 @@ fn check_all_benchmarks() {
         let prog = Compiler::new(Mode::R)
             .compile_source(&src)
             .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-        let ops = kit_kam::threaded::translate(&prog, Fusion::Full).ops;
+        let exe = kit_kam::Executable::prepare(&prog, Default::default(), Fusion::Full);
+        let ops = &exe.code().ops;
         for (n, triple) in fired.iter_mut().zip(triples) {
             *n += ops.iter().filter(|op| **op == triple).count();
         }

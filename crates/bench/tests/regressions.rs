@@ -36,7 +36,7 @@ fn region_layout_and_gc_peak_are_stable_across_compiles() {
     let run = || {
         let compiler = Compiler::new(Mode::Rgt);
         let prog = compiler.compile_source(&src).unwrap();
-        let listing = kit_kam::disasm::disassemble(&prog);
+        let listing = kit_kam::disasm::disassemble(&prog, kit::Fusion::Off);
         (compiler.run_program(&prog).unwrap(), listing)
     };
     let (first, first_listing) = run();

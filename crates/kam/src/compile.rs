@@ -10,13 +10,19 @@
 //! when their scope exits, and each non-tail call records how many are in
 //! scope — the roots of its frame while it is suspended.
 //!
+//! The output is the stream the engine runs: each instruction goes through
+//! [`ThreadedCode::emit`] as an [`Op`] and its [`Args`], its
+//! variable-sized payload into a side table. Branch operands hold label
+//! ids until [`ThreadedCode::bind_labels`] rewrites them to pcs, last.
+//!
 //! Two walks. `Layout::of` reads every closure's captures and every
 //! finite region's size off the program in one walk; the code walk then
 //! resolves names through program-wide tables indexed by variable and
 //! region (variables and regions are bound once), rebinding only what a
 //! function it enters binds and restoring that when it leaves.
 
-use crate::instr::{Disc, FunInfo, Instr, Program, RegSlot};
+use crate::instr::{Disc, FunInfo, Program, RegSlot};
+use crate::threaded::{Args, Op, ThreadedCode};
 use kit_lambda::exp::VarId;
 use kit_lambda::ty::{SchemeTy, TyConId};
 use kit_region::{ExpId, Mult, Place, RExp, RFixFun, RProgram, RegVar, Span};
@@ -28,9 +34,7 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
     let mut cx = Cx {
         prog,
         tagged,
-        code: Vec::new(),
-        pc_of_label: Vec::new(),
-        fun_of_label: Vec::new(),
+        code: ThreadedCode::default(),
         funs: Vec::new(),
         vars: vec![None; prog.vars.len()],
         fixes: vec![None; prog.vars.len()],
@@ -39,7 +43,6 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
         globals: vec![None; prog.num_regvars as usize],
         shadowed: Vec::new(),
         saved: Vec::new(),
-        frame_map: Vec::new(),
         layout,
     };
     // Global regions: infinite ones are created by the VM at startup (their
@@ -62,26 +65,15 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
     let entry = cx.new_label();
     cx.bind(entry);
     let mut fcx = FnCx::new(main_fin, 0);
-    cx.emit(Instr::GcCheck);
+    cx.op(Op::GcCheck);
     cx.comp(prog.body, &mut fcx, false);
-    cx.emit(Instr::Halt);
-    let main_info = FunInfo {
-        entry: cx.pc_of_label[entry as usize],
-        nlocals: fcx.locals.watermark,
-        nfinite: fcx.fin.watermark,
-        name: "<main>".to_string(),
-    };
-    let main_id = cx.funs.len() as u32;
-    cx.funs.push(main_info);
-    cx.fun_of_label[entry as usize] = main_id;
+    cx.op(Op::Halt);
+    let main_id = cx.end_function(entry, &fcx, "<main>".to_string());
 
-    resolve(&mut cx.code, &cx.pc_of_label, &cx.fun_of_label);
+    cx.code.bind_labels();
     Program {
         code: cx.code,
-        pc_of_label: cx.pc_of_label,
-        fun_of_label: cx.fun_of_label,
         funs: cx.funs,
-        frame_map: cx.frame_map,
         main: main_id,
         global_infinite,
         exn_names: (0..prog.exns.len())
@@ -89,39 +81,6 @@ pub fn compile(prog: &RProgram, tagged: bool) -> Program {
             .collect(),
         result_ty: kit_lambda::ty::LTy::Unit, // filled by the driver
         data: prog.data.clone(),
-    }
-}
-
-/// The last pass: binds every branch operand's label to its pc, and gives
-/// a known call its callee's function id.
-fn resolve(code: &mut [Instr], pc_of_label: &[u32], fun_of_label: &[u32]) {
-    let n = code.len();
-    let pc = |l: &mut u32| {
-        let addr = pc_of_label[*l as usize];
-        assert!((addr as usize) < n, "branch to unbound label {l}");
-        *l = addr;
-    };
-    for ins in code {
-        match ins {
-            Instr::SwitchCon { arms, default, .. } | Instr::SwitchExn { arms, default } => {
-                arms.iter_mut().for_each(|(_, l)| pc(l));
-                pc(default);
-            }
-            Instr::SwitchInt { arms, default } => {
-                arms.iter_mut().for_each(|(_, l)| pc(l));
-                pc(default);
-            }
-            Instr::SwitchStr { arms, default } => {
-                arms.iter_mut().for_each(|(_, l)| pc(l));
-                pc(default);
-            }
-            Instr::Jump(l) | Instr::JumpIfFalse(l) | Instr::PushHandler { target: l } => pc(l),
-            Instr::Call { fun, target, .. } => {
-                *fun = fun_of_label[*target as usize];
-                pc(target);
-            }
-            _ => {}
-        }
     }
 }
 
@@ -141,7 +100,7 @@ enum VB {
 struct FixInfo {
     label: u32,
     stub: u32,
-    nformals: u16,
+    nformals: u32,
     /// The group's first function, which names the group's shared closure.
     group: VarId,
 }
@@ -221,11 +180,8 @@ impl FnCx {
 struct Cx<'a> {
     prog: &'a RProgram,
     tagged: bool,
-    code: Vec<Instr>,
-    /// Label id → pc (`u32::MAX` until bound).
-    pc_of_label: Vec<u32>,
-    /// Label id → function id (`u32::MAX` unless an entry or a stub).
-    fun_of_label: Vec<u32>,
+    /// The stream, its label tables, entry pcs and frame map.
+    code: ThreadedCode,
     funs: Vec<FunInfo>,
     /// By variable: where its value is in the current function.
     vars: Vec<Option<VB>>,
@@ -243,24 +199,46 @@ struct Cx<'a> {
     shadowed: Vec<RegVar>,
     /// Bindings the functions being compiled overwrote, innermost last.
     saved: Vec<Saved>,
-    /// `(return pc, slots in scope)` of every non-tail call, by pc.
-    frame_map: Vec<(u32, u32)>,
     layout: Layout,
 }
 
 impl Cx<'_> {
-    fn emit(&mut self, i: Instr) {
-        self.code.push(i);
+    fn emit(&mut self, op: Op, x: Args) {
+        self.code.emit(op, x);
+    }
+
+    /// Emits an opcode that reads no operand.
+    fn op(&mut self, op: Op) {
+        self.code.emit(op, Args::ZERO);
+    }
+
+    fn pc(&self) -> u32 {
+        count(self.code.len())
     }
 
     fn new_label(&mut self) -> u32 {
-        self.pc_of_label.push(u32::MAX);
-        self.fun_of_label.push(u32::MAX);
-        self.pc_of_label.len() as u32 - 1
+        self.code.pc_of_label.push(u32::MAX);
+        self.code.fun_of_label.push(u32::MAX);
+        count(self.code.pc_of_label.len() - 1)
     }
 
     fn bind(&mut self, l: u32) {
-        self.pc_of_label[l as usize] = self.code.len() as u32;
+        self.code.pc_of_label[l as usize] = self.pc();
+    }
+
+    /// Records a function whose body is complete: its frame, and its entry
+    /// label's pc as its entry pc. Returns its id.
+    fn end_function(&mut self, entry: u32, inner: &FnCx, name: String) -> u32 {
+        let id = count(self.funs.len());
+        self.funs.push(FunInfo {
+            nlocals: inner.locals.watermark,
+            nfinite: inner.fin.watermark,
+            name,
+        });
+        let pc = self.code.pc_of_label[entry as usize];
+        self.code.entry_pc.push(pc);
+        self.code.fun_of_label[entry as usize] = id;
+        id
     }
 
     fn regslot(&self, r: RegVar) -> RegSlot {
@@ -343,11 +321,8 @@ impl Cx<'_> {
     /// Emits code pushing the value of `v`.
     fn push_var(&mut self, v: VarId) {
         match self.vars[v.0 as usize] {
-            Some(VB::Slot(s)) => self.emit(Instr::Load(s)),
-            Some(VB::Env(i)) => {
-                self.emit(Instr::Load(0));
-                self.emit(Instr::Select(i as u16));
-            }
+            Some(VB::Slot(s)) => self.load(s),
+            Some(VB::Env(i)) => self.env_field(i),
             None if self.fixes[v.0 as usize].is_some() => {
                 panic!(
                     "fix-bound {} used as plain variable (should be FixVar)",
@@ -362,19 +337,63 @@ impl Cx<'_> {
     /// scope there, its frame's roots while it is suspended.
     fn map_return(&mut self, tail: bool, fcx: &FnCx) {
         if !tail {
-            self.frame_map
-                .push((self.code.len() as u32, fcx.locals.next));
+            let entry = (self.pc(), fcx.locals.next);
+            self.code.frame_map.push(entry);
         }
+    }
+
+    /// Pushes local slot `a`.
+    fn load(&mut self, a: u32) {
+        self.emit(Op::Load, Args { a, ..Args::ZERO });
+    }
+
+    /// Pops into local slot `a`.
+    fn store(&mut self, a: u32) {
+        self.emit(Op::Store, Args { a, ..Args::ZERO });
+    }
+
+    fn push_const(&mut self, k: u64) {
+        self.emit(Op::PushConst, Args { k, ..Args::ZERO });
+    }
+
+    fn select(&mut self, n: u32) {
+        self.emit(Op::Select, Args { n, ..Args::ZERO });
+    }
+
+    /// Pushes field `i` of the current environment.
+    fn env_field(&mut self, i: u32) {
+        self.load(0);
+        self.select(i);
+    }
+
+    /// Emits `op` with branch target `t`, a label.
+    fn jump(&mut self, op: Op, t: u32) {
+        self.emit(op, Args { t, ..Args::ZERO });
+    }
+
+    fn reg_handle(&mut self, r: RegVar) {
+        let at = Some(self.regslot(r));
+        self.emit(Op::RegHandle, Args { at, ..Args::ZERO });
+    }
+
+    /// Allocates a record of the top `n` operands at `at`.
+    fn mk_record(&mut self, n: u32, at: RegVar) {
+        let at = Some(self.regslot(at));
+        self.emit(
+            Op::MkRecord,
+            Args {
+                n,
+                at,
+                ..Args::ZERO
+            },
+        );
     }
 
     fn push_shared(&mut self, g: VarId) {
         match self.shareds[g.0 as usize] {
-            Some(SharedSrc::Slot(s)) => self.emit(Instr::Load(s)),
-            Some(SharedSrc::Env(i)) => {
-                self.emit(Instr::Load(0));
-                self.emit(Instr::Select(i as u16));
-            }
-            Some(SharedSrc::Scalar) => self.emit(Instr::PushConst(scalar(0))),
+            Some(SharedSrc::Slot(s)) => self.load(s),
+            Some(SharedSrc::Env(i)) => self.env_field(i),
+            Some(SharedSrc::Scalar) => self.push_const(scalar(0)),
             None => panic!("shared closure of group {} not in scope", g.0),
         }
     }
@@ -383,7 +402,7 @@ impl Cx<'_> {
         for k in caps.0..caps.1 {
             match self.layout.caps[k as usize] {
                 Cap::Var(v) => self.push_var(v),
-                Cap::Reg(r) => self.emit(Instr::RegHandle(self.regslot(r))),
+                Cap::Reg(r) => self.reg_handle(r),
                 Cap::Shared(g) => self.push_shared(g),
             }
         }
@@ -397,7 +416,7 @@ impl Cx<'_> {
             RExp::Var(v) => self.push_var(v),
             RExp::Int(n) => {
                 let w = if self.tagged { scalar(n) } else { n as u64 };
-                self.emit(Instr::PushConst(w));
+                self.push_const(w);
             }
             RExp::Bool(b) => {
                 let w = if self.tagged {
@@ -405,40 +424,51 @@ impl Cx<'_> {
                 } else {
                     b as u64
                 };
-                self.emit(Instr::PushConst(w));
+                self.push_const(w);
             }
             RExp::Unit => {
                 let w = if self.tagged { scalar(0) } else { 0 };
-                self.emit(Instr::PushConst(w));
+                self.push_const(w);
             }
             RExp::Str(s) => {
-                // Interned by the VM at load time via a pseudo-prim.
-                self.emit(Instr::PushStr(prog.str(s).to_string()));
+                // Interned by the VM when it runs.
+                let a = ThreadedCode::push_row(&mut self.code.strs, prog.str(s).to_string());
+                self.emit(Op::PushStr, Args { a, ..Args::ZERO });
             }
             RExp::Real(x, p) => {
-                let at = self.regslot(p);
-                self.emit(Instr::PushReal(x, at));
+                let (k, at) = (x.to_bits(), Some(self.regslot(p)));
+                self.emit(
+                    Op::PushReal,
+                    Args {
+                        k,
+                        at,
+                        ..Args::ZERO
+                    },
+                );
             }
             RExp::Prim(p, args, at) => {
                 for &a in prog.kids(args) {
                     self.comp(a, fcx, false);
                 }
                 let at = at.map(|r| self.regslot(r));
-                self.emit(Instr::Prim { p, at });
+                self.emit(
+                    Op::Prim,
+                    Args {
+                        p,
+                        at,
+                        ..Args::ZERO
+                    },
+                );
             }
             RExp::Record(es, p) => {
                 for &a in prog.kids(es) {
                     self.comp(a, fcx, false);
                 }
-                let at = self.regslot(p);
-                self.emit(Instr::MkRecord {
-                    n: es.len() as u16,
-                    at,
-                });
+                self.mk_record(count(es.len()), p);
             }
             RExp::Select(i, e) => {
                 self.comp(e, fcx, false);
-                self.emit(Instr::Select(i as u16));
+                self.select(count(i));
             }
             RExp::Con {
                 tycon,
@@ -452,7 +482,7 @@ impl Cx<'_> {
                     None => {
                         // Nullary constructors are immediate scalars whether
                         // or not values are tagged.
-                        self.emit(Instr::PushConst(scalar(con.0 as i64)));
+                        self.push_const(scalar(con.0 as i64));
                     }
                     Some(a) => {
                         // Inline a syntactic record argument directly.
@@ -467,18 +497,20 @@ impl Cx<'_> {
                                 }
                             } else {
                                 self.comp(a, fcx, false);
-                                self.emit(Instr::Spread { n: k });
+                                self.emit(Op::Spread, Args { n: k, ..Args::ZERO });
                             }
                         } else {
                             self.comp(a, fcx, false);
                         }
                         let at = self.regslot(at.expect("carrying constructor without place"));
-                        self.emit(Instr::MkCon {
-                            ctor: con.0 as u16,
+                        let x = Args {
+                            a: con.0,
                             n: k,
-                            disc: con_needs_disc(prog, self.tagged, tycon),
-                            at,
-                        });
+                            flag: con_needs_disc(prog, self.tagged, tycon),
+                            at: Some(at),
+                            ..Args::ZERO
+                        };
+                        self.emit(Op::MkCon, x);
                     }
                 }
             }
@@ -492,12 +524,11 @@ impl Cx<'_> {
                     // Inlined tuple: the constructor block *is* the tuple
                     // (skipping the discriminant word in untagged mode).
                     if con_needs_disc(prog, self.tagged, tycon) {
-                        self.emit(Instr::DeConAdj);
+                        self.op(Op::DeConAdj);
                     }
                 } else {
                     // Single-field argument: read it out of the block.
-                    let off = u16::from(con_needs_disc(prog, self.tagged, tycon));
-                    self.emit(Instr::Select(off));
+                    self.select(u32::from(con_needs_disc(prog, self.tagged, tycon)));
                 }
             }
             RExp::SwitchCon {
@@ -509,16 +540,14 @@ impl Cx<'_> {
                 self.comp(scrut, fcx, false);
                 let (disc, _) = con_rep(prog, self.tagged, tycon);
                 let (larm, dflt, end) = self.arm_labels(arms, |k| k as u32);
-                self.emit(Instr::SwitchCon {
-                    disc,
-                    arms: larm.clone(),
-                    default: dflt,
-                });
+                let row = (disc, (larm[..].into(), dflt));
+                let a = ThreadedCode::push_row(&mut self.code.con_switches, row);
+                self.emit(Op::SwitchCon, Args { a, ..Args::ZERO });
                 self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 match default {
                     Some(d) => self.comp(d, fcx, tail),
-                    None => self.emit(Instr::Unreachable),
+                    None => self.op(Op::Unreachable),
                 }
                 self.bind(end);
             }
@@ -529,10 +558,9 @@ impl Cx<'_> {
             } => {
                 self.comp(scrut, fcx, false);
                 let (larm, dflt, end) = self.arm_labels(arms, |k| k);
-                self.emit(Instr::SwitchInt {
-                    arms: larm.clone(),
-                    default: dflt,
-                });
+                let a =
+                    ThreadedCode::push_row(&mut self.code.int_switches, (larm[..].into(), dflt));
+                self.emit(Op::SwitchInt, Args { a, ..Args::ZERO });
                 self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
@@ -546,10 +574,9 @@ impl Cx<'_> {
                 self.comp(scrut, fcx, false);
                 let (larm, dflt, end) =
                     self.arm_labels(arms, |k| prog.str(kit_region::StrId(k as u32)).to_string());
-                self.emit(Instr::SwitchStr {
-                    arms: larm.clone(),
-                    default: dflt,
-                });
+                let a =
+                    ThreadedCode::push_row(&mut self.code.str_switches, (larm[..].into(), dflt));
+                self.emit(Op::SwitchStr, Args { a, ..Args::ZERO });
                 self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
@@ -562,10 +589,9 @@ impl Cx<'_> {
             } => {
                 self.comp(scrut, fcx, false);
                 let (larm, dflt, end) = self.arm_labels(arms, |k| k as u32);
-                self.emit(Instr::SwitchExn {
-                    arms: larm.clone(),
-                    default: dflt,
-                });
+                let a =
+                    ThreadedCode::push_row(&mut self.code.exn_switches, (larm[..].into(), dflt));
+                self.emit(Op::SwitchExn, Args { a, ..Args::ZERO });
                 self.comp_arms(arms, &larm, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
@@ -575,9 +601,9 @@ impl Cx<'_> {
                 self.comp(c, fcx, false);
                 let lf = self.new_label();
                 let end = self.new_label();
-                self.emit(Instr::JumpIfFalse(lf));
+                self.jump(Op::JumpIfFalse, lf);
                 self.comp(t, fcx, tail);
-                self.emit(Instr::Jump(end));
+                self.jump(Op::Jump, end);
                 self.bind(lf);
                 self.comp(f, fcx, tail);
                 self.bind(end);
@@ -587,13 +613,9 @@ impl Cx<'_> {
                 // Emit the function body out of line.
                 let entry = self.compile_function(params, body, caps);
                 // Closure record: [label, captures...].
-                self.emit(Instr::PushConst(scalar(entry as i64)));
+                self.push_const(scalar(entry as i64));
                 self.push_caps(caps);
-                let at = self.regslot(at);
-                self.emit(Instr::MkRecord {
-                    n: 1 + (caps.1 - caps.0) as u16,
-                    at,
-                });
+                self.mk_record(1 + caps.1 - caps.0, at);
             }
             RExp::App {
                 callee,
@@ -606,19 +628,21 @@ impl Cx<'_> {
                         // Known call: [shared, rhandles.., args..].
                         self.push_shared(info.group);
                         for &r in prog.places(rargs) {
-                            self.emit(Instr::RegHandle(self.regslot(r)));
+                            self.reg_handle(r);
                         }
                         for &a in prog.kids(args) {
                             self.comp(a, fcx, false);
                         }
-                        // `resolve` fills in the function id.
-                        self.emit(Instr::Call {
-                            fun: u32::MAX,
-                            target: info.label,
-                            nargs: args.len() as u16,
-                            nformals: info.nformals,
-                            tail,
-                        });
+                        // `bind_labels` fills in the function id.
+                        let x = Args {
+                            a: u32::MAX,
+                            t: info.label,
+                            n: count(args.len()),
+                            m: info.nformals,
+                            flag: tail,
+                            ..Args::ZERO
+                        };
+                        self.emit(Op::Call, x);
                         self.map_return(tail, fcx);
                         return;
                     }
@@ -627,31 +651,32 @@ impl Cx<'_> {
                 for &a in prog.kids(args) {
                     self.comp(a, fcx, false);
                 }
-                self.emit(Instr::CallClos {
-                    nargs: args.len() as u16,
-                    tail,
-                });
+                let (n, flag) = (count(args.len()), tail);
+                self.emit(
+                    Op::CallClos,
+                    Args {
+                        n,
+                        flag,
+                        ..Args::ZERO
+                    },
+                );
                 self.map_return(tail, fcx);
             }
             RExp::FixVar { var, rargs, at } => {
                 let Some(info) = self.fixes[var.0 as usize] else {
                     panic!("FixVar of non-fix binding {}", var.0)
                 };
-                self.emit(Instr::PushConst(scalar(info.stub as i64)));
+                self.push_const(scalar(info.stub as i64));
                 self.push_shared(info.group);
                 for &r in prog.places(rargs) {
-                    self.emit(Instr::RegHandle(self.regslot(r)));
+                    self.reg_handle(r);
                 }
-                let at = self.regslot(at);
-                self.emit(Instr::MkRecord {
-                    n: 2 + rargs.len() as u16,
-                    at,
-                });
+                self.mk_record(2 + count(rargs.len()), at);
             }
             RExp::Let { var, rhs, body } => {
                 self.comp(rhs, fcx, false);
                 let s = fcx.slot();
-                self.emit(Instr::Store(s));
+                self.store(s);
                 self.vars[var.0 as usize] = Some(VB::Slot(s));
                 self.comp(body, fcx, tail);
                 fcx.locals.next = s;
@@ -677,16 +702,23 @@ impl Cx<'_> {
                     };
                     self.regs[r.0 as usize] = Some(slot);
                 }
-                let ninf = inf.len();
+                let ninf = count(inf.len());
                 if ninf > 0 {
-                    self.emit(Instr::LetRegion { names: inf });
+                    let a = ThreadedCode::push_row(&mut self.code.names, inf.into());
+                    self.emit(Op::LetRegion, Args { a, ..Args::ZERO });
                 }
                 fcx.cleanup += 1;
                 self.comp(body, fcx, false);
                 fcx.cleanup -= 1;
                 if ninf > 0 {
-                    self.emit(Instr::EndRegions(ninf as u16));
-                    fcx.open_regions -= ninf as u32;
+                    self.emit(
+                        Op::EndRegions,
+                        Args {
+                            n: ninf,
+                            ..Args::ZERO
+                        },
+                    );
+                    fcx.open_regions -= ninf;
                 }
                 fcx.fin.next = fin_save;
             }
@@ -696,35 +728,40 @@ impl Cx<'_> {
                     self.comp(a, fcx, false);
                 }
                 let at = at.map(|r| self.regslot(r));
-                self.emit(Instr::MkExn {
-                    exn: exn.0,
-                    has_arg: arg.is_some(),
-                    at,
-                });
+                let (a, flag) = (exn.0, arg.is_some());
+                self.emit(
+                    Op::MkExn,
+                    Args {
+                        a,
+                        flag,
+                        at,
+                        ..Args::ZERO
+                    },
+                );
             }
             RExp::DeExn { scrut, .. } => {
                 self.comp(scrut, fcx, false);
-                self.emit(Instr::DeExn);
+                self.op(Op::DeExn);
             }
             RExp::Raise(e) => {
                 self.comp(e, fcx, false);
-                self.emit(Instr::Raise);
+                self.op(Op::Raise);
             }
             RExp::Handle { body, var, handler } => {
                 let lh = self.new_label();
                 let end = self.new_label();
-                self.emit(Instr::PushHandler { target: lh });
+                self.jump(Op::PushHandler, lh);
                 fcx.cleanup += 1;
                 self.comp(body, fcx, false);
                 fcx.cleanup -= 1;
-                self.emit(Instr::PopHandler);
-                self.emit(Instr::Jump(end));
+                self.op(Op::PopHandler);
+                self.jump(Op::Jump, end);
                 self.bind(lh);
                 // The raised value is on the operand stack. `body` gave
                 // its slots back, so the slots a raise unwinds past are
                 // beyond the prefix here, whatever they still hold.
                 let s = fcx.slot();
-                self.emit(Instr::Store(s));
+                self.store(s);
                 self.vars[var.0 as usize] = Some(VB::Slot(s));
                 self.comp(handler, fcx, tail);
                 fcx.locals.next = s;
@@ -764,7 +801,7 @@ impl Cx<'_> {
         for (a, (_, l)) in prog.arms(arms).iter().zip(larm) {
             self.bind(*l);
             self.comp(a.body, fcx, tail);
-            self.emit(Instr::Jump(end));
+            self.jump(Op::Jump, end);
         }
     }
 
@@ -774,11 +811,11 @@ impl Cx<'_> {
         let entry = self.new_label();
         // Compile out of line: jump over the body in the current stream.
         let skip = self.new_label();
-        self.emit(Instr::Jump(skip));
+        self.jump(Op::Jump, skip);
         self.bind(entry);
-        self.emit(Instr::GcCheck);
+        self.op(Op::GcCheck);
         let params = self.prog.params(params);
-        let mut inner = FnCx::new(Area::default(), params.len() as u32);
+        let mut inner = FnCx::new(Area::default(), count(params.len()));
         let mark = self.enter();
         count_work(|| params.len());
         for (i, &p) in params.iter().enumerate() {
@@ -787,15 +824,8 @@ impl Cx<'_> {
         self.bind_caps(caps, 1);
         self.comp(body, &mut inner, true);
         self.restore(mark);
-        self.emit(Instr::Ret);
-        let id = self.funs.len() as u32;
-        self.funs.push(FunInfo {
-            entry: self.pc_of_label[entry as usize],
-            nlocals: inner.locals.watermark,
-            nfinite: inner.fin.watermark,
-            name: "fn".to_string(),
-        });
-        self.fun_of_label[entry as usize] = id;
+        self.op(Op::Ret);
+        self.end_function(entry, &inner, "fn".to_string());
         self.bind(skip);
         entry
     }
@@ -817,7 +847,7 @@ impl Cx<'_> {
             let info = FixInfo {
                 label: self.new_label(),
                 stub: self.new_label(),
-                nformals: f.formals.len() as u16,
+                nformals: count(f.formals.len()),
                 group,
             };
             self.fixes[f.var.0 as usize] = Some(info);
@@ -830,13 +860,9 @@ impl Cx<'_> {
             SharedSrc::Scalar
         } else {
             self.push_caps(caps);
-            let at = self.regslot(at);
-            self.emit(Instr::MkRecord {
-                n: (caps.1 - caps.0) as u16,
-                at,
-            });
+            self.mk_record(caps.1 - caps.0, at);
             let s = fcx.slot();
-            self.emit(Instr::Store(s));
+            self.store(s);
             SharedSrc::Slot(s)
         };
         self.shareds[group.0 as usize] = Some(shared_src);
@@ -845,15 +871,19 @@ impl Cx<'_> {
         for f in funs {
             let info = self.fixes[f.var.0 as usize].expect("assigned above");
             let skip = self.new_label();
-            self.emit(Instr::Jump(skip));
+            self.jump(Op::Jump, skip);
             self.bind(info.stub);
-            let (nf, n) = (f.formals.len() as u32, f.params.len() as u32);
-            self.emit(Instr::EnterViaPair {
-                nformals: nf as u16,
-                nargs: n as u16,
-            });
+            let (nf, n) = (info.nformals, count(f.params.len()));
+            self.emit(
+                Op::EnterViaPair,
+                Args {
+                    n: nf,
+                    m: n,
+                    ..Args::ZERO
+                },
+            );
             self.bind(info.label);
-            self.emit(Instr::GcCheck);
+            self.op(Op::GcCheck);
             let mut inner = FnCx::new(Area::default(), nf + n);
             let mark = self.enter();
             count_work(|| (nf + n) as usize);
@@ -870,16 +900,9 @@ impl Cx<'_> {
             self.rebind_shared(group, SharedSrc::Slot(0));
             self.comp(f.body, &mut inner, true);
             self.restore(mark);
-            self.emit(Instr::Ret);
-            let id = self.funs.len() as u32;
-            self.funs.push(FunInfo {
-                entry: self.pc_of_label[info.label as usize],
-                nlocals: inner.locals.watermark,
-                nfinite: inner.fin.watermark,
-                name: prog.vars.name(f.var).to_string(),
-            });
-            self.fun_of_label[info.label as usize] = id;
-            self.fun_of_label[info.stub as usize] = id;
+            self.op(Op::Ret);
+            let id = self.end_function(info.label, &inner, prog.vars.name(f.var).to_string());
+            self.code.fun_of_label[info.stub as usize] = id;
             self.bind(skip);
         }
         self.comp(body, fcx, tail);
@@ -889,14 +912,14 @@ impl Cx<'_> {
 }
 
 /// `(discriminant scheme, per-ctor inline field count)` of `tycon`.
-fn con_rep(prog: &RProgram, tagged: bool, tycon: TyConId) -> (Disc, Vec<u16>) {
+fn con_rep(prog: &RProgram, tagged: bool, tycon: TyConId) -> (Disc, Vec<u32>) {
     let dt = prog.data.get(tycon);
-    let fields: Vec<u16> = dt
+    let fields: Vec<u32> = dt
         .constructors
         .iter()
         .map(|c| match &c.arg {
             None => 0,
-            Some(SchemeTy::Tuple(ts)) => ts.len() as u16,
+            Some(SchemeTy::Tuple(ts)) => count(ts.len()),
             Some(_) => 1,
         })
         .collect();
@@ -920,6 +943,13 @@ fn con_rep(prog: &RProgram, tagged: bool, tycon: TyConId) -> (Disc, Vec<u16>) {
 /// Whether a boxed value of `tycon` carries a discriminant word.
 fn con_needs_disc(prog: &RProgram, tagged: bool, tycon: TyConId) -> bool {
     !tagged && prog.data.get(tycon).boxed_count() > 1
+}
+
+/// A count of what the program holds — fields, arguments, regions,
+/// labels — as an operand. Every one is below `u32::MAX`: the region
+/// program stores its runs with `u32` lengths.
+fn count(n: usize) -> u32 {
+    u32::try_from(n).expect("a count of program parts fits a u32")
 }
 
 // ------------------------------------------------------------ layout
@@ -1153,7 +1183,7 @@ impl LayoutWalk<'_> {
             } => {
                 let (_, fields) = con_rep(prog, self.tagged, tycon);
                 let disc = con_needs_disc(prog, self.tagged, tycon) as u32;
-                self.site(p, fields[con.0 as usize] as u32 + disc);
+                self.site(p, fields[con.0 as usize] + disc);
             }
             RExp::ExCon { at: Some(p), .. } => self.site(p, 1 + (!self.tagged) as u32),
             _ => {}
@@ -1275,16 +1305,12 @@ mod tests {
     fn the_frame_map_has_an_entry_for_every_non_tail_call() {
         for b in kit_bench::programs::all() {
             let prog = compile_src(&b.source_scaled(b.test_scale));
-            let returns: Vec<u32> = (prog.code.iter().enumerate())
-                .filter(|(_, ins)| {
-                    matches!(
-                        ins,
-                        Instr::Call { tail: false, .. } | Instr::CallClos { tail: false, .. }
-                    )
-                })
+            let code = &prog.code;
+            let returns: Vec<u32> = (code.ops.iter().zip(&code.args).enumerate())
+                .filter(|(_, (op, x))| matches!(op, Op::Call | Op::CallClos) && !x.flag)
                 .map(|(pc, _)| pc as u32 + 1)
                 .collect();
-            let pcs: Vec<u32> = prog.frame_map.iter().map(|&(pc, _)| pc).collect();
+            let pcs: Vec<u32> = code.frame_map.iter().map(|&(pc, _)| pc).collect();
             assert_eq!(pcs, returns, "{}", b.name);
         }
     }
@@ -1299,7 +1325,7 @@ mod tests {
         );
         let main = &prog.funs[prog.main as usize];
         assert_eq!(main.nlocals, 2, "the environment and one slot for a and b");
-        let lives: Vec<u32> = prog.frame_map.iter().map(|&(_, live)| live).collect();
+        let lives: Vec<u32> = prog.code.frame_map.iter().map(|&(_, live)| live).collect();
         assert_eq!(lives, [1, 2, 1, 2]);
     }
 

@@ -1,5 +1,6 @@
-//! The superinstruction table: which runs of base opcodes the threaded
-//! translation ([`crate::threaded::translate`]) collapses into one opcode.
+//! The superinstruction table: which runs of base opcodes fusion
+//! ([`Executable::prepare`](crate::vm::Executable::prepare) at
+//! [`Fusion::Full`](crate::Fusion::Full)) collapses into one opcode.
 //!
 //! A row is all a superinstruction is, besides its handler: `seq` is the
 //! run it replaces, `out` its opcode. Its operands are its components'

@@ -20,18 +20,18 @@
 //! Execution is one engine over one bytecode, at two fusion levels:
 //!
 //! ```text
-//! Instr ──translate (+ fuse)──▶ Op / Args ──▶ vm::Vm (one loop)
+//! compile ──emit──▶ Op / Args (Program::code) ──prepare (+ fuse)──▶ vm::Vm (one loop)
 //! ```
 //!
-//! [`compile()`](compile()) binds its own labels, so every branch operand
-//! of an [`instr::Instr`] is an absolute pc. [`threaded::translate`] lays
-//! that stream out as struct-of-arrays, one base opcode per instruction.
-//! With [`Fusion::Full`] (production) it then regroups hot runs into
-//! superinstructions, each of which is one row of
-//! [`fusion_table::FUSION_CANDIDATES`], one handler and one jump-table arm
-//! in [`vm`], and charged the instructions it replaces. With
-//! [`Fusion::Off`] only base handlers run, and they share no code with any
-//! fused one: that run is the differential oracle for fusion, and the
+//! [`compile()`](compile()) emits a [`threaded::ThreadedCode`], one base
+//! opcode and its operands per instruction, and binds its own labels, so
+//! every branch operand is an absolute pc. [`vm::Executable::prepare`]
+//! runs that stream as it is with [`Fusion::Off`]; with [`Fusion::Full`]
+//! (production) it regroups hot runs into superinstructions, each of
+//! which is one row of [`fusion_table::FUSION_CANDIDATES`], one handler
+//! and one jump-table arm in [`vm`], and charged the instructions it
+//! replaces. Unfused, only base handlers run, and they share no code with
+//! any fused one: that run is the differential oracle for fusion, and the
 //! `kit-lambda` evaluator is the oracle for what a program computes.
 
 //! Constructor representation follows the ML Kit's untagged scheme:

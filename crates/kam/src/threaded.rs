@@ -1,15 +1,19 @@
-//! Struct-of-arrays translation of the compiled stream for direct-threaded
-//! dispatch, and the fusion of hot opcode runs into superinstructions.
+//! The bytecode the engine runs: one dense opcode byte per instruction
+//! ([`Op`]) plus a parallel array of pre-decoded fixed-size operands
+//! ([`Args`]), and the fusion of hot opcode runs into superinstructions.
 //!
-//! [`translate`] turns a [`Program`] into a [`ThreadedCode`]: one
-//! dense opcode byte per instruction ([`Op`]) plus a parallel array of
-//! pre-decoded fixed-size operands ([`Args`]). Variable-sized payloads
-//! (switch tables, string literals, `letregion` name lists) move into side
-//! tables indexed through an operand slot, so the arrays the dispatch loop
-//! touches are compact and cache-dense. With [`Fusion::Full`] the
-//! one-to-one stream is then regrouped: every run matching a row of
-//! [`FUSION_CANDIDATES`] becomes that row's opcode, and branch targets,
-//! switch tables, entry points and the frame map move to the regrouped pcs.
+//! [`compile()`](crate::compile()) emits a [`ThreadedCode`] through
+//! [`ThreadedCode::emit`], one base opcode per instruction. Variable-sized
+//! payloads (switch tables, string literals, `letregion` name lists) go
+//! into side tables indexed through an operand slot, so the arrays the
+//! dispatch loop touches are compact and cache-dense. Branch operands
+//! hold label ids while the compiler emits; [`ThreadedCode::bind_labels`]
+//! rewrites them to pcs. With [`Fusion::Full`],
+//! [`Executable::prepare`](crate::vm::Executable::prepare) regroups the
+//! stream: every run matching a row of [`FUSION_CANDIDATES`] becomes that
+//! row's opcode, and branch targets, switch tables, entry points and the
+//! frame map move to the regrouped pcs — through the same pc rewrite that
+//! binds the labels.
 //!
 //! **The packing rule.** A superinstruction's [`Args`] is the merge of its
 //! components' operands, in component order: `u32` operands (local slots,
@@ -18,7 +22,7 @@
 //! slots (a primitive's place, a `RegHandle`'s slot) `at` then `at2`.
 //! `pack` applies it, [`ThreadedCode::unfuse`] is its inverse, and a
 //! table test holds every row to the lanes there are. [`Op::cost`] of a
-//! superinstruction is its row's `seq.len()` — the source instructions it
+//! superinstruction is its row's `seq.len()` — the instructions it
 //! stands for — which keeps instruction totals, fuel and the GC schedule
 //! bit-identical with [`Fusion::Off`]'s one per instruction.
 //!
@@ -26,15 +30,16 @@
 //! [`crate::vm`].
 
 use crate::fusion_table::{Pattern, FUSION_CANDIDATES};
-use crate::instr::{Disc, Instr, Program, RegSlot};
+use crate::instr::{Disc, RegSlot};
 use kit_lambda::exp::Prim;
 use std::fmt;
 
-/// Whether [`translate`] emits superinstructions.
+/// Whether [`Executable::prepare`](crate::vm::Executable::prepare) regroups
+/// the stream into superinstructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fusion {
-    /// No superinstructions: one opcode per source instruction, run by
-    /// base handlers only — the differential oracle for the fusion pass.
+    /// No superinstructions: the compiled stream as it is, run by base
+    /// handlers only — the differential oracle for the fusion pass.
     Off,
     /// Every candidate in the generated table.
     #[default]
@@ -58,9 +63,8 @@ pub enum Field {
 /// and for each base opcode the [`Args`] fields it reads.
 macro_rules! ops {
     (base { $($b:ident [$($f:ident),*],)* } fused { $($s:ident,)* }) => {
-        /// Dense opcode of the threaded engine. The base opcodes mirror
-        /// the [`Instr`] variants, in the same order; the
-        /// superinstructions follow, one per row of
+        /// Dense opcode of the engine. The base opcodes are what the
+        /// compiler emits; the superinstructions follow, one per row of
         /// [`FUSION_CANDIDATES`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[repr(u8)]
@@ -175,47 +179,8 @@ const COSTS: [u8; OP_COUNT] = {
 };
 
 impl Op {
-    /// The opcode of an instruction.
-    pub fn of(ins: &Instr) -> Op {
-        match ins {
-            Instr::PushConst(..) => Op::PushConst,
-            Instr::PushStr(..) => Op::PushStr,
-            Instr::Spread { .. } => Op::Spread,
-            Instr::Unreachable => Op::Unreachable,
-            Instr::PushReal(..) => Op::PushReal,
-            Instr::Load(..) => Op::Load,
-            Instr::Store(..) => Op::Store,
-            Instr::Pop => Op::Pop,
-            Instr::MkRecord { .. } => Op::MkRecord,
-            Instr::Select(..) => Op::Select,
-            Instr::MkCon { .. } => Op::MkCon,
-            Instr::DeConAdj => Op::DeConAdj,
-            Instr::SwitchCon { .. } => Op::SwitchCon,
-            Instr::SwitchInt { .. } => Op::SwitchInt,
-            Instr::SwitchStr { .. } => Op::SwitchStr,
-            Instr::SwitchExn { .. } => Op::SwitchExn,
-            Instr::Jump(..) => Op::Jump,
-            Instr::JumpIfFalse(..) => Op::JumpIfFalse,
-            Instr::Prim { .. } => Op::Prim,
-            Instr::RegHandle(..) => Op::RegHandle,
-            Instr::Call { .. } => Op::Call,
-            Instr::CallClos { .. } => Op::CallClos,
-            Instr::EnterViaPair { .. } => Op::EnterViaPair,
-            Instr::Ret => Op::Ret,
-            Instr::GcCheck => Op::GcCheck,
-            Instr::LetRegion { .. } => Op::LetRegion,
-            Instr::EndRegions(..) => Op::EndRegions,
-            Instr::PushHandler { .. } => Op::PushHandler,
-            Instr::PopHandler => Op::PopHandler,
-            Instr::MkExn { .. } => Op::MkExn,
-            Instr::DeExn => Op::DeExn,
-            Instr::Raise => Op::Raise,
-            Instr::Halt => Op::Halt,
-        }
-    }
-
-    /// Source instructions this opcode accounts for: the length of the
-    /// run a superinstruction's row replaces, 1 for a base opcode.
+    /// Base instructions this opcode accounts for: the length of the run
+    /// a superinstruction's row replaces, 1 for a base opcode.
     /// Charging it keeps fuel, instruction totals and the GC schedule
     /// bit-identical with [`Fusion::Off`], which counts one per
     /// instruction.
@@ -244,26 +209,26 @@ impl Op {
     }
 }
 
-/// Pre-decoded fixed-size operands of one threaded instruction. A base
-/// opcode reads the fields [`Op::fields`] lists, a superinstruction the
-/// lanes the packing rule (module docs) gave its components; unused
-/// fields are zeroed.
+/// Pre-decoded fixed-size operands of one instruction. A base opcode reads
+/// the fields [`Op::fields`] lists, and [`ThreadedCode::emit`] holds every
+/// other field to [`Args::ZERO`]'s; a superinstruction reads the lanes the
+/// packing rule (module docs) gave its components.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Args {
     /// 64-bit immediate (constants, real bits).
     pub k: u64,
     /// First `u32` operand (local slot, function id, side-table index,
-    /// exception id).
+    /// exception id, constructor index).
     pub a: u32,
     /// Second `u32` operand (superinstructions only).
     pub b: u32,
     /// Branch target / call entry pc.
     pub t: u32,
-    /// First `u16` operand (field counts, select index).
-    pub n: u16,
-    /// Second `u16` operand (a call's region-formal count, a stub's
+    /// First count operand (field counts, select index, argument count).
+    pub n: u32,
+    /// Second count operand (a call's region-formal count, a stub's
     /// argument count).
-    pub m: u16,
+    pub m: u32,
     /// Boolean operand (tail call, discriminant word, has-arg).
     pub flag: bool,
     /// Primitive operation (meaningful for prim opcodes only).
@@ -274,28 +239,50 @@ pub struct Args {
     pub at2: Option<RegSlot>,
 }
 
+// The two `u32` count lanes fit in padding: the array the dispatch loop
+// reads stays at 48 bytes an instruction.
+const _: () = assert!(std::mem::size_of::<Args>() == 48);
+
 impl Args {
-    fn zero() -> Args {
-        Args {
-            k: 0,
-            a: 0,
-            b: 0,
-            t: 0,
-            n: 0,
-            m: 0,
-            flag: false,
-            p: Prim::IAdd,
-            at: None,
-            at2: None,
+    /// Every field zero: what an instruction holds in the fields its
+    /// opcode does not read.
+    pub const ZERO: Args = Args {
+        k: 0,
+        a: 0,
+        b: 0,
+        t: 0,
+        n: 0,
+        m: 0,
+        flag: false,
+        p: Prim::IAdd,
+        at: None,
+        at2: None,
+    };
+
+    /// These operands with only the fields `fields` names kept.
+    fn only(&self, fields: &[Field]) -> Args {
+        let mut x = Args::ZERO;
+        for f in fields {
+            match f {
+                Field::K => x.k = self.k,
+                Field::A => x.a = self.a,
+                Field::T => x.t = self.t,
+                Field::N => x.n = self.n,
+                Field::M => x.m = self.m,
+                Field::Flag => x.flag = self.flag,
+                Field::P => x.p = self.p,
+                Field::At => x.at = self.at,
+            }
         }
+        x
     }
 }
 
 /// Switch side-table row: `(arms, default pc)`.
 pub type SwitchRows<K> = (Box<[(K, u32)]>, u32);
 
-/// A program in threaded (struct-of-arrays) form: what the VM executes.
-#[derive(Debug, Clone)]
+/// A compiled stream: what the compiler emits and the VM executes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThreadedCode {
     /// Opcode stream, parallel to `args`.
     pub ops: Vec<Op>,
@@ -315,44 +302,16 @@ pub struct ThreadedCode {
     pub names: Vec<Box<[u32]>>,
     /// Function id → entry pc.
     pub entry_pc: Vec<u32>,
-    /// Label id → pc (for `CallClos`).
+    /// Label id → pc (`u32::MAX` if unbound). Used by `CallClos`, whose
+    /// target label is only known at run time (closure field 0).
     pub pc_of_label: Vec<u32>,
-    /// Label id → function id (for `CallClos`).
+    /// Label id → function id (`u32::MAX` if the label is not a function
+    /// entry or stub).
     pub fun_of_label: Vec<u32>,
-    /// [`Program::frame_map`] at the pcs of this stream.
+    /// The frame map: `(return pc, live)` of every non-tail call, sorted;
+    /// while it is suspended, its frame's roots are local slots `0..live`
+    /// (the bindings in scope) and its operands.
     pub frame_map: Vec<(u32, u32)>,
-    /// Superinstructions in the stream (0 with fusion off).
-    pub fused: u64,
-}
-
-/// Translates a program into threaded struct-of-arrays form: one opcode
-/// per instruction, operands in the fields [`Op::fields`] names (side
-/// tables through `a`), then — with [`Fusion::Full`] — the regrouping into
-/// superinstructions.
-pub fn translate(prog: &Program, fusion: Fusion) -> ThreadedCode {
-    let n = prog.code.len();
-    let mut t = ThreadedCode {
-        ops: Vec::with_capacity(n),
-        args: Vec::with_capacity(n),
-        strs: Vec::new(),
-        con_switches: Vec::new(),
-        int_switches: Vec::new(),
-        str_switches: Vec::new(),
-        exn_switches: Vec::new(),
-        names: Vec::new(),
-        entry_pc: prog.funs.iter().map(|f| f.entry).collect(),
-        pc_of_label: prog.pc_of_label.clone(),
-        fun_of_label: prog.fun_of_label.clone(),
-        frame_map: prog.frame_map.clone(),
-        fused: 0,
-    };
-    for ins in &prog.code {
-        t.push_instr(ins);
-    }
-    if fusion == Fusion::Full {
-        t.fuse();
-    }
-    t
 }
 
 /// The fusion candidate matching at `i`, if any — the first (longest, by
@@ -368,7 +327,7 @@ fn match_at(ops: &[Op], leader: &[bool], i: usize) -> Option<&'static Pattern> {
 /// The packing rule (module docs): merges the operands of a run of base
 /// opcodes into one superinstruction's [`Args`].
 fn pack(seq: &[Op], parts: &[Args]) -> Args {
-    let mut g = Args::zero();
+    let mut g = Args::ZERO;
     let (mut words, mut regions) = (0, 0);
     for (op, x) in seq.iter().zip(parts) {
         for f in op.fields() {
@@ -393,113 +352,99 @@ fn pack(seq: &[Op], parts: &[Args]) -> Args {
 }
 
 impl ThreadedCode {
-    /// Appends one instruction, encoding its operands into [`Args`] and
-    /// copying variable-sized payloads into the side tables.
-    fn push_instr(&mut self, ins: &Instr) {
-        let t = self;
-        let op = Op::of(ins);
-        let mut x = Args::zero();
-        match *ins {
-            Instr::PushConst(k) => x.k = k,
-            Instr::PushStr(ref s) => {
-                x.a = t.strs.len() as u32;
-                t.strs.push(s.clone());
-            }
-            Instr::Spread { n } => x.n = n,
-            Instr::Unreachable
-            | Instr::Pop
-            | Instr::DeConAdj
-            | Instr::Ret
-            | Instr::GcCheck
-            | Instr::PopHandler
-            | Instr::DeExn
-            | Instr::Raise
-            | Instr::Halt => {}
-            Instr::PushReal(r, at) => {
-                x.k = r.to_bits();
-                x.at = Some(at);
-            }
-            Instr::Load(i) | Instr::Store(i) => x.a = i,
-            Instr::MkRecord { n, at } => {
-                x.n = n;
-                x.at = Some(at);
-            }
-            Instr::Select(i) => x.n = i,
-            Instr::MkCon { ctor, n, disc, at } => {
-                x.a = ctor as u32;
-                x.n = n;
-                x.flag = disc;
-                x.at = Some(at);
-            }
-            Instr::SwitchCon {
-                disc,
-                ref arms,
-                default,
-            } => {
-                x.a = t.con_switches.len() as u32;
-                t.con_switches.push((disc, (arms[..].into(), default)));
-            }
-            Instr::SwitchInt { ref arms, default } => {
-                x.a = t.int_switches.len() as u32;
-                t.int_switches.push((arms[..].into(), default));
-            }
-            Instr::SwitchStr { ref arms, default } => {
-                x.a = t.str_switches.len() as u32;
-                t.str_switches.push((arms[..].into(), default));
-            }
-            Instr::SwitchExn { ref arms, default } => {
-                x.a = t.exn_switches.len() as u32;
-                t.exn_switches.push((arms[..].into(), default));
-            }
-            Instr::Jump(target) | Instr::JumpIfFalse(target) => x.t = target,
-            Instr::Prim { p, at } => {
-                x.p = p;
-                x.at = at;
-            }
-            Instr::RegHandle(slot) => x.at = Some(slot),
-            Instr::Call {
-                fun,
-                target,
-                nargs,
-                nformals,
-                tail,
-            } => {
-                x.a = fun;
-                x.t = target;
-                x.n = nargs;
-                x.m = nformals;
-                x.flag = tail;
-            }
-            Instr::CallClos { nargs, tail } => {
-                x.n = nargs;
-                x.flag = tail;
-            }
-            Instr::EnterViaPair { nformals, nargs } => {
-                x.n = nformals;
-                x.m = nargs;
-            }
-            Instr::LetRegion { ref names } => {
-                x.a = t.names.len() as u32;
-                t.names.push(names[..].into());
-            }
-            Instr::EndRegions(n) => x.n = n,
-            Instr::PushHandler { target } => x.t = target,
-            Instr::MkExn { exn, has_arg, at } => {
-                x.a = exn;
-                x.flag = has_arg;
-                x.at = at;
-            }
-        }
-        t.ops.push(op);
-        t.args.push(x);
+    /// Number of instructions.
+    pub fn len(&self) -> usize {
+        self.ops.len()
     }
 
-    /// Regroups the one-to-one stream into superinstructions, in place. A
+    /// Whether the stream has no instructions.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// Appends one base instruction.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `op` is a superinstruction or `x` sets a field
+    /// `op` does not read ([`Op::fields`]).
+    pub fn emit(&mut self, op: Op, x: Args) {
+        debug_assert!(!op.is_fused(), "{op:?} is emitted only by fusion");
+        debug_assert_eq!(
+            x.only(op.fields()),
+            x,
+            "{op:?} sets a field it does not read"
+        );
+        self.ops.push(op);
+        self.args.push(x);
+    }
+
+    /// Appends `row` to a side table; returns its index, the `a` operand
+    /// of the instruction that reads it.
+    pub(crate) fn push_row<T>(table: &mut Vec<T>, row: T) -> u32 {
+        table.push(row);
+        u32::try_from(table.len() - 1).expect("side-table index fits a u32")
+    }
+
+    /// Rewrites every pc operand — the `t` of each opcode that reads one
+    /// and every switch target — to `map[pc]`: label ids to pcs when the
+    /// compiler binds its labels, unfused pcs to fused ones when the
+    /// stream is regrouped.
+    ///
+    /// # Panics
+    ///
+    /// If an operand maps to `u32::MAX` (an unbound label, or a branch
+    /// into a fused group).
+    fn rewrite_pcs(&mut self, map: &[u32]) {
+        let to = |pc: &mut u32| {
+            let new = map[*pc as usize];
+            assert_ne!(new, u32::MAX, "pc operand {pc} maps nowhere");
+            *pc = new;
+        };
+        for (op, x) in self.ops.iter().zip(&mut self.args) {
+            if op.fields().contains(&Field::T) {
+                to(&mut x.t);
+            }
+        }
+        fn targets<K>(rows: &mut SwitchRows<K>) -> impl Iterator<Item = &mut u32> {
+            rows.0
+                .iter_mut()
+                .map(|(_, t)| t)
+                .chain(std::iter::once(&mut rows.1))
+        }
+        self.con_switches
+            .iter_mut()
+            .flat_map(|(_, rows)| targets(rows))
+            .chain(self.int_switches.iter_mut().flat_map(targets))
+            .chain(self.str_switches.iter_mut().flat_map(targets))
+            .chain(self.exn_switches.iter_mut().flat_map(targets))
+            .for_each(to);
+    }
+
+    /// Binds the labels: gives each known `Call` (whose `t` names its
+    /// callee's entry label) the callee's function id, then rewrites every
+    /// pc operand from a label id to the pc `pc_of_label` binds it to.
+    ///
+    /// # Panics
+    ///
+    /// If an operand names an unbound label.
+    pub fn bind_labels(&mut self) {
+        for (op, x) in self.ops.iter().zip(&mut self.args) {
+            if *op == Op::Call {
+                x.a = self.fun_of_label[x.t as usize];
+            }
+        }
+        let labels = std::mem::take(&mut self.pc_of_label);
+        self.rewrite_pcs(&labels);
+        self.pc_of_label = labels;
+    }
+
+    /// Regroups the unfused stream into superinstructions, in place. A
     /// group never spans a *leader* (any pc a label is bound to), so every
     /// branch target remains the start of an instruction; calls are in no
     /// row, so a return address (the pc after a non-tail call) is a group
     /// start too.
-    fn fuse(&mut self) {
+    pub(crate) fn fuse(&mut self) {
         let n = self.ops.len();
         let mut leader = vec![false; n];
         for &pc in &self.pc_of_label {
@@ -519,34 +464,13 @@ impl ThreadedCode {
             i += group[i].map_or(1, |pat| pat.seq.len());
         }
 
-        // Move every pc operand to the new numbering.
-        let remap = |pc: &mut u32| {
-            if *pc != u32::MAX {
-                debug_assert_ne!(new_pc[*pc as usize], u32::MAX, "branch into a fused group");
-                *pc = new_pc[*pc as usize];
-            }
-        };
-        for (op, x) in self.ops.iter().zip(&mut self.args) {
-            if op.fields().contains(&Field::T) {
-                remap(&mut x.t);
-            }
-        }
-        fn targets<K>(rows: &mut SwitchRows<K>) -> impl Iterator<Item = &mut u32> {
-            rows.0
-                .iter_mut()
-                .map(|(_, t)| t)
-                .chain(std::iter::once(&mut rows.1))
-        }
-        self.con_switches
-            .iter_mut()
-            .flat_map(|(_, rows)| targets(rows))
-            .chain(self.int_switches.iter_mut().flat_map(targets))
-            .chain(self.str_switches.iter_mut().flat_map(targets))
-            .chain(self.exn_switches.iter_mut().flat_map(targets))
-            .chain(&mut self.entry_pc)
+        // Move every pc to the new numbering.
+        self.rewrite_pcs(&new_pc);
+        (self.entry_pc.iter_mut())
             .chain(&mut self.pc_of_label)
             .chain(self.frame_map.iter_mut().map(|(pc, _)| pc))
-            .for_each(remap);
+            .filter(|pc| **pc != u32::MAX)
+            .for_each(|pc| *pc = new_pc[*pc as usize]);
 
         // Compact: a new pc is never ahead of the old pcs it is read from.
         let (mut i, mut w) = (0, 0);
@@ -556,7 +480,6 @@ impl ThreadedCode {
                     let len = pat.seq.len();
                     self.args[w] = pack(pat.seq, &self.args[i..i + len]);
                     self.ops[w] = pat.out;
-                    self.fused += 1;
                     len
                 }
                 None => {
@@ -582,7 +505,7 @@ impl ThreadedCode {
         };
         let (mut words, mut regions) = (0, 0);
         let part = |&op: &Op| {
-            let mut x = Args::zero();
+            let mut x = Args::ZERO;
             for f in op.fields() {
                 match f {
                     Field::A => {
@@ -610,7 +533,7 @@ impl ThreadedCode {
 ///
 /// Counts pairs and triples of *fallthrough-adjacent* executed
 /// instructions (consecutive pcs), which are exactly the sequences
-/// [`translate`] could fuse; transitions taken via a branch are excluded.
+/// fusion could regroup; transitions taken via a branch are excluded.
 /// Collected by the VM's counting instance over the stream it runs — with
 /// fusion off, base opcodes, as `bench-summary --profile-fusion` asks
 /// for — and dumped by
@@ -717,27 +640,31 @@ impl fmt::Debug for FusionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{FunInfo, Instr, Program};
+    use crate::instr::{FunInfo, Program};
     use crate::vm::Vm;
     use kit_lambda::ty::{DataEnv, LTy};
     use kit_runtime::value::scalar;
     use kit_runtime::{Rt, RtConfig};
 
-    /// A one-function program; label `i` is bound to `pc_of_label[i]`.
-    fn mini_program(code: Vec<Instr>, pc_of_label: Vec<u32>, nlocals: u32) -> Program {
-        let mut fun_of_label = vec![u32::MAX; pc_of_label.len()];
-        fun_of_label[0] = 0;
+    /// A one-function program; label `i` is bound to `pc_of_label[i]`, and
+    /// branch operands name labels.
+    fn mini_program(code: &[(Op, Args)], pc_of_label: Vec<u32>, nlocals: u32) -> Program {
+        let mut c = ThreadedCode::default();
+        for &(op, x) in code {
+            c.emit(op, x);
+        }
+        c.fun_of_label = vec![u32::MAX; pc_of_label.len()];
+        c.fun_of_label[0] = 0;
+        c.pc_of_label = pc_of_label;
+        c.entry_pc = vec![0];
+        c.bind_labels();
         Program {
-            code,
-            pc_of_label,
-            fun_of_label,
+            code: c,
             funs: vec![FunInfo {
-                entry: 0,
                 nlocals,
                 nfinite: 0,
                 name: "<main>".into(),
             }],
-            frame_map: vec![],
             main: 0,
             global_infinite: vec![0],
             exn_names: vec![],
@@ -746,11 +673,30 @@ mod tests {
         }
     }
 
-    fn iadd() -> Instr {
-        Instr::Prim {
-            p: Prim::IAdd,
-            at: None,
-        }
+    fn fused(prog: &Program) -> ThreadedCode {
+        let mut t = prog.code.clone();
+        t.fuse();
+        t
+    }
+
+    fn op(op: Op) -> (Op, Args) {
+        (op, Args::ZERO)
+    }
+
+    fn load(a: u32) -> (Op, Args) {
+        (Op::Load, Args { a, ..Args::ZERO })
+    }
+
+    fn store(a: u32) -> (Op, Args) {
+        (Op::Store, Args { a, ..Args::ZERO })
+    }
+
+    fn jump(t: u32) -> (Op, Args) {
+        (Op::Jump, Args { t, ..Args::ZERO })
+    }
+
+    fn iadd() -> (Op, Args) {
+        (Op::Prim, Args::ZERO)
     }
 
     #[test]
@@ -766,67 +712,86 @@ mod tests {
         }
     }
 
+    /// Every debug build checks every emitted instruction: a field the
+    /// opcode does not read must stay zero.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Load sets a field it does not read")]
+    fn emitting_a_stray_field_panics() {
+        ThreadedCode::default().emit(
+            Op::Load,
+            Args {
+                a: 1,
+                t: 2,
+                ..Args::ZERO
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pc operand 1 maps nowhere")]
+    fn a_branch_to_an_unbound_label_panics() {
+        mini_program(&[jump(1), op(Op::Halt)], vec![0, u32::MAX], 1);
+    }
+
+    #[test]
+    fn binding_labels_rewrites_branches_and_names_the_callee() {
+        // Label 0 -> pc 0 (main), label 1 -> pc 2 (the Halt).
+        let call = Args {
+            a: u32::MAX,
+            t: 0,
+            flag: true,
+            ..Args::ZERO
+        };
+        let prog = mini_program(&[(Op::Call, call), jump(1), op(Op::Halt)], vec![0, 2], 1);
+        assert_eq!((prog.code.args[0].a, prog.code.args[0].t), (0, 0));
+        assert_eq!(prog.code.args[1].t, 2);
+    }
+
     #[test]
     fn fuses_load_load_prim_and_remaps_targets() {
         // label 0 -> pc 0, label 1 -> pc 5 (the Halt).
         let prog = mini_program(
-            vec![
-                Instr::DeConAdj, // pc 0 (leader), in no row
-                Instr::Load(1),  // pc 1 ┐
-                Instr::Load(2),  // pc 2 │ fused (cost 3)
-                iadd(),          // pc 3 ┘
-                Instr::Jump(5),  // pc 4
-                Instr::Halt,     // pc 5 (leader)
+            &[
+                op(Op::DeConAdj), // pc 0 (leader), in no row
+                load(1),          // pc 1 ┐
+                load(2),          // pc 2 │ fused (cost 3)
+                iadd(),           // pc 3 ┘
+                jump(1),          // pc 4
+                op(Op::Halt),     // pc 5 (leader)
             ],
             vec![0, 5],
             4,
         );
-        let t = translate(&prog, Fusion::Full);
-        assert_eq!(t.fused, 1);
+        let t = fused(&prog);
         assert_eq!(t.ops, [Op::DeConAdj, Op::LoadLoadPrim, Op::Jump, Op::Halt]);
         let x = t.args[1];
         assert_eq!((x.a, x.b, x.p, x.at), (1, 2, Prim::IAdd, None));
-        let off = translate(&prog, Fusion::Off);
+        let off = &prog.code;
         assert_eq!(
             t.unfuse(1),
             (1..4)
                 .map(|pc| (off.ops[pc], off.args[pc]))
                 .collect::<Vec<_>>()
         );
-        // Old pc 5 (Halt) is the 4th threaded instruction.
+        // Old pc 5 (Halt) is the 4th instruction.
         assert_eq!(t.args[2].t, 3);
         assert_eq!(t.pc_of_label[1], 3);
         assert_eq!(
             t.ops.iter().map(|op| op.cost()).sum::<u64>(),
             prog.code.len() as u64,
-            "costs cover every source instruction"
+            "costs cover every unfused instruction"
         );
     }
 
     #[test]
     fn leaders_block_fusion() {
         // A label bound to the Select keeps Load+Select unfused.
-        let prog = mini_program(
-            vec![Instr::Load(0), Instr::Select(1), Instr::Halt],
-            vec![0, 1],
-            4,
-        );
-        let t = translate(&prog, Fusion::Full);
-        assert_eq!(t.fused, 0);
-        assert_eq!(t.ops.len(), 3);
+        let select = (Op::Select, Args { n: 1, ..Args::ZERO });
+        let prog = mini_program(&[load(0), select, op(Op::Halt)], vec![0, 1], 4);
+        let t = fused(&prog);
+        assert_eq!(t.ops, prog.code.ops);
         assert_eq!(t.pc_of_label[1], 1);
-    }
-
-    #[test]
-    fn fusion_off_is_one_to_one() {
-        let prog = mini_program(
-            vec![Instr::Load(1), Instr::Load(2), iadd(), Instr::Halt],
-            vec![0],
-            4,
-        );
-        let t = translate(&prog, Fusion::Off);
-        assert_eq!(t.fused, 0);
-        assert_eq!(t.ops, [Op::Load, Op::Load, Op::Prim, Op::Halt]);
     }
 
     #[test]
@@ -834,25 +799,36 @@ mod tests {
         // Nothing upstream bounds a function's locals, so the store slot
         // of `Load; Select; Store` travels in a `u32` lane like any other.
         const SLOT: u32 = 70_000;
+        let at = Some(RegSlot::Global(0));
         let prog = mini_program(
-            vec![
-                Instr::PushConst(scalar(7)),
-                Instr::MkRecord {
-                    n: 1,
-                    at: crate::instr::RegSlot::Global(0),
-                },
-                Instr::Store(1),
-                Instr::Load(1), // leader: keeps `Store; Load; Select` out
-                Instr::Select(0),
-                Instr::Store(SLOT),
-                Instr::Load(SLOT),
-                Instr::Halt,
+            &[
+                (
+                    Op::PushConst,
+                    Args {
+                        k: scalar(7),
+                        ..Args::ZERO
+                    },
+                ),
+                (
+                    Op::MkRecord,
+                    Args {
+                        n: 1,
+                        at,
+                        ..Args::ZERO
+                    },
+                ),
+                store(1),
+                load(1), // leader: keeps `Store; Load; Select` out
+                (Op::Select, Args::ZERO),
+                store(SLOT),
+                load(SLOT),
+                op(Op::Halt),
             ],
             vec![0, 3],
             SLOT + 1,
         );
-        let full = translate(&prog, Fusion::Full);
-        let off = translate(&prog, Fusion::Off);
+        let full = fused(&prog);
+        let off = &prog.code;
         assert_eq!(full.ops[3], Op::LoadSelectStore);
         assert_eq!(full.args[3].b, SLOT);
         assert_eq!(

@@ -2,8 +2,9 @@
 //! regions, region-polymorphic calls, escaping `fix` functions (stubs),
 //! and collection at safe points with deep frame stacks.
 
-use kit_kam::instr::{Instr, RegSlot};
-use kit_kam::{compile, Vm};
+use kit_kam::instr::RegSlot;
+use kit_kam::threaded::Op;
+use kit_kam::{compile, Fusion, Vm};
 use kit_lambda::ty::LTy;
 use kit_region::RegionOptions;
 use kit_runtime::{Rt, RtConfig};
@@ -168,22 +169,21 @@ fn an_inner_fn_allocates_in_the_formal_region_it_captured() {
         "fun f x = if x < 0 then f (x + 1) else let val k = x + 1 in fn y => (k, y) end
          val it = length (map (f 1) [1, 2, 3])",
     );
-    let inner = prog.funs.iter().find(|f| f.name == "fn").expect("the fn");
-    let entry = inner.entry as usize;
-    let body: Vec<&Instr> = prog.code[entry..]
+    let inner = prog
+        .funs
         .iter()
-        .take_while(|i| !matches!(i, Instr::Ret))
-        .collect();
-    let pairs: Vec<RegSlot> = body
-        .iter()
-        .filter_map(|i| match i {
-            Instr::MkRecord { n: 2, at } => Some(*at),
-            _ => None,
-        })
+        .position(|f| f.name == "fn")
+        .expect("the fn");
+    let entry = prog.code.entry_pc[inner] as usize;
+    let body = (prog.code.ops[entry..].iter().zip(&prog.code.args[entry..]))
+        .take_while(|(op, _)| **op != Op::Ret);
+    let pairs: Vec<Option<RegSlot>> = body
+        .filter(|(op, x)| **op == Op::MkRecord && x.n == 2)
+        .map(|(_, x)| x.at)
         .collect();
     assert!(
-        matches!(pairs[..], [RegSlot::EnvReg(_)]),
-        "the pair's place: {pairs:?} in {body:?}"
+        matches!(pairs[..], [Some(RegSlot::EnvReg(_))]),
+        "the pair's place: {pairs:?}"
     );
 }
 
@@ -222,7 +222,7 @@ fn disassembler_round_trip_smoke() {
     kit_lambda::opt::optimize(&mut lprog, &Default::default());
     let rprog = kit_region::infer(&lprog, RegionOptions::with_gc());
     let prog = compile(&rprog, true);
-    let asm = kit_kam::disasm::disassemble(&prog);
+    let asm = kit_kam::disasm::disassemble(&prog, Fusion::Off);
     assert!(asm.contains("GcCheck"), "{asm}");
     let _ = LTy::Int;
 }
@@ -238,7 +238,8 @@ fn disassembler_round_trip_smoke() {
 // the arguments up past the formal slots it fills from the pair.
 
 mod frames {
-    use kit_kam::instr::{FunInfo, Instr, RegSlot};
+    use kit_kam::instr::{FunInfo, RegSlot};
+    use kit_kam::threaded::{Args, Op, ThreadedCode};
     use kit_kam::{Fusion, Program, Vm};
     use kit_lambda::exp::Prim;
     use kit_lambda::ty::{DataEnv, LTy};
@@ -248,15 +249,15 @@ mod frames {
     /// A frame shape: `temps` locals after env, formals and arguments.
     #[derive(Clone, Copy, Debug)]
     struct Shape {
-        nargs: u16,
-        nf: u16,
+        nargs: u32,
+        nf: u32,
         nfinite: u32,
         temps: u32,
     }
 
     impl Shape {
         fn nlocals(&self) -> u32 {
-            1 + self.nf as u32 + self.nargs as u32 + self.temps
+            1 + self.nf + self.nargs + self.temps
         }
     }
 
@@ -268,37 +269,62 @@ mod frames {
         Pair,
     }
 
-    fn prim(p: Prim) -> Instr {
-        Instr::Prim { p, at: None }
+    fn push_const(k: u64) -> (Op, Args) {
+        (Op::PushConst, Args { k, ..Args::ZERO })
+    }
+
+    fn load(a: u32) -> (Op, Args) {
+        (Op::Load, Args { a, ..Args::ZERO })
+    }
+
+    fn prim(p: Prim) -> (Op, Args) {
+        (Op::Prim, Args { p, ..Args::ZERO })
+    }
+
+    fn reg_handle(slot: RegSlot) -> (Op, Args) {
+        let at = Some(slot);
+        (Op::RegHandle, Args { at, ..Args::ZERO })
+    }
+
+    fn mk_record(n: u32, slot: RegSlot) -> (Op, Args) {
+        let at = Some(slot);
+        (
+            Op::MkRecord,
+            Args {
+                n,
+                at,
+                ..Args::ZERO
+            },
+        )
     }
 
     /// `f(a1..an)` = `(a1 - a2)` (or `a1`, or 7 with fewer arguments)
     /// `+ last local` (never written: must read as 0) `+ last formal`
     /// (region id 1; the others are 0) `+ second field of a finite pair`
     /// (if it has room).
-    fn callee(code: &mut Vec<Instr>, s: &Shape, k: &dyn Fn(i64) -> u64) {
-        let arg = 1 + s.nf as u32;
+    fn callee(code: &mut Vec<(Op, Args)>, s: &Shape, k: &dyn Fn(i64) -> u64) {
+        let arg = 1 + s.nf;
         match s.nargs {
-            0 => code.push(Instr::PushConst(k(7))),
-            1 => code.push(Instr::Load(arg)),
-            _ => code.extend([Instr::Load(arg), Instr::Load(arg + 1), prim(Prim::ISub)]),
+            0 => code.push(push_const(k(7))),
+            1 => code.push(load(arg)),
+            _ => code.extend([load(arg), load(arg + 1), prim(Prim::ISub)]),
         }
-        code.extend([Instr::Load(s.nlocals() - 1), prim(Prim::IAdd)]);
+        code.extend([load(s.nlocals() - 1), prim(Prim::IAdd)]);
         if s.nf > 0 {
-            let last = RegSlot::Formal(s.nf as u32);
-            code.extend([Instr::RegHandle(last), prim(Prim::IAdd)]);
+            let last = RegSlot::Formal(s.nf);
+            code.extend([reg_handle(last), prim(Prim::IAdd)]);
         }
         if s.nfinite >= 3 {
             let at = RegSlot::Finite(s.nfinite - 3);
             code.extend([
-                Instr::PushConst(k(1000)),
-                Instr::PushConst(k(100)),
-                Instr::MkRecord { n: 2, at },
-                Instr::Select(1),
+                push_const(k(1000)),
+                push_const(k(100)),
+                mk_record(2, at),
+                (Op::Select, Args { n: 1, ..Args::ZERO }),
                 prim(Prim::IAdd),
             ]);
         }
-        code.push(Instr::Ret);
+        code.push((Op::Ret, Args::ZERO));
     }
 
     fn want(s: &Shape, args: &[i64]) -> i64 {
@@ -311,16 +337,16 @@ mod frames {
     }
 
     /// The region handles for `s`'s formals: region 0, the last one 1.
-    fn handles(s: &Shape) -> impl Iterator<Item = Instr> {
+    fn handles(s: &Shape) -> impl Iterator<Item = (Op, Args)> {
         let nf = s.nf;
-        (0..nf).map(move |i| Instr::RegHandle(RegSlot::Global((i + 1 == nf) as u32)))
+        (0..nf).map(move |i| reg_handle(RegSlot::Global((i + 1 == nf) as u32)))
     }
 
     /// Pushes the call block for `s` and calls `label` (its entry) or
     /// `stub` (its `EnterViaPair`). A known call names the label until
-    /// `run` binds it.
+    /// `bind_labels` binds it.
     fn call(
-        code: &mut Vec<Instr>,
+        code: &mut Vec<(Op, Args)>,
         (label, stub): (u32, u32),
         s: &Shape,
         via: Via,
@@ -328,31 +354,63 @@ mod frames {
         tail: bool,
         k: &dyn Fn(i64) -> u64,
     ) {
-        let nargs = s.nargs;
+        let n = s.nargs;
         match via {
             Via::Known => {
-                code.push(Instr::PushConst(k(0)));
+                code.push(push_const(k(0)));
                 code.extend(handles(s));
-                code.extend(args.iter().map(|&a| Instr::PushConst(k(a))));
-                code.push(Instr::Call {
-                    fun: u32::MAX,
-                    target: label,
-                    nargs,
-                    nformals: s.nf,
-                    tail,
-                });
+                code.extend(args.iter().map(|&a| push_const(k(a))));
+                let x = Args {
+                    t: label,
+                    n,
+                    m: s.nf,
+                    flag: tail,
+                    ..Args::ZERO
+                };
+                code.push((Op::Call, x));
             }
             Via::Pair => {
-                code.extend([
-                    Instr::PushConst(scalar(stub as i64)),
-                    Instr::PushConst(k(0)),
-                ]);
+                code.extend([push_const(scalar(stub as i64)), push_const(k(0))]);
                 code.extend(handles(s));
-                let at = RegSlot::Global(0);
-                code.push(Instr::MkRecord { n: 2 + s.nf, at });
-                code.extend(args.iter().map(|&a| Instr::PushConst(k(a))));
-                code.push(Instr::CallClos { nargs, tail });
+                code.push(mk_record(2 + s.nf, RegSlot::Global(0)));
+                code.extend(args.iter().map(|&a| push_const(k(a))));
+                let x = Args {
+                    n,
+                    flag: tail,
+                    ..Args::ZERO
+                };
+                code.push((Op::CallClos, x));
             }
+        }
+    }
+
+    /// The program `code` emits, its labels bound.
+    fn program(
+        code: &[(Op, Args)],
+        mut c: ThreadedCode,
+        funs: Vec<FunInfo>,
+        globals: usize,
+    ) -> Program {
+        for &(op, x) in code {
+            c.emit(op, x);
+        }
+        c.bind_labels();
+        Program {
+            code: c,
+            funs,
+            main: 0,
+            global_infinite: vec![0; globals],
+            exn_names: vec![],
+            result_ty: LTy::Int,
+            data: DataEnv::default(),
+        }
+    }
+
+    fn frame(nlocals: u32, nfinite: u32, name: &str) -> FunInfo {
+        FunInfo {
+            nlocals,
+            nfinite,
+            name: name.into(),
         }
     }
 
@@ -374,67 +432,47 @@ mod frames {
             // Labels: 0 main, 1 callee, 2 callee's stub, 3 hop.
             let (callee_labels, hop_labels) = ((1, 2), (3, 3));
             let mut code = Vec::new();
-            let mut pc_of_label = vec![0, 0, 0, u32::MAX];
-            let mut fun_of_label = vec![0, 1, 1, u32::MAX];
-            let mut funs = vec![FunInfo {
-                entry: 0,
-                nlocals: 2,
-                nfinite: 0,
-                name: "<main>".into(),
-            }];
+            let mut c = ThreadedCode {
+                pc_of_label: vec![0, 0, 0, u32::MAX],
+                fun_of_label: vec![0, 1, 1, u32::MAX],
+                ..ThreadedCode::default()
+            };
+            let mut funs = vec![frame(2, 0, "<main>")];
             // main: junk under the call block, so a slide that strays shows.
-            code.push(Instr::PushConst(k(55555)));
+            code.push(push_const(k(55555)));
             match &hop {
                 None => call(&mut code, callee_labels, &s, via, args, false, &k),
                 Some(h) => call(&mut code, hop_labels, h, Via::Known, &[], false, &k),
             }
             // main waits at its call with its two slots in scope.
-            let frame_map = vec![(code.len() as u32, 2)];
-            code.push(Instr::Halt);
-            pc_of_label[2] = code.len() as u32;
-            code.push(Instr::EnterViaPair {
-                nformals: s.nf,
-                nargs: s.nargs,
-            });
-            pc_of_label[1] = code.len() as u32;
+            c.frame_map = vec![(code.len() as u32, 2)];
+            code.push((Op::Halt, Args::ZERO));
+            c.pc_of_label[2] = code.len() as u32;
+            let x = Args {
+                n: s.nf,
+                m: s.nargs,
+                ..Args::ZERO
+            };
+            code.push((Op::EnterViaPair, x));
+            c.pc_of_label[1] = code.len() as u32;
             callee(&mut code, &s, &k);
-            funs.push(FunInfo {
-                entry: pc_of_label[1],
-                nlocals: s.nlocals(),
-                nfinite: s.nfinite,
-                name: "callee".into(),
-            });
+            funs.push(frame(s.nlocals(), s.nfinite, "callee"));
             if let Some(h) = &hop {
-                (pc_of_label[3], fun_of_label[3]) = (code.len() as u32, 2);
+                (c.pc_of_label[3], c.fun_of_label[3]) = (code.len() as u32, 2);
                 for i in 1..h.nlocals() {
-                    code.extend([Instr::PushConst(k(77777)), Instr::Store(i)]);
+                    code.extend([
+                        push_const(k(77777)),
+                        (Op::Store, Args { a: i, ..Args::ZERO }),
+                    ]);
                 }
                 call(&mut code, callee_labels, &s, via, args, true, &k);
-                funs.push(FunInfo {
-                    entry: pc_of_label[3],
-                    nlocals: h.nlocals(),
-                    nfinite: h.nfinite,
-                    name: "hop".into(),
-                });
+                funs.push(frame(h.nlocals(), h.nfinite, "hop"));
             }
-            for ins in &mut code {
-                if let Instr::Call { fun, target, .. } = ins {
-                    *fun = fun_of_label[*target as usize];
-                    *target = pc_of_label[*target as usize];
-                }
+            c.entry_pc = vec![0, c.pc_of_label[1]];
+            if hop.is_some() {
+                c.entry_pc.push(c.pc_of_label[3]);
             }
-            let prog = Program {
-                code,
-                pc_of_label,
-                fun_of_label,
-                funs,
-                frame_map,
-                main: 0,
-                global_infinite: vec![0, 0],
-                exn_names: vec![],
-                result_ty: LTy::Int,
-                data: DataEnv::default(),
-            };
+            let prog = program(&code, c, funs, 2);
             for fusion in [Fusion::Off, Fusion::Full] {
                 let out = Vm::new(&prog, Rt::new(cfg.clone()))
                     .with_fusion(fusion)
@@ -448,7 +486,7 @@ mod frames {
         }
     }
 
-    fn shape(nargs: u16, nf: u16, nfinite: u32, temps: u32) -> Shape {
+    fn shape(nargs: u32, nf: u32, nfinite: u32, temps: u32) -> Shape {
         Shape {
             nargs,
             nf,
@@ -513,41 +551,28 @@ mod frames {
     /// the operand stack instead, the same box does (the control).
     #[test]
     fn a_dead_finite_box_roots_nothing() {
-        const N: u16 = 8;
+        const N: u32 = 8;
         let copied = |keep: bool| {
-            let k = scalar;
-            let mut code: Vec<Instr> = (0..N).map(|i| Instr::PushConst(k(i as i64))).collect();
+            let mut code: Vec<(Op, Args)> = (0..N).map(|i| push_const(scalar(i as i64))).collect();
             code.extend([
-                Instr::MkRecord {
-                    n: N,
-                    at: RegSlot::Global(0),
-                },
-                Instr::MkRecord {
-                    n: 1,
-                    at: RegSlot::Finite(0),
-                },
+                mk_record(N, RegSlot::Global(0)),
+                mk_record(1, RegSlot::Finite(0)),
             ]);
             if !keep {
-                code.push(Instr::Pop);
+                code.push((Op::Pop, Args::ZERO));
             }
-            code.extend([Instr::GcCheck, Instr::PushConst(k(1)), Instr::Halt]);
-            let prog = Program {
-                code,
+            code.extend([
+                (Op::GcCheck, Args::ZERO),
+                push_const(scalar(1)),
+                (Op::Halt, Args::ZERO),
+            ]);
+            let c = ThreadedCode {
                 pc_of_label: vec![0],
                 fun_of_label: vec![0],
-                funs: vec![FunInfo {
-                    entry: 0,
-                    nlocals: 2,
-                    nfinite: 2,
-                    name: "<main>".into(),
-                }],
-                frame_map: vec![],
-                main: 0,
-                global_infinite: vec![0],
-                exn_names: vec![],
-                result_ty: LTy::Int,
-                data: DataEnv::default(),
+                entry_pc: vec![0],
+                ..ThreadedCode::default()
             };
+            let prog = program(&code, c, vec![frame(2, 2, "<main>")], 1);
             [Fusion::Off, Fusion::Full].map(|fusion| {
                 let mut rt = Rt::new(RtConfig::rgt());
                 rt.gc_needed = true;

@@ -7,7 +7,7 @@
 //! under its own fuel, memory and wall-clock quota; compiled programs are
 //! shared immutably across workers through an `Arc<PreparedProgram>`
 //! cache keyed by `(mode, source)`, so a program submitted by
-//! many tenants is compiled and translated once.
+//! many tenants is compiled and prepared once.
 //!
 //! The overload-survival layer (PR 10) sheds at *admission*, where a
 //! refusal costs a queue-lock acquisition and one response frame, never

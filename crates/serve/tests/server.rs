@@ -143,6 +143,19 @@ fn compile_errors_and_bad_frames_get_typed_statuses() {
     assert_eq!(resp.status, Status::CompileError);
     assert!(!resp.result.is_empty());
 
+    // A tuple wider than a region page, in an infinite region, is refused
+    // by the compiler; the worker used to panic allocating it.
+    let fields: Vec<String> = (1..254).map(|i| i.to_string()).collect();
+    let wide = format!(
+        "fun mk 0 = [] | mk k = (k, {}) :: mk (k - 1)\nval it = length (mk 3)",
+        fields.join(", ")
+    );
+    let resp = client
+        .call(Mode::Rgt, DispatchMode::Threaded, None, None, &wide)
+        .expect("call");
+    assert_eq!(resp.status, Status::CompileError, "{}", resp.result);
+    assert!(resp.result.contains("255 words"), "{}", resp.result);
+
     // A syntactically valid frame with an unknown mode byte gets a
     // BadRequest response before the connection closes.
     use std::io::Write;

@@ -136,6 +136,15 @@ if grep -rnwE 'fast_int_cmp|fast_int_arith|read_addr_outside_heap|write_addr_out
     echo "verify: a prim path beside the fast path is back (see above)" >&2
     exit 1
 fi
+echo "==> deleted names stay deleted, as whole words: the instruction enum the"
+echo "    compiler emitted, its one-to-one re-encoding into the engine's"
+echo "    opcodes and the second disassembler (the compiler emits what the"
+echo "    engine runs)"
+if grep -rnwE 'Instr|push_instr|disassemble_threaded|Op::of' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
+    echo "verify: a second encoding of the instruction set is back (see above)" >&2
+    exit 1
+fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -174,14 +183,14 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR39.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR42.json in r, gt,"
 echo "    rgt and the generational baseline, both fusion levels; writes"
 echo "    nothing (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR39.json
+    --check-counts BENCH_PR42.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"

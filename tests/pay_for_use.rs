@@ -5,7 +5,7 @@
 //! prelude's start-up collections used to hide stays fixed.
 
 use kit::{oracle, Compiler, Fusion, Mode};
-use kit_kam::instr::Instr;
+use kit_kam::threaded::{Args, Op};
 
 /// Every function the prelude declares at top level, and `rev`'s and
 /// `length`'s inner loop.
@@ -75,27 +75,28 @@ fn a_saturated_call_of_a_curried_function_is_one_known_tail_call() {
         for mode in Mode::ALL {
             let prog = Compiler::new(mode).compile_source(src).unwrap();
             let ctx = format!("{program} [{mode}] {function}");
-            let info = prog.funs.iter().find(|f| f.name == function).expect(&ctx);
-            let entry = info.entry as usize;
-            let body: Vec<&Instr> = prog.code[entry..]
+            let fun = prog
+                .funs
                 .iter()
-                .take_while(|i| !matches!(i, Instr::Ret))
+                .position(|f| f.name == function)
+                .expect(&ctx);
+            let entry = prog.code.entry_pc[fun];
+            let body: Vec<(Op, &Args)> = (prog.code.ops.iter().copied())
+                .zip(&prog.code.args)
+                .skip(entry as usize)
+                .take_while(|(op, _)| *op != Op::Ret)
                 .collect();
-            let self_calls: Vec<&&Instr> = body
-                .iter()
-                .filter(|i| matches!(i, Instr::Call { target, .. } if *target == info.entry))
+            let self_calls: Vec<&Args> = (body.iter())
+                .filter(|(op, x)| *op == Op::Call && x.t == entry)
+                .map(|(_, x)| *x)
                 .collect();
             assert!(
-                matches!(self_calls[..], [Instr::Call { nargs, tail: true, .. }] if *nargs == arity),
+                matches!(self_calls[..], [x] if x.n == arity && x.flag),
                 "{ctx}: {self_calls:?}"
             );
-            let count = |p: fn(&Instr) -> bool| body.iter().filter(|i| p(i)).count();
-            assert_eq!(count(|i| matches!(i, Instr::LetRegion { .. })), 0, "{ctx}");
-            assert_eq!(
-                count(|i| matches!(i, Instr::CallClos { .. })),
-                closure_calls,
-                "{ctx}"
-            );
+            let count = |want: Op| body.iter().filter(|(op, _)| *op == want).count();
+            assert_eq!(count(Op::LetRegion), 0, "{ctx}");
+            assert_eq!(count(Op::CallClos), closure_calls, "{ctx}");
             // A closure is a record of a code label; every label a program
             // can put in one is an anonymous function's or a stub's.
             let anonymous = prog.funs.iter().filter(|f| f.name == "fn").count();
