@@ -141,6 +141,9 @@ const SIZE_SHIFT: u32 = 5;
 const INFO_SHIFT: u32 = 29;
 
 impl Tag {
+    /// The largest `size` the tag word's 24-bit size field holds.
+    pub const MAX_SIZE: u32 = 0xFF_FFFF;
+
     /// Encodes the tag as an (odd) word.
     #[inline]
     pub fn encode(self) -> Word {
@@ -170,13 +173,18 @@ impl Tag {
         Tag {
             kind,
             mark: (w >> MARK_SHIFT) & 1 == 1,
-            size: ((w >> SIZE_SHIFT) & 0xFF_FFFF) as u32,
+            size: ((w >> SIZE_SHIFT) & Tag::MAX_SIZE as u64) as u32,
             info: ((w >> INFO_SHIFT) & 0xFF_FFFF) as u32,
         }
     }
 
     /// A record tag with `size` fields.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `size` exceeds [`Tag::MAX_SIZE`].
     pub fn record(size: u32) -> Tag {
+        debug_assert!(size <= Tag::MAX_SIZE, "record of {size} fields");
         Tag {
             kind: Kind::Record,
             size,
@@ -186,7 +194,12 @@ impl Tag {
     }
 
     /// A constructor tag.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `size` exceeds [`Tag::MAX_SIZE`].
     pub fn con(ctor: u32, size: u32) -> Tag {
+        debug_assert!(size <= Tag::MAX_SIZE, "constructor of {size} fields");
         Tag {
             kind: Kind::Con,
             size,
@@ -279,7 +292,7 @@ mod tests {
             Tag::exn(12, 1),
             Tag {
                 kind: Kind::Con,
-                size: 0xFF_FFFF,
+                size: Tag::MAX_SIZE,
                 info: 0xAB_CDEF,
                 mark: true,
             },
