@@ -1,7 +1,8 @@
 //! Soak runner: the randomized differential from `tests/randomized.rs`,
 //! promoted to a binary so it can run for arbitrarily many cases with full
-//! configuration fuzzing, each case with fusion off and on, and against
-//! the reference evaluator.
+//! configuration fuzzing. Every run goes through the one harness,
+//! `kit_bench::differential::Differential`: fusion off against on, and
+//! both against the reference evaluator, which runs once per case.
 //!
 //! Usage: `cargo run -p kit-bench --release --bin soak --
 //!         [--cases N] [--seed S] [--surface int|full]`
@@ -25,6 +26,7 @@
 //! (`scripts/verify.sh` wires in short runs of both surfaces) fails loudly.
 
 use kit::{Compiler, Mode};
+use kit_bench::differential::Differential;
 use kit_bench::randgen::{self, Surface};
 
 const FUEL: u64 = 10_000_000;
@@ -62,6 +64,7 @@ fn main() {
             eprintln!("== GENERATOR BUG (case {case}, seed {seed:#x}): {e} ==\n{src}\n");
             continue;
         }
+        let differential = Differential::new(&src);
         for mode in Mode::ALL_WITH_BASELINE {
             // Default configuration, then one fuzzed configuration per
             // mode — tiny pages, triggers and heap ratios all move the GC
@@ -69,7 +72,7 @@ fn main() {
             let fuzzed = randgen::fuzz_config(&mut cfg_rng, mode);
             for cfg in [None, Some(&fuzzed)] {
                 runs += 1;
-                if let Err(e) = randgen::differential(&src, mode, cfg, FUEL) {
+                if let Err(e) = differential.check(mode, cfg, FUEL) {
                     failures += 1;
                     eprintln!("== DIVERGENCE (case {case}, seed {seed:#x}) ==\n{e}\n");
                 }

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+pub mod differential;
 pub mod fusion_check;
 pub mod programs;
 pub mod randgen;

@@ -1,7 +1,7 @@
-//! Random program generator and the differential (fusion off against
-//! on, and both against the reference evaluator), shared by the
-//! `randomized` integration test (a short fixed-seed run in CI) and the
-//! `soak` binary (arbitrarily long runs with config fuzzing).
+//! Random program generator and runtime-configuration fuzzing, shared by
+//! the `randomized` integration test (a short fixed-seed run in CI) and
+//! the `soak` binary (arbitrarily long runs with config fuzzing); both
+//! run what it draws through the one harness, [`crate::differential`].
 //!
 //! Two generator surfaces (DESIGN.md §6h):
 //!
@@ -34,7 +34,7 @@
 //! well under the differential's fuel budget.
 
 use crate::programs::SplitMix64;
-use kit::{Compiler, Error, Fusion, Mode, Outcome, VmError};
+use kit::Mode;
 use kit_runtime::config::{Collector, GenPolicy};
 use kit_runtime::RtConfig;
 
@@ -1352,7 +1352,7 @@ fn program_full(rng: &mut SplitMix64) -> String {
 }
 
 // ------------------------------------------------------------------------
-// Config fuzzing and the differential
+// Config fuzzing
 // ------------------------------------------------------------------------
 
 /// The two random streams of soak case `case` under `seed`: one for
@@ -1407,93 +1407,10 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
     cfg
 }
 
-/// Everything deterministic an [`Outcome`] counts: the instruction total
-/// and the whole of `RtStats` with its two wall-clock fields blanked.
-pub fn counters(out: &Outcome) -> String {
-    let mut stats = out.stats.clone();
-    stats.gc_time_ns = 0;
-    stats.gc_pause_max_ns = 0;
-    format!("{} instructions, {stats:?}", out.instructions)
-}
-
-/// Runs `src` on the engine with fusion off (base handlers only) and with
-/// every superinstruction, and holds the two to each other — result,
-/// output, typed error and every counter ([`counters`]) — and what they
-/// compute to the reference evaluator ([`kit::oracle::run_oracle`]): the
-/// rendered result and output, or the exception that escapes. An error
-/// only the machine raises (fuel, page quota, deadline) has no evaluator
-/// counterpart and is held to the other fusion level alone. `Err` carries
-/// enough context to reproduce the divergence by hand (the check, the
-/// field, the configuration and the full source).
-pub fn differential(
-    src: &str,
-    mode: Mode,
-    cfg: Option<&RtConfig>,
-    fuel: u64,
-) -> Result<(), String> {
-    let ctx = || {
-        format!(
-            "{mode} (cfg: {}) on\n{src}",
-            cfg.map_or("default".to_string(), |c| format!(
-                "pages=2^{} init={} ratio={} threshold={:.2} gen={}",
-                c.page_words_log2,
-                c.initial_pages,
-                c.heap_to_live_ratio,
-                c.gc_threshold,
-                matches!(c.collector, Collector::Generational(_))
-            ))
-        )
-    };
-    let [off, full] = [Fusion::Off, Fusion::Full].map(|fusion| {
-        let c = Compiler::new(mode).with_fusion(fusion).with_fuel(fuel);
-        match cfg {
-            Some(cfg) => c.with_config(cfg.clone()),
-            None => c,
-        }
-    });
-    let prog = full
-        .compile_source(src)
-        .map_err(|e| format!("{}: compile: {e}", ctx()))?;
-    let (want, got) = (off.run_program(&prog), full.run_program(&prog));
-    match (&want, &got) {
-        (Ok(w), Ok(g)) => {
-            let (cw, cg) = (counters(w), counters(g));
-            if (&w.result, &w.output, &cw) != (&g.result, &g.output, &cg) {
-                return Err(format!(
-                    "{}: Off vs Full: {:?} {:?} {cw}\nvs {:?} {:?} {cg}",
-                    ctx(),
-                    w.result,
-                    w.output,
-                    g.result,
-                    g.output
-                ));
-            }
-        }
-        (Err(Error::Run(w)), Err(Error::Run(g))) if w == g => {}
-        _ => return Err(format!("{}: Off vs Full: {want:?} vs {got:?}", ctx())),
-    }
-    let computed = match got {
-        Ok(out) => Ok((out.result, out.output)),
-        Err(Error::Run(e @ VmError::UncaughtException { .. })) => Err(e),
-        Err(_) => return Ok(()),
-    };
-    let evaluated = match kit::oracle::run_oracle(src, None) {
-        Ok(o) => Ok((o.result, o.output)),
-        Err(Error::Run(e)) => Err(e),
-        Err(e) => return Err(format!("{}: evaluator: {e}", ctx())),
-    };
-    if computed != evaluated {
-        return Err(format!(
-            "{}: engine {computed:?} vs evaluator {evaluated:?}",
-            ctx()
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kit::Compiler;
 
     /// Every full-surface draw must be well-typed: a compile error here
     /// is a generator bug, not a runtime bug, and would silently turn

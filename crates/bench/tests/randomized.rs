@@ -1,17 +1,20 @@
 //! Randomized differential: small generated programs must behave
 //! identically — result, output, typed error and every counter — with
 //! fusion off and on, in every mode, including on exception paths and
-//! `VmError` outcomes (which the benchmark corpus in `fusion.rs` barely
+//! `VmError` outcomes (which the benchmark corpus in `corpus.rs` barely
 //! exercises), and must compute what the reference evaluator computes.
+//! Every run goes through the one harness,
+//! [`kit_bench::differential::Differential`].
 //!
 //! Two generator surfaces run here: the original int-expression grammar
 //! and the full-MiniML grammar (datatypes, arrays past the large-object
 //! threshold, strings, reals, refs, nested handlers — DESIGN.md §6h).
-//! The generator and comparison live in [`kit_bench::randgen`]; the
-//! `soak` binary runs the same differential for arbitrarily many cases
-//! with full config fuzzing. These tests are the short fixed-seed CI run.
+//! The generator lives in [`kit_bench::randgen`]; the `soak` binary runs
+//! the same harness for arbitrarily many cases with full config fuzzing.
+//! These tests are the short fixed-seed CI run.
 
 use kit::Mode;
+use kit_bench::differential::{on_deep_stack, Differential};
 use kit_bench::programs::SplitMix64;
 use kit_bench::randgen::{self, Surface};
 use kit_runtime::RtConfig;
@@ -21,8 +24,11 @@ const FUEL: u64 = 10_000_000;
 /// One case: the differential under the default config and a
 /// heap-pressure config.
 fn check_case(case: u64, src: &str, modes: &[Mode]) {
+    let differential = Differential::new(src);
     for &mode in modes {
-        randgen::differential(src, mode, None, FUEL).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        if let Err(e) = differential.check(mode, None, FUEL) {
+            panic!("case {case}: {e}");
+        }
     }
     // Heap pressure: tiny pages, and a collection scheduled by every
     // page taken, force collections mid-expression, so GC scheduling
@@ -33,25 +39,14 @@ fn check_case(case: u64, src: &str, modes: &[Mode]) {
         gc_threshold: 1.0,
         ..RtConfig::rgt()
     };
-    randgen::differential(src, Mode::Rgt, Some(&cfg), FUEL)
-        .unwrap_or_else(|e| panic!("case {case}: {e}"));
-}
-
-/// Runs `body` on a thread with a deep stack: the reference evaluator
-/// recurses on the Rust stack for every non-tail call, and its debug-mode
-/// frames on generated programs exceed the default test-thread stack.
-fn with_deep_stack(body: impl FnOnce() + Send + 'static) {
-    std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
-        .spawn(body)
-        .unwrap()
-        .join()
-        .unwrap();
+    if let Err(e) = differential.check(Mode::Rgt, Some(&cfg), FUEL) {
+        panic!("case {case}: {e}");
+    }
 }
 
 #[test]
 fn random_programs_agree_with_the_evaluator_at_both_fusion_levels() {
-    with_deep_stack(|| {
+    on_deep_stack(|| {
         let mut rng = SplitMix64::new(0x5EED_0300);
         for case in 0..48 {
             let src = randgen::program(&mut rng, Surface::Int);
@@ -62,7 +57,7 @@ fn random_programs_agree_with_the_evaluator_at_both_fusion_levels() {
 
 #[test]
 fn random_full_surface_programs_agree_with_the_evaluator_at_both_fusion_levels() {
-    with_deep_stack(|| {
+    on_deep_stack(|| {
         let mut rng = SplitMix64::new(0x5EED_0800);
         for case in 0..20 {
             let src = randgen::program(&mut rng, Surface::Full);

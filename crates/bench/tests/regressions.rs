@@ -10,7 +10,8 @@
 //! pruning of the unused prelude (which had made every program's first
 //! collection happen at start-up, on a grown heap) exposed the last one.
 
-use kit::{oracle, Compiler, Fusion, Mode};
+use kit::{Compiler, Mode};
+use kit_bench::differential::{on_deep_stack, Differential};
 use kit_runtime::RtConfig;
 
 /// `letregion` placement collected a marker's bindable region variables
@@ -99,29 +100,24 @@ fn raise_past_a_region_local(
     )
 }
 
-/// Both fusion levels must return what the reference evaluator returns, under
-/// the default heap and under page pressure.
-fn assert_matches_oracle_everywhere(src: &str) {
-    let want = oracle::run_oracle(src, None).expect("oracle");
+/// The reproducer must agree with the reference evaluator at both fusion
+/// levels ([`Differential`]) in `rgt` under the default heap and under
+/// page pressure, and collect in at least one of them.
+fn agrees_under_pressure_and_collects(src: &str) {
+    let differential = Differential::new(src);
     let pressure = RtConfig {
         initial_pages: 4,
         page_words_log2: 6,
         ..RtConfig::rgt()
     };
-    let mut collected = false;
+    let mut collections = 0;
     for config in [RtConfig::rgt(), pressure] {
-        for fusion in [Fusion::Off, Fusion::Full] {
-            let ctx = format!("{fusion:?}, {} initial pages", config.initial_pages);
-            let out = Compiler::new(Mode::Rgt)
-                .with_config(config.clone())
-                .with_fusion(fusion)
-                .run_source(src)
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_eq!(out.result, want.result, "{ctx}");
-            collected |= out.stats.gc_count > 0;
-        }
+        let out = differential
+            .agreed(Mode::Rgt, Some(&config), u64::MAX)
+            .unwrap_or_else(|e| panic!("{} initial pages: {e}", config.initial_pages));
+        collections += out.stats.gc_count;
     }
-    assert!(collected, "reproducer must actually collect");
+    assert!(collections > 0, "reproducer must actually collect");
 }
 
 /// The stale slot holds an array: a large object, freed with its region,
@@ -129,10 +125,10 @@ fn assert_matches_oracle_everywhere(src: &str) {
 #[test]
 fn raise_handled_in_its_own_frame_leaves_no_root_into_the_popped_region_array() {
     let local = "let val v = array (4, n) in asub (v, 4 + n - n) + alength v end";
-    on_big_stack(move || {
+    on_deep_stack(move || {
         let ints = ("k", "x", "x");
-        assert_matches_oracle_everywhere(&raise_past_a_region_local(local, ints, 4000, 60));
-        assert_matches_oracle_everywhere(&raise_past_a_region_local(local, ints, 40, 40));
+        agrees_under_pressure_and_collects(&raise_past_a_region_local(local, ints, 4000, 60));
+        agrees_under_pressure_and_collects(&raise_past_a_region_local(local, ints, 40, 40));
     });
 }
 
@@ -143,9 +139,9 @@ fn raise_handled_in_its_own_frame_leaves_no_root_into_the_popped_region_array() 
 #[test]
 fn raise_handled_in_its_own_frame_leaves_no_root_into_the_popped_region_boxed() {
     let local = "let val v = build (2, nil) in sum (v, 0) div (n - n) + sum (v, 1) end";
-    on_big_stack(move || {
+    on_deep_stack(move || {
         let triples = ("(k, k + 1, k + 2)", "(x, y, z)", "x + y + z");
-        assert_matches_oracle_everywhere(&raise_past_a_region_local(local, triples, 40, 40));
+        agrees_under_pressure_and_collects(&raise_past_a_region_local(local, triples, 40, 40));
     });
 }
 
@@ -177,32 +173,18 @@ fn dead_heap_cells_pointing_into_popped_frames_are_never_traced() {
         \u{20} if n < 1 then acc + len (keep, 0)\n\
         \u{20} else go (n - 1, keep, (acc + deep (30, n) + len (churn (40, nil), 0)) mod 100003)\n\
         val it = go (300, churn (1500, nil), 0)";
-    on_big_stack(|| {
-        let want = oracle::run_oracle(SRC, None).expect("oracle");
+    on_deep_stack(|| {
+        let differential = Differential::new(SRC);
         let pressure = RtConfig {
             initial_pages: 4,
             page_words_log2: 5,
             ..RtConfig::rgt()
         };
         for mode in [Mode::Gt, Mode::Rgt] {
-            for fusion in [Fusion::Off, Fusion::Full] {
-                let out = Compiler::new(mode)
-                    .with_config(pressure.clone())
-                    .with_fusion(fusion)
-                    .run_source(SRC)
-                    .unwrap_or_else(|e| panic!("{mode} {fusion:?}: {e}"));
-                assert_eq!(out.result, want.result, "{mode} {fusion:?}");
-                assert!(out.stats.gc_count > 5, "{mode} {fusion:?}: must collect");
-            }
+            let out = differential
+                .agreed(mode, Some(&pressure), u64::MAX)
+                .unwrap_or_else(|e| panic!("{mode}: {e}"));
+            assert!(out.stats.gc_count > 5, "{mode}: must collect");
         }
     });
-}
-
-fn on_big_stack(f: impl FnOnce() + Send + 'static) {
-    std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("test thread panicked");
 }

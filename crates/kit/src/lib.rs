@@ -244,11 +244,6 @@ pub struct Compiler {
     mode: Mode,
     config: RtConfig,
     fuel: Option<u64>,
-    /// Relative wall-clock budget, anchored to `Instant::now()` when a
-    /// run starts (so one `Compiler` can serve many runs, each with a
-    /// fresh deadline). An absolute deadline set via
-    /// [`Compiler::with_deadline_at`] lives in `config.deadline` instead.
-    deadline: Option<std::time::Duration>,
     fusion: Fusion,
     fusion_profile: bool,
 }
@@ -260,7 +255,6 @@ impl Compiler {
             mode,
             config: mode.rt_config(),
             fuel: None,
-            deadline: None,
             fusion: Fusion::default(),
             fusion_profile: false,
         }
@@ -311,19 +305,12 @@ impl Compiler {
     }
 
     /// Bounds each run's wall-clock time (the per-request deadline of the
-    /// server): the budget is anchored to `Instant::now()` when the run
-    /// starts, and a run whose clock expires fails with
+    /// server) by an absolute point in time, so queueing delay upstream of
+    /// the run (e.g. time spent in the server's admission queue) counts
+    /// against the budget. A run still going at `deadline` fails with
     /// [`VmError::DeadlineExceeded`] at a `GcCheck` safe point — where the
-    /// page quota is enforced too, at either fusion level (fuel is charged per
-    /// instruction instead).
-    pub fn with_deadline(mut self, budget: std::time::Duration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
-
-    /// Like [`Compiler::with_deadline`] but with an absolute point in
-    /// time, so queueing delay upstream of the run (e.g. time spent in
-    /// the server's admission queue) counts against the budget.
+    /// page quota is enforced too, at either fusion level (fuel is charged
+    /// per instruction instead).
     pub fn with_deadline_at(mut self, deadline: std::time::Instant) -> Self {
         self.config.deadline = Some(deadline);
         self
@@ -452,7 +439,7 @@ impl Compiler {
 
     /// The one VM set-up: a fresh `Rt` and `Vm` per run.
     fn run_executable(&self, prog: &Program, exe: &Executable) -> Result<Outcome, Error> {
-        let rt = Rt::new(self.run_config());
+        let rt = Rt::new(self.config.clone());
         let mut vm = Vm::new(prog, rt).with_fusion(self.fusion);
         if let Some(f) = self.fuel {
             vm = vm.with_fuel(f);
@@ -470,19 +457,6 @@ impl Compiler {
             profile: out.rt.profiler.samples().to_vec(),
             fusion_profile: out.fusion_profile,
         })
-    }
-
-    /// The per-run runtime configuration: the stored config with the
-    /// relative wall-clock budget (if any) anchored to now. When both a
-    /// relative budget and an absolute deadline are set, the earlier one
-    /// wins.
-    fn run_config(&self) -> RtConfig {
-        let mut config = self.config.clone();
-        if let Some(budget) = self.deadline {
-            let at = std::time::Instant::now() + budget;
-            config.deadline = Some(config.deadline.map_or(at, |d| d.min(at)));
-        }
-        config
     }
 
     /// Compiles and runs `src`.

@@ -45,7 +45,7 @@ fn short_deadline_stops_a_divergent_program() {
     for fusion in [Fusion::Off, Fusion::Full] {
         let err = Compiler::new(Mode::Rgt)
             .with_fusion(fusion)
-            .with_deadline(Duration::from_millis(50))
+            .with_deadline_at(Instant::now() + Duration::from_millis(50))
             .run_source(SPIN)
             .expect_err("the spin loop cannot finish");
         match err {
@@ -81,7 +81,7 @@ fn generous_deadline_leaves_execution_bit_identical() {
             .expect("plain run");
         let deadlined = Compiler::new(Mode::Rgt)
             .with_fusion(fusion)
-            .with_deadline(Duration::from_secs(600))
+            .with_deadline_at(Instant::now() + Duration::from_secs(600))
             .run_source(FIB)
             .expect("deadlined run");
         assert_eq!(plain.result, deadlined.result, "{fusion:?}");

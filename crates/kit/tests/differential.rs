@@ -1,130 +1,89 @@
-//! Differential tests: every execution mode (`r`, `rt`, `gt`, `rgt`) must
-//! produce exactly the oracle's rendered result and printed output.
+//! Differential tests: every execution mode (`r`, `rt`, `gt`, `rgt`, and
+//! the generational baseline where a test asks for an answer) must
+//! compute exactly the reference evaluator's rendered result and printed
+//! output, and agree with itself at both fusion levels on everything,
+//! every counter included. Each program goes through the one harness,
+//! `kit_bench::differential::Differential`.
 //!
 //! The `rgt`/`gt` runs additionally execute under severe heap pressure
 //! (tiny initial heap) so collections actually happen mid-computation. A
 //! debug build poisons every page it frees, so the untagged `r` run also
 //! catches a read through a pointer into a popped region.
 
-use kit::oracle::run_oracle;
-use kit::{Compiler, Fusion, Mode};
+use kit::{Compiler, Mode};
+use kit_bench::differential::{answer, on_deep_stack, Differential};
 use kit_runtime::config::{Collector, GenPolicy};
 use kit_runtime::RtConfig;
 
 const FUEL: u64 = 300_000_000;
 
-/// Runs `body` on a thread with a deep stack: the reference evaluator (and
-/// the renderer) recurse per data constructor, and debug-mode frames on
-/// deep structures exceed the default test-thread stack.
-fn with_deep_stack(body: impl FnOnce() + Send) {
-    std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(64 * 1024 * 1024)
-            .spawn_scoped(s, body)
-            .unwrap();
+/// `src` in the four paper modes, then in `gt` and `rgt` on a small heap
+/// of small pages, through the harness: it must run to a value.
+fn agrees(src: &str) {
+    let pressure = RtConfig {
+        initial_pages: 4,
+        page_words_log2: 6,
+        ..RtConfig::rgt()
+    };
+    let runs = Mode::ALL
+        .map(|mode| (mode, None))
+        .into_iter()
+        .chain([Mode::Gt, Mode::Rgt].map(|mode| (mode, Some(&pressure))));
+    on_deep_stack(|| {
+        let differential = Differential::new(src);
+        for (mode, cfg) in runs {
+            if let Err(e) = differential.agreed(mode, cfg, FUEL) {
+                panic!("[{mode}] pressure {}: {e}\n{src}", cfg.is_some());
+            }
+        }
     });
 }
 
-fn check(src: &str) {
-    with_deep_stack(|| check_on_current_thread(src));
-}
-
-#[track_caller]
-fn check_on_current_thread(src: &str) {
-    let oracle = run_oracle(src, Some(FUEL)).unwrap_or_else(|e| panic!("oracle: {e}\n{src}"));
-    for mode in Mode::ALL {
-        let out = Compiler::new(mode)
-            .with_fuel(FUEL)
-            .run_source(src)
-            .unwrap_or_else(|e| panic!("{mode}: {e}\n{src}"));
-        assert_eq!(
-            out.result, oracle.result,
-            "result mismatch in {mode}\n{src}"
-        );
-        assert_eq!(
-            out.output, oracle.output,
-            "output mismatch in {mode}\n{src}"
-        );
-    }
-    // Heap pressure: small pages & heap force many collections.
-    for mode in [Mode::Gt, Mode::Rgt] {
-        let cfg = RtConfig {
-            initial_pages: 4,
-            page_words_log2: 6,
-            ..mode_cfg(mode)
-        };
-        let out = Compiler::new(mode)
-            .with_config(cfg)
-            .with_fuel(FUEL)
-            .run_source(src)
-            .unwrap_or_else(|e| panic!("{mode} (pressure): {e}\n{src}"));
-        assert_eq!(
-            out.result, oracle.result,
-            "pressure result mismatch in {mode}\n{src}"
-        );
-        assert_eq!(
-            out.output, oracle.output,
-            "pressure output mismatch in {mode}\n{src}"
-        );
-    }
-}
-
-fn mode_cfg(mode: Mode) -> RtConfig {
-    match mode {
-        Mode::R => RtConfig::r(),
-        Mode::Rt => RtConfig::rt(),
-        Mode::Gt => RtConfig::gt(),
-        _ => RtConfig::rgt(),
-    }
-}
-
-#[track_caller]
-fn expect_exn(src: &str, name: &str) {
-    for mode in Mode::ALL {
-        let err = Compiler::new(mode)
-            .with_fuel(FUEL)
-            .run_source(src)
-            .expect_err(&format!("{mode} should raise"));
-        assert!(
-            err.to_string().contains(name),
-            "{mode}: expected {name}, got {err}\n{src}"
-        );
-    }
+/// What `src` answers — its result, or the exception that escapes — in
+/// every mode, the baseline too, through the harness: it must be `want`.
+fn answers(src: &str, want: &str) {
+    on_deep_stack(|| {
+        let differential = Differential::new(src);
+        for mode in Mode::ALL_WITH_BASELINE {
+            let agreed = differential.agreed(mode, None, FUEL);
+            assert_eq!(answer(&agreed), want, "[{mode}]\n{src}");
+        }
+    });
 }
 
 #[test]
 fn arithmetic() {
-    check("val it = 2 + 3 * 4 - 1");
-    check("val it = ~7 div 2 + ~7 mod 2");
-    check("val it = (1 < 2, 2 <= 2, 3 > 4, 4 >= 5)");
+    agrees("val it = 2 + 3 * 4 - 1");
+    agrees("val it = ~7 div 2 + ~7 mod 2");
+    agrees("val it = (1 < 2, 2 <= 2, 3 > 4, 4 >= 5)");
 }
 
 #[test]
 fn lists_and_prelude() {
-    check("val it = length [1,2,3]");
-    check("val it = rev [1,2,3]");
-    check("val it = map (fn x => x * x) (upto (1, 10))");
-    check("val it = foldl op+ 0 (upto (1, 100))");
-    check("val it = [1,2] @ [3,4]");
-    check("val it = filter (fn x => x mod 2 = 0) (upto (1, 20))");
+    agrees("val it = length [1,2,3]");
+    agrees("val it = rev [1,2,3]");
+    agrees("val it = map (fn x => x * x) (upto (1, 10))");
+    agrees("val it = foldl op+ 0 (upto (1, 100))");
+    agrees("val it = [1,2] @ [3,4]");
+    agrees("val it = filter (fn x => x mod 2 = 0) (upto (1, 20))");
 }
 
 #[test]
 fn recursion_and_hofs() {
-    check("fun fib n = if n < 2 then n else fib (n-1) + fib (n-2) val it = fib 18");
-    check(
+    agrees("fun fib n = if n < 2 then n else fib (n-1) + fib (n-2) val it = fib 18");
+    agrees(
         "fun even 0 = true | even n = odd (n-1)
          and odd 0 = false | odd n = even (n-1)
          val it = (even 100, odd 99)",
     );
-    check("fun twice f x = f (f x) val it = twice (twice (fn n => n + 1)) 0");
-    check("fun compose2 f g = f o g val it = (compose2 (fn x => x*2) (fn x => x+1)) 10");
+    agrees("fun twice f x = f (f x) val it = twice (twice (fn n => n + 1)) 0");
+    agrees("fun compose2 f g = f o g val it = (compose2 (fn x => x*2) (fn x => x+1)) 10");
 }
 
 #[test]
 fn currying_and_closures() {
-    check("fun add x y = x + y  val add3 = add 3  val it = add3 4 + add3 5");
-    check(
+    agrees("fun add x y = x + y  val add3 = add 3  val it = add3 4 + add3 5");
+    agrees(
         "fun counter start =
            let val r = ref start
            in fn () => (r := !r + 1; !r) end
@@ -133,7 +92,7 @@ fn currying_and_closures() {
          val _ = c ()
          val it = c ()",
     );
-    check(
+    agrees(
         "fun make n = fn x => x + n
          val fs = map make [1, 2, 3]
          val it = map (fn f => f 10) fs",
@@ -142,7 +101,7 @@ fn currying_and_closures() {
 
 #[test]
 fn datatypes_and_patterns() {
-    check(
+    agrees(
         "datatype 'a tree = Leaf | Node of 'a tree * 'a * 'a tree
          fun insert (Leaf, x) = Node (Leaf, x, Leaf)
            | insert (Node (l, y, r), x) =
@@ -152,14 +111,14 @@ fn datatypes_and_patterns() {
          val t = foldl (fn (x, acc) => insert (acc, x)) Leaf [5, 2, 8, 1, 9, 3]
          val it = sum t",
     );
-    check(
+    agrees(
         "datatype shape = Circle of real | Rect of real * real | Point
          fun area (Circle r) = floor (r * r * 3.0)
            | area (Rect (w, h)) = floor (w * h)
            | area Point = 0
          val it = area (Circle 2.0) + area (Rect (3.0, 4.0)) + area Point",
     );
-    check(
+    agrees(
         "datatype colour = Red | Green | Blue
          fun next Red = Green | next Green = Blue | next Blue = Red
          val it = next (next Red)",
@@ -168,7 +127,7 @@ fn datatypes_and_patterns() {
 
 #[test]
 fn deep_data_survives_collection() {
-    check(
+    agrees(
         "fun build 0 = nil | build n = (n, n * 2) :: build (n - 1)
          fun total nil = 0 | total ((a, b) :: xs) = a + b + total xs
          val it = total (build 2000)",
@@ -177,26 +136,26 @@ fn deep_data_survives_collection() {
 
 #[test]
 fn reals() {
-    check("val it = floor (2.5 + 0.25 * 2.0)");
-    check("val pi = 3.14159 val it = floor (pi * 100.0)");
-    check("val it = floor (sqrt 16.0) + trunc ~2.7");
-    check("val it = if 1.5 < 2.5 andalso 2.5 <= 2.5 then 1 else 0");
+    agrees("val it = floor (2.5 + 0.25 * 2.0)");
+    agrees("val pi = 3.14159 val it = floor (pi * 100.0)");
+    agrees("val it = floor (sqrt 16.0) + trunc ~2.7");
+    agrees("val it = if 1.5 < 2.5 andalso 2.5 <= 2.5 then 1 else 0");
 }
 
 #[test]
 fn strings() {
-    check("val it = \"a\" ^ \"b\" ^ itos 42");
-    check("val it = size (concat [\"aa\", \"bbb\", \"c\"])");
-    check("val it = (\"abc\" < \"abd\", \"b\" < \"a\", \"x\" = \"x\")");
-    check("val _ = print (\"hello \" ^ itos 1 ^ \"\\n\") val it = 0");
-    check("val it = strsub (\"AZ\", 1)");
+    agrees("val it = \"a\" ^ \"b\" ^ itos 42");
+    agrees("val it = size (concat [\"aa\", \"bbb\", \"c\"])");
+    agrees("val it = (\"abc\" < \"abd\", \"b\" < \"a\", \"x\" = \"x\")");
+    agrees("val _ = print (\"hello \" ^ itos 1 ^ \"\\n\") val it = 0");
+    agrees("val it = strsub (\"AZ\", 1)");
 }
 
 #[test]
 fn equality() {
-    check("val it = [1,2,3] = [1,2,3]");
-    check("val it = (1, (true, \"s\")) = (1, (true, \"s\"))");
-    check(
+    agrees("val it = [1,2,3] = [1,2,3]");
+    agrees("val it = (1, (true, \"s\")) = (1, (true, \"s\"))");
+    agrees(
         "datatype t = A | B of int * t
          val it = (B (1, B (2, A)) = B (1, B (2, A)), B (1, A) = B (2, A))",
     );
@@ -204,66 +163,43 @@ fn equality() {
 
 #[test]
 fn exceptions() {
-    check("val it = (1 div 0) handle Div => 42");
-    check(
+    agrees("val it = (1 div 0) handle Div => 42");
+    agrees(
         "exception Found of int
          fun find p nil = raise Found ~1
            | find p (x :: xs) = if p x then x else find p xs
          val it = (find (fn x => x > 100) [1, 2, 3]) handle Found n => n",
     );
-    check(
+    agrees(
         "exception A exception B of string
          fun f 0 = raise A | f 1 = raise B \"one\" | f n = n
          val it = ((f 0 handle A => 10) + (f 1 handle B s => size s) + f 5)",
     );
-    check("val it = ((1 div 0) handle Subscript => 1) handle Div => 2");
-    expect_exn("val it = 1 div 0", "Div");
-    expect_exn("val it = hd nil", "Match");
-    expect_exn("val a = array (2, 0) val it = asub (a, 2)", "Subscript");
+    agrees("val it = ((1 div 0) handle Subscript => 1) handle Div => 2");
+    answers("val it = 1 div 0", "uncaught Div");
+    answers("val it = hd nil", "uncaught Match");
+    answers(
+        "val a = array (2, 0) val it = asub (a, 2)",
+        "uncaught Subscript",
+    );
 }
 
 #[test]
 fn refs_arrays_loops() {
-    check(
+    agrees(
         "val acc = ref 0
          val i = ref 0
          val _ = while !i < 100 do (acc := !acc + !i; i := !i + 1)
          val it = !acc",
     );
-    check(
+    agrees(
         "val a = array (20, 0)
          fun fill i = if i >= 20 then () else (aupdate (a, i, i * i); fill (i + 1))
          val _ = fill 0
          fun total (i, acc) = if i >= 20 then acc else total (i + 1, acc + asub (a, i))
          val it = total (0, 0)",
     );
-    check("val r = ref [1,2] val _ = r := 0 :: !r val it = !r");
-}
-
-/// What `src` answers — its result, or the exception that escapes — in
-/// every mode, the baseline too, at both fusion levels: the reference
-/// evaluator's answer, which must be `want`.
-#[track_caller]
-fn check_answer(src: &str, want: &str) {
-    let answer = |r: Result<String, kit::Error>| match r {
-        Ok(result) => result,
-        Err(kit::Error::Run(kit::VmError::UncaughtException { name, .. })) => {
-            format!("uncaught {name}")
-        }
-        Err(e) => format!("error: {e}"),
-    };
-    let oracle = run_oracle(src, Some(FUEL)).map(|o| o.result);
-    assert_eq!(answer(oracle), want, "evaluator\n{src}");
-    for mode in Mode::ALL_WITH_BASELINE {
-        for fusion in [Fusion::Off, Fusion::Full] {
-            let out = Compiler::new(mode)
-                .with_fusion(fusion)
-                .with_fuel(FUEL)
-                .run_source(src)
-                .map(|o| o.result);
-            assert_eq!(answer(out), want, "[{mode}] {fusion:?}\n{src}");
-        }
-    }
+    agrees("val r = ref [1,2] val _ = r := 0 :: !r val it = !r");
 }
 
 /// `asub` and `aupdate` one below the bounds, at the length and at
@@ -282,20 +218,20 @@ fn array_bounds() {
             format!("{a}{set}val it = set (3, a, {i})"),
         ];
         for src in cases {
-            check_answer(&src, "uncaught Subscript");
+            answers(&src, "uncaught Subscript");
         }
-        check_answer(
+        answers(
             &format!("{a}{get}val it = (get (3, a, {i}) handle Subscript => 35) + asub (a, 2)"),
             "42",
         );
     }
-    check_answer(
+    answers(
         &format!("{a}{set}val _ = set (3, a, 0) val _ = aupdate (a, 2, 9)\nval it = (asub (a, 0), asub (a, 1), asub (a, 2), alength a)"),
         "(5, 7, 9, 3)",
     );
-    check_answer("val it = alength (array (0, 7))", "0");
-    check_answer("val it = asub (array (0, 7), 0)", "uncaught Subscript");
-    check_answer(
+    answers("val it = alength (array (0, 7))", "0");
+    answers("val it = asub (array (0, 7), 0)", "uncaught Subscript");
+    answers(
         "val it = aupdate (array (0, 7), 0, 1)",
         "uncaught Subscript",
     );
@@ -326,7 +262,7 @@ fn branch_on_an_array_element() {
         (format!("{a}{count}val it = count (0, 0)"), "2"),
     ];
     for (src, want) in cases {
-        check_answer(&src, want);
+        answers(&src, want);
     }
 }
 
@@ -346,8 +282,6 @@ fn a_list_stored_into_a_tenured_array_survives_minor_collections() {
                \u{20}  else total (i + 1, acc + foldl op+ 0 (asub (tab (), i)))\n\
                val n = fill 0\n\
                val it = (n, total (0, 0))";
-    let want = run_oracle(src, None).unwrap().result;
-    assert_eq!(want, "(2400, 168)");
     let config = RtConfig {
         collector: Collector::Generational(GenPolicy {
             nursery_pages: 2,
@@ -355,32 +289,28 @@ fn a_list_stored_into_a_tenured_array_survives_minor_collections() {
         }),
         ..RtConfig::gt()
     };
-    for fusion in [Fusion::Off, Fusion::Full] {
-        let out = Compiler::new(Mode::Baseline)
-            .with_config(config.clone())
-            .with_fusion(fusion)
-            .run_source(src)
-            .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
-        assert_eq!(out.result, want, "{fusion:?}");
-        assert!(
-            out.stats.minor_gcs >= 8,
-            "{fusion:?}: {} minor collections",
-            out.stats.minor_gcs
-        );
-    }
+    let out = Differential::new(src)
+        .agreed(Mode::Baseline, Some(&config), u64::MAX)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(out.result, "(2400, 168)");
+    assert!(
+        out.stats.minor_gcs >= 8,
+        "{} minor collections",
+        out.stats.minor_gcs
+    );
 }
 
 #[test]
 fn escaping_closures_and_regions() {
     // The §2.6 shape: a closure captures a pair it never uses.
-    check(
+    agrees(
         "fun f x = 17
          fun g v = fn y => f v + y
          val h = g (2, 3)
          val it = h 5",
     );
     // Closure capturing data that must survive region exits.
-    check(
+    agrees(
         "fun make () = let val data = upto (1, 50) in fn () => length data end
          val f = make ()
          val it = f () + f ()",
@@ -389,7 +319,7 @@ fn escaping_closures_and_regions() {
 
 #[test]
 fn region_polymorphic_recursion_survives() {
-    check(
+    agrees(
         "fun msort nil = nil
            | msort [x] = [x]
            | msort xs =
@@ -413,7 +343,7 @@ fn region_polymorphic_recursion_survives() {
 
 #[test]
 fn printing_order_is_preserved() {
-    check(
+    agrees(
         "fun show n = print (itos n ^ \" \")
          val _ = app show (upto (1, 10))
          val it = ()",
@@ -422,7 +352,7 @@ fn printing_order_is_preserved() {
 
 #[test]
 fn large_tail_recursion() {
-    check(
+    agrees(
         "fun go (0, acc) = acc | go (n, acc) = go (n - 1, acc + n)
          val it = go (200000, 0)",
     );
@@ -430,8 +360,8 @@ fn large_tail_recursion() {
 
 #[test]
 fn polymorphic_functions_shared_across_types() {
-    check("val it = (length (map id [1,2,3]), length (map id [true, false]))");
-    check("val p = (id 1, id \"x\", id 2.5) val it = p");
+    agrees("val it = (length (map id [1,2,3]), length (map id [true, false]))");
+    agrees("val p = (id 1, id \"x\", id 2.5) val it = p");
 }
 
 #[test]

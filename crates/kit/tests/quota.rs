@@ -5,6 +5,7 @@
 //! failed in between.
 
 use kit::{Compiler, Error, Fusion, Mode, VmError};
+use kit_bench::differential::on_deep_stack;
 
 const BUILD: &str = "fun build 0 = nil | build n = n :: build (n-1)\nval it = length (build 40000)";
 const FIB: &str = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval it = fib 15";
@@ -130,11 +131,7 @@ fn the_cap_charges_pages_in_use_not_the_arena_high_water() {
             .with_max_heap_pages(cap)
             .run_source(SRC)
     };
-    let handle = std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
-        .spawn(move || (run(1), run(CAP)))
-        .unwrap();
-    let (tight, capped) = handle.join().unwrap();
+    let (tight, capped) = on_deep_stack(|| (run(1), run(CAP)));
     // The pages in use at a safe point never exceed two.
     assert_eq!(
         tight.expect_err("two pages exceed a cap of one"),

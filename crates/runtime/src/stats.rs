@@ -32,16 +32,24 @@ pub struct GcRecord {
 }
 
 impl GcRecord {
+    /// `RI`'s term: pages recycled by region inference,
+    /// `L_i + A_p − A_{i+1}` (at least 0), out of the pages reclaimed in
+    /// all, `L_i + A_p − L_{i+1}`. `None` when nothing was reclaimed.
+    fn ri_term(&self) -> Option<(f64, f64)> {
+        let before = self.prev_live_pages as f64 + self.pages_requested as f64;
+        let total = before - self.live_pages as f64;
+        (total > 0.0).then(|| ((before - self.from_pages as f64).max(0.0), total))
+    }
+
+    /// `W`'s term: unused words out of the from-space payload words.
+    fn waste_term(&self) -> (f64, f64) {
+        (self.waste_words as f64, self.from_space_words as f64)
+    }
+
     /// Fraction of reclaimed memory recycled by region inference (`RI` in
     /// Table 3). `None` when nothing was reclaimed.
     pub fn ri_fraction(&self) -> Option<f64> {
-        let total =
-            self.prev_live_pages as f64 + self.pages_requested as f64 - self.live_pages as f64;
-        if total <= 0.0 {
-            return None;
-        }
-        let ri = self.prev_live_pages as f64 + self.pages_requested as f64 - self.from_pages as f64;
-        Some((ri / total).clamp(0.0, 1.0))
+        fraction(self.ri_term())
     }
 
     /// Fraction reclaimed by the garbage collector (`GC` in Table 3).
@@ -51,12 +59,16 @@ impl GcRecord {
 
     /// Waste: unused page space as a fraction of allocated page space.
     pub fn waste_fraction(&self) -> f64 {
-        if self.from_space_words == 0 {
-            0.0
-        } else {
-            self.waste_words as f64 / self.from_space_words as f64
-        }
+        fraction([self.waste_term()]).unwrap_or(0.0)
     }
+}
+
+/// The sum of the parts over the sum of the wholes of `terms`, clamped to
+/// `[0, 1]`; `None` when the wholes sum to 0. One record's fraction and
+/// a run's aggregate are the same formula.
+fn fraction(terms: impl IntoIterator<Item = (f64, f64)>) -> Option<f64> {
+    let (part, whole) = (terms.into_iter()).fold((0.0, 0.0), |(p, w), (a, b)| (p + a, w + b));
+    (whole > 0.0).then(|| (part / whole).clamp(0.0, 1.0))
 }
 
 /// Cumulative runtime statistics.
@@ -120,35 +132,12 @@ impl RtStats {
 
     /// Aggregate RI fraction over all collections (Table 3, `RI`).
     pub fn ri_fraction(&self) -> Option<f64> {
-        let mut ri = 0.0;
-        let mut total = 0.0;
-        for r in &self.gc_records {
-            let t = r.prev_live_pages as f64 + r.pages_requested as f64 - r.live_pages as f64;
-            if t > 0.0 {
-                let x = r.prev_live_pages as f64 + r.pages_requested as f64 - r.from_pages as f64;
-                ri += x.max(0.0);
-                total += t;
-            }
-        }
-        if total > 0.0 {
-            Some((ri / total).clamp(0.0, 1.0))
-        } else {
-            None
-        }
+        fraction(self.gc_records.iter().filter_map(GcRecord::ri_term))
     }
 
     /// Aggregate waste fraction over all collections (Table 3, `W`).
     pub fn waste_fraction(&self) -> Option<f64> {
-        let (mut w, mut t) = (0.0, 0.0);
-        for r in &self.gc_records {
-            w += r.waste_words as f64;
-            t += r.from_space_words as f64;
-        }
-        if t > 0.0 {
-            Some(w / t)
-        } else {
-            None
-        }
+        fraction(self.gc_records.iter().map(GcRecord::waste_term))
     }
 }
 

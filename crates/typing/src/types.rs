@@ -43,8 +43,14 @@ impl TypeError {
 }
 
 impl fmt::Display for TypeError {
+    /// `line N: message`, or the message alone for an error that has no
+    /// source position (`Span::synthetic`, line 0).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.span, self.message)
+        if self.span.line == 0 {
+            write!(f, "{}", self.message)
+        } else {
+            write!(f, "{}: {}", self.span, self.message)
+        }
     }
 }
 

@@ -21,9 +21,10 @@ echo "==> every crate's tests build in release too (no test helper hides"
 echo "    behind debug_assertions)"
 cargo test --release --workspace --no-run -q
 
-echo "==> fusion equivalence (Off = Full on every counter) over the corpus,"
-echo "    five modes (release)"
-cargo test --release -p kit-bench --test fusion -q
+echo "==> the corpus through the one differential harness: every program in"
+echo "    five modes (gt and rgt again at gc_threshold 1.0) agrees with the"
+echo "    evaluator, and Off = Full on every counter (release)"
+cargo test --release -p kit-bench --test corpus -q
 
 echo "==> randomized differential: generated programs agree with the"
 echo "    evaluator, and Off = Full on every counter (release)"
@@ -145,6 +146,15 @@ if grep -rnwE 'Instr|push_instr|disassemble_threaded|Op::of' \
     echo "verify: a second encoding of the instruction set is back (see above)" >&2
     exit 1
 fi
+echo "==> deleted names stay deleted, as whole words: the hand-written copies"
+echo "    of the differential and the deep-stack wrappers (one harness,"
+echo "    kit_bench::differential, and one on_deep_stack), and the relative"
+echo "    deadline (with_deadline_at is the one deadline)"
+if grep -rnwE 'check_on_current_thread|assert_matches_oracle_everywhere|on_big_stack|with_deep_stack|with_deadline' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
+    echo "verify: a second differential, stack wrapper or relative deadline is back (see above)" >&2
+    exit 1
+fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -183,14 +193,14 @@ cargo run --release -q -p kit-bench --bin bench-summary -- \
          END { exit bad || !rows }'
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR42.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR47.json in r, gt,"
 echo "    rgt and the generational baseline, both fusion levels; writes"
 echo "    nothing (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR42.json
+    --check-counts BENCH_PR47.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"

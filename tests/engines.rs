@@ -2,8 +2,11 @@
 //! the differential oracle) and on (every superinstruction, the
 //! production setting) must agree bit for bit on two small programs in
 //! all four paper modes — and with the `kit-lambda` reference evaluator on
-//! what the program computes. The corpus-wide and randomized versions
-//! live in `crates/bench/tests` and run from `scripts/verify.sh`.
+//! what the program computes. Every such comparison goes through the one
+//! harness, [`kit_bench::differential::Differential`]; the tests here add
+//! their own assertions to what it returns. The corpus-wide and
+//! randomized versions live in `crates/bench/tests` and run from
+//! `scripts/verify.sh`.
 //!
 //! The same runs are held to recorded counts ([`PINS`]), so a change to
 //! the machine's *mechanism* (allocator, frame push, collector kernel)
@@ -19,13 +22,14 @@
 //! only through results: its fused stream must be a regrouping of the
 //! unfused stream (`kit_bench::fusion_check`).
 
-use kit::{oracle, Compiler, Fusion, Mode, RtConfig};
+use kit::{Compiler, Fusion, Mode, RtConfig};
 use kit_bench::by_name;
+use kit_bench::differential::{answer, Differential};
 use kit_bench::fusion_check::assert_fusion_regroups;
-use kit_bench::randgen::counters;
 use kit_runtime::config::{Collector, GenPolicy};
 
-/// Both fusion levels, the oracle first.
+/// Both fusion levels, the oracle first, for the tests that run the
+/// engine themselves.
 const FUSIONS: [Fusion; 2] = [Fusion::Off, Fusion::Full];
 
 /// `[instructions, words_allocated, allocations, gc_count,
@@ -71,26 +75,15 @@ fn oracle_and_production_engine_agree_in_every_mode() {
     let mut collected = false;
     for (name, scale, pins) in PINS {
         let src = by_name(name).unwrap().source_scaled(scale);
-        let want = oracle::run_oracle(&src, None).unwrap_or_else(|e| panic!("{name} oracle: {e}"));
+        let differential = Differential::new(&src);
         for (mode, pin) in Mode::ALL.into_iter().zip(pins) {
-            let [reference, production] = FUSIONS.map(|fusion| {
-                Compiler::new(mode)
-                    .with_fusion(fusion)
-                    .run_source(&src)
-                    .unwrap_or_else(|e| panic!("{name} [{mode}] {fusion:?}: {e}"))
-            });
-            assert_eq!(
-                reference.result, want.result,
-                "{name} [{mode}] vs evaluator"
-            );
-            assert_eq!(
-                reference.output, want.output,
-                "{name} [{mode}] vs evaluator"
-            );
-            let s = &reference.stats;
+            let out = differential
+                .agreed(mode, None, u64::MAX)
+                .unwrap_or_else(|e| panic!("{name} [{mode}]: {e}"));
+            let s = &out.stats;
             assert_eq!(
                 [
-                    reference.instructions,
+                    out.instructions,
                     s.words_allocated,
                     s.allocations,
                     s.gc_count,
@@ -100,11 +93,7 @@ fn oracle_and_production_engine_agree_in_every_mode() {
                 pin,
                 "{name} [{mode}]: counts moved from the recorded ones"
             );
-            collected |= reference.stats.gc_count > 0;
-            let ctx = format!("{name} [{mode}] Full");
-            assert_eq!(production.result, reference.result, "{ctx}: result");
-            assert_eq!(production.output, reference.output, "{ctx}: output");
-            assert_eq!(counters(&production), counters(&reference), "{ctx}");
+            collected |= s.gc_count > 0;
         }
     }
     assert!(
@@ -202,7 +191,7 @@ const ESCAPE_AT: u64 = 541;
 #[test]
 fn every_collector_agrees_with_the_evaluator_on_both_engines() {
     let src = by_name("churn").unwrap().source_scaled(12);
-    let want = oracle::run_oracle(&src, None).unwrap_or_else(|e| panic!("churn oracle: {e}"));
+    let differential = Differential::new(&src);
     let small = RtConfig {
         initial_pages: 4,
         ..RtConfig::rgt()
@@ -228,24 +217,10 @@ fn every_collector_agrees_with_the_evaluator_on_both_engines() {
     ];
     let mut gc_counts = Vec::new();
     for (collector, mode, config) in collectors {
-        let run = |fusion| {
-            Compiler::new(mode)
-                .with_config(config.clone())
-                .with_fusion(fusion)
-                .run_source(&src)
-                .unwrap_or_else(|e| panic!("churn [{collector}] {fusion:?}: {e}"))
-        };
-        let [reference, production] = FUSIONS.map(run);
-        for out in [&reference, &production] {
-            assert_eq!(out.result, want.result, "churn [{collector}] vs evaluator");
-            assert_eq!(out.output, want.output, "churn [{collector}] vs evaluator");
-        }
-        assert_eq!(
-            counters(&production),
-            counters(&reference),
-            "churn [{collector}]: the fusion levels count differently"
-        );
-        let s = &reference.stats;
+        let out = differential
+            .agreed(mode, Some(&config), u64::MAX)
+            .unwrap_or_else(|e| panic!("churn [{collector}]: {e}"));
+        let s = &out.stats;
         assert!(s.gc_count > 0, "churn [{collector}] never collected");
         assert_eq!(
             s.minor_gcs > 0,
@@ -291,7 +266,10 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
                fun loop (0, acc) = acc\n\
                \u{20} | loop (i, acc) = loop (i - 1, acc + outer (1, [acc, i], i))\n\
                val it = loop (300, 0)";
-    let want = oracle::run_oracle(src, None).unwrap();
+    let differential = Differential::new(src);
+    let Ok(Ok((want, _))) = differential.evaluated() else {
+        panic!("evaluator: {:?}", differential.evaluated());
+    };
     let config = RtConfig {
         initial_pages: 4,
         page_words_log2: 6,
@@ -326,7 +304,7 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
             .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
         let result =
             kit_kam::render::render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
-        assert_eq!(result, want.result, "{fusion:?} vs evaluator");
+        assert_eq!(result, *want, "{fusion:?} vs evaluator");
         out.rt
             .check_page_conservation()
             .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
@@ -395,24 +373,11 @@ fn min_int_div_minus_one_overflows_in_every_mode_and_engine() {
         cases.push((by_a_constant(&format!("a {op} {b}"), a), want));
         cases.push((by_a_constant(&format!("(a - 1) {op} {b}"), a1), want));
     }
-    let answer = |r: Result<String, kit::Error>| match r {
-        Ok(result) => result,
-        Err(kit::Error::Run(kit_kam::VmError::UncaughtException { name, .. })) => {
-            format!("uncaught {name}")
-        }
-        Err(e) => format!("error: {e}"),
-    };
     for (src, want) in &cases {
-        let oracle = oracle::run_oracle(src, None).map(|o| o.result);
-        assert_eq!(answer(oracle), *want, "{src}: evaluator");
+        let differential = Differential::new(src);
         for mode in Mode::ALL_WITH_BASELINE {
-            for fusion in FUSIONS {
-                let out = Compiler::new(mode)
-                    .with_fusion(fusion)
-                    .run_source(src)
-                    .map(|o| o.result);
-                assert_eq!(answer(out), *want, "{src}: [{mode}] {fusion:?}");
-            }
+            let agreed = differential.agreed(mode, None, u64::MAX);
+            assert_eq!(answer(&agreed), *want, "{src}: [{mode}]");
         }
     }
 }
@@ -436,28 +401,15 @@ fn floor_and_trunc_out_of_range_overflow_in_every_mode_and_engine() {
         ("floor", "(~2.5)", "~3"),
         ("trunc", "(~2.5)", "~2"),
     ];
-    let answer = |r: Result<String, kit::Error>| match r {
-        Ok(result) => result,
-        Err(kit::Error::Run(kit_kam::VmError::UncaughtException { name, .. })) => {
-            format!("uncaught {name}")
-        }
-        Err(e) => format!("error: {e}"),
-    };
     for (f, x, want) in table {
         let literal = format!("val it = {f} {x}");
         let through_a_function =
             format!("fun g (0, x) = {f} x | g (k, x) = g (k - 1, x)\nval it = g (3, {x})");
         for src in [literal, through_a_function] {
-            let oracle = oracle::run_oracle(&src, None).map(|o| o.result);
-            assert_eq!(answer(oracle), want, "{src}: evaluator");
+            let differential = Differential::new(&src);
             for mode in Mode::ALL_WITH_BASELINE {
-                for fusion in FUSIONS {
-                    let out = Compiler::new(mode)
-                        .with_fusion(fusion)
-                        .run_source(&src)
-                        .map(|o| o.result);
-                    assert_eq!(answer(out), want, "{src}: [{mode}] {fusion:?}");
-                }
+                let agreed = differential.agreed(mode, None, u64::MAX);
+                assert_eq!(answer(&agreed), want, "{src}: [{mode}]");
             }
         }
     }
@@ -476,7 +428,7 @@ fn collections_forced_by_every_page_agree_with_the_evaluator() {
     for name in ["kitkb", "simple"] {
         let bench = by_name(name).unwrap();
         let src = bench.source_scaled(bench.test_scale);
-        let want = oracle::run_oracle(&src, None).unwrap_or_else(|e| panic!("{name} oracle: {e}"));
+        let differential = Differential::new(&src);
         for mode in [Mode::Gt, Mode::Rgt, Mode::Baseline] {
             // `with_config` puts back each mode's own tagging and
             // collector, except the baseline's generational policy.
@@ -488,27 +440,13 @@ fn collections_forced_by_every_page_agree_with_the_evaluator() {
                 }),
                 ..RtConfig::gt()
             };
-            let [reference, production] = FUSIONS.map(|fusion| {
-                Compiler::new(mode)
-                    .with_config(config.clone())
-                    .with_fusion(fusion)
-                    .run_source(&src)
-                    .unwrap_or_else(|e| panic!("{name} [{mode}] {fusion:?}: {e}"))
-            });
-            assert_eq!(
-                (&reference.result, &reference.output),
-                (&want.result, &want.output),
-                "{name} [{mode}] vs evaluator"
-            );
-            assert_eq!(
-                (&production.result, counters(&production)),
-                (&reference.result, counters(&reference)),
-                "{name} [{mode}]: the fusion levels disagree"
-            );
+            let out = differential
+                .agreed(mode, Some(&config), u64::MAX)
+                .unwrap_or_else(|e| panic!("{name} [{mode}]: {e}"));
             assert!(
-                reference.stats.gc_count >= 2,
+                out.stats.gc_count >= 2,
                 "{name} [{mode}] collected {} times",
-                reference.stats.gc_count
+                out.stats.gc_count
             );
         }
     }
@@ -535,31 +473,18 @@ fn a_function_entered_through_its_closure_stub_agrees_with_the_evaluator() {
                \u{20} | loop (i, keep) =\n\
                \u{20}   let val l = (pick i) (20 + i mod 7) in loop (i - 1, hd l :: keep) end\n\
                val it = sum (loop (100, nil), 0)";
-    let want = oracle::run_oracle(src, None).unwrap();
     let pressure = RtConfig {
         initial_pages: 4,
         page_words_log2: 6,
         gc_threshold: 1.0,
         ..RtConfig::rgt()
     };
+    let differential = Differential::new(src);
     for mode in Mode::ALL_WITH_BASELINE {
         for config in [None, Some(&pressure)] {
-            let [reference, production] = FUSIONS.map(|fusion| {
-                let c = Compiler::new(mode).with_fusion(fusion);
-                match config {
-                    Some(config) => c.with_config(config.clone()),
-                    None => c,
-                }
-                .run_source(src)
-                .unwrap_or_else(|e| panic!("[{mode}] {fusion:?}: {e}"))
-            });
-            let ctx = format!("[{mode}] pressure={}", config.is_some());
-            assert_eq!(reference.result, want.result, "{ctx} vs evaluator");
-            assert_eq!(
-                (&production.result, counters(&production)),
-                (&reference.result, counters(&reference)),
-                "{ctx}: the fusion levels disagree"
-            );
+            if let Err(e) = differential.agreed(mode, config, u64::MAX) {
+                panic!("[{mode}] pressure={}: {e}", config.is_some());
+            }
         }
     }
     let profile = Compiler::new(Mode::Rgt)
@@ -595,27 +520,23 @@ fn a_binding_outside_its_scope_is_not_copied() {
     };
     let named = program("let val xs = build (5000, nil) in len (xs, 0) end");
     let twin = program("len (build (5000, nil), 0)");
-    let want = oracle::run_oracle(&named, None).unwrap();
+    let [named, twin] = [&named, &twin].map(|src| Differential::new(src));
     for mode in [Mode::Gt, Mode::Rgt, Mode::Baseline] {
-        for fusion in FUSIONS {
-            let [a, b] = [&named, &twin].map(|src| {
-                let out = Compiler::new(mode)
-                    .with_fusion(fusion)
-                    .run_source(src)
-                    .unwrap_or_else(|e| panic!("[{mode}] {fusion:?}: {e}"));
-                assert_eq!(
-                    (&out.result, &out.output),
-                    (&want.result, &want.output),
-                    "[{mode}] {fusion:?} vs evaluator"
-                );
-                [out.stats.gc_copied_words, out.stats.gc_count]
-            });
-            assert!(a[1] > 0, "[{mode}] {fusion:?}: nothing collected");
-            assert_eq!(
-                a, b,
-                "[{mode}] {fusion:?}: [gc_copied_words, gc_count] named vs unnamed"
-            );
-        }
+        let [a, b] = [&named, &twin].map(|differential| {
+            let out = differential
+                .agreed(mode, None, u64::MAX)
+                .unwrap_or_else(|e| panic!("[{mode}]: {e}"));
+            (
+                out.result,
+                out.output,
+                [out.stats.gc_copied_words, out.stats.gc_count],
+            )
+        });
+        assert!(a.2[1] > 0, "[{mode}]: nothing collected");
+        assert_eq!(
+            a, b,
+            "[{mode}]: (result, output, [gc_copied_words, gc_count]) named vs unnamed"
+        );
     }
 }
 
@@ -648,6 +569,7 @@ fn a_box_wider_than_a_region_page_is_a_compile_error() {
             Err(kit::Error::Compile(e)) if mode != Mode::R => {
                 let e = e.to_string();
                 assert!(e.contains("255 words") && e.contains("254"), "[{mode}] {e}");
+                assert!(!e.contains("line 0"), "[{mode}] no position to name: {e}");
             }
             other => panic!("[{mode}] 254 components: {other:?}"),
         }
@@ -664,7 +586,8 @@ fn a_box_wider_than_a_region_page_is_a_compile_error() {
     // The baseline has no finite regions: the literal is refused too.
     let refused = Compiler::new(Mode::Baseline).run_source(&src);
     assert!(
-        matches!(&refused, Err(kit::Error::Compile(e)) if e.to_string().contains("65537 words")),
+        matches!(&refused, Err(kit::Error::Compile(e))
+            if e.to_string().contains("65537 words") && !e.to_string().contains("line 0")),
         "[smlnj] 65 536 components: {refused:?}"
     );
 }

@@ -4,7 +4,8 @@
 //! 25-function prelude in front of it — and the dangling root that the
 //! prelude's start-up collections used to hide stays fixed.
 
-use kit::{oracle, Compiler, Fusion, Mode};
+use kit::{Compiler, Mode};
+use kit_bench::differential::{on_deep_stack, Differential};
 use kit_kam::threaded::{Args, Op};
 
 /// Every function the prelude declares at top level, and `rev`'s and
@@ -33,11 +34,9 @@ fn the_empty_program_compiles_to_a_handful_of_instructions() {
 fn a_program_keeps_exactly_the_prelude_it_reaches() {
     let src = "fun sq x = x * x\n\
                val it = foldl (fn (x, a) => x + a) 0 (map sq (rev [1, 2, 3, 4]))";
-    let want = oracle::run_oracle(src, None).unwrap();
-    assert_eq!(want.result, "30");
+    let differential = Differential::new(src);
     for mode in Mode::ALL {
-        let compiler = Compiler::new(mode);
-        let prog = compiler.compile_source(src).unwrap();
+        let prog = Compiler::new(mode).compile_source(src).unwrap();
         let mut kept: Vec<&str> = prog
             .funs
             .iter()
@@ -52,8 +51,10 @@ fn a_program_keeps_exactly_the_prelude_it_reaches() {
         // `sq` (five before uncurrying: one per curried parameter).
         let closures = prog.funs.iter().filter(|f| f.name == "fn").count();
         assert_eq!(closures, 2, "[{mode}]");
-        let out = compiler.run_program(&prog).unwrap();
-        assert_eq!(out.result, want.result, "[{mode}]");
+        let out = differential
+            .agreed(mode, None, u64::MAX)
+            .unwrap_or_else(|e| panic!("[{mode}]: {e}"));
+        assert_eq!(out.result, "30", "[{mode}]");
     }
 }
 
@@ -121,21 +122,7 @@ fn a_raise_handled_in_its_own_frame_leaves_no_dangling_root() {
                \u{20}       val keep2 = build (4000 + r, keep)\n\
                \u{20}   in (go (n - 1, keep2) + 1) mod 100003 end\n\
                val it = go (60, nil)";
-    let run = move || {
-        let want = oracle::run_oracle(src, None).unwrap();
-        for fusion in [Fusion::Off, Fusion::Full] {
-            let out = Compiler::new(Mode::Rgt)
-                .with_fusion(fusion)
-                .run_source(src)
-                .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
-            assert_eq!(out.result, want.result, "{fusion:?}");
-            assert!(out.stats.gc_count > 0, "{fusion:?}: must collect");
-        }
-    };
-    std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(run)
-        .expect("spawn")
-        .join()
-        .expect("reproducer panicked");
+    let out = on_deep_stack(|| Differential::new(src).agreed(Mode::Rgt, None, u64::MAX))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(out.stats.gc_count > 0, "must collect");
 }

@@ -5,13 +5,14 @@
 //!
 //! 1. *Differential execution*: randomly generated well-typed MiniML
 //!    programs evaluate identically in every execution mode (including
-//!    the generational baseline, including under heap pressure) and in
-//!    the reference evaluator.
+//!    the generational baseline, including under heap pressure), at both
+//!    fusion levels, and in the reference evaluator — through the one
+//!    harness, `kit_bench::differential::Differential`.
 //! 2. *Runtime invariants*: random allocate/pop/collect scripts against
 //!    the region runtime conserve pages and preserve value integrity.
 
-use kit::oracle::run_oracle;
-use kit::{Compiler, Mode};
+use kit::{Mode, VmError};
+use kit_bench::differential::Differential;
 use kit_bench::programs::SplitMix64;
 use kit_runtime::gc;
 use kit_runtime::value::{is_ptr, Tag};
@@ -79,53 +80,28 @@ fn program(rng: &mut SplitMix64) -> String {
 
 #[test]
 fn random_programs_agree_across_modes() {
+    // Heap pressure on the combined mode.
+    let pressure = RtConfig {
+        initial_pages: 4,
+        page_words_log2: 6,
+        ..RtConfig::rgt()
+    };
     let mut rng = SplitMix64::new(0x5EED_0001);
     for case in 0..64 {
         let src = program(&mut rng);
-        let oracle = match run_oracle(&src, Some(10_000_000)) {
-            Ok(o) => o,
-            // Overflow/Div are legitimate outcomes; modes must agree on them.
-            Err(kit::Error::Run(e)) => {
-                for mode in Mode::ALL_WITH_BASELINE {
-                    let r = Compiler::new(mode).with_fuel(10_000_000).run_source(&src);
-                    match r {
-                        Err(kit::Error::Run(e2)) => {
-                            assert_eq!(e2, e, "case {case} mode {mode} on\n{src}")
-                        }
-                        other => {
-                            panic!("case {case} {mode}: expected {e}, got {other:?} for\n{src}")
-                        }
-                    }
-                }
-                continue;
+        let differential = Differential::new(&src);
+        let runs = Mode::ALL_WITH_BASELINE
+            .map(|mode| (mode, None))
+            .into_iter()
+            .chain([(Mode::Rgt, Some(&pressure))]);
+        for (mode, cfg) in runs {
+            match differential.agreed(mode, cfg, 10_000_000) {
+                // Overflow and Div are legitimate outcomes, which the
+                // harness has held every run and the evaluator to.
+                Ok(_) | Err(kit::Error::Run(VmError::UncaughtException { .. })) => {}
+                Err(e) => panic!("case {case} [{mode}]: {e}\n{src}"),
             }
-            Err(e) => panic!("case {case} oracle: {e}\n{src}"),
-        };
-        for mode in Mode::ALL_WITH_BASELINE {
-            let out = Compiler::new(mode)
-                .with_fuel(10_000_000)
-                .run_source(&src)
-                .unwrap_or_else(|e| panic!("case {case} {mode}: {e}\n{src}"));
-            assert_eq!(
-                out.result, oracle.result,
-                "case {case} mode {mode} on\n{src}"
-            );
         }
-        // Heap pressure on the combined mode.
-        let cfg = RtConfig {
-            initial_pages: 4,
-            page_words_log2: 6,
-            ..RtConfig::rgt()
-        };
-        let out = Compiler::new(Mode::Rgt)
-            .with_config(cfg)
-            .with_fuel(10_000_000)
-            .run_source(&src)
-            .unwrap_or_else(|e| panic!("case {case} rgt pressure: {e}\n{src}"));
-        assert_eq!(
-            out.result, oracle.result,
-            "case {case} rgt pressure on\n{src}"
-        );
     }
 }
 
