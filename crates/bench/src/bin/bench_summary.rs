@@ -26,7 +26,7 @@
 //!
 //! Usage: `cargo run -p kit-bench --release --bin bench-summary --
 //!         [--out PATH] [--full] [--only prog,prog,...] [--modes r,rt,...]
-//!         [--check-counts BENCH.json] | --profile-fusion`
+//!         [--check-counts BENCH.json] | --profile-fusion | --check-fusion`
 //!
 //! Anything else on the command line — an unknown flag, or a program or
 //! mode name that does not exist — exits 2 with the usage line: a count
@@ -53,17 +53,20 @@
 //! later files on identical programs; the drift is the accounting
 //! definition, not a memory regression.
 //!
-//! `--profile-fusion` runs the suite in the VM's fusion counting mode
-//! instead (fusion off, so base opcodes are visible; prints to
-//! stdout, no `--out`), aggregates dynamic pair/triple frequencies of
-//! fallthrough-adjacent instructions, and prints the hot sequences, a
-//! regenerated `FUSION_CANDIDATES` table for
-//! `crates/kam/src/fusion_table.rs`, and the hot sequences of opcodes with
-//! packing lanes that no row covers.
+//! `--profile-fusion` runs the suite unfused in the VM's fusion counting
+//! mode instead (dispatches per pc; prints to stdout, no `--out`) and
+//! prints the rows [`kit_bench::fusion_select`] chooses by the dispatches
+//! they save, as a `FUSION_CANDIDATES` table for
+//! `crates/kam/src/fusion_table.rs`, with the corpus's dispatches unfused,
+//! under the committed table and under the selection. Run it with
+//! `--full`: the table is selected on the whole corpus at paper scale.
+//! `--check-fusion` makes that selection (the whole corpus, `--full`, all
+//! five modes) and exits 1 if it is not the committed table's row set, or
+//! if a committed row is dispatched nowhere.
 
-use kit::{Compiler, Fusion, FusionProfile, KamOp as Op, Mode};
+use kit::{Compiler, Fusion, KamOp as Op, Mode};
+use kit_bench::fusion_select::{row_name, Corpus};
 use kit_bench::programs::{all, Benchmark};
-use kit_kam::fusion_table::FUSION_CANDIDATES;
 use kit_runtime::RtConfig;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,7 +108,8 @@ fn usage(problem: &str) -> ! {
         "bench-summary: {problem}\n\
          usage: bench-summary [--out PATH] [--full] [--only p,..] [--modes m,..] \
          [--check-counts BENCH.json]   (one of --out, --check-counts is required)\n\
-         \x20      bench-summary --profile-fusion [--full] [--only p,..] [--modes m,..]"
+         \x20      bench-summary --profile-fusion [--full] [--only p,..] [--modes m,..]\n\
+         \x20      bench-summary --check-fusion"
     );
     std::process::exit(2);
 }
@@ -119,6 +123,7 @@ struct Args {
     only: Option<Vec<String>>,
     modes: Option<Vec<String>>,
     profile_fusion: bool,
+    check_fusion: bool,
     check_counts: Option<String>,
 }
 
@@ -138,6 +143,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--only" => args.only = Some(csv(value()?)),
             "--modes" => args.modes = Some(csv(value()?)),
             "--profile-fusion" => args.profile_fusion = true,
+            "--check-fusion" => args.check_fusion = true,
             "--check-counts" => args.check_counts = Some(value()?),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -157,7 +163,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
         }
     }
-    if !args.profile_fusion && args.out.is_none() && args.check_counts.is_none() {
+    if args.check_fusion {
+        if args.only.is_some() || args.modes.is_some() {
+            return Err("--check-fusion selects on the whole corpus".to_string());
+        }
+        args.full = true;
+    } else if !args.profile_fusion && args.out.is_none() && args.check_counts.is_none() {
         return Err("--out PATH is required (there is no default file)".to_string());
     }
     Ok(args)
@@ -191,33 +202,15 @@ fn main() {
         })
         .collect();
 
-    if args.profile_fusion {
-        profile_fusion(&cells);
+    if args.profile_fusion || args.check_fusion {
+        let corpus = profile_corpus(&cells);
+        if !profile_fusion(&corpus, args.check_fusion) {
+            std::process::exit(1);
+        }
         return;
     }
 
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Vec<Row>)>> = Mutex::new(Vec::new());
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(cells.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let rows = run_cell(cell);
-                results
-                    .lock()
-                    .expect("a cell that panics has already failed the run")
-                    .push((i, rows));
-            });
-        }
-    });
-
-    let mut done = results
-        .into_inner()
-        .expect("a cell that panics has already failed the run");
-    done.sort_by_key(|(i, _)| *i);
-    let rows: Vec<Row> = done.into_iter().flat_map(|(_, r)| r).collect();
+    let rows: Vec<Row> = sharded(&cells, run_cell).into_iter().flatten().collect();
 
     if let Some(out_path) = &args.out {
         let mut json = format!("{{\n  \"env\": {},\n  \"runs\": [\n", env_json(&argv));
@@ -254,6 +247,32 @@ fn main() {
             }
         }
     }
+}
+
+/// `work` on every cell, sharded over all cores; the results in cell
+/// order.
+fn sharded<T: Send>(cells: &[Cell], work: impl Fn(&Cell) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::new());
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(cells.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                let done = work(cell);
+                results
+                    .lock()
+                    .expect("a cell that panics has already failed the run")
+                    .push((i, done));
+            });
+        }
+    });
+    let mut done = results
+        .into_inner()
+        .expect("a cell that panics has already failed the run");
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// First line of a command's standard output, or `"unknown"`.
@@ -421,81 +440,93 @@ fn run_cell(cell: &Cell) -> Vec<Row> {
         .collect()
 }
 
-/// The count of `seq` among the hot sequences of its length.
-fn count_of<const N: usize>(hot: &[([Op; N], u64)], seq: &[Op]) -> u64 {
-    hot.iter()
-        .find(|(ops, _)| ops[..] == *seq)
-        .map_or(0, |(_, n)| *n)
-}
-
-/// Runs the cells in the VM's counting mode and prints the hot adjacent
-/// sequences plus a regenerated `FUSION_CANDIDATES` table.
-fn profile_fusion(cells: &[Cell]) {
-    let mut total = Box::new(FusionProfile::default());
-    for cell in cells {
+/// Runs the cells unfused in the VM's counting mode; the straight-line
+/// runs of their streams with the dispatches each pc took.
+fn profile_corpus(cells: &[Cell]) -> Corpus {
+    let profiled = sharded(cells, |cell| {
+        let fail = |e: kit::Error| -> ! { panic!("{} [{}]: {e}", cell.bench.name, cell.mode) };
         let src = cell.bench.source_scaled(cell.scale);
-        let compiler = Compiler::new(cell.mode).with_fusion_profile();
-        let prog = compiler
-            .compile_source(&src)
-            .unwrap_or_else(|e| panic!("{} [{}]: {e}", cell.bench.name, cell.mode));
-        let out = compiler
-            .run_program(&prog)
-            .unwrap_or_else(|e| panic!("{} [{}]: {e}", cell.bench.name, cell.mode));
+        let compiler = Compiler::new(cell.mode)
+            .with_fusion(Fusion::Off)
+            .with_fusion_profile();
+        let prog = compiler.compile_source(&src).unwrap_or_else(|e| fail(e));
+        let out = compiler.run_program(&prog).unwrap_or_else(|e| fail(e));
         let prof = out
             .fusion_profile
-            .expect("counting mode must return a profile");
-        total.merge(&prof);
+            .expect("the counting mode returns a profile");
         eprintln!(
-            "{:<10} {:<5} profiled ({} instr)",
+            "{:<10} {:<5} profiled ({} dispatches)",
             cell.bench.name,
             cell.mode.suffix(),
-            out.instructions
+            prof.dispatches()
         );
+        (prog, prof.counts)
+    });
+    let mut corpus = Corpus::default();
+    for (prog, counts) in &profiled {
+        corpus.add(&prog.code, counts);
     }
+    corpus
+}
 
-    let (pairs, triples) = (total.hot_pairs(), total.hot_triples());
-    let line = |ops: &[Op], n: u64| {
-        let names: Vec<&str> = ops.iter().map(|op| op.mnemonic()).collect();
-        println!("{n:>14}  {}", names.join(";"));
-    };
-    println!("\n== hot adjacent pairs ==");
-    for (ops, n) in pairs.iter().take(24) {
-        line(ops, *n);
+/// Prints the selected table and the corpus's dispatches under it and
+/// under the committed one. With `check`, returns whether the committed
+/// table is the selection and every committed row is dispatched.
+fn profile_fusion(corpus: &Corpus, check: bool) -> bool {
+    let selected = corpus.select();
+    let rows: Vec<&[Op]> = selected.iter().map(|r| &r.seq[..]).collect();
+    let now = kit_kam::fusion_table::rows();
+    let unfused = corpus.dispatches(&[]);
+    let ppm = |n: u64| (u128::from(n) * 1_000_000 / u128::from(unfused.max(1))) as u64;
+    println!("dispatches, each profiled run weighed alike, per million unfused:");
+    for (what, rows) in [("committed table", &now), ("selection", &rows)] {
+        println!("{:>8}  {what}", ppm(corpus.dispatches(rows)));
     }
-    println!("\n== hot adjacent triples ==");
-    for (ops, n) in triples.iter().take(24) {
-        line(ops, *n);
-    }
-
-    // Regenerate the candidate table: current rows with fresh counts. The
-    // matrices hold pair/triple counts; a 4-long row's count is bounded
-    // above by the rarer of its two triples.
-    let count = |seq: &[Op]| match seq.len() {
-        2 => count_of(&pairs, seq),
-        3 => count_of(&triples, seq),
-        _ => count_of(&triples, &seq[..3]).min(count_of(&triples, &seq[1..])),
-    };
-    println!("\n== regenerated FUSION_CANDIDATES (paste into crates/kam/src/fusion_table.rs) ==");
+    println!("\n== selected FUSION_CANDIDATES (paste into crates/kam/src/fusion_table.rs) ==");
     println!("pub const FUSION_CANDIDATES: &[Pattern] = &[");
-    for p in FUSION_CANDIDATES {
-        let seq: Vec<&str> = p.seq.iter().map(|op| op.mnemonic()).collect();
-        let n = count(p.seq);
-        println!("    row(&[{}], {:?}, {n}),", seq.join(", "), p.out);
+    for r in &selected {
+        let seq: Vec<&str> = r.seq.iter().map(|op| op.mnemonic()).collect();
+        let (name, saves) = (row_name(&r.seq), ppm(r.saves));
+        println!("    row(&[{}], {name}, {saves}),", seq.join(", "));
     }
     println!("];");
-
-    // Hot sequences of opcodes that have packing lanes and no row yet —
-    // candidates for the next regeneration.
-    println!("\n== uncovered fusible sequences (candidates) ==");
-    let candidate = |ops: &[Op]| {
-        ops.iter().all(|op| op.packs()) && !FUSION_CANDIDATES.iter().any(|p| p.seq == ops)
-    };
-    for (ops, n) in triples.iter().filter(|(ops, _)| candidate(ops)).take(12) {
-        line(ops, *n);
+    if !check {
+        return true;
     }
-    for (ops, n) in pairs.iter().filter(|(ops, _)| candidate(ops)).take(12) {
-        line(ops, *n);
+    let mut ok = true;
+    let (mut want, mut have) = (rows.clone(), now.clone());
+    want.sort();
+    have.sort();
+    if want != have {
+        let names = |a: &[&[Op]], b: &[&[Op]]| {
+            let only: Vec<String> = a
+                .iter()
+                .filter(|s| !b.contains(s))
+                .map(|s| row_name(s))
+                .collect();
+            only.join(", ")
+        };
+        eprintln!(
+            "check-fusion: the committed table is not the selection: \
+             committed only [{}], selected only [{}]",
+            names(&have, &want),
+            names(&want, &have)
+        );
+        ok = false;
     }
+    for (seq, n) in now.iter().zip(corpus.fired(&now)) {
+        if n == 0 {
+            eprintln!("check-fusion: {} is dispatched nowhere", row_name(seq));
+            ok = false;
+        }
+    }
+    if ok {
+        eprintln!(
+            "check-fusion: the committed table is the selection ({} rows)",
+            now.len()
+        );
+    }
+    ok
 }
 
 #[cfg(test)]
@@ -534,6 +565,10 @@ mod tests {
             ("--out F stray", "unknown argument \"stray\""),
             ("--full --out", "--out wants a value"),
             ("--full", "--out PATH is required"),
+            (
+                "--check-fusion --only fib",
+                "--check-fusion selects on the whole corpus",
+            ),
         ] {
             let err = parse_args(&argv(line)).unwrap_err();
             assert!(err.contains(problem), "`{line}`: {err}");

@@ -1,6 +1,7 @@
 //! The structural half of the fusion differential: `Fusion::Full` must be
 //! a pure regrouping of the unfused stream. (The behavioural half — same
-//! results and counters at both fusion levels — is `tests/fusion.rs`.)
+//! results and counters at both fusion levels — is
+//! [`crate::differential::Differential`].)
 
 use kit_kam::threaded::{Field, Fusion, SwitchRows, ThreadedCode};
 use kit_kam::{DispatchMode, Executable, Program};
@@ -9,7 +10,8 @@ use kit_kam::{DispatchMode, Executable, Program};
 /// charges of the `Full` stream sum to `prog.code.len()`; and `unfuse` of
 /// the `Full` stream, concatenated, is the `Off` stream — operands equal,
 /// pc operands (branch targets, switch tables, entry points, label pcs,
-/// the frame map) equal through the pc map the charges define. Returns
+/// the frame map) equal through the pc map the charges define, and every
+/// leader (a bound label, a return address) the start of a group. Returns
 /// the `Full` stream.
 pub fn assert_fusion_regroups(prog: &Program, ctx: &str) -> ThreadedCode {
     let prepare = |fusion| Executable::prepare(prog, DispatchMode::Threaded, fusion);
@@ -29,6 +31,9 @@ pub fn assert_fusion_regroups(prog: &Program, ctx: &str) -> ThreadedCode {
     }
     assert_eq!(old, prog.code.len(), "{ctx}: charges vs unfused length");
     let map = |pc: u32| new_pc.get(pc as usize).copied().unwrap_or(u32::MAX);
+    for (pc, _) in off.leaders().iter().enumerate().filter(|(_, l)| **l) {
+        assert_ne!(map(pc as u32), u32::MAX, "{ctx}: a group spans leader {pc}");
+    }
 
     let mut pc = 0;
     for new in 0..full.ops.len() {

@@ -32,6 +32,7 @@
 pub mod chaos;
 pub mod differential;
 pub mod fusion_check;
+pub mod fusion_select;
 pub mod programs;
 pub mod randgen;
 pub mod runner;

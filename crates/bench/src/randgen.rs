@@ -1462,12 +1462,7 @@ mod tests {
                     .unwrap_or_else(|e| panic!("case {case} [{mode}]: {e}\n{src}"))
                     .fusion_profile
                     .expect("a profiled run");
-                let entered: u64 = profile
-                    .hot_pairs()
-                    .iter()
-                    .filter(|(ops, _)| ops[0] == kit::KamOp::EnterViaPair)
-                    .map(|(_, n)| n)
-                    .sum();
+                let entered = profile.executions(kit::KamOp::EnterViaPair);
                 assert!(entered > 0, "case {case} [{mode}] enters no stub\n{src}");
             }
         }

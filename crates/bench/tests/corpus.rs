@@ -8,14 +8,35 @@
 //! (`Op::cost` charges a fused instruction for the source instructions it
 //! replaces, so the GC schedule and allocation statistics agree too).
 //!
-//! Beside it, the two shapes of the paper's tables the corpus shows at
+//! Beside it, every row of the fusion table must be dispatched on the
+//! corpus, and the two shapes of the paper's tables the corpus shows at
 //! test scale: regions halve the collections, and untagged runs allocate
 //! fewer words.
 
-use kit::{Compiler, Fusion, KamOp, Mode};
+use kit::{Compiler, KamOp, Mode};
 use kit_bench::differential::{on_deep_stack, Differential};
-use kit_bench::programs::all;
+use kit_bench::programs::{all, Benchmark};
 use kit_runtime::RtConfig;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// `check` on every corpus program, the programs shared out over
+/// `available_parallelism()` threads, each on a deep stack.
+fn on_every_program(check: impl Fn(Benchmark) + Sync) {
+    let programs = all();
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    std::thread::scope(|s| {
+        for _ in 0..threads.min(programs.len()) {
+            s.spawn(|| {
+                on_deep_stack(|| {
+                    while let Some(&b) = programs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        check(b);
+                    }
+                })
+            });
+        }
+    });
+}
 
 #[test]
 fn every_benchmark_agrees_with_the_evaluator_at_both_fusion_levels() {
@@ -28,53 +49,46 @@ fn every_benchmark_agrees_with_the_evaluator_at_both_fusion_levels() {
         gc_threshold: 1.0,
         ..RtConfig::rgt()
     };
-    on_deep_stack(|| {
-        for b in all() {
-            let src = b.source_scaled(b.test_scale);
-            let differential = Differential::new(&src);
-            let mut runs: Vec<(Mode, Option<&RtConfig>)> =
-                Mode::ALL_WITH_BASELINE.map(|m| (m, None)).to_vec();
-            if !["zebra", "lexgen"].contains(&b.name) {
-                runs.extend([Mode::Gt, Mode::Rgt].map(|m| (m, Some(&pressure))));
-            }
-            for (mode, cfg) in runs {
-                differential
-                    .agreed(mode, cfg, u64::MAX)
-                    .unwrap_or_else(|e| {
-                        panic!("{} [{mode}, pressure {}]: {e}", b.name, cfg.is_some())
-                    });
-            }
+    on_every_program(|b| {
+        let src = b.source_scaled(b.test_scale);
+        let differential = Differential::new(&src);
+        let mut runs: Vec<(Mode, Option<&RtConfig>)> =
+            Mode::ALL_WITH_BASELINE.map(|m| (m, None)).to_vec();
+        if !["zebra", "lexgen"].contains(&b.name) {
+            runs.extend([Mode::Gt, Mode::Rgt].map(|m| (m, Some(&pressure))));
+        }
+        for (mode, cfg) in runs {
+            differential
+                .agreed(mode, cfg, u64::MAX)
+                .unwrap_or_else(|e| panic!("{} [{mode}, pressure {}]: {e}", b.name, cfg.is_some()));
         }
     });
 }
 
-/// The uncovered-triple fix-ups must fire on the corpus they were
-/// profiled from (the agreement test then proves them invisible).
+/// Every row of the fusion table is dispatched on the corpus it was
+/// selected from (the agreement test then proves it invisible).
 #[test]
-fn the_triple_fixups_fire_on_the_corpus() {
-    let triples = [
-        KamOp::SelectStoreLoad,
-        KamOp::GcCheckLoadSwitchCon,
-        KamOp::RegHandleRegHandleLoad,
-    ];
-    let fired = on_deep_stack(|| {
-        let mut fired = [0usize; 3];
-        for b in all() {
-            let src = b.source_scaled(b.test_scale);
-            let prog = Compiler::new(Mode::R)
-                .compile_source(&src)
-                .unwrap_or_else(|e| panic!("{}: compile: {e}", b.name));
-            let exe = kit_kam::Executable::prepare(&prog, Default::default(), Fusion::Full);
-            let ops = &exe.code().ops;
-            for (n, triple) in fired.iter_mut().zip(triples) {
-                *n += ops.iter().filter(|op| **op == triple).count();
+fn every_row_fires_on_the_corpus() {
+    let fired: Vec<AtomicUsize> = KamOp::ALL.iter().map(|_| AtomicUsize::new(0)).collect();
+    on_every_program(|b| {
+        let src = b.source_scaled(b.test_scale);
+        for mode in [Mode::R, Mode::Rgt] {
+            let out = Compiler::new(mode)
+                .with_fusion_profile()
+                .run_source(&src)
+                .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", b.name));
+            let profile = out.fusion_profile.expect("a profiled run");
+            for (op, n) in profile.ops.iter().zip(&profile.counts) {
+                fired[*op as usize].fetch_add(*n as usize, Ordering::Relaxed);
             }
         }
-        fired
     });
+    let idle: Vec<KamOp> = (KamOp::ALL.into_iter())
+        .filter(|op| op.is_fused() && fired[*op as usize].load(Ordering::Relaxed) == 0)
+        .collect();
     assert!(
-        fired.iter().all(|&n| n > 0),
-        "the triple fixups must fire on the benchmark corpus: {triples:?} = {fired:?}"
+        idle.is_empty(),
+        "rows dispatched nowhere on the corpus: {idle:?}"
     );
 }
 

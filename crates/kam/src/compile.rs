@@ -22,7 +22,7 @@
 //! function it enters binds and restoring that when it leaves.
 
 use crate::instr::{Disc, FunInfo, Program, RegSlot};
-use crate::threaded::{Args, Op, ThreadedCode};
+use crate::threaded::{Args, Op, SwitchRows, ThreadedCode};
 use kit_lambda::exp::VarId;
 use kit_lambda::ty::{SchemeTy, TyConId};
 use kit_region::{ExpId, Mult, Place, RExp, RFixFun, RProgram, RegVar, Span};
@@ -539,11 +539,11 @@ impl Cx<'_> {
             } => {
                 self.comp(scrut, fcx, false);
                 let (disc, _) = con_rep(prog, self.tagged, tycon);
-                let (larm, dflt, end) = self.arm_labels(arms, |k| k as u32);
-                let row = (disc, (larm[..].into(), dflt));
-                let a = ThreadedCode::push_row(&mut self.code.con_switches, row);
+                let (row, first, end) = self.switch_row(arms, |k| k as u32);
+                let dflt = row.1;
+                let a = ThreadedCode::push_row(&mut self.code.con_switches, (disc, row));
                 self.emit(Op::SwitchCon, Args { a, ..Args::ZERO });
-                self.comp_arms(arms, &larm, end, fcx, tail);
+                self.comp_arms(arms, first, end, fcx, tail);
                 self.bind(dflt);
                 match default {
                     Some(d) => self.comp(d, fcx, tail),
@@ -557,11 +557,11 @@ impl Cx<'_> {
                 default,
             } => {
                 self.comp(scrut, fcx, false);
-                let (larm, dflt, end) = self.arm_labels(arms, |k| k);
-                let a =
-                    ThreadedCode::push_row(&mut self.code.int_switches, (larm[..].into(), dflt));
+                let (row, first, end) = self.switch_row(arms, |k| k);
+                let dflt = row.1;
+                let a = ThreadedCode::push_row(&mut self.code.int_switches, row);
                 self.emit(Op::SwitchInt, Args { a, ..Args::ZERO });
-                self.comp_arms(arms, &larm, end, fcx, tail);
+                self.comp_arms(arms, first, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
                 self.bind(end);
@@ -572,12 +572,12 @@ impl Cx<'_> {
                 default,
             } => {
                 self.comp(scrut, fcx, false);
-                let (larm, dflt, end) =
-                    self.arm_labels(arms, |k| prog.str(kit_region::StrId(k as u32)).to_string());
-                let a =
-                    ThreadedCode::push_row(&mut self.code.str_switches, (larm[..].into(), dflt));
+                let (row, first, end) =
+                    self.switch_row(arms, |k| prog.str(kit_region::StrId(k as u32)).to_string());
+                let dflt = row.1;
+                let a = ThreadedCode::push_row(&mut self.code.str_switches, row);
                 self.emit(Op::SwitchStr, Args { a, ..Args::ZERO });
-                self.comp_arms(arms, &larm, end, fcx, tail);
+                self.comp_arms(arms, first, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
                 self.bind(end);
@@ -588,11 +588,11 @@ impl Cx<'_> {
                 default,
             } => {
                 self.comp(scrut, fcx, false);
-                let (larm, dflt, end) = self.arm_labels(arms, |k| k as u32);
-                let a =
-                    ThreadedCode::push_row(&mut self.code.exn_switches, (larm[..].into(), dflt));
+                let (row, first, end) = self.switch_row(arms, |k| k as u32);
+                let dflt = row.1;
+                let a = ThreadedCode::push_row(&mut self.code.exn_switches, row);
                 self.emit(Op::SwitchExn, Args { a, ..Args::ZERO });
-                self.comp_arms(arms, &larm, end, fcx, tail);
+                self.comp_arms(arms, first, end, fcx, tail);
                 self.bind(dflt);
                 self.comp(default, fcx, tail);
                 self.bind(end);
@@ -770,36 +770,38 @@ impl Cx<'_> {
         }
     }
 
-    /// A label per arm (keyed by `key` of the arm's key), then the default's
-    /// and the end's.
-    fn arm_labels<K>(
+    /// A switch's side-table row, built once: a fresh label per arm, keyed
+    /// by `key` of the arm's key, and the default's. Returns it with the
+    /// first arm's label (arm `i` has label `first + i`) and the end's.
+    fn switch_row<K>(
         &mut self,
         arms: Span<kit_region::Arm>,
         key: impl Fn(i64) -> K,
-    ) -> (Vec<(K, u32)>, u32, u32) {
+    ) -> (SwitchRows<K>, u32, u32) {
         let end = self.new_label();
         let dflt = self.new_label();
-        let larm = self
+        let first = count(self.code.pc_of_label.len());
+        let row = self
             .prog
             .arms(arms)
             .iter()
             .map(|a| (key(a.key), self.new_label()))
             .collect();
-        (larm, dflt, end)
+        ((row, dflt), first, end)
     }
 
-    /// Each arm at its label, jumping to `end`.
-    fn comp_arms<K>(
+    /// Each arm at its label (arm `i` at `first + i`), jumping to `end`.
+    fn comp_arms(
         &mut self,
         arms: Span<kit_region::Arm>,
-        larm: &[(K, u32)],
+        first: u32,
         end: u32,
         fcx: &mut FnCx,
         tail: bool,
     ) {
         let prog = self.prog;
-        for (a, (_, l)) in prog.arms(arms).iter().zip(larm) {
-            self.bind(*l);
+        for (l, a) in (first..).zip(prog.arms(arms)) {
+            self.bind(l);
             self.comp(a.body, fcx, tail);
             self.jump(Op::Jump, end);
         }

@@ -110,7 +110,8 @@ mod tests {
         );
         // `n < 2` (tagged 2 is 5): the components follow the mnemonic.
         let fused = disassemble(&prog, Fusion::Full);
-        let lt = "PushConstPrim = PushConst k=5; Prim p=ILt at=None\n";
+        let lt = "GcCheckLoadConstPrimJump = GcCheck; Load a=1; PushConst k=5; \
+                  Prim p=ILt at=None; JumpIfFalse t=";
         assert!(fused.contains(lt), "{fused}");
         // `fib (n - 1)` waits with the environment and `n` in scope.
         for listing in [&unfused, &fused] {

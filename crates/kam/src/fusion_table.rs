@@ -4,22 +4,28 @@
 //!
 //! A row is all a superinstruction is, besides its handler: `seq` is the
 //! run it replaces, `out` its opcode. Its operands are its components'
-//! operands under the one packing rule of [`crate::threaded`], and its
-//! charge ([`Op::cost`]) is `seq.len()`.
+//! operands under the one packing rule of [`crate::threaded`], its shape
+//! is one [`fits`](crate::threaded::fits) admits (control leaves it only
+//! at its end; a call may end it), and its charge ([`Op::cost`]) is
+//! `seq.len()`. Fusion takes the fewest groups the rows allow
+//! ([`parse`](crate::threaded::parse)), so the order of the rows does not
+//! matter.
 //!
-//! This table is *generated*: `cargo run -p kit-bench --release --bin
-//! bench-summary -- --profile-fusion --full` runs the benchmark suite in
-//! the VM's counting mode (with fusion off, so base opcodes are visible),
-//! aggregates dynamic pair/triple frequencies of fallthrough-adjacent
-//! instructions, and prints a replacement for [`FUSION_CANDIDATES`] with
-//! fresh `dyn_count` numbers. Rows are ordered longest-first because the
-//! matcher is greedy; a unit test enforces the ordering. A row whose
-//! fresh count is 0 is deleted with its opcode and handler (PR 19:
-//! `Store; Pop`).
+//! This table is *selected*: `cargo run -p kit-bench --release --bin
+//! bench-summary -- --profile-fusion --full` runs the corpus unfused in
+//! the VM's counting mode (dispatches per pc), then adds, one at a time,
+//! the run of base opcodes that saves the most dispatches under the
+//! fewest-groups parse, until the next would save less than 1 %
+//! (`kit_bench::fusion_select`), and prints a replacement for
+//! [`FUSION_CANDIDATES`] in the order it added the rows. Every new row
+//! gets a handler in [`crate::vm`]; a row the selection drops goes with
+//! its opcode and handler. `bench-summary --check-fusion` (in
+//! `scripts/verify.sh`) fails while this table is not the selection.
 //!
-//! `dyn_count` is the measured number of adjacent executions across the
-//! suite at paper scale (`--full`, all five modes; PR 19's bytecode) —
-//! documentation for the next regeneration, not an input to the matcher.
+//! `dyn_count` is the row's fused-dispatch saving: the dispatches the
+//! corpus at paper scale (`--full`, all five modes, each run weighed
+//! alike) takes more without the row, the other rows kept, per million
+//! of its unfused dispatches — documentation, not an input to fusion.
 
 use crate::threaded::Op::{self, *};
 
@@ -31,9 +37,8 @@ pub struct Pattern {
     pub seq: &'static [Op],
     /// Replacement superinstruction.
     pub out: Op,
-    /// Measured fallthrough-adjacent executions across the benchmark
-    /// suite (see module docs; regenerated with `--profile-fusion`). A
-    /// 4-long row's count is the rarer of its two overlapping triples.
+    /// The dispatches the row saves, per million of the corpus's unfused
+    /// ones (module docs; regenerated with `--profile-fusion`).
     pub dyn_count: u64,
 }
 
@@ -45,47 +50,45 @@ const fn row(seq: &'static [Op], out: Op, dyn_count: u64) -> Pattern {
     }
 }
 
-/// All fusion candidates, longest pattern first (the matcher is greedy).
-/// One row per line, as `--profile-fusion` prints them.
+/// All fusion candidates, in the order the selection added them. One row
+/// per line, as `--profile-fusion` prints them.
 #[rustfmt::skip]
 pub const FUSION_CANDIDATES: &[Pattern] = &[
-    row(&[Load, Load, Prim, JumpIfFalse], LoadLoadPrimJump, 113382675),
-    row(&[Load, PushConst, Prim, JumpIfFalse], LoadConstPrimJump, 91749760),
-    row(&[Store, Load, Select], StoreLoadSelect, 403584914),
-    row(&[Select, Store, Load], SelectStoreLoad, 383415523),
-    row(&[GcCheck, Load, SwitchCon], GcCheckLoadSwitchCon, 118621710),
-    row(&[RegHandle, RegHandle, Load], RegHandleRegHandleLoad, 86065958),
-    row(&[RegHandle, Load, Load], RegHandleLoadLoad, 110611679),
-    row(&[Load, Select, Store], LoadSelectStore, 383458195),
-    row(&[Load, Load, Prim], LoadLoadPrim, 172332995),
-    row(&[Load, Prim, JumpIfFalse], LoadPrimJump, 113382675),
-    row(&[Load, PushConst, Prim], LoadConstPrim, 161987945),
-    row(&[Store, Load], StoreLoad, 648593147),
-    row(&[Load, Select], LoadSelect, 462652855),
-    row(&[Load, Load], LoadLoad, 428091559),
-    row(&[Prim, JumpIfFalse], PrimJump, 206172190),
-    row(&[PushConst, Prim], PushConstPrim, 202471045),
-    row(&[Load, SwitchCon], LoadSwitchCon, 162166525),
-    row(&[GcCheck, Load], GcCheckLoad, 152912007),
-    row(&[RegHandle, RegHandle], RegHandleRegHandle, 109394143),
-    row(&[Load, Store], LoadStore, 150028816),
+    row(&[Load, Select, Store], LoadSelectStore, 72084),
+    row(&[Load, PushConst, Prim], LoadConstPrim, 10211),
+    row(&[Load, Load], LoadLoad, 8864),
+    row(&[GcCheck, Load, SwitchCon], GcCheckLoadSwitchCon, 21823),
+    row(&[Load, Load, Prim, JumpIfFalse], LoadLoadPrimJump, 13018),
+    row(&[Load, RegHandle, RegHandle], LoadRegHandleRegHandle, 19301),
+    row(&[Load, Store], LoadStore, 19842),
+    row(&[Load, Select], LoadSelect, 8563),
+    row(&[GcCheck, Load, PushConst, Prim, JumpIfFalse], GcCheckLoadConstPrimJump, 7986),
+    row(&[Load, Load, PushConst, Prim], LoadLoadConstPrim, 14085),
+    row(&[Load, Load, Prim], LoadLoadPrim, 11037),
+    row(&[Load, Call], LoadCall, 10068),
+    row(&[PushConst, Prim], PushConstPrim, 9306),
+    row(&[Load, Select, Load, Prim], LoadSelectLoadPrim, 8503),
+    row(&[RegHandle, Load, Load], RegHandleLoadLoad, 5471),
+    row(&[Load, PushConst, Prim, JumpIfFalse], LoadConstPrimJump, 7308),
+    row(&[Load, Jump], LoadJump, 7270),
+    row(&[Load, SwitchCon], LoadSwitchCon, 5861),
+    row(&[Load, Select, Load, PushConst, Prim], LoadSelectLoadConstPrim, 5049),
+    row(&[Load, RegHandle, Load], LoadRegHandleLoad, 4758),
 ];
+
+/// The runs the rows replace, in table order: the `rows` of
+/// [`parse`](crate::threaded::parse).
+pub fn rows() -> Vec<&'static [Op]> {
+    FUSION_CANDIDATES.iter().map(|p| p.seq).collect()
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::Field;
+    use crate::threaded::fits;
 
     #[test]
-    fn candidates_are_longest_first_and_unique() {
-        for w in FUSION_CANDIDATES.windows(2) {
-            assert!(
-                w[0].seq.len() >= w[1].seq.len(),
-                "greedy matcher needs longest-first ordering: {:?} before {:?}",
-                w[0].out,
-                w[1].out
-            );
-        }
+    fn candidates_are_unique() {
         for (i, a) in FUSION_CANDIDATES.iter().enumerate() {
             for b in &FUSION_CANDIDATES[i + 1..] {
                 assert_ne!(a.seq, b.seq, "duplicate pattern {:?}/{:?}", a.out, b.out);
@@ -101,30 +104,13 @@ mod tests {
         }
     }
 
+    /// Every row has a shape fusion admits: base opcodes whose operands
+    /// fit the lanes, control leaving only at the end (the shapes `fits`
+    /// refuses are `threaded`'s `only_row_shapes_that_leave_at_the_end_fit`).
     #[test]
-    fn every_seq_member_has_a_packing_lane_and_no_lane_overflows() {
+    fn every_row_fits_the_lanes_and_leaves_only_at_its_end() {
         for p in FUSION_CANDIDATES {
-            assert!(p.seq.len() >= 2, "{:?}", p.out);
-            let count = |f: Field| {
-                p.seq
-                    .iter()
-                    .flat_map(|op| op.fields())
-                    .filter(|g| **g == f)
-                    .count()
-            };
-            for op in p.seq {
-                assert!(!op.is_fused() && op.packs(), "{:?}: {op:?}", p.out);
-            }
-            // `a` then `b`; `at` then `at2`; one of everything else.
-            assert!(count(Field::A) <= 2 && count(Field::At) <= 2, "{:?}", p.out);
-            for f in [Field::K, Field::N, Field::P, Field::T] {
-                assert!(count(f) <= 1, "{:?}: two {f:?} operands", p.out);
-            }
-            // A branch target belongs to the last member: control leaves
-            // a group only at its end.
-            for op in &p.seq[..p.seq.len() - 1] {
-                assert!(!op.fields().contains(&Field::T), "{:?}: {op:?}", p.out);
-            }
+            assert!(fits(p.seq), "{:?}: {:?}", p.out, p.seq);
         }
     }
 }

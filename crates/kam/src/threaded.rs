@@ -10,18 +10,19 @@
 //! hold label ids while the compiler emits; [`ThreadedCode::bind_labels`]
 //! rewrites them to pcs. With [`Fusion::Full`],
 //! [`Executable::prepare`](crate::vm::Executable::prepare) regroups the
-//! stream: every run matching a row of [`FUSION_CANDIDATES`] becomes that
-//! row's opcode, and branch targets, switch tables, entry points and the
-//! frame map move to the regrouped pcs — through the same pc rewrite that
-//! binds the labels.
+//! stream into the fewest groups ([`parse`]) the rows of
+//! [`FUSION_CANDIDATES`] allow, each group becoming its row's opcode, and
+//! branch targets, switch tables, entry points and the frame map move to
+//! the regrouped pcs — through the same pc rewrite that binds the labels.
 //!
 //! **The packing rule.** A superinstruction's [`Args`] is the merge of its
 //! components' operands, in component order: `u32` operands (local slots,
-//! switch-table indices) take `a` then `b`, a constant takes `k`, a select
-//! index `n`, a primitive `p` with its place, a branch target `t`, region
+//! switch-table indices, a callee) take `a` then `b`, a constant takes
+//! `k`, a select index `n`, a call's second count `m` and its flag
+//! `flag`, a primitive `p` with its place, a branch target `t`, region
 //! slots (a primitive's place, a `RegHandle`'s slot) `at` then `at2`.
-//! `pack` applies it, [`ThreadedCode::unfuse`] is its inverse, and a
-//! table test holds every row to the lanes there are. [`Op::cost`] of a
+//! `pack` applies it, [`ThreadedCode::unfuse`] is its inverse, and
+//! [`fits`] holds every row to the lanes there are. [`Op::cost`] of a
 //! superinstruction is its row's `seq.len()` — the instructions it
 //! stands for — which keeps instruction totals, fuel and the GC schedule
 //! bit-identical with [`Fusion::Off`]'s one per instruction.
@@ -29,10 +30,10 @@
 //! The execution engine itself — the jump table over [`Op`] — lives in
 //! [`crate::vm`].
 
-use crate::fusion_table::{Pattern, FUSION_CANDIDATES};
+use crate::fusion_table::{self, Pattern, FUSION_CANDIDATES};
 use crate::instr::{Disc, RegSlot};
 use kit_lambda::exp::Prim;
-use std::fmt;
+use std::sync::OnceLock;
 
 /// Whether [`Executable::prepare`](crate::vm::Executable::prepare) regroups
 /// the stream into superinstructions.
@@ -66,7 +67,7 @@ macro_rules! ops {
         /// Dense opcode of the engine. The base opcodes are what the
         /// compiler emits; the superinstructions follow, one per row of
         /// [`FUSION_CANDIDATES`].
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[repr(u8)]
         pub enum Op {
             $($b,)*
@@ -142,28 +143,26 @@ ops! {
         Halt [],
     }
     fused {
-        LoadLoadPrim,
-        PushConstPrim,
-        LoadSelect,
-        LoadConstPrim,
         LoadSelectStore,
-        LoadLoadPrimJump,
-        LoadConstPrimJump,
-        // Selected from `--profile-fusion` counts.
-        StoreLoadSelect,
-        LoadPrimJump,
-        StoreLoad,
+        LoadConstPrim,
         LoadLoad,
-        PrimJump,
-        LoadStore,
-        LoadSwitchCon,
-        GcCheckLoad,
-        RegHandleRegHandle,
-        // Triples the profile still reported hot but uncovered.
-        SelectStoreLoad,
         GcCheckLoadSwitchCon,
-        RegHandleRegHandleLoad,
+        LoadLoadPrimJump,
+        LoadRegHandleRegHandle,
+        LoadStore,
+        LoadSelect,
+        GcCheckLoadConstPrimJump,
+        LoadLoadConstPrim,
+        LoadLoadPrim,
+        LoadCall,
+        PushConstPrim,
+        LoadSelectLoadPrim,
         RegHandleLoadLoad,
+        LoadConstPrimJump,
+        LoadJump,
+        LoadSwitchCon,
+        LoadSelectLoadConstPrim,
+        LoadRegHandleLoad,
     }
 }
 
@@ -199,13 +198,25 @@ impl Op {
         FUSION_CANDIDATES.iter().find(|p| p.out == self)
     }
 
-    /// Whether every operand of this base opcode has a packing lane, so
-    /// it can be a member of a fusion row.
-    pub fn packs(self) -> bool {
-        !self
-            .fields()
-            .iter()
-            .any(|f| matches!(f, Field::M | Field::Flag))
+    /// Whether this base opcode may send control anywhere but the next
+    /// pc: a branch, switch, call, return, raise or halt. It ends any
+    /// fusion row it is in ([`fits`]).
+    pub fn transfers(self) -> bool {
+        use Op::*;
+        matches!(
+            self,
+            Jump | JumpIfFalse
+                | SwitchCon
+                | SwitchInt
+                | SwitchStr
+                | SwitchExn
+                | Call
+                | CallClos
+                | Ret
+                | Raise
+                | Halt
+                | Unreachable
+        )
     }
 }
 
@@ -314,14 +325,101 @@ pub struct ThreadedCode {
     pub frame_map: Vec<(u32, u32)>,
 }
 
-/// The fusion candidate matching at `i`, if any — the first (longest, by
-/// table ordering) row whose opcodes match at adjacent pcs with no
-/// interior leader; a branch could land mid-group otherwise.
-fn match_at(ops: &[Op], leader: &[bool], i: usize) -> Option<&'static Pattern> {
-    FUSION_CANDIDATES.iter().find(|pat| {
-        let end = i + pat.seq.len();
-        end <= ops.len() && ops[i..end] == *pat.seq && !leader[i + 1..end].contains(&true)
-    })
+/// The longest row: a group stands for at most this many instructions.
+pub const MAX_ROW: usize = 5;
+
+/// Whether `seq` may be a fusion row: two to [`MAX_ROW`] base opcodes
+/// whose operands fit the lanes of the packing rule (module docs), where
+/// control leaves the group only at its end. Only the last member may
+/// transfer control ([`Op::transfers`]). A `Prim`, which may raise, is
+/// last too, or stands before a last `JumpIfFalse`: a conditional branch
+/// reads a bool, and no prim that yields one raises. So every member but
+/// the last runs to completion once the group is dispatched, which is
+/// what charging the group its length up front assumes.
+pub fn fits(seq: &[Op]) -> bool {
+    let lanes = |f: Field| match f {
+        Field::A | Field::At => 2,
+        _ => 1,
+    };
+    let fields = || seq.iter().flat_map(|op| op.fields());
+    let last = seq.len().wrapping_sub(1);
+    (2..=MAX_ROW).contains(&seq.len())
+        && seq.iter().all(|op| !op.is_fused())
+        && fields().all(|f| fields().filter(|g| *g == f).count() <= lanes(*f))
+        && seq.iter().enumerate().all(|(i, op)| {
+            i == last
+                || !op.transfers()
+                    && (*op != Op::Prim || i + 1 == last && seq[last] == Op::JumpIfFalse)
+        })
+}
+
+/// Fusion rows, bucketed by first opcode for [`parse`].
+#[derive(Debug)]
+pub struct Rows<'r> {
+    seqs: Vec<&'r [Op]>,
+    /// Row indices by first opcode, in row order: those of `op` are
+    /// `by_first[at[op]..at[op + 1]]`.
+    by_first: Vec<usize>,
+    at: [usize; OP_COUNT + 1],
+}
+
+impl<'r> Rows<'r> {
+    /// Buckets `seqs`, each a run of at least one opcode.
+    pub fn new(seqs: Vec<&'r [Op]>) -> Self {
+        let mut at = [0; OP_COUNT + 1];
+        for seq in &seqs {
+            at[seq[0] as usize + 1] += 1;
+        }
+        for op in 0..OP_COUNT {
+            at[op + 1] += at[op];
+        }
+        let mut by_first = vec![0; seqs.len()];
+        let mut next = at;
+        for (r, seq) in seqs.iter().enumerate() {
+            by_first[next[seq[0] as usize]] = r;
+            next[seq[0] as usize] += 1;
+        }
+        Rows { seqs, by_first, at }
+    }
+
+    /// The opcodes of row `r`.
+    pub fn seq(&self, r: usize) -> &'r [Op] {
+        self.seqs[r]
+    }
+}
+
+/// The fewest-groups parse of `ops` by `rows`: for each pc that starts a
+/// group, the index of the row it matches, or `None` for a base
+/// instruction dispatched alone (entries inside a group are `None` too).
+/// A group never spans a leader: every pc `leader` marks starts one.
+///
+/// A right-to-left dynamic program over the pcs, trying at each pc the
+/// rows that start with its opcode. No group crosses a leader or follows
+/// a transfer, so between two such boundaries every pc executes as often
+/// as the first: the fewest groups there are the fewest dispatches on
+/// any input, and no profile is needed. Ties go to the base instruction,
+/// then to the earlier row.
+pub fn parse(ops: &[Op], leader: &[bool], rows: &Rows<'_>) -> Vec<Option<usize>> {
+    let n = ops.len();
+    let mut groups = vec![0u32; n + 1];
+    let mut choice = vec![None; n];
+    for i in (0..n).rev() {
+        groups[i] = groups[i + 1] + 1;
+        let op = ops[i] as usize;
+        for &r in &rows.by_first[rows.at[op]..rows.at[op + 1]] {
+            let seq = rows.seqs[r];
+            let end = i + seq.len();
+            if end <= n
+                && groups[end] + 1 < groups[i]
+                && ops[i..end] == *seq
+                && !leader[i + 1..end].contains(&true)
+            {
+                groups[i] = groups[end] + 1;
+                choice[i] = Some(r);
+            }
+        }
+    }
+    choice
 }
 
 /// The packing rule (module docs): merges the operands of a run of base
@@ -342,9 +440,10 @@ fn pack(seq: &[Op], parts: &[Args]) -> Args {
                 }
                 Field::K => g.k = x.k,
                 Field::N => g.n = x.n,
+                Field::M => g.m = x.m,
+                Field::Flag => g.flag = x.flag,
                 Field::P => g.p = x.p,
                 Field::T => g.t = x.t,
-                Field::M | Field::Flag => unreachable!("{op:?} has no packing lane"),
             }
         }
     }
@@ -389,19 +488,21 @@ impl ThreadedCode {
     /// Rewrites every pc operand — the `t` of each opcode that reads one
     /// and every switch target — to `map[pc]`: label ids to pcs when the
     /// compiler binds its labels, unfused pcs to fused ones when the
-    /// stream is regrouped.
+    /// stream is regrouped. `each` sees every instruction first, in the
+    /// same walk.
     ///
     /// # Panics
     ///
     /// If an operand maps to `u32::MAX` (an unbound label, or a branch
     /// into a fused group).
-    fn rewrite_pcs(&mut self, map: &[u32]) {
+    fn rewrite_pcs(&mut self, map: &[u32], mut each: impl FnMut(Op, &mut Args)) {
         let to = |pc: &mut u32| {
             let new = map[*pc as usize];
             assert_ne!(new, u32::MAX, "pc operand {pc} maps nowhere");
             *pc = new;
         };
-        for (op, x) in self.ops.iter().zip(&mut self.args) {
+        for (&op, x) in self.ops.iter().zip(&mut self.args) {
+            each(op, x);
             if op.fields().contains(&Field::T) {
                 to(&mut x.t);
             }
@@ -421,51 +522,61 @@ impl ThreadedCode {
             .for_each(to);
     }
 
-    /// Binds the labels: gives each known `Call` (whose `t` names its
-    /// callee's entry label) the callee's function id, then rewrites every
-    /// pc operand from a label id to the pc `pc_of_label` binds it to.
+    /// Binds the labels in one walk: gives each known `Call` (whose `t`
+    /// names its callee's entry label) the callee's function id, and
+    /// rewrites every pc operand from a label id to the pc `pc_of_label`
+    /// binds it to.
     ///
     /// # Panics
     ///
     /// If an operand names an unbound label.
     pub fn bind_labels(&mut self) {
-        for (op, x) in self.ops.iter().zip(&mut self.args) {
-            if *op == Op::Call {
-                x.a = self.fun_of_label[x.t as usize];
-            }
-        }
         let labels = std::mem::take(&mut self.pc_of_label);
-        self.rewrite_pcs(&labels);
+        let funs = std::mem::take(&mut self.fun_of_label);
+        self.rewrite_pcs(&labels, |op, x| {
+            if op == Op::Call {
+                x.a = funs[x.t as usize];
+            }
+        });
         self.pc_of_label = labels;
+        self.fun_of_label = funs;
     }
 
-    /// Regroups the unfused stream into superinstructions, in place. A
-    /// group never spans a *leader* (any pc a label is bound to), so every
-    /// branch target remains the start of an instruction; calls are in no
-    /// row, so a return address (the pc after a non-tail call) is a group
-    /// start too.
-    pub(crate) fn fuse(&mut self) {
-        let n = self.ops.len();
-        let mut leader = vec![false; n];
-        for &pc in &self.pc_of_label {
-            if pc != u32::MAX {
-                leader[pc as usize] = true;
-            }
+    /// The pcs a group may not run across, marked: every pc a label is
+    /// bound to (a branch target, an entry) and every return address in
+    /// the frame map.
+    pub fn leaders(&self) -> Vec<bool> {
+        let mut leader = vec![false; self.ops.len()];
+        let labels = self.pc_of_label.iter().filter(|&&pc| pc != u32::MAX);
+        for &pc in labels.chain(self.frame_map.iter().map(|(pc, _)| pc)) {
+            leader[pc as usize] = true;
         }
+        leader
+    }
 
-        // Choose groups (greedy, longest first) and map old → new pcs.
+    /// Regroups the unfused stream into superinstructions, in place, by
+    /// the fewest-groups [`parse`] over [`FUSION_CANDIDATES`]. A group
+    /// never spans a leader ([`ThreadedCode::leaders`]), so every branch
+    /// target remains the start of an instruction; a call ends any group
+    /// it is in, so a return address (the pc after a non-tail call) is a
+    /// group start too.
+    pub(crate) fn fuse(&mut self) {
+        static ROWS: OnceLock<Rows<'static>> = OnceLock::new();
+        let rows = ROWS.get_or_init(|| Rows::new(fusion_table::rows()));
+        let n = self.ops.len();
+        let group = parse(&self.ops, &self.leaders(), rows);
+
+        // Map old → new pcs.
         let mut new_pc = vec![u32::MAX; n];
-        let mut group = vec![None; n];
         let (mut i, mut npc) = (0, 0);
         while i < n {
             new_pc[i] = npc;
-            group[i] = match_at(&self.ops, &leader, i);
             npc += 1;
-            i += group[i].map_or(1, |pat| pat.seq.len());
+            i += group[i].map_or(1, |r| rows.seq(r).len());
         }
 
         // Move every pc to the new numbering.
-        self.rewrite_pcs(&new_pc);
+        self.rewrite_pcs(&new_pc, |_, _| {});
         (self.entry_pc.iter_mut())
             .chain(&mut self.pc_of_label)
             .chain(self.frame_map.iter_mut().map(|(pc, _)| pc))
@@ -476,7 +587,8 @@ impl ThreadedCode {
         let (mut i, mut w) = (0, 0);
         while i < n {
             let len = match group[i] {
-                Some(pat) => {
+                Some(r) => {
+                    let pat = &FUSION_CANDIDATES[r];
                     let len = pat.seq.len();
                     self.args[w] = pack(pat.seq, &self.args[i..i + len]);
                     self.ops[w] = pat.out;
@@ -518,9 +630,10 @@ impl ThreadedCode {
                     }
                     Field::K => x.k = g.k,
                     Field::N => x.n = g.n,
+                    Field::M => x.m = g.m,
+                    Field::Flag => x.flag = g.flag,
                     Field::P => x.p = g.p,
                     Field::T => x.t = g.t,
-                    Field::M | Field::Flag => unreachable!("{op:?} has no packing lane"),
                 }
             }
             (op, x)
@@ -529,111 +642,29 @@ impl ThreadedCode {
     }
 }
 
-/// Dynamic opcode-sequence counters — the VM's fusion counting mode.
-///
-/// Counts pairs and triples of *fallthrough-adjacent* executed
-/// instructions (consecutive pcs), which are exactly the sequences
-/// fusion could regroup; transitions taken via a branch are excluded.
-/// Collected by the VM's counting instance over the stream it runs — with
-/// fusion off, base opcodes, as `bench-summary --profile-fusion` asks
-/// for — and dumped by
-/// `bench-summary --profile-fusion` to regenerate the candidate table in
-/// `crates/kam/src/fusion_table.rs`.
-#[derive(Clone)]
+/// Dispatches per pc of the stream a run executed: the VM's counting
+/// mode ([`Vm::with_fusion_profile`](crate::vm::Vm::with_fusion_profile)).
+/// At [`Fusion::Off`] it is what `bench-summary --profile-fusion` selects
+/// the rows of [`FUSION_CANDIDATES`] from; at [`Fusion::Full`] its sum is
+/// the dispatches fusion leaves.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FusionProfile {
-    pairs: Vec<u64>,   // OP_COUNT^2, row-major
-    triples: Vec<u64>, // OP_COUNT^3
-    last_pc: usize,
-    last2_pc: usize,
-    last_op: usize,
-    last2_op: usize,
-}
-
-impl Default for FusionProfile {
-    fn default() -> Self {
-        FusionProfile {
-            pairs: vec![0; OP_COUNT * OP_COUNT],
-            triples: vec![0; OP_COUNT * OP_COUNT * OP_COUNT],
-            // Sentinels no real pc is adjacent to.
-            last_pc: usize::MAX - 8,
-            last2_pc: usize::MAX - 8,
-            last_op: 0,
-            last2_op: 0,
-        }
-    }
+    /// The opcode at each pc of the stream that ran.
+    pub ops: Vec<Op>,
+    /// How many times each pc was dispatched.
+    pub counts: Vec<u64>,
 }
 
 impl FusionProfile {
-    /// Records one executed instruction at `pc`.
-    #[inline]
-    pub fn step(&mut self, pc: usize, op: Op) {
-        let o = op as usize;
-        if pc == self.last_pc.wrapping_add(1) {
-            self.pairs[self.last_op * OP_COUNT + o] += 1;
-            if self.last_pc == self.last2_pc.wrapping_add(1) {
-                self.triples[(self.last2_op * OP_COUNT + self.last_op) * OP_COUNT + o] += 1;
-            }
-        }
-        self.last2_pc = self.last_pc;
-        self.last2_op = self.last_op;
-        self.last_pc = pc;
-        self.last_op = o;
+    /// Dispatches in all.
+    pub fn dispatches(&self) -> u64 {
+        self.counts.iter().sum()
     }
 
-    /// Accumulates another run's counts (for cross-benchmark aggregation).
-    pub fn merge(&mut self, other: &FusionProfile) {
-        for (a, b) in self.pairs.iter_mut().zip(&other.pairs) {
-            *a += b;
-        }
-        for (a, b) in self.triples.iter_mut().zip(&other.triples) {
-            *a += b;
-        }
-    }
-
-    /// Executed adjacent pairs, hottest first.
-    pub fn hot_pairs(&self) -> Vec<([Op; 2], u64)> {
-        let mut v: Vec<([Op; 2], u64)> = self
-            .pairs
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| ([Op::ALL[i / OP_COUNT], Op::ALL[i % OP_COUNT]], n))
-            .collect();
-        v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        v
-    }
-
-    /// Executed adjacent triples, hottest first.
-    pub fn hot_triples(&self) -> Vec<([Op; 3], u64)> {
-        let mut v: Vec<([Op; 3], u64)> = self
-            .triples
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                (
-                    [
-                        Op::ALL[i / (OP_COUNT * OP_COUNT)],
-                        Op::ALL[(i / OP_COUNT) % OP_COUNT],
-                        Op::ALL[i % OP_COUNT],
-                    ],
-                    n,
-                )
-            })
-            .collect();
-        v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        v
-    }
-}
-
-// The matrices are megabytes of mostly-zero counters; summarize instead
-// of dumping them into every `VmOutcome` debug print.
-impl fmt::Debug for FusionProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FusionProfile")
-            .field("pairs", &self.hot_pairs().len())
-            .field("triples", &self.hot_triples().len())
-            .finish()
+    /// Dispatches of `op`, at any pc.
+    pub fn executions(&self, op: Op) -> u64 {
+        let at = self.ops.iter().zip(&self.counts);
+        at.filter(|(o, _)| **o == op).map(|(_, n)| n).sum()
     }
 }
 
@@ -701,8 +732,8 @@ mod tests {
 
     #[test]
     fn op_list_is_dense_and_base_first() {
-        // `Op` is `repr(u8)` with sequential discriminants: `COSTS` and the
-        // profile matrices are indexed by `op as usize`.
+        // `Op` is `repr(u8)` with sequential discriminants: `COSTS` is
+        // indexed by `op as usize`.
         assert_eq!((Op::BASE_COUNT, OP_COUNT), (33, 53));
         assert_eq!(Op::Halt as usize, 32);
         for (i, op) in Op::ALL.iter().enumerate() {
@@ -853,25 +884,164 @@ mod tests {
     }
 
     #[test]
-    fn profile_counts_only_adjacent_pcs() {
-        let mut p = FusionProfile::default();
-        p.step(10, Op::Load);
-        p.step(11, Op::Select); // adjacent: pair
-        p.step(12, Op::Store); // adjacent: pair + triple
-        p.step(40, Op::Load); // branch taken: no pair
-        p.step(41, Op::Ret); // adjacent again, but no triple
-        let pairs = p.hot_pairs();
-        assert_eq!(pairs.len(), 3);
-        for want in [
-            ([Op::Load, Op::Select], 1),
-            ([Op::Select, Op::Store], 1),
-            ([Op::Load, Op::Ret], 1),
+    fn only_row_shapes_that_leave_at_the_end_fit() {
+        use Op::*;
+        for seq in [
+            &[Load, Call][..],
+            &[Load, Load, CallClos],
+            &[Prim, JumpIfFalse],
+            &[GcCheck, Load, PushConst, Prim, JumpIfFalse],
+            &[Load, RegHandle, RegHandle],
+            &[Load, Load, Prim],
+            &[MkCon, Jump],
         ] {
-            assert!(pairs.contains(&want), "missing {want:?}");
+            assert!(fits(seq), "{seq:?}");
         }
+        for seq in [
+            &[Load][..],                           // one member
+            &[Load, Load, Load, Load, Load, Load], // six members
+            &[Load, Load, Load],                   // three `u32` operands
+            &[PushConst, PushConst],               // two constants
+            &[Call, Load],                         // a call, then more
+            &[Jump, Load],                         // a branch, then more
+            &[Ret, Halt],                          // two transfers
+            &[Prim, Store],                        // a raise would skip the store
+            &[Load, Prim, Prim, JumpIfFalse],      // the same, one prim early
+            &[Load, LoadLoad],                     // a superinstruction member
+        ] {
+            assert!(!fits(seq), "{seq:?}");
+        }
+    }
+
+    /// `ops` with operands in the fields each reads, every branch to pc 0,
+    /// labels bound to `leaders` (pc 0 among them).
+    fn stream(ops: &[Op], leaders: &[usize]) -> ThreadedCode {
+        let mut c = ThreadedCode::default();
+        for (pc, &op) in ops.iter().enumerate() {
+            let x = Args {
+                k: pc as u64 + 100,
+                a: pc as u32 + 200,
+                t: 0,
+                n: pc as u32 + 1,
+                m: pc as u32 + 2,
+                flag: pc % 2 == 0,
+                p: Prim::ILt,
+                at: Some(RegSlot::Local(pc as u32)),
+                ..Args::ZERO
+            };
+            c.emit(op, x.only(op.fields()));
+        }
+        c.pc_of_label = std::iter::once(0)
+            .chain(leaders.iter().map(|&pc| pc as u32))
+            .collect();
+        c
+    }
+
+    /// The fewest groups by brute force: every way of cutting `ops` into
+    /// pieces, each one instruction or a row, none across a leader.
+    fn fewest_groups(ops: &[Op], leader: &[bool], rows: &[&[Op]]) -> usize {
+        let n = ops.len();
+        (0u32..1 << n.saturating_sub(1))
+            .filter_map(|cuts| {
+                let mut pieces = 0;
+                let mut start = 0;
+                for end in 1..=n {
+                    if end < n && cuts & (1 << (end - 1)) == 0 {
+                        continue;
+                    }
+                    let piece = &ops[start..end];
+                    let ok = piece.len() == 1
+                        || rows.contains(&piece) && !leader[start + 1..end].contains(&true);
+                    if !ok {
+                        return None;
+                    }
+                    pieces += 1;
+                    start = end;
+                }
+                Some(pieces)
+            })
+            .min()
+            .expect("one instruction a group is a parse")
+    }
+
+    /// Fuses `code` and holds it to the brute-force minimum, to the group
+    /// shape (no interior leader, no transfer before the last member) and
+    /// to `unfuse(Full) == code`; returns the fused opcodes.
+    fn assert_fuses_optimally(code: &ThreadedCode) -> Vec<Op> {
+        let rows = fusion_table::rows();
+        let leader = code.leaders();
+        let mut full = code.clone();
+        full.fuse();
+        let ctx = format!("{:?} leaders {:?}", code.ops, code.pc_of_label);
         assert_eq!(
-            p.hot_triples(),
-            vec![([Op::Load, Op::Select, Op::Store], 1)]
+            full.len(),
+            fewest_groups(&code.ops, &leader, &rows),
+            "{ctx}"
         );
+        let mut pc = 0;
+        for new in 0..full.len() {
+            let parts = full.unfuse(new);
+            for (i, &(op, x)) in parts.iter().enumerate() {
+                assert_eq!((op, x), (code.ops[pc], code.args[pc]), "{ctx}: pc {pc}");
+                assert!(i == 0 || !leader[pc], "{ctx}: a group spans leader {pc}");
+                let last = i + 1 == parts.len();
+                assert!(last || !op.transfers(), "{ctx}: {op:?} inside a group");
+                pc += 1;
+            }
+        }
+        assert_eq!(pc, code.len(), "{ctx}");
+        full.ops
+    }
+
+    #[test]
+    fn fusion_takes_the_fewest_groups_on_random_streams() {
+        use Op::*;
+        let alphabet = [
+            Load,
+            Load,
+            Load,
+            PushConst,
+            Prim,
+            JumpIfFalse,
+            GcCheck,
+            Select,
+            Store,
+            RegHandle,
+            SwitchCon,
+            Call,
+            Jump,
+            Ret,
+        ];
+        let mut rng = kit_bench::programs::SplitMix64::new(0x5EED_4900);
+        let mut draw = |k: usize| (rng.next_u64() % k as u64) as usize;
+        for _ in 0..1000 {
+            let n = 1 + draw(12);
+            let ops: Vec<Op> = (0..n).map(|_| alphabet[draw(alphabet.len())]).collect();
+            let leaders: Vec<usize> = (0..draw(4)).map(|_| draw(n)).collect();
+            assert_fuses_optimally(&stream(&ops, &leaders));
+        }
+    }
+
+    /// fib's entry. Over rows `GcCheck; Load`, `PushConst; Prim` and
+    /// `Load; PushConst; Prim; JumpIfFalse`, longest-first matching took
+    /// the first, the second and a lone `JumpIfFalse`: three dispatches,
+    /// where the fewest groups are two. The table now holds the run as one
+    /// row.
+    #[test]
+    fn fibs_entry_is_one_group() {
+        use Op::*;
+        let entry = [GcCheck, Load, PushConst, Prim, JumpIfFalse, Load, Ret];
+        let code = stream(&entry, &[5]);
+        assert_eq!(
+            assert_fuses_optimally(&code),
+            [GcCheckLoadConstPrimJump, Load, Ret]
+        );
+        let old: [&[Op]; 3] = [
+            &[GcCheck, Load],
+            &[PushConst, Prim],
+            &[Load, PushConst, Prim, JumpIfFalse],
+        ];
+        let groups = parse(&entry, &code.leaders(), &Rows::new(old.to_vec()));
+        assert_eq!(&groups[..2], [None, Some(2)]);
     }
 }

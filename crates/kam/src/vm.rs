@@ -163,8 +163,8 @@ pub struct VmOutcome {
     pub instructions: u64,
     /// Runtime statistics (allocation, collections, peak memory).
     pub stats: RtStats,
-    /// Dynamic opcode-sequence counts, if the fusion counting mode was on.
-    pub fusion_profile: Option<Box<FusionProfile>>,
+    /// Dispatches per pc, if the fusion counting mode was on.
+    pub fusion_profile: Option<FusionProfile>,
     /// The runtime (for rendering the result and inspecting regions).
     pub rt: Rt,
 }
@@ -208,9 +208,9 @@ pub struct Vm<'p> {
     output: String,
     fuel: Option<u64>,
     fusion: Fusion,
-    /// Fusion counting mode: dynamic pair/triple frequencies, recorded by
-    /// the counting instance of [`Vm::exec_threaded`].
-    profile: Option<Box<FusionProfile>>,
+    /// Fusion counting mode: run the counting instance of
+    /// [`Vm::exec_threaded`], which counts dispatches per pc.
+    profile: bool,
     /// Error staged by a failing threaded handler before it returns
     /// [`Control::Fail`].
     pending: Option<VmError>,
@@ -236,7 +236,7 @@ impl<'p> Vm<'p> {
             output: String::new(),
             fuel: None,
             fusion: Fusion::default(),
-            profile: None,
+            profile: false,
             pending: None,
             halted: None,
             safe_points: 0,
@@ -261,14 +261,11 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Enables the fusion counting mode: dynamic opcode pair/triple
-    /// frequencies of fallthrough-adjacent instructions are recorded and
-    /// returned in [`VmOutcome::fusion_profile`]. Turns fusion off for
-    /// [`Vm::run`], so base opcodes stay visible; under
-    /// [`Vm::run_prepared`] the counts are of the stream prepared.
+    /// Enables the fusion counting mode: the dispatches of each pc of the
+    /// stream run, at the fusion level it was prepared at, are returned in
+    /// [`VmOutcome::fusion_profile`].
     pub fn with_fusion_profile(mut self) -> Self {
-        self.profile = Some(Box::default());
-        self.fusion = Fusion::Off;
+        self.profile = true;
         self
     }
 
@@ -491,7 +488,7 @@ impl<'p> Vm<'p> {
         let main = self.prog.main as usize;
         let t = &exe.0;
         let pc = t.entry_pc[main] as usize;
-        if self.profile.is_some() {
+        if self.profile {
             self.exec_threaded::<true>(t, pc)
         } else {
             self.exec_threaded::<false>(t, pc)
@@ -504,8 +501,8 @@ impl<'p> Vm<'p> {
     /// continues. Costs come from [`Op::cost`] — the source
     /// instructions an opcode stands for — so fuel and instruction totals
     /// are bit-identical at either fusion level. `PROFILE` selects the
-    /// fusion counting instance, which records every dispatch in
-    /// [`Vm::profile`]; the production instance has no such branch.
+    /// fusion counting instance, which counts the dispatches of each pc;
+    /// the production instance has no such branch.
     fn exec_threaded<const PROFILE: bool>(
         mut self,
         t: &ThreadedCode,
@@ -514,6 +511,7 @@ impl<'p> Vm<'p> {
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
         let mut icount: u64 = 0;
         let mut pc = entry;
+        let mut counts = vec![0u64; if PROFILE { t.len() } else { 0 }];
         loop {
             let op = t.ops[pc];
             icount += op.cost();
@@ -521,9 +519,7 @@ impl<'p> Vm<'p> {
                 return Err(VmError::OutOfFuel);
             }
             if PROFILE {
-                if let Some(prof) = self.profile.as_deref_mut() {
-                    prof.step(pc, op);
-                }
+                counts[pc] += 1;
             }
             // Rust has no computed goto, so the "threading" here is the
             // dense-`u8` match below: it compiles to a single jump table
@@ -568,26 +564,30 @@ impl<'p> Vm<'p> {
                 Op::DeExn => h_de_exn(&mut self, t, pc as u32),
                 Op::Raise => h_raise(&mut self, t, pc as u32),
                 Op::Halt => h_halt(&mut self, t, pc as u32),
-                Op::LoadLoadPrim => h_load_load_prim(&mut self, t, pc as u32),
-                Op::PushConstPrim => h_push_const_prim(&mut self, t, pc as u32),
-                Op::LoadSelect => h_load_select(&mut self, t, pc as u32),
-                Op::LoadConstPrim => h_load_const_prim(&mut self, t, pc as u32),
                 Op::LoadSelectStore => h_load_select_store(&mut self, t, pc as u32),
-                Op::LoadLoadPrimJump => h_load_load_prim_jump(&mut self, t, pc as u32),
-                Op::LoadConstPrimJump => h_load_const_prim_jump(&mut self, t, pc as u32),
-                Op::StoreLoadSelect => h_store_load_select(&mut self, t, pc as u32),
-                Op::LoadPrimJump => h_load_prim_jump(&mut self, t, pc as u32),
-                Op::StoreLoad => h_store_load(&mut self, t, pc as u32),
+                Op::LoadConstPrim => h_load_const_prim(&mut self, t, pc as u32),
                 Op::LoadLoad => h_load_load(&mut self, t, pc as u32),
-                Op::PrimJump => h_prim_jump(&mut self, t, pc as u32),
-                Op::LoadStore => h_load_store(&mut self, t, pc as u32),
-                Op::LoadSwitchCon => h_load_switch_con(&mut self, t, pc as u32),
-                Op::GcCheckLoad => h_gc_check_load(&mut self, t, pc as u32),
-                Op::RegHandleRegHandle => h_reg_handle_reg_handle(&mut self, t, pc as u32),
-                Op::SelectStoreLoad => h_select_store_load(&mut self, t, pc as u32),
                 Op::GcCheckLoadSwitchCon => h_gc_check_load_switch_con(&mut self, t, pc as u32),
-                Op::RegHandleRegHandleLoad => h_reg_handle_reg_handle_load(&mut self, t, pc as u32),
+                Op::LoadLoadPrimJump => h_load_load_prim_jump(&mut self, t, pc as u32),
+                Op::LoadRegHandleRegHandle => h_load_reg_handle_reg_handle(&mut self, t, pc as u32),
+                Op::LoadStore => h_load_store(&mut self, t, pc as u32),
+                Op::LoadSelect => h_load_select(&mut self, t, pc as u32),
+                Op::GcCheckLoadConstPrimJump => {
+                    h_gc_check_load_const_prim_jump(&mut self, t, pc as u32)
+                }
+                Op::LoadLoadConstPrim => h_load_load_const_prim(&mut self, t, pc as u32),
+                Op::LoadLoadPrim => h_load_load_prim(&mut self, t, pc as u32),
+                Op::LoadCall => h_load_call(&mut self, t, pc as u32),
+                Op::PushConstPrim => h_push_const_prim(&mut self, t, pc as u32),
+                Op::LoadSelectLoadPrim => h_load_select_load_prim(&mut self, t, pc as u32),
                 Op::RegHandleLoadLoad => h_reg_handle_load_load(&mut self, t, pc as u32),
+                Op::LoadConstPrimJump => h_load_const_prim_jump(&mut self, t, pc as u32),
+                Op::LoadJump => h_load_jump(&mut self, t, pc as u32),
+                Op::LoadSwitchCon => h_load_switch_con(&mut self, t, pc as u32),
+                Op::LoadSelectLoadConstPrim => {
+                    h_load_select_load_const_prim(&mut self, t, pc as u32)
+                }
+                Op::LoadRegHandleLoad => h_load_reg_handle_load(&mut self, t, pc as u32),
             };
             match ctl {
                 Control::Next => pc += 1,
@@ -601,7 +601,10 @@ impl<'p> Vm<'p> {
                         output: self.output,
                         instructions: icount,
                         stats,
-                        fusion_profile: self.profile.take(),
+                        fusion_profile: PROFILE.then(|| FusionProfile {
+                            ops: t.ops.clone(),
+                            counts,
+                        }),
                         rt: self.rt,
                     });
                 }
@@ -1206,6 +1209,14 @@ fn h_reg_handle(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 #[inline(always)]
 fn h_call(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
+    call(vm, x.a, x, pc)
+}
+
+/// A known call of function `fun` whose `n`/`m`/`flag`/`t` operands `x`
+/// holds, from the instruction at `pc`; a non-tail call returns to
+/// `pc + 1`, the next group when a superinstruction ends in the call.
+#[inline(always)]
+fn call(vm: &mut Vm<'_>, fun: u32, x: &threaded::Args, pc: u32) -> Control {
     let n = x.n as usize;
     let nf = x.m as usize;
     let (base, ret) = if x.flag {
@@ -1213,7 +1224,7 @@ fn h_call(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     } else {
         (vm.rt.stack.len() - n - nf - 1, pc as usize + 1)
     };
-    vm.push_frame_from_stack(x.a, 1 + nf + n, ret, base);
+    vm.push_frame_from_stack(fun, 1 + nf + n, ret, base);
     Control::Goto(x.t)
 }
 
@@ -1421,18 +1432,139 @@ fn prim_branch(vm: &mut Vm<'_>, p: Prim, at: Option<RegSlot>, t: u32) -> Control
     }
 }
 
+/// Pushes the handle of the region in `slot`.
+#[inline(always)]
+fn push_region(vm: &mut Vm<'_>, slot: Option<RegSlot>) {
+    let r = vm.region_of(slot.expect("region handle needs a slot"));
+    let w = vm.rt.tag_int(r.0 as i64);
+    vm.push(w);
+}
+
+/// A prim on `a` and `b`, held in registers, its result pushed: the fast
+/// path, else both pushed and [`prim_on_stack`].
+#[inline(always)]
+fn prim_on(vm: &mut Vm<'_>, p: Prim, at: Option<RegSlot>, a: Word, b: Word) -> Control {
+    if let Some(w) = fast_binop(vm, p, a, b) {
+        vm.push(w);
+        return Control::Next;
+    }
+    vm.push(a);
+    vm.push(b);
+    prim_on_stack(vm, p, at)
+}
+
+/// A compare-and-branch on `a` and `b`, held in registers: the fast path,
+/// else both pushed and [`prim_branch`].
+#[inline(always)]
+fn prim_jump_on(vm: &mut Vm<'_>, x: &threaded::Args, a: Word, b: Word) -> Control {
+    if let Some(w) = fast_binop(vm, x.p, a, b) {
+        return branch(vm, w, x.t);
+    }
+    vm.push(a);
+    vm.push(b);
+    prim_branch(vm, x.p, x.at, x.t)
+}
+
+#[inline(always)]
+fn h_load_select_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let v = vm.local(x.a);
+    let w = vm.rt.field(v, x.n as u64);
+    vm.set_local(x.b, w);
+    Control::Next
+}
+
+#[inline(always)]
+fn h_load_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let v = vm.local(x.a);
+    prim_on(vm, x.p, x.at, v, x.k)
+}
+
+#[inline(always)]
+fn h_load_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let va = vm.local(x.a);
+    let vb = vm.local(x.b);
+    vm.push(va);
+    vm.push(vb);
+    Control::Next
+}
+
+#[inline(always)]
+fn h_gc_check_load_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    match h_gc_check(vm, t, pc) {
+        Control::Next => h_load_switch_con(vm, t, pc),
+        failed => failed,
+    }
+}
+
+#[inline(always)]
+fn h_load_load_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let va = vm.local(x.a);
+    let vb = vm.local(x.b);
+    prim_jump_on(vm, x, va, vb)
+}
+
+#[inline(always)]
+fn h_load_reg_handle_reg_handle(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let v = vm.local(x.a);
+    vm.push(v);
+    push_region(vm, x.at);
+    push_region(vm, x.at2);
+    Control::Next
+}
+
+#[inline(always)]
+fn h_load_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let v = vm.local(x.a);
+    vm.set_local(x.b, v);
+    Control::Next
+}
+
+#[inline(always)]
+fn h_load_select(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let v = vm.local(x.a);
+    let w = vm.rt.field(v, x.n as u64);
+    vm.push(w);
+    Control::Next
+}
+
+#[inline(always)]
+fn h_gc_check_load_const_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    match h_gc_check(vm, t, pc) {
+        Control::Next => h_load_const_prim_jump(vm, t, pc),
+        failed => failed,
+    }
+}
+
+#[inline(always)]
+fn h_load_load_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let va = vm.local(x.a);
+    vm.push(va);
+    let vb = vm.local(x.b);
+    prim_on(vm, x.p, x.at, vb, x.k)
+}
+
 #[inline(always)]
 fn h_load_load_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let va = vm.local(x.a);
     let vb = vm.local(x.b);
-    if let Some(w) = fast_binop(vm, x.p, va, vb) {
-        vm.push(w);
-        return Control::Next;
-    }
-    vm.push(va);
-    vm.push(vb);
-    prim_on_stack(vm, x.p, x.at)
+    prim_on(vm, x.p, x.at, va, vb)
+}
+
+#[inline(always)]
+fn h_load_call(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let v = vm.local(x.a);
+    vm.push(v);
+    call(vm, x.b, x, pc)
 }
 
 #[inline(always)]
@@ -1449,124 +1581,37 @@ fn h_push_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 }
 
 #[inline(always)]
-fn h_load_select(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+fn h_load_select_load_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    let v = vm.local(x.a);
-    let w = vm.rt.field(v, x.n as u64);
-    vm.push(w);
-    Control::Next
+    let w = vm.rt.field(vm.local(x.a), x.n as u64);
+    let v = vm.local(x.b);
+    prim_on(vm, x.p, x.at, w, v)
 }
 
 #[inline(always)]
-fn h_load_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+fn h_reg_handle_load_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    let v = vm.local(x.a);
-    if let Some(w) = fast_binop(vm, x.p, v, x.k) {
-        vm.push(w);
-        return Control::Next;
-    }
-    vm.push(v);
-    vm.push(x.k);
-    prim_on_stack(vm, x.p, x.at)
-}
-
-#[inline(always)]
-fn h_load_select_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.local(x.a);
-    let w = vm.rt.field(v, x.n as u64);
-    vm.set_local(x.b, w);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_load_load_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
+    push_region(vm, x.at);
     let va = vm.local(x.a);
-    let vb = vm.local(x.b);
-    if let Some(w) = fast_binop(vm, x.p, va, vb) {
-        return branch(vm, w, x.t);
-    }
     vm.push(va);
+    let vb = vm.local(x.b);
     vm.push(vb);
-    prim_branch(vm, x.p, x.at, x.t)
+    Control::Next
 }
 
 #[inline(always)]
 fn h_load_const_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
-    if let Some(w) = fast_binop(vm, x.p, v, x.k) {
-        return branch(vm, w, x.t);
-    }
-    vm.push(v);
-    vm.push(x.k);
-    prim_branch(vm, x.p, x.at, x.t)
+    prim_jump_on(vm, x, v, x.k)
 }
 
 #[inline(always)]
-fn h_store_load_select(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.pop();
-    vm.set_local(x.a, v);
-    let w = vm.rt.field(vm.local(x.b), x.n as u64);
-    vm.push(w);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_load_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+fn h_load_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
     let v = vm.local(x.a);
-    // The other operand is already on the stack (under the loaded one).
-    let n = vm.rt.stack.len();
-    let a = vm.rt.stack[n - 1];
-    if let Some(w) = fast_binop(vm, x.p, a, v) {
-        vm.rt.stack.truncate(n - 1);
-        return branch(vm, w, x.t);
-    }
     vm.push(v);
-    prim_branch(vm, x.p, x.at, x.t)
-}
-
-#[inline(always)]
-fn h_store_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.pop();
-    vm.set_local(x.a, v);
-    let w = vm.local(x.b);
-    vm.push(w);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_load_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let va = vm.local(x.a);
-    let vb = vm.local(x.b);
-    vm.push(va);
-    vm.push(vb);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_prim_jump(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let n = vm.rt.stack.len();
-    let (a, b) = (vm.rt.stack[n - 2], vm.rt.stack[n - 1]);
-    if let Some(w) = fast_binop(vm, x.p, a, b) {
-        vm.rt.stack.truncate(n - 2);
-        return branch(vm, w, x.t);
-    }
-    prim_branch(vm, x.p, x.at, x.t)
-}
-
-#[inline(always)]
-fn h_load_store(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.local(x.a);
-    vm.set_local(x.b, v);
-    Control::Next
+    Control::Goto(x.t)
 }
 
 #[inline(always)]
@@ -1576,73 +1621,22 @@ fn h_load_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 }
 
 #[inline(always)]
-fn h_gc_check_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    if let Some(e) = vm.gc_safe_point(&t.frame_map) {
-        vm.pending = Some(e);
-        return Control::Fail;
-    }
-    let v = vm.local(args(t, pc).a);
-    vm.push(v);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_reg_handle_reg_handle(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+fn h_load_select_load_const_prim(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
     let x = args(t, pc);
-    let ra = vm.region_of(x.at.expect("region handle needs a slot"));
-    let wa = vm.rt.tag_int(ra.0 as i64);
-    vm.push(wa);
-    let rb = vm.region_of(x.at2.expect("region handle needs a slot"));
-    let wb = vm.rt.tag_int(rb.0 as i64);
-    vm.push(wb);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_select_store_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let v = vm.pop();
-    let w = vm.rt.field(v, x.n as u64);
-    vm.set_local(x.a, w);
-    let u = vm.local(x.b);
-    vm.push(u);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_gc_check_load_switch_con(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    if let Some(e) = vm.gc_safe_point(&t.frame_map) {
-        vm.pending = Some(e);
-        return Control::Fail;
-    }
-    let x = args(t, pc);
-    switch_con(vm, t, vm.local(x.a), x.b)
-}
-
-#[inline(always)]
-fn h_reg_handle_reg_handle_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let ra = vm.region_of(x.at.expect("region handle needs a slot"));
-    let wa = vm.rt.tag_int(ra.0 as i64);
-    vm.push(wa);
-    let rb = vm.region_of(x.at2.expect("region handle needs a slot"));
-    let wb = vm.rt.tag_int(rb.0 as i64);
-    vm.push(wb);
-    let v = vm.local(x.a);
-    vm.push(v);
-    Control::Next
-}
-
-#[inline(always)]
-fn h_reg_handle_load_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
-    let x = args(t, pc);
-    let rr = vm.region_of(x.at.expect("region handle needs a slot"));
-    let wr = vm.rt.tag_int(rr.0 as i64);
-    vm.push(wr);
-    let v = vm.local(x.a);
-    vm.push(v);
-    let w = vm.local(x.b);
+    let w = vm.rt.field(vm.local(x.a), x.n as u64);
     vm.push(w);
+    let v = vm.local(x.b);
+    prim_on(vm, x.p, x.at, v, x.k)
+}
+
+#[inline(always)]
+fn h_load_reg_handle_load(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
+    let va = vm.local(x.a);
+    vm.push(va);
+    push_region(vm, x.at);
+    let vb = vm.local(x.b);
+    vm.push(vb);
     Control::Next
 }
 
@@ -1670,22 +1664,34 @@ mod tests {
     }
 
     #[test]
-    fn the_counting_instance_runs_unfused_and_counts_what_it_runs() {
+    fn the_counting_instance_counts_the_dispatches_of_the_stream_it_runs() {
         let prog = fib_program();
-        let run = |vm: Vm<'_>| vm.run().unwrap();
-        let plain = run(Vm::new(&prog, Rt::new(kit_runtime::RtConfig::rgt())));
-        let counted =
-            run(Vm::new(&prog, Rt::new(kit_runtime::RtConfig::rgt())).with_fusion_profile());
+        let vm = |fusion| Vm::new(&prog, Rt::new(kit_runtime::RtConfig::rgt())).with_fusion(fusion);
+        let plain = vm(Fusion::Full).run().unwrap();
         assert!(plain.fusion_profile.is_none());
-        assert_eq!(counted.result, plain.result);
-        assert_eq!(counted.instructions, plain.instructions);
-        let prof = counted
-            .fusion_profile
-            .expect("the counting instance returns a profile");
-        let pairs = prof.hot_pairs();
-        assert!(!pairs.is_empty());
-        assert!(pairs
-            .iter()
-            .all(|(ops, _)| ops.iter().all(|op| !op.is_fused())));
+        let profiled = |fusion| {
+            let out = vm(fusion).with_fusion_profile().run().unwrap();
+            assert_eq!(
+                (out.result, out.instructions),
+                (plain.result, plain.instructions),
+                "{fusion:?}"
+            );
+            out.fusion_profile
+                .expect("the counting instance returns a profile")
+        };
+        // Unfused, a dispatch is an instruction.
+        let off = profiled(Fusion::Off);
+        assert_eq!(off.ops, prog.code.ops);
+        assert_eq!(off.dispatches(), plain.instructions);
+        // Fused, each dispatch is charged its cost.
+        let full = profiled(Fusion::Full);
+        let exe = Executable::prepare(&prog, DispatchMode::default(), Fusion::Full);
+        assert_eq!(full.ops, exe.code().ops);
+        let charged: u64 = (full.ops.iter().zip(&full.counts))
+            .map(|(op, n)| op.cost() * n)
+            .sum();
+        assert_eq!(charged, plain.instructions);
+        assert!(full.dispatches() < off.dispatches());
+        assert_eq!(full.executions(Op::Halt), 1);
     }
 }

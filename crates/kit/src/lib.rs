@@ -149,9 +149,9 @@ pub struct Outcome {
     pub stats: RtStats,
     /// Region-profile samples if profiling was enabled (paper Fig. 5).
     pub profile: Vec<kit_runtime::profile::Sample>,
-    /// Dynamic opcode pair/triple counts if the fusion counting mode was
-    /// enabled ([`Compiler::with_fusion_profile`]).
-    pub fusion_profile: Option<Box<FusionProfile>>,
+    /// Dispatches per pc if the fusion counting mode was enabled
+    /// ([`Compiler::with_fusion_profile`]).
+    pub fusion_profile: Option<FusionProfile>,
 }
 
 impl Outcome {
@@ -337,9 +337,10 @@ impl Compiler {
         self
     }
 
-    /// Enables the VM's fusion counting mode: dynamic opcode pair/triple
-    /// frequencies are returned in [`Outcome::fusion_profile`]. Forces
-    /// fusion off, so base opcodes stay visible.
+    /// Enables the VM's fusion counting mode: the dispatches of each pc of
+    /// the stream run, at this compiler's fusion level, are returned in
+    /// [`Outcome::fusion_profile`]. `Fusion::Off` counts base opcodes;
+    /// `Fusion::Full` counts what production dispatches.
     pub fn with_fusion_profile(mut self) -> Self {
         self.fusion_profile = true;
         self
@@ -404,14 +405,7 @@ impl Compiler {
     }
 
     fn executable_for(&self, prog: &Program) -> Executable {
-        // The fusion counting mode runs unfused, so base opcodes stay
-        // visible, as `Vm::with_fusion_profile` does.
-        let fusion = if self.fusion_profile {
-            Fusion::Off
-        } else {
-            self.fusion
-        };
-        Executable::prepare(prog, DispatchMode::Threaded, fusion)
+        Executable::prepare(prog, DispatchMode::Threaded, self.fusion)
     }
 
     /// Compiles and prepares `src` in one step.

@@ -155,6 +155,14 @@ if grep -rnwE 'check_on_current_thread|assert_matches_oracle_everywhere|on_big_s
     echo "verify: a second differential, stack wrapper or relative deadline is back (see above)" >&2
     exit 1
 fi
+echo "==> deleted names stay deleted, as whole words: the greedy matcher, the"
+echo "    pair/triple profile matrices and the fusion rows the dispatch-saving"
+echo "    selection dropped (fusion takes the fewest groups of the selected rows)"
+if grep -rnwE 'match_at|hot_pairs|hot_triples|packs|StoreLoadSelect|LoadPrimJump|StoreLoad|PrimJump|GcCheckLoad|RegHandleRegHandle|SelectStoreLoad|RegHandleRegHandleLoad' \
+    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
+    echo "verify: a greedy matcher, a pair/triple profile or a dropped row is back (see above)" >&2
+    exit 1
+fi
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -183,24 +191,20 @@ while IFS=: read -r file line text; do
 done < <(grep -nE '`[A-Z][A-Za-z0-9_]*::' README.md DESIGN.md | grep -vE '\bPRs? ?[0-9]+')
 [ "$rot" = 0 ] || { echo "verify: README.md/DESIGN.md name what is not there (see above)" >&2; exit 1; }
 
-echo "==> bench-summary --profile-fusion (fib, msort): exits 0, and every"
-echo "    uncovered-candidate row is '<count>  Op;Op[;Op]'"
-cargo run --release -q -p kit-bench --bin bench-summary -- \
-    --profile-fusion --only fib,msort 2>/dev/null |
-    awk '/^== uncovered/ { tail = 1; next }
-         tail && NF && !/^ +[0-9]+  [A-Za-z]+(;[A-Za-z]+)(;[A-Za-z]+)?$/ { print "malformed: " $0; bad = 1 }
-         tail && NF { rows++ }
-         END { exit bad || !rows }'
+echo "==> bench-summary --check-fusion: the committed FUSION_CANDIDATES are"
+echo "    the rows the selection takes on the paper-scale corpus, and every one"
+echo "    is dispatched there"
+cargo run --release -q -p kit-bench --bin bench-summary -- --check-fusion >/dev/null
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR47.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR49.json in r, gt,"
 echo "    rgt and the generational baseline, both fusion levels; writes"
 echo "    nothing (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR47.json
+    --check-counts BENCH_PR49.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"
