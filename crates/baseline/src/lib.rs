@@ -19,23 +19,25 @@
 //! the memory discipline rather than unrelated compiler differences — the
 //! confound the paper itself warns about.
 //!
+//! The baseline compiles and runs through the one façade, as
+//! `kit::Compiler::new(kit::Mode::Baseline)`, which takes its runtime
+//! configuration from here.
+//!
 //! # Examples
 //!
 //! ```
-//! let mut lprog = kit_typing::compile_str("val it = length (upto (1, 100))")
-//!     .expect("front-end");
-//! let prog = kit_baseline::compile_baseline(&mut lprog);
-//! let out = kit_baseline::run_baseline(&prog, None).expect("run");
+//! use kit::{Compiler, Mode};
+//!
+//! let out = Compiler::new(Mode::Baseline).run_source("val it = length (upto (1, 100))")?;
+//! assert_eq!(out.result_int(), Some(100));
 //! assert!(out.stats.gc_count == out.stats.minor_gcs);
+//! # Ok::<(), kit::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
 
-use kit_kam::{Program, Vm, VmError, VmOutcome};
-use kit_lambda::LProgram;
-use kit_region::RegionOptions;
 use kit_runtime::config::{Collector, GenPolicy};
-use kit_runtime::{Rt, RtConfig};
+use kit_runtime::RtConfig;
 
 /// The baseline runtime configuration: tagged values, one program region,
 /// two-generation collection.
@@ -46,65 +48,31 @@ pub fn baseline_config() -> RtConfig {
     }
 }
 
-/// Compiles an elaborated program for the baseline: optimizer, then region
-/// inference with *everything* collapsed onto one heap region.
-pub fn compile_baseline(lprog: &mut LProgram) -> Program {
-    kit_lambda::opt::optimize(lprog, &Default::default());
-    let rprog = kit_region::infer(lprog, RegionOptions::baseline());
-    let mut prog = kit_kam::compile(&rprog, true);
-    prog.result_ty = lprog.result_ty.clone();
-    prog
-}
-
-/// Runs a baseline-compiled program.
-///
-/// # Errors
-///
-/// Propagates uncaught exceptions and fuel exhaustion.
-pub fn run_baseline(prog: &Program, fuel: Option<u64>) -> Result<VmOutcome, VmError> {
-    run_baseline_with(prog, fuel, baseline_config())
-}
-
-/// Runs with an explicit configuration (policy sweeps in the benches).
-///
-/// # Errors
-///
-/// Propagates uncaught exceptions and fuel exhaustion.
-pub fn run_baseline_with(
-    prog: &Program,
-    fuel: Option<u64>,
-    config: RtConfig,
-) -> Result<VmOutcome, VmError> {
-    let rt = Rt::new(config);
-    let mut vm = Vm::new(prog, rt);
-    if let Some(f) = fuel {
-        vm = vm.with_fuel(f);
-    }
-    vm.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kit::{Compiler, DispatchMode, Fusion, Mode, Outcome};
+    use kit_kam::{Executable, Vm};
+    use kit_runtime::Rt;
+
+    /// Runs `src` on the baseline under `config`.
+    fn run(src: &str, config: RtConfig) -> Outcome {
+        Compiler::new(Mode::Baseline)
+            .with_config(config)
+            .run_source(src)
+            .expect("run")
+    }
 
     #[test]
     fn computes_correct_results() {
         let src = "fun fib n = if n < 2 then n else fib (n-1) + fib (n-2) val it = fib 15";
-        let mut lprog = kit_typing::compile_str(src).expect("front-end");
-        let prog = compile_baseline(&mut lprog);
-        let out = run_baseline(&prog, Some(200_000_000)).expect("run");
-        assert_eq!(
-            kit_kam::render::render_value(&out.rt, out.result, &prog.result_ty, &prog.data),
-            "610"
-        );
+        assert_eq!(run(src, baseline_config()).result, "610");
     }
 
     #[test]
     fn minor_collections_dominate() {
         let src = "fun burn 0 = 0 | burn n = length (upto (1, 100)) + burn (n - 1)
                    val it = burn 3000";
-        let mut lprog = kit_typing::compile_str(src).expect("front-end");
-        let prog = compile_baseline(&mut lprog);
         let cfg = RtConfig {
             collector: Collector::Generational(GenPolicy {
                 nursery_pages: 8,
@@ -113,7 +81,7 @@ mod tests {
             initial_pages: 32,
             ..baseline_config()
         };
-        let out = run_baseline_with(&prog, Some(500_000_000), cfg).expect("run");
+        let out = run(src, cfg);
         assert!(out.stats.minor_gcs > 10, "minors: {}", out.stats.minor_gcs);
         assert!(
             out.stats.minor_gcs >= out.stats.major_gcs * 2,
@@ -132,8 +100,6 @@ mod tests {
             fun burn 0 = 0 | burn n = length (upto (1, 50)) + burn (n - 1)
             val _ = burn 2000
             val it = length keep + hd keep + hd (rev keep)";
-        let mut lprog = kit_typing::compile_str(src).expect("front-end");
-        let prog = compile_baseline(&mut lprog);
         let cfg = RtConfig {
             collector: Collector::Generational(GenPolicy {
                 nursery_pages: 6,
@@ -142,38 +108,38 @@ mod tests {
             initial_pages: 16,
             ..baseline_config()
         };
-        let out = run_baseline_with(&prog, Some(500_000_000), cfg).expect("run");
+        let out = run(src, cfg);
         assert!(
             out.stats.major_gcs > 0,
             "expected at least one major collection"
         );
-        let s = kit_kam::render::render_value(
-            &out.rt,
-            out.result,
-            &kit_lambda::ty::LTy::Int,
-            &prog.data,
-        );
-        assert_eq!(s, "1001"); // 500 + 1 + 500
+        assert_eq!(out.result, "1001"); // 500 + 1 + 500
     }
 
     #[test]
     fn the_barrier_remembers_a_field_once_and_only_for_a_pointer() {
         // 10^6 stores between two collections (none runs): a scalar is
         // never remembered, the same pointer once. Each store used to be
-        // remembered, outside the page quota.
+        // remembered, outside the page quota. The remembered set is the
+        // `Rt`'s, so the run is the façade's compile and a VM of our own.
         for (init, stored, want) in [("0", "n", 0), ("nil", "keep", 1)] {
             let src = format!(
                 "val keep = [1] val r = ref {init}
                  fun loop 0 = () | loop n = (r := {stored}; loop (n - 1))
                  val it = loop 1000000"
             );
-            let mut lprog = kit_typing::compile_str(&src).expect("front-end");
-            let prog = compile_baseline(&mut lprog);
             let cfg = RtConfig {
                 max_heap_pages: Some(64),
                 ..baseline_config()
             };
-            let out = run_baseline_with(&prog, None, cfg).expect("run");
+            let prog = Compiler::new(Mode::Baseline)
+                .with_config(cfg.clone())
+                .compile_source(&src)
+                .expect("front-end");
+            let exe = Executable::prepare(&prog, DispatchMode::Threaded, Fusion::Full);
+            let out = Vm::new(&prog, Rt::new(cfg))
+                .run_prepared(&exe)
+                .expect("run");
             assert_eq!(out.stats.gc_count, 0, "r := {stored}");
             assert_eq!(out.rt.remembered_len(), want, "r := {stored}");
         }
@@ -188,8 +154,6 @@ mod tests {
             fun churn 0 = () | churn n = (r := upto (1, 20); ignore (upto (1, 100)); churn (n - 1))
             val _ = churn 500
             val it = length (!r)";
-        let mut lprog = kit_typing::compile_str(src).expect("front-end");
-        let prog = compile_baseline(&mut lprog);
         let cfg = RtConfig {
             collector: Collector::Generational(GenPolicy {
                 nursery_pages: 4,
@@ -198,14 +162,8 @@ mod tests {
             initial_pages: 16,
             ..baseline_config()
         };
-        let out = run_baseline_with(&prog, Some(500_000_000), cfg).expect("run");
+        let out = run(src, cfg);
         assert!(out.stats.minor_gcs > 0);
-        let s = kit_kam::render::render_value(
-            &out.rt,
-            out.result,
-            &kit_lambda::ty::LTy::Int,
-            &prog.data,
-        );
-        assert_eq!(s, "20");
+        assert_eq!(out.result, "20");
     }
 }

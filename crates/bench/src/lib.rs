@@ -35,9 +35,7 @@ pub mod fusion_check;
 pub mod fusion_select;
 pub mod programs;
 pub mod randgen;
-pub mod runner;
 pub mod serve_bench;
 pub mod tables;
 
 pub use programs::{all, by_name, Benchmark};
-pub use runner::{run_scaled, MeasuredRun};

@@ -263,6 +263,21 @@ pub fn pair_let(n: usize) -> String {
     src + &format!("in fst p{n} + snd p{n} end\n")
 }
 
+/// The paper's §2.6 example: a closure captures a list it never reads
+/// (`f` ignores `x`) and is applied after the list's last use. Pure region
+/// inference (`r`, `rt`) binds the list's region with a `letregion` around
+/// `h`'s definition and pops it before `h 5` runs, leaving `h` a dangling
+/// pointer it never follows; with a collector, which would trace it, the
+/// GC-safe weakening keeps the region alive (`rgt` makes it global). Every
+/// mode returns 22. `examples/dangling.rs` runs it.
+pub const DANGLING_CLOSURE: &str = "\
+fun f (x, n) = if n < 1 then 17 else f (x, n - 1)
+fun mk n = if n < 1 then [] else n :: mk (n - 1)
+fun g v = fn y => f (v, y) + y
+val h = g (mk 10)
+val it = h 5
+";
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,14 +9,13 @@
 //! the paper's `t_*` (seconds) columns are `i_*` (instructions executed)
 //! here.
 
-use crate::programs::{all, by_name};
-use crate::runner::{fmt_bytes, improvement_pct, run_scaled, MeasuredRun};
-use kit::Mode;
-use kit_runtime::profile::regions_by_peak;
+use crate::programs::{all, by_name, Benchmark};
+use kit::{Compiler, Mode, Outcome};
+use kit_runtime::stats::regions_by_peak;
 use kit_runtime::RtConfig;
 use std::fmt::Write as _;
 
-fn scale_of(b: &crate::Benchmark, quick: bool) -> i64 {
+fn scale_of(b: &Benchmark, quick: bool) -> i64 {
     if quick {
         b.test_scale
     } else {
@@ -24,9 +23,33 @@ fn scale_of(b: &crate::Benchmark, quick: bool) -> i64 {
     }
 }
 
-fn run_mode(b: &crate::Benchmark, mode: Mode, quick: bool) -> MeasuredRun {
-    run_scaled(b, mode, scale_of(b, quick), None)
-        .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", b.name))
+/// Runs `b` at `scale` with `compiler`; an error is a panic naming both.
+fn run(compiler: Compiler, b: &Benchmark, scale: i64) -> Outcome {
+    compiler
+        .run_source(&b.source_scaled(scale))
+        .unwrap_or_else(|e| panic!("{} [{}]: {e}", b.name, compiler.mode()))
+}
+
+fn run_mode(b: &Benchmark, mode: Mode, quick: bool) -> Outcome {
+    run(Compiler::new(mode), b, scale_of(b, quick))
+}
+
+/// Formats bytes the way the paper does (K / M).
+fn fmt_bytes(b: usize) -> String {
+    if b >= 10 * 1024 * 1024 {
+        format!("{}M", b / (1024 * 1024))
+    } else {
+        format!("{}K", b.div_ceil(1024))
+    }
+}
+
+/// Percentage improvement `(a - b) / a`, as the paper's tables print it.
+fn improvement_pct(a: f64, b: f64) -> i64 {
+    if a == 0.0 {
+        0
+    } else {
+        (100.0 * (a - b) / a).round() as i64
+    }
 }
 
 /// Table 1 — effect of tagging on time and memory (`r` vs `rt`).
@@ -44,13 +67,9 @@ pub fn table1(quick: bool) -> String {
     for b in all() {
         let r = run_mode(&b, Mode::R, quick);
         let rt = run_mode(&b, Mode::Rt, quick);
-        assert_eq!(
-            r.outcome.result, rt.outcome.result,
-            "{}: mode disagreement",
-            b.name
-        );
+        assert_eq!(r.result, rt.result, "{}: mode disagreement", b.name);
         let ipct = improvement_pct(r.instructions as f64, rt.instructions as f64);
-        let mpct = improvement_pct(r.peak_bytes as f64, rt.peak_bytes as f64);
+        let mpct = improvement_pct(r.stats.peak_bytes as f64, rt.stats.peak_bytes as f64);
         let _ = writeln!(
             out,
             "{:<10} {:>11} {:>11} {:>5}  {:>9} {:>9} {:>5}",
@@ -58,8 +77,8 @@ pub fn table1(quick: bool) -> String {
             r.instructions,
             rt.instructions,
             -ipct,
-            fmt_bytes(r.peak_bytes),
-            fmt_bytes(rt.peak_bytes),
+            fmt_bytes(r.stats.peak_bytes),
+            fmt_bytes(rt.stats.peak_bytes),
             -mpct,
         );
     }
@@ -86,11 +105,7 @@ pub fn table2(quick: bool) -> String {
     for b in all() {
         let gt = run_mode(&b, Mode::Gt, quick);
         let rgt = run_mode(&b, Mode::Rgt, quick);
-        assert_eq!(
-            gt.outcome.result, rgt.outcome.result,
-            "{}: mode disagreement",
-            b.name
-        );
+        assert_eq!(gt.result, rgt.result, "{}: mode disagreement", b.name);
         let _ = writeln!(
             out,
             "{:<10} {:>11} {:>11} {:>5}  {:>9} {:>9} {:>5}  {:>7} {:>7} {:>5}",
@@ -98,12 +113,12 @@ pub fn table2(quick: bool) -> String {
             gt.instructions,
             rgt.instructions,
             improvement_pct(gt.instructions as f64, rgt.instructions as f64),
-            fmt_bytes(gt.peak_bytes),
-            fmt_bytes(rgt.peak_bytes),
-            improvement_pct(gt.peak_bytes as f64, rgt.peak_bytes as f64),
-            gt.gc_count,
-            rgt.gc_count,
-            improvement_pct(gt.gc_count as f64, rgt.gc_count as f64),
+            fmt_bytes(gt.stats.peak_bytes),
+            fmt_bytes(rgt.stats.peak_bytes),
+            improvement_pct(gt.stats.peak_bytes as f64, rgt.stats.peak_bytes as f64),
+            gt.stats.gc_count,
+            rgt.stats.gc_count,
+            improvement_pct(gt.stats.gc_count as f64, rgt.stats.gc_count as f64),
         );
     }
     let _ = writeln!(
@@ -124,8 +139,7 @@ pub fn table3(quick: bool) -> String {
         "Program", "RI_rgt%", "GC_rgt%", "W_rgt%", "#GC"
     );
     for b in all() {
-        let rgt = run_mode(&b, Mode::Rgt, quick);
-        let stats = &rgt.outcome.stats;
+        let stats = run_mode(&b, Mode::Rgt, quick).stats;
         let (ri, gc, w) = match stats.ri_fraction() {
             // The paper prints no entry when the collector barely ran.
             Some(ri) if stats.gc_count >= 2 => (
@@ -165,13 +179,9 @@ pub fn table4(quick: bool) -> String {
     for b in all() {
         let base = run_mode(&b, Mode::Baseline, quick);
         let rgt = run_mode(&b, Mode::Rgt, quick);
-        assert_eq!(
-            base.outcome.result, rgt.outcome.result,
-            "{}: mode disagreement",
-            b.name
-        );
+        assert_eq!(base.result, rgt.result, "{}: mode disagreement", b.name);
         let ir = base.instructions as f64 / (rgt.instructions as f64).max(1.0);
-        let mr = base.peak_bytes as f64 / (rgt.peak_bytes as f64).max(1.0);
+        let mr = base.stats.peak_bytes as f64 / (rgt.stats.peak_bytes as f64).max(1.0);
         let _ = writeln!(
             out,
             "{:<10} {:>11} {:>11} {:>6.1}  {:>9} {:>9} {:>6.1}",
@@ -179,8 +189,8 @@ pub fn table4(quick: bool) -> String {
             base.instructions,
             rgt.instructions,
             ir,
-            fmt_bytes(base.peak_bytes),
-            fmt_bytes(rgt.peak_bytes),
+            fmt_bytes(base.stats.peak_bytes),
+            fmt_bytes(rgt.stats.peak_bytes),
             mr,
         );
     }
@@ -201,24 +211,29 @@ pub fn fig4(quick: bool) -> String {
         initial_pages: 16,
         ..RtConfig::rgt()
     };
-    let run = run_scaled(&b, Mode::Rgt, scale_of(&b, quick), Some(cfg)).expect("professor run");
+    let stats = run(
+        Compiler::new(Mode::Rgt).with_config(cfg),
+        &b,
+        scale_of(&b, quick),
+    )
+    .stats;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "GC fraction per collection, professor (Figure 4) — {} collections",
-        run.outcome.stats.gc_records.len()
+        stats.gc_records.len()
     );
     let _ = writeln!(
         out,
         "{:>4}  {:>6}  histogram (100% = full bar)",
         "gc#", "GC%"
     );
-    for (i, rec) in run.outcome.stats.gc_records.iter().enumerate() {
+    for (i, rec) in stats.gc_records.iter().enumerate() {
         let gc = rec.gc_fraction().unwrap_or(0.0) * 100.0;
         let bar = "#".repeat((gc / 2.5).round() as usize);
         let _ = writeln!(out, "{:>4}  {:>6.1}  {}", i + 1, gc, bar);
     }
-    if let Some(ri) = run.outcome.stats.ri_fraction() {
+    if let Some(ri) = stats.ri_fraction() {
         let _ = writeln!(
             out,
             "aggregate: region inference reclaims {:.1}% of all reclaimed memory",
@@ -229,30 +244,34 @@ pub fn fig4(quick: bool) -> String {
 }
 
 /// Figure 5 — region profile over time (per-region words at each
-/// collection) for the compile-like `kitkb` workload.
+/// collection, read off its [`kit::GcRecord`]) for a compile-like
+/// workload.
 pub fn fig5(quick: bool) -> String {
     // The paper profiles the ML Kit compiling kitkb: the global region r1
     // dominates and only the collector keeps it from growing without
     // bound. Our closest analog is `tyan`, whose global basis of
     // superseded polynomials lives in a global region that the collector
-    // repeatedly cuts back. A small heap makes it sample often.
+    // repeatedly cuts back. A small heap makes it collect often.
     let b = by_name("tyan").expect("tyan benchmark");
     let cfg = RtConfig {
         initial_pages: 8,
         page_words_log2: 6,
-        profile: true,
         ..RtConfig::rgt()
     };
-    let scale = if quick { b.test_scale } else { b.default_scale };
-    let run = run_scaled(&b, Mode::Rgt, scale, Some(cfg)).expect("tyan run");
+    let stats = run(
+        Compiler::new(Mode::Rgt).with_config(cfg),
+        &b,
+        scale_of(&b, quick),
+    )
+    .stats;
     let mut out = String::new();
-    let samples = &run.outcome.profile;
+    let records = &stats.gc_records;
     let _ = writeln!(
         out,
         "Region profile of tyan under rgt (Figure 5) — {} samples",
-        samples.len()
+        records.len()
     );
-    let mut top = regions_by_peak(samples);
+    let mut top = regions_by_peak(records);
     top.truncate(5);
     let _ = writeln!(out, "largest regions by peak words:");
     for (name, peak) in &top {
@@ -264,12 +283,18 @@ pub fn fig5(quick: bool) -> String {
         "sample",
         top.len()
     );
-    for s in samples {
+    for (i, rec) in records.iter().enumerate() {
         let cols: Vec<String> = top
             .iter()
-            .map(|(name, _)| format!("r{}={}", name, s.by_region.get(name).copied().unwrap_or(0)))
+            .map(|(name, _)| {
+                format!(
+                    "r{}={}",
+                    name,
+                    rec.region_words.get(name).copied().unwrap_or(0)
+                )
+            })
             .collect();
-        let _ = writeln!(out, "{:>6}  {}", s.time, cols.join("  "));
+        let _ = writeln!(out, "{:>6}  {}", i + 1, cols.join("  "));
     }
     out
 }
@@ -285,16 +310,16 @@ pub fn bootstrap(quick: bool) -> String {
         "Bootstrapping substitute (paper §4.5): kitkb at scale {scale}"
     );
     for mode in [Mode::Rgt, Mode::Baseline] {
-        let r = run_scaled(&b, mode, scale, None).unwrap_or_else(|e| panic!("{mode}: {e}"));
+        let r = run(Compiler::new(mode), &b, scale);
         let _ = writeln!(
             out,
             "  {:<7} instructions {:>11}  peak {:>9}  collections {:>4} (minor {} / major {})",
             mode.suffix(),
             r.instructions,
-            fmt_bytes(r.peak_bytes),
-            r.gc_count,
-            r.outcome.stats.minor_gcs,
-            r.outcome.stats.major_gcs,
+            fmt_bytes(r.stats.peak_bytes),
+            r.stats.gc_count,
+            r.stats.minor_gcs,
+            r.stats.major_gcs,
         );
     }
     let _ = writeln!(
@@ -304,4 +329,17 @@ pub fn bootstrap(quick: bool) -> String {
          symbolic workload' is exercised by the largest term-processing run)"
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn formatting_matches_paper_style() {
+        assert_eq!(fmt_bytes(500 * 1024), "500K");
+        assert_eq!(fmt_bytes(128 * 1024 * 1024), "128M");
+        assert_eq!(improvement_pct(2.0, 1.0), 50);
+        assert_eq!(improvement_pct(1.0, 2.0), -100);
+    }
 }

@@ -145,10 +145,9 @@ pub struct Outcome {
     /// Instructions executed by the abstract machine.
     pub instructions: u64,
     /// Runtime statistics: allocation volume, collections, peak memory,
-    /// per-collection accounting (paper §4.3).
+    /// per-collection accounting (paper §4.3) with each collection's
+    /// region profile (Fig. 5, [`GcRecord::region_words`]).
     pub stats: RtStats,
-    /// Region-profile samples if profiling was enabled (paper Fig. 5).
-    pub profile: Vec<kit_runtime::profile::Sample>,
     /// Dispatches per pc if the fusion counting mode was enabled
     /// ([`Compiler::with_fusion_profile`]).
     pub fusion_profile: Option<FusionProfile>,
@@ -266,7 +265,7 @@ impl Compiler {
     }
 
     /// Overrides the runtime configuration (heap-to-live ratio, page size,
-    /// profiling, ...). Tagging and the collector are forced back to the
+    /// trigger, ...). Tagging and the collector are forced back to the
     /// mode's, except that the baseline's generational collector takes a
     /// given generational policy; every other field is taken as given, in
     /// every mode.
@@ -278,12 +277,6 @@ impl Compiler {
             (mode, _) => mode,
         };
         self.config = config;
-        self
-    }
-
-    /// Enables region profiling (paper Fig. 5).
-    pub fn with_profiling(mut self) -> Self {
-        self.config.profile = true;
         self
     }
 
@@ -448,7 +441,6 @@ impl Compiler {
             output: out.output,
             instructions: out.instructions,
             stats: out.stats,
-            profile: out.rt.profiler.samples().to_vec(),
             fusion_profile: out.fusion_profile,
         })
     }
@@ -535,7 +527,6 @@ mod tests {
             gc_threshold: 0.5,
             heap_to_live_ratio: 9.0,
             initial_pages: 4,
-            profile: true,
             max_heap_pages: Some(100),
             deadline: Some(std::time::Instant::now()),
         };

@@ -25,8 +25,6 @@ pub struct RtConfig {
     pub heap_to_live_ratio: f64,
     /// Initial number of region pages.
     pub initial_pages: usize,
-    /// Record a region profile (paper Fig. 5).
-    pub profile: bool,
     /// Memory quota: cap the region pages *in use* — owned by a region,
     /// not on the free-list — plus large objects at their page-equivalent
     /// size ([`crate::Rt::quota_pages`]). A free page is not charged,
@@ -143,7 +141,6 @@ impl RtConfig {
             gc_threshold: 1.0 / 3.0,
             heap_to_live_ratio: 3.0,
             initial_pages: 64,
-            profile: false,
             max_heap_pages: None,
             deadline: None,
         }

@@ -43,7 +43,6 @@ pub mod config;
 pub mod gc;
 pub mod heap;
 pub mod lobj;
-pub mod profile;
 pub mod region;
 pub mod rt;
 pub mod stats;

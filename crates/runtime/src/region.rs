@@ -2,9 +2,9 @@
 //!
 //! A region descriptor is the paper's quadruple `(fp, a, e, b)` — first
 //! page, allocation pointer, end pointer, region status — extended with
-//! the large-object list head of §3.1, a profiling name, and bookkeeping
-//! counters (page count for O(1) accounting, used words for the waste
-//! metric of Table 3).
+//! the large-object list head of §3.1, a name for the region profile
+//! (Fig. 5), and bookkeeping counters (page count for O(1) accounting,
+//! used words for the waste metric of Table 3).
 //!
 //! Descriptors conceptually live in activation records; regions are pushed
 //! and popped LIFO with the runtime stack (`letregion`/`end`), and region
@@ -33,7 +33,8 @@ pub struct RegionDesc {
     pub status: bool,
     /// Head of the large-object list (id + 1; 0 = none).
     pub lobjs: u32,
-    /// Profiling name: the region variable this region was created for.
+    /// The region variable this region was created for: the region
+    /// profile's key.
     pub name: u32,
     /// Number of pages owned.
     pub pages: usize,

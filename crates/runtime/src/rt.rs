@@ -11,7 +11,6 @@ use crate::config::{Collector, RtConfig};
 use crate::heap::POISON;
 use crate::heap::{Heap, PAGE_HDR, PAGE_NEXT};
 use crate::lobj::{LData, Lobjs};
-use crate::profile::Profiler;
 use crate::region::RegionDesc;
 pub use crate::region::RegionId;
 use crate::stats::RtStats;
@@ -49,8 +48,6 @@ pub struct Rt {
     /// True while the collector runs (suppresses accounting of to-space
     /// page requests as mutator allocation).
     pub in_gc: bool,
-    /// Region profiler (paper Fig. 5).
-    pub profiler: Profiler,
     /// The generational collector's write barrier: the fields that took a
     /// pointer since the last collection, each once, in the order first
     /// written (any may hold a tenured→nursery pointer).
@@ -78,7 +75,6 @@ impl Rt {
             stats: RtStats::default(),
             gc_needed: false,
             in_gc: false,
-            profiler: Profiler::new(config.profile),
             remembered: Vec::new(),
             remembered_set: HashSet::new(),
             data_strings: Vec::new(),
@@ -93,8 +89,9 @@ impl Rt {
     // -------------------------------------------------------------- regions
 
     /// Pushes a fresh infinite region (with one page, as in the ML Kit)
-    /// and returns its id. `name` identifies the region variable for
-    /// profiling.
+    /// and returns its id. `name` identifies the region variable, the key
+    /// of each collection's region profile
+    /// ([`crate::stats::GcRecord::region_words`]).
     pub fn letregion(&mut self, name: u32) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
         let mut d = RegionDesc::empty(name);
@@ -592,9 +589,12 @@ impl Rt {
         d.e - d.a
     }
 
-    /// Sanity check: every page is either on the free-list or owned by
-    /// exactly one region (used by property tests).
-    pub fn check_page_conservation(&self) -> Result<(), String> {
+    /// What holds at every safe point (paper §2.2–2.5): every page is on
+    /// the free-list or owned by exactly one region, each region's page
+    /// chain is as long as its descriptor counts, no region's status bit
+    /// is set and no large object is marked. Every test and debug build
+    /// runs it where a collection ends. O(pages + regions + large objects).
+    pub fn check_heap(&self) -> Result<(), String> {
         let owned: usize = self.regions.iter().map(|d| d.pages).sum();
         let total = self.heap.total_pages();
         let free = self.heap.free_pages();
@@ -618,6 +618,12 @@ impl Rt {
                     d.pages
                 ));
             }
+        }
+        if let Some(i) = self.regions.iter().position(|d| d.status) {
+            return Err(format!("region {i}'s status bit is set"));
+        }
+        if let Some(id) = self.lobjs.first_marked() {
+            return Err(format!("large object {id} is still marked"));
         }
         Ok(())
     }
@@ -654,7 +660,7 @@ mod tests {
             let _ = rt.alloc_record(r, &[rt.tag_int(i), rt.tag_int(i)]);
         }
         assert!(rt.regions[0].pages > 1);
-        rt.check_page_conservation().unwrap();
+        rt.check_heap().unwrap();
         rt.endregion();
         assert_eq!(rt.heap.free_pages(), rt.heap.total_pages());
     }
@@ -797,6 +803,37 @@ mod tests {
         panic!("gc trigger never fired");
     }
 
+    /// Each clause of the heap check fails on a heap that breaks it.
+    #[test]
+    fn the_heap_check_names_each_broken_clause() {
+        let mut rt = rt();
+        let r0 = rt.letregion(0);
+        let _r1 = rt.letregion(1);
+        let a = rt.alloc_array(r0, 3, rt.tag_int(0));
+        assert_eq!(rt.check_heap(), Ok(()));
+        rt.regions[1].pages += 1;
+        assert!(rt.check_heap().unwrap_err().starts_with("page leak"));
+        // Moving a page from one count to the other conserves the total.
+        rt.regions[0].pages -= 1;
+        assert_eq!(
+            rt.check_heap(),
+            Err("region 0 chain has 1 pages but descriptor counts 0".to_string())
+        );
+        (rt.regions[0].pages, rt.regions[1].pages) = (1, 1);
+        rt.regions[0].status = true;
+        assert_eq!(
+            rt.check_heap(),
+            Err("region 0's status bit is set".to_string())
+        );
+        rt.regions[0].status = false;
+        let id = Lobjs::id_of(ptr_addr(a));
+        rt.lobjs.get_mut(id).marked = true;
+        assert_eq!(
+            rt.check_heap(),
+            Err(format!("large object {id} is still marked"))
+        );
+    }
+
     #[test]
     fn nested_regions_pop_lifo() {
         let mut rt = rt();
@@ -807,7 +844,7 @@ mod tests {
         assert_eq!(rt.region_depth(), 3);
         rt.pop_regions_to(1);
         assert_eq!(rt.region_depth(), 1);
-        rt.check_page_conservation().unwrap();
+        rt.check_heap().unwrap();
     }
 
     /// 16-word pages: 14 payload words each.
@@ -839,7 +876,7 @@ mod tests {
             rt.stats.page_extensions, 3,
             "4 pages, the first from letregion"
         );
-        rt.check_page_conservation().unwrap();
+        rt.check_heap().unwrap();
         rt.endregion();
         assert_eq!(rt.heap.free_pages(), free0, "all pages returned");
     }
@@ -863,7 +900,7 @@ mod tests {
         assert_eq!(rt.untag_int(rt.field(v, 0)), 7);
         assert_eq!(rt.untag_int(rt.field(v, 1)), 8);
         assert_eq!(rt.regions[0].used_words, 3, "tagged pair in the new region");
-        rt.check_page_conservation().unwrap();
+        rt.check_heap().unwrap();
     }
 
     #[test]
@@ -886,7 +923,7 @@ mod tests {
         let pages: usize = rt.regions.iter().map(|d| d.pages).sum();
         assert_eq!(rt.stats.page_extensions, pages as u64 - 2);
         assert_eq!(rt.stats.allocations, 10_000);
-        rt.check_page_conservation().unwrap();
+        rt.check_heap().unwrap();
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Runtime statistics: allocation volume, collection accounting (paper
-//! §4.3) and peak memory.
+//! §4.3), the region profile (Fig. 5) and peak memory.
+
+use std::collections::BTreeMap;
 
 /// Accounting for one garbage collection, following §4.3 of the paper.
 ///
@@ -9,7 +11,10 @@
 ///
 /// * memory reclaimed by region inference: `L_i + A_p − A_{i+1}`
 /// * memory reclaimed by the collector: `A_{i+1} − L_{i+1}`
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// It also holds the region profile the collection leaves (paper Fig. 5):
+/// the words in use per region name.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GcRecord {
     /// Live pages after the previous collection (`L_i`).
     pub prev_live_pages: usize,
@@ -29,6 +34,11 @@ pub struct GcRecord {
     pub copied_words: u64,
     /// Large objects freed by this collection.
     pub lobjs_freed: usize,
+    /// Words in use after this collection per region *name* (the region
+    /// variable a region was created for), ascending by name: the dynamic
+    /// instances of one `letregion` make one band of the profile, as in
+    /// the ML Kit's region profiler.
+    pub region_words: BTreeMap<u32, u64>,
 }
 
 impl GcRecord {
@@ -61,6 +71,21 @@ impl GcRecord {
     pub fn waste_fraction(&self) -> f64 {
         fraction([self.waste_term()]).unwrap_or(0.0)
     }
+}
+
+/// Region names of `records` with their peak words, largest first (ties
+/// by name, ascending) — the legend of the region profile (Fig. 5).
+pub fn regions_by_peak(records: &[GcRecord]) -> Vec<(u32, u64)> {
+    let mut peak: BTreeMap<u32, u64> = BTreeMap::new();
+    for rec in records {
+        for (&name, &words) in &rec.region_words {
+            let e = peak.entry(name).or_default();
+            *e = (*e).max(words);
+        }
+    }
+    let mut v: Vec<(u32, u64)> = peak.into_iter().collect();
+    v.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+    v
 }
 
 /// The sum of the parts over the sum of the wholes of `terms`, clamped to
@@ -154,15 +179,22 @@ mod tests {
             pages_requested: 30,
             from_pages: 20,
             live_pages: 5,
-            waste_words: 0,
-            from_space_words: 0,
-            copied_words: 0,
-            lobjs_freed: 0,
+            ..GcRecord::default()
         };
         let ri = r.ri_fraction().unwrap();
         assert!((ri - 20.0 / 35.0).abs() < 1e-12);
         let gc = r.gc_fraction().unwrap();
         assert!((gc - 15.0 / 35.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn regions_rank_by_their_peak_over_all_records() {
+        let rec = |words: &[(u32, u64)]| GcRecord {
+            region_words: words.iter().copied().collect(),
+            ..GcRecord::default()
+        };
+        let records = [rec(&[(7, 15), (9, 1)]), rec(&[(3, 9), (9, 9)])];
+        assert_eq!(regions_by_peak(&records), [(7, 15), (3, 9), (9, 9)]);
     }
 
     #[test]

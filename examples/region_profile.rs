@@ -1,6 +1,6 @@
 //! Region profiling (paper §3 and Fig. 5): runs the Knuth-Bendix-style
-//! benchmark with the region profiler enabled and prints, per collection,
-//! the words held by the largest regions.
+//! benchmark and prints, per collection, the words held by the largest
+//! regions, read off the collection's `GcRecord`.
 //!
 //! ```sh
 //! cargo run --release --example region_profile
@@ -8,6 +8,7 @@
 
 use kit::{Compiler, Mode};
 use kit_bench::by_name;
+use kit_runtime::stats::regions_by_peak;
 use kit_runtime::RtConfig;
 
 fn main() -> Result<(), kit::Error> {
@@ -17,37 +18,30 @@ fn main() -> Result<(), kit::Error> {
         initial_pages: 16,
         ..RtConfig::rgt()
     };
-    let out = Compiler::new(Mode::Rgt)
-        .with_config(cfg)
-        .with_profiling()
-        .run_source(&src)?;
+    let out = Compiler::new(Mode::Rgt).with_config(cfg).run_source(&src)?;
 
     println!(
         "kitkb finished: result {}, {} collections",
         out.result, out.stats.gc_count
     );
     // Rank regions by peak footprint, like the ML Kit profiler's legend.
-    let mut peaks: std::collections::BTreeMap<u32, u64> = Default::default();
-    for s in &out.profile {
-        for (&r, &w) in &s.by_region {
-            let e = peaks.entry(r).or_default();
-            *e = (*e).max(w);
-        }
-    }
-    let mut top: Vec<(u32, u64)> = peaks.into_iter().collect();
-    top.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+    let records = &out.stats.gc_records;
+    let mut top = regions_by_peak(records);
     top.truncate(4);
 
-    println!("\nper-sample words in the {} largest regions:", top.len());
-    print!("{:>7}", "sample");
+    println!(
+        "\nper-collection words in the {} largest regions:",
+        top.len()
+    );
+    print!("{:>7}", "gc#");
     for (r, _) in &top {
         print!("{:>12}", format!("r{r}"));
     }
     println!();
-    for s in &out.profile {
-        print!("{:>7}", s.time);
+    for (i, rec) in records.iter().enumerate() {
+        print!("{:>7}", i + 1);
         for (r, _) in &top {
-            print!("{:>12}", s.by_region.get(r).copied().unwrap_or(0));
+            print!("{:>12}", rec.region_words.get(r).copied().unwrap_or(0));
         }
         println!();
     }

@@ -66,103 +66,33 @@ if grep -rnE 'instructions_per_sec|"rps"|p50_ms|p99_ms|mean_ms' crates/; then
     exit 1
 fi
 
-echo "==> deleted names stay deleted: the sliced collector, its barriers, its"
-echo "    flag and the pause histogram (PR 20); the region-handle pools beside"
-echo "    the stack and the frame and handler fields indexing them (PR 21); the"
-echo "    linked copy of the instruction set and the label tables it read (PR 23)"
-if grep -rnE 'gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare|formal_pool|region_pool|fbase|rbase|formal_pool_len|region_pool_len|LInstr|LinkedProgram|link_one|disassemble_linked|label_addrs|entry_of' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
-    echo "verify: a name deleted in PR 20, 21 or 23 is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the two unused"
-echo "    pretty-printers and the expression parser only they used, the orphan"
-echo "    helpers, the region probe bin, the options nobody set (shed policy"
-echo "    included) and the unread in-flight gauge"
-if grep -rnE '\b(kit_syntax::pretty|kit_lambda::pretty|parse_exp|points_into_stack|used_pages|is_unboxed|nullary_count|region_probe|large_object_words|without_optimizer|ShedPolicy|RejectNewest|shed_policy|shed-policy|in_flight)\b' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
-    echo "verify: a deleted name is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the re-walks of region"
-echo "    placement, representation inference and finite-region sizing, the"
-echo "    unread multiplicity table, codegen's second free-name walker and the"
-echo "    optimiser options only tests set; the boxed-type tree walkers the"
-echo "    type arena replaced and the row scans the match compiler's buckets"
-echo "    replaced; the second collection sequence, the two collector flags"
-echo "    and the region-inference debug dump with its env var; codegen's"
-echo "    per-closure capture re-walks and the boxed region-program tree's"
-echo "    helpers the region arena replaced"
-if grep -rnwE 'under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size|subst_qvars|resolve_deep|keys_of|default_rows|spine_end|KIT_REGION_DEBUG|show_ty|collect_generational|collect_phase|collect_gen|gc_enabled|collect_caps|distinct_free|size_sites|finite_sizes|fix_binds|own_places|map_own_regions|count_occurrences|drop_markers' \
-    crates || grep -rnw 'mults' crates/region; then
-    echo "verify: a deleted name is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the match loop, what"
-echo "    selected it (the dispatch list, the loadgen flag, the count config)"
-echo "    and the superinstruction that fused nowhere"
-if grep -rnwE 'exec_match|match_off|Executable::Match|DispatchMode::Match|DispatchMode::ALL|h_select_store|--dispatch' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
-    echo "verify: a deleted name is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted: the poison knob and its settings (a"
-echo "    debug build poisons every freed page) and the VM's root pre-scan"
-if grep -rnE 'config\.poison|poison: (true|false)|dangling GC root' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnE'; then
-    echo "verify: the poison knob or the root pre-scan is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: codegen's slot clears"
-echo "    and the letregion counters that placed them (the roots come from"
-echo "    the frame map)"
-if grep -rnwE 'clear_dead_slot|clear_slot|open_lr|lr_seen' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
-    echo "verify: a slot clear is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the heap shrink, the"
-echo "    free-list sort and arena-tail release that served it, and their"
-echo "    counters (the heap only grows)"
-if grep -rnwE 'heap_shrink_factor|shrink_with_hysteresis|release_tail|quota_reclaim|sort_free_list|sort_skips|heap_shrinks|pages_released' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
-    echo "verify: the heap shrink is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the two integer fast"
-echo "    paths one helper replaced, and the out-of-line readers that held the"
-echo "    stack case (prims and finite-region reads run in the handlers)"
-if grep -rnwE 'fast_int_cmp|fast_int_arith|read_addr_outside_heap|write_addr_outside_heap' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
-    echo "verify: a prim path beside the fast path is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the instruction enum the"
-echo "    compiler emitted, its one-to-one re-encoding into the engine's"
-echo "    opcodes and the second disassembler (the compiler emits what the"
-echo "    engine runs)"
-if grep -rnwE 'Instr|push_instr|disassemble_threaded|Op::of' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
-    echo "verify: a second encoding of the instruction set is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the hand-written copies"
-echo "    of the differential and the deep-stack wrappers (one harness,"
-echo "    kit_bench::differential, and one on_deep_stack), and the relative"
-echo "    deadline (with_deadline_at is the one deadline)"
-if grep -rnwE 'check_on_current_thread|assert_matches_oracle_everywhere|on_big_stack|with_deep_stack|with_deadline' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
-    echo "verify: a second differential, stack wrapper or relative deadline is back (see above)" >&2
-    exit 1
-fi
-echo "==> deleted names stay deleted, as whole words: the greedy matcher, the"
-echo "    pair/triple profile matrices and the fusion rows the dispatch-saving"
-echo "    selection dropped (fusion takes the fewest groups of the selected rows)"
-if grep -rnwE 'match_at|hot_pairs|hot_triples|packs|StoreLoadSelect|LoadPrimJump|StoreLoad|PrimJump|GcCheckLoad|RegHandleRegHandle|SelectStoreLoad|RegHandleRegHandleLoad' \
-    crates src tests examples scripts | grep -v 'scripts/verify.sh:.*grep -rnwE'; then
-    echo "verify: a greedy matcher, a pair/triple profile or a dropped row is back (see above)" >&2
-    exit 1
-fi
+echo "==> deleted names stay deleted: one row per deletion, each with its"
+echo "    mode (E: substring, w: whole words), the paths it greps and what is"
+echo "    back if it matches (the pattern comes last, so it may hold any text)"
+while IFS=';' read -r mode paths what pattern; do
+    flags=-rnE
+    [ "$mode" = w ] && flags=-rnwE
+    # $paths is unquoted on purpose: it is a list of paths.
+    if grep $flags -e "$pattern" $paths | grep -v '^scripts/verify.sh:[0-9]*:[Ew];'; then
+        echo "verify: $what is back (see above)" >&2
+        exit 1
+    fi
+done <<'ROWS'
+E;crates src tests examples scripts;the sliced collector, its barriers, its flag or the pause histogram, a region-handle pool beside the stack, or the linked copy of the instruction set and its label tables;gc_slice|gc_sliced|sliced_active|gc_write_barrier|note_stack_trunc|PauseHist|gc-compare|formal_pool|region_pool|fbase|rbase|formal_pool_len|region_pool_len|LInstr|LinkedProgram|link_one|disassemble_linked|label_addrs|entry_of
+E;crates src tests examples scripts;an unused pretty-printer, the expression parser only they used, an orphan helper, the region probe bin, an option nobody set (shed policy included) or the unread in-flight gauge;\b(kit_syntax::pretty|kit_lambda::pretty|parse_exp|points_into_stack|used_pages|is_unboxed|nullary_count|region_probe|large_object_words|without_optimizer|ShedPolicy|RejectNewest|shed_policy|shed-policy|in_flight)\b
+w;crates;a re-walk of region placement, representation inference or finite-region sizing, codegen's second free-name walker, an optimiser option only tests set, a boxed-type tree walker, a match-compiler row scan, the second collection sequence or a collector flag, the region-inference debug dump, a per-closure capture re-walk or a boxed region-tree helper;under_lambda_rel|collect_mults|find_finite_site|count_caps_upper|free_names|max_rounds|inline_size|subst_qvars|resolve_deep|keys_of|default_rows|spine_end|KIT_REGION_DEBUG|show_ty|collect_generational|collect_phase|collect_gen|gc_enabled|collect_caps|distinct_free|size_sites|finite_sizes|fix_binds|own_places|map_own_regions|count_occurrences|drop_markers
+w;crates/region;the unread multiplicity table;mults
+w;crates src tests examples scripts;the match loop, what selected it (the dispatch list, the loadgen flag, the count config) or the superinstruction that fused nowhere;exec_match|match_off|Executable::Match|DispatchMode::Match|DispatchMode::ALL|h_select_store|--dispatch
+E;crates src tests examples scripts;the poison knob (a debug build poisons every freed page) or the VM's root pre-scan;config\.poison|poison: (true|false)|dangling GC root
+w;crates src tests examples scripts;a codegen slot clear or a letregion counter that placed one (the roots come from the frame map);clear_dead_slot|clear_slot|open_lr|lr_seen
+w;crates src tests examples scripts;the heap shrink, the free-list sort or arena-tail release that served it, or their counters (the heap only grows);heap_shrink_factor|shrink_with_hysteresis|release_tail|quota_reclaim|sort_free_list|sort_skips|heap_shrinks|pages_released
+w;crates src tests examples scripts;an integer fast path beside the one helper, or an out-of-line reader of the stack case (prims and finite-region reads run in the handlers);fast_int_cmp|fast_int_arith|read_addr_outside_heap|write_addr_outside_heap
+w;crates src tests examples scripts;a second encoding of the instruction set (the instruction enum the compiler emitted, its re-encoding or the second disassembler);Instr|push_instr|disassemble_threaded|Op::of
+w;crates src tests examples scripts;a hand-written copy of the differential, a second deep-stack wrapper or the relative deadline (one harness, kit_bench::differential; with_deadline_at is the one deadline);check_on_current_thread|assert_matches_oracle_everywhere|on_big_stack|with_deep_stack|with_deadline
+w;crates src tests examples scripts;the greedy matcher, a pair/triple profile matrix or a fusion row the dispatch-saving selection dropped;match_at|hot_pairs|hot_triples|packs|StoreLoadSelect|LoadPrimJump|StoreLoad|PrimJump|GcCheckLoad|RegHandleRegHandle|SelectStoreLoad|RegHandleRegHandleLoad
+w;crates src tests examples scripts;the second region recorder, the second heap check, the baseline's second compile-and-run path or the tables' copy of the outcome (each collection is recorded in its GcRecord and checked by Rt::check_heap);Profiler|Sample|with_profiling|check_epilogue|check_page_conservation|compile_baseline|run_baseline|run_baseline_with|run_scaled|MeasuredRun
+E;crates src tests examples scripts;the region profiler's module, its knob or the outcome's copy of its samples (the profile is GcRecord::region_words);kit_runtime::profile|profile\.rs|config\.profile\b|\.profiler\b|(out|outcome)\.profile\b
+ROWS
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
 if grep -rnwE 'GenPolicy|remembered|generational' crates/kam/src; then
@@ -197,14 +127,14 @@ echo "    is dispatched there"
 cargo run --release -q -p kit-bench --bin bench-summary -- --check-fusion >/dev/null
 
 echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR49.json in r, gt,"
+echo "    bytes copied of the 80 full-scale cells of BENCH_PR50.json in r, gt,"
 echo "    rgt and the generational baseline, both fusion levels; writes"
 echo "    nothing (a PR that moves them on purpose points this at its own"
 echo "    BENCH file)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --full --modes r,gt,rgt,smlnj \
     --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR49.json
+    --check-counts BENCH_PR50.json
 
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
 echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"

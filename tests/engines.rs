@@ -317,7 +317,7 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
             kit_kam::render::render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
         assert_eq!(result, *want, "{fusion:?} vs evaluator");
         out.rt
-            .check_page_conservation()
+            .check_heap()
             .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
         assert_eq!(
             out.rt.region_depth(),

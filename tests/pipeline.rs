@@ -3,6 +3,8 @@
 
 use kit::{Compiler, Mode};
 use kit_bench::by_name;
+use kit_bench::programs::DANGLING_CLOSURE;
+use kit_runtime::stats::regions_by_peak;
 use kit_runtime::RtConfig;
 
 /// §4.2, third observation: `t_r < t_rgt` is about machine time, but its
@@ -151,10 +153,11 @@ fn page_size_sweep_is_sound() {
     assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
 }
 
-/// The profiler sees the paper's Fig. 5 shape on kitkb: some region is
-/// large and the collector keeps sampling it.
+/// Every collection records the paper's Fig. 5 region profile on kitkb,
+/// with no option asked for: each record holds the words of some region,
+/// and the peak ranking reads them.
 #[test]
-fn profiler_samples_regions() {
+fn every_collection_records_a_region_profile() {
     let b = by_name("kitkb").unwrap();
     let src = b.source_scaled(10);
     let cfg = RtConfig {
@@ -164,11 +167,44 @@ fn profiler_samples_regions() {
     };
     let out = Compiler::new(Mode::Rgt)
         .with_config(cfg)
-        .with_profiling()
         .run_source(&src)
         .unwrap();
-    assert!(!out.profile.is_empty(), "profiling must record samples");
-    assert!(out.profile.iter().any(|s| !s.by_region.is_empty()));
+    let records = &out.stats.gc_records;
+    assert!(!records.is_empty(), "the small heap must collect");
+    assert_eq!(records.len() as u64, out.stats.gc_count);
+    assert!(records.iter().all(|r| !r.region_words.is_empty()));
+    let top = regions_by_peak(records);
+    assert!(top.windows(2).all(|w| w[0].1 >= w[1].1), "{top:?}");
+}
+
+/// The paper's §2.6 example (`examples/dangling.rs`): every mode agrees;
+/// without a collector the captured list's region is popped before the
+/// closure runs, with one the GC-safe weakening makes it global, and a
+/// small heap makes `rgt` collect.
+#[test]
+fn the_section_2_6_closure_dangles_only_without_a_collector() {
+    for mode in Mode::ALL_WITH_BASELINE {
+        let out = Compiler::new(mode).run_source(DANGLING_CLOSURE).unwrap();
+        assert_eq!(out.result_int(), Some(22), "{mode}");
+        match mode {
+            Mode::R | Mode::Rt => assert_eq!(out.stats.regions_popped, 1, "{mode}"),
+            Mode::Rgt => assert_eq!(out.stats.regions_popped, 0, "{mode}"),
+            _ => {}
+        }
+    }
+    let pressured = RtConfig {
+        gc_threshold: 1.0,
+        initial_pages: 4,
+        page_words_log2: 6,
+        ..RtConfig::rgt()
+    };
+    let out = Compiler::new(Mode::Rgt)
+        .with_config(pressured)
+        .run_source(DANGLING_CLOSURE)
+        .unwrap();
+    assert_eq!(out.result_int(), Some(22));
+    assert_eq!(out.stats.regions_popped, 0);
+    assert!(out.stats.gc_count >= 1, "the small heap must collect");
 }
 
 /// Bytecode is reusable: compile once, run many times, identical results.

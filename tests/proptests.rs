@@ -174,11 +174,11 @@ fn region_scripts_conserve_pages() {
                     gc::collect(&mut rt, &[root], &mut []);
                 }
             }
-            rt.check_page_conservation()
+            rt.check_heap()
                 .unwrap_or_else(|e| panic!("case {case}: {e}\n{ops:?}"));
         }
         gc::collect(&mut rt, &[root], &mut []);
-        rt.check_page_conservation()
+        rt.check_heap()
             .unwrap_or_else(|e| panic!("case {case}: {e}\n{ops:?}"));
         // Walk the list and check the checksum.
         let mut v = rt.stack[root];
