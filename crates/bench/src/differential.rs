@@ -98,16 +98,8 @@ impl<'a> Differential<'a> {
         let (want, got) = (off.run_program(&prog), full.run_program(&prog));
         match (&want, &got) {
             (Ok(w), Ok(g)) => {
-                let (cw, cg) = (counters(w), counters(g));
-                if (&w.result, &w.output, &cw) != (&g.result, &g.output, &cg) {
-                    return Err(format!(
-                        "{}: Off vs Full: {:?} {:?} {cw}\nvs {:?} {:?} {cg}",
-                        ctx(),
-                        w.result,
-                        w.output,
-                        g.result,
-                        g.output
-                    ));
+                if let Some(d) = divergence(w, g) {
+                    return Err(format!("{}: Off vs Full: {d}", ctx()));
                 }
             }
             (Err(Error::Run(w)), Err(Error::Run(g))) if w == g => {}
@@ -139,13 +131,34 @@ impl<'a> Differential<'a> {
     }
 }
 
-/// Everything deterministic an [`Outcome`] counts: the instruction total
-/// and the whole of `RtStats` with its two wall-clock fields blanked.
-pub fn counters(out: &Outcome) -> String {
+/// Everything deterministic an [`Outcome`] counts, one counter a line:
+/// the instruction total and the whole of `RtStats` with its two
+/// wall-clock fields blanked.
+fn counters(out: &Outcome) -> String {
     let mut stats = out.stats.clone();
     stats.gc_time_ns = 0;
     stats.gc_pause_max_ns = 0;
-    format!("{} instructions, {stats:?}", out.instructions)
+    format!("instructions: {},\n{stats:#?}", out.instructions)
+}
+
+/// Where two runs of one program — at `Fusion::Off` and `Fusion::Full` —
+/// differ: the result, the output, or the first line of [`counters`]
+/// that differs, with both sides. `None` if they agree on all of it.
+pub fn divergence(off: &Outcome, full: &Outcome) -> Option<String> {
+    if (&off.result, &off.output) != (&full.result, &full.output) {
+        return Some(format!(
+            "{:?} {:?} vs {:?} {:?}",
+            off.result, off.output, full.result, full.output
+        ));
+    }
+    // Only the last line of either is unindented, so two that differ
+    // differ on a line both have.
+    let (a, b) = (counters(off), counters(full));
+    let counter = |line: &str| line.trim().trim_end_matches(',').to_string();
+    a.lines()
+        .zip(b.lines())
+        .find(|(x, y)| x != y)
+        .map(|(x, y)| format!("`{}` vs `{}`", counter(x), counter(y)))
 }
 
 /// An agreed run as one line: the rendered result, `uncaught <name>` for

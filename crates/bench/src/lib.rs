@@ -22,8 +22,11 @@
 //! * `fig4`   — GC fraction over time for `professor`, Figure 4;
 //! * `fig5`   — region profile of a compile-like workload, Figure 5;
 //! * `bootstrap` — the §4.5 substitute (large symbolic workload);
-//! * `bench-summary` — the count rows of `BENCH_PR<n>.json` and the
-//!   `--check-counts` gate;
+//! * `counts` — instructions, words allocated, #GC, bytes copied and peak
+//!   bytes of every benchmark in every mode, each cell held equal at both
+//!   fusion levels (`bench_output/counts.txt`);
+//! * `bench-summary` — the fusion table's selection on the corpus
+//!   (`--profile-fusion`) and its gate (`--check-fusion`);
 //! * `loadgen` — `kit-serve` under a session mix: `--check`, `--chaos`,
 //!   flood and rate/deadline runs, leak probes.
 

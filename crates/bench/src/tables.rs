@@ -9,11 +9,13 @@
 //! the paper's `t_*` (seconds) columns are `i_*` (instructions executed)
 //! here.
 
+use crate::differential::divergence;
 use crate::programs::{all, by_name, Benchmark};
-use kit::{Compiler, Mode, Outcome};
+use kit::{Compiler, Fusion, Mode, Outcome};
 use kit_runtime::stats::regions_by_peak;
 use kit_runtime::RtConfig;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn scale_of(b: &Benchmark, quick: bool) -> i64 {
     if quick {
@@ -331,9 +333,122 @@ pub fn bootstrap(quick: bool) -> String {
     out
 }
 
+/// The counts of every benchmark in every mode, a row per (program,
+/// mode): instructions, words allocated, collections, bytes copied and
+/// peak bytes. Each cell runs at `Fusion::Off` and `Fusion::Full`, and a
+/// cell whose two runs differ on any counter panics naming the cell and
+/// the counter. The cells are shared out over all cores.
+pub fn counts(quick: bool) -> String {
+    let cells: Vec<(Benchmark, Mode)> = all()
+        .into_iter()
+        .flat_map(|b| Mode::ALL_WITH_BASELINE.map(|m| (b, m)))
+        .collect();
+    let rows = sharded(&cells, |&(b, mode)| {
+        let cell = format!("{} [{}]", b.name, mode.suffix());
+        let [off, full] = [Fusion::Off, Fusion::Full].map(|fusion| {
+            run(
+                Compiler::new(mode).with_fusion(fusion),
+                &b,
+                scale_of(&b, quick),
+            )
+        });
+        let out = agreed(&cell, off, full).unwrap_or_else(|d| panic!("{d}"));
+        let s = &out.stats;
+        format!(
+            "{:<10} {:<5} {:>12} {:>15} {:>8} {:>12} {:>10}",
+            b.name,
+            mode.suffix(),
+            out.instructions,
+            s.words_allocated,
+            s.gc_count,
+            8 * s.gc_copied_words,
+            s.peak_bytes,
+        )
+    });
+    let mut out = String::new();
+    let _ = writeln!(out, "Counts of every benchmark in every mode");
+    let _ = writeln!(
+        out,
+        "{:<10} {:<5} {:>12} {:>15} {:>8} {:>12} {:>10}",
+        "Program",
+        "mode",
+        "instructions",
+        "words_allocated",
+        "gc_count",
+        "bytes_copied",
+        "peak_bytes"
+    );
+    for row in rows {
+        let _ = writeln!(out, "{row}");
+    }
+    let _ = writeln!(
+        out,
+        "(each cell ran at Fusion::Off and Fusion::Full: equal on every counter)"
+    );
+    out
+}
+
+/// The `Fusion::Off` and `Fusion::Full` runs of `cell`, held to each
+/// other: the `Full` run, or where they differ, named with the cell.
+fn agreed(cell: &str, off: Outcome, full: Outcome) -> Result<Outcome, String> {
+    match divergence(&off, &full) {
+        None => Ok(full),
+        Some(d) => Err(format!("{cell}: Fusion::Off vs Fusion::Full: {d}")),
+    }
+}
+
+/// `work` on every item, the items shared out over
+/// `available_parallelism()` threads; the results in item order. A panic
+/// in `work` is re-raised.
+pub fn sharded<I: Sync, T: Send>(items: &[I], work: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.min(items.len()))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return mine;
+                        };
+                        mine.push((i, work(item)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_counter_off_and_full_disagree_on_is_named_with_the_cell() {
+        let off = Compiler::new(Mode::Rgt)
+            .run_source("val it = 1 + 2")
+            .unwrap();
+        let mut full = Compiler::new(Mode::Rgt)
+            .run_source("val it = 1 + 2")
+            .unwrap();
+        assert!(divergence(&off, &full).is_none());
+        full.stats.regions_popped += 1;
+        let err = agreed("fib [rgt]", off, full).unwrap_err();
+        assert!(
+            err.starts_with("fib [rgt]: Fusion::Off vs Fusion::Full:")
+                && err.contains("`regions_popped: ")
+                && !err.contains("gc_count"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn formatting_matches_paper_style() {

@@ -2,6 +2,7 @@
 //! generator must produce a row per benchmark (or a plausible series) and
 //! agree across modes internally (the generators assert result equality).
 
+use kit::Mode;
 use kit_bench::programs::all;
 use kit_bench::tables;
 
@@ -61,23 +62,56 @@ fn bootstrap_reports_both_runtimes() {
     assert!(t.contains("smlnj"), "{t}");
 }
 
-/// The collector comparison went with the sliced collector: its flag is
-/// refused like any typo, before a cell runs or a file is written. (The
-/// flag is spelled in two pieces because `scripts/verify.sh` holds the
-/// tree free of the whole.)
 #[test]
-fn bench_summary_refuses_the_removed_collector_comparison() {
-    let flag = concat!("--gc", "-compare");
-    let path = std::env::temp_dir().join(format!("harness_{}.json", std::process::id()));
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench-summary"))
-        .args(["--only", "fib", "--out", path.to_str().unwrap(), flag])
-        .output()
-        .expect("bench-summary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown argument") && stderr.contains(flag),
-        "{stderr}"
+fn counts_has_a_row_per_benchmark_and_mode() {
+    let t = tables::counts(true);
+    let rows: Vec<(&str, &str)> = t
+        .lines()
+        .skip(2)
+        .filter_map(|line| {
+            let mut cols = line.split_whitespace();
+            Some((cols.next()?, cols.next()?))
+        })
+        .collect();
+    let want: Vec<(&str, &str)> = all()
+        .iter()
+        .flat_map(|b| Mode::ALL_WITH_BASELINE.map(|m| (b.name, m.suffix())))
+        .collect();
+    assert_eq!(
+        rows.len(),
+        want.len() + 1,
+        "a row per cell, one footnote:\n{t}"
     );
-    assert!(!path.exists(), "a refused command line wrote {path:?}");
+    assert_eq!(rows[..want.len()], want[..], "{t}");
+    assert!(t.contains("words_allocated"), "{t}");
+}
+
+/// `bench-summary` selects fusion rows and nothing else: the count flags
+/// (the counts are the `counts` table) and the collector comparison (gone
+/// with the sliced collector) are refused like any typo. (Two of the
+/// flags are spelled in pieces because `scripts/verify.sh` holds the tree
+/// free of the whole.)
+#[test]
+fn bench_summary_refuses_the_removed_flags() {
+    for flag in [
+        "--out",
+        "--full",
+        "--only",
+        "--modes",
+        concat!("--check", "-counts"),
+        concat!("--gc", "-compare"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench-summary"))
+            .args(["--check-fusion", flag])
+            .output()
+            .expect("bench-summary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown argument")
+                && stderr.contains(flag)
+                && stderr.contains("usage:"),
+            "{stderr}"
+        );
+    }
 }

@@ -12,7 +12,7 @@
 //! matter.
 //!
 //! This table is *selected*: `cargo run -p kit-bench --release --bin
-//! bench-summary -- --profile-fusion --full` runs the corpus unfused in
+//! bench-summary -- --profile-fusion` runs the corpus unfused in
 //! the VM's counting mode (dispatches per pc), then adds, one at a time,
 //! the run of base opcodes that saves the most dispatches under the
 //! fewest-groups parse, until the next would save less than 1 %
@@ -23,7 +23,7 @@
 //! `scripts/verify.sh`) fails while this table is not the selection.
 //!
 //! `dyn_count` is the row's fused-dispatch saving: the dispatches the
-//! corpus at paper scale (`--full`, all five modes, each run weighed
+//! corpus at paper scale (all five modes, each run weighed
 //! alike) takes more without the row, the other rows kept, per million
 //! of its unfused dispatches — documentation, not an input to fusion.
 

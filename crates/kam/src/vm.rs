@@ -593,6 +593,20 @@ impl<'p> Vm<'p> {
                 Control::Next => pc += 1,
                 Control::Goto(target) => pc = target as usize,
                 Control::Halt => {
+                    // Where a run halts, the heap holds what it holds at
+                    // every safe point, and only the regions `push_globals`
+                    // made, below the main frame, are left.
+                    #[cfg(debug_assertions)]
+                    {
+                        if let Err(e) = self.rt.check_heap() {
+                            panic!("heap check at halt: {e}");
+                        }
+                        assert_eq!(
+                            self.rt.region_depth(),
+                            self.frames[0].region_depth,
+                            "a region outlived its frame"
+                        );
+                    }
                     let result = self.halted.take().expect("Halt without a result");
                     let mut stats = self.rt.stats.clone();
                     stats.observe_bytes(self.rt.mem_bytes());

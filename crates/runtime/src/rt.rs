@@ -593,7 +593,8 @@ impl Rt {
     /// the free-list or owned by exactly one region, each region's page
     /// chain is as long as its descriptor counts, no region's status bit
     /// is set and no large object is marked. Every test and debug build
-    /// runs it where a collection ends. O(pages + regions + large objects).
+    /// runs it where a collection ends and where a run halts.
+    /// O(pages + regions + large objects).
     pub fn check_heap(&self) -> Result<(), String> {
         let owned: usize = self.regions.iter().map(|d| d.pages).sum();
         let total = self.heap.total_pages();

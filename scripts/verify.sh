@@ -60,7 +60,7 @@ cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
 echo "==> one measuring instrument: no time or rate field outside benchmark/"
-echo "    (times come from benchmark/run.sh, counts from bench-summary)"
+echo "    (times come from benchmark/run.sh, counts from bench_output/counts.txt)"
 if grep -rnE 'instructions_per_sec|"rps"|p50_ms|p99_ms|mean_ms' crates/; then
     echo "verify: a time or rate field is back under crates/ (see above)" >&2
     exit 1
@@ -92,6 +92,7 @@ w;crates src tests examples scripts;a hand-written copy of the differential, a s
 w;crates src tests examples scripts;the greedy matcher, a pair/triple profile matrix or a fusion row the dispatch-saving selection dropped;match_at|hot_pairs|hot_triples|packs|StoreLoadSelect|LoadPrimJump|StoreLoad|PrimJump|GcCheckLoad|RegHandleRegHandle|SelectStoreLoad|RegHandleRegHandleLoad
 w;crates src tests examples scripts;the second region recorder, the second heap check, the baseline's second compile-and-run path or the tables' copy of the outcome (each collection is recorded in its GcRecord and checked by Rt::check_heap);Profiler|Sample|with_profiling|check_epilogue|check_page_conservation|compile_baseline|run_baseline|run_baseline_with|run_scaled|MeasuredRun
 E;crates src tests examples scripts;the region profiler's module, its knob or the outcome's copy of its samples (the profile is GcRecord::region_words);kit_runtime::profile|profile\.rs|config\.profile\b|\.profiler\b|(out|outcome)\.profile\b
+w;crates src tests examples scripts;the count JSON's reader, its gate and its flag, its environment block or its two fusion configs (the counts are bench_output/counts.txt, diffed);read_runs|check_counts|env_json|threaded_off|threaded_full|check-counts
 ROWS
 echo "==> the VM does not know which collector runs: crates/kam/src names no"
 echo "    generational policy, remembered set or generational branch"
@@ -126,19 +127,11 @@ echo "    the rows the selection takes on the paper-scale corpus, and every one"
 echo "    is dispatched there"
 cargo run --release -q -p kit-bench --bin bench-summary -- --check-fusion >/dev/null
 
-echo "==> bench-summary count check: instructions, words allocated, #GC and"
-echo "    bytes copied of the 80 full-scale cells of BENCH_PR50.json in r, gt,"
-echo "    rgt and the generational baseline, both fusion levels; writes"
-echo "    nothing (a PR that moves them on purpose points this at its own"
-echo "    BENCH file)"
-cargo run --release -p kit-bench --bin bench-summary -- \
-    --full --modes r,gt,rgt,smlnj \
-    --only dlx,fib,tak,kitlife,machine,accum,msort,churn,lexgen,book \
-    --check-counts BENCH_PR50.json
-
 echo "==> bench_output/ holds what the tree prints: the paper's four tables,"
-echo "    Figs. 4 and 5 and the bootstrap run, regenerated and diffed"
-for b in table1 table2 table3 table4 fig4 fig5 bootstrap; do
+echo "    Figs. 4 and 5, the bootstrap run and the counts of every benchmark"
+echo "    in every mode (each cell held equal at both fusion levels on every"
+echo "    counter), regenerated and diffed"
+for b in table1 table2 table3 table4 fig4 fig5 bootstrap counts; do
     cargo run --release -q -p kit-bench --bin "$b" | diff -u "bench_output/$b.txt" - ||
         { echo "verify: bench_output/$b.txt is stale (see above)" >&2; exit 1; }
 done

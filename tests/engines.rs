@@ -254,7 +254,9 @@ fn every_collector_agrees_with_the_evaluator_on_both_engines() {
 /// into both. With region handles in frame words, the unwind must leave
 /// the handler frame's formal slot and its open regions' ids intact and
 /// pop exactly the regions opened below it. A small heap makes the
-/// collector run across the unwinds.
+/// collector run across the unwinds. Where the run halts, a debug build
+/// checks the heap and that only the global regions are left
+/// (`Vm::exec_threaded`).
 #[test]
 fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
     use kit_kam::instr::RegSlot;
@@ -316,14 +318,6 @@ fn a_raise_out_of_open_letregions_lands_in_a_frame_with_formals_and_regions() {
         let result =
             kit_kam::render::render_value(&out.rt, out.result, &prog.result_ty, &prog.data);
         assert_eq!(result, *want, "{fusion:?} vs evaluator");
-        out.rt
-            .check_heap()
-            .unwrap_or_else(|e| panic!("{fusion:?}: {e}"));
-        assert_eq!(
-            out.rt.region_depth(),
-            prog.global_infinite.len(),
-            "{fusion:?}: a region outlived its frame"
-        );
         (
             out.instructions,
             out.stats.gc_count,
